@@ -1,7 +1,7 @@
 # Local targets mirroring .github/workflows/ci.yml.
 GO ?= go
 
-.PHONY: build test race bench fmt fmt-check vet serve bench-service bench-json bench-baseline load-smoke cluster-smoke ci
+.PHONY: build test race bench fmt fmt-check vet benchmark-check serve bench-service bench-json bench-baseline load-smoke cluster-smoke ci
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,13 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
+# benchmark/ is its own module (replace repro => ../), so the root build,
+# vet and test never see it: this is the gate that an internal/* API
+# change has not broken the harness BENCHMARK.json runs.
+benchmark-check:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
+
 # Run the HTTP query service (see cmd/windserve -h for knobs). Relocate
 # with PORT=9090 or a full ADDR=host:9090, so two local instances — or a
 # whole shard cluster — can coexist:
@@ -48,7 +55,7 @@ bench-service:
 # JSON (see bench.Trajectory). Sharded and shuffle points carry the
 # slowest repetition's rendered trace tree.
 bench-json:
-	$(GO) run ./cmd/windbench -exp parallel,sharded,shuffle,service,share,append -servdur 200ms -servrows 4000 -arrival 25 -slo 2s -json BENCH_pr8.json
+	$(GO) run ./cmd/windbench -exp parallel,sharded,shuffle,service,share,append -servdur 200ms -servrows 4000 -arrival 25 -slo 2s -json BENCH_trajectory.json
 
 # The committed bench-regression baseline: regenerate the gated scenario
 # trajectories in place, then verify the fresh numbers pass their own
@@ -224,4 +231,4 @@ cluster-smoke:
 	[ "$$aborted" = 1 ] || { echo "cluster-smoke: windowdb_queries_aborted_total never incremented after the kill" >&2; exit 1; }; \
 	echo "cluster-smoke: live query listed with node subtree, killed by id, abort counted OK"
 
-ci: build vet fmt-check race bench load-smoke cluster-smoke
+ci: build vet benchmark-check fmt-check race bench load-smoke cluster-smoke

@@ -214,7 +214,7 @@ func TestEngineSubscribeParity(t *testing.T) {
 	}
 	for i := range want.Table.Rows {
 		for j := range want.Table.Rows[i] {
-			if want.Table.Rows[i][j] != got.Table.Rows[i][j] {
+			if !storage.Identical(want.Table.Rows[i][j], got.Table.Rows[i][j]) {
 				t.Fatalf("row %d col %d: %s vs %s", i, j, got.Table.Rows[i][j], want.Table.Rows[i][j])
 			}
 		}

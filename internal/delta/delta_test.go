@@ -78,7 +78,7 @@ func checkMaintained(t *testing.T, src string, base *storage.Table, batches [][]
 			// rows are also in scan order (appends go to the end), so the
 			// value slices align positionally.
 			for pos := range got {
-				if got[pos] != want[pos] {
+				if !storage.Identical(got[pos], want[pos]) {
 					t.Errorf("batch %d wf %d row %d (rid %d): maintained %v (%s), reference %v (%s)",
 						bi, wi, pos, m.rids[pos], got[pos], got[pos].Kind(), want[pos], want[pos].Kind())
 				}

@@ -148,7 +148,7 @@ func RunContext(ctx context.Context, table *storage.Table, specs []window.Spec, 
 	var comparisons int64
 	tableBlocks := int64(table.ByteSize()) / int64(cfg.blockSize())
 
-	for _, step := range plan.Steps {
+	for i, step := range plan.Steps {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
@@ -167,6 +167,7 @@ func RunContext(ctx context.Context, table *storage.Table, specs []window.Spec, 
 			Store:        store,
 			Comparisons:  &comparisons,
 			RunFormation: cfg.RunFormation,
+			SpareCols:    len(plan.Steps) - i,
 		}
 		in := stream.FromRows(rows)
 		var (
@@ -217,7 +218,7 @@ func RunContext(ctx context.Context, table *storage.Table, specs []window.Spec, 
 		if err != nil {
 			return nil, nil, fmt.Errorf("exec: wf%d evaluate: %w", step.WF.ID, err)
 		}
-		newRows, err := stream.Collect(evaluated)
+		newRows, err := stream.CollectN(evaluated, len(rows)) // evaluation is 1:1
 		if err != nil {
 			return nil, nil, fmt.Errorf("exec: wf%d drain: %w", step.WF.ID, err)
 		}
@@ -264,10 +265,13 @@ func RunContext(ctx context.Context, table *storage.Table, specs []window.Spec, 
 // engine-owned table rows, which must never observe the appends — and the
 // three-index slices pin each row's capacity to its own arena region, so
 // a row cannot grow into its neighbour. In-place extension is safe
-// because the chain never duplicates a row reference: reorders permute
-// (spills decode into fresh tuples), and evaluation emits exactly one
-// output row per input row, so each arena row is extended at most once
-// per step.
+// because the chain never duplicates a row reference: reorders permute,
+// and evaluation emits exactly one output row per input row, so each
+// arena row is extended at most once per step. A reorder that spills
+// drops the rows it wrote out and reads them back into a
+// storage.TupleArena with the same layout and the capacity the remaining
+// steps need (reorder.Config.SpareCols), so the discipline holds across
+// FS runs, HS buckets and SS units too.
 func arenaRows(table *storage.Table, steps int) []stream.Row {
 	arity := table.Schema.Len()
 	stride := arity + steps

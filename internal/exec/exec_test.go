@@ -349,3 +349,82 @@ func TestTheorem4EvaluationOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestSpillingChainExtendsInPlace — a chain whose every step spills (FS to
+// runs, SS to external units, HS to flushed buckets) keeps the executor's
+// arena discipline across the spill files: every result row ends with
+// exactly the capacity the input arena gave it, which only holds if no
+// Extend ever had to copy; no row was written into by a neighbour (base
+// columns equal the input); and every derived value equals the reference.
+func TestSpillingChainExtendsInPlace(t *testing.T) {
+	table := datagen.WebSales(datagen.WebSalesConfig{Rows: 3000, Seed: 9, ItemDistinct: 4, WarehouseDistinct: 5, PadBytes: 24})
+	rank := func(name string, pk attrs.ID, ok attrs.ID) window.Spec {
+		return window.Spec{Name: name, Kind: window.Rank, Arg: -1, PK: attrs.MakeSet(pk), PKOrder: attrs.AscSeq(pk), OK: attrs.AscSeq(ok)}
+	}
+	specs := []window.Spec{
+		rank("by_date", paper.Item, paper.Date),
+		rank("by_bill", paper.Item, paper.Bill),
+		rank("by_time", paper.Warehouse, paper.Time),
+	}
+	ws := paper.WFs(specs)
+	plan := &core.Plan{Scheme: "test", Steps: []core.Step{
+		{WF: ws[0], Reorder: core.ReorderFS, SortKey: attrs.AscSeq(paper.Item, paper.Date)},
+		{WF: ws[1], Reorder: core.ReorderSS, Alpha: attrs.AscSeq(paper.Item), Beta: attrs.AscSeq(paper.Bill)},
+		{WF: ws[2], Reorder: core.ReorderHS, HashKey: attrs.MakeSet(paper.Warehouse), SortKey: attrs.AscSeq(paper.Warehouse, paper.Time)},
+	}}
+	result, m, err := Run(table, specs, plan, Config{MemoryBytes: 8 << 10, BlockSize: 1024, HSBuckets: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var runs, passes, units, external, buckets, spilled, resident, mfv int
+	var inmem bool
+	if _, err := fmt.Sscanf(m.Steps[0].Detail, "runs=%d passes=%d inmem=%t", &runs, &passes, &inmem); err != nil || inmem || runs < 2 {
+		t.Fatalf("FS step did not spill: %q (%v)", m.Steps[0].Detail, err)
+	}
+	var segments int
+	if _, err := fmt.Sscanf(m.Steps[1].Detail, "segments=%d units=%d external=%d", &segments, &units, &external); err != nil || external == 0 {
+		t.Fatalf("SS step sorted no unit externally: %q (%v)", m.Steps[1].Detail, err)
+	}
+	if _, err := fmt.Sscanf(m.Steps[2].Detail, "buckets=%d spilled=%d resident=%d mfv=%d", &buckets, &spilled, &resident, &mfv); err != nil || spilled == 0 {
+		t.Fatalf("HS step flushed no bucket: %q (%v)", m.Steps[2].Detail, err)
+	}
+	for i, s := range m.Steps {
+		if s.BlocksWritten == 0 || s.BlocksRead == 0 {
+			t.Fatalf("step %d moved no blocks", i)
+		}
+	}
+
+	arity := table.Schema.Len()
+	byTag := make(map[int64]storage.Tuple, table.Len())
+	for _, row := range table.Rows {
+		byTag[row[datagen.ColOrderNumber].Int64()] = row
+	}
+	if result.Len() != table.Len() {
+		t.Fatalf("%d result rows for %d input rows", result.Len(), table.Len())
+	}
+	for _, row := range result.Rows {
+		if len(row) != arity+3 || cap(row) != arity+3 {
+			t.Fatalf("result row len %d cap %d, want both %d: an Extend copied", len(row), cap(row), arity+3)
+		}
+		in := byTag[row[datagen.ColOrderNumber].Int64()]
+		for c := range in {
+			if !storage.Identical(row[c], in[c]) {
+				t.Fatalf("order %s col %d = %q, input had %q", in[datagen.ColOrderNumber], c, row[c], in[c])
+			}
+		}
+	}
+	got := derived(t, result, plan, arity)
+	for i, spec := range specs {
+		want, err := window.Reference(table.Rows, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, v := range want {
+			tag := table.Rows[r][datagen.ColOrderNumber].Int64()
+			if !storage.Identical(got[tag][i], v) {
+				t.Fatalf("%s: order %d = %s, reference %s", spec.Name, tag, got[tag][i], v)
+			}
+		}
+	}
+}

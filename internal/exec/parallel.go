@@ -51,7 +51,7 @@ func ParallelEvaluate(table *storage.Table, spec window.Spec, degree int, cfg Co
 			// Each worker gets its own spill store and the full unit
 			// reorder memory, as in the paper's parallel model.
 			store := pagestore.NewMem(cfg.blockSize(), &pagestore.Stats{})
-			rcfg := reorder.Config{MemoryBytes: cfg.MemoryBytes, Store: store, RunFormation: cfg.RunFormation}
+			rcfg := reorder.Config{MemoryBytes: cfg.MemoryBytes, Store: store, RunFormation: cfg.RunFormation, SpareCols: 1}
 			sorted, _, err := reorder.FullSort(stream.FromTuples(parts[p]), key, rcfg)
 			if err != nil {
 				errs[p] = err
@@ -435,11 +435,7 @@ func partitionRows(rows []storage.Tuple, ids []attrs.ID, degree int) [][]storage
 // shuffle data plane) uses this same function, so placement stays
 // internally consistent.
 func hashTupleKey(t storage.Tuple, ids []attrs.ID) uint64 {
-	h := storage.HashSeedFNV
-	for _, id := range ids {
-		h = storage.HashValueFNV(h, t[id])
-	}
-	return mix64(h)
+	return mix64(storage.HashKeyFNV(t, ids))
 }
 
 // mix64 is the splitmix64 finalizer: full-avalanche bit mixing so the

@@ -83,7 +83,7 @@ func ReorderTable(ctx context.Context, table *storage.Table, step core.Step, cfg
 		return nil, nil, fmt.Errorf("exec: shared %s reorder: %w", step.Reorder, err)
 	}
 
-	rows, err := stream.Collect(out)
+	rows, err := stream.CollectN(out, table.Len())
 	if err != nil {
 		return nil, nil, fmt.Errorf("exec: shared scan drain: %w", err)
 	}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 	"sync/atomic"
 )
 
@@ -64,6 +65,12 @@ type Store struct {
 	blockSize int
 	stats     *Stats
 	dir       string // non-empty ⇒ file-backed
+
+	// free holds the pages of released memory-backed files for the next
+	// file to write into: a chain of reorders through one store touches
+	// about as many pages as its largest spill, not the sum of them all.
+	mu   sync.Mutex
+	free [][]byte
 }
 
 // NewMem returns a memory-backed store. stats may be nil.
@@ -96,6 +103,18 @@ func (s *Store) BlockSize() int { return s.blockSize }
 // Stats returns the shared counters.
 func (s *Store) Stats() *Stats { return s.stats }
 
+// page returns an empty page with room for one block.
+func (s *Store) page() []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.free); n > 0 {
+		p := s.free[n-1]
+		s.free = s.free[:n-1]
+		return p
+	}
+	return make([]byte, 0, s.blockSize)
+}
+
 // Create opens a fresh spill file for sequential writing.
 func (s *Store) Create() (*File, error) {
 	f := &File{store: s}
@@ -114,12 +133,18 @@ func (s *Store) Create() (*File, error) {
 // independent and may run concurrently after Seal.
 type File struct {
 	store  *Store
-	mem    []byte   // memory backend payload
+	pages  [][]byte // memory backend payload: full pages, the last possibly short
 	osf    *os.File // file backend handle (nil for memory)
 	size   int64
 	sealed bool
-	wbuf   []byte // current partial page
+	// wbuf is the current partial page. On the memory backend it is the
+	// page itself: flushing moves it into pages and the next write takes
+	// a new one, so payload bytes are copied once, by Write.
+	wbuf []byte
 }
+
+// BlockSize returns the page size of the store the file lives in.
+func (f *File) BlockSize() int { return f.store.blockSize }
 
 // Write appends payload bytes, flushing full pages with accounting.
 func (f *File) Write(p []byte) (int, error) {
@@ -129,6 +154,9 @@ func (f *File) Write(p []byte) (int, error) {
 	n := len(p)
 	bs := f.store.blockSize
 	for len(p) > 0 {
+		if f.wbuf == nil {
+			f.wbuf = f.store.page()
+		}
 		room := bs - len(f.wbuf)
 		take := room
 		if take > len(p) {
@@ -155,11 +183,13 @@ func (f *File) flushPage() error {
 		if _, err := f.osf.Write(f.wbuf); err != nil {
 			return fmt.Errorf("pagestore: flush: %w", err)
 		}
-	} else {
-		f.mem = append(f.mem, f.wbuf...)
+		f.size += int64(len(f.wbuf))
+		f.wbuf = f.wbuf[:0]
+		return nil
 	}
+	f.pages = append(f.pages, f.wbuf)
 	f.size += int64(len(f.wbuf))
-	f.wbuf = f.wbuf[:0]
+	f.wbuf = nil
 	return nil
 }
 
@@ -184,9 +214,17 @@ func (f *File) Blocks() int64 {
 	return (f.size + bs - 1) / bs
 }
 
-// Release frees backing resources. Readers must be finished.
+// Release frees backing resources. Readers must be finished: the memory
+// backend hands the pages to the store's next file.
 func (f *File) Release() {
-	f.mem = nil
+	if len(f.pages) > 0 {
+		f.store.mu.Lock()
+		for _, p := range f.pages {
+			f.store.free = append(f.store.free, p[:0])
+		}
+		f.store.mu.Unlock()
+	}
+	f.pages = nil
 	f.wbuf = nil
 	if f.osf != nil {
 		name := f.osf.Name()
@@ -225,6 +263,7 @@ func (r *Reader) Read(p []byte) (int, error) {
 		p = p[:remain]
 	}
 	var n int
+	bs := int64(f.store.blockSize)
 	if f.osf != nil {
 		if r.fileHandle == nil {
 			h, err := os.Open(f.osf.Name())
@@ -239,13 +278,18 @@ func (r *Reader) Read(p []byte) (int, error) {
 		}
 		n = m
 	} else {
-		n = copy(p, f.mem[r.off:])
+		if f.pages == nil {
+			return 0, fmt.Errorf("pagestore: read after Release")
+		}
+		for n < len(p) {
+			at := r.off + int64(n)
+			n += copy(p[n:], f.pages[at/bs][at%bs:])
+		}
 	}
 	if n == 0 {
 		return 0, io.EOF
 	}
 	// Account pages crossed by this read.
-	bs := int64(f.store.blockSize)
 	firstPage := r.off / bs
 	lastPage := (r.off + int64(n) - 1) / bs
 	newPages := lastPage - firstPage + 1

@@ -145,3 +145,77 @@ func TestStatsAccumulateAcrossFiles(t *testing.T) {
 		t.Errorf("Reset failed")
 	}
 }
+
+// TestReleasedPagesAreReused — the memory backend hands a released file's
+// pages to the next file: the second file allocates nothing, reads back its
+// own bytes, and a file still open is not disturbed by its neighbour's
+// release. Accounting is per page written and read, as without reuse.
+func TestReleasedPagesAreReused(t *testing.T) {
+	stats := &Stats{}
+	store := NewMem(128, stats)
+	fill := func(b byte, n int) []byte { return bytes.Repeat([]byte{b}, n) }
+	write := func(payload []byte) *File {
+		f, err := store.Create()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	read := func(f *File) []byte {
+		rd, err := f.NewReader()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rd.Close()
+		got, err := io.ReadAll(rd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+
+	kept := write(fill('k', 300))
+	first := write(fill('a', 8192)) // 64 pages
+	if !bytes.Equal(read(first), fill('a', 8192)) {
+		t.Fatal("first file read back wrong")
+	}
+	stale, err := first.NewReader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.Release()
+	if _, err := stale.Read(make([]byte, 8)); err == nil || err == io.EOF {
+		t.Fatalf("read after Release: err = %v, want an error", err)
+	}
+	if len(store.free) != 64 {
+		t.Fatalf("free list holds %d pages after releasing 64", len(store.free))
+	}
+	var second *File
+	if n := testing.AllocsPerRun(1, func() {
+		if second != nil {
+			second.Release()
+		}
+		second = write(fill('b', 8000)) // 63 pages
+	}); n >= 16 { // the File and its growing page index, not 63 pages
+		t.Errorf("writing into released pages allocated %v objects", n)
+	}
+	if !bytes.Equal(read(second), fill('b', 8000)) {
+		t.Fatal("second file read back the first file's bytes")
+	}
+	if !bytes.Equal(read(kept), fill('k', 300)) {
+		t.Fatal("an open file changed when another was released")
+	}
+	// kept 3 pages, first 64, second 63 written twice (AllocsPerRun warms up).
+	if w := stats.BlocksWritten(); w != 3+64+63+63 {
+		t.Errorf("BlocksWritten = %d, want 193", w)
+	}
+	if r := stats.BlocksRead(); r != 64+63+3 {
+		t.Errorf("BlocksRead = %d, want 130", r)
+	}
+}

@@ -52,28 +52,20 @@ type HSStats struct {
 	ExternalBuckets int // buckets whose sort spilled
 }
 
-// EncodeHashKey serializes the WHK projection of a tuple; used both for
-// hashing and for MFV lookup.
+// EncodeHashKey serializes the WHK projection of a tuple: the form MFVs are
+// keyed by. Buckets are chosen by FNV-1a over these bytes, computed without
+// building them (storage.HashKeyFNV).
 func EncodeHashKey(t storage.Tuple, key []attrs.ID) []byte {
-	var buf []byte
-	for _, id := range key {
-		buf = storage.AppendTuple(buf, storage.Tuple{t[id]})
-	}
-	return buf
+	return appendHashKey(nil, t, key)
 }
 
-// fnv1a hashes the encoded key.
-func fnv1a(b []byte) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime
+func appendHashKey(dst []byte, t storage.Tuple, key []attrs.ID) []byte {
+	var one [1]storage.Value
+	for _, id := range key {
+		one[0] = t[id]
+		dst = storage.AppendTuple(dst, one[:])
 	}
-	return h
+	return dst
 }
 
 // hsBucket is one hash partition during the build phase.
@@ -115,6 +107,7 @@ func HashedSort(in stream.Stream, opt HSOptions, cfg Config) (stream.Stream, HSS
 	var (
 		memUsed   int
 		mfvTuples []storage.Tuple
+		mfvKey    []byte // scratch for the MFV lookup
 		rrNext    int
 		err       error
 	)
@@ -169,14 +162,16 @@ func HashedSort(in stream.Stream, opt HSOptions, cfg Config) (stream.Stream, HSS
 		}
 		st.InputTuples++
 		t := r.Tuple
-		key := EncodeHashKey(t, opt.HashKey)
-		if opt.MFVs != nil && opt.MFVs[string(key)] {
-			// Bypass: straight to the pipelined MFV sort, no partition I/O.
-			mfvTuples = append(mfvTuples, t)
-			st.MFVTuples++
-			continue
+		if opt.MFVs != nil {
+			mfvKey = appendHashKey(mfvKey[:0], t, opt.HashKey)
+			if opt.MFVs[string(mfvKey)] {
+				// Bypass: straight to the pipelined MFV sort, no partition I/O.
+				mfvTuples = append(mfvTuples, t)
+				st.MFVTuples++
+				continue
+			}
 		}
-		b := buckets[fnv1a(key)%uint64(len(buckets))]
+		b := buckets[storage.HashKeyFNV(t, opt.HashKey)%uint64(len(buckets))]
 		if b.writer != nil {
 			// Once flushed, a bucket stays disk-bound (Section 3.2).
 			if err = b.writer.Write(t); err != nil {
@@ -302,7 +297,7 @@ func (s *hsStream) loadBucket(b *hsBucket) ([]storage.Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	rd, err := spill.NewReader(f)
+	rd, err := spill.NewArenaReader(f, storage.NewTupleArena(s.cfg.SpareCols))
 	if err != nil {
 		return nil, err
 	}

@@ -40,6 +40,12 @@ type Config struct {
 	Comparisons *int64
 	// RunFormation selects the external sort's run formation policy.
 	RunFormation xsort.RunFormation
+	// SpareCols is the number of chain steps still to run on the rows,
+	// this one included: rows that come back from a run, a bucket or an
+	// external unit are decoded with that much spare capacity, so window
+	// evaluation extends them in place like the rows that stayed in
+	// memory. Zero costs a copy per extension, never correctness.
+	SpareCols int
 }
 
 func (c Config) sorter(key attrs.Seq) *xsort.Sorter {
@@ -49,6 +55,7 @@ func (c Config) sorter(key attrs.Seq) *xsort.Sorter {
 		Store:        c.Store,
 		Comparisons:  c.Comparisons,
 		RunFormation: c.RunFormation,
+		SpareCols:    c.SpareCols,
 	}
 }
 

@@ -156,7 +156,7 @@ func TestErrorTrailerSurvivesFraming(t *testing.T) {
 					}
 					break
 				}
-				if want := storage.Int(int64(n + 1)); tup[0] != want {
+				if want := storage.Int(int64(n + 1)); !storage.Identical(tup[0], want) {
 					t.Fatalf("row %d = %v", n, tup)
 				}
 				n++

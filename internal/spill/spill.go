@@ -47,40 +47,48 @@ func (w *Writer) File() *pagestore.File { return w.file }
 
 // Reader decodes tuples back out of a sealed spill file.
 type Reader struct {
-	rd   *pagestore.Reader
-	buf  []byte
-	pos  int
-	fill int
-	eof  bool
+	rd    *pagestore.Reader
+	arena *storage.TupleArena
+	buf   []byte
+	pos   int
+	fill  int
+	eof   bool
 }
 
-// NewReader opens a sealed spill file for sequential tuple reads.
+// NewReader opens a sealed spill file for sequential tuple reads. The
+// tuples it returns have no spare capacity.
 func NewReader(f *pagestore.File) (*Reader, error) {
+	return NewArenaReader(f, storage.NewTupleArena(0))
+}
+
+// NewArenaReader is NewReader decoding into arena, which the readers of one
+// merge or one bucket share: the rows come out with the arena's spare
+// capacity, laid out in the order they were read. The read buffer is one
+// page — what the merge-order arithmetic of xsort budgets per run — and
+// grows only for a tuple that does not fit in it.
+func NewArenaReader(f *pagestore.File, arena *storage.TupleArena) (*Reader, error) {
 	rd, err := f.NewReader()
 	if err != nil {
 		return nil, err
 	}
-	return &Reader{rd: rd, buf: make([]byte, 0, 64<<10)}, nil
+	return &Reader{rd: rd, arena: arena, buf: make([]byte, 0, f.BlockSize())}, nil
 }
 
 // Next returns the next tuple; ok is false at end of file.
 func (r *Reader) Next() (t storage.Tuple, ok bool, err error) {
 	for {
 		if r.pos < r.fill {
-			t, n, derr := storage.DecodeTuple(r.buf[r.pos:r.fill])
+			// A tuple cut off by the end of the buffer fails to decode and
+			// leaves the arena untouched; refill and decode it again.
+			t, n, derr := r.arena.Decode(r.buf[r.pos:r.fill])
 			if derr == nil {
 				r.pos += n
 				return t, true, nil
 			}
-			if !r.eof {
-				if err := r.refill(); err != nil {
-					return nil, false, err
-				}
-				continue
+			if r.eof {
+				return nil, false, derr
 			}
-			return nil, false, derr
-		}
-		if r.eof {
+		} else if r.eof {
 			return nil, false, nil
 		}
 		if err := r.refill(); err != nil {

@@ -151,3 +151,66 @@ func TestQuickRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestArenaReadersShareOneArena — the readers of one merge decode into one
+// arena: rows come out with its spare capacity, interleaved reads keep
+// every row intact when its neighbours are extended, and each reader
+// buffers one page (the merge-order arithmetic budgets one per run), not a
+// fixed 64 KiB.
+func TestArenaReadersShareOneArena(t *testing.T) {
+	const blockSize, perFile, spare = 256, 300, 3
+	store := pagestore.NewMem(blockSize, nil)
+	row := func(file, i int) storage.Tuple {
+		return storage.Tuple{storage.Int(int64(file)), storage.Int(int64(i)), storage.StringVal("pad-pad-pad-pad")}
+	}
+	arena := storage.NewTupleArena(spare)
+	var readers []*Reader
+	for file := 0; file < 3; file++ {
+		w, err := NewWriter(store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < perFile; i++ {
+			if err := w.Write(row(file, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f, err := w.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd, err := NewArenaReader(f, arena)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rd.Close()
+		if cap(rd.buf) != blockSize {
+			t.Fatalf("read buffer is %d bytes, want one %d-byte page", cap(rd.buf), blockSize)
+		}
+		readers = append(readers, rd)
+	}
+	var got []storage.Tuple
+	for i := 0; i < perFile; i++ {
+		for _, rd := range readers {
+			tu, ok, err := rd.Next()
+			if err != nil || !ok {
+				t.Fatalf("row %d: ok=%v err=%v", i, ok, err)
+			}
+			if len(tu) != 3 || cap(tu) != 3+spare {
+				t.Fatalf("row len %d cap %d, want 3 and %d", len(tu), cap(tu), 3+spare)
+			}
+			for k := 0; k < spare; k++ {
+				tu = tu.Extend(storage.Int(int64(-k)))
+			}
+			got = append(got, tu)
+		}
+	}
+	for n, tu := range got {
+		want := append(row(n%3, n/3), storage.Int(0), storage.Int(-1), storage.Int(-2))
+		for c := range want {
+			if !storage.Identical(tu[c], want[c]) {
+				t.Fatalf("row %d col %d = %q, want %q", n, c, tu[c], want[c])
+			}
+		}
+	}
+}

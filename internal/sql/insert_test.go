@@ -39,14 +39,14 @@ func TestParseInsert(t *testing.T) {
 	}
 	want0 := storage.Tuple{storage.Int(1), storage.StringVal("a"), storage.Float(2.5), storage.Null}
 	for i, v := range want0 {
-		if ins.Rows[0][i] != v {
+		if !storage.Identical(ins.Rows[0][i], v) {
 			t.Errorf("row 0 col %d = %s, want %s", i, ins.Rows[0][i], v)
 		}
 	}
-	if ins.Rows[1][0] != storage.Int(-3) {
+	if !storage.Identical(ins.Rows[1][0], storage.Int(-3)) {
 		t.Errorf("negative literal = %s", ins.Rows[1][0])
 	}
-	if ins.Rows[1][1] != storage.StringVal("it's") {
+	if !storage.Identical(ins.Rows[1][1], storage.StringVal("it's")) {
 		t.Errorf("escaped string = %s", ins.Rows[1][1])
 	}
 }

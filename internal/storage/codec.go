@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 )
 
 // The binary tuple codec used by the spill paths. Layout per tuple:
@@ -26,18 +25,19 @@ var ErrCorrupt = errors.New("storage: corrupt tuple encoding")
 func AppendTuple(dst []byte, t Tuple) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(t)))
 	for _, v := range t {
-		dst = append(dst, byte(v.kind))
-		switch v.kind {
-		case KindNull:
-		case KindInt:
-			dst = binary.AppendVarint(dst, v.i)
-		case KindFloat:
-			var buf [8]byte
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v.f))
-			dst = append(dst, buf[:]...)
-		case KindString:
-			dst = binary.AppendUvarint(dst, uint64(len(v.s)))
-			dst = append(dst, v.s...)
+		switch v.ptr {
+		case nil:
+			dst = append(dst, byte(KindNull))
+		case tagInt:
+			dst = append(dst, byte(KindInt))
+			dst = binary.AppendVarint(dst, int64(v.num))
+		case tagFloat:
+			dst = append(dst, byte(KindFloat))
+			dst = binary.LittleEndian.AppendUint64(dst, v.num)
+		default:
+			dst = append(dst, byte(KindString))
+			dst = binary.AppendUvarint(dst, v.num)
+			dst = append(dst, v.str()...)
 		}
 	}
 	return dst
@@ -48,33 +48,54 @@ func EncodedSize(t Tuple) int {
 	n := uvarintLen(uint64(len(t)))
 	for _, v := range t {
 		n++ // kind byte
-		switch v.kind {
-		case KindInt:
-			n += varintLen(v.i)
-		case KindFloat:
+		switch v.ptr {
+		case nil:
+		case tagInt:
+			n += varintLen(int64(v.num))
+		case tagFloat:
 			n += 8
-		case KindString:
-			n += uvarintLen(uint64(len(v.s))) + len(v.s)
+		default:
+			n += uvarintLen(v.num) + int(v.num)
 		}
 	}
 	return n
 }
 
 // DecodeTuple decodes one tuple from buf, returning the tuple and the number
-// of bytes consumed.
+// of bytes consumed. The tuple and its strings are fresh allocations with no
+// spare capacity; the spill readers decode through a TupleArena instead.
 func DecodeTuple(buf []byte) (Tuple, int, error) {
-	ncols, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return nil, 0, ErrCorrupt
+	ncols, pos, err := decodeArity(buf)
+	if err != nil {
+		return nil, 0, err
 	}
-	if ncols > uint64(len(buf)) { // cheap sanity bound: ≥1 byte per column
-		return nil, 0, fmt.Errorf("%w: column count %d", ErrCorrupt, ncols)
-	}
-	pos := n
 	t := make(Tuple, ncols)
+	if pos, err = decodeValues(t, buf, pos, nil); err != nil {
+		return nil, 0, err
+	}
+	return t, pos, nil
+}
+
+// decodeArity reads the column count and returns it with the offset of the
+// first value.
+func decodeArity(buf []byte) (ncols, pos int, err error) {
+	n, pos := binary.Uvarint(buf)
+	if pos <= 0 {
+		return 0, 0, ErrCorrupt
+	}
+	if n > uint64(len(buf)) { // cheap sanity bound: ≥1 byte per column
+		return 0, 0, fmt.Errorf("%w: column count %d", ErrCorrupt, n)
+	}
+	return int(n), pos, nil
+}
+
+// decodeValues fills t from buf[pos:] and returns the offset past the last
+// value. String payloads are copied into a's byte slab, or allocated one by
+// one when a is nil.
+func decodeValues(t Tuple, buf []byte, pos int, a *TupleArena) (int, error) {
 	for i := range t {
 		if pos >= len(buf) {
-			return nil, 0, ErrCorrupt
+			return 0, ErrCorrupt
 		}
 		kind := Kind(buf[pos])
 		pos++
@@ -84,32 +105,36 @@ func DecodeTuple(buf []byte) (Tuple, int, error) {
 		case KindInt:
 			v, n := binary.Varint(buf[pos:])
 			if n <= 0 {
-				return nil, 0, ErrCorrupt
+				return 0, ErrCorrupt
 			}
 			pos += n
 			t[i] = Int(v)
 		case KindFloat:
 			if pos+8 > len(buf) {
-				return nil, 0, ErrCorrupt
+				return 0, ErrCorrupt
 			}
-			t[i] = Float(math.Float64frombits(binary.LittleEndian.Uint64(buf[pos:])))
+			t[i] = Value{num: binary.LittleEndian.Uint64(buf[pos:]), ptr: tagFloat}
 			pos += 8
 		case KindString:
 			l, n := binary.Uvarint(buf[pos:])
 			if n <= 0 {
-				return nil, 0, ErrCorrupt
+				return 0, ErrCorrupt
 			}
 			pos += n
 			if uint64(pos)+l > uint64(len(buf)) {
-				return nil, 0, ErrCorrupt
+				return 0, ErrCorrupt
 			}
-			t[i] = StringVal(string(buf[pos : pos+int(l)]))
+			if a != nil {
+				t[i] = a.stringVal(buf[pos : pos+int(l)])
+			} else {
+				t[i] = StringVal(string(buf[pos : pos+int(l)]))
+			}
 			pos += int(l)
 		default:
-			return nil, 0, fmt.Errorf("%w: kind %d", ErrCorrupt, kind)
+			return 0, fmt.Errorf("%w: kind %d", ErrCorrupt, kind)
 		}
 	}
-	return t, pos, nil
+	return pos, nil
 }
 
 func uvarintLen(v uint64) int {

@@ -1,9 +1,6 @@
 package storage
 
-import (
-	"encoding/binary"
-	"math"
-)
+import "repro/internal/attrs"
 
 // Streaming FNV-1a over the AppendTuple byte sequence, without building
 // the buffer. The partitioning hash of the parallel and sharded executors
@@ -28,29 +25,43 @@ func fnvUvarint(h uint64, v uint64) uint64 {
 	return fnvByte(h, byte(v))
 }
 
+// HashKeyFNV is FNV-1a over the concatenated single-value tuple encodings
+// of t's key attributes, streamed: the hash Hashed Sort picks buckets by
+// and, finalized, the partitioning hash of the parallel executors.
+func HashKeyFNV(t Tuple, key []attrs.ID) uint64 {
+	h := HashSeedFNV
+	for _, id := range key {
+		h = HashValueFNV(h, t[id])
+	}
+	return h
+}
+
 // HashValueFNV advances h by the encoding of the single-value tuple {v}:
 // uvarint column count (always 1), the kind byte, then the value payload
 // in the spill codec's layout.
 func HashValueFNV(h uint64, v Value) uint64 {
 	h = fnvByte(h, 1)
-	h = fnvByte(h, byte(v.kind))
-	switch v.kind {
-	case KindInt:
-		uv := uint64(v.i) << 1
-		if v.i < 0 {
+	switch v.ptr {
+	case nil:
+		h = fnvByte(h, byte(KindNull))
+	case tagInt:
+		h = fnvByte(h, byte(KindInt))
+		uv := v.num << 1
+		if int64(v.num) < 0 {
 			uv = ^uv
 		}
 		h = fnvUvarint(h, uv)
-	case KindFloat:
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v.f))
-		for _, b := range buf {
-			h = fnvByte(h, b)
+	case tagFloat:
+		h = fnvByte(h, byte(KindFloat))
+		for bits := 0; bits < 64; bits += 8 {
+			h = fnvByte(h, byte(v.num>>bits))
 		}
-	case KindString:
-		h = fnvUvarint(h, uint64(len(v.s)))
-		for i := 0; i < len(v.s); i++ {
-			h = fnvByte(h, v.s[i])
+	default:
+		h = fnvByte(h, byte(KindString))
+		h = fnvUvarint(h, v.num)
+		s := v.str()
+		for i := 0; i < len(s); i++ {
+			h = fnvByte(h, s[i])
 		}
 	}
 	return h

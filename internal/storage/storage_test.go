@@ -179,6 +179,11 @@ func TestEqualOn(t *testing.T) {
 	if !EqualOn(a, b, attrs.MakeSet()) {
 		t.Errorf("EqualOn over empty set is vacuously true")
 	}
+	// Once per row in partition and segment detection: no set.IDs() slice.
+	set := attrs.MakeSet(0, 2)
+	if n := testing.AllocsPerRun(100, func() { EqualOn(a, b, set) }); n != 0 {
+		t.Errorf("EqualOn allocates %v objects per call", n)
+	}
 }
 
 func TestTableHelpers(t *testing.T) {

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"repro/internal/attrs"
@@ -28,11 +29,12 @@ func (t Tuple) Append(v Value) Tuple {
 
 // Extend appends v, reusing the receiver's spare capacity when it has any
 // — the in-place twin of Append. The caller must own the backing array
-// past len(t): the executor's arena-allocated rows reserve one slot per
-// chain step for exactly this, so a k-step chain extends every row k
-// times with zero per-row allocations. Tuples with no spare capacity
-// (decoded from a spill or the wire, or engine-table rows) degrade to an
-// Append-style copy via the append builtin.
+// past len(t): the executor's input arena and the TupleArena its spill
+// readers decode into both reserve one slot per remaining chain step for
+// exactly this, so a k-step chain extends every row k times with zero
+// per-row allocations whether or not the row went through a spill file.
+// Tuples with no spare capacity (DecodeTuple, the wire, engine-table rows)
+// degrade to an Append-style copy via the append builtin.
 func (t Tuple) Extend(v Value) Tuple {
 	return append(t, v)
 }
@@ -177,7 +179,10 @@ func CompareSeq(a, b Tuple, seq attrs.Seq) int {
 // EqualOn reports whether a and b agree on every attribute in set (NULLs
 // compare equal, as in SQL grouping semantics).
 func EqualOn(a, b Tuple, set attrs.Set) bool {
-	for _, id := range set.IDs() {
+	// Ascending ID order straight off the bitmap: this runs once per row
+	// in partition and segment detection.
+	for m := uint64(set); m != 0; m &= m - 1 {
+		id := bits.TrailingZeros64(m)
 		if !Equal(a[id], b[id]) {
 			return false
 		}

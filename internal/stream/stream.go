@@ -73,8 +73,15 @@ func (s *sliceStream) Next() (Row, bool) {
 func (s *sliceStream) Close() error { return nil }
 
 // Collect drains a stream into a tagged row slice and closes it.
-func Collect(s Stream) ([]Row, error) {
+func Collect(s Stream) ([]Row, error) { return CollectN(s, 0) }
+
+// CollectN is Collect for a caller that knows how many rows to expect: the
+// result is allocated once at that capacity (and still grows past it).
+func CollectN(s Stream, sizeHint int) ([]Row, error) {
 	var rows []Row
+	if sizeHint > 0 {
+		rows = make([]Row, 0, sizeHint)
+	}
 	for {
 		r, ok := s.Next()
 		if !ok {

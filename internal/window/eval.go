@@ -32,7 +32,8 @@ type evalStream struct {
 	in   stream.Stream
 	spec Spec
 
-	part       []stream.Row // current partition with boundaries
+	part       []stream.Row    // current partition with boundaries; reused
+	tuples     []storage.Tuple // part's tuples, for computePartition; reused
 	derived    []storage.Value
 	pos        int
 	pending    stream.Row
@@ -86,7 +87,9 @@ func (e *evalStream) fillPartition() error {
 	}
 	head := e.pending
 	e.hasPending = false
-	part := []stream.Row{head}
+	// Next emitted every row of the last partition before asking for this
+	// one, so its buffers are free.
+	part := append(e.part[:0], head)
 	for {
 		r, ok := e.in.Next()
 		if !ok {
@@ -101,10 +104,11 @@ func (e *evalStream) fillPartition() error {
 		}
 		part = append(part, r)
 	}
-	tuples := make([]storage.Tuple, len(part))
-	for i, r := range part {
-		tuples[i] = r.Tuple
+	tuples := e.tuples[:0]
+	for _, r := range part {
+		tuples = append(tuples, r.Tuple)
 	}
+	e.tuples = tuples
 	derived, err := computePartition(tuples, e.spec)
 	if err != nil {
 		return err

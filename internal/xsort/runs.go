@@ -1,7 +1,6 @@
 package xsort
 
 import (
-	"container/heap"
 	"sort"
 
 	"repro/internal/spill"
@@ -16,12 +15,11 @@ import (
 //
 // buf holds the tuples that filled the memory budget; next supplies the rest.
 func (s *Sorter) formRunsReplacement(buf []storage.Tuple, next Input) ([]*run, error) {
-	h := &rsHeap{sorter: s}
-	h.items = make([]rsItem, 0, len(buf))
+	h := s.newRunHeap(len(buf))
 	for _, t := range buf {
 		h.items = append(h.items, rsItem{run: 0, tuple: t})
 	}
-	heap.Init(h)
+	h.init()
 
 	var (
 		runs    []*run
@@ -42,7 +40,7 @@ func (s *Sorter) formRunsReplacement(buf []storage.Tuple, next Input) ([]*run, e
 		writer = nil
 		return nil
 	}
-	for h.Len() > 0 {
+	for len(h.items) > 0 {
 		item := h.items[0]
 		if item.run != current {
 			if err = closeCurrent(); err != nil {
@@ -59,7 +57,7 @@ func (s *Sorter) formRunsReplacement(buf []storage.Tuple, next Input) ([]*run, e
 				return nil, err
 			}
 		}
-		heap.Pop(h)
+		h.pop()
 		if err = writer.Write(item.tuple); err != nil {
 			releaseRuns(runs)
 			return nil, err
@@ -70,7 +68,7 @@ func (s *Sorter) formRunsReplacement(buf []storage.Tuple, next Input) ([]*run, e
 			if s.less(t, last) {
 				it.run = current + 1
 			}
-			heap.Push(h, it)
+			h.push(it)
 		}
 	}
 	if err = closeCurrent(); err != nil {
@@ -87,27 +85,17 @@ type rsItem struct {
 	tuple storage.Tuple
 }
 
-type rsHeap struct {
-	items  []rsItem
-	sorter *Sorter
-}
-
-func (h *rsHeap) Len() int { return len(h.items) }
-func (h *rsHeap) Less(i, j int) bool {
-	a, b := h.items[i], h.items[j]
-	if a.run != b.run {
-		return a.run < b.run
+// newRunHeap returns the empty replacement-selection heap.
+func (s *Sorter) newRunHeap(capacity int) *tupleHeap[rsItem] {
+	return &tupleHeap[rsItem]{
+		items: make([]rsItem, 0, capacity),
+		less: func(a, b rsItem) bool {
+			if a.run != b.run {
+				return a.run < b.run
+			}
+			return s.less(a.tuple, b.tuple)
+		},
 	}
-	return h.sorter.less(a.tuple, b.tuple)
-}
-func (h *rsHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *rsHeap) Push(x interface{}) { h.items = append(h.items, x.(rsItem)) }
-func (h *rsHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
 }
 
 // formRunsLoadSort is the ablation alternative: fill memory, quicksort,
@@ -168,30 +156,14 @@ type mergeSource struct {
 	tuple storage.Tuple
 }
 
-type mergeHeap struct {
-	items  []*mergeSource
-	sorter *Sorter
-}
+type mergeHeap = tupleHeap[*mergeSource]
 
-func (h *mergeHeap) Len() int { return len(h.items) }
-func (h *mergeHeap) Less(i, j int) bool {
-	return h.sorter.less(h.items[i].tuple, h.items[j].tuple)
-}
-func (h *mergeHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *mergeHeap) Push(x interface{}) { h.items = append(h.items, x.(*mergeSource)) }
-func (h *mergeHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
-}
-
-// startMerge opens readers for all runs and primes the heap.
-func (s *Sorter) startMerge(runs []*run) (*mergeHeap, error) {
-	h := &mergeHeap{sorter: s}
+// startMerge opens readers for all runs, decoding into arena, and primes
+// the heap.
+func (s *Sorter) startMerge(runs []*run, arena *storage.TupleArena) (*mergeHeap, error) {
+	h := &mergeHeap{less: func(a, b *mergeSource) bool { return s.less(a.tuple, b.tuple) }}
 	for _, r := range runs {
-		rd, err := spill.NewReader(r.file)
+		rd, err := spill.NewArenaReader(r.file, arena)
 		if err != nil {
 			return nil, err
 		}
@@ -206,13 +178,13 @@ func (s *Sorter) startMerge(runs []*run) (*mergeHeap, error) {
 		}
 		h.items = append(h.items, &mergeSource{rd: rd, tuple: t})
 	}
-	heap.Init(h)
+	h.init()
 	return h, nil
 }
 
 // mergeNext pops the globally smallest tuple and advances its source.
 func (s *Sorter) mergeNext(h *mergeHeap) (storage.Tuple, bool, error) {
-	if h.Len() == 0 {
+	if len(h.items) == 0 {
 		return nil, false, nil
 	}
 	src := h.items[0]
@@ -223,17 +195,18 @@ func (s *Sorter) mergeNext(h *mergeHeap) (storage.Tuple, bool, error) {
 	}
 	if ok {
 		src.tuple = nt
-		heap.Fix(h, 0)
+		h.fixTop()
 	} else {
 		src.rd.Close()
-		heap.Pop(h)
+		h.pop()
 	}
 	return t, true, nil
 }
 
 // mergeToRun merges runs into a single re-materialized run.
 func (s *Sorter) mergeToRun(runs []*run) (*run, error) {
-	h, err := s.startMerge(runs)
+	// The merged tuples are written straight back out: no spare capacity.
+	h, err := s.startMerge(runs, storage.NewTupleArena(0))
 	if err != nil {
 		return nil, err
 	}
@@ -264,7 +237,7 @@ func (s *Sorter) mergeToRun(runs []*run) (*run, error) {
 // mergeToSlice merges the final wave of runs straight into memory (this is
 // the pipelined final merge: no output re-materialization).
 func (s *Sorter) mergeToSlice(runs []*run, sizeHint int) ([]storage.Tuple, error) {
-	h, err := s.startMerge(runs)
+	h, err := s.startMerge(runs, storage.NewTupleArena(s.SpareCols))
 	if err != nil {
 		return nil, err
 	}

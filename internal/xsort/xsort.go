@@ -56,6 +56,12 @@ type Sorter struct {
 
 	// Comparisons, if non-nil, accumulates key comparison counts.
 	Comparisons *int64
+
+	// SpareCols is how many more columns later operators will Extend each
+	// output row by: rows read back from runs are decoded with that much
+	// spare capacity, as the executor's input arena gives the rows that
+	// never spill. Zero costs a copy per Extend, never correctness.
+	SpareCols int
 }
 
 // Stats reports what one Sort did.

@@ -12,10 +12,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# One iteration per benchmark: a smoke run, not a measurement. Use
+# One iteration per benchmark: a smoke run, not a measurement — but the
+# B/op and allocs/op columns repeat, so they are worth reading. Use
 # cmd/windbench for the full-scale sweeps.
 bench:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
+	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' ./...
 
 fmt:
 	gofmt -l -w .

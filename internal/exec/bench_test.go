@@ -9,10 +9,11 @@ import (
 	"repro/internal/window"
 )
 
-// BenchmarkRunChain measures the sequential chain executor on a two-step
-// rank chain over a synthetic wide table — the per-row cost of the
-// reorder+evaluate hot loop (arena conversion, in-place extension).
-func BenchmarkRunChain(b *testing.B) {
+// BenchTable is the synthetic wide table the RunChain benchmarks share:
+// twelve integer columns a..l. Exported (from this test file) for the
+// sibling benchmark in package exec_test, which drives the same table
+// through sql.Prepared.
+func BenchTable() *storage.Table {
 	const rows, wide = 50_000, 12
 	cols := make([]storage.Column, wide)
 	for i := range cols {
@@ -27,6 +28,16 @@ func BenchmarkRunChain(b *testing.B) {
 		}
 		table.Rows[i] = t
 	}
+	return table
+}
+
+// BenchmarkRunChain measures the sequential chain executor on a two-step
+// rank chain over a synthetic wide table through the materializing Run:
+// both reorders, the in-tuple first column, the tail vector, and the
+// whole-tuple copy Run's contract costs. BenchmarkRunChainPrepared is the
+// other side of that wrapper.
+func BenchmarkRunChain(b *testing.B) {
+	table := BenchTable()
 	pk := attrs.MakeSet(0)
 	specs := []window.Spec{
 		{Kind: window.Rank, PK: pk, OK: attrs.AscSeq(1), Arg: -1, Name: "r1"},

@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/attrs"
@@ -116,13 +117,78 @@ type Metrics struct {
 // TotalBlocks returns read+written blocks, the paper's I/O cost unit.
 func (m *Metrics) TotalBlocks() int64 { return m.BlocksRead + m.BlocksWritten }
 
+// Chain is a chain execution's result in the shape the executor produced
+// it, split at the chain's last reordering step L (lastReorder). Derived
+// columns of steps before L had to ride through a later reorder and sit in
+// the tuples; after L no row changes position again, so step L and every
+// later step evaluate into position-indexed vectors instead of widening
+// the rows. Column c of row i is Rows[i][c] for c < Width and
+// Tail[c-Width][i] otherwise.
+//
+// Rows and the tuples in it may be the input table's own (a chain with one
+// leading reorder, or none, copies nothing): a Chain is read-only.
+type Chain struct {
+	// Schema is the input schema extended with one derived column per step,
+	// in plan evaluation order.
+	Schema *storage.Schema
+	Rows   []storage.Tuple
+	// Width is the column count of every row: the input arity plus L.
+	Width int
+	Tail  [][]storage.Value
+}
+
+// Len returns the row count.
+func (c *Chain) Len() int { return len(c.Rows) }
+
+// Project writes the columns pick names of row i into dst, which must have
+// len(pick) elements.
+func (c *Chain) Project(dst storage.Tuple, i int, pick []int) {
+	row := c.Rows[i]
+	for k, src := range pick {
+		if src < c.Width {
+			dst[k] = row[src]
+		} else {
+			dst[k] = c.Tail[src-c.Width][i]
+		}
+	}
+}
+
+// Table materializes the chain as whole tuples: one copy of every row into
+// a contiguous arena, each sliced to exactly its own region. Callers that
+// need rows to carry their derived columns — Run's contract, the parallel
+// executor's concatenation, a shuffle's intermediate rows — pay for it
+// once, at the end; the SQL layer projects straight from the Chain.
+func (c *Chain) Table() *storage.Table {
+	t := storage.NewTable(c.Schema)
+	if len(c.Tail) == 0 {
+		t.Rows = slices.Clone(c.Rows)
+		return t
+	}
+	stride := c.Width + len(c.Tail)
+	arena := make([]storage.Value, len(c.Rows)*stride)
+	t.Rows = make([]storage.Tuple, len(c.Rows))
+	for i, r := range c.Rows {
+		row := storage.Tuple(arena[i*stride : (i+1)*stride : (i+1)*stride])
+		copy(row, r)
+		for k, col := range c.Tail {
+			row[c.Width+k] = col[i]
+		}
+		t.Rows[i] = row
+	}
+	return t
+}
+
+// TableChain presents an already-materialized table as a Chain with no
+// tail, for callers that hold whole tuples (the parallel executor's
+// output, a window-less statement) but feed the Chain consumers.
+func TableChain(t *storage.Table) *Chain {
+	return &Chain{Schema: t.Schema, Rows: t.Rows, Width: t.Schema.Len()}
+}
+
 // Run executes plan over table. specs[i] must correspond to the window
 // function with ID i in the plan. It returns a new table extended with one
-// derived column per window function, in plan evaluation order.
-//
-// Each step drains its (lazily reordering) stream fully before the next step
-// begins, so per-step metrics are exact; within a step the reorder and the
-// window invocation are pipelined exactly as in the paper's executor.
+// derived column per window function, in plan evaluation order: RunChain's
+// result, materialized.
 func Run(table *storage.Table, specs []window.Spec, plan *core.Plan, cfg Config) (*storage.Table, *Metrics, error) {
 	return RunContext(context.Background(), table, specs, plan, cfg)
 }
@@ -132,21 +198,59 @@ func Run(table *storage.Table, specs []window.Spec, plan *core.Plan, cfg Config)
 // preemption, so a cancelled context stops the chain before the next
 // reorder begins). It returns ctx.Err() when the context is done.
 func RunContext(ctx context.Context, table *storage.Table, specs []window.Spec, plan *core.Plan, cfg Config) (*storage.Table, *Metrics, error) {
-	stats := &pagestore.Stats{}
-	var store *pagestore.Store
-	if cfg.FileBacked {
-		store = pagestore.NewFileBacked(cfg.TempDir, cfg.blockSize(), stats)
-	} else {
-		store = pagestore.NewMem(cfg.blockSize(), stats)
+	chain, metrics, err := RunChain(ctx, table, specs, plan, cfg)
+	if err != nil {
+		return nil, nil, err
 	}
+	return chain.Table(), metrics, nil
+}
 
-	metrics := &Metrics{}
+// lastReorder returns L, the index of the chain's last reordering step (0
+// for a chain without one): the step after which row positions are final.
+func lastReorder(plan *core.Plan) int {
+	last := 0
+	for i, step := range plan.Steps {
+		if step.Reorder != core.ReorderNone {
+			last = i
+		}
+	}
+	return last
+}
+
+// RunChain executes plan over table like RunContext and returns the result
+// unmaterialized. Steps before L = lastReorder(plan) stream — reorder,
+// evaluate, collect — over private arena copies of the rows with exactly L
+// spare slots, extended in place; step L's reorder is drained into the
+// final row order, and it and every later step evaluate slice-level over
+// that order into the Chain's tail vectors. With L = 0 (one leading
+// reorder, or none — every shared-subplan suffix) there is no copy at
+// all: the reorder permutes headers of the table's own tuples, which are
+// never extended, so any number of statements may run over one table or
+// one SharedSegment at once.
+//
+// A spec reads the columns that are in the tuples when it runs: the input
+// schema plus the derived columns of steps before min(i, L).
+//
+// Each step drains its (lazily reordering) stream fully before the next
+// step begins, so per-step metrics are exact; within a streaming step the
+// reorder and the window invocation are pipelined exactly as in the
+// paper's executor.
+func RunChain(ctx context.Context, table *storage.Table, specs []window.Spec, plan *core.Plan, cfg Config) (*Chain, *Metrics, error) {
+	var comparisons int64
+	rcfg, stats := reorderConfig(cfg, &comparisons)
+	metrics := &Metrics{Steps: make([]StepMetrics, 0, len(plan.Steps))}
 	live := trace.LiveFromContext(ctx)
 	start := time.Now()
-	rows := arenaRows(table, len(plan.Steps))
-	schema := table.Schema
-	var comparisons int64
+	last := lastReorder(plan)
+	n := table.Len()
 	tableBlocks := int64(table.ByteSize()) / int64(cfg.blockSize())
+
+	chain := &Chain{Schema: table.Schema, Rows: table.Rows, Width: table.Schema.Len() + last}
+	inTuple := table.Schema // the columns a spec can read
+	var carried []stream.Row
+	if last > 0 {
+		carried = arenaRows(table, last)
+	}
 
 	for i, step := range plan.Steps {
 		if err := ctx.Err(); err != nil {
@@ -156,125 +260,210 @@ func RunContext(ctx context.Context, table *storage.Table, specs []window.Spec, 
 			return nil, nil, fmt.Errorf("exec: plan references wf%d outside specs", step.WF.ID)
 		}
 		spec := specs[step.WF.ID]
-		if err := spec.Validate(schema); err != nil {
+		if err := spec.Validate(inTuple); err != nil {
 			return nil, nil, fmt.Errorf("exec: wf%d: %w", step.WF.ID, err)
 		}
 		stepStart := time.Now()
 		r0, w0, c0 := stats.BlocksRead(), stats.BlocksWritten(), comparisons
 
-		rcfg := reorder.Config{
-			MemoryBytes:  cfg.MemoryBytes,
-			Store:        store,
-			Comparisons:  &comparisons,
-			RunFormation: cfg.RunFormation,
-			SpareCols:    len(plan.Steps) - i,
+		var detail func() string
+		if i <= last {
+			var in stream.Stream
+			if last == 0 {
+				in = stream.FromTuples(table.Rows)
+			} else {
+				in = stream.FromRows(carried)
+			}
+			// The steps still to extend the rows, this one included.
+			rcfg.SpareCols = last - i
+			out, d, err := applyReorder(in, step, cfg, rcfg, tableBlocks)
+			if err != nil {
+				return nil, nil, fmt.Errorf("exec: wf%d %s reorder: %w", step.WF.ID, step.Reorder, err)
+			}
+			detail = d
+			if i < last {
+				evaluated, err := window.Evaluate(out, spec)
+				if err != nil {
+					return nil, nil, fmt.Errorf("exec: wf%d evaluate: %w", step.WF.ID, err)
+				}
+				if err := collectInPlace(evaluated, in, carried); err != nil {
+					return nil, nil, fmt.Errorf("exec: wf%d drain: %w", step.WF.ID, err)
+				}
+				inTuple = inTuple.WithColumn(spec.OutputColumn())
+			} else {
+				if chain.Rows, err = finalOrder(out, n); err != nil {
+					return nil, nil, fmt.Errorf("exec: wf%d drain: %w", step.WF.ID, err)
+				}
+				if len(chain.Rows) != n {
+					return nil, nil, fmt.Errorf("exec: wf%d %s reorder emitted %d of %d rows", step.WF.ID, step.Reorder, len(chain.Rows), n)
+				}
+				carried = nil
+			}
 		}
-		in := stream.FromRows(rows)
-		var (
-			out     stream.Stream
-			detail  string
-			ssStats *reorder.SSStats
-			err     error
-		)
-		switch step.Reorder {
-		case core.ReorderNone:
-			out = in
-		case core.ReorderFS:
-			var st reorder.FSStats
-			out, st, err = reorder.FullSort(in, step.SortKey, rcfg)
-			detail = fmt.Sprintf("runs=%d passes=%d inmem=%v", st.Sort.InitialRuns, st.Sort.MergePasses, st.Sort.InMemory)
-		case core.ReorderHS:
-			opt := reorder.HSOptions{
-				HashKey:     step.HashKey.IDs(),
-				SortKey:     step.SortKey,
-				Buckets:     cfg.HSBuckets,
-				SpillPolicy: cfg.SpillPolicy,
+		if i >= last {
+			col, err := window.EvaluateSlice(chain.Rows, spec)
+			if err != nil {
+				return nil, nil, fmt.Errorf("exec: wf%d evaluate: %w", step.WF.ID, err)
 			}
-			if cfg.Distinct != nil {
-				opt.DistinctHint = cfg.Distinct(step.HashKey)
-			}
-			if opt.Buckets <= 0 {
-				opt.Buckets = int(core.HSBucketCount(opt.DistinctHint, tableBlocks, int64(cfg.MemoryBytes)/int64(cfg.blockSize())))
-			}
-			if cfg.MFV != nil {
-				opt.MFVs = cfg.MFV(step.HashKey)
-			}
-			var st reorder.HSStats
-			out, st, err = reorder.HashedSort(in, opt, rcfg)
-			detail = fmt.Sprintf("buckets=%d spilled=%d resident=%d mfv=%d", st.Buckets, st.SpilledBuckets, st.MemoryResident, st.MFVTuples)
-		case core.ReorderSS:
-			opt := reorder.SSOptions{Alpha: step.Alpha, Beta: step.Beta}
-			if step.In.Grouped {
-				// Grouped inputs carry their segment structure in the data.
-				opt.SegmentBy = step.In.X.IDs()
-			}
-			out, ssStats, err = reorder.SegmentedSort(in, opt, rcfg)
+			chain.Tail = append(chain.Tail, col)
 		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("exec: wf%d %s reorder: %w", step.WF.ID, step.Reorder, err)
-		}
+		chain.Schema = chain.Schema.WithColumn(spec.OutputColumn())
 
-		evaluated, err := window.Evaluate(out, spec)
-		if err != nil {
-			return nil, nil, fmt.Errorf("exec: wf%d evaluate: %w", step.WF.ID, err)
-		}
-		newRows, err := stream.CollectN(evaluated, len(rows)) // evaluation is 1:1
-		if err != nil {
-			return nil, nil, fmt.Errorf("exec: wf%d drain: %w", step.WF.ID, err)
-		}
-		if ssStats != nil {
-			detail = fmt.Sprintf("segments=%d units=%d external=%d", ssStats.Segments, ssStats.Units, ssStats.ExternalUnits)
-		}
-		rows = newRows
-		schema = schema.WithColumn(spec.OutputColumn())
-
-		metrics.Steps = append(metrics.Steps, StepMetrics{
+		sm := StepMetrics{
 			WFID:          step.WF.ID,
 			Reorder:       step.Reorder,
 			BlocksRead:    stats.BlocksRead() - r0,
 			BlocksWritten: stats.BlocksWritten() - w0,
 			Comparisons:   comparisons - c0,
-			Rows:          int64(len(newRows)),
+			Rows:          int64(n),
 			Duration:      time.Since(stepStart),
-			Detail:        detail,
-		})
+		}
+		if detail != nil {
+			sm.Detail = detail()
+		}
+		metrics.Steps = append(metrics.Steps, sm)
 		// Per-step progress becomes visible in /debug/queries while the
 		// chain is still running; atomic adds once per step, not per row.
-		live.AddRowsScanned(int64(len(newRows)))
-		live.AddBlocks(stats.BlocksRead()-r0, stats.BlocksWritten()-w0)
+		live.AddRowsScanned(sm.Rows)
+		live.AddBlocks(sm.BlocksRead, sm.BlocksWritten)
 	}
 
 	metrics.BlocksRead = stats.BlocksRead()
 	metrics.BlocksWritten = stats.BlocksWritten()
 	metrics.Comparisons = comparisons
 	metrics.Elapsed = time.Since(start)
+	return chain, metrics, nil
+}
 
-	result := storage.NewTable(schema)
-	result.Rows = make([]storage.Tuple, len(rows))
-	for i, r := range rows {
-		result.Rows[i] = r.Tuple
+// reorderConfig builds what every reorder of one chain (or one shared
+// scan) runs with: the unit memory, a fresh spill store, and the counters
+// — comparisons, and the returned statistics for the store's block
+// transfers.
+func reorderConfig(cfg Config, comparisons *int64) (reorder.Config, *pagestore.Stats) {
+	stats := &pagestore.Stats{}
+	var store *pagestore.Store
+	if cfg.FileBacked {
+		store = pagestore.NewFileBacked(cfg.TempDir, cfg.blockSize(), stats)
+	} else {
+		store = pagestore.NewMem(cfg.blockSize(), stats)
 	}
-	return result, metrics, nil
+	return reorder.Config{
+		MemoryBytes:  cfg.MemoryBytes,
+		Store:        store,
+		Comparisons:  comparisons,
+		RunFormation: cfg.RunFormation,
+	}, stats
+}
+
+// applyReorder puts step's reordering operator over in. detail renders the
+// operator's statistics for StepMetrics.Detail and is nil for a step
+// without a reorder; Segmented Sort counts while it streams, so call it
+// once out is drained. tableBlocks is B(R) of the chain's input, for the
+// Hashed Sort bucket-count policy.
+func applyReorder(in stream.Stream, step core.Step, cfg Config, rcfg reorder.Config, tableBlocks int64) (out stream.Stream, detail func() string, err error) {
+	switch step.Reorder {
+	case core.ReorderFS:
+		var st reorder.FSStats
+		out, st, err = reorder.FullSort(in, step.SortKey, rcfg)
+		detail = func() string {
+			return fmt.Sprintf("runs=%d passes=%d inmem=%v", st.Sort.InitialRuns, st.Sort.MergePasses, st.Sort.InMemory)
+		}
+	case core.ReorderHS:
+		opt := reorder.HSOptions{
+			HashKey:     step.HashKey.IDs(),
+			SortKey:     step.SortKey,
+			Buckets:     cfg.HSBuckets,
+			SpillPolicy: cfg.SpillPolicy,
+		}
+		if cfg.Distinct != nil {
+			opt.DistinctHint = cfg.Distinct(step.HashKey)
+		}
+		if opt.Buckets <= 0 {
+			opt.Buckets = int(core.HSBucketCount(opt.DistinctHint, tableBlocks, int64(cfg.MemoryBytes)/int64(cfg.blockSize())))
+		}
+		if cfg.MFV != nil {
+			opt.MFVs = cfg.MFV(step.HashKey)
+		}
+		var st reorder.HSStats
+		out, st, err = reorder.HashedSort(in, opt, rcfg)
+		detail = func() string {
+			return fmt.Sprintf("buckets=%d spilled=%d resident=%d mfv=%d", st.Buckets, st.SpilledBuckets, st.MemoryResident, st.MFVTuples)
+		}
+	case core.ReorderSS:
+		opt := reorder.SSOptions{Alpha: step.Alpha, Beta: step.Beta}
+		if step.In.Grouped {
+			// Grouped inputs carry their segment structure in the data.
+			opt.SegmentBy = step.In.X.IDs()
+		}
+		var st *reorder.SSStats
+		out, st, err = reorder.SegmentedSort(in, opt, rcfg)
+		detail = func() string {
+			return fmt.Sprintf("segments=%d units=%d external=%d", st.Segments, st.Units, st.ExternalUnits)
+		}
+	default:
+		out = in
+	}
+	return out, detail, err
+}
+
+// finalOrder drains out, a chain's last reorder over n rows, into the row
+// order nothing permutes again. A Full Sort's output — and an input no
+// reorder touched — is a tuple slice already and is taken as it stands
+// rather than copied: the result may be the sort's own buffer or the input
+// table's Rows, which is why a Chain is read-only.
+func finalOrder(out stream.Stream, n int) ([]storage.Tuple, error) {
+	if rows, ok := stream.BackingTuples(out); ok {
+		return rows, nil
+	}
+	return stream.CollectTuplesN(out, n)
+}
+
+// collectInPlace drains out — a pipeline reading in, which streams rows —
+// back into rows. A reorder and an evaluation each hold what they have
+// read and not yet emitted in buffers of their own, and a 1:1 pipeline
+// cannot emit a row before reading it, so slot k is always behind the
+// read position when output row k lands in it; both halves are checked,
+// not assumed.
+func collectInPlace(out, in stream.Stream, rows []stream.Row) error {
+	unread := in.(stream.Sized)
+	k := 0
+	for {
+		r, ok := out.Next()
+		if !ok {
+			break
+		}
+		if k >= len(rows)-unread.Remaining() {
+			return fmt.Errorf("output row %d emitted before input row %d was read", k, k)
+		}
+		rows[k] = r
+		k++
+	}
+	if err := out.Close(); err != nil {
+		return err
+	}
+	if k != len(rows) {
+		return fmt.Errorf("%d rows out for %d rows in", k, len(rows))
+	}
+	return nil
 }
 
 // arenaRows copies the input tuples into one contiguous value arena, each
-// row sliced out with spare capacity for the chain's derived columns:
-// window evaluation (Tuple.Extend) then grows rows in place, so a k-step
-// chain performs zero per-row tuple allocations where it used to copy
-// every tuple once per step. The copy also severs the executor from the
-// engine-owned table rows, which must never observe the appends — and the
-// three-index slices pin each row's capacity to its own arena region, so
-// a row cannot grow into its neighbour. In-place extension is safe
-// because the chain never duplicates a row reference: reorders permute,
-// and evaluation emits exactly one output row per input row, so each
-// arena row is extended at most once per step. A reorder that spills
-// drops the rows it wrote out and reads them back into a
-// storage.TupleArena with the same layout and the capacity the remaining
-// steps need (reorder.Config.SpareCols), so the discipline holds across
-// FS runs, HS buckets and SS units too.
-func arenaRows(table *storage.Table, steps int) []stream.Row {
+// row sliced out with spare slots of capacity for the derived columns
+// that must stay in the tuple (those of the steps before the chain's last
+// reorder): window evaluation (Tuple.Extend) then grows rows in place. The
+// copy also severs those steps from the engine-owned table rows, which
+// must never observe the appends — and the three-index slices pin each
+// row's capacity to its own arena region, so a row cannot grow into its
+// neighbour. In-place extension is safe because the chain never
+// duplicates a row reference: reorders permute, and evaluation emits
+// exactly one output row per input row, so each arena row is extended at
+// most once per step. A reorder that spills drops the rows it wrote out
+// and reads them back into a storage.TupleArena with the same layout and
+// the capacity the remaining steps need (reorder.Config.SpareCols), so
+// the discipline holds across FS runs, HS buckets and SS units too.
+func arenaRows(table *storage.Table, spare int) []stream.Row {
 	arity := table.Schema.Len()
-	stride := arity + steps
+	stride := arity + spare
 	rows := make([]stream.Row, len(table.Rows))
 	arena := make([]storage.Value, len(table.Rows)*stride)
 	for i, t := range table.Rows {

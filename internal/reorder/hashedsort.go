@@ -2,6 +2,7 @@ package reorder
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/attrs"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/spill"
 	"repro/internal/storage"
 	"repro/internal/stream"
+	"repro/internal/xsort"
 )
 
 // SpillPolicy selects the victim when HS runs out of bucket memory.
@@ -221,13 +223,13 @@ func HashedSort(in stream.Stream, opt HSOptions, cfg Config) (stream.Stream, HSS
 	})
 
 	out := &hsStream{
-		cfg:     cfg,
-		sortKey: opt.SortKey,
-		buckets: buckets,
-		stats:   &st,
+		spareCols: cfg.SpareCols,
+		sorter:    cfg.sorter(opt.SortKey),
+		buckets:   buckets,
+		stats:     &st,
 	}
 	if len(mfvTuples) > 0 {
-		sorted, sstats, err := cfg.sorter(opt.SortKey).SortTuples(mfvTuples)
+		sorted, sstats, err := out.sorter.SortTuples(mfvTuples)
 		if err != nil {
 			return nil, st, err
 		}
@@ -241,9 +243,13 @@ func HashedSort(in stream.Stream, opt HSOptions, cfg Config) (stream.Stream, HSS
 
 // hsStream lazily sorts and emits buckets one at a time.
 type hsStream struct {
-	cfg     Config
-	sortKey attrs.Seq
-	buckets []*hsBucket
+	spareCols int
+	sorter    *xsort.Sorter // one for every bucket
+	buckets   []*hsBucket
+	// loaded buffers a spilled bucket's tuples. A bucket that fits the
+	// budget is sorted in place, so current aliases it until the bucket is
+	// emitted — which is when the next bucket is loaded over it.
+	loaded  []storage.Tuple
 	current []storage.Tuple
 	pos     int
 	stats   *HSStats
@@ -275,7 +281,7 @@ func (s *hsStream) Next() (stream.Row, bool) {
 			s.err = err
 			return stream.Row{}, false
 		}
-		sorted, sstats, err := s.cfg.sorter(s.sortKey).SortTuples(tuples)
+		sorted, sstats, err := s.sorter.SortTuples(tuples)
 		if err != nil {
 			s.err = err
 			return stream.Row{}, false
@@ -297,7 +303,7 @@ func (s *hsStream) loadBucket(b *hsBucket) ([]storage.Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	rd, err := spill.NewArenaReader(f, storage.NewTupleArena(s.cfg.SpareCols))
+	rd, err := spill.NewArenaReader(f, storage.NewTupleArena(s.spareCols))
 	if err != nil {
 		return nil, err
 	}
@@ -305,7 +311,7 @@ func (s *hsStream) loadBucket(b *hsBucket) ([]storage.Tuple, error) {
 		rd.Close()
 		f.Release()
 	}()
-	tuples := make([]storage.Tuple, 0, b.count)
+	tuples := slices.Grow(s.loaded[:0], b.count)
 	for {
 		t, ok, err := rd.Next()
 		if err != nil {
@@ -320,6 +326,7 @@ func (s *hsStream) loadBucket(b *hsBucket) ([]storage.Tuple, error) {
 	// moves everything and later arrivals append to the file); the guard
 	// below is defensive.
 	tuples = append(tuples, b.mem...)
+	s.loaded = tuples
 	return tuples, nil
 }
 

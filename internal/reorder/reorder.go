@@ -76,9 +76,11 @@ type FSStats struct {
 }
 
 // FullSort reorders the input into a single segment totally ordered on key.
+// An input that knows its length (stream.Sized) gets its sort buffer
+// allocated once.
 func FullSort(in stream.Stream, key attrs.Seq, cfg Config) (stream.Stream, FSStats, error) {
 	var st FSStats
-	sorted, sstats, err := cfg.sorter(key).Sort(streamInput(in), 0)
+	sorted, sstats, err := cfg.sorter(key).Sort(streamInput(in), stream.Remaining(in))
 	st.Sort = sstats
 	if err != nil {
 		in.Close()

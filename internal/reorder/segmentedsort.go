@@ -6,6 +6,7 @@ import (
 	"repro/internal/attrs"
 	"repro/internal/storage"
 	"repro/internal/stream"
+	"repro/internal/xsort"
 )
 
 // SSOptions configures one Segmented Sort.
@@ -52,7 +53,7 @@ func SegmentedSort(in stream.Stream, opt SSOptions, cfg Config) (stream.Stream, 
 	return &ssStream{
 		in:     in,
 		opt:    opt,
-		cfg:    cfg,
+		sorter: cfg.sorter(opt.Beta),
 		segSet: attrs.MakeSet(opt.SegmentBy...),
 		stats:  st,
 	}, st, nil
@@ -61,10 +62,14 @@ func SegmentedSort(in stream.Stream, opt SSOptions, cfg Config) (stream.Stream, 
 type ssStream struct {
 	in     stream.Stream
 	opt    SSOptions
-	cfg    Config
+	sorter *xsort.Sorter // one for every unit
 	segSet attrs.Set
 	stats  *SSStats
 
+	// unit buffers the α-group being read. A unit that fits the budget is
+	// sorted in place, so current aliases it until the unit is emitted —
+	// which is when fillUnit next overwrites it.
+	unit     []storage.Tuple
 	current  []storage.Tuple // sorted unit being emitted
 	pos      int
 	boundary bool // the unit being emitted starts a new segment
@@ -131,7 +136,7 @@ func (s *ssStream) fillUnit() error {
 	}
 	head := s.pending
 	headSeg := s.pendingSeg
-	unit := []storage.Tuple{head}
+	unit := append(s.unit[:0], head)
 	s.pending = nil
 	for {
 		r, ok := s.in.Next()
@@ -151,7 +156,8 @@ func (s *ssStream) fillUnit() error {
 		}
 		unit = append(unit, r.Tuple)
 	}
-	sorted, sstats, err := s.cfg.sorter(s.opt.Beta).SortTuples(unit)
+	s.unit = unit
+	sorted, sstats, err := s.sorter.SortTuples(unit)
 	if err != nil {
 		return err
 	}

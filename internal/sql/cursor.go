@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 
+	"repro/internal/exec"
 	"repro/internal/storage"
 )
 
@@ -25,9 +26,10 @@ type Cursor struct {
 	meta *Result // Table nil: the executed statement's metadata
 	ctx  context.Context
 
-	src    []storage.Tuple
-	pick   []int // non-nil: lazily project each row through pick
-	limit  int64 // remaining LIMIT budget; -1 = unlimited
+	src    *exec.Chain
+	pick   []int   // non-nil: lazily project each row through pick
+	slab   rowSlab // where lazily projected rows come from
+	limit  int64   // remaining LIMIT budget; -1 = unlimited
 	pos    int
 	stride int
 	closed bool
@@ -50,9 +52,11 @@ func (c *Cursor) Meta() *Result { return c.meta }
 // Next returns the next output row, or io.EOF when the stream is
 // exhausted (or the cursor closed), or the context's error when it was
 // cancelled mid-stream. Returned tuples are owned by the caller: lazily
-// projected rows are freshly allocated, buffered rows are immutable.
+// projected rows are carved out of value slabs (rowSlab) never sized past
+// the rows still to come or LIMIT, each with no capacity beyond its own
+// columns; buffered rows are immutable.
 func (c *Cursor) Next() (storage.Tuple, error) {
-	if c.closed || c.limit == 0 || c.pos >= len(c.src) {
+	if c.closed || c.limit == 0 || c.pos >= c.src.Len() {
 		return nil, io.EOF
 	}
 	c.stride++
@@ -62,23 +66,20 @@ func (c *Cursor) Next() (storage.Tuple, error) {
 			return nil, err
 		}
 	}
-	row := c.src[c.pos]
+	row := c.src.Rows[c.pos]
+	if c.pick != nil {
+		left := c.src.Len() - c.pos
+		if c.limit > 0 {
+			left = min(left, int(c.limit))
+		}
+		row = c.slab.next(len(c.pick), left)
+		c.src.Project(row, c.pos, c.pick)
+	}
 	c.pos++
 	if c.limit > 0 {
 		c.limit--
 	}
-	if c.pick != nil {
-		row = c.projectRow(row)
-	}
 	return row, nil
-}
-
-func (c *Cursor) projectRow(row storage.Tuple) storage.Tuple {
-	t := make(storage.Tuple, len(c.pick))
-	for ci, src := range c.pick {
-		t[ci] = row[src]
-	}
-	return t
 }
 
 // Close releases the cursor; further Next calls return io.EOF. Idempotent.
@@ -87,7 +88,7 @@ func (c *Cursor) Close() error {
 		return nil
 	}
 	c.closed = true
-	c.src = nil
+	c.src, c.slab.free = nil, nil
 	return nil
 }
 
@@ -118,22 +119,28 @@ func (p *Prepared) stream(ctx context.Context, base *storage.Table, finalize boo
 	if err != nil {
 		return nil, err
 	}
+	return p.cursor(ctx, executed, result, finalize), nil
+}
+
+// cursor builds the cursor over an executed chain. DISTINCT and ORDER BY
+// need every projected row before the first output row is known: those
+// statements project and finalize eagerly (LIMIT included) and stream the
+// finalized buffer. Everything else projects lazily, straight from the
+// chain's rows and tail vectors.
+func (p *Prepared) cursor(ctx context.Context, executed *exec.Chain, result *Result, finalize bool) *Cursor {
 	if finalize && (p.q.Distinct || len(p.orderKey) > 0) {
-		// DISTINCT and ORDER BY need every projected row before the first
-		// output row is known; project and finalize eagerly (LIMIT
-		// included) and stream the finalized buffer.
 		out := p.project(executed)
 		p.finalize(out, result)
-		return &Cursor{cols: p.outCols, src: out.Rows, meta: result, ctx: ctx, limit: -1}, nil
+		return &Cursor{cols: p.outCols, src: exec.TableChain(out), meta: result, ctx: ctx, limit: -1}
 	}
 	limit := int64(-1)
 	if finalize {
 		limit = p.q.Limit
 	}
 	return &Cursor{
-		cols: p.outCols, src: executed.Rows, pick: p.pick,
+		cols: p.outCols, src: executed, pick: p.pick,
 		meta: result, ctx: ctx, limit: limit,
-	}, nil
+	}
 }
 
 // TableCursor wraps an already-materialized result as a Cursor, for
@@ -141,5 +148,5 @@ func (p *Prepared) stream(ctx context.Context, base *storage.Table, finalize boo
 // concatenation) but speak the cursor surface outward. meta may carry the
 // table too; the cursor streams t's rows as-is.
 func TableCursor(t *storage.Table, meta *Result) *Cursor {
-	return &Cursor{cols: t.Schema.Columns, src: t.Rows, meta: meta, ctx: context.Background(), limit: -1}
+	return &Cursor{cols: t.Schema.Columns, src: exec.TableChain(t), meta: meta, ctx: context.Background(), limit: -1}
 }

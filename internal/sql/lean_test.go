@@ -1,0 +1,400 @@
+package sql
+
+import (
+	"context"
+	"io"
+	"sync"
+	"testing"
+
+	"repro/internal/catalog"
+	"repro/internal/datagen"
+	"repro/internal/exec"
+	"repro/internal/storage"
+	"repro/internal/window"
+)
+
+// The paper's Q1–Q9 and the benchmark's F1–F6 as SQL: every statement
+// shape the lean chain result has to serve.
+const byItemDate = `PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk, ws_order_number`
+
+var leanStatements = map[string]string{
+	"Q1": `SELECT ws_item_sk, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_time_sk) AS r FROM web_sales`,
+	"Q2": `SELECT ws_item_sk, rank() OVER (PARTITION BY ws_item_sk, ws_bill_customer_sk ORDER BY ws_sold_time_sk) AS r FROM web_sales`,
+	"Q3": `SELECT ws_warehouse_sk, rank() OVER (PARTITION BY ws_warehouse_sk ORDER BY ws_sold_time_sk) AS r FROM web_sales`,
+	"Q4": `SELECT ws_quantity, rank() OVER (PARTITION BY ws_quantity ORDER BY ws_item_sk) AS r FROM web_sales_s`,
+	"Q5": `SELECT ws_quantity, rank() OVER (PARTITION BY ws_quantity ORDER BY ws_item_sk) AS r FROM web_sales_g`,
+	"Q6": `SELECT rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS r1,
+		rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_bill_customer_sk) AS r2 FROM web_sales`,
+	"Q7": `SELECT rank() OVER (PARTITION BY ws_sold_date_sk, ws_sold_time_sk, ws_ship_date_sk) AS r1,
+		rank() OVER (PARTITION BY ws_sold_time_sk, ws_sold_date_sk) AS r2,
+		rank() OVER (PARTITION BY ws_item_sk) AS r3,
+		rank() OVER (ORDER BY ws_item_sk, ws_bill_customer_sk) AS r4,
+		rank() OVER (PARTITION BY ws_sold_date_sk, ws_sold_time_sk, ws_item_sk, ws_bill_customer_sk ORDER BY ws_ship_date_sk) AS r5 FROM web_sales`,
+	"Q8": `SELECT rank() OVER (PARTITION BY ws_sold_date_sk, ws_sold_time_sk, ws_ship_date_sk) AS r1,
+		rank() OVER (PARTITION BY ws_sold_time_sk, ws_sold_date_sk) AS r2,
+		rank() OVER (PARTITION BY ws_item_sk) AS r3,
+		rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_bill_customer_sk) AS r4,
+		rank() OVER (PARTITION BY ws_sold_date_sk, ws_sold_time_sk, ws_item_sk ORDER BY ws_bill_customer_sk, ws_ship_date_sk) AS r5 FROM web_sales`,
+	"Q9": `SELECT rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_bill_customer_sk, ws_sold_date_sk) AS r1,
+		rank() OVER (PARTITION BY ws_item_sk, ws_sold_time_sk ORDER BY ws_sold_date_sk) AS r2,
+		rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_time_sk) AS r3,
+		rank() OVER (ORDER BY ws_item_sk, ws_sold_date_sk) AS r4,
+		rank() OVER (PARTITION BY ws_bill_customer_sk, ws_sold_date_sk ORDER BY ws_sold_time_sk) AS r5,
+		rank() OVER (PARTITION BY ws_bill_customer_sk ORDER BY ws_sold_time_sk) AS r6,
+		rank() OVER (PARTITION BY ws_sold_date_sk, ws_sold_time_sk) AS r7,
+		rank() OVER (ORDER BY ws_sold_time_sk) AS r8 FROM web_sales`,
+	"F1": `SELECT ws_item_sk, ws_order_number,
+		sum(ws_quantity) OVER (` + byItemDate + ` ROWS BETWEEN 10 PRECEDING AND CURRENT ROW) AS s10,
+		avg(ws_quantity) OVER (` + byItemDate + ` ROWS BETWEEN 50 PRECEDING AND 50 FOLLOWING) AS a50 FROM web_sales`,
+	"F2": `SELECT ws_item_sk, ws_order_number,
+		min(ws_sales_price) OVER (` + byItemDate + ` ROWS BETWEEN 50 PRECEDING AND CURRENT ROW) AS lo,
+		max(ws_sales_price) OVER (` + byItemDate + ` ROWS BETWEEN 10 PRECEDING AND 50 FOLLOWING) AS hi FROM web_sales`,
+	"F3": `SELECT ws_item_sk, ws_order_number,
+		sum(ws_quantity) OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk RANGE BETWEEN 10 PRECEDING AND CURRENT ROW) AS s FROM web_sales`,
+	"F4": `SELECT ws_bill_customer_sk, ws_order_number,
+		lag(ws_sales_price, 1) OVER (PARTITION BY ws_bill_customer_sk ORDER BY ws_sold_date_sk, ws_order_number) AS prev,
+		lead(ws_sales_price, 1) OVER (PARTITION BY ws_bill_customer_sk ORDER BY ws_sold_date_sk, ws_order_number) AS nxt
+		FROM web_sales WHERE ws_quantity > 50 ORDER BY ws_order_number LIMIT 100`,
+	"F5": `SELECT ws_warehouse_sk, ws_order_number,
+		ntile(4) OVER (PARTITION BY ws_warehouse_sk ORDER BY ws_list_price, ws_order_number) AS q,
+		first_value(ws_list_price) OVER (PARTITION BY ws_warehouse_sk ORDER BY ws_list_price, ws_order_number) AS lo,
+		last_value(ws_list_price) OVER (PARTITION BY ws_warehouse_sk ORDER BY ws_list_price, ws_order_number ROWS BETWEEN CURRENT ROW AND UNBOUNDED FOLLOWING) AS hi
+		FROM web_sales WHERE ws_quantity <= 50 ORDER BY ws_warehouse_sk, ws_order_number LIMIT 100`,
+	"F6": `SELECT DISTINCT ws_item_sk,
+		max(ws_quantity) OVER (PARTITION BY ws_item_sk) AS mx,
+		count(*) OVER (PARTITION BY ws_item_sk) AS n FROM web_sales`,
+}
+
+// leanRunner registers the three web_sales variants at the given size
+// under the given reorder budget.
+func leanRunner(rows, memBytes int) *Runner {
+	gen := datagen.WebSalesConfig{Rows: rows, Seed: 7, PadBytes: 16}
+	cat := catalog.New()
+	cat.Register("web_sales", datagen.WebSales(gen))
+	cat.Register("web_sales_s", datagen.WebSalesSorted(gen))
+	cat.Register("web_sales_g", datagen.WebSalesGrouped(gen))
+	return &Runner{Catalog: cat, Exec: exec.Config{MemoryBytes: memBytes, BlockSize: 4096}}
+}
+
+// checkDerived holds every window column of chain to window.Reference over
+// the chain's input rows, matching rows by the unique ws_order_number.
+func checkDerived(t *testing.T, p *Prepared, chain *exec.Chain, input []storage.Tuple) {
+	t.Helper()
+	if chain.Len() != len(input) {
+		t.Fatalf("%d chain rows for %d input rows", chain.Len(), len(input))
+	}
+	at := make(map[int64]int, chain.Len()) // order number -> chain position
+	for i, row := range chain.Rows {
+		at[row[datagen.ColOrderNumber].Int64()] = i
+	}
+	one := make(storage.Tuple, 1)
+	for id, spec := range p.specs {
+		want, err := window.Reference(input, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, v := range want {
+			tag := input[r][datagen.ColOrderNumber].Int64()
+			chain.Project(one, at[tag], []int{p.wfCol[id]})
+			if !storage.Equal(one[0], v) {
+				t.Fatalf("%s: order %d = %s, reference %s", spec.Name, tag, one[0], v)
+			}
+		}
+	}
+}
+
+// TestLeanMatchesRunAndReference — differential: on Q1–Q9 under a budget
+// that spills and F1–F6 in memory, the chain result the SQL layer projects
+// from equals the materializing exec.Run row for row, both equal
+// window.Reference, and the cursor over the lean result streams exactly
+// ExecuteContext's rows.
+func TestLeanMatchesRunAndReference(t *testing.T) {
+	ctx := context.Background()
+	spilling, inMemory := leanRunner(1200, 16<<10), leanRunner(1200, 64<<20)
+	for name, src := range leanStatements {
+		t.Run(name, func(t *testing.T) {
+			r := inMemory
+			if name[0] == 'Q' {
+				r = spilling
+			}
+			p, err := r.Prepare(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			input, err := p.filterWhere(p.entry.Table())
+			if err != nil {
+				t.Fatal(err)
+			}
+			chain, metrics, _, err := p.runPlan(ctx, input, p.plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if name[0] == 'Q' && name != "Q4" && name != "Q5" && metrics.TotalBlocks() == 0 {
+				t.Fatal("the chain did not spill")
+			}
+			cfg := p.cfg
+			cfg.Distinct = p.entry.Distinct
+			ran, _, err := exec.RunContext(ctx, input, p.specs, p.plan, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameRows(t, name+" lean vs Run", ran, chain.Table())
+			checkDerived(t, p, chain, input.Rows)
+
+			want, err := p.ExecuteContext(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur, err := p.StreamContext(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := storage.NewTable(want.Table.Schema)
+			got.Rows = drainCursor(t, cur)
+			assertSameRows(t, name+" cursor vs execute", want.Table, got)
+		})
+	}
+}
+
+// TestLeanSharedSuffix — a shared-suffix execution evaluates every
+// function into tail vectors over the segment's own rows: nothing is
+// copied, and the values equal the reference.
+func TestLeanSharedSuffix(t *testing.T) {
+	ctx := context.Background()
+	r := leanRunner(1200, 64<<20)
+	for _, name := range []string{"Q1", "Q3", "F1", "F3"} {
+		p, err := r.Prepare(leanStatements[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !p.Shareable() {
+			t.Fatalf("%s is not shareable: %s", name, p.Plan())
+		}
+		seg, err := p.RunSubplan(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain, _, err := p.runSuffix(ctx, seg, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if chain.Width != seg.Table.Schema.Len() || len(chain.Tail) != len(p.specs) {
+			t.Fatalf("%s: suffix chain width %d with %d tail vectors, want %d and %d", name, chain.Width, len(chain.Tail), seg.Table.Schema.Len(), len(p.specs))
+		}
+		for i := range chain.Rows {
+			if &chain.Rows[i][0] != &seg.Table.Rows[i][0] {
+				t.Fatalf("%s: suffix row %d is not the segment's own row", name, i)
+			}
+		}
+		checkDerived(t, p, chain, p.entry.Table().Rows)
+	}
+}
+
+// roomyCopy rebuilds t with every row given spare capacity past its
+// length: the worst case for shared rows, because an Extend on such a row
+// writes in place instead of copying.
+func roomyCopy(t *storage.Table) *storage.Table {
+	out := storage.NewTable(t.Schema)
+	out.Rows = make([]storage.Tuple, t.Len())
+	for i, row := range t.Rows {
+		out.Rows[i] = append(make(storage.Tuple, 0, len(row)+2), row...)
+	}
+	return out
+}
+
+// rowShape records what must not change about shared rows: the content
+// hash in row order, and every row's length, capacity and spare slots.
+func rowShape(t *testing.T, rows []storage.Tuple) (hash string, lens, caps []int) {
+	t.Helper()
+	var enc []byte
+	for _, row := range rows {
+		enc = storage.AppendTuple(enc, row)
+		lens, caps = append(lens, len(row)), append(caps, cap(row))
+		for _, v := range row[len(row):cap(row)] {
+			if !v.IsNull() {
+				t.Fatalf("a shared row's spare slot holds %s", v)
+			}
+		}
+	}
+	return Fingerprint(string(enc)), lens, caps
+}
+
+// TestConcurrentStatementsLeaveSharedRowsAlone — statements with different
+// windows run at once over one registered table and over one shared
+// segment, whose rows all have spare capacity. Nothing may write to them:
+// -race sees any attempt, and afterwards the content hash, every row's
+// len/cap and every spare slot are what they were.
+func TestConcurrentStatementsLeaveSharedRowsAlone(t *testing.T) {
+	ctx := context.Background()
+	base := roomyCopy(datagen.WebSales(datagen.WebSalesConfig{Rows: 1500, Seed: 5, PadBytes: 16}))
+	cat := catalog.New()
+	cat.Register("web_sales", base)
+	r := &Runner{Catalog: cat, Exec: exec.Config{MemoryBytes: 64 << 20, BlockSize: 4096}}
+
+	// One segment, sorted finely enough to serve every shareMix statement.
+	finest, err := r.Prepare(shareMix[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, err := finest.RunSubplan(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg.Table = roomyCopy(seg.Table)
+
+	baseHash, baseLens, baseCaps := rowShape(t, base.Rows)
+	segHash, segLens, segCaps := rowShape(t, seg.Table.Rows)
+
+	private := []string{leanStatements["Q1"], leanStatements["Q6"], leanStatements["Q9"], leanStatements["F1"], leanStatements["F4"], leanStatements["F6"]}
+	var wg sync.WaitGroup
+	drain := func(cur *Cursor, err error) {
+		defer wg.Done()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for {
+			if _, err := cur.Next(); err != nil {
+				if err != io.EOF {
+					t.Error(err)
+				}
+				return
+			}
+		}
+	}
+	for round := 0; round < 3; round++ {
+		for _, src := range private {
+			p, err := r.Prepare(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wg.Add(1)
+			go func() { drain(p.StreamContext(ctx)) }()
+		}
+		for _, src := range shareMix {
+			p, err := r.Prepare(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wg.Add(1)
+			go func() { drain(p.StreamSharedContext(ctx, seg, false)) }()
+		}
+	}
+	wg.Wait()
+
+	check := func(what string, rows []storage.Tuple, hash string, lens, caps []int) {
+		gotHash, gotLens, gotCaps := rowShape(t, rows)
+		if gotHash != hash {
+			t.Errorf("%s: content changed", what)
+		}
+		for i := range rows {
+			if gotLens[i] != lens[i] || gotCaps[i] != caps[i] {
+				t.Fatalf("%s: row %d is len %d cap %d, was len %d cap %d", what, i, gotLens[i], gotCaps[i], lens[i], caps[i])
+			}
+		}
+	}
+	check("table", base.Rows, baseHash, baseLens, baseCaps)
+	check("shared segment", seg.Table.Rows, segHash, segLens, segCaps)
+}
+
+// TestStatementAllocationsDoNotScaleWithRows — a statement's heap objects
+// are a function of its steps and of log(rows) (buffers that double), not
+// of its rows or its partitions: quadrupling the table — and with it the
+// partition count — may not come near quadrupling the objects. An
+// F1-shaped statement (framed aggregates, one reorder, lazily projected)
+// and a Q7-shaped one (five functions, several reorders, rows carried
+// through them) run in memory through Prepared and a drained cursor.
+func TestStatementAllocationsDoNotScaleWithRows(t *testing.T) {
+	ctx := context.Background()
+	run := func(rows int, src string) float64 {
+		// ItemDistinct scales the partition count with the table.
+		cat := catalog.New()
+		cat.Register("web_sales", datagen.WebSales(datagen.WebSalesConfig{Rows: rows, Seed: 7, ItemDistinct: rows / 50, PadBytes: 16}))
+		r := &Runner{Catalog: cat, Exec: exec.Config{MemoryBytes: 256 << 20, BlockSize: 4096}}
+		p, err := r.Prepare(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(3, func() {
+			cur, err := p.StreamContext(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for {
+				if _, err := cur.Next(); err != nil {
+					break
+				}
+			}
+		})
+	}
+	const n = 4000
+	for _, name := range []string{"F1", "Q7"} {
+		small, large := run(n, leanStatements[name]), run(4*n, leanStatements[name])
+		t.Logf("%s: %.0f objects at %d rows, %.0f at %d", name, small, n, large, 4*n)
+		if small > n/4 {
+			t.Errorf("%s: %.0f objects for %d rows: something allocates per row or per partition", name, small, n)
+		}
+		if large > 2*small {
+			t.Errorf("%s: %.0f objects at %d rows but %.0f at %d: growth is not logarithmic", name, small, n, large, 4*n)
+		}
+	}
+}
+
+// TestCursorRowsAreCallerOwned — lazily projected rows come out of shared
+// slabs but belong to the caller: appending to one copies instead of
+// overwriting the next, and a LIMIT caps the slab at the rows that can
+// still be asked for.
+func TestCursorRowsAreCallerOwned(t *testing.T) {
+	r := testRunner(t)
+	ctx := context.Background()
+	p, err := r.Prepare(`SELECT ws_item_sk, ws_order_number, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_time_sk) AS r FROM web_sales`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := p.StreamContext(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := cur.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first) != 3 || cap(first) != 3 {
+		t.Fatalf("projected row len %d cap %d, want both 3", len(first), cap(first))
+	}
+	grown := append(first, storage.Int(-1))
+	second, err := cur.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := p.ExecuteContext(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c, v := range second {
+		if !storage.Identical(v, want.Table.Rows[1][c]) {
+			t.Fatalf("second row col %d = %s after an append to the first, want %s", c, v, want.Table.Rows[1][c])
+		}
+	}
+	if grown[3].Int64() != -1 || &grown[0] == &first[0] {
+		t.Fatal("append to a projected row did not copy")
+	}
+
+	limited, err := r.Prepare(`SELECT ws_item_sk, rank() OVER (ORDER BY ws_sold_time_sk) AS r FROM web_sales LIMIT 3`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err = limited.StreamContext(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cur.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if len(cur.slab.free) != 2*2 || cap(cur.slab.free) != 2*2 {
+		t.Fatalf("LIMIT 3 left %d values (cap %d) free in its slab after one row, want the other two rows' 4", len(cur.slab.free), cap(cur.slab.free))
+	}
+	if rest := drainCursor(t, cur); len(rest) != 2 {
+		t.Fatalf("LIMIT 3 yielded %d more rows after the first, want 2", len(rest))
+	}
+}

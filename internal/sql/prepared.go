@@ -401,20 +401,27 @@ func (p *Prepared) execute(ctx context.Context, base *storage.Table, finalize bo
 	if err != nil {
 		return nil, err
 	}
-	outTable := p.project(executed)
-	result.Table = outTable
+	return p.projected(executed, result, finalize), nil
+}
+
+// projected completes an eager execution: the projection of every executed
+// row and — when finalize is set — DISTINCT, ORDER BY and LIMIT.
+// Shard-local execution leaves those to the coordinator, which applies
+// them over the concatenation.
+func (p *Prepared) projected(executed *exec.Chain, result *Result, finalize bool) *Result {
+	result.Table = p.project(executed)
 	if finalize {
-		// Shard-local execution skips this: DISTINCT, ORDER BY and LIMIT
-		// are the coordinator's to apply over the concatenation.
-		p.finalize(outTable, result)
+		p.finalize(result.Table, result)
 	}
-	return result, nil
+	return result
 }
 
 // runChain runs the data-dependent phases up to (and including) the window
 // chain: WHERE filtering and chain execution. The returned Result carries
-// the plan, metrics and parallel degree but no table yet.
-func (p *Prepared) runChain(ctx context.Context, base *storage.Table) (*storage.Table, *Result, error) {
+// the plan, metrics and parallel degree but no table yet; the chain is the
+// executor's own result (rows plus tail vectors, exec.Chain), which the
+// projection reads directly — no whole-tuple table is built in between.
+func (p *Prepared) runChain(ctx context.Context, base *storage.Table) (*exec.Chain, *Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -423,7 +430,7 @@ func (p *Prepared) runChain(ctx context.Context, base *storage.Table) (*storage.
 		return nil, nil, err
 	}
 	result := &Result{FinalSort: "none", Parallelism: 1, EstRows: p.entry.Rows()}
-	executed := windowed
+	executed := exec.TableChain(windowed)
 	if p.plan != nil {
 		out, metrics, par, err := p.runPlan(ctx, windowed, p.plan)
 		if err != nil {
@@ -445,14 +452,25 @@ func (p *Prepared) filterWhere(base *storage.Table) (*storage.Table, error) {
 	if p.q.Where == nil {
 		return base, nil
 	}
+	// Two passes — mark, then copy — so the output is allocated once at its
+	// exact size instead of grown by append.
 	schema := base.Schema
-	wt := storage.NewTable(schema)
-	for _, row := range base.Rows {
+	keep := make([]bool, len(base.Rows))
+	n := 0
+	for i, row := range base.Rows {
 		v, err := evalPredicate(p.q.Where, row, schema)
 		if err != nil {
 			return nil, err
 		}
 		if v == tTrue {
+			keep[i] = true
+			n++
+		}
+	}
+	wt := storage.NewTable(schema)
+	wt.Rows = make([]storage.Tuple, 0, n)
+	for i, row := range base.Rows {
+		if keep[i] {
 			wt.Rows = append(wt.Rows, row)
 		}
 	}
@@ -460,46 +478,71 @@ func (p *Prepared) filterWhere(base *storage.Table) (*storage.Table, error) {
 }
 
 // runPlan executes a planned chain (p.plan or a segment sub-plan) over in
-// with the prepared execution config, returning the extended table, the
-// executor metrics, and the parallel degree the chain actually ran with.
+// with the prepared execution config, returning the executor's chain
+// result and metrics, and the parallel degree the chain actually ran with.
 //
 // Parallelism must be set explicitly (> 1) to engage the parallel chain
 // executor: a zero-value Runner stays on the sequential path (facades that
 // want the GOMAXPROCS default resolve it before building the Runner, as
 // windowdb.Engine does).
-func (p *Prepared) runPlan(ctx context.Context, in *storage.Table, plan *core.Plan) (*storage.Table, *exec.Metrics, int, error) {
+func (p *Prepared) runPlan(ctx context.Context, in *storage.Table, plan *core.Plan) (*exec.Chain, *exec.Metrics, int, error) {
 	cfg := p.cfg
 	if cfg.Distinct == nil {
 		cfg.Distinct = p.entry.Distinct
 	}
 	if cfg.Parallelism > 1 {
+		// Workers hand back whole tuples: concatenating partitions needs
+		// them.
 		out, metrics, err := exec.ParallelRunContext(ctx, in, p.specs, plan, cfg, cfg.Parallelism)
+		if err != nil {
+			return nil, nil, 0, err
+		}
 		par := 1
-		if err == nil && metrics.PartitionedSteps > 0 {
+		if metrics.PartitionedSteps > 0 {
 			par = cfg.Parallelism
 		}
-		return out, metrics, par, err
+		return exec.TableChain(out), metrics, par, nil
 	}
-	out, metrics, err := exec.RunContext(ctx, in, p.specs, plan, cfg)
+	out, metrics, err := exec.RunChain(ctx, in, p.specs, plan, cfg)
 	return out, metrics, 1, err
 }
 
-// project materializes the projection of every executed row.
-func (p *Prepared) project(executed *storage.Table) *storage.Table {
+// project materializes the projection of every executed row, all of them
+// carved out of one value slab.
+func (p *Prepared) project(executed *exec.Chain) *storage.Table {
 	outTable := storage.NewTable(storage.NewSchema(p.outCols...))
 	outTable.Rows = make([]storage.Tuple, executed.Len())
-	for ri, row := range executed.Rows {
-		outTable.Rows[ri] = p.projectRow(row)
+	w := len(p.pick)
+	slab := make([]storage.Value, w*executed.Len())
+	for ri := range outTable.Rows {
+		row := storage.Tuple(slab[ri*w : (ri+1)*w : (ri+1)*w])
+		executed.Project(row, ri, p.pick)
+		outTable.Rows[ri] = row
 	}
 	return outTable
 }
 
-// projectRow maps one executed-table row to the output schema.
-func (p *Prepared) projectRow(row storage.Tuple) storage.Tuple {
-	t := make(storage.Tuple, len(p.pick))
-	for ci, src := range p.pick {
-		t[ci] = row[src]
+// rowSlab carves a cursor's lazily projected rows out of value slabs
+// instead of allocating each one. A slab holds the rows still to come, up
+// to rowSlabMaxRows — large enough that a result of any realistic size
+// costs a few dozen slabs, small enough that a consumer holding on to one
+// row pins a bounded piece of the result. Every row is a three-index
+// slice: it belongs to the caller, and an append to it copies instead of
+// running into its neighbour. The zero value is ready to use.
+type rowSlab struct {
+	free []storage.Value // unused tail of the current slab
+}
+
+const rowSlabMaxRows = 4096
+
+// next returns a w-column row of NULLs. left is how many rows, this one
+// included, the caller may still ask for: no slab is sized past it.
+func (s *rowSlab) next(w, left int) storage.Tuple {
+	if len(s.free) < w {
+		s.free = make([]storage.Value, w*min(left, rowSlabMaxRows))
 	}
+	t := storage.Tuple(s.free[:w:w])
+	s.free = s.free[w:]
 	return t
 }
 
@@ -552,14 +595,18 @@ func (p *Prepared) finalize(outTable *storage.Table, result *Result) {
 }
 
 // distinctRows deduplicates a table's rows in place, keeping the first
-// occurrence (NULLs compare equal, per SQL DISTINCT semantics).
+// occurrence (NULLs compare equal, per SQL DISTINCT semantics). Rows are
+// keyed by their tuple encoding, built in one reused buffer; the lookup
+// converts it without allocating, so only a row that is kept pays for a
+// key string.
 func distinctRows(t *storage.Table) {
-	seen := make(map[string]bool, t.Len())
+	seen := make(map[string]struct{})
+	var key []byte
 	dedup := t.Rows[:0]
 	for _, row := range t.Rows {
-		key := string(storage.AppendTuple(nil, row))
-		if !seen[key] {
-			seen[key] = true
+		key = storage.AppendTuple(key[:0], row)
+		if _, dup := seen[string(key)]; !dup {
+			seen[string(key)] = struct{}{}
 			dedup = append(dedup, row)
 		}
 	}

@@ -227,10 +227,14 @@ func (r *SegmentRunner) FilterBase(ctx context.Context) (*storage.Table, error) 
 
 // Run executes segment seg's chain steps over in — rows already
 // hash-partitioned on the segment's key — returning the extended table and
-// the executor metrics.
+// the executor metrics. The table is materialized: its rows are the next
+// shuffle's wire rows and must carry their derived columns.
 func (r *SegmentRunner) Run(ctx context.Context, seg int, in *storage.Table) (*storage.Table, *exec.Metrics, error) {
 	out, m, _, err := r.p.runPlan(ctx, in, r.subs[seg])
-	return out, m, err
+	if err != nil {
+		return nil, nil, err
+	}
+	return out.Table(), m, nil
 }
 
 // StreamFinal executes the last segment over in and returns a cursor over
@@ -245,7 +249,7 @@ func (r *SegmentRunner) StreamFinal(ctx context.Context, in *storage.Table) (*Cu
 	}
 	result := &Result{FinalSort: "none", Parallelism: par, Plan: r.p.plan, Metrics: m}
 	return &Cursor{
-		cols: r.p.outCols, src: out.Rows, pick: r.pick,
+		cols: r.p.outCols, src: out, pick: r.pick,
 		meta: result, ctx: ctx, limit: -1,
 	}, nil
 }

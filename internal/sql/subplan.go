@@ -31,9 +31,10 @@ import (
 // SharedSegment is a materialized scan+reorder subplan execution: the
 // filtered, reordered base-schema rows, the physical stream property the
 // row order carries, and the scan's metrics (charged once, to the query
-// that executed it). The table is immutable — concurrent suffix
-// executions copy rows into private arenas (exec.arenaRows) — so one
-// segment serves any number of attached cursors.
+// that executed it). The table is immutable and its rows are never
+// extended — a suffix chain has no reorder, so every function evaluates
+// into a vector beside the rows (exec.RunChain) — and one segment serves
+// any number of attached cursors at once without being copied.
 type SharedSegment struct {
 	Table   *storage.Table
 	Props   core.Props
@@ -134,7 +135,7 @@ func (p *Prepared) RunSubplan(ctx context.Context) (*SharedSegment, error) {
 // chargeScan merges the segment's scan metrics into the result — set by
 // the execution that actually paid for the scan, so accounting stays
 // truthful: the leader reports scan+suffix, attachers report drain only.
-func (p *Prepared) runSuffix(ctx context.Context, seg *SharedSegment, chargeScan bool) (*storage.Table, *Result, error) {
+func (p *Prepared) runSuffix(ctx context.Context, seg *SharedSegment, chargeScan bool) (*exec.Chain, *Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -147,7 +148,7 @@ func (p *Prepared) runSuffix(ctx context.Context, seg *SharedSegment, chargeScan
 	if cfg.Distinct == nil {
 		cfg.Distinct = p.entry.Distinct
 	}
-	out, metrics, err := exec.RunContext(ctx, seg.Table, p.specs, suffix, cfg)
+	out, metrics, err := exec.RunChain(ctx, seg.Table, p.specs, suffix, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -190,12 +191,7 @@ func (p *Prepared) executeShared(ctx context.Context, seg *SharedSegment, charge
 	if err != nil {
 		return nil, err
 	}
-	outTable := p.project(executed)
-	result.Table = outTable
-	if finalize {
-		p.finalize(outTable, result)
-	}
-	return result, nil
+	return p.projected(executed, result, finalize), nil
 }
 
 // StreamSharedContext is the cursor form of ExecuteSharedContext.
@@ -213,19 +209,7 @@ func (p *Prepared) streamShared(ctx context.Context, seg *SharedSegment, chargeS
 	if err != nil {
 		return nil, err
 	}
-	if finalize && (p.q.Distinct || len(p.orderKey) > 0) {
-		out := p.project(executed)
-		p.finalize(out, result)
-		return &Cursor{cols: p.outCols, src: out.Rows, meta: result, ctx: ctx, limit: -1}, nil
-	}
-	limit := int64(-1)
-	if finalize {
-		limit = p.q.Limit
-	}
-	return &Cursor{
-		cols: p.outCols, src: executed.Rows, pick: p.pick,
-		meta: result, ctx: ctx, limit: limit,
-	}, nil
+	return p.cursor(ctx, executed, result, finalize), nil
 }
 
 // canonExpr renders a predicate in canonical form — lowercased column

@@ -29,6 +29,21 @@ type Stream interface {
 	Close() error
 }
 
+// Sized is implemented by streams that know how many rows they have left:
+// a consumer that buffers its whole input (a sort, a collect) allocates its
+// buffer once at that size instead of growing it.
+type Sized interface {
+	Remaining() int
+}
+
+// Remaining returns the number of rows s has left when it knows, else 0.
+func Remaining(s Stream) int {
+	if sized, ok := s.(Sized); ok {
+		return sized.Remaining()
+	}
+	return 0
+}
+
 // sliceStream streams a materialized row slice.
 type sliceStream struct {
 	rows []Row
@@ -38,17 +53,45 @@ type sliceStream struct {
 // FromRows wraps pre-tagged rows.
 func FromRows(rows []Row) Stream { return &sliceStream{rows: rows} }
 
-// FromTuples wraps tuples as a single segment.
-func FromTuples(tuples []storage.Tuple) Stream {
-	rows := make([]Row, len(tuples))
-	for i, t := range tuples {
-		rows[i] = Row{Tuple: t, Boundary: i == 0}
+func (s *sliceStream) Next() (Row, bool) {
+	if s.pos >= len(s.rows) {
+		return Row{}, false
 	}
-	return FromRows(rows)
+	r := s.rows[s.pos]
+	s.pos++
+	return r, true
 }
+
+func (s *sliceStream) Remaining() int { return len(s.rows) - s.pos }
+
+func (s *sliceStream) Close() error { return nil }
+
+// tupleStream streams bare tuples as a single segment without building a
+// Row per tuple up front.
+type tupleStream struct {
+	tuples []storage.Tuple
+	pos    int
+}
+
+// FromTuples wraps tuples as a single segment. The stream reads the slice
+// and never writes it.
+func FromTuples(tuples []storage.Tuple) Stream { return &tupleStream{tuples: tuples} }
 
 // FromTable streams a table as a single segment.
 func FromTable(t *storage.Table) Stream { return FromTuples(t.Rows) }
+
+func (s *tupleStream) Next() (Row, bool) {
+	if s.pos >= len(s.tuples) {
+		return Row{}, false
+	}
+	r := Row{Tuple: s.tuples[s.pos], Boundary: s.pos == 0}
+	s.pos++
+	return r, true
+}
+
+func (s *tupleStream) Remaining() int { return len(s.tuples) - s.pos }
+
+func (s *tupleStream) Close() error { return nil }
 
 // FromSegments wraps a list of segments, tagging each segment head.
 func FromSegments(segments [][]storage.Tuple) Stream {
@@ -61,26 +104,11 @@ func FromSegments(segments [][]storage.Tuple) Stream {
 	return FromRows(rows)
 }
 
-func (s *sliceStream) Next() (Row, bool) {
-	if s.pos >= len(s.rows) {
-		return Row{}, false
-	}
-	r := s.rows[s.pos]
-	s.pos++
-	return r, true
-}
-
-func (s *sliceStream) Close() error { return nil }
-
 // Collect drains a stream into a tagged row slice and closes it.
-func Collect(s Stream) ([]Row, error) { return CollectN(s, 0) }
-
-// CollectN is Collect for a caller that knows how many rows to expect: the
-// result is allocated once at that capacity (and still grows past it).
-func CollectN(s Stream, sizeHint int) ([]Row, error) {
+func Collect(s Stream) ([]Row, error) {
 	var rows []Row
-	if sizeHint > 0 {
-		rows = make([]Row, 0, sizeHint)
+	if n := Remaining(s); n > 0 {
+		rows = make([]Row, 0, n)
 	}
 	for {
 		r, ok := s.Next()
@@ -94,15 +122,39 @@ func CollectN(s Stream, sizeHint int) ([]Row, error) {
 
 // CollectTuples drains a stream into bare tuples, discarding boundaries.
 func CollectTuples(s Stream) ([]storage.Tuple, error) {
-	rows, err := Collect(s)
-	if err != nil {
-		return nil, err
+	return CollectTuplesN(s, Remaining(s))
+}
+
+// CollectTuplesN is CollectTuples for a caller that knows how many rows to
+// expect: the result is allocated once at that capacity (and still grows
+// past it). The result is always a slice of its own.
+func CollectTuplesN(s Stream, sizeHint int) ([]storage.Tuple, error) {
+	var out []storage.Tuple
+	if sizeHint > 0 {
+		out = make([]storage.Tuple, 0, sizeHint)
 	}
-	out := make([]storage.Tuple, len(rows))
-	for i, r := range rows {
-		out[i] = r.Tuple
+	for {
+		r, ok := s.Next()
+		if !ok {
+			break
+		}
+		out = append(out, r.Tuple)
 	}
-	return out, nil
+	return out, s.Close()
+}
+
+// BackingTuples drains a FromTuples stream without copying: it returns the
+// unread part of the slice the stream was built over and leaves the stream
+// at its end. ok is false, and s untouched, for any other stream. The
+// result aliases that slice, so it is read-only unless the caller owns it.
+func BackingTuples(s Stream) (tuples []storage.Tuple, ok bool) {
+	ts, ok := s.(*tupleStream)
+	if !ok {
+		return nil, false
+	}
+	tuples = ts.tuples[ts.pos:]
+	ts.pos = len(ts.tuples)
+	return tuples, true
 }
 
 // Segments drains a stream into per-segment tuple slices.

@@ -50,6 +50,38 @@ func TestCollectTuples(t *testing.T) {
 	}
 }
 
+// TestCollectCopiesBackingTuplesAliases — the collectors hand back a slice
+// of their own whatever the stream; only BackingTuples aliases the input,
+// only for a FromTuples stream, and only its unread part.
+func TestCollectCopiesBackingTuplesAliases(t *testing.T) {
+	in := rows(1, 2, 3)
+	got, err := CollectTuples(FromTuples(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 || &got[0] == &in[0] {
+		t.Fatalf("CollectTuples returned the stream's backing slice (len %d)", len(got))
+	}
+
+	s := FromTuples(in)
+	s.Next()
+	rest, ok := BackingTuples(s)
+	if !ok || len(rest) != 2 || &rest[0] != &in[1] {
+		t.Fatalf("BackingTuples = %v, %v; want the unread tail of the input", rest, ok)
+	}
+	if _, more := s.Next(); more {
+		t.Fatal("stream not drained by BackingTuples")
+	}
+
+	tagged := FromRows([]Row{{Tuple: in[0], Boundary: true}})
+	if _, ok := BackingTuples(tagged); ok {
+		t.Fatal("BackingTuples accepted a stream that has no tuple slice")
+	}
+	if Remaining(tagged) != 1 {
+		t.Fatal("BackingTuples consumed a stream it rejected")
+	}
+}
+
 func TestConcatPreservesSegments(t *testing.T) {
 	a := FromSegments([][]storage.Tuple{rows(1), rows(2)})
 	b := FromTuples(rows(3, 4))

@@ -24,17 +24,17 @@ func Evaluate(in stream.Stream, spec Spec) (stream.Stream, error) {
 	if spec.Kind.needsArg() && spec.Arg < 0 {
 		return nil, fmt.Errorf("window: %s requires an argument column", spec.Kind)
 	}
-	return &evalStream{in: in, spec: spec}, nil
+	return &evalStream{in: in, ev: evaluator{spec: spec}}, nil
 }
 
 // evalStream buffers one partition at a time.
 type evalStream struct {
-	in   stream.Stream
-	spec Spec
+	in stream.Stream
+	ev evaluator
 
 	part       []stream.Row    // current partition with boundaries; reused
-	tuples     []storage.Tuple // part's tuples, for computePartition; reused
-	derived    []storage.Value
+	tuples     []storage.Tuple // part's tuples, for the evaluator; reused
+	derived    []storage.Value // part's derived values; reused
 	pos        int
 	pending    stream.Row
 	hasPending bool
@@ -98,7 +98,7 @@ func (e *evalStream) fillPartition() error {
 			}
 			break
 		}
-		if !storage.EqualOn(head.Tuple, r.Tuple, e.spec.PK) {
+		if !storage.EqualOn(head.Tuple, r.Tuple, e.ev.spec.PK) {
 			e.pending, e.hasPending = r, true
 			break
 		}
@@ -109,34 +109,38 @@ func (e *evalStream) fillPartition() error {
 		tuples = append(tuples, r.Tuple)
 	}
 	e.tuples = tuples
-	derived, err := computePartition(tuples, e.spec)
-	if err != nil {
+	e.derived = sized(e.derived, len(tuples))
+	if err := e.ev.partition(tuples, e.derived); err != nil {
 		return err
 	}
 	e.part = part
-	e.derived = derived
 	e.pos = 0
 	return nil
 }
 
 func (e *evalStream) Close() error { return e.err }
 
-// EvaluateSlice is the materialized convenience form used by tests and the
-// reference paths: it evaluates spec over rows (which must already be
-// arranged in matching order) and returns the derived column.
+// EvaluateSlice is the slice form of Evaluate: it evaluates spec over rows
+// (which must already be arranged in matching order) and returns the
+// derived column as a vector indexed like rows. It never touches the rows
+// — the executor runs it over tuples it shares with other statements —
+// and allocates the vector plus one evaluator's buffers, whatever the
+// number of partitions.
 func EvaluateSlice(rows []storage.Tuple, spec Spec) ([]storage.Value, error) {
-	out := make([]storage.Value, 0, len(rows))
+	if spec.Kind.needsArg() && spec.Arg < 0 {
+		return nil, fmt.Errorf("window: %s requires an argument column", spec.Kind)
+	}
+	out := make([]storage.Value, len(rows))
+	ev := evaluator{spec: spec}
 	start := 0
 	for start < len(rows) {
 		end := start + 1
 		for end < len(rows) && storage.EqualOn(rows[start], rows[end], spec.PK) {
 			end++
 		}
-		vals, err := computePartition(rows[start:end], spec)
-		if err != nil {
+		if err := ev.partition(rows[start:end], out[start:end]); err != nil {
 			return nil, err
 		}
-		out = append(out, vals...)
 		start = end
 	}
 	return out, nil

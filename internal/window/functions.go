@@ -2,25 +2,49 @@ package window
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/storage"
 )
 
-// computePartition evaluates spec over one window partition (rows already
-// ordered on WOK) and returns one derived value per row.
-func computePartition(rows []storage.Tuple, spec Spec) ([]storage.Value, error) {
+// evaluator computes one window function partition by partition. It owns
+// every buffer a partition needs — peer-group starts, frame bounds, prefix
+// sums, the min/max deque — and reuses them from one partition to the
+// next, so evaluating a relation allocates for its largest partition, not
+// once per partition. Not safe for concurrent use.
+type evaluator struct {
+	spec Spec
+
+	starts       []int // peer-group start indices
+	lo, hi       []int // frame [lo, hi) per row
+	peerS, peerE []int // peer group [start, end) per row
+	sumF         []float64
+	sumI, counts []int64
+	deque        []int
+}
+
+// sized returns buf resized to n elements, reallocating only to grow. The
+// contents are unspecified: callers write every element they read.
+func sized[T any](buf []T, n int) []T {
+	return slices.Grow(buf[:0], n)[:n]
+}
+
+// partition evaluates the spec over one window partition (rows already
+// ordered on WOK) into out, one derived value per row; len(out) must equal
+// len(rows).
+func (e *evaluator) partition(rows []storage.Tuple, out []storage.Value) error {
+	spec := e.spec
 	n := len(rows)
-	out := make([]storage.Value, n)
 	switch spec.Kind {
 	case RowNumber:
 		for i := range out {
 			out[i] = storage.Int(int64(i + 1))
 		}
-		return out, nil
+		return nil
 
 	case Rank, DenseRank, PercentRank, CumeDist:
-		starts := peerStarts(rows, spec)
+		starts := e.peerStarts(rows)
 		dense := 0
 		for g := 0; g < len(starts); g++ {
 			lo := starts[g]
@@ -46,12 +70,12 @@ func computePartition(rows []storage.Tuple, spec Spec) ([]storage.Value, error) 
 				}
 			}
 		}
-		return out, nil
+		return nil
 
 	case Ntile:
 		buckets := spec.N
 		if buckets < 1 {
-			return nil, fmt.Errorf("window: ntile bucket count %d", buckets)
+			return fmt.Errorf("window: ntile bucket count %d", buckets)
 		}
 		if buckets > int64(n) {
 			buckets = int64(n)
@@ -69,7 +93,7 @@ func computePartition(rows []storage.Tuple, spec Spec) ([]storage.Value, error) 
 				i++
 			}
 		}
-		return out, nil
+		return nil
 
 	case Lead, Lag:
 		// N is the explicit offset; the SQL layer supplies the default of 1
@@ -88,14 +112,14 @@ func computePartition(rows []storage.Tuple, spec Spec) ([]storage.Value, error) 
 				out[i] = spec.Default
 			}
 		}
-		return out, nil
+		return nil
 	}
 
 	// Framed functions.
-	lo, hi, err := frameBounds(rows, spec)
-	if err != nil {
-		return nil, err
+	if err := e.frameBounds(rows); err != nil {
+		return err
 	}
+	lo, hi := e.lo, e.hi
 	switch spec.Kind {
 	case FirstValue:
 		for i := range rows {
@@ -129,7 +153,9 @@ func computePartition(rows []storage.Tuple, spec Spec) ([]storage.Value, error) 
 			}
 			break
 		}
-		pref := make([]int64, n+1)
+		pref := sized(e.counts, n+1)
+		e.counts = pref
+		pref[0] = 0
 		for i, r := range rows {
 			pref[i+1] = pref[i]
 			if !r[spec.Arg].IsNull() {
@@ -140,10 +166,11 @@ func computePartition(rows []storage.Tuple, spec Spec) ([]storage.Value, error) 
 			out[i] = storage.Int(pref[hi[i]] - pref[lo[i]])
 		}
 	case Sum, Avg:
-		sums, counts, allInt, err := prefixSums(rows, spec)
+		allInt, err := e.prefixSums(rows)
 		if err != nil {
-			return nil, err
+			return err
 		}
+		sumF, sumI, counts := e.sumF, e.sumI, e.counts
 		for i := range rows {
 			cnt := counts[hi[i]] - counts[lo[i]]
 			if cnt == 0 {
@@ -151,63 +178,59 @@ func computePartition(rows []storage.Tuple, spec Spec) ([]storage.Value, error) 
 				continue
 			}
 			if spec.Kind == Avg {
-				out[i] = storage.Float((sums.f[hi[i]] - sums.f[lo[i]]) / float64(cnt))
+				out[i] = storage.Float((sumF[hi[i]] - sumF[lo[i]]) / float64(cnt))
 			} else if allInt {
-				out[i] = storage.Int(sums.i[hi[i]] - sums.i[lo[i]])
+				out[i] = storage.Int(sumI[hi[i]] - sumI[lo[i]])
 			} else {
-				out[i] = storage.Float(sums.f[hi[i]] - sums.f[lo[i]])
+				out[i] = storage.Float(sumF[hi[i]] - sumF[lo[i]])
 			}
 		}
 	case Min, Max:
-		if err := slidingExtreme(rows, spec, lo, hi, out); err != nil {
-			return nil, err
-		}
+		e.slidingExtreme(rows, out)
 	default:
-		return nil, fmt.Errorf("window: unimplemented function %s", spec.Kind)
+		return fmt.Errorf("window: unimplemented function %s", spec.Kind)
 	}
-	return out, nil
+	return nil
 }
 
 // peerStarts returns the start index of each peer group (rows equal on WOK).
-func peerStarts(rows []storage.Tuple, spec Spec) []int {
-	var starts []int
+func (e *evaluator) peerStarts(rows []storage.Tuple) []int {
+	starts := e.starts[:0]
 	for i := range rows {
-		if i == 0 || storage.CompareSeq(rows[i-1], rows[i], spec.OK) != 0 {
+		if i == 0 || storage.CompareSeq(rows[i-1], rows[i], e.spec.OK) != 0 {
 			starts = append(starts, i)
 		}
 	}
+	e.starts = starts
 	return starts
 }
 
-// peerBounds maps each row to its peer group's [start, end).
-func peerBounds(rows []storage.Tuple, spec Spec) (start, end []int) {
+// peerBounds maps each row to its peer group's [start, end) in e.peerS and
+// e.peerE.
+func (e *evaluator) peerBounds(rows []storage.Tuple) {
 	n := len(rows)
-	start = make([]int, n)
-	end = make([]int, n)
+	e.peerS, e.peerE = sized(e.peerS, n), sized(e.peerE, n)
 	i := 0
 	for i < n {
 		j := i + 1
-		for j < n && storage.CompareSeq(rows[i], rows[j], spec.OK) == 0 {
+		for j < n && storage.CompareSeq(rows[i], rows[j], e.spec.OK) == 0 {
 			j++
 		}
 		for k := i; k < j; k++ {
-			start[k], end[k] = i, j
+			e.peerS[k], e.peerE[k] = i, j
 		}
 		i = j
 	}
-	return
 }
 
-// frameBounds computes each row's frame [lo, hi).
-func frameBounds(rows []storage.Tuple, spec Spec) (lo, hi []int, err error) {
+// frameBounds computes each row's frame [lo, hi) into e.lo and e.hi.
+func (e *evaluator) frameBounds(rows []storage.Tuple) error {
+	spec := e.spec
 	n := len(rows)
-	lo = make([]int, n)
-	hi = make([]int, n)
+	e.lo, e.hi = sized(e.lo, n), sized(e.hi, n)
 	f := spec.EffectiveFrame()
-	var peerS, peerE []int
-	needPeers := f.Mode == Range && (f.Start.Type == CurrentRow || f.End.Type == CurrentRow)
-	if needPeers {
-		peerS, peerE = peerBounds(rows, spec)
+	if f.Mode == Range && (f.Start.Type == CurrentRow || f.End.Type == CurrentRow) {
+		e.peerBounds(rows)
 	}
 	boundIdx := func(i int, b Bound, isStart bool) (int, error) {
 		switch b.Type {
@@ -218,9 +241,9 @@ func frameBounds(rows []storage.Tuple, spec Spec) (lo, hi []int, err error) {
 		case CurrentRow:
 			if f.Mode == Range {
 				if isStart {
-					return peerS[i], nil
+					return e.peerS[i], nil
 				}
-				return peerE[i], nil
+				return e.peerE[i], nil
 			}
 			if isStart {
 				return i, nil
@@ -251,18 +274,18 @@ func frameBounds(rows []storage.Tuple, spec Spec) (lo, hi []int, err error) {
 	for i := range rows {
 		l, err := boundIdx(i, f.Start, true)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 		h, err := boundIdx(i, f.End, false)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 		if h < l {
 			h = l
 		}
-		lo[i], hi[i] = l, h
+		e.lo[i], e.hi[i] = l, h
 	}
-	return lo, hi, nil
+	return nil
 }
 
 // rangeOffsetBound resolves a RANGE k PRECEDING/FOLLOWING bound: it needs a
@@ -329,44 +352,44 @@ func rangeOffsetBound(rows []storage.Tuple, spec Spec, i int, b Bound, isStart b
 	}), nil
 }
 
-type sums struct {
-	f []float64
-	i []int64
-}
-
-// prefixSums builds prefix aggregates over the argument column.
-func prefixSums(rows []storage.Tuple, spec Spec) (sums, []int64, bool, error) {
+// prefixSums builds prefix aggregates over the argument column into
+// e.sumF, e.sumI and e.counts, and reports whether every value was an
+// integer.
+func (e *evaluator) prefixSums(rows []storage.Tuple) (allInt bool, err error) {
 	n := len(rows)
-	s := sums{f: make([]float64, n+1), i: make([]int64, n+1)}
-	counts := make([]int64, n+1)
-	allInt := true
+	e.sumF, e.sumI, e.counts = sized(e.sumF, n+1), sized(e.sumI, n+1), sized(e.counts, n+1)
+	sumF, sumI, counts := e.sumF, e.sumI, e.counts
+	sumF[0], sumI[0], counts[0] = 0, 0, 0
+	allInt = true
 	for i, r := range rows {
-		v := r[spec.Arg]
-		s.f[i+1] = s.f[i]
-		s.i[i+1] = s.i[i]
+		v := r[e.spec.Arg]
+		sumF[i+1] = sumF[i]
+		sumI[i+1] = sumI[i]
 		counts[i+1] = counts[i]
 		if v.IsNull() {
 			continue
 		}
 		switch v.Kind() {
 		case storage.KindInt:
-			s.f[i+1] += float64(v.Int64())
-			s.i[i+1] += v.Int64()
+			sumF[i+1] += float64(v.Int64())
+			sumI[i+1] += v.Int64()
 		case storage.KindFloat:
-			s.f[i+1] += v.Float64()
+			sumF[i+1] += v.Float64()
 			allInt = false
 		default:
-			return s, nil, false, fmt.Errorf("window: %s over non-numeric column", spec.Kind)
+			return false, fmt.Errorf("window: %s over non-numeric column", e.spec.Kind)
 		}
 		counts[i+1]++
 	}
-	return s, counts, allInt, nil
+	return allInt, nil
 }
 
-// slidingExtreme computes min/max over the frames with a monotonic deque;
-// all supported frame shapes have non-decreasing lo and hi, so the windows
-// advance monotonically. NULL argument values are skipped (SQL semantics).
-func slidingExtreme(rows []storage.Tuple, spec Spec, lo, hi []int, out []storage.Value) error {
+// slidingExtreme computes min/max over the frames in e.lo/e.hi with a
+// monotonic deque; all supported frame shapes have non-decreasing lo and
+// hi, so the windows advance monotonically. NULL argument values are
+// skipped (SQL semantics).
+func (e *evaluator) slidingExtreme(rows []storage.Tuple, out []storage.Value) {
+	spec, lo, hi := e.spec, e.lo, e.hi
 	better := func(a, b storage.Value) bool { // a strictly better than b
 		c := storage.Compare(a, b)
 		if spec.Kind == Min {
@@ -374,7 +397,9 @@ func slidingExtreme(rows []storage.Tuple, spec Spec, lo, hi []int, out []storage
 		}
 		return c > 0
 	}
-	var deque []int // candidate row indices, best at front
+	// Candidate row indices, best at deque[head]; popping the front moves
+	// head so the buffer keeps its capacity for the next partition.
+	deque, head := e.deque[:0], 0
 	nextIn := 0
 	curLo := 0
 	for i := range rows {
@@ -387,7 +412,7 @@ func slidingExtreme(rows []storage.Tuple, spec Spec, lo, hi []int, out []storage
 		for nextIn < hi[i] {
 			v := rows[nextIn][spec.Arg]
 			if !v.IsNull() {
-				for len(deque) > 0 && !better(rows[deque[len(deque)-1]][spec.Arg], v) {
+				for len(deque) > head && !better(rows[deque[len(deque)-1]][spec.Arg], v) {
 					deque = deque[:len(deque)-1]
 				}
 				deque = append(deque, nextIn)
@@ -395,16 +420,16 @@ func slidingExtreme(rows []storage.Tuple, spec Spec, lo, hi []int, out []storage
 			nextIn++
 		}
 		curLo = lo[i]
-		for len(deque) > 0 && deque[0] < curLo {
-			deque = deque[1:]
+		for len(deque) > head && deque[head] < curLo {
+			head++
 		}
-		if len(deque) == 0 {
+		if len(deque) == head {
 			out[i] = storage.Null
 		} else {
-			out[i] = rows[deque[0]][spec.Arg]
+			out[i] = rows[deque[head]][spec.Arg]
 		}
 	}
-	return nil
+	e.deque = deque
 }
 
 func scanExtreme(rows []storage.Tuple, spec Spec, lo, hi int, better func(a, b storage.Value) bool) storage.Value {

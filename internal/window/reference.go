@@ -111,14 +111,16 @@ func referencePartition(part []storage.Tuple, spec Spec) ([]storage.Value, error
 	case Ntile, Lead, Lag:
 		// Positional functions share the streaming implementation's logic;
 		// recompute directly.
-		return computePartition(part, spec)
+		err := (&evaluator{spec: spec}).partition(part, out)
+		return out, err
 	}
 
 	// Framed functions: recompute each frame by scanning.
-	lo, hi, err := frameBounds(part, spec)
-	if err != nil {
+	ev := evaluator{spec: spec}
+	if err := ev.frameBounds(part); err != nil {
 		return nil, err
 	}
+	lo, hi := ev.lo, ev.hi
 	for i := range part {
 		frame := part[lo[i]:hi[i]]
 		switch spec.Kind {

@@ -1,8 +1,6 @@
 package xsort
 
 import (
-	"sort"
-
 	"repro/internal/spill"
 	"repro/internal/storage"
 )
@@ -103,7 +101,7 @@ func (s *Sorter) newRunHeap(capacity int) *tupleHeap[rsItem] {
 func (s *Sorter) formRunsLoadSort(buf []storage.Tuple, next Input) ([]*run, error) {
 	var runs []*run
 	spillChunk := func(chunk []storage.Tuple) error {
-		sort.SliceStable(chunk, func(i, j int) bool { return s.less(chunk[i], chunk[j]) })
+		s.sortInMemory(chunk)
 		w, err := spill.NewWriter(s.Store)
 		if err != nil {
 			return err

@@ -11,7 +11,7 @@ package xsort
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/attrs"
 	"repro/internal/pagestore"
@@ -73,27 +73,86 @@ type Stats struct {
 	Comparisons int64 // key comparisons performed by this sort
 }
 
-func (s *Sorter) less(a, b storage.Tuple) bool {
+// compare is the counted key comparison every phase of the sort goes
+// through.
+func (s *Sorter) compare(a, b storage.Tuple) int {
 	if s.Comparisons != nil {
 		*s.Comparisons++
 	}
-	return storage.CompareSeq(a, b, s.Key) < 0
+	return storage.CompareSeq(a, b, s.Key)
+}
+
+func (s *Sorter) less(a, b storage.Tuple) bool { return s.compare(a, b) < 0 }
+
+// sortInMemory stably sorts tuples in place. slices.SortStableFunc is the
+// insertion-sort + symMerge of sort.SliceStable generated from the same
+// template, so it asks for the same comparisons in the same order (a test
+// replays both against a call log) without the reflection swapper and the
+// closure sort.SliceStable allocates per call.
+func (s *Sorter) sortInMemory(tuples []storage.Tuple) {
+	slices.SortStableFunc(tuples, s.compare)
 }
 
 // SortTuples sorts a materialized slice honoring the memory budget: if the
-// slice fits in MemoryBytes it is sorted in place, otherwise it is spilled
-// and merged externally. It returns the sorted tuples and sort statistics.
+// slice fits in MemoryBytes it is sorted in place and returned, otherwise
+// it is spilled and merged externally into a new slice (the input is then
+// left in unspecified order). It returns the sorted tuples and sort
+// statistics.
 func (s *Sorter) SortTuples(tuples []storage.Tuple) ([]storage.Tuple, Stats, error) {
-	return s.sort(SliceInput(tuples), len(tuples))
+	fit := len(tuples)
+	if s.MemoryBytes > 0 {
+		bytes := 0
+		for i, t := range tuples {
+			if bytes+t.Size() > s.MemoryBytes && i > 0 {
+				fit = i
+				break
+			}
+			bytes += t.Size()
+		}
+	}
+	if fit == len(tuples) {
+		return s.finish(tuples, nil)
+	}
+	return s.finish(tuples[:fit], SliceInput(tuples[fit:]))
 }
 
 // Sort consumes the input and returns the fully sorted tuples. sizeHint may
-// be 0 when unknown.
+// be 0 when unknown; when it is the input's length the in-memory buffer is
+// allocated once.
 func (s *Sorter) Sort(in Input, sizeHint int) ([]storage.Tuple, Stats, error) {
-	return s.sort(in, sizeHint)
+	// Buffer input until the memory budget is exceeded.
+	var (
+		buf      []storage.Tuple
+		bufBytes int
+	)
+	if sizeHint > 0 {
+		buf = make([]storage.Tuple, 0, sizeHint)
+	}
+	for {
+		t, ok := in()
+		if !ok {
+			return s.finish(buf, nil)
+		}
+		if s.MemoryBytes > 0 && bufBytes+t.Size() > s.MemoryBytes && len(buf) > 0 {
+			pending := t
+			return s.finish(buf, func() (storage.Tuple, bool) {
+				if pending != nil {
+					t := pending
+					pending = nil
+					return t, true
+				}
+				return in()
+			})
+		}
+		buf = append(buf, t)
+		bufBytes += t.Size()
+	}
 }
 
-func (s *Sorter) sort(in Input, sizeHint int) (out []storage.Tuple, st Stats, err error) {
+// finish sorts buf — the longest input prefix that fits the budget — and,
+// when rest is non-nil (the input overflowed; rest yields what follows
+// buf, at least one tuple), forms runs over both and merges them.
+func (s *Sorter) finish(buf []storage.Tuple, rest Input) (out []storage.Tuple, st Stats, err error) {
 	start := int64(0)
 	if s.Comparisons != nil {
 		start = *s.Comparisons
@@ -104,61 +163,30 @@ func (s *Sorter) sort(in Input, sizeHint int) (out []storage.Tuple, st Stats, er
 		}
 	}()
 
-	// Phase 0: buffer input until the memory budget is exceeded. If it never
-	// is, sort in memory and return.
-	var (
-		buf      []storage.Tuple
-		bufBytes int
-	)
-	if sizeHint > 0 {
-		buf = make([]storage.Tuple, 0, sizeHint)
-	}
-	overflowed := false
-	var pending storage.Tuple
-	for {
-		t, ok := in()
-		if !ok {
-			break
-		}
-		if s.MemoryBytes > 0 && bufBytes+t.Size() > s.MemoryBytes && len(buf) > 0 {
-			pending = t
-			overflowed = true
-			break
-		}
-		buf = append(buf, t)
-		bufBytes += t.Size()
-	}
 	st.Tuples = len(buf)
-	if !overflowed {
-		sort.SliceStable(buf, func(i, j int) bool { return s.less(buf[i], buf[j]) })
+	if rest == nil {
+		s.sortInMemory(buf)
 		st.InMemory = true
-		out = buf
-		return out, st, nil
+		return buf, st, nil
 	}
 	if s.Store == nil {
 		return nil, st, fmt.Errorf("xsort: input exceeds memory budget and no spill store configured")
 	}
 
-	// Phase 1: run formation over (buffered ∪ pending ∪ rest of input).
-	rest := func() (storage.Tuple, bool) {
-		if pending != nil {
-			t := pending
-			pending = nil
-			return t, true
-		}
-		t, ok := in()
+	// Phase 1: run formation over (buffered ∪ rest of input).
+	counted := func() (storage.Tuple, bool) {
+		t, ok := rest()
 		if ok {
 			st.Tuples++
 		}
 		return t, ok
 	}
-	st.Tuples++ // pending
 	var runs []*run
 	switch s.RunFormation {
 	case LoadSortStore:
-		runs, err = s.formRunsLoadSort(buf, rest)
+		runs, err = s.formRunsLoadSort(buf, counted)
 	default:
-		runs, err = s.formRunsReplacement(buf, rest)
+		runs, err = s.formRunsReplacement(buf, counted)
 	}
 	if err != nil {
 		releaseRuns(runs)

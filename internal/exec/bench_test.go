@@ -1,9 +1,12 @@
 package exec
 
 import (
+	"context"
+	"math"
 	"testing"
 
 	"repro/internal/attrs"
+	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/storage"
 	"repro/internal/window"
@@ -55,6 +58,55 @@ func BenchmarkRunChain(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRunChainSpill is BenchmarkRunChain's spilling sibling: the same
+// table under the benchmark's chain_spill budget, M = floor(0.85*sqrt(B/2))
+// blocks, through the chain CSO plans for three rank functions — a Hashed
+// Sort whose every bucket is flushed, a Segmented Sort whose every unit
+// sorts externally and a Full Sort with two intermediate merge passes —
+// and through RunChain, so B/op is the spill path's (arena slabs, pool
+// blocks, readers and writers) without Run's whole-table copy. blocks/op
+// and comparisons/op are the paper's two cost currencies; neither may move
+// when only allocation does.
+func BenchmarkRunChainSpill(b *testing.B) {
+	table := BenchTable()
+	const blockSize = 8192
+	mem := max(int(0.85*math.Sqrt(float64(table.ByteSize()/blockSize)/2)), 3) * blockSize
+	entry := catalog.New().Register("t", table)
+	pk := attrs.MakeSet(0)
+	specs := []window.Spec{
+		{Kind: window.Rank, PK: pk, PKOrder: pk.AscSeq(), OK: attrs.AscSeq(1), Arg: -1, Name: "r1"},
+		{Kind: window.Rank, PK: pk, PKOrder: pk.AscSeq(), OK: attrs.AscSeq(2), Arg: -1, Name: "r2"},
+		{Kind: window.Rank, OK: attrs.AscSeq(3), Arg: -1, Name: "r3"},
+	}
+	plan, err := core.CSO([]core.WF{specs[0].WF(0), specs[1].WF(1), specs[2].WF(2)}, core.Unordered(),
+		core.Options{Cost: entry.CostParams(mem, blockSize)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	kinds := map[core.ReorderKind]bool{}
+	for _, step := range plan.Steps {
+		kinds[step.Reorder] = true
+	}
+	if !kinds[core.ReorderFS] || !kinds[core.ReorderHS] || !kinds[core.ReorderSS] {
+		b.Fatalf("plan %s lacks one of FS, HS, SS", plan)
+	}
+	cfg := Config{MemoryBytes: mem, BlockSize: blockSize, Distinct: entry.Distinct}
+	ctx := context.Background()
+	var blocks, comparisons int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, m, err := RunChain(ctx, table, specs, plan, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		blocks += m.TotalBlocks()
+		comparisons += m.Comparisons
+	}
+	b.ReportMetric(float64(blocks)/float64(b.N), "blocks/op")
+	b.ReportMetric(float64(comparisons)/float64(b.N), "comparisons/op")
 }
 
 // BenchmarkPartitionRows measures the scatter/shuffle partitioning hash.

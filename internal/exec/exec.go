@@ -219,8 +219,8 @@ func lastReorder(plan *core.Plan) int {
 
 // RunChain executes plan over table like RunContext and returns the result
 // unmaterialized. Steps before L = lastReorder(plan) stream — reorder,
-// evaluate, collect — over private arena copies of the rows with exactly L
-// spare slots, extended in place; step L's reorder is drained into the
+// evaluate, collect — over copies of the rows in the chain's arena with
+// exactly L spare slots, extended in place; step L's reorder is drained into the
 // final row order, and it and every later step evaluate slice-level over
 // that order into the Chain's tail vectors. With L = 0 (one leading
 // reorder, or none — every shared-subplan suffix) there is no copy at
@@ -237,7 +237,6 @@ func lastReorder(plan *core.Plan) int {
 // paper's executor.
 func RunChain(ctx context.Context, table *storage.Table, specs []window.Spec, plan *core.Plan, cfg Config) (*Chain, *Metrics, error) {
 	var comparisons int64
-	rcfg, stats := reorderConfig(cfg, &comparisons)
 	metrics := &Metrics{Steps: make([]StepMetrics, 0, len(plan.Steps))}
 	live := trace.LiveFromContext(ctx)
 	start := time.Now()
@@ -246,10 +245,11 @@ func RunChain(ctx context.Context, table *storage.Table, specs []window.Spec, pl
 	tableBlocks := int64(table.ByteSize()) / int64(cfg.blockSize())
 
 	chain := &Chain{Schema: table.Schema, Rows: table.Rows, Width: table.Schema.Len() + last}
+	rcfg, stats := reorderConfig(cfg, &comparisons, chain.Width)
 	inTuple := table.Schema // the columns a spec can read
 	var carried []stream.Row
 	if last > 0 {
-		carried = arenaRows(table, last)
+		carried = arenaRows(table, rcfg.Arena)
 	}
 
 	for i, step := range plan.Steps {
@@ -274,20 +274,15 @@ func RunChain(ctx context.Context, table *storage.Table, specs []window.Spec, pl
 			} else {
 				in = stream.FromRows(carried)
 			}
-			// The steps still to extend the rows, this one included.
-			rcfg.SpareCols = last - i
 			out, d, err := applyReorder(in, step, cfg, rcfg, tableBlocks)
 			if err != nil {
 				return nil, nil, fmt.Errorf("exec: wf%d %s reorder: %w", step.WF.ID, step.Reorder, err)
 			}
 			detail = d
 			if i < last {
-				evaluated, err := window.Evaluate(out, spec)
-				if err != nil {
-					return nil, nil, fmt.Errorf("exec: wf%d evaluate: %w", step.WF.ID, err)
-				}
-				if err := collectInPlace(evaluated, in, carried); err != nil {
-					return nil, nil, fmt.Errorf("exec: wf%d drain: %w", step.WF.ID, err)
+				if err := evaluateInPlace(out, spec, in, carried); err != nil {
+					out.Close() // a reorder cut short gives up its spill files
+					return nil, nil, fmt.Errorf("exec: wf%d %w", step.WF.ID, err)
 				}
 				inTuple = inTuple.WithColumn(spec.OutputColumn())
 			} else {
@@ -336,10 +331,12 @@ func RunChain(ctx context.Context, table *storage.Table, specs []window.Spec, pl
 }
 
 // reorderConfig builds what every reorder of one chain (or one shared
-// scan) runs with: the unit memory, a fresh spill store, and the counters
-// — comparisons, and the returned statistics for the store's block
-// transfers.
-func reorderConfig(cfg Config, comparisons *int64) (reorder.Config, *pagestore.Stats) {
+// scan, or one parallel worker) runs with: the unit memory, a fresh spill
+// store, an arena whose rows have capacity width — the chain's row width,
+// so whatever spills comes back with room for every derived column still
+// to be appended — and the counters: comparisons, and the returned
+// statistics for the store's block transfers.
+func reorderConfig(cfg Config, comparisons *int64, width int) (reorder.Config, *pagestore.Stats) {
 	stats := &pagestore.Stats{}
 	var store *pagestore.Store
 	if cfg.FileBacked {
@@ -352,6 +349,7 @@ func reorderConfig(cfg Config, comparisons *int64) (reorder.Config, *pagestore.S
 		Store:        store,
 		Comparisons:  comparisons,
 		RunFormation: cfg.RunFormation,
+		Arena:        storage.NewTupleArena(width),
 	}, stats
 }
 
@@ -418,6 +416,19 @@ func finalOrder(out stream.Stream, n int) ([]storage.Tuple, error) {
 	return stream.CollectTuplesN(out, n)
 }
 
+// evaluateInPlace evaluates spec over reordered — a reorder reading in,
+// which streams rows — and drains the result back into rows.
+func evaluateInPlace(reordered stream.Stream, spec window.Spec, in stream.Stream, rows []stream.Row) error {
+	evaluated, err := window.Evaluate(reordered, spec)
+	if err != nil {
+		return fmt.Errorf("evaluate: %w", err)
+	}
+	if err := collectInPlace(evaluated, in, rows); err != nil {
+		return fmt.Errorf("drain: %w", err)
+	}
+	return nil
+}
+
 // collectInPlace drains out — a pipeline reading in, which streams rows —
 // back into rows. A reorder and an evaluation each hold what they have
 // read and not yet emitted in buffers of their own, and a 1:1 pipeline
@@ -447,30 +458,26 @@ func collectInPlace(out, in stream.Stream, rows []stream.Row) error {
 	return nil
 }
 
-// arenaRows copies the input tuples into one contiguous value arena, each
-// row sliced out with spare slots of capacity for the derived columns
-// that must stay in the tuple (those of the steps before the chain's last
-// reorder): window evaluation (Tuple.Extend) then grows rows in place. The
-// copy also severs those steps from the engine-owned table rows, which
-// must never observe the appends — and the three-index slices pin each
-// row's capacity to its own arena region, so a row cannot grow into its
-// neighbour. In-place extension is safe because the chain never
-// duplicates a row reference: reorders permute, and evaluation emits
-// exactly one output row per input row, so each arena row is extended at
-// most once per step. A reorder that spills drops the rows it wrote out
-// and reads them back into a storage.TupleArena with the same layout and
-// the capacity the remaining steps need (reorder.Config.SpareCols), so
-// the discipline holds across FS runs, HS buckets and SS units too.
-func arenaRows(table *storage.Table, spare int) []stream.Row {
-	arity := table.Schema.Len()
-	stride := arity + spare
+// arenaRows copies the input tuples into the chain's arena, as its first
+// slab and in one allocation: each row comes out with the chain's width as
+// capacity, spare slots for the derived columns that must stay in the
+// tuple (those of the steps before the chain's last reorder), so window
+// evaluation (Tuple.Extend) grows rows in place. The copy also severs
+// those steps from the engine-owned table rows, which must never observe
+// the appends — and the three-index slices pin each row's capacity to its
+// own arena region, so a row cannot grow into its neighbour. In-place
+// extension is safe because the chain never duplicates a row reference:
+// reorders permute, and evaluation emits exactly one output row per input
+// row, so each arena row is extended at most once per step. A reorder that
+// spills drops the rows it wrote out and reads them back into the same
+// arena (reorder.Config.Arena) — over this slab, once the whole input is on
+// disk — so the discipline holds across FS runs, HS buckets and SS units
+// too. Strings are not copied: the table's outlive the chain.
+func arenaRows(table *storage.Table, arena *storage.TupleArena) []stream.Row {
 	rows := make([]stream.Row, len(table.Rows))
-	arena := make([]storage.Value, len(table.Rows)*stride)
+	arena.Reserve(len(table.Rows))
 	for i, t := range table.Rows {
-		base := i * stride
-		row := storage.Tuple(arena[base : base+arity : base+stride])
-		copy(row, t)
-		rows[i] = stream.Row{Tuple: row, Boundary: i == 0}
+		rows[i] = stream.Row{Tuple: arena.Copy(t), Boundary: i == 0}
 	}
 	return rows
 }

@@ -48,10 +48,11 @@ func ParallelEvaluate(table *storage.Table, spec window.Spec, degree int, cfg Co
 			if len(parts[p]) == 0 {
 				return
 			}
-			// Each worker gets its own spill store and the full unit
-			// reorder memory, as in the paper's parallel model.
+			// Each worker gets its own spill store and arena and the full
+			// unit reorder memory, as in the paper's parallel model.
 			store := pagestore.NewMem(cfg.blockSize(), &pagestore.Stats{})
-			rcfg := reorder.Config{MemoryBytes: cfg.MemoryBytes, Store: store, RunFormation: cfg.RunFormation, SpareCols: 1}
+			rcfg := reorder.Config{MemoryBytes: cfg.MemoryBytes, Store: store, RunFormation: cfg.RunFormation,
+				Arena: storage.NewTupleArena(table.Schema.Len() + 1)}
 			sorted, _, err := reorder.FullSort(stream.FromTuples(parts[p]), key, rcfg)
 			if err != nil {
 				errs[p] = err

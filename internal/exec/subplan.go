@@ -29,7 +29,7 @@ func ReorderTable(ctx context.Context, table *storage.Table, step core.Step, cfg
 	}
 	start := time.Now()
 	var comparisons int64
-	rcfg, stats := reorderConfig(cfg, &comparisons)
+	rcfg, stats := reorderConfig(cfg, &comparisons, table.Schema.Len())
 	tableBlocks := int64(table.ByteSize()) / int64(cfg.blockSize())
 
 	// No copy: the reorder permutes headers of the input's own tuples (or

@@ -15,6 +15,7 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // DefaultBlockSize is the page size used throughout the system when a
@@ -60,17 +61,68 @@ func (s *Stats) Add(other *Stats) {
 	s.bytesWritten.Add(other.BytesWritten())
 }
 
+// blockPool recycles block-size buffers — the pages of memory-backed
+// files, the write page of every file and the page buffer of every spill
+// reader — across files, stores and statements: a store lives for one
+// chain, and the next chain's first spill would otherwise allocate every
+// page again. Buffers sit in a sync.Pool, so an idle process gives them
+// back to the GC; they go in as *byte (the block size is the pool's), which
+// an interface holds without allocating.
+type blockPool struct {
+	size int
+	pool sync.Pool
+}
+
+var (
+	poolsMu sync.Mutex
+	pools   = map[int]*blockPool{}
+
+	poolAllocated atomic.Int64
+	poolHeld      atomic.Int64
+)
+
+// poolFor returns the process-wide pool of size-byte blocks.
+func poolFor(size int) *blockPool {
+	poolsMu.Lock()
+	defer poolsMu.Unlock()
+	p := pools[size]
+	if p == nil {
+		p = &blockPool{size: size}
+		pools[size] = p
+	}
+	return p
+}
+
+func (p *blockPool) get() []byte {
+	poolHeld.Add(1)
+	if b, ok := p.pool.Get().(*byte); ok {
+		return unsafe.Slice(b, p.size)[:0]
+	}
+	poolAllocated.Add(1)
+	return make([]byte, 0, p.size)
+}
+
+func (p *blockPool) put(b []byte) {
+	if cap(b) != p.size {
+		return
+	}
+	poolHeld.Add(-1)
+	p.pool.Put(unsafe.SliceData(b))
+}
+
+// PoolCounters reports the block pool's traffic since the process started:
+// the blocks it had to allocate because none was free, and the blocks
+// currently out — taken by a file or a reader and not yet handed back.
+func PoolCounters() (allocated, held int64) {
+	return poolAllocated.Load(), poolHeld.Load()
+}
+
 // Store creates spill files over one backend with shared accounting.
 type Store struct {
 	blockSize int
 	stats     *Stats
 	dir       string // non-empty ⇒ file-backed
-
-	// free holds the pages of released memory-backed files for the next
-	// file to write into: a chain of reorders through one store touches
-	// about as many pages as its largest spill, not the sum of them all.
-	mu   sync.Mutex
-	free [][]byte
+	blocks    *blockPool
 }
 
 // NewMem returns a memory-backed store. stats may be nil.
@@ -94,7 +146,7 @@ func newStore(blockSize int, stats *Stats, dir string) *Store {
 	if stats == nil {
 		stats = &Stats{}
 	}
-	return &Store{blockSize: blockSize, stats: stats, dir: dir}
+	return &Store{blockSize: blockSize, stats: stats, dir: dir, blocks: poolFor(blockSize)}
 }
 
 // BlockSize returns the page size in bytes.
@@ -103,17 +155,13 @@ func (s *Store) BlockSize() int { return s.blockSize }
 // Stats returns the shared counters.
 func (s *Store) Stats() *Stats { return s.stats }
 
-// page returns an empty page with room for one block.
-func (s *Store) page() []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n := len(s.free); n > 0 {
-		p := s.free[n-1]
-		s.free = s.free[:n-1]
-		return p
-	}
-	return make([]byte, 0, s.blockSize)
-}
+// Block returns an empty buffer with one block of capacity from the pool
+// every store of this block size shares. Hand it back with Recycle.
+func (s *Store) Block() []byte { return s.blocks.get() }
+
+// Recycle hands b, which came from Block and is not referenced anywhere
+// else, back to the pool. A buffer of any other capacity is ignored.
+func (s *Store) Recycle(b []byte) { s.blocks.put(b) }
 
 // Create opens a fresh spill file for sequential writing.
 func (s *Store) Create() (*File, error) {
@@ -146,6 +194,9 @@ type File struct {
 // BlockSize returns the page size of the store the file lives in.
 func (f *File) BlockSize() int { return f.store.blockSize }
 
+// Store returns the store the file lives in.
+func (f *File) Store() *Store { return f.store }
+
 // Write appends payload bytes, flushing full pages with accounting.
 func (f *File) Write(p []byte) (int, error) {
 	if f.sealed {
@@ -155,7 +206,7 @@ func (f *File) Write(p []byte) (int, error) {
 	bs := f.store.blockSize
 	for len(p) > 0 {
 		if f.wbuf == nil {
-			f.wbuf = f.store.page()
+			f.wbuf = f.store.Block()
 		}
 		room := bs - len(f.wbuf)
 		take := room
@@ -201,6 +252,10 @@ func (f *File) Seal() error {
 	if err := f.flushPage(); err != nil {
 		return err
 	}
+	if f.wbuf != nil { // the file backend's write page
+		f.store.Recycle(f.wbuf)
+		f.wbuf = nil
+	}
 	f.sealed = true
 	return nil
 }
@@ -214,18 +269,18 @@ func (f *File) Blocks() int64 {
 	return (f.size + bs - 1) / bs
 }
 
-// Release frees backing resources. Readers must be finished: the memory
-// backend hands the pages to the store's next file.
+// Release frees backing resources, sealed or not: the pages (and the write
+// page of a file abandoned before Seal) go back to the block pool, a temp
+// file is removed. Readers must be finished. Releasing twice is harmless.
 func (f *File) Release() {
-	if len(f.pages) > 0 {
-		f.store.mu.Lock()
-		for _, p := range f.pages {
-			f.store.free = append(f.store.free, p[:0])
-		}
-		f.store.mu.Unlock()
+	for _, p := range f.pages {
+		f.store.Recycle(p)
 	}
 	f.pages = nil
-	f.wbuf = nil
+	if f.wbuf != nil {
+		f.store.Recycle(f.wbuf)
+		f.wbuf = nil
+	}
 	if f.osf != nil {
 		name := f.osf.Name()
 		f.osf.Close()

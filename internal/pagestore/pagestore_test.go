@@ -146,10 +146,12 @@ func TestStatsAccumulateAcrossFiles(t *testing.T) {
 	}
 }
 
-// TestReleasedPagesAreReused — the memory backend hands a released file's
-// pages to the next file: the second file allocates nothing, reads back its
-// own bytes, and a file still open is not disturbed by its neighbour's
-// release. Accounting is per page written and read, as without reuse.
+// TestReleasedPagesAreReused — a released file's pages go back to the
+// block pool, which the next file takes them from — in this store or in the
+// next one of the same block size: the second file allocates next to
+// nothing, reads back its own bytes, and a file still open is not disturbed
+// by its neighbour's release. Accounting is per page written and read, as
+// without reuse.
 func TestReleasedPagesAreReused(t *testing.T) {
 	stats := &Stats{}
 	store := NewMem(128, stats)
@@ -189,20 +191,23 @@ func TestReleasedPagesAreReused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, held := PoolCounters()
 	first.Release()
+	first.Release() // harmless
 	if _, err := stale.Read(make([]byte, 8)); err == nil || err == io.EOF {
 		t.Fatalf("read after Release: err = %v, want an error", err)
 	}
-	if len(store.free) != 64 {
-		t.Fatalf("free list holds %d pages after releasing 64", len(store.free))
+	if _, after := PoolCounters(); held-after != 64 {
+		t.Fatalf("releasing 64 pages handed %d back to the pool", held-after)
 	}
+	store = NewMem(128, stats) // the pool is the process's, not the store's
 	var second *File
 	if n := testing.AllocsPerRun(1, func() {
 		if second != nil {
 			second.Release()
 		}
 		second = write(fill('b', 8000)) // 63 pages
-	}); n >= 16 { // the File and its growing page index, not 63 pages
+	}); n >= 40 { // the File, its growing page index and the quarter of its puts a -race sync.Pool drops; not 63 pages
 		t.Errorf("writing into released pages allocated %v objects", n)
 	}
 	if !bytes.Equal(read(second), fill('b', 8000)) {

@@ -78,6 +78,15 @@ type hsBucket struct {
 	count   int
 }
 
+// releaseBuckets gives up the spill files of buckets that will not be read.
+func releaseBuckets(buckets []*hsBucket) {
+	for _, b := range buckets {
+		if b.writer != nil {
+			b.writer.Abort()
+		}
+	}
+}
+
 // HashedSort reorders the input per Section 3.2. The output stream is one
 // segment per non-empty bucket (MFV bucket first), each sorted on SortKey;
 // its property is R_{WHK, SortKey}.
@@ -114,6 +123,10 @@ func HashedSort(in stream.Stream, opt HSOptions, cfg Config) (stream.Stream, HSS
 		err       error
 	)
 	defer in.Close()
+	fail := func(err error) (stream.Stream, HSStats, error) {
+		releaseBuckets(buckets)
+		return nil, st, err
+	}
 
 	flush := func(b *hsBucket) error {
 		if b.writer == nil {
@@ -177,7 +190,7 @@ func HashedSort(in stream.Stream, opt HSOptions, cfg Config) (stream.Stream, HSS
 		if b.writer != nil {
 			// Once flushed, a bucket stays disk-bound (Section 3.2).
 			if err = b.writer.Write(t); err != nil {
-				return nil, st, err
+				return fail(err)
 			}
 			b.count++
 			continue
@@ -187,13 +200,13 @@ func HashedSort(in stream.Stream, opt HSOptions, cfg Config) (stream.Stream, HSS
 			victim := pickVictim()
 			if victim != nil {
 				if err = flush(victim); err != nil {
-					return nil, st, err
+					return fail(err)
 				}
 			}
 		}
 		if b.writer != nil { // b itself was the victim
 			if err = b.writer.Write(t); err != nil {
-				return nil, st, err
+				return fail(err)
 			}
 			b.count++
 			continue
@@ -222,16 +235,44 @@ func HashedSort(in stream.Stream, opt HSOptions, cfg Config) (stream.Stream, HSS
 		return mi && !mj
 	})
 
-	out := &hsStream{
-		spareCols: cfg.SpareCols,
-		sorter:    cfg.sorter(opt.SortKey),
-		buckets:   buckets,
-		stats:     &st,
+	arena := cfg.Arena
+	if arena == nil {
+		arena = storage.NewTupleArena(0)
+	} else if st.SpilledBuckets > 0 && arena.Mark() != (storage.ArenaMark{}) {
+		// The input is consumed and what spilled of it is on disk. What
+		// stayed in memory moves out of the arena — rows and strings, the
+		// previous step may have decoded both into it — and the arena
+		// starts over: the spilled buckets come back over the input. (An
+		// arena nothing was carved from — the input is a table's own rows
+		// — has nothing to hand back.)
+		keep := storage.NewTupleArena(arena.Stride())
+		survivors := len(mfvTuples)
+		for _, b := range buckets {
+			survivors += len(b.mem)
+		}
+		keep.Reserve(survivors)
+		for i, t := range mfvTuples {
+			mfvTuples[i] = keep.CopyStrings(t)
+		}
+		for _, b := range buckets {
+			for i, t := range b.mem {
+				b.mem[i] = keep.CopyStrings(t)
+			}
+		}
+		arena.Reset()
 	}
+
+	out := &hsStream{
+		arena:   arena,
+		sorter:  cfg.sorter(opt.SortKey),
+		buckets: buckets,
+		stats:   &st,
+	}
+	out.sorter.Arena = arena
 	if len(mfvTuples) > 0 {
 		sorted, sstats, err := out.sorter.SortTuples(mfvTuples)
 		if err != nil {
-			return nil, st, err
+			return fail(err)
 		}
 		if !sstats.InMemory {
 			st.ExternalBuckets++
@@ -243,9 +284,9 @@ func HashedSort(in stream.Stream, opt HSOptions, cfg Config) (stream.Stream, HSS
 
 // hsStream lazily sorts and emits buckets one at a time.
 type hsStream struct {
-	spareCols int
-	sorter    *xsort.Sorter // one for every bucket
-	buckets   []*hsBucket
+	arena   *storage.TupleArena // where spilled buckets are loaded
+	sorter  *xsort.Sorter       // one for every bucket
+	buckets []*hsBucket         // not yet emitted
 	// loaded buffers a spilled bucket's tuples. A bucket that fits the
 	// budget is sorted in place, so current aliases it until the bucket is
 	// emitted — which is when the next bucket is loaded over it.
@@ -276,12 +317,7 @@ func (s *hsStream) Next() (stream.Row, bool) {
 		if b == nil {
 			return stream.Row{}, false
 		}
-		tuples, err := s.loadBucket(b)
-		if err != nil {
-			s.err = err
-			return stream.Row{}, false
-		}
-		sorted, sstats, err := s.sorter.SortTuples(tuples)
+		sorted, sstats, err := s.sortBucket(b)
 		if err != nil {
 			s.err = err
 			return stream.Row{}, false
@@ -294,23 +330,37 @@ func (s *hsStream) Next() (stream.Row, bool) {
 	}
 }
 
-// loadBucket returns all of a bucket's tuples, reading back the spilled part.
-func (s *hsStream) loadBucket(b *hsBucket) ([]storage.Tuple, error) {
+// sortBucket sorts a bucket on the sort key. A spilled bucket is read back
+// into the arena first; if it is too large to sort in memory, the arena is
+// released back to where the bucket began once its runs are written, and
+// the merge decodes over what was loaded.
+func (s *hsStream) sortBucket(b *hsBucket) ([]storage.Tuple, xsort.Stats, error) {
 	if b.writer == nil {
-		return b.mem, nil
+		return s.sorter.SortTuples(b.mem)
 	}
+	mark := s.arena.Mark()
+	tuples, err := s.loadBucket(b)
+	if err != nil {
+		return nil, xsort.Stats{}, err
+	}
+	return s.sorter.SortLoaded(tuples, mark)
+}
+
+// loadBucket reads a spilled bucket back and releases its file. Under the
+// flush rule a spilled bucket keeps nothing in memory: flush moves
+// everything out and later arrivals append to the file.
+func (s *hsStream) loadBucket(b *hsBucket) ([]storage.Tuple, error) {
 	f, err := b.writer.Finish()
 	if err != nil {
+		b.writer.Abort()
 		return nil, err
 	}
-	rd, err := spill.NewArenaReader(f, storage.NewTupleArena(s.spareCols))
+	defer f.Release()
+	rd, err := spill.NewArenaReader(f, s.arena)
 	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		rd.Close()
-		f.Release()
-	}()
+	defer rd.Close()
 	tuples := slices.Grow(s.loaded[:0], b.count)
 	for {
 		t, ok, err := rd.Next()
@@ -322,12 +372,14 @@ func (s *hsStream) loadBucket(b *hsBucket) ([]storage.Tuple, error) {
 		}
 		tuples = append(tuples, t)
 	}
-	// Under the flush rule a spilled bucket keeps nothing in memory (flush
-	// moves everything and later arrivals append to the file); the guard
-	// below is defensive.
-	tuples = append(tuples, b.mem...)
 	s.loaded = tuples
 	return tuples, nil
 }
 
-func (s *hsStream) Close() error { return s.err }
+// Close releases the spill files of the buckets the stream was not read
+// through to.
+func (s *hsStream) Close() error {
+	releaseBuckets(s.buckets)
+	s.buckets = nil
+	return s.err
+}

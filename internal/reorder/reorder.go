@@ -40,12 +40,18 @@ type Config struct {
 	Comparisons *int64
 	// RunFormation selects the external sort's run formation policy.
 	RunFormation xsort.RunFormation
-	// SpareCols is the number of chain steps still to run on the rows,
-	// this one included: rows that come back from a run, a bucket or an
-	// external unit are decoded with that much spare capacity, so window
-	// evaluation extends them in place like the rows that stayed in
-	// memory. Zero costs a copy per extension, never correctness.
-	SpareCols int
+	// Arena, if non-nil, is the arena of the chain the operator runs in:
+	// every live row in it belongs to the operator's input. Rows that come
+	// back from a run, a bucket or an external unit are decoded into it, so
+	// they have its row capacity and window evaluation extends them in
+	// place like the rows that stayed in memory — and an operator that has
+	// consumed its whole input before it emits (FS, HS) rewinds the arena
+	// once what it spilled is on disk, so they land where the rows written
+	// out were. SS emits while it reads and never rewinds. With a nil
+	// Arena the input rows are not the operator's to reuse: it decodes
+	// into an arena of its own, whose rows have no spare capacity (an
+	// extension then costs a copy, never correctness).
+	Arena *storage.TupleArena
 }
 
 func (c Config) sorter(key attrs.Seq) *xsort.Sorter {
@@ -55,7 +61,7 @@ func (c Config) sorter(key attrs.Seq) *xsort.Sorter {
 		Store:        c.Store,
 		Comparisons:  c.Comparisons,
 		RunFormation: c.RunFormation,
-		SpareCols:    c.SpareCols,
+		Arena:        c.Arena,
 	}
 }
 

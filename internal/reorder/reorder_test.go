@@ -2,6 +2,7 @@ package reorder
 
 import (
 	"math/rand"
+	"os"
 	"testing"
 
 	"repro/internal/attrs"
@@ -441,5 +442,64 @@ func TestBucketCountPolicy(t *testing.T) {
 	}
 	if n := core.HSBucketCount(1_000_000, 10_000_000, 10); n != core.MaxHSBuckets {
 		t.Errorf("count = %d, want cap %d", n, core.MaxHSBuckets)
+	}
+}
+
+// sabotagedStream runs sabotage once, before handing out row number at.
+type sabotagedStream struct {
+	stream.Stream
+	at, n    int
+	sabotage func()
+}
+
+func (s *sabotagedStream) Next() (stream.Row, bool) {
+	if s.n == s.at {
+		s.sabotage()
+	}
+	s.n++
+	return s.Stream.Next()
+}
+
+// TestHashedSortReleasesBucketsItDoesNotEmit — a Hashed Sort that fails in
+// its build phase (the spill directory disappears under it, so the next
+// bucket to flush cannot create its file) and one whose output is closed
+// after the first row both give up every bucket file they opened: the
+// directory is empty and the pool has its blocks back.
+func TestHashedSortReleasesBucketsItDoesNotEmit(t *testing.T) {
+	rows := randTable(rand.New(rand.NewSource(3)), 5000, 100, 10)
+	opt := HSOptions{HashKey: []attrs.ID{0}, SortKey: attrs.AscSeq(0, 1), Buckets: 32}
+	_, idle := pagestore.PoolCounters()
+
+	dir := t.TempDir()
+	cfg := Config{MemoryBytes: 2048, Store: pagestore.NewFileBacked(dir, 512, nil)}
+	in := &sabotagedStream{Stream: stream.FromTuples(rows), at: 40, sabotage: func() {
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatal(err)
+		}
+	}}
+	if _, st, err := HashedSort(in, opt, cfg); err == nil {
+		t.Fatalf("build phase survived the loss of its spill directory: %+v", st)
+	}
+	if _, held := pagestore.PoolCounters(); held != idle {
+		t.Fatalf("failed build phase: %d blocks not handed back", held-idle)
+	}
+
+	dir = t.TempDir()
+	cfg.Store = pagestore.NewFileBacked(dir, 512, nil)
+	out, st, err := HashedSort(stream.FromTuples(rows), opt, cfg)
+	if err != nil || st.SpilledBuckets < 2 {
+		t.Fatalf("err = %v, %d spilled buckets; want several", err, st.SpilledBuckets)
+	}
+	if _, ok := out.Next(); !ok {
+		t.Fatal("no first row")
+	}
+	if err := out.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if left, _ := os.ReadDir(dir); len(left) != 0 {
+		t.Fatalf("abandoned stream left %d bucket files behind", len(left))
+	}
+	if _, held := pagestore.PoolCounters(); held != idle {
+		t.Fatalf("abandoned stream: %d blocks not handed back", held-idle)
 	}
 }

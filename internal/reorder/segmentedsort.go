@@ -44,7 +44,10 @@ type SSStats struct {
 // The operator streams: it buffers exactly one α-group at a time (spilling
 // through the configured sorter if a single group exceeds the budget), so
 // its memory footprint is one unit, not the relation — the source of SS's
-// dominance in Fig. 4.
+// dominance in Fig. 4. Because it emits while it reads, it never rewinds
+// cfg.Arena: the rows of the units still to come sit there unread, so a
+// unit that sorts externally is decoded past everything carved so far and
+// its old copy stays until an operator that drains its input comes along.
 func SegmentedSort(in stream.Stream, opt SSOptions, cfg Config) (stream.Stream, *SSStats, error) {
 	if cfg.Store == nil && cfg.MemoryBytes > 0 {
 		return nil, nil, fmt.Errorf("reorder: SegmentedSort with a memory budget requires a spill store")

@@ -698,7 +698,13 @@ func (ss *servedSource) finish(err error) {
 		if killed {
 			root.SetAttr("killed", "true")
 		}
-		if err != nil {
+		// A cancelled context mid-stream is the caller walking away — the
+		// request context of a client that hung up — seen by the cursor's
+		// own check before a write failed or Close arrived: the same
+		// abort, whichever of the three notices first. A deadline is a
+		// failure.
+		walkedAway := errors.Is(err, context.Canceled)
+		if err != nil && !walkedAway {
 			root.SetAttr("error", err.Error())
 		} else if !ss.completed {
 			root.SetAttr("aborted", "true")
@@ -706,9 +712,9 @@ func (ss *servedSource) finish(err error) {
 		meta.TraceID, meta.Trace = ss.traceID, root
 		ss.meta = meta
 		switch {
-		case killed:
-			// The kill switch fired: an operator abort, not an engine
-			// failure — no latency sample either way.
+		case killed, walkedAway:
+			// The kill switch fired or the caller left: an abort, not an
+			// engine failure — no latency sample either way.
 			ss.svc.metrics.aborted.Add(1)
 		case err != nil:
 			ss.svc.metrics.observe(nil, 0, elapsed, err)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -20,7 +21,10 @@ import (
 // so a streamed response cannot be absorbed in-flight: the server blocks
 // on the socket until the client actually reads — which makes
 // client-disconnect tests deterministic instead of racing the drain of
-// the whole (compact, binary) body into autotuned loopback buffers.
+// the whole (compact, binary) body into autotuned loopback buffers. The
+// server's send buffer is only half of what sits between the two ends:
+// the client has to dial through tinyBufClient, or its receive buffer —
+// autotuned up to megabytes on loopback — takes the whole response.
 type tinyBufListener struct {
 	net.Listener
 }
@@ -30,11 +34,30 @@ func (l tinyBufListener) Accept() (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
+	clampBuffers(c)
+	return c, nil
+}
+
+func clampBuffers(c net.Conn) {
 	if tc, ok := c.(*net.TCPConn); ok {
 		_ = tc.SetReadBuffer(4 << 10)
 		_ = tc.SetWriteBuffer(4 << 10)
 	}
-	return c, nil
+}
+
+// tinyBufClient returns an HTTP client whose connections have the same
+// clamped kernel buffers as tinyBufListener's.
+func tinyBufClient() *http.Client {
+	var d net.Dialer
+	return &http.Client{Transport: &http.Transport{
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			c, err := d.DialContext(ctx, network, addr)
+			if err == nil {
+				clampBuffers(c)
+			}
+			return c, err
+		},
+	}}
 }
 
 // waitInFlightZero polls the in-flight gauge back to zero: server-side
@@ -249,7 +272,9 @@ func TestClientDisconnectReleasesSlot(t *testing.T) {
 	srv.Listener = tinyBufListener{srv.Listener}
 	srv.Start()
 	defer srv.Close()
-	client := NewClient(srv.URL, srv.Client())
+	httpClient := tinyBufClient()
+	defer httpClient.CloseIdleConnections()
+	client := NewClient(srv.URL, httpClient)
 
 	rows, err := client.QueryContext(context.Background(), mixQ1)
 	if err != nil {

@@ -45,9 +45,13 @@ func (w *Writer) Finish() (*pagestore.File, error) {
 // File returns the underlying file (valid before Finish for size queries).
 func (w *Writer) File() *pagestore.File { return w.file }
 
+// Abort gives up the file, finished or not, and releases what it holds.
+func (w *Writer) Abort() { w.file.Release() }
+
 // Reader decodes tuples back out of a sealed spill file.
 type Reader struct {
 	rd    *pagestore.Reader
+	store *pagestore.Store // where buf came from
 	arena *storage.TupleArena
 	buf   []byte
 	pos   int
@@ -56,22 +60,24 @@ type Reader struct {
 }
 
 // NewReader opens a sealed spill file for sequential tuple reads. The
-// tuples it returns have no spare capacity.
+// tuples it returns are decoded into an arena of the reader's own and have
+// no spare capacity.
 func NewReader(f *pagestore.File) (*Reader, error) {
 	return NewArenaReader(f, storage.NewTupleArena(0))
 }
 
 // NewArenaReader is NewReader decoding into arena, which the readers of one
-// merge or one bucket share: the rows come out with the arena's spare
+// merge or one bucket share: the rows come out with the arena's row
 // capacity, laid out in the order they were read. The read buffer is one
-// page — what the merge-order arithmetic of xsort budgets per run — and
-// grows only for a tuple that does not fit in it.
+// page from the store's block pool — what the merge-order arithmetic of
+// xsort budgets per run — and grows only for a tuple that does not fit in
+// it; Close hands it back.
 func NewArenaReader(f *pagestore.File, arena *storage.TupleArena) (*Reader, error) {
 	rd, err := f.NewReader()
 	if err != nil {
 		return nil, err
 	}
-	return &Reader{rd: rd, arena: arena, buf: make([]byte, 0, f.BlockSize())}, nil
+	return &Reader{rd: rd, store: f.Store(), arena: arena, buf: f.Store().Block()}, nil
 }
 
 // Next returns the next tuple; ok is false at end of file.
@@ -104,6 +110,7 @@ func (r *Reader) refill() error {
 	if remain == len(r.buf) {
 		bigger := make([]byte, 2*len(r.buf))
 		copy(bigger, r.buf[:remain])
+		r.store.Recycle(r.buf)
 		r.buf = bigger
 	}
 	n, err := r.rd.Read(r.buf[remain:])
@@ -118,5 +125,12 @@ func (r *Reader) refill() error {
 	return nil
 }
 
-// Close releases the reader.
-func (r *Reader) Close() { r.rd.Close() }
+// Close releases the reader and its page buffer; the tuples it returned
+// stay valid. Closing twice is harmless.
+func (r *Reader) Close() {
+	if r.buf != nil {
+		r.store.Recycle(r.buf)
+		r.buf = nil
+	}
+	r.rd.Close()
+}

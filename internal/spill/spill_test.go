@@ -153,7 +153,7 @@ func TestQuickRoundTrip(t *testing.T) {
 }
 
 // TestArenaReadersShareOneArena — the readers of one merge decode into one
-// arena: rows come out with its spare capacity, interleaved reads keep
+// arena: rows come out with its row capacity, interleaved reads keep
 // every row intact when its neighbours are extended, and each reader
 // buffers one page (the merge-order arithmetic budgets one per run), not a
 // fixed 64 KiB.
@@ -163,7 +163,7 @@ func TestArenaReadersShareOneArena(t *testing.T) {
 	row := func(file, i int) storage.Tuple {
 		return storage.Tuple{storage.Int(int64(file)), storage.Int(int64(i)), storage.StringVal("pad-pad-pad-pad")}
 	}
-	arena := storage.NewTupleArena(spare)
+	arena := storage.NewTupleArena(3 + spare)
 	var readers []*Reader
 	for file := 0; file < 3; file++ {
 		w, err := NewWriter(store)

@@ -3,12 +3,16 @@ package sql
 import (
 	"context"
 	"io"
+	"math"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/datagen"
 	"repro/internal/exec"
+	"repro/internal/pagestore"
 	"repro/internal/storage"
 	"repro/internal/window"
 )
@@ -336,6 +340,85 @@ func TestStatementAllocationsDoNotScaleWithRows(t *testing.T) {
 		}
 		if large > 2*small {
 			t.Errorf("%s: %.0f objects at %d rows but %.0f at %d: growth is not logarithmic", name, small, n, large, 4*n)
+		}
+	}
+}
+
+// TestSpillingStatementBytesAreBounded — what a spilling statement
+// allocates is a small multiple of its table, not a multiple that grows
+// with the number of steps that spill: Q9 (eight functions, seven
+// reorders) and Q1 (one) on the benchmark's 16 000-row table at its
+// chain_spill budget, M = floor(0.85*sqrt(B/2)) blocks, prepared and
+// drained through a cursor. The multiples sit between what the
+// decode-everything-fresh executor measured (34.4 and 8.5 table sizes) and
+// what the recycling one does (15.5 and 2.9; 18.0 and 3.7 under -race,
+// whose sync.Pool drops a quarter of what it is handed). And the block
+// pool outlives the statement: the second execution allocates fewer pages
+// than the first.
+func TestSpillingStatementBytesAreBounded(t *testing.T) {
+	const bs = 8192
+	table := datagen.WebSales(datagen.WebSalesConfig{Rows: 16_000, Seed: 7, PadBytes: 96})
+	mem := max(int(0.85*math.Sqrt(float64(table.ByteSize()/bs)/2)), 3) * bs
+	cat := catalog.New()
+	cat.Register("web_sales", table)
+	r := &Runner{Catalog: cat, Exec: exec.Config{MemoryBytes: mem, BlockSize: bs}}
+	ctx := context.Background()
+	run := func(p *Prepared) {
+		cur, err := p.StreamContext(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			if _, err := cur.Next(); err != nil {
+				break
+			}
+		}
+		if m := cur.Meta().Metrics; m.TotalBlocks() == 0 {
+			t.Fatal("the statement did not spill")
+		}
+	}
+	pagesAllocated := func(f func()) int64 {
+		before, _ := pagestore.PoolCounters()
+		f()
+		after, _ := pagestore.PoolCounters()
+		return after - before
+	}
+
+	for i, tc := range []struct {
+		name   string
+		tables float64 // bound on bytes allocated per statement, in table sizes
+	}{{"Q9", 22}, {"Q1", 5}} {
+		p, err := r.Prepare(leanStatements[tc.name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			// Two collections empty a sync.Pool: the block pool starts
+			// empty whatever ran before, holds the first execution's
+			// pages after it, and no collection may run before the second.
+			runtime.GC()
+			runtime.GC()
+			gc := debug.SetGCPercent(-1)
+			first := pagesAllocated(func() { run(p) })
+			second := pagesAllocated(func() { run(p) })
+			debug.SetGCPercent(gc)
+			t.Logf("%s: %d pages allocated by the first execution, %d by the second", tc.name, first, second)
+			if second >= first {
+				t.Errorf("%s: the second execution allocated %d pages, the first %d: the pool did not outlive the statement", tc.name, second, first)
+			}
+		}
+
+		const reps = 3
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < reps; i++ {
+			run(p)
+		}
+		runtime.ReadMemStats(&after)
+		per := float64(after.TotalAlloc-before.TotalAlloc) / reps / float64(table.ByteSize())
+		t.Logf("%s: %.2f table sizes per statement (%d bytes each)", tc.name, per, table.ByteSize())
+		if per > tc.tables {
+			t.Errorf("%s allocates %.2f table sizes per statement, want at most %v", tc.name, per, tc.tables)
 		}
 	}
 }

@@ -1,0 +1,215 @@
+package storage_test
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+
+	"repro/internal/attrs"
+	"repro/internal/catalog"
+	"repro/internal/core"
+	"repro/internal/datagen"
+	"repro/internal/exec"
+	"repro/internal/paper"
+	"repro/internal/reorder"
+	"repro/internal/storage"
+	"repro/internal/window"
+)
+
+// checkPoisoned runs plan through the executor and holds the result to the
+// reference evaluator, kind-exact, and to the input: every derived value,
+// every base column of every row, and — when derived columns ride in the
+// tuples — every row ending exactly at the chain's width, which only holds
+// if no Extend had to copy. With rewound arena memory poisoned, a row or a
+// string read after its memory was handed back fails one of the three.
+func checkPoisoned(t *testing.T, table *storage.Table, specs []window.Spec, plan *core.Plan, cfg exec.Config) *exec.Metrics {
+	t.Helper()
+	chain, m, err := exec.RunChain(context.Background(), table, specs, plan, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chain.Len() != table.Len() {
+		t.Fatalf("%d rows out for %d in", chain.Len(), table.Len())
+	}
+	arity := table.Schema.Len()
+	spilled := m.TotalBlocks() > 0
+	byTag := make(map[int64]storage.Tuple, table.Len())
+	for _, row := range table.Rows {
+		byTag[row[datagen.ColOrderNumber].Int64()] = row
+	}
+	result := chain.Table()
+	got := make(map[int64]storage.Tuple, result.Len())
+	for i, row := range result.Rows {
+		if r := chain.Rows[i]; (chain.Width > arity || spilled) && (len(r) != chain.Width || cap(r) != chain.Width) {
+			t.Fatalf("chain row %d: len %d cap %d, want both %d", i, len(r), cap(r), chain.Width)
+		}
+		tag := row[datagen.ColOrderNumber].Int64()
+		in := byTag[tag]
+		if in == nil {
+			t.Fatalf("row %d carries order number %d, which no input row has", i, tag)
+		}
+		for c := range in {
+			if !storage.Identical(row[c], in[c]) {
+				t.Fatalf("order %d col %d = %s %q, input had %q", tag, c, row[c].Kind(), row[c], in[c])
+			}
+		}
+		got[tag] = row
+	}
+	if len(got) != table.Len() {
+		t.Fatalf("%d distinct rows out for %d in", len(got), table.Len())
+	}
+	for pos, step := range plan.Steps {
+		spec := specs[step.WF.ID]
+		want, err := window.Reference(table.Rows, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, v := range want {
+			tag := table.Rows[r][datagen.ColOrderNumber].Int64()
+			if g := got[tag][arity+pos]; !storage.Identical(g, v) {
+				t.Fatalf("%s: order %d = %s %q, reference %q", spec.Name, tag, g.Kind(), g, v)
+			}
+		}
+	}
+	return m
+}
+
+// detail scans a step's Detail string.
+func detail(t *testing.T, m *exec.Metrics, step int, format string, into ...any) {
+	t.Helper()
+	if _, err := fmt.Sscanf(m.Steps[step].Detail, format, into...); err != nil {
+		t.Fatalf("step %d detail %q: %v", step, m.Steps[step].Detail, err)
+	}
+}
+
+// TestRewoundMemoryIsNeverRead is the use-after-rewind matrix: with every
+// Release and Reset overwriting what it rewinds over, spilling chains of
+// every shape that rewinds — the paper's queries under CSO plans at the
+// benchmark's budget, and hand-built chains that reach each drain point —
+// still equal the reference.
+func TestRewoundMemoryIsNeverRead(t *testing.T) {
+	defer storage.PoisonRewound()()
+
+	t.Run("paper queries", func(t *testing.T) {
+		const bs = 1024
+		gen := datagen.WebSalesConfig{Rows: 3000, Seed: 42, PadBytes: 24}
+		tables := map[string]*storage.Table{
+			"web_sales":   datagen.WebSales(gen),
+			"web_sales_s": datagen.WebSalesSorted(gen),
+			"web_sales_g": datagen.WebSalesGrouped(gen),
+		}
+		inputs := map[string]core.Props{
+			"web_sales":   core.Unordered(),
+			"web_sales_s": core.TotallyOrdered(attrs.AscSeq(paper.Quantity)),
+			"web_sales_g": {X: attrs.MakeSet(paper.Quantity), Grouped: true},
+		}
+		type query struct {
+			name, table string
+			specs       []window.Spec
+		}
+		var queries []query
+		for _, mq := range paper.MicroQueries() {
+			queries = append(queries, query{mq.Name, mq.Table, []window.Spec{mq.Spec}})
+		}
+		queries = append(queries,
+			query{"Q6", "web_sales", paper.Q6()}, query{"Q7", "web_sales", paper.Q7()},
+			query{"Q8", "web_sales", paper.Q8()}, query{"Q9", "web_sales", paper.Q9()})
+		for _, q := range queries {
+			t.Run(q.name, func(t *testing.T) {
+				table := tables[q.table]
+				// M = floor(0.85*sqrt(B/2)) blocks, the benchmark's chain_spill budget.
+				mem := max(int(0.85*math.Sqrt(float64(table.ByteSize()/bs)/2)), 3) * bs
+				entry := catalog.New().Register(q.table, table)
+				plan, err := core.CSO(paper.WFs(q.specs), inputs[q.table], core.Options{Cost: entry.CostParams(mem, bs)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				m := checkPoisoned(t, table, q.specs, plan, exec.Config{MemoryBytes: mem, BlockSize: bs, Distinct: entry.Distinct})
+				if m.TotalBlocks() == 0 && !strings.HasSuffix(q.table, "_s") && !strings.HasSuffix(q.table, "_g") {
+					t.Fatalf("%s did not spill at M = %d bytes", plan, mem)
+				}
+			})
+		}
+	})
+
+	table := datagen.WebSales(datagen.WebSalesConfig{Rows: 3000, Seed: 9, ItemDistinct: 4, WarehouseDistinct: 5, PadBytes: 24})
+	rank := func(name string, pk attrs.ID, ok attrs.ID) window.Spec {
+		return window.Spec{Name: name, Kind: window.Rank, Arg: -1, PK: attrs.MakeSet(pk), PKOrder: attrs.AscSeq(pk), OK: attrs.AscSeq(ok)}
+	}
+	specs := []window.Spec{
+		rank("item_by_date", paper.Item, paper.Date),
+		rank("item_by_bill", paper.Item, paper.Bill),
+		rank("wh_by_time", paper.Warehouse, paper.Time),
+		rank("item_by_time", paper.Item, paper.Time),
+	}
+	ws := paper.WFs(specs)
+	fsItemDate := core.Step{WF: ws[0], Reorder: core.ReorderFS, SortKey: attrs.AscSeq(paper.Item, paper.Date)}
+	ssItemBill := core.Step{WF: ws[1], Reorder: core.ReorderSS, Alpha: attrs.AscSeq(paper.Item), Beta: attrs.AscSeq(paper.Bill)}
+	hsWarehouse := core.Step{WF: ws[2], Reorder: core.ReorderHS, HashKey: attrs.MakeSet(paper.Warehouse), SortKey: attrs.AscSeq(paper.Warehouse, paper.Time)}
+	hsItem := core.Step{WF: ws[3], Reorder: core.ReorderHS, HashKey: attrs.MakeSet(paper.Item), SortKey: attrs.AscSeq(paper.Item, paper.Time)}
+	fsItemTime := core.Step{WF: ws[3], Reorder: core.ReorderFS, SortKey: attrs.AscSeq(paper.Item, paper.Time)}
+
+	t.Run("FS to SS to HS", func(t *testing.T) {
+		plan := &core.Plan{Scheme: "test", Steps: []core.Step{fsItemDate, ssItemBill, hsWarehouse}}
+		m := checkPoisoned(t, table, specs, plan, exec.Config{MemoryBytes: 8 << 10, BlockSize: 1024, HSBuckets: 4})
+		var runs, passes, segments, units, external, buckets, spilled, resident, mfv int
+		var inmem bool
+		if detail(t, m, 0, "runs=%d passes=%d inmem=%t", &runs, &passes, &inmem); inmem {
+			t.Fatal("FS did not spill")
+		}
+		if detail(t, m, 1, "segments=%d units=%d external=%d", &segments, &units, &external); external == 0 {
+			t.Fatal("SS sorted no unit externally")
+		}
+		if detail(t, m, 2, "buckets=%d spilled=%d resident=%d mfv=%d", &buckets, &spilled, &resident, &mfv); spilled == 0 {
+			t.Fatal("HS flushed no bucket")
+		}
+	})
+
+	t.Run("HS to HS with resident buckets", func(t *testing.T) {
+		// Twenty even buckets and a budget of half the table: about half
+		// the buckets are flushed, the others survive the build phase in
+		// memory — in the arena the second HS, whose input they are, resets.
+		wide := datagen.WebSales(datagen.WebSalesConfig{Rows: 3000, Seed: 5, ItemDistinct: 40, WarehouseDistinct: 30, PadBytes: 24})
+		plan := &core.Plan{Scheme: "test", Steps: []core.Step{hsItem, hsWarehouse, fsItemDate}}
+		m := checkPoisoned(t, wide, specs, plan, exec.Config{MemoryBytes: wide.ByteSize() / 2, BlockSize: 1024, HSBuckets: 20})
+		for step := 0; step < 2; step++ {
+			var buckets, spilled, resident, mfv int
+			if detail(t, m, step, "buckets=%d spilled=%d resident=%d mfv=%d", &buckets, &spilled, &resident, &mfv); spilled == 0 || resident == 0 {
+				t.Fatalf("HS step %d: %d spilled and %d resident buckets, want both", step, spilled, resident)
+			}
+		}
+	})
+
+	t.Run("HS with MFVs", func(t *testing.T) {
+		// Item 1 of 4 bypasses the buckets of the second step; a quarter of
+		// the table is more than the budget, so its sort spills as well.
+		mfvs := map[string]bool{string(reorder.EncodeHashKey(storage.Tuple{paper.Item: storage.Int(1)}, []attrs.ID{paper.Item})): true}
+		plan := &core.Plan{Scheme: "test", Steps: []core.Step{fsItemDate, hsItem, hsWarehouse}}
+		cfg := exec.Config{MemoryBytes: 8 << 10, BlockSize: 1024, HSBuckets: 4,
+			MFV: func(key attrs.Set) map[string]bool {
+				if key == attrs.MakeSet(paper.Item) {
+					return mfvs
+				}
+				return nil
+			}}
+		m := checkPoisoned(t, table, specs, plan, cfg)
+		var buckets, spilled, resident, mfv int
+		if detail(t, m, 1, "buckets=%d spilled=%d resident=%d mfv=%d", &buckets, &spilled, &resident, &mfv); spilled == 0 || mfv == 0 {
+			t.Fatalf("HS step: %d spilled buckets and %d MFV tuples, want both", spilled, mfv)
+		}
+	})
+
+	t.Run("FS with merge passes", func(t *testing.T) {
+		plan := &core.Plan{Scheme: "test", Steps: []core.Step{fsItemDate, fsItemTime}}
+		m := checkPoisoned(t, table, specs, plan, exec.Config{MemoryBytes: 4 << 10, BlockSize: 1024})
+		for step := range plan.Steps {
+			var runs, passes int
+			var inmem bool
+			if detail(t, m, step, "runs=%d passes=%d inmem=%t", &runs, &passes, &inmem); passes < 2 {
+				t.Fatalf("FS step %d merged %d runs in %d intermediate passes, want at least 2", step, runs, passes)
+			}
+		}
+	})
+}

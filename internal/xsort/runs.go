@@ -26,6 +26,13 @@ func (s *Sorter) formRunsReplacement(buf []storage.Tuple, next Input) ([]*run, e
 		last    storage.Tuple
 		err     error
 	)
+	fail := func(err error) ([]*run, error) {
+		if writer != nil {
+			writer.Abort()
+		}
+		releaseRuns(runs)
+		return nil, err
+	}
 	closeCurrent := func() error {
 		if writer == nil {
 			return nil
@@ -42,23 +49,19 @@ func (s *Sorter) formRunsReplacement(buf []storage.Tuple, next Input) ([]*run, e
 		item := h.items[0]
 		if item.run != current {
 			if err = closeCurrent(); err != nil {
-				releaseRuns(runs)
-				return nil, err
+				return fail(err)
 			}
 			current = item.run
 			last = nil
 		}
 		if writer == nil {
-			writer, err = spill.NewWriter(s.Store)
-			if err != nil {
-				releaseRuns(runs)
-				return nil, err
+			if writer, err = spill.NewWriter(s.Store); err != nil {
+				return fail(err)
 			}
 		}
 		h.pop()
 		if err = writer.Write(item.tuple); err != nil {
-			releaseRuns(runs)
-			return nil, err
+			return fail(err)
 		}
 		last = item.tuple
 		if t, ok := next(); ok {
@@ -70,8 +73,7 @@ func (s *Sorter) formRunsReplacement(buf []storage.Tuple, next Input) ([]*run, e
 		}
 	}
 	if err = closeCurrent(); err != nil {
-		releaseRuns(runs)
-		return nil, err
+		return fail(err)
 	}
 	return runs, nil
 }
@@ -108,11 +110,13 @@ func (s *Sorter) formRunsLoadSort(buf []storage.Tuple, next Input) ([]*run, erro
 		}
 		for _, t := range chunk {
 			if err := w.Write(t); err != nil {
+				w.Abort()
 				return err
 			}
 		}
 		f, err := w.Finish()
 		if err != nil {
+			w.Abort()
 			return err
 		}
 		runs = append(runs, &run{file: f})
@@ -157,17 +161,19 @@ type mergeSource struct {
 type mergeHeap = tupleHeap[*mergeSource]
 
 // startMerge opens readers for all runs, decoding into arena, and primes
-// the heap.
+// the heap. On error every reader it opened is closed again.
 func (s *Sorter) startMerge(runs []*run, arena *storage.TupleArena) (*mergeHeap, error) {
 	h := &mergeHeap{less: func(a, b *mergeSource) bool { return s.less(a.tuple, b.tuple) }}
 	for _, r := range runs {
 		rd, err := spill.NewArenaReader(r.file, arena)
 		if err != nil {
+			closeSources(h)
 			return nil, err
 		}
 		t, ok, err := rd.Next()
 		if err != nil {
 			rd.Close()
+			closeSources(h)
 			return nil, err
 		}
 		if !ok {
@@ -178,6 +184,13 @@ func (s *Sorter) startMerge(runs []*run, arena *storage.TupleArena) (*mergeHeap,
 	}
 	h.init()
 	return h, nil
+}
+
+// closeSources closes the readers of the runs a merge has not exhausted.
+func closeSources(h *mergeHeap) {
+	for _, src := range h.items {
+		src.rd.Close()
+	}
 }
 
 // mergeNext pops the globally smallest tuple and advances its source.
@@ -201,41 +214,53 @@ func (s *Sorter) mergeNext(h *mergeHeap) (storage.Tuple, bool, error) {
 	return t, true, nil
 }
 
-// mergeToRun merges runs into a single re-materialized run.
-func (s *Sorter) mergeToRun(runs []*run) (*run, error) {
-	// The merged tuples are written straight back out: no spare capacity.
-	h, err := s.startMerge(runs, storage.NewTupleArena(0))
+// mergeToRun merges runs into a single re-materialized run and releases
+// them. The merged tuples pass through arena on their way back out, so
+// what they took of it is released again. On error the runs are the
+// caller's to release; the readers and the half-written output are gone.
+func (s *Sorter) mergeToRun(runs []*run, arena *storage.TupleArena) (*run, error) {
+	mark := arena.Mark()
+	defer arena.Release(mark)
+	h, err := s.startMerge(runs, arena)
 	if err != nil {
 		return nil, err
 	}
 	w, err := spill.NewWriter(s.Store)
 	if err != nil {
+		closeSources(h)
+		return nil, err
+	}
+	abort := func(err error) (*run, error) {
+		closeSources(h)
+		w.Abort()
 		return nil, err
 	}
 	for {
 		t, ok, err := s.mergeNext(h)
 		if err != nil {
-			return nil, err
+			return abort(err)
 		}
 		if !ok {
 			break
 		}
 		if err := w.Write(t); err != nil {
-			return nil, err
+			return abort(err)
 		}
 	}
 	releaseRuns(runs)
 	f, err := w.Finish()
 	if err != nil {
-		return nil, err
+		return abort(err)
 	}
 	return &run{file: f}, nil
 }
 
 // mergeToSlice merges the final wave of runs straight into memory (this is
-// the pipelined final merge: no output re-materialization).
-func (s *Sorter) mergeToSlice(runs []*run, sizeHint int) ([]storage.Tuple, error) {
-	h, err := s.startMerge(runs, storage.NewTupleArena(s.SpareCols))
+// the pipelined final merge: no output re-materialization) and releases
+// them. On error the runs are the caller's to release; the readers are
+// closed.
+func (s *Sorter) mergeToSlice(runs []*run, sizeHint int, arena *storage.TupleArena) ([]storage.Tuple, error) {
+	h, err := s.startMerge(runs, arena)
 	if err != nil {
 		return nil, err
 	}
@@ -243,6 +268,7 @@ func (s *Sorter) mergeToSlice(runs []*run, sizeHint int) ([]storage.Tuple, error
 	for {
 		t, ok, err := s.mergeNext(h)
 		if err != nil {
+			closeSources(h)
 			return nil, err
 		}
 		if !ok {

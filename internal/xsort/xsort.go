@@ -57,11 +57,16 @@ type Sorter struct {
 	// Comparisons, if non-nil, accumulates key comparison counts.
 	Comparisons *int64
 
-	// SpareCols is how many more columns later operators will Extend each
-	// output row by: rows read back from runs are decoded with that much
-	// spare capacity, as the executor's input arena gives the rows that
-	// never spill. Zero costs a copy per Extend, never correctness.
-	SpareCols int
+	// Arena, if non-nil, is the arena the input rows live in (or at least
+	// every row in it is part of the input), and where rows read back from
+	// runs are decoded: they come out with its row capacity, as the rows
+	// that never spill have, and in the memory of the rows that were
+	// written out — the sorter rewinds the arena once run formation has put
+	// its whole input on disk (Sort: to the start; SortLoaded: to the
+	// caller's mark; SortTuples: never). With a nil Arena the caller's
+	// rows are not the sorter's to reuse: each external sort decodes into an
+	// arena of its own, whose rows have no spare capacity.
+	Arena *storage.TupleArena
 }
 
 // Stats reports what one Sort did.
@@ -97,8 +102,21 @@ func (s *Sorter) sortInMemory(tuples []storage.Tuple) {
 // slice fits in MemoryBytes it is sorted in place and returned, otherwise
 // it is spilled and merged externally into a new slice (the input is then
 // left in unspecified order). It returns the sorted tuples and sort
-// statistics.
+// statistics. It never rewinds the arena: the tuples may sit anywhere in
+// it, with live rows after them.
 func (s *Sorter) SortTuples(tuples []storage.Tuple) ([]storage.Tuple, Stats, error) {
+	return s.sortTuples(tuples, nil)
+}
+
+// SortLoaded is SortTuples for tuples the caller loaded into s.Arena after
+// taking mark, with nothing else carved since: when the sort spills, the
+// arena is released back to mark once the runs hold every tuple, and the
+// merged rows are decoded over the loaded ones.
+func (s *Sorter) SortLoaded(tuples []storage.Tuple, mark storage.ArenaMark) ([]storage.Tuple, Stats, error) {
+	return s.sortTuples(tuples, &mark)
+}
+
+func (s *Sorter) sortTuples(tuples []storage.Tuple, rewind *storage.ArenaMark) ([]storage.Tuple, Stats, error) {
 	fit := len(tuples)
 	if s.MemoryBytes > 0 {
 		bytes := 0
@@ -111,14 +129,15 @@ func (s *Sorter) SortTuples(tuples []storage.Tuple) ([]storage.Tuple, Stats, err
 		}
 	}
 	if fit == len(tuples) {
-		return s.finish(tuples, nil)
+		return s.finish(tuples, nil, nil)
 	}
-	return s.finish(tuples[:fit], SliceInput(tuples[fit:]))
+	return s.finish(tuples[:fit], SliceInput(tuples[fit:]), rewind)
 }
 
 // Sort consumes the input and returns the fully sorted tuples. sizeHint may
 // be 0 when unknown; when it is the input's length the in-memory buffer is
-// allocated once.
+// allocated once. A sort that spills resets s.Arena once its input is on
+// disk: every row in the arena must be part of the input.
 func (s *Sorter) Sort(in Input, sizeHint int) ([]storage.Tuple, Stats, error) {
 	// Buffer input until the memory budget is exceeded.
 	var (
@@ -131,7 +150,7 @@ func (s *Sorter) Sort(in Input, sizeHint int) ([]storage.Tuple, Stats, error) {
 	for {
 		t, ok := in()
 		if !ok {
-			return s.finish(buf, nil)
+			return s.finish(buf, nil, nil)
 		}
 		if s.MemoryBytes > 0 && bufBytes+t.Size() > s.MemoryBytes && len(buf) > 0 {
 			pending := t
@@ -142,7 +161,7 @@ func (s *Sorter) Sort(in Input, sizeHint int) ([]storage.Tuple, Stats, error) {
 					return t, true
 				}
 				return in()
-			})
+			}, &storage.ArenaMark{})
 		}
 		buf = append(buf, t)
 		bufBytes += t.Size()
@@ -151,8 +170,10 @@ func (s *Sorter) Sort(in Input, sizeHint int) ([]storage.Tuple, Stats, error) {
 
 // finish sorts buf — the longest input prefix that fits the budget — and,
 // when rest is non-nil (the input overflowed; rest yields what follows
-// buf, at least one tuple), forms runs over both and merges them.
-func (s *Sorter) finish(buf []storage.Tuple, rest Input) (out []storage.Tuple, st Stats, err error) {
+// buf, at least one tuple), forms runs over both and merges them. rewind,
+// when non-nil, is the mark s.Arena is released to between the two: the
+// input is dead from there on.
+func (s *Sorter) finish(buf []storage.Tuple, rest Input, rewind *storage.ArenaMark) (out []storage.Tuple, st Stats, err error) {
 	start := int64(0)
 	if s.Comparisons != nil {
 		start = *s.Comparisons
@@ -193,6 +214,12 @@ func (s *Sorter) finish(buf []storage.Tuple, rest Input) (out []storage.Tuple, s
 		return nil, st, err
 	}
 	st.InitialRuns = len(runs)
+	arena := s.Arena
+	if arena == nil {
+		arena = storage.NewTupleArena(0)
+	} else if rewind != nil {
+		arena.Release(*rewind)
+	}
 
 	// Phase 2: merge down to one logical stream. Intermediate passes
 	// re-materialize; the final merge streams directly into the result.
@@ -204,7 +231,7 @@ func (s *Sorter) finish(buf []storage.Tuple, rest Input) (out []storage.Tuple, s
 			if hi > len(runs) {
 				hi = len(runs)
 			}
-			merged, err := s.mergeToRun(runs[lo:hi])
+			merged, err := s.mergeToRun(runs[lo:hi], arena)
 			if err != nil {
 				releaseRuns(runs[lo:])
 				releaseRuns(next)
@@ -215,8 +242,9 @@ func (s *Sorter) finish(buf []storage.Tuple, rest Input) (out []storage.Tuple, s
 		runs = next
 		st.MergePasses++
 	}
-	out, err = s.mergeToSlice(runs, st.Tuples)
+	out, err = s.mergeToSlice(runs, st.Tuples, arena)
 	if err != nil {
+		releaseRuns(runs)
 		return nil, st, err
 	}
 	return out, st, nil

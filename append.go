@@ -11,6 +11,7 @@ import (
 	"repro/internal/delta"
 	"repro/internal/sql"
 	"repro/internal/storage"
+	"repro/internal/stream"
 )
 
 // StripSubscribe recognizes a `SUBSCRIBE <stmt>` prefix (case-insensitive,
@@ -85,9 +86,9 @@ func (e *Engine) Subscriptions(table string) int { return e.hub.Subscribers(tabl
 // emits the initial result (rows tagged "init"), then blocks until
 // appends land and emits delta batches (rows tagged "append"/"upsert",
 // each carrying the data-generation watermark in the _meta columns).
-// Next returns io.EOF only if the subscription is closed; a lagged
+// NextBatch returns io.EOF only if the subscription is closed; a lagged
 // subscription (delivery buffer overflow) ends with delta.ErrLagged.
-// Safe for the usual cursor discipline: one goroutine calls Next, any
+// Safe for the usual cursor discipline: one goroutine calls NextBatch, any
 // goroutine may Close.
 type Subscription struct {
 	ctx  context.Context
@@ -97,6 +98,7 @@ type Subscription struct {
 
 	queue []storage.Tuple
 	pos   int
+	b     *stream.Batcher // one row per batch: the next may be a long time coming
 
 	mu        sync.Mutex
 	watermark uint64
@@ -142,6 +144,7 @@ func (e *Engine) SubscribeStatement(ctx context.Context, p *sql.Prepared) (*Subs
 		watermark: gen,
 		start:     time.Now(),
 	}
+	s.b = stream.NewBatcher(len(s.cols), 1, s.next)
 	return s, nil
 }
 
@@ -157,9 +160,11 @@ func (s *Subscription) Watermark() uint64 {
 	return s.watermark
 }
 
-// Next returns the next output row, blocking between delta batches until
-// an append lands or the context is canceled.
-func (s *Subscription) Next() (storage.Tuple, error) {
+// NextBatch returns the next output row as a one-row batch, blocking
+// between delta batches until an append lands or the context is canceled.
+func (s *Subscription) NextBatch() (*stream.Batch, error) { return s.b.NextBatch() }
+
+func (s *Subscription) next() (storage.Tuple, error) {
 	for {
 		if s.pos < len(s.queue) {
 			row := s.queue[s.pos]
@@ -242,39 +247,16 @@ func (e *Engine) insertRows(ctx context.Context, src string) (*Rows, error) {
 // NewInsertRows builds the one-row INSERT summary cursor every backend
 // returns: [table STRING, rows_appended INT, watermark INT].
 func NewInsertRows(table string, appended int, watermark uint64) *Rows {
-	return NewRows(&insertSource{table: table, appended: appended, watermark: watermark})
-}
-
-// insertSource is the RowSource behind NewInsertRows.
-type insertSource struct {
-	table     string
-	appended  int
-	watermark uint64
-	done      bool
-}
-
-func (is *insertSource) Columns() []storage.Column {
-	return []storage.Column{
+	return newStaticRows([]storage.Column{
 		{Name: "table", Type: storage.TypeString},
 		{Name: "rows_appended", Type: storage.TypeInt},
 		{Name: "watermark", Type: storage.TypeInt},
-	}
+	}, []storage.Tuple{{
+		storage.StringVal(table),
+		storage.Int(int64(appended)),
+		storage.Int(int64(watermark)),
+	}})
 }
-
-func (is *insertSource) Next() (storage.Tuple, error) {
-	if is.done {
-		return nil, io.EOF
-	}
-	is.done = true
-	return storage.Tuple{
-		storage.StringVal(is.table),
-		storage.Int(int64(is.appended)),
-		storage.Int(int64(is.watermark)),
-	}, nil
-}
-
-func (is *insertSource) Close() error           { return nil }
-func (is *insertSource) Metrics() *QueryMetrics { return &QueryMetrics{Rows: 1} }
 
 // subscribeRows opens a subscription cursor on the Rows surface.
 func (e *Engine) subscribeRows(ctx context.Context, inner string) (*Rows, error) {
@@ -297,12 +279,12 @@ type subSource struct {
 
 func (ss *subSource) Columns() []storage.Column { return ss.s.Columns() }
 
-func (ss *subSource) Next() (storage.Tuple, error) {
-	t, err := ss.s.Next()
+func (ss *subSource) NextBatch() (*stream.Batch, error) {
+	b, err := ss.s.NextBatch()
 	if err != nil {
 		ss.finish()
 	}
-	return t, err
+	return b, err
 }
 
 func (ss *subSource) Close() error {

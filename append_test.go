@@ -96,13 +96,14 @@ func TestEnginePlanCacheSurvivesAppend(t *testing.T) {
 	defer cur.Close()
 	n := 0
 	for {
-		if _, err := cur.Next(); err != nil {
-			if err == io.EOF {
-				break
-			}
+		b, err := cur.NextBatch()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
-		n++
+		n += b.Len()
 	}
 	if n != 11 {
 		t.Fatalf("prepared statement saw %d rows after append, want 11", n)

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/trace"
 )
 
@@ -152,28 +153,33 @@ func ExecTrace(m *QueryMetrics) *trace.Span {
 // EXPLAIN ANALYZE output and other rendered text results on the Rows
 // surface.
 func NewTextRows(col string, lines []string) *Rows {
-	return NewRows(&textSource{col: col, lines: lines})
-}
-
-// textSource is the RowSource behind NewTextRows.
-type textSource struct {
-	col   string
-	lines []string
-	pos   int
-}
-
-func (ts *textSource) Columns() []storage.Column {
-	return []storage.Column{{Name: ts.col, Type: storage.TypeString}}
-}
-
-func (ts *textSource) Next() (storage.Tuple, error) {
-	if ts.pos >= len(ts.lines) {
-		return nil, io.EOF
+	rows := make([]storage.Tuple, len(lines))
+	for i, line := range lines {
+		rows[i] = storage.Tuple{storage.StringVal(line)}
 	}
-	t := storage.Tuple{storage.StringVal(ts.lines[ts.pos])}
-	ts.pos++
-	return t, nil
+	return newStaticRows([]storage.Column{{Name: col, Type: storage.TypeString}}, rows)
 }
 
-func (ts *textSource) Close() error           { return nil }
-func (ts *textSource) Metrics() *QueryMetrics { return &QueryMetrics{} }
+// staticSource is the RowSource behind the results a backend builds in
+// place, a few rows at most: rendered text, an INSERT's summary.
+type staticSource struct {
+	cols []storage.Column
+	b    *stream.Batcher
+}
+
+func newStaticRows(cols []storage.Column, rows []storage.Tuple) *Rows {
+	next := func() (storage.Tuple, error) {
+		if len(rows) == 0 {
+			return nil, io.EOF
+		}
+		t := rows[0]
+		rows = rows[1:]
+		return t, nil
+	}
+	return NewRows(&staticSource{cols: cols, b: stream.NewBatcher(len(cols), stream.BatchRows, next)})
+}
+
+func (ss *staticSource) Columns() []storage.Column         { return ss.cols }
+func (ss *staticSource) NextBatch() (*stream.Batch, error) { return ss.b.NextBatch() }
+func (ss *staticSource) Close() error                      { return nil }
+func (ss *staticSource) Metrics() *QueryMetrics            { return &QueryMetrics{} }

@@ -42,6 +42,7 @@ func newEngine() *windowdb.Engine {
 	eng := windowdb.New(engCfg())
 	eng.Register("web_sales", ws)
 	eng.Register("emptab", emp)
+	eng.Register("edge", edgeTable())
 	return eng
 }
 
@@ -53,6 +54,10 @@ type backend struct {
 	// row order even without a total ORDER BY (clusters concatenate
 	// per-shard outputs, so only ORDER BY queries have defined order).
 	ordered bool
+	// front is the HTTP front end behind a remote client backend, nil for
+	// the in-process ones: where the wire-only behaviours (max_rows) are
+	// reached.
+	front *httptest.Server
 }
 
 // backends builds every Queryer implementation over the same dataset.
@@ -88,6 +93,9 @@ func backends(t *testing.T) []backend {
 		if err := c.RegisterReplicated(ctx, "emptab", emp); err != nil {
 			t.Fatal(err)
 		}
+		if err := c.RegisterSharded(ctx, "edge", edgeTable(), "k"); err != nil {
+			t.Fatal(err)
+		}
 		return c
 	}
 	localTransport := func(int) shard.Transport {
@@ -109,13 +117,13 @@ func backends(t *testing.T) []backend {
 	coordClient := service.NewClientCodec(coordSrv.URL, coordSrv.Client(), service.CodecBinary)
 
 	return []backend{
-		{"engine", eng, true},
-		{"service", svc, true},
-		{"client-engine", client, true},
-		{"client-engine-ndjson", clientJSON, true},
-		{"cluster", cluster, false},
-		{"cluster-http-binary", clusterHTTP, false},
-		{"client-coordinator", coordClient, false},
+		{"engine", eng, true, nil},
+		{"service", svc, true, nil},
+		{"client-engine", client, true, srv},
+		{"client-engine-ndjson", clientJSON, true, srv},
+		{"cluster", cluster, false, nil},
+		{"cluster-http-binary", clusterHTTP, false, nil},
+		{"client-coordinator", coordClient, false, coordSrv},
 	}
 }
 

@@ -32,7 +32,7 @@ func BenchmarkRunChainPrepared(b *testing.B) {
 			b.Fatal(err)
 		}
 		for {
-			if _, err := cur.Next(); err != nil {
+			if _, err := cur.NextBatch(); err != nil {
 				break
 			}
 		}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/sql"
 	"repro/internal/storage"
+	"repro/internal/stream"
 )
 
 // RemoteError is a serving process's error response, preserving the
@@ -115,12 +116,11 @@ func (c *Client) Addr() string { return c.base }
 // QueryContext executes src on the server and returns a cursor over the
 // response stream.
 func (c *Client) QueryContext(ctx context.Context, src string) (*windowdb.Rows, error) {
-	start := time.Now()
 	sr, err := OpenStream(ctx, c.hc, c.base+"/query", queryRequest{SQL: src, Stream: true}, c.codec)
 	if err != nil {
 		return nil, err
 	}
-	return windowdb.NewRows(&clientSource{sr: sr, start: start}), nil
+	return sr.Rows(), nil
 }
 
 // PrepareContext returns a statement bound to this client. The server
@@ -144,22 +144,28 @@ func (st *clientStmt) QueryContext(ctx context.Context) (*windowdb.Rows, error) 
 
 func (st *clientStmt) Close() error { return nil }
 
+// Rows wraps the reader in the public cursor: how every consumer that
+// wants rows, not batches, reads a stream. The cursor's Metrics come from
+// the trailer, with Elapsed as this side observed it.
+func (sr *StreamReader) Rows() *windowdb.Rows {
+	return windowdb.NewRows(&clientSource{sr: sr})
+}
+
 // clientSource adapts a StreamReader to the RowSource contract.
 type clientSource struct {
-	sr    *StreamReader
-	start time.Time
-	meta  *windowdb.QueryMetrics
+	sr   *StreamReader
+	meta *windowdb.QueryMetrics
 }
 
 func (cs *clientSource) Columns() []storage.Column { return cs.sr.Columns() }
 
-func (cs *clientSource) Next() (storage.Tuple, error) {
-	t, err := cs.sr.Next()
-	if err == io.EOF {
+func (cs *clientSource) NextBatch() (*stream.Batch, error) {
+	b, err := cs.sr.NextBatch()
+	if err == io.EOF && cs.meta == nil {
 		cs.meta = metaFromTrailer(cs.sr.Trailer())
-		cs.meta.Elapsed = time.Since(cs.start)
+		cs.meta.Elapsed = time.Since(cs.sr.start)
 	}
-	return t, err
+	return b, err
 }
 
 func (cs *clientSource) Close() error { return cs.sr.Close() }

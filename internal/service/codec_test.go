@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +11,7 @@ import (
 
 	"repro"
 	"repro/internal/storage"
+	"repro/internal/stream"
 )
 
 // TestCodecNegotiationFallback pins the negotiation rules at the raw HTTP
@@ -64,15 +64,17 @@ func TestCodecNegotiationFallback(t *testing.T) {
 				t.Fatalf("Content-Type %q, want %q", ct, tc.want)
 			}
 			// Whatever the codec, the stream must decode: count the rows.
-			sr := respReader(t, resp)
+			sr, err := wrapResponse("test", resp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := sr.Rows()
 			n := 0
-			for {
-				if _, err := sr.next(); err == io.EOF {
-					break
-				} else if err != nil {
-					t.Fatal(err)
-				}
+			for rows.Next() {
 				n++
+			}
+			if err := rows.Err(); err != nil {
+				t.Fatal(err)
 			}
 			if n != 10 { // emptab is the paper's 10-row Example 1 relation
 				t.Fatalf("decoded %d rows, want 10", n)
@@ -81,23 +83,6 @@ func TestCodecNegotiationFallback(t *testing.T) {
 	}
 }
 
-// respReader wraps an already-issued streamed response in the matching
-// decoder, the way openStream sniffs the response content type.
-type sniffedStream struct {
-	sr *StreamReader
-}
-
-func respReader(t *testing.T, resp *http.Response) *sniffedStream {
-	t.Helper()
-	sr, err := wrapResponse("test", resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &sniffedStream{sr: sr}
-}
-
-func (s *sniffedStream) next() (storage.Tuple, error) { return s.sr.Next() }
-
 // failingSource yields a few rows and then dies: the deterministic way to
 // observe a mid-stream error, which on the wire must arrive as an error
 // trailer — the 200 header is long gone when the failure happens.
@@ -105,13 +90,22 @@ type failingSource struct {
 	rows int
 	n    int
 	err  error
+	b    *stream.Batcher
+}
+
+func newFailingRows(rows int, err error) *windowdb.Rows {
+	f := &failingSource{rows: rows, err: err}
+	f.b = stream.NewBatcher(1, stream.BatchRows, f.next)
+	return windowdb.NewRows(f)
 }
 
 func (f *failingSource) Columns() []storage.Column {
 	return []storage.Column{{Name: "n", Type: storage.TypeInt}}
 }
 
-func (f *failingSource) Next() (storage.Tuple, error) {
+func (f *failingSource) NextBatch() (*stream.Batch, error) { return f.b.NextBatch() }
+
+func (f *failingSource) next() (storage.Tuple, error) {
 	if f.n >= f.rows {
 		return nil, f.err
 	}
@@ -132,7 +126,7 @@ func TestErrorTrailerSurvivesFraming(t *testing.T) {
 			boom := fmt.Errorf("spill device gone")
 			mux := http.NewServeMux()
 			mux.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) {
-				rows := windowdb.NewRows(&failingSource{rows: good, err: boom})
+				rows := newFailingRows(good, boom)
 				WriteStream(r.Context(), w, rows, 0, codec)
 			})
 			srv := httptest.NewServer(mux)
@@ -142,24 +136,21 @@ func TestErrorTrailerSurvivesFraming(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer sr.Close()
+			rows := sr.Rows()
+			defer rows.Close()
 			n := 0
-			for {
-				tup, err := sr.Next()
-				if err != nil {
-					var re *RemoteError
-					if !errors.As(err, &re) {
-						t.Fatalf("after %d rows: %v, want RemoteError", n, err)
-					}
-					if re.Kind != "internal" || !strings.Contains(re.Msg, "spill device gone") {
-						t.Fatalf("remote error %+v", re)
-					}
-					break
-				}
-				if want := storage.Int(int64(n + 1)); !storage.Identical(tup[0], want) {
+			for rows.Next() {
+				if tup, want := rows.Row(), storage.Int(int64(n+1)); !storage.Identical(tup[0], want) {
 					t.Fatalf("row %d = %v", n, tup)
 				}
 				n++
+			}
+			var re *RemoteError
+			if err := rows.Err(); !errors.As(err, &re) {
+				t.Fatalf("after %d rows: %v, want RemoteError", n, err)
+			}
+			if re.Kind != "internal" || !strings.Contains(re.Msg, "spill device gone") {
+				t.Fatalf("remote error %+v", re)
 			}
 			if n != good {
 				t.Fatalf("delivered %d rows before the error, want %d", n, good)

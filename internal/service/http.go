@@ -197,11 +197,7 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeError(w, status, kind, err)
 			return
 		}
-		if isLive {
-			WriteLiveStream(s.liveContext(r.Context(), traceID), w, rows, req.MaxRows, s.streamCodec(r))
-		} else {
-			WriteStream(s.liveContext(r.Context(), traceID), w, rows, req.MaxRows, s.streamCodec(r))
-		}
+		WriteStream(s.liveContext(r.Context(), traceID), w, rows, req.MaxRows, s.streamCodec(r))
 		return
 	}
 

@@ -41,6 +41,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/sql"
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/trace"
 )
 
@@ -532,7 +533,7 @@ func (st *serviceStmt) Close() error { return nil }
 // streams.
 type execCursor interface {
 	Columns() []storage.Column
-	Next() (storage.Tuple, error)
+	NextBatch() (*stream.Batch, error)
 	Close() error
 	Meta() *sql.Result
 }
@@ -656,15 +657,15 @@ type servedSource struct {
 	cancel   context.CancelFunc
 
 	rows      int64
-	completed bool // a terminal Next (io.EOF) was observed
+	completed bool // a terminal NextBatch (io.EOF) was observed
 	once      sync.Once
 	meta      *windowdb.QueryMetrics
 }
 
 func (ss *servedSource) Columns() []storage.Column { return ss.cur.Columns() }
 
-func (ss *servedSource) Next() (storage.Tuple, error) {
-	t, err := ss.cur.Next()
+func (ss *servedSource) NextBatch() (*stream.Batch, error) {
+	b, err := ss.cur.NextBatch()
 	switch {
 	case err == io.EOF:
 		ss.completed = true
@@ -672,10 +673,10 @@ func (ss *servedSource) Next() (storage.Tuple, error) {
 	case err != nil:
 		ss.finish(err)
 	default:
-		ss.rows++
-		ss.live.AddRowsEmitted(1)
+		ss.rows += int64(b.Len())
+		ss.live.AddRowsEmitted(int64(b.Len()))
 	}
-	return t, err
+	return b, err
 }
 
 func (ss *servedSource) Close() error {

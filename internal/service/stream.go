@@ -185,12 +185,6 @@ func (s *Service) streamCodec(r *http.Request) WireCodec {
 // syscall cost disappears into the encoding work.
 const streamFlushStride = 64
 
-// streamBatchRows is how many rows a binary stream packs per columnar
-// frame (and flushes together). Larger than the NDJSON flush stride: one
-// frame amortizes the column-vector conversion, and 256 rows of packed
-// values still sit well under a socket buffer.
-const streamBatchRows = 256
-
 // encodeWireRow writes one tuple as a WireValue-tagged NDJSON array line —
 // the single definition of the row frame every stream writer (/query,
 // /shard/table, the shuffle data plane) emits.
@@ -241,66 +235,74 @@ func decodeWireRow(line []byte, arity int) (storage.Tuple, error) {
 // rows (the trailer marks it). ctx — the request context — aborts the
 // stream between flushes when the client disconnects, which is what
 // releases the cursor's admission slot mid-stream.
+//
+// What is flushed together is what the cursor's source handed over
+// together: a binary stream frames every batch it pulls, an NDJSON stream
+// flushes at the flush stride and wherever a batch ends. A subscription's
+// batches are single rows, so each leaves as it happens — a live cursor
+// blocks indefinitely between deltas, and a row parked behind a stride
+// would never reach the client.
 func WriteStream(ctx context.Context, w http.ResponseWriter, rows *windowdb.Rows, maxRows int, codec WireCodec) {
-	writeStream(ctx, w, rows, maxRows, codec, streamFlushStride, streamBatchRows)
-}
-
-// WriteLiveStream is WriteStream for subscription cursors: every row is
-// flushed as it is written (NDJSON) or framed singly (binary), because a
-// live cursor blocks indefinitely between delta batches and a row parked
-// behind the flush stride would never reach the client.
-func WriteLiveStream(ctx context.Context, w http.ResponseWriter, rows *windowdb.Rows, maxRows int, codec WireCodec) {
-	writeStream(ctx, w, rows, maxRows, codec, 1, 1)
-}
-
-func writeStream(ctx context.Context, w http.ResponseWriter, rows *windowdb.Rows, maxRows int, codec WireCodec, stride, batchRows int) {
 	if live := trace.LiveFromContext(ctx); live != nil {
 		// Account response-body bytes to the owning /debug/queries entry.
 		w = &liveCountingWriter{ResponseWriter: w, live: live}
 	}
-	if codec == CodecBinary {
-		writeStreamBinary(ctx, w, rows, maxRows, batchRows)
-		return
-	}
 	defer rows.Close()
-	w.Header().Set("Content-Type", ContentTypeNDJSON)
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(streamHeader{Columns: WireColumns(rows.ColumnTypes())}); err != nil {
+	sw := newStreamWriter(w, codec)
+	// The header leaves before the first row: a live cursor with an empty
+	// initial result (an empty shard partition, say) blocks indefinitely on
+	// its first row, and a client opening the stream waits on the response
+	// header — without this flush the two deadlock against each other.
+	if sw.header(rows.ColumnTypes()) != nil {
 		return
 	}
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	// Ship the header before the first row: a live cursor with an empty
-	// initial result blocks indefinitely on its first row, and a client
-	// opening the stream waits on the response header — without this flush
-	// the two deadlock against each other.
-	flush()
+	sw.flush()
 
 	var n int64
 	truncated := false
-	for rows.Next() {
-		if err := encodeWireRow(enc, rows.Row()); err != nil {
-			return // client gone; the deferred Close releases the slot
-		}
-		n++
-		if n%int64(stride) == 0 {
-			flush()
+	if codec == CodecBinary {
+		for !truncated {
+			b, ok := rows.NextBatch()
+			if !ok {
+				break
+			}
+			// A batch that ends exactly at maxRows goes out whole and the
+			// loop comes round once more with no room left: only a further
+			// row makes the result truncated, and the io.EOF a fully
+			// delivered one probes into lets the source classify the query
+			// as completed, not aborted.
+			if left := int64(maxRows) - n; maxRows > 0 && int64(b.Len()) > left {
+				truncated = true
+				if left == 0 {
+					break
+				}
+				b.Truncate(int(left))
+			}
+			if sw.fw.WriteBatch(b) != nil {
+				return // client gone; the deferred Close releases the slot
+			}
+			n += int64(b.Len())
+			sw.flush()
 			if ctx.Err() != nil {
 				return
 			}
 		}
-		if maxRows > 0 && n >= int64(maxRows) {
-			// Probe one more row before declaring truncation: an
-			// exact-boundary result was fully delivered (and the probe's
-			// io.EOF lets the source classify the query as completed, not
-			// aborted).
-			truncated = rows.Next()
-			break
+	} else {
+		for rows.Next() {
+			if encodeWireRow(sw.enc, rows.Row()) != nil {
+				return
+			}
+			n++
+			if n%streamFlushStride == 0 || rows.Buffered() == 0 {
+				sw.flush()
+				if ctx.Err() != nil {
+					return
+				}
+			}
+			if maxRows > 0 && n >= int64(maxRows) {
+				truncated = rows.Next() // the same probe
+				break
+			}
 		}
 	}
 
@@ -321,15 +323,63 @@ func writeStream(ctx context.Context, w http.ResponseWriter, rows *windowdb.Rows
 		trailer.RowCount = n
 		trailer.Truncated = truncated
 	}
-	_ = enc.Encode(trailer)
-	flush()
+	_ = sw.trailer(trailer)
+	sw.flush()
 }
 
-// writeStreamBinary is WriteStream's binary half: the same header, rows,
-// trailer contract (error trailers and truncation probing included), with
-// rows leaving as columnar frames of streamBatchRows tuples. Buffering the
-// cursor's tuples is safe — Rows.Row() tuples are caller-owned and stay
-// valid across Next.
+// streamWriter is the framing of one streamed response in either codec:
+// the JSON header and trailer, as NDJSON lines or as 'H'/'T' frames, and
+// the flush between. Rows go through enc (NDJSON) or fw (binary), whichever
+// the codec set.
+type streamWriter struct {
+	flusher http.Flusher
+	enc     *json.Encoder
+	fw      *stream.FrameWriter
+}
+
+func newStreamWriter(w http.ResponseWriter, codec WireCodec) *streamWriter {
+	sw := &streamWriter{}
+	sw.flusher, _ = w.(http.Flusher)
+	if codec == CodecBinary {
+		w.Header().Set("Content-Type", ContentTypeBinary)
+		sw.fw = stream.NewFrameWriter(w)
+	} else {
+		w.Header().Set("Content-Type", ContentTypeNDJSON)
+		sw.enc = json.NewEncoder(w)
+	}
+	w.WriteHeader(http.StatusOK)
+	return sw
+}
+
+func (sw *streamWriter) flush() {
+	if sw.flusher != nil {
+		sw.flusher.Flush()
+	}
+}
+
+func (sw *streamWriter) header(cols []storage.Column) error {
+	h := streamHeader{Columns: WireColumns(cols)}
+	if sw.enc != nil {
+		return sw.enc.Encode(h)
+	}
+	payload, err := json.Marshal(h)
+	if err != nil {
+		return err
+	}
+	return sw.fw.WriteHeader(payload)
+}
+
+func (sw *streamWriter) trailer(t StreamTrailer) error {
+	if sw.enc != nil {
+		return sw.enc.Encode(t)
+	}
+	payload, err := json.Marshal(t)
+	if err != nil {
+		return err
+	}
+	return sw.fw.WriteTrailer(payload)
+}
+
 // liveCountingWriter accounts every response-body byte to the owning
 // query's live counters — the wire_bytes column of /debug/queries. Its
 // Flush keeps the wrapped writer's streaming behavior.
@@ -350,168 +400,61 @@ func (cw *liveCountingWriter) Flush() {
 	}
 }
 
-func writeStreamBinary(ctx context.Context, w http.ResponseWriter, rows *windowdb.Rows, maxRows, batchRows int) {
-	defer rows.Close()
-	w.Header().Set("Content-Type", ContentTypeBinary)
-	w.WriteHeader(http.StatusOK)
-	fw := stream.NewFrameWriter(w)
-	hdr, err := json.Marshal(streamHeader{Columns: WireColumns(rows.ColumnTypes())})
-	if err != nil || fw.WriteHeader(hdr) != nil {
-		return
-	}
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	// Same contract as the NDJSON writer: the header frame leaves before
-	// the first row, or a subscription whose initial result is empty (an
-	// empty shard partition, say) wedges the opening client forever.
-	flush()
-	arity := len(rows.ColumnTypes())
-	batch := make([]storage.Tuple, 0, batchRows)
-	emit := func() bool {
-		if len(batch) == 0 {
-			return true
-		}
-		if fw.WriteTuples(batch, arity) != nil {
-			return false // client gone; the deferred Close releases the slot
-		}
-		batch = batch[:0]
-		flush()
-		return ctx.Err() == nil
-	}
-
-	var n int64
-	truncated := false
-	for rows.Next() {
-		batch = append(batch, rows.Row())
-		n++
-		if len(batch) >= batchRows {
-			if !emit() {
-				return
-			}
-		}
-		if maxRows > 0 && n >= int64(maxRows) {
-			truncated = rows.Next()
-			break
-		}
-	}
-	if !emit() {
-		return
-	}
-
-	_ = rows.Close()
-	var trailer StreamTrailer
-	if err := rows.Err(); err != nil {
-		_, kind := StatusFor(err)
-		trailer = StreamTrailer{Done: true, Error: err.Error(), Kind: kind, RowCount: n}
-		if m := rows.Metrics(); m != nil {
-			trailer.TraceID, trailer.Trace = m.TraceID, m.Trace
-		}
-	} else {
-		trailer = TrailerFor(rows.Metrics())
-		trailer.RowCount = n
-		trailer.Truncated = truncated
-	}
-	tb, err := json.Marshal(trailer)
-	if err != nil {
-		return
-	}
-	_ = fw.WriteTrailer(tb)
-	flush()
-}
-
 // WriteTableStream serves a materialized table as a stream with
 // WriteStream's framing (header, rows, trailer) in the negotiated codec:
 // the /shard/table response shape, so the gather data plane ships raw rows
-// without either side materializing a whole HTTP body. ctx aborts the
-// stream between flushes when the client disconnects.
+// without either side materializing a whole HTTP body. The binary codec
+// chunks the rows into frames of stream.BatchRows. ctx aborts the stream
+// between flushes when the client disconnects.
 func WriteTableStream(ctx context.Context, w http.ResponseWriter, t *storage.Table, codec WireCodec) {
+	sw := newStreamWriter(w, codec)
+	if sw.header(t.Schema.Columns) != nil {
+		return
+	}
+	step := streamFlushStride
 	if codec == CodecBinary {
-		writeTableStreamBinary(ctx, w, t)
-		return
+		step = stream.BatchRows
 	}
-	w.Header().Set("Content-Type", ContentTypeNDJSON)
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(streamHeader{Columns: WireColumns(t.Schema.Columns)}); err != nil {
-		return
-	}
-	flusher, _ := w.(http.Flusher)
-	var n int64
-	for _, row := range t.Rows {
-		if err := encodeWireRow(enc, row); err != nil {
-			return
-		}
-		n++
-		if n%streamFlushStride == 0 {
-			if flusher != nil {
-				flusher.Flush()
-			}
-			if ctx.Err() != nil {
+	for off := 0; off < len(t.Rows); off += step {
+		chunk := t.Rows[off:min(off+step, len(t.Rows))]
+		if codec == CodecBinary {
+			if sw.fw.WriteTuples(chunk, t.Schema.Len()) != nil {
 				return
 			}
+		} else {
+			for _, row := range chunk {
+				if encodeWireRow(sw.enc, row) != nil {
+					return
+				}
+			}
 		}
-	}
-	_ = enc.Encode(StreamTrailer{Done: true, RowCount: n})
-	if flusher != nil {
-		flusher.Flush()
-	}
-}
-
-// writeTableStreamBinary is WriteTableStream's binary half: the table's
-// rows leave as columnar frames, chunked by streamBatchRows.
-func writeTableStreamBinary(ctx context.Context, w http.ResponseWriter, t *storage.Table) {
-	w.Header().Set("Content-Type", ContentTypeBinary)
-	w.WriteHeader(http.StatusOK)
-	fw := stream.NewFrameWriter(w)
-	hdr, err := json.Marshal(streamHeader{Columns: WireColumns(t.Schema.Columns)})
-	if err != nil || fw.WriteHeader(hdr) != nil {
-		return
-	}
-	flusher, _ := w.(http.Flusher)
-	arity := t.Schema.Len()
-	for off := 0; off < len(t.Rows); off += streamBatchRows {
-		end := off + streamBatchRows
-		if end > len(t.Rows) {
-			end = len(t.Rows)
-		}
-		if fw.WriteTuples(t.Rows[off:end], arity) != nil {
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
+		sw.flush()
 		if ctx.Err() != nil {
 			return
 		}
 	}
-	tb, err := json.Marshal(StreamTrailer{Done: true, RowCount: int64(len(t.Rows))})
-	if err != nil {
-		return
-	}
-	_ = fw.WriteTrailer(tb)
-	if flusher != nil {
-		flusher.Flush()
-	}
+	_ = sw.trailer(StreamTrailer{Done: true, RowCount: int64(len(t.Rows))})
+	sw.flush()
 }
 
 // StreamReader consumes one result stream, NDJSON or binary: the client
 // half of WriteStream. The codec follows the response Content-Type, not
 // the request — a JSON-only server answering a binary-preferring Accept
 // with NDJSON reads fine, which is what lets mixed-version fleets degrade
-// per transport. Next yields decoded tuples and io.EOF at the trailer;
-// Trailer exposes the trailer after EOF. A stream that ends without a
-// trailer (a cut connection) surfaces an error instead of a silent prefix.
+// per transport. NextBatch yields the rows — a binary stream's frames each
+// decoded into the reader's one batch, an NDJSON stream's lines batched —
+// and io.EOF at the trailer; Trailer exposes the trailer after EOF. A
+// stream that ends without a trailer (a cut connection) surfaces an error
+// instead of a silent prefix. Whoever wants rows reads them through
+// windowdb.Rows (Rows).
 type StreamReader struct {
-	node string
-	body io.ReadCloser
-	br   *bufio.Reader       // NDJSON streams
-	fr   *stream.FrameReader // binary streams (exactly one of br/fr is set)
-	pend []storage.Tuple     // decoded rows of the current binary batch
-	pi   int
+	node  string
+	body  io.ReadCloser
+	br    *bufio.Reader       // NDJSON streams
+	lines *stream.Batcher     // NDJSON streams: the lines' rows, batched
+	fr    *stream.FrameReader // binary streams (exactly one of br/fr is set)
+	batch stream.Batch        // binary streams: what every frame decodes into
+	start time.Time           // when the request went out
 
 	cols    []storage.Column
 	trailer *StreamTrailer
@@ -573,6 +516,7 @@ func openStream(hc *http.Client, req *http.Request, url string, codec WireCodec)
 	} else {
 		req.Header.Set("Accept", ContentTypeNDJSON)
 	}
+	start := time.Now()
 	resp, err := hc.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("service: %s: %w", url, err)
@@ -581,14 +525,19 @@ func openStream(hc *http.Client, req *http.Request, url string, codec WireCodec)
 		defer resp.Body.Close()
 		return nil, DecodeRemoteError(url, resp)
 	}
-	return wrapResponse(url, resp)
+	sr, err := wrapResponse(url, resp)
+	if err != nil {
+		return nil, err
+	}
+	sr.start = start
+	return sr, nil
 }
 
 // wrapResponse builds a StreamReader over an already-issued 2xx streamed
 // response, sniffing the codec from the response content type.
 func wrapResponse(url string, resp *http.Response) (*StreamReader, error) {
 	var err error
-	sr := &StreamReader{node: url, body: resp.Body}
+	sr := &StreamReader{node: url, body: resp.Body, start: time.Now()}
 	var hdr []byte
 	if strings.Contains(resp.Header.Get("Content-Type"), ContentTypeBinary) {
 		sr.fr = stream.NewFrameReader(resp.Body)
@@ -620,6 +569,11 @@ func wrapResponse(url string, resp *http.Response) (*StreamReader, error) {
 		return nil, err
 	}
 	sr.cols = cols
+	if sr.br != nil {
+		// One line per batch: the stream may be a live one, and waiting
+		// for a line not sent yet would hold back the ones that were.
+		sr.lines = stream.NewBatcher(len(cols), 1, sr.nextLine)
+	}
 	return sr, nil
 }
 
@@ -631,87 +585,74 @@ func (sr *StreamReader) readLine() ([]byte, error) {
 	return readNDJSONLine(sr.br)
 }
 
-// Next returns the next row, io.EOF after the trailer, or an error — a
-// decode failure, a mid-stream server error from the trailer (unwrapping
-// to the taxonomy sentinels via RemoteError), or a truncated stream.
-func (sr *StreamReader) Next() (storage.Tuple, error) {
+// NextBatch returns the next rows, io.EOF after the trailer, or an error —
+// a decode failure, a mid-stream server error from the trailer (unwrapping
+// to the taxonomy sentinels via RemoteError), or a truncated stream. The
+// batch is valid until the following call.
+func (sr *StreamReader) NextBatch() (*stream.Batch, error) {
 	if sr.trailer != nil {
 		return nil, io.EOF
 	}
 	if sr.err != nil {
 		return nil, sr.err
 	}
-	if sr.fr != nil {
-		return sr.nextBinary()
+	if sr.fr == nil {
+		return sr.lines.NextBatch()
 	}
+	f, err := sr.fr.Next()
+	if err != nil {
+		return nil, sr.fail(fmt.Errorf("stream cut before trailer: %w", err))
+	}
+	switch f.Type {
+	case stream.FrameBatch:
+		if err := stream.DecodeBatchInto(&sr.batch, f.Payload, len(sr.cols)); err != nil {
+			return nil, sr.fail(err)
+		}
+		return &sr.batch, nil
+	case stream.FrameTrailer:
+		return nil, sr.end(f.Payload)
+	default:
+		return nil, sr.fail(fmt.Errorf("unexpected %c frame mid-stream", f.Type))
+	}
+}
+
+// nextLine is the row pull under an NDJSON stream's Batcher.
+func (sr *StreamReader) nextLine() (storage.Tuple, error) {
 	line, err := sr.readLine()
 	if err != nil {
-		sr.err = fmt.Errorf("service: %s: stream cut before trailer: %w", sr.node, err)
-		return nil, sr.err
+		return nil, sr.fail(fmt.Errorf("stream cut before trailer: %w", err))
 	}
-	if line[0] == '[' {
-		t, err := decodeWireRow(line, len(sr.cols))
-		if err != nil {
-			sr.err = fmt.Errorf("service: %s: %w", sr.node, err)
-			return nil, sr.err
-		}
-		return t, nil
+	if line[0] != '[' {
+		return nil, sr.end(line)
 	}
+	t, err := decodeWireRow(line, len(sr.cols))
+	if err != nil {
+		return nil, sr.fail(err)
+	}
+	return t, nil
+}
+
+// fail records what broke the stream, named after the node it came from.
+func (sr *StreamReader) fail(err error) error {
+	sr.err = fmt.Errorf("service: %s: %w", sr.node, err)
+	return sr.err
+}
+
+// end takes the trailer: io.EOF, or the server's mid-stream error.
+func (sr *StreamReader) end(payload []byte) error {
 	var trailer StreamTrailer
-	if err := json.Unmarshal(line, &trailer); err != nil {
-		sr.err = fmt.Errorf("service: %s: bad stream trailer %q: %w", sr.node, line, err)
-		return nil, sr.err
+	if err := json.Unmarshal(payload, &trailer); err != nil {
+		return sr.fail(fmt.Errorf("bad stream trailer %q: %w", payload, err))
 	}
 	if trailer.Error != "" {
 		sr.err = &RemoteError{Node: sr.node, Status: http.StatusOK, Kind: trailer.Kind, Msg: trailer.Error}
-		return nil, sr.err
+		return sr.err
 	}
 	sr.trailer = &trailer
-	return nil, io.EOF
+	return io.EOF
 }
 
-// nextBinary is Next over the binary frame stream: rows come from the
-// current batch's decoded tuples, refilled a frame at a time.
-func (sr *StreamReader) nextBinary() (storage.Tuple, error) {
-	for {
-		if sr.pi < len(sr.pend) {
-			t := sr.pend[sr.pi]
-			sr.pi++
-			return t, nil
-		}
-		f, err := sr.fr.Next()
-		if err != nil {
-			sr.err = fmt.Errorf("service: %s: stream cut before trailer: %w", sr.node, err)
-			return nil, sr.err
-		}
-		switch f.Type {
-		case stream.FrameBatch:
-			b, err := stream.DecodeBatch(f.Payload, len(sr.cols))
-			if err != nil {
-				sr.err = fmt.Errorf("service: %s: %w", sr.node, err)
-				return nil, sr.err
-			}
-			sr.pend, sr.pi = b.Tuples(), 0
-		case stream.FrameTrailer:
-			var trailer StreamTrailer
-			if err := json.Unmarshal(f.Payload, &trailer); err != nil {
-				sr.err = fmt.Errorf("service: %s: bad stream trailer %q: %w", sr.node, f.Payload, err)
-				return nil, sr.err
-			}
-			if trailer.Error != "" {
-				sr.err = &RemoteError{Node: sr.node, Status: http.StatusOK, Kind: trailer.Kind, Msg: trailer.Error}
-				return nil, sr.err
-			}
-			sr.trailer = &trailer
-			return nil, io.EOF
-		default:
-			sr.err = fmt.Errorf("service: %s: unexpected %c frame mid-stream", sr.node, f.Type)
-			return nil, sr.err
-		}
-	}
-}
-
-// Trailer returns the stream trailer, nil until Next returned io.EOF.
+// Trailer returns the stream trailer, nil until NextBatch returned io.EOF.
 func (sr *StreamReader) Trailer() *StreamTrailer { return sr.trailer }
 
 // Close releases the underlying response body; closing a half-read stream

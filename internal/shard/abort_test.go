@@ -1,0 +1,138 @@
+package shard
+
+import (
+	"context"
+	"errors"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+	"time"
+
+	"repro/internal/service"
+)
+
+// tinyBufListener and tinyBufClient clamp the kernel buffers of both ends
+// of every connection (as the service package's own disconnect test does),
+// so a streamed response cannot be absorbed in flight: the coordinator
+// blocks on the socket until the client reads, and a hang-up really is
+// mid-stream.
+type tinyBufListener struct{ net.Listener }
+
+func (l tinyBufListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		clampBuffers(c)
+	}
+	return c, err
+}
+
+func clampBuffers(c net.Conn) {
+	if tc, ok := c.(*net.TCPConn); ok {
+		_ = tc.SetReadBuffer(4 << 10)
+		_ = tc.SetWriteBuffer(4 << 10)
+	}
+}
+
+func tinyBufClient() *http.Client {
+	var d net.Dialer
+	return &http.Client{Transport: &http.Transport{
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			c, err := d.DialContext(ctx, network, addr)
+			if err == nil {
+				clampBuffers(c)
+			}
+			return c, err
+		},
+	}}
+}
+
+// waitFor polls cond: teardown after a disconnect is asynchronous.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestCoordinatorDisconnectIsAnAbort is the coordinator's twin of the node
+// service's TestClientDisconnectReleasesSlot. A caller that walks away
+// from a half-read cursor — a client hanging up on the front end, or the
+// cancelled request context such a hang-up leaves behind, seen by the
+// cursor before a write fails — is an abort on both cluster sources: the
+// scatter merge and the coordinator-side cursor of a gather. aborted ticks,
+// failures does not, and node slots, the gather slot and the registry are
+// back where they were.
+func TestCoordinatorDisconnectIsAnAbort(t *testing.T) {
+	for _, route := range []struct{ name, sql string }{{"scatter", q6SQL}, {"gather", gatherSQL}} {
+		walkAways := map[string]func(t *testing.T, c *Cluster){
+			"hang-up": func(t *testing.T, c *Cluster) {
+				front := httptest.NewUnstartedServer(c.Handler())
+				front.Listener = tinyBufListener{front.Listener}
+				front.Start()
+				defer front.Close()
+				hc := tinyBufClient()
+				defer hc.CloseIdleConnections()
+				rows, err := service.NewClient(front.URL, hc).QueryContext(context.Background(), route.sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 5; i++ {
+					if !rows.Next() {
+						t.Fatalf("stream ended early: %v", rows.Err())
+					}
+				}
+				if err := rows.Close(); err != nil {
+					t.Fatal(err)
+				}
+			},
+			"cancelled context": func(t *testing.T, c *Cluster) {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				rows, err := c.QueryContext(ctx, route.sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 5; i++ {
+					if !rows.Next() {
+						t.Fatalf("stream ended early: %v", rows.Err())
+					}
+				}
+				cancel()
+				for rows.Next() {
+				}
+				if err := rows.Err(); !errors.Is(err, context.Canceled) {
+					t.Fatalf("err = %v, want context.Canceled", err)
+				}
+			},
+		}
+		for how, walkAway := range walkAways {
+			t.Run(route.name+"/"+how, func(t *testing.T) {
+				c, svcs := streamCluster(t, 2, 20_000, Config{GatherSlots: -1})
+				walkAway(t, c)
+				waitNodeSlotsFree(t, svcs)
+				waitFor(t, "the coordinator's registry to empty", func() bool { return c.reg.Len() == 0 })
+				if aborted, failures := c.aborted.Load(), c.failures.Load(); aborted != 1 || failures != 0 {
+					t.Fatalf("aborted = %d, failures = %d, want 1 and 0", aborted, failures)
+				}
+				if got := c.GatherInFlight(); got != 0 {
+					t.Fatalf("gather in-flight = %d, want 0", got)
+				}
+				for i, svc := range svcs {
+					if st := svc.Stats(); st.LiveQueries != 0 || st.Failures != 0 {
+						t.Fatalf("node %d: %d live queries, %d failures, want none", i, st.LiveQueries, st.Failures)
+					}
+				}
+				res, err := c.Query(context.Background(), route.sql)
+				if err != nil {
+					t.Fatalf("%s after the walk-away: %v", route.name, err)
+				}
+				if res.Route != route.name {
+					t.Fatalf("route = %q, want %s", res.Route, route.name)
+				}
+			})
+		}
+	}
+}

@@ -36,6 +36,7 @@ import (
 	"repro/internal/service"
 	"repro/internal/sql"
 	"repro/internal/storage"
+	"repro/internal/stream"
 )
 
 // Append applies one batch of rows to a cluster-registered table: the
@@ -166,6 +167,9 @@ func (c *Cluster) streamSubscribe(ctx context.Context, inner string, cancel cont
 		ch:   make(chan liveItem),
 		done: make(chan struct{}),
 	}
+	// One row per batch: the fan-in blocks for as long as no node has a
+	// delta, and a row must not wait behind one that has not happened.
+	ls.batcher = stream.NewBatcher(len(cols), 1, ls.next)
 	for i, s := range streams {
 		ls.wg.Add(1)
 		go ls.pump(i, s)
@@ -212,9 +216,10 @@ type liveSource struct {
 	ridIdx       int
 	wmIdx        int
 
-	ch   chan liveItem
-	done chan struct{}
-	wg   sync.WaitGroup
+	ch      chan liveItem
+	done    chan struct{}
+	wg      sync.WaitGroup
+	batcher *stream.Batcher
 
 	ended     int // node streams that reached io.EOF
 	rows      int64
@@ -245,7 +250,9 @@ func (ls *liveSource) pump(node int, s RowStream) {
 
 func (ls *liveSource) Columns() []storage.Column { return ls.cols }
 
-func (ls *liveSource) Next() (storage.Tuple, error) {
+func (ls *liveSource) NextBatch() (*stream.Batch, error) { return ls.batcher.NextBatch() }
+
+func (ls *liveSource) next() (storage.Tuple, error) {
 	for {
 		if ls.ended == len(ls.streams) {
 			ls.finish(nil, true)

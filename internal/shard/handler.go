@@ -232,13 +232,7 @@ func (c *Cluster) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if e := c.reg.Get(traceID); e != nil {
 			wctx = trace.WithLive(wctx, e.Live())
 		}
-		if isLive {
-			// Per-row flushing: delta rows must reach the client as they
-			// land, not park behind the fill buffer while the stream idles.
-			service.WriteLiveStream(wctx, w, rows, req.MaxRows, service.NegotiateCodec(r))
-		} else {
-			service.WriteStream(wctx, w, rows, req.MaxRows, service.NegotiateCodec(r))
-		}
+		service.WriteStream(wctx, w, rows, req.MaxRows, service.NegotiateCodec(r))
 		return
 	}
 

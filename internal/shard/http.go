@@ -108,37 +108,8 @@ func (h *HTTP) QueryStream(ctx context.Context, req service.ShardQueryRequest) (
 	if err != nil {
 		return nil, err
 	}
-	return &httpStream{sr: sr}, nil
+	return &rowsStream{rows: sr.Rows()}, nil
 }
-
-// httpStream adapts a service.StreamReader to the transport's RowStream.
-type httpStream struct {
-	sr      *service.StreamReader
-	outcome *QueryOutcome
-}
-
-func (hs *httpStream) Columns() []storage.Column { return hs.sr.Columns() }
-
-func (hs *httpStream) Next() (storage.Tuple, error) {
-	t, err := hs.sr.Next()
-	if err == io.EOF && hs.outcome == nil {
-		if tr := hs.sr.Trailer(); tr != nil {
-			hs.outcome = &QueryOutcome{
-				CacheHit:      tr.CacheHit,
-				FinalSort:     tr.FinalSort,
-				BlocksRead:    tr.BlocksRead,
-				BlocksWritten: tr.BlocksWritten,
-				Comparisons:   tr.Comparisons,
-				Trace:         tr.Trace,
-			}
-		}
-	}
-	return t, err
-}
-
-func (hs *httpStream) Outcome() *QueryOutcome { return hs.outcome }
-
-func (hs *httpStream) Close() error { return hs.sr.Close() }
 
 // Query implements Transport.
 func (h *HTTP) Query(ctx context.Context, src string, mode Mode) (*QueryOutcome, error) {
@@ -169,7 +140,7 @@ func (h *HTTP) TableStream(ctx context.Context, name string) (RowStream, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &httpStream{sr: sr}, nil
+	return &rowsStream{rows: sr.Rows()}, nil
 }
 
 // ShuffleRun implements Transport: one buffered JSON control round trip;
@@ -197,7 +168,7 @@ func (h *HTTP) SegmentStream(ctx context.Context, req service.ShardQueryRequest)
 	if err != nil {
 		return nil, err
 	}
-	return &httpStream{sr: sr}, nil
+	return &rowsStream{rows: sr.Rows()}, nil
 }
 
 // AcceptShuffle implements Transport: a streamed POST to the node's
@@ -249,7 +220,7 @@ func (h *HTTP) Subscribe(ctx context.Context, src string) (RowStream, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &httpStream{sr: sr}, nil
+	return &rowsStream{rows: sr.Rows()}, nil
 }
 
 // Distinct implements Transport.

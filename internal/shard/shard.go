@@ -66,6 +66,7 @@ import (
 	"repro/internal/service"
 	"repro/internal/sql"
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/trace"
 )
 
@@ -778,7 +779,7 @@ func (c *Cluster) emitStreams(route string, prep *sql.Prepared, hit bool, stream
 	qt.live().SetPhase("draining")
 	if prep.StreamsConcat() {
 		handoff = true
-		return windowdb.NewRows(&scatterSource{
+		return newScatterRows(&scatterSource{
 			c: c, cols: streams[0].Columns(), streams: streams,
 			streamCancel: streamCancel, cancel: cancel,
 			prep: prep, cacheHit: hit, route: route, qt: qt,
@@ -837,7 +838,7 @@ func (c *Cluster) streamReplica(ctx context.Context, src string, prep *sql.Prepa
 		return nil, err
 	}
 	qt.live().SetPhase("draining")
-	return windowdb.NewRows(&scatterSource{
+	return newScatterRows(&scatterSource{
 		c: c, cols: streams[0].Columns(), streams: streams,
 		streamCancel: streamCancel, cancel: cancel,
 		route: "replica", prep: prep, cacheHit: hit, qt: qt,
@@ -1113,8 +1114,8 @@ func closeStreams(streams []RowStream) {
 func (c *Cluster) GatherInFlight() int64 { return c.gatherInFlight.Load() }
 
 // scatterSource merge-concatenates per-node row streams in shard-index
-// order: the stream currently draining contributes one in-flight row at
-// the coordinator, the ones behind it at most their transport's read
+// order: the stream currently draining contributes the batch being filled
+// at the coordinator, the ones behind it at most their transport's read
 // buffer. It serves the streaming scatter route, the shuffle route's
 // final-segment merge, and (with a single stream) the replica route.
 // LIMIT terminates the merge early, cancelling the remaining node streams.
@@ -1135,6 +1136,7 @@ type scatterSource struct {
 	qt                             *clusterTrace
 
 	idx       int
+	batcher   *stream.Batcher // the merged rows, batched (newScatterRows)
 	rows      int64
 	outcomes  []*QueryOutcome
 	completed bool // the merge reached its natural end (EOF or LIMIT)
@@ -1142,9 +1144,25 @@ type scatterSource struct {
 	meta      *windowdb.QueryMetrics
 }
 
+// newScatterRows wraps the merge in the public cursor. The node streams
+// hand over a row at a time (RowStream), so the merged rows go through the
+// tuple→batch adapter.
+func newScatterRows(ss *scatterSource) *windowdb.Rows {
+	ss.batcher = stream.NewBatcher(len(ss.cols), stream.BatchRows, ss.next)
+	return windowdb.NewRows(ss)
+}
+
 func (ss *scatterSource) Columns() []storage.Column { return ss.cols }
 
-func (ss *scatterSource) Next() (storage.Tuple, error) {
+func (ss *scatterSource) NextBatch() (*stream.Batch, error) {
+	b, err := ss.batcher.NextBatch()
+	if err == nil {
+		ss.qt.live().AddRowsEmitted(int64(b.Len()))
+	}
+	return b, err
+}
+
+func (ss *scatterSource) next() (storage.Tuple, error) {
 	for ss.idx < len(ss.streams) && ss.limit != 0 {
 		t, err := ss.streams[ss.idx].Next()
 		if err == io.EOF {
@@ -1162,7 +1180,6 @@ func (ss *scatterSource) Next() (storage.Tuple, error) {
 			ss.limit--
 		}
 		ss.rows++
-		ss.qt.live().AddRowsEmitted(1)
 		return t, nil
 	}
 	ss.completed = true
@@ -1210,25 +1227,31 @@ func (ss *scatterSource) finish(err error) {
 		if ss.qt != nil {
 			ss.c.reg.Remove(ss.qt.entry)
 		}
-		switch {
-		case killed:
-			// DELETE /debug/queries/{id} fired the stored cancel; the
-			// stream error it induced is the kill taking effect, not an
-			// engine fault.
-			ss.c.aborted.Add(1)
-		case err != nil:
-			ss.c.failures.Add(1)
-		case !ss.completed:
-			// Closed before the merge's natural end: a client disconnect
-			// or deliberate truncation, neither success nor failure.
-			ss.c.aborted.Add(1)
-		default:
-			ss.c.queries.Add(1)
-		}
+		ss.c.classify(killed, ss.completed, err)
 		if ss.cancel != nil {
 			ss.cancel()
 		}
 	})
+}
+
+// classify counts one ended cursor, by the rule the node service applies
+// to its own (servedSource.finish). An abort is neither success nor
+// failure: the kill switch fired (DELETE /debug/queries/{id} — the stream
+// error it induced is the kill taking effect, not an engine fault), the
+// caller walked away and its cancelled context was seen mid-stream, or
+// the cursor was closed before its natural end (a client disconnect, a
+// deliberate truncation). A deadline is a failure.
+func (c *Cluster) classify(killed, completed bool, err error) {
+	switch {
+	case killed, errors.Is(err, context.Canceled):
+		c.aborted.Add(1)
+	case err != nil:
+		c.failures.Add(1)
+	case !completed:
+		c.aborted.Add(1)
+	default:
+		c.queries.Add(1)
+	}
 }
 
 // coordCursorSource streams a coordinator-side execution cursor — the
@@ -1251,15 +1274,15 @@ type coordCursorSource struct {
 	outcomes    []*QueryOutcome
 
 	rows      int64
-	completed bool // a terminal Next (io.EOF) was observed
+	completed bool // a terminal NextBatch (io.EOF) was observed
 	once      sync.Once
 	meta      *windowdb.QueryMetrics
 }
 
 func (cs *coordCursorSource) Columns() []storage.Column { return cs.cur.Columns() }
 
-func (cs *coordCursorSource) Next() (storage.Tuple, error) {
-	t, err := cs.cur.Next()
+func (cs *coordCursorSource) NextBatch() (*stream.Batch, error) {
+	b, err := cs.cur.NextBatch()
 	switch {
 	case err == io.EOF:
 		cs.completed = true
@@ -1267,10 +1290,10 @@ func (cs *coordCursorSource) Next() (storage.Tuple, error) {
 	case err != nil:
 		cs.finish(err)
 	default:
-		cs.rows++
-		cs.qt.live().AddRowsEmitted(1)
+		cs.rows += int64(b.Len())
+		cs.qt.live().AddRowsEmitted(int64(b.Len()))
 	}
-	return t, err
+	return b, err
 }
 
 func (cs *coordCursorSource) Close() error {
@@ -1299,16 +1322,7 @@ func (cs *coordCursorSource) finish(err error) {
 		if cs.qt != nil {
 			cs.c.reg.Remove(cs.qt.entry)
 		}
-		switch {
-		case killed:
-			cs.c.aborted.Add(1)
-		case err != nil:
-			cs.c.failures.Add(1)
-		case !cs.completed:
-			cs.c.aborted.Add(1)
-		default:
-			cs.c.queries.Add(1)
-		}
+		cs.c.classify(killed, cs.completed, err)
 		if cs.cancel != nil {
 			cs.cancel()
 		}

@@ -6,18 +6,20 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/storage"
+	"repro/internal/stream"
 )
 
 // Cursor is the pull seam over a prepared statement's execution: an
-// incremental iterator over the statement's output rows. The phases that
-// inherently materialize — WHERE filtering and the window chain's
-// reordering operators — run eagerly when the cursor is built, exactly as
-// in ExecuteContext; what the cursor defers is everything after the final
-// chain segment. For statements without DISTINCT or ORDER BY the
-// projection runs lazily, one row per Next, honoring LIMIT by early
-// termination and the context at a fixed row stride; statements that need
-// a finalize pass (DISTINCT deduplication, the final sort) project and
-// finalize eagerly and then stream the finalized buffer.
+// incremental iterator over the statement's output, a column batch at a
+// time. The phases that inherently materialize — WHERE filtering and the
+// window chain's reordering operators — run eagerly when the cursor is
+// built, exactly as in ExecuteContext; what the cursor defers is
+// everything after the final chain segment. For statements without
+// DISTINCT or ORDER BY the projection runs lazily, one batch per
+// NextBatch, honoring LIMIT by early termination and the context once per
+// batch; statements that need a finalize pass (DISTINCT deduplication, the
+// final sort) project and finalize eagerly and then stream the finalized
+// buffer the same way.
 //
 // A Cursor is single-consumer and not safe for concurrent use; a Prepared
 // may serve any number of concurrent cursors.
@@ -27,18 +29,12 @@ type Cursor struct {
 	ctx  context.Context
 
 	src    *exec.Chain
-	pick   []int   // non-nil: lazily project each row through pick
-	slab   rowSlab // where lazily projected rows come from
-	limit  int64   // remaining LIMIT budget; -1 = unlimited
+	pick   []int        // non-nil: output column k is chain column pick[k]
+	batch  stream.Batch // the one batch every NextBatch refills
+	limit  int64        // remaining LIMIT budget; -1 = unlimited
 	pos    int
-	stride int
 	closed bool
 }
-
-// cursorCtxStride is how many rows the lazy path emits between context
-// checks: small enough that a cancelled client stops promptly, large
-// enough that the check never shows up in a profile.
-const cursorCtxStride = 128
 
 // Columns returns the output schema.
 func (c *Cursor) Columns() []storage.Column { return c.cols }
@@ -49,46 +45,50 @@ func (c *Cursor) Columns() []storage.Column { return c.cols }
 // run).
 func (c *Cursor) Meta() *Result { return c.meta }
 
-// Next returns the next output row, or io.EOF when the stream is
-// exhausted (or the cursor closed), or the context's error when it was
-// cancelled mid-stream. Returned tuples are owned by the caller: lazily
-// projected rows are carved out of value slabs (rowSlab) never sized past
-// the rows still to come or LIMIT, each with no capacity beyond its own
-// columns; buffered rows are immutable.
-func (c *Cursor) Next() (storage.Tuple, error) {
+// NextBatch returns the next output rows, at most stream.BatchRows of
+// them, or io.EOF when the stream is exhausted (or the cursor closed), or
+// the context's error when it was cancelled mid-stream. No tuple is built
+// on the way: a base column is gathered out of the chain's rows, a derived
+// column past the chain's last reorder is copied from its tail vector. The
+// batch is the cursor's own, refilled by the next call; the strings in it
+// alias the chain's rows and outlive it.
+func (c *Cursor) NextBatch() (*stream.Batch, error) {
 	if c.closed || c.limit == 0 || c.pos >= c.src.Len() {
 		return nil, io.EOF
 	}
-	c.stride++
-	if c.stride >= cursorCtxStride {
-		c.stride = 0
-		if err := c.ctx.Err(); err != nil {
-			return nil, err
-		}
+	if err := c.ctx.Err(); err != nil {
+		return nil, err
 	}
-	row := c.src.Rows[c.pos]
-	if c.pick != nil {
-		left := c.src.Len() - c.pos
-		if c.limit > 0 {
-			left = min(left, int(c.limit))
-		}
-		row = c.slab.next(len(c.pick), left)
-		c.src.Project(row, c.pos, c.pick)
-	}
-	c.pos++
+	n := min(stream.BatchRows, c.src.Len()-c.pos)
 	if c.limit > 0 {
-		c.limit--
+		n = int(min(int64(n), c.limit))
+		c.limit -= int64(n)
 	}
-	return row, nil
+	rows := c.src.Rows[c.pos : c.pos+n]
+	c.batch.Reset(len(c.cols), n)
+	for k := range c.cols {
+		src := k
+		if c.pick != nil {
+			src = c.pick[k]
+		}
+		if src < c.src.Width {
+			c.batch.SetTuples(k, rows, src)
+		} else {
+			c.batch.SetValues(k, c.src.Tail[src-c.src.Width][c.pos:c.pos+n])
+		}
+	}
+	c.pos += n
+	return &c.batch, nil
 }
 
-// Close releases the cursor; further Next calls return io.EOF. Idempotent.
+// Close releases the cursor; further NextBatch calls return io.EOF.
+// Idempotent.
 func (c *Cursor) Close() error {
 	if c.closed {
 		return nil
 	}
 	c.closed = true
-	c.src, c.slab.free = nil, nil
+	c.src, c.batch = nil, stream.Batch{}
 	return nil
 }
 

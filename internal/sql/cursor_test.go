@@ -14,14 +14,14 @@ func drainCursor(t *testing.T, c *Cursor) []storage.Tuple {
 	t.Helper()
 	var out []storage.Tuple
 	for {
-		row, err := c.Next()
+		b, err := c.NextBatch()
 		if err == io.EOF {
 			return out
 		}
 		if err != nil {
 			t.Fatalf("cursor: %v", err)
 		}
-		out = append(out, row)
+		out = append(out, b.Tuples()...)
 	}
 }
 
@@ -125,7 +125,7 @@ func TestCursorLimitStopsEarly(t *testing.T) {
 }
 
 // TestCursorCancelMidStream: a context cancelled between pulls surfaces
-// at the next row stride on the lazy path.
+// at the next batch on the lazy path.
 func TestCursorCancelMidStream(t *testing.T) {
 	r := testRunner(t)
 	p, err := r.Prepare(`SELECT ws_order_number FROM web_sales`)
@@ -137,19 +137,12 @@ func TestCursorCancelMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cur.Next(); err != nil {
-		t.Fatalf("first row: %v", err)
+	if _, err := cur.NextBatch(); err != nil {
+		t.Fatalf("first batch: %v", err)
 	}
 	cancel()
-	var sawErr error
-	for i := 0; i < 2*cursorCtxStride; i++ {
-		if _, err := cur.Next(); err != nil {
-			sawErr = err
-			break
-		}
-	}
-	if !errors.Is(sawErr, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled within one stride", sawErr)
+	if _, err := cur.NextBatch(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled at the next batch", err)
 	}
 }
 
@@ -164,7 +157,7 @@ func TestCursorCloseIsEOF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cur.Next(); err != nil {
+	if _, err := cur.NextBatch(); err != nil {
 		t.Fatal(err)
 	}
 	if err := cur.Close(); err != nil {
@@ -173,7 +166,7 @@ func TestCursorCloseIsEOF(t *testing.T) {
 	if err := cur.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cur.Next(); err != io.EOF {
-		t.Fatalf("Next after Close = %v, want io.EOF", err)
+	if _, err := cur.NextBatch(); err != io.EOF {
+		t.Fatalf("NextBatch after Close = %v, want io.EOF", err)
 	}
 }

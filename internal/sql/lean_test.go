@@ -13,61 +13,15 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/exec"
 	"repro/internal/pagestore"
+	"repro/internal/paper"
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/window"
 )
 
-// The paper's Q1–Q9 and the benchmark's F1–F6 as SQL: every statement
-// shape the lean chain result has to serve.
-const byItemDate = `PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk, ws_order_number`
-
-var leanStatements = map[string]string{
-	"Q1": `SELECT ws_item_sk, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_time_sk) AS r FROM web_sales`,
-	"Q2": `SELECT ws_item_sk, rank() OVER (PARTITION BY ws_item_sk, ws_bill_customer_sk ORDER BY ws_sold_time_sk) AS r FROM web_sales`,
-	"Q3": `SELECT ws_warehouse_sk, rank() OVER (PARTITION BY ws_warehouse_sk ORDER BY ws_sold_time_sk) AS r FROM web_sales`,
-	"Q4": `SELECT ws_quantity, rank() OVER (PARTITION BY ws_quantity ORDER BY ws_item_sk) AS r FROM web_sales_s`,
-	"Q5": `SELECT ws_quantity, rank() OVER (PARTITION BY ws_quantity ORDER BY ws_item_sk) AS r FROM web_sales_g`,
-	"Q6": `SELECT rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS r1,
-		rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_bill_customer_sk) AS r2 FROM web_sales`,
-	"Q7": `SELECT rank() OVER (PARTITION BY ws_sold_date_sk, ws_sold_time_sk, ws_ship_date_sk) AS r1,
-		rank() OVER (PARTITION BY ws_sold_time_sk, ws_sold_date_sk) AS r2,
-		rank() OVER (PARTITION BY ws_item_sk) AS r3,
-		rank() OVER (ORDER BY ws_item_sk, ws_bill_customer_sk) AS r4,
-		rank() OVER (PARTITION BY ws_sold_date_sk, ws_sold_time_sk, ws_item_sk, ws_bill_customer_sk ORDER BY ws_ship_date_sk) AS r5 FROM web_sales`,
-	"Q8": `SELECT rank() OVER (PARTITION BY ws_sold_date_sk, ws_sold_time_sk, ws_ship_date_sk) AS r1,
-		rank() OVER (PARTITION BY ws_sold_time_sk, ws_sold_date_sk) AS r2,
-		rank() OVER (PARTITION BY ws_item_sk) AS r3,
-		rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_bill_customer_sk) AS r4,
-		rank() OVER (PARTITION BY ws_sold_date_sk, ws_sold_time_sk, ws_item_sk ORDER BY ws_bill_customer_sk, ws_ship_date_sk) AS r5 FROM web_sales`,
-	"Q9": `SELECT rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_bill_customer_sk, ws_sold_date_sk) AS r1,
-		rank() OVER (PARTITION BY ws_item_sk, ws_sold_time_sk ORDER BY ws_sold_date_sk) AS r2,
-		rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_time_sk) AS r3,
-		rank() OVER (ORDER BY ws_item_sk, ws_sold_date_sk) AS r4,
-		rank() OVER (PARTITION BY ws_bill_customer_sk, ws_sold_date_sk ORDER BY ws_sold_time_sk) AS r5,
-		rank() OVER (PARTITION BY ws_bill_customer_sk ORDER BY ws_sold_time_sk) AS r6,
-		rank() OVER (PARTITION BY ws_sold_date_sk, ws_sold_time_sk) AS r7,
-		rank() OVER (ORDER BY ws_sold_time_sk) AS r8 FROM web_sales`,
-	"F1": `SELECT ws_item_sk, ws_order_number,
-		sum(ws_quantity) OVER (` + byItemDate + ` ROWS BETWEEN 10 PRECEDING AND CURRENT ROW) AS s10,
-		avg(ws_quantity) OVER (` + byItemDate + ` ROWS BETWEEN 50 PRECEDING AND 50 FOLLOWING) AS a50 FROM web_sales`,
-	"F2": `SELECT ws_item_sk, ws_order_number,
-		min(ws_sales_price) OVER (` + byItemDate + ` ROWS BETWEEN 50 PRECEDING AND CURRENT ROW) AS lo,
-		max(ws_sales_price) OVER (` + byItemDate + ` ROWS BETWEEN 10 PRECEDING AND 50 FOLLOWING) AS hi FROM web_sales`,
-	"F3": `SELECT ws_item_sk, ws_order_number,
-		sum(ws_quantity) OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk RANGE BETWEEN 10 PRECEDING AND CURRENT ROW) AS s FROM web_sales`,
-	"F4": `SELECT ws_bill_customer_sk, ws_order_number,
-		lag(ws_sales_price, 1) OVER (PARTITION BY ws_bill_customer_sk ORDER BY ws_sold_date_sk, ws_order_number) AS prev,
-		lead(ws_sales_price, 1) OVER (PARTITION BY ws_bill_customer_sk ORDER BY ws_sold_date_sk, ws_order_number) AS nxt
-		FROM web_sales WHERE ws_quantity > 50 ORDER BY ws_order_number LIMIT 100`,
-	"F5": `SELECT ws_warehouse_sk, ws_order_number,
-		ntile(4) OVER (PARTITION BY ws_warehouse_sk ORDER BY ws_list_price, ws_order_number) AS q,
-		first_value(ws_list_price) OVER (PARTITION BY ws_warehouse_sk ORDER BY ws_list_price, ws_order_number) AS lo,
-		last_value(ws_list_price) OVER (PARTITION BY ws_warehouse_sk ORDER BY ws_list_price, ws_order_number ROWS BETWEEN CURRENT ROW AND UNBOUNDED FOLLOWING) AS hi
-		FROM web_sales WHERE ws_quantity <= 50 ORDER BY ws_warehouse_sk, ws_order_number LIMIT 100`,
-	"F6": `SELECT DISTINCT ws_item_sk,
-		max(ws_quantity) OVER (PARTITION BY ws_item_sk) AS mx,
-		count(*) OVER (PARTITION BY ws_item_sk) AS n FROM web_sales`,
-}
+// leanStatements is every statement shape the lean chain result has to
+// serve: the paper's Q1–Q9 and the benchmark's F1–F6.
+var leanStatements = paper.Statements
 
 // leanRunner registers the three web_sales variants at the given size
 // under the given reorder budget.
@@ -258,7 +212,7 @@ func TestConcurrentStatementsLeaveSharedRowsAlone(t *testing.T) {
 			return
 		}
 		for {
-			if _, err := cur.Next(); err != nil {
+			if _, err := cur.NextBatch(); err != nil {
 				if err != io.EOF {
 					t.Error(err)
 				}
@@ -325,7 +279,7 @@ func TestStatementAllocationsDoNotScaleWithRows(t *testing.T) {
 				t.Fatal(err)
 			}
 			for {
-				if _, err := cur.Next(); err != nil {
+				if _, err := cur.NextBatch(); err != nil {
 					break
 				}
 			}
@@ -369,7 +323,7 @@ func TestSpillingStatementBytesAreBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		for {
-			if _, err := cur.Next(); err != nil {
+			if _, err := cur.NextBatch(); err != nil {
 				break
 			}
 		}
@@ -423,30 +377,16 @@ func TestSpillingStatementBytesAreBounded(t *testing.T) {
 	}
 }
 
-// TestCursorRowsAreCallerOwned — lazily projected rows come out of shared
-// slabs but belong to the caller: appending to one copies instead of
-// overwriting the next, and a LIMIT caps the slab at the rows that can
-// still be asked for.
-func TestCursorRowsAreCallerOwned(t *testing.T) {
+// TestCursorGathersNoTuples — the lazy cursor's batches are the chain's
+// columns gathered in place: each holds at most stream.BatchRows rows, a
+// LIMIT cuts the last one short without touching a row past it, and what
+// the cursor allocates for the whole drain is its one batch's vectors — a
+// constant, whatever the row count.
+func TestCursorGathersNoTuples(t *testing.T) {
 	r := testRunner(t)
 	ctx := context.Background()
-	p, err := r.Prepare(`SELECT ws_item_sk, ws_order_number, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_time_sk) AS r FROM web_sales`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, err := p.StreamContext(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := cur.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(first) != 3 || cap(first) != 3 {
-		t.Fatalf("projected row len %d cap %d, want both 3", len(first), cap(first))
-	}
-	grown := append(first, storage.Int(-1))
-	second, err := cur.Next()
+	const src = `SELECT ws_item_sk, ws_order_number, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_time_sk) AS r FROM web_sales`
+	p, err := r.Prepare(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,16 +394,39 @@ func TestCursorRowsAreCallerOwned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for c, v := range second {
-		if !storage.Identical(v, want.Table.Rows[1][c]) {
-			t.Fatalf("second row col %d = %s after an append to the first, want %s", c, v, want.Table.Rows[1][c])
-		}
+	cur, err := p.StreamContext(ctx)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if grown[3].Int64() != -1 || &grown[0] == &first[0] {
-		t.Fatal("append to a projected row did not copy")
+	at := 0
+	for {
+		b, err := cur.NextBatch()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Len() == 0 || b.Len() > stream.BatchRows {
+			t.Fatalf("batch of %d rows, want 1..%d", b.Len(), stream.BatchRows)
+		}
+		if left := want.Table.Len() - at; b.Len() != min(left, stream.BatchRows) {
+			t.Fatalf("batch of %d rows with %d left: only the last batch may be short", b.Len(), left)
+		}
+		for i, row := range b.Tuples() {
+			for c, v := range row {
+				if !storage.Identical(v, want.Table.Rows[at+i][c]) {
+					t.Fatalf("row %d col %d = %s, execute has %s", at+i, c, v, want.Table.Rows[at+i][c])
+				}
+			}
+		}
+		at += b.Len()
+	}
+	if at != want.Table.Len() {
+		t.Fatalf("%d rows in batches, execute has %d", at, want.Table.Len())
 	}
 
-	limited, err := r.Prepare(`SELECT ws_item_sk, rank() OVER (ORDER BY ws_sold_time_sk) AS r FROM web_sales LIMIT 3`)
+	limited, err := r.Prepare(src + ` LIMIT 3`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,13 +434,14 @@ func TestCursorRowsAreCallerOwned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cur.Next(); err != nil {
-		t.Fatal(err)
+	b, err := cur.NextBatch()
+	if err != nil || b.Len() != 3 {
+		t.Fatalf("LIMIT 3: first batch %v rows, err %v", b.Len(), err)
 	}
-	if len(cur.slab.free) != 2*2 || cap(cur.slab.free) != 2*2 {
-		t.Fatalf("LIMIT 3 left %d values (cap %d) free in its slab after one row, want the other two rows' 4", len(cur.slab.free), cap(cur.slab.free))
+	if ints := b.Cols()[0].Ints; cap(ints) != 3 {
+		t.Fatalf("LIMIT 3 sized a vector for %d rows", cap(ints))
 	}
-	if rest := drainCursor(t, cur); len(rest) != 2 {
-		t.Fatalf("LIMIT 3 yielded %d more rows after the first, want 2", len(rest))
+	if _, err := cur.NextBatch(); err != io.EOF {
+		t.Fatalf("LIMIT 3: second pull = %v, want io.EOF", err)
 	}
 }

@@ -522,30 +522,6 @@ func (p *Prepared) project(executed *exec.Chain) *storage.Table {
 	return outTable
 }
 
-// rowSlab carves a cursor's lazily projected rows out of value slabs
-// instead of allocating each one. A slab holds the rows still to come, up
-// to rowSlabMaxRows — large enough that a result of any realistic size
-// costs a few dozen slabs, small enough that a consumer holding on to one
-// row pins a bounded piece of the result. Every row is a three-index
-// slice: it belongs to the caller, and an append to it copies instead of
-// running into its neighbour. The zero value is ready to use.
-type rowSlab struct {
-	free []storage.Value // unused tail of the current slab
-}
-
-const rowSlabMaxRows = 4096
-
-// next returns a w-column row of NULLs. left is how many rows, this one
-// included, the caller may still ask for: no slab is sized past it.
-func (s *rowSlab) next(w, left int) storage.Tuple {
-	if len(s.free) < w {
-		s.free = make([]storage.Value, w*min(left, rowSlabMaxRows))
-	}
-	t := storage.Tuple(s.free[:w:w])
-	s.free = s.free[w:]
-	return t
-}
-
 // finalize applies the statement's terminal phases in place: DISTINCT, the
 // final ORDER BY (with Section 5's sort avoidance) and LIMIT.
 func (p *Prepared) finalize(outTable *storage.Table, result *Result) {

@@ -2,7 +2,6 @@ package sql
 
 import (
 	"context"
-	"io"
 	"slices"
 	"testing"
 
@@ -272,19 +271,10 @@ func TestSegmentRunnerComposesToExecute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for {
-			row, err := c.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if concat == nil {
-				concat = storage.NewTable(storage.NewSchema(c.Columns()...))
-			}
-			concat.Rows = append(concat.Rows, row)
+		if concat == nil {
+			concat = storage.NewTable(storage.NewSchema(c.Columns()...))
 		}
+		concat.Rows = append(concat.Rows, drainCursor(t, c)...)
 	}
 	got := prep.FinalizeConcat(concat)
 	if got.Table.Len() != want.Table.Len() {

@@ -2,16 +2,31 @@ package stream
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/storage"
 )
 
+// BatchRows is the most rows a result batch carries: what a cursor gathers
+// per pull and what a binary stream packs into one frame. One frame
+// amortizes the per-column work, and 256 rows of packed values still sit
+// well under a socket buffer.
+const BatchRows = 256
+
 // Batch is a column-vector view of a run of rows: one Col per schema
 // column, each holding the column's values as a packed typed slice plus a
-// validity vector. It is the executor- and wire-facing columnar carrier —
-// the binary frame codec (frame.go) writes a Batch payload as a near-memcpy
-// of these vectors, and exec's boundaries convert between tuple rows and
-// batches so the inner loops can stay cache-friendly.
+// validity vector. It is the one carrier of query results from the
+// finished chain to whoever reads them — a cursor gathers into it, the
+// binary frame codec (frame.go) writes it as a near-memcpy of its vectors
+// and decodes the next frame over it, and the public Rows cursor is a row
+// view of it.
+//
+// A Batch is refilled, not reallocated: Reset (and everything built on it —
+// FillTuples, DecodeBatchInto, Batcher) keeps the vectors of earlier fills
+// as spare capacity, so a producer that holds one Batch allocates its
+// vectors once. The consumer it hands the batch to may read it until it
+// asks for the next one; values it keeps past that it must copy out
+// (strings are immutable and may be kept as they are).
 //
 // A Col is in exactly one of two layouts:
 //
@@ -41,6 +56,80 @@ type Col struct {
 	Strs   []string
 	// Mixed, when non-nil, overrides the typed layout with per-row values.
 	Mixed []storage.Value
+
+	// spare is every vector this column ever held, at full capacity: the
+	// exported vectors above are nil or a prefix of their spare.
+	spare struct {
+		null   []bool
+		ints   []int64
+		floats []float64
+		strs   []string
+		mixed  []storage.Value
+	}
+}
+
+// poisonReused makes Reset overwrite every vector it is about to hand out
+// again, so a row, a vector or a value read out of a batch after the batch
+// went back for a refill shows as garbage instead of as whatever the next
+// fill happens to leave there. Tests set it (export_test.go); it is never
+// set in a running engine.
+var poisonReused bool
+
+const (
+	poisonInt = int64(-0x2152215221522153) // 0xDEADDEADDEADDEAD
+	poisonStr = "\xdb\xdbreused batch\xdb\xdb"
+)
+
+// grow returns an n-element vector over *spare, reallocating it when it is
+// too short. The elements are whatever the last fill left: every filler
+// writes all n.
+func grow[T any](spare *[]T, n int) []T {
+	if cap(*spare) < n {
+		*spare = make([]T, n)
+	}
+	return (*spare)[:n]
+}
+
+// Reset readies b for a refill of n rows by arity columns: every column is
+// all-NULL until it is set, and the vectors of earlier fills stay behind
+// as capacity.
+func (b *Batch) Reset(arity, n int) {
+	if cap(b.cols) < arity {
+		cols := make([]Col, arity)
+		copy(cols, b.cols[:cap(b.cols)])
+		b.cols = cols
+	}
+	b.cols = b.cols[:arity]
+	b.n = n
+	for c := range b.cols {
+		col := &b.cols[c]
+		if poisonReused {
+			col.poison()
+		}
+		col.clear()
+	}
+}
+
+// clear makes c the all-NULL column; its vectors stay behind in spare.
+func (c *Col) clear() {
+	c.Kind = storage.KindNull
+	c.Null, c.Ints, c.Floats, c.Strs, c.Mixed = nil, nil, nil, nil, nil
+}
+
+func (c *Col) poison() {
+	s := &c.spare
+	poison(s.null, true)
+	poison(s.ints, poisonInt)
+	poison(s.floats, math.NaN())
+	poison(s.strs, poisonStr)
+	poison(s.mixed, storage.StringVal(poisonStr))
+}
+
+func poison[T any](spare []T, v T) {
+	spare = spare[:cap(spare)]
+	for i := range spare {
+		spare[i] = v
+	}
 }
 
 // Len returns the batch's row count.
@@ -72,72 +161,145 @@ func (c *Col) Value(i int) storage.Value {
 	}
 }
 
-// BatchFromTuples converts a run of same-arity tuples into column vectors.
-// Columns whose non-NULL values share one kind become typed vectors; a
-// kind-heterogeneous column falls back to the mixed layout.
-func BatchFromTuples(tuples []storage.Tuple, arity int) (*Batch, error) {
-	b := &Batch{n: len(tuples), cols: make([]Col, arity)}
+// colView reads one column of a run of rows: slot src of each tuple in
+// rows, or — rows nil — the values of vals.
+type colView struct {
+	rows []storage.Tuple
+	src  int
+	vals []storage.Value
+}
+
+func (v colView) at(i int) storage.Value {
+	if v.rows != nil {
+		return v.rows[i][v.src]
+	}
+	return v.vals[i]
+}
+
+// SetTuples fills column c with slot src of each of rows, which must be
+// Len() tuples. The layout is inferred from the values: a column whose
+// non-NULL values share one kind becomes a typed vector, a
+// kind-heterogeneous one falls back to the mixed layout.
+func (b *Batch) SetTuples(c int, rows []storage.Tuple, src int) {
+	b.set(c, colView{rows: rows[:b.n], src: src})
+}
+
+// SetValues is SetTuples over a contiguous vector of Len() values.
+func (b *Batch) SetValues(c int, vals []storage.Value) {
+	b.set(c, colView{vals: vals[:b.n]})
+}
+
+func (b *Batch) set(c int, v colView) {
+	col, n := &b.cols[c], b.n
+	kind, nulls, mixed := storage.KindNull, 0, false
+	for i := 0; i < n && !mixed; i++ {
+		switch k := v.at(i).Kind(); {
+		case k == storage.KindNull:
+			nulls++
+		case kind == storage.KindNull:
+			kind = k
+		default:
+			mixed = kind != k
+		}
+	}
+	col.Kind = kind
+	if mixed {
+		col.Mixed = grow(&col.spare.mixed, n)
+		for i := range col.Mixed {
+			col.Mixed[i] = v.at(i)
+		}
+		return
+	}
+	if kind == storage.KindNull {
+		return // all-NULL column: no vectors at all
+	}
+	if nulls > 0 {
+		col.Null = grow(&col.spare.null, n)
+		for i := range col.Null {
+			col.Null[i] = v.at(i).IsNull()
+		}
+	}
+	// A NULL slot holds the zero value, whatever an earlier fill left there.
+	switch kind {
+	case storage.KindInt:
+		col.Ints = grow(&col.spare.ints, n)
+		for i := range col.Ints {
+			if x := v.at(i); x.IsNull() {
+				col.Ints[i] = 0
+			} else {
+				col.Ints[i] = x.Int64()
+			}
+		}
+	case storage.KindFloat:
+		col.Floats = grow(&col.spare.floats, n)
+		for i := range col.Floats {
+			if x := v.at(i); x.IsNull() {
+				col.Floats[i] = 0
+			} else {
+				col.Floats[i] = x.Float64()
+			}
+		}
+	case storage.KindString:
+		col.Strs = grow(&col.spare.strs, n)
+		for i := range col.Strs {
+			if x := v.at(i); x.IsNull() {
+				col.Strs[i] = ""
+			} else {
+				col.Strs[i] = x.Str()
+			}
+		}
+	}
+}
+
+// FillTuples refills b with a run of same-arity tuples, column by column
+// (SetTuples).
+func (b *Batch) FillTuples(tuples []storage.Tuple, arity int) error {
 	for _, t := range tuples {
 		if len(t) != arity {
-			return nil, fmt.Errorf("stream: tuple arity %d != batch arity %d", len(t), arity)
+			return fmt.Errorf("stream: tuple arity %d != batch arity %d", len(t), arity)
 		}
 	}
+	b.Reset(arity, len(tuples))
 	for c := range b.cols {
-		kind := storage.KindNull
-		mixed := false
-		for _, t := range tuples {
-			k := t[c].Kind()
-			if k == storage.KindNull {
-				continue
-			}
-			if kind == storage.KindNull {
-				kind = k
-			} else if kind != k {
-				mixed = true
-				break
-			}
-		}
-		col := Col{Kind: kind}
-		if mixed {
-			col.Mixed = make([]storage.Value, len(tuples))
-			for i, t := range tuples {
-				col.Mixed[i] = t[c]
-			}
-			b.cols[c] = col
-			continue
-		}
-		switch kind {
-		case storage.KindNull: // all-NULL column: no vectors at all
-		case storage.KindInt:
-			col.Ints = make([]int64, len(tuples))
-		case storage.KindFloat:
-			col.Floats = make([]float64, len(tuples))
-		case storage.KindString:
-			col.Strs = make([]string, len(tuples))
-		}
-		for i, t := range tuples {
-			v := t[c]
-			if v.IsNull() {
-				if kind != storage.KindNull {
-					if col.Null == nil {
-						col.Null = make([]bool, len(tuples))
-					}
-					col.Null[i] = true
-				}
-				continue
-			}
-			switch kind {
-			case storage.KindInt:
-				col.Ints[i] = v.Int64()
-			case storage.KindFloat:
-				col.Floats[i] = v.Float64()
-			case storage.KindString:
-				col.Strs[i] = v.Str()
-			}
-		}
-		b.cols[c] = col
+		b.SetTuples(c, tuples, c)
+	}
+	return nil
+}
+
+// BatchFromTuples converts a run of same-arity tuples into a new batch.
+func BatchFromTuples(tuples []storage.Tuple, arity int) (*Batch, error) {
+	b := &Batch{}
+	if err := b.FillTuples(tuples, arity); err != nil {
+		return nil, err
 	}
 	return b, nil
+}
+
+// Truncate cuts b to its first n rows and infers every column's layout
+// again, so the result is what filling the batch with those n rows would
+// have built: a column that was mixed only past row n becomes typed, one
+// whose NULLs all lay past it drops its validity vector.
+func (b *Batch) Truncate(n int) {
+	if n >= b.n {
+		return
+	}
+	b.n = n
+	vals := make([]storage.Value, n)
+	for c := range b.cols {
+		col := &b.cols[c]
+		for i := range vals {
+			vals[i] = col.Value(i)
+		}
+		col.clear()
+		b.SetValues(c, vals)
+	}
+}
+
+// Row writes row i into dst, which must have Arity() elements.
+func (b *Batch) Row(dst storage.Tuple, i int) {
+	for c := range b.cols {
+		dst[c] = b.cols[c].Value(i)
+	}
 }
 
 // Tuples materializes the batch back into row tuples.
@@ -151,10 +313,54 @@ func (b *Batch) Tuples() []storage.Tuple {
 	arena := make(storage.Tuple, b.n*len(b.cols))
 	for i := range out {
 		t := arena[i*len(b.cols) : (i+1)*len(b.cols) : (i+1)*len(b.cols)]
-		for c := range b.cols {
-			t[c] = b.cols[c].Value(i)
-		}
+		b.Row(t, i)
 		out[i] = t
 	}
 	return out
+}
+
+// Batcher is the tuple→batch adapter for the sources that produce a row
+// at a time — a one-row summary, rendered text, a subscription's deltas, a
+// merge of node streams, NDJSON lines: it pulls up to max rows from next
+// into one reused Batch per NextBatch call. A live source passes max 1, so
+// that a row never waits behind one that has not happened yet.
+type Batcher struct {
+	next    func() (storage.Tuple, error)
+	arity   int
+	staging []storage.Tuple
+	batch   Batch
+	err     error // what next ended with, held back until the rows before it are out
+}
+
+// NewBatcher adapts next, which returns io.EOF (or an error) to end the
+// stream, into batches of at most max rows by arity columns.
+func NewBatcher(arity, max int, next func() (storage.Tuple, error)) *Batcher {
+	return &Batcher{next: next, arity: arity, staging: make([]storage.Tuple, 0, max)}
+}
+
+// NextBatch returns the next rows, valid until the following call. The
+// error that ends the stream — io.EOF included — comes after every row
+// pulled before it, and again on every call after.
+func (tb *Batcher) NextBatch() (*Batch, error) {
+	if tb.err != nil {
+		return nil, tb.err
+	}
+	rows := tb.staging[:0]
+	for len(rows) < cap(rows) {
+		t, err := tb.next()
+		if err != nil {
+			tb.err = err
+			break
+		}
+		rows = append(rows, t)
+	}
+	if len(rows) == 0 {
+		return nil, tb.err
+	}
+	if err := tb.batch.FillTuples(rows, tb.arity); err != nil {
+		tb.err = err
+		return nil, err
+	}
+	clear(rows) // the staged headers are the source's rows: don't pin them
+	return &tb.batch, nil
 }

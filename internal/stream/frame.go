@@ -60,9 +60,15 @@ const (
 // hostile 4-byte length cannot make the reader allocate gigabytes.
 const MaxFramePayload = 64 << 20
 
-// maxBatchRows bounds a batch's declared row count before any per-row
-// allocation happens (the writer emits far smaller batches).
-const maxBatchRows = 1 << 21
+// maxBatchRows and maxBatchCells bound a batch's declared row count and
+// its rows × columns before any per-row allocation happens. The largest
+// batch a writer emits is a shuffle chunk of 512 rows; 64 Ki rows and 4 Mi
+// cells leave room for a wider one while keeping the vectors a frame can
+// ask for under the frame's own size limit.
+const (
+	maxBatchRows  = 1 << 16
+	maxBatchCells = 1 << 22
+)
 
 // ErrFrameCorrupt reports a malformed binary frame stream.
 var ErrFrameCorrupt = errors.New("stream: corrupt binary frame")
@@ -71,6 +77,7 @@ var ErrFrameCorrupt = errors.New("stream: corrupt binary frame")
 type FrameWriter struct {
 	w     io.Writer
 	buf   []byte
+	batch Batch // WriteTuples' columns, refilled per frame
 	wrote bool
 }
 
@@ -112,11 +119,10 @@ func (fw *FrameWriter) WriteBatch(b *Batch) error {
 
 // WriteTuples batches and emits rows as one 'B' frame.
 func (fw *FrameWriter) WriteTuples(tuples []storage.Tuple, arity int) error {
-	b, err := BatchFromTuples(tuples, arity)
-	if err != nil {
+	if err := fw.batch.FillTuples(tuples, arity); err != nil {
 		return err
 	}
-	return fw.WriteBatch(b)
+	return fw.WriteBatch(&fw.batch)
 }
 
 // AppendBatch appends the batch payload encoding of b to dst.
@@ -201,118 +207,172 @@ func appendValidity(dst []byte, nulls []bool, n int) []byte {
 	return dst
 }
 
-// DecodeBatch decodes one batch payload with the given column count. It
-// returns ErrFrameCorrupt (wrapped with detail) on any malformed input and
-// never panics.
+// DecodeBatch decodes one batch payload with the given column count into a
+// new batch. It returns ErrFrameCorrupt (wrapped with detail) on any
+// malformed input and never panics.
 func DecodeBatch(payload []byte, arity int) (*Batch, error) {
+	b := &Batch{}
+	if err := DecodeBatchInto(b, payload, arity); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// DecodeBatchInto is DecodeBatch over a batch the caller keeps: the
+// frame's rows replace whatever b held, in the vectors b already has where
+// they are long enough. On an error b is left empty.
+//
+// Nothing is allocated before the bytes that back it have been seen: the
+// row count, the column count and their product are capped, and a typed
+// column's vector is made only once its packed values are known to fit in
+// what is left of the payload — a frame cannot make the decoder allocate
+// more than a fixed multiple of its own length.
+func DecodeBatchInto(b *Batch, payload []byte, arity int) error {
+	err := decodeBatchInto(b, payload, arity)
+	if err != nil {
+		b.Reset(0, 0)
+	}
+	return err
+}
+
+func decodeBatchInto(b *Batch, payload []byte, arity int) error {
 	if arity < 0 {
-		return nil, fmt.Errorf("%w: negative arity", ErrFrameCorrupt)
+		return fmt.Errorf("%w: negative arity", ErrFrameCorrupt)
 	}
 	nrows, n := binary.Uvarint(payload)
 	if n <= 0 {
-		return nil, fmt.Errorf("%w: bad row count", ErrFrameCorrupt)
+		return fmt.Errorf("%w: bad row count", ErrFrameCorrupt)
 	}
 	if nrows > maxBatchRows {
-		return nil, fmt.Errorf("%w: row count %d exceeds limit", ErrFrameCorrupt, nrows)
+		return fmt.Errorf("%w: row count %d exceeds limit", ErrFrameCorrupt, nrows)
 	}
 	pos := n
-	b := &Batch{n: int(nrows), cols: make([]Col, arity)}
+	// Every column costs at least its two layout bytes.
+	if arity > (len(payload)-pos)/2 {
+		return fmt.Errorf("%w: %d columns in %d bytes", ErrFrameCorrupt, arity, len(payload)-pos)
+	}
+	if nrows*uint64(arity) > maxBatchCells {
+		return fmt.Errorf("%w: %d rows of %d columns exceed limit", ErrFrameCorrupt, nrows, arity)
+	}
+	rows := int(nrows)
+	b.Reset(arity, rows)
 	for c := 0; c < arity; c++ {
 		if pos+2 > len(payload) {
-			return nil, fmt.Errorf("%w: truncated column %d", ErrFrameCorrupt, c)
+			return fmt.Errorf("%w: truncated column %d", ErrFrameCorrupt, c)
 		}
 		colkind, validity := payload[pos], payload[pos+1]
 		pos += 2
 		col := &b.cols[c]
 		if colkind == 4 {
 			if validity != 0 {
-				return nil, fmt.Errorf("%w: mixed column %d with validity bitmap", ErrFrameCorrupt, c)
+				return fmt.Errorf("%w: mixed column %d with validity bitmap", ErrFrameCorrupt, c)
 			}
-			col.Mixed = make([]storage.Value, nrows)
+			if rows > len(payload)-pos { // a value is at least its kind byte
+				return fmt.Errorf("%w: truncated mixed column %d", ErrFrameCorrupt, c)
+			}
+			col.Mixed = grow(&col.spare.mixed, rows)
 			for i := range col.Mixed {
 				v, n, err := decodeValue(payload[pos:])
 				if err != nil {
-					return nil, fmt.Errorf("%w: column %d row %d", err, c, i)
+					return fmt.Errorf("%w: column %d row %d", err, c, i)
 				}
 				col.Mixed[i] = v
 				pos += n
 			}
 			continue
 		}
+		// packed counts the slots whose values follow the bitmap.
+		packed := rows
+		var bitmap []byte
 		switch validity {
 		case 0:
 		case 1:
-			nbytes := (int(nrows) + 7) / 8
+			nbytes := (rows + 7) / 8
 			if pos+nbytes > len(payload) {
-				return nil, fmt.Errorf("%w: validity bitmap overruns column %d", ErrFrameCorrupt, c)
+				return fmt.Errorf("%w: validity bitmap overruns column %d", ErrFrameCorrupt, c)
 			}
-			col.Null = make([]bool, nrows)
-			for i := 0; i < int(nrows); i++ {
-				col.Null[i] = payload[pos+i/8]&(1<<(uint(i)&7)) != 0
-			}
+			bitmap = payload[pos : pos+nbytes]
 			pos += nbytes
+			for i := 0; i < rows; i++ {
+				if bitmap[i/8]&(1<<(uint(i)&7)) != 0 {
+					packed--
+				}
+			}
 		default:
-			return nil, fmt.Errorf("%w: bad validity flag %d in column %d", ErrFrameCorrupt, validity, c)
+			return fmt.Errorf("%w: bad validity flag %d in column %d", ErrFrameCorrupt, validity, c)
 		}
-		valid := func(i int) bool { return col.Null == nil || !col.Null[i] }
+		width := 8 // bytes a packed value takes at least
 		switch colkind {
 		case 0:
 			if validity != 0 {
-				return nil, fmt.Errorf("%w: all-NULL column %d with validity bitmap", ErrFrameCorrupt, c)
+				return fmt.Errorf("%w: all-NULL column %d with validity bitmap", ErrFrameCorrupt, c)
 			}
-			col.Kind = storage.KindNull
+			continue // Reset left the column all-NULL
 		case 1:
 			col.Kind = storage.KindInt
-			col.Ints = make([]int64, nrows)
+		case 2:
+			col.Kind = storage.KindFloat
+		case 3:
+			col.Kind, width = storage.KindString, 1
+		default:
+			return fmt.Errorf("%w: bad column kind %d", ErrFrameCorrupt, colkind)
+		}
+		if packed*width > len(payload)-pos {
+			return fmt.Errorf("%w: truncated %s column %d", ErrFrameCorrupt, col.Kind, c)
+		}
+		if bitmap != nil {
+			col.Null = grow(&col.spare.null, rows)
+			for i := range col.Null {
+				col.Null[i] = bitmap[i/8]&(1<<(uint(i)&7)) != 0
+			}
+		}
+		null := func(i int) bool { return col.Null != nil && col.Null[i] }
+		// A NULL slot holds the zero value, whatever the last frame left there.
+		switch col.Kind {
+		case storage.KindInt:
+			col.Ints = grow(&col.spare.ints, rows)
 			for i := range col.Ints {
-				if !valid(i) {
+				if null(i) {
+					col.Ints[i] = 0
 					continue
-				}
-				if pos+8 > len(payload) {
-					return nil, fmt.Errorf("%w: truncated int column %d", ErrFrameCorrupt, c)
 				}
 				col.Ints[i] = int64(binary.LittleEndian.Uint64(payload[pos:]))
 				pos += 8
 			}
-		case 2:
-			col.Kind = storage.KindFloat
-			col.Floats = make([]float64, nrows)
+		case storage.KindFloat:
+			col.Floats = grow(&col.spare.floats, rows)
 			for i := range col.Floats {
-				if !valid(i) {
+				if null(i) {
+					col.Floats[i] = 0
 					continue
-				}
-				if pos+8 > len(payload) {
-					return nil, fmt.Errorf("%w: truncated float column %d", ErrFrameCorrupt, c)
 				}
 				col.Floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[pos:]))
 				pos += 8
 			}
-		case 3:
-			col.Kind = storage.KindString
-			col.Strs = make([]string, nrows)
+		case storage.KindString:
+			col.Strs = grow(&col.spare.strs, rows)
 			for i := range col.Strs {
-				if !valid(i) {
+				if null(i) {
+					col.Strs[i] = ""
 					continue
 				}
 				l, n := binary.Uvarint(payload[pos:])
 				if n <= 0 {
-					return nil, fmt.Errorf("%w: bad string length in column %d", ErrFrameCorrupt, c)
+					return fmt.Errorf("%w: bad string length in column %d", ErrFrameCorrupt, c)
 				}
 				pos += n
 				if l > uint64(len(payload)-pos) {
-					return nil, fmt.Errorf("%w: string overruns column %d", ErrFrameCorrupt, c)
+					return fmt.Errorf("%w: string overruns column %d", ErrFrameCorrupt, c)
 				}
 				col.Strs[i] = string(payload[pos : pos+int(l)])
 				pos += int(l)
 			}
-		default:
-			return nil, fmt.Errorf("%w: bad column kind %d", ErrFrameCorrupt, colkind)
 		}
 	}
 	if pos != len(payload) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrFrameCorrupt, len(payload)-pos)
+		return fmt.Errorf("%w: %d trailing bytes", ErrFrameCorrupt, len(payload)-pos)
 	}
-	return b, nil
+	return nil
 }
 
 // decodeValue decodes one storage-codec value slot (kind byte + payload).

@@ -2,9 +2,13 @@ package stream
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
 	"math"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -214,5 +218,249 @@ func TestDecodeBatchRejectsCorruption(t *testing.T) {
 	// Hostile row count (uvarint ≫ maxBatchRows) with no backing data.
 	if _, err := DecodeBatch(append([]byte{0xff, 0xff, 0xff, 0xff, 0x7f}, 0, 0), 1); err == nil {
 		t.Fatal("hostile row count decoded cleanly")
+	}
+}
+
+// capturedStream is what the writer of the commit before batches were
+// reused produced for frameTuples: a header, the first three rows, the
+// last two, a trailer. A client built then is handed exactly these bytes
+// by a server built now, and a client built now reads what that server
+// wrote.
+var capturedStream = "57434631480e0000007b22636f6c756d6e73223a5b5d7d" +
+	"4245000000030101040100000000000000ffffffffffffdfff020102000000000000f83fffffffffffffef7f" +
+	"03000161000c68c3a96c6c6f0a776f726c640400010e03056d6978656400" +
+	"4263010000020100ffffffffffffff7f000000000000008002000000000000000000d2e81978d63007000301" +
+	"01ac02" + xs300 + "04000200000000000002400100" +
+	"540d0000007b22646f6e65223a747275657d"
+
+var xs300 = strings.Repeat("78", 300)
+
+func TestCapturedStreamBytes(t *testing.T) {
+	want, err := hex.DecodeString(capturedStream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuples := frameTuples()
+
+	// One writer, its batch refilled per frame, under the poison switch: a
+	// slot the second fill did not write would carry a sentinel out.
+	defer PoisonReused()()
+	var buf bytes.Buffer
+	fw := NewFrameWriter(&buf)
+	_ = fw.WriteHeader([]byte(`{"columns":[]}`))
+	_ = fw.WriteTuples(tuples[:3], 4)
+	_ = fw.WriteTuples(tuples[3:], 4)
+	_ = fw.WriteTrailer([]byte(`{"done":true}`))
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("stream bytes changed:\n got %x\nwant %x", buf.Bytes(), want)
+	}
+
+	// One reader batch, decoded into per frame.
+	fr := NewFrameReader(bytes.NewReader(want))
+	var b Batch
+	var rows []storage.Tuple
+	for {
+		f, err := fr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Type != FrameBatch {
+			continue
+		}
+		if err := DecodeBatchInto(&b, f.Payload, 4); err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, b.Tuples()...)
+	}
+	if len(rows) != len(tuples) {
+		t.Fatalf("decoded %d rows, want %d", len(rows), len(tuples))
+	}
+	for i := range tuples {
+		for c := range tuples[i] {
+			if !storage.Identical(rows[i][c], tuples[i][c]) {
+				t.Fatalf("row %d col %d = %v, want %v", i, c, rows[i][c], tuples[i][c])
+			}
+		}
+	}
+}
+
+// allocatedBy reports the bytes f allocated.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDecodeBatchBoundsAllocation — a frame cannot make the decoder
+// allocate vectors its bytes do not back. The first payload is the one
+// that used to amplify 72×: 2 Mi rows by 8 int columns whose validity
+// bitmaps say all-NULL, 2 MB on the wire, 144 MB of N-aligned vectors.
+func TestDecodeBatchBoundsAllocation(t *testing.T) {
+	allNull := func(rows, cols int) []byte {
+		p := binary.AppendUvarint(nil, uint64(rows))
+		bitmap := bytes.Repeat([]byte{0xff}, (rows+7)/8)
+		for c := 0; c < cols; c++ {
+			p = append(append(p, 1, 1), bitmap...)
+		}
+		return p
+	}
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		arity   int
+	}{
+		{"2Mi rows of all-NULL int columns", allNull(1<<21, 8), 8},
+		{"more cells than a frame may declare", allNull(1<<16, 128), 128},
+		{"a NULL-free int column with no values behind it", append(binary.AppendUvarint(nil, 1<<16), 1, 0), 1},
+		{"a NULL-free string column with no values behind it", append(binary.AppendUvarint(nil, 1<<16), 3, 0), 1},
+		{"a mixed column with no values behind it", append(binary.AppendUvarint(nil, 1<<16), 4, 0), 1},
+		{"more columns than bytes", binary.AppendUvarint(nil, 1), 1 << 20},
+	} {
+		var err error
+		got := allocatedBy(func() { _, err = DecodeBatch(tc.payload, tc.arity) })
+		if !errors.Is(err, ErrFrameCorrupt) {
+			t.Errorf("%s: err = %v, want ErrFrameCorrupt", tc.name, err)
+		}
+		if limit := uint64(len(tc.payload)) + 64<<10; got > limit {
+			t.Errorf("%s: decoding %d bytes allocated %d", tc.name, len(tc.payload), got)
+		}
+	}
+
+	// What a frame can legitimately ask for stays a fixed multiple of its
+	// length: the sparsest column there is — one value in 64 Ki rows.
+	sparse := binary.AppendUvarint(nil, 1<<16)
+	bitmap := bytes.Repeat([]byte{0xff}, 1<<13)
+	bitmap[0] = 0xfe
+	sparse = append(append(append(sparse, 1, 1), bitmap...), 42, 0, 0, 0, 0, 0, 0, 0)
+	var b *Batch
+	var err error
+	got := allocatedBy(func() { b, err = DecodeBatch(sparse, 1) })
+	if err != nil || b.Len() != 1<<16 || b.Cols()[0].Ints[0] != 42 || !b.Cols()[0].Null[1] {
+		t.Fatalf("sparse column: %v", err)
+	}
+	if limit := uint64(80 * len(sparse)); got > limit {
+		t.Errorf("sparse column: decoding %d bytes allocated %d", len(sparse), got)
+	}
+}
+
+// TestBatchRefillEqualsFresh — a batch filled over whatever an earlier
+// fill left (poisoned, so that it is never by luck) encodes to the bytes a
+// new batch of the same rows does, and so does one cut short by Truncate:
+// inference runs again on the prefix.
+func TestBatchRefillEqualsFresh(t *testing.T) {
+	defer PoisonReused()()
+	rng := rand.New(rand.NewSource(16))
+	random := func(n int) []storage.Tuple {
+		out := make([]storage.Tuple, n)
+		// Per column: how likely a NULL is, and whether kinds mix.
+		nullP := []float64{0, 0.3, 1, 0.1, 0.9}
+		for i := range out {
+			row := make(storage.Tuple, len(nullP))
+			for c := range row {
+				switch {
+				case rng.Float64() < nullP[c]:
+				case c == 3 && rng.Intn(40) == 0:
+					row[c] = storage.Float(rng.Float64())
+				case c == 4:
+					row[c] = storage.StringVal(strings.Repeat("s", rng.Intn(4)))
+				default:
+					row[c] = storage.Int(rng.Int63())
+				}
+			}
+			out[i] = row
+		}
+		return out
+	}
+	fresh := func(rows []storage.Tuple) []byte {
+		b, err := BatchFromTuples(rows, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return AppendBatch(nil, b)
+	}
+	var b Batch
+	for round := 0; round < 200; round++ {
+		rows := random(rng.Intn(70))
+		if err := b.FillTuples(rows, 5); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := AppendBatch(nil, &b), fresh(rows); !bytes.Equal(got, want) {
+			t.Fatalf("round %d: a refilled batch of %d rows encodes differently from a new one", round, len(rows))
+		}
+		k := rng.Intn(len(rows) + 1)
+		b.Truncate(k)
+		if got, want := AppendBatch(nil, &b), fresh(rows[:k]); !bytes.Equal(got, want) {
+			t.Fatalf("round %d: %d rows truncated to %d encode differently from a new batch of %d", round, len(rows), k, k)
+		}
+	}
+}
+
+func TestBatcher(t *testing.T) {
+	boom := errors.New("boom")
+	feed := func(n int, end error) func() (storage.Tuple, error) {
+		i := 0
+		return func() (storage.Tuple, error) {
+			if i == n {
+				return nil, end
+			}
+			i++
+			return storage.Tuple{storage.Int(int64(i))}, nil
+		}
+	}
+	for _, tc := range []struct {
+		rows, max int
+		end       error
+		sizes     []int
+	}{
+		{0, 4, io.EOF, nil},
+		{3, 4, io.EOF, []int{3}},
+		{8, 4, io.EOF, []int{4, 4}},
+		{9, 4, boom, []int{4, 4, 1}}, // the rows before an error come out first
+		{3, 1, io.EOF, []int{1, 1, 1}},
+	} {
+		tb := NewBatcher(1, tc.max, feed(tc.rows, tc.end))
+		next := int64(1)
+		for _, size := range tc.sizes {
+			b, err := tb.NextBatch()
+			if err != nil || b.Len() != size {
+				t.Fatalf("%+v: batch of %d rows, err %v, want %d", tc, b.Len(), err, size)
+			}
+			for _, v := range b.Cols()[0].Ints {
+				if v != next {
+					t.Fatalf("%+v: row %d out of order", tc, v)
+				}
+				next++
+			}
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := tb.NextBatch(); err != tc.end {
+				t.Fatalf("%+v: after the rows: %v, want %v", tc, err, tc.end)
+			}
+		}
+	}
+}
+
+// TestPoisonReusedHasTeeth: under the switch, a vector held across a
+// refill reads as the sentinel, not as the old or the new rows.
+func TestPoisonReusedHasTeeth(t *testing.T) {
+	defer PoisonReused()()
+	var b Batch
+	if err := b.FillTuples([]storage.Tuple{{storage.Int(1), storage.StringVal("one")}, {storage.Int(2), storage.StringVal("two")}}, 2); err != nil {
+		t.Fatal(err)
+	}
+	ints, strs := b.Cols()[0].Ints, b.Cols()[1].Strs
+	if err := b.FillTuples([]storage.Tuple{{storage.Int(3), storage.StringVal("three")}}, 2); err != nil {
+		t.Fatal(err)
+	}
+	if ints[1] != poisonInt || strs[1] != poisonStr {
+		t.Fatalf("a held vector reads %d, %q after the refill", ints[1], strs[1])
+	}
+	if b.Cols()[0].Ints[0] != 3 || b.Cols()[1].Strs[0] != "three" {
+		t.Fatal("the refill itself is poisoned")
 	}
 }

@@ -1,0 +1,202 @@
+package stream_test
+
+import (
+	"context"
+	"fmt"
+	"net/http/httptest"
+	"sort"
+	"testing"
+	"time"
+
+	windowdb "repro"
+	"repro/internal/datagen"
+	"repro/internal/paper"
+	"repro/internal/service"
+	"repro/internal/storage"
+	"repro/internal/stream"
+)
+
+// kept is what a reader held on to while it drained a cursor: the tuple
+// Row() gave it, what it scanned out of the same row, and the row's
+// encoding as it stood at that moment.
+type kept struct {
+	row     storage.Tuple
+	scanned storage.Tuple // via Scan into *storage.Value
+	strs    []string      // via Scan into *any: every string column as a Go string
+	then    []byte
+}
+
+// drainKeeping reads rows a row at a time, keeping everything, and only
+// once the cursor is dry — every batch handed back and poisoned — holds
+// what it kept to what it saw.
+func drainKeeping(t *testing.T, rows *windowdb.Rows, stop func(n int) bool) []kept {
+	t.Helper()
+	var out []kept
+	w := len(rows.Columns())
+	for rows.Next() {
+		k := kept{row: rows.Row(), scanned: make(storage.Tuple, w)}
+		dest := make([]any, w)
+		for i := range dest {
+			dest[i] = &k.scanned[i]
+		}
+		if err := rows.Scan(dest...); err != nil {
+			t.Fatal(err)
+		}
+		anys := make([]any, w)
+		for i := range dest {
+			dest[i] = &anys[i]
+		}
+		if err := rows.Scan(dest...); err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range anys {
+			if s, ok := a.(string); ok {
+				k.strs = append(k.strs, s)
+			}
+		}
+		k.then = storage.AppendTuple(nil, k.row)
+		out = append(out, k)
+		if stop != nil && stop(len(out)) {
+			break
+		}
+	}
+	if stop == nil {
+		if err := rows.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_ = rows.Close()
+	for i, k := range out {
+		if now := storage.AppendTuple(nil, k.row); string(now) != string(k.then) {
+			t.Fatalf("row %d changed after the cursor moved on: %v", i, k.row)
+		}
+		var strs []string
+		for c, v := range k.scanned {
+			if !storage.Identical(v, k.row[c]) {
+				t.Fatalf("row %d col %d: scanned %v, Row() %v", i, c, v, k.row[c])
+			}
+			if v.Kind() == storage.KindString {
+				strs = append(strs, v.Str())
+			}
+		}
+		if fmt.Sprint(strs) != fmt.Sprint(k.strs) {
+			t.Fatalf("row %d: strings scanned as %q, now %q", i, k.strs, strs)
+		}
+	}
+	return out
+}
+
+// TestReusedBatchesAreNeverRead is the use-after-reuse matrix: with every
+// batch overwritten the moment it goes back for a refill, what a reader
+// kept — Row() tuples, scanned values, scanned strings — is intact after
+// the drain and equals the eager execution's table, for the paper's Q1–Q9,
+// the benchmark's F1–F6 and a string-carrying chain, read in process and
+// through the binary wire (the server's cursor and frame writer, the
+// client's decode-into batch), and for a subscription's one-row batches.
+func TestReusedBatchesAreNeverRead(t *testing.T) {
+	defer stream.PoisonReused()()
+
+	gen := datagen.WebSalesConfig{Rows: 3000, Seed: 42, PadBytes: 24}
+	notes := storage.NewTable(storage.NewSchema(
+		storage.Column{Name: "id", Type: storage.TypeInt},
+		storage.Column{Name: "grp", Type: storage.TypeInt},
+		storage.Column{Name: "note", Type: storage.TypeString},
+	))
+	for i := 0; i < 1000; i++ {
+		note := storage.StringVal(fmt.Sprintf("note %d %s", i, string(rune('a'+i%26))))
+		if i%9 == 0 {
+			note = storage.Null
+		}
+		notes.Rows = append(notes.Rows, storage.Tuple{storage.Int(int64(i)), storage.Int(int64(i % 13)), note})
+	}
+	eng := windowdb.New(windowdb.Config{SortMemBytes: 64 << 10, BlockSize: 1024, Parallelism: 1})
+	eng.Register("web_sales", datagen.WebSales(gen))
+	eng.Register("web_sales_s", datagen.WebSalesSorted(gen))
+	eng.Register("web_sales_g", datagen.WebSalesGrouped(gen))
+	eng.Register("notes", notes)
+	eng.Register("emptab", datagen.Emptab())
+	srv := httptest.NewServer(service.New(eng, service.Config{Slots: 2}).Handler())
+	defer srv.Close()
+	readers := []struct {
+		name string
+		q    windowdb.Queryer
+	}{{"engine", eng}, {"client", service.NewClient(srv.URL, srv.Client())}}
+
+	statements := map[string]string{
+		"notes": `SELECT id, note, grp, rank() OVER (PARTITION BY grp ORDER BY id) AS r,
+			lag(note, 1) OVER (PARTITION BY grp ORDER BY id) AS prev FROM notes`,
+	}
+	for name, src := range paper.Statements {
+		statements[name] = src
+	}
+	names := make([]string, 0, len(statements))
+	for name := range statements {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	ctx := context.Background()
+	for _, name := range names {
+		p, err := eng.Prepare(statements[name])
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := p.Execute()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, rd := range readers {
+			t.Run(name+"/"+rd.name, func(t *testing.T) {
+				rows, err := rd.q.QueryContext(ctx, statements[name])
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := drainKeeping(t, rows, nil)
+				if len(got) != want.Table.Len() {
+					t.Fatalf("%d rows, execute has %d", len(got), want.Table.Len())
+				}
+				// As multisets: the service may serve a statement from a
+				// shared, finer-sorted scan, which orders ties differently.
+				gotEnc, wantEnc := make([]string, len(got)), make([]string, len(got))
+				for i, k := range got {
+					gotEnc[i] = string(storage.AppendTuple(nil, k.row))
+					wantEnc[i] = string(storage.AppendTuple(nil, want.Table.Rows[i]))
+				}
+				sort.Strings(gotEnc)
+				sort.Strings(wantEnc)
+				for i := range gotEnc {
+					if gotEnc[i] != wantEnc[i] {
+						t.Fatalf("the rows read differ from execute's (at %d of the sorted encodings)", i)
+					}
+				}
+			})
+		}
+	}
+
+	for _, rd := range readers {
+		t.Run("subscription/"+rd.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(ctx, 30*time.Second)
+			defer cancel()
+			rows, err := rd.q.QueryContext(ctx, `SUBSCRIBE SELECT empnum, salary, rank() OVER (PARTITION BY dept ORDER BY salary) AS r FROM emptab`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			initial := datagen.Emptab().Len()
+			appended := false
+			got := drainKeeping(t, rows, func(n int) bool {
+				if n == initial && !appended {
+					appended = true
+					if _, _, err := eng.Append("emptab", []storage.Tuple{
+						{storage.Int(901), storage.Int(10), storage.Int(1)},
+						{storage.Int(902), storage.Int(20), storage.Int(2)},
+					}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return n >= initial+2
+			})
+			if len(got) < initial+2 {
+				t.Fatalf("subscription yielded %d rows, want the %d initial ones and the deltas of two appended", len(got), initial)
+			}
+		})
+	}
+}

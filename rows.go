@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/trace"
 )
 
@@ -42,13 +43,18 @@ type Stmt interface {
 	Close() error
 }
 
-// RowSource is the backend contract behind a Rows cursor. Next returns
-// io.EOF at end of stream; Metrics returns the query's execution metadata
-// once the stream has ended (and nil before — partial observations after
-// an early Close are allowed but not required).
+// RowSource is the backend contract behind a Rows cursor: results leave a
+// backend as column batches. NextBatch returns the next rows — at most
+// stream.BatchRows of them; an empty batch is skipped — or io.EOF at end
+// of stream. The batch is the source's own and is refilled by the
+// following call, so it is valid only until then. A source whose rows come
+// one at a time batches them through stream.Batcher. Metrics returns the
+// query's execution metadata once the stream has ended (and nil before —
+// partial observations after an early Close are allowed but not
+// required).
 type RowSource interface {
 	Columns() []storage.Column
-	Next() (storage.Tuple, error)
+	NextBatch() (*stream.Batch, error)
 	Close() error
 	Metrics() *QueryMetrics
 }
@@ -120,12 +126,22 @@ type QueryMetrics struct {
 // Metrics is available after the drain (or after Close, when the backend
 // can still provide it).
 //
+// Underneath, a Rows is a row view over the batch its source last handed
+// it: Scan reads the column vectors in place and allocates nothing per
+// row, Row builds the tuple on demand. NextBatch drains by whole batches
+// instead.
+//
 // A Rows is single-consumer; it is not safe for concurrent use.
 type Rows struct {
-	src    RowSource
-	cols   []storage.Column
-	names  []string
-	cur    storage.Tuple
+	src   RowSource
+	cols  []storage.Column
+	names []string
+
+	batch *stream.Batch   // the source's current batch; nil before the first
+	pos   int             // the current row within batch
+	cur   storage.Tuple   // the current row as built by Row; nil until asked for
+	slab  []storage.Value // what Row carves tuples from: the rest of this batch
+
 	err    error
 	count  int64
 	done   bool
@@ -153,32 +169,81 @@ func (r *Rows) ColumnTypes() []storage.Column { return r.cols }
 // error (distinguish with Err). The cursor closes itself when the stream
 // ends either way.
 func (r *Rows) Next() bool {
-	if r.done || r.closed {
+	r.cur = nil
+	if r.batch != nil && r.pos+1 < r.batch.Len() {
+		r.pos++
+	} else if !r.pull() {
 		return false
 	}
-	t, err := r.src.Next()
-	switch {
-	case err == io.EOF:
-		r.done = true
-		r.cur = nil
-		_ = r.Close()
-		return false
-	case err != nil:
-		r.done = true
-		r.cur = nil
-		r.err = err
-		_ = r.Close()
-		return false
-	}
-	r.cur = t
 	r.count++
 	return true
 }
 
+// Buffered returns how many rows Next will yield before it has to go back
+// to the source: the rows of the current batch past the current one. A
+// stream writer flushes when it reaches 0 — behind a live source every row
+// is the last of its batch, and the next may be a long time coming.
+func (r *Rows) Buffered() int {
+	if r.batch == nil {
+		return 0
+	}
+	return r.batch.Len() - 1 - r.pos
+}
+
+// NextBatch advances to the source's next batch and returns it, reporting
+// false at end of stream or on error exactly as Next does. The batch
+// belongs to the source and is valid until the following Next or NextBatch.
+// It is the other way to drain a cursor, not one to mix with Next: rows of
+// the current batch Next has not reached yet are skipped. After a
+// NextBatch the cursor stands on the batch's first row.
+func (r *Rows) NextBatch() (*stream.Batch, bool) {
+	if !r.pull() {
+		return nil, false
+	}
+	r.count += int64(r.batch.Len())
+	return r.batch, true
+}
+
+// pull replaces the current batch with the source's next non-empty one.
+func (r *Rows) pull() bool {
+	r.batch, r.cur, r.slab = nil, nil, nil
+	if r.done || r.closed {
+		return false
+	}
+	for {
+		b, err := r.src.NextBatch()
+		if err != nil {
+			r.done = true
+			if err != io.EOF {
+				r.err = err
+			}
+			_ = r.Close()
+			return false
+		}
+		if b.Len() > 0 {
+			r.batch, r.pos = b, 0
+			return true
+		}
+	}
+}
+
 // Row returns the current row's tuple (valid after a true Next). The
 // tuple is owned by the caller and remains valid across further Next
-// calls.
-func (r *Rows) Row() storage.Tuple { return r.cur }
+// calls: it is carved from a slab sized, at the batch's first Row call,
+// for the rows the batch has left, so a caller that never asks pays
+// nothing and one that keeps every row pays one allocation per batch.
+func (r *Rows) Row() storage.Tuple {
+	if r.cur != nil || r.batch == nil {
+		return r.cur
+	}
+	w := len(r.cols)
+	if len(r.slab) < w {
+		r.slab = make([]storage.Value, w*(r.batch.Len()-r.pos))
+	}
+	r.cur, r.slab = r.slab[:w:w], r.slab[w:]
+	r.batch.Row(r.cur, r.pos)
+	return r.cur
+}
 
 // Scan copies the current row into dest, one target per output column.
 // Supported targets: *int, *int64, *float64, *string, *bool is not
@@ -187,14 +252,15 @@ func (r *Rows) Row() storage.Tuple { return r.cur }
 // as string). Numeric kinds convert to the numeric targets; everything
 // converts to *string via the value's display form.
 func (r *Rows) Scan(dest ...any) error {
-	if r.cur == nil {
+	if r.batch == nil {
 		return fmt.Errorf("windowdb: Scan called without a successful Next")
 	}
-	if len(dest) != len(r.cur) {
-		return fmt.Errorf("windowdb: Scan expected %d destinations, got %d", len(r.cur), len(dest))
+	cols := r.batch.Cols()
+	if len(dest) != len(cols) {
+		return fmt.Errorf("windowdb: Scan expected %d destinations, got %d", len(cols), len(dest))
 	}
 	for i, d := range dest {
-		if err := scanValue(r.cur[i], d, r.names[i]); err != nil {
+		if err := scanValue(cols[i].Value(r.pos), d, r.names[i]); err != nil {
 			return err
 		}
 	}

@@ -45,6 +45,7 @@ import (
 	"repro/internal/pagestore"
 	"repro/internal/sql"
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/trace"
 	"repro/internal/window"
 )
@@ -253,12 +254,12 @@ type cursorSource struct {
 
 func (cs *cursorSource) Columns() []storage.Column { return cs.cur.Columns() }
 
-func (cs *cursorSource) Next() (storage.Tuple, error) {
-	t, err := cs.cur.Next()
+func (cs *cursorSource) NextBatch() (*stream.Batch, error) {
+	b, err := cs.cur.NextBatch()
 	if err != nil {
 		cs.finish()
 	}
-	return t, err
+	return b, err
 }
 
 func (cs *cursorSource) Close() error {

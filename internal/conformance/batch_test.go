@@ -116,6 +116,29 @@ var drainStyles = []struct {
 	}},
 }
 
+// edgeQueries are the result shapes where a columnar carrier could lose
+// something, over edgeTable.
+var edgeQueries = []struct {
+	name, sql string
+	ordered   bool // a total ORDER BY pins the row order
+	rows      int
+	sameRows  bool   // every backend returns the same rows (not so for LIMIT without ORDER BY)
+	route     string // how a cluster must run it, "" for any way
+}{
+	{"scan", `SELECT * FROM edge`, false, edgeRows, true, ""},
+	{"scan-ordered", `SELECT * FROM edge ORDER BY k`, true, edgeRows, true, ""},
+	{"chain", `SELECT k, sparse, nothing, mixed, big, s, f,
+		rank() OVER (PARTITION BY k ORDER BY grp) AS r,
+		count(sparse) OVER (PARTITION BY k ORDER BY grp) AS c FROM edge`, false, edgeRows, true, "scatter"},
+	{"divergent-chain", `SELECT k, mixed, s,
+		rank() OVER (PARTITION BY k ORDER BY grp) AS a,
+		rank() OVER (PARTITION BY grp ORDER BY k) AS b FROM edge`, false, edgeRows, true, "shuffle"},
+	{"empty", `SELECT * FROM edge WHERE k < 0`, false, 0, true, ""},
+	{"limit-ordered", `SELECT k, mixed, s FROM edge ORDER BY k LIMIT 7`, true, 7, true, ""},
+	{"limit-lazy", `SELECT k, mixed, nothing, s FROM edge LIMIT 7`, false, 7, false, ""},
+	{"where-one-batch", `SELECT k, sparse, f FROM edge WHERE k < 256`, false, stream.BatchRows, true, ""},
+}
+
 // TestRowAndBatchDrainsAgree: on every backend, reading a result a row at
 // a time, by Scan, or a batch at a time yields identical values — and the
 // values of the single engine — over the data and the result shapes where
@@ -124,30 +147,10 @@ var drainStyles = []struct {
 // result, a LIMIT inside the first batch, a result that is a whole number
 // of batches.
 func TestRowAndBatchDrainsAgree(t *testing.T) {
-	queries := []struct {
-		name, sql string
-		ordered   bool // a total ORDER BY pins the row order
-		rows      int
-		sameRows  bool   // every backend returns the same rows (not so for LIMIT without ORDER BY)
-		route     string // how a cluster must run it, "" for any way
-	}{
-		{"scan", `SELECT * FROM edge`, false, edgeRows, true, ""},
-		{"scan-ordered", `SELECT * FROM edge ORDER BY k`, true, edgeRows, true, ""},
-		{"chain", `SELECT k, sparse, nothing, mixed, big, s, f,
-			rank() OVER (PARTITION BY k ORDER BY grp) AS r,
-			count(sparse) OVER (PARTITION BY k ORDER BY grp) AS c FROM edge`, false, edgeRows, true, "scatter"},
-		{"divergent-chain", `SELECT k, mixed, s,
-			rank() OVER (PARTITION BY k ORDER BY grp) AS a,
-			rank() OVER (PARTITION BY grp ORDER BY k) AS b FROM edge`, false, edgeRows, true, "shuffle"},
-		{"empty", `SELECT * FROM edge WHERE k < 0`, false, 0, true, ""},
-		{"limit-ordered", `SELECT k, mixed, s FROM edge ORDER BY k LIMIT 7`, true, 7, true, ""},
-		{"limit-lazy", `SELECT k, mixed, nothing, s FROM edge LIMIT 7`, false, 7, false, ""},
-		{"where-one-batch", `SELECT k, sparse, f FROM edge WHERE k < 256`, false, stream.BatchRows, true, ""},
-	}
 	ref := newEngine()
 	ctx := context.Background()
 	for _, bk := range backends(t) {
-		for _, q := range queries {
+		for _, q := range edgeQueries {
 			t.Run(bk.name+"/"+q.name, func(t *testing.T) {
 				ordered := q.ordered || bk.ordered
 				_, refRows := drain(t, ref, q.sql)

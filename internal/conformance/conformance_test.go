@@ -37,10 +37,20 @@ func engCfg() windowdb.Config {
 	return windowdb.Config{SortMemBytes: 2 << 20, Parallelism: 1}
 }
 
+// variants are web_sales sorted and grouped on ws_quantity, the inputs of
+// the paper's Q4 and Q5 (paper.Statements).
+func variants() (sorted, grouped *storage.Table) {
+	gen := datagen.WebSalesConfig{Rows: dataRows, Seed: 11}
+	return datagen.WebSalesSorted(gen), datagen.WebSalesGrouped(gen)
+}
+
 func newEngine() *windowdb.Engine {
 	ws, emp := dataset()
+	sorted, grouped := variants()
 	eng := windowdb.New(engCfg())
 	eng.Register("web_sales", ws)
+	eng.Register("web_sales_s", sorted)
+	eng.Register("web_sales_g", grouped)
 	eng.Register("emptab", emp)
 	eng.Register("edge", edgeTable())
 	return eng
@@ -87,8 +97,11 @@ func backends(t *testing.T) []backend {
 			t.Fatal(err)
 		}
 		ctx := context.Background()
-		if err := c.RegisterSharded(ctx, "web_sales", ws, "ws_item_sk"); err != nil {
-			t.Fatal(err)
+		sorted, grouped := variants()
+		for name, table := range map[string]*storage.Table{"web_sales": ws, "web_sales_s": sorted, "web_sales_g": grouped} {
+			if err := c.RegisterSharded(ctx, name, table, "ws_item_sk"); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := c.RegisterReplicated(ctx, "emptab", emp); err != nil {
 			t.Fatal(err)

@@ -1,0 +1,405 @@
+package conformance
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"testing"
+	"time"
+
+	windowdb "repro"
+	"repro/internal/service"
+	"repro/internal/shard"
+	"repro/internal/trace"
+)
+
+// The endings matrix: every way a statement can end — drained, closed
+// early, its caller's context cancelled, killed through the registry, its
+// deadline passed, an error — against every way a front end serves one —
+// the buffered /query body and the streamed cursor of a service and of a
+// cluster coordinator, and a subscription on each. Each cell asserts what
+// the front end counted (served, aborted or failed, exactly one of them)
+// and that nothing the statement held is still held afterwards.
+
+// tally is a front end's three outcome counters.
+type tally struct{ queries, aborted, failures uint64 }
+
+func (a tally) sub(b tally) tally {
+	return tally{a.queries - b.queries, a.aborted - b.aborted, a.failures - b.failures}
+}
+
+var (
+	served  = tally{queries: 1}
+	aborted = tally{aborted: 1}
+	failed  = tally{failures: 1}
+)
+
+const (
+	endingSQL       = `SELECT ws_item_sk, ws_order_number, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS r FROM web_sales`
+	endingGatherSQL = `SELECT ws_item_sk, ws_order_number, rank() OVER (ORDER BY ws_sold_date_sk, ws_order_number) AS r FROM web_sales`
+	endingBadSQL    = `SELECT nosuch FROM web_sales`
+	// A subscription that cannot be maintained fails when it is opened,
+	// after it was admitted.
+	endingBadSubSQL = `SUBSCRIBE ` + endingSQL + ` ORDER BY r`
+)
+
+// eventually spins until cond holds: what a finished statement held is
+// handed back by whoever notices last, not always by the caller's thread.
+func eventually(t *testing.T, what func() string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for what() != "" {
+		if time.Now().After(deadline) {
+			t.Fatalf("still held after the statement ended: %s", what())
+		}
+		runtime.Gosched()
+	}
+}
+
+// endingFront is one front end under the matrix.
+type endingFront struct {
+	name  string
+	q     windowdb.Queryer
+	tally func() tally
+	// held names what a statement holds that is not back at baseline yet,
+	// "" when nothing is.
+	held func() string
+	kill func(id string) bool
+	// registered reports whether the statement with this trace ID has
+	// reached the front end's registry.
+	registered func(id string) bool
+	// front is the HTTP front end; done receives once per request its
+	// handler has returned from.
+	front *httptest.Server
+	done  chan struct{}
+}
+
+func gated(h http.Handler) (http.Handler, chan struct{}) {
+	done := make(chan struct{}, 64) // every request of a cell sends before the cell reads
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		done <- struct{}{}
+	}), done
+}
+
+func serviceHeld(name string, svc *service.Service) string {
+	st := svc.Stats()
+	switch {
+	case st.InFlight != 0:
+		return fmt.Sprintf("%s: %d admission slots", name, st.InFlight)
+	case st.QueueDepth != 0:
+		return fmt.Sprintf("%s: %d queued", name, st.QueueDepth)
+	case st.LiveQueries != 0:
+		return fmt.Sprintf("%s: %d registry entries", name, st.LiveQueries)
+	case svc.Engine().Subscriptions("web_sales") != 0:
+		return fmt.Sprintf("%s: %d subscriptions", name, svc.Engine().Subscriptions("web_sales"))
+	}
+	return ""
+}
+
+// newServiceFront is a one-slot service: one open cursor holds everything
+// a second statement needs.
+func newServiceFront(t *testing.T) *endingFront {
+	svc := service.New(newEngine(), service.Config{Slots: 1})
+	h, done := gated(svc.Handler())
+	srv := httptest.NewServer(h)
+	t.Cleanup(srv.Close)
+	return &endingFront{
+		name: "service", q: svc, front: srv, done: done,
+		tally: func() tally {
+			st := svc.Stats()
+			return tally{st.Queries, st.Aborted, st.Failures}
+		},
+		held:       func() string { return serviceHeld("service", svc) },
+		kill:       svc.Registry().Kill,
+		registered: func(id string) bool { return svc.Registry().Get(id) != nil },
+	}
+}
+
+// newClusterFront is a coordinator over two one-slot nodes.
+func newClusterFront(t *testing.T) *endingFront {
+	ws, _ := dataset()
+	nodes := make([]*service.Service, 2)
+	shards := make([]shard.Transport, len(nodes))
+	for i := range nodes {
+		nodes[i] = service.New(windowdb.New(engCfg()), service.Config{Slots: 1})
+		shards[i] = shard.NewLocal(nodes[i])
+	}
+	c, err := shard.New(shard.Config{Engine: engCfg()}, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RegisterSharded(context.Background(), "web_sales", ws, "ws_item_sk"); err != nil {
+		t.Fatal(err)
+	}
+	h, done := gated(c.Handler())
+	srv := httptest.NewServer(h)
+	t.Cleanup(srv.Close)
+	return &endingFront{
+		name: "cluster", q: c, front: srv, done: done,
+		tally: func() tally {
+			st, err := c.Stats(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tally{st.Queries, st.Aborted, st.Failures}
+		},
+		held: func() string {
+			switch {
+			case c.GatherInFlight() != 0:
+				return fmt.Sprintf("cluster: %d gather slots", c.GatherInFlight())
+			case c.Registry().Len() != 0:
+				return fmt.Sprintf("cluster: %d registry entries", c.Registry().Len())
+			}
+			for i, svc := range nodes {
+				if held := serviceHeld(fmt.Sprintf("node %d", i), svc); held != "" {
+					return held
+				}
+			}
+			return ""
+		},
+		kill:       c.Registry().Kill,
+		registered: func(id string) bool { return c.Registry().Get(id) != nil },
+	}
+}
+
+// cell runs one ending and holds the front end to what it should have
+// counted and to having let go of everything.
+func (f *endingFront) cell(t *testing.T, ending string, want tally, run func(t *testing.T)) {
+	t.Run(ending, func(t *testing.T) {
+		before := f.tally()
+		run(t)
+		eventually(t, f.held)
+		if got := f.tally().sub(before); got != want {
+			t.Fatalf("counted %+v, want %+v", got, want)
+		}
+	})
+}
+
+// read advances a cursor n rows.
+func read(t *testing.T, rows *windowdb.Rows, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if !rows.Next() {
+			t.Fatalf("stream ended after %d rows: %v", i, rows.Err())
+		}
+	}
+}
+
+// cursorEndings runs the endings of a statement served as a cursor. live
+// marks a subscription, which never drains; closeIsServed is the one
+// difference between front ends the matrix allows: a coordinator counts a
+// subscription its caller closed, or walked away from, as served.
+func (f *endingFront) cursorEndings(t *testing.T, src, badSrc string, live, closeIsServed bool) {
+	open := func(t *testing.T, ctx context.Context) *windowdb.Rows {
+		t.Helper()
+		rows, err := f.q.QueryContext(ctx, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+	walkedAway := aborted
+	if closeIsServed {
+		walkedAway = served
+	}
+	if !live {
+		f.cell(t, "drained", served, func(t *testing.T) {
+			rows := open(t, context.Background())
+			for rows.Next() {
+			}
+			if err := rows.Err(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	f.cell(t, "closed early", walkedAway, func(t *testing.T) {
+		rows := open(t, context.Background())
+		read(t, rows, 3)
+		if err := rows.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	f.cell(t, "context cancelled", walkedAway, func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		rows := open(t, ctx)
+		read(t, rows, 3)
+		cancel()
+		for rows.Next() {
+		}
+		if err := rows.Err(); !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	})
+	f.cell(t, "killed", aborted, func(t *testing.T) {
+		id := trace.NewID()
+		rows := open(t, trace.NewContext(context.Background(), id))
+		read(t, rows, 3)
+		if !f.kill(id) {
+			t.Fatal("kill found no such statement")
+		}
+		for rows.Next() {
+		}
+		if rows.Err() == nil {
+			t.Fatal("a killed statement drained cleanly")
+		}
+	})
+	f.cell(t, "deadline exceeded", failed, func(t *testing.T) {
+		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+		defer cancel()
+		rows, err := f.q.QueryContext(ctx, src)
+		if err == nil {
+			defer rows.Close()
+			for i := 0; i < 3 && rows.Next(); i++ {
+			}
+			// Err takes the lock the deadline cancels the derived contexts
+			// under: once it returns, every one of them has ended.
+			<-ctx.Done()
+			_ = ctx.Err()
+			for rows.Next() {
+			}
+			err = rows.Err()
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+		}
+	})
+	f.cell(t, "error", failed, func(t *testing.T) {
+		rows, err := f.q.QueryContext(context.Background(), badSrc)
+		if err == nil {
+			rows.Close()
+			t.Fatal("a statement that cannot run opened a cursor")
+		}
+	})
+}
+
+// post sends one buffered /query and waits for its handler to return.
+func (f *endingFront) post(ctx context.Context, id string, body map[string]any) (status int, decoded map[string]any, err error) {
+	buf, err := json.Marshal(body)
+	if err != nil {
+		return 0, nil, err
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, f.front.URL+"/query", bytes.NewReader(buf))
+	if err != nil {
+		return 0, nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	if id != "" {
+		req.Header.Set(trace.HeaderTraceID, id)
+	}
+	resp, err := f.front.Client().Do(req)
+	<-f.done
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	err = json.NewDecoder(resp.Body).Decode(&decoded)
+	return resp.StatusCode, decoded, err
+}
+
+// bufferedEndings runs the endings of a statement served as a buffered
+// /query body. A buffered caller cannot stop half way, so the endings that
+// interrupt a statement reach it while it waits for admission behind a
+// cursor that holds every slot it needs.
+func (f *endingFront) bufferedEndings(t *testing.T) {
+	behindACursor := func(t *testing.T, run func(t *testing.T)) func(t *testing.T) {
+		return func(t *testing.T) {
+			holder, err := f.q.QueryContext(context.Background(), endingSQL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer holder.Close()
+			read(t, holder, 1)
+			run(t)
+		}
+	}
+	// The holder's own early close is an abort; it happens after run, within
+	// the cell.
+	plus := func(a, b tally) tally {
+		return tally{a.queries + b.queries, a.aborted + b.aborted, a.failures + b.failures}
+	}
+	waitRegistered := func(t *testing.T, id string) {
+		t.Helper()
+		eventually(t, func() string {
+			if f.registered(id) {
+				return ""
+			}
+			return "statement " + id + " not registered yet"
+		})
+	}
+
+	f.cell(t, "drained", served, func(t *testing.T) {
+		status, body, err := f.post(context.Background(), "", map[string]any{"sql": endingSQL})
+		if err != nil || status != http.StatusOK || body["row_count"] != float64(dataRows) {
+			t.Fatalf("status %d, row_count %v, err %v", status, body["row_count"], err)
+		}
+	})
+	f.cell(t, "cut by max_rows", served, func(t *testing.T) {
+		status, body, err := f.post(context.Background(), "", map[string]any{"sql": endingSQL, "max_rows": 3})
+		if err != nil || status != http.StatusOK || body["row_count"] != float64(dataRows) || body["truncated"] != true {
+			t.Fatalf("status %d, row_count %v, truncated %v, err %v", status, body["row_count"], body["truncated"], err)
+		}
+	})
+	f.cell(t, "client gone", plus(aborted, aborted), behindACursor(t, func(t *testing.T) {
+		id := trace.NewID()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		gone := make(chan error, 1)
+		go func() {
+			_, _, err := f.post(ctx, id, map[string]any{"sql": endingSQL})
+			gone <- err
+		}()
+		waitRegistered(t, id)
+		cancel()
+		if err := <-gone; !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	}))
+	f.cell(t, "killed", plus(aborted, aborted), behindACursor(t, func(t *testing.T) {
+		id := trace.NewID()
+		answered := make(chan int, 1)
+		go func() {
+			status, _, _ := f.post(context.Background(), id, map[string]any{"sql": endingSQL})
+			answered <- status
+		}()
+		waitRegistered(t, id)
+		if !f.kill(id) {
+			t.Fatal("kill found no such statement")
+		}
+		if status := <-answered; status != http.StatusServiceUnavailable {
+			t.Fatalf("status %d, want 503", status)
+		}
+	}))
+	f.cell(t, "deadline exceeded", plus(failed, aborted), behindACursor(t, func(t *testing.T) {
+		status, body, err := f.post(context.Background(), "", map[string]any{"sql": endingSQL, "timeout_ms": 50})
+		if err != nil || status != http.StatusServiceUnavailable || body["kind"] != "timeout" {
+			t.Fatalf("status %d, kind %v, err %v", status, body["kind"], err)
+		}
+	}))
+	f.cell(t, "error", failed, func(t *testing.T) {
+		status, body, err := f.post(context.Background(), "", map[string]any{"sql": endingBadSQL})
+		if err != nil || status != http.StatusBadRequest || body["kind"] != "bind" {
+			t.Fatalf("status %d, kind %v, err %v", status, body["kind"], err)
+		}
+	})
+}
+
+func TestEndingsMatrix(t *testing.T) {
+	for _, newFront := range []func(*testing.T) *endingFront{newServiceFront, newClusterFront} {
+		f := newFront(t)
+		t.Run(f.name+"/buffered", f.bufferedEndings)
+		t.Run(f.name+"/streamed", func(t *testing.T) { f.cursorEndings(t, endingSQL, endingBadSQL, false, false) })
+		if f.name == "cluster" {
+			t.Run("cluster/streamed-gather", func(t *testing.T) { f.cursorEndings(t, endingGatherSQL, endingBadSQL, false, false) })
+		}
+		t.Run(f.name+"/subscription", func(t *testing.T) {
+			f.cursorEndings(t, "SUBSCRIBE "+endingSQL, endingBadSubSQL, true, f.name == "cluster")
+		})
+	}
+}

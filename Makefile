@@ -1,7 +1,7 @@
 # Local targets mirroring .github/workflows/ci.yml.
 GO ?= go
 
-.PHONY: build test race bench fmt fmt-check vet benchmark-check serve bench-service bench-json bench-baseline load-smoke cluster-smoke ci
+.PHONY: build test race bench fmt fmt-check vet loc benchmark-check serve bench-service bench-json bench-baseline load-smoke cluster-smoke ci
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,14 @@ fmt-check:
 
 vet:
 	$(GO) vet ./...
+
+# Non-blank lines of non-test Go per package — the size measure ROADMAP
+# and CHANGES.md quote — so every CI log records the trend.
+loc:
+	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | while read pkg files; do \
+		[ -n "$$files" ] || continue; \
+		printf '%6d  %s\n' "$$(cat $$files | grep -cv '^[[:space:]]*$$')" "$$pkg"; \
+	done
 
 # benchmark/ is its own module (replace repro => ../), so the root build,
 # vet and test never see it: this is the gate that an internal/* API
@@ -232,4 +240,4 @@ cluster-smoke:
 	[ "$$aborted" = 1 ] || { echo "cluster-smoke: windowdb_queries_aborted_total never incremented after the kill" >&2; exit 1; }; \
 	echo "cluster-smoke: live query listed with node subtree, killed by id, abort counted OK"
 
-ci: build vet benchmark-check fmt-check race bench load-smoke cluster-smoke
+ci: build loc vet benchmark-check fmt-check race bench load-smoke cluster-smoke

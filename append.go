@@ -105,7 +105,6 @@ type Subscription struct {
 	scanned   int64
 	fullRows  int64
 	steps     []int64
-	rows      int64
 	start     time.Time
 }
 
@@ -169,9 +168,6 @@ func (s *Subscription) next() (storage.Tuple, error) {
 		if s.pos < len(s.queue) {
 			row := s.queue[s.pos]
 			s.pos++
-			s.mu.Lock()
-			s.rows++
-			s.mu.Unlock()
 			return row, nil
 		}
 		select {
@@ -268,37 +264,19 @@ func (e *Engine) subscribeRows(ctx context.Context, inner string) (*Rows, error)
 	if err != nil {
 		return nil, err
 	}
-	return NewRows(&subSource{s: s}), nil
+	return NewRows(subSource{s}), nil
 }
 
 // subSource adapts a Subscription to the RowSource contract.
-type subSource struct {
-	s    *Subscription
-	meta *QueryMetrics
+type subSource struct{ s *Subscription }
+
+func (ss subSource) Columns() []storage.Column { return ss.s.Columns() }
+
+func (ss subSource) NextBatch() (*stream.Batch, error) { return ss.s.NextBatch() }
+
+func (ss subSource) End(Ending) *QueryMetrics {
+	meta := MetaFromResult(ss.s.Meta())
+	meta.Elapsed = time.Since(ss.s.start)
+	_ = ss.s.Close()
+	return meta
 }
-
-func (ss *subSource) Columns() []storage.Column { return ss.s.Columns() }
-
-func (ss *subSource) NextBatch() (*stream.Batch, error) {
-	b, err := ss.s.NextBatch()
-	if err != nil {
-		ss.finish()
-	}
-	return b, err
-}
-
-func (ss *subSource) Close() error {
-	ss.finish()
-	return ss.s.Close()
-}
-
-func (ss *subSource) finish() {
-	if ss.meta != nil {
-		return
-	}
-	ss.meta = MetaFromResult(ss.s.Meta())
-	ss.meta.Elapsed = time.Since(ss.s.start)
-	ss.meta.Rows = ss.s.rows
-}
-
-func (ss *subSource) Metrics() *QueryMetrics { return ss.meta }

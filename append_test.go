@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/datagen"
+	"repro/internal/sql"
 	"repro/internal/storage"
 )
 
@@ -89,7 +90,7 @@ func TestEnginePlanCacheSurvivesAppend(t *testing.T) {
 		t.Fatalf("schema generation moved on append: %d -> %d", gen, eng.Generation())
 	}
 	// The prepared statement still runs, and sees the appended row.
-	cur, err := p.StreamContext(context.Background())
+	cur, err := p.Open(context.Background(), sql.Input{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

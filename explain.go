@@ -181,5 +181,4 @@ func newStaticRows(cols []storage.Column, rows []storage.Tuple) *Rows {
 
 func (ss *staticSource) Columns() []storage.Column         { return ss.cols }
 func (ss *staticSource) NextBatch() (*stream.Batch, error) { return ss.b.NextBatch() }
-func (ss *staticSource) Close() error                      { return nil }
-func (ss *staticSource) Metrics() *QueryMetrics            { return &QueryMetrics{} }
+func (ss *staticSource) End(Ending) *QueryMetrics          { return &QueryMetrics{} }

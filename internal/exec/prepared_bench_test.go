@@ -27,7 +27,7 @@ func BenchmarkRunChainPrepared(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cur, err := p.StreamContext(ctx)
+		cur, err := p.Open(ctx, sql.Input{}, false)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -13,19 +13,33 @@ import (
 	"testing"
 
 	"repro"
-	"repro/internal/sql"
 	"repro/internal/storage"
 	"repro/internal/stream"
 )
 
-// tableRows is a cursor over a materialized table on the Rows surface: the
-// sql.Cursor a served stream drains, without a service around it.
-type tableRows struct{ *sql.Cursor }
-
-func (tableRows) Metrics() *windowdb.QueryMetrics { return &windowdb.QueryMetrics{} }
+// tableRows is a cursor over a materialized table on the Rows surface,
+// without a service around it.
+type tableRows struct {
+	t *storage.Table
+	b *stream.Batcher
+}
 
 func newTableRows(t *storage.Table) *windowdb.Rows {
-	return windowdb.NewRows(tableRows{sql.TableCursor(t, &sql.Result{})})
+	rows := t.Rows
+	return windowdb.NewRows(tableRows{t, stream.NewBatcher(t.Schema.Len(), stream.BatchRows, func() (storage.Tuple, error) {
+		if len(rows) == 0 {
+			return nil, io.EOF
+		}
+		row := rows[0]
+		rows = rows[1:]
+		return row, nil
+	})})
+}
+
+func (tr tableRows) Columns() []storage.Column         { return tr.t.Schema.Columns }
+func (tr tableRows) NextBatch() (*stream.Batch, error) { return tr.b.NextBatch() }
+func (tableRows) End(windowdb.Ending) *windowdb.QueryMetrics {
+	return &windowdb.QueryMetrics{}
 }
 
 // sink is a ResponseWriter that keeps the body.

@@ -148,32 +148,30 @@ func (st *clientStmt) Close() error { return nil }
 // wants rows, not batches, reads a stream. The cursor's Metrics come from
 // the trailer, with Elapsed as this side observed it.
 func (sr *StreamReader) Rows() *windowdb.Rows {
-	return windowdb.NewRows(&clientSource{sr: sr})
+	return windowdb.NewRows(clientSource{sr})
 }
 
 // clientSource adapts a StreamReader to the RowSource contract.
-type clientSource struct {
-	sr   *StreamReader
-	meta *windowdb.QueryMetrics
-}
+type clientSource struct{ sr *StreamReader }
 
-func (cs *clientSource) Columns() []storage.Column { return cs.sr.Columns() }
+func (cs clientSource) Columns() []storage.Column { return cs.sr.Columns() }
 
-func (cs *clientSource) NextBatch() (*stream.Batch, error) {
-	b, err := cs.sr.NextBatch()
-	if err == io.EOF && cs.meta == nil {
-		cs.meta = metaFromTrailer(cs.sr.Trailer())
-		cs.meta.Elapsed = time.Since(cs.sr.start)
+func (cs clientSource) NextBatch() (*stream.Batch, error) { return cs.sr.NextBatch() }
+
+// End closes the response body — on a half-read stream that is the
+// disconnect the server releases its slot on — and returns the
+// trailer-derived metadata: nil when the stream ended before its trailer
+// (there is nothing trustworthy to report about a query whose outcome the
+// server never confirmed).
+func (cs clientSource) End(end windowdb.Ending) *windowdb.QueryMetrics {
+	_ = cs.sr.Close()
+	if !end.Completed {
+		return nil
 	}
-	return b, err
+	meta := metaFromTrailer(cs.sr.Trailer())
+	meta.Elapsed = time.Since(cs.sr.start)
+	return meta
 }
-
-func (cs *clientSource) Close() error { return cs.sr.Close() }
-
-// Metrics returns the trailer-derived metadata; nil when the stream was
-// closed before the trailer arrived (there is nothing trustworthy to
-// report about a query whose outcome the server never confirmed).
-func (cs *clientSource) Metrics() *windowdb.QueryMetrics { return cs.meta }
 
 // metaFromTrailer lifts a stream trailer into the public metrics shape.
 // Elapsed is overwritten by the caller with the client-observed time; the

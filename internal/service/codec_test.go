@@ -113,8 +113,7 @@ func (f *failingSource) next() (storage.Tuple, error) {
 	return storage.Tuple{storage.Int(int64(f.n))}, nil
 }
 
-func (f *failingSource) Close() error                    { return nil }
-func (f *failingSource) Metrics() *windowdb.QueryMetrics { return nil }
+func (f *failingSource) End(windowdb.Ending) *windowdb.QueryMetrics { return nil }
 
 // TestErrorTrailerSurvivesFraming: a server-side failure after rows have
 // streamed surfaces through BOTH codecs as a trailer-borne RemoteError

@@ -83,11 +83,16 @@ type queryRequest struct {
 	Subscribe bool `json:"subscribe,omitempty"`
 }
 
+// queryResponse is the buffered /query body of every front end; route and
+// shards_used are a coordinator's.
 type queryResponse struct {
 	Columns   []string `json:"columns"`
 	Rows      [][]any  `json:"rows"`
-	RowCount  int      `json:"row_count"`
+	RowCount  int64    `json:"row_count"`
 	Truncated bool     `json:"truncated,omitempty"`
+
+	Route      string `json:"route,omitempty"`
+	ShardsUsed int    `json:"shards_used,omitempty"`
 
 	ElapsedMillis float64 `json:"elapsed_ms"`
 	QueuedMillis  float64 `json:"queued_ms"`
@@ -140,6 +145,16 @@ func writeError(w http.ResponseWriter, status int, kind string, err error) {
 }
 
 func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
+	ServeQuery(w, r, s, s.reg, s.streamCodec)
+}
+
+// ServeQuery is the /query route of every front end — the single engine's
+// and the cluster coordinator's: decode the request, join or start the
+// trace, open q's cursor, and answer with the stream (WriteStream, in the
+// codec pick chooses) or the buffered body (WriteBuffered) as the request
+// asked. reg is the front end's registry, where the statement's live
+// counters are found for the stream's wire bytes.
+func ServeQuery(w http.ResponseWriter, r *http.Request, q windowdb.Queryer, reg *trace.Registry, pick func(*http.Request) WireCodec) {
 	var req queryRequest
 	switch r.Method {
 	case http.MethodGet:
@@ -166,9 +181,9 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 			req.SQL = "SUBSCRIBE " + req.SQL
 		}
 	}
-	// A SUBSCRIBE statement (spelled either way) only makes sense streamed.
-	_, isLive := windowdb.StripSubscribe(req.SQL)
-	if isLive {
+	// A SUBSCRIBE statement (spelled either way) has no last row to buffer a
+	// response around: it only makes sense streamed.
+	if _, isLive := windowdb.StripSubscribe(req.SQL); isLive {
 		req.Stream = true
 	}
 
@@ -190,57 +205,53 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ctx = trace.WithClient(ctx, r.RemoteAddr)
 	w.Header().Set(trace.HeaderTraceID, traceID)
 
-	if req.Stream || NDJSONRequested(r) {
-		rows, err := s.QueryContext(ctx, req.SQL)
-		if err != nil {
-			status, kind := StatusFor(err)
-			writeError(w, status, kind, err)
-			return
-		}
-		WriteStream(s.liveContext(r.Context(), traceID), w, rows, req.MaxRows, s.streamCodec(r))
-		return
-	}
-
-	res, err := s.Query(ctx, req.SQL)
+	rows, err := q.QueryContext(ctx, req.SQL)
 	if err != nil {
 		status, kind := StatusFor(err)
 		writeError(w, status, kind, err)
 		return
 	}
+	if req.Stream || NDJSONRequested(r) {
+		WriteStream(liveContext(r.Context(), reg, traceID), w, rows, req.MaxRows, pick(r))
+		return
+	}
+	WriteBuffered(w, rows, req.MaxRows)
+}
 
-	t := res.Table
-	resp := queryResponse{
-		Columns:       make([]string, t.Schema.Len()),
-		RowCount:      t.Len(),
-		ElapsedMillis: float64(res.Elapsed) / float64(time.Millisecond),
-		QueuedMillis:  float64(res.Queued) / float64(time.Millisecond),
-		CacheHit:      res.CacheHit,
-		SharedScan:    res.SharedScan,
-		FinalSort:     res.FinalSort,
-		TraceID:       res.TraceID,
-	}
-	for i, c := range t.Schema.Columns {
-		resp.Columns[i] = c.Name
-	}
-	if res.Plan != nil {
-		resp.Chain = res.Plan.PaperString()
-	}
-	if res.Metrics != nil {
-		resp.BlocksRead = res.Metrics.BlocksRead
-		resp.BlocksWritten = res.Metrics.BlocksWritten
-	}
-	rows := t.Rows
-	if req.MaxRows > 0 && len(rows) > req.MaxRows {
-		rows = rows[:req.MaxRows]
-		resp.Truncated = true
-	}
-	resp.Rows = make([][]any, len(rows))
-	for i, row := range rows {
+// WriteBuffered answers with the buffered JSON body: rows drained to its
+// end, the leading maxRows of them (all, when 0) rendered and the rest only
+// counted, so row_count is the statement's whatever the cut. It owns the
+// response: an error that ends the drain becomes the error body, with the
+// status its kind maps to.
+func WriteBuffered(w http.ResponseWriter, rows *windowdb.Rows, maxRows int) {
+	defer rows.Close()
+	resp := queryResponse{Columns: rows.Columns(), Rows: [][]any{}}
+	for rows.Next() {
+		resp.RowCount++
+		if maxRows > 0 && resp.RowCount > int64(maxRows) {
+			resp.Truncated = true
+			continue
+		}
+		row := rows.Row()
 		out := make([]any, len(row))
 		for j, v := range row {
 			out[j] = JSONValue(v)
 		}
-		resp.Rows[i] = out
+		resp.Rows = append(resp.Rows, out)
+	}
+	if err := rows.Err(); err != nil {
+		status, kind := StatusFor(err)
+		writeError(w, status, kind, err)
+		return
+	}
+	if m := rows.Metrics(); m != nil {
+		resp.Route, resp.ShardsUsed = m.Route, m.ShardsUsed
+		resp.ElapsedMillis = float64(m.Elapsed) / float64(time.Millisecond)
+		resp.QueuedMillis = float64(m.Queued) / float64(time.Millisecond)
+		resp.CacheHit, resp.SharedScan = m.CacheHit, m.SharedScan
+		resp.Chain, resp.FinalSort = m.Chain, m.FinalSort
+		resp.BlocksRead, resp.BlocksWritten = m.BlocksRead, m.BlocksWritten
+		resp.TraceID = m.TraceID
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -272,8 +283,8 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 // registry entry. The stream outlives the registration window by one
 // trailer write at most; a post-deregistration add on the Live is
 // harmless.
-func (s *Service) liveContext(ctx context.Context, traceID string) context.Context {
-	if e := s.reg.Get(traceID); e != nil {
+func liveContext(ctx context.Context, reg *trace.Registry, traceID string) context.Context {
+	if e := reg.Get(traceID); e != nil {
 		ctx = trace.WithLive(ctx, e.Live())
 	}
 	return ctx

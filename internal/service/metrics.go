@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro"
 	"repro/internal/exec"
 )
 
@@ -117,15 +118,10 @@ func (m *Metrics) beginExec() {
 
 func (m *Metrics) endExec() { m.inFlight.Add(-1) }
 
-// observe records one finished query: its end-to-end latency, outcome,
-// rows served and (on success) the executor's metrics. Streaming queries
-// observe at stream end — rowsOut then counts the rows actually yielded,
-// not the rows the statement could have produced.
-func (m *Metrics) observe(execM *exec.Metrics, rowsOut int64, d time.Duration, err error) {
-	if err != nil {
-		m.failures.Add(1)
-		return
-	}
+// observe records one served query: its end-to-end latency, the rows it
+// yielded — at stream end, so the rows actually delivered, not the rows
+// the statement could have produced — and the executor's metrics.
+func (m *Metrics) observe(execM *exec.Metrics, rowsOut int64, d time.Duration) {
 	m.queries.Add(1)
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -136,6 +132,15 @@ func (m *Metrics) observe(execM *exec.Metrics, rowsOut int64, d time.Duration, e
 		m.comparisons += execM.Comparisons
 	}
 	m.rowsOut += rowsOut
+}
+
+// count records a statement that was not served: aborted or failed.
+func (m *Metrics) count(o windowdb.Outcome) {
+	if o == windowdb.Aborted {
+		m.aborted.Add(1)
+	} else {
+		m.failures.Add(1)
+	}
 }
 
 // Snapshot is a point-in-time view of the service counters, shaped for the

@@ -34,11 +34,9 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sync"
 	"time"
 
 	"repro"
-	"repro/internal/exec"
 	"repro/internal/sql"
 	"repro/internal/storage"
 	"repro/internal/stream"
@@ -202,8 +200,8 @@ func New(eng *windowdb.Engine, cfg Config) *Service {
 func (s *Service) Traces() *trace.Ring { return s.ring }
 
 // Registry exposes the in-flight query registry behind GET/DELETE
-// /debug/queries: every admitted statement — streamed, buffered or a
-// shuffle stage — is listed with live counters until its cursor finishes,
+// /debug/queries: every admitted statement — a cursor or a shuffle stage —
+// is listed with live counters until it finishes,
 // and Kill fires the stored cancel (the query then classifies as
 // aborted).
 func (s *Service) Registry() *trace.Registry { return s.reg }
@@ -292,115 +290,31 @@ type QueryResult struct {
 	TraceID string
 }
 
-// Query serves one query: plan-cache lookup (preparing and caching on
-// miss), slot admission, execution under ctx. Error classes: parse and
-// bind errors (sql.ErrParse/ErrBind), unknown tables
-// (catalog.ErrUnknownTable), admission rejection (ErrOverloaded), and
-// ctx.Err() for queries cancelled or timed out while queued or between
-// chain steps; anything else is an engine fault.
+// Query serves one query and materializes its result: QueryContext's
+// cursor, drained. Error classes: parse and bind errors
+// (sql.ErrParse/ErrBind), unknown tables (catalog.ErrUnknownTable),
+// admission rejection (ErrOverloaded), and ctx.Err() for queries cancelled
+// or timed out while queued, between chain steps or mid-drain; anything
+// else is an engine fault.
 func (s *Service) Query(ctx context.Context, src string) (*QueryResult, error) {
-	if windowdb.IsInsert(src) {
-		start := time.Now()
-		rows, err := s.insertStream(ctx, src)
-		if err != nil {
-			return nil, err
-		}
-		res, err := windowdb.DrainResult(rows)
-		if err != nil {
-			return nil, err
-		}
-		return &QueryResult{Result: res, Elapsed: time.Since(start)}, nil
-	}
 	if _, ok := windowdb.StripSubscribe(src); ok {
 		// A subscription never completes, so it cannot be served buffered.
 		return nil, fmt.Errorf("%w: SUBSCRIBE needs a streaming client (stream=1 or Accept: %s)", sql.ErrBind, ContentTypeNDJSON)
 	}
-	return s.serve(ctx, src, "", false)
-}
-
-// QueryShardLocal serves the shard-local part of a statement: WHERE, the
-// window chain and projection, skipping DISTINCT, ORDER BY and LIMIT —
-// the phases a scatter-gather coordinator applies over the concatenation
-// of every shard's output. It shares Query's plan cache (the Prepared is
-// the same object; only the execution entry point differs), admission
-// control and metrics. subplanFP is the coordinator's optional subplan
-// fingerprint (see StreamShardLocal); "" derives the identity locally.
-func (s *Service) QueryShardLocal(ctx context.Context, src, subplanFP string) (*QueryResult, error) {
-	return s.serve(ctx, src, subplanFP, true)
-}
-
-func (s *Service) serve(ctx context.Context, src, subplanFP string, shardLocal bool) (*QueryResult, error) {
-	if s.cfg.DefaultTimeout > 0 {
-		if _, ok := ctx.Deadline(); !ok {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.cfg.DefaultTimeout)
-			defer cancel()
-		}
-	}
-	// The kill cancel wraps ctx unconditionally: DELETE /debug/queries/{id}
-	// fires it whether or not a timeout is armed.
-	ctx, kill := context.WithCancel(ctx)
-	defer kill()
-	id := trace.IDFromContext(ctx)
-	ctx = trace.NewContext(ctx, id)
-	entry := s.reg.Register(id, src, s.role(), trace.ClientFromContext(ctx), kill)
-	defer s.reg.Remove(entry)
-	live := entry.Live()
-	ctx = trace.WithLive(ctx, live)
-	live.SetPhase("planning")
-
 	start := time.Now()
-	prep, hit, err := s.resolve(src)
-	if err != nil {
-		s.metrics.failures.Add(1)
-		return nil, err
-	}
-
-	live.SetPhase("queued")
-	queueStart := time.Now()
-	if _, err := s.gov.acquire(ctx); err != nil {
-		if errors.Is(err, ErrOverloaded) {
-			s.metrics.rejected.Add(1)
-		}
-		s.metrics.failures.Add(1)
-		return nil, err
-	}
-	queued := time.Since(queueStart)
-	live.RaiseMemPeak(1)
-	live.SetPhase("executing")
-
-	// Release the slot and the gauge via defer: a panicking execution
-	// (recovered per-request by net/http) must not leak a slot, or the
-	// governor would wedge shut while /healthz still answers ok.
-	res, err := func() (*windowdb.Result, error) {
-		defer s.gov.release()
-		s.metrics.beginExec()
-		defer s.metrics.endExec()
-		return s.execPrepared(ctx, prep, subplanFP, shardLocal)
-	}()
-
-	elapsed := time.Since(start)
-	var execM *exec.Metrics
-	var rowsOut int64
-	var meta *windowdb.QueryMetrics
-	if res != nil {
-		execM = res.Metrics
-		if res.Table != nil {
-			rowsOut = int64(res.Table.Len())
-		}
-		meta = windowdb.MetaFromResult(res)
-	}
-	live.AddRowsEmitted(rowsOut)
-	if entry.Killed() && err != nil {
-		s.metrics.aborted.Add(1)
-	} else {
-		s.metrics.observe(execM, rowsOut, elapsed, err)
-	}
-	s.recordTrace(id, src, start, elapsed, queryTrace(elapsed, queued, hit, rowsOut, meta), err)
+	rows, err := s.QueryContext(ctx, src)
 	if err != nil {
 		return nil, err
 	}
-	return &QueryResult{Result: res, CacheHit: hit, Queued: queued, Elapsed: elapsed, TraceID: id}, nil
+	res, err := windowdb.DrainResult(rows)
+	if err != nil {
+		return nil, err
+	}
+	qr := &QueryResult{Result: res, Elapsed: time.Since(start)}
+	if m := rows.Metrics(); m != nil {
+		qr.CacheHit, qr.Queued, qr.TraceID = m.CacheHit, m.Queued, m.TraceID
+	}
+	return qr, nil
 }
 
 // queryTrace assembles a served query's span tree: the admission wait,
@@ -577,13 +491,11 @@ func (s *Service) streamCursor(ctx context.Context, display, src, fp, phase stri
 	live := entry.Live()
 	ctx = trace.WithLive(ctx, live)
 	live.SetPhase("planning")
+	// A statement that ends before it has a cursor is counted by the rule
+	// one that ends as a cursor is (servedSource.End).
 	fail := func(err error) error {
 		s.reg.Remove(entry)
-		if entry.Killed() {
-			s.metrics.aborted.Add(1)
-		} else {
-			s.metrics.failures.Add(1)
-		}
+		s.metrics.count(windowdb.Ending{Err: err}.Outcome(entry.Killed(), false))
 		cancel()
 		return err
 	}
@@ -608,7 +520,7 @@ func (s *Service) streamCursor(ctx context.Context, display, src, fp, phase stri
 	// Until the slot is handed to the cursor, release it on every exit —
 	// error or panic (recovered per-request by net/http): a panicking
 	// chain must not wedge the governor shut while /healthz still answers
-	// ok, same discipline as serve()'s deferred release.
+	// ok.
 	handoff := false
 	defer func() {
 		if !handoff {
@@ -619,14 +531,7 @@ func (s *Service) streamCursor(ctx context.Context, display, src, fp, phase stri
 
 	cur, err := open(ctx, prep)
 	if err != nil {
-		s.reg.Remove(entry)
-		if entry.Killed() {
-			s.metrics.aborted.Add(1)
-		} else {
-			s.metrics.observe(nil, 0, time.Since(start), err)
-		}
-		cancel()
-		return nil, err
+		return nil, fail(err)
 	}
 	live.SetPhase(phase)
 	handoff = true
@@ -638,12 +543,12 @@ func (s *Service) streamCursor(ctx context.Context, display, src, fp, phase stri
 
 // servedSource adapts an execution cursor to the Rows contract while
 // holding the service-side resources: the admission slot and the in-flight
-// gauge, both released exactly once when the stream ends — drained, failed
-// or closed early. The three endings classify differently: a full drain
-// is a query, an execution error a failure, and an early Close (client
-// disconnect, deliberate truncation) an abort — counted on its own
-// gauge, with no latency sample, so partial deliveries don't masquerade
-// as fast successes in the histogram.
+// gauge, both released when the cursor's one End arrives — drained, failed
+// or closed early — and the statement is counted (windowdb.Ending.Outcome):
+// a full drain is a query, an execution error a failure, and an early
+// Close, a kill or a caller that left an abort — on its own counter, with
+// no latency sample, so partial deliveries don't masquerade as fast
+// successes in the histogram.
 type servedSource struct {
 	svc      *Service
 	cur      execCursor
@@ -655,80 +560,46 @@ type servedSource struct {
 	queued   time.Duration
 	cacheHit bool
 	cancel   context.CancelFunc
-
-	rows      int64
-	completed bool // a terminal NextBatch (io.EOF) was observed
-	once      sync.Once
-	meta      *windowdb.QueryMetrics
 }
 
 func (ss *servedSource) Columns() []storage.Column { return ss.cur.Columns() }
 
 func (ss *servedSource) NextBatch() (*stream.Batch, error) {
 	b, err := ss.cur.NextBatch()
-	switch {
-	case err == io.EOF:
-		ss.completed = true
-		ss.finish(nil)
-	case err != nil:
-		ss.finish(err)
-	default:
-		ss.rows += int64(b.Len())
+	if err == nil {
 		ss.live.AddRowsEmitted(int64(b.Len()))
 	}
 	return b, err
 }
 
-func (ss *servedSource) Close() error {
-	ss.finish(nil)
-	return ss.cur.Close()
-}
-
-func (ss *servedSource) Metrics() *windowdb.QueryMetrics { return ss.meta }
-
-func (ss *servedSource) finish(err error) {
-	ss.once.Do(func() {
-		ss.svc.gov.release()
-		ss.svc.metrics.endExec()
-		ss.svc.reg.Remove(ss.entry)
-		killed := ss.entry.Killed()
-		elapsed := time.Since(ss.start)
-		meta := windowdb.MetaFromResult(ss.cur.Meta())
-		meta.CacheHit, meta.Queued, meta.Elapsed = ss.cacheHit, ss.queued, elapsed
-		root := queryTrace(elapsed, ss.queued, ss.cacheHit, ss.rows, meta)
-		if killed {
-			root.SetAttr("killed", "true")
-		}
-		// A cancelled context mid-stream is the caller walking away — the
-		// request context of a client that hung up — seen by the cursor's
-		// own check before a write failed or Close arrived: the same
-		// abort, whichever of the three notices first. A deadline is a
-		// failure.
-		walkedAway := errors.Is(err, context.Canceled)
-		if err != nil && !walkedAway {
-			root.SetAttr("error", err.Error())
-		} else if !ss.completed {
-			root.SetAttr("aborted", "true")
-		}
-		meta.TraceID, meta.Trace = ss.traceID, root
-		ss.meta = meta
-		switch {
-		case killed, walkedAway:
-			// The kill switch fired or the caller left: an abort, not an
-			// engine failure — no latency sample either way.
-			ss.svc.metrics.aborted.Add(1)
-		case err != nil:
-			ss.svc.metrics.observe(nil, 0, elapsed, err)
-		case !ss.completed:
-			ss.svc.metrics.aborted.Add(1)
-		default:
-			ss.svc.metrics.observe(ss.cur.Meta().Metrics, ss.rows, elapsed, nil)
-		}
-		ss.svc.recordTrace(ss.traceID, ss.src, ss.start, elapsed, root, err)
-		if ss.cancel != nil {
-			ss.cancel()
-		}
-	})
+func (ss *servedSource) End(end windowdb.Ending) *windowdb.QueryMetrics {
+	ss.svc.gov.release()
+	ss.svc.metrics.endExec()
+	ss.svc.reg.Remove(ss.entry)
+	killed := ss.entry.Killed()
+	elapsed := time.Since(ss.start)
+	res := ss.cur.Meta()
+	meta := windowdb.MetaFromResult(res)
+	meta.CacheHit, meta.Queued, meta.Elapsed = ss.cacheHit, ss.queued, elapsed
+	root := queryTrace(elapsed, ss.queued, ss.cacheHit, end.Rows, meta)
+	if killed {
+		root.SetAttr("killed", "true")
+	}
+	switch outcome := end.Outcome(killed, false); outcome {
+	case windowdb.Served:
+		ss.svc.metrics.observe(res.Metrics, end.Rows, elapsed)
+	case windowdb.Aborted:
+		root.SetAttr("aborted", "true")
+		ss.svc.metrics.count(outcome)
+	case windowdb.Failed:
+		root.SetAttr("error", end.Err.Error())
+		ss.svc.metrics.count(outcome)
+	}
+	meta.TraceID, meta.Trace = ss.traceID, root
+	ss.svc.recordTrace(ss.traceID, ss.src, ss.start, elapsed, root, end.Err)
+	ss.cancel()
+	_ = ss.cur.Close()
+	return meta
 }
 
 // ResetMaxInFlight re-arms the in-flight high-water mark to the current

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -72,12 +73,10 @@ func TestGovernorQueueOverflow(t *testing.T) {
 		_, err := g.acquire(ctx)
 		waiterIn <- err
 	}()
-	// Wait until the goroutine is actually queued.
-	for i := 0; g.queueDepth() != 1; i++ {
-		if i > 1000 {
-			t.Fatal("waiter never queued")
-		}
-		time.Sleep(time.Millisecond)
+	// The overflow below is only an overflow once the waiter holds the
+	// queue's one place: yield until it does.
+	for g.queueDepth() != 1 {
+		runtime.Gosched()
 	}
 
 	if _, err := g.acquire(ctx); !errors.Is(err, ErrOverloaded) {

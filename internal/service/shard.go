@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro"
 	"repro/internal/attrs"
@@ -19,25 +18,26 @@ import (
 // cluster coordinator (internal/shard) can use it as a shard node. The
 // routes mount only under Config.ShardRoutes (windserve -shardnode).
 //
-//	POST /shard/query        {"sql": "...", "mode": "local"|"full"|"segment"}
+//	POST /shard/query        {"sql": "...", "mode": "local"|"full"|"segment"} (row stream)
 //	POST /shard/register     {"name": "t", "table": {wire table}}
-//	GET  /shard/table?name=t (NDJSON row stream)
+//	GET  /shard/table?name=t (row stream)
 //	GET  /shard/distinct?table=t&attrs=3,4
 //	POST /shard/shuffle/run  {ShuffleRunRequest}
-//	POST /shard/shuffle      (NDJSON peer row stream — node-to-node)
+//	POST /shard/shuffle      (peer row stream — node-to-node)
 //	POST /shard/shuffle/drop {"shuffle_id": "..."}
 //
-// "local" mode executes the shard-local part of the statement (WHERE,
-// chain, projection — no DISTINCT/ORDER BY/LIMIT; see
-// Service.QueryShardLocal); "full" executes the entire statement, used for
-// replicated tables where one shard serves the whole query; "segment"
-// executes the final segment of a coordinator SegmentPlan over the node's
-// shuffle inbox (StreamSegment — always streamed). /shard/register
-// installs a table partition (or replica) into the node's engine — like
-// every route here it is an intra-cluster interface: deploy shard nodes
-// behind the cluster boundary, not on the public edge. /shard/table
-// streams a table's raw rows with the NDJSON framing (the gather path of
-// chains with no usable shuffle key) and /shard/distinct answers a
+// /shard/query always answers with the row stream of stream.go, in the
+// codec the coordinator's Accept negotiated. "local" mode executes the
+// shard-local part of the statement (WHERE, chain, projection — no
+// DISTINCT/ORDER BY/LIMIT; see Service.StreamShardLocal); "full" executes
+// the entire statement, used for replicated tables where one shard serves
+// the whole query; "segment" executes the final segment of a coordinator
+// SegmentPlan over the node's shuffle inbox (StreamSegment).
+// /shard/register installs a table partition (or replica) into the node's
+// engine — like every route here it is an intra-cluster interface: deploy
+// shard nodes behind the cluster boundary, not on the public edge.
+// /shard/table streams a table's raw rows with the same framing (the gather
+// path of chains with no usable shuffle key) and /shard/distinct answers a
 // distinct count for the coordinator's statistics stubs. The two
 // /shard/shuffle data-plane routes carry the per-segment distributed
 // execution of key-divergent chains: "run" executes one stage
@@ -51,11 +51,6 @@ type ShardQueryRequest struct {
 	// Mode is "local" (shard-local part only), "full" (entire statement)
 	// or "segment" (final shuffle segment over the node's inbox).
 	Mode string `json:"mode"`
-	// Stream asks for the NDJSON row stream (stream.go) instead of the
-	// buffered WireTable body: the coordinator's scatter path uses it to
-	// bound its resident rows by the wire batch instead of |R|.
-	Stream bool `json:"stream,omitempty"`
-
 	// Fingerprint is the coordinator's plan fingerprint of SQL
 	// (sql.Fingerprint): nodes resolve their plan cache by it in O(1)
 	// before falling back to text normalization. Optional — "" resolves
@@ -75,18 +70,6 @@ type ShardQueryRequest struct {
 	ShuffleID string           `json:"shuffle_id,omitempty"`
 	Round     int              `json:"round,omitempty"`
 	Senders   int              `json:"senders,omitempty"`
-}
-
-// ShardQueryResponse carries the executed rows plus the execution
-// observations the coordinator aggregates.
-type ShardQueryResponse struct {
-	Table         WireTable `json:"table"`
-	CacheHit      bool      `json:"cache_hit"`
-	FinalSort     string    `json:"final_sort,omitempty"`
-	BlocksRead    int64     `json:"blocks_read"`
-	BlocksWritten int64     `json:"blocks_written"`
-	Comparisons   int64     `json:"comparisons"`
-	ElapsedMillis float64   `json:"elapsed_ms"`
 }
 
 // ShardRegisterRequest installs a table on a shard node.
@@ -124,43 +107,17 @@ func (s *Service) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(trace.HeaderTraceID, traceID)
 	}
 	ctx = trace.WithClient(ctx, r.RemoteAddr)
-	if req.Stream {
-		var (
-			rows *windowdb.Rows
-			err  error
-		)
-		switch req.Mode {
-		case "local":
-			rows, err = s.StreamShardLocal(ctx, req.SQL, req.Fingerprint, req.SubplanFP)
-		case "segment":
-			rows, err = s.StreamSegment(ctx, req)
-		case "full", "":
-			rows, err = s.QueryContext(ctx, req.SQL)
-		default:
-			writeError(w, http.StatusBadRequest, "request", fmt.Errorf("service: unknown shard query mode %q", req.Mode))
-			return
-		}
-		if err != nil {
-			status, kind := StatusFor(err)
-			writeError(w, status, kind, err)
-			return
-		}
-		WriteStream(s.liveContext(r.Context(), traceID), w, rows, 0, s.streamCodec(r))
-		return
-	}
-
 	var (
-		res *QueryResult
-		err error
+		rows *windowdb.Rows
+		err  error
 	)
 	switch req.Mode {
 	case "local":
-		res, err = s.QueryShardLocal(ctx, req.SQL, req.SubplanFP)
+		rows, err = s.StreamShardLocal(ctx, req.SQL, req.Fingerprint, req.SubplanFP)
 	case "segment":
-		writeError(w, http.StatusBadRequest, "request", errors.New("service: segment mode is stream-only"))
-		return
+		rows, err = s.StreamSegment(ctx, req)
 	case "full", "":
-		res, err = s.Query(ctx, req.SQL)
+		rows, err = s.QueryContext(ctx, req.SQL)
 	default:
 		writeError(w, http.StatusBadRequest, "request", fmt.Errorf("service: unknown shard query mode %q", req.Mode))
 		return
@@ -170,18 +127,7 @@ func (s *Service) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, kind, err)
 		return
 	}
-	resp := ShardQueryResponse{
-		Table:         EncodeTable(res.Table),
-		CacheHit:      res.CacheHit,
-		FinalSort:     res.FinalSort,
-		ElapsedMillis: float64(res.Elapsed) / float64(time.Millisecond),
-	}
-	if res.Metrics != nil {
-		resp.BlocksRead = res.Metrics.BlocksRead
-		resp.BlocksWritten = res.Metrics.BlocksWritten
-		resp.Comparisons = res.Metrics.Comparisons
-	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteStream(liveContext(r.Context(), s.reg, traceID), w, rows, 0, s.streamCodec(r))
 }
 
 func (s *Service) handleShardRegister(w http.ResponseWriter, r *http.Request) {

@@ -324,11 +324,7 @@ func (s *Service) RunShuffleStep(ctx context.Context, req ShuffleRunRequest, sen
 	}
 	var entry *trace.QueryEntry
 	fail := func(err error) (*ShuffleRunResult, error) {
-		if entry.Killed() {
-			s.metrics.aborted.Add(1)
-		} else {
-			s.metrics.failures.Add(1)
-		}
+		s.metrics.count(windowdb.Ending{Err: err}.Outcome(entry.Killed(), false))
 		return nil, err
 	}
 	prep, hit, err := s.resolveFP(req.SQL, req.Fingerprint)

@@ -34,9 +34,9 @@ import (
 // a missing trailer means the stream was cut and the client reports a
 // truncation error rather than silently serving a prefix.
 //
-// Both /query (engine and coordinator front ends) and /shard/query (node
-// scatter surface) speak this format when the request asks for it
-// (NDJSONRequested); service.Client and the cluster's HTTP shard transport
+// /query (engine and coordinator front ends) speaks this format when the
+// request asks for it (NDJSONRequested), /shard/query (node scatter
+// surface) always; service.Client and the cluster's HTTP shard transport
 // are the two consumers.
 
 // ContentTypeNDJSON is the streamed response content type.

@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro"
 	"repro/internal/catalog"
@@ -60,18 +59,26 @@ func tinyBufClient() *http.Client {
 	}}
 }
 
-// waitInFlightZero polls the in-flight gauge back to zero: server-side
-// stream teardown after a disconnect is asynchronous.
-func waitInFlightZero(t *testing.T, svc *Service) {
+// requireInFlightZero holds the in-flight gauge to zero. A cursor's slot is
+// released by the time its ending is visible: when an in-process Rows has
+// drained or closed, when a streamed response's trailer has arrived, and —
+// for a client that hung up — when the handler has returned (handlerDone).
+func requireInFlightZero(t *testing.T, svc *Service) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if svc.Stats().InFlight == 0 {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
+	if got := svc.Stats().InFlight; got != 0 {
+		t.Fatalf("in-flight gauge at %d after the cursor ended, want 0", got)
 	}
-	t.Fatalf("in-flight gauge stuck at %d", svc.Stats().InFlight)
+}
+
+// handlerDone wraps h so that every request sends on the returned channel
+// once its handler has returned: the gate a test waits at for a server's
+// teardown after a disconnect, which no response tells the client about.
+func handlerDone(h http.Handler) (http.Handler, <-chan struct{}) {
+	done := make(chan struct{}, 8) // more than any one test's requests
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		done <- struct{}{}
+	}), done
 }
 
 // TestStreamSlotHeldUntilClose: the admission slot belongs to the cursor
@@ -93,7 +100,7 @@ func TestStreamSlotHeldUntilClose(t *testing.T) {
 	if err := rows.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitInFlightZero(t, svc)
+	requireInFlightZero(t, svc)
 	if _, err := svc.Query(ctx, mixQ1); err != nil {
 		t.Fatalf("query after Close: %v", err)
 	}
@@ -117,7 +124,7 @@ func TestStreamSlotReleasedOnDrain(t *testing.T) {
 	if n != 500 {
 		t.Fatalf("drained %d rows, want 500", n)
 	}
-	waitInFlightZero(t, svc)
+	requireInFlightZero(t, svc)
 	m := rows.Metrics()
 	if m == nil || m.Rows != 500 {
 		t.Fatalf("metrics after drain = %+v, want 500 rows", m)
@@ -146,7 +153,7 @@ func TestStreamCancelMidDrain(t *testing.T) {
 	if err := rows.Err(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	waitInFlightZero(t, svc)
+	requireInFlightZero(t, svc)
 	if _, err := svc.Query(context.Background(), mixQ1); err != nil {
 		t.Fatalf("slot not released after cancel: %v", err)
 	}
@@ -268,7 +275,8 @@ func TestClientErrorTaxonomy(t *testing.T) {
 // the next query is admitted.
 func TestClientDisconnectReleasesSlot(t *testing.T) {
 	svc := newTestService(t, Config{Slots: 1, MaxQueue: -1}, 20_000)
-	srv := httptest.NewUnstartedServer(svc.Handler())
+	handler, done := handlerDone(svc.Handler())
+	srv := httptest.NewUnstartedServer(handler)
 	srv.Listener = tinyBufListener{srv.Listener}
 	srv.Start()
 	defer srv.Close()
@@ -292,7 +300,8 @@ func TestClientDisconnectReleasesSlot(t *testing.T) {
 	if m := rows.Metrics(); m != nil {
 		t.Fatalf("metrics after disconnect = %+v, want nil (no confirmed trailer)", m)
 	}
-	waitInFlightZero(t, svc)
+	<-done
+	requireInFlightZero(t, svc)
 	if _, err := svc.Query(context.Background(), mixQ1); err != nil {
 		t.Fatalf("slot not released after disconnect: %v", err)
 	}
@@ -339,7 +348,7 @@ func TestStreamMaxRowsTruncates(t *testing.T) {
 	if !strings.Contains(body, `"truncated":true`) {
 		t.Fatalf("trailer not marked truncated:\n%s", body)
 	}
-	waitInFlightZero(t, svc)
+	requireInFlightZero(t, svc)
 
 	// Exact boundary: max_rows equal to the result size is a complete
 	// delivery — not truncated, classified as a query, not an abort.
@@ -357,7 +366,7 @@ func TestStreamMaxRowsTruncates(t *testing.T) {
 	if strings.Contains(string(raw), `"truncated":true`) {
 		t.Fatalf("exact-boundary stream marked truncated:\n%s", raw)
 	}
-	waitInFlightZero(t, svc)
+	requireInFlightZero(t, svc)
 	if got := svc.Stats().Aborted; got != abortedBefore {
 		t.Fatalf("exact-boundary stream counted aborted (%d -> %d)", abortedBefore, got)
 	}

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"repro/internal/service"
 )
@@ -47,14 +46,15 @@ func tinyBufClient() *http.Client {
 	}}
 }
 
-// waitFor polls cond: teardown after a disconnect is asynchronous.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-	}
+// handlerDone wraps h so that every request sends on the returned channel
+// once its handler has returned: by then the coordinator has closed the
+// cursor of a client that hung up, which no response tells the client.
+func handlerDone(h http.Handler) (http.Handler, <-chan struct{}) {
+	done := make(chan struct{}, 8) // more than any one test's requests
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		done <- struct{}{}
+	}), done
 }
 
 // TestCoordinatorDisconnectIsAnAbort is the coordinator's twin of the node
@@ -69,7 +69,8 @@ func TestCoordinatorDisconnectIsAnAbort(t *testing.T) {
 	for _, route := range []struct{ name, sql string }{{"scatter", q6SQL}, {"gather", gatherSQL}} {
 		walkAways := map[string]func(t *testing.T, c *Cluster){
 			"hang-up": func(t *testing.T, c *Cluster) {
-				front := httptest.NewUnstartedServer(c.Handler())
+				handler, done := handlerDone(c.Handler())
+				front := httptest.NewUnstartedServer(handler)
 				front.Listener = tinyBufListener{front.Listener}
 				front.Start()
 				defer front.Close()
@@ -87,6 +88,7 @@ func TestCoordinatorDisconnectIsAnAbort(t *testing.T) {
 				if err := rows.Close(); err != nil {
 					t.Fatal(err)
 				}
+				<-done
 			},
 			"cancelled context": func(t *testing.T, c *Cluster) {
 				ctx, cancel := context.WithCancel(context.Background())
@@ -112,8 +114,9 @@ func TestCoordinatorDisconnectIsAnAbort(t *testing.T) {
 			t.Run(route.name+"/"+how, func(t *testing.T) {
 				c, svcs := streamCluster(t, 2, 20_000, Config{GatherSlots: -1})
 				walkAway(t, c)
-				waitNodeSlotsFree(t, svcs)
-				waitFor(t, "the coordinator's registry to empty", func() bool { return c.reg.Len() == 0 })
+				if n := c.reg.Len(); n != 0 {
+					t.Fatalf("%d statements still registered at the coordinator", n)
+				}
 				if aborted, failures := c.aborted.Load(), c.failures.Load(); aborted != 1 || failures != 0 {
 					t.Fatalf("aborted = %d, failures = %d, want 1 and 0", aborted, failures)
 				}
@@ -121,8 +124,8 @@ func TestCoordinatorDisconnectIsAnAbort(t *testing.T) {
 					t.Fatalf("gather in-flight = %d, want 0", got)
 				}
 				for i, svc := range svcs {
-					if st := svc.Stats(); st.LiveQueries != 0 || st.Failures != 0 {
-						t.Fatalf("node %d: %d live queries, %d failures, want none", i, st.LiveQueries, st.Failures)
+					if st := svc.Stats(); st.InFlight != 0 || st.LiveQueries != 0 || st.Failures != 0 {
+						t.Fatalf("node %d: %d slots held, %d live queries, %d failures, want none", i, st.InFlight, st.LiveQueries, st.Failures)
 					}
 				}
 				res, err := c.Query(context.Background(), route.sql)

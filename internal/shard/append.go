@@ -28,7 +28,6 @@ import (
 	"io"
 	"strings"
 	"sync"
-	"time"
 
 	"repro"
 	"repro/internal/catalog"
@@ -114,7 +113,7 @@ func (c *Cluster) insertRows(ctx context.Context, src string) (*windowdb.Rows, e
 // the live cursor then routes: replicated tables go whole to one node
 // round-robin (every replica sees every cluster append), shard-local
 // chains fan in a live stream per node, and anything else is rejected.
-func (c *Cluster) streamSubscribe(ctx context.Context, inner string, cancel context.CancelFunc, start time.Time, qt *clusterTrace) (*windowdb.Rows, error) {
+func (c *Cluster) streamSubscribe(ctx context.Context, inner string, qt *clusterTrace) (*windowdb.Rows, error) {
 	prep, hit, err := c.prepare(inner)
 	if err != nil {
 		return nil, err
@@ -161,8 +160,7 @@ func (c *Cluster) streamSubscribe(ctx context.Context, inner string, cancel cont
 	cols := streams[0].Columns()
 	ls := &liveSource{
 		c: c, cols: cols, streams: streams, streamCancel: streamCancel,
-		cancel: cancel, prep: prep, cacheHit: hit, route: route,
-		qt: qt, start: start,
+		prep: prep, cacheHit: hit, route: route, qt: qt,
 		ridIdx: colIndex(cols, "_rid"), wmIdx: colIndex(cols, "_watermark"),
 		ch:   make(chan liveItem),
 		done: make(chan struct{}),
@@ -207,12 +205,10 @@ type liveSource struct {
 	cols         []storage.Column
 	streams      []RowStream
 	streamCancel context.CancelFunc
-	cancel       context.CancelFunc
 	prep         *sql.Prepared
 	cacheHit     bool
 	route        string
 	qt           *clusterTrace
-	start        time.Time
 	ridIdx       int
 	wmIdx        int
 
@@ -221,16 +217,13 @@ type liveSource struct {
 	wg      sync.WaitGroup
 	batcher *stream.Batcher
 
-	ended     int // node streams that reached io.EOF
-	rows      int64
+	ended     int    // node streams that reached io.EOF
 	watermark uint64 // max _watermark observed across emitted rows
-	once      sync.Once
-	meta      *windowdb.QueryMetrics
 }
 
 // pump forwards one node stream into the fan-in channel. It owns the
 // stream's Close (Next and Close on a cursor must share a goroutine);
-// when the source finishes, the canceled stream context unblocks Next and
+// when the source ends, the canceled stream context unblocks Next and
 // the closed done channel releases the push.
 func (ls *liveSource) pump(node int, s RowStream) {
 	defer ls.wg.Done()
@@ -255,7 +248,6 @@ func (ls *liveSource) NextBatch() (*stream.Batch, error) { return ls.batcher.Nex
 func (ls *liveSource) next() (storage.Tuple, error) {
 	for {
 		if ls.ended == len(ls.streams) {
-			ls.finish(nil, true)
 			return nil, io.EOF
 		}
 		it := <-ls.ch
@@ -264,7 +256,6 @@ func (ls *liveSource) next() (storage.Tuple, error) {
 			continue
 		}
 		if it.err != nil {
-			ls.finish(it.err, false)
 			return nil, it.err
 		}
 		row := it.row
@@ -279,54 +270,19 @@ func (ls *liveSource) next() (storage.Tuple, error) {
 				ls.watermark = wm
 			}
 		}
-		ls.rows++
 		ls.qt.live().AddRowsEmitted(1)
 		return row, nil
 	}
 }
 
-func (ls *liveSource) Close() error {
-	ls.finish(nil, false)
-	return nil
-}
-
-func (ls *liveSource) Metrics() *windowdb.QueryMetrics { return ls.meta }
-
-func (ls *liveSource) finish(err error, completed bool) {
-	ls.once.Do(func() {
-		close(ls.done)
-		ls.streamCancel()
-		meta := &windowdb.QueryMetrics{
-			Plan:        ls.prep.Plan(),
-			FinalSort:   "none",
-			Parallelism: 1,
-			CacheHit:    ls.cacheHit,
-			Route:       ls.route,
-			ShardsUsed:  len(ls.streams),
-			Elapsed:     time.Since(ls.start),
-			Watermark:   ls.watermark,
-		}
-		if meta.Plan != nil {
-			meta.Chain = meta.Plan.PaperString()
-		}
-		ls.c.finishTrace(ls.qt, meta, ls.rows, nil, ls.start, err, err == nil && completed)
-		ls.meta = meta
-		killed := ls.qt != nil && ls.qt.entry.Killed()
-		if ls.qt != nil {
-			ls.c.reg.Remove(ls.qt.entry)
-		}
-		switch {
-		case killed:
-			ls.c.aborted.Add(1)
-		case err != nil && !errors.Is(err, context.Canceled):
-			ls.c.failures.Add(1)
-		default:
-			// A subscription's natural end is a close — a live stream has no
-			// final row, so a clean shutdown counts as served, not aborted.
-			ls.c.queries.Add(1)
-		}
-		if ls.cancel != nil {
-			ls.cancel()
-		}
-	})
+// End stops the pumps and counts the subscription. A live stream has no
+// final row: its caller closing it, or leaving, is its natural end and
+// counts as served, not aborted — the one place the cluster asks the
+// ending rule for that.
+func (ls *liveSource) End(end windowdb.Ending) *windowdb.QueryMetrics {
+	close(ls.done)
+	ls.streamCancel()
+	meta := mergedMeta(ls.prep, ls.cacheHit, ls.route, len(ls.streams))
+	meta.Watermark = ls.watermark
+	return ls.c.ended(ls.qt, meta, end, nil, true)
 }

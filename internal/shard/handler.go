@@ -9,9 +9,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"repro"
 	"repro/internal/service"
 	"repro/internal/trace"
 )
@@ -100,7 +98,8 @@ func (c *Cluster) Stats(ctx context.Context) (*ClusterStats, error) {
 //	GET  /stats   ClusterStats (per-shard snapshots + routing counters)
 //	GET  /healthz fans out to every shard; 503 names the first down node
 //
-// /query responses add "route" (scatter|gather|replica) and "shards_used".
+// /query responses carry "route" (scatter|shuffle|gather|replica) and
+// "shards_used".
 // A request carrying "stream":true, ?stream=1 or `Accept:
 // application/x-ndjson` gets the chunked NDJSON stream: on the scatter
 // route the coordinator forwards per-node streams in shard-index order
@@ -121,36 +120,6 @@ func (c *Cluster) Handler() http.Handler {
 	return mux
 }
 
-type queryRequest struct {
-	SQL           string `json:"sql"`
-	MaxRows       int    `json:"max_rows"`
-	TimeoutMillis int64  `json:"timeout_ms"`
-	Stream        bool   `json:"stream,omitempty"`
-	// Subscribe turns the statement into a SUBSCRIBE (prefixing the verb
-	// when absent): the response becomes a live delta stream maintained by
-	// the owning shard nodes. ?subscribe=1 is the query-string spelling.
-	Subscribe bool `json:"subscribe,omitempty"`
-}
-
-type queryResponse struct {
-	Columns   []string `json:"columns"`
-	Rows      [][]any  `json:"rows"`
-	RowCount  int      `json:"row_count"`
-	Truncated bool     `json:"truncated,omitempty"`
-
-	Route      string `json:"route"`
-	ShardsUsed int    `json:"shards_used"`
-
-	ElapsedMillis float64 `json:"elapsed_ms"`
-	CacheHit      bool    `json:"cache_hit"`
-
-	Chain         string `json:"chain,omitempty"`
-	FinalSort     string `json:"final_sort,omitempty"`
-	BlocksRead    int64  `json:"blocks_read"`
-	BlocksWritten int64  `json:"blocks_written"`
-	TraceID       string `json:"trace_id,omitempty"`
-}
-
 type errorResponse struct {
 	Error string `json:"error"`
 	Kind  string `json:"kind"`
@@ -167,113 +136,12 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, errorResponse{Error: err.Error(), Kind: kind})
 }
 
+// handleQuery is the front door every front end shares (service.ServeQuery)
+// over the cluster's cursor: on the scatter route a streamed response body
+// is the merge-concatenation of the per-node streams — rows transit the
+// coordinator without ever forming a whole-result buffer.
 func (c *Cluster) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	switch r.Method {
-	case http.MethodGet:
-		req.SQL = r.URL.Query().Get("q")
-	case http.MethodPost:
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("shard: bad request body: %v", err), Kind: "request"})
-			return
-		}
-	default:
-		w.Header().Set("Allow", "GET, POST")
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "shard: use GET ?q= or POST JSON", Kind: "request"})
-		return
-	}
-	if req.SQL == "" {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "shard: empty query: pass ?q= or a JSON body with \"sql\"", Kind: "request"})
-		return
-	}
-	if v := r.URL.Query().Get("subscribe"); v == "1" || v == "true" {
-		req.Subscribe = true
-	}
-	if req.Subscribe {
-		if _, ok := windowdb.StripSubscribe(req.SQL); !ok {
-			req.SQL = "SUBSCRIBE " + req.SQL
-		}
-	}
-	// A SUBSCRIBE statement is necessarily a stream: it has no final row to
-	// buffer a response around.
-	_, isLive := windowdb.StripSubscribe(req.SQL)
-	if isLive {
-		req.Stream = true
-	}
-	ctx := r.Context()
-	if req.TimeoutMillis > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMillis)*time.Millisecond)
-		defer cancel()
-	}
-
-	// Join or start the distributed trace at the cluster's front door; the
-	// response header hands the caller the /debug/trace/{id} key.
-	traceID := r.Header.Get(trace.HeaderTraceID)
-	if traceID == "" {
-		traceID = trace.NewID()
-	}
-	ctx = trace.NewContext(ctx, traceID)
-	ctx = trace.WithClient(ctx, r.RemoteAddr)
-	w.Header().Set(trace.HeaderTraceID, traceID)
-
-	if req.Stream || service.NDJSONRequested(r) {
-		// The streamed shape: on the scatter route the response body is the
-		// merge-concatenation of the per-node streams — rows transit the
-		// coordinator without ever forming a whole-result buffer.
-		rows, err := c.QueryContext(ctx, req.SQL)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		// Attach the registered query's live counters to the writer's
-		// context so wire bytes account to the registry entry.
-		wctx := r.Context()
-		if e := c.reg.Get(traceID); e != nil {
-			wctx = trace.WithLive(wctx, e.Live())
-		}
-		service.WriteStream(wctx, w, rows, req.MaxRows, service.NegotiateCodec(r))
-		return
-	}
-
-	res, err := c.Query(ctx, req.SQL)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	t := res.Table
-	resp := queryResponse{
-		Columns:       make([]string, t.Schema.Len()),
-		RowCount:      t.Len(),
-		Route:         res.Route,
-		ShardsUsed:    res.ShardsUsed,
-		ElapsedMillis: float64(res.Elapsed) / float64(time.Millisecond),
-		CacheHit:      res.CacheHit,
-		FinalSort:     res.FinalSort,
-		BlocksRead:    res.BlocksRead,
-		BlocksWritten: res.BlocksWritten,
-		TraceID:       res.TraceID,
-	}
-	for i, col := range t.Schema.Columns {
-		resp.Columns[i] = col.Name
-	}
-	if res.Plan != nil {
-		resp.Chain = res.Plan.PaperString()
-	}
-	rows := t.Rows
-	if req.MaxRows > 0 && len(rows) > req.MaxRows {
-		rows = rows[:req.MaxRows]
-		resp.Truncated = true
-	}
-	resp.Rows = make([][]any, len(rows))
-	for i, row := range rows {
-		out := make([]any, len(row))
-		for j, v := range row {
-			out[j] = service.JSONValue(v)
-		}
-		resp.Rows[i] = out
-	}
-	writeJSON(w, http.StatusOK, resp)
+	service.ServeQuery(w, r, c, c.reg, service.NegotiateCodec)
 }
 
 // handleAppend is the coordinator's POST /append route: the same two body

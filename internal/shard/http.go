@@ -103,33 +103,11 @@ func (h *HTTP) do(ctx context.Context, method, path string, body, out any) error
 // coordinator's resident state per node is bounded by the wire batch plus
 // the transport's read buffer.
 func (h *HTTP) QueryStream(ctx context.Context, req service.ShardQueryRequest) (RowStream, error) {
-	req.Stream = true
 	sr, err := service.OpenStream(ctx, h.client, h.base+"/shard/query", req, h.codec)
 	if err != nil {
 		return nil, err
 	}
 	return &rowsStream{rows: sr.Rows()}, nil
-}
-
-// Query implements Transport.
-func (h *HTTP) Query(ctx context.Context, src string, mode Mode) (*QueryOutcome, error) {
-	var resp service.ShardQueryResponse
-	err := h.do(ctx, http.MethodPost, "/shard/query", service.ShardQueryRequest{SQL: src, Mode: string(mode)}, &resp)
-	if err != nil {
-		return nil, err
-	}
-	t, err := resp.Table.Decode()
-	if err != nil {
-		return nil, err
-	}
-	return &QueryOutcome{
-		Table:         t,
-		CacheHit:      resp.CacheHit,
-		FinalSort:     resp.FinalSort,
-		BlocksRead:    resp.BlocksRead,
-		BlocksWritten: resp.BlocksWritten,
-		Comparisons:   resp.Comparisons,
-	}, nil
 }
 
 // TableStream implements Transport over the node's /shard/table stream:
@@ -163,7 +141,6 @@ func (h *HTTP) ShuffleRun(ctx context.Context, req service.ShuffleRunRequest) (*
 // mode="segment" /shard/query response.
 func (h *HTTP) SegmentStream(ctx context.Context, req service.ShardQueryRequest) (RowStream, error) {
 	req.Mode = "segment"
-	req.Stream = true
 	sr, err := service.OpenStream(ctx, h.client, h.base+"/shard/query", req, h.codec)
 	if err != nil {
 		return nil, err

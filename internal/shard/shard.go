@@ -475,15 +475,11 @@ func (c *Cluster) Query(ctx context.Context, src string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer rows.Close()
-	t := storage.NewTable(storage.NewSchema(rows.ColumnTypes()...))
-	for rows.Next() {
-		t.Rows = append(t.Rows, rows.Row())
-	}
-	if err := rows.Err(); err != nil {
+	drained, err := windowdb.DrainResult(rows)
+	if err != nil {
 		return nil, err
 	}
-	res := &Result{Table: t, Route: "scatter", ShardsUsed: len(c.shards), Elapsed: time.Since(start)}
+	res := &Result{Table: drained.Table, Route: "scatter", ShardsUsed: len(c.shards), Elapsed: time.Since(start)}
 	if m := rows.Metrics(); m != nil {
 		res.Plan = m.Plan
 		res.Route = m.Route
@@ -544,12 +540,10 @@ func (c *Cluster) QueryContext(ctx context.Context, src string) (*windowdb.Rows,
 	entry.Live().SetPhase("planning")
 	rows, err := c.streamQuery(ctx, src, cancel, entry)
 	if err != nil {
+		// Ended before it had a cursor: counted by the rule one that ends as
+		// a cursor is (Cluster.ended).
 		c.reg.Remove(entry)
-		if entry.Killed() {
-			c.aborted.Add(1)
-		} else {
-			c.failures.Add(1)
-		}
+		c.count(windowdb.Ending{Err: err}.Outcome(entry.Killed(), false))
 		cancel()
 		return nil, err
 	}
@@ -582,29 +576,53 @@ func (st *clusterStmt) Close() error { return nil }
 
 // clusterTrace carries a statement's trace identity through the routing
 // paths plus the spans collected before the final streams open (the
-// shuffle route's rounds) and its /debug/queries registry entry.
+// shuffle route's rounds), its /debug/queries registry entry, and the
+// cancel (kill switch and coordinator timeout) that must fire when the
+// statement ends.
 type clusterTrace struct {
 	id     string
 	src    string
+	start  time.Time
 	rounds []*trace.Span
 	entry  *trace.QueryEntry
+	cancel context.CancelFunc
 }
 
-// live returns the statement's live counters (nil-safe on every level).
-func (qt *clusterTrace) live() *trace.Live {
-	if qt == nil {
-		return nil
+// live returns the statement's live counters.
+func (qt *clusterTrace) live() *trace.Live { return qt.entry.Live() }
+
+// ended is the coordinator's end of every statement served as a cursor,
+// whichever source streamed it: classify the ending by the one rule
+// (windowdb.Ending.Outcome), record the assembled trace, leave the
+// registry, count, and fire the statement's cancel. outcomes are the
+// per-node drain results in shard-index order. meta is returned stamped.
+func (c *Cluster) ended(qt *clusterTrace, meta *windowdb.QueryMetrics, end windowdb.Ending, outcomes []*QueryOutcome, closeIsServed bool) *windowdb.QueryMetrics {
+	meta.Elapsed = time.Since(qt.start)
+	outcome := end.Outcome(qt.entry.Killed(), closeIsServed)
+	c.finishTrace(qt, meta, end, outcome, outcomes)
+	c.reg.Remove(qt.entry)
+	c.count(outcome)
+	qt.cancel()
+	return meta
+}
+
+// count ticks the outcome's counter.
+func (c *Cluster) count(o windowdb.Outcome) {
+	switch o {
+	case windowdb.Served:
+		c.queries.Add(1)
+	case windowdb.Aborted:
+		c.aborted.Add(1)
+	default:
+		c.failures.Add(1)
 	}
-	return qt.entry.Live()
 }
 
 // finishTrace assembles the coordinator's span tree for a finished query,
-// stamps it into meta, and records it in the ring and slow log. outcomes
-// are the per-node drain results in shard-index order (their Trace
-// subtrees graft under per-node spans); rows is the cursor's emitted
-// count.
-func (c *Cluster) finishTrace(qt *clusterTrace, meta *windowdb.QueryMetrics, rows int64, outcomes []*QueryOutcome, start time.Time, err error, completed bool) {
-	if qt == nil || qt.id == "" || meta == nil {
+// stamps it into meta, and records it in the ring and slow log. The node
+// outcomes' Trace subtrees graft under per-node spans.
+func (c *Cluster) finishTrace(qt *clusterTrace, meta *windowdb.QueryMetrics, end windowdb.Ending, outcome windowdb.Outcome, outcomes []*QueryOutcome) {
+	if qt.id == "" {
 		return
 	}
 	root := trace.New("query", meta.Elapsed)
@@ -615,11 +633,11 @@ func (c *Cluster) finishTrace(qt *clusterTrace, meta *windowdb.QueryMetrics, row
 	} else {
 		root.SetAttr("plan_cache", "miss")
 	}
-	root.SetInt("rows", rows)
-	switch {
-	case err != nil:
-		root.SetAttr("error", err.Error())
-	case !completed:
+	root.SetInt("rows", end.Rows)
+	switch outcome {
+	case windowdb.Failed:
+		root.SetAttr("error", end.Err.Error())
+	case windowdb.Aborted:
 		root.SetAttr("aborted", "true")
 	}
 	for _, rs := range qt.rounds {
@@ -645,24 +663,23 @@ func (c *Cluster) finishTrace(qt *clusterTrace, meta *windowdb.QueryMetrics, row
 	meta.TraceID = qt.id
 	meta.Trace = root
 	t := &trace.Trace{
-		ID: qt.id, SQL: qt.src, Start: start,
+		ID: qt.id, SQL: qt.src, Start: qt.start,
 		DurationMillis: trace.Millis(meta.Elapsed), Root: root,
 	}
-	if err != nil {
-		t.Error = err.Error()
+	if end.Err != nil {
+		t.Error = end.Err.Error()
 	}
 	c.ring.Add(t)
 	c.slow.Observe(t)
 }
 
 // streamQuery prepares, routes and opens the statement's row stream.
-// cancel, when non-nil, is the coordinator-imposed timeout; it must fire
-// when the stream finishes, so it travels into the stream source.
+// cancel is the kill switch and the coordinator-imposed timeout; it must
+// fire when the stream finishes, so it travels with the statement (qt).
 func (c *Cluster) streamQuery(ctx context.Context, src string, cancel context.CancelFunc, entry *trace.QueryEntry) (*windowdb.Rows, error) {
-	start := time.Now()
-	qt := &clusterTrace{id: trace.FromContext(ctx), src: src, entry: entry}
+	qt := &clusterTrace{id: trace.FromContext(ctx), src: src, start: time.Now(), entry: entry, cancel: cancel}
 	if inner, ok := windowdb.StripSubscribe(src); ok {
-		return c.streamSubscribe(ctx, inner, cancel, start, qt)
+		return c.streamSubscribe(ctx, inner, qt)
 	}
 	prep, hit, err := c.prepare(src)
 	if err != nil {
@@ -678,9 +695,9 @@ func (c *Cluster) streamQuery(ctx context.Context, src string, cancel context.Ca
 	}
 	switch {
 	case !info.sharded:
-		return c.streamReplica(ctx, src, prep, hit, cancel, start, qt)
+		return c.streamReplica(ctx, src, prep, hit, qt)
 	case prep.ShardLocal(info.key):
-		return c.streamScatter(ctx, src, prep, hit, cancel, start, qt)
+		return c.streamScatter(ctx, src, prep, hit, qt)
 	default:
 		// Key-divergent chain: run it per segment with node-to-node
 		// re-shuffles when every segment keeps a usable key and the
@@ -689,9 +706,9 @@ func (c *Cluster) streamQuery(ctx context.Context, src string, cancel context.Ca
 		// that cannot rebuild order) and mixed local/remote topologies
 		// fall back to hauling raw rows.
 		if sp := prep.SegmentPlan(); sp != nil && c.shuffleOK {
-			return c.streamShuffle(ctx, src, prep, sp, info, hit, cancel, start, qt)
+			return c.streamShuffle(ctx, src, prep, sp, info, hit, qt)
 		}
-		return c.streamGather(ctx, prep, info, hit, cancel, start, qt)
+		return c.streamGather(ctx, prep, info, hit, qt)
 	}
 }
 
@@ -743,10 +760,10 @@ func (c *Cluster) openStreams(ctx context.Context, n int, open func(ctx context.
 
 // streamScatter runs the shard-local part on every shard and emits the
 // concatenation of their streams in shard-index order.
-func (c *Cluster) streamScatter(ctx context.Context, src string, prep *sql.Prepared, hit bool, cancel context.CancelFunc, start time.Time, qt *clusterTrace) (*windowdb.Rows, error) {
+func (c *Cluster) streamScatter(ctx context.Context, src string, prep *sql.Prepared, hit bool, qt *clusterTrace) (*windowdb.Rows, error) {
 	c.scatter.Add(1)
 	req := service.ShardQueryRequest{
-		SQL: src, Mode: string(ModeLocal), Stream: true,
+		SQL: src, Mode: string(ModeLocal),
 		Fingerprint: prep.Fingerprint(),
 		SubplanFP:   prep.SubplanFingerprint(),
 	}
@@ -756,19 +773,28 @@ func (c *Cluster) streamScatter(ctx context.Context, src string, prep *sql.Prepa
 	if err != nil {
 		return nil, err
 	}
-	return c.emitStreams("scatter", prep, hit, streams, streamCancel, cancel, start, qt, 0, 0, 0)
+	return c.emitStreams(ctx, "scatter", prep, hit, streams, streamCancel, qt, work{})
+}
+
+// work is block and comparison counters summed over what nodes report.
+type work struct{ read, written, cmp int64 }
+
+func (w *work) add(read, written, cmp int64) {
+	w.read += read
+	w.written += written
+	w.cmp += cmp
 }
 
 // emitStreams turns per-node output streams into the public cursor for a
 // scatter-shaped route. Statements whose finalize phase streams (no
 // DISTINCT/ORDER BY) flow through with LIMIT applied by early termination;
 // the rest drain into a buffer (still incremental on the wire), finalize
-// at the coordinator (FinalizeConcat) and stream the finalized table. The
-// base counters carry work done before the final streams opened (shuffle
-// rounds). Until the streams are handed to a source (or drained here),
-// they are closed on every exit — error or panic — so node admission
-// slots are not leaked past a recovered panic.
-func (c *Cluster) emitStreams(route string, prep *sql.Prepared, hit bool, streams []RowStream, streamCancel, cancel context.CancelFunc, start time.Time, qt *clusterTrace, baseRead, baseWritten, baseCmp int64) (*windowdb.Rows, error) {
+// at the coordinator (sql.Input.Concat) and stream the finalized table.
+// base carries work done before the final streams opened (shuffle rounds).
+// Until the streams are handed to a source (or drained here), they are
+// closed on every exit — error or panic — so node admission slots are not
+// leaked past a recovered panic.
+func (c *Cluster) emitStreams(ctx context.Context, route string, prep *sql.Prepared, hit bool, streams []RowStream, streamCancel context.CancelFunc, qt *clusterTrace, base work) (*windowdb.Rows, error) {
 	handoff := false
 	defer func() {
 		if !handoff {
@@ -777,14 +803,11 @@ func (c *Cluster) emitStreams(route string, prep *sql.Prepared, hit bool, stream
 		}
 	}()
 	qt.live().SetPhase("draining")
-	if prep.StreamsConcat() {
+	if prep.ConcatStreams() {
 		handoff = true
 		return newScatterRows(&scatterSource{
-			c: c, cols: streams[0].Columns(), streams: streams,
-			streamCancel: streamCancel, cancel: cancel,
-			prep: prep, cacheHit: hit, route: route, qt: qt,
-			baseRead: baseRead, baseWritten: baseWritten, baseCmp: baseCmp,
-			limit: prep.Limit(), start: start,
+			c: c, cols: streams[0].Columns(), streams: streams, streamCancel: streamCancel,
+			prep: prep, cacheHit: hit, route: route, qt: qt, base: base, limit: prep.Limit(),
 		}), nil
 	}
 
@@ -806,29 +829,28 @@ func (c *Cluster) emitStreams(route string, prep *sql.Prepared, hit bool, stream
 		}
 		if out := s.Outcome(); out != nil {
 			outcomes = append(outcomes, out)
-			baseRead += out.BlocksRead
-			baseWritten += out.BlocksWritten
-			baseCmp += out.Comparisons
+			base.add(out.BlocksRead, out.BlocksWritten, out.Comparisons)
 		}
+	}
+	cur, err := prep.Open(ctx, sql.Input{Concat: concat}, false)
+	if err != nil {
+		return nil, err
 	}
 	closeStreams(streams)
 	streamCancel()
 	handoff = true // streams fully drained and closed above
-	fin := prep.FinalizeConcat(concat)
-	cur := sql.TableCursor(fin.Table, fin)
 	return windowdb.NewRows(&coordCursorSource{
 		c: c, cur: cur, route: route, shardsUsed: len(streams), cacheHit: hit,
-		baseRead: baseRead, baseWritten: baseWritten, baseCmp: baseCmp,
-		cancel: cancel, start: start, qt: qt, outcomes: outcomes,
+		base: base, qt: qt, outcomes: outcomes,
 	}), nil
 }
 
 // streamReplica streams the whole statement from one node, round-robin.
-func (c *Cluster) streamReplica(ctx context.Context, src string, prep *sql.Prepared, hit bool, cancel context.CancelFunc, start time.Time, qt *clusterTrace) (*windowdb.Rows, error) {
+func (c *Cluster) streamReplica(ctx context.Context, src string, prep *sql.Prepared, hit bool, qt *clusterTrace) (*windowdb.Rows, error) {
 	c.replica.Add(1)
 	node := int(c.rr.Add(1)-1) % len(c.shards)
 	req := service.ShardQueryRequest{
-		SQL: src, Mode: string(ModeFull), Stream: true,
+		SQL: src, Mode: string(ModeFull),
 		Fingerprint: prep.Fingerprint(),
 	}
 	streams, streamCancel, err := c.openStreams(ctx, 1, func(ctx context.Context, _ int) (RowStream, error) {
@@ -839,10 +861,8 @@ func (c *Cluster) streamReplica(ctx context.Context, src string, prep *sql.Prepa
 	}
 	qt.live().SetPhase("draining")
 	return newScatterRows(&scatterSource{
-		c: c, cols: streams[0].Columns(), streams: streams,
-		streamCancel: streamCancel, cancel: cancel,
-		route: "replica", prep: prep, cacheHit: hit, qt: qt,
-		limit: -1, start: start,
+		c: c, cols: streams[0].Columns(), streams: streams, streamCancel: streamCancel,
+		route: "replica", prep: prep, cacheHit: hit, qt: qt, limit: -1,
 	}), nil
 }
 
@@ -856,7 +876,7 @@ func (c *Cluster) streamReplica(ctx context.Context, src string, prep *sql.Prepa
 // shard count while every intermediate row moves node-to-node. A failing
 // stage cancels its peers (eachShard) and drops every node's buffered
 // shuffle state before surfacing the error.
-func (c *Cluster) streamShuffle(ctx context.Context, src string, prep *sql.Prepared, sp *sql.SegmentPlan, info *tableInfo, hit bool, cancel context.CancelFunc, start time.Time, qt *clusterTrace) (*windowdb.Rows, error) {
+func (c *Cluster) streamShuffle(ctx context.Context, src string, prep *sql.Prepared, sp *sql.SegmentPlan, info *tableInfo, hit bool, qt *clusterTrace) (*windowdb.Rows, error) {
 	c.shuffled.Add(1)
 	id := fmt.Sprintf("%s-%d", c.shuffleNonce, c.shuffleSeq.Add(1))
 	n := len(c.shards)
@@ -902,7 +922,7 @@ func (c *Cluster) streamShuffle(ctx context.Context, src string, prep *sql.Prepa
 	}
 
 	var mu sync.Mutex
-	var baseRead, baseWritten, baseCmp int64
+	var base work
 	for si := 0; si < len(stages)-1; si++ {
 		st := stages[si]
 		outKey := sp.Keys[stages[si+1].segment]
@@ -924,9 +944,7 @@ func (c *Cluster) streamShuffle(ctx context.Context, src string, prep *sql.Prepa
 			}
 			qt.live().AddShuffleRows(res.RowsOut)
 			mu.Lock()
-			baseRead += res.BlocksRead
-			baseWritten += res.BlocksWritten
-			baseCmp += res.Comparisons
+			base.add(res.BlocksRead, res.BlocksWritten, res.Comparisons)
 			nodeSpans[i] = shuffleNodeSpan(i, st.source, res)
 			rowsOut[i] = res.RowsOut
 			mu.Unlock()
@@ -953,8 +971,8 @@ func (c *Cluster) streamShuffle(ctx context.Context, src string, prep *sql.Prepa
 			// looked like up to the failing stage before cleaning up.
 			c.finishTrace(qt, &windowdb.QueryMetrics{
 				Route: "shuffle", ShardsUsed: n, CacheHit: hit,
-				Elapsed: time.Since(start),
-			}, 0, nil, start, err, false)
+				Elapsed: time.Since(qt.start),
+			}, windowdb.Ending{Err: err}, windowdb.Failed, nil)
 			cleanup()
 			return nil, err
 		}
@@ -962,7 +980,7 @@ func (c *Cluster) streamShuffle(ctx context.Context, src string, prep *sql.Prepa
 
 	qt.live().SetPhase(fmt.Sprintf("segment %d of %d", sp.Segments(), sp.Segments()))
 	freq := service.ShardQueryRequest{
-		SQL: src, Mode: "segment", Stream: true, Plan: sp,
+		SQL: src, Mode: "segment", Plan: sp,
 		Fingerprint: prep.Fingerprint(),
 		ShuffleID:   id, Round: len(stages) - 1, Senders: n,
 	}
@@ -973,7 +991,7 @@ func (c *Cluster) streamShuffle(ctx context.Context, src string, prep *sql.Prepa
 		cleanup()
 		return nil, err
 	}
-	rows, err := c.emitStreams("shuffle", prep, hit, streams, streamCancel, cancel, start, qt, baseRead, baseWritten, baseCmp)
+	rows, err := c.emitStreams(ctx, "shuffle", prep, hit, streams, streamCancel, qt, base)
 	if err != nil {
 		// The final streams are closed by emitStreams' handoff guard; any
 		// node that never served its SegmentStream still holds its buffer.
@@ -1016,7 +1034,7 @@ func shuffleNodeSpan(i int, source string, res *service.ShuffleRunResult) *trace
 	return sp
 }
 
-func (c *Cluster) streamGather(ctx context.Context, prep *sql.Prepared, info *tableInfo, hit bool, cancel context.CancelFunc, start time.Time, qt *clusterTrace) (*windowdb.Rows, error) {
+func (c *Cluster) streamGather(ctx context.Context, prep *sql.Prepared, info *tableInfo, hit bool, qt *clusterTrace) (*windowdb.Rows, error) {
 	c.gathered.Add(1)
 	// Coordinator-side admission: each gather chain assumes the full unit
 	// memory M, so at most GatherSlots of them (fetch included — the
@@ -1090,7 +1108,7 @@ func (c *Cluster) streamGather(ctx context.Context, prep *sql.Prepared, info *ta
 		qt.rounds = append(qt.rounds, fetch)
 	}
 	qt.live().SetPhase("executing")
-	cur, err := prep.StreamOverContext(ctx, gathered)
+	cur, err := prep.Open(ctx, sql.Input{Rows: gathered}, false)
 	if err != nil {
 		return nil, err
 	}
@@ -1098,7 +1116,7 @@ func (c *Cluster) streamGather(ctx context.Context, prep *sql.Prepared, info *ta
 	qt.live().SetPhase("draining")
 	return windowdb.NewRows(&coordCursorSource{
 		c: c, cur: cur, route: "gather", shardsUsed: len(c.shards), cacheHit: hit,
-		release: release, cancel: cancel, start: start, qt: qt,
+		release: release, qt: qt,
 	}), nil
 }
 
@@ -1124,24 +1142,16 @@ type scatterSource struct {
 	cols         []storage.Column
 	streams      []RowStream
 	streamCancel context.CancelFunc
-	cancel       context.CancelFunc // coordinator DefaultTimeout, when armed
 	prep         *sql.Prepared
 	cacheHit     bool
 	route        string
-	// Base counters: work observed before the merged streams opened (the
-	// shuffle route's earlier rounds).
-	baseRead, baseWritten, baseCmp int64
-	limit                          int64 // remaining LIMIT budget; -1 = unlimited
-	start                          time.Time
-	qt                             *clusterTrace
+	base         work  // done before the merged streams opened (the shuffle route's earlier rounds)
+	limit        int64 // remaining LIMIT budget; -1 = unlimited
+	qt           *clusterTrace
 
-	idx       int
-	batcher   *stream.Batcher // the merged rows, batched (newScatterRows)
-	rows      int64
-	outcomes  []*QueryOutcome
-	completed bool // the merge reached its natural end (EOF or LIMIT)
-	once      sync.Once
-	meta      *windowdb.QueryMetrics
+	idx      int
+	batcher  *stream.Batcher // the merged rows, batched (newScatterRows)
+	outcomes []*QueryOutcome
 }
 
 // newScatterRows wraps the merge in the public cursor. The node streams
@@ -1162,6 +1172,8 @@ func (ss *scatterSource) NextBatch() (*stream.Batch, error) {
 	return b, err
 }
 
+// next pulls the merge's next row; io.EOF is its natural end: the last
+// stream's, or the LIMIT's.
 func (ss *scatterSource) next() (storage.Tuple, error) {
 	for ss.idx < len(ss.streams) && ss.limit != 0 {
 		t, err := ss.streams[ss.idx].Next()
@@ -1173,85 +1185,43 @@ func (ss *scatterSource) next() (storage.Tuple, error) {
 			continue
 		}
 		if err != nil {
-			ss.finish(err)
 			return nil, err
 		}
 		if ss.limit > 0 {
 			ss.limit--
 		}
-		ss.rows++
 		return t, nil
 	}
-	ss.completed = true
-	ss.finish(nil)
 	return nil, io.EOF
 }
 
-func (ss *scatterSource) Close() error {
-	ss.finish(nil)
-	return nil
-}
-
-func (ss *scatterSource) Metrics() *windowdb.QueryMetrics { return ss.meta }
-
-func (ss *scatterSource) finish(err error) {
-	ss.once.Do(func() {
-		closeStreams(ss.streams)
-		ss.streamCancel()
-		meta := &windowdb.QueryMetrics{
-			Plan:          ss.prep.Plan(),
-			FinalSort:     "none",
-			Parallelism:   1,
-			CacheHit:      ss.cacheHit,
-			Route:         ss.route,
-			ShardsUsed:    len(ss.streams),
-			Elapsed:       time.Since(ss.start),
-			BlocksRead:    ss.baseRead,
-			BlocksWritten: ss.baseWritten,
-			Comparisons:   ss.baseCmp,
-		}
-		if meta.Plan != nil {
-			meta.Chain = meta.Plan.PaperString()
-		}
-		for _, out := range ss.outcomes {
-			meta.BlocksRead += out.BlocksRead
-			meta.BlocksWritten += out.BlocksWritten
-			meta.Comparisons += out.Comparisons
-		}
-		if ss.route == "replica" && len(ss.outcomes) > 0 {
-			meta.FinalSort = ss.outcomes[0].FinalSort
-		}
-		ss.c.finishTrace(ss.qt, meta, ss.rows, ss.outcomes, ss.start, err, err == nil && ss.completed)
-		ss.meta = meta
-		killed := ss.qt != nil && ss.qt.entry.Killed()
-		if ss.qt != nil {
-			ss.c.reg.Remove(ss.qt.entry)
-		}
-		ss.c.classify(killed, ss.completed, err)
-		if ss.cancel != nil {
-			ss.cancel()
-		}
-	})
-}
-
-// classify counts one ended cursor, by the rule the node service applies
-// to its own (servedSource.finish). An abort is neither success nor
-// failure: the kill switch fired (DELETE /debug/queries/{id} — the stream
-// error it induced is the kill taking effect, not an engine fault), the
-// caller walked away and its cancelled context was seen mid-stream, or
-// the cursor was closed before its natural end (a client disconnect, a
-// deliberate truncation). A deadline is a failure.
-func (c *Cluster) classify(killed, completed bool, err error) {
-	switch {
-	case killed, errors.Is(err, context.Canceled):
-		c.aborted.Add(1)
-	case err != nil:
-		c.failures.Add(1)
-	case !completed:
-		c.aborted.Add(1)
-	default:
-		c.queries.Add(1)
+func (ss *scatterSource) End(end windowdb.Ending) *windowdb.QueryMetrics {
+	closeStreams(ss.streams)
+	ss.streamCancel()
+	meta := mergedMeta(ss.prep, ss.cacheHit, ss.route, len(ss.streams))
+	done := ss.base
+	for _, out := range ss.outcomes {
+		done.add(out.BlocksRead, out.BlocksWritten, out.Comparisons)
 	}
+	meta.BlocksRead, meta.BlocksWritten, meta.Comparisons = done.read, done.written, done.cmp
+	if ss.route == "replica" && len(ss.outcomes) > 0 {
+		meta.FinalSort = ss.outcomes[0].FinalSort
+	}
+	return ss.c.ended(ss.qt, meta, end, ss.outcomes, false)
+}
+
+// mergedMeta is the metadata of a statement whose chain ran on the nodes,
+// the coordinator only merging their streams: the plan is the
+// coordinator's, nothing was sorted here.
+func mergedMeta(prep *sql.Prepared, cacheHit bool, route string, streams int) *windowdb.QueryMetrics {
+	meta := &windowdb.QueryMetrics{
+		Plan: prep.Plan(), FinalSort: "none", Parallelism: 1,
+		CacheHit: cacheHit, Route: route, ShardsUsed: streams,
+	}
+	if meta.Plan != nil {
+		meta.Chain = meta.Plan.PaperString()
+	}
+	return meta
 }
 
 // coordCursorSource streams a coordinator-side execution cursor — the
@@ -1259,74 +1229,40 @@ func (c *Cluster) classify(killed, completed bool, err error) {
 // cluster bookkeeping: node counter baselines, the gather slot release,
 // and the routing metadata.
 type coordCursorSource struct {
-	c           *Cluster
-	cur         *sql.Cursor
-	route       string
-	shardsUsed  int
-	cacheHit    bool
-	baseRead    int64
-	baseWritten int64
-	baseCmp     int64
-	release     func() // gather slot, when held
-	cancel      context.CancelFunc
-	start       time.Time
-	qt          *clusterTrace
-	outcomes    []*QueryOutcome
-
-	rows      int64
-	completed bool // a terminal NextBatch (io.EOF) was observed
-	once      sync.Once
-	meta      *windowdb.QueryMetrics
+	c          *Cluster
+	cur        *sql.Cursor
+	route      string
+	shardsUsed int
+	cacheHit   bool
+	base       work   // what the nodes did
+	release    func() // gather slot, when held
+	qt         *clusterTrace
+	outcomes   []*QueryOutcome
 }
 
 func (cs *coordCursorSource) Columns() []storage.Column { return cs.cur.Columns() }
 
 func (cs *coordCursorSource) NextBatch() (*stream.Batch, error) {
 	b, err := cs.cur.NextBatch()
-	switch {
-	case err == io.EOF:
-		cs.completed = true
-		cs.finish(nil)
-	case err != nil:
-		cs.finish(err)
-	default:
-		cs.rows += int64(b.Len())
+	if err == nil {
 		cs.qt.live().AddRowsEmitted(int64(b.Len()))
 	}
 	return b, err
 }
 
-func (cs *coordCursorSource) Close() error {
-	cs.finish(nil)
-	return cs.cur.Close()
-}
-
-func (cs *coordCursorSource) Metrics() *windowdb.QueryMetrics { return cs.meta }
-
-func (cs *coordCursorSource) finish(err error) {
-	cs.once.Do(func() {
-		if cs.release != nil {
-			cs.release()
-		}
-		meta := windowdb.MetaFromResult(cs.cur.Meta())
-		meta.Route = cs.route
-		meta.ShardsUsed = cs.shardsUsed
-		meta.CacheHit = cs.cacheHit
-		meta.BlocksRead += cs.baseRead
-		meta.BlocksWritten += cs.baseWritten
-		meta.Comparisons += cs.baseCmp
-		meta.Elapsed = time.Since(cs.start)
-		cs.c.finishTrace(cs.qt, meta, cs.rows, cs.outcomes, cs.start, err, err == nil && cs.completed)
-		cs.meta = meta
-		killed := cs.qt != nil && cs.qt.entry.Killed()
-		if cs.qt != nil {
-			cs.c.reg.Remove(cs.qt.entry)
-		}
-		cs.c.classify(killed, cs.completed, err)
-		if cs.cancel != nil {
-			cs.cancel()
-		}
-	})
+func (cs *coordCursorSource) End(end windowdb.Ending) *windowdb.QueryMetrics {
+	if cs.release != nil {
+		cs.release()
+	}
+	meta := windowdb.MetaFromResult(cs.cur.Meta())
+	meta.Route = cs.route
+	meta.ShardsUsed = cs.shardsUsed
+	meta.CacheHit = cs.cacheHit
+	meta.BlocksRead += cs.base.read
+	meta.BlocksWritten += cs.base.written
+	meta.Comparisons += cs.base.cmp
+	_ = cs.cur.Close()
+	return cs.c.ended(cs.qt, meta, end, cs.outcomes, false)
 }
 
 // prepare resolves src through the coordinator's per-table-invalidated

@@ -24,10 +24,9 @@ const (
 	ModeFull Mode = "full"
 )
 
-// QueryOutcome is one shard node's execution result plus the observations
-// the coordinator aggregates.
+// QueryOutcome is the observations of one shard node's execution that the
+// coordinator aggregates.
 type QueryOutcome struct {
-	Table         *storage.Table
 	CacheHit      bool
 	FinalSort     string
 	BlocksRead    int64
@@ -63,8 +62,6 @@ type RowStream interface {
 // multiple processes form a real cluster. All methods must be safe for
 // concurrent use — the coordinator scatters to every shard at once.
 type Transport interface {
-	// Query executes a statement on the node (see Mode).
-	Query(ctx context.Context, sql string, mode Mode) (*QueryOutcome, error)
 	// QueryStream executes a statement and streams its rows: the scatter
 	// path's transport primitive, bounding coordinator memory by what is
 	// in flight instead of the node's whole response. The request carries
@@ -135,29 +132,6 @@ func NewLocal(svc *service.Service) *Local { return &Local{svc: svc} }
 
 // Service returns the wrapped service (tests inspect its counters).
 func (l *Local) Service() *service.Service { return l.svc }
-
-// Query implements Transport.
-func (l *Local) Query(ctx context.Context, sql string, mode Mode) (*QueryOutcome, error) {
-	var (
-		res *service.QueryResult
-		err error
-	)
-	if mode == ModeLocal {
-		res, err = l.svc.QueryShardLocal(ctx, sql, "")
-	} else {
-		res, err = l.svc.Query(ctx, sql)
-	}
-	if err != nil {
-		return nil, err
-	}
-	out := &QueryOutcome{Table: res.Table, CacheHit: res.CacheHit, FinalSort: res.FinalSort}
-	if res.Metrics != nil {
-		out.BlocksRead = res.Metrics.BlocksRead
-		out.BlocksWritten = res.Metrics.BlocksWritten
-		out.Comparisons = res.Metrics.Comparisons
-	}
-	return out, nil
-}
 
 // QueryStream implements Transport: the node's service cursor, adapted.
 // The node-side admission slot is held until the stream is drained or

@@ -13,8 +13,8 @@ import (
 // incremental iterator over the statement's output, a column batch at a
 // time. The phases that inherently materialize — WHERE filtering and the
 // window chain's reordering operators — run eagerly when the cursor is
-// built, exactly as in ExecuteContext; what the cursor defers is
-// everything after the final chain segment. For statements without
+// built (Prepared.Open); what the cursor defers is everything after the
+// final chain segment. For statements without
 // DISTINCT or ORDER BY the projection runs lazily, one batch per
 // NextBatch, honoring LIMIT by early termination and the context once per
 // batch; statements that need a finalize pass (DISTINCT deduplication, the
@@ -92,61 +92,45 @@ func (c *Cursor) Close() error {
 	return nil
 }
 
-// StreamContext runs the prepared query and returns a Cursor over its
-// output: the streaming sibling of ExecuteContext.
-func (p *Prepared) StreamContext(ctx context.Context) (*Cursor, error) {
-	return p.stream(ctx, p.entry.Table(), true)
-}
-
-// StreamShardContext streams the shard-local part of the statement (WHERE,
-// chain, projection — no DISTINCT/ORDER BY/LIMIT): the streaming sibling
-// of ExecuteShardContext. Because the shard-local part never finalizes,
-// this path always projects lazily — the seam a shard node streams its
-// scatter response through.
-func (p *Prepared) StreamShardContext(ctx context.Context) (*Cursor, error) {
-	return p.stream(ctx, p.entry.Table(), false)
-}
-
-// StreamOverContext streams the full prepared pipeline over base instead
-// of the catalog entry's rows: the streaming sibling of
-// ExecuteOverContext (the coordinator's gather path).
-func (p *Prepared) StreamOverContext(ctx context.Context, base *storage.Table) (*Cursor, error) {
-	return p.stream(ctx, base, true)
-}
-
-func (p *Prepared) stream(ctx context.Context, base *storage.Table, finalize bool) (*Cursor, error) {
-	executed, result, err := p.runChain(ctx, base)
-	if err != nil {
-		return nil, err
+// Materialize drains what the cursor has left into the statement's Result:
+// every remaining output row projected out of one value slab — or, for a
+// result that was finalized eagerly, the finalized buffer itself. The
+// cursor is exhausted and closed afterwards.
+func (c *Cursor) Materialize() *Result {
+	res := *c.meta
+	res.Table = storage.NewTable(storage.NewSchema(c.cols...))
+	if !c.closed {
+		n := c.src.Len() - c.pos
+		if c.limit >= 0 {
+			n = int(min(int64(n), c.limit))
+		}
+		if c.pick == nil && len(c.src.Tail) == 0 {
+			res.Table.Rows = c.src.Rows[c.pos : c.pos+n]
+		} else {
+			res.Table.Rows = projectRows(c.src, c.pick, c.pos, n)
+		}
 	}
-	return p.cursor(ctx, executed, result, finalize), nil
+	_ = c.Close()
+	return &res
 }
 
-// cursor builds the cursor over an executed chain. DISTINCT and ORDER BY
-// need every projected row before the first output row is known: those
-// statements project and finalize eagerly (LIMIT included) and stream the
-// finalized buffer. Everything else projects lazily, straight from the
-// chain's rows and tail vectors.
-func (p *Prepared) cursor(ctx context.Context, executed *exec.Chain, result *Result, finalize bool) *Cursor {
-	if finalize && (p.q.Distinct || len(p.orderKey) > 0) {
-		out := p.project(executed)
-		p.finalize(out, result)
-		return &Cursor{cols: p.outCols, src: exec.TableChain(out), meta: result, ctx: ctx, limit: -1}
+// projectRows materializes the projection of n chain rows from pos on, all
+// of them carved out of one value slab.
+func projectRows(src *exec.Chain, pick []int, pos, n int) []storage.Tuple {
+	rows := make([]storage.Tuple, n)
+	w := len(pick)
+	slab := make([]storage.Value, w*n)
+	for ri := range rows {
+		row := storage.Tuple(slab[ri*w : (ri+1)*w : (ri+1)*w])
+		src.Project(row, pos+ri, pick)
+		rows[ri] = row
 	}
-	limit := int64(-1)
-	if finalize {
-		limit = p.q.Limit
-	}
-	return &Cursor{
-		cols: p.outCols, src: executed, pick: p.pick,
-		meta: result, ctx: ctx, limit: limit,
-	}
+	return rows
 }
 
-// TableCursor wraps an already-materialized result as a Cursor, for
-// serving layers that had to buffer rows (a coordinator finalizing a shard
-// concatenation) but speak the cursor surface outward. meta may carry the
-// table too; the cursor streams t's rows as-is.
-func TableCursor(t *storage.Table, meta *Result) *Cursor {
-	return &Cursor{cols: t.Schema.Columns, src: exec.TableChain(t), meta: meta, ctx: context.Background(), limit: -1}
+// newCursor is the one place a Cursor is built: over src, yielding column k
+// from chain column pick[k] (nil: the chain's own columns), at most limit
+// rows (-1: all of them).
+func newCursor(ctx context.Context, cols []storage.Column, src *exec.Chain, pick []int, meta *Result, limit int64) *Cursor {
+	return &Cursor{cols: cols, src: src, pick: pick, meta: meta, ctx: ctx, limit: limit}
 }

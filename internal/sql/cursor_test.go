@@ -9,6 +9,16 @@ import (
 	"repro/internal/storage"
 )
 
+// openResult opens p over in and materializes the cursor: the whole-result
+// form of any execution Open can express.
+func openResult(ctx context.Context, p *Prepared, in Input, shardLocal bool) (*Result, error) {
+	cur, err := p.Open(ctx, in, shardLocal)
+	if err != nil {
+		return nil, err
+	}
+	return cur.Materialize(), nil
+}
+
 // drainCursor pulls a cursor dry.
 func drainCursor(t *testing.T, c *Cursor) []storage.Tuple {
 	t.Helper()
@@ -55,7 +65,7 @@ func TestCursorMatchesExecute(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		cur, err := p.StreamContext(ctx)
+		cur, err := p.Open(ctx, Input{}, false)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -88,11 +98,11 @@ func TestCursorShardStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := p.ExecuteShardContext(ctx)
+	want, err := openResult(ctx, p, Input{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, err := p.StreamShardContext(ctx)
+	cur, err := p.Open(ctx, Input{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +125,7 @@ func TestCursorLimitStopsEarly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, err := p.StreamContext(context.Background())
+	cur, err := p.Open(context.Background(), Input{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +143,7 @@ func TestCursorCancelMidStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	cur, err := p.StreamContext(ctx)
+	cur, err := p.Open(ctx, Input{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +163,7 @@ func TestCursorCloseIsEOF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, err := p.StreamContext(context.Background())
+	cur, err := p.Open(context.Background(), Input{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,7 +103,7 @@ func TestLeanMatchesRunAndReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cur, err := p.StreamContext(ctx)
+			cur, err := p.Open(ctx, Input{}, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -227,7 +227,7 @@ func TestConcurrentStatementsLeaveSharedRowsAlone(t *testing.T) {
 				t.Fatal(err)
 			}
 			wg.Add(1)
-			go func() { drain(p.StreamContext(ctx)) }()
+			go func() { drain(p.Open(ctx, Input{}, false)) }()
 		}
 		for _, src := range shareMix {
 			p, err := r.Prepare(src)
@@ -235,7 +235,7 @@ func TestConcurrentStatementsLeaveSharedRowsAlone(t *testing.T) {
 				t.Fatal(err)
 			}
 			wg.Add(1)
-			go func() { drain(p.StreamSharedContext(ctx, seg, false)) }()
+			go func() { drain(p.Open(ctx, Input{Shared: seg}, false)) }()
 		}
 	}
 	wg.Wait()
@@ -274,7 +274,7 @@ func TestStatementAllocationsDoNotScaleWithRows(t *testing.T) {
 			t.Fatal(err)
 		}
 		return testing.AllocsPerRun(3, func() {
-			cur, err := p.StreamContext(ctx)
+			cur, err := p.Open(ctx, Input{}, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -318,7 +318,7 @@ func TestSpillingStatementBytesAreBounded(t *testing.T) {
 	r := &Runner{Catalog: cat, Exec: exec.Config{MemoryBytes: mem, BlockSize: bs}}
 	ctx := context.Background()
 	run := func(p *Prepared) {
-		cur, err := p.StreamContext(ctx)
+		cur, err := p.Open(ctx, Input{}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -394,7 +394,7 @@ func TestCursorGathersNoTuples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, err := p.StreamContext(ctx)
+	cur, err := p.Open(ctx, Input{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +430,7 @@ func TestCursorGathersNoTuples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, err = limited.StreamContext(ctx)
+	cur, err = limited.Open(ctx, Input{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

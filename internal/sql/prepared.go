@@ -19,7 +19,7 @@ import (
 // the data: parse, table lookup, window binding, CSO (or baseline)
 // planning, projection and ORDER BY resolution, and WHERE validation. What
 // remains — filtering, chain execution, projection, DISTINCT, the final
-// sort — happens in ExecuteContext, which may be called many times and
+// sort — happens in Open, which may be called many times and
 // concurrently: a Prepared is immutable after Prepare, and every execution
 // builds its own spill stores and row buffers. This is the plan-once /
 // execute-many seam the serving layer's plan cache stores.
@@ -77,7 +77,7 @@ func (p *Prepared) Plan() *core.Plan { return p.plan }
 
 // ShardLocal reports whether this statement may execute independently on
 // shards hash-partitioned on shardKey, with the results concatenated and
-// finalized (FinalizeConcat) at a coordinator, and still produce the
+// finalized (Input.Concat) at a coordinator, and still produce the
 // single-engine values. The condition is exec.ChainCommonKey's: every
 // window function's partitioning key must contain the shard key, so no
 // window partition spans shards. WHERE filtering and projection are
@@ -136,13 +136,13 @@ func (p *Prepared) HasOrderBy() bool { return len(p.orderKey) > 0 }
 // Limit returns the statement's LIMIT, -1 when absent.
 func (p *Prepared) Limit() int64 { return p.q.Limit }
 
-// StreamsConcat reports whether the finalize phase over a shard
+// ConcatStreams reports whether the finalize phase over a shard
 // concatenation is order-insensitive and row-local — no DISTINCT and no
 // ORDER BY — so a coordinator may emit the concatenation of per-shard
 // output streams incrementally (applying LIMIT by early termination)
 // instead of buffering it. DISTINCT and ORDER BY force materialization at
 // the concatenating side.
-func (p *Prepared) StreamsConcat() bool {
+func (p *Prepared) ConcatStreams() bool {
 	return !p.q.Distinct && len(p.orderKey) == 0
 }
 
@@ -331,89 +331,88 @@ func shareableChain(plan *core.Plan) bool {
 	return true
 }
 
-// Execute runs the prepared query without a deadline.
-func (p *Prepared) Execute() (*Result, error) {
-	return p.ExecuteContext(context.Background())
+// Input is what one execution of a prepared statement reads. The zero
+// value is the catalog entry's rows; at most one field group is set.
+type Input struct {
+	// Rows replaces the catalog entry's rows with external ones of the same
+	// schema: how a coordinator runs a plan prepared against a schema-only
+	// stub over rows just gathered from its shards. They arrive in arbitrary
+	// order, which is the Unordered input property the plan was built from,
+	// so the chain's first order-rebuilding reorder (FS/HS) absorbs it.
+	Rows *storage.Table
+	// Shared is an already executed scan+reorder subplan (subplan.go): only
+	// the derivation suffix runs. ChargeScan merges the segment's scan
+	// metrics into this execution's — set by the execution that paid for the
+	// scan, so the leader reports scan+suffix and attachers the suffix only.
+	Shared     *SharedSegment
+	ChargeScan bool
+	// Concat is the concatenation of every shard's shard-local output, in
+	// shard-index order: projected already, so only DISTINCT, ORDER BY and
+	// LIMIT remain. The concatenation voids any ordering the per-shard
+	// chains produced — an ORDER BY is always a full sort, exactly as after
+	// a partition-concatenating parallel chain. It is finalized in place.
+	Concat *storage.Table
 }
 
-// ExecuteContext runs the prepared query's data-dependent phases: WHERE
-// filtering, chain execution (honoring ctx at step boundaries), projection,
-// DISTINCT, the final ORDER BY and LIMIT. It is safe for concurrent use on
-// one Prepared.
-func (p *Prepared) ExecuteContext(ctx context.Context) (*Result, error) {
-	return p.execute(ctx, p.entry.Table(), true)
-}
-
-// ExecuteOverContext runs the full prepared pipeline over base instead of
-// the catalog entry's rows. base must share the entry's schema; it is how
-// a scatter-gather coordinator executes a plan prepared against a
-// schema-only stub over rows just gathered from the shards — the gathered
-// concatenation arrives in arbitrary order, which is exactly the
-// Unordered input property the plan was built from, so the chain's first
-// order-rebuilding reorder (FS/HS) absorbs it, mirroring how post-barrier
-// segments restart in exec.ParallelRun.
-func (p *Prepared) ExecuteOverContext(ctx context.Context, base *storage.Table) (*Result, error) {
-	return p.execute(ctx, base, true)
-}
-
-// ExecuteShardContext runs the shard-local part of the statement over the
-// catalog entry's rows: WHERE, the window chain and projection — skipping
-// DISTINCT, ORDER BY and LIMIT, which only the coordinator can apply
-// correctly over the concatenation of every shard's output
-// (FinalizeConcat). Only meaningful when the caller established
-// ShardLocal for the cluster's shard key.
-func (p *Prepared) ExecuteShardContext(ctx context.Context) (*Result, error) {
-	return p.execute(ctx, p.entry.Table(), false)
-}
-
-// FinalizeConcat applies the coordinator-side phases — DISTINCT, the final
-// ORDER BY and LIMIT — to the concatenation of shard-local outputs
-// (ExecuteShardContext results appended in shard-index order). The
-// concatenation voids any ordering the per-shard chains produced, so an
-// ORDER BY is always satisfied by a full sort, exactly as after a
-// partition-concatenating parallel chain. t is finalized in place and
-// returned inside the Result.
-func (p *Prepared) FinalizeConcat(t *storage.Table) *Result {
-	result := &Result{FinalSort: "none", Parallelism: 1, Plan: p.plan, Table: t}
-	if p.q.Distinct {
-		distinctRows(t)
+// Open runs the prepared statement over in and returns the cursor over its
+// output: the one way to execute a Prepared. WHERE filtering and the window
+// chain run here, honoring ctx at step boundaries; what the cursor defers is
+// described on Cursor. shardLocal stops after the projection — no DISTINCT,
+// ORDER BY or LIMIT, which only a coordinator can apply, over the
+// concatenation of every shard's output (Input.Concat); it is only
+// meaningful when the caller established ShardLocal for the cluster's shard
+// key. Open is safe for concurrent use on one Prepared.
+func (p *Prepared) Open(ctx context.Context, in Input, shardLocal bool) (*Cursor, error) {
+	if in.Concat != nil {
+		// finalize reads sort avoidance off the result's plan; a
+		// concatenation has none to offer.
+		result := &Result{FinalSort: "none", Parallelism: 1}
+		p.finalize(in.Concat, result)
+		result.Plan = p.plan
+		return newCursor(ctx, p.outCols, exec.TableChain(in.Concat), nil, result, -1), nil
 	}
-	if len(p.orderKey) > 0 {
-		result.FinalSort = "full"
-		key := p.orderKey
-		sort.SliceStable(t.Rows, func(i, j int) bool {
-			return storage.CompareSeq(t.Rows[i], t.Rows[j], key) < 0
-		})
+	var (
+		executed *exec.Chain
+		result   *Result
+		err      error
+	)
+	if in.Shared != nil {
+		executed, result, err = p.runSuffix(ctx, in.Shared, in.ChargeScan)
+	} else {
+		base := in.Rows
+		if base == nil {
+			base = p.entry.Table()
+		}
+		executed, result, err = p.runChain(ctx, base)
 	}
-	if p.q.Limit >= 0 && int64(t.Len()) > p.q.Limit {
-		t.Rows = t.Rows[:p.q.Limit]
-	}
-	return result
-}
-
-// execute is the shared eager execution body: WHERE, chain, projection,
-// and — when finalize is set — DISTINCT, ORDER BY and LIMIT. The streaming
-// surface (StreamContext and friends, cursor.go) composes the same three
-// phases but defers the projection to pull time when the statement needs
-// no finalize pass.
-func (p *Prepared) execute(ctx context.Context, base *storage.Table, finalize bool) (*Result, error) {
-	executed, result, err := p.runChain(ctx, base)
 	if err != nil {
 		return nil, err
 	}
-	return p.projected(executed, result, finalize), nil
+	// DISTINCT and ORDER BY need every projected row before the first output
+	// row is known: those statements project and finalize eagerly (LIMIT
+	// included) and stream the finalized buffer. Everything else projects
+	// lazily, straight from the chain's rows and tail vectors.
+	if !shardLocal && (p.q.Distinct || len(p.orderKey) > 0) {
+		out := storage.NewTable(storage.NewSchema(p.outCols...))
+		out.Rows = projectRows(executed, p.pick, 0, executed.Len())
+		p.finalize(out, result)
+		return newCursor(ctx, p.outCols, exec.TableChain(out), nil, result, -1), nil
+	}
+	limit := int64(-1)
+	if !shardLocal {
+		limit = p.q.Limit
+	}
+	return newCursor(ctx, p.outCols, executed, p.pick, result, limit), nil
 }
 
-// projected completes an eager execution: the projection of every executed
-// row and — when finalize is set — DISTINCT, ORDER BY and LIMIT.
-// Shard-local execution leaves those to the coordinator, which applies
-// them over the concatenation.
-func (p *Prepared) projected(executed *exec.Chain, result *Result, finalize bool) *Result {
-	result.Table = p.project(executed)
-	if finalize {
-		p.finalize(result.Table, result)
+// ExecuteContext runs the prepared statement over the catalog entry's rows
+// and materializes its output: Open, drained into one table.
+func (p *Prepared) ExecuteContext(ctx context.Context) (*Result, error) {
+	cur, err := p.Open(ctx, Input{}, false)
+	if err != nil {
+		return nil, err
 	}
-	return result
+	return cur.Materialize(), nil
 }
 
 // runChain runs the data-dependent phases up to (and including) the window
@@ -505,21 +504,6 @@ func (p *Prepared) runPlan(ctx context.Context, in *storage.Table, plan *core.Pl
 	}
 	out, metrics, err := exec.RunChain(ctx, in, p.specs, plan, cfg)
 	return out, metrics, 1, err
-}
-
-// project materializes the projection of every executed row, all of them
-// carved out of one value slab.
-func (p *Prepared) project(executed *exec.Chain) *storage.Table {
-	outTable := storage.NewTable(storage.NewSchema(p.outCols...))
-	outTable.Rows = make([]storage.Tuple, executed.Len())
-	w := len(p.pick)
-	slab := make([]storage.Value, w*executed.Len())
-	for ri := range outTable.Rows {
-		row := storage.Tuple(slab[ri*w : (ri+1)*w : (ri+1)*w])
-		executed.Project(row, ri, p.pick)
-		outTable.Rows[ri] = row
-	}
-	return outTable
 }
 
 // finalize applies the statement's terminal phases in place: DISTINCT, the

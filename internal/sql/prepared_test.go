@@ -75,7 +75,7 @@ func TestPreparedMatchesQuery(t *testing.T) {
 			t.Fatalf("%s: %v", src, err)
 		}
 		for rep := 0; rep < 3; rep++ {
-			got, err := p.Execute()
+			got, err := p.ExecuteContext(context.Background())
 			if err != nil {
 				t.Fatalf("%s rep %d: %v", src, rep, err)
 			}
@@ -110,7 +110,7 @@ func TestPreparedGenerationSnapshot(t *testing.T) {
 	if p.Generation() != gen {
 		t.Fatalf("prepared generation %d, catalog at %d", p.Generation(), gen)
 	}
-	res, err := p.Execute()
+	res, err := p.ExecuteContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestPreparedGenerationSnapshot(t *testing.T) {
 	if p.Generation() == r.Catalog.Generation() {
 		t.Fatal("generation did not advance on re-registration")
 	}
-	res, err = p.Execute()
+	res, err = p.ExecuteContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -238,9 +238,9 @@ func (r *SegmentRunner) Run(ctx context.Context, seg int, in *storage.Table) (*s
 }
 
 // StreamFinal executes the last segment over in and returns a cursor over
-// the projected output — no DISTINCT, ORDER BY or LIMIT, which only the
-// coordinator can apply over the concatenation of every node's stream
-// (FinalizeConcat), exactly as StreamShardContext leaves them to it.
+// the projected output — shard-local, as Prepared.Open's shardLocal is: no
+// DISTINCT, ORDER BY or LIMIT, which only the coordinator can apply over
+// the concatenation of every node's stream (Input.Concat).
 func (r *SegmentRunner) StreamFinal(ctx context.Context, in *storage.Table) (*Cursor, error) {
 	last := len(r.subs) - 1
 	out, m, par, err := r.p.runPlan(ctx, in, r.subs[last])
@@ -248,8 +248,5 @@ func (r *SegmentRunner) StreamFinal(ctx context.Context, in *storage.Table) (*Cu
 		return nil, err
 	}
 	result := &Result{FinalSort: "none", Parallelism: par, Plan: r.p.plan, Metrics: m}
-	return &Cursor{
-		cols: r.p.outCols, src: out, pick: r.pick,
-		meta: result, ctx: ctx, limit: -1,
-	}, nil
+	return newCursor(ctx, r.p.outCols, out, r.pick, result, -1), nil
 }

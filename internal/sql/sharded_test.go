@@ -13,7 +13,7 @@ import (
 )
 
 // TestShardPhasesComposeToExecute: manually hash-partitioning the table,
-// running ExecuteShardContext per partition, concatenating and finalizing
+// running the shard-local part per partition, concatenating and finalizing
 // must reproduce ExecuteContext exactly — the algebraic identity the
 // cluster's scatter path rests on.
 func TestShardPhasesComposeToExecute(t *testing.T) {
@@ -51,7 +51,7 @@ func TestShardPhasesComposeToExecute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := p.ExecuteShardContext(context.Background())
+		res, err := openResult(context.Background(), p, Input{}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +60,10 @@ func TestShardPhasesComposeToExecute(t *testing.T) {
 		}
 		concat.Rows = append(concat.Rows, res.Table.Rows...)
 	}
-	got := prep.FinalizeConcat(concat)
+	got, err := openResult(context.Background(), prep, Input{Concat: concat}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got.FinalSort != "full" {
 		t.Fatalf("finalize sort %q, want full", got.FinalSort)
 	}
@@ -96,7 +99,7 @@ func TestExecuteOverContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := prep.ExecuteOverContext(context.Background(), ws)
+	got, err := openResult(context.Background(), prep, Input{Rows: ws}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +279,10 @@ func TestSegmentRunnerComposesToExecute(t *testing.T) {
 		}
 		concat.Rows = append(concat.Rows, drainCursor(t, c)...)
 	}
-	got := prep.FinalizeConcat(concat)
+	got, err := openResult(context.Background(), prep, Input{Concat: concat}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got.Table.Len() != want.Table.Len() {
 		t.Fatalf("rows %d, want %d", got.Table.Len(), want.Table.Len())
 	}

@@ -130,11 +130,10 @@ func (p *Prepared) RunSubplan(ctx context.Context) (*SharedSegment, error) {
 }
 
 // runSuffix executes the statement's derivation suffix over a shared
-// segment: the chain re-derived against the segment's stream property
-// (every step reorder-free, by core.DeriveSuffix), run sequentially.
-// chargeScan merges the segment's scan metrics into the result — set by
-// the execution that actually paid for the scan, so accounting stays
-// truthful: the leader reports scan+suffix, attachers report drain only.
+// segment (Input.Shared): the chain re-derived against the segment's stream
+// property (every step reorder-free, by core.DeriveSuffix), run
+// sequentially. chargeScan merges the segment's scan metrics into the
+// result.
 func (p *Prepared) runSuffix(ctx context.Context, seg *SharedSegment, chargeScan bool) (*exec.Chain, *Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
@@ -170,46 +169,6 @@ func (p *Prepared) runSuffix(ctx context.Context, seg *SharedSegment, chargeScan
 	// identical order for any totally-ordering ORDER BY.
 	result := &Result{FinalSort: "none", Parallelism: 1, EstRows: p.entry.Rows(), Plan: suffix, Metrics: metrics}
 	return out, result, nil
-}
-
-// ExecuteSharedContext runs the full derivation suffix (projection,
-// DISTINCT, ORDER BY, LIMIT included) over a shared segment: the shared
-// sibling of ExecuteContext.
-func (p *Prepared) ExecuteSharedContext(ctx context.Context, seg *SharedSegment, chargeScan bool) (*Result, error) {
-	return p.executeShared(ctx, seg, chargeScan, true)
-}
-
-// ExecuteSharedShardContext runs the shard-local suffix (no DISTINCT /
-// ORDER BY / LIMIT) over a shared segment: the shared sibling of
-// ExecuteShardContext.
-func (p *Prepared) ExecuteSharedShardContext(ctx context.Context, seg *SharedSegment, chargeScan bool) (*Result, error) {
-	return p.executeShared(ctx, seg, chargeScan, false)
-}
-
-func (p *Prepared) executeShared(ctx context.Context, seg *SharedSegment, chargeScan, finalize bool) (*Result, error) {
-	executed, result, err := p.runSuffix(ctx, seg, chargeScan)
-	if err != nil {
-		return nil, err
-	}
-	return p.projected(executed, result, finalize), nil
-}
-
-// StreamSharedContext is the cursor form of ExecuteSharedContext.
-func (p *Prepared) StreamSharedContext(ctx context.Context, seg *SharedSegment, chargeScan bool) (*Cursor, error) {
-	return p.streamShared(ctx, seg, chargeScan, true)
-}
-
-// StreamSharedShardContext is the cursor form of ExecuteSharedShardContext.
-func (p *Prepared) StreamSharedShardContext(ctx context.Context, seg *SharedSegment, chargeScan bool) (*Cursor, error) {
-	return p.streamShared(ctx, seg, chargeScan, false)
-}
-
-func (p *Prepared) streamShared(ctx context.Context, seg *SharedSegment, chargeScan, finalize bool) (*Cursor, error) {
-	executed, result, err := p.runSuffix(ctx, seg, chargeScan)
-	if err != nil {
-		return nil, err
-	}
-	return p.cursor(ctx, executed, result, finalize), nil
 }
 
 // canonExpr renders a predicate in canonical form — lowercased column

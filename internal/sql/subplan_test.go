@@ -65,13 +65,13 @@ func TestSharedMatchesPrivate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: subplan: %v", q, err)
 		}
-		got, err := p.ExecuteSharedContext(ctx, seg, true)
+		got, err := openResult(ctx, p, Input{Shared: seg, ChargeScan: true}, false)
 		if err != nil {
 			t.Fatalf("%s: shared execute: %v", q, err)
 		}
 		assertSameRows(t, q, want.Table, got.Table)
 
-		cur, err := p.StreamSharedContext(ctx, seg, false)
+		cur, err := p.Open(ctx, Input{Shared: seg}, false)
 		if err != nil {
 			t.Fatalf("%s: shared stream: %v", q, err)
 		}
@@ -116,7 +116,7 @@ func TestLatticeAttach(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		got, err := p.ExecuteSharedContext(ctx, seg, false)
+		got, err := openResult(ctx, p, Input{Shared: seg}, false)
 		if err != nil {
 			t.Fatalf("%s: shared: %v", q, err)
 		}
@@ -138,7 +138,7 @@ func TestLatticeAttach(t *testing.T) {
 	if cseg.Props.MatchesAll(fine.WFs()) {
 		t.Fatal("coarse segment should not match the fine statement")
 	}
-	if _, err := fine.ExecuteSharedContext(ctx, cseg, false); err == nil {
+	if _, err := fine.Open(ctx, Input{Shared: cseg}, false); err == nil {
 		t.Fatal("ExecuteSharedContext over a too-coarse segment should fail")
 	}
 }

@@ -140,7 +140,7 @@ func TestReusedBatchesAreNeverRead(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		want, err := p.Execute()
+		want, err := p.ExecuteContext(context.Background())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -2,9 +2,11 @@ package windowdb
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -48,15 +50,64 @@ type Stmt interface {
 // stream.BatchRows of them; an empty batch is skipped — or io.EOF at end
 // of stream. The batch is the source's own and is refilled by the
 // following call, so it is valid only until then. A source whose rows come
-// one at a time batches them through stream.Batcher. Metrics returns the
-// query's execution metadata once the stream has ended (and nil before —
-// partial observations after an early Close are allowed but not
-// required).
+// one at a time batches them through stream.Batcher.
+//
+// The cursor owns the ending: End is called exactly once, when the stream
+// is over — drained, failed, or closed before either — and never
+// concurrently with NextBatch. It releases everything the source holds and
+// returns the query's execution metadata, nil when there is none to trust
+// (a remote stream closed before its trailer). A source keeps no finished
+// flag, row count or once-guard of its own.
 type RowSource interface {
 	Columns() []storage.Column
 	NextBatch() (*stream.Batch, error)
-	Close() error
-	Metrics() *QueryMetrics
+	End(Ending) *QueryMetrics
+}
+
+// Ending is how a cursor's stream ended, as the one Rows in front of it
+// saw it.
+type Ending struct {
+	// Rows counts the rows the cursor yielded.
+	Rows int64
+	// Err is what cut the stream short; nil after a drain and after a Close.
+	Err error
+	// Completed reports that the source itself said io.EOF: every row it had
+	// was delivered. False with a nil Err means the cursor was closed early.
+	Completed bool
+}
+
+// Outcome is what a front end counts an ended statement as: exactly one of
+// served, aborted and failed.
+type Outcome int
+
+const (
+	Served Outcome = iota
+	Aborted
+	Failed
+)
+
+// Outcome classifies an ending — the one rule every front end counts by,
+// for statements that ended as cursors and for those that never became
+// one (Err set, nothing else). An abort is neither success nor failure,
+// and carries no latency sample: the kill switch fired (killed — the
+// error it induced is the kill taking effect, not a fault), the caller
+// walked away and its cancelled context was seen before a write failed or
+// a Close arrived, or the cursor was closed before its last row (a client
+// disconnect, a deliberate truncation). Any other error is a failure, a
+// deadline included. closeIsServed is for a stream with no last row — a
+// subscription — whose caller closing it, or leaving, is how it ends well.
+func (e Ending) Outcome(killed, closeIsServed bool) Outcome {
+	walkedAway := errors.Is(e.Err, context.Canceled)
+	switch {
+	case killed:
+		return Aborted
+	case e.Err != nil && !walkedAway:
+		return Failed
+	case e.Completed || closeIsServed:
+		return Served
+	default:
+		return Aborted
+	}
 }
 
 // QueryMetrics is the post-drain metadata of a Rows cursor: how the query
@@ -142,10 +193,10 @@ type Rows struct {
 	cur   storage.Tuple   // the current row as built by Row; nil until asked for
 	slab  []storage.Value // what Row carves tuples from: the rest of this batch
 
-	err    error
-	count  int64
-	done   bool
-	closed bool
+	err   error
+	count int64
+	ended atomic.Bool   // drained, failed or closed: the source has been told
+	meta  *QueryMetrics // what it answered
 }
 
 // NewRows wraps a backend row source in the public cursor. Backends call
@@ -207,17 +258,16 @@ func (r *Rows) NextBatch() (*stream.Batch, bool) {
 // pull replaces the current batch with the source's next non-empty one.
 func (r *Rows) pull() bool {
 	r.batch, r.cur, r.slab = nil, nil, nil
-	if r.done || r.closed {
+	if r.ended.Load() {
 		return false
 	}
 	for {
 		b, err := r.src.NextBatch()
 		if err != nil {
-			r.done = true
 			if err != io.EOF {
 				r.err = err
 			}
-			_ = r.Close()
+			r.end(err == io.EOF)
 			return false
 		}
 		if b.Len() > 0 {
@@ -336,27 +386,28 @@ func (r *Rows) Err() error { return r.err }
 // streams, HTTP bodies). Safe to call any number of times and after a
 // full drain.
 func (r *Rows) Close() error {
-	if r.closed {
-		return nil
+	r.end(false)
+	return nil
+}
+
+// end tells the source how the stream ended: once, even when a Close from
+// another goroutine races the drain it interrupts — a source releases what
+// it holds without a guard of its own.
+func (r *Rows) end(completed bool) {
+	if !r.ended.CompareAndSwap(false, true) {
+		return
 	}
-	r.closed = true
-	return r.src.Close()
+	r.meta = r.src.End(Ending{Rows: r.count, Err: r.err, Completed: completed})
+	if r.meta != nil {
+		r.meta.Rows = r.count
+	}
 }
 
 // Metrics returns the query's execution metadata. It is non-nil once the
 // cursor has been drained or closed, provided the backend could still
 // observe its trailer (a remote stream closed mid-flight has none). The
 // Rows count reflects rows this cursor yielded.
-func (r *Rows) Metrics() *QueryMetrics {
-	if !r.done && !r.closed {
-		return nil
-	}
-	m := r.src.Metrics()
-	if m != nil {
-		m.Rows = r.count
-	}
-	return m
-}
+func (r *Rows) Metrics() *QueryMetrics { return r.meta }
 
 // DSN registry: named in-process Queryers for database/sql. The sqldriver
 // package resolves non-HTTP DSNs here, so

@@ -2,10 +2,14 @@ package windowdb
 
 import (
 	"context"
+	"io"
+	"reflect"
 	"runtime"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/exec"
 	"repro/internal/storage"
 	"repro/internal/stream"
 )
@@ -109,5 +113,37 @@ func TestRowTuplesAreCallerOwned(t *testing.T) {
 	}
 	if got, want := len(rows.slab), (stream.BatchRows-200-20)*3; got != want {
 		t.Fatalf("the slab has %d values left after 20 rows, want %d: one slab, sized for the rows the batch had left", got, want)
+	}
+}
+
+// metaSource is an empty result whose metadata is given.
+type metaSource struct{ meta *QueryMetrics }
+
+func (metaSource) Columns() []storage.Column {
+	return []storage.Column{{Name: "n", Type: storage.TypeInt}}
+}
+func (metaSource) NextBatch() (*stream.Batch, error) { return nil, io.EOF }
+func (s metaSource) End(Ending) *QueryMetrics        { return s.meta }
+
+// TestDrainResultIsLossless — a Result drained out of a cursor says what
+// the Result the cursor was opened over said: MetaFromResult of one equals
+// MetaFromResult of the other, field for field, for every metadata shape a
+// backend produces — so Query (a drain) can stand in for an eager result.
+func TestDrainResultIsLossless(t *testing.T) {
+	plan := &core.Plan{}
+	for name, res := range map[string]*Result{
+		"bare":         {FinalSort: "none", Parallelism: 1},
+		"chain":        {Plan: plan, Metrics: &exec.Metrics{BlocksRead: 7, BlocksWritten: 5, Comparisons: 3}, FinalSort: "partial", SatisfiedPrefix: 2, Parallelism: 4, EstRows: 2000},
+		"shared scan":  {Plan: plan, Metrics: &exec.Metrics{}, FinalSort: "full", Parallelism: 1, EstRows: 10, SharedScan: "attach"},
+		"subscription": {Metrics: &exec.Metrics{}, FinalSort: "none", Parallelism: 1, EstRows: 12, Watermark: 9},
+	} {
+		want := MetaFromResult(res)
+		drained, err := DrainResult(NewRows(metaSource{MetaFromResult(res)}))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := MetaFromResult(drained); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: drained metadata %+v, want %+v", name, got, want)
+		}
 	}
 }

@@ -151,7 +151,7 @@ func (e *Engine) Register(name string, t *storage.Table) {
 // registration. Planning sees the schema, B(R), |R| and D(·) of a table
 // whose rows live on shard nodes; executing a statement prepared on a stub
 // directly reads zero rows — cluster coordinators execute through the
-// scatter (shard-local) or gather (ExecuteOverContext) paths instead.
+// scatter (shard-local) or gather (sql.Input.Rows) paths instead.
 func (e *Engine) RegisterStub(name string, schema *storage.Schema, stats catalog.TableStats) {
 	e.cat.RegisterStub(name, schema, stats)
 }
@@ -202,12 +202,17 @@ func (e *Engine) QueryContext(ctx context.Context, src string) (*Rows, error) {
 		return e.subscribeRows(ctx, inner)
 	}
 	start := time.Now()
-	r := e.runner()
-	p, err := r.Prepare(src)
+	p, err := e.Prepare(src)
 	if err != nil {
 		return nil, err
 	}
-	cur, err := p.StreamContext(ctx)
+	return openRows(ctx, p, start)
+}
+
+// openRows executes a prepared statement over its catalog entry and wraps
+// the cursor in the public one.
+func openRows(ctx context.Context, p *sql.Prepared, start time.Time) (*Rows, error) {
+	cur, err := p.Open(ctx, sql.Input{}, false)
 	if err != nil {
 		return nil, err
 	}
@@ -233,12 +238,7 @@ type engineStmt struct {
 }
 
 func (s *engineStmt) QueryContext(ctx context.Context) (*Rows, error) {
-	start := time.Now()
-	cur, err := s.prep.StreamContext(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return NewRows(&cursorSource{cur: cur, start: start, traceID: trace.FromContext(ctx)}), nil
+	return openRows(ctx, s.prep, time.Now())
 }
 
 func (s *engineStmt) Close() error { return nil }
@@ -249,35 +249,20 @@ type cursorSource struct {
 	cur     *sql.Cursor
 	start   time.Time
 	traceID string
-	meta    *QueryMetrics
 }
 
 func (cs *cursorSource) Columns() []storage.Column { return cs.cur.Columns() }
 
-func (cs *cursorSource) NextBatch() (*stream.Batch, error) {
-	b, err := cs.cur.NextBatch()
-	if err != nil {
-		cs.finish()
-	}
-	return b, err
-}
+func (cs *cursorSource) NextBatch() (*stream.Batch, error) { return cs.cur.NextBatch() }
 
-func (cs *cursorSource) Close() error {
-	cs.finish()
-	return cs.cur.Close()
+func (cs *cursorSource) End(Ending) *QueryMetrics {
+	meta := MetaFromResult(cs.cur.Meta())
+	meta.Elapsed = time.Since(cs.start)
+	meta.TraceID = cs.traceID
+	meta.Trace = ExecTrace(meta)
+	_ = cs.cur.Close()
+	return meta
 }
-
-func (cs *cursorSource) finish() {
-	if cs.meta != nil {
-		return
-	}
-	cs.meta = MetaFromResult(cs.cur.Meta())
-	cs.meta.Elapsed = time.Since(cs.start)
-	cs.meta.TraceID = cs.traceID
-	cs.meta.Trace = ExecTrace(cs.meta)
-}
-
-func (cs *cursorSource) Metrics() *QueryMetrics { return cs.meta }
 
 // MetaFromResult translates a sql.Result's metadata (the table, if any, is
 // ignored) into the public QueryMetrics shape. Serving layers use it when
@@ -306,7 +291,8 @@ func MetaFromResult(res *sql.Result) *QueryMetrics {
 
 // DrainResult consumes a Rows cursor into the materialized Result shape of
 // the original API: the table plus plan, metrics and final-sort
-// disposition. The cursor is closed when DrainResult returns.
+// disposition — everything MetaFromResult reads back out of a Result. The
+// cursor is closed when DrainResult returns.
 func DrainResult(rows *Rows) (*Result, error) {
 	defer rows.Close()
 	t := storage.NewTable(storage.NewSchema(rows.ColumnTypes()...))
@@ -323,6 +309,9 @@ func DrainResult(rows *Rows) (*Result, error) {
 		res.FinalSort = m.FinalSort
 		res.SatisfiedPrefix = m.SatisfiedPrefix
 		res.Parallelism = m.Parallelism
+		res.EstRows = m.EstRows
+		res.Watermark = m.Watermark
+		res.SharedScan = m.SharedScan
 	}
 	return res, nil
 }

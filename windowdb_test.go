@@ -273,7 +273,7 @@ func TestEnginePrepareReuse(t *testing.T) {
 	if p.Generation() != eng.Generation() {
 		t.Fatalf("prepared under generation %d, engine at %d", p.Generation(), eng.Generation())
 	}
-	want, err := p.Execute()
+	want, err := p.ExecuteContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

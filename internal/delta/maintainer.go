@@ -8,6 +8,7 @@ import (
 	"repro/internal/sql"
 	"repro/internal/storage"
 	"repro/internal/window"
+	"repro/internal/xsort"
 )
 
 // Delta-row operation tags carried in the _op meta column.
@@ -494,8 +495,8 @@ func (m *Maintainer) filter(row storage.Tuple) (bool, error) {
 // sortPositions stable-sorts positions by the spec's ordering key; ties
 // keep arrival (row-id) order, matching the executor's stable reorders.
 func (m *Maintainer) sortPositions(positions []int, spec window.Spec) {
-	sort.SliceStable(positions, func(i, j int) bool {
-		return storage.CompareSeq(m.rows[positions[i]], m.rows[positions[j]], spec.OK) < 0
+	xsort.Stable(positions, nil, func(a, b int) int {
+		return storage.CompareSeq(m.rows[a], m.rows[b], spec.OK)
 	})
 }
 

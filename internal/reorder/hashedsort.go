@@ -3,7 +3,6 @@ package reorder
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/attrs"
 	"repro/internal/core"
@@ -229,11 +228,13 @@ func HashedSort(in stream.Stream, opt HSOptions, cfg Config) (stream.Stream, HSS
 
 	// Sort order: MFV bucket first, then memory-resident buckets, then
 	// disk-resident buckets (Section 3.2's prescribed order).
-	sort.SliceStable(buckets, func(i, j int) bool {
-		mi := buckets[i].writer == nil
-		mj := buckets[j].writer == nil
-		return mi && !mj
-	})
+	onDisk := func(b *hsBucket) int {
+		if b.writer != nil {
+			return 1
+		}
+		return 0
+	}
+	slices.SortStableFunc(buckets, func(a, b *hsBucket) int { return onDisk(a) - onDisk(b) })
 
 	arena := cfg.Arena
 	if arena == nil {

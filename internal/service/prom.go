@@ -13,7 +13,9 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/pagestore"
 	"repro/internal/trace"
+	"repro/internal/xsort"
 )
 
 // PromWriter accumulates metric families in Prometheus text exposition
@@ -103,6 +105,16 @@ func WriteSnapshotMetrics(p *PromWriter, s Snapshot) {
 	p.Gauge("windowdb_uptime_seconds", "Seconds since the service started.", s.UptimeSeconds)
 }
 
+// WriteProcessMetrics emits what belongs to the process and not to one
+// service in it — the memory that outlives a statement: the spill block
+// pool and the sort workspace. The coordinator writes the same families.
+func WriteProcessMetrics(p *PromWriter) {
+	allocated, held := pagestore.PoolCounters()
+	p.Counter("windowdb_block_pool_allocated_total", "Spill blocks allocated because the process-wide pool had none free.", float64(allocated))
+	p.Gauge("windowdb_block_pool_held", "Spill blocks taken from the pool and not yet handed back.", float64(held))
+	p.Gauge("windowdb_sort_workspace_bytes", "Merge scratch the idle in-memory sort workspace retains.", float64(xsort.WorkspaceBytes()))
+}
+
 // histStride thins the 96 exponential buckets to every 8th boundary in
 // the exposition — 12 boundaries plus +Inf spans 1µs to ~2min at 6x
 // resolution, plenty for scrape-side quantiles, and cumulative buckets
@@ -130,6 +142,7 @@ func WriteLatencyHistogram(p *PromWriter, name string, h latencyHist) {
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p := &PromWriter{}
 	WriteSnapshotMetrics(p, s.Stats())
+	WriteProcessMetrics(p)
 	codec := CodecBinary
 	if s.cfg.DisableBinary {
 		codec = CodecJSON

@@ -69,6 +69,9 @@ func TestMetricsExposition(t *testing.T) {
 		"windowdb_admission_slots",
 		"windowdb_uptime_seconds",
 		"windowdb_query_duration_seconds",
+		"windowdb_block_pool_allocated_total",
+		"windowdb_block_pool_held",
+		"windowdb_sort_workspace_bytes",
 	} {
 		if !strings.Contains(body, "# HELP "+fam+" ") {
 			t.Errorf("missing HELP for %s", fam)
@@ -80,6 +83,14 @@ func TestMetricsExposition(t *testing.T) {
 
 	if !strings.Contains(body, "windowdb_queries_total 2") {
 		t.Errorf("queries_total should read 2:\n%s", body)
+	}
+
+	// The two queries sorted 2000 rows in memory: their scratch is back in
+	// the workspace and the gauge shows it retained.
+	if m := regexp.MustCompile(`(?m)^windowdb_sort_workspace_bytes (\S+)$`).FindStringSubmatch(body); m == nil {
+		t.Errorf("sort_workspace_bytes has no sample")
+	} else if v, err := strconv.ParseFloat(m[1], 64); err != nil || v < 24 {
+		t.Errorf("sort_workspace_bytes = %q after in-memory sorts, want the retained scratch", m[1])
 	}
 
 	// Histogram: buckets cumulative and monotone, +Inf == _count == 2.

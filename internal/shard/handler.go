@@ -248,6 +248,7 @@ func (c *Cluster) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		func(s service.Snapshot) float64 { return float64(s.RowsOut) })
 	shardFamily("windowdb_shard_in_flight", "In-flight executions per shard node.", "gauge",
 		func(s service.Snapshot) float64 { return float64(s.InFlight) })
+	service.WriteProcessMetrics(p)
 	service.WriteBuildInfo(p, service.CodecBinary)
 	p.ServeTo(w)
 }

@@ -270,6 +270,8 @@ func TestCoordinatorMetricsExposition(t *testing.T) {
 		"windowdb_queries_aborted_total",
 		"windowdb_live_queries",
 		"windowdb_shuffle_round_imbalance",
+		"windowdb_block_pool_held",
+		"windowdb_sort_workspace_bytes",
 		"windowdb_build_info{",
 	} {
 		if !strings.Contains(body, want) {

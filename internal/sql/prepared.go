@@ -3,7 +3,6 @@ package sql
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -544,9 +543,7 @@ func (p *Prepared) finalize(outTable *storage.Table, result *Result) {
 			partialSort(outTable.Rows, key, sat)
 		default:
 			result.FinalSort = "full"
-			sort.SliceStable(outTable.Rows, func(i, j int) bool {
-				return storage.CompareSeq(outTable.Rows[i], outTable.Rows[j], key) < 0
-			})
+			sortRows(outTable.Rows, key)
 		}
 	}
 	if p.q.Limit >= 0 && int64(outTable.Len()) > p.q.Limit {

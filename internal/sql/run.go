@@ -3,7 +3,6 @@ package sql
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/attrs"
@@ -11,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/storage"
+	"repro/internal/xsort"
 )
 
 // Scheme names a window-function optimization scheme.
@@ -150,12 +150,16 @@ func partialSort(rows []storage.Tuple, key attrs.Seq, sat int) {
 		for end < len(rows) && storage.CompareSeq(rows[start], rows[end], prefix) == 0 {
 			end++
 		}
-		run := rows[start:end]
-		sort.SliceStable(run, func(i, j int) bool {
-			return storage.CompareSeq(run[i], run[j], rest) < 0
-		})
+		sortRows(rows[start:end], rest)
 		start = end
 	}
+}
+
+// sortRows stably sorts result rows on key with the engine's one sort
+// kernel. These comparisons order the statement's output, not a window's
+// input: they are not part of the chain's counted comparisons.
+func sortRows(rows []storage.Tuple, key attrs.Seq) {
+	xsort.StableTuples(rows, func(a, b storage.Tuple) int { return storage.CompareSeq(a, b, key) })
 }
 
 // FormatTable renders a result table with padded columns, for examples and

@@ -1,6 +1,9 @@
 package sql
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -320,6 +323,32 @@ func TestSection5OrderIntegration(t *testing.T) {
 	}
 	if !storage.SortedOn(resP.Table.Rows, key) {
 		t.Fatalf("PSQL output not ordered")
+	}
+}
+
+// TestFinalSortsKeepChainOrderOnTies — the full and the partial final sort
+// put rows that tie on ORDER BY where sort.SliceStable did: in the order
+// the chain delivered them.
+func TestFinalSortsKeepChainOrderOnTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	rows := make([]storage.Tuple, 3000)
+	for i := range rows {
+		// Column 0 arrives in runs (the satisfied prefix), column 1 has
+		// few values, column 2 is the arrival position.
+		rows[i] = storage.Tuple{storage.Int(int64(i / 40)), storage.Int(rng.Int63n(5)), storage.Int(int64(i))}
+	}
+	key := attrs.Seq{{Attr: 0}, {Attr: 1, Desc: true}}
+	want := slices.Clone(rows)
+	sort.SliceStable(want, func(i, j int) bool { return storage.CompareSeq(want[i], want[j], key) < 0 })
+
+	full := slices.Clone(rows)
+	sortRows(full, key)
+	partial := slices.Clone(rows)
+	partialSort(partial, key, 1)
+	for i := range want {
+		if w := want[i][2].Int64(); full[i][2].Int64() != w || partial[i][2].Int64() != w {
+			t.Fatalf("row %d: full sort has arrival %v, partial %v, sort.SliceStable %v", i, full[i][2], partial[i][2], w)
+		}
 	}
 }
 

@@ -1,0 +1,195 @@
+package xsort
+
+import (
+	"runtime"
+	"sync"
+	"unsafe"
+
+	"repro/internal/storage"
+)
+
+// insertionBlock is the longest slice Stable sorts by binary insertion,
+// which needs no scratch: at six elements it asks for 9.7 comparisons on
+// average against the 9.5 any sort must.
+const insertionBlock = 6
+
+// Stable sorts a in place, keeping the input order of elements that compare
+// equal, with a top-down merge sort: each half is sorted, the left one is
+// copied to scratch and the two are merged back, the right element going
+// first only when it compares below the left one. Two halves that are
+// already in order cost their merge one comparison. On random keys that is
+// about n·log₂n − 1.25n comparisons and n·log₂n moves — never more than
+// n·⌈log₂n⌉ comparisons, and under 3n on sorted input — where
+// slices.SortStableFunc's in-place symMerge takes 1.27·n·log₂n
+// comparisons and O(n·log²n) swaps. Being stable, it puts every element
+// where any other stable sort would.
+//
+// scratch must hold len(a)/2 elements when a is longer than an insertion
+// block; a shorter one (nil, say) is replaced by a new allocation. Stable
+// leaves copies of elements in scratch: a caller that keeps it clears it.
+func Stable[T any](a, scratch []T, cmp func(x, y T) int) {
+	if need := scratchLen(len(a)); len(scratch) < need {
+		scratch = make([]T, need)
+	}
+	mergeSort(a, scratch, cmp)
+}
+
+// scratchLen is the scratch Stable needs for n elements.
+func scratchLen(n int) int {
+	if n <= insertionBlock {
+		return 0
+	}
+	return n / 2
+}
+
+func mergeSort[T any](a, scratch []T, cmp func(x, y T) int) {
+	if len(a) <= insertionBlock {
+		insertionSort(a, cmp)
+		return
+	}
+	mid := len(a) / 2
+	mergeSort(a[:mid], scratch, cmp)
+	mergeSort(a[mid:], scratch, cmp)
+	if cmp(a[mid], a[mid-1]) >= 0 {
+		return
+	}
+	left := scratch[:copy(scratch, a[:mid])]
+	i, j, k := 0, mid, 0
+	for i < len(left) && j < len(a) {
+		if cmp(a[j], left[i]) < 0 {
+			a[k] = a[j]
+			j++
+		} else {
+			a[k] = left[i]
+			i++
+		}
+		k++
+	}
+	// What is left of the right half is already in place.
+	copy(a[k:], left[i:])
+}
+
+// insertionSort is a stable binary insertion sort: each element goes after
+// the last one that does not compare above it.
+func insertionSort[T any](a []T, cmp func(x, y T) int) {
+	for i := 1; i < len(a); i++ {
+		x := a[i]
+		lo, hi := 0, i
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if cmp(x, a[m]) < 0 {
+				hi = m
+			} else {
+				lo = m + 1
+			}
+		}
+		copy(a[lo+1:i+1], a[lo:i])
+		a[lo] = x
+	}
+}
+
+// StableTuples is Stable over rows with its scratch borrowed from the
+// process-wide workspace, so a statement's sorts allocate nothing once the
+// process has sorted that many rows before.
+func StableTuples(rows []storage.Tuple, cmp func(a, b storage.Tuple) int) {
+	need := scratchLen(len(rows))
+	if need == 0 {
+		mergeSort(rows, nil, cmp)
+		return
+	}
+	buf := workspace.borrow(need)
+	// Deferred so a panicking comparison hands the buffer back too, once
+	// and empty.
+	defer workspace.giveBack(buf)
+	mergeSort(rows, buf, cmp)
+}
+
+// maxRetainedHeaders is the longest scratch the workspace keeps (24 MB of
+// tuple headers): an in-memory reorder's scratch is a small fraction of its
+// M-block budget, but a final ORDER BY sorts whatever the statement
+// returns, and one huge result must not pin its scratch for the life of
+// the process.
+const maxRetainedHeaders = 1 << 20
+
+// scratchPool is a free list of merge scratch buffers. It is a plain list
+// and not a sync.Pool because the buffers must survive a GC — a statement
+// that finds the pool emptied allocates half its row count in headers,
+// which is what the pool exists to avoid — and because a slice goes in and
+// out of it without being boxed. It holds at most GOMAXPROCS buffers, the
+// most sorts that can be running at once, and keeps the longest it has
+// seen; a buffer in the list holds no tuple.
+type scratchPool struct {
+	mu   sync.Mutex
+	free [][]storage.Tuple
+}
+
+var (
+	workspace scratchPool
+	// workspaceSlots is read once: runtime.GOMAXPROCS takes the scheduler
+	// lock, and every sort past an insertion block would ask.
+	workspaceSlots = runtime.GOMAXPROCS(0)
+)
+
+// borrow takes the shortest free buffer of at least n headers out of the
+// list, or allocates one, and returns it with length n. The caller owns it
+// until giveBack.
+func (p *scratchPool) borrow(n int) []storage.Tuple {
+	p.mu.Lock()
+	best := -1
+	for i, b := range p.free {
+		if cap(b) >= n && (best < 0 || cap(b) < cap(p.free[best])) {
+			best = i
+		}
+	}
+	var buf []storage.Tuple
+	if best >= 0 {
+		last := len(p.free) - 1
+		buf = p.free[best]
+		p.free[best] = p.free[last]
+		p.free[last] = nil
+		p.free = p.free[:last]
+	}
+	p.mu.Unlock()
+	if buf == nil {
+		return make([]storage.Tuple, n)
+	}
+	return buf[:n]
+}
+
+// giveBack clears buf — it was borrowed at the length that was used — and
+// puts it in the list, in place of the shortest buffer there when the list
+// is full and that one is shorter.
+func (p *scratchPool) giveBack(buf []storage.Tuple) {
+	clear(buf)
+	if cap(buf) > maxRetainedHeaders {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.free) < workspaceSlots {
+		p.free = append(p.free, buf)
+		return
+	}
+	shortest := 0
+	for i, b := range p.free {
+		if cap(b) < cap(p.free[shortest]) {
+			shortest = i
+		}
+	}
+	if cap(p.free[shortest]) < cap(buf) {
+		p.free[shortest] = buf
+	}
+}
+
+// WorkspaceBytes reports the memory the idle sort workspace retains: the
+// scratch buffers waiting in the free list, not the ones a running sort
+// holds.
+func WorkspaceBytes() int64 {
+	workspace.mu.Lock()
+	defer workspace.mu.Unlock()
+	var headers int64
+	for _, b := range workspace.free {
+		headers += int64(cap(b))
+	}
+	return headers * int64(unsafe.Sizeof(storage.Tuple{}))
+}

@@ -11,7 +11,6 @@ package xsort
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/attrs"
 	"repro/internal/pagestore"
@@ -89,13 +88,10 @@ func (s *Sorter) compare(a, b storage.Tuple) int {
 
 func (s *Sorter) less(a, b storage.Tuple) bool { return s.compare(a, b) < 0 }
 
-// sortInMemory stably sorts tuples in place. slices.SortStableFunc is the
-// insertion-sort + symMerge of sort.SliceStable generated from the same
-// template, so it asks for the same comparisons in the same order (a test
-// replays both against a call log) without the reflection swapper and the
-// closure sort.SliceStable allocates per call.
+// sortInMemory stably sorts tuples in place with the merge kernel, every
+// comparison counted.
 func (s *Sorter) sortInMemory(tuples []storage.Tuple) {
-	slices.SortStableFunc(tuples, s.compare)
+	StableTuples(tuples, s.compare)
 }
 
 // SortTuples sorts a materialized slice honoring the memory budget: if the

@@ -3,7 +3,6 @@ package xsort
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -243,56 +242,6 @@ func ExampleSorter() {
 	// 1
 	// 2
 	// 3
-}
-
-// TestInMemorySortComparesLikeSliceStable — the in-memory path moved from
-// sort.SliceStable to slices.SortStableFunc; comparisons are the paper's
-// CPU currency, so the new sort must ask for the same pairs in the same
-// order, not merely produce the same result. Both log every comparison
-// over inputs on either side of the insertion-sort block size, with many
-// ties.
-func TestInMemorySortComparesLikeSliceStable(t *testing.T) {
-	type call struct{ a, b int64 } // unique tags of the compared tuples
-	key := attrs.AscSeq(0, 1)
-	for _, n := range []int{0, 1, 2, 19, 20, 21, 257, 5000} {
-		rows := randRows(rand.New(rand.NewSource(int64(n))), n, 12)
-
-		var oldLog []call
-		old := append([]storage.Tuple(nil), rows...)
-		sort.SliceStable(old, func(i, j int) bool {
-			oldLog = append(oldLog, call{old[i][2].Int64(), old[j][2].Int64()})
-			return storage.CompareSeq(old[i], old[j], key) < 0
-		})
-
-		var cmps int64
-		s := &Sorter{Key: key, Comparisons: &cmps}
-		got, st, err := s.SortTuples(append([]storage.Tuple(nil), rows...))
-		if err != nil || !st.InMemory {
-			t.Fatalf("n=%d: in-memory sort: %v %+v", n, err, st)
-		}
-		if cmps != int64(len(oldLog)) {
-			t.Fatalf("n=%d: %d comparisons, sort.SliceStable made %d", n, cmps, len(oldLog))
-		}
-		for i := range got {
-			if got[i][2].Int64() != old[i][2].Int64() {
-				t.Fatalf("n=%d: row %d is tag %d, sort.SliceStable put %d there", n, i, got[i][2].Int64(), old[i][2].Int64())
-			}
-		}
-
-		// The count alone would not catch a reordering of the calls; replay
-		// the same algorithm with a logging comparator.
-		var newLog []call
-		replay := append([]storage.Tuple(nil), rows...)
-		slices.SortStableFunc(replay, func(a, b storage.Tuple) int {
-			newLog = append(newLog, call{a[2].Int64(), b[2].Int64()})
-			return storage.CompareSeq(a, b, key)
-		})
-		for i := range oldLog {
-			if newLog[i] != oldLog[i] {
-				t.Fatalf("n=%d: comparison %d is %v, sort.SliceStable's was %v", n, i, newLog[i], oldLog[i])
-			}
-		}
-	}
 }
 
 // TestSortTuplesInPlace — a slice that fits the budget is sorted where it

@@ -3,6 +3,8 @@ package windowdb
 import (
 	"context"
 	"errors"
+	"regexp"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -304,4 +306,53 @@ func TestEnginePrepareReuse(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestExplainAnalyzeStepComparisonsSumToQueryMetrics — EXPLAIN ANALYZE's
+// per-step cmp= figures and QueryMetrics.Comparisons read one counter, the
+// one every sort's comparisons go through: over an in-memory, a spilling
+// and a parallel chain the steps add up to the total, and the rendered
+// lines say the same. The final ORDER BY's comparisons are in neither.
+func TestExplainAnalyzeStepComparisonsSumToQueryMetrics(t *testing.T) {
+	const q = `SELECT ws_order_number,
+		       rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS a,
+		       rank() OVER (PARTITION BY ws_warehouse_sk ORDER BY ws_sold_time_sk) AS b,
+		       rank() OVER (ORDER BY ws_quantity) AS c
+		FROM web_sales ORDER BY ws_order_number`
+	cmpField := regexp.MustCompile(`\bcmp=(\d+)\b`)
+	for name, cfg := range map[string]Config{
+		"in memory": {SortMemBytes: 1 << 24, BlockSize: 4096},
+		"spilling":  {SortMemBytes: 16 << 10, BlockSize: 1024},
+		"parallel":  {SortMemBytes: 64 << 10, BlockSize: 1024, Parallelism: 3},
+	} {
+		eng := New(cfg)
+		eng.Register("web_sales", datagen.WebSales(datagen.WebSalesConfig{Rows: 2000, Seed: 3, PadBytes: 16}))
+		rows, err := eng.QueryContext(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rows.Next() {
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatal(err)
+		}
+		m := rows.Metrics()
+		if m == nil || m.Exec == nil || len(m.Exec.Steps) != 3 || m.Comparisons == 0 {
+			t.Fatalf("%s: metrics %+v", name, m)
+		}
+		var steps int64
+		for _, st := range m.Exec.Steps {
+			steps += st.Comparisons
+		}
+		var rendered int64
+		for _, line := range RenderAnalyze(m) {
+			if f := cmpField.FindStringSubmatch(line); f != nil {
+				n, _ := strconv.ParseInt(f[1], 10, 64)
+				rendered += n
+			}
+		}
+		if steps != m.Comparisons || rendered != m.Comparisons {
+			t.Errorf("%s: steps sum to %d comparisons, EXPLAIN ANALYZE lines to %d, QueryMetrics.Comparisons is %d", name, steps, rendered, m.Comparisons)
+		}
+	}
 }

@@ -167,6 +167,42 @@ func TestRewoundMemoryIsNeverRead(t *testing.T) {
 		}
 	})
 
+	t.Run("FS to SS keeps the in-memory row sequence", func(t *testing.T) {
+		// Four items over 3000 rows: both sorts see
+		// ties, and every sort — kernel, run formation, merge — is stable, so
+		// the rows leave in the one sequence whether or not M made them spill.
+		plan := &core.Plan{Scheme: "test", Steps: []core.Step{fsItemDate, ssItemBill}}
+		sequence := func(cfg exec.Config) ([]int64, *exec.Metrics) {
+			chain, m, err := exec.RunChain(context.Background(), table, specs, plan, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tags := make([]int64, chain.Len())
+			for i, row := range chain.Rows {
+				tags[i] = row[datagen.ColOrderNumber].Int64()
+			}
+			return tags, m
+		}
+		want, m := sequence(exec.Config{BlockSize: 1024})
+		if m.TotalBlocks() != 0 {
+			t.Fatalf("the chain spilled %d blocks without a budget", m.TotalBlocks())
+		}
+		got, m := sequence(exec.Config{MemoryBytes: 8 << 10, BlockSize: 1024})
+		var runs, passes, segments, units, external int
+		var inmem bool
+		if detail(t, m, 0, "runs=%d passes=%d inmem=%t", &runs, &passes, &inmem); inmem {
+			t.Fatal("FS did not spill")
+		}
+		if detail(t, m, 1, "segments=%d units=%d external=%d", &segments, &units, &external); external == 0 {
+			t.Fatal("SS sorted no unit externally")
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("row %d is order %d at M = 8 KB and order %d without a budget", i, got[i], want[i])
+			}
+		}
+	})
+
 	t.Run("HS to HS with resident buckets", func(t *testing.T) {
 		// Twenty even buckets and a budget of half the table: about half
 		// the buckets are flushed, the others survive the build phase in

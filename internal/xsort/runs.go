@@ -5,25 +5,29 @@ import (
 	"repro/internal/storage"
 )
 
-// formRunsReplacement forms initial runs with replacement selection: a heap
-// of (runID, tuple) keeps emitting the smallest tuple of the current run;
-// incoming tuples that sort below the last emitted key are deferred to the
-// next run. Expected run length is 2M for random input (the assumption
-// behind Eq. 1 of the paper), and already-sorted input yields a single run.
+// formRunsReplacement forms initial runs with replacement selection over
+// the loser tree, one leaf per buffered tuple: the winner goes out to the
+// current run and the next input tuple takes its leaf — tagged for the next
+// run when it sorts below the key just written, and with its arrival number
+// so equal keys leave in input order. Expected run length is 2M for random
+// input (the assumption behind Eq. 1 of the paper), and already-sorted
+// input yields a single run.
 //
-// buf holds the tuples that filled the memory budget; next supplies the rest.
+// buf holds the tuples that filled the memory budget, at least one; next
+// supplies the rest.
 func (s *Sorter) formRunsReplacement(buf []storage.Tuple, next Input) ([]*run, error) {
-	h := s.newRunHeap(len(buf))
-	for _, t := range buf {
-		h.items = append(h.items, rsItem{run: 0, tuple: t})
+	defer s.tree.release()
+	leaves := s.tree.reset(len(buf))
+	for i, t := range buf {
+		leaves[i].seq, leaves[i].tuple = i, t
 	}
-	h.init()
+	s.build()
 
 	var (
 		runs    []*run
 		writer  *spill.Writer
 		current = 0
-		last    storage.Tuple
+		seq     = len(buf)
 		err     error
 	)
 	fail := func(err error) ([]*run, error) {
@@ -45,57 +49,37 @@ func (s *Sorter) formRunsReplacement(buf []storage.Tuple, next Input) ([]*run, e
 		writer = nil
 		return nil
 	}
-	for len(h.items) > 0 {
-		item := h.items[0]
-		if item.run != current {
+	for w := s.tree.winner(); w.run != retired; w = s.tree.winner() {
+		if w.run != current {
 			if err = closeCurrent(); err != nil {
 				return fail(err)
 			}
-			current = item.run
-			last = nil
+			current = w.run
 		}
 		if writer == nil {
 			if writer, err = spill.NewWriter(s.Store); err != nil {
 				return fail(err)
 			}
 		}
-		h.pop()
-		if err = writer.Write(item.tuple); err != nil {
+		last := w.tuple
+		if err = writer.Write(last); err != nil {
 			return fail(err)
 		}
-		last = item.tuple
 		if t, ok := next(); ok {
-			it := rsItem{run: current, tuple: t}
-			if s.less(t, last) {
-				it.run = current + 1
+			w.tuple, w.seq = t, seq
+			seq++
+			if s.compare(t, last) < 0 {
+				w.run = current + 1
 			}
-			h.push(it)
+		} else {
+			w.tuple, w.run = nil, retired
 		}
+		s.replay()
 	}
 	if err = closeCurrent(); err != nil {
 		return fail(err)
 	}
 	return runs, nil
-}
-
-// rsItem is a heap entry: ordering is (run, key) so the current run drains
-// before the next run begins.
-type rsItem struct {
-	run   int
-	tuple storage.Tuple
-}
-
-// newRunHeap returns the empty replacement-selection heap.
-func (s *Sorter) newRunHeap(capacity int) *tupleHeap[rsItem] {
-	return &tupleHeap[rsItem]{
-		items: make([]rsItem, 0, capacity),
-		less: func(a, b rsItem) bool {
-			if a.run != b.run {
-				return a.run < b.run
-			}
-			return s.less(a.tuple, b.tuple)
-		},
-	}
 }
 
 // formRunsLoadSort is the ablation alternative: fill memory, quicksort,
@@ -152,65 +136,53 @@ func (s *Sorter) formRunsLoadSort(buf []storage.Tuple, next Input) ([]*run, erro
 	return runs, nil
 }
 
-// mergeSource is one leg of a multiway merge.
-type mergeSource struct {
-	rd    *spill.Reader
-	tuple storage.Tuple
-}
-
-type mergeHeap = tupleHeap[*mergeSource]
-
-// startMerge opens readers for all runs, decoding into arena, and primes
-// the heap. On error every reader it opened is closed again.
-func (s *Sorter) startMerge(runs []*run, arena *storage.TupleArena) (*mergeHeap, error) {
-	h := &mergeHeap{less: func(a, b *mergeSource) bool { return s.less(a.tuple, b.tuple) }}
-	for _, r := range runs {
+// startMerge opens a reader on every run, decoding into arena, and plays
+// the tree over their first tuples: leaf i is runs[i], so equal keys leave
+// in run order, and a run with nothing (left) in it is a retired leaf. On
+// error the caller's release closes what was opened.
+func (s *Sorter) startMerge(runs []*run, arena *storage.TupleArena) error {
+	leaves := s.tree.reset(len(runs))
+	for i, r := range runs {
 		rd, err := spill.NewArenaReader(r.file, arena)
 		if err != nil {
-			closeSources(h)
-			return nil, err
+			return err
 		}
-		t, ok, err := rd.Next()
-		if err != nil {
-			rd.Close()
-			closeSources(h)
-			return nil, err
+		leaves[i].seq, leaves[i].rd = i, rd
+		if err := leaves[i].advance(); err != nil {
+			return err
 		}
-		if !ok {
-			rd.Close()
-			continue
-		}
-		h.items = append(h.items, &mergeSource{rd: rd, tuple: t})
 	}
-	h.init()
-	return h, nil
+	s.build()
+	return nil
 }
 
-// closeSources closes the readers of the runs a merge has not exhausted.
-func closeSources(h *mergeHeap) {
-	for _, src := range h.items {
-		src.rd.Close()
-	}
-}
-
-// mergeNext pops the globally smallest tuple and advances its source.
-func (s *Sorter) mergeNext(h *mergeHeap) (storage.Tuple, bool, error) {
-	if len(h.items) == 0 {
-		return nil, false, nil
-	}
-	src := h.items[0]
-	t := src.tuple
-	nt, ok, err := src.rd.Next()
+// advance moves a merge leaf to its run's next tuple, or closes the run's
+// reader and retires the leaf when there is none.
+func (l *leaf) advance() error {
+	t, ok, err := l.rd.Next()
 	if err != nil {
-		return nil, false, err
+		return err
 	}
 	if ok {
-		src.tuple = nt
-		h.fixTop()
-	} else {
-		src.rd.Close()
-		h.pop()
+		l.tuple = t
+		return nil
 	}
+	l.rd.Close()
+	*l = leaf{run: retired, seq: l.seq}
+	return nil
+}
+
+// mergeNext returns the globally smallest tuple and advances its run.
+func (s *Sorter) mergeNext() (storage.Tuple, bool, error) {
+	w := s.tree.winner()
+	if w.run == retired {
+		return nil, false, nil
+	}
+	t := w.tuple
+	if err := w.advance(); err != nil {
+		return nil, false, err
+	}
+	s.replay()
 	return t, true, nil
 }
 
@@ -221,22 +193,20 @@ func (s *Sorter) mergeNext(h *mergeHeap) (storage.Tuple, bool, error) {
 func (s *Sorter) mergeToRun(runs []*run, arena *storage.TupleArena) (*run, error) {
 	mark := arena.Mark()
 	defer arena.Release(mark)
-	h, err := s.startMerge(runs, arena)
-	if err != nil {
+	defer s.tree.release()
+	if err := s.startMerge(runs, arena); err != nil {
 		return nil, err
 	}
 	w, err := spill.NewWriter(s.Store)
 	if err != nil {
-		closeSources(h)
 		return nil, err
 	}
 	abort := func(err error) (*run, error) {
-		closeSources(h)
 		w.Abort()
 		return nil, err
 	}
 	for {
-		t, ok, err := s.mergeNext(h)
+		t, ok, err := s.mergeNext()
 		if err != nil {
 			return abort(err)
 		}
@@ -260,15 +230,14 @@ func (s *Sorter) mergeToRun(runs []*run, arena *storage.TupleArena) (*run, error
 // them. On error the runs are the caller's to release; the readers are
 // closed.
 func (s *Sorter) mergeToSlice(runs []*run, sizeHint int, arena *storage.TupleArena) ([]storage.Tuple, error) {
-	h, err := s.startMerge(runs, arena)
-	if err != nil {
+	defer s.tree.release()
+	if err := s.startMerge(runs, arena); err != nil {
 		return nil, err
 	}
 	out := make([]storage.Tuple, 0, sizeHint)
 	for {
-		t, ok, err := s.mergeNext(h)
+		t, ok, err := s.mergeNext()
 		if err != nil {
-			closeSources(h)
 			return nil, err
 		}
 		if !ok {

@@ -3,6 +3,14 @@
 // (expected run length 2M, Section 3.4) followed by F-way merging, with a
 // fully in-memory fast path when the input fits in the sort budget.
 //
+// Run formation and every merge are played on one tournament tree of
+// losers (loserTree), one counted comparison per level; the in-memory path
+// is the merge kernel Stable. Both keep equal keys in input order — a
+// match between equal keys goes to the earlier arrival, or the earlier run —
+// so a sort returns the same permutation whether or not its budget made it
+// spill. The tree belongs to the Sorter and is reused by all its sorts; it
+// holds no tuple and no reader between them.
+//
 // All spill traffic goes through a pagestore.Store so experiments observe
 // exact block-I/O counts, and every key comparison is counted, giving the
 // second currency of the paper's cost analysis (Section 3.4's
@@ -38,7 +46,7 @@ type RunFormation uint8
 
 const (
 	// ReplacementSelection forms runs of expected length 2M with a
-	// tournament heap (the paper's assumption in Eq. 1).
+	// tournament tree (the paper's assumption in Eq. 1).
 	ReplacementSelection RunFormation = iota
 	// LoadSortStore forms runs of length M by fill-sort-spill; provided for
 	// the ablation benchmark on run formation policy.
@@ -66,6 +74,11 @@ type Sorter struct {
 	// rows are not the sorter's to reuse: each external sort decodes into an
 	// arena of its own, whose rows have no spare capacity.
 	Arena *storage.TupleArena
+
+	// tree is the tournament every external phase is played on, one at a
+	// time: its leaves and nodes are reused by all of the sorter's sorts and
+	// hold no tuple and no reader between them.
+	tree loserTree
 }
 
 // Stats reports what one Sort did.
@@ -85,8 +98,6 @@ func (s *Sorter) compare(a, b storage.Tuple) int {
 	}
 	return storage.CompareSeq(a, b, s.Key)
 }
-
-func (s *Sorter) less(a, b storage.Tuple) bool { return s.compare(a, b) < 0 }
 
 // sortInMemory stably sorts tuples in place with the merge kernel, every
 // comparison counted.
@@ -141,6 +152,11 @@ func (s *Sorter) Sort(in Input, sizeHint int) ([]storage.Tuple, Stats, error) {
 		bufBytes int
 	)
 	if sizeHint > 0 {
+		if s.MemoryBytes > 0 {
+			// A tuple's Size is at least its 24-byte header, so no more
+			// than this many are buffered before the sort spills.
+			sizeHint = min(sizeHint, s.MemoryBytes/24+1)
+		}
 		buf = make([]storage.Tuple, 0, sizeHint)
 	}
 	for {

@@ -3,6 +3,7 @@ package xsort
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -142,8 +143,8 @@ func TestReplacementSelectionRunLength(t *testing.T) {
 }
 
 func TestSortStability(t *testing.T) {
-	// Equal keys must keep input order in the in-memory path (documented
-	// behavior for deterministic tests).
+	// Equal keys keep input order (TestExternalSortIsStable is the same
+	// promise for sorts that spill).
 	rows := []storage.Tuple{
 		{storage.Int(1), storage.Int(0), storage.Int(0)},
 		{storage.Int(1), storage.Int(0), storage.Int(1)},
@@ -157,6 +158,113 @@ func TestSortStability(t *testing.T) {
 	if got[1][2].Int64() != 0 || got[2][2].Int64() != 1 {
 		t.Errorf("in-memory sort not stable: %v", got)
 	}
+}
+
+// sortVia runs one sort of rows — which it may reorder — through the named
+// entry point of s, a sorter made for this one sort.
+func sortVia(s *Sorter, entry string, rows []storage.Tuple) ([]storage.Tuple, Stats, error) {
+	switch entry {
+	case "Sort":
+		return s.Sort(SliceInput(rows), len(rows))
+	case "SortTuples":
+		return s.SortTuples(rows)
+	default: // SortLoaded: the rows are copied into the sorter's arena first
+		s.Arena = storage.NewTupleArena(len(rows[0]))
+		mark := s.Arena.Mark()
+		for i, r := range rows {
+			rows[i] = s.Arena.Copy(r)
+		}
+		return s.SortLoaded(rows, mark)
+	}
+}
+
+// TestExternalSortIsStable — a sort puts equal keys out in input order
+// whether or not the budget made it spill, so one statement does not order
+// its tied rows by how much memory it was given. Every entry point, under
+// both run formations, from a key with one value to an all but unique one,
+// at budgets from one row up: with 256-byte blocks the fan-in is 2 below 11
+// rows, so the long inputs go through many intermediate passes.
+func TestExternalSortIsStable(t *testing.T) {
+	directions := []attrs.Seq{
+		{{Attr: 0}},
+		{{Attr: 0, NullsFirst: true}},
+		{{Attr: 0, Desc: true}},
+		{{Attr: 0, Desc: true, NullsFirst: true}},
+	}
+	entries := []string{"Sort", "SortTuples", "SortLoaded"}
+	spilled, passes := 0, 0
+	for _, domain := range []int64{1, 2, 7, 50, 100_000} {
+		for _, n := range []int{2, 3, 50, 777, 5000} {
+			rows := shapedRows(int64(n)+domain, n, func(rng *rand.Rand, _, _ int) storage.Value {
+				if domain > 1 && rng.Intn(10) == 0 {
+					return storage.Null
+				}
+				return storage.Int(rng.Int63n(domain))
+			})
+			for ki, key := range directions {
+				want := slices.Clone(rows)
+				sort.SliceStable(want, func(i, j int) bool {
+					return storage.CompareSeq(want[i], want[j], key) < 0
+				})
+				for bi, budgetRows := range []int{1, 2, 3, 10, 64} {
+					for _, rf := range []RunFormation{ReplacementSelection, LoadSortStore} {
+						// One entry point per cell, all three over the matrix.
+						entry := entries[(ki+bi+int(rf))%len(entries)]
+						s := &Sorter{Key: key, MemoryBytes: budgetRows * rows[0].Size(), Store: pagestore.NewMem(256, nil), RunFormation: rf}
+						got, st, err := sortVia(s, entry, slices.Clone(rows))
+						name := fmt.Sprintf("domain=%d n=%d key=%v budget=%d rows rf=%d %s", domain, n, key, budgetRows, rf, entry)
+						if err != nil || len(got) != n || st.InMemory != (n <= budgetRows) {
+							t.Fatalf("%s: %v, %d rows, %+v", name, err, len(got), st)
+						}
+						if !st.InMemory {
+							spilled++
+							passes += st.MergePasses
+						}
+						for i := range got {
+							if got[i][2].Int64() != want[i][2].Int64() {
+								t.Fatalf("%s (%d runs, %d passes): row %d is tag %d, sort.SliceStable put %d there", name, st.InitialRuns, st.MergePasses, i, got[i][2].Int64(), want[i][2].Int64())
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if spilled < 600 || passes < 2*spilled {
+		t.Errorf("%d sorts spilled through %d intermediate passes: the matrix no longer covers what it claims", spilled, passes)
+	}
+}
+
+// FuzzExternalSort checks the spilling sort against the kernel on generated
+// keys: each input byte is one row, ordered by its low bits (so ties are
+// common) and tagged with its position, sorted at a budget of a few rows.
+func FuzzExternalSort(f *testing.F) {
+	f.Add([]byte{}, uint8(0), uint8(0))
+	f.Add([]byte{3, 1, 2}, uint8(7), uint8(1))
+	f.Add([]byte("the quick brown fox jumps over the lazy dog"), uint8(3), uint8(4))
+	f.Add([]byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0}, uint8(255), uint8(35))
+	f.Fuzz(func(t *testing.T, data []byte, mask, budget uint8) {
+		rows := make([]storage.Tuple, len(data))
+		for i, b := range data {
+			rows[i] = storage.Tuple{storage.Int(int64(b & mask)), storage.Int(0), storage.Int(int64(i))}
+		}
+		key := attrs.AscSeq(0)
+		want := slices.Clone(rows)
+		Stable(want, nil, func(a, b storage.Tuple) int { return storage.CompareSeq(a, b, key) })
+
+		// The low bit of budget picks the run formation, the rest the rows
+		// that fit.
+		s := &Sorter{Key: key, MemoryBytes: (1 + int(budget>>1)%24) * 72, Store: pagestore.NewMem(256, nil), RunFormation: RunFormation(budget & 1)}
+		got, st, err := s.Sort(SliceInput(rows), len(rows))
+		if err != nil || len(got) != len(want) {
+			t.Fatalf("%v, %d of %d rows, %+v", err, len(got), len(want), st)
+		}
+		for i := range got {
+			if got[i][2].Int64() != want[i][2].Int64() {
+				t.Fatalf("row %d is tag %d, xsort.Stable put %d there (%+v)", i, got[i][2].Int64(), want[i][2].Int64(), st)
+			}
+		}
+	})
 }
 
 func TestSortDescAndNulls(t *testing.T) {

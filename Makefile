@@ -1,7 +1,7 @@
 # Local targets mirroring .github/workflows/ci.yml.
 GO ?= go
 
-.PHONY: build test race bench fmt fmt-check vet loc benchmark-check serve bench-service bench-json bench-baseline load-smoke cluster-smoke ci
+.PHONY: build test race bench fmt fmt-check vet loc benchmark-check benchmark-smoke serve bench-service bench-json bench-baseline load-smoke cluster-smoke ci
 
 build:
 	$(GO) build ./...
@@ -43,6 +43,15 @@ loc:
 benchmark-check:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
+
+# One short run of the cluster workload the benchmark driver does not gate:
+# two HTTP shard nodes behind a coordinator, every statement checked against
+# the reference engine. The harness prints its result as the last line.
+benchmark-smoke:
+	@out="$$(bash benchmark/run.sh --workload cluster_2shard --seed 20120827 --seconds 3 --trace 0 | tail -n 1)"; \
+	printf '%s\n' "$$out" | grep -q '"correct":true' && printf '%s\n' "$$out" | grep -q '"failed":0' \
+		|| { echo "benchmark-smoke: cluster_2shard did not end correct with 0 failed: $$out" >&2; exit 1; }; \
+	echo "benchmark-smoke: cluster_2shard OK"
 
 # Run the HTTP query service (see cmd/windserve -h for knobs). Relocate
 # with PORT=9090 or a full ADDR=host:9090, so two local instances — or a
@@ -103,29 +112,28 @@ load-smoke:
 	curl -s -o /dev/null -w '%{http_code}' http://$(SMOKE_ADDR)/query?q=nonsense | grep -q 400; \
 	echo "load-smoke: OK"
 
-# Boot two shard windserve processes plus two coordinators — one per wire
-# codec (binary columnar frames, NDJSON) — and a reference single-engine
-# instance on scratch ports; fire the sharded Q1 query over HTTP through
-# each coordinator and assert its row count matches the single engine's
-# and the chain scattered across both shards; then fire a key-divergent
-# chain (two segments with different PARTITION BY) through each and assert
-# it executed with route=shuffle — the per-segment distributed path whose
-# re-shuffled rows move node-to-node over the /shard/shuffle data plane —
-# with the same row count as the single engine. The two-process proof that
-# scatter and shuffle both work over real sockets, in both codecs.
+# Boot two shard windserve processes, a coordinator over them and a
+# reference single-engine instance on scratch ports; fire the sharded Q1
+# query over HTTP through the coordinator and assert its row count matches
+# the single engine's and the chain scattered across both shards; then fire
+# a key-divergent chain (two segments with different PARTITION BY) and
+# assert it executed with route=shuffle — the per-segment distributed path
+# whose re-shuffled rows move node-to-node over the /shard/shuffle data
+# plane — with the same row count as the single engine. The two-process
+# proof that scatter and shuffle both work over real sockets.
 #
-# The observability plane rides the same boot: both coordinators must
-# serve the required Prometheus metric families on /metrics, and the JSON
-# coordinator runs with -slowlog 1us so every query trips the slow-query
-# log — one structured JSON line with the span tree must land on stderr.
+# The observability plane rides the same boot: the coordinator must serve
+# the required Prometheus metric families on /metrics, and it runs with
+# -slowlog 1us so every query trips the slow-query log — one structured
+# JSON line with the span tree must land on stderr.
 #
-# The ingestion plane rides the binary coordinator: open a SUBSCRIBE
-# stream with plain curl (?subscribe=1, NDJSON), wait for the full initial
-# result (header + one tagged row per web_sales row), POST /append one row
-# — the coordinator hash-routes it to the owning shard and assigns a
-# watermark past the registration generation — and require the delta row
-# to surface on the open stream tagged "append" at exactly that watermark.
-# The subscription must list in /debug/queries and die to a DELETE by id.
+# The ingestion plane rides it too: open a SUBSCRIBE stream with plain curl
+# (?subscribe=1, NDJSON), wait for the full initial result (header + one
+# tagged row per web_sales row), POST /append one row — the coordinator
+# hash-routes it to the owning shard and assigns a watermark past the
+# registration generation — and require the delta row to surface on the
+# open stream tagged "append" at exactly that watermark. The subscription
+# must list in /debug/queries and die to a DELETE by id.
 #
 # Finally the live-query plane, on a dedicated cluster whose web_sales is
 # SMOKE_KILL_ROWS deep — sized so a streamed result cannot hide in
@@ -144,10 +152,9 @@ cluster-smoke:
 	/tmp/windserve-csmoke -shardnode -addr 127.0.0.1:18094 & s1=$$!; \
 	/tmp/windserve-csmoke -shardnode -addr 127.0.0.1:18095 & s2=$$!; \
 	/tmp/windserve-csmoke -addr 127.0.0.1:18096 -rows 2000 & se=$$!; \
-	co=; coj=; trap 'kill $$s1 $$s2 $$se $$co $$coj 2>/dev/null' EXIT; \
-	/tmp/windserve-csmoke -shards 127.0.0.1:18094,127.0.0.1:18095 -addr 127.0.0.1:18093 -rows 2000 & co=$$!; \
-	/tmp/windserve-csmoke -shards 127.0.0.1:18094,127.0.0.1:18095 -addr 127.0.0.1:18097 -rows 2000 -codec json -slowlog 1us 2>/tmp/windserve-csmoke-slow.log & coj=$$!; \
-	for url in 127.0.0.1:18093 127.0.0.1:18096 127.0.0.1:18097; do \
+	co=; trap 'kill $$s1 $$s2 $$se $$co 2>/dev/null' EXIT; \
+	/tmp/windserve-csmoke -shards 127.0.0.1:18094,127.0.0.1:18095 -addr 127.0.0.1:18093 -rows 2000 -slowlog 1us 2>/tmp/windserve-csmoke-slow.log & co=$$!; \
+	for url in 127.0.0.1:18093 127.0.0.1:18096; do \
 		ok=0; \
 		for i in $$(seq 1 150); do \
 			if curl -sf http://$$url/healthz >/dev/null 2>&1; then ok=1; break; fi; \
@@ -161,31 +168,29 @@ cluster-smoke:
 	sc=$$(printf '%s' "$$single" | grep -o '"row_count":[0-9]*'); \
 	divsingle=$$(curl -sf -X POST http://127.0.0.1:18096/query -d "$$divbody"); \
 	dsc=$$(printf '%s' "$$divsingle" | grep -o '"row_count":[0-9]*'); \
-	for coord in 127.0.0.1:18093=binary 127.0.0.1:18097=json; do \
-		url=$${coord%=*}; label=$${coord#*=}; \
-		clustered=$$(curl -sf -X POST http://$$url/query -d "$$body"); \
-		cc=$$(printf '%s' "$$clustered" | grep -o '"row_count":[0-9]*'); \
-		[ -n "$$sc" ] && [ "$$sc" = "$$cc" ] || { echo "cluster-smoke($$label): $$cc != single-engine $$sc" >&2; exit 1; }; \
-		printf '%s' "$$clustered" | grep -q '"route":"scatter"' || { echo "cluster-smoke($$label): not scattered" >&2; exit 1; }; \
-		printf '%s' "$$clustered" | grep -q '"shards_used":2' || { echo "cluster-smoke($$label): wrong shard count" >&2; exit 1; }; \
-		divclustered=$$(curl -sf -X POST http://$$url/query -d "$$divbody"); \
-		dcc=$$(printf '%s' "$$divclustered" | grep -o '"row_count":[0-9]*'); \
-		[ -n "$$dsc" ] && [ "$$dsc" = "$$dcc" ] || { echo "cluster-smoke($$label): divergent $$dcc != single-engine $$dsc" >&2; exit 1; }; \
-		printf '%s' "$$divclustered" | grep -q '"route":"shuffle"' || { echo "cluster-smoke($$label): key-divergent chain not shuffled" >&2; exit 1; }; \
-		curl -sf http://$$url/stats | grep -q '"shards":2' || { echo "cluster-smoke($$label): /stats missing shards" >&2; exit 1; }; \
-		curl -sf http://$$url/stats | grep -q '"shuffle":1' || { echo "cluster-smoke($$label): /stats missing shuffle count" >&2; exit 1; }; \
-		metrics=$$(curl -sf http://$$url/metrics); \
-		for fam in windowdb_queries_total windowdb_route_queries_total windowdb_shard_queries_total windowdb_shards; do \
-			printf '%s\n' "$$metrics" | grep -q "^$$fam" || { echo "cluster-smoke($$label): /metrics missing family $$fam" >&2; exit 1; }; \
-		done; \
-		printf '%s\n' "$$metrics" | grep -q '^windowdb_shard_queries_total{shard="1"}' || { echo "cluster-smoke($$label): /metrics missing per-shard labels" >&2; exit 1; }; \
-		echo "cluster-smoke($$label): OK ($$cc rows scattered, $$dcc rows shuffled)"; \
+	url=127.0.0.1:18093; \
+	clustered=$$(curl -sf -X POST http://$$url/query -d "$$body"); \
+	cc=$$(printf '%s' "$$clustered" | grep -o '"row_count":[0-9]*'); \
+	[ -n "$$sc" ] && [ "$$sc" = "$$cc" ] || { echo "cluster-smoke: $$cc != single-engine $$sc" >&2; exit 1; }; \
+	printf '%s' "$$clustered" | grep -q '"route":"scatter"' || { echo "cluster-smoke: not scattered" >&2; exit 1; }; \
+	printf '%s' "$$clustered" | grep -q '"shards_used":2' || { echo "cluster-smoke: wrong shard count" >&2; exit 1; }; \
+	divclustered=$$(curl -sf -X POST http://$$url/query -d "$$divbody"); \
+	dcc=$$(printf '%s' "$$divclustered" | grep -o '"row_count":[0-9]*'); \
+	[ -n "$$dsc" ] && [ "$$dsc" = "$$dcc" ] || { echo "cluster-smoke: divergent $$dcc != single-engine $$dsc" >&2; exit 1; }; \
+	printf '%s' "$$divclustered" | grep -q '"route":"shuffle"' || { echo "cluster-smoke: key-divergent chain not shuffled" >&2; exit 1; }; \
+	curl -sf http://$$url/stats | grep -q '"shards":2' || { echo "cluster-smoke: /stats missing shards" >&2; exit 1; }; \
+	curl -sf http://$$url/stats | grep -q '"shuffle":1' || { echo "cluster-smoke: /stats missing shuffle count" >&2; exit 1; }; \
+	metrics=$$(curl -sf http://$$url/metrics); \
+	for fam in windowdb_queries_total windowdb_route_queries_total windowdb_shard_queries_total windowdb_shards; do \
+		printf '%s\n' "$$metrics" | grep -q "^$$fam" || { echo "cluster-smoke: /metrics missing family $$fam" >&2; exit 1; }; \
 	done; \
+	printf '%s\n' "$$metrics" | grep -q '^windowdb_shard_queries_total{shard="1"}' || { echo "cluster-smoke: /metrics missing per-shard labels" >&2; exit 1; }; \
+	echo "cluster-smoke: OK ($$cc rows scattered, $$dcc rows shuffled)"; \
 	curl -sf http://127.0.0.1:18096/metrics | grep -q '^windowdb_query_duration_seconds_bucket' || { echo "cluster-smoke: single engine /metrics missing latency histogram" >&2; exit 1; }; \
-	grep -q '"kind":"slow_query"' /tmp/windserve-csmoke-slow.log || { echo "cluster-smoke: no slow-query log line from throttled coordinator" >&2; exit 1; }; \
+	grep -q '"kind":"slow_query"' /tmp/windserve-csmoke-slow.log || { echo "cluster-smoke: no slow-query log line from the coordinator" >&2; exit 1; }; \
 	grep -q '"root":' /tmp/windserve-csmoke-slow.log || { echo "cluster-smoke: slow-query line carries no span tree" >&2; exit 1; }; \
 	echo "cluster-smoke: /metrics families + slow-query log OK"; \
-	sub=; trap 'kill $$s1 $$s2 $$se $$co $$coj $$sub 2>/dev/null || true' EXIT; \
+	sub=; trap 'kill $$s1 $$s2 $$se $$co $$sub 2>/dev/null || true' EXIT; \
 	: > /tmp/windserve-csmoke-sub.log; \
 	curl -sN -X POST 'http://127.0.0.1:18093/query?subscribe=1' -d '{"sql":"$(SMOKE_Q)"}' > /tmp/windserve-csmoke-sub.log & sub=$$!; \
 	ok=0; \
@@ -213,7 +218,7 @@ cluster-smoke:
 	echo "cluster-smoke: append routed to shards, delta pushed at watermark $$wm, subscription killed by id OK"; \
 	/tmp/windserve-csmoke -shardnode -addr 127.0.0.1:18098 & s3=$$!; \
 	/tmp/windserve-csmoke -shardnode -addr 127.0.0.1:18099 & s4=$$!; \
-	qp=; trap 'kill $$s1 $$s2 $$se $$co $$coj $$s3 $$s4 $$ck $$qp 2>/dev/null || true' EXIT; \
+	qp=; trap 'kill $$s1 $$s2 $$se $$co $$s3 $$s4 $$ck $$qp 2>/dev/null || true' EXIT; \
 	/tmp/windserve-csmoke -shards 127.0.0.1:18098,127.0.0.1:18099 -addr 127.0.0.1:18100 -rows $(SMOKE_KILL_ROWS) & ck=$$!; \
 	ok=0; \
 	for i in $$(seq 1 900); do \
@@ -240,4 +245,4 @@ cluster-smoke:
 	[ "$$aborted" = 1 ] || { echo "cluster-smoke: windowdb_queries_aborted_total never incremented after the kill" >&2; exit 1; }; \
 	echo "cluster-smoke: live query listed with node subtree, killed by id, abort counted OK"
 
-ci: build loc vet benchmark-check fmt-check race bench load-smoke cluster-smoke
+ci: build loc vet benchmark-check benchmark-smoke fmt-check race bench load-smoke cluster-smoke

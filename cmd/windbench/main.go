@@ -57,11 +57,10 @@ func main() {
 		jsonPath  = flag.String("json", "", "write the parallel/sharded/service results as a JSON trajectory artifact to this path")
 		compare   = flag.String("compare", "", "compare this run's results against the baseline trajectory at this path; exits 1 on regression")
 		tolerance = flag.Float64("tolerance", 0.25, "allowed fractional slowdown vs the -compare baseline (0.25 = +25%)")
-		codec     = flag.String("codec", "", "wire codec for the HTTP bench points: binary (default) or json — the NDJSON-vs-frame A/B knob")
 	)
 	flag.Parse()
 
-	cfg := bench.Config{Rows: *rows, Seed: *seed, BlockSize: *blockSize, WireCodec: *codec}
+	cfg := bench.Config{Rows: *rows, Seed: *seed, BlockSize: *blockSize}
 	out := os.Stdout
 
 	wants := map[string]bool{}

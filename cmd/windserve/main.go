@@ -12,7 +12,8 @@
 //
 // /query answers buffered JSON by default; "stream":true, ?stream=1 or
 // `Accept: application/x-ndjson` switches to the chunked NDJSON row
-// stream (service.Client and windsql -server consume it), whose
+// stream, and an Accept naming application/x-windowdb-frame to the binary
+// one (service.Client and windsql -server consume it); either way the
 // admission slot is released the moment the client disconnects.
 //
 // Three roles, selected by flags:
@@ -78,16 +79,12 @@ func main() {
 		csvTable    = flag.String("table", "csv", "table name for the CSV file")
 		shards      = flag.String("shards", "", "comma-separated shard node addresses: run as cluster coordinator")
 		shardNode   = flag.Bool("shardnode", false, "run as a shard node: empty catalog, tables arrive via /shard/register")
-		codec       = flag.String("codec", "binary", "wire codec for row streams: binary (columnar frames) or json (NDJSON; also disables binary responses, as an old node would)")
 		slowlog     = flag.Duration("slowlog", 0, "slow-query log threshold: queries at or over it emit one JSON line (trace tree included) to stderr (0 = off)")
 		slowlograte = flag.Int("slowlograte", 0, "slow-query log cap in lines per second; suppressed lines are counted onto the next emitted line (0 = default 10, negative = uncapped)")
 		traceRing   = flag.Int("tracering", 128, "recent query traces kept for /debug/trace/{id} (negative = off)")
 		pprofAddr   = flag.String("pprof", "", "optional private listen address for net/http/pprof (e.g. 127.0.0.1:6060); never mounted on the public mux")
 	)
 	flag.Parse()
-	if *codec != string(service.CodecBinary) && *codec != string(service.CodecJSON) {
-		log.Fatalf("windserve: -codec must be %q or %q, got %q", service.CodecBinary, service.CodecJSON, *codec)
-	}
 
 	engCfg := windowdb.Config{
 		Scheme:       sql.Scheme(*scheme),
@@ -106,7 +103,6 @@ func main() {
 			rows: *rows, cacheEntries: *cache,
 			gatherSlots: *slots, timeout: *timeout,
 			csvPath: *csvPath, csvTable: *csvTable,
-			codec:   service.WireCodec(*codec),
 			slowlog: *slowlog, slowlogRate: *slowlograte, traceRing: *traceRing,
 		})
 		return
@@ -132,7 +128,6 @@ func main() {
 		// would let any client overwrite or dump tables on a public
 		// single-engine server.
 		ShardRoutes:      *shardNode,
-		DisableBinary:    *codec == string(service.CodecJSON),
 		TraceRing:        *traceRing,
 		SlowLogThreshold: *slowlog,
 		SlowLogRate:      *slowlograte,
@@ -155,7 +150,6 @@ type coordinatorConfig struct {
 	gatherSlots        int
 	timeout            time.Duration
 	csvPath, csvTable  string
-	codec              service.WireCodec
 	slowlog            time.Duration
 	slowlogRate        int
 	traceRing          int
@@ -172,7 +166,7 @@ func serveCoordinator(cfg coordinatorConfig) {
 			continue
 		}
 		addrs = append(addrs, a)
-		transports = append(transports, shard.NewHTTPCodec(a, nil, cfg.codec))
+		transports = append(transports, shard.NewHTTP(a, nil))
 	}
 	cluster, err := shard.New(shard.Config{
 		Engine:           cfg.eng,

@@ -15,11 +15,11 @@
 //
 // Local and remote modes speak the same windowdb.Queryer surface: local
 // statements go through a one-slot query service over an embedded engine,
-// remote ones through service.Client's streaming NDJSON /query connection
-// to a running windserve — single engine or cluster coordinator — so rows
-// print as the server emits them, long before the result is complete. The
-// latency line reports the served elapsed time, cache disposition and
-// (against a coordinator) the scatter/shuffle/gather route.
+// remote ones through service.Client's streaming /query connection (binary
+// frames) to a running windserve — single engine or cluster coordinator —
+// so rows print as the server emits them, long before the result is
+// complete. The latency line reports the served elapsed time, cache
+// disposition and (against a coordinator) the scatter/shuffle/gather route.
 //
 // -format selects the output shape: "table" (padded columns; the first
 // rows are buffered to size the columns, the rest stream), "csv"

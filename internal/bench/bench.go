@@ -46,10 +46,6 @@ type Config struct {
 	Seed int64
 	// BlockSize is the simulated page size (default 8 KiB).
 	BlockSize int
-	// WireCodec pins the wire codec of the HTTP bench points ("json" or
-	// "binary"; "" means binary) — the A/B knob for measuring what the
-	// binary columnar frame buys over NDJSON on the same workload.
-	WireCodec string
 }
 
 func (c Config) withDefaults() Config {

@@ -28,10 +28,9 @@ const shuffleQ6 = `SELECT rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_
 // RunShuffle measures per-segment distributed execution of the
 // key-divergent Q6 variant over 1, 2 and 4 in-process shards, then 2- and
 // 4-shard HTTP-transport round trips (real sockets; binary columnar frame
-// streams and shuffle data plane unless Cfg.WireCodec pins NDJSON for an
-// A/B run). Unlike the gather fallback it replaces, both chain segments run
-// partitioned on every node and only the final segment's output ever
-// reaches the coordinator, so wall time scales with shard count while
+// streams and shuffle data plane). Unlike the gather fallback it replaces,
+// both chain segments run partitioned on every node and only the final
+// segment's output ever reaches the coordinator, so wall time scales with shard count while
 // coordinator-resident rows stay bounded by the wire batch. Every
 // configuration's result multiset is verified against the 1-shard answer.
 func (d *Dataset) RunShuffle(w io.Writer) ([]ShardedResult, error) {
@@ -102,20 +101,15 @@ func (d *Dataset) RunShuffle(w io.Writer) ([]ShardedResult, error) {
 			n, elapsed[i].Round(time.Millisecond), res.Blocks, res.Scaleout)
 	}
 
-	codec := service.WireCodec(d.Cfg.WireCodec)
-	if codec == "" {
-		codec = service.CodecBinary
-	}
 	for _, n := range httpShardCounts {
-		httpRes, err := runShuffleHTTP(engCfg, d.WebSales, want, n, codec)
+		httpRes, err := runShuffleHTTP(engCfg, d.WebSales, want, n)
 		if err != nil {
 			return nil, err
 		}
 		httpRes.Scaleout = float64(elapsed[0]) / float64(httpRes.Elapsed)
 		out = append(out, *httpRes)
-		fprintf(w, "%-10s  %12v  %10d  %8.2fx   (%d shards over HTTP, incl. node-to-node %s shuffle)\n",
-			fmt.Sprintf("%d/http", n), httpRes.Elapsed.Round(time.Millisecond), httpRes.Blocks, httpRes.Scaleout,
-			n, codecLabel(codec))
+		fprintf(w, "%-10s  %12v  %10d  %8.2fx   (%d shards over HTTP, incl. node-to-node shuffle)\n",
+			fmt.Sprintf("%d/http", n), httpRes.Elapsed.Round(time.Millisecond), httpRes.Blocks, httpRes.Scaleout, n)
 	}
 	return out, nil
 }
@@ -124,23 +118,16 @@ func (d *Dataset) RunShuffle(w io.Writer) ([]ShardedResult, error) {
 // is the headline wire-codec measurement the committed baseline gates.
 var httpShardCounts = []int{2, 4}
 
-func codecLabel(codec service.WireCodec) string {
-	if codec == service.CodecJSON {
-		return "NDJSON"
-	}
-	return "binary-frame"
-}
-
 // runShuffleHTTP runs one verified key-divergent chain over an n-shard
 // HTTP-transport cluster: the rounds' control plane and the re-shuffled
-// rows both cross real sockets, in the requested wire codec.
-func runShuffleHTTP(engCfg windowdb.Config, ws *storage.Table, want []string, n int, codec service.WireCodec) (*ShardedResult, error) {
+// rows both cross real sockets.
+func runShuffleHTTP(engCfg windowdb.Config, ws *storage.Table, want []string, n int) (*ShardedResult, error) {
 	transports := make([]shard.Transport, n)
 	servers := make([]*httptest.Server, n)
 	for i := range transports {
 		eng := windowdb.New(engCfg)
 		servers[i] = httptest.NewServer(service.New(eng, service.Config{Slots: 1, ShardRoutes: true}).Handler())
-		transports[i] = shard.NewHTTPCodec(servers[i].URL, servers[i].Client(), codec)
+		transports[i] = shard.NewHTTP(servers[i].URL, servers[i].Client())
 	}
 	defer func() {
 		for _, s := range servers {

@@ -72,7 +72,7 @@ func appendBackends(t *testing.T) []appendBackend {
 	httpTransport := func() shard.Transport {
 		nodeSrv := httptest.NewServer(service.New(windowdb.New(engCfg()), service.Config{Slots: 2, ShardRoutes: true}).Handler())
 		t.Cleanup(nodeSrv.Close)
-		return shard.NewHTTPCodec(nodeSrv.URL, nodeSrv.Client(), service.CodecBinary)
+		return shard.NewHTTP(nodeSrv.URL, nodeSrv.Client())
 	}
 	cluster := newCluster(localTransport)
 	clusterHTTP := newCluster(httpTransport)

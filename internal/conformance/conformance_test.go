@@ -120,7 +120,7 @@ func backends(t *testing.T) []backend {
 	httpTransport := func(int) shard.Transport {
 		nodeSrv := httptest.NewServer(service.New(windowdb.New(engCfg()), service.Config{Slots: 2, ShardRoutes: true}).Handler())
 		t.Cleanup(nodeSrv.Close)
-		return shard.NewHTTPCodec(nodeSrv.URL, nodeSrv.Client(), service.CodecBinary)
+		return shard.NewHTTP(nodeSrv.URL, nodeSrv.Client())
 	}
 	cluster := newCluster(localTransport)
 	clusterHTTP := newCluster(httpTransport)

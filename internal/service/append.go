@@ -5,15 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 
 	"repro"
 	"repro/internal/catalog"
 	"repro/internal/storage"
-	"repro/internal/stream"
 )
 
 // The ingestion surface: POST /append applies one batch of rows to a
@@ -23,12 +22,13 @@ import (
 // exactly like the response streams:
 //
 //	application/json                  {"table":"ws","rows":[[{"i":"1"},...],...],"watermark":0}
-//	application/x-windowdb-frame      header frame (columns), columnar row batches
+//	application/x-windowdb-frame      a frame body (framebody.go); ?table=&watermark=
 //
-// The response is JSON either way: {"table","start_rid","rows_appended",
-// "watermark"}. The watermark request field (or ?watermark= for binary
-// bodies) is the cluster coordinator's generation lower bound; plain
-// clients leave it 0.
+// The first is what a client writes by hand, the second what a cluster
+// coordinator routes a batch to its owning nodes with (SendAppendHTTP). The
+// response is JSON either way: {"table","start_rid","rows_appended",
+// "watermark"}. The watermark is the coordinator's generation lower bound;
+// plain clients leave it 0.
 
 // AppendRequest is the JSON /append body.
 type AppendRequest struct {
@@ -84,9 +84,11 @@ func DecodeAppendBody(r *http.Request) (AppendRequest, []storage.Tuple, error) {
 			}
 			req.Watermark = wm
 		}
-		var err error
-		rows, err = readAppendFrames(r.Body)
-		if err != nil {
+		var hdr streamHeader
+		if _, err := readFrameBody(r.Body, &hdr, func(batch []storage.Tuple) error {
+			rows = append(rows, batch...)
+			return nil
+		}); err != nil {
 			return req, nil, err
 		}
 	} else {
@@ -146,48 +148,26 @@ func AppendStatus(err error) (status int, kind string) {
 	return status, kind
 }
 
-// readAppendFrames decodes a binary append body: a header frame naming the
-// columns (arity only — type validation is the catalog's), then columnar
-// row batches until EOF or a trailer frame.
-func readAppendFrames(body io.Reader) ([]storage.Tuple, error) {
-	fr := stream.NewFrameReader(body)
-	f, err := fr.Next()
+// SendAppendHTTP ships one batch of rows to a node's /append route as a
+// frame body: how a coordinator's routed appends ride the plane every other
+// node-bound row does. The header names no columns beyond their count —
+// validating the rows against the table is the node catalog's.
+func SendAppendHTTP(ctx context.Context, hc *http.Client, base, table string, rows []storage.Tuple, watermark uint64) (AppendResponse, error) {
+	var out AppendResponse
+	if len(rows) == 0 {
+		return out, errors.New("service: append without rows")
+	}
+	arity := len(rows[0])
+	target := base + "/append?table=" + url.QueryEscape(table) + "&watermark=" + strconv.FormatUint(watermark, 10)
+	resp, err := postFrames(ctx, hc, target, streamHeader{Columns: make([]WireColumn, arity)}, rows, arity)
 	if err != nil {
-		return nil, fmt.Errorf("service: reading append header frame: %w", err)
+		return out, err
 	}
-	if f.Type != stream.FrameHeader {
-		return nil, fmt.Errorf("service: first append frame is %c, want header", f.Type)
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		return out, fmt.Errorf("service: decode append response: %w", err)
 	}
-	var h streamHeader
-	if err := json.Unmarshal(f.Payload, &h); err != nil {
-		return nil, fmt.Errorf("service: bad append header %q: %w", f.Payload, err)
-	}
-	arity := len(h.Columns)
-	if arity == 0 {
-		return nil, errors.New("service: append header names no columns")
-	}
-	var rows []storage.Tuple
-	for {
-		f, err := fr.Next()
-		if err == io.EOF {
-			return rows, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("service: reading append frames: %w", err)
-		}
-		switch f.Type {
-		case stream.FrameBatch:
-			b, err := stream.DecodeBatch(f.Payload, arity)
-			if err != nil {
-				return nil, fmt.Errorf("service: bad append batch: %w", err)
-			}
-			rows = append(rows, b.Tuples()...)
-		case stream.FrameTrailer:
-			return rows, nil
-		default:
-			return nil, fmt.Errorf("service: unexpected %c frame in append body", f.Type)
-		}
-	}
+	return out, nil
 }
 
 // Append ships one batch of rows to the server's /append route (JSON

@@ -1,14 +1,17 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/storage"
+	"repro/internal/stream"
 )
 
 func TestServiceInsertAndAppendRoute(t *testing.T) {
@@ -211,5 +214,108 @@ func waitDrained(t *testing.T, svc *Service) {
 			t.Fatalf("not drained: live=%d inflight=%d subs=%d", stats.LiveQueries, stats.InFlight, subs)
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestAppendFrameBody: the binary /append body — what a coordinator routes
+// a batch to its owning node with (SendAppendHTTP) — appends exactly as the
+// JSON one does, and every way the decoder can be handed a bad one is a 400
+// kind "request" with nothing appended and the data generation unmoved.
+func TestAppendFrameBody(t *testing.T) {
+	svc := newTestService(t, Config{}, 100)
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	ctx := context.Background()
+
+	row := func(empnum int64) storage.Tuple {
+		return storage.Tuple{storage.Int(empnum), storage.Int(20), storage.Int(4000)}
+	}
+	resp, err := SendAppendHTTP(ctx, srv.Client(), srv.URL, "emptab", []storage.Tuple{row(11), row(12)}, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.RowsAppended != 2 || resp.StartRid != 10 || resp.Watermark != 7 || resp.Table != "emptab" {
+		t.Fatalf("frame append response = %+v, want 2 rows from rid 10 at the coordinator's watermark 7", resp)
+	}
+
+	// frames writes a body by hand: header, batches and trailer as given.
+	type part struct {
+		typ     byte
+		payload string          // header and trailer frames
+		rows    []storage.Tuple // batch frames
+	}
+	frames := func(parts ...part) []byte {
+		var buf bytes.Buffer
+		fw := stream.NewFrameWriter(&buf)
+		for _, p := range parts {
+			var err error
+			switch p.typ {
+			case stream.FrameHeader:
+				err = fw.WriteHeader([]byte(p.payload))
+			case stream.FrameTrailer:
+				err = fw.WriteTrailer([]byte(p.payload))
+			default:
+				err = fw.WriteTuples(p.rows, len(p.rows[0]))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return buf.Bytes()
+	}
+	header := part{typ: stream.FrameHeader, payload: `{"columns":[{},{},{}]}`}
+	batch := part{typ: stream.FrameBatch, rows: []storage.Tuple{row(21), row(22)}}
+	trailer := part{typ: stream.FrameTrailer, payload: `{"done":true,"row_count":2}`}
+	good := frames(header, batch, trailer)
+
+	cases := []struct {
+		name  string
+		query string
+		body  []byte
+	}{
+		{"missing table", "?watermark=9", good},
+		{"bad watermark", "?table=emptab&watermark=soon", good},
+		{"first frame not a header", "?table=emptab", frames(batch, trailer)},
+		{"arity mismatch", "?table=emptab", frames(part{typ: stream.FrameHeader, payload: `{"columns":[{},{}]}`}, batch, trailer)},
+		{"cut mid-frame", "?table=emptab", good[:len(good)-len(trailer.payload)-8]},
+		{"cut at a frame boundary", "?table=emptab", frames(header, batch)},
+		{"trailer miscounts", "?table=emptab", frames(header, batch, part{typ: stream.FrameTrailer, payload: `{"done":true,"row_count":3}`})},
+		{"trailing bytes", "?table=emptab", append(append([]byte{}, good...), "more"...)},
+		{"trailing frame", "?table=emptab", frames(header, batch, trailer, batch)},
+	}
+	before, err := svc.Engine().DataGeneration("emptab")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := srv.Client().Post(srv.URL+"/append"+tc.query, ContentTypeBinary, bytes.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var re *RemoteError
+			if !errors.As(DecodeRemoteError("test", resp), &re) || re.Status != http.StatusBadRequest || re.Kind != "request" {
+				t.Fatalf("%+v, want 400 kind request", re)
+			}
+			if after, _ := svc.Engine().DataGeneration("emptab"); after != before {
+				t.Fatalf("data generation moved %d → %d on a rejected body", before, after)
+			}
+			if tab, _ := svc.Engine().Table("emptab"); tab.Len() != 12 {
+				t.Fatalf("emptab holds %d rows after a rejected body, want 12", tab.Len())
+			}
+		})
+	}
+	// The body the rejections were cut from is itself fine.
+	ok, err := srv.Client().Post(srv.URL+"/append?table=emptab", ContentTypeBinary, bytes.NewReader(good))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ok.Body.Close()
+	if ok.StatusCode != http.StatusOK {
+		t.Fatalf("well-formed frame body: %s", ok.Status)
+	}
+	if tab, _ := svc.Engine().Table("emptab"); tab.Len() != 14 {
+		t.Fatalf("emptab holds %d rows, want 14", tab.Len())
 	}
 }

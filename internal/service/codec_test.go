@@ -17,15 +17,11 @@ import (
 // TestCodecNegotiationFallback pins the negotiation rules at the raw HTTP
 // level: binary only when the client names it (Accept or ?codec=binary),
 // NDJSON for everything else — including Accept headers this server has
-// never heard of — and a DisableBinary server answers NDJSON even to a
-// binary-preferring client, which is how a mixed-version fleet degrades.
+// never heard of: a client that never names binary gets NDJSON on /query.
 func TestCodecNegotiationFallback(t *testing.T) {
 	svc := newTestService(t, Config{Slots: 2}, 200)
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
-	oldSvc := newTestService(t, Config{Slots: 2, DisableBinary: true}, 200)
-	oldSrv := httptest.NewServer(oldSvc.Handler())
-	defer oldSrv.Close()
 
 	cases := []struct {
 		name   string
@@ -39,7 +35,6 @@ func TestCodecNegotiationFallback(t *testing.T) {
 		{"unknown accept falls back", srv.URL, "application/vnd.fancy+columns", "?stream=1", ContentTypeNDJSON},
 		{"no accept, stream param", srv.URL, "", "?stream=1", ContentTypeNDJSON},
 		{"codec query param", srv.URL, "", "?stream=1&codec=binary", ContentTypeBinary},
-		{"disabled server ignores binary accept", oldSrv.URL, ContentTypeBinary + ", " + ContentTypeNDJSON, "", ContentTypeNDJSON},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -158,5 +153,90 @@ func TestErrorTrailerSurvivesFraming(t *testing.T) {
 				t.Fatal("error stream must not expose a success trailer")
 			}
 		})
+	}
+}
+
+// TestNodePlanesSpeakFramesOnly: between the processes of a cluster there
+// is one encoding. /shard/query and /shard/table answer binary frames
+// whatever the request's Accept or ?codec= says — nothing is negotiated —
+// and a /shard/shuffle POST that does not declare itself frames is a 415
+// refused unread, not parsed as something else: the node buffers nothing.
+func TestNodePlanesSpeakFramesOnly(t *testing.T) {
+	svc := newTestService(t, Config{Slots: 2, ShardRoutes: true}, 300)
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	streams := []struct{ name, method, path, body string }{
+		{"query", http.MethodPost, "/shard/query?", `{"sql":"SELECT empnum FROM emptab","mode":"full"}`},
+		{"table", http.MethodGet, "/shard/table?name=emptab&", ""},
+	}
+	for _, st := range streams {
+		for _, ask := range []struct{ accept, param string }{
+			{"", ""},
+			{ContentTypeNDJSON, ""},
+			{"application/json", "codec=json"},
+		} {
+			t.Run(st.name+"/accept="+ask.accept, func(t *testing.T) {
+				req, err := http.NewRequest(st.method, srv.URL+st.path+ask.param, strings.NewReader(st.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ask.accept != "" {
+					req.Header.Set("Accept", ask.accept)
+				}
+				resp, err := srv.Client().Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != ContentTypeBinary {
+					t.Fatalf("%s, Content-Type %q; want 200 %s", resp.Status, ct, ContentTypeBinary)
+				}
+				sr, err := wrapResponse("test", resp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows, n := sr.Rows(), 0
+				for rows.Next() {
+					n++
+				}
+				if err := rows.Err(); err != nil || n != 10 {
+					t.Fatalf("decoded %d rows (%v), want emptab's 10", n, err)
+				}
+			})
+		}
+	}
+
+	// A whole, well-formed NDJSON shuffle stream — what the retired codec
+	// would have ingested.
+	ndjson := `{"shuffle_id":"q","round":1,"sender":0,"columns":[{"name":"a","type":"INT"}]}` + "\n" +
+		`[{"i":"1"}]` + "\n" + `{"done":true,"row_count":1}` + "\n"
+	for _, ct := range []string{ContentTypeNDJSON, "application/json", ""} {
+		req, err := http.NewRequest(http.MethodPost, srv.URL+"/shard/shuffle", strings.NewReader(ndjson))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct != "" {
+			req.Header.Set("Content-Type", ct)
+		}
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var re *RemoteError
+		if !errors.As(DecodeRemoteError("test", resp), &re) || re.Status != http.StatusUnsupportedMediaType || re.Kind != "request" {
+			t.Fatalf("Content-Type %q: %+v, want 415 kind request", ct, re)
+		}
+		resp.Body.Close()
+		if got := svc.ShuffleBuffered(); got != 0 {
+			t.Fatalf("Content-Type %q: node buffers %d shuffle rounds after the refusal", ct, got)
+		}
+	}
+	// The same delivery as frames lands.
+	if err := SendShuffleHTTP(context.Background(), srv.Client(), srv.URL, testBatch("q", 1, 0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if got := svc.ShuffleBuffered(); got != 1 {
+		t.Fatalf("node buffers %d shuffle rounds after a frame delivery, want 1", got)
 	}
 }

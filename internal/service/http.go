@@ -145,16 +145,17 @@ func writeError(w http.ResponseWriter, status int, kind string, err error) {
 }
 
 func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
-	ServeQuery(w, r, s, s.reg, s.streamCodec)
+	ServeQuery(w, r, s, s.reg)
 }
 
 // ServeQuery is the /query route of every front end — the single engine's
 // and the cluster coordinator's: decode the request, join or start the
 // trace, open q's cursor, and answer with the stream (WriteStream, in the
-// codec pick chooses) or the buffered body (WriteBuffered) as the request
-// asked. reg is the front end's registry, where the statement's live
-// counters are found for the stream's wire bytes.
-func ServeQuery(w http.ResponseWriter, r *http.Request, q windowdb.Queryer, reg *trace.Registry, pick func(*http.Request) WireCodec) {
+// codec the request's own Accept or ?codec= names — NegotiateCodec) or the
+// buffered body (WriteBuffered) as the request asked. reg is the front
+// end's registry, where the statement's live counters are found for the
+// stream's wire bytes.
+func ServeQuery(w http.ResponseWriter, r *http.Request, q windowdb.Queryer, reg *trace.Registry) {
 	var req queryRequest
 	switch r.Method {
 	case http.MethodGet:
@@ -211,8 +212,8 @@ func ServeQuery(w http.ResponseWriter, r *http.Request, q windowdb.Queryer, reg 
 		writeError(w, status, kind, err)
 		return
 	}
-	if req.Stream || NDJSONRequested(r) {
-		WriteStream(liveContext(r.Context(), reg, traceID), w, rows, req.MaxRows, pick(r))
+	if req.Stream || StreamRequested(r) {
+		WriteStream(liveContext(r.Context(), reg, traceID), w, rows, req.MaxRows, NegotiateCodec(r))
 		return
 	}
 	WriteBuffered(w, rows, req.MaxRows)
@@ -291,8 +292,8 @@ func liveContext(ctx context.Context, reg *trace.Registry, traceID string) conte
 }
 
 // Health is the /healthz response body: alive plus enough identity —
-// build version, negotiated codec support, shard role — that a cluster's
-// fan-out diagnoses mixed-version fleet skew from one probe.
+// build version, the /query stream codecs, shard role — for one probe to
+// say what it reached.
 type Health struct {
 	Status  string   `json:"status"`
 	Version string   `json:"version"`
@@ -305,13 +306,10 @@ type Health struct {
 
 // healthNow assembles this process's Health.
 func (s *Service) healthNow() Health {
-	h := Health{Status: "ok", Version: BuildVersion(), Role: "engine"}
+	h := Health{Status: "ok", Version: BuildVersion(), Role: "engine",
+		Codecs: []string{string(CodecBinary), string(CodecJSON)}}
 	if s.cfg.ShardRoutes {
 		h.Role = "shardnode"
-	}
-	h.Codecs = []string{string(CodecJSON)}
-	if !s.cfg.DisableBinary {
-		h.Codecs = append([]string{string(CodecBinary)}, h.Codecs...)
 	}
 	return h
 }

@@ -143,11 +143,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p := &PromWriter{}
 	WriteSnapshotMetrics(p, s.Stats())
 	WriteProcessMetrics(p)
-	codec := CodecBinary
-	if s.cfg.DisableBinary {
-		codec = CodecJSON
-	}
-	WriteBuildInfo(p, codec)
+	WriteBuildInfo(p)
 	WriteLatencyHistogram(p, "windowdb_query_duration_seconds", s.metrics.histSnapshot())
 	p.ServeTo(w)
 }
@@ -155,9 +151,9 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // WriteBuildInfo emits the standard build-identity gauge — always 1, the
 // facts live in the labels. The version is the same debug.ReadBuildInfo
 // answer the JSON /healthz reports.
-func WriteBuildInfo(p *PromWriter, codec WireCodec) {
+func WriteBuildInfo(p *PromWriter) {
 	p.Family("windowdb_build_info", "Build identity of this process; value is always 1.", "gauge")
-	p.Sample("windowdb_build_info", fmt.Sprintf("version=%q,codec=%q", BuildVersion(), codec), 1)
+	p.Sample("windowdb_build_info", fmt.Sprintf("version=%q", BuildVersion()), 1)
 }
 
 // ServeTraceRing answers /debug/trace/ requests from a ring: the bare

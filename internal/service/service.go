@@ -93,12 +93,6 @@ type Config struct {
 	// default — generously past any round barrier a live coordinator
 	// would tolerate — and negative disables expiry.
 	ShuffleTTL time.Duration
-	// DisableBinary pins every streamed response — and every shuffle
-	// delivery this node originates — to the NDJSON codec, even for
-	// clients whose Accept names the binary frame stream. For wire
-	// debugging and for holding a mixed-version fleet to its lowest
-	// common codec.
-	DisableBinary bool
 	// TraceRing bounds the /debug/trace ring buffer of recent query
 	// traces (default 128; negative disables recording).
 	TraceRing int

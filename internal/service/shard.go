@@ -26,8 +26,8 @@ import (
 //	POST /shard/shuffle      (peer row stream — node-to-node)
 //	POST /shard/shuffle/drop {"shuffle_id": "..."}
 //
-// /shard/query always answers with the row stream of stream.go, in the
-// codec the coordinator's Accept negotiated. "local" mode executes the
+// /shard/query always answers with the row stream of stream.go as binary
+// frames, whatever the Accept. "local" mode executes the
 // shard-local part of the statement (WHERE, chain, projection — no
 // DISTINCT/ORDER BY/LIMIT; see Service.StreamShardLocal); "full" executes
 // the entire statement, used for replicated tables where one shard serves
@@ -127,7 +127,7 @@ func (s *Service) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, kind, err)
 		return
 	}
-	WriteStream(liveContext(r.Context(), s.reg, traceID), w, rows, 0, s.streamCodec(r))
+	WriteStream(liveContext(r.Context(), s.reg, traceID), w, rows, 0, CodecBinary)
 }
 
 func (s *Service) handleShardRegister(w http.ResponseWriter, r *http.Request) {
@@ -167,9 +167,8 @@ func (s *Service) handleShardTable(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Chunked stream, never a whole JSON body: the gather data plane ships
-	// raw rows with the same framing as /query's streamed responses, in
-	// whichever codec the coordinator's Accept negotiated.
-	WriteTableStream(r.Context(), w, t, s.streamCodec(r))
+	// raw rows exactly as /shard/query ships results.
+	WriteStream(r.Context(), w, windowdb.NewTableRows(t), 0, CodecBinary)
 }
 
 func (s *Service) handleShardDistinct(w http.ResponseWriter, r *http.Request) {

@@ -49,7 +49,7 @@ type ShuffleBatch struct {
 
 // ShuffleSend delivers one batch to peer (a shard index). The in-process
 // cluster wires this straight into the peer services' inboxes; the HTTP
-// handler builds an NDJSON POST to the peer's /shard/shuffle route.
+// handler POSTs frames to the peer's /shard/shuffle route.
 type ShuffleSend func(ctx context.Context, peer int, b *ShuffleBatch) error
 
 // ShuffleRunRequest asks a node to execute one non-final shuffle stage.
@@ -87,12 +87,8 @@ type ShuffleRunRequest struct {
 	// TraceID joins the stage to the coordinator's distributed trace; ""
 	// leaves the stage untraced.
 	TraceID string `json:"trace_id,omitempty"`
-	// Codec selects the wire codec for this stage's peer deliveries
-	// ("json" or "binary"; "" means binary). The ingest route accepts
-	// both regardless, keyed on the request content type.
-	Codec string `json:"codec,omitempty"`
 	// Deliver overrides peer delivery for in-process nodes. Never
-	// serialized: a remote node builds its own NDJSON sender from Peers.
+	// serialized: a remote node builds its own frame sender from Peers.
 	Deliver ShuffleSend `json:"-"`
 }
 

@@ -34,45 +34,36 @@ import (
 // a missing trailer means the stream was cut and the client reports a
 // truncation error rather than silently serving a prefix.
 //
-// /query (engine and coordinator front ends) speaks this format when the
-// request asks for it (NDJSONRequested), /shard/query (node scatter
-// surface) always; service.Client and the cluster's HTTP shard transport
-// are the two consumers.
+// The public /query (engine and coordinator front ends) speaks this format
+// to a streamed request (StreamRequested) that did not name the binary one:
+// it is the encoding a person with curl, or a client that predates the
+// frames, can read. Between the processes of a cluster rows are frames only.
 
 // ContentTypeNDJSON is the streamed response content type.
 const ContentTypeNDJSON = "application/x-ndjson"
 
-// ContentTypeBinary is the binary columnar streamed response content type
+// ContentTypeBinary is the binary columnar stream content type
 // (internal/stream's length-prefixed frame format: a JSON header frame,
-// columnar row batches, a JSON trailer frame). Negotiated per request via
-// Accept — a client that doesn't name it keeps getting NDJSON.
+// columnar row batches, a JSON trailer frame): every /shard/* row stream
+// and pushed body, and /query's answer to a request whose Accept names it —
+// a client that doesn't keeps getting NDJSON.
 const ContentTypeBinary = "application/x-windowdb-frame"
 
 // WireCodec names a streamed row encoding.
 type WireCodec string
 
-// The two wire codecs every streamed route speaks.
+// The two wire codecs of the public /query stream.
 const (
 	CodecJSON   WireCodec = "json"
 	CodecBinary WireCodec = "binary"
 )
 
-// ParseCodec maps a codec spelling ("json", "binary", "") to a WireCodec;
-// the empty string is the binary default.
-func ParseCodec(s string) (WireCodec, error) {
-	switch WireCodec(strings.ToLower(s)) {
-	case CodecJSON:
-		return CodecJSON, nil
-	case CodecBinary, "":
-		return CodecBinary, nil
-	}
-	return "", fmt.Errorf("service: unknown wire codec %q (want json or binary)", s)
-}
-
-// streamHeader is the first NDJSON line: the output schema.
+// streamHeader is the first NDJSON line, or the header frame: the schema.
 type streamHeader struct {
 	Columns []WireColumn `json:"columns"`
 }
+
+func (h *streamHeader) arity() int { return len(h.Columns) }
 
 // StreamTrailer is the last NDJSON line: the query's outcome and serving
 // observations (the streamed analogue of the buffered response's metadata
@@ -137,11 +128,11 @@ func TrailerFor(m *windowdb.QueryMetrics) StreamTrailer {
 	return t
 }
 
-// NDJSONRequested reports whether an HTTP request asked for the streamed
-// response shape: an Accept header naming application/x-ndjson or
-// application/x-windowdb-frame, or a stream=1 query parameter (the
-// GET-friendly spelling).
-func NDJSONRequested(r *http.Request) bool {
+// StreamRequested reports whether an HTTP request asked for the streamed
+// response shape, in either codec: an Accept header naming
+// application/x-ndjson or application/x-windowdb-frame, or a stream=1 query
+// parameter (the GET-friendly spelling).
+func StreamRequested(r *http.Request) bool {
 	accept := r.Header.Get("Accept")
 	if strings.Contains(accept, ContentTypeNDJSON) || strings.Contains(accept, ContentTypeBinary) {
 		return true
@@ -172,22 +163,12 @@ func NegotiateCodec(r *http.Request) WireCodec {
 	return CodecJSON
 }
 
-// streamCodec is NegotiateCodec under the service's DisableBinary switch.
-func (s *Service) streamCodec(r *http.Request) WireCodec {
-	if s.cfg.DisableBinary {
-		return CodecJSON
-	}
-	return NegotiateCodec(r)
-}
-
 // streamFlushStride is how many rows go out between explicit flushes: low
 // enough that a slow consumer sees steady progress, high enough that the
 // syscall cost disappears into the encoding work.
 const streamFlushStride = 64
 
-// encodeWireRow writes one tuple as a WireValue-tagged NDJSON array line —
-// the single definition of the row frame every stream writer (/query,
-// /shard/table, the shuffle data plane) emits.
+// encodeWireRow writes one tuple as a WireValue-tagged NDJSON array line.
 func encodeWireRow(enc *json.Encoder, row storage.Tuple) error {
 	wr := make([]WireValue, len(row))
 	for i, v := range row {
@@ -196,8 +177,7 @@ func encodeWireRow(enc *json.Encoder, row storage.Tuple) error {
 	return enc.Encode(wr)
 }
 
-// readNDJSONLine returns the next non-empty line without its terminator:
-// the frame scanner shared by every stream reader.
+// readNDJSONLine returns the next non-empty line without its terminator.
 func readNDJSONLine(br *bufio.Reader) ([]byte, error) {
 	for {
 		line, err := br.ReadBytes('\n')
@@ -212,8 +192,7 @@ func readNDJSONLine(br *bufio.Reader) ([]byte, error) {
 }
 
 // decodeWireRow decodes one NDJSON row line into a tuple, validating the
-// arity against the stream's schema — the single definition of row-frame
-// decoding, shared by StreamReader and the shuffle ingest handler.
+// arity against the stream's schema.
 func decodeWireRow(line []byte, arity int) (storage.Tuple, error) {
 	var row []WireValue
 	if err := json.Unmarshal(line, &row); err != nil {
@@ -400,50 +379,12 @@ func (cw *liveCountingWriter) Flush() {
 	}
 }
 
-// WriteTableStream serves a materialized table as a stream with
-// WriteStream's framing (header, rows, trailer) in the negotiated codec:
-// the /shard/table response shape, so the gather data plane ships raw rows
-// without either side materializing a whole HTTP body. The binary codec
-// chunks the rows into frames of stream.BatchRows. ctx aborts the stream
-// between flushes when the client disconnects.
-func WriteTableStream(ctx context.Context, w http.ResponseWriter, t *storage.Table, codec WireCodec) {
-	sw := newStreamWriter(w, codec)
-	if sw.header(t.Schema.Columns) != nil {
-		return
-	}
-	step := streamFlushStride
-	if codec == CodecBinary {
-		step = stream.BatchRows
-	}
-	for off := 0; off < len(t.Rows); off += step {
-		chunk := t.Rows[off:min(off+step, len(t.Rows))]
-		if codec == CodecBinary {
-			if sw.fw.WriteTuples(chunk, t.Schema.Len()) != nil {
-				return
-			}
-		} else {
-			for _, row := range chunk {
-				if encodeWireRow(sw.enc, row) != nil {
-					return
-				}
-			}
-		}
-		sw.flush()
-		if ctx.Err() != nil {
-			return
-		}
-	}
-	_ = sw.trailer(StreamTrailer{Done: true, RowCount: int64(len(t.Rows))})
-	sw.flush()
-}
-
 // StreamReader consumes one result stream, NDJSON or binary: the client
 // half of WriteStream. The codec follows the response Content-Type, not
-// the request — a JSON-only server answering a binary-preferring Accept
-// with NDJSON reads fine, which is what lets mixed-version fleets degrade
-// per transport. NextBatch yields the rows — a binary stream's frames each
-// decoded into the reader's one batch, an NDJSON stream's lines batched —
-// and io.EOF at the trailer; Trailer exposes the trailer after EOF. A
+// the request — a server that predates the frames answers a
+// binary-preferring Accept with NDJSON, and that reads fine. NextBatch
+// yields the rows — a binary stream's frames each decoded into the reader's
+// one batch, an NDJSON stream's lines batched — and io.EOF at the trailer; Trailer exposes the trailer after EOF. A
 // stream that ends without a trailer (a cut connection) surfaces an error
 // instead of a silent prefix. Whoever wants rows reads them through
 // windowdb.Rows (Rows).
@@ -462,11 +403,11 @@ type StreamReader struct {
 }
 
 // OpenStream POSTs body as JSON to url with the stream accept header and
-// returns a reader over the response stream. The optional codec caps what
-// the request advertises: by default it accepts the binary frame stream
-// with NDJSON fallback; CodecJSON restricts it to NDJSON. Non-2xx
-// responses decode into *RemoteError carrying the service error taxonomy.
-func OpenStream(ctx context.Context, hc *http.Client, url string, reqBody any, codec ...WireCodec) (*StreamReader, error) {
+// returns a reader over the response stream. codec is what the request
+// advertises: CodecBinary accepts the frame stream with NDJSON fallback,
+// CodecJSON only NDJSON. Non-2xx responses decode into *RemoteError
+// carrying the service error taxonomy.
+func OpenStream(ctx context.Context, hc *http.Client, url string, reqBody any, codec WireCodec) (*StreamReader, error) {
 	buf, err := json.Marshal(reqBody)
 	if err != nil {
 		return nil, fmt.Errorf("service: encode request: %w", err)
@@ -476,25 +417,16 @@ func OpenStream(ctx context.Context, hc *http.Client, url string, reqBody any, c
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	return openStream(hc, req, url, pickCodec(codec))
+	return openStream(hc, req, url, codec)
 }
 
-// OpenStreamGet is OpenStream for body-less GET routes (/shard/table).
-func OpenStreamGet(ctx context.Context, hc *http.Client, url string, codec ...WireCodec) (*StreamReader, error) {
+// OpenStreamGet is OpenStream for the body-less GET route /shard/table.
+func OpenStreamGet(ctx context.Context, hc *http.Client, url string) (*StreamReader, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return nil, err
 	}
-	return openStream(hc, req, url, pickCodec(codec))
-}
-
-// pickCodec resolves the optional codec argument; absent means binary-
-// preferred (the reader follows whatever content type the server picks).
-func pickCodec(codec []WireCodec) WireCodec {
-	if len(codec) > 0 && codec[0] == CodecJSON {
-		return CodecJSON
-	}
-	return CodecBinary
+	return openStream(hc, req, url, CodecBinary)
 }
 
 // openStream issues req and wraps the streamed response in a StreamReader,

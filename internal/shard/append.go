@@ -133,20 +133,20 @@ func (c *Cluster) streamSubscribe(ctx context.Context, inner string, qt *cluster
 	var (
 		route string
 		n     int
-		open  func(ctx context.Context, i int) (RowStream, error)
+		open  func(ctx context.Context, i int) (*windowdb.Rows, error)
 	)
 	switch {
 	case !info.sharded:
 		c.replica.Add(1)
 		route, n = "replica", 1
 		node := int(c.rr.Add(1)-1) % len(c.shards)
-		open = func(ctx context.Context, _ int) (RowStream, error) {
+		open = func(ctx context.Context, _ int) (*windowdb.Rows, error) {
 			return c.shards[node].Subscribe(ctx, src)
 		}
 	case prep.ShardLocal(info.key):
 		c.scatter.Add(1)
 		route, n = "scatter", len(c.shards)
-		open = func(ctx context.Context, i int) (RowStream, error) {
+		open = func(ctx context.Context, i int) (*windowdb.Rows, error) {
 			return c.shards[i].Subscribe(ctx, src)
 		}
 	default:
@@ -157,7 +157,7 @@ func (c *Cluster) streamSubscribe(ctx context.Context, inner string, qt *cluster
 	if err != nil {
 		return nil, err
 	}
-	cols := streams[0].Columns()
+	cols := streams[0].ColumnTypes()
 	ls := &liveSource{
 		c: c, cols: cols, streams: streams, streamCancel: streamCancel,
 		prep: prep, cacheHit: hit, route: route, qt: qt,
@@ -203,7 +203,7 @@ type liveItem struct {
 type liveSource struct {
 	c            *Cluster
 	cols         []storage.Column
-	streams      []RowStream
+	streams      []*windowdb.Rows
 	streamCancel context.CancelFunc
 	prep         *sql.Prepared
 	cacheHit     bool
@@ -221,21 +221,27 @@ type liveSource struct {
 	watermark uint64 // max _watermark observed across emitted rows
 }
 
-// pump forwards one node stream into the fan-in channel. It owns the
-// stream's Close (Next and Close on a cursor must share a goroutine);
-// when the source ends, the canceled stream context unblocks Next and
-// the closed done channel releases the push.
-func (ls *liveSource) pump(node int, s RowStream) {
+// pump forwards one node stream into the fan-in channel, a row at a time
+// (a live stream's batches are single rows). It owns the stream's Close
+// (Next and Close on a cursor must share a goroutine); when the source
+// ends, the canceled stream context unblocks Next and the closed done
+// channel releases the push.
+func (ls *liveSource) pump(node int, s *windowdb.Rows) {
 	defer ls.wg.Done()
 	defer s.Close()
 	for {
-		t, err := s.Next()
+		it := liveItem{node: node, err: io.EOF}
+		if s.Next() {
+			it.row, it.err = s.Row(), nil
+		} else if err := s.Err(); err != nil {
+			it.err = err
+		}
 		select {
-		case ls.ch <- liveItem{node: node, row: t, err: err}:
+		case ls.ch <- it:
 		case <-ls.done:
 			return
 		}
-		if err != nil {
+		if it.err != nil {
 			return
 		}
 	}

@@ -141,7 +141,7 @@ func writeError(w http.ResponseWriter, err error) {
 // is the merge-concatenation of the per-node streams — rows transit the
 // coordinator without ever forming a whole-result buffer.
 func (c *Cluster) handleQuery(w http.ResponseWriter, r *http.Request) {
-	service.ServeQuery(w, r, c, c.reg, service.NegotiateCodec)
+	service.ServeQuery(w, r, c, c.reg)
 }
 
 // handleAppend is the coordinator's POST /append route: the same two body
@@ -249,7 +249,7 @@ func (c *Cluster) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	shardFamily("windowdb_shard_in_flight", "In-flight executions per shard node.", "gauge",
 		func(s service.Snapshot) float64 { return float64(s.InFlight) })
 	service.WriteProcessMetrics(p)
-	service.WriteBuildInfo(p, service.CodecBinary)
+	service.WriteBuildInfo(p)
 	p.ServeTo(w)
 }
 

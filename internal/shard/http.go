@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"strings"
 
+	"repro"
 	"repro/internal/attrs"
 	"repro/internal/service"
 	"repro/internal/storage"
@@ -19,26 +20,17 @@ import (
 
 // HTTP reaches a shard node over the /shard/* routes of its windserve
 // process, so multiple processes form a real cluster. Safe for concurrent
-// use (http.Client is). Row streams (scatter, gather, segment) and shuffle
-// deliveries ride the binary columnar frame codec by default; NewHTTPCodec
-// pins a transport to NDJSON, and either way the stream readers follow the
-// node's response content type, so a mixed-version fleet degrades per
-// transport instead of failing.
+// use (http.Client is). Every row that crosses — scatter, gather and
+// segment streams, shuffle deliveries, appends — rides the binary columnar
+// frame codec, the node planes' only one.
 type HTTP struct {
 	base   string
 	client *http.Client
-	codec  service.WireCodec
 }
 
 // NewHTTP builds a transport for a node address ("host:port" or a full
 // http:// URL). A nil client uses http.DefaultClient.
 func NewHTTP(addr string, client *http.Client) *HTTP {
-	return NewHTTPCodec(addr, client, service.CodecBinary)
-}
-
-// NewHTTPCodec is NewHTTP with an explicit wire-codec preference for the
-// node's row streams and this coordinator's shuffle deliveries.
-func NewHTTPCodec(addr string, client *http.Client, codec service.WireCodec) *HTTP {
 	base := strings.TrimRight(addr, "/")
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
@@ -46,10 +38,16 @@ func NewHTTPCodec(addr string, client *http.Client, codec service.WireCodec) *HT
 	if client == nil {
 		client = http.DefaultClient
 	}
-	if codec == "" {
-		codec = service.CodecBinary
-	}
-	return &HTTP{base: base, client: client, codec: codec}
+	return &HTTP{base: base, client: client}
+}
+
+// NewHTTPCodec is NewHTTP.
+//
+// Deprecated: the node planes have one codec and the argument is ignored.
+// It stays only because the frozen benchmark/ harness calls it, and goes
+// when that may next be edited.
+func NewHTTPCodec(addr string, client *http.Client, _ service.WireCodec) *HTTP {
+	return NewHTTP(addr, client)
 }
 
 // Addr returns the node's base URL.
@@ -98,38 +96,38 @@ func (h *HTTP) do(ctx context.Context, method, path string, body, out any) error
 	return nil
 }
 
-// QueryStream implements Transport over the node's streamed /shard/query
-// response: rows decode one wire batch (or NDJSON line) at a time, so the
-// coordinator's resident state per node is bounded by the wire batch plus
-// the transport's read buffer.
-func (h *HTTP) QueryStream(ctx context.Context, req service.ShardQueryRequest) (RowStream, error) {
-	sr, err := service.OpenStream(ctx, h.client, h.base+"/shard/query", req, h.codec)
+// stream opens one of the node's row streams (a JSON request body in, WCF1
+// frames out) as the cursor over it: rows decode one frame at a time, so
+// the coordinator's resident state per node is bounded by the wire batch
+// plus the transport's read buffer.
+func (h *HTTP) stream(ctx context.Context, path string, body any) (*windowdb.Rows, error) {
+	sr, err := service.OpenStream(ctx, h.client, h.base+path, body, service.CodecBinary)
 	if err != nil {
 		return nil, err
 	}
-	return &rowsStream{rows: sr.Rows()}, nil
+	return sr.Rows(), nil
+}
+
+// QueryStream implements Transport over the node's /shard/query stream.
+func (h *HTTP) QueryStream(ctx context.Context, req service.ShardQueryRequest) (*windowdb.Rows, error) {
+	return h.stream(ctx, "/shard/query", req)
 }
 
 // TableStream implements Transport over the node's /shard/table stream:
 // the gather data plane rides the same chunked framing as query streams,
 // so neither side ever materializes a whole table body.
-func (h *HTTP) TableStream(ctx context.Context, name string) (RowStream, error) {
-	sr, err := service.OpenStreamGet(ctx, h.client, h.base+"/shard/table?name="+url.QueryEscape(name), h.codec)
+func (h *HTTP) TableStream(ctx context.Context, name string) (*windowdb.Rows, error) {
+	sr, err := service.OpenStreamGet(ctx, h.client, h.base+"/shard/table?name="+url.QueryEscape(name))
 	if err != nil {
 		return nil, err
 	}
-	return &rowsStream{rows: sr.Rows()}, nil
+	return sr.Rows(), nil
 }
 
 // ShuffleRun implements Transport: one buffered JSON control round trip;
 // the heavy row traffic the stage produces flows node-to-node over the
-// peers' own /shard/shuffle routes, never through this connection. The
-// transport's codec preference rides along so a JSON-pinned coordinator
-// also pins the stage's peer deliveries.
+// peers' own /shard/shuffle routes, never through this connection.
 func (h *HTTP) ShuffleRun(ctx context.Context, req service.ShuffleRunRequest) (*service.ShuffleRunResult, error) {
-	if req.Codec == "" {
-		req.Codec = string(h.codec)
-	}
 	var res service.ShuffleRunResult
 	if err := h.do(ctx, http.MethodPost, "/shard/shuffle/run", req, &res); err != nil {
 		return nil, err
@@ -137,21 +135,17 @@ func (h *HTTP) ShuffleRun(ctx context.Context, req service.ShuffleRunRequest) (*
 	return &res, nil
 }
 
-// SegmentStream implements Transport over the node's streamed
-// mode="segment" /shard/query response.
-func (h *HTTP) SegmentStream(ctx context.Context, req service.ShardQueryRequest) (RowStream, error) {
+// SegmentStream implements Transport over the node's mode="segment"
+// /shard/query stream.
+func (h *HTTP) SegmentStream(ctx context.Context, req service.ShardQueryRequest) (*windowdb.Rows, error) {
 	req.Mode = "segment"
-	sr, err := service.OpenStream(ctx, h.client, h.base+"/shard/query", req, h.codec)
-	if err != nil {
-		return nil, err
-	}
-	return &rowsStream{rows: sr.Rows()}, nil
+	return h.stream(ctx, "/shard/query", req)
 }
 
-// AcceptShuffle implements Transport: a streamed POST to the node's
-// /shard/shuffle ingest route in the transport's codec.
+// AcceptShuffle implements Transport: a streamed POST of frames to the
+// node's /shard/shuffle ingest route.
 func (h *HTTP) AcceptShuffle(ctx context.Context, b *service.ShuffleBatch) error {
-	return service.SendShuffleHTTP(ctx, h.client, h.base, b, h.codec)
+	return service.SendShuffleHTTP(ctx, h.client, h.base, b)
 }
 
 // ShuffleDrop implements Transport.
@@ -165,39 +159,22 @@ func (h *HTTP) Register(ctx context.Context, name string, t *storage.Table) erro
 	return h.do(ctx, http.MethodPost, "/shard/register", req, nil)
 }
 
-// Append implements Transport: a JSON POST to the node's /append route,
-// carrying the coordinator's watermark so the node's data generation
-// converges on it.
+// Append implements Transport: the batch POSTed as frames to the node's
+// /append route, carrying the coordinator's watermark so the node's data
+// generation converges on it.
 func (h *HTTP) Append(ctx context.Context, table string, rows []storage.Tuple, watermark uint64) (service.AppendResponse, error) {
-	req := service.AppendRequest{Table: table, Rows: make([][]service.WireValue, len(rows)), Watermark: watermark}
-	for i, row := range rows {
-		wr := make([]service.WireValue, len(row))
-		for j, v := range row {
-			wr[j] = service.WireValue{V: v}
-		}
-		req.Rows[i] = wr
-	}
-	var resp service.AppendResponse
-	if err := h.do(ctx, http.MethodPost, "/append", req, &resp); err != nil {
-		return service.AppendResponse{}, err
-	}
-	return resp, nil
+	return service.SendAppendHTTP(ctx, h.client, h.base, table, rows, watermark)
 }
 
 // Subscribe implements Transport over the node's live /query stream: a
 // SUBSCRIBE statement forces the chunked response shape and the node
 // flushes per delta batch, so rows never park behind a fill buffer while
 // the stream idles between appends.
-func (h *HTTP) Subscribe(ctx context.Context, src string) (RowStream, error) {
-	body := struct {
+func (h *HTTP) Subscribe(ctx context.Context, src string) (*windowdb.Rows, error) {
+	return h.stream(ctx, "/query", struct {
 		SQL    string `json:"sql"`
 		Stream bool   `json:"stream"`
-	}{SQL: src, Stream: true}
-	sr, err := service.OpenStream(ctx, h.client, h.base+"/query", body, h.codec)
-	if err != nil {
-		return nil, err
-	}
-	return &rowsStream{rows: sr.Rows()}, nil
+	}{SQL: src, Stream: true})
 }
 
 // Distinct implements Transport.

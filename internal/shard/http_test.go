@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro"
@@ -238,5 +239,68 @@ func TestHealthFanoutFailure(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("coordinator healthz with dead shard: %s", resp.Status)
+	}
+}
+
+// TestHTTPAppendRidesFrames: a coordinator's routed append reaches its
+// owning nodes on the plane every other node-bound row rides — POST /append
+// bodies of binary frames, the watermark in the query string — and lands
+// row for row what the same append lands on an in-process cluster.
+func TestHTTPAppendRidesFrames(t *testing.T) {
+	const base, extra = 400, 25
+	ctx := context.Background()
+	var mu sync.Mutex
+	var bodies []string // Content-Type of every /append a node was sent
+	shards := make([]Transport, 2)
+	for i := range shards {
+		node := service.New(windowdb.New(testEngineConfig()), service.Config{ShardRoutes: true}).Handler()
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/append" {
+				mu.Lock()
+				bodies = append(bodies, r.Header.Get("Content-Type")+" "+r.URL.RawQuery)
+				mu.Unlock()
+			}
+			node.ServeHTTP(w, r)
+		}))
+		t.Cleanup(srv.Close)
+		shards[i] = NewHTTP(srv.URL, srv.Client())
+	}
+	c, err := New(Config{Engine: testEngineConfig()}, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RegisterSharded(ctx, "web_sales", datagen.WebSales(datagen.WebSalesConfig{Rows: base, Seed: 7}), "ws_item_sk"); err != nil {
+		t.Fatal(err)
+	}
+	batch := datagen.NewAppendStream(datagen.AppendStreamConfig{
+		Base: datagen.WebSalesConfig{Rows: base, Seed: 7}, Seed: 99,
+	}).Next(extra)
+	resp, err := c.Append(ctx, "web_sales", batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.RowsAppended != extra || resp.Watermark != 2 {
+		t.Fatalf("append response = %+v", resp)
+	}
+	slices.Sort(bodies)
+	want := service.ContentTypeBinary + " table=web_sales&watermark=2"
+	if !slices.Equal(bodies, []string{want, want}) {
+		t.Fatalf("nodes were sent %q, want two of %q", bodies, want)
+	}
+
+	local := newLocalCluster(t, 2, base)
+	if _, err := local.Append(ctx, "web_sales", batch); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Query(ctx, q6SQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := local.Query(ctx, q6SQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Table.Len() != base+extra || !slices.Equal(canonical(got.Table), canonical(ref.Table)) {
+		t.Fatalf("%d rows after the append over HTTP; they differ from the in-process cluster's %d", got.Table.Len(), ref.Table.Len())
 	}
 }

@@ -280,7 +280,7 @@ func shuffleNonce() string {
 
 // deliverShuffle routes one re-shuffled batch to the peer's transport: the
 // in-process data plane (Local nodes ingest directly, HTTP nodes get the
-// NDJSON POST their transport speaks). Remote nodes executing a stage use
+// frame POST their transport speaks). Remote nodes executing a stage use
 // the request's peer addresses instead and never call back here.
 func (c *Cluster) deliverShuffle(ctx context.Context, peer int, b *service.ShuffleBatch) error {
 	if peer < 0 || peer >= len(c.shards) {
@@ -594,12 +594,12 @@ func (qt *clusterTrace) live() *trace.Live { return qt.entry.Live() }
 // ended is the coordinator's end of every statement served as a cursor,
 // whichever source streamed it: classify the ending by the one rule
 // (windowdb.Ending.Outcome), record the assembled trace, leave the
-// registry, count, and fire the statement's cancel. outcomes are the
-// per-node drain results in shard-index order. meta is returned stamped.
-func (c *Cluster) ended(qt *clusterTrace, meta *windowdb.QueryMetrics, end windowdb.Ending, outcomes []*QueryOutcome, closeIsServed bool) *windowdb.QueryMetrics {
+// registry, count, and fire the statement's cancel. nodes are the drained
+// node streams' metrics in shard-index order. meta is returned stamped.
+func (c *Cluster) ended(qt *clusterTrace, meta *windowdb.QueryMetrics, end windowdb.Ending, nodes []*windowdb.QueryMetrics, closeIsServed bool) *windowdb.QueryMetrics {
 	meta.Elapsed = time.Since(qt.start)
 	outcome := end.Outcome(qt.entry.Killed(), closeIsServed)
-	c.finishTrace(qt, meta, end, outcome, outcomes)
+	c.finishTrace(qt, meta, end, outcome, nodes)
 	c.reg.Remove(qt.entry)
 	c.count(outcome)
 	qt.cancel()
@@ -619,9 +619,9 @@ func (c *Cluster) count(o windowdb.Outcome) {
 }
 
 // finishTrace assembles the coordinator's span tree for a finished query,
-// stamps it into meta, and records it in the ring and slow log. The node
-// outcomes' Trace subtrees graft under per-node spans.
-func (c *Cluster) finishTrace(qt *clusterTrace, meta *windowdb.QueryMetrics, end windowdb.Ending, outcome windowdb.Outcome, outcomes []*QueryOutcome) {
+// stamps it into meta, and records it in the ring and slow log. The nodes'
+// Trace subtrees graft under per-node spans.
+func (c *Cluster) finishTrace(qt *clusterTrace, meta *windowdb.QueryMetrics, end windowdb.Ending, outcome windowdb.Outcome, nodes []*windowdb.QueryMetrics) {
 	if qt.id == "" {
 		return
 	}
@@ -646,8 +646,8 @@ func (c *Cluster) finishTrace(qt *clusterTrace, meta *windowdb.QueryMetrics, end
 	// The gather route executes the chain at the coordinator; its executor
 	// span slots in like a node's would.
 	root.Add(windowdb.ExecTrace(meta))
-	for i, out := range outcomes {
-		if out == nil || out.Trace == nil {
+	for i, out := range nodes {
+		if out.Trace == nil {
 			continue
 		}
 		// Re-label the node's root ("query") as its shard position without
@@ -717,9 +717,9 @@ func (c *Cluster) streamQuery(ctx context.Context, src string, cancel context.Ca
 // The first open failure cancels and closes the others; cancellation
 // noise is stripped from the reported error as in eachShard. The returned
 // cancel stops every stream and must be called when the merge finishes.
-func (c *Cluster) openStreams(ctx context.Context, n int, open func(ctx context.Context, i int) (RowStream, error)) ([]RowStream, context.CancelFunc, error) {
+func (c *Cluster) openStreams(ctx context.Context, n int, open func(ctx context.Context, i int) (*windowdb.Rows, error)) ([]*windowdb.Rows, context.CancelFunc, error) {
 	sctx, cancel := context.WithCancel(ctx)
-	streams := make([]RowStream, n)
+	streams := make([]*windowdb.Rows, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -767,7 +767,7 @@ func (c *Cluster) streamScatter(ctx context.Context, src string, prep *sql.Prepa
 		Fingerprint: prep.Fingerprint(),
 		SubplanFP:   prep.SubplanFingerprint(),
 	}
-	streams, streamCancel, err := c.openStreams(ctx, len(c.shards), func(ctx context.Context, i int) (RowStream, error) {
+	streams, streamCancel, err := c.openStreams(ctx, len(c.shards), func(ctx context.Context, i int) (*windowdb.Rows, error) {
 		return c.shards[i].QueryStream(ctx, req)
 	})
 	if err != nil {
@@ -785,6 +785,31 @@ func (w *work) add(read, written, cmp int64) {
 	w.cmp += cmp
 }
 
+// drained is what a node stream that reached its end adds to the streams
+// drained before it: the node's metrics (nil from a node that sent none).
+// Only a drained stream is asked — one closed early has confirmed nothing.
+func drained(nodes []*windowdb.QueryMetrics, s *windowdb.Rows) []*windowdb.QueryMetrics {
+	if m := s.Metrics(); m != nil {
+		nodes = append(nodes, m)
+	}
+	return nodes
+}
+
+// appendTuples drains a node stream into dst a batch at a time; the tuples
+// are dst's own, not views of the stream's batches.
+func appendTuples(ctx context.Context, dst []storage.Tuple, s *windowdb.Rows) ([]storage.Tuple, error) {
+	for {
+		b, ok := s.NextBatch()
+		if !ok {
+			return dst, s.Err()
+		}
+		if err := ctx.Err(); err != nil {
+			return dst, err
+		}
+		dst = append(dst, b.Tuples()...)
+	}
+}
+
 // emitStreams turns per-node output streams into the public cursor for a
 // scatter-shaped route. Statements whose finalize phase streams (no
 // DISTINCT/ORDER BY) flow through with LIMIT applied by early termination;
@@ -794,7 +819,7 @@ func (w *work) add(read, written, cmp int64) {
 // Until the streams are handed to a source (or drained here), they are
 // closed on every exit — error or panic — so node admission slots are not
 // leaked past a recovered panic.
-func (c *Cluster) emitStreams(ctx context.Context, route string, prep *sql.Prepared, hit bool, streams []RowStream, streamCancel context.CancelFunc, qt *clusterTrace, base work) (*windowdb.Rows, error) {
+func (c *Cluster) emitStreams(ctx context.Context, route string, prep *sql.Prepared, hit bool, streams []*windowdb.Rows, streamCancel context.CancelFunc, qt *clusterTrace, base work) (*windowdb.Rows, error) {
 	handoff := false
 	defer func() {
 		if !handoff {
@@ -805,8 +830,8 @@ func (c *Cluster) emitStreams(ctx context.Context, route string, prep *sql.Prepa
 	qt.live().SetPhase("draining")
 	if prep.ConcatStreams() {
 		handoff = true
-		return newScatterRows(&scatterSource{
-			c: c, cols: streams[0].Columns(), streams: streams, streamCancel: streamCancel,
+		return windowdb.NewRows(&scatterSource{
+			c: c, streams: streams, streamCancel: streamCancel,
 			prep: prep, cacheHit: hit, route: route, qt: qt, base: base, limit: prep.Limit(),
 		}), nil
 	}
@@ -814,34 +839,27 @@ func (c *Cluster) emitStreams(ctx context.Context, route string, prep *sql.Prepa
 	// DISTINCT or ORDER BY: the concatenation must materialize before the
 	// first output row is known. Drain the node streams (still incremental
 	// on the wire), finalize, stream the result.
-	concat := storage.NewTable(storage.NewSchema(streams[0].Columns()...))
-	var outcomes []*QueryOutcome
+	concat := storage.NewTable(storage.NewSchema(streams[0].ColumnTypes()...))
+	var nodes []*windowdb.QueryMetrics
 	for _, s := range streams {
-		for {
-			t, err := s.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return nil, err
-			}
-			concat.Rows = append(concat.Rows, t)
+		var err error
+		if concat.Rows, err = appendTuples(ctx, concat.Rows, s); err != nil {
+			return nil, err
 		}
-		if out := s.Outcome(); out != nil {
-			outcomes = append(outcomes, out)
-			base.add(out.BlocksRead, out.BlocksWritten, out.Comparisons)
-		}
+		nodes = drained(nodes, s)
+	}
+	for _, m := range nodes {
+		base.add(m.BlocksRead, m.BlocksWritten, m.Comparisons)
 	}
 	cur, err := prep.Open(ctx, sql.Input{Concat: concat}, false)
 	if err != nil {
 		return nil, err
 	}
-	closeStreams(streams)
 	streamCancel()
-	handoff = true // streams fully drained and closed above
+	handoff = true // every stream drained, and so closed itself, above
 	return windowdb.NewRows(&coordCursorSource{
 		c: c, cur: cur, route: route, shardsUsed: len(streams), cacheHit: hit,
-		base: base, qt: qt, outcomes: outcomes,
+		base: base, qt: qt, nodes: nodes,
 	}), nil
 }
 
@@ -853,15 +871,15 @@ func (c *Cluster) streamReplica(ctx context.Context, src string, prep *sql.Prepa
 		SQL: src, Mode: string(ModeFull),
 		Fingerprint: prep.Fingerprint(),
 	}
-	streams, streamCancel, err := c.openStreams(ctx, 1, func(ctx context.Context, _ int) (RowStream, error) {
+	streams, streamCancel, err := c.openStreams(ctx, 1, func(ctx context.Context, _ int) (*windowdb.Rows, error) {
 		return c.shards[node].QueryStream(ctx, req)
 	})
 	if err != nil {
 		return nil, err
 	}
 	qt.live().SetPhase("draining")
-	return newScatterRows(&scatterSource{
-		c: c, cols: streams[0].Columns(), streams: streams, streamCancel: streamCancel,
+	return windowdb.NewRows(&scatterSource{
+		c: c, streams: streams, streamCancel: streamCancel,
 		route: "replica", prep: prep, cacheHit: hit, qt: qt, limit: -1,
 	}), nil
 }
@@ -984,7 +1002,7 @@ func (c *Cluster) streamShuffle(ctx context.Context, src string, prep *sql.Prepa
 		Fingerprint: prep.Fingerprint(),
 		ShuffleID:   id, Round: len(stages) - 1, Senders: n,
 	}
-	streams, streamCancel, err := c.openStreams(ctx, n, func(ctx context.Context, i int) (RowStream, error) {
+	streams, streamCancel, err := c.openStreams(ctx, n, func(ctx context.Context, i int) (*windowdb.Rows, error) {
 		return c.shards[i].SegmentStream(ctx, freq)
 	})
 	if err != nil {
@@ -1065,7 +1083,7 @@ func (c *Cluster) streamGather(ctx context.Context, prep *sql.Prepared, info *ta
 		}
 	}()
 	// Each shard's goroutine accumulates its own rows as its stream
-	// arrives (incremental on the wire — tuples decode one line at a
+	// arrives (incremental on the wire — tuples decode one batch at a
 	// time, never a whole body); the concatenation below walks the parts
 	// in shard-index order so the chain input's interleave is
 	// deterministic per topology, releasing each part as it is consumed.
@@ -1081,19 +1099,11 @@ func (c *Cluster) streamGather(ctx context.Context, prep *sql.Prepared, info *ta
 		defer st.Close()
 		mu.Lock()
 		if schema == nil {
-			schema = storage.NewSchema(st.Columns()...)
+			schema = storage.NewSchema(st.ColumnTypes()...)
 		}
 		mu.Unlock()
-		for {
-			t, err := st.Next()
-			if err == io.EOF {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			parts[i] = append(parts[i], t)
-		}
+		parts[i], err = appendTuples(ctx, nil, st)
+		return err
 	}); err != nil {
 		return nil, err
 	}
@@ -1120,7 +1130,7 @@ func (c *Cluster) streamGather(ctx context.Context, prep *sql.Prepared, info *ta
 	}), nil
 }
 
-func closeStreams(streams []RowStream) {
+func closeStreams(streams []*windowdb.Rows) {
 	for _, s := range streams {
 		_ = s.Close()
 	}
@@ -1131,16 +1141,18 @@ func closeStreams(streams []RowStream) {
 // after mid-stream cancellation.
 func (c *Cluster) GatherInFlight() int64 { return c.gatherInFlight.Load() }
 
-// scatterSource merge-concatenates per-node row streams in shard-index
-// order: the stream currently draining contributes the batch being filled
-// at the coordinator, the ones behind it at most their transport's read
+// scatterSource concatenates per-node row streams in shard-index order by
+// handing the draining node's batches straight through: a batch the caller
+// reads is the node stream's own — a Local node's cursor batch, an HTTP
+// node's decoded frame — so the coordinator holds no row of its own, and
+// the streams behind the draining one at most their transport's read
 // buffer. It serves the streaming scatter route, the shuffle route's
-// final-segment merge, and (with a single stream) the replica route.
-// LIMIT terminates the merge early, cancelling the remaining node streams.
+// final-segment merge, and (with a single stream) the replica route. LIMIT
+// truncates the batch that crosses it and ends the merge early, cancelling
+// the remaining node streams.
 type scatterSource struct {
 	c            *Cluster
-	cols         []storage.Column
-	streams      []RowStream
+	streams      []*windowdb.Rows
 	streamCancel context.CancelFunc
 	prep         *sql.Prepared
 	cacheHit     bool
@@ -1149,48 +1161,34 @@ type scatterSource struct {
 	limit        int64 // remaining LIMIT budget; -1 = unlimited
 	qt           *clusterTrace
 
-	idx      int
-	batcher  *stream.Batcher // the merged rows, batched (newScatterRows)
-	outcomes []*QueryOutcome
+	idx   int
+	nodes []*windowdb.QueryMetrics // of the streams drained so far
 }
 
-// newScatterRows wraps the merge in the public cursor. The node streams
-// hand over a row at a time (RowStream), so the merged rows go through the
-// tuple→batch adapter.
-func newScatterRows(ss *scatterSource) *windowdb.Rows {
-	ss.batcher = stream.NewBatcher(len(ss.cols), stream.BatchRows, ss.next)
-	return windowdb.NewRows(ss)
-}
+func (ss *scatterSource) Columns() []storage.Column { return ss.streams[0].ColumnTypes() }
 
-func (ss *scatterSource) Columns() []storage.Column { return ss.cols }
-
+// NextBatch returns the draining node's next batch; io.EOF is the merge's
+// natural end: the last stream's, or the LIMIT's.
 func (ss *scatterSource) NextBatch() (*stream.Batch, error) {
-	b, err := ss.batcher.NextBatch()
-	if err == nil {
-		ss.qt.live().AddRowsEmitted(int64(b.Len()))
-	}
-	return b, err
-}
-
-// next pulls the merge's next row; io.EOF is its natural end: the last
-// stream's, or the LIMIT's.
-func (ss *scatterSource) next() (storage.Tuple, error) {
 	for ss.idx < len(ss.streams) && ss.limit != 0 {
-		t, err := ss.streams[ss.idx].Next()
-		if err == io.EOF {
-			if out := ss.streams[ss.idx].Outcome(); out != nil {
-				ss.outcomes = append(ss.outcomes, out)
+		s := ss.streams[ss.idx]
+		b, ok := s.NextBatch()
+		if !ok {
+			if err := s.Err(); err != nil {
+				return nil, err
 			}
+			ss.nodes = drained(ss.nodes, s)
 			ss.idx++
 			continue
 		}
-		if err != nil {
-			return nil, err
-		}
 		if ss.limit > 0 {
-			ss.limit--
+			if int64(b.Len()) > ss.limit {
+				b.Truncate(int(ss.limit))
+			}
+			ss.limit -= int64(b.Len())
 		}
-		return t, nil
+		ss.qt.live().AddRowsEmitted(int64(b.Len()))
+		return b, nil
 	}
 	return nil, io.EOF
 }
@@ -1200,14 +1198,14 @@ func (ss *scatterSource) End(end windowdb.Ending) *windowdb.QueryMetrics {
 	ss.streamCancel()
 	meta := mergedMeta(ss.prep, ss.cacheHit, ss.route, len(ss.streams))
 	done := ss.base
-	for _, out := range ss.outcomes {
-		done.add(out.BlocksRead, out.BlocksWritten, out.Comparisons)
+	for _, m := range ss.nodes {
+		done.add(m.BlocksRead, m.BlocksWritten, m.Comparisons)
 	}
 	meta.BlocksRead, meta.BlocksWritten, meta.Comparisons = done.read, done.written, done.cmp
-	if ss.route == "replica" && len(ss.outcomes) > 0 {
-		meta.FinalSort = ss.outcomes[0].FinalSort
+	if ss.route == "replica" && len(ss.nodes) > 0 {
+		meta.FinalSort = ss.nodes[0].FinalSort
 	}
-	return ss.c.ended(ss.qt, meta, end, ss.outcomes, false)
+	return ss.c.ended(ss.qt, meta, end, ss.nodes, false)
 }
 
 // mergedMeta is the metadata of a statement whose chain ran on the nodes,
@@ -1237,7 +1235,7 @@ type coordCursorSource struct {
 	base       work   // what the nodes did
 	release    func() // gather slot, when held
 	qt         *clusterTrace
-	outcomes   []*QueryOutcome
+	nodes      []*windowdb.QueryMetrics // of the drained node streams
 }
 
 func (cs *coordCursorSource) Columns() []storage.Column { return cs.cur.Columns() }
@@ -1262,7 +1260,7 @@ func (cs *coordCursorSource) End(end windowdb.Ending) *windowdb.QueryMetrics {
 	meta.BlocksWritten += cs.base.written
 	meta.Comparisons += cs.base.cmp
 	_ = cs.cur.Close()
-	return cs.c.ended(cs.qt, meta, end, cs.outcomes, false)
+	return cs.c.ended(cs.qt, meta, end, cs.nodes, false)
 }
 
 // prepare resolves src through the coordinator's per-table-invalidated

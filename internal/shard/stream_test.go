@@ -5,6 +5,8 @@ import (
 	"errors"
 	"hash/fnv"
 	"io"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -13,20 +15,23 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/service"
 	"repro/internal/storage"
+	"repro/internal/stream"
 )
 
-// residencyGauge counts rows resident in coordinator-owned buffers: a
-// counting codec charged on batch arrival and credited as the consumer
-// takes rows.
+// residencyGauge counts the rows of node batches the coordinator holds:
+// charged when a node stream hands a batch over, credited when the stream is
+// asked for the next one (which refills it) or ends.
 type residencyGauge struct {
 	mu       sync.Mutex
 	resident int
 	peak     int
+	last     *stream.Batch // the batch a node stream handed over most recently
 }
 
-func (g *residencyGauge) add(n int) {
+func (g *residencyGauge) add(b *stream.Batch) {
 	g.mu.Lock()
-	g.resident += n
+	g.last = b
+	g.resident += b.Len()
 	if g.resident > g.peak {
 		g.peak = g.resident
 	}
@@ -51,77 +56,68 @@ func (g *residencyGauge) Resident() int {
 	return g.resident
 }
 
-// countingTransport wraps a Transport and delivers QueryStream rows
-// through fixed-size batches — the wire-batch model — while accounting
-// every row resident at the coordinator against a shared gauge. It is the
-// measuring instrument for the bounded-memory scatter assertion.
+func (g *residencyGauge) Last() *stream.Batch {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.last
+}
+
+// countingTransport wraps a Transport and meters the batches that actually
+// flow out of its node's query and segment streams against a shared gauge.
+// It is the measuring instrument for the bounded-memory scatter assertion:
+// a RowSource in front of the node's own *windowdb.Rows, handing the node's
+// batches on untouched.
 type countingTransport struct {
 	Transport
-	batch int
 	gauge *residencyGauge
 }
 
-func (ct *countingTransport) QueryStream(ctx context.Context, req service.ShardQueryRequest) (RowStream, error) {
-	inner, err := ct.Transport.QueryStream(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	return &countingStream{inner: inner, batch: ct.batch, gauge: ct.gauge}, nil
+func (ct *countingTransport) QueryStream(ctx context.Context, req service.ShardQueryRequest) (*windowdb.Rows, error) {
+	return ct.counted(ct.Transport.QueryStream(ctx, req))
 }
 
 // SegmentStream is counted too: the shuffle route's final merge is the
-// only point where its rows touch coordinator-owned buffers (the
-// re-shuffled intermediates move node-to-node and are never charged).
-func (ct *countingTransport) SegmentStream(ctx context.Context, req service.ShardQueryRequest) (RowStream, error) {
-	inner, err := ct.Transport.SegmentStream(ctx, req)
+// only point where its rows touch the coordinator (the re-shuffled
+// intermediates move node-to-node and are never charged).
+func (ct *countingTransport) SegmentStream(ctx context.Context, req service.ShardQueryRequest) (*windowdb.Rows, error) {
+	return ct.counted(ct.Transport.SegmentStream(ctx, req))
+}
+
+func (ct *countingTransport) counted(inner *windowdb.Rows, err error) (*windowdb.Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &countingStream{inner: inner, batch: ct.batch, gauge: ct.gauge}, nil
+	return windowdb.NewRows(&countingSource{inner: inner, gauge: ct.gauge}), nil
 }
 
-type countingStream struct {
-	inner RowStream
-	batch int
+type countingSource struct {
+	inner *windowdb.Rows
 	gauge *residencyGauge
-	buf   []storage.Tuple
-	done  bool
+	held  int // rows of the batch handed over last, resident until the next pull
 }
 
-func (cs *countingStream) Columns() []storage.Column { return cs.inner.Columns() }
+func (cs *countingSource) Columns() []storage.Column { return cs.inner.ColumnTypes() }
 
-func (cs *countingStream) Next() (storage.Tuple, error) {
-	if len(cs.buf) == 0 && !cs.done {
-		for len(cs.buf) < cs.batch {
-			t, err := cs.inner.Next()
-			if err == io.EOF {
-				cs.done = true
-				break
-			}
-			if err != nil {
-				cs.gauge.sub(len(cs.buf))
-				cs.buf = nil
-				return nil, err
-			}
-			cs.buf = append(cs.buf, t)
-			cs.gauge.add(1)
+func (cs *countingSource) NextBatch() (*stream.Batch, error) {
+	cs.gauge.sub(cs.held)
+	cs.held = 0
+	b, ok := cs.inner.NextBatch()
+	if !ok {
+		if err := cs.inner.Err(); err != nil {
+			return nil, err
 		}
-	}
-	if len(cs.buf) == 0 {
 		return nil, io.EOF
 	}
-	t := cs.buf[0]
-	cs.buf = cs.buf[1:]
-	cs.gauge.sub(1)
-	return t, nil
+	cs.held = b.Len()
+	cs.gauge.add(b)
+	return b, nil
 }
 
-func (cs *countingStream) Outcome() *QueryOutcome { return cs.inner.Outcome() }
-
-func (cs *countingStream) Close() error {
-	cs.gauge.sub(len(cs.buf))
-	cs.buf = nil
-	return cs.inner.Close()
+func (cs *countingSource) End(windowdb.Ending) *windowdb.QueryMetrics {
+	cs.gauge.sub(cs.held)
+	cs.held = 0
+	_ = cs.inner.Close()
+	return cs.inner.Metrics()
 }
 
 // tupleChecksum is an order-insensitive multiset fingerprint: the sum of
@@ -144,7 +140,7 @@ func TestScatterStreamBoundedResidency(t *testing.T) {
 	const (
 		rows   = 120_000
 		nShard = 4
-		batch  = 256
+		batch  = stream.BatchRows
 	)
 	engCfg := windowdb.Config{SortMemBytes: 32 << 20, Parallelism: 1}
 	gauge := &residencyGauge{}
@@ -153,7 +149,6 @@ func TestScatterStreamBoundedResidency(t *testing.T) {
 		eng := windowdb.New(engCfg)
 		shards[i] = &countingTransport{
 			Transport: NewLocal(service.New(eng, service.Config{})),
-			batch:     batch,
 			gauge:     gauge,
 		}
 	}
@@ -213,6 +208,96 @@ func TestScatterStreamBoundedResidency(t *testing.T) {
 	}
 }
 
+// TestScatterPassesBatchesThrough: the scatter merge owns no rows. With no
+// LIMIT, every batch the caller's cursor yields is the very batch the
+// draining node stream handed over — same pointer, never a copy — and the
+// whole scatter's allocations therefore grow with the batches that cross,
+// not with their rows: twenty times the rows costs fewer extra objects than
+// there are extra batches. A LIMIT cuts the batch that crosses it in place.
+func TestScatterPassesBatchesThrough(t *testing.T) {
+	ctx := context.Background()
+	cluster := func(rows int, wrap func(Transport) Transport) *Cluster {
+		engCfg := windowdb.Config{SortMemBytes: 32 << 20, Parallelism: 1}
+		shards := make([]Transport, 2)
+		for i := range shards {
+			shards[i] = wrap(NewLocal(service.New(windowdb.New(engCfg), service.Config{})))
+		}
+		c, err := New(Config{Engine: engCfg}, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws := datagen.WebSales(datagen.WebSalesConfig{Rows: rows, Seed: 7})
+		if err := c.RegisterSharded(ctx, "web_sales", ws, "ws_item_sk"); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+
+	gauge := &residencyGauge{}
+	c := cluster(2000, func(tr Transport) Transport { return &countingTransport{Transport: tr, gauge: gauge} })
+	for _, q := range []string{q6SQL, divergeSQL} {
+		rc, err := c.QueryContext(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for {
+			b, ok := rc.NextBatch()
+			if !ok {
+				break
+			}
+			if b != gauge.Last() {
+				t.Fatalf("batch %d of %q is not the node stream's own", n, q)
+			}
+			n += b.Len()
+		}
+		if err := rc.Err(); err != nil || n != 2000 {
+			t.Fatalf("%d rows (%v), want 2000", n, err)
+		}
+	}
+	rc, err := c.QueryContext(ctx, q6SQL+` LIMIT 300`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sizes []int
+	for {
+		b, ok := rc.NextBatch()
+		if !ok {
+			break
+		}
+		if b != gauge.Last() {
+			t.Fatal("a LIMIT made the merge copy a batch")
+		}
+		sizes = append(sizes, b.Len())
+	}
+	if err := rc.Err(); err != nil || !slices.Equal(sizes, []int{stream.BatchRows, 300 - stream.BatchRows}) {
+		t.Fatalf("LIMIT 300 yielded batches of %v (%v)", sizes, err)
+	}
+
+	allocs := func(rows int) float64 {
+		c := cluster(rows, func(tr Transport) Transport { return tr })
+		return testing.AllocsPerRun(5, func() {
+			rc, err := c.QueryContext(ctx, q6SQL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for {
+				if _, ok := rc.NextBatch(); !ok {
+					break
+				}
+			}
+			if err := rc.Err(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const small, large = 2_000, 40_000
+	if grew, batches := allocs(large)-allocs(small), float64((large-small)/stream.BatchRows); grew >= batches {
+		t.Fatalf("%d more rows cost %.0f more allocations per scatter: at least one for each of the %.0f more batches",
+			large-small, grew, batches)
+	}
+}
+
 // streamCluster builds an n-shard cluster keeping handles to the node
 // services, for slot-gauge assertions.
 func streamCluster(t *testing.T, n, rows int, cfg Config) (*Cluster, []*service.Service) {
@@ -242,7 +327,9 @@ func streamCluster(t *testing.T, n, rows int, cfg Config) (*Cluster, []*service.
 	return c, svcs
 }
 
-// waitNodeSlotsFree polls every node's in-flight gauge back to zero.
+// waitNodeSlotsFree yields until every node's in-flight gauge is back at
+// zero: a slot is released by the goroutine that ran the node's stage, which
+// the coordinator's own return does not wait for on every path.
 func waitNodeSlotsFree(t *testing.T, svcs []*service.Service) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -256,7 +343,7 @@ func waitNodeSlotsFree(t *testing.T, svcs []*service.Service) {
 		if !busy {
 			return
 		}
-		time.Sleep(5 * time.Millisecond)
+		runtime.Gosched()
 	}
 	for i, s := range svcs {
 		if got := s.Stats().InFlight; got != 0 {
@@ -408,7 +495,7 @@ func TestShuffleStreamBoundedResidency(t *testing.T) {
 	const (
 		rows   = 120_000
 		nShard = 4
-		batch  = 256
+		batch  = stream.BatchRows
 	)
 	engCfg := windowdb.Config{SortMemBytes: 32 << 20, Parallelism: 1}
 	gauge := &residencyGauge{}
@@ -418,7 +505,6 @@ func TestShuffleStreamBoundedResidency(t *testing.T) {
 		svcs[i] = service.New(windowdb.New(engCfg), service.Config{})
 		shards[i] = &countingTransport{
 			Transport: NewLocal(svcs[i]),
-			batch:     batch,
 			gauge:     gauge,
 		}
 	}
@@ -536,7 +622,7 @@ func TestShuffleFailureReleasesSlots(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d shuffle rounds still buffered after failure cleanup", buffered)
 		}
-		time.Sleep(5 * time.Millisecond)
+		runtime.Gosched()
 	}
 	if got := c.failures.Load(); got == 0 {
 		t.Fatal("failed shuffle not counted")

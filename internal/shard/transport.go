@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"io"
 
 	"repro"
 	"repro/internal/attrs"
@@ -24,55 +23,30 @@ const (
 	ModeFull Mode = "full"
 )
 
-// QueryOutcome is the observations of one shard node's execution that the
-// coordinator aggregates.
-type QueryOutcome struct {
-	CacheHit      bool
-	FinalSort     string
-	BlocksRead    int64
-	BlocksWritten int64
-	Comparisons   int64
-	// Trace is the node's span subtree for this execution, when the node
-	// recorded one; the coordinator grafts it under its own per-node span.
-	Trace *trace.Span
-}
-
-// RowStream is one shard node's incremental query response: rows pulled
-// one at a time, io.EOF at end of stream, and the node's execution
-// observations (Outcome) available once the stream has ended. Closing a
-// half-drained stream tells the node to stop — over HTTP by closing the
-// response body, in-process by closing the node's cursor — which releases
-// the node's admission slot.
-type RowStream interface {
-	// Columns returns the streamed output schema.
-	Columns() []storage.Column
-	// Next returns the next row, io.EOF at end of stream, or the error
-	// that cut the stream.
-	Next() (storage.Tuple, error)
-	// Outcome returns the node's execution observations; nil until the
-	// stream ended cleanly.
-	Outcome() *QueryOutcome
-	// Close releases the stream.
-	Close() error
-}
-
 // Transport reaches one shard node. Two implementations exist: Local wraps
 // an in-process service.Service (tests, benches and single-binary
 // scale-up), HTTP rides the /shard/* routes of a remote windserve so
 // multiple processes form a real cluster. All methods must be safe for
 // concurrent use — the coordinator scatters to every shard at once.
+//
+// Rows leave a node as the cursor every backend hands out: the four stream
+// methods return a *windowdb.Rows whose batches are the node's own (a Local
+// node's cursor batches, an HTTP node's decoded frames), whose Metrics are
+// the node's execution observations once it has drained, and whose Close
+// tells the node to stop — over HTTP by closing the response body,
+// in-process by closing the node's cursor — releasing its admission slot.
 type Transport interface {
 	// QueryStream executes a statement and streams its rows: the scatter
 	// path's transport primitive, bounding coordinator memory by what is
 	// in flight instead of the node's whole response. The request carries
 	// the SQL, the Mode, and optionally the coordinator's plan Fingerprint
 	// so the node resolves its plan cache without re-normalizing the text.
-	QueryStream(ctx context.Context, req service.ShardQueryRequest) (RowStream, error)
+	QueryStream(ctx context.Context, req service.ShardQueryRequest) (*windowdb.Rows, error)
 	// TableStream streams the node's rows of a table — the gather path of
 	// chains with no usable shuffle key. Incremental on the wire: the
 	// coordinator appends rows as they arrive instead of decoding a whole
 	// response body.
-	TableStream(ctx context.Context, name string) (RowStream, error)
+	TableStream(ctx context.Context, name string) (*windowdb.Rows, error)
 	// ShuffleRun executes one non-final stage of a per-segment distributed
 	// chain on the node (service.RunShuffleStep): run the segment, then
 	// re-shuffle the output directly to the peer nodes. Returns once every
@@ -81,7 +55,7 @@ type Transport interface {
 	// SegmentStream opens the final shuffle segment's row stream over the
 	// node's buffered shuffle input (service.StreamSegment); the
 	// coordinator merge-concatenates these exactly like scatter streams.
-	SegmentStream(ctx context.Context, req service.ShardQueryRequest) (RowStream, error)
+	SegmentStream(ctx context.Context, req service.ShardQueryRequest) (*windowdb.Rows, error)
 	// AcceptShuffle delivers one re-shuffled row batch into the node's
 	// shuffle inbox. Nodes address each other directly over their own data
 	// plane; this entry point exists so in-process clusters (and tests
@@ -103,7 +77,7 @@ type Transport interface {
 	// delta rows arrive as appends land. src carries the SUBSCRIBE prefix.
 	// The stream ends only when closed, the context is canceled, or the
 	// node kills the query.
-	Subscribe(ctx context.Context, src string) (RowStream, error)
+	Subscribe(ctx context.Context, src string) (*windowdb.Rows, error)
 	// Distinct returns the node-local distinct count of the attribute set,
 	// feeding the coordinator's statistics stubs.
 	Distinct(ctx context.Context, table string, set attrs.Set) (int64, error)
@@ -133,70 +107,19 @@ func NewLocal(svc *service.Service) *Local { return &Local{svc: svc} }
 // Service returns the wrapped service (tests inspect its counters).
 func (l *Local) Service() *service.Service { return l.svc }
 
-// QueryStream implements Transport: the node's service cursor, adapted.
-// The node-side admission slot is held until the stream is drained or
-// closed, exactly as for a remote node.
-func (l *Local) QueryStream(ctx context.Context, req service.ShardQueryRequest) (RowStream, error) {
-	var (
-		rows *windowdb.Rows
-		err  error
-	)
+// QueryStream implements Transport: the node's service cursor. The
+// node-side admission slot is held until the stream is drained or closed,
+// exactly as for a remote node.
+func (l *Local) QueryStream(ctx context.Context, req service.ShardQueryRequest) (*windowdb.Rows, error) {
 	if Mode(req.Mode) == ModeLocal {
-		rows, err = l.svc.StreamShardLocal(ctx, req.SQL, req.Fingerprint, req.SubplanFP)
-	} else {
-		rows, err = l.svc.QueryContext(ctx, req.SQL)
+		return l.svc.StreamShardLocal(ctx, req.SQL, req.Fingerprint, req.SubplanFP)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return &rowsStream{rows: rows}, nil
+	return l.svc.QueryContext(ctx, req.SQL)
 }
 
-// rowsStream adapts a windowdb.Rows to the transport's RowStream shape.
-type rowsStream struct {
-	rows    *windowdb.Rows
-	outcome *QueryOutcome
-}
-
-func (rs *rowsStream) Columns() []storage.Column { return rs.rows.ColumnTypes() }
-
-func (rs *rowsStream) Next() (storage.Tuple, error) {
-	if rs.rows.Next() {
-		return rs.rows.Row(), nil
-	}
-	if err := rs.rows.Err(); err != nil {
-		return nil, err
-	}
-	rs.finish()
-	return nil, io.EOF
-}
-
-func (rs *rowsStream) finish() {
-	if rs.outcome != nil {
-		return
-	}
-	m := rs.rows.Metrics()
-	if m == nil {
-		return
-	}
-	rs.outcome = &QueryOutcome{
-		CacheHit:      m.CacheHit,
-		FinalSort:     m.FinalSort,
-		BlocksRead:    m.BlocksRead,
-		BlocksWritten: m.BlocksWritten,
-		Comparisons:   m.Comparisons,
-		Trace:         m.Trace,
-	}
-}
-
-func (rs *rowsStream) Outcome() *QueryOutcome { return rs.outcome }
-
-func (rs *rowsStream) Close() error { return rs.rows.Close() }
-
-// TableStream implements Transport: an in-process stream over the node's
-// registered (immutable) table — no rows are copied; consumers must not
-// mutate the yielded tuples.
-func (l *Local) TableStream(ctx context.Context, name string) (RowStream, error) {
+// TableStream implements Transport: a cursor over the node's registered
+// (immutable) table.
+func (l *Local) TableStream(ctx context.Context, name string) (*windowdb.Rows, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -204,42 +127,7 @@ func (l *Local) TableStream(ctx context.Context, name string) (RowStream, error)
 	if err != nil {
 		return nil, err
 	}
-	return &tableStream{ctx: ctx, cols: t.Schema.Columns, rows: t.Rows}, nil
-}
-
-// tableStream yields a materialized table's rows as a RowStream.
-type tableStream struct {
-	ctx     context.Context
-	cols    []storage.Column
-	rows    []storage.Tuple
-	pos     int
-	outcome *QueryOutcome
-}
-
-func (ts *tableStream) Columns() []storage.Column { return ts.cols }
-
-func (ts *tableStream) Next() (storage.Tuple, error) {
-	if ts.pos >= len(ts.rows) {
-		if ts.outcome == nil {
-			ts.outcome = &QueryOutcome{}
-		}
-		return nil, io.EOF
-	}
-	if ts.pos%1024 == 0 {
-		if err := ts.ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	t := ts.rows[ts.pos]
-	ts.pos++
-	return t, nil
-}
-
-func (ts *tableStream) Outcome() *QueryOutcome { return ts.outcome }
-
-func (ts *tableStream) Close() error {
-	ts.rows = nil
-	return nil
+	return windowdb.NewTableRows(t), nil
 }
 
 // ShuffleRun implements Transport: the node executes the stage in-process,
@@ -249,15 +137,11 @@ func (l *Local) ShuffleRun(ctx context.Context, req service.ShuffleRunRequest) (
 	return l.svc.RunShuffleStep(ctx, req, nil)
 }
 
-// SegmentStream implements Transport: the node's final-segment cursor,
-// adapted; the admission slot is held until the stream is drained or
-// closed, exactly as for QueryStream.
-func (l *Local) SegmentStream(ctx context.Context, req service.ShardQueryRequest) (RowStream, error) {
-	rows, err := l.svc.StreamSegment(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	return &rowsStream{rows: rows}, nil
+// SegmentStream implements Transport: the node's final-segment cursor; the
+// admission slot is held until the stream is drained or closed, exactly as
+// for QueryStream.
+func (l *Local) SegmentStream(ctx context.Context, req service.ShardQueryRequest) (*windowdb.Rows, error) {
+	return l.svc.StreamSegment(ctx, req)
 }
 
 // AcceptShuffle implements Transport: straight into the node's inbox.
@@ -293,15 +177,11 @@ func (l *Local) Append(ctx context.Context, table string, rows []storage.Tuple, 
 	return service.AppendResponse{Table: table, StartRid: start, RowsAppended: len(rows), Watermark: wm}, nil
 }
 
-// Subscribe implements Transport: the node's live subscription cursor,
-// adapted. The node-side admission slot and registry entry are held for
-// the subscription's lifetime, exactly as for a remote node.
-func (l *Local) Subscribe(ctx context.Context, src string) (RowStream, error) {
-	rows, err := l.svc.QueryContext(ctx, src)
-	if err != nil {
-		return nil, err
-	}
-	return &rowsStream{rows: rows}, nil
+// Subscribe implements Transport: the node's live subscription cursor. The
+// node-side admission slot and registry entry are held for the
+// subscription's lifetime, exactly as for a remote node.
+func (l *Local) Subscribe(ctx context.Context, src string) (*windowdb.Rows, error) {
+	return l.svc.QueryContext(ctx, src)
 }
 
 // Distinct implements Transport.

@@ -12,6 +12,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/paper"
 	"repro/internal/service"
+	"repro/internal/shard"
 	"repro/internal/storage"
 	"repro/internal/stream"
 )
@@ -198,5 +199,83 @@ func TestReusedBatchesAreNeverRead(t *testing.T) {
 				t.Fatalf("subscription yielded %d rows, want the %d initial ones and the deltas of two appended", len(got), initial)
 			}
 		})
+	}
+}
+
+// TestClusterKeepsNoBatchPastItsRefill runs every way rows cross a
+// coordinator under the poison switch. Two of them hand the node's batch
+// straight to the caller (scatter, and a shuffle's final segment); two copy
+// its rows out before asking for the next (the drain that feeds a
+// coordinator-side DISTINCT/ORDER BY, and the gather). Over in-process
+// nodes the batch is the node cursor's own and over HTTP the stream
+// reader's: a tuple, a vector or a string that outlived either shows as
+// poison in what the reader kept, and what it kept equals the single
+// engine's rows.
+func TestClusterKeepsNoBatchPastItsRefill(t *testing.T) {
+	defer stream.PoisonReused()()
+
+	ctx := context.Background()
+	engCfg := windowdb.Config{SortMemBytes: 1 << 20, Parallelism: 1}
+	ws := datagen.WebSales(datagen.WebSalesConfig{Rows: 3000, Seed: 42, PadBytes: 24})
+	eng := windowdb.New(engCfg)
+	eng.Register("web_sales", ws)
+
+	clusters := map[string]func() shard.Transport{
+		"local": func() shard.Transport {
+			return shard.NewLocal(service.New(windowdb.New(engCfg), service.Config{}))
+		},
+		"http": func() shard.Transport {
+			srv := httptest.NewServer(service.New(windowdb.New(engCfg), service.Config{ShardRoutes: true}).Handler())
+			t.Cleanup(srv.Close)
+			return shard.NewHTTP(srv.URL, srv.Client())
+		},
+	}
+	paths := []struct{ route, name, sql string }{
+		{"scatter", "pass-through", `SELECT ws_item_sk, ws_pad, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS r FROM web_sales`},
+		{"shuffle", "final segment", `SELECT ws_order_number, ws_pad,
+			rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS a,
+			rank() OVER (PARTITION BY ws_warehouse_sk ORDER BY ws_sold_date_sk) AS b FROM web_sales`},
+		{"scatter", "concat drain", `SELECT ws_order_number, ws_pad, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS r FROM web_sales ORDER BY ws_order_number`},
+		{"gather", "gather", `SELECT ws_order_number, ws_pad, rank() OVER (ORDER BY ws_sold_time_sk) AS r FROM web_sales`},
+	}
+	for transport, node := range clusters {
+		c, err := shard.New(shard.Config{Engine: engCfg}, []shard.Transport{node(), node()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.RegisterSharded(ctx, "web_sales", ws, "ws_item_sk"); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range paths {
+			t.Run(transport+"/"+p.name, func(t *testing.T) {
+				want, err := eng.Query(p.sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows, err := c.QueryContext(ctx, p.sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := drainKeeping(t, rows, nil)
+				if m := rows.Metrics(); m == nil || m.Route != p.route {
+					t.Fatalf("metrics %+v, want route %s", m, p.route)
+				}
+				if len(got) != want.Table.Len() {
+					t.Fatalf("%d rows, the single engine has %d", len(got), want.Table.Len())
+				}
+				gotEnc, wantEnc := make([]string, len(got)), make([]string, len(got))
+				for i, k := range got {
+					gotEnc[i] = string(storage.AppendTuple(nil, k.row))
+					wantEnc[i] = string(storage.AppendTuple(nil, want.Table.Rows[i]))
+				}
+				sort.Strings(gotEnc)
+				sort.Strings(wantEnc)
+				for i := range gotEnc {
+					if gotEnc[i] != wantEnc[i] {
+						t.Fatalf("the rows read differ from the single engine's (at %d of the sorted encodings)", i)
+					}
+				}
+			})
+		}
 	}
 }

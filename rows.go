@@ -18,7 +18,7 @@ import (
 
 // Queryer is the one result surface every backend of this repository
 // implements: the in-process Engine, the admission-controlled
-// service.Service, the remote service.Client (NDJSON over /query), and
+// service.Service, the remote service.Client (binary frames over /query), and
 // the scatter-gather shard.Cluster. Code written against Queryer runs
 // unchanged over any of them — and over database/sql via the sqldriver
 // package, whose "windowdb" driver adapts any registered Queryer.

@@ -5,9 +5,9 @@
 // Two DSN forms:
 //
 //   - "http://host:port" (or https) — a remote windserve, single engine or
-//     cluster coordinator, reached through service.Client's NDJSON
-//     streaming /query surface; rows arrive incrementally as database/sql
-//     scans them.
+//     cluster coordinator, reached through service.Client's streaming
+//     /query surface (binary frames); rows arrive incrementally as
+//     database/sql scans them.
 //   - any other string — the name of an in-process backend registered with
 //     windowdb.RegisterDSN: an *windowdb.Engine, a *service.Service (plan
 //     cache + admission control included), or a *shard.Cluster.

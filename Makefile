@@ -44,14 +44,17 @@ benchmark-check:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
 
-# One short run of the cluster workload the benchmark driver does not gate:
-# two HTTP shard nodes behind a coordinator, every statement checked against
-# the reference engine. The harness prints its result as the last line.
+# One short run each of the served workload a change is most often measured
+# on and of the cluster workload the benchmark driver does not gate (two HTTP
+# shard nodes behind a coordinator): every statement is checked against the
+# reference engine, and the harness prints its result as the last line.
 benchmark-smoke:
-	@out="$$(bash benchmark/run.sh --workload cluster_2shard --seed 20120827 --seconds 3 --trace 0 | tail -n 1)"; \
-	printf '%s\n' "$$out" | grep -q '"correct":true' && printf '%s\n' "$$out" | grep -q '"failed":0' \
-		|| { echo "benchmark-smoke: cluster_2shard did not end correct with 0 failed: $$out" >&2; exit 1; }; \
-	echo "benchmark-smoke: cluster_2shard OK"
+	@for w in serve_http cluster_2shard; do \
+		out="$$(bash benchmark/run.sh --workload $$w --seed 20120827 --seconds 3 --trace 0 | tail -n 1)"; \
+		printf '%s\n' "$$out" | grep -q '"correct":true' && printf '%s\n' "$$out" | grep -q '"failed":0' \
+			|| { echo "benchmark-smoke: $$w did not end correct with 0 failed: $$out" >&2; exit 1; }; \
+		echo "benchmark-smoke: $$w OK"; \
+	done
 
 # Run the HTTP query service (see cmd/windserve -h for knobs). Relocate
 # with PORT=9090 or a full ADDR=host:9090, so two local instances — or a

@@ -2,6 +2,9 @@ package exec
 
 import (
 	"context"
+	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,6 +14,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/paper"
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/window"
 )
 
@@ -226,5 +230,262 @@ func TestTailSpecReadsTupleColumnsOnly(t *testing.T) {
 	}}
 	if _, _, err := RunChain(context.Background(), table, specs, tail, Config{}); err == nil || !strings.Contains(err.Error(), "requires a value column") {
 		t.Fatalf("spec reading a tail column: err = %v, want a validation error", err)
+	}
+}
+
+// chainShape is one input of the pre-L matrix: a small web_sales variant and
+// whether its Full Sort steps drop PARTITION BY (the item column is constant
+// there, so the order they leave still serves the partitioned steps).
+type chainShape struct {
+	table  *storage.Table
+	global bool
+}
+
+// chainShapes builds the data shapes the in-place steps have to survive:
+// many partitions, one partition the size of the table, every key a tie
+// (only stability decides the sequence), one key holding most of the rows,
+// one row, and none.
+func chainShapes() map[string]chainShape {
+	gen := func(edit func(i int, row storage.Tuple)) *storage.Table {
+		t := datagen.WebSales(datagen.WebSalesConfig{Rows: 400, Seed: 21, ItemDistinct: 5, DateDistinct: 7,
+			TimeDistinct: 9, BillDistinct: 6, ShipDistinct: 4, PadBytes: 16})
+		for i, row := range t.Rows {
+			row = row.Clone()
+			edit(i, row)
+			t.Rows[i] = row
+		}
+		return t
+	}
+	one := storage.Int(1)
+	uniform := gen(func(int, storage.Tuple) {})
+	return map[string]chainShape{
+		"uniform":          {table: uniform},
+		"single partition": {table: gen(func(_ int, row storage.Tuple) { row[paper.Item] = one }), global: true},
+		"all ties": {table: gen(func(_ int, row storage.Tuple) {
+			for _, c := range []attrs.ID{paper.Item, paper.Date, paper.Bill, paper.Time, paper.Ship} {
+				row[c] = one
+			}
+		})},
+		"hot key": {table: gen(func(i int, row storage.Tuple) {
+			if i%5 < 3 {
+				row[paper.Item] = one
+			}
+		})},
+		"one row": {table: &storage.Table{Schema: uniform.Schema, Rows: uniform.Rows[:1]}},
+		"empty":   {table: &storage.Table{Schema: uniform.Schema}},
+	}
+}
+
+// chainOf builds a valid chain whose step i reorders with kinds[i] — every
+// step a reorder, so L = len(kinds)-1 — for functions partitioned by item
+// and ordered by a column of their own. A Segmented Sort needs the item
+// order an earlier step left, so kinds[0] is never SS. The functions cycle
+// through kinds of evaluation: peer walks, prefix sums over a frame, and a
+// position-sensitive lag, which tells one tie order from another.
+func chainOf(kinds []core.ReorderKind, global bool) ([]window.Spec, *core.Plan) {
+	orderBy := []attrs.ID{paper.Date, paper.Bill, paper.Time, paper.Ship}
+	item := attrs.MakeSet(paper.Item)
+	specs := make([]window.Spec, len(kinds))
+	plan := &core.Plan{Scheme: "test"}
+	for i, kind := range kinds {
+		spec := window.Spec{Name: fmt.Sprintf("w%d", i), Arg: -1, PK: item, OK: attrs.AscSeq(orderBy[i])}
+		switch i % 4 {
+		case 0:
+			spec.Kind = window.Rank
+		case 1:
+			spec.Kind, spec.Arg = window.Sum, paper.Quantity
+		case 2:
+			spec.Kind = window.CumeDist
+		case 3:
+			spec.Kind, spec.Arg, spec.N = window.Lag, paper.Quantity, 1
+		}
+		step := core.Step{Reorder: kind}
+		switch kind {
+		case core.ReorderFS:
+			step.SortKey = attrs.AscSeq(paper.Item, orderBy[i])
+			if global {
+				spec.PK, step.SortKey = 0, spec.OK
+			}
+		case core.ReorderHS:
+			step.HashKey, step.SortKey = item, attrs.AscSeq(paper.Item, orderBy[i])
+		case core.ReorderSS:
+			step.Alpha, step.Beta = attrs.AscSeq(paper.Item), spec.OK
+		}
+		specs[i] = spec
+		step.WF = spec.WF(i)
+		plan.Steps = append(plan.Steps, step)
+	}
+	return specs, plan
+}
+
+// referenceSteps is the chain by the book, sharing nothing with RunChain
+// but the operators: each step reorders tagged rows it then collects,
+// evaluates with window.Reference over exactly that sequence, and copies
+// every row to append the value. It returns, per step, the rows as the step
+// left them and the positions its reorder flagged as segment starts.
+func referenceSteps(t *testing.T, table *storage.Table, specs []window.Spec, plan *core.Plan, cfg Config) (after [][]storage.Tuple, boundaries [][]int) {
+	t.Helper()
+	rows, err := stream.Collect(stream.FromTuples(table.Rows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, step := range plan.Steps {
+		var comparisons int64
+		rcfg, _ := reorderConfig(cfg, &comparisons, 0)
+		rcfg.Arena = nil
+		out, _, err := applyReorder(stream.FromRows(rows), step, cfg, rcfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows, err = stream.Collect(out); err != nil {
+			t.Fatal(err)
+		}
+		tuples := make([]storage.Tuple, len(rows))
+		var starts []int
+		for k, r := range rows {
+			if tuples[k] = r.Tuple; r.Boundary {
+				starts = append(starts, k)
+			}
+		}
+		vals, err := window.Reference(tuples, specs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range rows {
+			tuples[k] = tuples[k].Append(vals[k])
+			rows[k].Tuple = tuples[k]
+		}
+		after, boundaries = append(after, tuples), append(boundaries, starts)
+	}
+	return after, boundaries
+}
+
+// TestStepsBeforeLastReorderKeepTheSequence — the one-array path as a
+// sequence differential (every sort is stable, so a chain has one right
+// answer, not a multiset of them): FS, HS and SS each as a reorder before
+// L ∈ {1, 2, 3}, with and without a budget that spills, over every shape.
+// The row array is driven step by step and held to the reorder's Boundary
+// flags; RunChain's rows are held position by position to the reference
+// chain, and each ends in exactly the L slots the arena gave it.
+func TestStepsBeforeLastReorderKeepTheSequence(t *testing.T) {
+	fs, hs, ss := core.ReorderFS, core.ReorderHS, core.ReorderSS
+	chains := map[string][]core.ReorderKind{
+		"L1 FS": {fs, ss}, "L1 HS": {hs, fs},
+		"L2 FS": {fs, fs, hs}, "L2 HS": {fs, hs, ss}, "L2 SS": {hs, ss, fs},
+		"L3 FS": {hs, ss, fs, ss}, "L3 HS": {fs, ss, hs, fs}, "L3 SS": {fs, ss, ss, hs},
+	}
+	for shapeName, shape := range chainShapes() {
+		for chainName, kinds := range chains {
+			for _, mem := range []int{0, 4 << 10} {
+				t.Run(fmt.Sprintf("%s/%s/M=%d", shapeName, chainName, mem), func(t *testing.T) {
+					table, last := shape.table, len(kinds)-1
+					specs, plan := chainOf(kinds, shape.global)
+					cfg := Config{MemoryBytes: mem, BlockSize: 512, HSBuckets: 3}
+					after, boundaries := referenceSteps(t, table, specs, plan, cfg)
+
+					var comparisons int64
+					rcfg, stats := reorderConfig(cfg, &comparisons, table.Schema.Len()+last)
+					own := newRowArray(table, rcfg.Arena)
+					for i, step := range plan.Steps {
+						if _, err := own.reorder(step, cfg, rcfg, 0); err != nil {
+							t.Fatal(err)
+						}
+						if starts := append([]int{0}, own.starts...); table.Len() > 0 && !slices.Equal(starts, boundaries[i]) {
+							t.Fatalf("step %d: segments start at %v, the reorder flagged %v", i, starts, boundaries[i])
+						}
+						for k, row := range own.rows {
+							for c, v := range row {
+								if !storage.Identical(v, after[i][k][c]) {
+									t.Fatalf("step %d: row %d col %d = %s, reference chain has %s", i, k, c, v, after[i][k][c])
+								}
+							}
+						}
+						if i < last {
+							var err error
+							if own.scratch, err = window.ExtendSlice(own.rows, specs[i], own.scratch); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					if spilled := stats.BlocksWritten() > 0; spilled != (mem > 0 && table.Len() > 1) {
+						t.Fatalf("M = %d over %d rows: spilled = %v", mem, table.Len(), spilled)
+					}
+
+					chain, _, err := RunChain(context.Background(), table, specs, plan, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameTable(t, "RunChain vs the reference chain", chain.Table(), &storage.Table{Schema: chain.Schema, Rows: after[last]})
+					for k, row := range chain.Rows {
+						if len(row) != chain.Width || cap(row) != chain.Width {
+							t.Fatalf("chain row %d: len %d cap %d, want both %d: an Extend copied", k, len(row), cap(row), chain.Width)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestRunChainBytesPerRow pins what an in-memory chain allocates per input
+// row: the arena slab (one slot per column and per in-tuple derived
+// column), the one row array, the one evaluation scratch (step 0 has no
+// PARTITION BY, so it is as long as the table) and a tail vector per step
+// from L on — and nothing per reorder. A four-step chain is run with its
+// last reorder at L = 1, 2 and 3: each reorder moved in front of L trades
+// a 16-byte tail slot for a 16-byte arena slot, so the three cost the
+// same.
+func TestRunChainBytesPerRow(t *testing.T) {
+	const n = 20_000
+	table := datagen.WebSales(datagen.WebSalesConfig{Rows: n, Seed: 20120827, PadBytes: 24})
+	item, global := attrs.MakeSet(paper.Item), attrs.Set(0)
+	rank := func(kind window.Kind, pk attrs.Set, ok attrs.ID) window.Spec {
+		return window.Spec{Kind: kind, Arg: -1, PK: pk, OK: attrs.AscSeq(ok)}
+	}
+	bytesPerRow := func(last int) float64 {
+		// Steps 0 and 1 always reorder; steps 2 and 3 do when L reaches
+		// them, and otherwise ride on the order step 1 left.
+		specs := []window.Spec{rank(window.Rank, global, paper.Time), rank(window.Rank, item, paper.Date),
+			rank(window.DenseRank, item, paper.Date), rank(window.CumeDist, item, paper.Date)}
+		if last >= 2 {
+			specs[2] = rank(window.Rank, item, paper.Bill)
+		}
+		if last >= 3 {
+			specs[3] = rank(window.Rank, item, paper.Ship)
+		}
+		plan := &core.Plan{Scheme: "test"}
+		for i, spec := range specs {
+			step := core.Step{WF: spec.WF(i)}
+			if i <= last {
+				step.Reorder, step.SortKey = core.ReorderFS, spec.PK.AscSeq().Concat(spec.OK)
+			}
+			plan.Steps = append(plan.Steps, step)
+		}
+		run := func() {
+			if _, m, err := RunChain(context.Background(), table, specs, plan, Config{}); err != nil || m.TotalBlocks() != 0 {
+				t.Fatalf("L = %d: err %v, metrics %+v; want an in-memory run", last, err, m)
+			}
+		}
+		run() // the sort kernel's workspace is allocated once per process
+		const reps = 3
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < reps; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / reps / n
+	}
+
+	per := map[int]float64{1: bytesPerRow(1), 2: bytesPerRow(2), 3: bytesPerRow(3)}
+	t.Logf("bytes per row at L = 1, 2, 3: %.1f, %.1f, %.1f", per[1], per[2], per[3])
+	// Per row at L = 2: 16 B × (columns + 2) of slab, 24 B of array header,
+	// 16 B of scratch, 2 × 16 B of tail.
+	exact := float64(16*(table.Schema.Len()+2) + 24 + 16 + 2*16)
+	if bound := exact * 1.1; per[2] > bound { // the race detector's allocator adds 6 %
+		t.Errorf("three reorders allocate %.1f B/row, want at most %.1f (slab, array, scratch and tail are %.0f)", per[2], bound, exact)
+	}
+	if grew := per[3] - per[1]; grew > 4 {
+		t.Errorf("moving two reorders in front of L adds %.1f B/row: something is allocated per step", grew)
 	}
 }

@@ -218,23 +218,22 @@ func lastReorder(plan *core.Plan) int {
 }
 
 // RunChain executes plan over table like RunContext and returns the result
-// unmaterialized. Steps before L = lastReorder(plan) stream — reorder,
-// evaluate, collect — over copies of the rows in the chain's arena with
-// exactly L spare slots, extended in place; step L's reorder is drained into the
-// final row order, and it and every later step evaluate slice-level over
-// that order into the Chain's tail vectors. With L = 0 (one leading
-// reorder, or none — every shared-subplan suffix) there is no copy at
-// all: the reorder permutes headers of the table's own tuples, which are
-// never extended, so any number of statements may run over one table or
-// one SharedSegment at once.
+// unmaterialized. A chain with L = lastReorder(plan) > 0 owns one row array
+// for its whole life (rowArray): copies of the rows in the chain's arena
+// with exactly L spare slots. Every step up to L drains its reorder back
+// into that array, and the steps before L evaluate over it and extend each
+// row in place; from L on the order is final, and step L and every later
+// step evaluate into the Chain's tail vectors. With L = 0 (one leading
+// reorder, or none — every shared-subplan suffix) there is no copy at all:
+// the reorder permutes headers of the table's own tuples, which are never
+// extended, so any number of statements may run over one table or one
+// SharedSegment at once.
 //
 // A spec reads the columns that are in the tuples when it runs: the input
 // schema plus the derived columns of steps before min(i, L).
 //
-// Each step drains its (lazily reordering) stream fully before the next
-// step begins, so per-step metrics are exact; within a streaming step the
-// reorder and the window invocation are pipelined exactly as in the
-// paper's executor.
+// Each step drains its (lazily reordering) stream fully before it
+// evaluates, so per-step metrics are exact.
 func RunChain(ctx context.Context, table *storage.Table, specs []window.Spec, plan *core.Plan, cfg Config) (*Chain, *Metrics, error) {
 	var comparisons int64
 	metrics := &Metrics{Steps: make([]StepMetrics, 0, len(plan.Steps))}
@@ -247,9 +246,10 @@ func RunChain(ctx context.Context, table *storage.Table, specs []window.Spec, pl
 	chain := &Chain{Schema: table.Schema, Rows: table.Rows, Width: table.Schema.Len() + last}
 	rcfg, stats := reorderConfig(cfg, &comparisons, chain.Width)
 	inTuple := table.Schema // the columns a spec can read
-	var carried []stream.Row
+	var own rowArray
 	if last > 0 {
-		carried = arenaRows(table, rcfg.Arena)
+		own = newRowArray(table, rcfg.Arena)
+		chain.Rows = own.rows
 	}
 
 	for i, step := range plan.Steps {
@@ -267,35 +267,28 @@ func RunChain(ctx context.Context, table *storage.Table, specs []window.Spec, pl
 		r0, w0, c0 := stats.BlocksRead(), stats.BlocksWritten(), comparisons
 
 		var detail func() string
-		if i <= last {
-			var in stream.Stream
+		if step.Reorder != core.ReorderNone {
+			var err error
 			if last == 0 {
-				in = stream.FromTuples(table.Rows)
+				chain.Rows, detail, err = reorderShared(table.Rows, step, cfg, rcfg, tableBlocks)
 			} else {
-				in = stream.FromRows(carried)
+				detail, err = own.reorder(step, cfg, rcfg, tableBlocks)
+				chain.Rows = own.rows
 			}
-			out, d, err := applyReorder(in, step, cfg, rcfg, tableBlocks)
 			if err != nil {
 				return nil, nil, fmt.Errorf("exec: wf%d %s reorder: %w", step.WF.ID, step.Reorder, err)
 			}
-			detail = d
-			if i < last {
-				if err := evaluateInPlace(out, spec, in, carried); err != nil {
-					out.Close() // a reorder cut short gives up its spill files
-					return nil, nil, fmt.Errorf("exec: wf%d %w", step.WF.ID, err)
-				}
-				inTuple = inTuple.WithColumn(spec.OutputColumn())
-			} else {
-				if chain.Rows, err = finalOrder(out, n); err != nil {
-					return nil, nil, fmt.Errorf("exec: wf%d drain: %w", step.WF.ID, err)
-				}
-				if len(chain.Rows) != n {
-					return nil, nil, fmt.Errorf("exec: wf%d %s reorder emitted %d of %d rows", step.WF.ID, step.Reorder, len(chain.Rows), n)
-				}
-				carried = nil
+			if len(chain.Rows) != n {
+				return nil, nil, fmt.Errorf("exec: wf%d %s reorder emitted %d of %d rows", step.WF.ID, step.Reorder, len(chain.Rows), n)
 			}
 		}
-		if i >= last {
+		if i < last {
+			var err error
+			if own.scratch, err = window.ExtendSlice(own.rows, spec, own.scratch); err != nil {
+				return nil, nil, fmt.Errorf("exec: wf%d evaluate: %w", step.WF.ID, err)
+			}
+			inTuple = inTuple.WithColumn(spec.OutputColumn())
+		} else {
 			col, err := window.EvaluateSlice(chain.Rows, spec)
 			if err != nil {
 				return nil, nil, fmt.Errorf("exec: wf%d evaluate: %w", step.WF.ID, err)
@@ -404,11 +397,22 @@ func applyReorder(in stream.Stream, step core.Step, cfg Config, rcfg reorder.Con
 	return out, detail, err
 }
 
-// finalOrder drains out, a chain's last reorder over n rows, into the row
-// order nothing permutes again. A Full Sort's output — and an input no
-// reorder touched — is a tuple slice already and is taken as it stands
-// rather than copied: the result may be the sort's own buffer or the input
-// table's Rows, which is why a Chain is read-only.
+// reorderShared puts step's reordering operator over rows that are not the
+// caller's to write — a table's, a SharedSegment's — and drains it into an
+// order of its own: the reorder permutes headers of the input's own tuples
+// (or of rows it read back from a spill).
+func reorderShared(rows []storage.Tuple, step core.Step, cfg Config, rcfg reorder.Config, tableBlocks int64) ([]storage.Tuple, func() string, error) {
+	out, detail, err := applyReorder(stream.FromTuples(rows), step, cfg, rcfg, tableBlocks)
+	if err != nil {
+		return nil, nil, err
+	}
+	ordered, err := finalOrder(out, len(rows))
+	return ordered, detail, err
+}
+
+// finalOrder drains out, a reorder over n rows, into a slice of its own. A
+// Full Sort's output is a tuple slice already and is taken as it stands
+// rather than copied.
 func finalOrder(out stream.Stream, n int) ([]storage.Tuple, error) {
 	if rows, ok := stream.BackingTuples(out); ok {
 		return rows, nil
@@ -416,49 +420,19 @@ func finalOrder(out stream.Stream, n int) ([]storage.Tuple, error) {
 	return stream.CollectTuplesN(out, n)
 }
 
-// evaluateInPlace evaluates spec over reordered — a reorder reading in,
-// which streams rows — and drains the result back into rows.
-func evaluateInPlace(reordered stream.Stream, spec window.Spec, in stream.Stream, rows []stream.Row) error {
-	evaluated, err := window.Evaluate(reordered, spec)
-	if err != nil {
-		return fmt.Errorf("evaluate: %w", err)
-	}
-	if err := collectInPlace(evaluated, in, rows); err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
-	return nil
+// rowArray is the one row array of a chain with a reorder after its first
+// step: every reorder reads it and is drained back into it, and every
+// evaluation before the last reorder extends its rows where they lie.
+type rowArray struct {
+	rows []storage.Tuple
+	// starts lists the indices in rows at which a segment begins; spare is
+	// the list the next drain fills — two, because the reorder being drained
+	// is still reading starts.
+	starts, spare []int
+	scratch       []storage.Value // window.ExtendSlice's, kept between steps
 }
 
-// collectInPlace drains out — a pipeline reading in, which streams rows —
-// back into rows. A reorder and an evaluation each hold what they have
-// read and not yet emitted in buffers of their own, and a 1:1 pipeline
-// cannot emit a row before reading it, so slot k is always behind the
-// read position when output row k lands in it; both halves are checked,
-// not assumed.
-func collectInPlace(out, in stream.Stream, rows []stream.Row) error {
-	unread := in.(stream.Sized)
-	k := 0
-	for {
-		r, ok := out.Next()
-		if !ok {
-			break
-		}
-		if k >= len(rows)-unread.Remaining() {
-			return fmt.Errorf("output row %d emitted before input row %d was read", k, k)
-		}
-		rows[k] = r
-		k++
-	}
-	if err := out.Close(); err != nil {
-		return err
-	}
-	if k != len(rows) {
-		return fmt.Errorf("%d rows out for %d rows in", k, len(rows))
-	}
-	return nil
-}
-
-// arenaRows copies the input tuples into the chain's arena, as its first
+// newRowArray copies the input tuples into the chain's arena, as its first
 // slab and in one allocation: each row comes out with the chain's width as
 // capacity, spare slots for the derived columns that must stay in the
 // tuple (those of the steps before the chain's last reorder), so window
@@ -467,17 +441,55 @@ func collectInPlace(out, in stream.Stream, rows []stream.Row) error {
 // the appends — and the three-index slices pin each row's capacity to its
 // own arena region, so a row cannot grow into its neighbour. In-place
 // extension is safe because the chain never duplicates a row reference:
-// reorders permute, and evaluation emits exactly one output row per input
-// row, so each arena row is extended at most once per step. A reorder that
-// spills drops the rows it wrote out and reads them back into the same
-// arena (reorder.Config.Arena) — over this slab, once the whole input is on
-// disk — so the discipline holds across FS runs, HS buckets and SS units
-// too. Strings are not copied: the table's outlive the chain.
-func arenaRows(table *storage.Table, arena *storage.TupleArena) []stream.Row {
-	rows := make([]stream.Row, len(table.Rows))
-	arena.Reserve(len(table.Rows))
+// reorders permute, and each step extends each row of the array once. A
+// reorder that spills drops the rows it wrote out and reads them back into
+// the same arena (reorder.Config.Arena) — over this slab, once the whole
+// input is on disk — so the discipline holds across FS runs, HS buckets and
+// SS units too. Strings are not copied: the table's outlive the chain.
+func newRowArray(table *storage.Table, arena *storage.TupleArena) rowArray {
+	rows := make([]storage.Tuple, len(table.Rows))
+	arena.Reserve(len(rows))
 	for i, t := range table.Rows {
-		rows[i] = stream.Row{Tuple: arena.Copy(t), Boundary: i == 0}
+		rows[i] = arena.Copy(t)
 	}
-	return rows
+	return rowArray{rows: rows}
+}
+
+// reorder puts step's reordering operator over the array and drains it back
+// into the array. A reorder that hands back a tuple slice (Full Sort: the
+// array itself, sorted where it lay, or the slice its merge filled) has
+// that slice become the array. Any other holds what it has read and not yet
+// emitted in buffers of its own, and a 1:1 operator cannot emit a row
+// before reading it, so slot k is always behind the read position when
+// output row k lands in it; both halves are checked, not assumed.
+func (a *rowArray) reorder(step core.Step, cfg Config, rcfg reorder.Config, tableBlocks int64) (detail func() string, err error) {
+	in := stream.FromArray(a.rows, a.starts)
+	out, detail, err := applyReorder(in, step, cfg, rcfg, tableBlocks)
+	if err != nil {
+		return nil, err
+	}
+	starts := a.spare[:0]
+	if sorted, ok := stream.BackingTuples(out); ok {
+		a.rows = sorted
+	} else {
+		unread := in.(stream.Sized)
+		k := 0
+		for r, ok := out.Next(); ok; r, ok = out.Next() {
+			if k >= len(a.rows)-unread.Remaining() {
+				out.Close() // a reorder cut short gives up its spill files
+				return nil, fmt.Errorf("output row %d emitted before input row %d was read", k, k)
+			}
+			if r.Boundary && k > 0 {
+				starts = append(starts, k)
+			}
+			a.rows[k] = r.Tuple
+			k++
+		}
+		if err := out.Close(); err != nil {
+			return nil, err
+		}
+		a.rows = a.rows[:k]
+	}
+	a.starts, a.spare = starts, a.starts
+	return detail, nil
 }

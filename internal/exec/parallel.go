@@ -58,17 +58,13 @@ func ParallelEvaluate(table *storage.Table, spec window.Spec, degree int, cfg Co
 				errs[p] = err
 				return
 			}
-			evaluated, err := window.Evaluate(sorted, spec)
-			if err != nil {
-				errs[p] = err
-				return
+			// tuples is the sort's own buffer. A row that is still the
+			// table's has no spare slot, so extending it makes a copy.
+			tuples, err := finalOrder(sorted, len(parts[p]))
+			if err == nil {
+				_, err = window.ExtendSlice(tuples, spec, nil)
 			}
-			tuples, err := stream.CollectTuples(evaluated)
-			if err != nil {
-				errs[p] = err
-				return
-			}
-			results[p] = tuples
+			results[p], errs[p] = tuples, err
 		}(p)
 	}
 	wg.Wait()

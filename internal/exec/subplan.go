@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/storage"
-	"repro/internal/stream"
 )
 
 // ReorderTable applies one reorder step to table without evaluating any
@@ -32,17 +31,13 @@ func ReorderTable(ctx context.Context, table *storage.Table, step core.Step, cfg
 	rcfg, stats := reorderConfig(cfg, &comparisons, table.Schema.Len())
 	tableBlocks := int64(table.ByteSize()) / int64(cfg.blockSize())
 
-	// No copy: the reorder permutes headers of the input's own tuples (or
-	// of rows it read back from a spill), and nothing downstream extends a
-	// segment's rows.
-	out, detail, err := applyReorder(stream.FromTuples(table.Rows), step, cfg, rcfg, tableBlocks)
+	// No copy, and nothing downstream extends a segment's rows.
+	ordered, detail, err := reorderShared(table.Rows, step, cfg, rcfg, tableBlocks)
 	if err != nil {
 		return nil, nil, fmt.Errorf("exec: shared %s reorder: %w", step.Reorder, err)
 	}
 	result := storage.NewTable(table.Schema)
-	if result.Rows, err = finalOrder(out, table.Len()); err != nil {
-		return nil, nil, fmt.Errorf("exec: shared scan drain: %w", err)
-	}
+	result.Rows = ordered
 	metrics := &Metrics{
 		BlocksRead:    stats.BlocksRead(),
 		BlocksWritten: stats.BlocksWritten(),

@@ -82,12 +82,21 @@ type FSStats struct {
 }
 
 // FullSort reorders the input into a single segment totally ordered on key.
-// An input that knows its length (stream.Sized) gets its sort buffer
-// allocated once.
+// A chain's own row array (stream.FromArray) is sorted where it lies — the
+// same prefix-that-fits rule, the same arena rewind and so the same runs as
+// the buffering sort, without the buffer; any other input is read into one,
+// allocated once when the input knows its length (stream.Sized).
 func FullSort(in stream.Stream, key attrs.Seq, cfg Config) (stream.Stream, FSStats, error) {
-	var st FSStats
-	sorted, sstats, err := cfg.sorter(key).Sort(streamInput(in), stream.Remaining(in))
-	st.Sort = sstats
+	var (
+		st     FSStats
+		sorted []storage.Tuple
+		err    error
+	)
+	if rows, ok := stream.ArrayTuples(in); ok {
+		sorted, st.Sort, err = cfg.sorter(key).SortLoaded(rows, storage.ArenaMark{})
+	} else {
+		sorted, st.Sort, err = cfg.sorter(key).Sort(streamInput(in), stream.Remaining(in))
+	}
 	if err != nil {
 		in.Close()
 		return nil, st, err

@@ -3,6 +3,7 @@ package reorder
 import (
 	"math/rand"
 	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/attrs"
@@ -104,6 +105,49 @@ func TestFullSortBasic(t *testing.T) {
 	tagMultisetEqual(t, segs[0], rows, 2)
 	if fsStats.Sort.InMemory || stats.TotalBlocks() == 0 {
 		t.Errorf("expected external sort under small budget")
+	}
+}
+
+// TestFullSortInPlace — a Full Sort over a chain's own array is the sort it
+// is over any other input, minus the buffer: at a budget that spills and at
+// one that does not, it counts the same runs, passes, comparisons and
+// blocks and emits the same sequence as the sort that buffers a read-only
+// stream. In memory its output is the array itself; the read-only input is
+// never written.
+func TestFullSortInPlace(t *testing.T) {
+	rows := randTable(rand.New(rand.NewSource(4)), 2000, 7, 11)
+	key := attrs.AscSeq(0, 1)
+	for _, mem := range []int{0, 2048} {
+		sortOver := func(in stream.Stream) ([]storage.Tuple, FSStats, int64) {
+			cfg, stats := testConfig(mem)
+			cfg.Comparisons = new(int64)
+			out, st, err := FullSort(in, key, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sorted, _ := stream.BackingTuples(out)
+			return sorted, st, stats.TotalBlocks()
+		}
+		readOnly := slices.Clone(rows)
+		want, wantStats, wantBlocks := sortOver(stream.FromTuples(readOnly))
+		array := slices.Clone(rows)
+		got, gotStats, gotBlocks := sortOver(stream.FromArray(array, nil))
+		if gotStats != wantStats || gotBlocks != wantBlocks || gotStats.Sort.InMemory != (mem == 0) {
+			t.Fatalf("M = %d: in place %+v and %d blocks, buffered %+v and %d blocks", mem, gotStats, gotBlocks, wantStats, wantBlocks)
+		}
+		for i := range want {
+			if len(got) != len(want) || got[i][2].Int64() != want[i][2].Int64() {
+				t.Fatalf("M = %d: the sequences differ at row %d of %d and %d", mem, i, len(got), len(want))
+			}
+		}
+		if mem == 0 && &got[0] != &array[0] {
+			t.Fatal("the in-memory sort of the array is not the array")
+		}
+		for i, row := range readOnly {
+			if &row[0] != &rows[i][0] {
+				t.Fatalf("M = %d: the read-only input was permuted at row %d", mem, i)
+			}
+		}
 	}
 }
 

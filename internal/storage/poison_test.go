@@ -237,6 +237,35 @@ func TestRewoundMemoryIsNeverRead(t *testing.T) {
 		}
 	})
 
+	t.Run("each reorder before the last", func(t *testing.T) {
+		// The chain's one row array under every way of refilling it: a Full
+		// Sort that sorts it where it lies and merges over its arena, and
+		// a Hashed and a Segmented Sort drained back into the slots they
+		// have read — with one item holding three rows in five, so a bucket
+		// and a unit of most of the table.
+		hot := datagen.WebSales(datagen.WebSalesConfig{Rows: 3000, Seed: 9, ItemDistinct: 4, WarehouseDistinct: 5, PadBytes: 24})
+		for i, row := range hot.Rows {
+			if i%5 < 3 {
+				row = row.Clone()
+				row[paper.Item] = storage.Int(1)
+				hot.Rows[i] = row
+			}
+		}
+		for name, steps := range map[string][]core.Step{
+			"FS FS HS":    {fsItemDate, fsItemTime, hsWarehouse},
+			"HS SS FS":    {hsItem, ssItemBill, fsItemDate},
+			"FS SS HS HS": {fsItemDate, ssItemBill, hsItem, hsWarehouse},
+		} {
+			plan := &core.Plan{Scheme: "test", Steps: steps}
+			m := checkPoisoned(t, hot, specs, plan, exec.Config{MemoryBytes: 8 << 10, BlockSize: 1024, HSBuckets: 4})
+			for step, sm := range m.Steps {
+				if sm.BlocksWritten == 0 {
+					t.Fatalf("%s: step %d did not spill", name, step)
+				}
+			}
+		}
+	})
+
 	t.Run("FS with merge passes", func(t *testing.T) {
 		plan := &core.Plan{Scheme: "test", Steps: []core.Step{fsItemDate, fsItemTime}}
 		m := checkPoisoned(t, table, specs, plan, exec.Config{MemoryBytes: 4 << 10, BlockSize: 1024})

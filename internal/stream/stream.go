@@ -93,6 +93,30 @@ func (s *tupleStream) Remaining() int { return len(s.tuples) - s.pos }
 
 func (s *tupleStream) Close() error { return nil }
 
+// arrayStream streams a row array its caller owns.
+type arrayStream struct {
+	tupleStream
+	starts []int
+}
+
+// FromArray streams rows, the row array of one chain, as the segments that
+// begin at starts (ascending indices into rows; the first row begins one
+// whether or not it is listed). Unlike FromTuples the array is handed over:
+// whoever reads the stream may overwrite a slot it has already read, or
+// take the whole array (ArrayTuples) and permute it where it lies.
+func FromArray(rows []storage.Tuple, starts []int) Stream {
+	return &arrayStream{tupleStream: tupleStream{tuples: rows}, starts: starts}
+}
+
+func (s *arrayStream) Next() (Row, bool) {
+	r, ok := s.tupleStream.Next()
+	if ok && len(s.starts) > 0 && s.starts[0] == s.pos-1 {
+		r.Boundary = true
+		s.starts = s.starts[1:]
+	}
+	return r, ok
+}
+
 // FromSegments wraps a list of segments, tagging each segment head.
 func FromSegments(segments [][]storage.Tuple) Stream {
 	var rows []Row
@@ -155,6 +179,17 @@ func BackingTuples(s Stream) (tuples []storage.Tuple, ok bool) {
 	tuples = ts.tuples[ts.pos:]
 	ts.pos = len(ts.tuples)
 	return tuples, true
+}
+
+// ArrayTuples is BackingTuples for a FromArray stream: the unread part of
+// the array, which is the caller's to reorder in place. ok is false, and s
+// untouched, for any other stream.
+func ArrayTuples(s Stream) (tuples []storage.Tuple, ok bool) {
+	as, ok := s.(*arrayStream)
+	if !ok {
+		return nil, false
+	}
+	return BackingTuples(&as.tupleStream)
 }
 
 // Segments drains a stream into per-segment tuple slices.

@@ -82,6 +82,42 @@ func TestCollectCopiesBackingTuplesAliases(t *testing.T) {
 	}
 }
 
+// TestFromArray — an array stream flags the first row and the listed
+// starts, leaves the caller's list alone, counts what is left, and gives
+// its unread rows up for writing to ArrayTuples alone: BackingTuples hands
+// out read-only aliases and must not take a stream as one, and a FromTuples
+// slice is nobody's to sort in place.
+func TestFromArray(t *testing.T) {
+	in, starts := rows(1, 2, 3, 4, 5), []int{2, 3}
+	s := FromArray(in, starts)
+	if n := Remaining(s); n != 5 {
+		t.Fatalf("Remaining = %d before the first row", n)
+	}
+	s.Next()
+	if _, ok := BackingTuples(s); ok || Remaining(s) != 4 {
+		t.Fatal("BackingTuples took an array stream")
+	}
+	rest, ok := ArrayTuples(s)
+	if !ok || len(rest) != 4 || &rest[0] != &in[1] || Remaining(s) != 0 {
+		t.Fatalf("ArrayTuples = %v, %v; want the unread tail of the array", rest, ok)
+	}
+	if _, ok := ArrayTuples(FromTuples(in)); ok {
+		t.Fatal("ArrayTuples took a read-only tuple stream")
+	}
+	collected, err := Collect(FromArray(in, starts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range collected {
+		if want := i == 0 || i == 2 || i == 3; r.Boundary != want {
+			t.Fatalf("row %d: boundary %v, want %v", i, r.Boundary, want)
+		}
+	}
+	if len(collected) != 5 || starts[0] != 2 || starts[1] != 3 {
+		t.Fatalf("%d rows collected, starts now %v", len(collected), starts)
+	}
+}
+
 func TestConcatPreservesSegments(t *testing.T) {
 	a := FromSegments([][]storage.Tuple{rows(1), rows(2)})
 	b := FromTuples(rows(3, 4))

@@ -7,141 +7,87 @@ import (
 	"repro/internal/stream"
 )
 
-// Evaluate computes spec over a stream that matches it (Definition 2) and
-// returns a stream of the same rows extended with the derived column. The
-// evaluation is the second logical step of Section 1: window partitions are
-// detected by WPK value change during a single sequential scan (tuples of
-// one WPK-group are consecutive in a matched stream, and — because segments
-// are disjoint on X ⊆ WPK — a group never spans segments), each partition is
-// buffered, the function is invoked per row, and rows flow on with their
-// original segment boundaries.
+// scan is the one evaluation driver, the second logical step of Section 1:
+// a single sequential pass over rows — already arranged in an order that
+// matches spec (Definition 2) — that detects window partitions by WPK value
+// change (tuples of one WPK-group are consecutive in a matched order, and,
+// because segments are disjoint on X ⊆ WPK, a group never spans segments)
+// and evaluates spec over each with one evaluator, so a scan allocates for
+// its largest partition, not once per partition. With a non-nil col the
+// values of rows[start:end] land in col[start:end] and the rows are only
+// read; with a nil col they pass through scratch — grown to the largest
+// partition and returned — and each row is extended with its own.
 //
-// Evaluate does not verify the match; feeding a non-matching stream yields
-// wrong results exactly as it would in a database executor. The planner
+// scan does not verify the match; rows in a non-matching order yield wrong
+// results exactly as they would in a database executor. The planner
 // guarantees matching (core.Plan.Validate), and tests cross-check against
 // the O(n²) reference evaluator.
-func Evaluate(in stream.Stream, spec Spec) (stream.Stream, error) {
+func scan(rows []storage.Tuple, spec Spec, col, scratch []storage.Value) ([]storage.Value, error) {
 	if spec.Kind.needsArg() && spec.Arg < 0 {
-		return nil, fmt.Errorf("window: %s requires an argument column", spec.Kind)
+		return scratch, fmt.Errorf("window: %s requires an argument column", spec.Kind)
 	}
-	return &evalStream{in: in, ev: evaluator{spec: spec}}, nil
-}
-
-// evalStream buffers one partition at a time.
-type evalStream struct {
-	in stream.Stream
-	ev evaluator
-
-	part       []stream.Row    // current partition with boundaries; reused
-	tuples     []storage.Tuple // part's tuples, for the evaluator; reused
-	derived    []storage.Value // part's derived values; reused
-	pos        int
-	pending    stream.Row
-	hasPending bool
-	primed     bool
-	done       bool
-	err        error
-}
-
-func (e *evalStream) Next() (stream.Row, bool) {
-	for {
-		if e.pos < len(e.part) {
-			r := e.part[e.pos]
-			// Extend, not Append: executor rows are arena-allocated with
-			// spare capacity reserved per chain step, so the derived column
-			// lands in place; tuples without spare capacity still copy.
-			out := stream.Row{Tuple: r.Tuple.Extend(e.derived[e.pos]), Boundary: r.Boundary}
-			e.pos++
-			return out, true
-		}
-		if e.done {
-			return stream.Row{}, false
-		}
-		if err := e.fillPartition(); err != nil {
-			e.err = err
-			return stream.Row{}, false
-		}
-		if len(e.part) == 0 {
-			e.done = true
-			return stream.Row{}, false
-		}
-	}
-}
-
-// fillPartition buffers the next WPK-group and computes the function.
-func (e *evalStream) fillPartition() error {
-	if !e.primed {
-		r, ok := e.in.Next()
-		if !ok {
-			e.part = nil
-			e.done = true
-			return e.in.Close()
-		}
-		e.pending, e.hasPending = r, true
-		e.primed = true
-	}
-	if !e.hasPending {
-		e.part = nil
-		e.done = true
-		return nil
-	}
-	head := e.pending
-	e.hasPending = false
-	// Next emitted every row of the last partition before asking for this
-	// one, so its buffers are free.
-	part := append(e.part[:0], head)
-	for {
-		r, ok := e.in.Next()
-		if !ok {
-			if err := e.in.Close(); err != nil {
-				return err
-			}
-			break
-		}
-		if !storage.EqualOn(head.Tuple, r.Tuple, e.ev.spec.PK) {
-			e.pending, e.hasPending = r, true
-			break
-		}
-		part = append(part, r)
-	}
-	tuples := e.tuples[:0]
-	for _, r := range part {
-		tuples = append(tuples, r.Tuple)
-	}
-	e.tuples = tuples
-	e.derived = sized(e.derived, len(tuples))
-	if err := e.ev.partition(tuples, e.derived); err != nil {
-		return err
-	}
-	e.part = part
-	e.pos = 0
-	return nil
-}
-
-func (e *evalStream) Close() error { return e.err }
-
-// EvaluateSlice is the slice form of Evaluate: it evaluates spec over rows
-// (which must already be arranged in matching order) and returns the
-// derived column as a vector indexed like rows. It never touches the rows
-// — the executor runs it over tuples it shares with other statements —
-// and allocates the vector plus one evaluator's buffers, whatever the
-// number of partitions.
-func EvaluateSlice(rows []storage.Tuple, spec Spec) ([]storage.Value, error) {
-	if spec.Kind.needsArg() && spec.Arg < 0 {
-		return nil, fmt.Errorf("window: %s requires an argument column", spec.Kind)
-	}
-	out := make([]storage.Value, len(rows))
 	ev := evaluator{spec: spec}
-	start := 0
-	for start < len(rows) {
+	for start := 0; start < len(rows); {
 		end := start + 1
 		for end < len(rows) && storage.EqualOn(rows[start], rows[end], spec.PK) {
 			end++
 		}
-		if err := ev.partition(rows[start:end], out[start:end]); err != nil {
-			return nil, err
+		var out []storage.Value
+		if col != nil {
+			out = col[start:end]
+		} else {
+			scratch = sized(scratch, end-start)
+			out = scratch
+		}
+		if err := ev.partition(rows[start:end], out); err != nil {
+			return scratch, err
+		}
+		if col == nil {
+			for i, v := range out {
+				rows[start+i] = rows[start+i].Extend(v)
+			}
 		}
 		start = end
 	}
-	return out, nil
+	return scratch, nil
+}
+
+// EvaluateSlice evaluates spec over rows and returns the derived column as
+// a vector indexed like rows. It never touches the rows — the executor runs
+// it over tuples it shares with other statements.
+func EvaluateSlice(rows []storage.Tuple, spec Spec) ([]storage.Value, error) {
+	col := make([]storage.Value, len(rows))
+	if _, err := scan(rows, spec, col, nil); err != nil {
+		return nil, err
+	}
+	return col, nil
+}
+
+// ExtendSlice evaluates spec over rows and appends each row's derived value
+// to the row itself (Tuple.Extend: in place when the row has a spare slot,
+// which the caller must then own; a copy otherwise). It returns scratch,
+// grown, for the next call, so a chain of in-place steps allocates it once.
+func ExtendSlice(rows []storage.Tuple, spec Spec, scratch []storage.Value) ([]storage.Value, error) {
+	return scan(rows, spec, nil, scratch)
+}
+
+// Evaluate is the stream form: it collects in, evaluates spec with
+// ExtendSlice and returns the same rows, each extended with the derived
+// column, under their original segment boundaries.
+func Evaluate(in stream.Stream, spec Spec) (stream.Stream, error) {
+	rows, err := stream.Collect(in)
+	if err != nil {
+		return nil, err
+	}
+	tuples := make([]storage.Tuple, len(rows))
+	for i, r := range rows {
+		tuples[i] = r.Tuple
+	}
+	if _, err := ExtendSlice(tuples, spec, nil); err != nil {
+		return nil, err
+	}
+	for i, t := range tuples {
+		rows[i].Tuple = t
+	}
+	return stream.FromRows(rows), nil
 }

@@ -9,14 +9,13 @@ import (
 )
 
 // evaluator computes one window function partition by partition. It owns
-// every buffer a partition needs — peer-group starts, frame bounds, prefix
+// every buffer a partition needs — frame bounds, peer groups, prefix
 // sums, the min/max deque — and reuses them from one partition to the
 // next, so evaluating a relation allocates for its largest partition, not
 // once per partition. Not safe for concurrent use.
 type evaluator struct {
 	spec Spec
 
-	starts       []int // peer-group start indices
 	lo, hi       []int // frame [lo, hi) per row
 	peerS, peerE []int // peer group [start, end) per row
 	sumF         []float64
@@ -28,6 +27,13 @@ type evaluator struct {
 // contents are unspecified: callers write every element they read.
 func sized[T any](buf []T, n int) []T {
 	return slices.Grow(buf[:0], n)[:n]
+}
+
+// clampOffset converts a row offset within a partition of n rows to an int
+// that can be added to a row index without wrapping: every offset of n or
+// more reaches past the partition from any row of it, as n itself does.
+func clampOffset(off int64, n int) int {
+	return int(min(max(off, -int64(n)), int64(n)))
 }
 
 // partition evaluates the spec over one window partition (rows already
@@ -44,13 +50,12 @@ func (e *evaluator) partition(rows []storage.Tuple, out []storage.Value) error {
 		return nil
 
 	case Rank, DenseRank, PercentRank, CumeDist:
-		starts := e.peerStarts(rows)
+		// Peer groups (rows equal on WOK) are walked as [lo, hi).
 		dense := 0
-		for g := 0; g < len(starts); g++ {
-			lo := starts[g]
-			hi := n
-			if g+1 < len(starts) {
-				hi = starts[g+1]
+		for lo, hi := 0, 0; lo < n; lo = hi {
+			hi = lo + 1
+			for hi < n && storage.CompareSeq(rows[hi-1], rows[hi], spec.OK) == 0 {
+				hi++
 			}
 			dense++
 			for i := lo; i < hi; i++ {
@@ -98,14 +103,14 @@ func (e *evaluator) partition(rows []storage.Tuple, out []storage.Value) error {
 	case Lead, Lag:
 		// N is the explicit offset; the SQL layer supplies the default of 1
 		// when the argument is omitted. N = 0 legitimately means "this row".
-		off := spec.N
+		// An offset past the partition's length reaches no row, however far
+		// past: clamped, i ± off cannot wrap.
+		off := clampOffset(spec.N, n)
+		if spec.Kind == Lag {
+			off = -off
+		}
 		for i := range rows {
-			j := i
-			if spec.Kind == Lead {
-				j = i + int(off)
-			} else {
-				j = i - int(off)
-			}
+			j := i + off
 			if j >= 0 && j < n {
 				out[i] = rows[j][spec.Arg]
 			} else {
@@ -139,7 +144,7 @@ func (e *evaluator) partition(rows []storage.Tuple, out []storage.Value) error {
 		}
 	case NthValue:
 		for i := range rows {
-			idx := lo[i] + int(spec.N) - 1
+			idx := lo[i] + clampOffset(spec.N-1, n)
 			if idx >= lo[i] && idx < hi[i] {
 				out[i] = rows[idx][spec.Arg]
 			} else {
@@ -193,18 +198,6 @@ func (e *evaluator) partition(rows []storage.Tuple, out []storage.Value) error {
 	return nil
 }
 
-// peerStarts returns the start index of each peer group (rows equal on WOK).
-func (e *evaluator) peerStarts(rows []storage.Tuple) []int {
-	starts := e.starts[:0]
-	for i := range rows {
-		if i == 0 || storage.CompareSeq(rows[i-1], rows[i], e.spec.OK) != 0 {
-			starts = append(starts, i)
-		}
-	}
-	e.starts = starts
-	return starts
-}
-
 // peerBounds maps each row to its peer group's [start, end) in e.peerS and
 // e.peerE.
 func (e *evaluator) peerBounds(rows []storage.Tuple) {
@@ -251,7 +244,7 @@ func (e *evaluator) frameBounds(rows []storage.Tuple) error {
 			return i + 1, nil
 		case Preceding, Following:
 			if f.Mode == Rows {
-				d := int(b.Offset)
+				d := clampOffset(b.Offset, n)
 				if b.Type == Preceding {
 					d = -d
 				}

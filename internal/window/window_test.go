@@ -1,6 +1,7 @@
 package window
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -310,6 +311,63 @@ func TestPaperExample1(t *testing.T) {
 		}
 		if global[i].Int64() != wantGlobal[emp] {
 			t.Errorf("emp %d globalrank = %s, want %d", emp, global[i], wantGlobal[emp])
+		}
+	}
+}
+
+// TestOffsetsPastThePartition — an offset larger than any partition,
+// math.MaxInt64 included, reaches past the partition's end or start like
+// any other too-large offset; it must not wrap the row index. Reference
+// shares frameBounds with the evaluator, so the expectations are written
+// out by hand: one partition of 50 rows, value = position.
+func TestOffsetsPastThePartition(t *testing.T) {
+	const n = 50
+	rows := make([]storage.Tuple, n)
+	for i := range rows {
+		rows[i] = storage.Tuple{storage.Int(0), storage.Int(int64(i)), storage.Int(int64(i)), storage.Int(int64(i))}
+	}
+	frame := func(start, end Bound) *Frame { return &Frame{Mode: Rows, Start: start, End: end} }
+	current := Bound{Type: CurrentRow}
+	for _, huge := range []int64{n, 1000, math.MaxInt64 - 1, math.MaxInt64} {
+		following, preceding := Bound{Type: Following, Offset: huge}, Bound{Type: Preceding, Offset: huge}
+		missing := storage.Int(-1)
+		for _, tc := range []struct {
+			name string
+			spec Spec
+			want func(i int) storage.Value
+		}{
+			{"count to huge following", Spec{Kind: Count, Arg: -1, Frame: frame(current, following)},
+				func(i int) storage.Value { return storage.Int(int64(n - i)) }},
+			{"count from huge preceding", Spec{Kind: Count, Arg: -1, Frame: frame(preceding, current)},
+				func(i int) storage.Value { return storage.Int(int64(i + 1)) }},
+			{"count between huge bounds", Spec{Kind: Count, Arg: -1, Frame: frame(preceding, following)},
+				func(int) storage.Value { return storage.Int(n) }},
+			{"sum from huge following", Spec{Kind: Sum, Arg: 2, Frame: frame(following, Bound{Type: UnboundedFollowing})},
+				func(int) storage.Value { return storage.Null }},
+			{"last_value to huge following", Spec{Kind: LastValue, Arg: 2, Frame: frame(current, following)},
+				func(int) storage.Value { return storage.Int(n - 1) }},
+			{"lead", Spec{Kind: Lead, Arg: 2, N: huge, Default: missing},
+				func(int) storage.Value { return missing }},
+			{"lag", Spec{Kind: Lag, Arg: 2, N: huge, Default: missing},
+				func(int) storage.Value { return missing }},
+			{"nth_value", Spec{Kind: NthValue, Arg: 2, N: huge, Frame: frame(Bound{Type: UnboundedPreceding}, Bound{Type: UnboundedFollowing})},
+				func(int) storage.Value {
+					if huge == n {
+						return storage.Int(n - 1)
+					}
+					return storage.Null
+				}},
+		} {
+			tc.spec.PK, tc.spec.OK = attrs.MakeSet(0), attrs.AscSeq(1)
+			got, err := EvaluateSlice(rows, tc.spec)
+			if err != nil {
+				t.Fatalf("%s, offset %d: %v", tc.name, huge, err)
+			}
+			for i, v := range got {
+				if want := tc.want(i); !storage.Identical(v, want) {
+					t.Fatalf("%s, offset %d: row %d = %s, want %s", tc.name, huge, i, v, want)
+				}
+			}
 		}
 	}
 }

@@ -1,7 +1,7 @@
 # Local targets mirroring .github/workflows/ci.yml.
 GO ?= go
 
-.PHONY: build test race bench fmt fmt-check vet loc benchmark-check benchmark-smoke serve bench-service bench-json bench-baseline load-smoke cluster-smoke ci
+.PHONY: build test race bench fmt fmt-check vet loc benchmark-check benchmark-smoke serve load-smoke cluster-smoke ci
 
 build:
 	$(GO) build ./...
@@ -67,32 +67,9 @@ ADDR ?= $(if $(PORT),:$(PORT),:8080)
 serve:
 	$(GO) run ./cmd/windserve -addr $(ADDR)
 
-# One short pass of the closed-loop serving load harness.
-bench-service:
-	$(GO) run ./cmd/windbench -exp service -servdur 500ms -servrows 4000
-
-# The perf-trajectory artifact CI uploads: parallel + sharded + shuffle +
-# service (closed and open loop) + share + append sweeps serialized as
-# JSON (see bench.Trajectory). Sharded and shuffle points carry the
-# slowest repetition's rendered trace tree.
-bench-json:
-	$(GO) run ./cmd/windbench -exp parallel,sharded,shuffle,service,share,append -servdur 200ms -servrows 4000 -arrival 25 -slo 2s -json BENCH_trajectory.json
-
-# The committed bench-regression baseline: regenerate the gated scenario
-# trajectories in place, then verify the fresh numbers pass their own
-# gate. The flags must match the CI gate invocation exactly (Compare
-# refuses mismatched workloads). Run on a quiet machine, eyeball the
-# diff, and commit BENCH_baseline.json together with the change that
-# moved the numbers (see README "Bench baseline").
-BASELINE_EXPS := shuffle,append,service,share
-BASELINE_FLAGS := -servdur 2s -servrows 4000 -arrival 25 -slo 2s
-bench-baseline:
-	$(GO) run ./cmd/windbench -exp $(BASELINE_EXPS) $(BASELINE_FLAGS) -json BENCH_baseline.json
-	$(GO) run ./cmd/windbench -exp $(BASELINE_EXPS) $(BASELINE_FLAGS) -compare BENCH_baseline.json -tolerance 0.25
-
 # Boot windserve on a scratch port, wait for /healthz, fire a handful of
 # /query round trips and check /stats counted them. A serving smoke, not a
-# measurement — `make bench-service` runs the real harness.
+# measurement — `make benchmark-smoke` runs the served workload.
 load-smoke: SMOKE_ADDR = 127.0.0.1:18091
 load-smoke:
 	@set -e; \

@@ -1,208 +1,131 @@
 // Command windbench regenerates the paper's evaluation (Section 6) on this
 // repository's substrate: Figures 3–8, the plan Tables 4/6/8/10, the
-// optimizer-overhead Table 11, and the design-choice ablations.
+// optimizer-overhead Table 11, the design-choice ablations, and the two
+// Section 3.5 sweeps (in-process parallel degrees, in-process shards).
+// What it prints is for reading; the shapes it shows are asserted in
+// internal/bench's tests, and performance claims are made on benchmark/.
 //
 // Usage:
 //
-//	windbench -exp all                 # everything (default)
+//	windbench -exp all                 # every experiment, in table order (default)
 //	windbench -exp fig3 -rows 300000   # FS vs HS micro-benchmark, bigger table
-//	windbench -exp fig5                # Q6 scheme comparison
-//	windbench -exp plans               # Tables 4, 6, 8, 10
+//	windbench -exp plans,fig5          # several, comma-separated
 //	windbench -exp table11 -queries 5  # optimizer overheads
-//	windbench -exp ablation
-//	windbench -exp parallel            # parallel multi-window speedup sweep
-//	windbench -exp sharded             # scatter-gather cluster scaleout sweep
-//	windbench -exp shuffle             # key-divergent per-segment shuffle sweep
-//	windbench -exp service -servdur 2s # query-service closed-loop load
-//	windbench -exp service -arrival 25 -slo 2s  # + open-loop fixed-rate point with SLO attainment
-//	windbench -exp share               # correlated-dashboard sharing A/B (subplan cache on vs off)
-//	windbench -exp append              # append ingestion + incremental maintenance vs full recompute
-//
-// With -json PATH, the parallel, sharded, shuffle and service results
-// (whichever of them ran) are additionally written as a bench.Trajectory
-// artifact — the perf baseline CI records per change so later work has a
-// recorded trajectory to diff against:
-//
-//	windbench -exp parallel,sharded,shuffle,service -json BENCH_pr5.json
-//
-// With -compare PATH, the run's results are additionally matched against
-// the baseline artifact at PATH: every baseline point must have run and be
-// no slower than the allowed -tolerance (default +25%), or windbench exits
-// non-zero — the CI bench-regression gate:
-//
-//	windbench -exp shuffle -compare BENCH_baseline.json -tolerance 0.25
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/bench"
 )
 
+// run is what an experiment gets: the flags, the output, and the dataset,
+// generated the first time an experiment asks for it.
+type run struct {
+	cfg     bench.Config
+	queries int
+	out     io.Writer
+	d       *bench.Dataset
+}
+
+func (r *run) data() *bench.Dataset {
+	if r.d == nil {
+		start := time.Now()
+		fmt.Fprintf(r.out, "generating web_sales (%d rows) and its sorted/grouped variants...\n", r.cfg.Rows)
+		r.d = bench.Build(r.cfg)
+		fmt.Fprintf(r.out, "done in %v; B(web_sales) = %d blocks of %d bytes\n\n",
+			time.Since(start).Round(time.Millisecond), r.d.Blocks, r.cfg.BlockSize)
+	}
+	return r.d
+}
+
+type experiment struct {
+	name string
+	run  func(*run) error
+}
+
+// experiments is the one list of what windbench runs: -exp is validated
+// against it, -h prints its names, and "all" runs it top to bottom.
+var experiments = []experiment{
+	// FS vs HS on Q1–Q3 across unit reorder memory.
+	{"fig3", func(r *run) error { _, err := r.data().RunFig3(r.out); return err }},
+	// FS vs HS vs SS on sorted and grouped input (Q4, Q5).
+	{"fig4", func(r *run) error { _, err := r.data().RunFig4(r.out); return err }},
+	// Tables 4, 6, 8, 10: the chain each scheme picks for Q6–Q9.
+	{"plans", func(r *run) error { return r.data().PrintPlans(r.out) }},
+	// Q6–Q9 under PSQL, ORCL, BFO and CSO.
+	{"fig5", schemes("Q6")},
+	{"fig6", schemes("Q7")},
+	{"fig7", schemes("Q8")},
+	{"fig8", schemes("Q9")},
+	// Optimizer overhead by function count, -queries random queries a point.
+	{"table11", func(r *run) error { _, err := bench.RunTable11(r.queries, r.out); return err }},
+	{"ablation", func(r *run) error { _, err := r.data().RunAblations(r.out); return err }},
+	// Section 3.5: Q6 at parallel degrees 1, 2, 4, 8, then over 1, 2, 4
+	// in-process shards plus one HTTP round trip.
+	{"parallel", func(r *run) error { _, err := r.data().RunParallel(r.out); return err }},
+	{"sharded", func(r *run) error { _, err := r.data().RunSharded(r.out); return err }},
+}
+
+func schemes(query string) func(*run) error {
+	return func(r *run) error { _, err := r.data().RunSchemes(query, r.out); return err }
+}
+
+func names() []string {
+	out := make([]string, len(experiments))
+	for i, e := range experiments {
+		out[i] = e.name
+	}
+	return out
+}
+
+// choose resolves a comma-separated -exp value to experiments in table
+// order; "all" is the whole table, any other unknown name an error.
+func choose(arg string) ([]experiment, error) {
+	valid, wants := names(), map[string]bool{}
+	for _, name := range strings.Split(arg, ",") {
+		name = strings.ToLower(strings.TrimSpace(name))
+		if name != "all" && !slices.Contains(valid, name) {
+			return nil, fmt.Errorf("unknown experiment %q; valid: all, %s", name, strings.Join(valid, ", "))
+		}
+		wants[name] = true
+	}
+	var chosen []experiment
+	for _, e := range experiments {
+		if wants["all"] || wants[e.name] {
+			chosen = append(chosen, e)
+		}
+	}
+	return chosen, nil
+}
+
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment: fig3|fig4|fig5|fig6|fig7|fig8|plans|table11|ablation|parallel|sharded|shuffle|service|share|append|all")
+		exp       = flag.String("exp", "all", "comma-separated experiments: all|"+strings.Join(names(), "|"))
 		rows      = flag.Int("rows", 120_000, "web_sales rows (paper: 72M at scale factor 100)")
 		seed      = flag.Int64("seed", 0, "generator seed (0 = default)")
 		blockSize = flag.Int("blocksize", 8192, "simulated page size in bytes")
 		queries   = flag.Int("queries", 5, "random queries per point for table11")
-		servDur   = flag.Duration("servdur", 2*time.Second, "service load duration per concurrency degree (also the open-loop arrival window)")
-		servRows  = flag.Int("servrows", 10_000, "web_sales rows for the service load harness")
-		arrival   = flag.Float64("arrival", 0, "open-loop arrival rate in qps: adds a fixed-rate point to -exp service (0 = closed-loop only)")
-		slo       = flag.Duration("slo", 0, "latency SLO for the -arrival point: fails unless 95% of arrivals complete within it")
-		jsonPath  = flag.String("json", "", "write the parallel/sharded/service results as a JSON trajectory artifact to this path")
-		compare   = flag.String("compare", "", "compare this run's results against the baseline trajectory at this path; exits 1 on regression")
-		tolerance = flag.Float64("tolerance", 0.25, "allowed fractional slowdown vs the -compare baseline (0.25 = +25%)")
 	)
 	flag.Parse()
 
-	cfg := bench.Config{Rows: *rows, Seed: *seed, BlockSize: *blockSize}
-	out := os.Stdout
-
-	wants := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		wants[strings.TrimSpace(strings.ToLower(e))] = true
-	}
-	all := wants["all"]
-	want := func(name string) bool { return all || wants[name] }
-
-	needData := all || wants["fig3"] || wants["fig4"] || wants["fig5"] ||
-		wants["fig6"] || wants["fig7"] || wants["fig8"] || wants["plans"] ||
-		wants["ablation"] || wants["parallel"] || wants["sharded"] || wants["shuffle"]
-	var d *bench.Dataset
-	if needData {
-		start := time.Now()
-		fmt.Fprintf(out, "generating web_sales (%d rows) and its sorted/grouped variants...\n", *rows)
-		d = bench.Build(cfg)
-		fmt.Fprintf(out, "done in %v; B(web_sales) = %d blocks of %d bytes\n\n",
-			time.Since(start).Round(time.Millisecond), d.Blocks, *blockSize)
-	}
-
-	fail := func(err error) {
+	chosen, err := choose(*exp)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "windbench: %v\n", err)
-		os.Exit(1)
+		os.Exit(2)
 	}
-
-	if want("plans") {
-		if err := d.PrintPlans(out); err != nil {
-			fail(err)
-		}
-	}
-	if want("fig3") {
-		if _, err := d.RunFig3(out); err != nil {
-			fail(err)
-		}
-		fmt.Fprintln(out)
-	}
-	if want("fig4") {
-		if _, err := d.RunFig4(out); err != nil {
-			fail(err)
-		}
-		fmt.Fprintln(out)
-	}
-	for q, e := range map[string]string{"Q6": "fig5", "Q7": "fig6", "Q8": "fig7", "Q9": "fig8"} {
-		if want(e) {
-			if _, err := d.RunSchemes(q, out); err != nil {
-				fail(err)
-			}
-			fmt.Fprintln(out)
-		}
-	}
-	if want("table11") {
-		if _, err := bench.RunTable11(*queries, out); err != nil {
-			fail(err)
-		}
-		fmt.Fprintln(out)
-	}
-	if want("ablation") {
-		if _, err := d.RunAblations(out); err != nil {
-			fail(err)
-		}
-		fmt.Fprintln(out)
-	}
-	traj := bench.NewTrajectory(cfg)
-	if want("parallel") {
-		res, err := d.RunParallel(out)
-		if err != nil {
-			fail(err)
-		}
-		traj.Parallel = res
-		fmt.Fprintln(out)
-	}
-	if want("sharded") {
-		res, err := d.RunSharded(out)
-		if err != nil {
-			fail(err)
-		}
-		traj.Sharded = res
-		fmt.Fprintln(out)
-	}
-	if want("shuffle") {
-		res, err := d.RunShuffle(out)
-		if err != nil {
-			fail(err)
-		}
-		traj.Shuffle = res
-		fmt.Fprintln(out)
-	}
-	if want("service") {
-		scfg := bench.ServiceConfig{Rows: *servRows, Seed: *seed, Duration: *servDur}
-		res, err := bench.RunService(scfg, out)
-		if err != nil {
-			fail(err)
-		}
-		traj.Service = res
-		fmt.Fprintln(out)
-		if *arrival > 0 {
-			olres, err := bench.RunOpenLoop(bench.OpenLoopConfig{
-				Rows: *servRows, Seed: *seed, Rate: *arrival, Duration: *servDur, SLO: *slo,
-			}, out)
-			if err != nil {
-				fail(err)
-			}
-			traj.OpenLoop = []bench.OpenLoopResult{olres}
-			fmt.Fprintln(out)
-		}
-	}
-	if want("share") {
-		res, err := bench.RunShare(bench.ShareConfig{Seed: *seed}, out)
-		if err != nil {
-			fail(err)
-		}
-		traj.Share = res
-		fmt.Fprintln(out)
-	}
-	if want("append") {
-		res, err := bench.RunAppend(bench.AppendConfig{Rows: *rows, Seed: *seed}, out)
-		if err != nil {
-			fail(err)
-		}
-		traj.Append = res
-	}
-	if *jsonPath != "" {
-		if err := traj.Write(*jsonPath); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(out, "trajectory artifact written to %s\n", *jsonPath)
-	}
-	if *compare != "" {
-		base, err := bench.LoadTrajectory(*compare)
-		if err != nil {
-			fail(err)
-		}
-		pts, missing, err := bench.Compare(base, traj, *tolerance)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Fprintln(out)
-		if n := bench.ReportComparison(out, pts, missing, *tolerance); n > 0 {
-			fmt.Fprintf(os.Stderr, "windbench: %d point(s) regressed beyond +%.0f%% of %s\n", n, *tolerance*100, *compare)
+	r := &run{cfg: bench.Config{Rows: *rows, Seed: *seed, BlockSize: *blockSize}, queries: *queries, out: os.Stdout}
+	for _, e := range chosen {
+		if err := e.run(r); err != nil {
+			fmt.Fprintf(os.Stderr, "windbench: %s: %v\n", e.name, err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(out, "all %d baseline point(s) within tolerance\n", len(pts))
+		fmt.Fprintln(r.out)
 	}
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 )
@@ -212,47 +211,6 @@ func TestParallelScenario(t *testing.T) {
 	}
 }
 
-// TestServiceScenario — the closed-loop serving harness runs at CI scale:
-// every configured degree produces a result, every query in the measured
-// window hits the warmed plan cache, no query fails, and admission never
-// admits more in-flight executions than slots. (Throughput scaling is
-// host-dependent and reported, not asserted.)
-func TestServiceScenario(t *testing.T) {
-	cfg := ServiceConfig{
-		Rows:        4000,
-		Duration:    150 * time.Millisecond,
-		Concurrency: []int{1, 4},
-		Slots:       2,
-	}
-	results, err := RunService(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(cfg.Concurrency) {
-		t.Fatalf("%d results for %d degrees", len(results), len(cfg.Concurrency))
-	}
-	for _, res := range results {
-		if res.Errors > 0 {
-			t.Errorf("concurrency %d: %d failed queries", res.Concurrency, res.Errors)
-		}
-		if res.Queries == 0 {
-			t.Errorf("concurrency %d: no queries completed", res.Concurrency)
-		}
-		if res.HitRate < 0.9 {
-			t.Errorf("concurrency %d: plan-cache hit rate %.2f after warmup, want >= 0.90",
-				res.Concurrency, res.HitRate)
-		}
-		if res.MaxInFlight > int64(cfg.Slots) {
-			t.Errorf("concurrency %d: %d in-flight executions exceed %d slots",
-				res.Concurrency, res.MaxInFlight, cfg.Slots)
-		}
-		if res.P50 <= 0 || res.P50 > res.P95 || res.P95 > res.P99 {
-			t.Errorf("concurrency %d: implausible percentiles p50=%v p95=%v p99=%v",
-				res.Concurrency, res.P50, res.P95, res.P99)
-		}
-	}
-}
-
 // TestShardedScenario — the sharded-cluster scenario runs at CI scale:
 // one result per shard count plus the HTTP round trip, every
 // configuration value-identical (asserted inside RunSharded). Shard-side
@@ -286,86 +244,5 @@ func TestShardedScenario(t *testing.T) {
 	httpRes := results[len(results)-1]
 	if !httpRes.HTTP || httpRes.Shards != 2 || httpRes.Elapsed <= 0 {
 		t.Errorf("http round trip: %+v", httpRes)
-	}
-}
-
-func TestShuffleScenario(t *testing.T) {
-	d := smallDataset(t)
-	results, err := d.RunShuffle(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(shardCounts)+len(httpShardCounts) {
-		t.Fatalf("%d results for %d shard counts + %d http points",
-			len(results), len(shardCounts), len(httpShardCounts))
-	}
-	for i, res := range results[:len(shardCounts)] {
-		if res.Shards != shardCounts[i] || res.HTTP || res.Query != "Q6d" {
-			t.Errorf("result %d: %+v", i, res)
-		}
-		if res.Elapsed <= 0 || res.Scaleout <= 0 {
-			t.Errorf("shards %d: unmeasured run (%v, %.2fx)", res.Shards, res.Elapsed, res.Scaleout)
-		}
-	}
-	for i, n := range httpShardCounts {
-		httpRes := results[len(shardCounts)+i]
-		if !httpRes.HTTP || httpRes.Shards != n || httpRes.Elapsed <= 0 {
-			t.Errorf("http round trip at %d shards: %+v", n, httpRes)
-		}
-	}
-}
-
-// TestShareScenario — the correlated-dashboard A/B runs at CI scale and
-// clears its own built-in bars (shared rate ≥ 50%, block I/O halved): the
-// acceptance criteria are asserted by RunShare itself, so a nil error IS
-// the assertion.
-func TestShareScenario(t *testing.T) {
-	cfg := ShareConfig{
-		Rows:        6000,
-		MemBytes:    1 << 15,
-		Concurrency: 8,
-		PerClient:   4,
-		Slots:       4,
-	}
-	results, err := RunShare(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 || results[0].Sharing || !results[1].Sharing {
-		t.Fatalf("want [off, on] arms, got %+v", results)
-	}
-	off, on := results[0], results[1]
-	if off.SharedRate != 0 {
-		t.Errorf("sharing-off arm reports shared rate %.2f", off.SharedRate)
-	}
-	if on.Queries != off.Queries {
-		t.Errorf("arms ran different fleets: %d vs %d queries", on.Queries, off.Queries)
-	}
-}
-
-// TestOpenLoopScenario — the fixed-rate harness runs at CI scale, issues
-// the scheduled number of arrivals, and attains a generous SLO.
-func TestOpenLoopScenario(t *testing.T) {
-	res, err := RunOpenLoop(OpenLoopConfig{
-		Rows:     2000,
-		Rate:     40,
-		Duration: 500 * time.Millisecond,
-		SLO:      10 * time.Second,
-		Slots:    4,
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Queries < 15 {
-		t.Errorf("only %d of ~20 arrivals completed", res.Queries)
-	}
-	if res.Errors > 0 {
-		t.Errorf("%d arrivals failed", res.Errors)
-	}
-	if res.Attainment < 0.95 {
-		t.Errorf("attainment %.2f under a 10s SLO", res.Attainment)
-	}
-	if res.P50 <= 0 || res.P50 > res.P95 || res.P95 > res.P99 {
-		t.Errorf("implausible percentiles p50=%v p95=%v p99=%v", res.P50, res.P95, res.P99)
 	}
 }

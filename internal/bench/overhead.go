@@ -51,12 +51,12 @@ func randomQuery(rng *rand.Rand, n int) []core.WF {
 // RunTable11 reproduces Table 11: optimization overhead per scheme for
 // 6–10 window functions, averaged over queries queries.
 //
-// Honesty note (also in EXPERIMENTS.md): our BFO is a memoized dynamic
-// program over (evaluated-set, ordering-property) states, strictly stronger
-// than the paper's plain enumeration, so its absolute overheads are far
-// smaller than the paper's (which reached 2.7 hours at 10 functions); the
-// exponential growth relative to CSO's near-linear overhead — the
-// conclusion Table 11 supports — is preserved.
+// Honesty note: our BFO is a memoized dynamic program over (evaluated-set,
+// ordering-property) states, strictly stronger than the paper's plain
+// enumeration, so its absolute overheads are far smaller than the paper's
+// (which reached 2.7 hours at 10 functions); the exponential growth
+// relative to CSO's near-linear overhead — the conclusion Table 11
+// supports — is preserved.
 func RunTable11(queries int, w io.Writer) ([]OverheadResult, error) {
 	if queries <= 0 {
 		queries = 5

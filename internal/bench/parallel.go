@@ -17,11 +17,11 @@ import (
 // ParallelResult is one degree measurement of the parallel multi-window
 // scenario.
 type ParallelResult struct {
-	Query   string        `json:"query"`
-	Degree  int           `json:"degree"`
-	Elapsed time.Duration `json:"elapsed_ns"`
-	Blocks  int64         `json:"blocks"`
-	Speedup float64       `json:"speedup"` // wall-clock vs degree 1
+	Query   string
+	Degree  int
+	Elapsed time.Duration
+	Blocks  int64
+	Speedup float64 // wall-clock vs degree 1
 }
 
 // parallelDegrees are the sweep points of the scenario; parallelReps is the

@@ -12,24 +12,19 @@ import (
 	"repro/internal/service"
 	"repro/internal/shard"
 	"repro/internal/storage"
-	"repro/internal/trace"
 )
 
 // ShardedResult is one shard-count measurement of the sharded-cluster
 // scenario.
 type ShardedResult struct {
-	Query    string        `json:"query"`
-	Shards   int           `json:"shards"`
-	Elapsed  time.Duration `json:"elapsed_ns"`
-	Blocks   int64         `json:"blocks"` // summed shard-side spill I/O
-	Scaleout float64       `json:"scaleout"`
+	Query    string
+	Shards   int
+	Elapsed  time.Duration
+	Blocks   int64 // summed shard-side spill I/O
+	Scaleout float64
 	// HTTP marks the extra HTTP-transport round trip appended after the
 	// in-process sweep.
-	HTTP bool `json:"http,omitempty"`
-	// Trace is the rendered span tree of the slowest repetition. Elapsed
-	// stays the best-of minimum; the tail iteration is the one whose
-	// per-stage breakdown explains where a noisy run went.
-	Trace []string `json:"trace,omitempty"`
+	HTTP bool
 }
 
 // shardedQ6 is the Q6 chain (Table 3) as SQL: both functions share WPK
@@ -92,8 +87,6 @@ func (d *Dataset) RunSharded(w io.Writer) ([]ShardedResult, error) {
 	elapsed := make([]time.Duration, len(shardCounts))
 	tables := make([]*storage.Table, len(shardCounts))
 	blocks := make([]int64, len(shardCounts))
-	slowest := make([]time.Duration, len(shardCounts))
-	traces := make([][]string, len(shardCounts))
 	for rep := 0; rep < shardedReps; rep++ {
 		for i := range shardCounts {
 			runtime.GC()
@@ -109,9 +102,6 @@ func (d *Dataset) RunSharded(w io.Writer) ([]ShardedResult, error) {
 			if rep == 0 || e < elapsed[i] {
 				elapsed[i], tables[i], blocks[i] = e, res.Table, res.BlocksRead+res.BlocksWritten
 			}
-			if rep == 0 || e > slowest[i] {
-				slowest[i], traces[i] = e, trace.Render(res.Trace)
-			}
 		}
 	}
 	want := canonicalRows(tables[0])
@@ -123,7 +113,6 @@ func (d *Dataset) RunSharded(w io.Writer) ([]ShardedResult, error) {
 		res := ShardedResult{
 			Query: "Q6", Shards: n, Elapsed: elapsed[i], Blocks: blocks[i],
 			Scaleout: float64(elapsed[0]) / float64(elapsed[i]),
-			Trace:    traces[i],
 		}
 		out = append(out, res)
 		fprintf(w, "%-10d  %12v  %10d  %8.2fx\n",
@@ -192,6 +181,5 @@ func runShardedHTTP(engCfg windowdb.Config, ws *storage.Table, want []string) (*
 	return &ShardedResult{
 		Query: "Q6", Shards: n, Elapsed: time.Since(start),
 		Blocks: res.BlocksRead + res.BlocksWritten, HTTP: true,
-		Trace: trace.Render(res.Trace),
 	}, nil
 }

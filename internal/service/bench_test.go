@@ -13,8 +13,7 @@ import (
 // After the warmup query every plan comes from the cache, so cache=hit
 // measures the execute-many side of plan-once/execute-many; the
 // cache=miss variant re-registers the table each iteration to price the
-// full parse+bind+plan path on top. cmd/windbench -exp service runs the
-// closed-loop concurrency sweep with a printed table.
+// full parse+bind+plan path on top.
 func BenchmarkService(b *testing.B) {
 	const q = `SELECT ws_item_sk, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_time_sk) AS r FROM web_sales`
 	table := datagen.WebSales(datagen.WebSalesConfig{Rows: 10_000, Seed: 1})

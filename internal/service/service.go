@@ -23,8 +23,8 @@
 //     latency histogram read at p50/p95/p99, and aggregated exec.Metrics.
 //
 // The HTTP front end over this layer lives in http.go (Service.Handler);
-// cmd/windserve wires it to a socket, and internal/bench.RunService drives
-// it with an ostresser-style closed-loop load harness.
+// cmd/windserve wires it to a socket, and benchmark/'s serve_http workload
+// drives it through Client over loopback.
 package service
 
 import (
@@ -68,8 +68,8 @@ type Config struct {
 	// so the bound is deliberately much smaller than the plan cache's.
 	SubplanEntries int
 	// DisableSharing turns the shared-subplan cache off: every query runs
-	// its own scan. The A/B switch for windbench -exp share and a bail-out
-	// if sharing ever misbehaves in production.
+	// its own scan. Tests use the unshared service as their reference, and
+	// it is a bail-out if sharing ever misbehaves in production.
 	DisableSharing bool
 	// DefaultTimeout is applied to queries whose context carries no
 	// deadline. 0 leaves them unbounded.

@@ -96,21 +96,30 @@ func TestShuffleDropTombstone(t *testing.T) {
 }
 
 // TestShuffleBufferTTL: a buffer whose coordinator died (no take, no
-// drop) expires after the configured idle TTL — swept lazily by Stats and
-// by later shuffle activity — so nodes cannot leak intermediate rows
-// forever.
+// drop) expires once it has sat idle past the configured TTL — swept lazily
+// by Stats and by later shuffle activity — so nodes cannot leak
+// intermediate rows forever. The test ages buffers by moving their touched
+// stamp back, not by waiting.
 func TestShuffleBufferTTL(t *testing.T) {
+	age := func(s *Service, by time.Duration) {
+		s.inbox.mu.Lock()
+		defer s.inbox.mu.Unlock()
+		for _, b := range s.inbox.bufs {
+			b.touched = b.touched.Add(-by)
+		}
+	}
 	eng := windowdb.New(windowdb.Config{SortMemBytes: 1 << 20, Parallelism: 1})
-	s := New(eng, Config{ShuffleTTL: 10 * time.Millisecond})
+	s := New(eng, Config{ShuffleTTL: time.Minute})
 	ctx := context.Background()
 	if err := s.ShuffleAccept(ctx, testBatch("orphan", 1, 0, 8)); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.ShuffleBuffered(); got != 1 {
-		t.Fatalf("buffered = %d, want 1", got)
-	}
-	time.Sleep(30 * time.Millisecond)
 	s.Stats() // the periodic sweep trigger
+	if got := s.ShuffleBuffered(); got != 1 {
+		t.Fatalf("buffered = %d after a sweep inside the TTL, want 1", got)
+	}
+	age(s, 2*time.Minute)
+	s.Stats()
 	if got := s.ShuffleBuffered(); got != 0 {
 		t.Fatalf("buffered = %d after TTL sweep, want 0", got)
 	}
@@ -119,7 +128,7 @@ func TestShuffleBufferTTL(t *testing.T) {
 	if err := s2.ShuffleAccept(ctx, testBatch("kept", 1, 0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(5 * time.Millisecond)
+	age(s2, 24*time.Hour)
 	s2.Stats()
 	if got := s2.ShuffleBuffered(); got != 1 {
 		t.Fatalf("buffered = %d with expiry disabled, want 1", got)

@@ -12,11 +12,13 @@ import (
 )
 
 // shareQ* is a correlated dashboard mix: one table, one partition key,
-// three ordering grains. The finest statement's scan serves the coarser
-// two through the frame lattice.
+// four grains from (date, time, order number) down to the whole
+// partition. The finest statement's scan serves the coarser three through
+// the frame lattice.
 const (
 	shareQFine   = `SELECT ws_item_sk, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk, ws_sold_time_sk, ws_order_number) AS r FROM web_sales`
 	shareQMid    = `SELECT ws_item_sk, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk, ws_sold_time_sk) AS r FROM web_sales`
+	shareQDate   = `SELECT ws_item_sk, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS r FROM web_sales`
 	shareQCoarse = `SELECT ws_item_sk, sum(ws_quantity) OVER (PARTITION BY ws_item_sk) AS s FROM web_sales`
 )
 
@@ -100,7 +102,9 @@ func TestSubplanSingleflight(t *testing.T) {
 }
 
 // TestSubplanLattice: a coarser-grain statement reuses the finer
-// statement's cached segment — a cross-statement hit, no second scan.
+// statement's cached segment — a cross-statement hit, no second scan — so
+// one pass of the four-grain mix answers three of its four lookups from a
+// shared subplan.
 func TestSubplanLattice(t *testing.T) {
 	svc := newTestService(t, Config{Slots: 2}, 3000)
 	off := newTestService(t, Config{Slots: 2, DisableSharing: true}, 3000)
@@ -113,7 +117,7 @@ func TestSubplanLattice(t *testing.T) {
 	if fine.SharedScan != dispMiss {
 		t.Fatalf("first query disposition %q, want miss", fine.SharedScan)
 	}
-	for _, q := range []string{shareQMid, shareQCoarse} {
+	for _, q := range []string{shareQMid, shareQDate, shareQCoarse} {
 		got, err := svc.Query(ctx, q)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
@@ -128,8 +132,11 @@ func TestSubplanLattice(t *testing.T) {
 		assertSameMultiset(t, q, want.Table, got.Table)
 	}
 	st := svc.Stats().Subplans
-	if st.Misses != 1 || st.Hits != 2 {
-		t.Fatalf("misses=%d hits=%d, want 1 scan serving 3 statements", st.Misses, st.Hits)
+	if st.Misses != 1 || st.Hits != 3 {
+		t.Fatalf("misses=%d hits=%d, want 1 scan serving 4 statements", st.Misses, st.Hits)
+	}
+	if rate := st.SharedRate(); rate < 0.5 {
+		t.Fatalf("shared rate %.2f over the four-grain mix (%+v), want at least half the lookups shared", rate, st)
 	}
 }
 

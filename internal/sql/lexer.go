@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 type tokenKind uint8
@@ -62,10 +63,13 @@ func (l *lexer) lex() ([]token, error) {
 		}
 		start := l.pos
 		c := l.src[l.pos]
+		r, w := l.peekRune()
 		switch {
-		case isIdentStart(rune(c)):
-			for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
-				l.pos++
+		case isIdentStart(r):
+			for l.pos += w; l.pos < len(l.src); l.pos += w {
+				if r, w = l.peekRune(); !isIdentPart(r) {
+					break
+				}
 			}
 			text := l.src[start:l.pos]
 			upper := strings.ToUpper(text)
@@ -151,18 +155,27 @@ func (l *lexer) lex() ([]token, error) {
 				out = append(out, token{kind: tokSymbol, text: string(c), pos: start})
 				l.pos++
 			default:
-				return nil, l.error(start, "unexpected character %q", c)
+				return nil, l.error(start, "unexpected character %q", r)
 			}
 		next:
 		}
 	}
 }
 
+// peekRune decodes the rune at l.pos and its width in bytes. The source is
+// UTF-8, as IsBareIdent reads it; an ASCII byte skips the decoder.
+func (l *lexer) peekRune() (rune, int) {
+	if c := l.src[l.pos]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	return utf8.DecodeRuneInString(l.src[l.pos:])
+}
+
 func (l *lexer) skipSpace() {
 	for l.pos < len(l.src) {
-		c := rune(l.src[l.pos])
+		c, w := l.peekRune()
 		if unicode.IsSpace(c) {
-			l.pos++
+			l.pos += w
 			continue
 		}
 		// -- line comments

@@ -182,3 +182,32 @@ func TestCanonical(t *testing.T) {
 		t.Error("Canonical should fail where the lexer fails")
 	}
 }
+
+// FuzzCanonical checks the statement key on arbitrary text: where the
+// lexer accepts a text, its canonical form lexes too, is its own canonical
+// form, and parses exactly when the text does — so a cache keyed by it
+// never files a statement under a key that means something else.
+func FuzzCanonical(f *testing.F) {
+	f.Add("select  a\nfrom t -- c")
+	f.Add(`SELECT "a", "it""s", "order" FROM "t"`)
+	f.Add(`SELECT 'it''s' FROM t WHERE a <> 2.50`)
+	f.Add(`SELECT é, rank() OVER (PARTITION BY "Ҵ" ORDER BY ê) AS "naïve" FROM t`)
+	f.Fuzz(func(t *testing.T, src string) {
+		canon, err := Canonical(src)
+		if err != nil {
+			return
+		}
+		again, err := Canonical(canon)
+		if err != nil {
+			t.Fatalf("Canonical(%q) = %q, which does not lex: %v", src, canon, err)
+		}
+		if again != canon {
+			t.Fatalf("Canonical(%q) = %q, whose canonical form is %q", src, canon, again)
+		}
+		_, srcErr := Parse(src)
+		_, canonErr := Parse(canon)
+		if (srcErr == nil) != (canonErr == nil) {
+			t.Fatalf("Parse(%q): %v, but Parse(%q): %v", src, srcErr, canon, canonErr)
+		}
+	})
+}

@@ -159,6 +159,15 @@ var conformanceQueries = []struct {
 	{"orderby-desc", `SELECT ws_item_sk, ws_order_number FROM web_sales ORDER BY ws_item_sk DESC, ws_order_number`, true},
 	{"distinct", `SELECT DISTINCT ws_item_sk FROM web_sales ORDER BY ws_item_sk`, true},
 	{"limit", `SELECT ws_item_sk, ws_order_number FROM web_sales ORDER BY ws_order_number, ws_item_sk LIMIT 17`, true},
+	// The chain's own order covers the ORDER BY's first key on a single
+	// engine (a partial sort, cut short by the LIMIT); a cluster sorts its
+	// concatenation in full. Same rows either way.
+	{"prefix-orderby-limit", `SELECT ws_item_sk, ws_order_number,
+		rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk, ws_order_number) AS r
+		FROM web_sales ORDER BY ws_item_sk, ws_order_number LIMIT 40`, true},
+	{"distinct-orderby-limit", `SELECT DISTINCT ws_warehouse_sk,
+		count(*) OVER (PARTITION BY ws_warehouse_sk) AS n
+		FROM web_sales ORDER BY n DESC, ws_warehouse_sk LIMIT 5`, true},
 	{"windowless", `SELECT empnum, salary FROM emptab ORDER BY empnum`, true},
 	{"emptab-rank", `SELECT empnum, rank() OVER (ORDER BY salary DESC NULLS LAST) AS r FROM emptab ORDER BY r, empnum`, true},
 	// Key-divergent chains: consecutive segments disagree on PARTITION BY,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"time"
 
 	"repro/internal/storage"
 	"repro/internal/stream"
@@ -95,6 +96,13 @@ func RenderAnalyze(m *QueryMetrics) []string {
 	if m.FinalSort != "" {
 		lines = append(lines, fmt.Sprintf("final sort: %s (satisfied prefix %d)", m.FinalSort, m.SatisfiedPrefix))
 	}
+	if f := m.Finalize; f.Duration > 0 {
+		line := fmt.Sprintf("finalize: rows %d -> %d  %v", f.RowsIn, f.RowsOut, f.Duration.Round(10_000))
+		if f.TopK {
+			line += "  top-k"
+		}
+		lines = append(lines, line)
+	}
 	if m.Route != "" {
 		lines = append(lines, fmt.Sprintf("route: %s over %d shard(s)", m.Route, m.ShardsUsed))
 	}
@@ -113,16 +121,27 @@ func RenderAnalyze(m *QueryMetrics) []string {
 	return lines
 }
 
+// ExecElapsed is the time the statement spent executing in this process:
+// the window chain plus the finalize phase.
+func (m *QueryMetrics) ExecElapsed() time.Duration {
+	d := m.Finalize.Duration
+	if m.Exec != nil {
+		d += m.Exec.Elapsed
+	}
+	return d
+}
+
 // ExecTrace builds the executor span subtree — one child per chain step
-// with reorder kind, cardinality and spill counters — from a query's
-// metrics. In-process backends hang it under their serving spans; nil
-// when the chain did not run in this process.
+// with reorder kind, cardinality and spill counters, and one for the
+// finalize phase (DISTINCT, the final sort) — from a query's metrics.
+// In-process backends hang it under their serving spans; nil when neither
+// phase ran in this process (a Finalize of zero duration is a statement
+// without DISTINCT or ORDER BY).
 func ExecTrace(m *QueryMetrics) *trace.Span {
-	if m == nil || m.Exec == nil {
+	if m == nil || (m.Exec == nil && m.Finalize.Duration == 0) {
 		return nil
 	}
-	ex := m.Exec
-	s := trace.New("execute", ex.Elapsed)
+	s := trace.New("execute", m.ExecElapsed())
 	if m.Chain != "" {
 		s.SetAttr("chain", m.Chain)
 	}
@@ -132,18 +151,29 @@ func ExecTrace(m *QueryMetrics) *trace.Span {
 	if m.FinalSort != "" && m.FinalSort != "none" {
 		s.SetAttr("final_sort", m.FinalSort)
 	}
-	for _, st := range ex.Steps {
-		c := trace.New(fmt.Sprintf("step wf%d", st.WFID+1), st.Duration)
-		c.SetAttr("reorder", st.Reorder.String())
-		c.SetInt("rows", st.Rows)
-		if m.EstRows > 0 {
-			c.SetInt("est_rows", m.EstRows)
+	if m.Exec != nil {
+		s.Children = make([]*trace.Span, 0, len(m.Exec.Steps)+1)
+		for _, st := range m.Exec.Steps {
+			c := trace.New(fmt.Sprintf("step wf%d", st.WFID+1), st.Duration)
+			c.SetAttr("reorder", st.Reorder.String())
+			c.SetInt("rows", st.Rows)
+			if m.EstRows > 0 {
+				c.SetInt("est_rows", m.EstRows)
+			}
+			c.SetInt("spilled_blocks", st.BlocksWritten)
+			c.SetInt("blocks_read", st.BlocksRead)
+			if st.Detail != "" {
+				c.SetAttr("detail", st.Detail)
+			}
+			s.Add(c)
 		}
-		c.SetInt("spilled_blocks", st.BlocksWritten)
-		c.SetInt("blocks_read", st.BlocksRead)
-		if st.Detail != "" {
-			c.SetAttr("detail", st.Detail)
-		}
+	}
+	if f := m.Finalize; f.Duration > 0 {
+		c := trace.New("finalize", f.Duration)
+		c.SetInt("rows_in", f.RowsIn)
+		c.SetInt("rows_out", f.RowsOut)
+		c.SetAttr("final_sort", m.FinalSort)
+		c.SetAttr("top_k", fmt.Sprint(f.TopK))
 		s.Add(c)
 	}
 	return s

@@ -87,7 +87,9 @@ type StepMetrics struct {
 	// Rows is the step's output cardinality (window evaluation is 1:1, so
 	// this is also the input cardinality — the "actual rows" side of
 	// EXPLAIN ANALYZE).
-	Rows     int64
+	Rows int64
+	// Duration is the step's wall time; the first step's includes the
+	// chain's set-up, so the steps add up to Metrics.Elapsed.
 	Duration time.Duration
 	// Detail carries operator-specific statistics (runs, buckets, units).
 	Detail string
@@ -140,17 +142,22 @@ type Chain struct {
 // Len returns the row count.
 func (c *Chain) Len() int { return len(c.Rows) }
 
-// Project writes the columns pick names of row i into dst, which must have
-// len(pick) elements.
-func (c *Chain) Project(dst storage.Tuple, i int, pick []int) {
-	row := c.Rows[i]
-	for k, src := range pick {
-		if src < c.Width {
-			dst[k] = row[src]
-		} else {
-			dst[k] = c.Tail[src-c.Width][i]
+// At returns column col of row i.
+func (c *Chain) At(i, col int) storage.Value {
+	if col < c.Width {
+		return c.Rows[i][col]
+	}
+	return c.Tail[col-c.Width][i]
+}
+
+// Compare orders rows a and b on key, whose elements name chain columns.
+func (c *Chain) Compare(a, b int, key attrs.Seq) int {
+	for _, e := range key {
+		if d := storage.CompareUnder(c.At(a, int(e.Attr)), c.At(b, int(e.Attr)), e); d != 0 {
+			return d
 		}
 	}
+	return 0
 }
 
 // Table materializes the chain as whole tuples: one copy of every row into
@@ -264,6 +271,11 @@ func RunChain(ctx context.Context, table *storage.Table, specs []window.Spec, pl
 			return nil, nil, fmt.Errorf("exec: wf%d: %w", step.WF.ID, err)
 		}
 		stepStart := time.Now()
+		if i == 0 {
+			// Sizing the input and copying it into the row array is the first
+			// step's set-up: the steps then account for the chain's Elapsed.
+			stepStart = start
+		}
 		r0, w0, c0 := stats.BlocksRead(), stats.BlocksWritten(), comparisons
 
 		var detail func() string

@@ -330,7 +330,7 @@ func queryTrace(elapsed, queued time.Duration, cacheHit bool, rows int64, meta *
 	if meta != nil {
 		if es := windowdb.ExecTrace(meta); es != nil {
 			root.Add(es)
-			execElapsed = meta.Exec.Elapsed
+			execElapsed = meta.ExecElapsed()
 		}
 	}
 	if d := elapsed - queued - execElapsed; d > 0 {

@@ -11,28 +11,27 @@ import (
 
 // Cursor is the pull seam over a prepared statement's execution: an
 // incremental iterator over the statement's output, a column batch at a
-// time. The phases that inherently materialize — WHERE filtering and the
-// window chain's reordering operators — run eagerly when the cursor is
-// built (Prepared.Open); what the cursor defers is everything after the
-// final chain segment. For statements without
-// DISTINCT or ORDER BY the projection runs lazily, one batch per
-// NextBatch, honoring LIMIT by early termination and the context once per
-// batch; statements that need a finalize pass (DISTINCT deduplication, the
-// final sort) project and finalize eagerly and then stream the finalized
-// buffer the same way.
+// time. The phases that need every row — WHERE filtering, the window
+// chain's reorders, and finalize's choice of which chain rows leave and in
+// what order — run when the cursor is built (Prepared.Open). What the
+// cursor defers is the projection: each NextBatch gathers one batch's
+// columns straight out of the chain, through finalize's position list when
+// there is one, honoring LIMIT by early termination and the context once
+// per batch. No output row exists before it is pulled.
 //
 // A Cursor is single-consumer and not safe for concurrent use; a Prepared
 // may serve any number of concurrent cursors.
 type Cursor struct {
 	cols []storage.Column
-	meta *Result // Table nil: the executed statement's metadata
+	meta Result // Table nil: the executed statement's metadata
 	ctx  context.Context
 
 	src    *exec.Chain
-	pick   []int        // non-nil: output column k is chain column pick[k]
+	pick   []int        // output column k is chain column pick[k]
+	order  []int        // non-nil: output row i is chain row order[i]
 	batch  stream.Batch // the one batch every NextBatch refills
-	limit  int64        // remaining LIMIT budget; -1 = unlimited
-	pos    int
+	pos    int          // rows yielded
+	left   int          // rows still to yield: what the LIMIT leaves of them
 	closed bool
 }
 
@@ -43,7 +42,7 @@ func (c *Cursor) Columns() []storage.Column { return c.cols }
 // metrics, final-sort disposition and parallel degree of Result, with
 // Table nil. It is valid from cursor creation (the chain has already
 // run).
-func (c *Cursor) Meta() *Result { return c.meta }
+func (c *Cursor) Meta() *Result { return &c.meta }
 
 // NextBatch returns the next output rows, at most stream.BatchRows of
 // them, or io.EOF when the stream is exhausted (or the cursor closed), or
@@ -53,31 +52,28 @@ func (c *Cursor) Meta() *Result { return c.meta }
 // batch is the cursor's own, refilled by the next call; the strings in it
 // alias the chain's rows and outlive it.
 func (c *Cursor) NextBatch() (*stream.Batch, error) {
-	if c.closed || c.limit == 0 || c.pos >= c.src.Len() {
+	n := min(stream.BatchRows, c.left)
+	if n == 0 {
 		return nil, io.EOF
 	}
 	if err := c.ctx.Err(); err != nil {
 		return nil, err
 	}
-	n := min(stream.BatchRows, c.src.Len()-c.pos)
-	if c.limit > 0 {
-		n = int(min(int64(n), c.limit))
-		c.limit -= int64(n)
-	}
-	rows := c.src.Rows[c.pos : c.pos+n]
 	c.batch.Reset(len(c.cols), n)
 	for k := range c.cols {
-		src := k
-		if c.pick != nil {
-			src = c.pick[k]
-		}
-		if src < c.src.Width {
-			c.batch.SetTuples(k, rows, src)
-		} else {
-			c.batch.SetValues(k, c.src.Tail[src-c.src.Width][c.pos:c.pos+n])
+		src := c.pick[k]
+		switch tail := src - c.src.Width; {
+		case c.order != nil && tail < 0:
+			c.batch.GatherTuples(k, c.src.Rows, src, c.order[c.pos:])
+		case c.order != nil:
+			c.batch.GatherValues(k, c.src.Tail[tail], c.order[c.pos:])
+		case tail < 0:
+			c.batch.SetTuples(k, c.src.Rows[c.pos:], src)
+		default:
+			c.batch.SetValues(k, c.src.Tail[tail][c.pos:])
 		}
 	}
-	c.pos += n
+	c.pos, c.left = c.pos+n, c.left-n
 	return &c.batch, nil
 }
 
@@ -87,50 +83,40 @@ func (c *Cursor) Close() error {
 	if c.closed {
 		return nil
 	}
-	c.closed = true
-	c.src, c.batch = nil, stream.Batch{}
+	c.closed, c.left = true, 0
+	c.src, c.order, c.batch = nil, nil, stream.Batch{}
 	return nil
 }
 
 // Materialize drains what the cursor has left into the statement's Result:
-// every remaining output row projected out of one value slab — or, for a
-// result that was finalized eagerly, the finalized buffer itself. The
-// cursor is exhausted and closed afterwards.
+// every remaining output row projected out of one value slab. The cursor is
+// exhausted and closed afterwards.
 func (c *Cursor) Materialize() *Result {
-	res := *c.meta
+	res := c.meta
 	res.Table = storage.NewTable(storage.NewSchema(c.cols...))
-	if !c.closed {
-		n := c.src.Len() - c.pos
-		if c.limit >= 0 {
-			n = int(min(int64(n), c.limit))
-		}
-		if c.pick == nil && len(c.src.Tail) == 0 {
-			res.Table.Rows = c.src.Rows[c.pos : c.pos+n]
-		} else {
-			res.Table.Rows = projectRows(c.src, c.pick, c.pos, n)
-		}
+	if c.left > 0 {
+		res.Table.Rows = c.projectRows(c.left)
 	}
 	_ = c.Close()
 	return &res
 }
 
-// projectRows materializes the projection of n chain rows from pos on, all
-// of them carved out of one value slab.
-func projectRows(src *exec.Chain, pick []int, pos, n int) []storage.Tuple {
+// projectRows materializes the cursor's next n output rows, all of them
+// carved out of one value slab.
+func (c *Cursor) projectRows(n int) []storage.Tuple {
 	rows := make([]storage.Tuple, n)
-	w := len(pick)
+	w := len(c.cols)
 	slab := make([]storage.Value, w*n)
 	for ri := range rows {
 		row := storage.Tuple(slab[ri*w : (ri+1)*w : (ri+1)*w])
-		src.Project(row, pos+ri, pick)
+		at := c.pos + ri
+		if c.order != nil {
+			at = c.order[at]
+		}
+		for k, col := range c.pick {
+			row[k] = c.src.At(at, col)
+		}
 		rows[ri] = row
 	}
 	return rows
-}
-
-// newCursor is the one place a Cursor is built: over src, yielding column k
-// from chain column pick[k] (nil: the chain's own columns), at most limit
-// rows (-1: all of them).
-func newCursor(ctx context.Context, cols []storage.Column, src *exec.Chain, pick []int, meta *Result, limit int64) *Cursor {
-	return &Cursor{cols: cols, src: src, pick: pick, meta: meta, ctx: ctx, limit: limit}
 }

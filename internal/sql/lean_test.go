@@ -45,7 +45,6 @@ func checkDerived(t *testing.T, p *Prepared, chain *exec.Chain, input []storage.
 	for i, row := range chain.Rows {
 		at[row[datagen.ColOrderNumber].Int64()] = i
 	}
-	one := make(storage.Tuple, 1)
 	for id, spec := range p.specs {
 		want, err := window.Reference(input, spec)
 		if err != nil {
@@ -53,9 +52,8 @@ func checkDerived(t *testing.T, p *Prepared, chain *exec.Chain, input []storage.
 		}
 		for r, v := range want {
 			tag := input[r][datagen.ColOrderNumber].Int64()
-			chain.Project(one, at[tag], []int{p.wfCol[id]})
-			if !storage.Equal(one[0], v) {
-				t.Fatalf("%s: order %d = %s, reference %s", spec.Name, tag, one[0], v)
+			if got := chain.At(at[tag], p.wfCol[id]); !storage.Equal(got, v) {
+				t.Fatalf("%s: order %d = %s, reference %s", spec.Name, tag, got, v)
 			}
 		}
 	}
@@ -132,7 +130,7 @@ func TestLeanSharedSuffix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		chain, _, err := p.runSuffix(ctx, seg, true)
+		chain, err := p.runSuffix(ctx, seg, true, new(Result))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/attrs"
 	"repro/internal/catalog"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/storage"
 	"repro/internal/window"
+	"repro/internal/xsort"
 )
 
 // Prepared is a query carried through every phase that does not depend on
@@ -53,7 +55,8 @@ type Prepared struct {
 	outCols []storage.Column
 	pick    []int // executed-table source column per output column
 
-	orderKey attrs.Seq // final ORDER BY over the output schema
+	orderKey   attrs.Seq // final ORDER BY over the output schema
+	chainOrder attrs.Seq // orderKey over the executed chain's columns (through pick)
 
 	// Memoized SegmentRunners keyed by shipped-plan fingerprint: a shard
 	// node executes one statement's shuffle stages many times (every
@@ -125,12 +128,6 @@ func Fingerprint(src string) string {
 	}
 	return string(out[:])
 }
-
-// Distinct reports whether the statement carries SELECT DISTINCT.
-func (p *Prepared) Distinct() bool { return p.q.Distinct }
-
-// HasOrderBy reports whether the statement carries a final ORDER BY.
-func (p *Prepared) HasOrderBy() bool { return len(p.orderKey) > 0 }
 
 // Limit returns the statement's LIMIT, -1 when absent.
 func (p *Prepared) Limit() int64 { return p.q.Limit }
@@ -307,6 +304,7 @@ func (r *Runner) prepare(q *Query, src string) (*Prepared, error) {
 			return nil, classify(ErrBind, fmt.Errorf("sql: ORDER BY column %q not in output", item.Column))
 		}
 		p.orderKey = append(p.orderKey, attrs.Elem{Attr: attrs.ID(c), Desc: item.Desc, NullsFirst: item.NullsFirst})
+		p.chainOrder = append(p.chainOrder, attrs.Elem{Attr: attrs.ID(p.pick[c]), Desc: item.Desc, NullsFirst: item.NullsFirst})
 	}
 	return p, nil
 }
@@ -349,7 +347,7 @@ type Input struct {
 	// shard-index order: projected already, so only DISTINCT, ORDER BY and
 	// LIMIT remain. The concatenation voids any ordering the per-shard
 	// chains produced — an ORDER BY is always a full sort, exactly as after
-	// a partition-concatenating parallel chain. It is finalized in place.
+	// a partition-concatenating parallel chain. It is read, not reordered.
 	Concat *storage.Table
 }
 
@@ -362,46 +360,40 @@ type Input struct {
 // meaningful when the caller established ShardLocal for the cluster's shard
 // key. Open is safe for concurrent use on one Prepared.
 func (p *Prepared) Open(ctx context.Context, in Input, shardLocal bool) (*Cursor, error) {
-	if in.Concat != nil {
-		// finalize reads sort avoidance off the result's plan; a
-		// concatenation has none to offer.
-		result := &Result{FinalSort: "none", Parallelism: 1}
-		p.finalize(in.Concat, result)
-		result.Plan = p.plan
-		return newCursor(ctx, p.outCols, exec.TableChain(in.Concat), nil, result, -1), nil
-	}
-	var (
-		executed *exec.Chain
-		result   *Result
-		err      error
-	)
-	if in.Shared != nil {
-		executed, result, err = p.runSuffix(ctx, in.Shared, in.ChargeScan)
-	} else {
+	cur := &Cursor{cols: p.outCols, pick: p.pick, ctx: ctx}
+	key := p.chainOrder
+	var err error
+	switch {
+	case in.Concat != nil:
+		// Projected already. finalize reads sort avoidance off the result's
+		// plan; a concatenation has none to offer until it is finalized.
+		cur.src, cur.pick, key = exec.TableChain(in.Concat), indices(len(p.outCols)), p.orderKey
+		cur.meta = Result{FinalSort: "none", Parallelism: 1}
+	case in.Shared != nil:
+		cur.src, err = p.runSuffix(ctx, in.Shared, in.ChargeScan, &cur.meta)
+	default:
 		base := in.Rows
 		if base == nil {
 			base = p.entry.Table()
 		}
-		executed, result, err = p.runChain(ctx, base)
+		cur.src, err = p.runChain(ctx, base, &cur.meta)
 	}
 	if err != nil {
 		return nil, err
 	}
-	// DISTINCT and ORDER BY need every projected row before the first output
-	// row is known: those statements project and finalize eagerly (LIMIT
-	// included) and stream the finalized buffer. Everything else projects
-	// lazily, straight from the chain's rows and tail vectors.
-	if !shardLocal && (p.q.Distinct || len(p.orderKey) > 0) {
-		out := storage.NewTable(storage.NewSchema(p.outCols...))
-		out.Rows = projectRows(executed, p.pick, 0, executed.Len())
-		p.finalize(out, result)
-		return newCursor(ctx, p.outCols, exec.TableChain(out), nil, result, -1), nil
-	}
-	limit := int64(-1)
+	cur.left = cur.src.Len()
 	if !shardLocal {
-		limit = p.q.Limit
+		if cur.order = p.finalize(cur.src, cur.pick, key, &cur.meta); cur.order != nil {
+			cur.left = len(cur.order)
+		}
+		if p.q.Limit >= 0 {
+			cur.left = int(min(int64(cur.left), p.q.Limit))
+		}
 	}
-	return newCursor(ctx, p.outCols, executed, p.pick, result, limit), nil
+	if in.Concat != nil {
+		cur.meta.Plan = p.plan
+	}
+	return cur, nil
 }
 
 // ExecuteContext runs the prepared statement over the catalog entry's rows
@@ -415,31 +407,30 @@ func (p *Prepared) ExecuteContext(ctx context.Context) (*Result, error) {
 }
 
 // runChain runs the data-dependent phases up to (and including) the window
-// chain: WHERE filtering and chain execution. The returned Result carries
-// the plan, metrics and parallel degree but no table yet; the chain is the
-// executor's own result (rows plus tail vectors, exec.Chain), which the
-// projection reads directly — no whole-tuple table is built in between.
-func (p *Prepared) runChain(ctx context.Context, base *storage.Table) (*exec.Chain, *Result, error) {
+// chain: WHERE filtering and chain execution. It fills result (the cursor's)
+// with the plan, metrics and parallel degree; the chain is the executor's
+// own result (rows plus tail vectors, exec.Chain), which the cursor reads
+// directly — no whole-tuple table is built in between.
+func (p *Prepared) runChain(ctx context.Context, base *storage.Table, result *Result) (*exec.Chain, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	windowed, err := p.filterWhere(base)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	result := &Result{FinalSort: "none", Parallelism: 1, EstRows: p.entry.Rows()}
-	executed := exec.TableChain(windowed)
-	if p.plan != nil {
-		out, metrics, par, err := p.runPlan(ctx, windowed, p.plan)
-		if err != nil {
-			return nil, nil, err
-		}
-		executed = out
-		result.Plan = p.plan
-		result.Metrics = metrics
-		result.Parallelism = par
+	*result = Result{FinalSort: "none", Parallelism: 1, EstRows: p.entry.Rows()}
+	if p.plan == nil {
+		return exec.TableChain(windowed), nil
 	}
-	return executed, result, nil
+	executed, metrics, par, err := p.runPlan(ctx, windowed, p.plan)
+	if err != nil {
+		return nil, err
+	}
+	result.Plan = p.plan
+	result.Metrics = metrics
+	result.Parallelism = par
+	return executed, nil
 }
 
 // filterWhere applies the statement's WHERE clause to base, producing the
@@ -505,69 +496,123 @@ func (p *Prepared) runPlan(ctx context.Context, in *storage.Table, plan *core.Pl
 	return out, metrics, 1, err
 }
 
-// finalize applies the statement's terminal phases in place: DISTINCT, the
-// final ORDER BY (with Section 5's sort avoidance) and LIMIT.
-func (p *Prepared) finalize(outTable *storage.Table, result *Result) {
-	// DISTINCT: deduplicate projected rows (evaluated after the window
-	// functions, as in the paper's Section 1/5 decomposition; NULLs compare
-	// equal, per SQL DISTINCT semantics).
-	if p.q.Distinct {
-		distinctRows(outTable)
+// finalize decides the statement's terminal phases — DISTINCT, the final
+// ORDER BY (with Section 5's sort avoidance) and LIMIT — over the positions
+// of src's rows: output column k is chain column pick[k], key the ORDER BY
+// over chain columns. It returns the chain positions of the output rows in
+// output order, nil meaning the chain's own sequence (which the cursor cuts
+// to the LIMIT); the cursor gathers through the list, so no row is built.
+// These comparisons order output, not window input: they are not counted.
+func (p *Prepared) finalize(src *exec.Chain, pick []int, key attrs.Seq, result *Result) []int {
+	if p.ConcatStreams() {
+		return nil // LIMIT alone is the cursor's early termination
 	}
+	start := time.Now()
+	n := src.Len()
+	fm := &result.Finalize
+	fm.RowsIn = int64(n)
 
-	// Final ORDER BY over output columns. When the chain's output ordering
-	// already satisfies a prefix of the key (Section 5), the sort is
-	// avoided or downgraded to per-group partial sorting.
-	if len(p.orderKey) > 0 {
-		key := p.orderKey
-		sat := 0
+	// When the chain's output ordering already satisfies a prefix of the key
+	// (Section 5), the sort is avoided or downgraded to per-run sorting.
+	sat := 0
+	if len(key) > 0 {
 		// A chain whose final segment ran hash-partitioned concatenates
-		// partitions, so the plan's nominal final ordering holds only
-		// within each partition; the ORDER BY must then be satisfied by a
-		// full sort.
+		// partitions: its nominal final ordering holds only within each, and
+		// the ORDER BY takes a full sort.
 		if result.Plan != nil && (result.Metrics == nil || !result.Metrics.Concatenated) {
+			// alignOrder is the ORDER BY's leading base-column items.
 			finalProps := result.Plan.FinalProps(core.Unordered())
-			sat = core.OrderSatisfiedPrefix(finalProps, p.alignOrder)
-			// The satisfied alignment elements must actually be the leading
-			// ORDER BY items (alignOrder was built from that prefix).
-			if sat > len(key) {
-				sat = len(key)
-			}
+			sat = min(core.OrderSatisfiedPrefix(finalProps, p.alignOrder), len(key))
 		}
 		result.SatisfiedPrefix = sat
 		switch {
-		case sat >= len(key):
+		case sat == len(key):
 			result.FinalSort = "avoided"
 		case sat > 0:
 			result.FinalSort = "partial"
-			partialSort(outTable.Rows, key, sat)
 		default:
 			result.FinalSort = "full"
-			sortRows(outTable.Rows, key)
 		}
 	}
-	if p.q.Limit >= 0 && int64(outTable.Len()) > p.q.Limit {
-		outTable.Rows = outTable.Rows[:p.q.Limit]
+
+	// want is how many rows leave: LIMIT is not a cut after the fact but
+	// bounds what DISTINCT looks for and what the sort puts in order.
+	want := n
+	if p.q.Limit >= 0 && p.q.Limit < int64(n) {
+		want = int(p.q.Limit)
 	}
+	if want == 0 {
+		fm.Duration = time.Since(start)
+		return nil // the cursor's LIMIT, or its empty chain, yields nothing
+	}
+	// The candidates are every chain row or DISTINCT's survivors (evaluated
+	// after the windows, per Section 1/5); the sorts order candidate indices.
+	var listed []int
+	if p.q.Distinct {
+		stop := n
+		if sat == len(key) {
+			stop = want // nothing reorders them: the first want will do
+		}
+		listed = distinctPositions(src, pick, stop)
+		n = len(listed)
+		want = min(want, n)
+	}
+	cmp := func(i, j int, key attrs.Seq) int {
+		if listed != nil {
+			i, j = listed[i], listed[j]
+		}
+		return src.Compare(i, j, key)
+	}
+	var order []int
+	switch {
+	case sat == len(key):
+		order = listed
+	case sat > 0:
+		order = partialSort(n, want,
+			func(i, j int) int { return cmp(i, j, key[:sat]) },
+			func(i, j int) int { return cmp(i, j, key[sat:]) })
+	case want < n:
+		fm.TopK = true
+		order = xsort.TopK(n, want, func(i, j int) int { return cmp(i, j, key) })
+	default:
+		order = indices(n)
+		xsort.Stable(order, nil, func(i, j int) int { return cmp(i, j, key) })
+	}
+	if listed != nil && sat < len(key) {
+		for i, c := range order {
+			order[i] = listed[c]
+		}
+	}
+	fm.RowsOut = int64(want)
+	fm.Duration = time.Since(start)
+	return order
 }
 
-// distinctRows deduplicates a table's rows in place, keeping the first
-// occurrence (NULLs compare equal, per SQL DISTINCT semantics). Rows are
-// keyed by their tuple encoding, built in one reused buffer; the lookup
-// converts it without allocating, so only a row that is kept pays for a
-// key string.
-func distinctRows(t *storage.Table) {
+// distinctPositions returns the positions of the chain rows whose
+// projection no earlier row has, in chain order and at most stop of them.
+// NULLs are one value, per SQL DISTINCT, and so are the two float zeros, as
+// in every comparison the engine makes. The key is the encoding of the
+// projected values in one reused buffer, looked up without allocating: only
+// a kept row pays for a key string.
+func distinctPositions(src *exec.Chain, pick []int, stop int) []int {
 	seen := make(map[string]struct{})
+	order := make([]int, 0, min(stop, 256)) // a small result is one allocation
 	var key []byte
-	dedup := t.Rows[:0]
-	for _, row := range t.Rows {
-		key = storage.AppendTuple(key[:0], row)
+	for i := 0; i < src.Len() && len(order) < stop; i++ {
+		key = key[:0]
+		for _, col := range pick {
+			v := src.At(i, col)
+			if v.Kind() == storage.KindFloat && v.Float64() == 0 {
+				v = storage.Float(0)
+			}
+			key = storage.AppendTuple(key, storage.Tuple{v})
+		}
 		if _, dup := seen[string(key)]; !dup {
 			seen[string(key)] = struct{}{}
-			dedup = append(dedup, row)
+			order = append(order, i)
 		}
 	}
-	t.Rows = dedup
+	return order
 }
 
 // checkPredicate validates a WHERE tree against the schema at prepare time:

@@ -4,8 +4,8 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"time"
 
-	"repro/internal/attrs"
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/exec"
@@ -66,6 +66,9 @@ type Result struct {
 	// table (catalog |R|): the "estimated rows" EXPLAIN ANALYZE contrasts
 	// with each step's observed cardinality.
 	EstRows int64
+	// Finalize measures the DISTINCT / ORDER BY phase; zero for a statement
+	// without one (and for a shard-local execution, which stops short of it).
+	Finalize FinalizeMetrics
 	// Watermark is the table data generation a maintained (SUBSCRIBE)
 	// cursor's output is current as of; 0 for one-shot queries.
 	Watermark uint64
@@ -75,6 +78,17 @@ type Result struct {
 	// execution did not go through the shared-subplan cache. Set by the
 	// serving layer.
 	SharedScan string
+}
+
+// FinalizeMetrics measures a statement's terminal phase: DISTINCT and the
+// final ORDER BY, bounded by LIMIT, decided over the chain's row positions.
+type FinalizeMetrics struct {
+	Duration time.Duration
+	// RowsIn is the chain's row count, RowsOut how many of them leave.
+	RowsIn, RowsOut int64
+	// TopK reports that ORDER BY ... LIMIT k ran as a bounded selection of
+	// k positions rather than a sort of all of them.
+	TopK bool
 }
 
 // Query parses, plans and executes one window query block.
@@ -138,28 +152,37 @@ func resolveOutputColumn(items []SelectItem, schema *storage.Schema, name string
 	return 0, false
 }
 
-// partialSort exploits a pre-satisfied key prefix: rows already arrive in
-// runs that agree on key[:sat], so only each run needs sorting on the key
-// remainder — the partial sort of [7, 13], which Section 3.3 identifies as
-// a special case of Segmented Sort.
-func partialSort(rows []storage.Tuple, key attrs.Seq, sat int) {
-	prefix, rest := key[:sat], key[sat:]
-	start := 0
-	for start < len(rows) {
-		end := start + 1
-		for end < len(rows) && storage.CompareSeq(rows[start], rows[end], prefix) == 0 {
-			end++
-		}
-		sortRows(rows[start:end], rest)
-		start = end
+// indices returns 0..n-1.
+func indices(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
 	}
+	return idx
 }
 
-// sortRows stably sorts result rows on key with the engine's one sort
-// kernel. These comparisons order the statement's output, not a window's
-// input: they are not part of the chain's counted comparisons.
-func sortRows(rows []storage.Tuple, key attrs.Seq) {
-	xsort.StableTuples(rows, func(a, b storage.Tuple) int { return storage.CompareSeq(a, b, key) })
+// partialSort exploits a pre-satisfied key prefix: the n candidates already
+// arrive in runs that agree on it, so only each run needs sorting on the
+// key remainder — the partial sort of [7, 13], which Section 3.3 identifies
+// as a special case of Segmented Sort. It returns the first want candidates
+// of that order, listing and sorting only the runs that cover them.
+func partialSort(n, want int, prefix, rest func(i, j int) int) []int {
+	// Candidate want-1 may fall inside a run: the sorting ends where it does.
+	end := want
+	for end > 0 && end < n && prefix(end-1, end) == 0 {
+		end++
+	}
+	out := indices(end)
+	scratch := make([]int, end/2) // xsort.Stable's, enough for any run
+	for start := 0; start < end; {
+		stop := start + 1
+		for stop < end && prefix(start, stop) == 0 {
+			stop++
+		}
+		xsort.Stable(out[start:stop], scratch, rest)
+		start = stop
+	}
+	return out[:want]
 }
 
 // FormatTable renders a result table with padded columns, for examples and

@@ -247,6 +247,6 @@ func (r *SegmentRunner) StreamFinal(ctx context.Context, in *storage.Table) (*Cu
 	if err != nil {
 		return nil, err
 	}
-	result := &Result{FinalSort: "none", Parallelism: par, Plan: r.p.plan, Metrics: m}
-	return newCursor(ctx, r.p.outCols, out, r.pick, result, -1), nil
+	meta := Result{FinalSort: "none", Parallelism: par, Plan: r.p.plan, Metrics: m}
+	return &Cursor{cols: r.p.outCols, src: out, pick: r.pick, meta: meta, ctx: ctx, left: out.Len()}, nil
 }

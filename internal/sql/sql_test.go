@@ -13,6 +13,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/storage"
 	"repro/internal/window"
+	"repro/internal/xsort"
 )
 
 func testRunner(t *testing.T) *Runner {
@@ -326,9 +327,9 @@ func TestSection5OrderIntegration(t *testing.T) {
 	}
 }
 
-// TestFinalSortsKeepChainOrderOnTies — the full and the partial final sort
-// put rows that tie on ORDER BY where sort.SliceStable did: in the order
-// the chain delivered them.
+// TestFinalSortsKeepChainOrderOnTies — the full sort, the partial sort and
+// the top-k selection put rows that tie on ORDER BY where sort.SliceStable
+// did: in the order the chain delivered them.
 func TestFinalSortsKeepChainOrderOnTies(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	rows := make([]storage.Tuple, 3000)
@@ -341,13 +342,23 @@ func TestFinalSortsKeepChainOrderOnTies(t *testing.T) {
 	want := slices.Clone(rows)
 	sort.SliceStable(want, func(i, j int) bool { return storage.CompareSeq(want[i], want[j], key) < 0 })
 
-	full := slices.Clone(rows)
-	sortRows(full, key)
-	partial := slices.Clone(rows)
-	partialSort(partial, key, 1)
-	for i := range want {
-		if w := want[i][2].Int64(); full[i][2].Int64() != w || partial[i][2].Int64() != w {
-			t.Fatalf("row %d: full sort has arrival %v, partial %v, sort.SliceStable %v", i, full[i][2], partial[i][2], w)
+	src := &exec.Chain{Rows: rows, Width: 3}
+	n := len(rows)
+	by := func(key attrs.Seq) func(i, j int) int {
+		return func(i, j int) int { return src.Compare(i, j, key) }
+	}
+	full := indices(n)
+	xsort.Stable(full, nil, by(key))
+	for name, got := range map[string][]int{
+		"full":          full,
+		"partial":       partialSort(n, n, by(key[:1]), by(key[1:])),
+		"partial-limit": partialSort(n, 101, by(key[:1]), by(key[1:])),
+		"topk":          xsort.TopK(n, 2999, by(key)),
+	} {
+		for i, pos := range got {
+			if w := want[i][2].Int64(); int64(pos) != w {
+				t.Fatalf("%s, row %d: arrival %d, sort.SliceStable %d", name, i, pos, w)
+			}
 		}
 	}
 }

@@ -132,15 +132,15 @@ func (p *Prepared) RunSubplan(ctx context.Context) (*SharedSegment, error) {
 // runSuffix executes the statement's derivation suffix over a shared
 // segment (Input.Shared): the chain re-derived against the segment's stream
 // property (every step reorder-free, by core.DeriveSuffix), run
-// sequentially. chargeScan merges the segment's scan metrics into the
-// result.
-func (p *Prepared) runSuffix(ctx context.Context, seg *SharedSegment, chargeScan bool) (*exec.Chain, *Result, error) {
+// sequentially, filling result like runChain. chargeScan merges the
+// segment's scan metrics into the result.
+func (p *Prepared) runSuffix(ctx context.Context, seg *SharedSegment, chargeScan bool, result *Result) (*exec.Chain, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	suffix, ok := core.DeriveSuffix(p.plan, seg.Props)
 	if !ok {
-		return nil, nil, fmt.Errorf("sql: shared segment %s does not cover the statement", seg.Props)
+		return nil, fmt.Errorf("sql: shared segment %s does not cover the statement", seg.Props)
 	}
 	cfg := p.cfg
 	cfg.Parallelism = 1
@@ -149,7 +149,7 @@ func (p *Prepared) runSuffix(ctx context.Context, seg *SharedSegment, chargeScan
 	}
 	out, metrics, err := exec.RunChain(ctx, seg.Table, p.specs, suffix, cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if chargeScan && seg.Metrics != nil {
 		merged := &exec.Metrics{
@@ -167,8 +167,8 @@ func (p *Prepared) runSuffix(ctx context.Context, seg *SharedSegment, chargeScan
 	// over a segment already carrying the order that sort is the identity
 	// permutation, so shared and private executions emit identical rows in
 	// identical order for any totally-ordering ORDER BY.
-	result := &Result{FinalSort: "none", Parallelism: 1, EstRows: p.entry.Rows(), Plan: suffix, Metrics: metrics}
-	return out, result, nil
+	*result = Result{FinalSort: "none", Parallelism: 1, EstRows: p.entry.Rows(), Plan: suffix, Metrics: metrics}
+	return out, nil
 }
 
 // canonExpr renders a predicate in canonical form — lowercased column

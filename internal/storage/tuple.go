@@ -166,6 +166,16 @@ func CompareAt(a, b Tuple, e attrs.Elem) int {
 	return c
 }
 
+// CompareUnder orders two values of one column under the ordering element
+// e, whose Attr is not read: CompareAt for callers whose columns are not
+// slots of a tuple. It wraps CompareAt rather than the reverse so that the
+// sort kernels' CompareSeq stays inlinable around one call; the one-slot
+// tuples stay on the stack.
+func CompareUnder(v, w Value, e attrs.Elem) int {
+	e.Attr = 0
+	return CompareAt(Tuple{v}, Tuple{w}, e)
+}
+
 // CompareSeq orders tuples by an ordering sequence.
 func CompareSeq(a, b Tuple, seq attrs.Seq) int {
 	for _, e := range seq {

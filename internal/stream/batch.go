@@ -162,14 +162,19 @@ func (c *Col) Value(i int) storage.Value {
 }
 
 // colView reads one column of a run of rows: slot src of each tuple in
-// rows, or — rows nil — the values of vals.
+// rows, or — rows nil — the values of vals. With pos set, row i of the run
+// is element pos[i] of rows (or vals) rather than element i.
 type colView struct {
 	rows []storage.Tuple
 	src  int
 	vals []storage.Value
+	pos  []int
 }
 
 func (v colView) at(i int) storage.Value {
+	if v.pos != nil {
+		i = v.pos[i]
+	}
 	if v.rows != nil {
 		return v.rows[i][v.src]
 	}
@@ -187,6 +192,18 @@ func (b *Batch) SetTuples(c int, rows []storage.Tuple, src int) {
 // SetValues is SetTuples over a contiguous vector of Len() values.
 func (b *Batch) SetValues(c int, vals []storage.Value) {
 	b.set(c, colView{vals: vals[:b.n]})
+}
+
+// GatherTuples is SetTuples over the rows at the Len() positions pos names,
+// in that order: how a result that is a selection or a permutation of its
+// source leaves without the selected rows being built first.
+func (b *Batch) GatherTuples(c int, rows []storage.Tuple, src int, pos []int) {
+	b.set(c, colView{rows: rows, src: src, pos: pos[:b.n]})
+}
+
+// GatherValues is SetValues over the elements of vals at positions pos.
+func (b *Batch) GatherValues(c int, vals []storage.Value, pos []int) {
+	b.set(c, colView{vals: vals, pos: pos[:b.n]})
 }
 
 func (b *Batch) set(c int, v colView) {

@@ -397,6 +397,25 @@ func TestBatchRefillEqualsFresh(t *testing.T) {
 		if got, want := AppendBatch(nil, &b), fresh(rows[:k]); !bytes.Equal(got, want) {
 			t.Fatalf("round %d: %d rows truncated to %d encode differently from a new batch of %d", round, len(rows), k, k)
 		}
+		// Gathered through positions — a selection, permuted — a batch is
+		// what filling it with the selected rows builds; column 0 goes the
+		// vector way.
+		pos := rng.Perm(len(rows))[:k]
+		picked, col0 := make([]storage.Tuple, k), make([]storage.Value, len(rows))
+		for i, at := range pos {
+			picked[i] = rows[at]
+		}
+		for i, row := range rows {
+			col0[i] = row[0]
+		}
+		b.Reset(5, k)
+		b.GatherValues(0, col0, pos)
+		for c := 1; c < 5; c++ {
+			b.GatherTuples(c, rows, c, pos)
+		}
+		if got, want := AppendBatch(nil, &b), fresh(picked); !bytes.Equal(got, want) {
+			t.Fatalf("round %d: %d of %d rows gathered encode differently from a new batch of them", round, k, len(rows))
+		}
 	}
 }
 

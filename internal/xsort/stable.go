@@ -88,6 +88,49 @@ func insertionSort[T any](a []T, cmp func(x, y T) int) {
 	}
 }
 
+// TopK returns the indices of the k first of n elements under cmp, in
+// order, ties going to the lower index: exactly the first k entries of a
+// stable sort of 0..n-1, for 0 ≤ k ≤ n. It holds k indices instead of n — a
+// max-heap of the k best elements so far, whose worst gives way to each
+// later element that sorts before it, and which a heapsort then empties
+// into place — and asks n + O(k·log n) comparisons when the input is in
+// random order.
+func TopK(n, k int, cmp func(i, j int) int) []int {
+	before := func(i, j int) bool {
+		c := cmp(i, j)
+		return c < 0 || (c == 0 && i < j)
+	}
+	siftDown := func(heap []int, i int) {
+		for c := 2*i + 1; c < len(heap); i, c = c, 2*c+1 {
+			if c+1 < len(heap) && before(heap[c], heap[c+1]) {
+				c++
+			}
+			if !before(heap[i], heap[c]) {
+				return
+			}
+			heap[i], heap[c] = heap[c], heap[i]
+		}
+	}
+	heap := make([]int, k)
+	for i := range heap {
+		heap[i] = i
+	}
+	for i := k/2 - 1; i >= 0; i-- {
+		siftDown(heap, i)
+	}
+	for i := k; k > 0 && i < n; i++ {
+		if before(i, heap[0]) {
+			heap[0] = i
+			siftDown(heap, 0)
+		}
+	}
+	for last := k - 1; last > 0; last-- {
+		heap[0], heap[last] = heap[last], heap[0]
+		siftDown(heap[:last], 0)
+	}
+	return heap
+}
+
 // StableTuples is Stable over rows with its scratch borrowed from the
 // process-wide workspace, so a statement's sorts allocate nothing once the
 // process has sorted that many rows before.

@@ -87,6 +87,43 @@ func TestStableKernelContract(t *testing.T) {
 	}
 }
 
+// TestTopKIsTheStableSortsPrefix — the bounded selection returns, index for
+// index, the first k entries of sort.SliceStable over every shape and every
+// k from none to all, cuts inside ties included; and on keys in random
+// order a small k costs about one comparison an element, not a sort's.
+func TestTopKIsTheStableSortsPrefix(t *testing.T) {
+	for _, shape := range kernelShapes {
+		for _, n := range []int{0, 1, 2, 7, 64, 1000} {
+			rows := shapedRows(int64(n), n, shape.key)
+			key := attrs.Seq{{Attr: 0, Desc: n%2 == 1, NullsFirst: true}}
+			want := slices.Clone(rows)
+			sort.SliceStable(want, func(i, j int) bool { return storage.CompareSeq(want[i], want[j], key) < 0 })
+			for _, k := range []int{0, 1, 2, n / 10, n / 2, n - 1, n} {
+				if k < 0 || k > n {
+					continue
+				}
+				got := TopK(n, k, func(i, j int) int { return storage.CompareSeq(rows[i], rows[j], key) })
+				if len(got) != k {
+					t.Fatalf("%s n=%d k=%d: %d indices", shape.name, n, k, len(got))
+				}
+				for i, idx := range got {
+					if tag := want[i][2].Int64(); int64(idx) != tag {
+						t.Fatalf("%s n=%d k=%d: entry %d is element %d, sort.SliceStable put %d there", shape.name, n, k, i, idx, tag)
+					}
+				}
+			}
+		}
+	}
+	const n, k = 20000, 100
+	rng := rand.New(rand.NewSource(1))
+	keys := rng.Perm(n)
+	cmps := 0
+	TopK(n, k, func(i, j int) int { cmps++; return keys[i] - keys[j] })
+	if cmps > 2*n {
+		t.Errorf("top %d of %d random keys took %d comparisons, want about n", k, n, cmps)
+	}
+}
+
 // TestStableKernelGoldenCount pins the kernel's comparison count on one
 // fixed input. Comparisons are the paper's CPU currency and every
 // benchmark's comparisons_per_op follows from this number: a change to it

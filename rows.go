@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/sql"
 	"repro/internal/storage"
 	"repro/internal/stream"
 	"repro/internal/trace"
@@ -129,6 +130,11 @@ type QueryMetrics struct {
 	// SatisfiedPrefix counts the leading ORDER BY elements the chain's
 	// output ordering guaranteed (in-process backends only).
 	SatisfiedPrefix int
+	// Finalize measures the DISTINCT / ORDER BY phase where it ran in this
+	// process (a coordinator's, over its shards' concatenation); zero for a
+	// statement without one. Remote backends see it as the trace's
+	// "finalize" span.
+	Finalize sql.FinalizeMetrics
 	// Parallelism is the worker degree the chain executed with.
 	Parallelism int
 	// CacheHit reports a prepared-plan cache hit at the serving layer.

@@ -273,6 +273,7 @@ func MetaFromResult(res *sql.Result) *QueryMetrics {
 		Exec:            res.Metrics,
 		FinalSort:       res.FinalSort,
 		SatisfiedPrefix: res.SatisfiedPrefix,
+		Finalize:        res.Finalize,
 		Parallelism:     res.Parallelism,
 		EstRows:         res.EstRows,
 		Watermark:       res.Watermark,
@@ -308,6 +309,7 @@ func DrainResult(rows *Rows) (*Result, error) {
 		res.Metrics = m.Exec
 		res.FinalSort = m.FinalSort
 		res.SatisfiedPrefix = m.SatisfiedPrefix
+		res.Finalize = m.Finalize
 		res.Parallelism = m.Parallelism
 		res.EstRows = m.EstRows
 		res.Watermark = m.Watermark

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"regexp"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -354,5 +356,52 @@ func TestExplainAnalyzeStepComparisonsSumToQueryMetrics(t *testing.T) {
 		if steps != m.Comparisons || rendered != m.Comparisons {
 			t.Errorf("%s: steps sum to %d comparisons, EXPLAIN ANALYZE lines to %d, QueryMetrics.Comparisons is %d", name, steps, rendered, m.Comparisons)
 		}
+	}
+}
+
+// TestExecuteSpanIsCoveredByItsChildren — an ORDER BY statement's execute
+// span lasts the chain plus the finalize phase, and its children account
+// for it: on an F4-shaped statement (WHERE, two navigation functions on one
+// reorder, ORDER BY … LIMIT) the step spans and the finalize span cover at
+// least 95 % of it, and EXPLAIN ANALYZE prints the phase.
+func TestExecuteSpanIsCoveredByItsChildren(t *testing.T) {
+	eng := New(Config{SortMemBytes: 256 << 20, Parallelism: 1})
+	eng.Register("web_sales", datagen.WebSales(datagen.WebSalesConfig{Rows: 20_000, Seed: 3}))
+	q := paper.Statements["F4"]
+	rows, err := eng.QueryContext(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rows.Next() {
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
+	m := rows.Metrics()
+	exec := m.Trace
+	if exec == nil || exec.Name != "execute" || exec.DurationMillis <= 0 {
+		t.Fatalf("trace root %+v, want the execute span", exec)
+	}
+	var covered float64
+	finalize := false
+	for _, c := range exec.Children {
+		covered += c.DurationMillis
+		if c.Name == "finalize" {
+			finalize = true
+			if c.Attrs["rows_out"] != "100" || c.Attrs["top_k"] != "true" || c.Attrs["final_sort"] != "full" {
+				t.Errorf("finalize span attrs %v", c.Attrs)
+			}
+		}
+	}
+	if !finalize {
+		t.Fatalf("no finalize span among execute's children: %v", exec.Children)
+	}
+	if frac := covered / exec.DurationMillis; frac < 0.95 || frac > 1.0001 {
+		t.Errorf("execute lasts %.3f ms, its children %.3f ms: %.1f %% covered, want 95–100", exec.DurationMillis, covered, 100*frac)
+	}
+	if lines := RenderAnalyze(m); !slices.ContainsFunc(lines, func(l string) bool {
+		return strings.HasPrefix(l, "finalize: rows ") && strings.Contains(l, "-> 100") && strings.HasSuffix(l, "top-k")
+	}) {
+		t.Errorf("EXPLAIN ANALYZE has no finalize line:\n%s", strings.Join(lines, "\n"))
 	}
 }

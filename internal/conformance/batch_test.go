@@ -117,7 +117,7 @@ var drainStyles = []struct {
 }
 
 // edgeQueries are the result shapes where a columnar carrier could lose
-// something, over edgeTable.
+// something, over edgeTable, and the routes a cluster has to carry them.
 var edgeQueries = []struct {
 	name, sql string
 	ordered   bool // a total ORDER BY pins the row order
@@ -137,6 +137,11 @@ var edgeQueries = []struct {
 	{"limit-ordered", `SELECT k, mixed, s FROM edge ORDER BY k LIMIT 7`, true, 7, true, ""},
 	{"limit-lazy", `SELECT k, mixed, nothing, s FROM edge LIMIT 7`, false, 7, false, ""},
 	{"where-one-batch", `SELECT k, sparse, f FROM edge WHERE k < 256`, false, stream.BatchRows, true, ""},
+	// Not over edgeTable: the keyless chains over sharded web_sales.
+	{"keyless", keylessSQL, false, dataRows, true, keylessRoute},
+	{"keyed-then-keyless", keyedKeylessSQL, false, dataRows, true, keylessRoute},
+	{"keyless-where-orderby-limit", keylessLimitSQL, true, 23, true, keylessRoute},
+	{"keyless-distinct", keylessDistinctSQL, false, 16, true, keylessRoute},
 }
 
 // TestRowAndBatchDrainsAgree: on every backend, reading a result a row at

@@ -188,6 +188,11 @@ var conformanceQueries = []struct {
 		rank() OVER (PARTITION BY ws_item_sk, ws_warehouse_sk ORDER BY ws_sold_date_sk) AS a,
 		rank() OVER (PARTITION BY ws_warehouse_sk ORDER BY ws_sold_time_sk) AS b
 		FROM web_sales ORDER BY ws_warehouse_sk, a, b`, true},
+	// Keyless chains over a sharded table: one site must see every row.
+	{"keyless", keylessSQL, false},
+	{"keyed-then-keyless", keyedKeylessSQL, false},
+	{"keyless-where-orderby-limit", keylessLimitSQL, true},
+	{"keyless-distinct", keylessDistinctSQL, false},
 }
 
 // divergentSQL is the canonical two-segment key-divergent chain: wf a
@@ -196,6 +201,29 @@ var conformanceQueries = []struct {
 const divergentSQL = `SELECT ws_item_sk, ws_warehouse_sk, ws_order_number,
 	rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS a,
 	rank() OVER (PARTITION BY ws_warehouse_sk ORDER BY ws_sold_date_sk) AS b FROM web_sales`
+
+// A window function with an empty PARTITION BY is §3.5's "inherently
+// sequential" case — no hash partitioning keeps its one window partition
+// whole — so over a sharded table a cluster must bring every row to a
+// single site. web_sales is sharded on ws_item_sk (emptab-rank, being
+// replicated, never leaves its node): alone, behind a keyed step, under
+// WHERE … ORDER BY … LIMIT, and under DISTINCT. keylessRoute is how the
+// cluster backends run them; edgeQueries carries them through the buffered
+// and the batch-drain suites too.
+const (
+	keylessRoute = "gather"
+
+	keylessSQL = `SELECT ws_item_sk, ws_order_number,
+	rank() OVER (ORDER BY ws_sold_date_sk, ws_order_number) AS r FROM web_sales`
+	keyedKeylessSQL = `SELECT ws_item_sk, ws_order_number,
+	rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS a,
+	rank() OVER (ORDER BY ws_sold_time_sk) AS b FROM web_sales`
+	keylessLimitSQL = `SELECT ws_order_number, ws_quantity,
+	rank() OVER (ORDER BY ws_sold_time_sk) AS r
+	FROM web_sales WHERE ws_quantity <= 60 ORDER BY r DESC, ws_order_number LIMIT 23`
+	keylessDistinctSQL = `SELECT DISTINCT ws_warehouse_sk,
+	rank() OVER (ORDER BY ws_warehouse_sk) AS r FROM web_sales`
+)
 
 // fingerprint encodes each drained row; ordered keeps sequence, otherwise
 // the multiset is canonicalized by sorting.
@@ -429,38 +457,40 @@ func TestKeyDivergentChains(t *testing.T) {
 // TestQueryerMetricsAfterDrain: every backend reports post-drain metrics
 // with the row count and (where it has one) the routing decision.
 func TestQueryerMetricsAfterDrain(t *testing.T) {
-	const q = `SELECT ws_item_sk, ws_order_number,
-		rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS wf1,
-		rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_bill_customer_sk) AS wf2 FROM web_sales`
 	for _, bk := range backends(t) {
 		t.Run(bk.name, func(t *testing.T) {
-			rows, err := bk.q.QueryContext(context.Background(), q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if m := rows.Metrics(); m != nil {
-				t.Fatal("metrics non-nil before drain")
-			}
-			var n int64
-			for rows.Next() {
-				n++
-			}
-			if err := rows.Err(); err != nil {
-				t.Fatal(err)
-			}
-			m := rows.Metrics()
-			if m == nil {
-				t.Fatal("metrics nil after drain")
-			}
-			if m.Rows != n {
-				t.Fatalf("metrics rows %d, drained %d", m.Rows, n)
-			}
-			if m.Chain == "" {
-				t.Fatal("chain missing from metrics")
-			}
-			isCluster := bk.name == "cluster" || bk.name == "client-coordinator"
-			if isCluster && m.Route != "scatter" {
-				t.Fatalf("route = %q, want scatter", m.Route)
+			for _, q := range []struct{ name, sql, route string }{
+				{"covered", conformanceQueries[0].sql, "scatter"},
+				{"keyless", keylessSQL, keylessRoute},
+			} {
+				rows, err := bk.q.QueryContext(context.Background(), q.sql)
+				if err != nil {
+					t.Fatalf("%s: %v", q.name, err)
+				}
+				if m := rows.Metrics(); m != nil {
+					t.Fatalf("%s: metrics non-nil before drain", q.name)
+				}
+				var n int64
+				for rows.Next() {
+					n++
+				}
+				if err := rows.Err(); err != nil {
+					t.Fatalf("%s: %v", q.name, err)
+				}
+				m := rows.Metrics()
+				if m == nil {
+					t.Fatalf("%s: metrics nil after drain", q.name)
+				}
+				if m.Rows != n {
+					t.Fatalf("%s: metrics rows %d, drained %d", q.name, m.Rows, n)
+				}
+				if m.Chain == "" {
+					t.Fatalf("%s: chain missing from metrics", q.name)
+				}
+				isCluster := strings.HasPrefix(bk.name, "cluster") || bk.name == "client-coordinator"
+				if isCluster && m.Route != q.route {
+					t.Fatalf("%s: route = %q, want %s", q.name, m.Route, q.route)
+				}
 			}
 		})
 	}

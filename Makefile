@@ -100,8 +100,11 @@ load-smoke:
 # a key-divergent chain (two segments with different PARTITION BY) and
 # assert it executed with route=shuffle — the per-segment distributed path
 # whose re-shuffled rows move node-to-node over the /shard/shuffle data
-# plane — with the same row count as the single engine. The two-process
-# proof that scatter and shuffle both work over real sockets.
+# plane — with the same row count as the single engine; then a keyless
+# chain (an empty PARTITION BY), which must shuffle too — one segment, every
+# row to the same node — with the single engine's row count, and /stats must
+# know no "gather" route. The two-process proof that scatter and shuffle
+# both work over real sockets.
 #
 # The observability plane rides the same boot: the coordinator must serve
 # the required Prometheus metric families on /metrics, and it runs with
@@ -127,6 +130,7 @@ load-smoke:
 cluster-smoke: SMOKE_KILL_ROWS = 120000
 cluster-smoke: SMOKE_Q = SELECT ws_item_sk, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_time_sk) AS r FROM web_sales
 cluster-smoke: SMOKE_DIVQ = SELECT ws_order_number, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS a, rank() OVER (PARTITION BY ws_warehouse_sk ORDER BY ws_sold_date_sk) AS b FROM web_sales
+cluster-smoke: SMOKE_KEYLESSQ = SELECT ws_order_number, rank() OVER (ORDER BY ws_sold_date_sk, ws_order_number) AS r FROM web_sales
 cluster-smoke:
 	@set -e; \
 	$(GO) build -o /tmp/windserve-csmoke ./cmd/windserve; \
@@ -145,10 +149,12 @@ cluster-smoke:
 	done; \
 	body='{"sql":"$(SMOKE_Q)","max_rows":1}'; \
 	divbody='{"sql":"$(SMOKE_DIVQ)","max_rows":1}'; \
+	keylessbody='{"sql":"$(SMOKE_KEYLESSQ)","max_rows":1}'; \
 	single=$$(curl -sf -X POST http://127.0.0.1:18096/query -d "$$body"); \
 	sc=$$(printf '%s' "$$single" | grep -o '"row_count":[0-9]*'); \
 	divsingle=$$(curl -sf -X POST http://127.0.0.1:18096/query -d "$$divbody"); \
 	dsc=$$(printf '%s' "$$divsingle" | grep -o '"row_count":[0-9]*'); \
+	ksc=$$(curl -sf -X POST http://127.0.0.1:18096/query -d "$$keylessbody" | grep -o '"row_count":[0-9]*'); \
 	url=127.0.0.1:18093; \
 	clustered=$$(curl -sf -X POST http://$$url/query -d "$$body"); \
 	cc=$$(printf '%s' "$$clustered" | grep -o '"row_count":[0-9]*'); \
@@ -159,14 +165,20 @@ cluster-smoke:
 	dcc=$$(printf '%s' "$$divclustered" | grep -o '"row_count":[0-9]*'); \
 	[ -n "$$dsc" ] && [ "$$dsc" = "$$dcc" ] || { echo "cluster-smoke: divergent $$dcc != single-engine $$dsc" >&2; exit 1; }; \
 	printf '%s' "$$divclustered" | grep -q '"route":"shuffle"' || { echo "cluster-smoke: key-divergent chain not shuffled" >&2; exit 1; }; \
-	curl -sf http://$$url/stats | grep -q '"shards":2' || { echo "cluster-smoke: /stats missing shards" >&2; exit 1; }; \
-	curl -sf http://$$url/stats | grep -q '"shuffle":1' || { echo "cluster-smoke: /stats missing shuffle count" >&2; exit 1; }; \
+	keyless=$$(curl -sf -X POST http://$$url/query -d "$$keylessbody"); \
+	kcc=$$(printf '%s' "$$keyless" | grep -o '"row_count":[0-9]*'); \
+	[ -n "$$ksc" ] && [ "$$ksc" = "$$kcc" ] || { echo "cluster-smoke: keyless $$kcc != single-engine $$ksc" >&2; exit 1; }; \
+	printf '%s' "$$keyless" | grep -q '"route":"shuffle"' || { echo "cluster-smoke: keyless chain not shuffled" >&2; exit 1; }; \
+	stats=$$(curl -sf http://$$url/stats); \
+	printf '%s' "$$stats" | grep -q '"shards":2' || { echo "cluster-smoke: /stats missing shards" >&2; exit 1; }; \
+	printf '%s' "$$stats" | grep -q '"shuffle":2' || { echo "cluster-smoke: /stats missing shuffle count" >&2; exit 1; }; \
+	if printf '%s' "$$stats" | grep -q '"gather"'; then echo "cluster-smoke: /stats still reports a gather route" >&2; exit 1; fi; \
 	metrics=$$(curl -sf http://$$url/metrics); \
 	for fam in windowdb_queries_total windowdb_route_queries_total windowdb_shard_queries_total windowdb_shards; do \
 		printf '%s\n' "$$metrics" | grep -q "^$$fam" || { echo "cluster-smoke: /metrics missing family $$fam" >&2; exit 1; }; \
 	done; \
 	printf '%s\n' "$$metrics" | grep -q '^windowdb_shard_queries_total{shard="1"}' || { echo "cluster-smoke: /metrics missing per-shard labels" >&2; exit 1; }; \
-	echo "cluster-smoke: OK ($$cc rows scattered, $$dcc rows shuffled)"; \
+	echo "cluster-smoke: OK ($$cc rows scattered, $$dcc rows shuffled, $$kcc rows shuffled to one node)"; \
 	curl -sf http://127.0.0.1:18096/metrics | grep -q '^windowdb_query_duration_seconds_bucket' || { echo "cluster-smoke: single engine /metrics missing latency histogram" >&2; exit 1; }; \
 	grep -q '"kind":"slow_query"' /tmp/windserve-csmoke-slow.log || { echo "cluster-smoke: no slow-query log line from the coordinator" >&2; exit 1; }; \
 	grep -q '"root":' /tmp/windserve-csmoke-slow.log || { echo "cluster-smoke: slow-query line carries no span tree" >&2; exit 1; }; \

@@ -65,7 +65,7 @@ func main() {
 		rows     = flag.Int("rows", 20_000, "generated web_sales rows")
 		mem      = flag.Int("mem", 8<<20, "unit reorder memory M in bytes")
 		budget   = flag.Int("budget", 0, "global reorder-memory budget in bytes (0 = 4 chains' worth)")
-		slots    = flag.Int("slots", 0, "execution slots (0 = budget / per-chain memory); in -shards mode: coordinator gather slots (0 = 4)")
+		slots    = flag.Int("slots", 0, "execution slots (0 = budget / per-chain memory)")
 		queue    = flag.Int("queue", 64, "admission queue bound (-1 = no queue)")
 		cache    = flag.Int("cachesize", 256, "plan cache entries")
 		share    = flag.Bool("share", true, "cross-query shared-subplan cache: concurrent queries over one (table, WHERE, partition key) share one scan+reorder execution")
@@ -95,13 +95,13 @@ func main() {
 	startPprof(*pprofAddr)
 
 	if *shards != "" {
-		// Coordinator role. -slots bounds coordinator-side gather chains;
-		// -budget and -queue govern the shard nodes' own admission and are
-		// set where those processes start.
+		// Coordinator role. Chains run on the shard nodes: -slots, -budget
+		// and -queue govern their admission and are set where those
+		// processes start.
 		serveCoordinator(coordinatorConfig{
 			shardList: *shards, addr: *addr, eng: engCfg,
 			rows: *rows, cacheEntries: *cache,
-			gatherSlots: *slots, timeout: *timeout,
+			timeout: *timeout,
 			csvPath: *csvPath, csvTable: *csvTable,
 			slowlog: *slowlog, slowlogRate: *slowlograte, traceRing: *traceRing,
 		})
@@ -147,7 +147,6 @@ type coordinatorConfig struct {
 	shardList, addr    string
 	eng                windowdb.Config
 	rows, cacheEntries int
-	gatherSlots        int
 	timeout            time.Duration
 	csvPath, csvTable  string
 	slowlog            time.Duration
@@ -171,7 +170,6 @@ func serveCoordinator(cfg coordinatorConfig) {
 	cluster, err := shard.New(shard.Config{
 		Engine:           cfg.eng,
 		CacheEntries:     cfg.cacheEntries,
-		GatherSlots:      cfg.gatherSlots,
 		DefaultTimeout:   cfg.timeout,
 		TraceRing:        cfg.traceRing,
 		SlowLogThreshold: cfg.slowlog,

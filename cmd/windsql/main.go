@@ -19,7 +19,7 @@
 // frames) to a running windserve — single engine or cluster coordinator —
 // so rows print as the server emits them, long before the result is
 // complete. The latency line reports the served elapsed time, cache
-// disposition and (against a coordinator) the scatter/shuffle/gather route.
+// disposition and (against a coordinator) the scatter/shuffle/replica route.
 //
 // -format selects the output shape: "table" (padded columns; the first
 // rows are buffered to size the columns, the rest stream), "csv"

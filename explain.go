@@ -190,14 +190,8 @@ func NewTextRows(col string, lines []string) *Rows {
 	return newStaticRows([]storage.Column{{Name: col, Type: storage.TypeString}}, rows)
 }
 
-// NewTableRows is a cursor over a materialized table: how a shard node's
-// raw rows leave it on the same surface as its query results.
-func NewTableRows(t *storage.Table) *Rows {
-	return newStaticRows(t.Schema.Columns, t.Rows)
-}
-
 // staticSource is the RowSource behind the results a backend already holds
-// as rows: rendered text, an INSERT's summary, a registered table.
+// as rows: rendered text, an INSERT's summary.
 type staticSource struct {
 	cols []storage.Column
 	b    *stream.Batcher

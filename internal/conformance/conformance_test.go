@@ -114,9 +114,8 @@ func backends(t *testing.T) []backend {
 	localTransport := func(int) shard.Transport {
 		return shard.NewLocal(service.New(windowdb.New(engCfg()), service.Config{Slots: 2}))
 	}
-	// Real-socket shard transports with the binary codec forced on: the
-	// scatter, gather, shuffle and replica planes all cross HTTP as
-	// columnar frames here.
+	// Real-socket shard transports: the scatter, shuffle and replica planes
+	// all cross HTTP as columnar frames here.
 	httpTransport := func(int) shard.Transport {
 		nodeSrv := httptest.NewServer(service.New(windowdb.New(engCfg()), service.Config{Slots: 2, ShardRoutes: true}).Handler())
 		t.Cleanup(nodeSrv.Close)
@@ -211,7 +210,7 @@ const divergentSQL = `SELECT ws_item_sk, ws_warehouse_sk, ws_order_number,
 // cluster backends run them; edgeQueries carries them through the buffered
 // and the batch-drain suites too.
 const (
-	keylessRoute = "gather"
+	keylessRoute = "shuffle"
 
 	keylessSQL = `SELECT ws_item_sk, ws_order_number,
 	rank() OVER (ORDER BY ws_sold_date_sk, ws_order_number) AS r FROM web_sales`
@@ -390,7 +389,8 @@ func TestQueryerCancelledContext(t *testing.T) {
 func TestKeyDivergentChains(t *testing.T) {
 	for _, bk := range backends(t) {
 		t.Run(bk.name, func(t *testing.T) {
-			// Routing: cluster-shaped backends must shuffle, not gather.
+			// Routing: what the shard key does not cover, cluster-shaped
+			// backends shuffle — there is no other route for it.
 			rows, err := bk.q.QueryContext(context.Background(), divergentSQL)
 			if err != nil {
 				t.Fatal(err)

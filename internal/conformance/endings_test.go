@@ -40,9 +40,8 @@ var (
 )
 
 const (
-	endingSQL       = `SELECT ws_item_sk, ws_order_number, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS r FROM web_sales`
-	endingGatherSQL = `SELECT ws_item_sk, ws_order_number, rank() OVER (ORDER BY ws_sold_date_sk, ws_order_number) AS r FROM web_sales`
-	endingBadSQL    = `SELECT nosuch FROM web_sales`
+	endingSQL    = `SELECT ws_item_sk, ws_order_number, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS r FROM web_sales`
+	endingBadSQL = `SELECT nosuch FROM web_sales`
 	// A subscription that cannot be maintained fails when it is opened,
 	// after it was admitted.
 	endingBadSubSQL = `SUBSCRIBE ` + endingSQL + ` ORDER BY r`
@@ -150,15 +149,15 @@ func newClusterFront(t *testing.T) *endingFront {
 			return tally{st.Queries, st.Aborted, st.Failures}
 		},
 		held: func() string {
-			switch {
-			case c.GatherInFlight() != 0:
-				return fmt.Sprintf("cluster: %d gather slots", c.GatherInFlight())
-			case c.Registry().Len() != 0:
+			if c.Registry().Len() != 0 {
 				return fmt.Sprintf("cluster: %d registry entries", c.Registry().Len())
 			}
 			for i, svc := range nodes {
 				if held := serviceHeld(fmt.Sprintf("node %d", i), svc); held != "" {
 					return held
+				}
+				if svc.ShuffleBuffered() != 0 {
+					return fmt.Sprintf("node %d: %d buffered shuffle rounds", i, svc.ShuffleBuffered())
 				}
 			}
 			return ""
@@ -396,7 +395,8 @@ func TestEndingsMatrix(t *testing.T) {
 		t.Run(f.name+"/buffered", f.bufferedEndings)
 		t.Run(f.name+"/streamed", func(t *testing.T) { f.cursorEndings(t, endingSQL, endingBadSQL, false, false) })
 		if f.name == "cluster" {
-			t.Run("cluster/streamed-gather", func(t *testing.T) { f.cursorEndings(t, endingGatherSQL, endingBadSQL, false, false) })
+			t.Run("cluster/streamed-shuffle", func(t *testing.T) { f.cursorEndings(t, divergentSQL, endingBadSQL, false, false) })
+			t.Run("cluster/streamed-keyless", func(t *testing.T) { f.cursorEndings(t, keylessSQL, endingBadSQL, false, false) })
 		}
 		t.Run(f.name+"/subscription", func(t *testing.T) {
 			f.cursorEndings(t, "SUBSCRIBE "+endingSQL, endingBadSubSQL, true, f.name == "cluster")

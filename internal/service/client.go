@@ -130,19 +130,8 @@ func (c *Client) PrepareContext(ctx context.Context, src string) (windowdb.Stmt,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return &clientStmt{c: c, src: src}, nil
+	return windowdb.TextStmt(c, src), nil
 }
-
-type clientStmt struct {
-	c   *Client
-	src string
-}
-
-func (st *clientStmt) QueryContext(ctx context.Context) (*windowdb.Rows, error) {
-	return st.c.QueryContext(ctx, st.src)
-}
-
-func (st *clientStmt) Close() error { return nil }
 
 // Rows wraps the reader in the public cursor: how every consumer that
 // wants rows, not batches, reads a stream. The cursor's Metrics come from

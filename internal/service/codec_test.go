@@ -157,7 +157,7 @@ func TestErrorTrailerSurvivesFraming(t *testing.T) {
 }
 
 // TestNodePlanesSpeakFramesOnly: between the processes of a cluster there
-// is one encoding. /shard/query and /shard/table answer binary frames
+// is one encoding. /shard/query answers binary frames
 // whatever the request's Accept or ?codec= says — nothing is negotiated —
 // and a /shard/shuffle POST that does not declare itself frames is a 415
 // refused unread, not parsed as something else: the node buffers nothing.
@@ -168,7 +168,6 @@ func TestNodePlanesSpeakFramesOnly(t *testing.T) {
 
 	streams := []struct{ name, method, path, body string }{
 		{"query", http.MethodPost, "/shard/query?", `{"sql":"SELECT empnum FROM emptab","mode":"full"}`},
-		{"table", http.MethodGet, "/shard/table?name=emptab&", ""},
 	}
 	for _, st := range streams {
 		for _, ask := range []struct{ accept, param string }{

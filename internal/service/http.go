@@ -51,11 +51,10 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("/debug/queries/", s.handleDebugQueries)
 	if s.cfg.ShardRoutes {
 		// Shard-node surface (shard.go): what a cluster coordinator
-		// calls. Opt-in — register/table would let any client overwrite
-		// or dump tables on a public single-engine server.
+		// calls. Opt-in — register would let any client overwrite tables
+		// on a public single-engine server.
 		mux.HandleFunc("/shard/query", s.handleShardQuery)
 		mux.HandleFunc("/shard/register", s.handleShardRegister)
-		mux.HandleFunc("/shard/table", s.handleShardTable)
 		mux.HandleFunc("/shard/distinct", s.handleShardDistinct)
 		mux.HandleFunc("/shard/shuffle", s.handleShuffleIngest)
 		mux.HandleFunc("/shard/shuffle/run", s.handleShuffleRun)

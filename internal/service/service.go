@@ -418,22 +418,8 @@ func (s *Service) PrepareContext(ctx context.Context, src string) (windowdb.Stmt
 	if _, _, err := s.resolve(src); err != nil {
 		return nil, err
 	}
-	return &serviceStmt{s: s, src: src}, nil
+	return windowdb.TextStmt(s, src), nil
 }
-
-// serviceStmt re-resolves through the plan cache per execution, so a
-// statement survives table re-registration (the cache re-prepares under
-// the new catalog generation).
-type serviceStmt struct {
-	s   *Service
-	src string
-}
-
-func (st *serviceStmt) QueryContext(ctx context.Context) (*windowdb.Rows, error) {
-	return st.s.QueryContext(ctx, st.src)
-}
-
-func (st *serviceStmt) Close() error { return nil }
 
 // execCursor is what a served stream drains: the sql.Cursor shape, also
 // satisfied by the engine's live Subscription — the widening that lets

@@ -20,7 +20,6 @@ import (
 //
 //	POST /shard/query        {"sql": "...", "mode": "local"|"full"|"segment"} (row stream)
 //	POST /shard/register     {"name": "t", "table": {wire table}}
-//	GET  /shard/table?name=t (row stream)
 //	GET  /shard/distinct?table=t&attrs=3,4
 //	POST /shard/shuffle/run  {ShuffleRunRequest}
 //	POST /shard/shuffle      (peer row stream — node-to-node)
@@ -36,11 +35,10 @@ import (
 // /shard/register installs a table partition (or replica) into the node's
 // engine — like every route here it is an intra-cluster interface: deploy
 // shard nodes behind the cluster boundary, not on the public edge.
-// /shard/table streams a table's raw rows with the same framing (the gather
-// path of chains with no usable shuffle key) and /shard/distinct answers a
-// distinct count for the coordinator's statistics stubs. The two
-// /shard/shuffle data-plane routes carry the per-segment distributed
-// execution of key-divergent chains: "run" executes one stage
+// /shard/distinct answers a distinct count for the coordinator's
+// statistics stubs. The /shard/shuffle data-plane routes carry the
+// per-segment distributed execution of every chain the shard key does not
+// cover: "run" executes one stage
 // (RunShuffleStep), the bare route ingests a peer's re-shuffled rows into
 // the node's inbox — node-to-node traffic that never transits the
 // coordinator.
@@ -152,23 +150,6 @@ func (s *Service) handleShardRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	s.eng.Register(req.Name, t)
 	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "rows": t.Len()})
-}
-
-func (s *Service) handleShardTable(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("name")
-	if name == "" {
-		writeError(w, http.StatusBadRequest, "request", errors.New("service: pass ?name="))
-		return
-	}
-	t, err := s.eng.Table(name)
-	if err != nil {
-		status, kind := StatusFor(err)
-		writeError(w, status, kind, err)
-		return
-	}
-	// Chunked stream, never a whole JSON body: the gather data plane ships
-	// raw rows exactly as /shard/query ships results.
-	WriteStream(r.Context(), w, windowdb.NewTableRows(t), 0, CodecBinary)
 }
 
 func (s *Service) handleShardDistinct(w http.ResponseWriter, r *http.Request) {

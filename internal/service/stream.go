@@ -417,28 +417,13 @@ func OpenStream(ctx context.Context, hc *http.Client, url string, reqBody any, c
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	return openStream(hc, req, url, codec)
-}
-
-// OpenStreamGet is OpenStream for the body-less GET route /shard/table.
-func OpenStreamGet(ctx context.Context, hc *http.Client, url string) (*StreamReader, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	return openStream(hc, req, url, CodecBinary)
-}
-
-// openStream issues req and wraps the streamed response in a StreamReader,
-// selecting the row decoder from the response content type.
-func openStream(hc *http.Client, req *http.Request, url string, codec WireCodec) (*StreamReader, error) {
 	if hc == nil {
 		hc = http.DefaultClient
 	}
 	// Propagate the caller's trace: any stream opened under a traced
-	// context — a client /query, a coordinator's scatter or gather fan-out
-	// — carries the ID so the server joins instead of minting.
-	if id := trace.FromContext(req.Context()); id != "" {
+	// context — a client /query, a coordinator's scatter fan-out — carries
+	// the ID so the server joins instead of minting.
+	if id := trace.FromContext(ctx); id != "" {
 		req.Header.Set(trace.HeaderTraceID, id)
 	}
 	if codec == CodecBinary {

@@ -100,11 +100,11 @@ func TestWireTableDecodeErrors(t *testing.T) {
 
 // TestShardRoutesGated: the /shard/* node surface mounts only when
 // Config.ShardRoutes is set — a public single-engine server must not
-// expose table overwrite or raw-table dump endpoints.
+// expose the table overwrite endpoint — and no server dumps raw tables.
 func TestShardRoutesGated(t *testing.T) {
 	public := httptest.NewServer(New(windowdb.New(windowdb.Config{}), Config{}).Handler())
 	defer public.Close()
-	for _, path := range []string{"/shard/query", "/shard/register", "/shard/table", "/shard/distinct"} {
+	for _, path := range []string{"/shard/query", "/shard/register", "/shard/distinct"} {
 		resp, err := public.Client().Get(public.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -116,20 +116,18 @@ func TestShardRoutesGated(t *testing.T) {
 	}
 	node := httptest.NewServer(New(windowdb.New(windowdb.Config{}), Config{ShardRoutes: true}).Handler())
 	defer node.Close()
-	resp, err := node.Client().Get(node.URL + "/shard/table?name=missing")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound { // unknown table, but the route exists
-		t.Errorf("shard node /shard/table: %s", resp.Status)
-	}
-	resp, err = node.Client().Get(node.URL + "/shard/distinct?table=missing")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("shard node /shard/distinct: %s", resp.Status)
+	for path, want := range map[string]int{
+		"/shard/distinct?table=missing": http.StatusNotFound, // unknown table, but the route exists
+		"/shard/distinct":               http.StatusBadRequest,
+		"/shard/table?name=emptab":      http.StatusNotFound, // no such route on any server
+	} {
+		resp, err := node.Client().Get(node.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("shard node %s: %s, want %d", path, resp.Status, want)
+		}
 	}
 }

@@ -62,11 +62,15 @@ func handlerDone(h http.Handler) (http.Handler, <-chan struct{}) {
 // from a half-read cursor — a client hanging up on the front end, or the
 // cancelled request context such a hang-up leaves behind, seen by the
 // cursor before a write fails — is an abort on both cluster sources: the
-// scatter merge and the coordinator-side cursor of a gather. aborted ticks,
-// failures does not, and node slots, the gather slot and the registry are
-// back where they were.
+// merge of node streams and the coordinator-side cursor over a finalized
+// concatenation (here a keyless chain's, gathered at one node by shuffle and
+// sorted at the coordinator). aborted ticks, failures does not, and node slots,
+// inboxes and the registry are back where they were.
 func TestCoordinatorDisconnectIsAnAbort(t *testing.T) {
-	for _, route := range []struct{ name, sql string }{{"scatter", q6SQL}, {"gather", gatherSQL}} {
+	for _, route := range []struct{ name, sql, route string }{
+		{"scatter", q6SQL, "scatter"},
+		{"gather", keylessSQL + " ORDER BY r, ws_order_number", "shuffle"},
+	} {
 		walkAways := map[string]func(t *testing.T, c *Cluster){
 			"hang-up": func(t *testing.T, c *Cluster) {
 				handler, done := handlerDone(c.Handler())
@@ -112,7 +116,7 @@ func TestCoordinatorDisconnectIsAnAbort(t *testing.T) {
 		}
 		for how, walkAway := range walkAways {
 			t.Run(route.name+"/"+how, func(t *testing.T) {
-				c, svcs := streamCluster(t, 2, 20_000, Config{GatherSlots: -1})
+				c, svcs := streamCluster(t, 2, 20_000, Config{})
 				walkAway(t, c)
 				if n := c.reg.Len(); n != 0 {
 					t.Fatalf("%d statements still registered at the coordinator", n)
@@ -120,20 +124,17 @@ func TestCoordinatorDisconnectIsAnAbort(t *testing.T) {
 				if aborted, failures := c.aborted.Load(), c.failures.Load(); aborted != 1 || failures != 0 {
 					t.Fatalf("aborted = %d, failures = %d, want 1 and 0", aborted, failures)
 				}
-				if got := c.GatherInFlight(); got != 0 {
-					t.Fatalf("gather in-flight = %d, want 0", got)
-				}
 				for i, svc := range svcs {
-					if st := svc.Stats(); st.InFlight != 0 || st.LiveQueries != 0 || st.Failures != 0 {
-						t.Fatalf("node %d: %d slots held, %d live queries, %d failures, want none", i, st.InFlight, st.LiveQueries, st.Failures)
+					if st := svc.Stats(); st.InFlight != 0 || st.LiveQueries != 0 || st.Failures != 0 || svc.ShuffleBuffered() != 0 {
+						t.Fatalf("node %d: %d slots held, %d live queries, %d failures, %d buffered rounds, want none", i, st.InFlight, st.LiveQueries, st.Failures, svc.ShuffleBuffered())
 					}
 				}
 				res, err := c.Query(context.Background(), route.sql)
 				if err != nil {
 					t.Fatalf("%s after the walk-away: %v", route.name, err)
 				}
-				if res.Route != route.name {
-					t.Fatalf("route = %q, want %s", res.Route, route.name)
+				if res.Route != route.route {
+					t.Fatalf("route = %q, want %s", res.Route, route.route)
 				}
 			})
 		}

@@ -267,9 +267,9 @@ func TestClusterSubscribeRejects(t *testing.T) {
 	ctx := context.Background()
 	c, _ := newLocalClusterNodes(t, 2, 50)
 
-	// gatherSQL's chain is not shard-local: its maintenance state would
+	// keylessSQL's chain is not shard-local: its maintenance state would
 	// span nodes.
-	if _, err := c.QueryContext(ctx, "SUBSCRIBE "+gatherSQL); !errors.Is(err, sql.ErrBind) {
+	if _, err := c.QueryContext(ctx, "SUBSCRIBE "+keylessSQL); !errors.Is(err, sql.ErrBind) {
 		t.Errorf("non-shard-local SUBSCRIBE error = %v", err)
 	}
 	if _, err := c.QueryContext(ctx, "SUBSCRIBE "+subSQL+" ORDER BY ws_item_sk"); !errors.Is(err, sql.ErrBind) {

@@ -26,10 +26,9 @@ type ClusterStats struct {
 	// nor failures.
 	Aborted uint64 `json:"aborted"`
 	Scatter uint64 `json:"scatter"`
-	// Shuffle counts key-divergent chains executed per segment with
-	// node-to-node re-shuffles instead of a coordinator gather.
+	// Shuffle counts chains executed per segment with node-to-node
+	// re-shuffles: key-divergent ones, and keyless ones on a single node.
 	Shuffle uint64 `json:"shuffle"`
-	Gather  uint64 `json:"gather"`
 	Replica uint64 `json:"replica"`
 	// Appends counts cluster-level append batches (INSERT statements and
 	// /append bodies routed to the owning nodes); RowsAppended their rows.
@@ -72,7 +71,6 @@ func (c *Cluster) Stats(ctx context.Context) (*ClusterStats, error) {
 		Aborted:      c.aborted.Load(),
 		Scatter:      c.scatter.Load(),
 		Shuffle:      c.shuffled.Load(),
-		Gather:       c.gathered.Load(),
 		Replica:      c.replica.Load(),
 		Appends:      c.appends.Load(),
 		RowsAppended: c.rowsAppended.Load(),
@@ -98,7 +96,7 @@ func (c *Cluster) Stats(ctx context.Context) (*ClusterStats, error) {
 //	GET  /stats   ClusterStats (per-shard snapshots + routing counters)
 //	GET  /healthz fans out to every shard; 503 names the first down node
 //
-// /query responses carry "route" (scatter|shuffle|gather|replica) and
+// /query responses carry "route" (scatter|shuffle|replica) and
 // "shards_used".
 // A request carrying "stream":true, ?stream=1 or `Accept:
 // application/x-ndjson` gets the chunked NDJSON stream: on the scatter
@@ -214,7 +212,6 @@ func (c *Cluster) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Family("windowdb_route_queries_total", "Queries by coordinator route.", "counter")
 	p.Sample("windowdb_route_queries_total", `route="scatter"`, float64(stats.Scatter))
 	p.Sample("windowdb_route_queries_total", `route="shuffle"`, float64(stats.Shuffle))
-	p.Sample("windowdb_route_queries_total", `route="gather"`, float64(stats.Gather))
 	p.Sample("windowdb_route_queries_total", `route="replica"`, float64(stats.Replica))
 
 	p.Counter("windowdb_plan_cache_hits_total", "Coordinator plan cache hits.", float64(stats.CoordCache.Hits))
@@ -224,7 +221,6 @@ func (c *Cluster) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Gauge("windowdb_plan_cache_entries", "Coordinator plan cache resident entries.", float64(stats.CoordCache.Size))
 
 	p.Gauge("windowdb_shards", "Shard nodes in the cluster.", float64(stats.Shards))
-	p.Gauge("windowdb_gather_in_flight", "Gather-route chains holding a coordinator slot.", float64(c.GatherInFlight()))
 
 	shardFamily := func(name, help, typ string, get func(service.Snapshot) float64) {
 		p.Family(name, help, typ)

@@ -20,9 +20,9 @@ import (
 
 // HTTP reaches a shard node over the /shard/* routes of its windserve
 // process, so multiple processes form a real cluster. Safe for concurrent
-// use (http.Client is). Every row that crosses — scatter, gather and
-// segment streams, shuffle deliveries, appends — rides the binary columnar
-// frame codec, the node planes' only one.
+// use (http.Client is). Every row that crosses — scatter and segment
+// streams, shuffle deliveries, appends — rides the binary columnar frame
+// codec, the node planes' only one.
 type HTTP struct {
 	base   string
 	client *http.Client
@@ -111,17 +111,6 @@ func (h *HTTP) stream(ctx context.Context, path string, body any) (*windowdb.Row
 // QueryStream implements Transport over the node's /shard/query stream.
 func (h *HTTP) QueryStream(ctx context.Context, req service.ShardQueryRequest) (*windowdb.Rows, error) {
 	return h.stream(ctx, "/shard/query", req)
-}
-
-// TableStream implements Transport over the node's /shard/table stream:
-// the gather data plane rides the same chunked framing as query streams,
-// so neither side ever materializes a whole table body.
-func (h *HTTP) TableStream(ctx context.Context, name string) (*windowdb.Rows, error) {
-	sr, err := service.OpenStreamGet(ctx, h.client, h.base+"/shard/table?name="+url.QueryEscape(name))
-	if err != nil {
-		return nil, err
-	}
-	return sr.Rows(), nil
 }
 
 // ShuffleRun implements Transport: one buffered JSON control round trip;

@@ -44,8 +44,8 @@ func newHTTPCluster(t *testing.T, n int, rows int) *Cluster {
 	return c
 }
 
-// TestHTTPTransportRoundTrip: registration, scatter, gather and replica
-// all riding /shard/* over real HTTP, value-identical to the single
+// TestHTTPTransportRoundTrip: registration, scatter, shuffle (keyed and
+// keyless) and replica all riding /shard/* over real HTTP, value-identical to the single
 // engine (the wire codec must preserve value kinds exactly — the
 // fingerprints are canonical tuple encodings).
 func TestHTTPTransportRoundTrip(t *testing.T) {
@@ -57,7 +57,7 @@ func TestHTTPTransportRoundTrip(t *testing.T) {
 		sql, route string
 	}{
 		{q6SQL, "scatter"},
-		{gatherSQL, "gather"},
+		{keylessSQL, "shuffle"},
 		{divergeSQL, "shuffle"},
 		{`SELECT empnum, salary FROM emptab`, "replica"},
 	} {
@@ -83,7 +83,7 @@ func TestHTTPTransportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Shards != 2 || stats.Queries != 4 || stats.Shuffle != 1 {
+	if stats.Shards != 2 || stats.Queries != 4 || stats.Shuffle != 2 {
 		t.Fatalf("stats: %+v", stats)
 	}
 	if stats.ShardShuffleRounds == 0 {
@@ -174,41 +174,20 @@ func TestCoordinatorHandler(t *testing.T) {
 	}
 }
 
-// TestMixedTopologyShuffleFallback: a cluster mixing in-process and HTTP
-// transports cannot run the shuffle data plane (a remote node has no
-// address for an in-process peer), so key-divergent chains keep the
-// gather fallback — and still match the single engine.
+// TestMixedTopologyShuffleFallback: there is none. A cluster mixing
+// in-process and HTTP transports cannot run the shuffle data plane (a remote
+// node has no address for an in-process peer), and every chain the shard key
+// does not cover needs it — New says so instead of building the cluster.
 func TestMixedTopologyShuffleFallback(t *testing.T) {
-	const rows = 600
-	engHTTP := windowdb.New(testEngineConfig())
-	srv := httptest.NewServer(service.New(engHTTP, service.Config{ShardRoutes: true}).Handler())
+	srv := httptest.NewServer(service.New(windowdb.New(testEngineConfig()), service.Config{ShardRoutes: true}).Handler())
 	t.Cleanup(srv.Close)
 	shards := []Transport{
 		NewLocal(service.New(windowdb.New(testEngineConfig()), service.Config{})),
 		NewHTTP(srv.URL, srv.Client()),
 	}
 	c, err := New(Config{Engine: testEngineConfig()}, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	ws := datagen.WebSales(datagen.WebSalesConfig{Rows: rows, Seed: 7})
-	if err := c.RegisterSharded(ctx, "web_sales", ws, "ws_item_sk"); err != nil {
-		t.Fatal(err)
-	}
-	ref, err := singleEngine(rows).Query(divergeSQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Query(ctx, divergeSQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Route != "gather" {
-		t.Fatalf("mixed topology routed %q, want gather fallback", res.Route)
-	}
-	if !slices.Equal(canonical(res.Table), canonical(ref.Table)) {
-		t.Fatal("mixed-topology gather differs from single engine")
+	if err == nil || c != nil || !strings.Contains(err.Error(), "1 of 2 shard transports are addressable") {
+		t.Fatalf("New over a half-addressable topology = %v, %v, want an error naming it", c, err)
 	}
 }
 

@@ -18,22 +18,19 @@
 //     value-identical to single-engine execution — then finalizes
 //     (DISTINCT, ORDER BY as a full sort, LIMIT) over the concatenation,
 //     exactly as post-barrier segments restart in exec.ParallelRun;
-//   - shuffle: when the keys diverge but every key-divergence segment of
-//     the chain keeps a non-empty common key (exec.DivergentSegments — the
-//     Section 3.5 condition applied per segment instead of per chain), the
-//     segments run scattered one round at a time, each node re-shuffling
-//     its output rows directly to the peer nodes hash-partitioned on the
-//     next segment's key (the service's /shard/shuffle data plane); the
-//     coordinator only drives the rounds and merge-concatenates the final
-//     segment's streams exactly as scatter does, so its resident rows stay
-//     bounded by the wire batch × shard count while the re-shuffled rows
-//     never leave the node tier;
-//   - gather: when no usable key exists (an empty PARTITION BY, or a
-//     post-divergence segment that does not rebuild order), the
-//     coordinator streams the raw rows to itself and runs the chain — the
-//     concatenation arrives in arbitrary order, which is the Unordered
-//     property the plan was built from, so its first order-rebuilding
-//     FS/HS step absorbs the shuffle;
+//   - shuffle: every other chain runs per key-divergence segment
+//     (exec.DivergentSegments — the Section 3.5 condition applied per
+//     segment instead of per chain), scattered one round at a time, each
+//     node re-shuffling its output rows directly to the peer nodes
+//     hash-partitioned on the next segment's key (the service's
+//     /shard/shuffle data plane); the coordinator only drives the rounds
+//     and merge-concatenates the final segment's streams exactly as
+//     scatter does, so its resident rows stay bounded by the wire batch ×
+//     shard count while the re-shuffled rows never leave the node tier. A
+//     chain with no usable key (an empty PARTITION BY, or a
+//     post-divergence segment that does not rebuild order) is one segment
+//     keyed on nothing: every row hashes to the same node, which runs the
+//     chain under its own governor while its peers stream zero rows;
 //   - replica: queries over replicated tables go, whole, to one node
 //     round-robin.
 //
@@ -72,22 +69,15 @@ import (
 
 // Config parameterizes a Cluster.
 type Config struct {
-	// Engine configures the coordinator's planning-and-gather engine:
-	// scheme, unit reorder memory, block size, spill backing, parallelism
-	// (the gather path runs chains here with these resources).
+	// Engine configures the coordinator's engine, which plans every
+	// statement (scheme, unit reorder memory and block size feed the cost
+	// model) and finalizes DISTINCT/ORDER BY over node streams; it never
+	// runs a chain.
 	Engine windowdb.Config
 	// CacheEntries bounds the coordinator's prepared-statement cache
 	// (default 256). Shard nodes keep their own plan caches; this one
 	// saves the coordinator's parse/bind/plan and routing work.
 	CacheEntries int
-	// GatherSlots bounds the gather-route chains executing concurrently
-	// at the coordinator (default 4, negative = 1) — the coordinator-side
-	// analogue of the shard nodes' admission governor: each gather chain
-	// assumes the full unit reorder memory M, so an unbounded count would
-	// reopen the overload hole admission control closes on single
-	// engines. Scatter and replica routes execute on the shards, whose
-	// own governors bound them.
-	GatherSlots int
 	// DefaultTimeout is applied to queries whose context carries no
 	// deadline (0 leaves them unbounded), covering shard fan-outs and
 	// coordinator-side execution alike.
@@ -126,10 +116,8 @@ type Cluster struct {
 	mu     sync.RWMutex
 	tables map[string]*tableInfo // keyed by folded name
 
-	cache          *planCache
-	gatherSlot     chan struct{} // bounds coordinator-side gather chains
-	gatherInFlight atomic.Int64  // gather chains currently holding a slot
-	rr             atomic.Uint64 // replica round-robin cursor
+	cache *planCache
+	rr    atomic.Uint64 // replica round-robin cursor
 
 	// Shuffle identity: every per-segment distributed query names its
 	// buffered state on the nodes with nonce-seq, so concurrent queries —
@@ -140,19 +128,12 @@ type Cluster struct {
 	// peerAddrs[i] is shard i's base URL when its transport exposes one
 	// (HTTP); remote nodes address each other with these on the shuffle
 	// data plane. In-process transports deliver through deliverShuffle
-	// instead.
+	// instead. All are set or none is (New).
 	peerAddrs []string
-	// shuffleOK reports that every node can reach every peer on the
-	// shuffle data plane: either all nodes are addressable (remote nodes
-	// send to the Peers URLs) or none is (in-process nodes deliver
-	// through deliverShuffle). A mixed topology would strand a remote
-	// node without an address for an in-process peer, so key-divergent
-	// chains there keep the gather fallback.
-	shuffleOK bool
 
-	queries, failures, aborted           atomic.Uint64
-	scatter, shuffled, gathered, replica atomic.Uint64
-	appends, rowsAppended                atomic.Uint64
+	queries, failures, aborted atomic.Uint64
+	scatter, shuffled, replica atomic.Uint64
+	appends, rowsAppended      atomic.Uint64
 
 	// Coordinator-side observability: the /debug/trace ring of recent
 	// query traces, the slow-query logger (both optional), the in-flight
@@ -176,19 +157,17 @@ type tableInfo struct {
 
 // New builds a cluster over the given shard transports. At least one shard
 // is required; one shard is a degenerate but valid cluster (every scatter
-// has a single partition).
+// has a single partition). Every node must reach every peer on the shuffle
+// data plane, so the transports are all addressable (remote nodes send to
+// each other's URLs) or all in-process (delivery through the coordinator's
+// transports): a mix would strand a remote node without an address for an
+// in-process peer.
 func New(cfg Config, shards []Transport) (*Cluster, error) {
 	if len(shards) == 0 {
 		return nil, errors.New("shard: a cluster needs at least one shard")
 	}
 	if cfg.CacheEntries <= 0 {
 		cfg.CacheEntries = 256
-	}
-	switch {
-	case cfg.GatherSlots == 0:
-		cfg.GatherSlots = 4
-	case cfg.GatherSlots < 0:
-		cfg.GatherSlots = 1
 	}
 	if cfg.StatsTimeout <= 0 {
 		cfg.StatsTimeout = 15 * time.Second
@@ -201,18 +180,19 @@ func New(cfg Config, shards []Transport) (*Cluster, error) {
 			addressable++
 		}
 	}
+	if addressable != 0 && addressable != len(shards) {
+		return nil, fmt.Errorf("shard: %d of %d shard transports are addressable: the shuffle data plane needs all of them remote or all in-process", addressable, len(shards))
+	}
 	slowW := cfg.SlowLogWriter
 	if slowW == nil {
 		slowW = os.Stderr
 	}
 	c := &Cluster{
-		shuffleOK:    addressable == 0 || addressable == len(shards),
 		cfg:          cfg,
 		shards:       shards,
 		coord:        windowdb.New(cfg.Engine),
 		tables:       make(map[string]*tableInfo),
 		cache:        newPlanCache(cfg.CacheEntries),
-		gatherSlot:   make(chan struct{}, cfg.GatherSlots),
 		shuffleNonce: shuffleNonce(),
 		peerAddrs:    addrs,
 		slow:         trace.NewSlowLoggerRate(slowW, cfg.SlowLogThreshold, cfg.SlowLogRate),
@@ -292,8 +272,8 @@ func (c *Cluster) deliverShuffle(ctx context.Context, peer int, b *service.Shuff
 // Shards returns the number of shard nodes.
 func (c *Cluster) Shards() int { return len(c.shards) }
 
-// Coordinator returns the coordinator engine (stub catalog; the gather
-// path's executor). Tests inspect it.
+// Coordinator returns the coordinator engine (stub catalog; it plans and
+// finalizes, the nodes execute). Tests inspect it.
 func (c *Cluster) Coordinator() *windowdb.Engine { return c.coord }
 
 // RegisterSharded hash-partitions t's rows on the named key columns and
@@ -302,8 +282,7 @@ func (c *Cluster) Coordinator() *windowdb.Engine { return c.coord }
 // D(·) as the capped sum of shard-local counts — exact whenever the set
 // contains the shard key (groups are then disjoint across shards), an
 // upper bound otherwise. Chains whose common partition key covers the
-// shard key will execute shard-locally (scatter); others fall back to
-// gather.
+// shard key will execute shard-locally (scatter); others shuffle.
 func (c *Cluster) RegisterSharded(ctx context.Context, name string, t *storage.Table, keyCols ...string) error {
 	if len(keyCols) == 0 {
 		return fmt.Errorf("shard: sharded registration of %q needs a shard key", name)
@@ -433,8 +412,8 @@ type Result struct {
 	Plan *core.Plan
 	// Route is "scatter" (shard-local chains, coordinator finalize),
 	// "shuffle" (per-segment scattered execution with node-to-node
-	// re-shuffles between key-divergent segments), "gather" (raw rows
-	// pulled to the coordinator) or "replica" (whole query on one node).
+	// re-shuffles between key-divergent segments) or "replica" (whole
+	// query on one node).
 	Route string
 	// ShardsUsed is the number of nodes that executed for this query.
 	ShardsUsed int
@@ -446,7 +425,7 @@ type Result struct {
 	// Elapsed is the end-to-end coordinator time.
 	Elapsed time.Duration
 	// Block and comparison counters sum over every participating node
-	// (plus the coordinator's own chain on the gather path).
+	// (plus the coordinator's own finalize sort).
 	BlocksRead    int64
 	BlocksWritten int64
 	Comparisons   int64
@@ -503,9 +482,8 @@ var _ windowdb.Queryer = (*Cluster)(nil)
 // shard-index order — the coordinator holds in-flight rows, not node
 // responses, so its memory is bounded by the wire batch size × shard
 // count instead of |R| — except when DISTINCT or ORDER BY force the
-// finalize pass to materialize the concatenation first. The gather route
-// holds its coordinator execution slot, and every route its shard
-// streams, until the cursor is drained or closed.
+// finalize pass to materialize the concatenation first. Every route holds
+// its shard streams until the cursor is drained or closed.
 func (c *Cluster) QueryContext(ctx context.Context, src string) (*windowdb.Rows, error) {
 	if inner, ok := windowdb.StripExplainAnalyze(src); ok {
 		return windowdb.ExplainAnalyzeRows(ctx, c, inner)
@@ -514,8 +492,8 @@ func (c *Cluster) QueryContext(ctx context.Context, src string) (*windowdb.Rows,
 		return c.insertRows(ctx, src)
 	}
 	// Join or start the distributed trace here so every fan-out this
-	// statement makes — scatter streams, shuffle control rounds, gathers —
-	// carries the same ID to the nodes.
+	// statement makes — scatter streams, shuffle control rounds — carries
+	// the same ID to the nodes.
 	if trace.FromContext(ctx) == "" {
 		ctx = trace.NewContext(ctx, trace.NewID())
 	}
@@ -560,19 +538,8 @@ func (c *Cluster) PrepareContext(ctx context.Context, src string) (windowdb.Stmt
 	if _, _, err := c.prepare(src); err != nil {
 		return nil, err
 	}
-	return &clusterStmt{c: c, src: src}, nil
+	return windowdb.TextStmt(c, src), nil
 }
-
-type clusterStmt struct {
-	c   *Cluster
-	src string
-}
-
-func (st *clusterStmt) QueryContext(ctx context.Context) (*windowdb.Rows, error) {
-	return st.c.QueryContext(ctx, st.src)
-}
-
-func (st *clusterStmt) Close() error { return nil }
 
 // clusterTrace carries a statement's trace identity through the routing
 // paths plus the spans collected before the final streams open (the
@@ -643,8 +610,8 @@ func (c *Cluster) finishTrace(qt *clusterTrace, meta *windowdb.QueryMetrics, end
 	for _, rs := range qt.rounds {
 		root.Add(rs)
 	}
-	// The gather route executes the chain at the coordinator; its executor
-	// span slots in like a node's would.
+	// The coordinator's own execution — the finalize over a drained
+	// concatenation — slots in like a node's would.
 	root.Add(windowdb.ExecTrace(meta))
 	for i, out := range nodes {
 		if out.Trace == nil {
@@ -699,16 +666,10 @@ func (c *Cluster) streamQuery(ctx context.Context, src string, cancel context.Ca
 	case prep.ShardLocal(info.key):
 		return c.streamScatter(ctx, src, prep, hit, qt)
 	default:
-		// Key-divergent chain: run it per segment with node-to-node
-		// re-shuffles when every segment keeps a usable key and the
-		// topology lets every node reach its peers (shuffleOK); plans with
-		// no usable key (empty PARTITION BY, or a post-divergence segment
-		// that cannot rebuild order) and mixed local/remote topologies
-		// fall back to hauling raw rows.
-		if sp := prep.SegmentPlan(); sp != nil && c.shuffleOK {
-			return c.streamShuffle(ctx, src, prep, sp, info, hit, qt)
-		}
-		return c.streamGather(ctx, prep, info, hit, qt)
+		// The chain's key does not cover the shard key: run it per segment
+		// with node-to-node re-shuffles — a chain with no usable key as the
+		// one segment every row hashes to the same node for.
+		return c.streamShuffle(ctx, src, prep, prep.SegmentPlan(), info, hit, qt)
 	}
 }
 
@@ -884,10 +845,11 @@ func (c *Cluster) streamReplica(ctx context.Context, src string, prep *sql.Prepa
 	}), nil
 }
 
-// streamShuffle executes a key-divergent chain per segment: every segment
-// runs scattered on all nodes, and between segments each node re-shuffles
-// its output rows directly to its peers, hash-partitioned on the next
-// segment's key. The coordinator drives one barriered round per non-final
+// streamShuffle executes a chain the shard key does not cover per segment:
+// every segment runs scattered on all nodes, and between segments each node
+// re-shuffles its output rows directly to its peers, hash-partitioned on the
+// next segment's key (all to one peer under the single-site plan's empty
+// key). The coordinator drives one barriered round per non-final
 // stage — a ShuffleRun returns only when every peer ingested its partition
 // — and then merge-concatenates the final segment's streams exactly like
 // scatter, so coordinator-resident rows stay bounded by the wire batch ×
@@ -1019,14 +981,6 @@ func (c *Cluster) streamShuffle(ctx context.Context, src string, prep *sql.Prepa
 	return rows, nil
 }
 
-// streamGather streams the table's raw rows from every shard into one
-// coordinator-side table, runs the whole statement over it, and streams
-// the coordinator cursor. Resident rows are the gathered set itself — the
-// chain's input — never a second buffered copy: tuples decode straight
-// off each shard's chunked stream (no transport materializes a whole
-// response body), and the concatenation moves tuple references with each
-// part released as it is consumed. The gather execution slot is held
-// until the cursor is drained or closed.
 // shuffleNodeSpan builds one node's span of a shuffle round from the
 // stage result's phase breakdown: admission wait, input acquisition
 // (inbox-wait on inbox-fed stages), chain execution and peer delivery.
@@ -1052,94 +1006,11 @@ func shuffleNodeSpan(i int, source string, res *service.ShuffleRunResult) *trace
 	return sp
 }
 
-func (c *Cluster) streamGather(ctx context.Context, prep *sql.Prepared, info *tableInfo, hit bool, qt *clusterTrace) (*windowdb.Rows, error) {
-	c.gathered.Add(1)
-	// Coordinator-side admission: each gather chain assumes the full unit
-	// memory M, so at most GatherSlots of them (fetch included — the
-	// gathered rows are the memory-heavy part) run at once.
-	qt.live().SetPhase("queued")
-	select {
-	case c.gatherSlot <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	c.gatherInFlight.Add(1)
-	// One gather slot is one full-unit-memory chain at the coordinator —
-	// the cluster's memory accounting unit.
-	qt.live().RaiseMemPeak(1)
-	qt.live().SetPhase("gathering")
-	release := func() {
-		<-c.gatherSlot
-		c.gatherInFlight.Add(-1)
-	}
-	// Until the slot is handed to the cursor, release it on every exit —
-	// error or panic (recovered per-request by net/http): a panicking
-	// fetch or chain must not consume one of the few gather slots for the
-	// process lifetime.
-	handoff := false
-	defer func() {
-		if !handoff {
-			release()
-		}
-	}()
-	// Each shard's goroutine accumulates its own rows as its stream
-	// arrives (incremental on the wire — tuples decode one batch at a
-	// time, never a whole body); the concatenation below walks the parts
-	// in shard-index order so the chain input's interleave is
-	// deterministic per topology, releasing each part as it is consumed.
-	fetchStart := time.Now()
-	parts := make([][]storage.Tuple, len(c.shards))
-	var mu sync.Mutex
-	var schema *storage.Schema
-	if err := c.eachShard(ctx, func(ctx context.Context, i int, tr Transport) error {
-		st, err := tr.TableStream(ctx, info.name)
-		if err != nil {
-			return err
-		}
-		defer st.Close()
-		mu.Lock()
-		if schema == nil {
-			schema = storage.NewSchema(st.ColumnTypes()...)
-		}
-		mu.Unlock()
-		parts[i], err = appendTuples(ctx, nil, st)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	gathered := storage.NewTable(schema)
-	for i := range parts {
-		gathered.Rows = append(gathered.Rows, parts[i]...)
-		parts[i] = nil
-	}
-	if qt.id != "" {
-		fetch := trace.New("gather.fetch", time.Since(fetchStart))
-		fetch.SetInt("rows", int64(gathered.Len())).SetInt("shards", int64(len(c.shards)))
-		qt.rounds = append(qt.rounds, fetch)
-	}
-	qt.live().SetPhase("executing")
-	cur, err := prep.Open(ctx, sql.Input{Rows: gathered}, false)
-	if err != nil {
-		return nil, err
-	}
-	handoff = true
-	qt.live().SetPhase("draining")
-	return windowdb.NewRows(&coordCursorSource{
-		c: c, cur: cur, route: "gather", shardsUsed: len(c.shards), cacheHit: hit,
-		release: release, qt: qt,
-	}), nil
-}
-
 func closeStreams(streams []*windowdb.Rows) {
 	for _, s := range streams {
 		_ = s.Close()
 	}
 }
-
-// GatherInFlight returns the number of gather-route chains currently
-// holding a coordinator execution slot; tests assert it returns to zero
-// after mid-stream cancellation.
-func (c *Cluster) GatherInFlight() int64 { return c.gatherInFlight.Load() }
 
 // scatterSource concatenates per-node row streams in shard-index order by
 // handing the draining node's batches straight through: a batch the caller
@@ -1222,18 +1093,16 @@ func mergedMeta(prep *sql.Prepared, cacheHit bool, route string, streams int) *w
 	return meta
 }
 
-// coordCursorSource streams a coordinator-side execution cursor — the
-// gather route's chain, or a finalized scatter concatenation — adding the
-// cluster bookkeeping: node counter baselines, the gather slot release,
-// and the routing metadata.
+// coordCursorSource streams the coordinator's own cursor — a finalized
+// concatenation of node streams — adding the cluster bookkeeping: node
+// counter baselines and the routing metadata.
 type coordCursorSource struct {
 	c          *Cluster
 	cur        *sql.Cursor
 	route      string
 	shardsUsed int
 	cacheHit   bool
-	base       work   // what the nodes did
-	release    func() // gather slot, when held
+	base       work // what the nodes did
 	qt         *clusterTrace
 	nodes      []*windowdb.QueryMetrics // of the drained node streams
 }
@@ -1249,9 +1118,6 @@ func (cs *coordCursorSource) NextBatch() (*stream.Batch, error) {
 }
 
 func (cs *coordCursorSource) End(end windowdb.Ending) *windowdb.QueryMetrics {
-	if cs.release != nil {
-		cs.release()
-	}
 	meta := windowdb.MetaFromResult(cs.cur.Meta())
 	meta.Route = cs.route
 	meta.ShardsUsed = cs.shardsUsed

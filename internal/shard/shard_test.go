@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"math"
 	"slices"
 	"testing"
 
@@ -24,10 +25,10 @@ const q6SQL = `SELECT ws_item_sk, ws_sold_date_sk, ws_bill_customer_sk, ws_order
  rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_bill_customer_sk) AS wf2
  FROM web_sales`
 
-// gatherSQL has an empty common partition key (wf1's WPK is empty), so it
+// keylessSQL has an empty common partition key (wf1's WPK is empty), so it
 // cannot run shard-locally — and with no usable per-segment key either, it
-// falls back to gathering raw rows at the coordinator.
-const gatherSQL = `SELECT ws_item_sk, ws_order_number,
+// shuffles as one segment keyed on nothing: every row to the same node.
+const keylessSQL = `SELECT ws_item_sk, ws_order_number,
  rank() OVER (ORDER BY ws_sold_time_sk) AS r
  FROM web_sales`
 
@@ -200,25 +201,78 @@ func TestScatterWhereDistinct(t *testing.T) {
 	}
 }
 
+// TestShardKeyMergesSignedZeros: +0.0 and −0.0 are one shard-key value —
+// one window partition to every reorder — so registration places them on
+// the same shard and a scattered count(*) OVER (PARTITION BY x) sees all ten
+// of key zero's rows (300 rows, 30 float keys, zero's alternating in sign).
+// Hashed by their bits the two agreed modulo 2 and on no other shard count.
+func TestShardKeyMergesSignedZeros(t *testing.T) {
+	table := storage.NewTable(storage.NewSchema(storage.Column{Name: "x", Type: storage.TypeFloat}))
+	for i := 0; i < 300; i++ {
+		x := float64(i % 30)
+		if x == 0 && i/30%2 == 1 {
+			x = math.Copysign(0, -1)
+		}
+		table.MustAppend(storage.Tuple{storage.Float(x)})
+	}
+	ctx := context.Background()
+	for _, shards := range []int{2, 3} {
+		c := newLocalCluster(t, shards, 10)
+		if err := c.RegisterSharded(ctx, "t", table, "x"); err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Query(ctx, `SELECT x, count(*) OVER (PARTITION BY x) AS n FROM t`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Route != "scatter" || res.Table.Len() != 300 {
+			t.Fatalf("%d shards: route %q, %d rows, want scatter and 300", shards, res.Route, res.Table.Len())
+		}
+		for _, row := range res.Table.Rows {
+			if row[1].Int64() != 10 {
+				t.Fatalf("%d shards: x = %v counts %d rows in its partition, want 10", shards, row[0], row[1].Int64())
+			}
+		}
+	}
+}
+
 // TestGatherEquivalence: chains with no usable shuffle key (an empty
-// PARTITION BY) pull raw rows to the coordinator and still match the
+// PARTITION BY) gather every row at one node, by shuffle — the raw round
+// from all of them, the chain on that one alone — and still match the
 // single engine.
 func TestGatherEquivalence(t *testing.T) {
 	const rows = 1000
-	ref, err := singleEngine(rows).Query(gatherSQL)
+	ref, err := singleEngine(rows).Query(keylessSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := newLocalCluster(t, 3, rows)
-	res, err := c.Query(context.Background(), gatherSQL)
+	c, svcs := streamCluster(t, 3, rows, Config{})
+	res, err := c.Query(context.Background(), keylessSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Route != "gather" {
-		t.Fatalf("route %q, want gather", res.Route)
+	if res.Route != "shuffle" || res.ShardsUsed != 3 {
+		t.Fatalf("route %q over %d shards, want shuffle over 3", res.Route, res.ShardsUsed)
 	}
 	if !slices.Equal(canonical(res.Table), canonical(ref.Table)) {
-		t.Fatal("gather result multiset differs from single engine")
+		t.Fatal("keyless result multiset differs from single engine")
+	}
+	// One raw round on every node, and the chain's comparisons on one node.
+	sites := 0
+	for i, svc := range svcs {
+		st := svc.Stats()
+		if st.ShuffleRounds != 1 {
+			t.Fatalf("node %d ran %d shuffle rounds, want 1", i, st.ShuffleRounds)
+		}
+		if st.Comparisons > 0 {
+			sites++
+		}
+		if svc.ShuffleBuffered() != 0 {
+			t.Fatalf("node %d still buffers %d shuffle rounds", i, svc.ShuffleBuffered())
+		}
+	}
+	if sites != 1 {
+		t.Fatalf("%d nodes ran the chain, want the single site", sites)
 	}
 }
 
@@ -400,7 +454,7 @@ func TestClusterStats(t *testing.T) {
 	if _, err := c.Query(ctx, q6SQL); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Query(ctx, gatherSQL); err != nil {
+	if _, err := c.Query(ctx, keylessSQL); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Query(ctx, `SELECT empnum FROM emptab`); err != nil {
@@ -413,24 +467,23 @@ func TestClusterStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Queries != 4 || stats.Scatter != 1 || stats.Shuffle != 1 || stats.Gather != 1 || stats.Replica != 1 {
+	if stats.Queries != 4 || stats.Scatter != 1 || stats.Shuffle != 2 || stats.Replica != 1 {
 		t.Fatalf("counters: %+v", stats)
 	}
 	if len(stats.ShardStats) != 2 {
 		t.Fatalf("want 2 shard snapshots, got %d", len(stats.ShardStats))
 	}
-	// The scatter ran on both shards, the replica on one, and the shuffle's
-	// final segment streamed from both: 5 shard-side queries total (the
-	// gather path fetches raw rows, not queries; shuffle rounds count on
-	// their own gauge).
-	if stats.ShardQueries != 5 {
-		t.Fatalf("shard queries %d, want 5", stats.ShardQueries)
+	// The scatter ran on both shards, the replica on one, and each
+	// shuffle's final segment streamed from both: 7 shard-side queries
+	// total (shuffle rounds count on their own gauge).
+	if stats.ShardQueries != 7 {
+		t.Fatalf("shard queries %d, want 7", stats.ShardQueries)
 	}
-	// divergeSQL shuffles at least once: every shard ran ≥ 1 non-final
-	// stage (the exact count depends on which segment the planner puts
-	// first relative to the shard key).
-	if stats.ShardShuffleRounds < 2 {
-		t.Fatalf("shard shuffle rounds %d, want ≥ 2", stats.ShardShuffleRounds)
+	// Every shard ran keylessSQL's raw round and ≥ 1 non-final stage of
+	// divergeSQL (the exact count depends on which segment the planner
+	// puts first relative to the shard key).
+	if stats.ShardShuffleRounds < 4 {
+		t.Fatalf("shard shuffle rounds %d, want ≥ 4", stats.ShardShuffleRounds)
 	}
 	if err := c.Health(ctx); err != nil {
 		t.Fatal(err)
@@ -438,7 +491,7 @@ func TestClusterStats(t *testing.T) {
 }
 
 // TestConcurrentQueries hammers one cluster from many goroutines under
-// -race: scatter, gather and replica routes interleaved.
+// -race: scatter, keyless-shuffle and replica routes interleaved.
 func TestConcurrentQueries(t *testing.T) {
 	const rows = 600
 	c := newLocalCluster(t, 3, rows)
@@ -447,7 +500,7 @@ func TestConcurrentQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := canonical(refQ6.Table)
-	queries := []string{q6SQL, gatherSQL, `SELECT empnum FROM emptab`}
+	queries := []string{q6SQL, keylessSQL, `SELECT empnum FROM emptab`}
 	done := make(chan error, 12)
 	for g := 0; g < 12; g++ {
 		go func(g int) {
@@ -468,7 +521,7 @@ func TestConcurrentQueries(t *testing.T) {
 
 // TestShardLocalRouting pins the routing predicate to the paper queries:
 // every Q6 chain step shares WPK {item} (scatter on an item shard key);
-// Q7 includes wf4 with an empty WPK (gather).
+// Q7 includes wf4 with an empty WPK (one site).
 func TestShardLocalRouting(t *testing.T) {
 	eng := windowdb.New(testEngineConfig())
 	eng.Register("web_sales", datagen.WebSales(datagen.WebSalesConfig{Rows: 200, Seed: 7}))
@@ -478,7 +531,7 @@ func TestShardLocalRouting(t *testing.T) {
 		want bool
 	}{
 		{q6SQL, true},
-		{gatherSQL, false},
+		{keylessSQL, false},
 		{divergeSQL, false},
 		{`SELECT ws_item_sk FROM web_sales WHERE ws_quantity = 1`, true}, // window-less
 	} {

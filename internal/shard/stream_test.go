@@ -404,20 +404,31 @@ func TestScatterCancelMidDrain(t *testing.T) {
 	waitNodeSlotsFree(t, svcs)
 }
 
-// TestGatherSlotReleasedOnCancel: the coordinator's gather execution slot
-// is released when a half-drained gather cursor is cancelled — the
-// in-flight gauge returns to zero and the single slot admits the next
-// gather.
+// nodesHold sums what the nodes hold for statements in flight: admission
+// slots and buffered shuffle rounds.
+func nodesHold(svcs []*service.Service) (slots int64, buffered int) {
+	for _, s := range svcs {
+		slots += s.Stats().InFlight
+		buffered += s.ShuffleBuffered()
+	}
+	return slots, buffered
+}
+
+// TestGatherSlotReleasedOnCancel: a keyless chain runs under the admission
+// slot of the one node every row was shuffled to, held while its cursor is
+// open; cancelling the half-drained cursor hands every node's slot and
+// inbox back, and the one-slot, no-queue nodes admit the next keyless
+// statement at once.
 func TestGatherSlotReleasedOnCancel(t *testing.T) {
-	c, svcs := streamCluster(t, 2, 4000, Config{GatherSlots: -1}) // 1 slot
+	c, svcs := streamCluster(t, 2, 4000, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	rows, err := c.QueryContext(ctx, gatherSQL)
+	rows, err := c.QueryContext(ctx, keylessSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.GatherInFlight(); got != 1 {
-		t.Fatalf("gather in-flight = %d with an open cursor, want 1", got)
+	if slots, _ := nodesHold(svcs); slots == 0 {
+		t.Fatal("no node holds an admission slot under an open keyless cursor")
 	}
 	for i := 0; i < 10; i++ {
 		if !rows.Next() {
@@ -430,25 +441,23 @@ func TestGatherSlotReleasedOnCancel(t *testing.T) {
 	if err := rows.Err(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if got := c.GatherInFlight(); got != 0 {
-		t.Fatalf("gather in-flight = %d after cancel, want 0", got)
-	}
 	waitNodeSlotsFree(t, svcs)
-	// The released slot admits the next gather immediately.
-	res, err := c.Query(context.Background(), gatherSQL)
-	if err != nil {
-		t.Fatalf("gather after cancel: %v", err)
+	if _, buffered := nodesHold(svcs); buffered != 0 {
+		t.Fatalf("%d shuffle rounds still buffered after cancel", buffered)
 	}
-	if res.Route != "gather" {
-		t.Fatalf("route = %q, want gather", res.Route)
+	res, err := c.Query(context.Background(), keylessSQL)
+	if err != nil {
+		t.Fatalf("keyless statement after cancel: %v", err)
+	}
+	if res.Route != "shuffle" {
+		t.Fatalf("route = %q, want shuffle", res.Route)
 	}
 }
 
-// TestGatherSlotReleasedOnClose: early Close releases the gather slot
-// too.
+// TestGatherSlotReleasedOnClose: early Close releases the nodes too.
 func TestGatherSlotReleasedOnClose(t *testing.T) {
-	c, _ := streamCluster(t, 2, 2000, Config{GatherSlots: -1})
-	rows, err := c.QueryContext(context.Background(), gatherSQL)
+	c, svcs := streamCluster(t, 2, 2000, Config{})
+	rows, err := c.QueryContext(context.Background(), keylessSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,8 +467,9 @@ func TestGatherSlotReleasedOnClose(t *testing.T) {
 	if err := rows.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.GatherInFlight(); got != 0 {
-		t.Fatalf("gather in-flight = %d after Close, want 0", got)
+	waitNodeSlotsFree(t, svcs)
+	if _, buffered := nodesHold(svcs); buffered != 0 {
+		t.Fatalf("%d shuffle rounds still buffered after Close", buffered)
 	}
 }
 
@@ -555,7 +565,7 @@ func TestShuffleStreamBoundedResidency(t *testing.T) {
 
 	// The bound: every node may have one full batch parked at the
 	// coordinator during the final merge, nothing more. |R| would be
-	// 120 000 — and the gather route this replaces would hold all of it.
+	// 120 000.
 	if peak := gauge.Peak(); peak > batch*nShard {
 		t.Fatalf("peak resident rows %d exceeds batch*shards = %d", peak, batch*nShard)
 	}
@@ -581,9 +591,9 @@ func (f *failingShuffleTransport) AcceptShuffle(ctx context.Context, b *service.
 }
 
 // TestShuffleFailureReleasesSlots: a shuffle that fails on one node
-// cancels the peer stages, drops every node's buffered shuffle state,
-// releases every node's admission slot, and leaves the coordinator's
-// gather gauge untouched — and the cluster still serves afterwards.
+// cancels the peer stages, drops every node's buffered shuffle state and
+// releases every node's admission slot — for a key-divergent chain and for
+// a keyless one alike — and the cluster still serves afterwards.
 func TestShuffleFailureReleasesSlots(t *testing.T) {
 	const n = 3
 	svcs := make([]*service.Service, n)
@@ -603,29 +613,26 @@ func TestShuffleFailureReleasesSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := c.Query(ctx, divergeSQL); err == nil {
-		t.Fatal("shuffle with a failing node must error")
-	}
-	waitNodeSlotsFree(t, svcs)
-	if got := c.GatherInFlight(); got != 0 {
-		t.Fatalf("gather in-flight = %d after shuffle failure, want 0", got)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		buffered := 0
-		for _, svc := range svcs {
-			buffered += svc.ShuffleBuffered()
+	for _, src := range []string{divergeSQL, keylessSQL} {
+		failuresBefore := c.failures.Load()
+		if _, err := c.Query(ctx, src); err == nil {
+			t.Fatal("shuffle with a failing node must error")
 		}
-		if buffered == 0 {
-			break
+		waitNodeSlotsFree(t, svcs)
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			_, buffered := nodesHold(svcs)
+			if buffered == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d shuffle rounds still buffered after failure cleanup", buffered)
+			}
+			runtime.Gosched()
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d shuffle rounds still buffered after failure cleanup", buffered)
+		if c.failures.Load() != failuresBefore+1 {
+			t.Fatal("failed shuffle not counted")
 		}
-		runtime.Gosched()
-	}
-	if got := c.failures.Load(); got == 0 {
-		t.Fatal("failed shuffle not counted")
 	}
 	// The cluster still serves routes that avoid the broken data plane.
 	res, err := c.Query(ctx, q6SQL)

@@ -29,7 +29,7 @@ const (
 // multiple processes form a real cluster. All methods must be safe for
 // concurrent use — the coordinator scatters to every shard at once.
 //
-// Rows leave a node as the cursor every backend hands out: the four stream
+// Rows leave a node as the cursor every backend hands out: the three stream
 // methods return a *windowdb.Rows whose batches are the node's own (a Local
 // node's cursor batches, an HTTP node's decoded frames), whose Metrics are
 // the node's execution observations once it has drained, and whose Close
@@ -42,11 +42,6 @@ type Transport interface {
 	// the SQL, the Mode, and optionally the coordinator's plan Fingerprint
 	// so the node resolves its plan cache without re-normalizing the text.
 	QueryStream(ctx context.Context, req service.ShardQueryRequest) (*windowdb.Rows, error)
-	// TableStream streams the node's rows of a table — the gather path of
-	// chains with no usable shuffle key. Incremental on the wire: the
-	// coordinator appends rows as they arrive instead of decoding a whole
-	// response body.
-	TableStream(ctx context.Context, name string) (*windowdb.Rows, error)
 	// ShuffleRun executes one non-final stage of a per-segment distributed
 	// chain on the node (service.RunShuffleStep): run the segment, then
 	// re-shuffle the output directly to the peer nodes. Returns once every
@@ -115,19 +110,6 @@ func (l *Local) QueryStream(ctx context.Context, req service.ShardQueryRequest) 
 		return l.svc.StreamShardLocal(ctx, req.SQL, req.Fingerprint, req.SubplanFP)
 	}
 	return l.svc.QueryContext(ctx, req.SQL)
-}
-
-// TableStream implements Transport: a cursor over the node's registered
-// (immutable) table.
-func (l *Local) TableStream(ctx context.Context, name string) (*windowdb.Rows, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	t, err := l.svc.Engine().Table(name)
-	if err != nil {
-		return nil, err
-	}
-	return windowdb.NewTableRows(t), nil
 }
 
 // ShuffleRun implements Transport: the node executes the stage in-process,

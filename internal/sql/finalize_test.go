@@ -46,6 +46,51 @@ func TestDistinctMergesSignedZeros(t *testing.T) {
 	}
 }
 
+// signedZeroTable is 300 rows over 30 float keys, ten rows each; key zero's
+// rows alternate between +0.0 and −0.0.
+func signedZeroTable() *storage.Table {
+	table := storage.NewTable(storage.NewSchema(
+		storage.Column{Name: "x", Type: storage.TypeFloat}, storage.Column{Name: "pad", Type: storage.TypeString}))
+	for i := 0; i < 300; i++ {
+		x := float64(i % 30)
+		if x == 0 && i/30%2 == 1 {
+			x = math.Copysign(0, -1)
+		}
+		table.MustAppend(storage.Tuple{storage.Float(x), storage.StringVal(strings.Repeat("p", 48))})
+	}
+	return table
+}
+
+// TestHashPlacementKeepsSignedZerosTogether — wherever rows are placed by
+// the hash of their partitioning key, +0.0 and −0.0 are one partition as
+// they are to a Full Sort: Hashed Sort's buckets (7 of them, at an M the
+// table does not fit) and ParallelRun's partitions.
+func TestHashPlacementKeepsSignedZerosTogether(t *testing.T) {
+	cat := catalog.New()
+	cat.Register("t", signedZeroTable())
+	for name, r := range map[string]*Runner{
+		"FS":       {Catalog: cat, Exec: exec.Config{MemoryBytes: 8 << 10, BlockSize: 1024}, DisableHS: true},
+		"HS":       {Catalog: cat, Exec: exec.Config{MemoryBytes: 8 << 10, BlockSize: 1024, HSBuckets: 7}},
+		"parallel": {Catalog: cat, Exec: exec.Config{MemoryBytes: 1 << 20, BlockSize: 1024, Parallelism: 3}},
+	} {
+		res, err := r.Query(`SELECT x, count(*) OVER (PARTITION BY x) AS n FROM t`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Plan.Steps[0].Reorder.String(); (name == "HS") != (got == "HS") {
+			t.Fatalf("%s: the chain reorders by %s", name, got)
+		}
+		if name == "parallel" && res.Parallelism != 3 {
+			t.Fatalf("parallel: ran at degree %d", res.Parallelism)
+		}
+		for _, row := range res.Table.Rows {
+			if row[1].Int64() != 10 {
+				t.Fatalf("%s: x = %v counts %d rows in its partition, want 10", name, row[0], row[1].Int64())
+			}
+		}
+	}
+}
+
 // finalizeShape is one window list of the generated statements. aligned
 // lists ORDER BY keys (over base columns) that the shape's chain can end
 // ordered on, wholly or by a prefix: what makes the avoided and partial

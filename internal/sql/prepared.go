@@ -331,12 +331,6 @@ func shareableChain(plan *core.Plan) bool {
 // Input is what one execution of a prepared statement reads. The zero
 // value is the catalog entry's rows; at most one field group is set.
 type Input struct {
-	// Rows replaces the catalog entry's rows with external ones of the same
-	// schema: how a coordinator runs a plan prepared against a schema-only
-	// stub over rows just gathered from its shards. They arrive in arbitrary
-	// order, which is the Unordered input property the plan was built from,
-	// so the chain's first order-rebuilding reorder (FS/HS) absorbs it.
-	Rows *storage.Table
 	// Shared is an already executed scan+reorder subplan (subplan.go): only
 	// the derivation suffix runs. ChargeScan merges the segment's scan
 	// metrics into this execution's — set by the execution that paid for the
@@ -372,11 +366,7 @@ func (p *Prepared) Open(ctx context.Context, in Input, shardLocal bool) (*Cursor
 	case in.Shared != nil:
 		cur.src, err = p.runSuffix(ctx, in.Shared, in.ChargeScan, &cur.meta)
 	default:
-		base := in.Rows
-		if base == nil {
-			base = p.entry.Table()
-		}
-		cur.src, err = p.runChain(ctx, base, &cur.meta)
+		cur.src, err = p.runChain(ctx, p.entry.Table(), &cur.meta)
 	}
 	if err != nil {
 		return nil, err

@@ -48,15 +48,19 @@ func (sp *SegmentPlan) start(i int) int {
 }
 
 // SegmentPlan derives the statement's shuffle segmentation from its planned
-// chain, or nil when no per-segment distributed execution exists: the
-// statement is window-less, some step has an empty partitioning key, or a
-// post-divergence segment does not begin with an order-rebuilding reorder
-// (see exec.DivergentSegments). A nil SegmentPlan means a key-divergent
-// statement can only gather.
+// chain; nil only for a window-less statement. Where the chain does not
+// split (exec.DivergentSegments: some step has an empty partitioning key, or
+// a post-divergence segment does not begin with an order-rebuilding
+// reorder) it is the single-site plan — the whole chain as one segment with
+// an empty key, which hashes every row to one node: Section 3.5's
+// "inherently sequential" case run on the shuffle's own data plane.
 func (p *Prepared) SegmentPlan() *SegmentPlan {
+	if p.plan == nil {
+		return nil
+	}
 	segs := exec.DivergentSegments(p.plan)
 	if len(segs) == 0 {
-		return nil
+		segs = []exec.Segment{{Lo: 0, Hi: len(p.plan.Steps)}}
 	}
 	sp := &SegmentPlan{}
 	for _, s := range segs {
@@ -90,9 +94,10 @@ type SegmentRunner struct {
 
 // Segments validates a coordinator SegmentPlan against this statement and
 // returns the runner executing it. The plan must name every window function
-// exactly once, its segment keys must be non-empty subsets of every member
-// function's partitioning key, and its offsets must be well-formed —
-// violations are coordination faults, not user errors. Runners are
+// exactly once, its segment keys must be subsets of every member function's
+// partitioning key — non-empty unless the plan is one segment, the
+// single-site form — and its offsets must be well-formed; violations are
+// coordination faults, not user errors. Runners are
 // memoized per plan fingerprint: a node executes the same statement's
 // stages once per round plus the final stream, all against one immutable
 // segmentation.
@@ -159,7 +164,7 @@ func (p *Prepared) buildSegments(sp *SegmentPlan) (*SegmentRunner, error) {
 			}
 			key = key.Add(attrs.ID(c))
 		}
-		if key.Empty() {
+		if key.Empty() && sp.Segments() > 1 {
 			return nil, fmt.Errorf("sql: segment %d has no shuffle key", i)
 		}
 		ws := make([]core.WF, 0, hi-lo)

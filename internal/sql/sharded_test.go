@@ -3,6 +3,7 @@ package sql
 import (
 	"context"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/attrs"
@@ -79,53 +80,25 @@ func TestShardPhasesComposeToExecute(t *testing.T) {
 	}
 }
 
-// TestExecuteOverContext: a plan prepared against a schema-only stub
-// executes over externally supplied rows (the gather path) and matches a
-// directly prepared execution.
+// TestExecuteOverContext: a chain with an empty PARTITION BY composes as
+// every segmented chain does — one segment, keyed on nothing, so the
+// re-shuffle funnels every node's rows to a single site — from a plan a
+// coordinator prepared against a schema-only stub.
 func TestExecuteOverContext(t *testing.T) {
 	ws := datagen.WebSales(datagen.WebSalesConfig{Rows: 400, Seed: 5})
-	src := `SELECT ws_order_number, rank() OVER (ORDER BY ws_sold_time_sk) AS r FROM web_sales ORDER BY ws_order_number`
-
-	stub := catalog.New()
-	stub.RegisterStub("web_sales", ws.Schema, catalog.TableStats{
-		Rows:  int64(ws.Len()),
-		Bytes: int64(ws.ByteSize()),
-		Distinct: func(set attrs.Set) int64 {
-			return int64(ws.DistinctCount(set))
-		},
-	})
-	rStub := Runner{Catalog: stub, Exec: exec.Config{MemoryBytes: 1 << 20}}
-	prep, err := rStub.Prepare(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := openResult(context.Background(), prep, Input{Rows: ws}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	full := catalog.New()
-	full.Register("web_sales", ws)
-	rFull := Runner{Catalog: full, Exec: exec.Config{MemoryBytes: 1 << 20}}
-	want, err := rFull.Query(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Table.Len() != want.Table.Len() {
-		t.Fatalf("rows %d, want %d", got.Table.Len(), want.Table.Len())
-	}
-	for i := range want.Table.Rows {
-		a := storage.AppendTuple(nil, got.Table.Rows[i])
-		b := storage.AppendTuple(nil, want.Table.Rows[i])
-		if !slices.Equal(a, b) {
-			t.Fatalf("row %d differs between stub-over and direct execution", i)
-		}
+	for _, src := range []string{
+		`SELECT ws_order_number, rank() OVER (ORDER BY ws_sold_time_sk) AS r FROM web_sales ORDER BY ws_order_number`,
+		`SELECT ws_order_number, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS a,
+		 rank() OVER (ORDER BY ws_sold_time_sk) AS b FROM web_sales WHERE ws_quantity <= 80 ORDER BY b DESC, ws_order_number LIMIT 50`,
+	} {
+		composeSegments(t, ws, src, 1)
 	}
 }
 
 // TestSegmentPlan pins the per-segment routing predicate: key-divergent
-// chains with non-empty per-segment keys split, empty PARTITION BY voids
-// the split, and common-key chains collapse to one segment.
+// chains with non-empty per-segment keys split, common-key chains collapse
+// to one segment, and an empty PARTITION BY anywhere makes the whole chain
+// one keyless segment — the single-site plan.
 func TestSegmentPlan(t *testing.T) {
 	ws := datagen.WebSales(datagen.WebSalesConfig{Rows: 300, Seed: 2})
 	cat := catalog.New()
@@ -144,9 +117,10 @@ func TestSegmentPlan(t *testing.T) {
 		// A shared key keeps the chain in one segment.
 		{`SELECT rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS a,
 		  rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_bill_customer_sk) AS b FROM web_sales`, 1},
-		// An empty PARTITION BY leaves a segment keyless: no plan.
+		// An empty PARTITION BY leaves no key to split on: one site.
 		{`SELECT rank() OVER (ORDER BY ws_sold_time_sk) AS a,
-		  rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS b FROM web_sales`, 0},
+		  rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS b FROM web_sales`, 1},
+		{`SELECT rank() OVER (ORDER BY ws_sold_time_sk) AS a FROM web_sales`, 1},
 		// Window-less statements have no chain to segment.
 		{`SELECT ws_item_sk FROM web_sales`, 0},
 	}
@@ -166,7 +140,8 @@ func TestSegmentPlan(t *testing.T) {
 		if sp == nil {
 			continue
 		}
-		// Every segment key must be non-empty and the order a permutation.
+		// The order is a permutation, and only a plan of one segment may
+		// leave its key empty.
 		seen := map[int]bool{}
 		for _, id := range sp.Order {
 			if seen[id] {
@@ -175,8 +150,20 @@ func TestSegmentPlan(t *testing.T) {
 			seen[id] = true
 		}
 		for i, key := range sp.Keys {
-			if len(key) == 0 {
+			if len(key) == 0 && sp.Segments() > 1 {
 				t.Fatalf("segment %d of %q has an empty key", i, tc.src)
+			}
+		}
+		// Every node accepts the plan — except with a key blanked where other
+		// segments remain, which is a coordination fault.
+		if _, err := prep.Segments(sp); err != nil {
+			t.Fatalf("Segments(%+v): %v", sp, err)
+		}
+		if sp.Segments() > 1 {
+			bad := *sp
+			bad.Keys = append([][]int{{}}, sp.Keys[1:]...)
+			if _, err := prep.Segments(&bad); err == nil || !strings.Contains(err.Error(), "no shuffle key") {
+				t.Fatalf("Segments(%+v) = %v, want a keyless-segment fault", bad, err)
 			}
 		}
 	}
@@ -190,25 +177,39 @@ func TestSegmentPlan(t *testing.T) {
 // exactly — WHERE, DISTINCT, ORDER BY and LIMIT included.
 func TestSegmentRunnerComposesToExecute(t *testing.T) {
 	ws := datagen.WebSales(datagen.WebSalesConfig{Rows: 900, Seed: 4})
-	src := `SELECT ws_order_number, ws_warehouse_sk,
+	composeSegments(t, ws, `SELECT ws_order_number, ws_warehouse_sk,
 	 rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS a,
 	 rank() OVER (PARTITION BY ws_warehouse_sk ORDER BY ws_sold_date_sk) AS b
-	 FROM web_sales WHERE ws_quantity <= 80 ORDER BY ws_order_number, b LIMIT 300`
+	 FROM web_sales WHERE ws_quantity <= 80 ORDER BY ws_order_number, b LIMIT 300`, 2)
+}
 
+// composeSegments runs src the way the cluster's shuffle route does, over
+// three "nodes" holding ws hash-partitioned on ws_item_sk and a coordinator
+// holding a schema-only stub, and requires the single engine's result and a
+// plan of the given segment count.
+func composeSegments(t *testing.T, ws *storage.Table, src string, segments int) {
+	t.Helper()
 	full := catalog.New()
 	full.Register("web_sales", ws)
-	runner := Runner{Catalog: full, Exec: exec.Config{MemoryBytes: 1 << 20}}
-	prep, err := runner.Prepare(src)
+	want, err := (&Runner{Catalog: full, Exec: exec.Config{MemoryBytes: 1 << 20}}).Query(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stub := catalog.New()
+	stub.RegisterStub("web_sales", ws.Schema, catalog.TableStats{
+		Rows:  int64(ws.Len()),
+		Bytes: int64(ws.ByteSize()),
+		Distinct: func(set attrs.Set) int64 {
+			return int64(ws.DistinctCount(set))
+		},
+	})
+	prep, err := (&Runner{Catalog: stub, Exec: exec.Config{MemoryBytes: 1 << 20}}).Prepare(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sp := prep.SegmentPlan()
-	if sp == nil || sp.Segments() != 2 {
-		t.Fatalf("want a 2-segment plan, got %+v", sp)
-	}
-	want, err := prep.ExecuteContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	if sp == nil || sp.Segments() != segments {
+		t.Fatalf("want a %d-segment plan, got %+v", segments, sp)
 	}
 
 	const nodes = 3

@@ -6,9 +6,10 @@ import "repro/internal/attrs"
 // the buffer. The partitioning hash of the parallel and sharded executors
 // is defined as FNV-1a over the concatenated single-value tuple encodings
 // of the key attributes; HashValueFNV folds one value into the running
-// hash byte-identically to hashing AppendTuple(dst, Tuple{v}), so rows
-// partition exactly as they did when the hash materialized the encoding —
-// a mixed-version cluster must never disagree on row placement.
+// hash byte-identically to hashing AppendTuple(dst, Tuple{v}) — but for
+// −0.0, hashed as the +0.0 it equals — so rows partition exactly as they
+// did when the hash materialized the encoding: a mixed-version cluster
+// must never disagree on row placement.
 
 // HashSeedFNV is the FNV-64a offset basis: the initial running hash.
 const HashSeedFNV uint64 = 14695981039346656037
@@ -53,8 +54,12 @@ func HashValueFNV(h uint64, v Value) uint64 {
 		h = fnvUvarint(h, uv)
 	case tagFloat:
 		h = fnvByte(h, byte(KindFloat))
+		num := v.num
+		if num == 1<<63 {
+			num = 0 // −0.0 equals +0.0 (Compare), so it hashes as +0.0
+		}
 		for bits := 0; bits < 64; bits += 8 {
-			h = fnvByte(h, byte(v.num>>bits))
+			h = fnvByte(h, byte(num>>bits))
 		}
 	default:
 		h = fnvByte(h, byte(KindString))

@@ -106,8 +106,12 @@ func TestValueRoundTripProperty(t *testing.T) {
 		if len(enc) != EncodedSize(row) {
 			t.Fatalf("%s: EncodedSize = %d, encoded %d bytes", want.kind, EncodedSize(row), len(enc))
 		}
+		hashed := enc
+		if want.kind == KindFloat && want.bits == 1<<63 {
+			hashed = AppendTuple(nil, Tuple{Float(0)}) // −0.0 is placed with the +0.0 it equals
+		}
 		h := HashSeedFNV
-		for _, c := range enc {
+		for _, c := range hashed {
 			h = (h ^ uint64(c)) * fnvPrime64
 		}
 		if got := HashValueFNV(HashSeedFNV, v); got != h {
@@ -163,7 +167,8 @@ func TestHashGolden(t *testing.T) {
 		{Int(math.MinInt64), 0xeb7f7071aa4bc863},
 		{Int(math.MaxInt64), 0x5df27e3a9b990746},
 		{Float(1.5), 0x78f77483c7acf39b},
-		{Float(math.Copysign(0, -1)), 0x78021183c6dbdfea},
+		{Float(0), 0x78029183c6dcb96a},
+		{Float(math.Copysign(0, -1)), 0x78029183c6dcb96a}, // placed as the +0.0 it equals; its own encoding hashes to 0x78021183c6dbdfea
 		{Float(math.Inf(1)), 0x79123483c7c34e93},
 		{StringVal(""), 0xd0adc918672fda87},
 		{StringVal("abc"), 0xdfa2364fac19718e},

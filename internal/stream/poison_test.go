@@ -203,14 +203,14 @@ func TestReusedBatchesAreNeverRead(t *testing.T) {
 }
 
 // TestClusterKeepsNoBatchPastItsRefill runs every way rows cross a
-// coordinator under the poison switch. Two of them hand the node's batch
-// straight to the caller (scatter, and a shuffle's final segment); two copy
-// its rows out before asking for the next (the drain that feeds a
-// coordinator-side DISTINCT/ORDER BY, and the gather). Over in-process
-// nodes the batch is the node cursor's own and over HTTP the stream
-// reader's: a tuple, a vector or a string that outlived either shows as
-// poison in what the reader kept, and what it kept equals the single
-// engine's rows.
+// coordinator under the poison switch. Three of them hand the node's batch
+// straight to the caller (scatter, a shuffle's final segment, and a keyless
+// chain's — gathered at one node, which streams every row, its peer none);
+// one copies its rows out before asking for the next (the drain that feeds
+// a coordinator-side DISTINCT/ORDER BY). Over in-process nodes the batch is
+// the node cursor's own and over HTTP the stream reader's: a tuple, a vector
+// or a string that outlived either shows as poison in what the reader kept,
+// and what it kept equals the single engine's rows.
 func TestClusterKeepsNoBatchPastItsRefill(t *testing.T) {
 	defer stream.PoisonReused()()
 
@@ -236,7 +236,7 @@ func TestClusterKeepsNoBatchPastItsRefill(t *testing.T) {
 			rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS a,
 			rank() OVER (PARTITION BY ws_warehouse_sk ORDER BY ws_sold_date_sk) AS b FROM web_sales`},
 		{"scatter", "concat drain", `SELECT ws_order_number, ws_pad, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS r FROM web_sales ORDER BY ws_order_number`},
-		{"gather", "gather", `SELECT ws_order_number, ws_pad, rank() OVER (ORDER BY ws_sold_time_sk) AS r FROM web_sales`},
+		{"shuffle", "gather", `SELECT ws_order_number, ws_pad, rank() OVER (ORDER BY ws_sold_time_sk) AS r FROM web_sales`},
 	}
 	for transport, node := range clusters {
 		c, err := shard.New(shard.Config{Engine: engCfg}, []shard.Transport{node(), node()})

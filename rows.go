@@ -46,6 +46,19 @@ type Stmt interface {
 	Close() error
 }
 
+// stmtFunc is a Stmt with nothing to release: one way to run a statement.
+type stmtFunc func(ctx context.Context) (*Rows, error)
+
+func (f stmtFunc) QueryContext(ctx context.Context) (*Rows, error) { return f(ctx) }
+func (stmtFunc) Close() error                                      { return nil }
+
+// TextStmt is the Stmt of a backend whose plans live in a cache keyed by
+// statement text: every execution hands src back to q, so the statement
+// survives table re-registration (the cache re-prepares it).
+func TextStmt(q Queryer, src string) Stmt {
+	return stmtFunc(func(ctx context.Context) (*Rows, error) { return q.QueryContext(ctx, src) })
+}
+
 // RowSource is the backend contract behind a Rows cursor: results leave a
 // backend as column batches. NextBatch returns the next rows — at most
 // stream.BatchRows of them; an empty batch is skipped — or io.EOF at end
@@ -145,7 +158,7 @@ type QueryMetrics struct {
 	// did not go through the shared-subplan cache.
 	SharedScan string
 	// Route is the cluster routing decision ("scatter", "shuffle",
-	// "gather", "replica"), "" for single-engine backends.
+	// "replica"), "" for single-engine backends.
 	Route string
 	// ShardsUsed is the number of nodes that executed, 0 for single-engine
 	// backends.

@@ -150,8 +150,8 @@ func (e *Engine) Register(name string, t *storage.Table) {
 // externally supplied statistics: the coordinator side of sharded
 // registration. Planning sees the schema, B(R), |R| and D(·) of a table
 // whose rows live on shard nodes; executing a statement prepared on a stub
-// directly reads zero rows — cluster coordinators execute through the
-// scatter (shard-local) or gather (sql.Input.Rows) paths instead.
+// directly reads zero rows — a cluster's shard nodes execute, its
+// coordinator only finalizes their streams (sql.Input.Concat).
 func (e *Engine) RegisterStub(name string, schema *storage.Schema, stats catalog.TableStats) {
 	e.cat.RegisterStub(name, schema, stats)
 }
@@ -229,19 +229,8 @@ func (e *Engine) PrepareContext(ctx context.Context, src string) (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &engineStmt{prep: p}, nil
+	return stmtFunc(func(ctx context.Context) (*Rows, error) { return openRows(ctx, p, time.Now()) }), nil
 }
-
-// engineStmt adapts a *sql.Prepared to the Stmt interface.
-type engineStmt struct {
-	prep *sql.Prepared
-}
-
-func (s *engineStmt) QueryContext(ctx context.Context) (*Rows, error) {
-	return openRows(ctx, s.prep, time.Now())
-}
-
-func (s *engineStmt) Close() error { return nil }
 
 // cursorSource adapts the sql package's execution cursor to the public
 // RowSource contract, translating its metadata into QueryMetrics.

@@ -44,13 +44,15 @@ benchmark-check:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
 
-# One short run each of the served workload a change is most often measured
-# on, of the in-memory frames workload (the one that runs sql finalize) and of
-# the cluster workload the benchmark driver does not gate (two HTTP shard
-# nodes behind a coordinator): every statement is checked against the
-# reference engine, and the harness prints its result as the last line.
+# One short run each of the spilling chain workload (the one whose chains
+# carve recycled arena slabs), of the served workload a change is most often
+# measured on, of the in-memory frames workload (the one that runs sql
+# finalize) and of the cluster workload the benchmark driver does not gate
+# (two HTTP shard nodes behind a coordinator): every statement is checked
+# against the reference engine, and the harness prints its result as the
+# last line.
 benchmark-smoke:
-	@for w in serve_http frames_inmem cluster_2shard; do \
+	@for w in chain_spill serve_http frames_inmem cluster_2shard; do \
 		out="$$(bash benchmark/run.sh --workload $$w --seed 20120827 --seconds 3 --trace 0 | tail -n 1)"; \
 		printf '%s\n' "$$out" | grep -q '"correct":true' && printf '%s\n' "$$out" | grep -q '"failed":0' \
 			|| { echo "benchmark-smoke: $$w did not end correct with 0 failed: $$out" >&2; exit 1; }; \

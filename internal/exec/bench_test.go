@@ -65,10 +65,11 @@ func BenchmarkRunChain(b *testing.B) {
 // blocks, through the chain CSO plans for three rank functions — a Hashed
 // Sort whose every bucket is flushed, a Segmented Sort whose every unit
 // sorts externally and a Full Sort with two intermediate merge passes —
-// and through RunChain, so B/op is the spill path's (arena slabs, pool
-// blocks, readers and writers) without Run's whole-table copy. blocks/op
-// and comparisons/op are the paper's two cost currencies; neither may move
-// when only allocation does.
+// and through RunChain, released as a cursor would release it, so B/op is
+// the spill path's once the arena pool is warm (pool blocks, readers and
+// writers, decoded strings; not the row slabs) without Run's whole-table
+// copy. blocks/op and comparisons/op are the paper's two cost currencies;
+// neither may move when only allocation does.
 func BenchmarkRunChainSpill(b *testing.B) {
 	table := BenchTable()
 	const blockSize = 8192
@@ -98,10 +99,11 @@ func BenchmarkRunChainSpill(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, m, err := RunChain(ctx, table, specs, plan, cfg)
+		chain, m, err := RunChain(ctx, table, specs, plan, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
+		chain.Release()
 		blocks += m.TotalBlocks()
 		comparisons += m.Comparisons
 	}

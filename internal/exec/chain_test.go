@@ -331,8 +331,7 @@ func referenceSteps(t *testing.T, table *storage.Table, specs []window.Spec, pla
 	}
 	for i, step := range plan.Steps {
 		var comparisons int64
-		rcfg, _ := reorderConfig(cfg, &comparisons, 0)
-		rcfg.Arena = nil
+		rcfg, _ := reorderConfig(cfg, &comparisons, nil)
 		out, _, err := applyReorder(stream.FromRows(rows), step, cfg, rcfg, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -384,7 +383,7 @@ func TestStepsBeforeLastReorderKeepTheSequence(t *testing.T) {
 					after, boundaries := referenceSteps(t, table, specs, plan, cfg)
 
 					var comparisons int64
-					rcfg, stats := reorderConfig(cfg, &comparisons, table.Schema.Len()+last)
+					rcfg, stats := reorderConfig(cfg, &comparisons, storage.NewTupleArena(table.Schema.Len()+last))
 					own := newRowArray(table, rcfg.Arena)
 					for i, step := range plan.Steps {
 						if _, err := own.reorder(step, cfg, rcfg, 0); err != nil {
@@ -466,7 +465,12 @@ func TestRunChainBytesPerRow(t *testing.T) {
 				t.Fatalf("L = %d: err %v, metrics %+v; want an in-memory run", last, err, m)
 			}
 		}
-		run() // the sort kernel's workspace is allocated once per process
+		// The sort kernel's workspace is allocated once per process, and
+		// chains never released take every list the arena pool holds (at
+		// most GOMAXPROCS), so what is measured is a chain's own slab.
+		for range runtime.GOMAXPROCS(0) {
+			run()
+		}
 		const reps = 3
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

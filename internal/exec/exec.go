@@ -137,10 +137,24 @@ type Chain struct {
 	// Width is the column count of every row: the input arity plus L.
 	Width int
 	Tail  [][]storage.Value
+
+	arena *storage.TupleArena // RunChain's: where its rows were carved
 }
 
 // Len returns the row count.
 func (c *Chain) Len() int { return len(c.Rows) }
+
+// Release ends the chain: the value slabs RunChain carved its rows from go
+// back to the process-wide pool, for the next statement's chain to carve.
+// No row of the chain, and no value in one, may be read afterwards; the
+// strings in them stay valid (byte slabs are never pooled). Idempotent. A
+// chain that is never released is garbage-collected like any other.
+func (c *Chain) Release() {
+	if c.arena != nil {
+		c.arena.Recycle()
+	}
+	c.arena, c.Rows, c.Tail = nil, nil, nil
+}
 
 // At returns column col of row i.
 func (c *Chain) At(i, col int) storage.Value {
@@ -204,8 +218,11 @@ func Run(table *storage.Table, specs []window.Spec, plan *core.Plan, cfg Config)
 // boundary (a chain step — reorder plus window evaluation — is the unit of
 // preemption, so a cancelled context stops the chain before the next
 // reorder begins). It returns ctx.Err() when the context is done.
+//
+// Its chain's arena is private, never released: without derived columns in
+// a tail, the table it returns holds the arena's rows.
 func RunContext(ctx context.Context, table *storage.Table, specs []window.Spec, plan *core.Plan, cfg Config) (*storage.Table, *Metrics, error) {
-	chain, metrics, err := RunChain(ctx, table, specs, plan, cfg)
+	chain, metrics, err := runChain(ctx, table, specs, plan, cfg, storage.NewTupleArena)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -241,7 +258,17 @@ func lastReorder(plan *core.Plan) int {
 //
 // Each step drains its (lazily reordering) stream fully before it
 // evaluates, so per-step metrics are exact.
+//
+// The chain's arena is pooled (storage.NewPooledTupleArena): the row array
+// and every row read back from a spill are carved from value slabs an
+// earlier statement handed back, and Chain.Release — the statement's cursor
+// closing — hands them on. A failed run releases them itself.
 func RunChain(ctx context.Context, table *storage.Table, specs []window.Spec, plan *core.Plan, cfg Config) (*Chain, *Metrics, error) {
+	return runChain(ctx, table, specs, plan, cfg, storage.NewPooledTupleArena)
+}
+
+// runChain is RunChain with the chain's arena built by newArena.
+func runChain(ctx context.Context, table *storage.Table, specs []window.Spec, plan *core.Plan, cfg Config, newArena func(stride int) *storage.TupleArena) (_ *Chain, _ *Metrics, err error) {
 	var comparisons int64
 	metrics := &Metrics{Steps: make([]StepMetrics, 0, len(plan.Steps))}
 	live := trace.LiveFromContext(ctx)
@@ -251,7 +278,13 @@ func RunChain(ctx context.Context, table *storage.Table, specs []window.Spec, pl
 	tableBlocks := int64(table.ByteSize()) / int64(cfg.blockSize())
 
 	chain := &Chain{Schema: table.Schema, Rows: table.Rows, Width: table.Schema.Len() + last}
-	rcfg, stats := reorderConfig(cfg, &comparisons, chain.Width)
+	chain.arena = newArena(chain.Width)
+	defer func() {
+		if err != nil {
+			chain.Release()
+		}
+	}()
+	rcfg, stats := reorderConfig(cfg, &comparisons, chain.arena)
 	inTuple := table.Schema // the columns a spec can read
 	var own rowArray
 	if last > 0 {
@@ -337,11 +370,11 @@ func RunChain(ctx context.Context, table *storage.Table, specs []window.Spec, pl
 
 // reorderConfig builds what every reorder of one chain (or one shared
 // scan, or one parallel worker) runs with: the unit memory, a fresh spill
-// store, an arena whose rows have capacity width — the chain's row width,
-// so whatever spills comes back with room for every derived column still
-// to be appended — and the counters: comparisons, and the returned
-// statistics for the store's block transfers.
-func reorderConfig(cfg Config, comparisons *int64, width int) (reorder.Config, *pagestore.Stats) {
+// store, the arena — whose rows have the chain's row width as capacity, so
+// whatever spills comes back with room for every derived column still to
+// be appended — and the counters: comparisons, and the returned statistics
+// for the store's block transfers.
+func reorderConfig(cfg Config, comparisons *int64, arena *storage.TupleArena) (reorder.Config, *pagestore.Stats) {
 	stats := &pagestore.Stats{}
 	var store *pagestore.Store
 	if cfg.FileBacked {
@@ -354,7 +387,7 @@ func reorderConfig(cfg Config, comparisons *int64, width int) (reorder.Config, *
 		Store:        store,
 		Comparisons:  comparisons,
 		RunFormation: cfg.RunFormation,
-		Arena:        storage.NewTupleArena(width),
+		Arena:        arena,
 	}, stats
 }
 

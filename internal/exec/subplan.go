@@ -28,7 +28,8 @@ func ReorderTable(ctx context.Context, table *storage.Table, step core.Step, cfg
 	}
 	start := time.Now()
 	var comparisons int64
-	rcfg, stats := reorderConfig(cfg, &comparisons, table.Schema.Len())
+	// A private arena: the segment's rows outlive any one statement.
+	rcfg, stats := reorderConfig(cfg, &comparisons, storage.NewTupleArena(table.Schema.Len()))
 	tableBlocks := int64(table.ByteSize()) / int64(cfg.blockSize())
 
 	// No copy, and nothing downstream extends a segment's rows.

@@ -269,6 +269,7 @@ func TestCoordinatorMetricsExposition(t *testing.T) {
 		"windowdb_shuffle_round_imbalance",
 		"windowdb_block_pool_held",
 		"windowdb_sort_workspace_bytes",
+		"windowdb_arena_pool_bytes",
 		"windowdb_build_info{",
 	} {
 		if !strings.Contains(body, want) {

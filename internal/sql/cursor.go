@@ -77,12 +77,15 @@ func (c *Cursor) NextBatch() (*stream.Batch, error) {
 	return &c.batch, nil
 }
 
-// Close releases the cursor; further NextBatch calls return io.EOF.
-// Idempotent.
+// Close releases the cursor and its chain (exec.Chain.Release), whose value
+// slabs go back to the pool for the next statement's chain; the batches it
+// returned hold copies, and strings that stay valid. Further NextBatch
+// calls return io.EOF. Idempotent.
 func (c *Cursor) Close() error {
 	if c.closed {
 		return nil
 	}
+	c.src.Release()
 	c.closed, c.left = true, 0
 	c.src, c.order, c.batch = nil, nil, stream.Batch{}
 	return nil

@@ -233,7 +233,9 @@ func (r *SegmentRunner) FilterBase(ctx context.Context) (*storage.Table, error) 
 // Run executes segment seg's chain steps over in — rows already
 // hash-partitioned on the segment's key — returning the extended table and
 // the executor metrics. The table is materialized: its rows are the next
-// shuffle's wire rows and must carry their derived columns.
+// shuffle's wire rows and must carry their derived columns. The chain is
+// never released — the table's rows may be its arena's — and goes with
+// the table to the GC.
 func (r *SegmentRunner) Run(ctx context.Context, seg int, in *storage.Table) (*storage.Table, *exec.Metrics, error) {
 	out, m, _, err := r.p.runPlan(ctx, in, r.subs[seg])
 	if err != nil {

@@ -1,23 +1,35 @@
 package storage
 
-import "unsafe"
+import (
+	"runtime"
+	"slices"
+	"sync"
+	"unsafe"
+)
 
 // Slab sizing: new slabs double from the minimum to the cap, so a reader
 // that decodes a handful of rows (one small Segmented Sort unit) wastes at
-// most as much as it uses, and one that decodes a relation settles at a few
-// hundred rows per allocation.
+// most as much as it uses, and one that decodes a relation settles at 64 KB
+// per allocation. The value cap is a value count, not a row count: chains
+// of every row width carve one pooled list, and slabs of one size serve
+// them all, where slabs of so many rows would leave one set per width.
 const (
 	arenaMinRows  = 16
-	arenaMaxRows  = 256
-	arenaMaxVals  = 64 << 10 // bounds the slab a corrupt column count can ask for
+	arenaMaxVals  = 4 << 10
 	arenaMinBytes = 2 << 10
 	arenaMaxBytes = 64 << 10
 )
 
-// poisonRewound makes Release overwrite what it rewinds over, so a row or a
-// string still in use after its memory was handed back reads as garbage
-// instead of as its old self until something happens to reuse the slot.
-// Tests set it (export_test.go); it is never set in a running engine.
+// maxPooledVals is the largest slab list the pool keeps (32 MB of values):
+// a chain's list is about one copy of its input, and one huge statement
+// must not pin its slabs for the life of the process.
+const maxPooledVals = 2 << 20
+
+// poisonRewound makes Release overwrite what it rewinds over, and Recycle
+// the slabs it hands back, so a row or a string still in use after its
+// memory was handed back reads as garbage instead of as its old self until
+// something happens to reuse the slot. Tests set it (export_test.go); it is
+// never set in a running engine.
 var poisonRewound bool
 
 var poisonValue = Value{num: 0xDEADDEADDEADDEAD, ptr: tagInt}
@@ -40,9 +52,15 @@ const poisonByte = 0xDB
 // be read again. Between rewinds a handed-out row and its strings are never
 // overwritten.
 //
+// An arena from NewTupleArena allocates its slabs and the GC frees them with
+// it. One from NewPooledTupleArena takes its value slabs from a process-wide
+// pool the first time it needs one, and Recycle hands them back. Byte slabs
+// are never pooled: a string read out of a row may outlive the arena.
+//
 // Not safe for concurrent use.
 type TupleArena struct {
 	stride int
+	pooled bool // takes its value slabs from slabPool on the first carve
 	vals   slabs[Value]
 	strs   slabs[byte]
 }
@@ -60,16 +78,36 @@ func NewTupleArena(stride int) *TupleArena {
 	return &TupleArena{stride: max(stride, 0)}
 }
 
+// NewPooledTupleArena is NewTupleArena for an arena whose value slabs come
+// from the process-wide pool: taken on its first carve, so an arena that
+// never carves never touches the pool, and handed back by Recycle.
+func NewPooledTupleArena(stride int) *TupleArena {
+	return &TupleArena{stride: max(stride, 0), pooled: true}
+}
+
 // Stride returns the row capacity the arena was built with.
 func (a *TupleArena) Stride() int { return a.stride }
 
 // Reserve makes room for rows more rows of at most stride columns in one
-// slab of exactly that size, unless the slab being carved has the room
-// already.
+// slab, unless the slab being carved has the room already: in the smallest
+// kept slab past the carving position that has it, or else in a new slab of
+// exactly that size.
 func (a *TupleArena) Reserve(rows int) {
-	if n := rows * a.stride; n > 0 && a.vals.room() < n {
-		a.vals.add(n)
+	n := rows * a.stride
+	if n <= 0 || a.vals.room() >= n || a.adopt() && a.vals.room() >= n {
+		return
 	}
+	a.vals.reserve(n)
+}
+
+// adopt gives a pooled arena that has no value slabs yet the pool's most
+// recently returned list, and reports whether it got one.
+func (a *TupleArena) adopt() bool {
+	if !a.pooled || a.vals.list != nil {
+		return false
+	}
+	a.vals.list = slabPool.get()
+	return a.vals.list != nil
 }
 
 // Copy returns a copy of t in the arena with the arena's row capacity. The
@@ -113,10 +151,13 @@ func (a *TupleArena) Decode(buf []byte) (Tuple, int, error) {
 func (a *TupleArena) row(ncols int) Tuple {
 	need := max(ncols, a.stride)
 	vals := a.vals.take(need)
+	if vals == nil && a.adopt() {
+		vals = a.vals.take(need)
+	}
 	if vals == nil {
 		rows := arenaMinRows
 		if last := a.vals.last(); last > 0 {
-			rows = min(max(2*(last/need), arenaMinRows), arenaMaxRows)
+			rows = max(2*(last/need), arenaMinRows)
 		}
 		a.vals.add(max(need, min(rows*need, arenaMaxVals)))
 		vals = a.vals.take(need)
@@ -155,6 +196,17 @@ func (a *TupleArena) Release(m ArenaMark) {
 
 // Reset releases everything the arena ever handed out.
 func (a *TupleArena) Reset() { a.Release(ArenaMark{}) }
+
+// Recycle releases everything the arena ever handed out and gives its value
+// slabs, cleared, to the process-wide pool, for the next pooled arena to
+// carve. The byte slabs are dropped instead: the strings in them stay valid
+// for as long as anything holds one. The arena is empty afterwards, as if
+// new.
+func (a *TupleArena) Recycle() {
+	list := a.vals.list
+	a.vals, a.strs = slabs[Value]{}, slabs[byte]{}
+	slabPool.put(list)
+}
 
 // slabs is a list of kept slabs and the position up to which they are
 // carved: all of list[:cur], and list[cur][:off].
@@ -198,6 +250,36 @@ func (s *slabs[T]) add(n int) {
 	s.cur, s.off = len(s.list)-1, 0
 }
 
+// reserve moves the carving position to the start of a free slab of at
+// least n elements placed right after what is carved: the smallest kept one
+// past the carving position that is long enough, or else a new one of
+// exactly n. Before it makes one, it drops the free slabs longer than any
+// row carves — only reserve makes those — since they are too short: a list
+// that outlives its arena keeps one such slab, not one per row width.
+func (s *slabs[T]) reserve(n int) {
+	at := s.cur
+	if at < len(s.list) && s.off > 0 {
+		at++
+	}
+	best := -1
+	for i := at; i < len(s.list); i++ {
+		if l := len(s.list[i]); l >= n && (best < 0 || l < len(s.list[best])) {
+			best = i
+		}
+	}
+	var slab []T
+	if best >= 0 {
+		slab = s.list[best]
+		s.list = slices.Delete(s.list, best, best+1)
+	} else {
+		free := slices.DeleteFunc(s.list[at:], func(sl []T) bool { return len(sl) > arenaMaxVals })
+		s.list = s.list[:at+len(free)]
+		slab = make([]T, n)
+	}
+	s.list = slices.Insert(s.list, at, slab)
+	s.cur, s.off = at, 0
+}
+
 // rewind moves the carving position back to list[cur][:off].
 func (s *slabs[T]) rewind(cur, off int, poison T) {
 	if poisonRewound {
@@ -215,4 +297,90 @@ func (s *slabs[T]) rewind(cur, off int, poison T) {
 		}
 	}
 	s.cur, s.off = cur, off
+}
+
+// slabList is the free list of value-slab lists pooled arenas carve from.
+// It is a plain list and not a sync.Pool for the reasons xsort's scratch
+// pool is one: a list must survive a GC — a statement that finds the pool
+// emptied allocates a copy of its input, which is what the pool exists to
+// avoid — and a slice goes in and out without being boxed. It holds at most
+// GOMAXPROCS lists, the most chains that can be carving at once, and keeps
+// the longest it has seen; a list in it holds no live value and no pointer.
+type slabList struct {
+	mu   sync.Mutex
+	free [][][]Value
+}
+
+var (
+	slabPool slabList
+	// poolSlots is read once: runtime.GOMAXPROCS takes the scheduler lock.
+	poolSlots = runtime.GOMAXPROCS(0)
+)
+
+// get takes the most recently returned list out of the pool, nil when it is
+// empty.
+func (p *slabList) get() [][]Value {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	last := len(p.free) - 1
+	if last < 0 {
+		return nil
+	}
+	list := p.free[last]
+	p.free[last] = nil
+	p.free = p.free[:last]
+	return list
+}
+
+// put clears list — under the poison switch, overwrites it — and adds it to
+// the pool, in place of the shortest list there when the pool is full and
+// that one is shorter.
+func (p *slabList) put(list [][]Value) {
+	n := listVals(list)
+	if n == 0 || n > maxPooledVals {
+		return
+	}
+	for _, sl := range list {
+		if poisonRewound {
+			for i := range sl {
+				sl[i] = poisonValue
+			}
+		} else {
+			clear(sl) // a pooled slab pins no string
+		}
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.free) < poolSlots {
+		p.free = append(p.free, list)
+		return
+	}
+	shortest := 0
+	for i, l := range p.free {
+		if listVals(l) < listVals(p.free[shortest]) {
+			shortest = i
+		}
+	}
+	if listVals(p.free[shortest]) < n {
+		p.free[shortest] = list
+	}
+}
+
+func listVals(list [][]Value) (n int) {
+	for _, sl := range list {
+		n += len(sl)
+	}
+	return n
+}
+
+// ArenaPoolBytes reports the memory the idle arena pool retains: the value
+// slabs waiting for a pooled arena, not the ones a running chain holds.
+func ArenaPoolBytes() int64 {
+	slabPool.mu.Lock()
+	defer slabPool.mu.Unlock()
+	var n int
+	for _, l := range slabPool.free {
+		n += listVals(l)
+	}
+	return int64(n) * int64(unsafe.Sizeof(Value{}))
 }

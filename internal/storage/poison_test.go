@@ -2,11 +2,13 @@ package storage_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
 	"testing"
 
+	windowdb "repro"
 	"repro/internal/attrs"
 	"repro/internal/catalog"
 	"repro/internal/core"
@@ -274,6 +276,161 @@ func TestRewoundMemoryIsNeverRead(t *testing.T) {
 			var inmem bool
 			if detail(t, m, step, "runs=%d passes=%d inmem=%t", &runs, &passes, &inmem); passes < 2 {
 				t.Fatalf("FS step %d merged %d runs in %d intermediate passes, want at least 2", step, runs, passes)
+			}
+		}
+	})
+}
+
+// paperStatement is one of Q6–Q9 as SQL over web_sales — the row's order
+// number, its pad string and every rank — with what the columns after the
+// order number must read, per order number: the input's pad string and the
+// reference's ranks.
+type paperStatement struct {
+	name, sql string
+	want      map[int64][]storage.Value
+}
+
+func paperStatements(t *testing.T, table *storage.Table) []paperStatement {
+	t.Helper()
+	names := table.Schema.Names()
+	list := func(seq attrs.Seq) string {
+		cols := make([]string, len(seq))
+		for i, e := range seq {
+			cols[i] = names[e.Attr]
+		}
+		return strings.Join(cols, ", ")
+	}
+	var out []paperStatement
+	for _, q := range []struct {
+		name  string
+		specs []window.Spec
+	}{{"Q6", paper.Q6()}, {"Q7", paper.Q7()}, {"Q8", paper.Q8()}, {"Q9", paper.Q9()}} {
+		st := paperStatement{name: q.name, want: make(map[int64][]storage.Value, table.Len())}
+		for _, row := range table.Rows {
+			st.want[row[datagen.ColOrderNumber].Int64()] = []storage.Value{row[datagen.ColPad]}
+		}
+		src := "SELECT ws_order_number, ws_pad"
+		for i, spec := range q.specs {
+			var over []string
+			if len(spec.PKOrder) > 0 {
+				over = append(over, "PARTITION BY "+list(spec.PKOrder))
+			}
+			if len(spec.OK) > 0 {
+				over = append(over, "ORDER BY "+list(spec.OK))
+			}
+			src += fmt.Sprintf(", rank() OVER (%s) AS wf%d", strings.Join(over, " "), i)
+			vals, err := window.Reference(table.Rows, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r, v := range vals {
+				tag := table.Rows[r][datagen.ColOrderNumber].Int64()
+				st.want[tag] = append(st.want[tag], v)
+			}
+		}
+		st.sql = src + " FROM web_sales"
+		out = append(out, st)
+	}
+	return out
+}
+
+// checkStatement drains rows, the cursor of st over table, and holds every
+// row to the input and the reference.
+func checkStatement(t *testing.T, table *storage.Table, st paperStatement, rows *windowdb.Rows) {
+	t.Helper()
+	defer rows.Close()
+	n := 0
+	for ; rows.Next(); n++ {
+		row := rows.Row()
+		want, ok := st.want[row[0].Int64()]
+		if !ok {
+			t.Fatalf("%s: row %d reads order %q, which no input row has", st.name, n, row[0])
+		}
+		for k, v := range want {
+			if g := row[1+k]; !storage.Identical(g, v) {
+				t.Fatalf("%s: order %s column %d = %s %q, want %q", st.name, row[0], 1+k, g.Kind(), g, v)
+			}
+		}
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatalf("%s: %v", st.name, err)
+	}
+	if n != table.Len() {
+		t.Fatalf("%s: %d rows out for %d in", st.name, n, table.Len())
+	}
+}
+
+// cancelAfter is a context whose Err turns to Canceled from its (left+1)-th
+// call on: a statement cancelled at a chosen step boundary.
+type cancelAfter struct {
+	context.Context
+	left int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.left--; c.left < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestRecycledMemoryIsNeverRead is the use-after-recycle matrix: with every
+// recycled slab poisoned, Q6–Q9 at the chain_spill budget run through
+// engine cursors that stay open while other statements run to their end —
+// each of which hands its slabs back and carves the ones the previous one
+// handed back — and still equal the reference when drained last; and a
+// statement cancelled at each step boundary of its chain hands its slabs
+// back and leaves the next statement correct.
+func TestRecycledMemoryIsNeverRead(t *testing.T) {
+	defer storage.PoisonRewound()()
+	const bs = 1024
+	table := datagen.WebSales(datagen.WebSalesConfig{Rows: 3000, Seed: 42, PadBytes: 24})
+	mem := max(int(0.85*math.Sqrt(float64(table.ByteSize()/bs)/2)), 3) * bs
+	eng := windowdb.New(windowdb.Config{SortMemBytes: mem, BlockSize: bs, Parallelism: 1})
+	eng.Register("web_sales", table)
+	statements := paperStatements(t, table)
+	ctx := context.Background()
+	open := func(t *testing.T, st paperStatement) *windowdb.Rows {
+		t.Helper()
+		rows, err := eng.QueryContext(ctx, st.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		return rows
+	}
+
+	for _, a := range statements {
+		for _, b := range statements {
+			t.Run(a.name+" open across two "+b.name, func(t *testing.T) {
+				held := open(t, a)
+				checkStatement(t, table, b, open(t, b))
+				checkStatement(t, table, b, open(t, b))
+				checkStatement(t, table, a, held)
+			})
+		}
+	}
+
+	t.Run("cancelled mid-chain", func(t *testing.T) {
+		for i, st := range statements {
+			next := statements[(i+1)%len(statements)]
+			recycled := 0
+			for left := 0; ; left++ {
+				storage.EmptyArenaPool()
+				rows, err := eng.QueryContext(&cancelAfter{Context: ctx, left: left}, st.sql)
+				if err == nil {
+					rows.Close() // the chain ran to its end: every boundary was tried
+					break
+				}
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s cancelled after %d checks: %v", st.name, left, err)
+				}
+				if storage.ArenaPoolLists() > 0 {
+					recycled++
+				}
+				checkStatement(t, table, next, open(t, next))
+			}
+			if recycled == 0 {
+				t.Fatalf("%s: no cancelled run handed its slabs back", st.name)
 			}
 		}
 	})

@@ -9,8 +9,9 @@
 // generation* (Entry.DataGen) advances on every Append — the schema, and
 // therefore every prepared plan, is still valid, but any cached *result*
 // (materialized query output, distinct counts, MFV sets) may be stale.
-// Plan caches key on the schema generation and survive appends; result
-// caches must key on the data generation.
+// A cached plan stays valid while its entry is the catalog's entry for its
+// table, so it survives appends and other tables' registrations; cached
+// results must also match the data generation.
 package catalog
 
 import (
@@ -34,9 +35,9 @@ var ErrUnknownTable = errors.New("catalog: unknown table")
 // the SQL dialect's column identifiers — "WEB_SALES" and "web_sales" are
 // the same table, so a query's outcome cannot depend on how a client
 // spells the name. All methods are safe for concurrent use; Register
-// bumps the schema generation counter that plan caches key against, so
-// re-registering a table invalidates every plan built on the old entry.
-// Append does NOT bump it — appends preserve the schema.
+// replaces the table's entry, invalidating every plan built on the old one,
+// and bumps the schema generation, the cue for caches to sweep. Append does
+// NOT bump it — appends preserve the schema.
 type Catalog struct {
 	mu         sync.RWMutex
 	tables     map[string]*Entry // keyed by folded name
@@ -53,10 +54,10 @@ func New() *Catalog {
 func (c *Catalog) Register(name string, t *storage.Table) *Entry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := &Entry{Name: name, distinct: make(map[attrs.Set]int64)}
+	c.generation++
+	e := &Entry{Name: name, gen: c.generation, distinct: make(map[attrs.Set]int64)}
 	e.data.Store(&tableData{t: t, gen: 1})
 	c.tables[strings.ToLower(name)] = e
-	c.generation++
 	return e
 }
 
@@ -86,14 +87,15 @@ type TableStats struct {
 func (c *Catalog) RegisterStub(name string, schema *storage.Schema, stats TableStats) *Entry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.generation++
 	e := &Entry{
 		Name:     name,
+		gen:      c.generation,
 		stats:    &stats,
 		distinct: make(map[attrs.Set]int64),
 	}
 	e.data.Store(&tableData{t: storage.NewTable(schema), gen: 1})
 	c.tables[strings.ToLower(name)] = e
-	c.generation++
 	return e
 }
 
@@ -168,6 +170,7 @@ type tableData struct {
 // slice is never appended to in place), so readers never need a lock.
 type Entry struct {
 	Name string
+	gen  uint64 // the schema generation this entry's registration produced
 
 	data atomic.Pointer[tableData]
 
@@ -191,6 +194,11 @@ type mfvKey struct {
 func (e *Entry) Table() *storage.Table {
 	return e.data.Load().t
 }
+
+// Generation returns the schema generation this entry's registration
+// produced: unique among one catalog's entries, so it names the entry in
+// cache keys.
+func (e *Entry) Generation() uint64 { return e.gen }
 
 // DataGen returns the entry's data generation: 1 at registration,
 // advanced by every Append. Result caches key on it.

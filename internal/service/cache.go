@@ -1,236 +1,11 @@
 package service
 
 import (
-	"container/list"
 	"strings"
-	"sync"
 	"unicode"
 
 	"repro/internal/sql"
 )
-
-// planCache is the prepared-statement cache: normalized SQL text maps to a
-// *sql.Prepared carrying the parse, bind and CSO-planning work. An entry is
-// valid only while the catalog generation it was prepared under is current;
-// a lookup that finds a stale entry drops it and counts an invalidation, so
-// re-registering a table flushes every plan built on the old data. Bounded
-// LRU: the least recently used entry is evicted past capacity.
-type planCache struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[string]*list.Element
-	order   *list.List // front = most recently used
-	lastGen uint64     // generation observed by the latest lookup
-
-	// fpIndex maps a coordinator-shipped plan fingerprint to the
-	// normalized-text cache key, so scatter and shuffle requests resolve
-	// with one map lookup instead of re-normalizing the SQL text every
-	// round. It is an index, not a second cache: each link is recorded on
-	// the entry it points to and dropped with it (dropLinksLocked), so the
-	// index holds links for live entries only — at most fpLinksPerEntry
-	// per entry — and fingerprints of long-evicted statements cannot
-	// accumulate on a long-lived node.
-	fpIndex map[string]string
-
-	hits, misses, invalidations, evictions, fpHits uint64
-}
-
-type cacheEntry struct {
-	key  string
-	prep *sql.Prepared
-	// fps are the fingerprints linkFP indexed to this key, kept so eviction
-	// and invalidation can sweep their fpIndex links with the entry.
-	fps []string
-}
-
-// fpLinksPerEntry bounds how many fingerprints one cache entry may hold in
-// the index. Distinct coordinator plans normalizing to one text are rare
-// (in practice one statement has one fingerprint); past the bound the
-// oldest link is recycled rather than letting one hot key grow an
-// unbounded tail.
-const fpLinksPerEntry = 4
-
-func newPlanCache(capacity int) *planCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &planCache{
-		cap:     capacity,
-		entries: make(map[string]*list.Element, capacity),
-		order:   list.New(),
-	}
-}
-
-// get returns the cached statement for key when present and still valid
-// under the catalog generation gen. The first lookup after a generation
-// change sweeps every stale entry, not just this key's: a Prepared pins
-// its catalog entry (and that entry's whole table), so stale plans whose
-// SQL text never recurs must not keep superseded snapshots reachable in a
-// long-running, memory-budgeted server.
-func (c *planCache) get(key string, gen uint64) (*sql.Prepared, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if gen != c.lastGen {
-		c.lastGen = gen
-		var next *list.Element
-		for el := c.order.Front(); el != nil; el = next {
-			next = el.Next()
-			ent := el.Value.(*cacheEntry)
-			if ent.prep.Generation() != gen {
-				c.invalidations++
-				c.order.Remove(el)
-				delete(c.entries, ent.key)
-				c.dropLinksLocked(ent)
-			}
-		}
-	}
-	el, ok := c.entries[key]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	ent := el.Value.(*cacheEntry)
-	if ent.prep.Generation() != gen {
-		c.invalidations++
-		c.misses++
-		c.order.Remove(el)
-		delete(c.entries, key)
-		c.dropLinksLocked(ent)
-		return nil, false
-	}
-	c.hits++
-	c.order.MoveToFront(el)
-	return ent.prep, true
-}
-
-// getFP resolves a coordinator-shipped fingerprint through the index to
-// its cached statement, honoring the same generation discipline as get. A
-// dangling index entry (evicted or invalidated key) is dropped and counts
-// a miss; the caller falls back to the text-keyed path.
-func (c *planCache) getFP(fp string, gen uint64) (*sql.Prepared, bool) {
-	c.mu.Lock()
-	key, ok := c.fpIndex[fp]
-	c.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	prep, hit := c.get(key, gen)
-	c.mu.Lock()
-	if hit {
-		c.fpHits++
-	} else if c.fpIndex[fp] == key {
-		// Only while it still points at the missed key: a concurrent
-		// re-link to a fresh entry must survive.
-		delete(c.fpIndex, fp)
-	}
-	c.mu.Unlock()
-	return prep, hit
-}
-
-// linkFP records fingerprint → normalized key. A link lives exactly as
-// long as the entry it points to: it is recorded on the entry and swept
-// from the index when the entry is evicted or invalidated, so the index
-// can never outgrow the live entries. A key that is no longer cached is
-// not indexed at all — the next prepare re-links it.
-func (c *planCache) linkFP(fp, key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return // evicted between put and link; indexing now would dangle
-	}
-	if c.fpIndex[fp] == key {
-		return
-	}
-	ent := el.Value.(*cacheEntry)
-	if len(ent.fps) >= fpLinksPerEntry {
-		old := ent.fps[0]
-		ent.fps = append(ent.fps[:0], ent.fps[1:]...)
-		if c.fpIndex[old] == key {
-			delete(c.fpIndex, old)
-		}
-	}
-	if c.fpIndex == nil {
-		c.fpIndex = make(map[string]string)
-	}
-	c.fpIndex[fp] = key
-	ent.fps = append(ent.fps, fp)
-}
-
-// dropLinksLocked sweeps ent's fingerprint links out of the index. A link
-// is removed only while it still points at ent's key: linkFP may have
-// re-pointed a fingerprint at a newer entry, whose link must survive.
-func (c *planCache) dropLinksLocked(ent *cacheEntry) {
-	for _, fp := range ent.fps {
-		if c.fpIndex[fp] == ent.key {
-			delete(c.fpIndex, fp)
-		}
-	}
-	ent.fps = nil
-}
-
-// put stores a freshly prepared statement, evicting the LRU entry past
-// capacity. Concurrent misses on one key may both prepare; the entry
-// prepared under the newest catalog generation wins, so a slow prepare
-// racing a Register cannot clobber a fresher plan with a stale one (which
-// would make every later lookup invalidate and re-plan).
-func (c *planCache) put(key string, p *sql.Prepared) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		ent := el.Value.(*cacheEntry)
-		if p.Generation() >= ent.prep.Generation() {
-			ent.prep = p
-		}
-		c.order.MoveToFront(el)
-		return
-	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, prep: p})
-	if c.order.Len() > c.cap {
-		back := c.order.Back()
-		c.order.Remove(back)
-		ent := back.Value.(*cacheEntry)
-		delete(c.entries, ent.key)
-		c.dropLinksLocked(ent)
-		c.evictions++
-	}
-}
-
-// CacheStats is the cache counter snapshot exposed through Service.Stats.
-type CacheStats struct {
-	Size          int    `json:"size"`
-	Capacity      int    `json:"capacity"`
-	Hits          uint64 `json:"hits"`
-	Misses        uint64 `json:"misses"`
-	Invalidations uint64 `json:"invalidations"`
-	Evictions     uint64 `json:"evictions"`
-	// FPHits counts hits resolved through the coordinator-shipped plan
-	// fingerprint index (a subset of Hits).
-	FPHits uint64 `json:"fp_hits"`
-}
-
-// HitRate returns hits / (hits + misses), 0 when no lookups happened.
-func (s CacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
-func (c *planCache) stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{
-		Size:          c.order.Len(),
-		Capacity:      c.cap,
-		Hits:          c.hits,
-		Misses:        c.misses,
-		Invalidations: c.invalidations,
-		Evictions:     c.evictions,
-		FPHits:        c.fpHits,
-	}
-}
 
 // NormalizeSQL renders statement text as its cache key via sql.Canonical:
 // spacing, comment, keyword-case and redundant-quoting variants of one

@@ -2,110 +2,50 @@ package service
 
 import (
 	"context"
-	"fmt"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro"
+	"repro/internal/cache"
 	"repro/internal/datagen"
+	"repro/internal/storage"
 )
 
-func newCacheEngine(t *testing.T) *windowdb.Engine {
-	t.Helper()
-	eng := windowdb.New(windowdb.Config{SortMemBytes: 1 << 20, Parallelism: 1})
-	eng.Register("web_sales", datagen.WebSales(datagen.WebSalesConfig{Rows: 200, Seed: 1}))
-	return eng
-}
+// raceEnabled reports a -race build, whose instrumentation allocates.
+var raceEnabled bool
 
-// TestPlanCacheFPIndexBoundedByLiveEntries: evicting a cache entry sweeps
-// its fingerprint links, so arbitrarily long statement churn cannot grow
-// the index past the live entries.
-func TestPlanCacheFPIndexBoundedByLiveEntries(t *testing.T) {
-	eng := newCacheEngine(t)
-	prep, err := eng.Prepare(mixQ1)
+// TestWarmHitAllocations pins what a warm plan-cache hit and a warm
+// shared-subplan hit allocate — key normalization and identity included —
+// at no more than the three separate caches did on the same statement.
+func TestWarmHitAllocations(t *testing.T) {
+	planHit, subplanHit := 30.0, 11.0 // the separate caches' counts
+	if raceEnabled {
+		subplanHit = 14
+	}
+	svc := newTestService(t, Config{Slots: 2}, 500)
+	ctx := context.Background()
+	if _, err := svc.Query(ctx, shareQFine); err != nil {
+		t.Fatal(err)
+	}
+	prep, _, err := svc.resolve(ctx, shareQFine)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const capacity = 4
-	c := newPlanCache(capacity)
-	for i := 0; i < 50*capacity; i++ {
-		key := fmt.Sprintf("k%d", i)
-		c.put(key, prep)
-		c.linkFP(fmt.Sprintf("fp%d", i), key)
+	if got := testing.AllocsPerRun(100, func() {
+		if _, disp, err := svc.resolve(ctx, shareQFine); err != nil || disp != cache.Hit {
+			t.Fatalf("warm plan lookup: %q, %v", disp, err)
+		}
+	}); got > planHit {
+		t.Errorf("warm plan-cache hit allocates %v times, want at most %v", got, planHit)
 	}
-	c.mu.Lock()
-	live, links := c.order.Len(), len(c.fpIndex)
-	c.mu.Unlock()
-	if live > capacity {
-		t.Fatalf("cache holds %d entries past capacity %d", live, capacity)
-	}
-	if links > live {
-		t.Fatalf("fp index holds %d links for %d live entries — eviction left dangling links", links, live)
-	}
-	gen := prep.Generation()
-	if _, ok := c.getFP("fp0", gen); ok {
-		t.Fatal("fingerprint of an evicted key resolved")
-	}
-	if _, ok := c.getFP(fmt.Sprintf("fp%d", 50*capacity-1), gen); !ok {
-		t.Fatal("fingerprint of a live key missed")
-	}
-}
-
-// TestPlanCacheFPIndexInvalidationSweep: the generation sweep that drops
-// stale plans drops their fingerprint links too.
-func TestPlanCacheFPIndexInvalidationSweep(t *testing.T) {
-	eng := newCacheEngine(t)
-	stale, err := eng.Prepare(mixQ1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Register("web_sales", datagen.WebSales(datagen.WebSalesConfig{Rows: 200, Seed: 2}))
-	fresh, err := eng.Prepare(mixQ1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	c := newPlanCache(8)
-	c.put("stale", stale)
-	c.linkFP("fp-stale", "stale")
-	c.put("fresh", fresh)
-	c.linkFP("fp-fresh", "fresh")
-
-	if _, ok := c.get("fresh", fresh.Generation()); !ok {
-		t.Fatal("fresh entry missed") // this lookup runs the generation sweep
-	}
-	c.mu.Lock()
-	_, hasStale := c.fpIndex["fp-stale"]
-	_, hasFresh := c.fpIndex["fp-fresh"]
-	c.mu.Unlock()
-	if hasStale {
-		t.Fatal("invalidated entry's fingerprint link survived the sweep")
-	}
-	if !hasFresh {
-		t.Fatal("live entry's fingerprint link was swept")
-	}
-}
-
-// TestPlanCacheFPLinksPerEntry: one hot key cannot grow an unbounded
-// fingerprint tail — the oldest link recycles past the bound.
-func TestPlanCacheFPLinksPerEntry(t *testing.T) {
-	eng := newCacheEngine(t)
-	prep, err := eng.Prepare(mixQ1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := newPlanCache(4)
-	c.put("hot", prep)
-	for i := 0; i < 3*fpLinksPerEntry; i++ {
-		c.linkFP(fmt.Sprintf("fp%d", i), "hot")
-	}
-	c.mu.Lock()
-	links := len(c.fpIndex)
-	c.mu.Unlock()
-	if links > fpLinksPerEntry {
-		t.Fatalf("one entry holds %d links, bound is %d", links, fpLinksPerEntry)
-	}
-	if _, ok := c.getFP(fmt.Sprintf("fp%d", 3*fpLinksPerEntry-1), prep.Generation()); !ok {
-		t.Fatal("newest fingerprint link missed")
+	if got := testing.AllocsPerRun(100, func() {
+		if _, disp, err := svc.sharedSegment(ctx, prep, ""); err != nil || disp != cache.Hit {
+			t.Fatalf("warm subplan lookup: %q, %v", disp, err)
+		}
+	}); got > subplanHit {
+		t.Errorf("warm subplan hit allocates %v times, want at most %v", got, subplanHit)
 	}
 }
 
@@ -175,4 +115,108 @@ func TestQuotedIdentifierQuery(t *testing.T) {
 		t.Fatal("quoted spelling missed the plan cached under the bare spelling")
 	}
 	assertSameMultiset(t, quoted, bare.Table, res.Table)
+}
+
+// TestCacheHammer drives both caches of one service while re-registrations
+// of both tables and appends race queries over both — the -race exercise
+// of the one fill rule. Every result has the row count of a version of its
+// table that really existed, and once the writers stop, one more lookup per
+// cache leaves no stale entry behind.
+func TestCacheHammer(t *testing.T) {
+	const wsRows, wsStep, versions, appends = 600, 100, 5, 20
+	const empQ = `SELECT empnum, rank() OVER (ORDER BY salary DESC NULLS LAST) AS r FROM emptab`
+	ws := make([]*storage.Table, versions)
+	emp := make([]*storage.Table, versions)
+	for v := range ws {
+		ws[v] = datagen.WebSales(datagen.WebSalesConfig{Rows: wsRows + wsStep*v, Seed: int64(v + 1)})
+		emp[v] = datagen.Emptab()
+		emp[v].Rows = emp[v].Rows[:10-v]
+	}
+	// A web_sales result is version v plus at most every appended row; an
+	// emptab one is a prefix of the relation.
+	valid := func(q string, n int) bool {
+		if q == empQ {
+			return n > 10-versions && n <= 10
+		}
+		off := n - wsRows
+		return off >= 0 && off/wsStep < versions && off%wsStep <= appends
+	}
+	eng := windowdb.New(windowdb.Config{SortMemBytes: 4 << 20, Parallelism: 1})
+	eng.Register("web_sales", ws[0])
+	eng.Register("emptab", emp[0])
+	svc := New(eng, Config{Slots: 4, CacheEntries: 8, SubplanEntries: 4})
+	ctx := context.Background()
+
+	var writers, readers sync.WaitGroup
+	registered := make(chan struct{})
+	writers.Add(2)
+	go func() {
+		defer writers.Done()
+		defer close(registered)
+		for i := 1; i <= 3*versions; i++ {
+			eng.Register("web_sales", ws[i%versions])
+			eng.Register("emptab", emp[i%versions])
+			runtime.Gosched()
+		}
+	}()
+	go func() {
+		defer writers.Done()
+		for i := 0; i < appends; i++ {
+			if i == appends-1 {
+				// The last write is an append over a cached segment: no epoch
+				// move sweeps that segment away, only the next miss does.
+				<-registered
+				if _, err := svc.Query(ctx, shareQFine); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			row := slices.Clone(ws[0].Rows[i])
+			if _, _, err := svc.Append(ctx, "web_sales", []storage.Tuple{row}, 0); err != nil {
+				t.Error(err)
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
+	mix := []string{shareQFine, shareQMid, shareQCoarse, mixQ1, empQ}
+	for g := 0; g < 4; g++ {
+		readers.Add(1)
+		go func(g int) {
+			defer readers.Done()
+			for i := 0; i < 30; i++ {
+				q := mix[(g+i)%len(mix)]
+				res, err := svc.Query(ctx, q)
+				if err != nil {
+					t.Errorf("%s: %v", q, err)
+					return
+				}
+				if !valid(q, res.Table.Len()) {
+					t.Errorf("%s served %d rows: no version of its table had that many", q, res.Table.Len())
+					return
+				}
+			}
+		}(g)
+	}
+	writers.Wait()
+	readers.Wait()
+
+	// One more lookup per cache: a shareable web_sales statement goes
+	// through both, and reads the table as it now is.
+	res, err := svc.Query(ctx, shareQFine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur, _ := eng.Table("web_sales"); res.Table.Len() != cur.Len() {
+		t.Fatalf("after the writers stopped: %d rows, the table has %d", res.Table.Len(), cur.Len())
+	}
+	// Registering a table no statement reads moves the epoch, so the next
+	// Stats sweeps every entry — and may find none stale.
+	before := svc.Stats()
+	eng.Register("probe", emp[0])
+	after := svc.Stats()
+	if after.Cache.Invalidations != before.Cache.Invalidations || after.Subplans.Invalidations != before.Subplans.Invalidations {
+		t.Fatalf("stale entries outlived the last lookup: plan cache %d, subplan cache %d",
+			after.Cache.Invalidations-before.Cache.Invalidations, after.Subplans.Invalidations-before.Subplans.Invalidations)
+	}
 }

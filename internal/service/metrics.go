@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/cache"
 	"repro/internal/exec"
 )
 
@@ -176,10 +177,10 @@ type Snapshot struct {
 	P95Millis float64 `json:"p95_ms"`
 	P99Millis float64 `json:"p99_ms"`
 
-	Cache CacheStats `json:"cache"`
-	// Subplans is the shared-subplan cache snapshot (zero when sharing is
-	// disabled).
-	Subplans SubplanStats `json:"subplans"`
+	// Cache is the plan cache snapshot; Subplans the shared-subplan cache's
+	// (zero when sharing is disabled).
+	Cache    cache.Stats `json:"cache"`
+	Subplans cache.Stats `json:"subplans"`
 
 	BlocksRead    int64 `json:"blocks_read"`
 	BlocksWritten int64 `json:"blocks_written"`

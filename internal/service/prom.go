@@ -87,7 +87,6 @@ func WriteSnapshotMetrics(p *PromWriter, s Snapshot) {
 	p.Counter("windowdb_plan_cache_misses_total", "Plan cache misses.", float64(s.Cache.Misses))
 	p.Counter("windowdb_plan_cache_invalidations_total", "Plan cache entries invalidated by DDL or stats changes.", float64(s.Cache.Invalidations))
 	p.Counter("windowdb_plan_cache_evictions_total", "Plan cache LRU evictions.", float64(s.Cache.Evictions))
-	p.Counter("windowdb_plan_cache_fp_hits_total", "Plan cache hits served via statement fingerprinting.", float64(s.Cache.FPHits))
 
 	p.Counter("windowdb_subplan_cache_hits_total", "Shared-subplan cache hits (completed segment reused).", float64(s.Subplans.Hits))
 	p.Counter("windowdb_subplan_cache_misses_total", "Shared-subplan cache misses (query led its own scan).", float64(s.Subplans.Misses))

@@ -4,13 +4,18 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro"
+	"repro/internal/cache"
+	"repro/internal/sql"
 	"repro/internal/trace"
 )
 
@@ -268,4 +273,84 @@ func TestServeTraceRingLimit(t *testing.T) {
 	if got := list("?n=1"); len(got) != 1 || got[0].ID != "t5" {
 		t.Fatalf("legacy n=1 listing = %+v, want [t5]", got)
 	}
+}
+
+// TestQuerySpansCoverTheRoot: a served query's spans account for its wall
+// time. The plan-cache lookup and the shared-subplan lookup have spans of
+// their own carrying their dispositions, so neither a miss's prepare nor an
+// attacher's wait is booked as drain: for a plan miss, a plan hit, a
+// subplan hit and an attach the children cover 95–100 % of the root, and
+// drain is exactly what the other spans leave.
+func TestQuerySpansCoverTheRoot(t *testing.T) {
+	ctx := context.Background()
+	check := func(name string, rows *windowdb.Rows, planCache, sharedScan string) {
+		t.Helper()
+		for rows.Next() {
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		root := rows.Metrics().Trace
+		spans := map[string]*trace.Span{}
+		var covered, others float64
+		for _, c := range root.Children {
+			spans[c.Name] = c
+			covered += c.DurationMillis
+			if c.Name != "drain" {
+				others += c.DurationMillis
+			}
+		}
+		if p := spans["plan"]; p == nil || p.Attrs["plan_cache"] != planCache {
+			t.Errorf("%s: plan span %+v, want plan_cache=%s", name, p, planCache)
+		}
+		if s := spans["subplan"]; s == nil || s.Attrs["shared_scan"] != sharedScan {
+			t.Errorf("%s: subplan span %+v, want shared_scan=%s", name, s, sharedScan)
+		}
+		if frac := covered / root.DurationMillis; frac < 0.95 || frac > 1.0001 {
+			t.Errorf("%s: children cover %.1f %% of the root:\n%s", name, 100*frac, trace.Render(root))
+		}
+		if d := spans["drain"]; d != nil && math.Abs(d.DurationMillis-(root.DurationMillis-others)) > 1e-6 {
+			t.Errorf("%s: drain %.4f ms, but the other spans leave %.4f ms", name, d.DurationMillis, root.DurationMillis-others)
+		}
+	}
+	query := func(svc *Service) *windowdb.Rows {
+		rows, err := svc.QueryContext(ctx, shareQFine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+
+	svc := newSpillService(t, Config{Slots: 2}, 3000)
+	check("plan miss", query(svc), cache.Miss, cache.Miss)
+	check("plan hit", query(svc), cache.Hit, cache.Hit)
+
+	// An attach: a scan of the statement's subplan is held in flight while
+	// the query arrives, and released once the query waits on it.
+	svc = newSpillService(t, Config{Slots: 2}, 3000)
+	prep, _, err := svc.resolve(ctx, shareQFine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release, led := make(chan struct{}), make(chan error, 1)
+	go func() {
+		_, _, err := svc.subplans.Get(ctx, subplanLookup(prep, ""), svc.eng.Generation(), func() (*sql.SharedSegment, error) {
+			<-release
+			return prep.RunSubplan(ctx)
+		})
+		led <- err
+	}()
+	for svc.Stats().Subplans.Misses < 1 {
+		runtime.Gosched()
+	}
+	attached := make(chan *windowdb.Rows, 1)
+	go func() { attached <- query(svc) }()
+	for svc.Stats().Subplans.Attaches < 1 {
+		runtime.Gosched()
+	}
+	close(release)
+	if err := <-led; err != nil {
+		t.Fatal(err)
+	}
+	check("attach", <-attached, cache.Hit, cache.Attach)
 }

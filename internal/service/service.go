@@ -4,11 +4,11 @@
 //
 // Three mechanisms compose:
 //
-//   - a prepared-statement cache (planCache): normalized SQL text maps to a
-//     *sql.Prepared — parse, bind and CSO planning paid once — keyed
-//     against the engine's catalog generation so re-registering a table
-//     invalidates every plan built on the old entry. Hit, miss,
-//     invalidation and eviction counters are exported.
+//   - a prepared-statement cache (a cache.LRU): normalized SQL text maps to
+//     a *sql.Prepared — parse, bind and CSO planning paid once — valid while
+//     the catalog entry it was planned on is current, so re-registering a
+//     table drops exactly the plans built on the old entry. Hit, miss,
+//     attach, invalidation and eviction counters are exported.
 //
 //   - admission control (governor): a global reorder-memory budget is
 //     divided into unit-memory execution slots; at most Slots chains run
@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/cache"
 	"repro/internal/sql"
 	"repro/internal/storage"
 	"repro/internal/stream"
@@ -147,8 +148,8 @@ type Service struct {
 	eng      *windowdb.Engine
 	cfg      Config
 	gov      *governor
-	cache    *planCache
-	subplans *subplanCache // nil when Config.DisableSharing
+	cache    *cache.LRU[*sql.Prepared]
+	subplans *cache.LRU[*sql.SharedSegment] // nil when Config.DisableSharing
 	metrics  *Metrics
 	inbox    shuffleInbox
 	ring     *trace.Ring
@@ -171,13 +172,13 @@ func New(eng *windowdb.Engine, cfg Config) *Service {
 		eng:     eng,
 		cfg:     cfg,
 		gov:     newGovernor(cfg.Slots, cfg.MaxQueue),
-		cache:   newPlanCache(cfg.CacheEntries),
+		cache:   cache.New(cfg.CacheEntries, (*sql.Prepared).Current),
 		metrics: newMetrics(),
 		slow:    trace.NewSlowLoggerRate(slowW, cfg.SlowLogThreshold, cfg.SlowLogRate),
 		reg:     trace.NewRegistry(),
 	}
 	if !cfg.DisableSharing {
-		s.subplans = newSubplanCache(cfg.SubplanEntries)
+		s.subplans = cache.New(cfg.SubplanEntries, (*sql.SharedSegment).Current)
 	}
 	if cfg.TraceRing >= 0 {
 		n := cfg.TraceRing
@@ -227,42 +228,15 @@ func (s *Service) recordTrace(id, src string, start time.Time, elapsed time.Dura
 }
 
 // Engine returns the wrapped engine (for registration; Register invalidates
-// cached plans via the catalog generation).
+// the cached plans of the table it replaces).
 func (s *Service) Engine() *windowdb.Engine { return s.eng }
 
 // resolve turns statement text into its Prepared through the plan cache,
-// preparing and caching on a miss. The bool reports a cache hit.
-func (s *Service) resolve(src string) (*sql.Prepared, bool, error) {
-	return s.resolveFP(src, "")
-}
-
-// resolveFP is resolve with a coordinator-shipped plan fingerprint: when a
-// scatter or shuffle request carries the coordinator's fingerprint of the
-// statement, the node answers from its fingerprint index — one O(1) map
-// lookup instead of normalizing the SQL text — before falling back to the
-// text-keyed path. A miss prepares as usual and links the fingerprint for
-// the query's next round.
-func (s *Service) resolveFP(src, fp string) (*sql.Prepared, bool, error) {
-	gen := s.eng.Generation()
-	if fp != "" {
-		if prep, ok := s.cache.getFP(fp, gen); ok {
-			return prep, true, nil
-		}
-	}
-	key := NormalizeSQL(src)
-	prep, hit := s.cache.get(key, gen)
-	if !hit {
-		p, err := s.eng.Prepare(src)
-		if err != nil {
-			return nil, false, err
-		}
-		s.cache.put(key, p)
-		prep = p
-	}
-	if fp != "" {
-		s.cache.linkFP(fp, key)
-	}
-	return prep, hit, nil
+// preparing on a miss; disp is the lookup's cache disposition.
+func (s *Service) resolve(ctx context.Context, src string) (*sql.Prepared, string, error) {
+	return s.cache.Get(ctx, cache.Lookup{Key: NormalizeSQL(src)}, s.eng.Generation(), func() (*sql.Prepared, error) {
+		return s.eng.Prepare(src)
+	})
 }
 
 // Slots returns the concurrent-execution bound the governor enforces.
@@ -311,30 +285,28 @@ func (s *Service) Query(ctx context.Context, src string) (*QueryResult, error) {
 	return qr, nil
 }
 
-// queryTrace assembles a served query's span tree: the admission wait,
-// the chain execution subtree (per-step reorder choice, cardinality and
-// spill), and the residual drain/render time.
-func queryTrace(elapsed, queued time.Duration, cacheHit bool, rows int64, meta *windowdb.QueryMetrics) *trace.Span {
+// queryTrace assembles a served query's span tree: the plan-cache lookup
+// (a prepare on a miss), the admission wait, the shared-subplan lookup
+// (an attacher's wait, a leader's scan short of its reorder), the chain
+// execution subtree (per-step reorder choice, cardinality and spill), and
+// the residual drain/render time.
+func queryTrace(elapsed, planned, queued time.Duration, planCache string, rows int64, meta *windowdb.QueryMetrics, sharedWait time.Duration) *trace.Span {
 	root := trace.New("query", elapsed)
-	if cacheHit {
-		root.SetAttr("plan_cache", "hit")
-	} else {
-		root.SetAttr("plan_cache", "miss")
-	}
+	root.Children = make([]*trace.Span, 0, 5)
 	root.SetInt("rows", rows)
+	root.Add(trace.New("plan", planned).SetAttr("plan_cache", planCache))
 	root.Add(trace.New("admission.wait", queued))
-	var execElapsed time.Duration
-	if meta != nil && meta.SharedScan != "" {
-		root.SetAttr("shared_scan", meta.SharedScan)
+	rest := elapsed - planned - queued
+	if meta.SharedScan != "" {
+		root.Add(trace.New("subplan", sharedWait).SetAttr("shared_scan", meta.SharedScan))
+		rest -= sharedWait
 	}
-	if meta != nil {
-		if es := windowdb.ExecTrace(meta); es != nil {
-			root.Add(es)
-			execElapsed = meta.ExecElapsed()
-		}
+	if es := windowdb.ExecTrace(meta); es != nil {
+		root.Add(es)
+		rest -= meta.ExecElapsed()
 	}
-	if d := elapsed - queued - execElapsed; d > 0 {
-		root.Add(trace.New("drain", d))
+	if rest > 0 {
+		root.Add(trace.New("drain", rest))
 	}
 	return root
 }
@@ -366,7 +338,7 @@ func (s *Service) QueryContext(ctx context.Context, src string) (*windowdb.Rows,
 	if inner, ok := windowdb.StripSubscribe(src); ok {
 		return s.subscribeStream(ctx, src, inner)
 	}
-	return s.stream(ctx, src, "", "", false)
+	return s.stream(ctx, src, "", false)
 }
 
 // insertStream serves an INSERT: parse, append (metered), one-row summary.
@@ -391,22 +363,21 @@ func (s *Service) insertStream(ctx context.Context, src string) (*windowdb.Rows,
 // admitted like any chain (it holds the slot while live) and registered
 // under the full SUBSCRIBE text.
 func (s *Service) subscribeStream(ctx context.Context, full, inner string) (*windowdb.Rows, error) {
-	return s.streamCursor(ctx, full, inner, "", "waiting for data", func(ctx context.Context, prep *sql.Prepared) (execCursor, error) {
+	return s.streamCursor(ctx, full, inner, "waiting for data", func(ctx context.Context, prep *sql.Prepared) (execCursor, error) {
 		return s.eng.SubscribeStatement(ctx, prep)
 	})
 }
 
 // StreamShardLocal is QueryContext for the shard-local part of a statement
 // (WHERE, chain, projection — no DISTINCT/ORDER BY/LIMIT): what a shard
-// node streams back to a scatter-gather coordinator. fp is the
-// coordinator's optional plan fingerprint (resolveFP); "" resolves by
-// text. subplanFP is the coordinator's subplan fingerprint: when every
-// request of a distributed statement carries it, the node's shared-subplan
-// cache collides them by construction and one scan serves the fan-out.
-// Because the shard-local pipeline never finalizes, rows leave the node
-// the moment the final chain segment's projection yields them.
-func (s *Service) StreamShardLocal(ctx context.Context, src, fp, subplanFP string) (*windowdb.Rows, error) {
-	return s.stream(ctx, src, fp, subplanFP, true)
+// node streams back to a scatter-gather coordinator. subplanFP is the
+// coordinator's subplan fingerprint: when every request of a distributed
+// statement carries it, the node's shared-subplan cache collides them by
+// construction and one scan serves the fan-out. Because the shard-local
+// pipeline never finalizes, rows leave the node the moment the final chain
+// segment's projection yields them.
+func (s *Service) StreamShardLocal(ctx context.Context, src, subplanFP string) (*windowdb.Rows, error) {
+	return s.stream(ctx, src, subplanFP, true)
 }
 
 // PrepareContext validates and plans src through the service's plan cache,
@@ -415,7 +386,7 @@ func (s *Service) PrepareContext(ctx context.Context, src string) (windowdb.Stmt
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if _, _, err := s.resolve(src); err != nil {
+	if _, _, err := s.resolve(ctx, src); err != nil {
 		return nil, err
 	}
 	return windowdb.TextStmt(s, src), nil
@@ -432,21 +403,20 @@ type execCursor interface {
 	Meta() *sql.Result
 }
 
-func (s *Service) stream(ctx context.Context, src, fp, subplanFP string, shardLocal bool) (*windowdb.Rows, error) {
-	return s.streamCursor(ctx, src, src, fp, "draining", func(ctx context.Context, prep *sql.Prepared) (execCursor, error) {
+func (s *Service) stream(ctx context.Context, src, subplanFP string, shardLocal bool) (*windowdb.Rows, error) {
+	return s.streamCursor(ctx, src, src, "draining", func(ctx context.Context, prep *sql.Prepared) (execCursor, error) {
 		return s.openStream(ctx, prep, subplanFP, shardLocal)
 	})
 }
 
-// streamCursor is the shared streaming-serve body: plan-cache resolution
-// (by fingerprint when the coordinator shipped one, by text otherwise),
+// streamCursor is the shared streaming-serve body: plan-cache resolution,
 // admission, and the handoff-guarded slot-to-cursor transfer, with the
 // execution cursor opened by open (the full statement, its shard-local
 // part, a shuffle segment, or a subscription). display is the statement
 // text registered in /debug/queries (the full SUBSCRIBE spelling for
 // subscriptions); src is what resolves through the plan cache; phase is
 // the registry phase the cursor shows while it streams.
-func (s *Service) streamCursor(ctx context.Context, display, src, fp, phase string, open func(context.Context, *sql.Prepared) (execCursor, error)) (*windowdb.Rows, error) {
+func (s *Service) streamCursor(ctx context.Context, display, src, phase string, open func(context.Context, *sql.Prepared) (execCursor, error)) (*windowdb.Rows, error) {
 	var timeoutCancel context.CancelFunc
 	if s.cfg.DefaultTimeout > 0 {
 		if _, ok := ctx.Deadline(); !ok {
@@ -480,10 +450,11 @@ func (s *Service) streamCursor(ctx context.Context, display, src, fp, phase stri
 		return err
 	}
 	start := time.Now()
-	prep, hit, err := s.resolveFP(src, fp)
+	prep, planCache, err := s.resolve(ctx, src)
 	if err != nil {
 		return nil, fail(err)
 	}
+	planned := time.Since(start)
 
 	live.SetPhase("queued")
 	queueStart := time.Now()
@@ -517,7 +488,7 @@ func (s *Service) streamCursor(ctx context.Context, display, src, fp, phase stri
 	handoff = true
 	return windowdb.NewRows(&servedSource{
 		svc: s, cur: cur, src: display, traceID: id, entry: entry, live: live,
-		start: start, queued: queued, cacheHit: hit, cancel: cancel,
+		start: start, planned: planned, queued: queued, planCache: planCache, cancel: cancel,
 	}), nil
 }
 
@@ -530,16 +501,17 @@ func (s *Service) streamCursor(ctx context.Context, display, src, fp, phase stri
 // no latency sample, so partial deliveries don't masquerade as fast
 // successes in the histogram.
 type servedSource struct {
-	svc      *Service
-	cur      execCursor
-	src      string
-	traceID  string
-	entry    *trace.QueryEntry
-	live     *trace.Live
-	start    time.Time
-	queued   time.Duration
-	cacheHit bool
-	cancel   context.CancelFunc
+	svc       *Service
+	cur       execCursor
+	src       string
+	traceID   string
+	entry     *trace.QueryEntry
+	live      *trace.Live
+	start     time.Time
+	planned   time.Duration
+	queued    time.Duration
+	planCache string // the plan-cache disposition
+	cancel    context.CancelFunc
 }
 
 func (ss *servedSource) Columns() []storage.Column { return ss.cur.Columns() }
@@ -560,8 +532,8 @@ func (ss *servedSource) End(end windowdb.Ending) *windowdb.QueryMetrics {
 	elapsed := time.Since(ss.start)
 	res := ss.cur.Meta()
 	meta := windowdb.MetaFromResult(res)
-	meta.CacheHit, meta.Queued, meta.Elapsed = ss.cacheHit, ss.queued, elapsed
-	root := queryTrace(elapsed, ss.queued, ss.cacheHit, end.Rows, meta)
+	meta.CacheHit, meta.Queued, meta.Elapsed = ss.planCache != cache.Miss, ss.queued, elapsed
+	root := queryTrace(elapsed, ss.planned, ss.queued, ss.planCache, end.Rows, meta, res.SharedWait)
 	if killed {
 		root.SetAttr("killed", "true")
 	}
@@ -600,9 +572,10 @@ func (s *Service) Stats() Snapshot {
 	snap.Slots = s.gov.Slots()
 	snap.QueueDepth = s.gov.queueDepth()
 	snap.LiveQueries = s.reg.Len()
-	snap.Cache = s.cache.stats()
+	gen := s.eng.Generation()
+	snap.Cache = s.cache.Stats(gen)
 	if s.subplans != nil {
-		snap.Subplans = s.subplans.stats()
+		snap.Subplans = s.subplans.Stats(gen)
 	}
 	return snap
 }

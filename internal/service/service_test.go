@@ -141,7 +141,7 @@ func TestPlanCacheHitMissInvalidation(t *testing.T) {
 	if !res.CacheHit {
 		t.Fatal("normalized variant missed the plan cache")
 	}
-	if c := svc.cache.stats(); c.Hits != 1 || c.Misses != 1 {
+	if c := svc.Stats().Cache; c.Hits != 1 || c.Misses != 1 {
 		t.Fatalf("hits=%d misses=%d, want 1/1", c.Hits, c.Misses)
 	}
 
@@ -158,7 +158,7 @@ func TestPlanCacheHitMissInvalidation(t *testing.T) {
 	if res.Table.Len() != 300 {
 		t.Fatalf("stale execution: got %d rows, want the re-registered table's 300", res.Table.Len())
 	}
-	if c := svc.cache.stats(); c.Invalidations != 1 {
+	if c := svc.Stats().Cache; c.Invalidations != 1 {
 		t.Fatalf("invalidations=%d, want 1", c.Invalidations)
 	}
 }
@@ -178,7 +178,7 @@ func TestPlanCacheLRU(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c := svc.cache.stats()
+	c := svc.Stats().Cache
 	if c.Size != 2 || c.Evictions != 1 {
 		t.Fatalf("size=%d evictions=%d, want 2/1", c.Size, c.Evictions)
 	}
@@ -312,7 +312,7 @@ func TestPlanCacheSweepOnGenerationChange(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c := svc.cache.stats(); c.Size != 3 {
+	if c := svc.Stats().Cache; c.Size != 3 {
 		t.Fatalf("size=%d, want 3", c.Size)
 	}
 	svc.Engine().Register("web_sales", datagen.WebSales(datagen.WebSalesConfig{Rows: 100, Seed: 5}))
@@ -320,7 +320,7 @@ func TestPlanCacheSweepOnGenerationChange(t *testing.T) {
 	if _, err := svc.Query(ctx, `SELECT ws_order_number FROM web_sales LIMIT 1`); err != nil {
 		t.Fatal(err)
 	}
-	c := svc.cache.stats()
+	c := svc.Stats().Cache
 	if c.Size != 1 || c.Invalidations != 3 {
 		t.Fatalf("size=%d invalidations=%d after sweep, want 1/3", c.Size, c.Invalidations)
 	}

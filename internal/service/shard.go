@@ -49,11 +49,6 @@ type ShardQueryRequest struct {
 	// Mode is "local" (shard-local part only), "full" (entire statement)
 	// or "segment" (final shuffle segment over the node's inbox).
 	Mode string `json:"mode"`
-	// Fingerprint is the coordinator's plan fingerprint of SQL
-	// (sql.Fingerprint): nodes resolve their plan cache by it in O(1)
-	// before falling back to text normalization. Optional — "" resolves
-	// by text, so old coordinators keep working.
-	Fingerprint string `json:"fp,omitempty"`
 
 	// SubplanFP is the coordinator's subplan fingerprint
 	// (sql.Prepared.SubplanFingerprint): the identity of the statement's
@@ -111,7 +106,7 @@ func (s *Service) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 	)
 	switch req.Mode {
 	case "local":
-		rows, err = s.StreamShardLocal(ctx, req.SQL, req.Fingerprint, req.SubplanFP)
+		rows, err = s.StreamShardLocal(ctx, req.SQL, req.SubplanFP)
 	case "segment":
 		rows, err = s.StreamSegment(ctx, req)
 	case "full", "":

@@ -9,6 +9,7 @@ import (
 
 	windowdb "repro"
 	"repro/internal/attrs"
+	"repro/internal/cache"
 	"repro/internal/exec"
 	"repro/internal/sql"
 	"repro/internal/storage"
@@ -81,9 +82,6 @@ type ShuffleRunRequest struct {
 	Peers []string `json:"peers,omitempty"`
 	// Self is this node's shard index.
 	Self int `json:"self"`
-	// Fingerprint is the coordinator's plan fingerprint of SQL
-	// (sql.Fingerprint); "" resolves by text.
-	Fingerprint string `json:"fp,omitempty"`
 	// TraceID joins the stage to the coordinator's distributed trace; ""
 	// leaves the stage untraced.
 	TraceID string `json:"trace_id,omitempty"`
@@ -323,7 +321,7 @@ func (s *Service) RunShuffleStep(ctx context.Context, req ShuffleRunRequest, sen
 		s.metrics.count(windowdb.Ending{Err: err}.Outcome(entry.Killed(), false))
 		return nil, err
 	}
-	prep, hit, err := s.resolveFP(req.SQL, req.Fingerprint)
+	prep, planCache, err := s.resolve(ctx, req.SQL)
 	if err != nil {
 		return fail(err)
 	}
@@ -388,7 +386,7 @@ func (s *Service) RunShuffleStep(ctx context.Context, req ShuffleRunRequest, sen
 	}
 
 	res := &ShuffleRunResult{
-		RowsIn: int64(in.Len()), CacheHit: hit,
+		RowsIn: int64(in.Len()), CacheHit: planCache != cache.Miss,
 		QueuedMillis: queuedMillis, InputMillis: phaseMillis(&phaseStart),
 	}
 	out := in
@@ -469,7 +467,7 @@ func (s *Service) StreamSegment(ctx context.Context, req ShardQueryRequest) (*wi
 	if req.Plan == nil {
 		return nil, errors.New("service: segment stream without a segment plan")
 	}
-	return s.streamCursor(ctx, req.SQL, req.SQL, req.Fingerprint, "draining", func(ctx context.Context, prep *sql.Prepared) (execCursor, error) {
+	return s.streamCursor(ctx, req.SQL, req.SQL, "draining", func(ctx context.Context, prep *sql.Prepared) (execCursor, error) {
 		runner, err := prep.Segments(req.Plan)
 		if err != nil {
 			return nil, err

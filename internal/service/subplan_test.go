@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/cache"
 	"repro/internal/datagen"
 	"repro/internal/storage"
 )
@@ -114,7 +115,7 @@ func TestSubplanLattice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fine.SharedScan != dispMiss {
+	if fine.SharedScan != cache.Miss {
 		t.Fatalf("first query disposition %q, want miss", fine.SharedScan)
 	}
 	for _, q := range []string{shareQMid, shareQDate, shareQCoarse} {
@@ -122,7 +123,7 @@ func TestSubplanLattice(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		if got.SharedScan != dispHit {
+		if got.SharedScan != cache.Hit {
 			t.Fatalf("%s: disposition %q, want lattice hit", q, got.SharedScan)
 		}
 		want, err := off.Query(ctx, q)
@@ -175,7 +176,7 @@ func TestSubplanAppendInvalidation(t *testing.T) {
 		t.Fatalf("post-append query: %d rows, want %d — a stale shared segment was served",
 			second.Table.Len(), rows+len(fresh))
 	}
-	if second.SharedScan != dispMiss {
+	if second.SharedScan != cache.Miss {
 		t.Fatalf("post-append disposition %q, want miss (new data generation)", second.SharedScan)
 	}
 	st := svc.Stats().Subplans

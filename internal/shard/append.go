@@ -114,7 +114,7 @@ func (c *Cluster) insertRows(ctx context.Context, src string) (*windowdb.Rows, e
 // round-robin (every replica sees every cluster append), shard-local
 // chains fan in a live stream per node, and anything else is rejected.
 func (c *Cluster) streamSubscribe(ctx context.Context, inner string, qt *clusterTrace) (*windowdb.Rows, error) {
-	prep, hit, err := c.prepare(inner)
+	prep, hit, err := c.prepare(ctx, inner)
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/cache"
 	"repro/internal/service"
 	"repro/internal/trace"
 )
@@ -48,8 +49,8 @@ type ClusterStats struct {
 	BlocksRead         int64  `json:"blocks_read"`
 	BlocksWritten      int64  `json:"blocks_written"`
 
-	// CoordCache is the coordinator's per-table-invalidated plan cache.
-	CoordCache service.CacheStats `json:"coord_cache"`
+	// CoordCache is the coordinator's plan cache.
+	CoordCache cache.Stats `json:"coord_cache"`
 
 	ShardStats []service.Snapshot `json:"shard_stats"`
 }
@@ -75,7 +76,7 @@ func (c *Cluster) Stats(ctx context.Context) (*ClusterStats, error) {
 		Appends:      c.appends.Load(),
 		RowsAppended: c.rowsAppended.Load(),
 		LiveQueries:  c.reg.Len(),
-		CoordCache:   c.cache.stats(),
+		CoordCache:   c.cache.Stats(c.coord.Generation()),
 		ShardStats:   snaps,
 	}
 	for _, s := range snaps {

@@ -57,6 +57,7 @@ import (
 
 	"repro"
 	"repro/internal/attrs"
+	"repro/internal/cache"
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/exec"
@@ -106,8 +107,9 @@ type Config struct {
 
 // Cluster coordinates query execution over shard nodes. All methods are
 // safe for concurrent use once the cluster's tables are registered;
-// registration itself may run concurrently with queries (catalog
-// generations invalidate cached plans, as on a single engine).
+// registration itself may run concurrently with queries (a registration
+// invalidates the cached plans of the table it replaces, as on a single
+// engine).
 type Cluster struct {
 	cfg    Config
 	shards []Transport
@@ -116,7 +118,10 @@ type Cluster struct {
 	mu     sync.RWMutex
 	tables map[string]*tableInfo // keyed by folded name
 
-	cache *planCache
+	// cache is the coordinator's plan cache: a plan stays while the stub or
+	// replica it was planned on is the coordinator catalog's entry, so a
+	// registration drops only its own table's plans.
+	cache *cache.LRU[*sql.Prepared]
 	rr    atomic.Uint64 // replica round-robin cursor
 
 	// Shuffle identity: every per-segment distributed query names its
@@ -192,7 +197,7 @@ func New(cfg Config, shards []Transport) (*Cluster, error) {
 		shards:       shards,
 		coord:        windowdb.New(cfg.Engine),
 		tables:       make(map[string]*tableInfo),
-		cache:        newPlanCache(cfg.CacheEntries),
+		cache:        cache.New(cfg.CacheEntries, (*sql.Prepared).Current),
 		shuffleNonce: shuffleNonce(),
 		peerAddrs:    addrs,
 		slow:         trace.NewSlowLoggerRate(slowW, cfg.SlowLogThreshold, cfg.SlowLogRate),
@@ -314,9 +319,6 @@ func (c *Cluster) RegisterSharded(ctx context.Context, name string, t *storage.T
 		name: name, sharded: true, keyCols: keyCols, key: key, rows: rows,
 	}
 	c.mu.Unlock()
-	// Per-table invalidation: only plans prepared against this table are
-	// built on the superseded entry; other tables' plans stay hot.
-	c.cache.invalidateTable(name)
 	return nil
 }
 
@@ -333,7 +335,6 @@ func (c *Cluster) RegisterReplicated(ctx context.Context, name string, t *storag
 	c.mu.Lock()
 	c.tables[strings.ToLower(name)] = &tableInfo{name: name, rows: int64(t.Len())}
 	c.mu.Unlock()
-	c.cache.invalidateTable(name)
 	return nil
 }
 
@@ -535,7 +536,7 @@ func (c *Cluster) PrepareContext(ctx context.Context, src string) (windowdb.Stmt
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if _, _, err := c.prepare(src); err != nil {
+	if _, _, err := c.prepare(ctx, src); err != nil {
 		return nil, err
 	}
 	return windowdb.TextStmt(c, src), nil
@@ -648,7 +649,7 @@ func (c *Cluster) streamQuery(ctx context.Context, src string, cancel context.Ca
 	if inner, ok := windowdb.StripSubscribe(src); ok {
 		return c.streamSubscribe(ctx, inner, qt)
 	}
-	prep, hit, err := c.prepare(src)
+	prep, hit, err := c.prepare(ctx, src)
 	if err != nil {
 		return nil, err
 	}
@@ -723,11 +724,7 @@ func (c *Cluster) openStreams(ctx context.Context, n int, open func(ctx context.
 // concatenation of their streams in shard-index order.
 func (c *Cluster) streamScatter(ctx context.Context, src string, prep *sql.Prepared, hit bool, qt *clusterTrace) (*windowdb.Rows, error) {
 	c.scatter.Add(1)
-	req := service.ShardQueryRequest{
-		SQL: src, Mode: string(ModeLocal),
-		Fingerprint: prep.Fingerprint(),
-		SubplanFP:   prep.SubplanFingerprint(),
-	}
+	req := service.ShardQueryRequest{SQL: src, Mode: string(ModeLocal), SubplanFP: prep.SubplanFingerprint()}
 	streams, streamCancel, err := c.openStreams(ctx, len(c.shards), func(ctx context.Context, i int) (*windowdb.Rows, error) {
 		return c.shards[i].QueryStream(ctx, req)
 	})
@@ -828,10 +825,7 @@ func (c *Cluster) emitStreams(ctx context.Context, route string, prep *sql.Prepa
 func (c *Cluster) streamReplica(ctx context.Context, src string, prep *sql.Prepared, hit bool, qt *clusterTrace) (*windowdb.Rows, error) {
 	c.replica.Add(1)
 	node := int(c.rr.Add(1)-1) % len(c.shards)
-	req := service.ShardQueryRequest{
-		SQL: src, Mode: string(ModeFull),
-		Fingerprint: prep.Fingerprint(),
-	}
+	req := service.ShardQueryRequest{SQL: src, Mode: string(ModeFull)}
 	streams, streamCancel, err := c.openStreams(ctx, 1, func(ctx context.Context, _ int) (*windowdb.Rows, error) {
 		return c.shards[node].QueryStream(ctx, req)
 	})
@@ -912,8 +906,7 @@ func (c *Cluster) streamShuffle(ctx context.Context, src string, prep *sql.Prepa
 		rowsOut := make([]int64, n)
 		err := c.eachShard(ctx, func(ctx context.Context, i int, tr Transport) error {
 			res, err := tr.ShuffleRun(ctx, service.ShuffleRunRequest{
-				SQL: src, Fingerprint: prep.Fingerprint(),
-				Plan: sp, Segment: st.segment, Source: st.source,
+				SQL: src, Plan: sp, Segment: st.segment, Source: st.source,
 				ShuffleID: id, Round: si, Senders: n,
 				OutKey: outKey, Peers: c.peerAddrs, Self: i,
 				Deliver: c.deliverShuffle,
@@ -961,8 +954,7 @@ func (c *Cluster) streamShuffle(ctx context.Context, src string, prep *sql.Prepa
 	qt.live().SetPhase(fmt.Sprintf("segment %d of %d", sp.Segments(), sp.Segments()))
 	freq := service.ShardQueryRequest{
 		SQL: src, Mode: "segment", Plan: sp,
-		Fingerprint: prep.Fingerprint(),
-		ShuffleID:   id, Round: len(stages) - 1, Senders: n,
+		ShuffleID: id, Round: len(stages) - 1, Senders: n,
 	}
 	streams, streamCancel, err := c.openStreams(ctx, n, func(ctx context.Context, i int) (*windowdb.Rows, error) {
 		return c.shards[i].SegmentStream(ctx, freq)
@@ -1129,19 +1121,13 @@ func (cs *coordCursorSource) End(end windowdb.Ending) *windowdb.QueryMetrics {
 	return cs.c.ended(cs.qt, meta, end, cs.nodes, false)
 }
 
-// prepare resolves src through the coordinator's per-table-invalidated
-// plan cache.
-func (c *Cluster) prepare(src string) (*sql.Prepared, bool, error) {
-	key := normalizeSQL(src)
-	if prep, ok := c.cache.get(key); ok {
-		return prep, true, nil
-	}
-	prep, err := c.coord.Prepare(src)
-	if err != nil {
-		return nil, false, err
-	}
-	c.cache.put(key, prep, c.coord.Generation)
-	return prep, false, nil
+// prepare resolves src through the coordinator's plan cache; the bool
+// reports that this call ran no prepare of its own.
+func (c *Cluster) prepare(ctx context.Context, src string) (*sql.Prepared, bool, error) {
+	prep, disp, err := c.cache.Get(ctx, cache.Lookup{Key: service.NormalizeSQL(src)}, c.coord.Generation(), func() (*sql.Prepared, error) {
+		return c.coord.Prepare(src)
+	})
+	return prep, disp != cache.Miss, err
 }
 
 // Health fans out to every shard and returns the first failure.

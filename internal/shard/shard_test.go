@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro"
@@ -394,6 +395,124 @@ func TestPlanCache(t *testing.T) {
 	}
 	if r3.CacheHit {
 		t.Fatal("re-registration must invalidate the cached plan")
+	}
+}
+
+// TestCacheHammer drives the coordinator's plan cache and every node's two
+// caches while re-registrations of both tables and appends race queries
+// over every route. A node's partition is re-registered and appended to on
+// its own, so a result may mix versions across nodes, but its row count
+// stays within what the registered table and the appends could give. Once
+// the writers stop, one more lookup per cache leaves no stale entry behind.
+func TestCacheHammer(t *testing.T) {
+	const rows, appends = 800, 20
+	const empQ = `SELECT empnum, rank() OVER (ORDER BY salary DESC NULLS LAST) AS r FROM emptab`
+	const shareQ = `SELECT ws_item_sk, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS r FROM web_sales`
+	c := newLocalCluster(t, 2, rows)
+	ctx := context.Background()
+	ws := datagen.WebSales(datagen.WebSalesConfig{Rows: rows, Seed: 7})
+	emp := make([]*storage.Table, 4)
+	for v := range emp {
+		emp[v] = datagen.Emptab()
+		emp[v].Rows = emp[v].Rows[:10-v]
+	}
+	valid := func(q string, n int) bool {
+		if q == empQ {
+			return n > 10-len(emp) && n <= 10
+		}
+		return n >= rows && n <= rows+appends
+	}
+
+	var writers, readers sync.WaitGroup
+	registered := make(chan struct{})
+	writers.Add(2)
+	go func() {
+		defer writers.Done()
+		defer close(registered)
+		for i := 1; i <= 8; i++ {
+			if err := c.RegisterSharded(ctx, "web_sales", ws, "ws_item_sk"); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := c.RegisterReplicated(ctx, "emptab", emp[i%len(emp)]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer writers.Done()
+		for i := 0; i < appends; i++ {
+			if i == appends-1 {
+				// The last write is an append over cached segments: no epoch
+				// move sweeps them away, only the next miss does.
+				<-registered
+				if _, err := c.Query(ctx, shareQ); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			if _, err := c.Append(ctx, "web_sales", []storage.Tuple{slices.Clone(ws.Rows[i])}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	mix := []string{q6SQL, shareQ, divergeSQL, keylessSQL, empQ}
+	for g := 0; g < 4; g++ {
+		readers.Add(1)
+		go func(g int) {
+			defer readers.Done()
+			for i := 0; i < 15; i++ {
+				q := mix[(g+i)%len(mix)]
+				res, err := c.Query(ctx, q)
+				if err != nil {
+					t.Errorf("%s: %v", q, err)
+					return
+				}
+				if !valid(q, res.Table.Len()) {
+					t.Errorf("%s served %d rows: no version of its table had that many", q, res.Table.Len())
+					return
+				}
+			}
+		}(g)
+	}
+	writers.Wait()
+	readers.Wait()
+
+	// One more lookup per cache: a shareable scatter statement goes through
+	// the coordinator's plan cache and both caches of every node.
+	res, err := c.Query(ctx, shareQ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := 0
+	for _, tr := range c.shards {
+		part, err := tr.(*Local).Service().Engine().Table("web_sales")
+		if err != nil {
+			t.Fatal(err)
+		}
+		held += part.Len()
+	}
+	if res.Table.Len() != held {
+		t.Fatalf("after the writers stopped: %d rows, the nodes hold %d", res.Table.Len(), held)
+	}
+	invalidations := func() []uint64 {
+		out := []uint64{c.cache.Stats(c.coord.Generation()).Invalidations}
+		for _, tr := range c.shards {
+			st := tr.(*Local).Service().Stats()
+			out = append(out, st.Cache.Invalidations, st.Subplans.Invalidations)
+		}
+		return out
+	}
+	// Registering a table no statement reads moves every epoch, so the next
+	// Stats sweeps every cache — and may find nothing stale.
+	before := invalidations()
+	if err := c.RegisterReplicated(ctx, "probe", emp[0]); err != nil {
+		t.Fatal(err)
+	}
+	if after := invalidations(); !slices.Equal(before, after) {
+		t.Fatalf("stale entries outlived the last lookup: invalidations %v before the sweep, %v after", before, after)
 	}
 }
 

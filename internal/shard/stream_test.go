@@ -747,12 +747,12 @@ func TestCoordCachePerTableInvalidation(t *testing.T) {
 	}
 
 	// And re-registering web_sales evicts the q6 plan.
-	before := c.cache.stats().Invalidations
+	before := c.cache.Stats(c.coord.Generation()).Invalidations
 	ws := datagen.WebSales(datagen.WebSalesConfig{Rows: 1000, Seed: 8})
 	if err := c.RegisterSharded(ctx, "web_sales", ws, "ws_item_sk"); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.cache.stats().Invalidations; got <= before {
+	if got := c.cache.Stats(c.coord.Generation()).Invalidations; got <= before {
 		t.Fatalf("invalidations %d not advanced past %d", got, before)
 	}
 	res, err = c.Query(ctx, q6SQL)
@@ -761,5 +761,35 @@ func TestCoordCachePerTableInvalidation(t *testing.T) {
 	}
 	if res.CacheHit {
 		t.Fatal("re-registering web_sales kept its stale plan")
+	}
+}
+
+// TestCoordCacheEvictsLeastRecent: past capacity the coordinator plan cache
+// drops its least recently used plan — one eviction, counted, not a reset
+// of the whole cache — and the most recent plan still hits.
+func TestCoordCacheEvictsLeastRecent(t *testing.T) {
+	const capacity = 2
+	c, _ := streamCluster(t, 2, 300, Config{CacheEntries: capacity})
+	ctx := context.Background()
+	queries := []string{
+		`SELECT ws_item_sk FROM web_sales LIMIT 1`,
+		`SELECT ws_quantity FROM web_sales LIMIT 1`,
+		`SELECT ws_warehouse_sk FROM web_sales LIMIT 1`,
+	}
+	for _, q := range queries {
+		if _, err := c.Query(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := c.cache.Stats(c.coord.Generation())
+	if st.Size != capacity || st.Evictions != 1 {
+		t.Fatalf("size=%d evictions=%d after %d statements, want %d/1", st.Size, st.Evictions, len(queries), capacity)
+	}
+	res, err := c.Query(ctx, queries[len(queries)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.CacheHit {
+		t.Fatal("most recent statement evicted")
 	}
 }

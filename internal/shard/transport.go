@@ -39,8 +39,8 @@ type Transport interface {
 	// QueryStream executes a statement and streams its rows: the scatter
 	// path's transport primitive, bounding coordinator memory by what is
 	// in flight instead of the node's whole response. The request carries
-	// the SQL, the Mode, and optionally the coordinator's plan Fingerprint
-	// so the node resolves its plan cache without re-normalizing the text.
+	// the SQL, the Mode, and optionally the coordinator's subplan
+	// fingerprint.
 	QueryStream(ctx context.Context, req service.ShardQueryRequest) (*windowdb.Rows, error)
 	// ShuffleRun executes one non-final stage of a per-segment distributed
 	// chain on the node (service.RunShuffleStep): run the segment, then
@@ -107,7 +107,7 @@ func (l *Local) Service() *service.Service { return l.svc }
 // exactly as for a remote node.
 func (l *Local) QueryStream(ctx context.Context, req service.ShardQueryRequest) (*windowdb.Rows, error) {
 	if Mode(req.Mode) == ModeLocal {
-		return l.svc.StreamShardLocal(ctx, req.SQL, req.Fingerprint, req.SubplanFP)
+		return l.svc.StreamShardLocal(ctx, req.SQL, req.SubplanFP)
 	}
 	return l.svc.QueryContext(ctx, req.SQL)
 }

@@ -25,15 +25,14 @@ import (
 // builds its own spill stores and row buffers. This is the plan-once /
 // execute-many seam the serving layer's plan cache stores.
 //
-// A Prepared captures the catalog entry and the catalog generation at
-// prepare time. Generation returns the latter so caches can drop plans
-// whose table was re-registered; executing a stale Prepared is
-// memory-safe (the old entry and its table are immutable) but reads the
-// superseded data.
+// A Prepared captures the catalog entry it was planned on; Current reports
+// whether that entry is still the catalog's, so caches can drop plans whose
+// table was re-registered. Executing a stale Prepared is memory-safe (the
+// old entry and its table are immutable) but reads the superseded data.
 type Prepared struct {
 	src    string
-	fp     string // Fingerprint(src), computed once at prepare
 	q      *Query
+	cat    *catalog.Catalog
 	entry  *catalog.Entry
 	gen    uint64
 	scheme Scheme
@@ -100,17 +99,16 @@ func (p *Prepared) ShardLocal(shardKey attrs.Set) bool {
 // under.
 func (p *Prepared) Generation() uint64 { return p.gen }
 
-// Fingerprint returns the statement's wire fingerprint (see the package
-// Fingerprint function): what a coordinator ships with scatter and shuffle
-// requests so nodes resolve their cached plan without re-normalizing the
-// text.
-func (p *Prepared) Fingerprint() string { return p.fp }
+// Current reports whether the catalog entry the statement was planned on is
+// still the catalog's entry for its table: the validity rule of every cache
+// holding a Prepared. Registering another table leaves it current.
+func (p *Prepared) Current() bool {
+	e, err := p.cat.Lookup(p.q.Table)
+	return err == nil && e == p.entry
+}
 
-// Fingerprint hashes statement text into the short identifier shipped on
-// the cluster's control plane: FNV-64a over the raw source, hex-encoded.
-// It identifies text, not plans — coordinator and node prepare from the
-// same shipped SQL string, so equal text means an equal plan under an
-// equal catalog generation (which the plan cache checks separately).
+// Fingerprint hashes text into a short identifier, FNV-64a hex-encoded:
+// the token SubplanFingerprint ships on the cluster's control plane.
 func Fingerprint(src string) string {
 	const (
 		offset64 = 14695981039346656037
@@ -166,8 +164,8 @@ func (r *Runner) prepare(q *Query, src string) (*Prepared, error) {
 	schema := entry.Table().Schema
 	p := &Prepared{
 		src:       src,
-		fp:        Fingerprint(src),
 		q:         q,
+		cat:       r.Catalog,
 		entry:     entry,
 		gen:       gen,
 		scheme:    r.Scheme,

@@ -78,6 +78,10 @@ type Result struct {
 	// execution did not go through the shared-subplan cache. Set by the
 	// serving layer.
 	SharedScan string
+	// SharedWait is the time the serving layer spent in the shared-subplan
+	// cache that Metrics does not book: a hit's lookup, an attacher's wait,
+	// a leader's scan short of its reorder.
+	SharedWait time.Duration
 }
 
 // FinalizeMetrics measures a statement's terminal phase: DISTINCT and the

@@ -39,9 +39,17 @@ type SharedSegment struct {
 	Table   *storage.Table
 	Props   core.Props
 	Metrics *exec.Metrics
-	// DataGen is the catalog data generation the scan observed; cache keys
-	// embed it so appends invalidate shared segments.
+	// DataGen is the catalog data generation the scan observed.
 	DataGen uint64
+
+	prep *Prepared // the statement that ran the scan
+}
+
+// Current reports whether the segment still holds the rows a scan would
+// read now: the statement that ran it is current and no append has moved
+// its table past the generation the scan observed.
+func (s *SharedSegment) Current() bool {
+	return s.prep.Current() && s.prep.entry.DataGen() == s.DataGen
 }
 
 // Shareable reports whether the statement splits at the subplan seam: a
@@ -57,6 +65,14 @@ func (p *Prepared) Shareable() bool { return p.shareable }
 // and differ only in their reorder node.
 func (p *Prepared) SubplanScanKey() string {
 	return strings.ToLower(p.entry.Name) + "|" + canonExpr(p.q.Where)
+}
+
+// SubplanGroup is the frame-lattice group a shared segment of the
+// statement is cached under: the scan key qualified by the catalog entry
+// (its registration generation) and the data generation a scan would read
+// now, so a lookup finds only segments of the rows it would read itself.
+func (p *Prepared) SubplanGroup() string {
+	return fmt.Sprintf("e%d|d%d|%s", p.entry.Generation(), p.entry.DataGen(), p.SubplanScanKey())
 }
 
 // SubplanNode is the statement's frame-lattice node: the canonical form of
@@ -100,10 +116,6 @@ func (p *Prepared) WFs() []core.WF {
 	return ws
 }
 
-// DataGeneration returns the table's live data generation (advanced by
-// appends); subplan cache keys embed it next to the schema generation.
-func (p *Prepared) DataGeneration() uint64 { return p.entry.DataGen() }
-
 // RunSubplan executes the scan+reorder subplan: WHERE filtering over a
 // consistent table snapshot, then the chain's leading heavy reorder,
 // materialized. The caller (the cache's singleflight leader) owns the
@@ -126,7 +138,7 @@ func (p *Prepared) RunSubplan(ctx context.Context) (*SharedSegment, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SharedSegment{Table: seg, Props: p.plan.Steps[0].Out, Metrics: metrics, DataGen: gen}, nil
+	return &SharedSegment{Table: seg, Props: p.plan.Steps[0].Out, Metrics: metrics, DataGen: gen, prep: p}, nil
 }
 
 // runSuffix executes the statement's derivation suffix over a shared

@@ -309,9 +309,10 @@ func DrainResult(rows *Rows) (*Result, error) {
 
 // Prepare parses, binds and plans a query without executing it. The
 // returned statement executes with this engine's scheme and resources, any
-// number of times and concurrently; it is valid while Generation is
-// unchanged (re-registering any table invalidates it — execution then reads
-// the superseded catalog entry). Serving layers cache these.
+// number of times and concurrently; it is valid while its table's catalog
+// entry is current (sql.Prepared.Current: re-registering the table
+// invalidates it — execution then reads the superseded entry). Serving
+// layers cache these.
 func (e *Engine) Prepare(src string) (*sql.Prepared, error) {
 	r := e.runner()
 	return r.Prepare(src)

@@ -34,6 +34,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/paper"
 	"repro/internal/reorder"
+	"repro/internal/storage"
 	"repro/internal/window"
 	"repro/internal/xsort"
 )
@@ -358,8 +359,10 @@ func BenchmarkWindowFunctions(b *testing.B) {
 		sorted := d.WebSales.Clone()
 		sorted.SortBy(attrs.AscSeq(paper.Item, paper.Time))
 		b.Run(kind.String(), func(b *testing.B) {
+			var ev window.Evaluator
+			col := make([]storage.Value, sorted.Len())
 			for i := 0; i < b.N; i++ {
-				if _, err := window.EvaluateSlice(sorted.Rows, spec); err != nil {
+				if err := ev.EvaluateSlice(sorted.Rows, spec, col); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -117,6 +117,7 @@ type Maintainer struct {
 	gen  uint64          // data generation covered
 	wfs  []*wfState
 	out  *storage.Schema
+	ev   window.Evaluator // every evaluation's buffers, one partition at a time
 }
 
 // Update is the result of applying one batch: the projected delta rows
@@ -441,8 +442,8 @@ func (m *Maintainer) patchTail(wf *wfState, ps *partState, newPos []int) error {
 		for _, pos := range newPos {
 			mini = append(mini, m.rows[pos])
 		}
-		vals, err := window.EvaluateSlice(mini, spec)
-		if err != nil {
+		vals := make([]storage.Value, len(mini))
+		if err := m.ev.EvaluateSlice(mini, spec, vals); err != nil {
 			return err
 		}
 		for i, pos := range newPos {
@@ -468,8 +469,8 @@ func (m *Maintainer) recomputePartition(wf *wfState, ps *partState, changed map[
 	for i, pos := range ps.positions {
 		rows[i] = m.rows[pos]
 	}
-	vals, err := window.EvaluateSlice(rows, wf.spec)
-	if err != nil {
+	vals := make([]storage.Value, len(rows))
+	if err := m.ev.EvaluateSlice(rows, wf.spec, vals); err != nil {
 		return err
 	}
 	for i, pos := range ps.positions {

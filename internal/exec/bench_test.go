@@ -34,30 +34,58 @@ func BenchTable() *storage.Table {
 	return table
 }
 
-// BenchmarkRunChain measures the sequential chain executor on a two-step
-// rank chain over a synthetic wide table through the materializing Run:
-// both reorders, the in-tuple first column, the tail vector, and the
-// whole-tuple copy Run's contract costs. BenchmarkRunChainPrepared is the
-// other side of that wrapper.
+// BenchmarkRunChain measures the sequential chain executor in memory over a
+// synthetic wide table. "two FS" is a two-step rank chain through the
+// materializing Run: both reorders, the in-tuple first column, the tail
+// vector, and the whole-tuple copy Run's contract costs;
+// BenchmarkRunChainPrepared is the other side of that wrapper. "F1 shape"
+// is frames_inmem's F1: one Full Sort (L = 0) and two framed aggregates into
+// tail vectors, through RunChain and released as a cursor releases it, so
+// B/op is what a statement's chain allocates once the arena pool is warm —
+// its sort buffer and tails are the pool's.
 func BenchmarkRunChain(b *testing.B) {
 	table := BenchTable()
 	pk := attrs.MakeSet(0)
-	specs := []window.Spec{
-		{Kind: window.Rank, PK: pk, OK: attrs.AscSeq(1), Arg: -1, Name: "r1"},
-		{Kind: window.Rank, PK: pk, OK: attrs.AscSeq(2), Arg: -1, Name: "r2"},
-	}
-	plan := &core.Plan{Steps: []core.Step{
-		{WF: specs[0].WF(0), Reorder: core.ReorderFS, SortKey: pk.AscSeq().Concat(specs[0].OK)},
-		{WF: specs[1].WF(1), Reorder: core.ReorderFS, SortKey: pk.AscSeq().Concat(specs[1].OK)},
-	}}
 	cfg := Config{MemoryBytes: 64 << 20}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Run(table, specs, plan, cfg); err != nil {
-			b.Fatal(err)
+	b.Run("two FS", func(b *testing.B) {
+		specs := []window.Spec{
+			{Kind: window.Rank, PK: pk, OK: attrs.AscSeq(1), Arg: -1, Name: "r1"},
+			{Kind: window.Rank, PK: pk, OK: attrs.AscSeq(2), Arg: -1, Name: "r2"},
 		}
-	}
+		plan := &core.Plan{Steps: []core.Step{
+			{WF: specs[0].WF(0), Reorder: core.ReorderFS, SortKey: pk.AscSeq().Concat(specs[0].OK)},
+			{WF: specs[1].WF(1), Reorder: core.ReorderFS, SortKey: pk.AscSeq().Concat(specs[1].OK)},
+		}}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := Run(table, specs, plan, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("F1 shape", func(b *testing.B) {
+		ok := attrs.AscSeq(1, 2)
+		rows := func(preceding int64, end window.Bound) *window.Frame {
+			return &window.Frame{Mode: window.Rows, Start: window.Bound{Type: window.Preceding, Offset: preceding}, End: end}
+		}
+		specs := []window.Spec{
+			{Kind: window.Sum, PK: pk, OK: ok, Arg: 3, Name: "s10", Frame: rows(10, window.Bound{Type: window.CurrentRow})},
+			{Kind: window.Avg, PK: pk, OK: ok, Arg: 3, Name: "a50", Frame: rows(50, window.Bound{Type: window.Following, Offset: 50})},
+		}
+		plan := &core.Plan{Steps: []core.Step{
+			{WF: specs[0].WF(0), Reorder: core.ReorderFS, SortKey: pk.AscSeq().Concat(ok)},
+			{WF: specs[1].WF(1), Reorder: core.ReorderNone},
+		}}
+		ctx := context.Background()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			chain, _, err := RunChain(ctx, table, specs, plan, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			chain.Release()
+		}
+	})
 }
 
 // BenchmarkRunChainSpill is BenchmarkRunChain's spilling sibling: the same

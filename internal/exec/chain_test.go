@@ -385,6 +385,7 @@ func TestStepsBeforeLastReorderKeepTheSequence(t *testing.T) {
 					var comparisons int64
 					rcfg, stats := reorderConfig(cfg, &comparisons, storage.NewTupleArena(table.Schema.Len()+last))
 					own := newRowArray(table, rcfg.Arena)
+					var ev window.Evaluator
 					for i, step := range plan.Steps {
 						if _, err := own.reorder(step, cfg, rcfg, 0); err != nil {
 							t.Fatal(err)
@@ -400,8 +401,7 @@ func TestStepsBeforeLastReorderKeepTheSequence(t *testing.T) {
 							}
 						}
 						if i < last {
-							var err error
-							if own.scratch, err = window.ExtendSlice(own.rows, specs[i], own.scratch); err != nil {
+							if err := ev.ExtendSlice(own.rows, specs[i]); err != nil {
 								t.Fatal(err)
 							}
 						}

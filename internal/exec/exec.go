@@ -138,17 +138,40 @@ type Chain struct {
 	Width int
 	Tail  [][]storage.Value
 
-	arena *storage.TupleArena // RunChain's: where its rows were carved
+	plan  *core.Plan          // what Run executes
+	arena *storage.TupleArena // where the rows, the tails and the row arrays were carved
 }
+
+// NewChain returns the chain a statement runs plan in over rows of schema,
+// before anything has run: no rows yet, and an arena from the process-wide
+// pool (storage.NewPooledTupleArena) that nothing has carved. A caller that
+// builds the chain's input — a WHERE's survivors — carves its row array
+// there (Headers), so the array goes back to the pool with the chain's own
+// on Release. Run executes the plan; a nil plan is a window-less
+// statement's, whose chain is its input.
+func NewChain(schema *storage.Schema, plan *core.Plan) *Chain {
+	return newChain(schema, plan, storage.NewPooledTupleArena)
+}
+
+// newChain is NewChain with the chain's arena built by newArena.
+func newChain(schema *storage.Schema, plan *core.Plan, newArena func(stride int) *storage.TupleArena) *Chain {
+	width := schema.Len() + lastReorder(plan)
+	return &Chain{Schema: schema, Width: width, plan: plan, arena: newArena(width)}
+}
+
+// Headers carves an array of n row headers — length 0, capacity n — out of
+// the chain's arena: it lives until Release.
+func (c *Chain) Headers(n int) []storage.Tuple { return c.arena.Headers(n) }
 
 // Len returns the row count.
 func (c *Chain) Len() int { return len(c.Rows) }
 
-// Release ends the chain: the value slabs RunChain carved its rows from go
-// back to the process-wide pool, for the next statement's chain to carve.
-// No row of the chain, and no value in one, may be read afterwards; the
-// strings in them stay valid (byte slabs are never pooled). Idempotent. A
-// chain that is never released is garbage-collected like any other.
+// Release ends the chain: the value and header slabs its rows, its tail
+// vectors and its row arrays were carved from go back to the process-wide
+// pool, for the next statement's chain to carve. No row of the chain, no
+// value in one and no tail value may be read afterwards; the strings in
+// them stay valid (byte slabs are never pooled). Idempotent. A chain that is
+// never released is garbage-collected like any other.
 func (c *Chain) Release() {
 	if c.arena != nil {
 		c.arena.Recycle()
@@ -222,7 +245,8 @@ func Run(table *storage.Table, specs []window.Spec, plan *core.Plan, cfg Config)
 // Its chain's arena is private, never released: without derived columns in
 // a tail, the table it returns holds the arena's rows.
 func RunContext(ctx context.Context, table *storage.Table, specs []window.Spec, plan *core.Plan, cfg Config) (*storage.Table, *Metrics, error) {
-	chain, metrics, err := runChain(ctx, table, specs, plan, cfg, storage.NewTupleArena)
+	chain := newChain(table.Schema, plan, storage.NewTupleArena)
+	metrics, err := chain.Run(ctx, table, specs, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -230,8 +254,12 @@ func RunContext(ctx context.Context, table *storage.Table, specs []window.Spec, 
 }
 
 // lastReorder returns L, the index of the chain's last reordering step (0
-// for a chain without one): the step after which row positions are final.
+// for a chain without one, or without a plan): the step after which row
+// positions are final.
 func lastReorder(plan *core.Plan) int {
+	if plan == nil {
+		return 0
+	}
 	last := 0
 	for i, step := range plan.Steps {
 		if step.Reorder != core.ReorderNone {
@@ -242,66 +270,84 @@ func lastReorder(plan *core.Plan) int {
 }
 
 // RunChain executes plan over table like RunContext and returns the result
-// unmaterialized. A chain with L = lastReorder(plan) > 0 owns one row array
-// for its whole life (rowArray): copies of the rows in the chain's arena
-// with exactly L spare slots. Every step up to L drains its reorder back
-// into that array, and the steps before L evaluate over it and extend each
-// row in place; from L on the order is final, and step L and every later
-// step evaluate into the Chain's tail vectors. With L = 0 (one leading
-// reorder, or none — every shared-subplan suffix) there is no copy at all:
-// the reorder permutes headers of the table's own tuples, which are never
-// extended, so any number of statements may run over one table or one
-// SharedSegment at once.
+// unmaterialized: Run on a chain from NewChain.
+func RunChain(ctx context.Context, table *storage.Table, specs []window.Spec, plan *core.Plan, cfg Config) (*Chain, *Metrics, error) {
+	chain := NewChain(table.Schema, plan)
+	metrics, err := chain.Run(ctx, table, specs, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return chain, metrics, nil
+}
+
+// Run executes the chain's plan over table, once. A chain with
+// L = lastReorder(plan) > 0 owns one row array for its whole life
+// (rowArray): copies of the rows in the chain's arena with exactly L spare
+// slots. Every step up to L drains its reorder back into that array, and
+// the steps before L evaluate over it and extend each row in place; from L
+// on the order is final, and step L and every later step evaluate into the
+// Chain's tail vectors, carved from the arena's vector slabs in one piece,
+// which no rewind reaches (storage.TupleArena.Values). With L = 0 (one
+// leading reorder, or none — every shared-subplan suffix) there is no copy
+// at all: the reorder permutes headers of the table's own tuples, which are
+// never extended, so any number of statements may run over one table or
+// one SharedSegment at once.
 //
 // A spec reads the columns that are in the tuples when it runs: the input
-// schema plus the derived columns of steps before min(i, L).
+// schema plus the derived columns of steps before min(i, L). Every step
+// evaluates with one window.Evaluator, whose buffers the chain sizes once.
 //
 // Each step drains its (lazily reordering) stream fully before it
 // evaluates, so per-step metrics are exact.
 //
-// The chain's arena is pooled (storage.NewPooledTupleArena): the row array
-// and every row read back from a spill are carved from value slabs an
-// earlier statement handed back, and Chain.Release — the statement's cursor
-// closing — hands them on. A failed run releases them itself.
-func RunChain(ctx context.Context, table *storage.Table, specs []window.Spec, plan *core.Plan, cfg Config) (*Chain, *Metrics, error) {
-	return runChain(ctx, table, specs, plan, cfg, storage.NewPooledTupleArena)
-}
-
-// runChain is RunChain with the chain's arena built by newArena.
-func runChain(ctx context.Context, table *storage.Table, specs []window.Spec, plan *core.Plan, cfg Config, newArena func(stride int) *storage.TupleArena) (_ *Chain, _ *Metrics, err error) {
+// The row array, every row read back from a spill, the tail vectors and the
+// header arrays the reorders leave (a Full Sort's buffer, a drained
+// reorder's order) are carved from the chain's arena: from a pooled one
+// (NewChain) they are slabs an earlier statement handed back, and
+// Chain.Release — the statement's cursor closing — hands them on. A failed
+// run releases them itself.
+func (c *Chain) Run(ctx context.Context, table *storage.Table, specs []window.Spec, cfg Config) (_ *Metrics, err error) {
+	if c.plan == nil {
+		c.Schema, c.Rows = table.Schema, table.Rows
+		return &Metrics{}, nil
+	}
+	steps := c.plan.Steps
 	var comparisons int64
-	metrics := &Metrics{Steps: make([]StepMetrics, 0, len(plan.Steps))}
+	metrics := &Metrics{Steps: make([]StepMetrics, 0, len(steps))}
 	live := trace.LiveFromContext(ctx)
 	start := time.Now()
-	last := lastReorder(plan)
+	last := lastReorder(c.plan)
 	n := table.Len()
 	tableBlocks := int64(table.ByteSize()) / int64(cfg.blockSize())
 
-	chain := &Chain{Schema: table.Schema, Rows: table.Rows, Width: table.Schema.Len() + last}
-	chain.arena = newArena(chain.Width)
+	c.Schema, c.Rows = table.Schema, table.Rows
 	defer func() {
 		if err != nil {
-			chain.Release()
+			c.Release()
 		}
 	}()
-	rcfg, stats := reorderConfig(cfg, &comparisons, chain.arena)
+	rcfg, stats := reorderConfig(cfg, &comparisons, c.arena)
 	inTuple := table.Schema // the columns a spec can read
-	var own rowArray
+	var (
+		own   rowArray
+		ev    window.Evaluator
+		tails []storage.Value
+	)
 	if last > 0 {
 		own = newRowArray(table, rcfg.Arena)
-		chain.Rows = own.rows
+		c.Rows = own.rows
 	}
 
-	for i, step := range plan.Steps {
+	for i, step := range steps {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if step.WF.ID < 0 || step.WF.ID >= len(specs) {
-			return nil, nil, fmt.Errorf("exec: plan references wf%d outside specs", step.WF.ID)
+			return nil, fmt.Errorf("exec: plan references wf%d outside specs", step.WF.ID)
 		}
 		spec := specs[step.WF.ID]
 		if err := spec.Validate(inTuple); err != nil {
-			return nil, nil, fmt.Errorf("exec: wf%d: %w", step.WF.ID, err)
+			return nil, fmt.Errorf("exec: wf%d: %w", step.WF.ID, err)
 		}
 		stepStart := time.Now()
 		if i == 0 {
@@ -315,32 +361,36 @@ func runChain(ctx context.Context, table *storage.Table, specs []window.Spec, pl
 		if step.Reorder != core.ReorderNone {
 			var err error
 			if last == 0 {
-				chain.Rows, detail, err = reorderShared(table.Rows, step, cfg, rcfg, tableBlocks)
+				c.Rows, detail, err = reorderShared(table.Rows, step, cfg, rcfg, tableBlocks)
 			} else {
 				detail, err = own.reorder(step, cfg, rcfg, tableBlocks)
-				chain.Rows = own.rows
+				c.Rows = own.rows
 			}
 			if err != nil {
-				return nil, nil, fmt.Errorf("exec: wf%d %s reorder: %w", step.WF.ID, step.Reorder, err)
+				return nil, fmt.Errorf("exec: wf%d %s reorder: %w", step.WF.ID, step.Reorder, err)
 			}
-			if len(chain.Rows) != n {
-				return nil, nil, fmt.Errorf("exec: wf%d %s reorder emitted %d of %d rows", step.WF.ID, step.Reorder, len(chain.Rows), n)
+			if len(c.Rows) != n {
+				return nil, fmt.Errorf("exec: wf%d %s reorder emitted %d of %d rows", step.WF.ID, step.Reorder, len(c.Rows), n)
 			}
 		}
 		if i < last {
-			var err error
-			if own.scratch, err = window.ExtendSlice(own.rows, spec, own.scratch); err != nil {
-				return nil, nil, fmt.Errorf("exec: wf%d evaluate: %w", step.WF.ID, err)
+			if err := ev.ExtendSlice(own.rows, spec); err != nil {
+				return nil, fmt.Errorf("exec: wf%d evaluate: %w", step.WF.ID, err)
 			}
 			inTuple = inTuple.WithColumn(spec.OutputColumn())
 		} else {
-			col, err := window.EvaluateSlice(chain.Rows, spec)
-			if err != nil {
-				return nil, nil, fmt.Errorf("exec: wf%d evaluate: %w", step.WF.ID, err)
+			if i == last {
+				tails = c.arena.Values((len(steps) - last) * n)
+				c.Tail = make([][]storage.Value, 0, len(steps)-last)
 			}
-			chain.Tail = append(chain.Tail, col)
+			k := len(c.Tail)
+			col := tails[k*n : (k+1)*n : (k+1)*n]
+			if err := ev.EvaluateSlice(c.Rows, spec, col); err != nil {
+				return nil, fmt.Errorf("exec: wf%d evaluate: %w", step.WF.ID, err)
+			}
+			c.Tail = append(c.Tail, col)
 		}
-		chain.Schema = chain.Schema.WithColumn(spec.OutputColumn())
+		c.Schema = c.Schema.WithColumn(spec.OutputColumn())
 
 		sm := StepMetrics{
 			WFID:          step.WF.ID,
@@ -365,7 +415,7 @@ func runChain(ctx context.Context, table *storage.Table, specs []window.Spec, pl
 	metrics.BlocksWritten = stats.BlocksWritten()
 	metrics.Comparisons = comparisons
 	metrics.Elapsed = time.Since(start)
-	return chain, metrics, nil
+	return metrics, nil
 }
 
 // reorderConfig builds what every reorder of one chain (or one shared
@@ -451,18 +501,18 @@ func reorderShared(rows []storage.Tuple, step core.Step, cfg Config, rcfg reorde
 	if err != nil {
 		return nil, nil, err
 	}
-	ordered, err := finalOrder(out, len(rows))
+	ordered, err := finalOrder(out, len(rows), rcfg.Arena)
 	return ordered, detail, err
 }
 
-// finalOrder drains out, a reorder over n rows, into a slice of its own. A
-// Full Sort's output is a tuple slice already and is taken as it stands
-// rather than copied.
-func finalOrder(out stream.Stream, n int) ([]storage.Tuple, error) {
+// finalOrder drains out, a reorder over n rows, into an array of its own
+// carved from arena. A Full Sort's output is a tuple slice already and is
+// taken as it stands rather than copied.
+func finalOrder(out stream.Stream, n int, arena *storage.TupleArena) ([]storage.Tuple, error) {
 	if rows, ok := stream.BackingTuples(out); ok {
 		return rows, nil
 	}
-	return stream.CollectTuplesN(out, n)
+	return stream.AppendTuples(arena.Headers(n), out)
 }
 
 // rowArray is the one row array of a chain with a reorder after its first
@@ -474,17 +524,17 @@ type rowArray struct {
 	// the list the next drain fills — two, because the reorder being drained
 	// is still reading starts.
 	starts, spare []int
-	scratch       []storage.Value // window.ExtendSlice's, kept between steps
 }
 
-// newRowArray copies the input tuples into the chain's arena, as its first
-// slab and in one allocation: each row comes out with the chain's width as
-// capacity, spare slots for the derived columns that must stay in the
-// tuple (those of the steps before the chain's last reorder), so window
-// evaluation (Tuple.Extend) grows rows in place. The copy also severs
-// those steps from the engine-owned table rows, which must never observe
-// the appends — and the three-index slices pin each row's capacity to its
-// own arena region, so a row cannot grow into its neighbour. In-place
+// newRowArray copies the input tuples into the chain's arena, the rows as
+// its first value slab and the array in one header slab: each row comes out
+// with the chain's width as capacity, spare slots for the derived columns
+// that must stay in the tuple (those of the steps before the chain's last
+// reorder), so window evaluation (Tuple.Extend) grows rows in place. The
+// copy also severs those steps from the engine-owned table rows, which must
+// never observe the appends — and the three-index slices pin each row's
+// capacity to its own arena region, so a row cannot grow into its
+// neighbour. In-place
 // extension is safe because the chain never duplicates a row reference:
 // reorders permute, and each step extends each row of the array once. A
 // reorder that spills drops the rows it wrote out and reads them back into
@@ -492,10 +542,10 @@ type rowArray struct {
 // input is on disk — so the discipline holds across FS runs, HS buckets and
 // SS units too. Strings are not copied: the table's outlive the chain.
 func newRowArray(table *storage.Table, arena *storage.TupleArena) rowArray {
-	rows := make([]storage.Tuple, len(table.Rows))
-	arena.Reserve(len(rows))
-	for i, t := range table.Rows {
-		rows[i] = arena.Copy(t)
+	rows := arena.Headers(len(table.Rows))
+	arena.Reserve(len(table.Rows))
+	for _, t := range table.Rows {
+		rows = append(rows, arena.Copy(t))
 	}
 	return rowArray{rows: rows}
 }

@@ -60,9 +60,9 @@ func ParallelEvaluate(table *storage.Table, spec window.Spec, degree int, cfg Co
 			}
 			// tuples is the sort's own buffer. A row that is still the
 			// table's has no spare slot, so extending it makes a copy.
-			tuples, err := finalOrder(sorted, len(parts[p]))
+			tuples, err := finalOrder(sorted, len(parts[p]), rcfg.Arena)
 			if err == nil {
-				_, err = window.ExtendSlice(tuples, spec, nil)
+				err = new(window.Evaluator).ExtendSlice(tuples, spec)
 			}
 			results[p], errs[p] = tuples, err
 		}(p)

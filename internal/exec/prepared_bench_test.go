@@ -36,5 +36,6 @@ func BenchmarkRunChainPrepared(b *testing.B) {
 				break
 			}
 		}
+		cur.Close() // the chain's arrays go back to the pool, as every consumer's do
 	}
 }

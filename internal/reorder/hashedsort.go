@@ -288,9 +288,10 @@ type hsStream struct {
 	arena   *storage.TupleArena // where spilled buckets are loaded
 	sorter  *xsort.Sorter       // one for every bucket
 	buckets []*hsBucket         // not yet emitted
-	// loaded buffers a spilled bucket's tuples. A bucket that fits the
-	// budget is sorted in place, so current aliases it until the bucket is
-	// emitted — which is when the next bucket is loaded over it.
+	// loaded buffers a spilled bucket's tuples. A bucket is sorted in
+	// place, or merged back into it when its sort spills, so current
+	// aliases it until the bucket is emitted — which is when the next
+	// bucket is loaded over it.
 	loaded  []storage.Tuple
 	current []storage.Tuple
 	pos     int

@@ -47,10 +47,12 @@ type Config struct {
 	// place like the rows that stayed in memory — and an operator that has
 	// consumed its whole input before it emits (FS, HS) rewinds the arena
 	// once what it spilled is on disk, so they land where the rows written
-	// out were. SS emits while it reads and never rewinds. With a nil
-	// Arena the input rows are not the operator's to reuse: it decodes
-	// into an arena of its own, whose rows have no spare capacity (an
-	// extension then costs a copy, never correctness).
+	// out were. SS emits while it reads and never rewinds. FS's buffer,
+	// and the slice it merges into when it spills, are carved from the
+	// arena's header slabs (xsort.Sorter.Arena). With a nil Arena the
+	// input rows are not the operator's to reuse: it decodes into an arena
+	// of its own, whose rows have no spare capacity (an extension then
+	// costs a copy, never correctness).
 	Arena *storage.TupleArena
 }
 
@@ -85,7 +87,7 @@ type FSStats struct {
 // A chain's own row array (stream.FromArray) is sorted where it lies — the
 // same prefix-that-fits rule, the same arena rewind and so the same runs as
 // the buffering sort, without the buffer; any other input is read into one,
-// allocated once when the input knows its length (stream.Sized).
+// carved once when the input knows its length (stream.Sized).
 func FullSort(in stream.Stream, key attrs.Seq, cfg Config) (stream.Stream, FSStats, error) {
 	var (
 		st     FSStats

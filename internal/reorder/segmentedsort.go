@@ -69,9 +69,9 @@ type ssStream struct {
 	segSet attrs.Set
 	stats  *SSStats
 
-	// unit buffers the α-group being read. A unit that fits the budget is
-	// sorted in place, so current aliases it until the unit is emitted —
-	// which is when fillUnit next overwrites it.
+	// unit buffers the α-group being read. A unit is sorted in place, or
+	// merged back into it when its sort spills, so current aliases it until
+	// the unit is emitted — which is when fillUnit next overwrites it.
 	unit     []storage.Tuple
 	current  []storage.Tuple // sorted unit being emitted
 	pos      int

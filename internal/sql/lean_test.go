@@ -77,11 +77,11 @@ func TestLeanMatchesRunAndReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			input, err := p.filterWhere(p.entry.Table())
+			input, err := p.filterWhere(p.entry.Table(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			chain, metrics, _, err := p.runPlan(ctx, input, p.plan)
+			chain, metrics, _, err := p.runPlan(ctx, nil, input, p.plan)
 			if err != nil {
 				t.Fatal(err)
 			}

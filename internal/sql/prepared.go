@@ -398,20 +398,25 @@ func (p *Prepared) ExecuteContext(ctx context.Context) (*Result, error) {
 // chain: WHERE filtering and chain execution. It fills result (the cursor's)
 // with the plan, metrics and parallel degree; the chain is the executor's
 // own result (rows plus tail vectors, exec.Chain), which the cursor reads
-// directly — no whole-tuple table is built in between.
+// directly — no whole-tuple table is built in between. The chain exists
+// before its input does: the WHERE's survivors are carved from its arena,
+// and go back to the pool with the rest of the statement's arrays.
 func (p *Prepared) runChain(ctx context.Context, base *storage.Table, result *Result) (*exec.Chain, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	windowed, err := p.filterWhere(base)
+	chain := exec.NewChain(base.Schema, p.plan)
+	windowed, err := p.filterWhere(base, chain.Headers)
 	if err != nil {
+		chain.Release()
 		return nil, err
 	}
 	*result = Result{FinalSort: "none", Parallelism: 1, EstRows: p.entry.Rows()}
 	if p.plan == nil {
-		return exec.TableChain(windowed), nil
+		_, err := chain.Run(ctx, windowed, nil, p.cfg)
+		return chain, err
 	}
-	executed, metrics, par, err := p.runPlan(ctx, windowed, p.plan)
+	executed, metrics, par, err := p.runPlan(ctx, chain, windowed, p.plan)
 	if err != nil {
 		return nil, err
 	}
@@ -424,8 +429,9 @@ func (p *Prepared) runChain(ctx context.Context, base *storage.Table, result *Re
 // filterWhere applies the statement's WHERE clause to base, producing the
 // windowed table WT (Section 5's loose integration: all clauses except
 // ORDER BY run before the windows). Statements without a WHERE return base
-// unchanged.
-func (p *Prepared) filterWhere(base *storage.Table) (*storage.Table, error) {
+// unchanged. The survivors' array is carved by headers (exec.Chain.Headers),
+// or allocated when it is nil: a table that outlives the statement.
+func (p *Prepared) filterWhere(base *storage.Table, headers func(n int) []storage.Tuple) (*storage.Table, error) {
 	if p.q.Where == nil {
 		return base, nil
 	}
@@ -445,7 +451,11 @@ func (p *Prepared) filterWhere(base *storage.Table) (*storage.Table, error) {
 		}
 	}
 	wt := storage.NewTable(schema)
-	wt.Rows = make([]storage.Tuple, 0, n)
+	if headers != nil {
+		wt.Rows = headers(n)
+	} else {
+		wt.Rows = make([]storage.Tuple, 0, n)
+	}
 	for i, row := range base.Rows {
 		if keep[i] {
 			wt.Rows = append(wt.Rows, row)
@@ -457,20 +467,27 @@ func (p *Prepared) filterWhere(base *storage.Table) (*storage.Table, error) {
 // runPlan executes a planned chain (p.plan or a segment sub-plan) over in
 // with the prepared execution config, returning the executor's chain
 // result and metrics, and the parallel degree the chain actually ran with.
+// chain is the one exec.NewChain built for plan, whose arena in's rows may
+// have been carved from; nil has runPlan build it.
 //
 // Parallelism must be set explicitly (> 1) to engage the parallel chain
 // executor: a zero-value Runner stays on the sequential path (facades that
 // want the GOMAXPROCS default resolve it before building the Runner, as
 // windowdb.Engine does).
-func (p *Prepared) runPlan(ctx context.Context, in *storage.Table, plan *core.Plan) (*exec.Chain, *exec.Metrics, int, error) {
+func (p *Prepared) runPlan(ctx context.Context, chain *exec.Chain, in *storage.Table, plan *core.Plan) (*exec.Chain, *exec.Metrics, int, error) {
+	if chain == nil {
+		chain = exec.NewChain(in.Schema, plan)
+	}
 	cfg := p.cfg
 	if cfg.Distinct == nil {
 		cfg.Distinct = p.entry.Distinct
 	}
 	if cfg.Parallelism > 1 {
-		// Workers hand back whole tuples: concatenating partitions needs
-		// them.
+		// Workers hand back whole tuples, from arenas of their own:
+		// concatenating partitions needs them. The chain held in's rows
+		// only, which are dead once the workers are done.
 		out, metrics, err := exec.ParallelRunContext(ctx, in, p.specs, plan, cfg, cfg.Parallelism)
+		chain.Release()
 		if err != nil {
 			return nil, nil, 0, err
 		}
@@ -480,8 +497,11 @@ func (p *Prepared) runPlan(ctx context.Context, in *storage.Table, plan *core.Pl
 		}
 		return exec.TableChain(out), metrics, par, nil
 	}
-	out, metrics, err := exec.RunChain(ctx, in, p.specs, plan, cfg)
-	return out, metrics, 1, err
+	metrics, err := chain.Run(ctx, in, p.specs, cfg)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return chain, metrics, 1, nil
 }
 
 // finalize decides the statement's terminal phases — DISTINCT, the final

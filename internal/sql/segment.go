@@ -227,7 +227,7 @@ func (r *SegmentRunner) FilterBase(ctx context.Context) (*storage.Table, error) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return r.p.filterWhere(r.p.entry.Table())
+	return r.p.filterWhere(r.p.entry.Table(), nil)
 }
 
 // Run executes segment seg's chain steps over in — rows already
@@ -237,7 +237,7 @@ func (r *SegmentRunner) FilterBase(ctx context.Context) (*storage.Table, error) 
 // never released — the table's rows may be its arena's — and goes with
 // the table to the GC.
 func (r *SegmentRunner) Run(ctx context.Context, seg int, in *storage.Table) (*storage.Table, *exec.Metrics, error) {
-	out, m, _, err := r.p.runPlan(ctx, in, r.subs[seg])
+	out, m, _, err := r.p.runPlan(ctx, nil, in, r.subs[seg])
 	if err != nil {
 		return nil, nil, err
 	}
@@ -250,7 +250,7 @@ func (r *SegmentRunner) Run(ctx context.Context, seg int, in *storage.Table) (*s
 // the concatenation of every node's stream (Input.Concat).
 func (r *SegmentRunner) StreamFinal(ctx context.Context, in *storage.Table) (*Cursor, error) {
 	last := len(r.subs) - 1
-	out, m, par, err := r.p.runPlan(ctx, in, r.subs[last])
+	out, m, par, err := r.p.runPlan(ctx, nil, in, r.subs[last])
 	if err != nil {
 		return nil, err
 	}

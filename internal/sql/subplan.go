@@ -125,7 +125,7 @@ func (p *Prepared) RunSubplan(ctx context.Context) (*SharedSegment, error) {
 		return nil, errors.New("sql: statement has no shareable subplan")
 	}
 	base, gen := p.entry.Snapshot()
-	wt, err := p.filterWhere(base)
+	wt, err := p.filterWhere(base, nil)
 	if err != nil {
 		return nil, err
 	}

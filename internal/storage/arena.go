@@ -20,10 +20,10 @@ const (
 	arenaMaxBytes = 64 << 10
 )
 
-// maxPooledVals is the largest slab list the pool keeps (32 MB of values):
-// a chain's list is about one copy of its input, and one huge statement
-// must not pin its slabs for the life of the process.
-const maxPooledVals = 2 << 20
+// maxPooledBytes is the largest slab set the pool keeps (32 MB of values
+// and row headers): a chain's set is about one copy of its input, and one
+// huge statement must not pin its slabs for the life of the process.
+const maxPooledBytes = 32 << 20
 
 // poisonRewound makes Release overwrite what it rewinds over, and Recycle
 // the slabs it hands back, so a row or a string still in use after its
@@ -33,6 +33,16 @@ const maxPooledVals = 2 << 20
 var poisonRewound bool
 
 var poisonValue = Value{num: 0xDEADDEADDEADDEAD, ptr: tagInt}
+
+// poisonTuple is what a poisoned header slab holds: a row of poison values
+// wider than any row the engine carves.
+var poisonTuple = func() Tuple {
+	t := make(Tuple, 64)
+	for i := range t {
+		t[i] = poisonValue
+	}
+	return t
+}()
 
 const poisonByte = 0xDB
 
@@ -52,17 +62,26 @@ const poisonByte = 0xDB
 // be read again. Between rewinds a handed-out row and its strings are never
 // overwritten.
 //
+// Beside the rows it carves the arrays a chain holds one element per row of
+// for its whole life: value vectors (Values) and row-header arrays
+// (Headers), each kind in slabs of its own that are carved forward only —
+// Release and Reset leave them alone, and no row is carved from them — so
+// an array is the caller's until Recycle.
+//
 // An arena from NewTupleArena allocates its slabs and the GC frees them with
-// it. One from NewPooledTupleArena takes its value slabs from a process-wide
-// pool the first time it needs one, and Recycle hands them back. Byte slabs
-// are never pooled: a string read out of a row may outlive the arena.
+// it. One from NewPooledTupleArena takes its value, vector and header slabs
+// from a process-wide pool the first time it needs one, and Recycle hands
+// them back. Byte slabs are never pooled: a string read out of a row may
+// outlive the arena.
 //
 // Not safe for concurrent use.
 type TupleArena struct {
 	stride int
-	pooled bool // takes its value slabs from slabPool on the first carve
+	pooled bool // takes its slabs from slabPool on the first carve
 	vals   slabs[Value]
 	strs   slabs[byte]
+	vecs   slabs[Value]
+	hdrs   slabs[Tuple]
 }
 
 // ArenaMark is a carving position of one TupleArena. The zero mark is the
@@ -78,9 +97,10 @@ func NewTupleArena(stride int) *TupleArena {
 	return &TupleArena{stride: max(stride, 0)}
 }
 
-// NewPooledTupleArena is NewTupleArena for an arena whose value slabs come
-// from the process-wide pool: taken on its first carve, so an arena that
-// never carves never touches the pool, and handed back by Recycle.
+// NewPooledTupleArena is NewTupleArena for an arena whose value, vector and
+// header slabs come from the process-wide pool: taken on its first carve,
+// so an arena that never carves never touches the pool, and handed back by
+// Recycle.
 func NewPooledTupleArena(stride int) *TupleArena {
 	return &TupleArena{stride: max(stride, 0), pooled: true}
 }
@@ -100,14 +120,40 @@ func (a *TupleArena) Reserve(rows int) {
 	a.vals.reserve(n)
 }
 
-// adopt gives a pooled arena that has no value slabs yet the pool's most
-// recently returned list, and reports whether it got one.
+// Values carves a vector of n values out of the vector slabs, for the
+// caller to fill: a column indexed like the rows, such as a chain's derived
+// column. The contents are unspecified — a recycled slab is not cleared —
+// so the caller writes every element before it reads one.
+func (a *TupleArena) Values(n int) []Value { return carveArray(a, &a.vecs, n) }
+
+// Headers carves an array of n row headers — length 0 and capacity n, for
+// the caller to append to — out of the header slabs. Appending past n
+// reallocates, as it would for any full slice.
+func (a *TupleArena) Headers(n int) []Tuple { return carveArray(a, &a.hdrs, n)[:0] }
+
+// carveArray carves n elements of one of the array slab lists: from the
+// slab being carved when it has the room, else from the one reserve places
+// after it. Nothing rewinds these lists, so the array is the caller's until
+// Recycle.
+func carveArray[T any](a *TupleArena, s *slabs[T], n int) []T {
+	if n <= 0 {
+		return nil
+	}
+	if s.room() < n && !(a.adopt() && s.room() >= n) {
+		s.reserve(n)
+	}
+	return s.take(n)[:n:n]
+}
+
+// adopt gives a pooled arena that has no slabs yet the pool's most recently
+// returned set, and reports whether it got one.
 func (a *TupleArena) adopt() bool {
-	if !a.pooled || a.vals.list != nil {
+	if !a.pooled || a.vals.list != nil || a.vecs.list != nil || a.hdrs.list != nil {
 		return false
 	}
-	a.vals.list = slabPool.get()
-	return a.vals.list != nil
+	set := slabPool.get()
+	a.vals.list, a.vecs.list, a.hdrs.list = set.vals, set.vecs, set.hdrs
+	return set.bytes() > 0
 }
 
 // Copy returns a copy of t in the arena with the arena's row capacity. The
@@ -197,15 +243,15 @@ func (a *TupleArena) Release(m ArenaMark) {
 // Reset releases everything the arena ever handed out.
 func (a *TupleArena) Reset() { a.Release(ArenaMark{}) }
 
-// Recycle releases everything the arena ever handed out and gives its value
-// slabs, cleared, to the process-wide pool, for the next pooled arena to
-// carve. The byte slabs are dropped instead: the strings in them stay valid
-// for as long as anything holds one. The arena is empty afterwards, as if
-// new.
+// Recycle releases everything the arena ever handed out — rows, value
+// vectors and header arrays — and gives its value, vector and header slabs,
+// cleared, to the process-wide pool, for the next pooled arena to carve.
+// The byte slabs are dropped instead: the strings in them stay valid for as
+// long as anything holds one. The arena is empty afterwards, as if new.
 func (a *TupleArena) Recycle() {
-	list := a.vals.list
-	a.vals, a.strs = slabs[Value]{}, slabs[byte]{}
-	slabPool.put(list)
+	set := slabSet{vals: a.vals.list, vecs: a.vecs.list, hdrs: a.hdrs.list}
+	a.vals, a.strs, a.vecs, a.hdrs = slabs[Value]{}, slabs[byte]{}, slabs[Value]{}, slabs[Tuple]{}
+	slabPool.put(set)
 }
 
 // slabs is a list of kept slabs and the position up to which they are
@@ -299,16 +345,36 @@ func (s *slabs[T]) rewind(cur, off int, poison T) {
 	s.cur, s.off = cur, off
 }
 
-// slabList is the free list of value-slab lists pooled arenas carve from.
-// It is a plain list and not a sync.Pool for the reasons xsort's scratch
-// pool is one: a list must survive a GC — a statement that finds the pool
-// emptied allocates a copy of its input, which is what the pool exists to
-// avoid — and a slice goes in and out without being boxed. It holds at most
-// GOMAXPROCS lists, the most chains that can be carving at once, and keeps
-// the longest it has seen; a list in it holds no live value and no pointer.
+// slabSet is what one pooled arena carved from: its value, vector and
+// header slabs.
+type slabSet struct {
+	vals, vecs [][]Value
+	hdrs       [][]Tuple
+}
+
+// bytes returns the memory the set's slabs hold.
+func (s slabSet) bytes() int64 {
+	return elems(s.vals)*int64(unsafe.Sizeof(Value{})) + elems(s.vecs)*int64(unsafe.Sizeof(Value{})) +
+		elems(s.hdrs)*int64(unsafe.Sizeof(Tuple{}))
+}
+
+func elems[T any](list [][]T) (n int64) {
+	for _, sl := range list {
+		n += int64(len(sl))
+	}
+	return n
+}
+
+// slabList is the free list of slab sets pooled arenas carve from. It is a
+// plain list and not a sync.Pool for the reasons xsort's scratch pool is
+// one: a set must survive a GC — a statement that finds the pool emptied
+// allocates a copy of its input, which is what the pool exists to avoid —
+// and a slice goes in and out without being boxed. It holds at most
+// GOMAXPROCS sets, the most chains that can be carving at once, and keeps
+// the largest it has seen; a set in it holds no live value and no pointer.
 type slabList struct {
 	mu   sync.Mutex
-	free [][][]Value
+	free []slabSet
 }
 
 var (
@@ -317,70 +383,73 @@ var (
 	poolSlots = runtime.GOMAXPROCS(0)
 )
 
-// get takes the most recently returned list out of the pool, nil when it is
-// empty.
-func (p *slabList) get() [][]Value {
+// get takes the most recently returned set out of the pool, the zero set
+// when it is empty.
+func (p *slabList) get() slabSet {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	last := len(p.free) - 1
 	if last < 0 {
-		return nil
+		return slabSet{}
 	}
-	list := p.free[last]
-	p.free[last] = nil
+	set := p.free[last]
+	p.free[last] = slabSet{}
 	p.free = p.free[:last]
-	return list
+	return set
 }
 
-// put clears list — under the poison switch, overwrites it — and adds it to
-// the pool, in place of the shortest list there when the pool is full and
-// that one is shorter.
-func (p *slabList) put(list [][]Value) {
-	n := listVals(list)
-	if n == 0 || n > maxPooledVals {
+// put clears set — under the poison switch, overwrites it — and adds it to
+// the pool, in place of the smallest set there when the pool is full and
+// that one is smaller.
+func (p *slabList) put(set slabSet) {
+	n := set.bytes()
+	if n == 0 || n > maxPooledBytes {
 		return
 	}
-	for _, sl := range list {
-		if poisonRewound {
-			for i := range sl {
-				sl[i] = poisonValue
-			}
-		} else {
-			clear(sl) // a pooled slab pins no string
-		}
-	}
+	// A pooled slab pins no string and no row.
+	fill(set.vals, poisonValue)
+	fill(set.vecs, poisonValue)
+	fill(set.hdrs, poisonTuple)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if len(p.free) < poolSlots {
-		p.free = append(p.free, list)
+		p.free = append(p.free, set)
 		return
 	}
-	shortest := 0
-	for i, l := range p.free {
-		if listVals(l) < listVals(p.free[shortest]) {
-			shortest = i
+	smallest := 0
+	for i, s := range p.free {
+		if s.bytes() < p.free[smallest].bytes() {
+			smallest = i
 		}
 	}
-	if listVals(p.free[shortest]) < n {
-		p.free[shortest] = list
+	if p.free[smallest].bytes() < n {
+		p.free[smallest] = set
 	}
 }
 
-func listVals(list [][]Value) (n int) {
+// fill clears every slab of list, or overwrites it with poison under the
+// poison switch.
+func fill[T any](list [][]T, poison T) {
 	for _, sl := range list {
-		n += len(sl)
+		if !poisonRewound {
+			clear(sl)
+			continue
+		}
+		for i := range sl {
+			sl[i] = poison
+		}
 	}
-	return n
 }
 
-// ArenaPoolBytes reports the memory the idle arena pool retains: the value
-// slabs waiting for a pooled arena, not the ones a running chain holds.
+// ArenaPoolBytes reports the memory the idle arena pool retains: the value,
+// vector and header slabs waiting for a pooled arena, not the ones a running
+// chain holds.
 func ArenaPoolBytes() int64 {
 	slabPool.mu.Lock()
 	defer slabPool.mu.Unlock()
-	var n int
-	for _, l := range slabPool.free {
-		n += listVals(l)
+	var n int64
+	for _, s := range slabPool.free {
+		n += s.bytes()
 	}
-	return int64(n) * int64(unsafe.Sizeof(Value{}))
+	return n
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,6 +17,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/paper"
 	"repro/internal/reorder"
+	"repro/internal/service"
 	"repro/internal/storage"
 	"repro/internal/window"
 )
@@ -374,13 +376,111 @@ func (c *cancelAfter) Err() error {
 	return nil
 }
 
+// recycledStatement is one statement of the use-after-recycle matrix: its
+// text, and the check its drained cursor must pass.
+type recycledStatement struct {
+	name, sql string
+	check     func(t *testing.T, rows *windowdb.Rows)
+}
+
+// paperChecks is Q6–Q9 over table, each held to the input and the reference
+// (checkStatement).
+func paperChecks(t *testing.T, table *storage.Table) []recycledStatement {
+	var out []recycledStatement
+	for _, st := range paperStatements(t, table) {
+		out = append(out, recycledStatement{name: st.name, sql: st.sql, check: func(t *testing.T, rows *windowdb.Rows) {
+			t.Helper()
+			checkStatement(t, table, st, rows)
+		}})
+	}
+	return out
+}
+
+// frameChecks is F1–F6 over table — L = 0 chains whose derived columns are
+// all tail vectors, under WHERE, DISTINCT and ORDER BY … LIMIT (a TopK) —
+// each held to what an engine at Parallelism 2 returns at the same budget:
+// the parallel executor carves from private arenas, which are never
+// recycled, so the expected rows share no slab with the checked ones. A
+// statement with a final ORDER BY (on a unique key) is compared as a
+// sequence, any other as a multiset.
+func frameChecks(t *testing.T, table *storage.Table, mem, bs int) []recycledStatement {
+	t.Helper()
+	oracle := windowdb.New(windowdb.Config{SortMemBytes: mem, BlockSize: bs, Parallelism: 2})
+	oracle.Register("web_sales", table)
+	var out []recycledStatement
+	for _, name := range []string{"F1", "F2", "F3", "F4", "F5", "F6"} {
+		src := paper.Statements[name]
+		ordered := strings.Contains(src[strings.LastIndex(src, "FROM web_sales"):], "ORDER BY")
+		rows, err := oracle.QueryContext(context.Background(), src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := encodedRows(t, rows, ordered)
+		if len(want) == 0 {
+			t.Fatalf("%s returns no rows", name)
+		}
+		out = append(out, recycledStatement{name: name, sql: src, check: func(t *testing.T, rows *windowdb.Rows) {
+			t.Helper()
+			if got := encodedRows(t, rows, ordered); !slices.Equal(got, want) {
+				t.Fatalf("%s: %d rows differ from the %d the parallel executor returns", name, len(got), len(want))
+			}
+		}})
+	}
+	return out
+}
+
+// encodedRows drains rows into their encodings, sorted unless ordered.
+func encodedRows(t *testing.T, rows *windowdb.Rows, ordered bool) []string {
+	t.Helper()
+	defer rows.Close()
+	var out []string
+	for rows.Next() {
+		out = append(out, string(storage.AppendTuple(nil, rows.Row())))
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if !ordered {
+		slices.Sort(out)
+	}
+	return out
+}
+
+// recycledMatrix opens every statement, holds its cursor open while every
+// statement runs twice to its end through q — each of which hands its slabs
+// back and carves the ones the previous one handed back — and checks it
+// when drained last.
+func recycledMatrix(t *testing.T, q windowdb.Queryer, statements []recycledStatement) {
+	open := func(t *testing.T, st recycledStatement) *windowdb.Rows {
+		t.Helper()
+		rows, err := q.QueryContext(context.Background(), st.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		return rows
+	}
+	for _, a := range statements {
+		for _, b := range statements {
+			t.Run(a.name+" open across two "+b.name, func(t *testing.T) {
+				held := open(t, a)
+				defer held.Close() // a failed check must not keep a service slot
+				b.check(t, open(t, b))
+				b.check(t, open(t, b))
+				a.check(t, held)
+			})
+		}
+	}
+}
+
 // TestRecycledMemoryIsNeverRead is the use-after-recycle matrix: with every
-// recycled slab poisoned, Q6–Q9 at the chain_spill budget run through
-// engine cursors that stay open while other statements run to their end —
-// each of which hands its slabs back and carves the ones the previous one
-// handed back — and still equal the reference when drained last; and a
-// statement cancelled at each step boundary of its chain hands its slabs
-// back and leaves the next statement correct.
+// recycled slab — rows, tail vectors, header arrays — poisoned, Q6–Q9 and
+// F1–F6 at the chain_spill budget run through engine cursors that stay open
+// while other statements run to their end, and still equal the reference
+// when drained last; so do F1–F6 in memory, where a Full Sort's buffer is
+// the chain's order, and the shareable ones through a service, as
+// derivation suffixes over one SharedSegment. A statement cancelled at each
+// step boundary of its chain — WHERE's survivors carved, tails not yet —
+// hands its slabs back and leaves the next statement correct.
 func TestRecycledMemoryIsNeverRead(t *testing.T) {
 	defer storage.PoisonRewound()()
 	const bs = 1024
@@ -388,27 +488,31 @@ func TestRecycledMemoryIsNeverRead(t *testing.T) {
 	mem := max(int(0.85*math.Sqrt(float64(table.ByteSize()/bs)/2)), 3) * bs
 	eng := windowdb.New(windowdb.Config{SortMemBytes: mem, BlockSize: bs, Parallelism: 1})
 	eng.Register("web_sales", table)
-	statements := paperStatements(t, table)
+	frames := frameChecks(t, table, mem, bs)
+	statements := append(paperChecks(t, table), frames...)
 	ctx := context.Background()
-	open := func(t *testing.T, st paperStatement) *windowdb.Rows {
-		t.Helper()
-		rows, err := eng.QueryContext(ctx, st.sql)
-		if err != nil {
-			t.Fatalf("%s: %v", st.name, err)
-		}
-		return rows
-	}
 
-	for _, a := range statements {
-		for _, b := range statements {
-			t.Run(a.name+" open across two "+b.name, func(t *testing.T) {
-				held := open(t, a)
-				checkStatement(t, table, b, open(t, b))
-				checkStatement(t, table, b, open(t, b))
-				checkStatement(t, table, a, held)
-			})
+	recycledMatrix(t, eng, statements)
+
+	t.Run("in memory", func(t *testing.T) {
+		inMem := windowdb.New(windowdb.Config{SortMemBytes: 256 << 20, BlockSize: bs, Parallelism: 1})
+		inMem.Register("web_sales", table)
+		recycledMatrix(t, inMem, frameChecks(t, table, 256<<20, bs))
+	})
+
+	t.Run("shared suffix", func(t *testing.T) {
+		svc := service.New(eng, service.Config{Slots: 2})
+		var shareable []recycledStatement
+		for _, st := range frames {
+			if st.name != "F4" && st.name != "F5" { // WHERE: their own scan keys
+				shareable = append(shareable, st)
+			}
 		}
-	}
+		recycledMatrix(t, svc, shareable)
+		if sub := svc.Stats().Subplans; sub.Hits == 0 {
+			t.Fatalf("no statement attached to a shared segment: %+v", sub)
+		}
+	})
 
 	t.Run("cancelled mid-chain", func(t *testing.T) {
 		for i, st := range statements {
@@ -427,9 +531,15 @@ func TestRecycledMemoryIsNeverRead(t *testing.T) {
 				if storage.ArenaPoolLists() > 0 {
 					recycled++
 				}
-				checkStatement(t, table, next, open(t, next))
+				rows, err = eng.QueryContext(ctx, next.sql)
+				if err != nil {
+					t.Fatalf("%s: %v", next.name, err)
+				}
+				next.check(t, rows)
 			}
-			if recycled == 0 {
+			// F3 is one step and no WHERE: nothing is carved before its last
+			// boundary, so no cancelled run has slabs to hand back.
+			if recycled == 0 && st.name != "F3" {
 				t.Fatalf("%s: no cancelled run handed its slabs back", st.name)
 			}
 		}

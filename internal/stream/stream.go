@@ -145,26 +145,27 @@ func Collect(s Stream) ([]Row, error) {
 }
 
 // CollectTuples drains a stream into bare tuples, discarding boundaries.
+// The result is always a slice of its own, allocated once when the stream
+// knows its length (and still grown past it).
 func CollectTuples(s Stream) ([]storage.Tuple, error) {
-	return CollectTuplesN(s, Remaining(s))
+	var out []storage.Tuple
+	if n := Remaining(s); n > 0 {
+		out = make([]storage.Tuple, 0, n)
+	}
+	return AppendTuples(out, s)
 }
 
-// CollectTuplesN is CollectTuples for a caller that knows how many rows to
-// expect: the result is allocated once at that capacity (and still grows
-// past it). The result is always a slice of its own.
-func CollectTuplesN(s Stream, sizeHint int) ([]storage.Tuple, error) {
-	var out []storage.Tuple
-	if sizeHint > 0 {
-		out = make([]storage.Tuple, 0, sizeHint)
-	}
+// AppendTuples drains a stream, appending its bare tuples to dst, and
+// closes it: CollectTuples for a caller that provides the slice.
+func AppendTuples(dst []storage.Tuple, s Stream) ([]storage.Tuple, error) {
 	for {
 		r, ok := s.Next()
 		if !ok {
 			break
 		}
-		out = append(out, r.Tuple)
+		dst = append(dst, r.Tuple)
 	}
-	return out, s.Close()
+	return dst, s.Close()
 }
 
 // BackingTuples drains a FromTuples stream without copying: it returns the

@@ -12,21 +12,21 @@ import (
 // matches spec (Definition 2) — that detects window partitions by WPK value
 // change (tuples of one WPK-group are consecutive in a matched order, and,
 // because segments are disjoint on X ⊆ WPK, a group never spans segments)
-// and evaluates spec over each with one evaluator, so a scan allocates for
-// its largest partition, not once per partition. With a non-nil col the
-// values of rows[start:end] land in col[start:end] and the rows are only
-// read; with a nil col they pass through scratch — grown to the largest
-// partition and returned — and each row is extended with its own.
+// and evaluates spec over each with e's buffers, so a scan allocates for its
+// largest partition, not once per partition, and a caller that keeps e
+// allocates once for all its scans. With a non-nil col the values of
+// rows[start:end] land in col[start:end] and the rows are only read; with a
+// nil col they pass through e.scratch and each row is extended with its own.
 //
 // scan does not verify the match; rows in a non-matching order yield wrong
 // results exactly as they would in a database executor. The planner
 // guarantees matching (core.Plan.Validate), and tests cross-check against
 // the O(n²) reference evaluator.
-func scan(rows []storage.Tuple, spec Spec, col, scratch []storage.Value) ([]storage.Value, error) {
+func (e *Evaluator) scan(rows []storage.Tuple, spec Spec, col []storage.Value) error {
 	if spec.Kind.needsArg() && spec.Arg < 0 {
-		return scratch, fmt.Errorf("window: %s requires an argument column", spec.Kind)
+		return fmt.Errorf("window: %s requires an argument column", spec.Kind)
 	}
-	ev := evaluator{spec: spec}
+	e.spec = spec
 	for start := 0; start < len(rows); {
 		end := start + 1
 		for end < len(rows) && storage.EqualOn(rows[start], rows[end], spec.PK) {
@@ -36,11 +36,11 @@ func scan(rows []storage.Tuple, spec Spec, col, scratch []storage.Value) ([]stor
 		if col != nil {
 			out = col[start:end]
 		} else {
-			scratch = sized(scratch, end-start)
-			out = scratch
+			e.scratch = sized(e.scratch, end-start)
+			out = e.scratch
 		}
-		if err := ev.partition(rows[start:end], out); err != nil {
-			return scratch, err
+		if err := e.partition(rows[start:end], out); err != nil {
+			return err
 		}
 		if col == nil {
 			for i, v := range out {
@@ -49,26 +49,25 @@ func scan(rows []storage.Tuple, spec Spec, col, scratch []storage.Value) ([]stor
 		}
 		start = end
 	}
-	return scratch, nil
+	return nil
 }
 
-// EvaluateSlice evaluates spec over rows and returns the derived column as
-// a vector indexed like rows. It never touches the rows — the executor runs
+// EvaluateSlice evaluates spec over rows into col, the derived column as a
+// vector indexed like rows: the caller owns it, so a chain carves its
+// columns where it keeps them. It never touches the rows — the executor runs
 // it over tuples it shares with other statements.
-func EvaluateSlice(rows []storage.Tuple, spec Spec) ([]storage.Value, error) {
-	col := make([]storage.Value, len(rows))
-	if _, err := scan(rows, spec, col, nil); err != nil {
-		return nil, err
+func (e *Evaluator) EvaluateSlice(rows []storage.Tuple, spec Spec, col []storage.Value) error {
+	if len(col) != len(rows) {
+		return fmt.Errorf("window: a %d-value column for %d rows", len(col), len(rows))
 	}
-	return col, nil
+	return e.scan(rows, spec, col)
 }
 
 // ExtendSlice evaluates spec over rows and appends each row's derived value
 // to the row itself (Tuple.Extend: in place when the row has a spare slot,
-// which the caller must then own; a copy otherwise). It returns scratch,
-// grown, for the next call, so a chain of in-place steps allocates it once.
-func ExtendSlice(rows []storage.Tuple, spec Spec, scratch []storage.Value) ([]storage.Value, error) {
-	return scan(rows, spec, nil, scratch)
+// which the caller must then own; a copy otherwise).
+func (e *Evaluator) ExtendSlice(rows []storage.Tuple, spec Spec) error {
+	return e.scan(rows, spec, nil)
 }
 
 // Evaluate is the stream form: it collects in, evaluates spec with
@@ -83,7 +82,7 @@ func Evaluate(in stream.Stream, spec Spec) (stream.Stream, error) {
 	for i, r := range rows {
 		tuples[i] = r.Tuple
 	}
-	if _, err := ExtendSlice(tuples, spec, nil); err != nil {
+	if err := new(Evaluator).ExtendSlice(tuples, spec); err != nil {
 		return nil, err
 	}
 	for i, t := range tuples {

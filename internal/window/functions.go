@@ -8,19 +8,22 @@ import (
 	"repro/internal/storage"
 )
 
-// evaluator computes one window function partition by partition. It owns
-// every buffer a partition needs — frame bounds, peer groups, prefix
-// sums, the min/max deque — and reuses them from one partition to the
-// next, so evaluating a relation allocates for its largest partition, not
-// once per partition. Not safe for concurrent use.
-type evaluator struct {
-	spec Spec
+// Evaluator computes window functions partition by partition over rows
+// already in an order that matches each (EvaluateSlice, ExtendSlice). It
+// owns every buffer a partition needs — frame bounds, peer groups, prefix
+// sums, the min/max deque, ExtendSlice's values — and reuses them from one
+// partition and one function to the next, so a chain that evaluates all its
+// functions with one Evaluator allocates them once, for its largest
+// partition. The zero value is ready to use. Not safe for concurrent use.
+type Evaluator struct {
+	spec Spec // the function being evaluated
 
 	lo, hi       []int // frame [lo, hi) per row
 	peerS, peerE []int // peer group [start, end) per row
 	sumF         []float64
 	sumI, counts []int64
 	deque        []int
+	scratch      []storage.Value // ExtendSlice's values of one partition
 }
 
 // sized returns buf resized to n elements, reallocating only to grow. The
@@ -39,7 +42,7 @@ func clampOffset(off int64, n int) int {
 // partition evaluates the spec over one window partition (rows already
 // ordered on WOK) into out, one derived value per row; len(out) must equal
 // len(rows).
-func (e *evaluator) partition(rows []storage.Tuple, out []storage.Value) error {
+func (e *Evaluator) partition(rows []storage.Tuple, out []storage.Value) error {
 	spec := e.spec
 	n := len(rows)
 	switch spec.Kind {
@@ -200,7 +203,7 @@ func (e *evaluator) partition(rows []storage.Tuple, out []storage.Value) error {
 
 // peerBounds maps each row to its peer group's [start, end) in e.peerS and
 // e.peerE.
-func (e *evaluator) peerBounds(rows []storage.Tuple) {
+func (e *Evaluator) peerBounds(rows []storage.Tuple) {
 	n := len(rows)
 	e.peerS, e.peerE = sized(e.peerS, n), sized(e.peerE, n)
 	i := 0
@@ -217,7 +220,7 @@ func (e *evaluator) peerBounds(rows []storage.Tuple) {
 }
 
 // frameBounds computes each row's frame [lo, hi) into e.lo and e.hi.
-func (e *evaluator) frameBounds(rows []storage.Tuple) error {
+func (e *Evaluator) frameBounds(rows []storage.Tuple) error {
 	spec := e.spec
 	n := len(rows)
 	e.lo, e.hi = sized(e.lo, n), sized(e.hi, n)
@@ -348,7 +351,7 @@ func rangeOffsetBound(rows []storage.Tuple, spec Spec, i int, b Bound, isStart b
 // prefixSums builds prefix aggregates over the argument column into
 // e.sumF, e.sumI and e.counts, and reports whether every value was an
 // integer.
-func (e *evaluator) prefixSums(rows []storage.Tuple) (allInt bool, err error) {
+func (e *Evaluator) prefixSums(rows []storage.Tuple) (allInt bool, err error) {
 	n := len(rows)
 	e.sumF, e.sumI, e.counts = sized(e.sumF, n+1), sized(e.sumI, n+1), sized(e.counts, n+1)
 	sumF, sumI, counts := e.sumF, e.sumI, e.counts
@@ -381,7 +384,7 @@ func (e *evaluator) prefixSums(rows []storage.Tuple) (allInt bool, err error) {
 // monotonic deque; all supported frame shapes have non-decreasing lo and
 // hi, so the windows advance monotonically. NULL argument values are
 // skipped (SQL semantics).
-func (e *evaluator) slidingExtreme(rows []storage.Tuple, out []storage.Value) {
+func (e *Evaluator) slidingExtreme(rows []storage.Tuple, out []storage.Value) {
 	spec, lo, hi := e.spec, e.lo, e.hi
 	better := func(a, b storage.Value) bool { // a strictly better than b
 		c := storage.Compare(a, b)

@@ -74,7 +74,7 @@ func assertMatchesReference(t *testing.T, spec Spec, rows []storage.Tuple) {
 	for i, a := range arranged {
 		sorted[i] = a.row
 	}
-	got, err := EvaluateSlice(sorted, spec)
+	got, err := evaluateSlice(sorted, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestRangeOffsetValidation(t *testing.T) {
 		{storage.Int(1), storage.StringVal("b"), storage.Int(2)},
 	}
 	strSpec := rangeSpec(false, false, Bound{Type: Preceding, Offset: 1}, Bound{Type: CurrentRow})
-	if _, err := EvaluateSlice(strRows, strSpec); err == nil {
+	if _, err := evaluateSlice(strRows, strSpec); err == nil {
 		t.Error("string ordering key must fail RANGE offset evaluation")
 	}
 }

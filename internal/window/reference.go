@@ -111,12 +111,12 @@ func referencePartition(part []storage.Tuple, spec Spec) ([]storage.Value, error
 	case Ntile, Lead, Lag:
 		// Positional functions share the streaming implementation's logic;
 		// recompute directly.
-		err := (&evaluator{spec: spec}).partition(part, out)
+		err := (&Evaluator{spec: spec}).partition(part, out)
 		return out, err
 	}
 
 	// Framed functions: recompute each frame by scanning.
-	ev := evaluator{spec: spec}
+	ev := Evaluator{spec: spec}
 	if err := ev.frameBounds(part); err != nil {
 		return nil, err
 	}

@@ -164,7 +164,7 @@ func TestFailedMergeReturnsItsPages(t *testing.T) {
 				return err
 			},
 			"to slice": func(runs []*run) error {
-				_, err := s.mergeToSlice(runs, 0, storage.NewTupleArena(0))
+				_, err := s.mergeToSlice(runs, nil, 0, storage.NewTupleArena(0))
 				return err
 			},
 			// The same merge a step at a time, to see the tree at the failure.

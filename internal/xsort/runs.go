@@ -225,16 +225,21 @@ func (s *Sorter) mergeToRun(runs []*run, arena *storage.TupleArena) (*run, error
 	return &run{file: f}, nil
 }
 
-// mergeToSlice merges the final wave of runs straight into memory (this is
-// the pipelined final merge: no output re-materialization) and releases
-// them. On error the runs are the caller's to release; the readers are
-// closed.
-func (s *Sorter) mergeToSlice(runs []*run, sizeHint int, arena *storage.TupleArena) ([]storage.Tuple, error) {
+// mergeToSlice merges the final wave of runs — n tuples — straight into
+// memory (this is the pipelined final merge: no output re-materialization)
+// and releases them. The merge fills dead, the buffer run formation emptied,
+// when it has the capacity (a sorted slice's input array always has), and
+// a slice of s.headers otherwise. On error the runs are the caller's to
+// release; the readers are closed.
+func (s *Sorter) mergeToSlice(runs []*run, dead []storage.Tuple, n int, arena *storage.TupleArena) ([]storage.Tuple, error) {
 	defer s.tree.release()
 	if err := s.startMerge(runs, arena); err != nil {
 		return nil, err
 	}
-	out := make([]storage.Tuple, 0, sizeHint)
+	out := dead
+	if cap(out) < n {
+		out = s.headers(n)
+	}
 	for {
 		t, ok, err := s.mergeNext()
 		if err != nil {

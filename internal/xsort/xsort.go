@@ -72,7 +72,10 @@ type Sorter struct {
 	// its whole input on disk (Sort: to the start; SortLoaded: to the
 	// caller's mark; SortTuples: never). With a nil Arena the caller's
 	// rows are not the sorter's to reuse: each external sort decodes into an
-	// arena of its own, whose rows have no spare capacity.
+	// arena of its own, whose rows have no spare capacity. The arrays a sort
+	// leaves behind it — Sort's buffer, and the slice a spilling Sort merges
+	// into — are carved from Arena's header slabs, which live until it is
+	// recycled, and allocated when it is nil.
 	Arena *storage.TupleArena
 
 	// tree is the tournament every external phase is played on, one at a
@@ -106,9 +109,9 @@ func (s *Sorter) sortInMemory(tuples []storage.Tuple) {
 }
 
 // SortTuples sorts a materialized slice honoring the memory budget: if the
-// slice fits in MemoryBytes it is sorted in place and returned, otherwise
-// it is spilled and merged externally into a new slice (the input is then
-// left in unspecified order). It returns the sorted tuples and sort
+// slice fits in MemoryBytes it is sorted in place, otherwise it is spilled
+// and the runs are merged back into it — dead once they hold every tuple.
+// Either way the result is the input slice, sorted, and the sort
 // statistics. It never rewinds the arena: the tuples may sit anywhere in
 // it, with live rows after them.
 func (s *Sorter) SortTuples(tuples []storage.Tuple) ([]storage.Tuple, Stats, error) {
@@ -143,7 +146,7 @@ func (s *Sorter) sortTuples(tuples []storage.Tuple, rewind *storage.ArenaMark) (
 
 // Sort consumes the input and returns the fully sorted tuples. sizeHint may
 // be 0 when unknown; when it is the input's length the in-memory buffer is
-// allocated once. A sort that spills resets s.Arena once its input is on
+// carved once. A sort that spills resets s.Arena's rows once its input is on
 // disk: every row in the arena must be part of the input.
 func (s *Sorter) Sort(in Input, sizeHint int) ([]storage.Tuple, Stats, error) {
 	// Buffer input until the memory budget is exceeded.
@@ -157,7 +160,7 @@ func (s *Sorter) Sort(in Input, sizeHint int) ([]storage.Tuple, Stats, error) {
 			// than this many are buffered before the sort spills.
 			sizeHint = min(sizeHint, s.MemoryBytes/24+1)
 		}
-		buf = make([]storage.Tuple, 0, sizeHint)
+		buf = s.headers(sizeHint)
 	}
 	for {
 		t, ok := in()
@@ -254,12 +257,21 @@ func (s *Sorter) finish(buf []storage.Tuple, rest Input, rewind *storage.ArenaMa
 		runs = next
 		st.MergePasses++
 	}
-	out, err = s.mergeToSlice(runs, st.Tuples, arena)
+	out, err = s.mergeToSlice(runs, buf[:0], st.Tuples, arena)
 	if err != nil {
 		releaseRuns(runs)
 		return nil, st, err
 	}
 	return out, st, nil
+}
+
+// headers returns an empty tuple slice of capacity n: carved from s.Arena's
+// header slabs, or allocated without one.
+func (s *Sorter) headers(n int) []storage.Tuple {
+	if s.Arena != nil {
+		return s.Arena.Headers(n)
+	}
+	return make([]storage.Tuple, 0, n)
 }
 
 // mergeOrder returns F, the number of runs merged simultaneously: one input

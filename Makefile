@@ -29,13 +29,14 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-# Non-blank lines of non-test Go per package — the size measure ROADMAP
-# and CHANGES.md quote — so every CI log records the trend.
+# Non-blank lines of non-test Go per package, then their total for module
+# repro — the size measures ROADMAP and CHANGES.md quote — so every CI log
+# records the trend.
 loc:
 	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | while read pkg files; do \
 		[ -n "$$files" ] || continue; \
 		printf '%6d  %s\n' "$$(cat $$files | grep -cv '^[[:space:]]*$$')" "$$pkg"; \
-	done
+	done | awk '{ print; total += $$1 } END { printf "%6d  total (module repro)\n", total }'
 
 # benchmark/ is its own module (replace repro => ../), so the root build,
 # vet and test never see it: this is the gate that an internal/* API

@@ -22,6 +22,7 @@ package windowdb_test
 //	BenchmarkOperators/* — raw reordering operator throughput
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strconv"
@@ -99,9 +100,11 @@ func runSingleOp(b *testing.B, d *bench.Dataset, tableName string, spec window.S
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := exec.Run(entry.Table(), []window.Spec{spec}, plan, cfg); err != nil {
+		chain, _, err := exec.RunChain(context.Background(), entry.Table(), []window.Spec{spec}, plan, cfg)
+		if err != nil {
 			b.Fatal(err)
 		}
+		chain.Release()
 	}
 	b.SetBytes(entry.ByteSize())
 }
@@ -179,9 +182,11 @@ func benchSchemes(b *testing.B, query string, specs []window.Spec, extraVariants
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := exec.Run(d.WebSales, specs, plan, cfg); err != nil {
+				chain, _, err := exec.RunChain(context.Background(), d.WebSales, specs, plan, cfg)
+				if err != nil {
 					b.Fatal(err)
 				}
+				chain.Release()
 			}
 			b.SetBytes(d.Entry.ByteSize())
 		})
@@ -371,9 +376,9 @@ func BenchmarkWindowFunctions(b *testing.B) {
 	}
 }
 
-// BenchmarkParallel — the parallel multi-window executor (exec.ParallelRun)
-// on the Q6 chain at increasing degrees; degree 1 is the sequential
-// baseline. cmd/windbench -exp parallel runs the full-scale sweep with a
+// BenchmarkParallel — the partitioned chain (exec.Chain.Run at
+// Config.Parallelism) on the Q6 chain at increasing degrees; degree 1 is
+// the sequential baseline. cmd/windbench -exp parallel runs the full-scale sweep with a
 // printed speedup table.
 func BenchmarkParallel(b *testing.B) {
 	d := dataset(b)
@@ -391,10 +396,13 @@ func BenchmarkParallel(b *testing.B) {
 	}
 	for _, degree := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("Q6/degree%d", degree), func(b *testing.B) {
+			cfg.Parallelism = degree
 			for i := 0; i < b.N; i++ {
-				if _, _, err := exec.ParallelRun(d.WebSales, specs, plan, cfg, degree); err != nil {
+				chain, _, err := exec.RunChain(context.Background(), d.WebSales, specs, plan, cfg)
+				if err != nil {
 					b.Fatal(err)
 				}
+				chain.Release()
 			}
 			b.SetBytes(d.Entry.ByteSize())
 		})

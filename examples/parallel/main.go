@@ -1,11 +1,12 @@
 // Parallel: Section 3.5 of the paper — hash-partitioned parallel window
-// evaluation, in both of this repository's forms:
+// evaluation, through Config.Parallelism (exec.Chain.Run partitions every
+// chain segment whose functions share a partition key):
 //
-//  1. a single window function partitioned on its PARTITION BY attributes
-//     (Engine.EvaluateParallel, the paper's original formulation);
+//  1. a single window function partitioned on its PARTITION BY attributes —
+//     the paper's original formulation, a one-step chain;
 //  2. a whole planned multi-window chain partitioned on the chain's common
-//     partition key (Config.Parallelism routing through exec.ParallelRun),
-//     so CSO-planned chains — the unit the paper optimizes — scale too.
+//     partition key, so CSO-planned chains — the unit the paper optimizes —
+//     scale too.
 //
 // The program evaluates each workload at several degrees, verifies all
 // degrees agree, and reports timings. Wall-clock wins come from two
@@ -32,10 +33,7 @@ import (
 )
 
 func main() {
-	eng := windowdb.New(windowdb.Config{SortMemBytes: 4 << 20})
 	table := datagen.WebSales(datagen.WebSalesConfig{Rows: 60_000, Seed: 5})
-	eng.Register("web_sales", table)
-
 	spec := window.Spec{
 		Name: "price_rank",
 		Kind: window.Rank,
@@ -46,11 +44,24 @@ func main() {
 
 	fmt.Printf("rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sales_price DESC), %d rows, GOMAXPROCS=%d\n\n",
 		table.Len(), runtime.GOMAXPROCS(0))
+	sweep(table, []window.Spec{spec})
 
+	// Part 2: the whole CSO-planned Q6 chain (two rank() functions sharing
+	// PARTITION BY ws_item_sk).
+	fmt.Printf("\nQ6 chain (2 window functions):\n\n")
+	sweep(table, paper.Q6())
+}
+
+// sweep evaluates specs over table at Config.Parallelism 1, 2, 4 and 8 and
+// prints each degree's time and blocks, failing unless every degree
+// returns degree 1's rows.
+func sweep(table *storage.Table, specs []window.Spec) {
 	var baseline string
 	for _, degree := range []int{1, 2, 4, 8} {
+		eng := windowdb.New(windowdb.Config{SortMemBytes: 4 << 20, Parallelism: degree})
+		eng.Register("web_sales", table)
 		start := time.Now()
-		out, err := eng.EvaluateParallel("web_sales", spec, degree)
+		out, metrics, err := eng.EvaluateWindows("web_sales", specs)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -62,31 +73,6 @@ func main() {
 			status = "matches degree 1"
 		} else {
 			log.Fatalf("degree %d produced different results", degree)
-		}
-		fmt.Printf("degree %d: %8v  checksum %s  (%s)\n",
-			degree, time.Since(start).Round(time.Millisecond), sum[:12], status)
-	}
-
-	// Part 2: the whole CSO-planned Q6 chain (two rank() functions sharing
-	// PARTITION BY ws_item_sk) through the parallel chain executor.
-	fmt.Printf("\nQ6 chain (2 window functions) via Config.Parallelism:\n\n")
-	baseline = ""
-	for _, degree := range []int{1, 2, 4, 8} {
-		peng := windowdb.New(windowdb.Config{SortMemBytes: 4 << 20, Parallelism: degree})
-		peng.Register("web_sales", table)
-		start := time.Now()
-		out, metrics, err := peng.EvaluateWindows("web_sales", paper.Q6())
-		if err != nil {
-			log.Fatal(err)
-		}
-		sum := checksum(out)
-		status := "baseline"
-		if baseline == "" {
-			baseline = sum
-		} else if sum == baseline {
-			status = "matches degree 1"
-		} else {
-			log.Fatalf("degree %d produced different chain results", degree)
 		}
 		fmt.Printf("degree %d: %8v  %6d blocks  checksum %s  (%s)\n",
 			degree, time.Since(start).Round(time.Millisecond),

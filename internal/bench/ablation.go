@@ -144,7 +144,7 @@ func (d *Dataset) RunAblations(w io.Writer) ([]AblationResult, error) {
 			BlockSize:   d.Cfg.BlockSize,
 			Distinct:    d.Entry.Distinct,
 		}
-		_, metrics, err := exec.Run(sorted, []window.Spec{spec}, plan, cfg)
+		metrics, err := runChain(sorted, []window.Spec{spec}, plan, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -178,7 +178,7 @@ func (d *Dataset) runMicroWith(table *storage.Table, spec window.Spec, op core.R
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	_, metrics, err := exec.Run(table, []window.Spec{spec}, plan, cfg)
+	metrics, err := runChain(table, []window.Spec{spec}, plan, cfg)
 	if err != nil {
 		return MicroResult{}, err
 	}

@@ -214,12 +214,12 @@ func TestParallelScenario(t *testing.T) {
 // TestShardedScenario — the sharded-cluster scenario runs at CI scale:
 // one result per shard count plus the HTTP round trip, every
 // configuration value-identical (asserted inside RunSharded). Shard-side
-// spill I/O must track the in-process parallel executor's — scatter IS
-// ParallelRun lifted across nodes — so 4 shards may not spill more than
-// 1 shard beyond partial-run noise; the merge-pass drop itself needs the
-// full-scale table (windbench -exp sharded), as in TestParallelScenario's
-// degree-8 point. Wall-clock scaleout is host-dependent and reported, not
-// asserted.
+// spill I/O must track the in-process partitioned chain's — scatter IS
+// Chain.Run's partitioned path lifted across nodes — so 4 shards may not
+// spill more than 1 shard beyond partial-run noise; the merge-pass drop
+// itself needs the full-scale table (windbench -exp sharded), as in
+// TestParallelScenario's degree-8 point. Wall-clock scaleout is
+// host-dependent and reported, not asserted.
 func TestShardedScenario(t *testing.T) {
 	d := smallDataset(t)
 	results, err := d.RunSharded(nil)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"io"
 	"time"
 
@@ -52,7 +53,7 @@ func (d *Dataset) runMicro(table *storage.Table, spec window.Spec, op core.Reord
 		BlockSize:   d.Cfg.BlockSize,
 		Distinct:    d.Entry.Distinct,
 	}
-	_, metrics, err := exec.Run(table, []window.Spec{spec}, plan, cfg)
+	metrics, err := runChain(table, []window.Spec{spec}, plan, cfg)
 	if err != nil {
 		return MicroResult{}, err
 	}
@@ -64,6 +65,17 @@ func (d *Dataset) runMicro(table *storage.Table, spec window.Spec, op core.Reord
 		Comparisons: metrics.Comparisons,
 		Detail:      metrics.Steps[0].Detail,
 	}, nil
+}
+
+// runChain runs plan over table and releases the chain: a scenario reads
+// only its metrics.
+func runChain(table *storage.Table, specs []window.Spec, plan *core.Plan, cfg exec.Config) (*exec.Metrics, error) {
+	chain, metrics, err := exec.RunChain(context.Background(), table, specs, plan, cfg)
+	if err != nil {
+		return nil, err
+	}
+	chain.Release()
+	return metrics, nil
 }
 
 var errNotSS = errSentinel("input is not SS-reorderable")

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -31,7 +32,7 @@ var (
 	parallelReps    = 5
 )
 
-// RunParallel measures exec.ParallelRun on the multi-window workload Q6
+// RunParallel measures exec.Chain.Run on the multi-window workload Q6
 // (both functions share WPK {item}, so the whole CSO chain forms one
 // parallel segment) at degrees 1, 2, 4 and 8. Two effects compound: with
 // spare cores the partitions run concurrently, and — independent of core
@@ -70,29 +71,34 @@ func (d *Dataset) RunParallel(w io.Writer) ([]ParallelResult, error) {
 	// minimum is the closest observable to the true cost on a time-shared
 	// machine, and interleaving the degrees spreads slow phases of a noisy
 	// host across all of them instead of biasing one. The structural effect
-	// we are after (spill I/O vanishing with degree) is deterministic.
+	// we are after (spill I/O vanishing with degree) is deterministic, and
+	// so is each degree's result: the first rep's is fingerprinted.
 	elapsed := make([]time.Duration, len(parallelDegrees))
-	tables := make([]*storage.Table, len(parallelDegrees))
+	results := make([][]string, len(parallelDegrees))
 	mets := make([]*exec.Metrics, len(parallelDegrees))
 	for rep := 0; rep < parallelReps; rep++ {
 		for i, degree := range parallelDegrees {
-			// Collect the previous rep's partition tables outside the timed
-			// region so one degree's garbage doesn't bill the next.
+			// Collect the previous rep's garbage outside the timed region so
+			// one degree's garbage doesn't bill the next.
 			runtime.GC()
+			cfg.Parallelism = degree
 			start := time.Now()
-			tb, m, err := exec.ParallelRun(d.WebSales, specs, plan, cfg, degree)
+			chain, m, err := exec.RunChain(context.Background(), d.WebSales, specs, plan, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("parallel degree %d: %w", degree, err)
 			}
 			if e := time.Since(start); rep == 0 || e < elapsed[i] {
-				elapsed[i], tables[i], mets[i] = e, tb, m
+				elapsed[i], mets[i] = e, m
 			}
+			if rep == 0 {
+				results[i] = canonicalRows(chain.Table())
+			}
+			chain.Release()
 		}
 	}
-	want := canonicalRows(tables[0])
 	var out []ParallelResult
 	for i, degree := range parallelDegrees {
-		if i > 0 && !equalRows(canonicalRows(tables[i]), want) {
+		if i > 0 && !equalRows(results[i], results[0]) {
 			return nil, fmt.Errorf("parallel degree %d changed the result multiset", degree)
 		}
 		res := ParallelResult{

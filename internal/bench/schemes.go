@@ -107,7 +107,7 @@ func (d *Dataset) RunSchemes(query string, w io.Writer) ([]SchemeResult, error) 
 				BlockSize:   d.Cfg.BlockSize,
 				Distinct:    d.Entry.Distinct,
 			}
-			_, metrics, err := exec.Run(d.WebSales, specs, plan, cfg)
+			metrics, err := runChain(d.WebSales, specs, plan, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("%s %s @%s execute: %w", query, v.name, mem.Label, err)
 			}

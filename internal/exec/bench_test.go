@@ -35,10 +35,10 @@ func BenchTable() *storage.Table {
 }
 
 // BenchmarkRunChain measures the sequential chain executor in memory over a
-// synthetic wide table. "two FS" is a two-step rank chain through the
-// materializing Run: both reorders, the in-tuple first column, the tail
-// vector, and the whole-tuple copy Run's contract costs;
-// BenchmarkRunChainPrepared is the other side of that wrapper. "F1 shape"
+// synthetic wide table. "two FS" is a two-step rank chain materialized with
+// Chain.Table: both reorders, the in-tuple first column, the tail vector,
+// and the whole-tuple copy, the chain released once the table is made;
+// BenchmarkRunChainPrepared is the same chain drained through a cursor. "F1 shape"
 // is frames_inmem's F1: one Full Sort (L = 0) and two framed aggregates into
 // tail vectors, through RunChain and released as a cursor releases it, so
 // B/op is what a statement's chain allocates once the arena pool is warm —
@@ -56,11 +56,15 @@ func BenchmarkRunChain(b *testing.B) {
 			{WF: specs[0].WF(0), Reorder: core.ReorderFS, SortKey: pk.AscSeq().Concat(specs[0].OK)},
 			{WF: specs[1].WF(1), Reorder: core.ReorderFS, SortKey: pk.AscSeq().Concat(specs[1].OK)},
 		}}
+		ctx := context.Background()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := Run(table, specs, plan, cfg); err != nil {
+			chain, _, err := RunChain(ctx, table, specs, plan, cfg)
+			if err != nil {
 				b.Fatal(err)
 			}
+			chain.Table()
+			chain.Release()
 		}
 	})
 	b.Run("F1 shape", func(b *testing.B) {
@@ -95,7 +99,7 @@ func BenchmarkRunChain(b *testing.B) {
 // sorts externally and a Full Sort with two intermediate merge passes —
 // and through RunChain, released as a cursor would release it, so B/op is
 // the spill path's once the arena pool is warm (pool blocks, readers and
-// writers, decoded strings; not the row slabs) without Run's whole-table
+// writers, decoded strings; not the row slabs) without a whole-table
 // copy. blocks/op and comparisons/op are the paper's two cost currencies;
 // neither may move when only allocation does.
 func BenchmarkRunChainSpill(b *testing.B) {
@@ -150,6 +154,6 @@ func BenchmarkPartitionRows(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		partitionRows(tuples, ids, 4)
+		PartitionRows(tuples, ids, 4)
 	}
 }

@@ -50,8 +50,8 @@ func TestRunContextDeadlineMidChain(t *testing.T) {
 	}
 }
 
-// TestParallelRunContextCancelled: the parallel executor propagates
-// cancellation from its workers' step boundaries.
+// TestParallelRunContextCancelled: the partitioned path propagates
+// cancellation from its sub-chains' step boundaries.
 func TestParallelRunContextCancelled(t *testing.T) {
 	table, entry := smallWebSales(5000)
 	specs := paper.Q6() // both functions share WPK {item}: one parallel segment
@@ -62,33 +62,8 @@ func TestParallelRunContextCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err = ParallelRunContext(ctx, table, specs, plan, Config{MemoryBytes: 1 << 20, BlockSize: 4096}, 4)
+	_, _, err = RunChain(ctx, table, specs, plan, Config{MemoryBytes: 1 << 20, BlockSize: 4096, Parallelism: 4})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-// TestRunContextBackgroundIdentical: threading a background context changes
-// nothing — Run and RunContext produce identical results and metrics.
-func TestRunContextBackgroundIdentical(t *testing.T) {
-	table, entry := smallWebSales(3000)
-	specs := paper.Q6()
-	plan, err := core.CSO(paper.WFs(specs), core.Unordered(),
-		core.Options{Cost: entry.CostParams(1<<20, 4096)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{MemoryBytes: 1 << 20, BlockSize: 4096, Distinct: entry.Distinct}
-	a, am, err := Run(table, specs, plan, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, bm, err := RunContext(context.Background(), table, specs, plan, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Len() != b.Len() || am.TotalBlocks() != bm.TotalBlocks() || am.Comparisons != bm.Comparisons {
-		t.Fatalf("Run and RunContext diverge: rows %d/%d, blocks %d/%d, comparisons %d/%d",
-			a.Len(), b.Len(), am.TotalBlocks(), bm.TotalBlocks(), am.Comparisons, bm.Comparisons)
 	}
 }

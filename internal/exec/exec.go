@@ -45,16 +45,15 @@ type Config struct {
 	// groups exceed the sort budget (Section 3.2's bypass optimization);
 	// nil disables the bypass, matching the paper's prototype.
 	MFV func(key attrs.Set) map[string]bool
-	// Parallelism is the worker degree of the parallel chain executor
-	// (ParallelRun, Section 3.5 generalized to whole chains): values > 1
-	// hash-partition the input into that many data partitions, 1 or any
-	// negative value force the sequential pipeline, and 0 resolves to
-	// runtime.GOMAXPROCS(0). The parallel path is sequential-compatible —
-	// it computes exactly the sequential derived values over exactly the
-	// sequential row multiset — but emits rows in partition-index order
-	// rather than the sequential pipeline's final order. The sequential Run
-	// ignores this field; Engine facades and the SQL runner route through
-	// ParallelRun when the configured degree exceeds 1.
+	// Parallelism is the worker degree of Chain.Run (Section 3.5
+	// generalized to whole chains): a value > 1 hash-partitions the input
+	// of every segment planSegments finds into that many data partitions,
+	// and any other runs the sequential pipeline (Degree resolves 0 to
+	// runtime.GOMAXPROCS(0) for facades that want that default). The
+	// partitioned path is sequential-compatible — it computes exactly the
+	// sequential derived values over exactly the sequential row multiset —
+	// but emits rows in partition-index order rather than the sequential
+	// pipeline's final order.
 	Parallelism int
 }
 
@@ -103,7 +102,7 @@ type Metrics struct {
 	Comparisons   int64
 	Elapsed       time.Duration
 	// Concatenated reports that the output rows are a partition-index
-	// concatenation produced by the parallel executor rather than the
+	// concatenation produced by the partitioned path rather than the
 	// sequential pipeline's output order: orderings implied by the plan's
 	// final stream property then hold only within each partition. False
 	// whenever the chain's final segment ran sequentially (a sequential
@@ -112,7 +111,7 @@ type Metrics struct {
 	Concatenated bool
 	// PartitionedSteps counts the chain steps that executed hash-
 	// partitioned across workers; 0 means the whole chain ran on the
-	// sequential pipeline (always the case for Run).
+	// sequential pipeline.
 	PartitionedSteps int
 }
 
@@ -125,7 +124,9 @@ func (m *Metrics) TotalBlocks() int64 { return m.BlocksRead + m.BlocksWritten }
 // the tuples; after L no row changes position again, so step L and every
 // later step evaluate into position-indexed vectors instead of widening
 // the rows. Column c of row i is Rows[i][c] for c < Width and
-// Tail[c-Width][i] otherwise.
+// Tail[c-Width][i] otherwise. A chain that ran partitioned
+// (Config.Parallelism) holds whole tuples instead: Width is the schema's
+// and there is no Tail.
 //
 // Rows and the tuples in it may be the input table's own (a chain with one
 // leading reorder, or none, copies nothing): a Chain is read-only.
@@ -134,7 +135,8 @@ type Chain struct {
 	// in plan evaluation order.
 	Schema *storage.Schema
 	Rows   []storage.Tuple
-	// Width is the column count of every row: the input arity plus L.
+	// Width is the column count of every row: the input arity plus L, or
+	// the schema's after a partitioned run.
 	Width int
 	Tail  [][]storage.Value
 
@@ -150,13 +152,8 @@ type Chain struct {
 // on Release. Run executes the plan; a nil plan is a window-less
 // statement's, whose chain is its input.
 func NewChain(schema *storage.Schema, plan *core.Plan) *Chain {
-	return newChain(schema, plan, storage.NewPooledTupleArena)
-}
-
-// newChain is NewChain with the chain's arena built by newArena.
-func newChain(schema *storage.Schema, plan *core.Plan, newArena func(stride int) *storage.TupleArena) *Chain {
 	width := schema.Len() + lastReorder(plan)
-	return &Chain{Schema: schema, Width: width, plan: plan, arena: newArena(width)}
+	return &Chain{Schema: schema, Width: width, plan: plan, arena: storage.NewPooledTupleArena(width)}
 }
 
 // Headers carves an array of n row headers — length 0, capacity n — out of
@@ -198,60 +195,41 @@ func (c *Chain) Compare(a, b int, key attrs.Seq) int {
 }
 
 // Table materializes the chain as whole tuples: one copy of every row into
-// a contiguous arena, each sliced to exactly its own region. Callers that
-// need rows to carry their derived columns — Run's contract, the parallel
-// executor's concatenation, a shuffle's intermediate rows — pay for it
-// once, at the end; the SQL layer projects straight from the Chain.
+// a contiguous allocation, each sliced to exactly its own region; a chain
+// without a tail lends its rows instead, so it must outlive the table.
+// Callers that need rows to carry their derived columns —
+// Engine.EvaluateWindows, a shuffle's intermediate rows — pay for it once,
+// at the end; the SQL layer projects straight from the Chain.
 func (c *Chain) Table() *storage.Table {
 	t := storage.NewTable(c.Schema)
 	if len(c.Tail) == 0 {
 		t.Rows = slices.Clone(c.Rows)
 		return t
 	}
+	n := len(c.Rows)
+	t.Rows = c.appendRows(make([]storage.Tuple, 0, n), make([]storage.Value, n*(c.Width+len(c.Tail))))
+	return t
+}
+
+// appendRows appends the chain's rows to dst as whole tuples — each row's
+// values followed by its tail values — carved one after another out of
+// vals, each sliced to exactly its own region.
+func (c *Chain) appendRows(dst []storage.Tuple, vals []storage.Value) []storage.Tuple {
 	stride := c.Width + len(c.Tail)
-	arena := make([]storage.Value, len(c.Rows)*stride)
-	t.Rows = make([]storage.Tuple, len(c.Rows))
 	for i, r := range c.Rows {
-		row := storage.Tuple(arena[i*stride : (i+1)*stride : (i+1)*stride])
+		row := storage.Tuple(vals[i*stride : (i+1)*stride : (i+1)*stride])
 		copy(row, r)
 		for k, col := range c.Tail {
 			row[c.Width+k] = col[i]
 		}
-		t.Rows[i] = row
+		dst = append(dst, row)
 	}
-	return t
+	return dst
 }
 
-// TableChain presents an already-materialized table as a Chain with no
-// tail, for callers that hold whole tuples (the parallel executor's
-// output, a window-less statement) but feed the Chain consumers.
-func TableChain(t *storage.Table) *Chain {
-	return &Chain{Schema: t.Schema, Rows: t.Rows, Width: t.Schema.Len()}
-}
-
-// Run executes plan over table. specs[i] must correspond to the window
-// function with ID i in the plan. It returns a new table extended with one
-// derived column per window function, in plan evaluation order: RunChain's
-// result, materialized.
-func Run(table *storage.Table, specs []window.Spec, plan *core.Plan, cfg Config) (*storage.Table, *Metrics, error) {
-	return RunContext(context.Background(), table, specs, plan, cfg)
-}
-
-// RunContext is Run with cancellation: ctx is checked at every step
-// boundary (a chain step — reorder plus window evaluation — is the unit of
-// preemption, so a cancelled context stops the chain before the next
-// reorder begins). It returns ctx.Err() when the context is done.
-//
-// Its chain's arena is private, never released: without derived columns in
-// a tail, the table it returns holds the arena's rows.
-func RunContext(ctx context.Context, table *storage.Table, specs []window.Spec, plan *core.Plan, cfg Config) (*storage.Table, *Metrics, error) {
-	chain := newChain(table.Schema, plan, storage.NewTupleArena)
-	metrics, err := chain.Run(ctx, table, specs, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return chain.Table(), metrics, nil
-}
+// RunContext is RunChain under the name its one caller, benchmark/ladder.go,
+// uses.
+var RunContext = RunChain
 
 // lastReorder returns L, the index of the chain's last reordering step (0
 // for a chain without one, or without a plan): the step after which row
@@ -269,8 +247,9 @@ func lastReorder(plan *core.Plan) int {
 	return last
 }
 
-// RunChain executes plan over table like RunContext and returns the result
-// unmaterialized: Run on a chain from NewChain.
+// RunChain executes plan over table — specs[i] is the window function with
+// ID i in the plan — and returns the result unmaterialized: Run on a chain
+// from NewChain, which the caller releases.
 func RunChain(ctx context.Context, table *storage.Table, specs []window.Spec, plan *core.Plan, cfg Config) (*Chain, *Metrics, error) {
 	chain := NewChain(table.Schema, plan)
 	metrics, err := chain.Run(ctx, table, specs, cfg)
@@ -280,10 +259,37 @@ func RunChain(ctx context.Context, table *storage.Table, specs []window.Spec, pl
 	return chain, metrics, nil
 }
 
-// Run executes the chain's plan over table, once. A chain with
-// L = lastReorder(plan) > 0 owns one row array for its whole life
-// (rowArray): copies of the rows in the chain's arena with exactly L spare
-// slots. Every step up to L drains its reorder back into that array, and
+// Run executes the chain's plan over table, once: the one executor. ctx is
+// checked at every step boundary (a chain step — reorder plus window
+// evaluation — is the unit of preemption), and ctx.Err() is returned when
+// it is done. With cfg.Parallelism > 1 a chain that planSegments finds a
+// partition key for runs partitioned (runSegments); any other runs the
+// sequential pipeline (run). A failed run releases the chain.
+func (c *Chain) Run(ctx context.Context, table *storage.Table, specs []window.Spec, cfg Config) (_ *Metrics, err error) {
+	if c.plan == nil {
+		c.Schema, c.Rows = table.Schema, table.Rows
+		return &Metrics{}, nil
+	}
+	defer func() {
+		if err != nil {
+			c.Release()
+		}
+	}()
+	// An empty input runs sequentially: partitions of it would all be
+	// empty, skipping the per-step spec validation.
+	if cfg.Parallelism > 1 && table.Len() > 0 {
+		segs := planSegments(c.plan)
+		if slices.ContainsFunc(segs, func(s chainSegment) bool { return !s.Key.Empty() }) {
+			return c.runSegments(ctx, table, specs, cfg, segs)
+		}
+	}
+	return c.run(ctx, table, specs, cfg)
+}
+
+// run is the sequential pipeline. A chain with L = lastReorder(plan) > 0
+// owns one row array for its whole life (rowArray): copies of the rows in
+// the chain's arena with exactly L spare slots. Every step up to L drains
+// its reorder back into that array, and
 // the steps before L evaluate over it and extend each row in place; from L
 // on the order is final, and step L and every later step evaluate into the
 // Chain's tail vectors, carved from the arena's vector slabs in one piece,
@@ -304,13 +310,8 @@ func RunChain(ctx context.Context, table *storage.Table, specs []window.Spec, pl
 // header arrays the reorders leave (a Full Sort's buffer, a drained
 // reorder's order) are carved from the chain's arena: from a pooled one
 // (NewChain) they are slabs an earlier statement handed back, and
-// Chain.Release — the statement's cursor closing — hands them on. A failed
-// run releases them itself.
-func (c *Chain) Run(ctx context.Context, table *storage.Table, specs []window.Spec, cfg Config) (_ *Metrics, err error) {
-	if c.plan == nil {
-		c.Schema, c.Rows = table.Schema, table.Rows
-		return &Metrics{}, nil
-	}
+// Chain.Release — the statement's cursor closing — hands them on.
+func (c *Chain) run(ctx context.Context, table *storage.Table, specs []window.Spec, cfg Config) (*Metrics, error) {
 	steps := c.plan.Steps
 	var comparisons int64
 	metrics := &Metrics{Steps: make([]StepMetrics, 0, len(steps))}
@@ -321,11 +322,6 @@ func (c *Chain) Run(ctx context.Context, table *storage.Table, specs []window.Sp
 	tableBlocks := int64(table.ByteSize()) / int64(cfg.blockSize())
 
 	c.Schema, c.Rows = table.Schema, table.Rows
-	defer func() {
-		if err != nil {
-			c.Release()
-		}
-	}()
 	rcfg, stats := reorderConfig(cfg, &comparisons, c.arena)
 	inTuple := table.Schema // the columns a spec can read
 	var (
@@ -419,8 +415,8 @@ func (c *Chain) Run(ctx context.Context, table *storage.Table, specs []window.Sp
 }
 
 // reorderConfig builds what every reorder of one chain (or one shared
-// scan, or one parallel worker) runs with: the unit memory, a fresh spill
-// store, the arena — whose rows have the chain's row width as capacity, so
+// scan) runs with: the unit memory, a fresh spill store, the arena — whose
+// rows have the chain's row width as capacity, so
 // whatever spills comes back with room for every derived column still to
 // be appended — and the counters: comparisons, and the returned statistics
 // for the store's block transfers.

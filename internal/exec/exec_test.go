@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -37,8 +38,19 @@ func derived(t *testing.T, result *storage.Table, plan *core.Plan, baseCols int)
 	return out
 }
 
-// runScheme plans with the given scheme and executes.
-func runScheme(t *testing.T, scheme string, table *storage.Table, entry *catalog.Entry, specs []window.Spec, memBytes int) (map[int64]map[int]storage.Value, *Metrics, *core.Plan) {
+// runTable runs plan over table through RunChain and returns its rows as
+// whole tuples (Chain.Table).
+func runTable(table *storage.Table, specs []window.Spec, plan *core.Plan, cfg Config) (*storage.Table, *Metrics, error) {
+	chain, m, err := RunChain(context.Background(), table, specs, plan, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return chain.Table(), m, nil
+}
+
+// runScheme plans with the given scheme and executes at the given
+// Parallelism.
+func runScheme(t *testing.T, scheme string, table *storage.Table, entry *catalog.Entry, specs []window.Spec, memBytes, parallelism int) (map[int64]map[int]storage.Value, *Metrics, *core.Plan) {
 	t.Helper()
 	ws := paper.WFs(specs)
 	opt := core.Options{Cost: entry.CostParams(memBytes, 4096)}
@@ -65,8 +77,9 @@ func runScheme(t *testing.T, scheme string, table *storage.Table, entry *catalog
 		MemoryBytes: memBytes,
 		BlockSize:   4096,
 		Distinct:    entry.Distinct,
+		Parallelism: parallelism,
 	}
-	result, metrics, err := Run(table, specs, plan, cfg)
+	result, metrics, err := runTable(table, specs, plan, cfg)
 	if err != nil {
 		t.Fatalf("%s execute: %v", scheme, err)
 	}
@@ -104,7 +117,7 @@ func TestSchemesAgreeOnPaperQueries(t *testing.T) {
 				want[i] = m
 			}
 			for _, scheme := range []string{"CSO", "BFO", "ORCL", "PSQL"} {
-				got, _, plan := runScheme(t, scheme, table, entry, specs, 64<<10)
+				got, _, plan := runScheme(t, scheme, table, entry, specs, 64<<10, 1)
 				if err := plan.Validate(paper.WFs(specs), core.Unordered()); err != nil {
 					t.Fatalf("%s plan invalid: %v", scheme, err)
 				}
@@ -127,13 +140,13 @@ func TestCSOBeatsPSQLOnIO(t *testing.T) {
 	table, entry := smallWebSales(6000)
 	specs := paper.Q9()
 	mem := 24 << 10 // small enough that full sorts spill
-	_, csoM, csoPlan := runScheme(t, "CSO", table, entry, specs, mem)
-	_, psqlM, _ := runScheme(t, "PSQL", table, entry, specs, mem)
+	_, csoM, csoPlan := runScheme(t, "CSO", table, entry, specs, mem, 1)
+	_, psqlM, _ := runScheme(t, "PSQL", table, entry, specs, mem, 1)
 	if csoM.TotalBlocks() >= psqlM.TotalBlocks() {
 		t.Errorf("CSO I/O %d ≥ PSQL I/O %d (CSO plan %s)",
 			csoM.TotalBlocks(), psqlM.TotalBlocks(), csoPlan.PaperString())
 	}
-	_, orclM, _ := runScheme(t, "ORCL", table, entry, specs, mem)
+	_, orclM, _ := runScheme(t, "ORCL", table, entry, specs, mem, 1)
 	if csoM.TotalBlocks() >= orclM.TotalBlocks() {
 		t.Errorf("CSO I/O %d ≥ ORCL I/O %d", csoM.TotalBlocks(), orclM.TotalBlocks())
 	}
@@ -143,7 +156,7 @@ func TestCSOBeatsPSQLOnIO(t *testing.T) {
 func TestStepMetrics(t *testing.T) {
 	table, entry := smallWebSales(3000)
 	specs := paper.Q6()
-	_, m, _ := runScheme(t, "CSO", table, entry, specs, 16<<10)
+	_, m, _ := runScheme(t, "CSO", table, entry, specs, 16<<10, 1)
 	var r, w, c int64
 	for _, s := range m.Steps {
 		r += s.BlocksRead
@@ -171,11 +184,11 @@ func TestFileBackedExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	memResult, _, err := Run(table, specs, plan, Config{MemoryBytes: 8 << 10, BlockSize: 4096})
+	memResult, _, err := runTable(table, specs, plan, Config{MemoryBytes: 8 << 10, BlockSize: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fileResult, _, err := Run(table, specs, plan, Config{MemoryBytes: 8 << 10, BlockSize: 4096, FileBacked: true, TempDir: t.TempDir()})
+	fileResult, _, err := runTable(table, specs, plan, Config{MemoryBytes: 8 << 10, BlockSize: 4096, FileBacked: true, TempDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,45 +210,9 @@ func TestFileBackedExecution(t *testing.T) {
 	}
 }
 
-// TestParallelEvaluate — Section 3.5's parallel evaluation equals the
-// reference for several degrees of parallelism.
-func TestParallelEvaluate(t *testing.T) {
-	table, _ := smallWebSales(3000)
-	spec := paper.MicroQueries()[0].Spec // rank() over (partition by item order by time)
-	want, err := window.Reference(table.Rows, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantByTag := map[int64]storage.Value{}
-	for i, v := range want {
-		wantByTag[table.Rows[i][datagen.ColOrderNumber].Int64()] = v
-	}
-	for _, degree := range []int{1, 2, 4, 7} {
-		out, err := ParallelEvaluate(table, spec, degree, Config{MemoryBytes: 1 << 20, BlockSize: 4096})
-		if err != nil {
-			t.Fatalf("degree %d: %v", degree, err)
-		}
-		if out.Len() != table.Len() {
-			t.Fatalf("degree %d: %d rows", degree, out.Len())
-		}
-		last := out.Schema.Len() - 1
-		for _, r := range out.Rows {
-			tag := r[datagen.ColOrderNumber].Int64()
-			if !storage.Equal(r[last], wantByTag[tag]) {
-				t.Fatalf("degree %d: row %d = %s, want %s", degree, tag, r[last], wantByTag[tag])
-			}
-		}
-	}
-	// Empty partitioning key is rejected.
-	bad := window.Spec{Kind: window.Rank, Arg: -1, OK: attrs.AscSeq(0)}
-	if _, err := ParallelEvaluate(table, bad, 2, Config{}); err == nil {
-		t.Errorf("parallel evaluation with empty WPK should fail")
-	}
-}
-
 // TestRandomChainsAgainstReference — random multi-function chains through
-// CSO and PSQL agree with the reference evaluator (beyond the fixed paper
-// queries).
+// CSO and PSQL, each run at Parallelism 1, 2 and 3, agree with the
+// reference evaluator (beyond the fixed paper queries).
 func TestRandomChainsAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	table, entry := smallWebSales(1500)
@@ -277,12 +254,14 @@ func TestRandomChainsAgainstReference(t *testing.T) {
 			want[i] = m
 		}
 		for _, scheme := range []string{"CSO", "PSQL"} {
-			got, _, plan := runScheme(t, scheme, table, entry, specs, 32<<10)
-			for tag, perWF := range got {
-				for wfID, v := range perWF {
-					if !storage.Equal(v, want[wfID][tag]) {
-						t.Fatalf("trial %d %s: row %d wf%d = %s, want %s (plan %s, spec %+v)",
-							trial, scheme, tag, wfID+1, v, want[wfID][tag], plan, specs[wfID])
+			for _, parallelism := range []int{1, 2, 3} {
+				got, _, plan := runScheme(t, scheme, table, entry, specs, 32<<10, parallelism)
+				for tag, perWF := range got {
+					for wfID, v := range perWF {
+						if !storage.Equal(v, want[wfID][tag]) {
+							t.Fatalf("trial %d %s at Parallelism %d: row %d wf%d = %s, want %s (plan %s, spec %+v)",
+								trial, scheme, parallelism, tag, wfID+1, v, want[wfID][tag], plan, specs[wfID])
+						}
 					}
 				}
 			}
@@ -331,7 +310,7 @@ func TestTheorem4EvaluationOrder(t *testing.T) {
 		if err := plan.Validate(ws, inProps); err != nil {
 			t.Fatalf("order %v: %v", order, err)
 		}
-		result, metrics, err := Run(sorted, specs, plan, Config{MemoryBytes: 1 << 20, BlockSize: 4096})
+		result, metrics, err := runTable(sorted, specs, plan, Config{MemoryBytes: 1 << 20, BlockSize: 4096})
 		if err != nil {
 			t.Fatalf("order %v: %v", order, err)
 		}
@@ -357,7 +336,7 @@ func TestTheorem4EvaluationOrder(t *testing.T) {
 // result ends with exactly the two slots the input arena gave it, which
 // only holds if no Extend ever had to copy, and the third column is the
 // tail vector; no row was written into by a neighbour (base columns equal
-// the input); and checkChain holds the result to Run and to the reference.
+// the input); and checkChain holds the result to the reference.
 func TestSpillingChainExtendsInPlace(t *testing.T) {
 	table := datagen.WebSales(datagen.WebSalesConfig{Rows: 3000, Seed: 9, ItemDistinct: 4, WarehouseDistinct: 5, PadBytes: 24})
 	rank := func(name string, pk attrs.ID, ok attrs.ID) window.Spec {

@@ -1,89 +1,23 @@
 package exec
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/attrs"
 	"repro/internal/core"
-	"repro/internal/pagestore"
-	"repro/internal/reorder"
 	"repro/internal/storage"
-	"repro/internal/stream"
 	"repro/internal/window"
 )
 
-// ParallelEvaluate implements Section 3.5: the evaluation of a single window
-// function wf = (WPK, WOK) is parallelized by hash-partitioning the input on
-// the WPK attributes; each data partition is reordered independently (every
-// partition of an SS/HS-reorderable input remains SS/HS-reorderable) and the
-// window function is evaluated per partition. Outputs are concatenated —
-// window semantics are insensitive to the order of partitions.
-//
-// WPK must be non-empty (with an empty WPK the whole table is one window
-// partition and the evaluation is inherently sequential).
-func ParallelEvaluate(table *storage.Table, spec window.Spec, degree int, cfg Config) (*storage.Table, error) {
-	if degree < 1 {
-		degree = 1
-	}
-	if spec.PK.Empty() {
-		return nil, fmt.Errorf("exec: parallel evaluation requires a non-empty partitioning key")
-	}
-	if err := spec.Validate(table.Schema); err != nil {
-		return nil, err
-	}
-	parts := partitionRows(table.Rows, spec.PK.IDs(), degree)
-
-	key := spec.PK.AscSeq().Concat(spec.OK)
-	results := make([][]storage.Tuple, degree)
-	errs := make([]error, degree)
-	var wg sync.WaitGroup
-	for p := 0; p < degree; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			if len(parts[p]) == 0 {
-				return
-			}
-			// Each worker gets its own spill store and arena and the full
-			// unit reorder memory, as in the paper's parallel model.
-			store := pagestore.NewMem(cfg.blockSize(), &pagestore.Stats{})
-			rcfg := reorder.Config{MemoryBytes: cfg.MemoryBytes, Store: store, RunFormation: cfg.RunFormation,
-				Arena: storage.NewTupleArena(table.Schema.Len() + 1)}
-			sorted, _, err := reorder.FullSort(stream.FromTuples(parts[p]), key, rcfg)
-			if err != nil {
-				errs[p] = err
-				return
-			}
-			// tuples is the sort's own buffer. A row that is still the
-			// table's has no spare slot, so extending it makes a copy.
-			tuples, err := finalOrder(sorted, len(parts[p]), rcfg.Arena)
-			if err == nil {
-				err = new(window.Evaluator).ExtendSlice(tuples, spec)
-			}
-			results[p], errs[p] = tuples, err
-		}(p)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	out := storage.NewTable(table.Schema.WithColumn(spec.OutputColumn()))
-	for _, part := range results {
-		out.Rows = append(out.Rows, part...)
-	}
-	return out, nil
-}
-
 // chainSegment is a maximal run of plan steps executed as one unit by
-// ParallelRun: hash-partitioned across workers on Key when Key is non-empty,
-// sequentially otherwise.
+// runSegments: hash-partitioned across workers on Key when Key is
+// non-empty, sequentially otherwise.
 type chainSegment struct {
 	lo, hi int       // step range [lo, hi)
 	Key    attrs.Set // common partition key; empty → sequential segment
@@ -168,144 +102,137 @@ func parallelSpan(steps []core.Step, lo int) (attrs.Set, int) {
 	return key, hi
 }
 
-// ParallelRun executes a planned window-function chain with Section 3.5's
-// hash-partitioned parallelism generalized from one function to the whole
-// chain. The chain is split into segments sharing a common partition key
-// (planSegments); each parallel segment hash-partitions its input on that
-// key into degree data partitions, runs every partition's reorder+evaluate
-// pipeline (the unchanged sequential Run) on its own worker with its own
-// spill store and the full unit reorder memory, then concatenates the
-// per-partition outputs in partition-index order — deterministic for a
-// given degree. Segments whose keys diverge down to the empty set run
-// sequentially in place.
+// runSegments is Run's partitioned path: Section 3.5's hash-partitioned
+// parallelism generalized from one function — a one-step chain — to the
+// whole chain. Each segment (planSegments) runs its steps as sub-chains,
+// NewChain + Run, each with its own spill store, the full unit reorder
+// memory and a pooled arena: one per non-empty hash partition of the
+// segment's input on its key, each on a worker of its own, or one over the
+// whole input for a segment whose keys diverge to ∅. Their outputs are
+// flattened, rows plus tail values, into whole tuples carved from the
+// chain's arena in partition-index order — deterministic for a given degree
+// — and released; the next segment reads the flattened rows, the last
+// segment's are the chain's, and the chain's one Release hands back every
+// slab the run carved. ctx is checked at every segment boundary and, inside
+// every sub-chain, at every step boundary.
 //
-// Derived values and the output row multiset are identical to Run's; only
-// the final row order differs (windows are insensitive to it — callers that
-// need an order must sort, as the SQL runner does). Per-worker metrics are
-// merged: I/O and comparison counters sum across partitions, a step's
-// Duration is the slowest partition's (the parallel wall clock), and
-// Elapsed spans the whole call.
-//
-// degree ≤ 0 resolves through cfg.Degree() (Parallelism, 0 → GOMAXPROCS);
-// a resolved degree of 1 is exactly the sequential Run.
-func ParallelRun(table *storage.Table, specs []window.Spec, plan *core.Plan, cfg Config, degree int) (*storage.Table, *Metrics, error) {
-	return ParallelRunContext(context.Background(), table, specs, plan, cfg, degree)
-}
-
-// ParallelRunContext is ParallelRun with cancellation: ctx is checked at
-// every segment boundary and, inside each worker, at every step boundary of
-// the per-partition pipeline (the workers run RunContext). The first
-// ctx.Err() observed cancels the whole chain.
-func ParallelRunContext(ctx context.Context, table *storage.Table, specs []window.Spec, plan *core.Plan, cfg Config, degree int) (*storage.Table, *Metrics, error) {
-	if degree <= 0 {
-		degree = cfg.Degree()
-	}
-	// An empty input delegates too: it would leave every partition empty,
-	// skipping the workers — and with them the per-step spec validation the
-	// sequential-compatibility contract promises.
-	if degree <= 1 || len(plan.Steps) == 0 || table.Len() == 0 {
-		return RunContext(ctx, table, specs, plan, cfg)
-	}
+// Derived values and the row multiset are the sequential pipeline's; only
+// the row order differs (windows are insensitive to it — callers that need
+// an order sort, as the SQL runner does). A partitioned segment's metrics
+// are merged (appendMerged); Elapsed spans the whole run.
+func (c *Chain) runSegments(ctx context.Context, table *storage.Table, specs []window.Spec, cfg Config, segs []chainSegment) (*Metrics, error) {
 	start := time.Now()
 	metrics := &Metrics{}
-	cur := table
-	for _, seg := range planSegments(plan) {
+	sub := cfg
+	sub.Parallelism = 1
+	in := table
+	for _, seg := range segs {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		sub := &core.Plan{Scheme: plan.Scheme, Steps: plan.Steps[seg.lo:seg.hi]}
-		var (
-			out *storage.Table
-			m   *Metrics
-			err error
-		)
+		plan := &core.Plan{Scheme: c.plan.Scheme, Steps: c.plan.Steps[seg.lo:seg.hi]}
+		// The segment's output is carved before any sub-chain carves, and
+		// each sub-chain's first carve — its partition's array — is made here
+		// in partition order: which pooled slab set each chain takes does not
+		// depend on how the workers are scheduled (see release).
+		n, stride := in.Len(), in.Schema.Len()+len(plan.Steps)
+		rows, vals := c.arena.Headers(n), c.arena.Values(n*stride)
+		parts := [][]storage.Tuple{in.Rows}
+		if !seg.Key.Empty() {
+			parts = PartitionRows(in.Rows, seg.Key.IDs(), cfg.Parallelism)
+		}
+		chains := make([]*Chain, len(parts))
+		mets := make([]*Metrics, len(parts))
+		errs := make([]error, len(parts))
+		var wg sync.WaitGroup
+		for p, part := range parts {
+			if len(part) == 0 {
+				continue
+			}
+			chains[p] = NewChain(in.Schema, plan)
+			input := &storage.Table{Schema: in.Schema, Rows: append(chains[p].Headers(len(part)), part...)}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				mets[p], errs[p] = chains[p].Run(ctx, input, specs, sub)
+			}()
+		}
+		wg.Wait()
+		if err := cmp.Or(errs...); err != nil {
+			release(chains)
+			return nil, err
+		}
+		var schema *storage.Schema
+		for _, ch := range chains {
+			if ch != nil {
+				rows, schema = ch.appendRows(rows, vals[len(rows)*stride:]), ch.Schema
+			}
+		}
+		release(chains)
+		in = &storage.Table{Schema: schema, Rows: rows}
 		if seg.Key.Empty() {
-			out, m, err = RunContext(ctx, cur, specs, sub, cfg)
-			metrics.Concatenated = false
+			metrics.Steps = append(metrics.Steps, mets[0].Steps...)
 		} else {
-			out, m, err = runPartitioned(ctx, cur, specs, sub, seg.Key, cfg, degree)
-			metrics.Concatenated = true
-			metrics.PartitionedSteps += len(sub.Steps)
+			metrics.Steps = appendMerged(metrics.Steps, plan, mets)
+			metrics.PartitionedSteps += len(plan.Steps)
 		}
-		if err != nil {
-			return nil, nil, err
-		}
-		cur = out
-		metrics.Steps = append(metrics.Steps, m.Steps...)
-		metrics.BlocksRead += m.BlocksRead
-		metrics.BlocksWritten += m.BlocksWritten
-		metrics.Comparisons += m.Comparisons
+		metrics.Concatenated = !seg.Key.Empty()
+	}
+	c.Schema, c.Rows, c.Width, c.Tail = in.Schema, in.Rows, in.Schema.Len(), nil
+	for _, s := range metrics.Steps {
+		metrics.BlocksRead += s.BlocksRead
+		metrics.BlocksWritten += s.BlocksWritten
+		metrics.Comparisons += s.Comparisons
 	}
 	metrics.Elapsed = time.Since(start)
-	return cur, metrics, nil
+	return metrics, nil
 }
 
-// runPartitioned executes one parallel segment: partition on key, run the
-// segment's pipeline per partition on a pool of degree workers, merge
-// metrics and concatenate outputs by partition index.
-func runPartitioned(ctx context.Context, table *storage.Table, specs []window.Spec, plan *core.Plan, key attrs.Set, cfg Config, degree int) (*storage.Table, *Metrics, error) {
-	parts := partitionRows(table.Rows, key.IDs(), degree)
-	outs := make([]*storage.Table, degree)
-	mets := make([]*Metrics, degree)
-	errs := make([]error, degree)
-	var wg sync.WaitGroup
-	for p := 0; p < degree; p++ {
-		if len(parts[p]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			in := storage.NewTable(table.Schema)
-			in.Rows = parts[p]
-			outs[p], mets[p], errs[p] = RunContext(ctx, in, specs, plan, cfg)
-		}(p)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
+// release releases a segment's sub-chains — nil where a partition was
+// empty — last first. The pool hands out the set returned last first, so
+// the next segment's sub-chains, or the next statement's once its chain
+// has taken the set this chain returns, take these sets back partition for
+// partition: each set keeps serving one role and stops growing once it
+// fits that role (storage.TestArenaPoolSteadyState).
+func release(chains []*Chain) {
+	for _, ch := range slices.Backward(chains) {
+		if ch != nil {
+			ch.Release()
 		}
 	}
+}
 
-	// The merged schema is independent of which partitions were non-empty.
-	schema := table.Schema
-	merged := &Metrics{Steps: make([]StepMetrics, len(plan.Steps))}
+// appendMerged appends one step metric per step of plan, merged across the
+// partitions' metrics (nil for an empty partition): counters and rows sum,
+// a step's Duration is its slowest partition's (the parallel wall clock)
+// and its Detail the first partition's, prefixed with the worker count.
+func appendMerged(steps []StepMetrics, plan *core.Plan, parts []*Metrics) []StepMetrics {
+	merged := make([]StepMetrics, len(plan.Steps))
 	for i, s := range plan.Steps {
-		schema = schema.WithColumn(specs[s.WF.ID].OutputColumn())
-		merged.Steps[i] = StepMetrics{WFID: s.WF.ID, Reorder: s.Reorder}
+		merged[i] = StepMetrics{WFID: s.WF.ID, Reorder: s.Reorder}
 	}
-	out := storage.NewTable(schema)
 	workers := 0
-	for p := 0; p < degree; p++ {
-		if outs[p] == nil {
+	for _, m := range parts {
+		if m == nil {
 			continue
 		}
 		workers++
-		out.Rows = append(out.Rows, outs[p].Rows...)
-		for i := range merged.Steps {
-			st, ms := mets[p].Steps[i], &merged.Steps[i]
+		for i := range merged {
+			st, ms := m.Steps[i], &merged[i]
 			ms.BlocksRead += st.BlocksRead
 			ms.BlocksWritten += st.BlocksWritten
 			ms.Comparisons += st.Comparisons
 			ms.Rows += st.Rows
-			if st.Duration > ms.Duration {
-				ms.Duration = st.Duration
-			}
+			ms.Duration = max(ms.Duration, st.Duration)
 			if ms.Detail == "" {
 				ms.Detail = st.Detail
 			}
 		}
 	}
-	for i := range merged.Steps {
-		ms := &merged.Steps[i]
-		ms.Detail = strings.TrimSpace(fmt.Sprintf("parallel=%d %s", workers, ms.Detail))
-		merged.BlocksRead += ms.BlocksRead
-		merged.BlocksWritten += ms.BlocksWritten
-		merged.Comparisons += ms.Comparisons
-		merged.Elapsed += ms.Duration
+	for i := range merged {
+		merged[i].Detail = strings.TrimSpace(fmt.Sprintf("parallel=%d %s", workers, merged[i].Detail))
 	}
-	return out, merged, nil
+	return append(steps, merged...)
 }
 
 // ChainCommonKey returns the partition key shared by every step of the
@@ -386,7 +313,7 @@ func DivergentSegments(plan *core.Plan) []Segment {
 	return append(segs, Segment{Lo: lo, Hi: len(steps), Key: key})
 }
 
-// Concatenates reports whether ParallelRun at a degree > 1 would emit a
+// Concatenates reports whether Chain.Run at a Parallelism > 1 would emit a
 // partition-index concatenation — i.e. the chain's final segment runs
 // hash-partitioned — voiding the plan's nominal output ordering. Planners
 // integrating interesting orders (Section 5) consult this before paying
@@ -397,20 +324,11 @@ func Concatenates(plan *core.Plan) bool {
 }
 
 // PartitionRows hash-partitions rows on the key attributes into degree
-// buckets, preserving scan order within each bucket. It uses the
-// tuple-encoding FNV hash shared by both parallel executors, and is
-// exported so sharded registration distributes a table's rows exactly as
-// the in-process executors would partition them — a chain that is
-// shard-local on key K sees the same data partitions either way.
+// buckets, preserving scan order within each bucket. Chain.Run's
+// partitioned path, sharded registration and the shuffle all place rows
+// with it, so a chain that is shard-local on key K sees the same data
+// partitions either way.
 func PartitionRows(rows []storage.Tuple, ids []attrs.ID, degree int) [][]storage.Tuple {
-	return partitionRows(rows, ids, degree)
-}
-
-// partitionRows hash-partitions rows on the key attributes into degree
-// buckets, preserving scan order within each bucket. Both parallel
-// executors share it so the single-function and chain forms partition
-// identically.
-func partitionRows(rows []storage.Tuple, ids []attrs.ID, degree int) [][]storage.Tuple {
 	parts := make([][]storage.Tuple, degree)
 	for _, t := range rows {
 		p := int(hashTupleKey(t, ids) % uint64(degree))
@@ -428,7 +346,7 @@ func partitionRows(rows []storage.Tuple, ids []attrs.ID, degree int) [][]storage
 // modulo degree, and FNV-1a's low bits carry visible structure for short
 // integer keys — every item key in a small dimension can land in one
 // bucket mod 2, leaving shards empty. Every placement decision in one
-// process (parallel executors, sharded registration, append routing, the
+// process (the partitioned chain, sharded registration, append routing, the
 // shuffle data plane) uses this same function, so placement stays
 // internally consistent.
 func hashTupleKey(t storage.Tuple, ids []attrs.ID) uint64 {
@@ -436,7 +354,7 @@ func hashTupleKey(t storage.Tuple, ids []attrs.ID) uint64 {
 }
 
 // mix64 is the splitmix64 finalizer: full-avalanche bit mixing so the
-// modulo in partitionRows sees uniform low bits.
+// modulo in PartitionRows sees uniform low bits.
 func mix64(h uint64) uint64 {
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9

@@ -9,6 +9,7 @@ import (
 	"repro/internal/attrs"
 	"repro/internal/catalog"
 	"repro/internal/core"
+	"repro/internal/datagen"
 	"repro/internal/paper"
 	"repro/internal/storage"
 	"repro/internal/window"
@@ -35,10 +36,11 @@ func canonical(t *storage.Table) []string {
 	return out
 }
 
-// TestParallelRunMatchesSequential — on the paper's multi-window queries the
-// parallel chain executor computes, at every degree, exactly the sequential
-// executor's rows (tuple for tuple under canonical order: same derived
-// values, same multiset), and the merged metrics keep one entry per step.
+// TestParallelRunMatchesSequential — on the paper's multi-window queries
+// Chain.Run computes, at every Parallelism, exactly the sequential
+// pipeline's rows (tuple for tuple under canonical order: same derived
+// values, same multiset), runs some steps partitioned, and the merged
+// metrics keep one entry per step.
 func TestParallelRunMatchesSequential(t *testing.T) {
 	table, entry := smallWebSales(3000)
 	cfg := Config{MemoryBytes: 32 << 10, BlockSize: 4096, Distinct: entry.Distinct}
@@ -47,13 +49,15 @@ func TestParallelRunMatchesSequential(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			plan := csoPlan(t, entry, specs, cfg.MemoryBytes)
-			seq, seqM, err := Run(table, specs, plan, cfg)
+			seq, seqM, err := runTable(table, specs, plan, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := canonical(seq)
 			for _, degree := range []int{2, 3, 4, 8} {
-				par, parM, err := ParallelRun(table, specs, plan, cfg, degree)
+				pcfg := cfg
+				pcfg.Parallelism = degree
+				par, parM, err := runTable(table, specs, plan, pcfg)
 				if err != nil {
 					t.Fatalf("degree %d: %v", degree, err)
 				}
@@ -72,8 +76,11 @@ func TestParallelRunMatchesSequential(t *testing.T) {
 				if len(parM.Steps) != len(seqM.Steps) {
 					t.Fatalf("degree %d: %d step metrics, want %d", degree, len(parM.Steps), len(seqM.Steps))
 				}
-				if seqM.Concatenated {
-					t.Fatalf("sequential metrics report concatenated output")
+				if seqM.Concatenated || seqM.PartitionedSteps != 0 {
+					t.Fatalf("sequential metrics report a partitioned run")
+				}
+				if parM.PartitionedSteps == 0 {
+					t.Fatalf("degree %d: no step ran partitioned", degree)
 				}
 				for i := range parM.Steps {
 					if parM.Steps[i].WFID != seqM.Steps[i].WFID {
@@ -86,19 +93,61 @@ func TestParallelRunMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestParallelEvaluate — Section 3.5's single-function form is a one-step
+// chain: partitioned on its PARTITION BY, it equals the reference at every
+// degree; with an empty PARTITION BY there is no key to partition on, and
+// it runs sequentially.
+func TestParallelEvaluate(t *testing.T) {
+	table, entry := smallWebSales(3000)
+	check := func(spec window.Spec, degrees []int, partitioned bool) {
+		t.Helper()
+		want, err := window.Reference(table.Rows, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantByTag := map[int64]storage.Value{}
+		for i, v := range want {
+			wantByTag[table.Rows[i][datagen.ColOrderNumber].Int64()] = v
+		}
+		specs := []window.Spec{spec}
+		plan := csoPlan(t, entry, specs, 1<<20)
+		for _, degree := range degrees {
+			out, m, err := runTable(table, specs, plan, Config{MemoryBytes: 1 << 20, BlockSize: 4096, Parallelism: degree})
+			if err != nil {
+				t.Fatalf("degree %d: %v", degree, err)
+			}
+			if out.Len() != table.Len() {
+				t.Fatalf("degree %d: %d rows", degree, out.Len())
+			}
+			if got := m.PartitionedSteps > 0; got != (partitioned && degree > 1) {
+				t.Fatalf("degree %d: %d steps partitioned", degree, m.PartitionedSteps)
+			}
+			last := out.Schema.Len() - 1
+			for _, r := range out.Rows {
+				tag := r[datagen.ColOrderNumber].Int64()
+				if !storage.Equal(r[last], wantByTag[tag]) {
+					t.Fatalf("degree %d: row %d = %s, want %s", degree, tag, r[last], wantByTag[tag])
+				}
+			}
+		}
+	}
+	check(paper.MicroQueries()[0].Spec, []int{1, 2, 4, 7}, true) // rank() over (partition by item order by time)
+	check(window.Spec{Kind: window.Rank, Arg: -1, OK: attrs.AscSeq(paper.Time, datagen.ColOrderNumber)}, []int{2}, false)
+}
+
 // TestParallelRunDeterministic — repeated runs at the same degree produce
 // identical output, including row order (partition-index concatenation).
 func TestParallelRunDeterministic(t *testing.T) {
 	table, entry := smallWebSales(2000)
 	specs := paper.Q9()
-	cfg := Config{MemoryBytes: 16 << 10, BlockSize: 4096, Distinct: entry.Distinct}
+	cfg := Config{MemoryBytes: 16 << 10, BlockSize: 4096, Distinct: entry.Distinct, Parallelism: 4}
 	plan := csoPlan(t, entry, specs, cfg.MemoryBytes)
-	first, _, err := ParallelRun(table, specs, plan, cfg, 4)
+	first, _, err := runTable(table, specs, plan, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 3; trial++ {
-		again, _, err := ParallelRun(table, specs, plan, cfg, 4)
+		again, _, err := runTable(table, specs, plan, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +170,7 @@ func TestParallelRunEmptyTable(t *testing.T) {
 	plan := csoPlan(t, entry, specs, 16<<10)
 	empty := storage.NewTable(full.Schema)
 	for _, degree := range []int{1, 4} {
-		out, m, err := ParallelRun(empty, specs, plan, Config{MemoryBytes: 16 << 10, BlockSize: 4096}, degree)
+		out, m, err := runTable(empty, specs, plan, Config{MemoryBytes: 16 << 10, BlockSize: 4096, Parallelism: degree})
 		if err != nil {
 			t.Fatalf("degree %d: %v", degree, err)
 		}
@@ -138,8 +187,8 @@ func TestParallelRunEmptyTable(t *testing.T) {
 	// Sequential compatibility extends to errors: an invalid plan must be
 	// rejected even when every partition would be empty.
 	bad := &core.Plan{Scheme: "manual", Steps: []core.Step{{WF: core.WF{ID: 99}, Reorder: core.ReorderFS, SortKey: attrs.AscSeq(0)}}}
-	if _, _, err := ParallelRun(empty, specs, bad, Config{MemoryBytes: 16 << 10, BlockSize: 4096}, 4); err == nil {
-		t.Errorf("invalid plan over empty table accepted by the parallel executor")
+	if _, _, err := runTable(empty, specs, bad, Config{MemoryBytes: 16 << 10, BlockSize: 4096, Parallelism: 4}); err == nil {
+		t.Errorf("invalid plan over empty table accepted at Parallelism 4")
 	}
 }
 
@@ -155,11 +204,12 @@ func TestParallelRunDegreeExceedsKeys(t *testing.T) {
 	specs := []window.Spec{spec}
 	cfg := Config{MemoryBytes: 32 << 10, BlockSize: 4096, Distinct: entry.Distinct}
 	plan := csoPlan(t, entry, specs, cfg.MemoryBytes)
-	seq, _, err := Run(table, specs, plan, cfg)
+	seq, _, err := runTable(table, specs, plan, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := ParallelRun(table, specs, plan, cfg, 64)
+	cfg.Parallelism = 64
+	par, _, err := runTable(table, specs, plan, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +221,9 @@ func TestParallelRunDegreeExceedsKeys(t *testing.T) {
 	}
 }
 
-// TestParallelRunDegreeClamping — degree ≤ 0 resolves through
-// Config.Degree(); explicit negatives and zeros still execute correctly.
+// TestParallelRunDegreeClamping — Degree resolves 0 to GOMAXPROCS and
+// negatives to 1; Chain.Run itself partitions only at Parallelism > 1, so 0
+// and negatives run the sequential pipeline.
 func TestParallelRunDegreeClamping(t *testing.T) {
 	if d := (Config{Parallelism: 5}).Degree(); d != 5 {
 		t.Errorf("Degree() with Parallelism 5 = %d", d)
@@ -187,15 +238,19 @@ func TestParallelRunDegreeClamping(t *testing.T) {
 	specs := paper.Q6()
 	cfg := Config{MemoryBytes: 32 << 10, BlockSize: 4096, Distinct: entry.Distinct}
 	plan := csoPlan(t, entry, specs, cfg.MemoryBytes)
-	seq, _, err := Run(table, specs, plan, cfg)
+	seq, _, err := runTable(table, specs, plan, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := canonical(seq)
 	for _, degree := range []int{0, -7} {
-		out, _, err := ParallelRun(table, specs, plan, cfg, degree)
+		cfg.Parallelism = degree
+		out, m, err := runTable(table, specs, plan, cfg)
 		if err != nil {
 			t.Fatalf("degree %d: %v", degree, err)
+		}
+		if m.PartitionedSteps != 0 {
+			t.Fatalf("degree %d: %d steps ran partitioned", degree, m.PartitionedSteps)
 		}
 		got := canonical(out)
 		for i := range want {
@@ -207,13 +262,13 @@ func TestParallelRunDegreeClamping(t *testing.T) {
 }
 
 // TestParallelRunMergedMetrics — per-step counter sums equal the merged
-// totals, exactly as for the sequential executor.
+// totals, exactly as for the sequential pipeline.
 func TestParallelRunMergedMetrics(t *testing.T) {
 	table, entry := smallWebSales(2000)
 	specs := paper.Q8()
-	cfg := Config{MemoryBytes: 16 << 10, BlockSize: 4096, Distinct: entry.Distinct}
+	cfg := Config{MemoryBytes: 16 << 10, BlockSize: 4096, Distinct: entry.Distinct, Parallelism: 4}
 	plan := csoPlan(t, entry, specs, cfg.MemoryBytes)
-	_, m, err := ParallelRun(table, specs, plan, cfg, 4)
+	_, m, err := runTable(table, specs, plan, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,8 +37,8 @@ func TestChainCommonKey(t *testing.T) {
 	}
 }
 
-// TestPartitionRowsMatchesInternal: the exported partitioner is the
-// executors' own — identical bucketing for identical inputs.
+// TestPartitionRowsMatchesInternal: the exported partitioner buckets by the
+// executors' own placement hash and loses no row.
 func TestPartitionRowsMatchesInternal(t *testing.T) {
 	rows := make([]storage.Tuple, 100)
 	for i := range rows {
@@ -46,14 +46,15 @@ func TestPartitionRowsMatchesInternal(t *testing.T) {
 	}
 	ids := []attrs.ID{0}
 	a := PartitionRows(rows, ids, 4)
-	b := partitionRows(rows, ids, 4)
-	if len(a) != len(b) {
-		t.Fatal("bucket counts differ")
+	if len(a) != 4 {
+		t.Fatalf("%d buckets, want 4", len(a))
 	}
 	total := 0
 	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			t.Fatalf("bucket %d sizes differ", i)
+		for _, r := range a[i] {
+			if int(hashTupleKey(r, ids)%4) != i {
+				t.Fatalf("row %s landed in bucket %d, its hash says otherwise", r, i)
+			}
 		}
 		total += len(a[i])
 	}

@@ -160,7 +160,7 @@ type Service struct {
 // New builds a service over eng. The engine must not be shared with
 // another admission-controlled service (slots would not compose).
 func New(eng *windowdb.Engine, cfg Config) *Service {
-	// Per-chain memory cost: M per worker of the parallel executor
+	// Per-chain memory cost: M per worker of a partitioned chain
 	// (ResolvedConfig returns the concrete degree, ≥ 1).
 	rc := eng.ResolvedConfig()
 	cfg = cfg.withDefaults(rc.SortMemBytes * rc.Parallelism)

@@ -17,7 +17,8 @@
 //     concatenates the outputs in shard-index order — deterministic and
 //     value-identical to single-engine execution — then finalizes
 //     (DISTINCT, ORDER BY as a full sort, LIMIT) over the concatenation,
-//     exactly as post-barrier segments restart in exec.ParallelRun;
+//     exactly as post-barrier segments restart in a partitioned
+//     exec.Chain.Run;
 //   - shuffle: every other chain runs per key-divergence segment
 //     (exec.DivergentSegments — the Section 3.5 condition applied per
 //     segment instead of per chain), scattered one round at a time, each

@@ -64,7 +64,7 @@ func signedZeroTable() *storage.Table {
 // TestHashPlacementKeepsSignedZerosTogether — wherever rows are placed by
 // the hash of their partitioning key, +0.0 and −0.0 are one partition as
 // they are to a Full Sort: Hashed Sort's buckets (7 of them, at an M the
-// table does not fit) and ParallelRun's partitions.
+// table does not fit) and a partitioned chain's partitions.
 func TestHashPlacementKeepsSignedZerosTogether(t *testing.T) {
 	cat := catalog.New()
 	cat.Register("t", signedZeroTable())

@@ -61,7 +61,7 @@ func checkDerived(t *testing.T, p *Prepared, chain *exec.Chain, input []storage.
 
 // TestLeanMatchesRunAndReference — differential: on Q1–Q9 under a budget
 // that spills and F1–F6 in memory, the chain result the SQL layer projects
-// from equals the materializing exec.Run row for row, both equal
+// from equals exec.RunChain's over the same input row for row, both equal
 // window.Reference, and the cursor over the lean result streams exactly
 // ExecuteContext's rows.
 func TestLeanMatchesRunAndReference(t *testing.T) {
@@ -90,11 +90,11 @@ func TestLeanMatchesRunAndReference(t *testing.T) {
 			}
 			cfg := p.cfg
 			cfg.Distinct = p.entry.Distinct
-			ran, _, err := exec.RunContext(ctx, input, p.specs, p.plan, cfg)
+			ran, _, err := exec.RunChain(ctx, input, p.specs, p.plan, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSameRows(t, name+" lean vs Run", ran, chain.Table())
+			assertSameRows(t, name+" lean vs RunChain", ran.Table(), chain.Table())
 			checkDerived(t, p, chain, input.Rows)
 
 			want, err := p.ExecuteContext(ctx)

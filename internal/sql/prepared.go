@@ -357,10 +357,12 @@ func (p *Prepared) Open(ctx context.Context, in Input, shardLocal bool) (*Cursor
 	var err error
 	switch {
 	case in.Concat != nil:
-		// Projected already. finalize reads sort avoidance off the result's
-		// plan; a concatenation has none to offer until it is finalized.
-		cur.src, cur.pick, key = exec.TableChain(in.Concat), indices(len(p.outCols)), p.orderKey
+		// Projected already: a window-less chain over it. finalize reads sort
+		// avoidance off the result's plan; a concatenation has none to offer
+		// until it is finalized.
+		cur.src, cur.pick, key = exec.NewChain(in.Concat.Schema, nil), indices(len(p.outCols)), p.orderKey
 		cur.meta = Result{FinalSort: "none", Parallelism: 1}
+		_, err = cur.src.Run(ctx, in.Concat, nil, p.cfg)
 	case in.Shared != nil:
 		cur.src, err = p.runSuffix(ctx, in.Shared, in.ChargeScan, &cur.meta)
 	default:
@@ -470,9 +472,9 @@ func (p *Prepared) filterWhere(base *storage.Table, headers func(n int) []storag
 // chain is the one exec.NewChain built for plan, whose arena in's rows may
 // have been carved from; nil has runPlan build it.
 //
-// Parallelism must be set explicitly (> 1) to engage the parallel chain
-// executor: a zero-value Runner stays on the sequential path (facades that
-// want the GOMAXPROCS default resolve it before building the Runner, as
+// Parallelism must be set explicitly (> 1) for Chain.Run to partition: a
+// zero-value Runner stays on the sequential path (facades that want the
+// GOMAXPROCS default resolve it before building the Runner, as
 // windowdb.Engine does).
 func (p *Prepared) runPlan(ctx context.Context, chain *exec.Chain, in *storage.Table, plan *core.Plan) (*exec.Chain, *exec.Metrics, int, error) {
 	if chain == nil {
@@ -482,26 +484,15 @@ func (p *Prepared) runPlan(ctx context.Context, chain *exec.Chain, in *storage.T
 	if cfg.Distinct == nil {
 		cfg.Distinct = p.entry.Distinct
 	}
-	if cfg.Parallelism > 1 {
-		// Workers hand back whole tuples, from arenas of their own:
-		// concatenating partitions needs them. The chain held in's rows
-		// only, which are dead once the workers are done.
-		out, metrics, err := exec.ParallelRunContext(ctx, in, p.specs, plan, cfg, cfg.Parallelism)
-		chain.Release()
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		par := 1
-		if metrics.PartitionedSteps > 0 {
-			par = cfg.Parallelism
-		}
-		return exec.TableChain(out), metrics, par, nil
-	}
 	metrics, err := chain.Run(ctx, in, p.specs, cfg)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	return chain, metrics, 1, nil
+	par := 1
+	if metrics.PartitionedSteps > 0 {
+		par = cfg.Parallelism
+	}
+	return chain, metrics, par, nil
 }
 
 // finalize decides the statement's terminal phases — DISTINCT, the final

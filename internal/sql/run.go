@@ -54,8 +54,8 @@ type Result struct {
 	SatisfiedPrefix int
 	// Parallelism is the worker degree the chain actually executed with:
 	// 1 when every step ran on the sequential pipeline — including chains
-	// the parallel executor fell back on for lack of a common partition
-	// key — and the configured degree when at least one segment ran
+	// Chain.Run found no partition key for — and the configured degree
+	// when at least one segment ran
 	// hash-partitioned (Metrics.PartitionedSteps > 0). When the final
 	// segment ran partitioned (Metrics.Concatenated), the chain's nominal
 	// output ordering is not preserved and any ORDER BY is satisfied by a

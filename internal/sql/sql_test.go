@@ -405,8 +405,8 @@ func TestSelectDistinct(t *testing.T) {
 	}
 }
 
-// TestRunnerParallelExecution — a Runner with Parallelism > 1 routes the
-// chain through the parallel executor, agrees with the sequential runner
+// TestRunnerParallelExecution — a Runner with Parallelism > 1 runs the
+// chain partitioned, agrees with the sequential runner
 // row-for-row, and satisfies ORDER BY with an explicit full sort (the
 // concatenated partition order never pre-satisfies it).
 func TestRunnerParallelExecution(t *testing.T) {
@@ -449,7 +449,7 @@ func TestRunnerParallelExecution(t *testing.T) {
 	}
 }
 
-// TestRunnerParallelKeepsSortAvoidance — a chain the parallel executor runs
+// TestRunnerParallelKeepsSortAvoidance — a chain Parallelism > 1 runs
 // sequentially end to end (its single function has an empty PARTITION BY, so
 // no common partition key exists) must keep Section 5's sort avoidance: the
 // output order really is the sequential plan's.

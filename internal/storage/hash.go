@@ -28,7 +28,8 @@ func fnvUvarint(h uint64, v uint64) uint64 {
 
 // HashKeyFNV is FNV-1a over the concatenated single-value tuple encodings
 // of t's key attributes, streamed: the hash Hashed Sort picks buckets by
-// and, finalized, the partitioning hash of the parallel executors.
+// and, finalized, the partitioning hash of every placement decision
+// (exec.PartitionRows).
 func HashKeyFNV(t Tuple, key []attrs.ID) uint64 {
 	h := HashSeedFNV
 	for _, id := range key {

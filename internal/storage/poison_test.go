@@ -398,11 +398,11 @@ func paperChecks(t *testing.T, table *storage.Table) []recycledStatement {
 
 // frameChecks is F1–F6 over table — L = 0 chains whose derived columns are
 // all tail vectors, under WHERE, DISTINCT and ORDER BY … LIMIT (a TopK) —
-// each held to what an engine at Parallelism 2 returns at the same budget:
-// the parallel executor carves from private arenas, which are never
-// recycled, so the expected rows share no slab with the checked ones. A
-// statement with a final ORDER BY (on a unique key) is compared as a
-// sequence, any other as a multiset.
+// each held to what an engine at Parallelism 2 returns at the same budget.
+// The oracle stays independent of the slabs it checks because every
+// expected row is encoded into a string, and its cursor closed, before the
+// matrix runs a statement. A statement with a final ORDER BY
+// (on a unique key) is compared as a sequence, any other as a multiset.
 func frameChecks(t *testing.T, table *storage.Table, mem, bs int) []recycledStatement {
 	t.Helper()
 	oracle := windowdb.New(windowdb.Config{SortMemBytes: mem, BlockSize: bs, Parallelism: 2})
@@ -422,7 +422,7 @@ func frameChecks(t *testing.T, table *storage.Table, mem, bs int) []recycledStat
 		out = append(out, recycledStatement{name: name, sql: src, check: func(t *testing.T, rows *windowdb.Rows) {
 			t.Helper()
 			if got := encodedRows(t, rows, ordered); !slices.Equal(got, want) {
-				t.Fatalf("%s: %d rows differ from the %d the parallel executor returns", name, len(got), len(want))
+				t.Fatalf("%s: %d rows differ from the %d the oracle returns", name, len(got), len(want))
 			}
 		}})
 	}
@@ -478,7 +478,9 @@ func recycledMatrix(t *testing.T, q windowdb.Queryer, statements []recycledState
 // while other statements run to their end, and still equal the reference
 // when drained last; so do F1–F6 in memory, where a Full Sort's buffer is
 // the chain's order, and the shareable ones through a service, as
-// derivation suffixes over one SharedSegment. A statement cancelled at each
+// derivation suffixes over one SharedSegment, and all of them through an
+// engine at Parallelism 3, whose sub-chains are flattened into the
+// statement's chain and released mid-run. A statement cancelled at each
 // step boundary of its chain — WHERE's survivors carved, tails not yet —
 // hands its slabs back and leaves the next statement correct.
 func TestRecycledMemoryIsNeverRead(t *testing.T) {
@@ -498,6 +500,12 @@ func TestRecycledMemoryIsNeverRead(t *testing.T) {
 		inMem := windowdb.New(windowdb.Config{SortMemBytes: 256 << 20, BlockSize: bs, Parallelism: 1})
 		inMem.Register("web_sales", table)
 		recycledMatrix(t, inMem, frameChecks(t, table, 256<<20, bs))
+	})
+
+	t.Run("parallelism 3", func(t *testing.T) {
+		par := windowdb.New(windowdb.Config{SortMemBytes: mem, BlockSize: bs, Parallelism: 3})
+		par.Register("web_sales", table)
+		recycledMatrix(t, par, statements)
 	})
 
 	t.Run("shared suffix", func(t *testing.T) {

@@ -255,7 +255,13 @@ func TestWarmFrameChainBytes(t *testing.T) {
 // one round of Q1–Q9 at the chain_spill budget and F1–F6 in memory, one
 // statement at a time, a second round leaves the pool holding exactly what
 // the first left — every row, vector and header array a statement carves
-// fits a slab the round before handed back.
+// fits a slab the round before handed back. At Parallelism 3 a statement
+// is its chain and up to three sub-chains per segment, each taking back
+// the slab set it returned (exec's release order), and the pool holds at
+// most GOMAXPROCS sets; a set's slabs are shaped by every request it has
+// served since the empty pool, so the partitioned mix settles one round
+// later — its second round still adds a slab or two — and a third round
+// leaves it unchanged.
 func TestArenaPoolSteadyState(t *testing.T) {
 	gen := datagen.WebSalesConfig{Rows: 16_000, Seed: 20120827, PadBytes: 24}
 	tables := map[string]*storage.Table{
@@ -264,12 +270,6 @@ func TestArenaPoolSteadyState(t *testing.T) {
 		"web_sales_g": datagen.WebSalesGrouped(gen),
 	}
 	s := &paperChains{table: tables["web_sales"]}
-	spilling := windowdb.New(windowdb.Config{SortMemBytes: s.spillBudget(), BlockSize: chainBlock, Parallelism: 1})
-	inMemory := windowdb.New(windowdb.Config{SortMemBytes: 256 << 20, BlockSize: chainBlock, Parallelism: 1})
-	for name, table := range tables {
-		spilling.Register(name, table)
-		inMemory.Register(name, table)
-	}
 	drain := func(q windowdb.Queryer, name string) {
 		rows, err := q.QueryContext(context.Background(), paper.Statements[name])
 		if err != nil {
@@ -282,21 +282,34 @@ func TestArenaPoolSteadyState(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
-	round := func() {
-		for _, name := range []string{"Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7", "Q8", "Q9"} {
-			drain(spilling, name)
+	for _, tc := range []struct{ parallelism, warmRounds int }{{1, 1}, {3, 2}} {
+		spilling := windowdb.New(windowdb.Config{SortMemBytes: s.spillBudget(), BlockSize: chainBlock, Parallelism: tc.parallelism})
+		inMemory := windowdb.New(windowdb.Config{SortMemBytes: 256 << 20, BlockSize: chainBlock, Parallelism: tc.parallelism})
+		for name, table := range tables {
+			spilling.Register(name, table)
+			inMemory.Register(name, table)
 		}
-		for _, name := range []string{"F1", "F2", "F3", "F4", "F5", "F6"} {
-			drain(inMemory, name)
+		round := func() {
+			for _, name := range []string{"Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7", "Q8", "Q9"} {
+				drain(spilling, name)
+			}
+			for _, name := range []string{"F1", "F2", "F3", "F4", "F5", "F6"} {
+				drain(inMemory, name)
+			}
 		}
-	}
-	storage.EmptyArenaPool()
-	round()
-	warm := storage.ArenaPoolBytes()
-	round()
-	held := storage.ArenaPoolBytes()
-	t.Logf("the pool holds %d B in %d lists after the warm round, %d B after the next", warm, storage.ArenaPoolLists(), held)
-	if warm == 0 || held != warm {
-		t.Errorf("a second round moved the pool from %d B to %d B", warm, held)
+		storage.EmptyArenaPool()
+		for range tc.warmRounds {
+			round()
+		}
+		warm := storage.ArenaPoolBytes()
+		round()
+		held, lists := storage.ArenaPoolBytes(), storage.ArenaPoolLists()
+		t.Logf("Parallelism %d: the pool holds %d B after %d warm rounds, %d B in %d lists after the next", tc.parallelism, warm, tc.warmRounds, held, lists)
+		if warm == 0 || held != warm {
+			t.Errorf("Parallelism %d: a round after %d warm rounds moved the pool from %d B to %d B", tc.parallelism, tc.warmRounds, warm, held)
+		}
+		if slots := runtime.GOMAXPROCS(0); lists > slots {
+			t.Errorf("Parallelism %d: the pool holds %d lists, want at most GOMAXPROCS = %d", tc.parallelism, lists, slots)
+		}
 	}
 }

@@ -80,13 +80,13 @@ type Config struct {
 	// MFVBypass enables the Hashed Sort most-frequent-value optimization
 	// (Section 3.2), using catalog statistics.
 	MFVBypass bool
-	// Parallelism is the worker degree of the parallel multi-window
-	// executor (exec.ParallelRun): EvaluateWindows and Query route through
-	// it when the resolved degree exceeds 1. 0 is the GOMAXPROCS
-	// sequential-compatible default (identical derived values and row
-	// multiset; row order follows partition index, so ORDER BY queries are
-	// sorted explicitly); 1 or a negative value forces the sequential
-	// executor.
+	// Parallelism is the worker degree of exec.Chain.Run, which runs every
+	// chain EvaluateWindows and Query execute: above 1 it hash-partitions
+	// the chain's segments across that many workers. 0 is
+	// the GOMAXPROCS sequential-compatible default (identical derived
+	// values and row multiset; row order follows partition index, so ORDER
+	// BY queries are sorted explicitly); 1 or a negative value runs the
+	// sequential pipeline.
 	Parallelism int
 }
 
@@ -187,8 +187,8 @@ func (e *Engine) Query(src string) (*Result, error) {
 // QueryContext executes one query and returns an incremental Rows cursor
 // over its output — the Queryer surface shared with service.Service,
 // service.Client and shard.Cluster. ctx is threaded down through the
-// executor and checked at chain-step boundaries (in the parallel executor,
-// inside every worker's per-partition pipeline) while the chain runs, and
+// executor and checked at chain-step boundaries (in a partitioned chain,
+// inside every worker's sub-chain) while the chain runs, and
 // at a fixed row stride while the cursor streams, so a runaway query stops
 // shortly after ctx is done.
 func (e *Engine) QueryContext(ctx context.Context, src string) (*Rows, error) {
@@ -337,20 +337,16 @@ func (e *Engine) runner() sql.Runner {
 	}
 }
 
-// execConfig assembles the executor configuration; the MFV callback is
-// wired only on demand.
+// execConfig assembles the executor configuration (Parallelism is resolved
+// already, by withDefaults); the MFV callback is wired only on demand.
 func (e *Engine) execConfig() exec.Config {
-	cfg := exec.Config{
+	return exec.Config{
 		MemoryBytes: e.cfg.SortMemBytes,
 		BlockSize:   e.cfg.BlockSize,
 		FileBacked:  e.cfg.FileBackedSpill,
 		TempDir:     e.cfg.TempDir,
 		Parallelism: e.cfg.Parallelism,
 	}
-	// Resolve the 0 = GOMAXPROCS default here so downstream routing only
-	// has to compare against 1.
-	cfg.Parallelism = cfg.Degree()
-	return cfg
 }
 
 // Plan plans (without executing) the given window function specs over a
@@ -384,7 +380,9 @@ func (e *Engine) Plan(table string, specs []window.Spec) (*core.Plan, error) {
 
 // EvaluateWindows plans and executes a set of window functions over a
 // registered table, returning the table extended with one derived column
-// per function (in chain order) plus execution metrics.
+// per function (in chain order) plus execution metrics. The table is the
+// chain's, materialized (exec.Chain.Table); the chain is not released, as
+// the table's rows may be its arena's.
 func (e *Engine) EvaluateWindows(table string, specs []window.Spec) (*storage.Table, *exec.Metrics, error) {
 	entry, err := e.cat.Lookup(table)
 	if err != nil {
@@ -402,20 +400,11 @@ func (e *Engine) EvaluateWindows(table string, specs []window.Spec) (*storage.Ta
 			return entry.MFVs(key, mem)
 		}
 	}
-	if cfg.Parallelism > 1 {
-		return exec.ParallelRun(entry.Table(), specs, plan, cfg, cfg.Parallelism)
-	}
-	return exec.Run(entry.Table(), specs, plan, cfg)
-}
-
-// EvaluateParallel evaluates a single window function with Section 3.5's
-// hash-partitioned parallelism.
-func (e *Engine) EvaluateParallel(table string, spec window.Spec, degree int) (*storage.Table, error) {
-	entry, err := e.cat.Lookup(table)
+	chain, metrics, err := exec.RunChain(context.Background(), entry.Table(), specs, plan, cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return exec.ParallelEvaluate(entry.Table(), spec, degree, e.execConfig())
+	return chain.Table(), metrics, nil
 }
 
 // Stats exposes a table's catalog statistics for cost-model inspection.

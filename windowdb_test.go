@@ -78,19 +78,22 @@ func TestEnginePlanSchemes(t *testing.T) {
 	}
 }
 
+// TestEngineParallel — Section 3.5's single-function form: one window
+// function at Parallelism 3 runs partitioned on its PARTITION BY.
 func TestEngineParallel(t *testing.T) {
-	eng := testEngine(SchemeCSO)
+	eng := New(Config{SortMemBytes: 1 << 20, BlockSize: 4096, Parallelism: 3})
+	eng.Register("web_sales", datagen.WebSales(datagen.WebSalesConfig{Rows: 2000, Seed: 3}))
 	spec := window.Spec{
 		Kind: window.Rank, Arg: -1,
 		PK: attrs.MakeSet(attrs.ID(datagen.ColItem)),
 		OK: attrs.AscSeq(attrs.ID(datagen.ColSoldTime)),
 	}
-	out, err := eng.EvaluateParallel("web_sales", spec, 3)
+	out, m, err := eng.EvaluateWindows("web_sales", []window.Spec{spec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Len() != 2000 {
-		t.Errorf("rows = %d", out.Len())
+	if out.Len() != 2000 || m.PartitionedSteps != 1 {
+		t.Errorf("rows = %d, %d steps partitioned", out.Len(), m.PartitionedSteps)
 	}
 }
 

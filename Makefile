@@ -106,8 +106,11 @@ load-smoke:
 # plane — with the same row count as the single engine; then a keyless
 # chain (an empty PARTITION BY), which must shuffle too — one segment, every
 # row to the same node — with the single engine's row count, and /stats must
-# know no "gather" route. The two-process proof that scatter and shuffle
-# both work over real sockets.
+# know no "gather" route; then paper Q9, whose PARTITION-BY-less functions
+# make a keyless segment beside keyed ones: it must shuffle with the single
+# engine's row count, the nodes running the plan the coordinator shipped
+# them. The two-process proof that scatter and shuffle both work over real
+# sockets.
 #
 # The observability plane rides the same boot: the coordinator must serve
 # the required Prometheus metric families on /metrics, and it runs with
@@ -134,6 +137,7 @@ cluster-smoke: SMOKE_KILL_ROWS = 120000
 cluster-smoke: SMOKE_Q = SELECT ws_item_sk, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_time_sk) AS r FROM web_sales
 cluster-smoke: SMOKE_DIVQ = SELECT ws_order_number, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS a, rank() OVER (PARTITION BY ws_warehouse_sk ORDER BY ws_sold_date_sk) AS b FROM web_sales
 cluster-smoke: SMOKE_KEYLESSQ = SELECT ws_order_number, rank() OVER (ORDER BY ws_sold_date_sk, ws_order_number) AS r FROM web_sales
+cluster-smoke: SMOKE_Q9 = SELECT rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_bill_customer_sk, ws_sold_date_sk) AS r1, rank() OVER (PARTITION BY ws_item_sk, ws_sold_time_sk ORDER BY ws_sold_date_sk) AS r2, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_time_sk) AS r3, rank() OVER (ORDER BY ws_item_sk, ws_sold_date_sk) AS r4, rank() OVER (PARTITION BY ws_bill_customer_sk, ws_sold_date_sk ORDER BY ws_sold_time_sk) AS r5, rank() OVER (PARTITION BY ws_bill_customer_sk ORDER BY ws_sold_time_sk) AS r6, rank() OVER (PARTITION BY ws_sold_date_sk, ws_sold_time_sk) AS r7, rank() OVER (ORDER BY ws_sold_time_sk) AS r8 FROM web_sales
 cluster-smoke:
 	@set -e; \
 	$(GO) build -o /tmp/windserve-csmoke ./cmd/windserve; \
@@ -153,11 +157,13 @@ cluster-smoke:
 	body='{"sql":"$(SMOKE_Q)","max_rows":1}'; \
 	divbody='{"sql":"$(SMOKE_DIVQ)","max_rows":1}'; \
 	keylessbody='{"sql":"$(SMOKE_KEYLESSQ)","max_rows":1}'; \
+	q9body='{"sql":"$(SMOKE_Q9)","max_rows":1}'; \
 	single=$$(curl -sf -X POST http://127.0.0.1:18096/query -d "$$body"); \
 	sc=$$(printf '%s' "$$single" | grep -o '"row_count":[0-9]*'); \
 	divsingle=$$(curl -sf -X POST http://127.0.0.1:18096/query -d "$$divbody"); \
 	dsc=$$(printf '%s' "$$divsingle" | grep -o '"row_count":[0-9]*'); \
 	ksc=$$(curl -sf -X POST http://127.0.0.1:18096/query -d "$$keylessbody" | grep -o '"row_count":[0-9]*'); \
+	q9sc=$$(curl -sf -X POST http://127.0.0.1:18096/query -d "$$q9body" | grep -o '"row_count":[0-9]*'); \
 	url=127.0.0.1:18093; \
 	clustered=$$(curl -sf -X POST http://$$url/query -d "$$body"); \
 	cc=$$(printf '%s' "$$clustered" | grep -o '"row_count":[0-9]*'); \
@@ -172,16 +178,20 @@ cluster-smoke:
 	kcc=$$(printf '%s' "$$keyless" | grep -o '"row_count":[0-9]*'); \
 	[ -n "$$ksc" ] && [ "$$ksc" = "$$kcc" ] || { echo "cluster-smoke: keyless $$kcc != single-engine $$ksc" >&2; exit 1; }; \
 	printf '%s' "$$keyless" | grep -q '"route":"shuffle"' || { echo "cluster-smoke: keyless chain not shuffled" >&2; exit 1; }; \
+	q9=$$(curl -sf -X POST http://$$url/query -d "$$q9body"); \
+	q9cc=$$(printf '%s' "$$q9" | grep -o '"row_count":[0-9]*'); \
+	[ -n "$$q9sc" ] && [ "$$q9sc" = "$$q9cc" ] || { echo "cluster-smoke: Q9 $$q9cc != single-engine $$q9sc" >&2; exit 1; }; \
+	printf '%s' "$$q9" | grep -q '"route":"shuffle"' || { echo "cluster-smoke: Q9 not shuffled" >&2; exit 1; }; \
 	stats=$$(curl -sf http://$$url/stats); \
 	printf '%s' "$$stats" | grep -q '"shards":2' || { echo "cluster-smoke: /stats missing shards" >&2; exit 1; }; \
-	printf '%s' "$$stats" | grep -q '"shuffle":2' || { echo "cluster-smoke: /stats missing shuffle count" >&2; exit 1; }; \
+	printf '%s' "$$stats" | grep -q '"shuffle":3' || { echo "cluster-smoke: /stats missing shuffle count" >&2; exit 1; }; \
 	if printf '%s' "$$stats" | grep -q '"gather"'; then echo "cluster-smoke: /stats still reports a gather route" >&2; exit 1; fi; \
 	metrics=$$(curl -sf http://$$url/metrics); \
 	for fam in windowdb_queries_total windowdb_route_queries_total windowdb_shard_queries_total windowdb_shards; do \
 		printf '%s\n' "$$metrics" | grep -q "^$$fam" || { echo "cluster-smoke: /metrics missing family $$fam" >&2; exit 1; }; \
 	done; \
 	printf '%s\n' "$$metrics" | grep -q '^windowdb_shard_queries_total{shard="1"}' || { echo "cluster-smoke: /metrics missing per-shard labels" >&2; exit 1; }; \
-	echo "cluster-smoke: OK ($$cc rows scattered, $$dcc rows shuffled, $$kcc rows shuffled to one node)"; \
+	echo "cluster-smoke: OK ($$cc rows scattered, $$dcc rows shuffled, $$kcc rows shuffled to one node, Q9's $$q9cc shuffled on its shipped plan $$(printf '%s' "$$q9" | grep -o '"chain":"[^"]*"'))"; \
 	curl -sf http://127.0.0.1:18096/metrics | grep -q '^windowdb_query_duration_seconds_bucket' || { echo "cluster-smoke: single engine /metrics missing latency histogram" >&2; exit 1; }; \
 	grep -q '"kind":"slow_query"' /tmp/windserve-csmoke-slow.log || { echo "cluster-smoke: no slow-query log line from the coordinator" >&2; exit 1; }; \
 	grep -q '"root":' /tmp/windserve-csmoke-slow.log || { echo "cluster-smoke: slow-query line carries no span tree" >&2; exit 1; }; \

@@ -79,6 +79,10 @@ func (p Props) String() string {
 	return fmt.Sprintf("R%s%s,%s", g, p.X, p.Y)
 }
 
+func (p Props) equal(q Props) bool {
+	return p.X == q.X && p.Grouped == q.Grouped && p.Y.Equal(q.Y)
+}
+
 // orderedOn reports whether every segment of a stream with property p is
 // necessarily sorted on target. For grouped properties the X attributes are
 // constant within a segment, so they are dropped from both the target and

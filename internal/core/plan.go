@@ -115,8 +115,11 @@ func (p *Plan) ReorderCounts() (fs, hs, ss int) {
 
 // Validate replays the physical properties along the chain and checks that
 // every window function is matched at its evaluation point, that every wf
-// appears exactly once, and that each reorder is applicable. This is the
-// machine-checked form of Theorems 1, 4 and 7 for a concrete plan.
+// appears exactly once and is ws's own, that each reorder is known and
+// applicable, and that every step's recorded In, Out and SS split are the
+// replay's. This is the machine-checked form of Theorems 1, 4 and 7 for a
+// concrete plan, and all a shard node needs to trust a coordinator's plan
+// over its own window functions.
 func (p *Plan) Validate(ws []WF, in Props) error {
 	if len(p.Steps) != len(ws) {
 		return fmt.Errorf("core: plan has %d steps for %d window functions", len(p.Steps), len(ws))
@@ -136,6 +139,12 @@ func (p *Plan) Validate(ws []WF, in Props) error {
 			return fmt.Errorf("core: wf%d evaluated twice", wf.ID)
 		}
 		seen[wf.ID] = true
+		if s.WF.PK != wf.PK || !s.WF.OK.Equal(wf.OK) {
+			return fmt.Errorf("core: step %d evaluates %s, not %s", i, s.WF, wf)
+		}
+		if !s.In.equal(props) {
+			return fmt.Errorf("core: step %d input %s is not the replay's %s", i, s.In, props)
+		}
 		switch s.Reorder {
 		case ReorderNone:
 			// no property change
@@ -156,7 +165,15 @@ func (p *Plan) Validate(ws []WF, in Props) error {
 			if !SSReorderable(props, wf) {
 				return fmt.Errorf("core: step %d SS not applicable on %s for %s", i, props, wf)
 			}
+			if alpha, beta := SSDerive(props, s.SortKey); !alpha.Equal(s.Alpha) || !beta.Equal(s.Beta) {
+				return fmt.Errorf("core: step %d SS split %s|%s is not the replay's %s|%s", i, s.Alpha, s.Beta, alpha, beta)
+			}
 			props = Props{X: props.X, Y: s.SortKey, Grouped: props.Grouped}
+		default:
+			return fmt.Errorf("core: step %d has unknown reorder %s", i, s.Reorder)
+		}
+		if !s.Out.equal(props) {
+			return fmt.Errorf("core: step %d output %s is not the replay's %s", i, s.Out, props)
 		}
 		if !props.Matches(wf) {
 			return fmt.Errorf("core: step %d leaves wf%d unmatched by %s (plan %s)", i, wf.ID, props, p)

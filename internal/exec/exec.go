@@ -47,7 +47,7 @@ type Config struct {
 	MFV func(key attrs.Set) map[string]bool
 	// Parallelism is the worker degree of Chain.Run (Section 3.5
 	// generalized to whole chains): a value > 1 hash-partitions the input
-	// of every segment planSegments finds into that many data partitions,
+	// of every segment Segments finds into that many data partitions,
 	// and any other runs the sequential pipeline (Degree resolves 0 to
 	// runtime.GOMAXPROCS(0) for facades that want that default). The
 	// partitioned path is sequential-compatible — it computes exactly the
@@ -262,7 +262,7 @@ func RunChain(ctx context.Context, table *storage.Table, specs []window.Spec, pl
 // Run executes the chain's plan over table, once: the one executor. ctx is
 // checked at every step boundary (a chain step — reorder plus window
 // evaluation — is the unit of preemption), and ctx.Err() is returned when
-// it is done. With cfg.Parallelism > 1 a chain that planSegments finds a
+// it is done. With cfg.Parallelism > 1 a chain that Segments finds a
 // partition key for runs partitioned (runSegments); any other runs the
 // sequential pipeline (run). A failed run releases the chain.
 func (c *Chain) Run(ctx context.Context, table *storage.Table, specs []window.Spec, cfg Config) (_ *Metrics, err error) {
@@ -278,8 +278,8 @@ func (c *Chain) Run(ctx context.Context, table *storage.Table, specs []window.Sp
 	// An empty input runs sequentially: partitions of it would all be
 	// empty, skipping the per-step spec validation.
 	if cfg.Parallelism > 1 && table.Len() > 0 {
-		segs := planSegments(c.plan)
-		if slices.ContainsFunc(segs, func(s chainSegment) bool { return !s.Key.Empty() }) {
+		segs := Segments(c.plan)
+		if slices.ContainsFunc(segs, func(s Segment) bool { return !s.Key.Empty() }) {
 			return c.runSegments(ctx, table, specs, cfg, segs)
 		}
 	}

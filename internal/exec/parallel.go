@@ -15,16 +15,19 @@ import (
 	"repro/internal/window"
 )
 
-// chainSegment is a maximal run of plan steps executed as one unit by
-// runSegments: hash-partitioned across workers on Key when Key is
-// non-empty, sequentially otherwise.
-type chainSegment struct {
-	lo, hi int       // step range [lo, hi)
-	Key    attrs.Set // common partition key; empty → sequential segment
+// Segment is one cut of a chain: the step range [Lo, Hi) run as one unit,
+// hash-partitioned on Key when Key is non-empty, on one site otherwise.
+type Segment struct {
+	Lo, Hi int
+	Key    attrs.Set // common partition key; empty → a sequential segment
 }
 
-// planSegments splits a chain into parallel-executable segments, falling
-// back to sequential segments where the partition keys diverge.
+// Segments cuts a chain where its window partitioning keys diverge: the one
+// place a plan is cut. Chain.Run's partitioned path runs the segments over
+// hash partitions in one process; a cluster runs them over its nodes —
+// shard-locally when the chain is one segment whose key covers the shard
+// key, otherwise re-shuffling the rows on the next segment's key at every
+// cut.
 //
 // A segment may run hash-partitioned on key K only when
 //
@@ -42,12 +45,15 @@ type chainSegment struct {
 //     begin with a reorder that rebuilds order from scratch (FS or HS);
 //   - the step after the segment (when one exists) is FS or HS for the same
 //     reason: it restarts from the concatenated output.
-func planSegments(plan *core.Plan) []chainSegment {
+//
+// Steps where no key qualifies form sequential segments with an empty Key,
+// so every segment after the first begins with FS or HS.
+func Segments(plan *core.Plan) []Segment {
 	steps := plan.Steps
-	var segs []chainSegment
+	var segs []Segment
 	for i := 0; i < len(steps); {
 		if key, hi := parallelSpan(steps, i); hi > i {
-			segs = append(segs, chainSegment{lo: i, hi: hi, Key: key})
+			segs = append(segs, Segment{Lo: i, Hi: hi, Key: key})
 			i = hi
 			continue
 		}
@@ -59,7 +65,7 @@ func planSegments(plan *core.Plan) []chainSegment {
 			}
 			hi++
 		}
-		segs = append(segs, chainSegment{lo: i, hi: hi})
+		segs = append(segs, Segment{Lo: i, Hi: hi})
 		i = hi
 	}
 	return segs
@@ -104,7 +110,7 @@ func parallelSpan(steps []core.Step, lo int) (attrs.Set, int) {
 
 // runSegments is Run's partitioned path: Section 3.5's hash-partitioned
 // parallelism generalized from one function — a one-step chain — to the
-// whole chain. Each segment (planSegments) runs its steps as sub-chains,
+// whole chain. Each segment (Segments) runs its steps as sub-chains,
 // NewChain + Run, each with its own spill store, the full unit reorder
 // memory and a pooled arena: one per non-empty hash partition of the
 // segment's input on its key, each on a worker of its own, or one over the
@@ -120,7 +126,7 @@ func parallelSpan(steps []core.Step, lo int) (attrs.Set, int) {
 // the row order differs (windows are insensitive to it — callers that need
 // an order sort, as the SQL runner does). A partitioned segment's metrics
 // are merged (appendMerged); Elapsed spans the whole run.
-func (c *Chain) runSegments(ctx context.Context, table *storage.Table, specs []window.Spec, cfg Config, segs []chainSegment) (*Metrics, error) {
+func (c *Chain) runSegments(ctx context.Context, table *storage.Table, specs []window.Spec, cfg Config, segs []Segment) (*Metrics, error) {
 	start := time.Now()
 	metrics := &Metrics{}
 	sub := cfg
@@ -130,7 +136,7 @@ func (c *Chain) runSegments(ctx context.Context, table *storage.Table, specs []w
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		plan := &core.Plan{Scheme: c.plan.Scheme, Steps: c.plan.Steps[seg.lo:seg.hi]}
+		plan := &core.Plan{Scheme: c.plan.Scheme, Steps: c.plan.Steps[seg.Lo:seg.Hi]}
 		// The segment's output is carved before any sub-chain carves, and
 		// each sub-chain's first carve — its partition's array — is made here
 		// in partition order: which pooled slab set each chain takes does not
@@ -235,91 +241,13 @@ func appendMerged(steps []StepMetrics, plan *core.Plan, parts []*Metrics) []Step
 	return append(steps, merged...)
 }
 
-// ChainCommonKey returns the partition key shared by every step of the
-// chain: the intersection of all window partitioning keys, empty when any
-// step has an empty WPK or the keys diverge to ∅. It is the whole-chain
-// form of the per-segment analysis in planSegments, and the routing
-// predicate of the sharded executor: a table hash-partitioned on a
-// non-empty K ⊆ ChainCommonKey can run the entire chain independently per
-// partition — every window partition of every function lands wholly inside
-// one data partition — so shard-local execution is value-identical to
-// single-engine execution (Section 3.5's condition, lifted from segments of
-// one process to nodes of a cluster). Unlike planSegments, no
-// reorder-kind condition applies: each partition runs the chain from its
-// own raw input, so there is no mid-chain concatenation for a later step
-// to observe.
-func ChainCommonKey(plan *core.Plan) attrs.Set {
-	if plan == nil || len(plan.Steps) == 0 {
-		return 0
-	}
-	key := plan.Steps[0].WF.PK
-	for _, step := range plan.Steps[1:] {
-		key = key.Intersect(step.WF.PK)
-	}
-	return key
-}
-
-// Segment is one key-divergence segment of a chain: the maximal step run
-// [Lo, Hi) whose window partitioning keys share the non-empty common Key —
-// ChainCommonKey restricted to the run.
-type Segment struct {
-	Lo, Hi int
-	Key    attrs.Set
-}
-
-// DivergentSegments splits a chain at its key-divergence points: each
-// returned segment is a maximal step run with a non-empty common partition
-// key (ChainCommonKey applied per segment). A table hash-partitioned on a
-// segment's Key runs that segment fully partitioned — Section 3.5's
-// condition per segment instead of per chain — so a distributed executor
-// can run every segment scattered, re-shuffling rows on the next segment's
-// key between segments (Cao et al., VLDB 2012).
-//
-// Two conditions void the split, returning nil (the caller falls back to
-// single-site execution):
-//
-//   - a step with an empty WPK, or a divergence down to ∅ mid-segment:
-//     that segment has no usable shuffle key;
-//   - a segment whose first step (after the first segment) does not
-//     rebuild order from scratch (FS/HS): the shuffled rows arrive in
-//     arbitrary interleaved order, weaker than the stream property the
-//     planner tracked across the cut, so only an order-rebuilding reorder
-//     may lead a post-shuffle segment — the same condition planSegments
-//     imposes on post-concatenation segments in one process.
-//
-// A chain with a non-empty whole-chain common key yields one segment.
-func DivergentSegments(plan *core.Plan) []Segment {
-	if plan == nil || len(plan.Steps) == 0 {
-		return nil
-	}
-	steps := plan.Steps
-	key := steps[0].WF.PK
-	if key.Empty() {
-		return nil
-	}
-	var segs []Segment
-	lo := 0
-	for i := 1; i < len(steps); i++ {
-		if next := key.Intersect(steps[i].WF.PK); !next.Empty() {
-			key = next
-			continue
-		}
-		if steps[i].WF.PK.Empty() || !rebuildsOrder(steps[i].Reorder) {
-			return nil
-		}
-		segs = append(segs, Segment{Lo: lo, Hi: i, Key: key})
-		lo, key = i, steps[i].WF.PK
-	}
-	return append(segs, Segment{Lo: lo, Hi: len(steps), Key: key})
-}
-
 // Concatenates reports whether Chain.Run at a Parallelism > 1 would emit a
 // partition-index concatenation — i.e. the chain's final segment runs
 // hash-partitioned — voiding the plan's nominal output ordering. Planners
 // integrating interesting orders (Section 5) consult this before paying
 // for an alignment the concatenation would discard.
 func Concatenates(plan *core.Plan) bool {
-	segs := planSegments(plan)
+	segs := Segments(plan)
 	return len(segs) > 0 && !segs[len(segs)-1].Key.Empty()
 }
 

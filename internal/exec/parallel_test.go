@@ -286,7 +286,7 @@ func TestParallelRunMergedMetrics(t *testing.T) {
 	}
 }
 
-// TestPlanSegments — segmentation invariants on the paper's chains: segments
+// TestPlanSegments — Segments' invariants on the paper's chains: segments
 // tile the plan, every parallel segment's key sits inside each member's WPK,
 // and every segment after the first begins with an order-rebuilding reorder.
 func TestPlanSegments(t *testing.T) {
@@ -295,23 +295,23 @@ func TestPlanSegments(t *testing.T) {
 		"Q6": paper.Q6(), "Q7": paper.Q7(), "Q8": paper.Q8(), "Q9": paper.Q9(),
 	} {
 		plan := csoPlan(t, entry, specs, 32<<10)
-		segs := planSegments(plan)
+		segs := Segments(plan)
 		pos := 0
 		sawParallel := false
 		for i, seg := range segs {
-			if seg.lo != pos || seg.hi <= seg.lo {
-				t.Fatalf("%s: segment %d spans [%d,%d) after position %d", name, i, seg.lo, seg.hi, pos)
+			if seg.Lo != pos || seg.Hi <= seg.Lo {
+				t.Fatalf("%s: segment %d spans [%d,%d) after position %d", name, i, seg.Lo, seg.Hi, pos)
 			}
-			pos = seg.hi
-			if i > 0 && !rebuildsOrder(plan.Steps[seg.lo].Reorder) {
+			pos = seg.Hi
+			if i > 0 && !rebuildsOrder(plan.Steps[seg.Lo].Reorder) {
 				t.Errorf("%s: segment %d starts with %s after a concatenation barrier",
-					name, i, plan.Steps[seg.lo].Reorder)
+					name, i, plan.Steps[seg.Lo].Reorder)
 			}
 			if seg.Key.Empty() {
 				continue
 			}
 			sawParallel = true
-			for _, s := range plan.Steps[seg.lo:seg.hi] {
+			for _, s := range plan.Steps[seg.Lo:seg.Hi] {
 				if !seg.Key.SubsetOf(s.WF.PK) {
 					t.Errorf("%s: segment key %s ⊄ WPK %s of wf%d", name, seg.Key, s.WF.PK, s.WF.ID)
 				}

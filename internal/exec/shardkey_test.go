@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/attrs"
@@ -8,31 +9,42 @@ import (
 	"repro/internal/storage"
 )
 
-// TestChainCommonKey pins the whole-chain partition-key analysis the
-// sharded router consumes.
+// TestChainCommonKey pins the cut the sharded router consumes: a chain runs
+// shard-locally when Segments leaves it one segment whose key covers the
+// shard key, and otherwise shuffles at Segments' cuts — keyed where the
+// keys agree, on ∅ (one site) where none does, and only ever before an FS
+// or HS step.
 func TestChainCommonKey(t *testing.T) {
-	step := func(pk ...attrs.ID) core.Step {
-		return core.Step{WF: core.WF{PK: attrs.MakeSet(pk...)}}
+	step := func(r core.ReorderKind, pk ...attrs.ID) core.Step {
+		return core.Step{WF: core.WF{PK: attrs.MakeSet(pk...)}, Reorder: r}
 	}
+	none := func(pk ...attrs.ID) core.Step { return step(core.ReorderNone, pk...) }
+	fs := func(pk ...attrs.ID) core.Step { return step(core.ReorderFS, pk...) }
+	ss := func(pk ...attrs.ID) core.Step { return step(core.ReorderSS, pk...) }
 	plan := func(steps ...core.Step) *core.Plan {
 		return &core.Plan{Scheme: "manual", Steps: steps}
+	}
+	seg := func(lo, hi int, key ...attrs.ID) Segment {
+		return Segment{Lo: lo, Hi: hi, Key: attrs.MakeSet(key...)}
 	}
 	cases := []struct {
 		name string
 		plan *core.Plan
-		want attrs.Set
+		want []Segment
 	}{
-		{"nil plan", nil, 0},
-		{"empty chain", plan(), 0},
-		{"single", plan(step(1, 2)), attrs.MakeSet(1, 2)},
-		{"shared subset", plan(step(1, 2), step(1)), attrs.MakeSet(1)},
-		{"disjoint", plan(step(1), step(2)), 0},
-		{"empty member", plan(step(1), step()), 0},
-		{"three-way", plan(step(1, 2, 3), step(2, 3), step(3)), attrs.MakeSet(3)},
+		{"empty chain", plan(), nil},
+		{"single", plan(fs(1, 2)), []Segment{seg(0, 1, 1, 2)}},
+		{"shared subset", plan(fs(1, 2), none(1)), []Segment{seg(0, 2, 1)}},
+		{"three-way", plan(fs(1, 2, 3), ss(2, 3), none(3)), []Segment{seg(0, 3, 3)}},
+		{"disjoint", plan(fs(1), fs(2)), []Segment{seg(0, 1, 1), seg(1, 2, 2)}},
+		{"disjoint, no rebuild", plan(fs(1), ss(2)), []Segment{seg(0, 2)}},
+		{"keyless member", plan(fs(1), fs()), []Segment{seg(0, 1, 1), seg(1, 2)}},
+		{"keyless mid-chain", plan(fs(1), fs(), fs(2)), []Segment{seg(0, 1, 1), seg(1, 2), seg(2, 3, 2)}},
+		{"keyless lead", plan(fs(), fs(1), none(1)), []Segment{seg(0, 1), seg(1, 3, 1)}},
 	}
 	for _, tc := range cases {
-		if got := ChainCommonKey(tc.plan); got != tc.want {
-			t.Errorf("%s: ChainCommonKey = %v, want %v", tc.name, got, tc.want)
+		if got := Segments(tc.plan); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: Segments = %+v, want %+v", tc.name, got, tc.want)
 		}
 	}
 }

@@ -119,6 +119,8 @@ func StatusFor(err error) (int, string) {
 		return http.StatusBadRequest, "parse"
 	case errors.Is(err, sql.ErrBind):
 		return http.StatusBadRequest, "bind"
+	case errors.Is(err, errBadRequest):
+		return http.StatusBadRequest, "request"
 	case errors.Is(err, catalog.ErrUnknownTable):
 		return http.StatusNotFound, "unknown_table"
 	case errors.Is(err, ErrOverloaded):

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,7 +11,7 @@ import (
 
 	"repro"
 	"repro/internal/attrs"
-	"repro/internal/sql"
+	"repro/internal/core"
 	"repro/internal/trace"
 )
 
@@ -25,13 +26,8 @@ import (
 //	POST /shard/shuffle      (peer row stream — node-to-node)
 //	POST /shard/shuffle/drop {"shuffle_id": "..."}
 //
-// /shard/query always answers with the row stream of stream.go as binary
-// frames, whatever the Accept. "local" mode executes the
-// shard-local part of the statement (WHERE, chain, projection — no
-// DISTINCT/ORDER BY/LIMIT; see Service.StreamShardLocal); "full" executes
-// the entire statement, used for replicated tables where one shard serves
-// the whole query; "segment" executes the final segment of a coordinator
-// SegmentPlan over the node's shuffle inbox (StreamSegment).
+// /shard/query serves every node stream (ShardStream) and always answers
+// with the row stream of stream.go as binary frames, whatever the Accept.
 // /shard/register installs a table partition (or replica) into the node's
 // engine — like every route here it is an intra-cluster interface: deploy
 // shard nodes behind the cluster boundary, not on the public edge.
@@ -46,8 +42,9 @@ import (
 // ShardQueryRequest asks a shard node to execute a statement.
 type ShardQueryRequest struct {
 	SQL string `json:"sql"`
-	// Mode is "local" (shard-local part only), "full" (entire statement)
-	// or "segment" (final shuffle segment over the node's inbox).
+	// Mode is "local" (shard-local part only), "full" (entire statement,
+	// SUBSCRIBE included) or "segment" (final shuffle segment over the
+	// node's inbox).
 	Mode string `json:"mode"`
 
 	// SubplanFP is the coordinator's subplan fingerprint
@@ -57,12 +54,34 @@ type ShardQueryRequest struct {
 	// Optional — "" lets the node derive the identity itself.
 	SubplanFP string `json:"subplan_fp,omitempty"`
 
-	// Mode "segment" only: the coordinator's segmentation decision and the
-	// inbox generation holding the final segment's shuffled input.
-	Plan      *sql.SegmentPlan `json:"plan,omitempty"`
-	ShuffleID string           `json:"shuffle_id,omitempty"`
-	Round     int              `json:"round,omitempty"`
-	Senders   int              `json:"senders,omitempty"`
+	// Mode "segment" only: the coordinator's planned chain and the inbox
+	// generation holding the final segment's shuffled input.
+	Plan      *core.Plan `json:"plan,omitempty"`
+	ShuffleID string     `json:"shuffle_id,omitempty"`
+	Round     int        `json:"round,omitempty"`
+	Senders   int        `json:"senders,omitempty"`
+}
+
+// errBadRequest marks a malformed node request; StatusFor answers it 400.
+var errBadRequest = errors.New("service: bad request")
+
+// ShardStream serves one of a cluster coordinator's node streams, by mode:
+// "local" the shard-local part of the statement (WHERE, chain, projection —
+// no DISTINCT/ORDER BY/LIMIT; StreamShardLocal), "full" the entire
+// statement — a replicated table's query, or a SUBSCRIBE's live cursor —
+// and "segment" the final segment of the shipped plan over the node's
+// shuffle inbox. Both transports reach it: the in-process one directly,
+// the HTTP one through /shard/query.
+func (s *Service) ShardStream(ctx context.Context, req ShardQueryRequest) (*windowdb.Rows, error) {
+	switch req.Mode {
+	case "local":
+		return s.StreamShardLocal(ctx, req.SQL, req.SubplanFP)
+	case "full":
+		return s.QueryContext(ctx, req.SQL)
+	case "segment":
+		return s.streamSegment(ctx, req)
+	}
+	return nil, fmt.Errorf("%w: unknown shard query mode %q", errBadRequest, req.Mode)
 }
 
 // ShardRegisterRequest installs a table on a shard node.
@@ -100,21 +119,7 @@ func (s *Service) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(trace.HeaderTraceID, traceID)
 	}
 	ctx = trace.WithClient(ctx, r.RemoteAddr)
-	var (
-		rows *windowdb.Rows
-		err  error
-	)
-	switch req.Mode {
-	case "local":
-		rows, err = s.StreamShardLocal(ctx, req.SQL, req.SubplanFP)
-	case "segment":
-		rows, err = s.StreamSegment(ctx, req)
-	case "full", "":
-		rows, err = s.QueryContext(ctx, req.SQL)
-	default:
-		writeError(w, http.StatusBadRequest, "request", fmt.Errorf("service: unknown shard query mode %q", req.Mode))
-		return
-	}
+	rows, err := s.ShardStream(ctx, req)
 	if err != nil {
 		status, kind := StatusFor(err)
 		writeError(w, status, kind, err)

@@ -8,8 +8,8 @@ import (
 	"time"
 
 	windowdb "repro"
-	"repro/internal/attrs"
 	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/sql"
 	"repro/internal/storage"
@@ -18,24 +18,25 @@ import (
 
 // The node half of the cluster's shuffle data plane (the coordinator half
 // lives in internal/shard): per-segment distributed execution of
-// key-divergent window chains. The coordinator splits a statement's chain
-// at its key-divergence points (sql.SegmentPlan) and drives one round per
-// non-final stage: every node runs the stage over its current rows
-// (RunShuffleStep) and re-shuffles the output directly to its peers,
-// hash-partitioned on the next segment's key — rows never transit the
-// coordinator. Peers ingest into a per-service shuffle inbox keyed by
-// (shuffle id, round); the next round's stage consumes its inbox buffer
-// whole (the coordinator barriers rounds, so a consumed buffer is always
-// complete). The final segment streams its projected output back through
-// StreamSegment, which the coordinator merge-concatenates exactly as the
-// scatter route does.
+// window chains the shard key does not cover. The coordinator ships its
+// planned chain (core.Plan), which every node cuts where exec.Segments cuts
+// it, and drives one round per non-final stage: every node runs the stage
+// over its current rows (RunShuffleStep) and re-shuffles the output
+// directly to its peers, hash-partitioned on the next segment's key — on ∅,
+// every row to one node, when that segment is sequential — so rows never
+// transit the coordinator. Peers ingest into a per-service shuffle inbox
+// keyed by (shuffle id, round); the next round's stage consumes its inbox
+// buffer whole (the coordinator barriers rounds, so a consumed buffer is
+// always complete). The final segment streams its projected output back as a
+// "segment" node stream (ShardStream), which the coordinator
+// merge-concatenates exactly as the scatter route does.
 //
 // Memory discipline: a node's resident shuffle state is its own partition
 // of the intermediate rows — the same order of magnitude as its registered
 // table partition — and the coordinator holds only the final merge's
 // in-flight rows. Slot discipline: each RunShuffleStep holds the node's
-// admission slot for the stage's chain execution; StreamSegment holds it
-// for the cursor lifetime, exactly like every other streamed query.
+// admission slot for the stage's chain execution; the segment stream holds
+// it for the cursor lifetime, exactly like every other streamed query.
 
 // ShuffleBatch is one sender's contribution to one inbox buffer: the rows
 // of the receiver's hash partition, tagged with their round and sender so
@@ -56,9 +57,10 @@ type ShuffleSend func(ctx context.Context, peer int, b *ShuffleBatch) error
 // ShuffleRunRequest asks a node to execute one non-final shuffle stage.
 type ShuffleRunRequest struct {
 	SQL string `json:"sql"`
-	// Plan is the coordinator's segmentation decision; every node executes
-	// the shipped step order (sql.SegmentPlan).
-	Plan *sql.SegmentPlan `json:"plan"`
+	// Plan is the coordinator's planned chain: every node runs its steps
+	// verbatim, cut by exec.Segments, and shuffles a stage's output on the
+	// next segment's key.
+	Plan *core.Plan `json:"plan"`
 	// Segment is the segment to execute, or -1 for the raw stage: WHERE
 	// filtering only, shuffling the statement's base rows onto the first
 	// segment's key when the shard key does not already cover it.
@@ -74,9 +76,6 @@ type ShuffleRunRequest struct {
 	// Senders is the cluster width: the expected sender count of every
 	// inbox buffer and the partition count of the stage's output.
 	Senders int `json:"senders"`
-	// OutKey is the hash key the output rows partition on (base-schema
-	// column indices): the next segment's common key.
-	OutKey []int `json:"out_key"`
 	// Peers are the nodes' base URLs for the HTTP data plane; Peers[Self]
 	// is this node. Unused when Deliver is set.
 	Peers []string `json:"peers,omitempty"`
@@ -313,7 +312,7 @@ func (s *Service) RunShuffleStep(ctx context.Context, req ShuffleRunRequest, sen
 	if send == nil {
 		return nil, errors.New("service: shuffle stage without a delivery path")
 	}
-	if req.Senders < 1 || req.Plan == nil {
+	if req.Senders < 1 {
 		return nil, errors.New("service: malformed shuffle stage request")
 	}
 	var entry *trace.QueryEntry
@@ -329,8 +328,8 @@ func (s *Service) RunShuffleStep(ctx context.Context, req ShuffleRunRequest, sen
 	if err != nil {
 		return fail(err)
 	}
-	if req.Segment >= runner.Segments()-1 {
-		return fail(fmt.Errorf("service: shuffle stage for segment %d of %d: the final segment streams", req.Segment, runner.Segments()))
+	if req.Segment < -1 || req.Segment >= runner.Segments()-1 {
+		return fail(fmt.Errorf("service: shuffle stage for segment %d of %d: only a segment before the last runs as a stage", req.Segment, runner.Segments()))
 	}
 
 	// Node-side lifecycle visibility: the stage registers under the
@@ -405,14 +404,7 @@ func (s *Service) RunShuffleStep(ctx context.Context, req ShuffleRunRequest, sen
 	res.RowsOut = int64(out.Len())
 	res.ExecMillis = phaseMillis(&phaseStart)
 
-	ids := make([]attrs.ID, len(req.OutKey))
-	for i, c := range req.OutKey {
-		if c < 0 || c >= out.Schema.Len() {
-			return fail(fmt.Errorf("service: shuffle key column %d outside the stage output schema", c))
-		}
-		ids[i] = attrs.ID(c)
-	}
-	parts := exec.PartitionRows(out.Rows, ids, req.Senders)
+	parts := exec.PartitionRows(out.Rows, runner.Key(req.Segment+1).IDs(), req.Senders)
 
 	// Deliver every partition concurrently; the first failure cancels the
 	// peers' streams so a doomed round does not keep shipping rows.
@@ -457,16 +449,13 @@ func phaseMillis(start *time.Time) float64 {
 	return float64(d) / float64(time.Millisecond)
 }
 
-// StreamSegment serves the final shuffle segment as a streaming cursor: the
-// last rounds' inbox buffer runs through the segment's chain steps and the
+// streamSegment serves the final shuffle segment as a streaming cursor: the
+// last round's inbox buffer runs through the segment's chain steps and the
 // statement's projection, with the node's admission slot held for the
 // cursor lifetime — the shuffle sibling of StreamShardLocal. DISTINCT,
 // ORDER BY and LIMIT stay with the coordinator's finalize, as on the
 // scatter route.
-func (s *Service) StreamSegment(ctx context.Context, req ShardQueryRequest) (*windowdb.Rows, error) {
-	if req.Plan == nil {
-		return nil, errors.New("service: segment stream without a segment plan")
-	}
+func (s *Service) streamSegment(ctx context.Context, req ShardQueryRequest) (*windowdb.Rows, error) {
 	return s.streamCursor(ctx, req.SQL, req.SQL, "draining", func(ctx context.Context, prep *sql.Prepared) (execCursor, error) {
 		runner, err := prep.Segments(req.Plan)
 		if err != nil {

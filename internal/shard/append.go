@@ -129,7 +129,7 @@ func (c *Cluster) streamSubscribe(ctx context.Context, inner string, qt *cluster
 	if _, err := prep.Maintenance(); err != nil {
 		return nil, err
 	}
-	src := "SUBSCRIBE " + inner
+	req := service.ShardQueryRequest{SQL: "SUBSCRIBE " + inner, Mode: string(ModeFull)}
 	var (
 		route string
 		n     int
@@ -141,13 +141,13 @@ func (c *Cluster) streamSubscribe(ctx context.Context, inner string, qt *cluster
 		route, n = "replica", 1
 		node := int(c.rr.Add(1)-1) % len(c.shards)
 		open = func(ctx context.Context, _ int) (*windowdb.Rows, error) {
-			return c.shards[node].Subscribe(ctx, src)
+			return c.shards[node].QueryStream(ctx, req)
 		}
 	case prep.ShardLocal(info.key):
 		c.scatter.Add(1)
 		route, n = "scatter", len(c.shards)
 		open = func(ctx context.Context, i int) (*windowdb.Rows, error) {
-			return c.shards[i].Subscribe(ctx, src)
+			return c.shards[i].QueryStream(ctx, req)
 		}
 	default:
 		return nil, fmt.Errorf("%w: SUBSCRIBE on %q needs a shard-local chain (common partition key covering the shard key %v)",

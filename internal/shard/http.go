@@ -108,7 +108,10 @@ func (h *HTTP) stream(ctx context.Context, path string, body any) (*windowdb.Row
 	return sr.Rows(), nil
 }
 
-// QueryStream implements Transport over the node's /shard/query stream.
+// QueryStream implements Transport over the node's /shard/query stream. A
+// SUBSCRIBE rides it too: the node frames and flushes every batch, and a
+// live cursor's batches are single delta rows, so none parks behind a fill
+// buffer while the stream idles between appends.
 func (h *HTTP) QueryStream(ctx context.Context, req service.ShardQueryRequest) (*windowdb.Rows, error) {
 	return h.stream(ctx, "/shard/query", req)
 }
@@ -122,13 +125,6 @@ func (h *HTTP) ShuffleRun(ctx context.Context, req service.ShuffleRunRequest) (*
 		return nil, err
 	}
 	return &res, nil
-}
-
-// SegmentStream implements Transport over the node's mode="segment"
-// /shard/query stream.
-func (h *HTTP) SegmentStream(ctx context.Context, req service.ShardQueryRequest) (*windowdb.Rows, error) {
-	req.Mode = "segment"
-	return h.stream(ctx, "/shard/query", req)
 }
 
 // AcceptShuffle implements Transport: a streamed POST of frames to the
@@ -153,17 +149,6 @@ func (h *HTTP) Register(ctx context.Context, name string, t *storage.Table) erro
 // generation converges on it.
 func (h *HTTP) Append(ctx context.Context, table string, rows []storage.Tuple, watermark uint64) (service.AppendResponse, error) {
 	return service.SendAppendHTTP(ctx, h.client, h.base, table, rows, watermark)
-}
-
-// Subscribe implements Transport over the node's live /query stream: a
-// SUBSCRIBE statement forces the chunked response shape and the node
-// flushes per delta batch, so rows never park behind a fill buffer while
-// the stream idles between appends.
-func (h *HTTP) Subscribe(ctx context.Context, src string) (*windowdb.Rows, error) {
-	return h.stream(ctx, "/query", struct {
-		SQL    string `json:"sql"`
-		Stream bool   `json:"stream"`
-	}{SQL: src, Stream: true})
 }
 
 // Distinct implements Transport.

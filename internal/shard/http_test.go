@@ -105,6 +105,35 @@ func TestHTTPErrorTaxonomy(t *testing.T) {
 	}
 }
 
+// TestUnknownModeErrorsOnBothTransports: a node stream's mode is one of
+// local, full and segment on either transport — neither runs anything else
+// as a full statement — and over HTTP a bad mode is the caller's fault.
+func TestUnknownModeErrorsOnBothTransports(t *testing.T) {
+	svc := service.New(windowdb.New(testEngineConfig()), service.Config{ShardRoutes: true})
+	svc.Engine().Register("emptab", datagen.Emptab())
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	ctx := context.Background()
+	for name, tr := range map[string]Transport{"local": NewLocal(svc), "http": NewHTTP(srv.URL, nil)} {
+		for _, mode := range []string{"", "segmnet", "FULL"} {
+			rows, err := tr.QueryStream(ctx, service.ShardQueryRequest{SQL: `SELECT empnum FROM emptab`, Mode: mode})
+			if err == nil {
+				rows.Close()
+				t.Errorf("%s: mode %q streamed", name, mode)
+				continue
+			}
+			if re := (*RemoteError)(nil); name == "http" && (!errors.As(err, &re) || re.Status != http.StatusBadRequest) {
+				t.Errorf("%s: mode %q failed with %v, want a 400", name, mode, err)
+			}
+		}
+		rows, err := tr.QueryStream(ctx, service.ShardQueryRequest{SQL: `SELECT empnum FROM emptab`, Mode: string(ModeFull)})
+		if err != nil {
+			t.Fatalf("%s: full mode: %v", name, err)
+		}
+		rows.Close()
+	}
+}
+
 // TestCoordinatorHandler drives the coordinator's own HTTP front end over
 // an HTTP-transport cluster: the full two-hop path a real deployment
 // serves.

@@ -8,30 +8,29 @@
 // rows on a declared shard key with the executors' tuple-encoding hash
 // (exec.PartitionRows); small dimension tables replicate instead. A query
 // prepares once at the coordinator — against a schema-only catalog stub
-// whose statistics are aggregated from the shards — and then routes:
+// whose statistics are aggregated from the shards — and then routes on the
+// one cut of its plan, exec.Segments (the cut a partitioned exec.Chain.Run
+// makes across worker threads):
 //
-//   - scatter: when the chain's common partition key covers the shard key
-//     (exec.ChainCommonKey via sql.Prepared.ShardLocal), no window
-//     partition spans shards, so every shard runs the unchanged
-//     sequential/parallel pipeline over its own rows and the coordinator
-//     concatenates the outputs in shard-index order — deterministic and
-//     value-identical to single-engine execution — then finalizes
-//     (DISTINCT, ORDER BY as a full sort, LIMIT) over the concatenation,
-//     exactly as post-barrier segments restart in a partitioned
-//     exec.Chain.Run;
-//   - shuffle: every other chain runs per key-divergence segment
-//     (exec.DivergentSegments — the Section 3.5 condition applied per
-//     segment instead of per chain), scattered one round at a time, each
-//     node re-shuffling its output rows directly to the peer nodes
-//     hash-partitioned on the next segment's key (the service's
-//     /shard/shuffle data plane); the coordinator only drives the rounds
-//     and merge-concatenates the final segment's streams exactly as
-//     scatter does, so its resident rows stay bounded by the wire batch ×
-//     shard count while the re-shuffled rows never leave the node tier. A
-//     chain with no usable key (an empty PARTITION BY, or a
-//     post-divergence segment that does not rebuild order) is one segment
-//     keyed on nothing: every row hashes to the same node, which runs the
-//     chain under its own governor while its peers stream zero rows;
+//   - scatter: when the chain is one segment whose key covers the shard key
+//     (sql.Prepared.ShardLocal), no window partition spans shards, so
+//     every shard runs the unchanged sequential/parallel pipeline over its
+//     own rows and the coordinator concatenates the outputs in shard-index
+//     order — deterministic and value-identical to single-engine
+//     execution — then finalizes (DISTINCT, ORDER BY as a full sort, LIMIT)
+//     over the concatenation, exactly as post-barrier segments restart in a
+//     partitioned exec.Chain.Run;
+//   - shuffle: every other chain ships the coordinator's plan to the nodes,
+//     which run its steps verbatim segment by segment, scattered one round
+//     at a time, each node re-shuffling its output rows directly to the
+//     peer nodes hash-partitioned on the next segment's key (the service's
+//     /shard/shuffle data plane). A sequential segment — one with a
+//     PARTITION-BY-less function, or whose keys diverge to nothing — is
+//     keyed on ∅: every row hashes to the same node, which runs it while
+//     its peers hold no rows. The coordinator only drives the rounds and
+//     merge-concatenates the final segment's streams exactly as scatter
+//     does, so its resident rows stay bounded by the wire batch × shard
+//     count while the re-shuffled rows never leave the node tier;
 //   - replica: queries over replicated tables go, whole, to one node
 //     round-robin.
 //
@@ -409,8 +408,9 @@ func (c *Cluster) eachShard(ctx context.Context, fn func(ctx context.Context, i 
 type Result struct {
 	Table *storage.Table
 	// Plan is the coordinator's planned chain (nil for window-less
-	// statements). Shards may plan differently against their local
-	// statistics; any valid chain computes the same values.
+	// statements). The shuffle route's nodes run it verbatim; the scatter
+	// and replica routes' nodes plan against their local statistics, and
+	// any valid chain computes the same values.
 	Plan *core.Plan
 	// Route is "scatter" (shard-local chains, coordinator finalize),
 	// "shuffle" (per-segment scattered execution with node-to-node
@@ -668,10 +668,9 @@ func (c *Cluster) streamQuery(ctx context.Context, src string, cancel context.Ca
 	case prep.ShardLocal(info.key):
 		return c.streamScatter(ctx, src, prep, hit, qt)
 	default:
-		// The chain's key does not cover the shard key: run it per segment
-		// with node-to-node re-shuffles — a chain with no usable key as the
-		// one segment every row hashes to the same node for.
-		return c.streamShuffle(ctx, src, prep, prep.SegmentPlan(), info, hit, qt)
+		// The chain is not one segment whose key covers the shard key: run
+		// it segment by segment with node-to-node re-shuffles.
+		return c.streamShuffle(ctx, src, prep, info, hit, qt)
 	}
 }
 
@@ -840,29 +839,25 @@ func (c *Cluster) streamReplica(ctx context.Context, src string, prep *sql.Prepa
 	}), nil
 }
 
-// streamShuffle executes a chain the shard key does not cover per segment:
-// every segment runs scattered on all nodes, and between segments each node
-// re-shuffles its output rows directly to its peers, hash-partitioned on the
-// next segment's key (all to one peer under the single-site plan's empty
-// key). The coordinator drives one barriered round per non-final
-// stage — a ShuffleRun returns only when every peer ingested its partition
+// streamShuffle executes a chain the shard key does not cover segment by
+// segment, cut by exec.Segments — the cut a partitioned Chain.Run makes —
+// with the coordinator's plan shipped to every node, which runs its steps
+// verbatim. Every segment runs scattered on all nodes, and between segments
+// each node re-shuffles its output rows directly to its peers,
+// hash-partitioned on the next segment's key: on ∅, every row to one node,
+// for a sequential segment. The coordinator drives one barriered round per
+// non-final stage — a ShuffleRun returns only when every peer ingested its partition
 // — and then merge-concatenates the final segment's streams exactly like
 // scatter, so coordinator-resident rows stay bounded by the wire batch ×
 // shard count while every intermediate row moves node-to-node. A failing
 // stage cancels its peers (eachShard) and drops every node's buffered
 // shuffle state before surfacing the error.
-func (c *Cluster) streamShuffle(ctx context.Context, src string, prep *sql.Prepared, sp *sql.SegmentPlan, info *tableInfo, hit bool, qt *clusterTrace) (*windowdb.Rows, error) {
+func (c *Cluster) streamShuffle(ctx context.Context, src string, prep *sql.Prepared, info *tableInfo, hit bool, qt *clusterTrace) (*windowdb.Rows, error) {
 	c.shuffled.Add(1)
 	id := fmt.Sprintf("%s-%d", c.shuffleNonce, c.shuffleSeq.Add(1))
 	n := len(c.shards)
-
-	segKey := func(i int) attrs.Set {
-		var key attrs.Set
-		for _, col := range sp.Keys[i] {
-			key = key.Add(attrs.ID(col))
-		}
-		return key
-	}
+	plan := prep.Plan()
+	segs := exec.Segments(plan)
 	// Stage list: when the shard key already covers the first segment's
 	// key, segment 0 reads each node's local partition directly; otherwise
 	// a raw stage (WHERE only) shuffles the base rows onto that key first.
@@ -874,12 +869,12 @@ func (c *Cluster) streamShuffle(ctx context.Context, src string, prep *sql.Prepa
 		source  string
 	}
 	var stages []stage
-	if info.key.SubsetOf(segKey(0)) {
+	if info.key.SubsetOf(segs[0].Key) {
 		stages = append(stages, stage{segment: 0, source: "local"})
 	} else {
 		stages = append(stages, stage{segment: -1, source: "local"}, stage{segment: 0, source: "inbox"})
 	}
-	for s := 1; s < sp.Segments(); s++ {
+	for s := 1; s < len(segs); s++ {
 		stages = append(stages, stage{segment: s, source: "inbox"})
 	}
 
@@ -900,16 +895,15 @@ func (c *Cluster) streamShuffle(ctx context.Context, src string, prep *sql.Prepa
 	var base work
 	for si := 0; si < len(stages)-1; si++ {
 		st := stages[si]
-		outKey := sp.Keys[stages[si+1].segment]
 		qt.live().SetPhase(fmt.Sprintf("shuffle round %d of %d", si+1, len(stages)))
 		roundStart := time.Now()
 		nodeSpans := make([]*trace.Span, n)
 		rowsOut := make([]int64, n)
 		err := c.eachShard(ctx, func(ctx context.Context, i int, tr Transport) error {
 			res, err := tr.ShuffleRun(ctx, service.ShuffleRunRequest{
-				SQL: src, Plan: sp, Segment: st.segment, Source: st.source,
+				SQL: src, Plan: plan, Segment: st.segment, Source: st.source,
 				ShuffleID: id, Round: si, Senders: n,
-				OutKey: outKey, Peers: c.peerAddrs, Self: i,
+				Peers: c.peerAddrs, Self: i,
 				Deliver: c.deliverShuffle,
 				TraceID: qt.id,
 			})
@@ -952,13 +946,13 @@ func (c *Cluster) streamShuffle(ctx context.Context, src string, prep *sql.Prepa
 		}
 	}
 
-	qt.live().SetPhase(fmt.Sprintf("segment %d of %d", sp.Segments(), sp.Segments()))
+	qt.live().SetPhase(fmt.Sprintf("segment %d of %d", len(segs), len(segs)))
 	freq := service.ShardQueryRequest{
-		SQL: src, Mode: "segment", Plan: sp,
+		SQL: src, Mode: string(ModeSegment), Plan: plan,
 		ShuffleID: id, Round: len(stages) - 1, Senders: n,
 	}
 	streams, streamCancel, err := c.openStreams(ctx, n, func(ctx context.Context, i int) (*windowdb.Rows, error) {
-		return c.shards[i].SegmentStream(ctx, freq)
+		return c.shards[i].QueryStream(ctx, freq)
 	})
 	if err != nil {
 		cleanup()
@@ -967,7 +961,7 @@ func (c *Cluster) streamShuffle(ctx context.Context, src string, prep *sql.Prepa
 	rows, err := c.emitStreams(ctx, "shuffle", prep, hit, streams, streamCancel, qt, base)
 	if err != nil {
 		// The final streams are closed by emitStreams' handoff guard; any
-		// node that never served its SegmentStream still holds its buffer.
+		// node that never served its segment stream still holds its buffer.
 		cleanup()
 		return nil, err
 	}

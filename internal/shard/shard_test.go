@@ -3,8 +3,10 @@ package shard
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -12,6 +14,7 @@ import (
 	"repro/internal/attrs"
 	"repro/internal/catalog"
 	"repro/internal/datagen"
+	"repro/internal/exec"
 	"repro/internal/paper"
 	"repro/internal/service"
 	"repro/internal/sql"
@@ -33,9 +36,9 @@ const keylessSQL = `SELECT ws_item_sk, ws_order_number,
  rank() OVER (ORDER BY ws_sold_time_sk) AS r
  FROM web_sales`
 
-// divergeSQL has two non-empty but disjoint WPKs — ChainCommonKey is
-// empty, so the chain cannot scatter whole; each segment keeps a usable
-// key, so it executes per segment with a node-to-node re-shuffle at the
+// divergeSQL has two non-empty but disjoint WPKs — exec.Segments cuts it in
+// two, so the chain cannot scatter whole; each segment keeps a usable key,
+// so it executes per segment with a node-to-node re-shuffle at the
 // divergence point (route "shuffle").
 const divergeSQL = `SELECT ws_order_number,
  rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS a,
@@ -311,6 +314,72 @@ func TestShuffleEquivalence(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestShuffleRunsTheCoordinatorsPlan: the shuffle route's nodes run the
+// coordinator's plan verbatim, cut where exec.Segments cuts it. Paper Q9
+// under CSO has PARTITION-BY-less functions, so it leads with a keyless
+// segment — every row to one node — but is no longer one site: its last
+// segment is keyed and runs on every node holding rows, so over 3 shards
+// the chain spends comparisons on at least two nodes. Each node's
+// final-segment steps are the coordinator's, reorder for reorder.
+func TestShuffleRunsTheCoordinatorsPlan(t *testing.T) {
+	const rows = 1500
+	q := paper.Statements["Q9"]
+	ref, err := singleEngine(rows).Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, svcs := streamCluster(t, 3, rows, Config{})
+	res, err := c.Query(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Route != "shuffle" {
+		t.Fatalf("route %q, want shuffle", res.Route)
+	}
+	if !slices.Equal(canonical(res.Table), canonical(ref.Table)) {
+		t.Fatal("Q9's shuffled result multiset differs from the single engine's")
+	}
+	segs := exec.Segments(res.Plan)
+	last := segs[len(segs)-1]
+	if len(segs) < 2 || segs[0].Key != 0 || last.Key == 0 {
+		t.Fatalf("plan %s cuts into %+v, want a keyless lead and a keyed last segment", res.Plan, segs)
+	}
+	sites := 0
+	for _, svc := range svcs {
+		if svc.Stats().Comparisons > 0 {
+			sites++
+		}
+	}
+	if sites < 2 {
+		t.Fatalf("%d nodes compared rows, want the last segment's work spread over ≥ 2", sites)
+	}
+	var want []string
+	for _, st := range res.Plan.Steps[last.Lo:last.Hi] {
+		want = append(want, fmt.Sprintf("step wf%d %s", st.WF.ID+1, st.Reorder))
+	}
+	nodes := 0
+	for _, node := range res.Trace.Children {
+		if !strings.HasPrefix(node.Name, "node ") {
+			continue
+		}
+		nodes++
+		var got []string
+		for _, ex := range node.Children {
+			for _, st := range ex.Children {
+				if ex.Name == "execute" && strings.HasPrefix(st.Name, "step ") {
+					got = append(got, st.Name+" "+st.Attrs["reorder"])
+				}
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s ran %v, the coordinator planned %v", node.Name, got, want)
+		}
+	}
+	if nodes != 3 {
+		t.Fatalf("the trace holds %d node subtrees, want 3", nodes)
 	}
 }
 
@@ -640,7 +709,8 @@ func TestConcurrentQueries(t *testing.T) {
 
 // TestShardLocalRouting pins the routing predicate to the paper queries:
 // every Q6 chain step shares WPK {item} (scatter on an item shard key);
-// Q7 includes wf4 with an empty WPK (one site).
+// keylessSQL's function has an empty WPK and divergeSQL's keys diverge
+// (shuffle).
 func TestShardLocalRouting(t *testing.T) {
 	eng := windowdb.New(testEngineConfig())
 	eng.Register("web_sales", datagen.WebSales(datagen.WebSalesConfig{Rows: 200, Seed: 7}))

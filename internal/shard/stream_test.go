@@ -63,7 +63,10 @@ func (g *residencyGauge) Last() *stream.Batch {
 }
 
 // countingTransport wraps a Transport and meters the batches that actually
-// flow out of its node's query and segment streams against a shared gauge.
+// flow out of its node's streams against a shared gauge — the shuffle
+// route's final segment streams included: they are the only point where its
+// rows touch the coordinator (the re-shuffled intermediates move
+// node-to-node and are never charged).
 // It is the measuring instrument for the bounded-memory scatter assertion:
 // a RowSource in front of the node's own *windowdb.Rows, handing the node's
 // batches on untouched.
@@ -74,13 +77,6 @@ type countingTransport struct {
 
 func (ct *countingTransport) QueryStream(ctx context.Context, req service.ShardQueryRequest) (*windowdb.Rows, error) {
 	return ct.counted(ct.Transport.QueryStream(ctx, req))
-}
-
-// SegmentStream is counted too: the shuffle route's final merge is the
-// only point where its rows touch the coordinator (the re-shuffled
-// intermediates move node-to-node and are never charged).
-func (ct *countingTransport) SegmentStream(ctx context.Context, req service.ShardQueryRequest) (*windowdb.Rows, error) {
-	return ct.counted(ct.Transport.SegmentStream(ctx, req))
 }
 
 func (ct *countingTransport) counted(inner *windowdb.Rows, err error) (*windowdb.Rows, error) {

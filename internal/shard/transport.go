@@ -18,9 +18,12 @@ const (
 	// no DISTINCT/ORDER BY/LIMIT, which the coordinator applies over the
 	// concatenation of every shard's output.
 	ModeLocal Mode = "local"
-	// ModeFull executes the entire statement; used for replicated tables
-	// where a single node serves the whole query.
+	// ModeFull executes the entire statement: a replicated table's query,
+	// which a single node serves whole, or a SUBSCRIBE's live cursor.
 	ModeFull Mode = "full"
+	// ModeSegment executes the final segment of the shipped plan over the
+	// node's shuffle inbox: the shuffle route's last stage.
+	ModeSegment Mode = "segment"
 )
 
 // Transport reaches one shard node. Two implementations exist: Local wraps
@@ -29,28 +32,27 @@ const (
 // multiple processes form a real cluster. All methods must be safe for
 // concurrent use — the coordinator scatters to every shard at once.
 //
-// Rows leave a node as the cursor every backend hands out: the three stream
-// methods return a *windowdb.Rows whose batches are the node's own (a Local
+// Rows leave a node as the cursor every backend hands out: the one stream
+// method returns a *windowdb.Rows whose batches are the node's own (a Local
 // node's cursor batches, an HTTP node's decoded frames), whose Metrics are
 // the node's execution observations once it has drained, and whose Close
 // tells the node to stop — over HTTP by closing the response body,
 // in-process by closing the node's cursor — releasing its admission slot.
 type Transport interface {
-	// QueryStream executes a statement and streams its rows: the scatter
-	// path's transport primitive, bounding coordinator memory by what is
-	// in flight instead of the node's whole response. The request carries
-	// the SQL, the Mode, and optionally the coordinator's subplan
-	// fingerprint.
+	// QueryStream opens one of the node's row streams
+	// (service.ShardStream), bounding coordinator memory by what is in
+	// flight instead of the node's whole response. The request's Mode picks
+	// it: the scatter route's shard-local part, a replicated table's or a
+	// SUBSCRIBE's whole statement, or the shuffle route's final segment —
+	// which the coordinator merge-concatenates exactly like scatter streams.
+	// A subscription's stream ends only when closed, the context is
+	// canceled, or the node kills the query.
 	QueryStream(ctx context.Context, req service.ShardQueryRequest) (*windowdb.Rows, error)
 	// ShuffleRun executes one non-final stage of a per-segment distributed
 	// chain on the node (service.RunShuffleStep): run the segment, then
 	// re-shuffle the output directly to the peer nodes. Returns once every
 	// peer has ingested — the coordinator's round barrier.
 	ShuffleRun(ctx context.Context, req service.ShuffleRunRequest) (*service.ShuffleRunResult, error)
-	// SegmentStream opens the final shuffle segment's row stream over the
-	// node's buffered shuffle input (service.StreamSegment); the
-	// coordinator merge-concatenates these exactly like scatter streams.
-	SegmentStream(ctx context.Context, req service.ShardQueryRequest) (*windowdb.Rows, error)
 	// AcceptShuffle delivers one re-shuffled row batch into the node's
 	// shuffle inbox. Nodes address each other directly over their own data
 	// plane; this entry point exists so in-process clusters (and tests
@@ -67,12 +69,6 @@ type Transport interface {
 	// on max(own+1, watermark), so every owning node reports the same
 	// watermark to its subscribers.
 	Append(ctx context.Context, table string, rows []storage.Tuple, watermark uint64) (service.AppendResponse, error)
-	// Subscribe opens a live maintained cursor on the node: the SUBSCRIBE
-	// statement's initial result streams first, then the stream blocks and
-	// delta rows arrive as appends land. src carries the SUBSCRIBE prefix.
-	// The stream ends only when closed, the context is canceled, or the
-	// node kills the query.
-	Subscribe(ctx context.Context, src string) (*windowdb.Rows, error)
 	// Distinct returns the node-local distinct count of the attribute set,
 	// feeding the coordinator's statistics stubs.
 	Distinct(ctx context.Context, table string, set attrs.Set) (int64, error)
@@ -103,13 +99,10 @@ func NewLocal(svc *service.Service) *Local { return &Local{svc: svc} }
 func (l *Local) Service() *service.Service { return l.svc }
 
 // QueryStream implements Transport: the node's service cursor. The
-// node-side admission slot is held until the stream is drained or closed,
-// exactly as for a remote node.
+// node-side admission slot (and a subscription's registry entry) is held
+// until the stream is drained or closed, exactly as for a remote node.
 func (l *Local) QueryStream(ctx context.Context, req service.ShardQueryRequest) (*windowdb.Rows, error) {
-	if Mode(req.Mode) == ModeLocal {
-		return l.svc.StreamShardLocal(ctx, req.SQL, req.SubplanFP)
-	}
-	return l.svc.QueryContext(ctx, req.SQL)
+	return l.svc.ShardStream(ctx, req)
 }
 
 // ShuffleRun implements Transport: the node executes the stage in-process,
@@ -117,13 +110,6 @@ func (l *Local) QueryStream(ctx context.Context, req service.ShardQueryRequest) 
 // (the cluster wires it to the peer transports' AcceptShuffle).
 func (l *Local) ShuffleRun(ctx context.Context, req service.ShuffleRunRequest) (*service.ShuffleRunResult, error) {
 	return l.svc.RunShuffleStep(ctx, req, nil)
-}
-
-// SegmentStream implements Transport: the node's final-segment cursor; the
-// admission slot is held until the stream is drained or closed, exactly as
-// for QueryStream.
-func (l *Local) SegmentStream(ctx context.Context, req service.ShardQueryRequest) (*windowdb.Rows, error) {
-	return l.svc.StreamSegment(ctx, req)
 }
 
 // AcceptShuffle implements Transport: straight into the node's inbox.
@@ -157,13 +143,6 @@ func (l *Local) Append(ctx context.Context, table string, rows []storage.Tuple, 
 		return service.AppendResponse{}, err
 	}
 	return service.AppendResponse{Table: table, StartRid: start, RowsAppended: len(rows), Watermark: wm}, nil
-}
-
-// Subscribe implements Transport: the node's live subscription cursor. The
-// node-side admission slot and registry entry are held for the
-// subscription's lifetime, exactly as for a remote node.
-func (l *Local) Subscribe(ctx context.Context, src string) (*windowdb.Rows, error) {
-	return l.svc.QueryContext(ctx, src)
 }
 
 // Distinct implements Transport.

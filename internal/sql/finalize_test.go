@@ -165,7 +165,11 @@ func finalizeTable(rng *rand.Rand) *storage.Table {
 // finalizeStatement draws [DISTINCT] × a select list × a window shape ×
 // [WHERE] × 1–3 ORDER BY keys × LIMIT over a table of n rows.
 func finalizeStatement(rng *rand.Rand, n int) string {
-	shape := finalizeShapes[rng.Intn(len(finalizeShapes))]
+	return finalizeStatementOf(rng, n, finalizeShapes[rng.Intn(len(finalizeShapes))])
+}
+
+// finalizeStatementOf is finalizeStatement over a given window shape.
+func finalizeStatementOf(rng *rand.Rand, n int, shape finalizeShape) string {
 	var order []string // ORDER BY items
 	cols := map[string]bool{}
 	if len(shape.aligned) > 0 && rng.Intn(3) == 0 {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/attrs"
@@ -37,10 +36,6 @@ type Prepared struct {
 	gen    uint64
 	scheme Scheme
 	cfg    exec.Config
-	// The CSO ablation switches the statement was planned under; segment
-	// sub-planning (SegmentRunner) honors the same restrictions.
-	disableHS bool
-	disableSS bool
 
 	specs      []window.Spec
 	plan       *core.Plan // nil when the query has no window functions
@@ -56,14 +51,6 @@ type Prepared struct {
 
 	orderKey   attrs.Seq // final ORDER BY over the output schema
 	chainOrder attrs.Seq // orderKey over the executed chain's columns (through pick)
-
-	// Memoized SegmentRunners keyed by shipped-plan fingerprint: a shard
-	// node executes one statement's shuffle stages many times (every
-	// round, then the final stream), all against the same immutable
-	// segmentation — validate and sub-plan once. Guarded by segMu; the
-	// rest of the struct stays immutable after Prepare.
-	segMu      sync.Mutex
-	segRunners map[string]*SegmentRunner
 }
 
 // SQL returns the original query text.
@@ -79,9 +66,9 @@ func (p *Prepared) Plan() *core.Plan { return p.plan }
 // ShardLocal reports whether this statement may execute independently on
 // shards hash-partitioned on shardKey, with the results concatenated and
 // finalized (Input.Concat) at a coordinator, and still produce the
-// single-engine values. The condition is exec.ChainCommonKey's: every
-// window function's partitioning key must contain the shard key, so no
-// window partition spans shards. WHERE filtering and projection are
+// single-engine values: exec.Segments leaves the chain one segment whose
+// key covers the shard key, so every window function's partitioning key
+// contains the shard key and no window partition spans shards. WHERE filtering and projection are
 // row-local and always distribute; DISTINCT, ORDER BY and LIMIT are not
 // shard-local and belong to the coordinator's finalize step. Window-less
 // statements are trivially shard-local.
@@ -92,7 +79,8 @@ func (p *Prepared) ShardLocal(shardKey attrs.Set) bool {
 	if p.plan == nil {
 		return true
 	}
-	return shardKey.SubsetOf(exec.ChainCommonKey(p.plan))
+	segs := exec.Segments(p.plan)
+	return len(segs) == 1 && shardKey.SubsetOf(segs[0].Key)
 }
 
 // Generation returns the catalog generation the statement was prepared
@@ -163,16 +151,14 @@ func (r *Runner) prepare(q *Query, src string) (*Prepared, error) {
 	}
 	schema := entry.Table().Schema
 	p := &Prepared{
-		src:       src,
-		q:         q,
-		cat:       r.Catalog,
-		entry:     entry,
-		gen:       gen,
-		scheme:    r.Scheme,
-		cfg:       r.Exec,
-		disableHS: r.DisableHS,
-		disableSS: r.DisableSS,
-		wfCol:     map[int]int{},
+		src:    src,
+		q:      q,
+		cat:    r.Catalog,
+		entry:  entry,
+		gen:    gen,
+		scheme: r.Scheme,
+		cfg:    r.Exec,
+		wfCol:  map[int]int{},
 	}
 
 	if q.Where != nil {

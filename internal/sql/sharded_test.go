@@ -2,14 +2,19 @@ package sql
 
 import (
 	"context"
+	"fmt"
+	"maps"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/attrs"
 	"repro/internal/catalog"
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/exec"
+	"repro/internal/paper"
 	"repro/internal/storage"
 )
 
@@ -81,219 +86,367 @@ func TestShardPhasesComposeToExecute(t *testing.T) {
 }
 
 // TestExecuteOverContext: a chain with an empty PARTITION BY composes as
-// every segmented chain does — one segment, keyed on nothing, so the
+// every segmented chain does — its keyless segment keyed on nothing, so the
 // re-shuffle funnels every node's rows to a single site — from a plan a
 // coordinator prepared against a schema-only stub.
 func TestExecuteOverContext(t *testing.T) {
 	ws := datagen.WebSales(datagen.WebSalesConfig{Rows: 400, Seed: 5})
-	for _, src := range []string{
-		`SELECT ws_order_number, rank() OVER (ORDER BY ws_sold_time_sk) AS r FROM web_sales ORDER BY ws_order_number`,
+	for src, segments := range map[string]int{
+		`SELECT ws_order_number, rank() OVER (ORDER BY ws_sold_time_sk) AS r FROM web_sales ORDER BY ws_order_number`: 1,
 		`SELECT ws_order_number, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS a,
-		 rank() OVER (ORDER BY ws_sold_time_sk) AS b FROM web_sales WHERE ws_quantity <= 80 ORDER BY b DESC, ws_order_number LIMIT 50`,
+		 rank() OVER (ORDER BY ws_sold_time_sk) AS b FROM web_sales WHERE ws_quantity <= 80 ORDER BY b DESC, ws_order_number LIMIT 50`: 2,
 	} {
-		composeSegments(t, ws, src, 1)
+		if got := composeSegments(t, ws, itemKey, src, SchemeCSO).Segments(); got != segments {
+			t.Errorf("%d segments, want %d: %s", got, segments, src)
+		}
 	}
 }
 
-// TestSegmentPlan pins the per-segment routing predicate: key-divergent
-// chains with non-empty per-segment keys split, common-key chains collapse
-// to one segment, and an empty PARTITION BY anywhere makes the whole chain
-// one keyless segment — the single-site plan.
+// TestSegmentPlan pins the one cut, exec.Segments, as a node applies it to
+// a coordinator's plan: key-divergent chains split on every key, a shared
+// key keeps the chain in one segment, a PARTITION-BY-less function is a
+// segment keyed on nothing wherever it sits — and the paper's Q1–Q9 and
+// F1–F6 under CSO and PSQL cut exactly as the table says.
 func TestSegmentPlan(t *testing.T) {
-	ws := datagen.WebSales(datagen.WebSalesConfig{Rows: 300, Seed: 2})
-	cat := catalog.New()
-	cat.Register("web_sales", ws)
-	r := Runner{Catalog: cat, Exec: exec.Config{MemoryBytes: 1 << 20}}
-	cases := []struct {
-		src      string
-		segments int // 0 = no segment plan
-	}{
+	r := leanRunner(2000, 64<<10)
+	type cutCase struct {
+		scheme   Scheme
+		src, cut string // cut "" = no chain to cut
+	}
+	cases := []cutCase{
 		// Disjoint WPKs: one segment per key.
-		{`SELECT rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS a,
-		  rank() OVER (PARTITION BY ws_warehouse_sk ORDER BY ws_sold_date_sk) AS b FROM web_sales`, 2},
-		{`SELECT rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS a,
+		{SchemeCSO, `SELECT rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS a,
+		  rank() OVER (PARTITION BY ws_warehouse_sk ORDER BY ws_sold_date_sk) AS b FROM web_sales`, "HS[0,1){ws_item_sk} HS[1,2){ws_warehouse_sk}"},
+		{SchemeCSO, `SELECT rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS a,
 		  rank() OVER (PARTITION BY ws_warehouse_sk ORDER BY ws_sold_date_sk) AS b,
-		  rank() OVER (PARTITION BY ws_bill_customer_sk ORDER BY ws_sold_date_sk) AS c FROM web_sales`, 3},
+		  rank() OVER (PARTITION BY ws_bill_customer_sk ORDER BY ws_sold_date_sk) AS c FROM web_sales`, "HS[0,1){ws_item_sk} HS[1,2){ws_bill_customer_sk} HS[2,3){ws_warehouse_sk}"},
 		// A shared key keeps the chain in one segment.
-		{`SELECT rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS a,
-		  rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_bill_customer_sk) AS b FROM web_sales`, 1},
-		// An empty PARTITION BY leaves no key to split on: one site.
-		{`SELECT rank() OVER (ORDER BY ws_sold_time_sk) AS a,
-		  rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS b FROM web_sales`, 1},
-		{`SELECT rank() OVER (ORDER BY ws_sold_time_sk) AS a FROM web_sales`, 1},
-		// Window-less statements have no chain to segment.
-		{`SELECT ws_item_sk FROM web_sales`, 0},
+		{SchemeCSO, `SELECT rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS a,
+		  rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_bill_customer_sk) AS b FROM web_sales`, "HS[0,2){ws_item_sk}"},
+		// An empty PARTITION BY is a segment of its own, keyed on nothing.
+		{SchemeCSO, `SELECT rank() OVER (ORDER BY ws_sold_time_sk) AS a,
+		  rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS b FROM web_sales`, "FS[0,1){} HS[1,2){ws_item_sk}"},
+		{SchemeCSO, `SELECT rank() OVER (ORDER BY ws_sold_time_sk) AS a FROM web_sales`, "FS[0,1){}"},
+		// Window-less statements have no chain to cut.
+		{SchemeCSO, `SELECT ws_item_sk FROM web_sales`, ""},
+	}
+	for _, name := range slices.Sorted(maps.Keys(paper.Statements)) {
+		for _, scheme := range []Scheme{SchemeCSO, SchemePSQL} {
+			cases = append(cases, cutCase{scheme, paper.Statements[name], paperCuts[string(scheme)+" "+name]})
+		}
 	}
 	for _, tc := range cases {
-		prep, err := r.Prepare(tc.src)
+		runner := *r
+		runner.Scheme = tc.scheme
+		prep, err := runner.Prepare(tc.src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp := prep.SegmentPlan()
-		got := 0
-		if sp != nil {
-			got = sp.Segments()
-		}
-		if got != tc.segments {
-			t.Errorf("SegmentPlan(%q) = %d segments, want %d", tc.src, got, tc.segments)
-		}
-		if sp == nil {
+		seg, err := prep.Segments(prep.Plan())
+		if tc.cut == "" {
+			if err == nil {
+				t.Errorf("%s: a window-less statement has no segments to run", tc.src)
+			}
 			continue
 		}
-		// The order is a permutation, and only a plan of one segment may
-		// leave its key empty.
-		seen := map[int]bool{}
-		for _, id := range sp.Order {
-			if seen[id] {
-				t.Fatalf("wf %d appears twice in %v", id, sp.Order)
-			}
-			seen[id] = true
+		if err != nil {
+			t.Fatalf("%s %s: %v", tc.scheme, tc.src, err)
 		}
-		for i, key := range sp.Keys {
-			if len(key) == 0 && sp.Segments() > 1 {
-				t.Fatalf("segment %d of %q has an empty key", i, tc.src)
-			}
-		}
-		// Every node accepts the plan — except with a key blanked where other
-		// segments remain, which is a coordination fault.
-		if _, err := prep.Segments(sp); err != nil {
-			t.Fatalf("Segments(%+v): %v", sp, err)
-		}
-		if sp.Segments() > 1 {
-			bad := *sp
-			bad.Keys = append([][]int{{}}, sp.Keys[1:]...)
-			if _, err := prep.Segments(&bad); err == nil || !strings.Contains(err.Error(), "no shuffle key") {
-				t.Fatalf("Segments(%+v) = %v, want a keyless-segment fault", bad, err)
-			}
+		if got := cutString(prep.Plan(), seg, prep.entry.Table().Schema); got != tc.cut {
+			t.Errorf("%s %s: cut %q, want %q", tc.scheme, tc.src, got, tc.cut)
 		}
 	}
+}
+
+// paperCuts is exec.Segments' cut of each paper statement's plan, by scheme
+// and name, at leanRunner(2000, 64 KB).
+var paperCuts = map[string]string{
+	"CSO F1":  "HS[0,2){ws_item_sk}",
+	"PSQL F1": "FS[0,2){ws_item_sk}",
+	"CSO F2":  "HS[0,2){ws_item_sk}",
+	"PSQL F2": "FS[0,2){ws_item_sk}",
+	"CSO F3":  "HS[0,1){ws_item_sk}",
+	"PSQL F3": "FS[0,1){ws_item_sk}",
+	"CSO F4":  "HS[0,2){ws_bill_customer_sk}",
+	"PSQL F4": "FS[0,2){ws_bill_customer_sk}",
+	"CSO F5":  "HS[0,3){ws_warehouse_sk}",
+	"PSQL F5": "FS[0,3){ws_warehouse_sk}",
+	"CSO F6":  "HS[0,2){ws_item_sk}",
+	"PSQL F6": "FS[0,2){ws_item_sk}",
+	"CSO Q1":  "HS[0,1){ws_item_sk}",
+	"PSQL Q1": "FS[0,1){ws_item_sk}",
+	"CSO Q2":  "HS[0,1){ws_item_sk,ws_bill_customer_sk}",
+	"PSQL Q2": "FS[0,1){ws_item_sk,ws_bill_customer_sk}",
+	"CSO Q3":  "HS[0,1){ws_warehouse_sk}",
+	"PSQL Q3": "FS[0,1){ws_warehouse_sk}",
+	"CSO Q4":  "HS[0,1){ws_quantity}",
+	"PSQL Q4": "FS[0,1){ws_quantity}",
+	"CSO Q5":  "HS[0,1){ws_quantity}",
+	"PSQL Q5": "FS[0,1){ws_quantity}",
+	"CSO Q6":  "HS[0,2){ws_item_sk}",
+	"PSQL Q6": "FS[0,2){ws_item_sk}",
+	"CSO Q7":  "FS[0,3){} HS[3,5){ws_sold_date_sk,ws_sold_time_sk}",
+	"PSQL Q7": "FS[0,2){ws_sold_date_sk,ws_sold_time_sk} FS[2,3){ws_item_sk} FS[3,4){} FS[4,5){ws_sold_date_sk,ws_sold_time_sk,ws_item_sk,ws_bill_customer_sk}",
+	"CSO Q8":  "HS[0,3){ws_sold_date_sk,ws_sold_time_sk} HS[3,5){ws_item_sk}",
+	"PSQL Q8": "FS[0,2){ws_sold_date_sk,ws_sold_time_sk} FS[2,5){ws_item_sk}",
+	"CSO Q9":  "FS[0,6){} HS[6,8){ws_bill_customer_sk}",
+	"PSQL Q9": "FS[0,3){ws_item_sk} FS[3,4){} FS[4,6){ws_bill_customer_sk} FS[6,7){ws_sold_date_sk,ws_sold_time_sk} FS[7,8){}",
+}
+
+// cutString renders a runner's cut of plan as "<lead reorder>[lo,hi){key}"
+// per segment.
+func cutString(plan *core.Plan, r *SegmentRunner, base *storage.Schema) string {
+	var parts []string
+	for _, seg := range r.segs {
+		var cols []string
+		for _, id := range seg.Key.IDs() {
+			cols = append(cols, base.Columns[id].Name)
+		}
+		parts = append(parts, fmt.Sprintf("%s[%d,%d){%s}", plan.Steps[seg.Lo].Reorder, seg.Lo, seg.Hi, strings.Join(cols, ",")))
+	}
+	return strings.Join(parts, " ")
 }
 
 // TestSegmentRunnerComposesToExecute is the algebraic identity the
 // cluster's shuffle route rests on: hash-partitioning the table across N
-// "nodes", running each segment per node with a re-shuffle on the
-// segment's key in between, concatenating the final segment's projected
-// streams and finalizing at a coordinator reproduces ExecuteContext
-// exactly — WHERE, DISTINCT, ORDER BY and LIMIT included.
+// "nodes", running each segment of the coordinator's plan per node with a
+// re-shuffle on the segment's key in between, concatenating the final
+// segment's projected streams and finalizing at a coordinator reproduces
+// the single engine — WHERE, DISTINCT, ORDER BY and LIMIT included. It
+// covers a key-divergent chain, the paper's Q7–Q9 (Q7 and Q9 with
+// PARTITION-BY-less functions) under CSO and PSQL coordinators, and
+// finalize's generated statements, among them a keyed → keyless → keyed
+// chain.
 func TestSegmentRunnerComposesToExecute(t *testing.T) {
 	ws := datagen.WebSales(datagen.WebSalesConfig{Rows: 900, Seed: 4})
-	composeSegments(t, ws, `SELECT ws_order_number, ws_warehouse_sk,
+	if got := composeSegments(t, ws, itemKey, `SELECT ws_order_number, ws_warehouse_sk,
 	 rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS a,
 	 rank() OVER (PARTITION BY ws_warehouse_sk ORDER BY ws_sold_date_sk) AS b
-	 FROM web_sales WHERE ws_quantity <= 80 ORDER BY ws_order_number, b LIMIT 300`, 2)
+	 FROM web_sales WHERE ws_quantity <= 80 ORDER BY ws_order_number, b LIMIT 300`, SchemeCSO).Segments(); got != 2 {
+		t.Errorf("%d segments, want 2", got)
+	}
+	for _, name := range []string{"Q7", "Q8", "Q9"} {
+		for _, scheme := range []Scheme{SchemeCSO, SchemePSQL} {
+			composeSegments(t, ws, itemKey, paper.Statements[name], scheme)
+		}
+	}
+
+	shapes := append(slices.Clone(finalizeShapes), finalizeShape{
+		[]string{`rank() OVER (PARTITION BY g ORDER BY u) AS w1`, `row_number() OVER (ORDER BY h, u) AS w2`,
+			`dense_rank() OVER (PARTITION BY s ORDER BY h DESC NULLS FIRST) AS w3`},
+		[][]string{{"g", "u"}, {"h", "u"}, {"s"}},
+	})
+	seeds := 60
+	if *long {
+		seeds = 1000
+	}
+	shardKey := attrs.MakeSet(0) // g
+	keylessMidChain := 0
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		table := finalizeTable(rng)
+		shape := shapes[len(shapes)-1]
+		if seed%2 == 0 {
+			shape = shapes[rng.Intn(len(shapes))]
+		}
+		stmt := finalizeStatementOf(rng, table.Len(), shape)
+		for _, scheme := range []Scheme{SchemeCSO, SchemePSQL} {
+			r := composeSegments(t, table, shardKey, stmt, scheme)
+			for seg := 1; r != nil && seg < r.Segments()-1; seg++ {
+				if r.Key(seg).Empty() && !r.Key(seg-1).Empty() && !r.Key(seg+1).Empty() {
+					keylessMidChain++
+					break
+				}
+			}
+		}
+	}
+	if keylessMidChain == 0 {
+		t.Error("no generated chain cut keyed → keyless → keyed")
+	}
 }
 
+// itemKey is the web_sales shard key the compose tests partition on.
+var itemKey = attrs.MakeSet(attrs.ID(datagen.ColItem))
+
 // composeSegments runs src the way the cluster's shuffle route does, over
-// three "nodes" holding ws hash-partitioned on ws_item_sk and a coordinator
-// holding a schema-only stub, and requires the single engine's result and a
-// plan of the given segment count.
-func composeSegments(t *testing.T, ws *storage.Table, src string, segments int) {
+// three "nodes" holding table hash-partitioned on shardKey and a
+// coordinator that plans src under scheme against a schema-only stub and
+// ships its plan: every node runs each segment of it, the rows re-shuffle on
+// the next segment's key in between (the first re-shuffle skipped when the
+// shard key covers segment 0's key), and the coordinator finalizes the
+// concatenated final streams. Before finalize the concatenation must be the
+// single engine's shard-local rows as a multiset — the window values; after
+// it, the single engine's result as a sequence where the ORDER BY is total
+// over it, as a multiset where there is no LIMIT to pick among ties, and by
+// its row count otherwise. The table is registered under the name src
+// reads. It returns node 0's runner, or nil for a window-less src, which
+// it skips.
+func composeSegments(t *testing.T, table *storage.Table, shardKey attrs.Set, src string, scheme Scheme) *SegmentRunner {
 	t.Helper()
-	full := catalog.New()
-	full.Register("web_sales", ws)
-	want, err := (&Runner{Catalog: full, Exec: exec.Config{MemoryBytes: 1 << 20}}).Query(src)
+	ctx := context.Background()
+	q, err := Parse(src)
 	if err != nil {
 		t.Fatal(err)
+	}
+	cfg := exec.Config{MemoryBytes: 1 << 20}
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Fatalf("%s coordinator, %s: %s\n%s", scheme, src, fmt.Sprintf(format, args...), FormatTable(table, 12))
+	}
+	full := catalog.New()
+	full.Register(q.Table, table)
+	single, err := (&Runner{Catalog: full, Exec: cfg}).Prepare(src)
+	if err != nil {
+		fail("%v", err)
+	}
+	if single.Plan() == nil {
+		return nil
+	}
+	local, err := openResult(ctx, single, Input{}, true)
+	if err != nil {
+		fail("%v", err)
+	}
+	want, err := openResult(ctx, single, Input{}, false)
+	if err != nil {
+		fail("%v", err)
 	}
 	stub := catalog.New()
-	stub.RegisterStub("web_sales", ws.Schema, catalog.TableStats{
-		Rows:  int64(ws.Len()),
-		Bytes: int64(ws.ByteSize()),
-		Distinct: func(set attrs.Set) int64 {
-			return int64(ws.DistinctCount(set))
-		},
+	stub.RegisterStub(q.Table, table.Schema, catalog.TableStats{
+		Rows:     int64(table.Len()),
+		Bytes:    int64(table.ByteSize()),
+		Distinct: func(set attrs.Set) int64 { return int64(table.DistinctCount(set)) },
 	})
-	prep, err := (&Runner{Catalog: stub, Exec: exec.Config{MemoryBytes: 1 << 20}}).Prepare(src)
+	prep, err := (&Runner{Catalog: stub, Exec: cfg, Scheme: scheme}).Prepare(src)
 	if err != nil {
-		t.Fatal(err)
-	}
-	sp := prep.SegmentPlan()
-	if sp == nil || sp.Segments() != segments {
-		t.Fatalf("want a %d-segment plan, got %+v", segments, sp)
+		fail("%v", err)
 	}
 
 	const nodes = 3
-	shardKey := attrs.MakeSet(attrs.ID(datagen.ColItem))
-	parts := exec.PartitionRows(ws.Rows, shardKey.IDs(), nodes)
+	parts := exec.PartitionRows(table.Rows, shardKey.IDs(), nodes)
 	runners := make([]*SegmentRunner, nodes)
 	cur := make([]*storage.Table, nodes)
 	for i := 0; i < nodes; i++ {
 		cat := catalog.New()
-		pt := storage.NewTable(ws.Schema)
+		pt := storage.NewTable(table.Schema)
 		pt.Rows = parts[i]
-		cat.Register("web_sales", pt)
-		r := Runner{Catalog: cat, Exec: exec.Config{MemoryBytes: 1 << 20}}
-		p, err := r.Prepare(src)
+		cat.Register(q.Table, pt)
+		p, err := (&Runner{Catalog: cat, Exec: cfg}).Prepare(src)
 		if err != nil {
-			t.Fatal(err)
+			fail("%v", err)
 		}
-		if runners[i], err = p.Segments(sp); err != nil {
-			t.Fatal(err)
+		if runners[i], err = p.Segments(prep.Plan()); err != nil {
+			fail("node %d: %v", i, err)
 		}
-		if cur[i], err = runners[i].FilterBase(context.Background()); err != nil {
-			t.Fatal(err)
+		if cur[i], err = runners[i].FilterBase(ctx); err != nil {
+			fail("%v", err)
 		}
 	}
 
-	// reshuffle redistributes every node's current rows on key, exactly as
-	// the nodes would exchange them over the wire.
-	reshuffle := func(key []int, schema *storage.Schema) {
-		ids := make([]attrs.ID, len(key))
-		for i, c := range key {
-			ids[i] = attrs.ID(c)
+	// reshuffle redistributes every node's current rows onto segment seg's
+	// key, exactly as the nodes would exchange them over the wire.
+	reshuffle := func(seg int) {
+		if seg == 0 && shardKey.SubsetOf(runners[0].Key(0)) {
+			return
 		}
 		next := make([]*storage.Table, nodes)
 		for i := range next {
-			next[i] = storage.NewTable(schema)
+			next[i] = storage.NewTable(runners[0].InputSchema(seg))
 		}
 		for _, t := range cur {
-			for p, rows := range exec.PartitionRows(t.Rows, ids, nodes) {
+			for p, rows := range exec.PartitionRows(t.Rows, runners[0].Key(seg).IDs(), nodes) {
 				next[p].Rows = append(next[p].Rows, rows...)
 			}
 		}
 		cur = next
 	}
-
-	// Run every segment with a re-shuffle on its key first (always legal;
-	// the cluster skips the first one when the shard key already covers
-	// segment 0's key).
-	for seg := 0; seg < sp.Segments()-1; seg++ {
-		reshuffle(sp.Keys[seg], runners[0].InputSchema(seg))
-		for i := 0; i < nodes; i++ {
-			out, _, err := runners[i].Run(context.Background(), seg, cur[i])
-			if err != nil {
-				t.Fatal(err)
+	// verbatim requires a node's steps to be the coordinator's, reorder for
+	// reorder.
+	verbatim := func(node, seg int, m *exec.Metrics) {
+		planned := prep.Plan().Steps[runners[node].segs[seg].Lo:]
+		for k, st := range m.Steps {
+			if st.WFID != planned[k].WF.ID || st.Reorder != planned[k].Reorder {
+				fail("node %d ran wf%d %s where the coordinator planned wf%d %s", node, st.WFID, st.Reorder, planned[k].WF.ID, planned[k].Reorder)
 			}
+		}
+	}
+	last := runners[0].Segments() - 1
+	for seg := 0; seg < last; seg++ {
+		reshuffle(seg)
+		for i := 0; i < nodes; i++ {
+			out, m, err := runners[i].Run(ctx, seg, cur[i])
+			if err != nil {
+				fail("node %d segment %d: %v", i, seg, err)
+			}
+			verbatim(i, seg, m)
 			cur[i] = out
 		}
 	}
-	last := sp.Segments() - 1
-	reshuffle(sp.Keys[last], runners[0].InputSchema(last))
-	var concat *storage.Table
+	reshuffle(last)
+	concat := storage.NewTable(storage.NewSchema(single.outCols...))
 	for i := 0; i < nodes; i++ {
-		c, err := runners[i].StreamFinal(context.Background(), cur[i])
+		c, err := runners[i].StreamFinal(ctx, cur[i])
 		if err != nil {
-			t.Fatal(err)
+			fail("node %d final segment: %v", i, err)
 		}
-		if concat == nil {
-			concat = storage.NewTable(storage.NewSchema(c.Columns()...))
-		}
+		verbatim(i, last, c.Meta().Metrics)
 		concat.Rows = append(concat.Rows, drainCursor(t, c)...)
 	}
-	got, err := openResult(context.Background(), prep, Input{Concat: concat}, false)
+	if !slices.Equal(multiset(concat.Rows), multiset(local.Table.Rows)) {
+		fail("the shuffled chain's rows are not the single engine's")
+	}
+	got, err := openResult(ctx, prep, Input{Concat: concat}, false)
 	if err != nil {
-		t.Fatal(err)
+		fail("%v", err)
 	}
-	if got.Table.Len() != want.Table.Len() {
-		t.Fatalf("rows %d, want %d", got.Table.Len(), want.Table.Len())
+	switch {
+	case totalOver(local.Table.Rows, single):
+		if !slices.Equal(sequence(got.Table.Rows), sequence(want.Table.Rows)) {
+			fail("finalized rows differ from the single engine's sequence")
+		}
+	case single.q.Limit < 0:
+		if !slices.Equal(multiset(got.Table.Rows), multiset(want.Table.Rows)) {
+			fail("finalized rows differ from the single engine's multiset")
+		}
+	case got.Table.Len() != want.Table.Len():
+		fail("%d finalized rows, the single engine has %d", got.Table.Len(), want.Table.Len())
 	}
-	for i := range want.Table.Rows {
-		a := storage.AppendTuple(nil, got.Table.Rows[i])
-		b := storage.AppendTuple(nil, want.Table.Rows[i])
-		if !slices.Equal(a, b) {
-			t.Fatalf("row %d differs after segment composition", i)
+	return runners[0]
+}
+
+// sequence encodes rows one string each, the two float zeros as one value
+// (DISTINCT keeps whichever comes first).
+func sequence(rows []storage.Tuple) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		var b []byte
+		for _, v := range r {
+			if v.Kind() == storage.KindFloat && v.Float64() == 0 {
+				v = storage.Float(0)
+			}
+			b = storage.AppendTuple(b, storage.Tuple{v})
+		}
+		out[i] = string(b)
+	}
+	return out
+}
+
+// multiset is sequence sorted.
+func multiset(rows []storage.Tuple) []string { return slices.Sorted(slices.Values(sequence(rows))) }
+
+// totalOver reports whether p's ORDER BY leaves no choice over its
+// projected rows: after DISTINCT, rows that tie on the key are the same row.
+func totalOver(rows []storage.Tuple, p *Prepared) bool {
+	if len(p.orderKey) == 0 {
+		return false
+	}
+	sorted := finalizeOracle(rows, p.q.Distinct, p.orderKey, -1)
+	enc := sequence(sorted)
+	for i := 1; i < len(sorted); i++ {
+		if storage.CompareSeq(sorted[i-1], sorted[i], p.orderKey) == 0 && enc[i-1] != enc[i] {
+			return false
 		}
 	}
+	return true
 }
 
 // TestShardLocalPredicate pins the routing rule on crafted chains.

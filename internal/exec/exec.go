@@ -163,18 +163,25 @@ func (c *Chain) Headers(n int) []storage.Tuple { return c.arena.Headers(n) }
 // Len returns the row count.
 func (c *Chain) Len() int { return len(c.Rows) }
 
-// Release ends the chain: the value and header slabs its rows, its tail
-// vectors and its row arrays were carved from go back to the process-wide
-// pool, for the next statement's chain to carve. No row of the chain, no
-// value in one and no tail value may be read afterwards; the strings in
-// them stay valid (byte slabs are never pooled). Idempotent. A chain that is
-// never released is garbage-collected like any other.
+// Release ends the chain: the value, byte and header slabs its rows, the
+// strings a spill read back into them, its tail vectors and its row arrays
+// were carved from go back to the process-wide pool, for the next
+// statement's chain to carve. No row of the chain, no value in one, no tail
+// value and — when ArenaStrings reports so — no string read out of one may
+// be read afterwards. Idempotent. A chain that is never released is
+// garbage-collected like any other, its strings with it.
 func (c *Chain) Release() {
 	if c.arena != nil {
 		c.arena.Recycle()
 	}
 	c.arena, c.Rows, c.Tail = nil, nil, nil
 }
+
+// ArenaStrings reports whether a string read out of the chain may lie in
+// its arena — one a spill read back — and so dies with Release: whoever
+// keeps a string past Release copies it first when this says so. A chain
+// that never spilled a string holds only its input's.
+func (c *Chain) ArenaStrings() bool { return c.arena != nil && c.arena.CarvedStrings() }
 
 // At returns column col of row i.
 func (c *Chain) At(i, col int) storage.Value {

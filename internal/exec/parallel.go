@@ -117,7 +117,10 @@ func parallelSpan(steps []core.Step, lo int) (attrs.Set, int) {
 // whole input for a segment whose keys diverge to ∅. Their outputs are
 // flattened, rows plus tail values, into whole tuples carved from the
 // chain's arena in partition-index order — deterministic for a given degree
-// — and released; the next segment reads the flattened rows, the last
+// — and released. The strings a sub-chain's spills read back are copied
+// into the chain's byte slabs first, not handed over with the slabs they
+// lie in: every set then goes back to the pool to serve the role it served
+// (see release). The next segment reads the flattened rows, the last
 // segment's are the chain's, and the chain's one Release hands back every
 // slab the run carved. ctx is checked at every segment boundary and, inside
 // every sub-chain, at every step boundary.
@@ -170,8 +173,15 @@ func (c *Chain) runSegments(ctx context.Context, table *storage.Table, specs []w
 		}
 		var schema *storage.Schema
 		for _, ch := range chains {
-			if ch != nil {
-				rows, schema = ch.appendRows(rows, vals[len(rows)*stride:]), ch.Schema
+			if ch == nil {
+				continue
+			}
+			from := len(rows)
+			rows, schema = ch.appendRows(rows, vals[from*stride:]), ch.Schema
+			if ch.ArenaStrings() { // what its spills read back dies with it
+				for _, r := range rows[from:] {
+					c.arena.OwnStrings(r)
+				}
 			}
 		}
 		release(chains)

@@ -28,7 +28,9 @@ func ReorderTable(ctx context.Context, table *storage.Table, step core.Step, cfg
 	}
 	start := time.Now()
 	var comparisons int64
-	// A private arena: the segment's rows outlive any one statement.
+	// A private arena, never recycled: the segment's rows, and the strings
+	// its spills read back, outlive any one statement and go to the GC with
+	// the segment.
 	rcfg, stats := reorderConfig(cfg, &comparisons, storage.NewTupleArena(table.Schema.Len()))
 	tableBlocks := int64(table.ByteSize()) / int64(cfg.blockSize())
 

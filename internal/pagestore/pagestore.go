@@ -117,12 +117,15 @@ func PoolCounters() (allocated, held int64) {
 	return poolAllocated.Load(), poolHeld.Load()
 }
 
-// Store creates spill files over one backend with shared accounting.
+// Store creates spill files over one backend with shared accounting. A
+// store serves one chain, whose operators run on one goroutine: its files
+// may be read concurrently once sealed, but only one goroutine writes.
 type Store struct {
 	blockSize int
 	stats     *Stats
 	dir       string // non-empty ⇒ file-backed
 	blocks    *blockPool
+	scratch   []byte
 }
 
 // NewMem returns a memory-backed store. stats may be nil.
@@ -162,6 +165,13 @@ func (s *Store) Block() []byte { return s.blocks.get() }
 // Recycle hands b, which came from Block and is not referenced anywhere
 // else, back to the pool. A buffer of any other capacity is ignored.
 func (s *Store) Recycle(b []byte) { s.blocks.put(b) }
+
+// Scratch returns the store's one encode buffer, which every writer of its
+// files shares: a writer encodes a record into it, grown as it needs, and
+// Writes it to its file before any other writer touches it. It is the
+// store's, not the block pool's, so a store with hundreds of open writers
+// holds one record's bytes, not a page per writer outside the budget.
+func (s *Store) Scratch() *[]byte { return &s.scratch }
 
 // Create opens a fresh spill file for sequential writing.
 func (s *Store) Create() (*File, error) {

@@ -114,7 +114,7 @@ func WriteProcessMetrics(p *PromWriter) {
 	p.Counter("windowdb_block_pool_allocated_total", "Spill blocks allocated because the process-wide pool had none free.", float64(allocated))
 	p.Gauge("windowdb_block_pool_held", "Spill blocks taken from the pool and not yet handed back.", float64(held))
 	p.Gauge("windowdb_sort_workspace_bytes", "Merge scratch the idle in-memory sort workspace retains.", float64(xsort.WorkspaceBytes()))
-	p.Gauge("windowdb_arena_pool_bytes", "Value and header slabs released chains left in the arena pool for the next chain to carve.", float64(storage.ArenaPoolBytes()))
+	p.Gauge("windowdb_arena_pool_bytes", "Value, vector, header and byte slabs released chains left in the arena pool for the next chain to carve.", float64(storage.ArenaPoolBytes()))
 }
 
 // histStride thins the 96 exponential buckets to every 8th boundary in

@@ -6,6 +6,7 @@ package spill
 
 import (
 	"errors"
+	"fmt"
 	"io"
 
 	"repro/internal/pagestore"
@@ -15,7 +16,6 @@ import (
 // Writer appends tuples to a spill file.
 type Writer struct {
 	file *pagestore.File
-	buf  []byte
 }
 
 // NewWriter creates a fresh spill file in store.
@@ -27,10 +27,12 @@ func NewWriter(store *pagestore.Store) (*Writer, error) {
 	return &Writer{file: f}, nil
 }
 
-// Write appends one tuple.
+// Write appends one tuple, encoded in the store's scratch buffer, which
+// every writer of the store shares.
 func (w *Writer) Write(t storage.Tuple) error {
-	w.buf = storage.AppendTuple(w.buf[:0], t)
-	_, err := w.file.Write(w.buf)
+	buf := w.file.Store().Scratch()
+	*buf = storage.AppendTuple((*buf)[:0], t)
+	_, err := w.file.Write(*buf)
 	return err
 }
 
@@ -92,7 +94,7 @@ func (r *Reader) Next() (t storage.Tuple, ok bool, err error) {
 				return t, true, nil
 			}
 			if r.eof {
-				return nil, false, derr
+				return nil, false, fmt.Errorf("spill: the file's last %d bytes are not a whole tuple: %w", r.fill-r.pos, derr)
 			}
 		} else if r.eof {
 			return nil, false, nil

@@ -1,6 +1,8 @@
 package spill
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -106,6 +108,37 @@ func TestEmptyFile(t *testing.T) {
 	}
 }
 
+// TestTruncatedFileIsCorrupt — a file that ends inside a tuple reads as
+// ErrCorrupt once the reader has nothing left to refill from, after every
+// whole tuple before it.
+func TestTruncatedFileIsCorrupt(t *testing.T) {
+	store := pagestore.NewMem(64, nil)
+	f, err := store.Create()
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := storage.Tuple{storage.Int(7), storage.StringVal("a string longer than one page of this store")}
+	enc := storage.AppendTuple(nil, whole)
+	enc = storage.AppendTuple(enc, whole)
+	if _, err := f.Write(enc[:len(enc)-1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rd.Close()
+	if tu, ok, err := rd.Next(); !ok || err != nil || !storage.Identical(tu[1], whole[1]) {
+		t.Fatalf("first tuple: %v ok=%v err=%v", tu, ok, err)
+	}
+	if _, ok, err := rd.Next(); ok || !errors.Is(err, storage.ErrCorrupt) {
+		t.Fatalf("truncated tuple: ok=%v err=%v, want ErrCorrupt", ok, err)
+	}
+}
+
 func TestQuickRoundTrip(t *testing.T) {
 	err := quick.Check(func(seed int64, n uint8, blockExp uint8) bool {
 		store := pagestore.NewMem(64<<(blockExp%5), nil)
@@ -149,6 +182,105 @@ func TestQuickRoundTrip(t *testing.T) {
 	}, &quick.Config{MaxCount: 100})
 	if err != nil {
 		t.Error(err)
+	}
+}
+
+// TestWritesShareTheStoresBuffer — after a store's first tuple, no write
+// allocates, not even a new writer's first: every writer of the store
+// encodes into its one scratch buffer (the pages come from the block pool,
+// warmed here).
+func TestWritesShareTheStoresBuffer(t *testing.T) {
+	const blockSize, writers = 256, 100
+	store := pagestore.NewMem(blockSize, nil)
+	for _, b := range func() (pages [][]byte) {
+		for range 2 * writers {
+			pages = append(pages, store.Block())
+		}
+		return pages
+	}() {
+		store.Recycle(b)
+	}
+	ws := make([]*Writer, writers+1)
+	for i := range ws {
+		w, err := NewWriter(store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws[i] = w
+	}
+	tu := storage.Tuple{storage.Int(1 << 40), storage.StringVal("a string of a few dozen bytes, spilled"), storage.Float(0.5)}
+	i := 0
+	// AllocsPerRun's first call, writers[0]'s first tuple, is the store's.
+	if n := testing.AllocsPerRun(writers, func() {
+		if err := ws[i].Write(tu); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); n != 0 {
+		t.Fatalf("a writer's first tuple allocates %v objects after the store's first", n)
+	}
+	for _, w := range ws {
+		w.Abort()
+	}
+}
+
+// TestReadsIntoAWarmArenaAllocateNothing — reading a multi-page file,
+// strings and all, into a pooled arena that took back the slabs an earlier
+// read recycled allocates nothing: not per tuple, not per page, not per
+// string.
+func TestReadsIntoAWarmArenaAllocateNothing(t *testing.T) {
+	const blockSize, n, reads = 256, 500, 5
+	store := pagestore.NewMem(blockSize, nil)
+	w, err := NewWriter(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pads := make([]string, 97)
+	for i := range pads {
+		pads[i] = fmt.Sprintf("pad %03d", i)
+	}
+	for i := 0; i < n; i++ {
+		if err := w.Write(storage.Tuple{storage.Int(int64(i)), storage.StringVal(pads[i%len(pads)]), storage.Null}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Release()
+	if f.Blocks() < 10 {
+		t.Fatalf("the file is %d pages, want a multi-page file", f.Blocks())
+	}
+	arena := storage.NewPooledTupleArena(3)
+	rds := make([]*Reader, reads+1)
+	for i := range rds {
+		if rds[i], err = NewArenaReader(f, arena); err != nil {
+			t.Fatal(err)
+		}
+		defer rds[i].Close()
+	}
+	read := 0
+	// AllocsPerRun's first call carves the slabs its Recycle hands back.
+	allocs := testing.AllocsPerRun(reads, func() {
+		rd := rds[read]
+		for i := 0; ; i++ {
+			tu, ok, err := rd.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			if tu[0].Int64() != int64(i) || tu[1].Str() != pads[i%len(pads)] {
+				t.Fatalf("read %d: tuple %v", read, tu)
+			}
+		}
+		arena.Recycle()
+		read++
+	})
+	if allocs != 0 {
+		t.Fatalf("reading %d tuples into a warm arena allocates %v objects", n, allocs)
 	}
 }
 

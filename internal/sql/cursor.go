@@ -50,7 +50,10 @@ func (c *Cursor) Meta() *Result { return &c.meta }
 // on the way: a base column is gathered out of the chain's rows, a derived
 // column past the chain's last reorder is copied from its tail vector. The
 // batch is the cursor's own, refilled by the next call; the strings in it
-// alias the chain's rows and outlive it.
+// outlive it and the cursor: they alias the input table's, or — when the
+// chain's spills read strings back into its arena, which Close hands to the
+// next statement — are copied out of the arena, one allocation per string
+// column.
 func (c *Cursor) NextBatch() (*stream.Batch, error) {
 	n := min(stream.BatchRows, c.left)
 	if n == 0 {
@@ -73,14 +76,17 @@ func (c *Cursor) NextBatch() (*stream.Batch, error) {
 			c.batch.SetValues(k, c.src.Tail[tail][c.pos:])
 		}
 	}
+	if c.src.ArenaStrings() {
+		c.batch.DetachStrings()
+	}
 	c.pos, c.left = c.pos+n, c.left-n
 	return &c.batch, nil
 }
 
-// Close releases the cursor and its chain (exec.Chain.Release), whose value
-// slabs go back to the pool for the next statement's chain; the batches it
-// returned hold copies, and strings that stay valid. Further NextBatch
-// calls return io.EOF. Idempotent.
+// Close releases the cursor and its chain (exec.Chain.Release), whose slabs
+// go back to the pool for the next statement's chain; the batches and rows
+// it returned hold copies, and strings that stay valid (NextBatch). Further
+// NextBatch calls return io.EOF. Idempotent.
 func (c *Cursor) Close() error {
 	if c.closed {
 		return nil
@@ -105,7 +111,8 @@ func (c *Cursor) Materialize() *Result {
 }
 
 // projectRows materializes the cursor's next n output rows, all of them
-// carved out of one value slab.
+// carved out of one value slab, and the strings the chain's arena holds
+// copied out of it in one more (NextBatch).
 func (c *Cursor) projectRows(n int) []storage.Tuple {
 	rows := make([]storage.Tuple, n)
 	w := len(c.cols)
@@ -120,6 +127,9 @@ func (c *Cursor) projectRows(n int) []storage.Tuple {
 			row[k] = c.src.At(at, col)
 		}
 		rows[ri] = row
+	}
+	if c.src.ArenaStrings() {
+		storage.DetachStrings(slab)
 	}
 	return rows
 }

@@ -126,8 +126,8 @@ func (r *SegmentRunner) FilterBase(ctx context.Context) (*storage.Table, error) 
 // hash-partitioned on the segment's key — returning the extended table and
 // the executor metrics. The table is materialized: its rows are the next
 // shuffle's wire rows and must carry their derived columns. The chain is
-// never released — the table's rows may be its arena's — and goes with
-// the table to the GC.
+// never released — the table's rows, and the strings its spills read back,
+// may be its arena's — and goes with the table to the GC.
 func (r *SegmentRunner) Run(ctx context.Context, seg int, in *storage.Table) (*storage.Table, *exec.Metrics, error) {
 	out, m, _, err := r.p.runPlan(ctx, nil, in, r.sub(seg))
 	if err != nil {

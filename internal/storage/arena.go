@@ -20,17 +20,28 @@ const (
 	arenaMaxBytes = 64 << 10
 )
 
-// maxPooledBytes is the largest slab set the pool keeps (32 MB of values
-// and row headers): a chain's set is about one copy of its input, and one
-// huge statement must not pin its slabs for the life of the process.
+// maxPooledBytes is the largest slab set the pool keeps (32 MB of values,
+// row headers and string bytes): a chain's set is about one copy of its
+// input, and one huge statement must not pin its slabs for the life of the
+// process.
 const maxPooledBytes = 32 << 20
 
 // poisonRewound makes Release overwrite what it rewinds over, and Recycle
 // the slabs it hands back, so a row or a string still in use after its
 // memory was handed back reads as garbage instead of as its old self until
-// something happens to reuse the slot. Tests set it (export_test.go); it is
+// something happens to reuse the slot. Tests set it (PoisonRewound); it is
 // never set in a running engine.
 var poisonRewound bool
+
+// PoisonRewound switches on the overwriting of everything a TupleArena
+// rewinds over or recycles and returns the function that switches it back
+// off. It is a test switch — exported for the tests of the packages whose
+// results may alias arena memory, such as a cluster's node streams — and
+// tests that use it must not run in parallel with other arena users.
+func PoisonRewound() (restore func()) {
+	poisonRewound = true
+	return func() { poisonRewound = false }
+}
 
 var poisonValue = Value{num: 0xDEADDEADDEADDEAD, ptr: tagInt}
 
@@ -69,15 +80,18 @@ const poisonByte = 0xDB
 // an array is the caller's until Recycle.
 //
 // An arena from NewTupleArena allocates its slabs and the GC frees them with
-// it. One from NewPooledTupleArena takes its value, vector and header slabs
-// from a process-wide pool the first time it needs one, and Recycle hands
-// them back. Byte slabs are never pooled: a string read out of a row may
-// outlive the arena.
+// it. One from NewPooledTupleArena takes its value, byte, vector and header
+// slabs from a process-wide pool the first time it needs one, and Recycle
+// hands them back: a string it decoded dies with its rows, so whoever keeps
+// one past Recycle copies it first (CarvedStrings says when that is needed).
 //
 // Not safe for concurrent use.
 type TupleArena struct {
 	stride int
 	pooled bool // takes its slabs from slabPool on the first carve
+	// strung is set by the first string payload carved since the arena was
+	// made or last recycled.
+	strung bool
 	vals   slabs[Value]
 	strs   slabs[byte]
 	vecs   slabs[Value]
@@ -97,10 +111,10 @@ func NewTupleArena(stride int) *TupleArena {
 	return &TupleArena{stride: max(stride, 0)}
 }
 
-// NewPooledTupleArena is NewTupleArena for an arena whose value, vector and
-// header slabs come from the process-wide pool: taken on its first carve,
-// so an arena that never carves never touches the pool, and handed back by
-// Recycle.
+// NewPooledTupleArena is NewTupleArena for an arena whose value, byte,
+// vector and header slabs come from the process-wide pool: taken on its
+// first carve, so an arena that never carves never touches the pool, and
+// handed back by Recycle.
 func NewPooledTupleArena(stride int) *TupleArena {
 	return &TupleArena{stride: max(stride, 0), pooled: true}
 }
@@ -148,11 +162,11 @@ func carveArray[T any](a *TupleArena, s *slabs[T], n int) []T {
 // adopt gives a pooled arena that has no slabs yet the pool's most recently
 // returned set, and reports whether it got one.
 func (a *TupleArena) adopt() bool {
-	if !a.pooled || a.vals.list != nil || a.vecs.list != nil || a.hdrs.list != nil {
+	if !a.pooled || a.vals.list != nil || a.strs.list != nil || a.vecs.list != nil || a.hdrs.list != nil {
 		return false
 	}
 	set := slabPool.get()
-	a.vals.list, a.vecs.list, a.hdrs.list = set.vals, set.vecs, set.hdrs
+	a.vals.list, a.strs.list, a.vecs.list, a.hdrs.list = set.vals, set.strs, set.vecs, set.hdrs
 	return set.bytes() > 0
 }
 
@@ -168,13 +182,47 @@ func (a *TupleArena) Copy(t Tuple) Tuple {
 // the result shares no memory with t.
 func (a *TupleArena) CopyStrings(t Tuple) Tuple {
 	row := a.Copy(t)
-	for i, v := range row {
-		if v.Kind() == KindString {
-			row[i] = a.stringVal(unsafe.Slice((*byte)(v.ptr), int(v.num)))
-		}
-	}
+	a.OwnStrings(row)
 	return row
 }
+
+// OwnStrings moves the string payloads of t into the arena's byte slabs, in
+// place: t's strings then live exactly as long as the arena's rows.
+func (a *TupleArena) OwnStrings(t Tuple) {
+	for i, v := range t {
+		if v.Kind() == KindString {
+			t[i] = a.stringVal(unsafe.Slice((*byte)(v.ptr), int(v.num)))
+		}
+	}
+}
+
+// DetachStrings copies the string payloads of vals into one allocation of
+// their own and points the values at the copies, in place: the strings then
+// outlive the arena they were read out of.
+func DetachStrings(vals []Value) {
+	n := 0
+	for _, v := range vals {
+		if v.Kind() == KindString {
+			n += int(v.num)
+		}
+	}
+	if n == 0 {
+		return
+	}
+	buf := make([]byte, 0, n)
+	for i, v := range vals {
+		if v.Kind() == KindString && v.num > 0 {
+			at := len(buf)
+			buf = append(buf, v.str()...)
+			vals[i].ptr = unsafe.Pointer(&buf[at])
+		}
+	}
+}
+
+// CarvedStrings reports whether the arena has carved a string payload since
+// it was made or last recycled: whether a string read out of it may lie in
+// its byte slabs, and so must be copied to outlive a Recycle.
+func (a *TupleArena) CarvedStrings() bool { return a.strung }
 
 // Decode is DecodeTuple into the arena. On error — in particular on a tuple
 // truncated by the end of buf, which a reader answers by refilling and
@@ -219,11 +267,15 @@ func (a *TupleArena) stringVal(b []byte) Value {
 		return Value{ptr: tagEmpty}
 	}
 	dst := a.strs.take(len(b))
+	if dst == nil && a.adopt() {
+		dst = a.strs.take(len(b))
+	}
 	if dst == nil {
 		a.strs.add(max(len(b), min(max(2*a.strs.last(), arenaMinBytes), arenaMaxBytes)))
 		dst = a.strs.take(len(b))
 	}
 	copy(dst, b)
+	a.strung = true
 	return Value{num: uint64(len(b)), ptr: unsafe.Pointer(unsafe.SliceData(dst))}
 }
 
@@ -243,14 +295,14 @@ func (a *TupleArena) Release(m ArenaMark) {
 // Reset releases everything the arena ever handed out.
 func (a *TupleArena) Reset() { a.Release(ArenaMark{}) }
 
-// Recycle releases everything the arena ever handed out — rows, value
-// vectors and header arrays — and gives its value, vector and header slabs,
-// cleared, to the process-wide pool, for the next pooled arena to carve.
-// The byte slabs are dropped instead: the strings in them stay valid for as
-// long as anything holds one. The arena is empty afterwards, as if new.
+// Recycle releases everything the arena ever handed out — rows, the strings
+// in them, value vectors and header arrays — and gives its value, byte,
+// vector and header slabs to the process-wide pool, for the next pooled
+// arena to carve. No row, string, vector or array carved from the arena may
+// be read afterwards. The arena is empty afterwards, as if new.
 func (a *TupleArena) Recycle() {
-	set := slabSet{vals: a.vals.list, vecs: a.vecs.list, hdrs: a.hdrs.list}
-	a.vals, a.strs, a.vecs, a.hdrs = slabs[Value]{}, slabs[byte]{}, slabs[Value]{}, slabs[Tuple]{}
+	set := slabSet{vals: a.vals.list, strs: a.strs.list, vecs: a.vecs.list, hdrs: a.hdrs.list}
+	*a = TupleArena{stride: a.stride, pooled: a.pooled}
 	slabPool.put(set)
 }
 
@@ -345,17 +397,18 @@ func (s *slabs[T]) rewind(cur, off int, poison T) {
 	s.cur, s.off = cur, off
 }
 
-// slabSet is what one pooled arena carved from: its value, vector and
+// slabSet is what one pooled arena carved from: its value, byte, vector and
 // header slabs.
 type slabSet struct {
 	vals, vecs [][]Value
+	strs       [][]byte
 	hdrs       [][]Tuple
 }
 
 // bytes returns the memory the set's slabs hold.
 func (s slabSet) bytes() int64 {
 	return elems(s.vals)*int64(unsafe.Sizeof(Value{})) + elems(s.vecs)*int64(unsafe.Sizeof(Value{})) +
-		elems(s.hdrs)*int64(unsafe.Sizeof(Tuple{}))
+		elems(s.strs) + elems(s.hdrs)*int64(unsafe.Sizeof(Tuple{}))
 }
 
 func elems[T any](list [][]T) (n int64) {
@@ -406,10 +459,14 @@ func (p *slabList) put(set slabSet) {
 	if n == 0 || n > maxPooledBytes {
 		return
 	}
-	// A pooled slab pins no string and no row.
+	// A pooled slab pins no string and no row. Byte slabs hold no pointer,
+	// so they are overwritten only under the poison switch.
 	fill(set.vals, poisonValue)
 	fill(set.vecs, poisonValue)
 	fill(set.hdrs, poisonTuple)
+	if poisonRewound {
+		fill(set.strs, poisonByte)
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if len(p.free) < poolSlots {
@@ -442,8 +499,8 @@ func fill[T any](list [][]T, poison T) {
 }
 
 // ArenaPoolBytes reports the memory the idle arena pool retains: the value,
-// vector and header slabs waiting for a pooled arena, not the ones a running
-// chain holds.
+// byte, vector and header slabs waiting for a pooled arena, not the ones a
+// running chain holds.
 func ArenaPoolBytes() int64 {
 	slabPool.mu.Lock()
 	defer slabPool.mu.Unlock()

@@ -77,14 +77,16 @@ func DecodeTuple(buf []byte) (Tuple, int, error) {
 }
 
 // decodeArity reads the column count and returns it with the offset of the
-// first value.
+// first value. A tuple cut off by the end of a spill reader's buffer fails
+// here on every refill, so the error is the bare sentinel: the reader says
+// more when the file itself ends mid-tuple.
 func decodeArity(buf []byte) (ncols, pos int, err error) {
 	n, pos := binary.Uvarint(buf)
 	if pos <= 0 {
 		return 0, 0, ErrCorrupt
 	}
 	if n > uint64(len(buf)) { // cheap sanity bound: ≥1 byte per column
-		return 0, 0, fmt.Errorf("%w: column count %d", ErrCorrupt, n)
+		return 0, 0, ErrCorrupt
 	}
 	return int(n), pos, nil
 }

@@ -1,6 +1,7 @@
 package storage_test
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -336,14 +337,46 @@ func paperStatements(t *testing.T, table *storage.Table) []paperStatement {
 	return out
 }
 
-// checkStatement drains rows, the cursor of st over table, and holds every
-// row to the input and the reference.
+// firstValueStatement is first_value(ws_pad) over table, in paperStatement's
+// shape: a derived string column, which a spilling chain reads back into
+// its arena and which leaves the chain from a tail vector.
+func firstValueStatement(t *testing.T, table *storage.Table) paperStatement {
+	t.Helper()
+	spec := window.Spec{Name: "f", Kind: window.FirstValue, Arg: datagen.ColPad, PK: attrs.MakeSet(paper.Warehouse),
+		PKOrder: attrs.AscSeq(paper.Warehouse), OK: attrs.AscSeq(paper.Time, datagen.ColOrderNumber)}
+	vals, err := window.Reference(table.Rows, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := paperStatement{name: "first_value(ws_pad)", want: make(map[int64][]storage.Value, table.Len()),
+		sql: `SELECT ws_order_number, first_value(ws_pad) OVER (PARTITION BY ws_warehouse_sk ORDER BY ws_sold_time_sk, ws_order_number) AS f FROM web_sales`}
+	for r, v := range vals {
+		st.want[table.Rows[r][datagen.ColOrderNumber].Int64()] = []storage.Value{v}
+	}
+	return st
+}
+
+// checkStatement drains rows, the cursor of st over table, and — once the
+// cursor has closed itself at the end — holds every row it returned to the
+// input and the reference.
 func checkStatement(t *testing.T, table *storage.Table, st paperStatement, rows *windowdb.Rows) {
 	t.Helper()
 	defer rows.Close()
-	n := 0
-	for ; rows.Next(); n++ {
-		row := rows.Row()
+	var got []storage.Tuple
+	for rows.Next() {
+		got = append(got, rows.Row())
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatalf("%s: %v", st.name, err)
+	}
+	st.verify(t, table, got)
+}
+
+// verify holds rows, what a cursor of st over table returned, to the input
+// and the reference.
+func (st paperStatement) verify(t *testing.T, table *storage.Table, rows []storage.Tuple) {
+	t.Helper()
+	for n, row := range rows {
 		want, ok := st.want[row[0].Int64()]
 		if !ok {
 			t.Fatalf("%s: row %d reads order %q, which no input row has", st.name, n, row[0])
@@ -354,11 +387,8 @@ func checkStatement(t *testing.T, table *storage.Table, st paperStatement, rows 
 			}
 		}
 	}
-	if err := rows.Err(); err != nil {
-		t.Fatalf("%s: %v", st.name, err)
-	}
-	if n != table.Len() {
-		t.Fatalf("%s: %d rows out for %d in", st.name, n, table.Len())
+	if len(rows) != table.Len() {
+		t.Fatalf("%s: %d rows out for %d in", st.name, len(rows), table.Len())
 	}
 }
 
@@ -446,6 +476,137 @@ func encodedRows(t *testing.T, rows *windowdb.Rows, ordered bool) []string {
 	return out
 }
 
+// variedPads gives every row of table one of n ws_pad strings, each as long
+// as the generator's, so a string read from the wrong row shows as well as
+// one read from recycled memory.
+func variedPads(table *storage.Table, n int) *storage.Table {
+	for i, row := range table.Rows {
+		width := len(row[datagen.ColPad].Str())
+		row[datagen.ColPad] = storage.StringVal(fmt.Sprintf("pad%0*d", width-3, i*7919%n))
+	}
+	return table
+}
+
+// stringChecks is the statements that carry ws_pad out of a chain whose
+// spills read it back into the chain's arena — past a projection (Q6–Q9,
+// paperChecks), a final ORDER BY on it with a LIMIT, a DISTINCT on it and a
+// first_value of it — each held to what the table and the reference say.
+func stringChecks(t *testing.T, table *storage.Table) []recycledStatement {
+	t.Helper()
+	reference := func(spec window.Spec) []storage.Value {
+		vals, err := window.Reference(table.Rows, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vals
+	}
+	encode := func(rows []storage.Tuple) []string {
+		out := make([]string, len(rows))
+		for i, row := range rows {
+			out[i] = string(storage.AppendTuple(nil, row))
+		}
+		return out
+	}
+	expect := func(name, src string, ordered bool, want []string) recycledStatement {
+		return recycledStatement{name: name, sql: src, check: func(t *testing.T, rows *windowdb.Rows) {
+			t.Helper()
+			if got := encodedRows(t, rows, ordered); !slices.Equal(got, want) {
+				t.Fatalf("%s: %d rows differ from the %d expected", name, len(got), len(want))
+			}
+		}}
+	}
+	const limit = 700
+	ranks := reference(window.Spec{Kind: window.Rank, Arg: -1, PK: attrs.MakeSet(paper.Item),
+		PKOrder: attrs.AscSeq(paper.Item), OK: attrs.AscSeq(paper.Date)})
+	byPad := make([]storage.Tuple, table.Len())
+	for r, row := range table.Rows {
+		byPad[r] = storage.Tuple{row[datagen.ColOrderNumber], row[datagen.ColPad], ranks[r]}
+	}
+	slices.SortFunc(byPad, func(a, b storage.Tuple) int {
+		return cmp.Or(strings.Compare(b[1].Str(), a[1].Str()), cmp.Compare(a[0].Int64(), b[0].Int64()))
+	})
+
+	counts := reference(window.Spec{Kind: window.Count, Arg: -1, PK: attrs.MakeSet(datagen.ColPad)})
+	seen := map[string]bool{}
+	var distinct []storage.Tuple
+	for r, row := range table.Rows {
+		if p := row[datagen.ColPad].Str(); !seen[p] {
+			seen[p] = true
+			distinct = append(distinct, storage.Tuple{row[datagen.ColPad], counts[r]})
+		}
+	}
+	distinctEnc := encode(distinct)
+	slices.Sort(distinctEnc)
+
+	fv := firstValueStatement(t, table)
+	return []recycledStatement{
+		expect("ORDER BY ws_pad LIMIT", fmt.Sprintf(`SELECT ws_order_number, ws_pad, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS r
+			FROM web_sales ORDER BY ws_pad DESC, ws_order_number LIMIT %d`, limit), true, encode(byPad[:limit])),
+		expect("DISTINCT ws_pad", `SELECT DISTINCT ws_pad, count(*) OVER (PARTITION BY ws_pad) AS c FROM web_sales`, false, distinctEnc),
+		{name: fv.name, sql: fv.sql, check: func(t *testing.T, rows *windowdb.Rows) {
+			t.Helper()
+			checkStatement(t, table, fv, rows)
+		}},
+	}
+}
+
+// keptPastClose drains st through q twice — a row at a time, keeping every
+// Row() tuple, and a batch at a time, keeping the strings of its second
+// column — lets both cursors close, runs every one of others to its end,
+// and only then holds what it kept to the reference: a string still lying
+// in a closed chain's arena has been recycled, poisoned and carved over by
+// then.
+func keptPastClose(t *testing.T, q windowdb.Queryer, table *storage.Table, st paperStatement, others []recycledStatement) {
+	t.Helper()
+	open := func() *windowdb.Rows {
+		rows, err := q.QueryContext(context.Background(), st.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		return rows
+	}
+	rows := open()
+	var tuples []storage.Tuple
+	for rows.Next() {
+		tuples = append(tuples, rows.Row())
+	}
+	batches := open()
+	var orders []int64
+	var strs []string
+	for b, ok := batches.NextBatch(); ok; b, ok = batches.NextBatch() {
+		cols := b.Cols()
+		if cols[1].Kind != storage.KindString || cols[1].Null != nil {
+			t.Fatalf("%s: column 1 is a %s vector with NULLs %v, want strings", st.name, cols[1].Kind, cols[1].Null != nil)
+		}
+		orders = append(orders, cols[0].Ints...)
+		strs = append(strs, cols[1].Strs...)
+	}
+	for _, r := range []*windowdb.Rows{rows, batches} {
+		if err := r.Err(); err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		r.Close()
+	}
+	for _, o := range others {
+		o.check(t, func() *windowdb.Rows {
+			r, err := q.QueryContext(context.Background(), o.sql)
+			if err != nil {
+				t.Fatalf("%s: %v", o.name, err)
+			}
+			return r
+		}())
+	}
+	st.verify(t, table, tuples)
+	if len(strs) != table.Len() {
+		t.Fatalf("%s: %d batch rows out for %d in", st.name, len(strs), table.Len())
+	}
+	for i, s := range strs {
+		if want := st.want[orders[i]][0].Str(); s != want {
+			t.Fatalf("%s: order %d kept %q out of its batch, want %q", st.name, orders[i], s, want)
+		}
+	}
+}
+
 // recycledMatrix opens every statement, holds its cursor open while every
 // statement runs twice to its end through q — each of which hands its slabs
 // back and carves the ones the previous one handed back — and checks it
@@ -473,25 +634,31 @@ func recycledMatrix(t *testing.T, q windowdb.Queryer, statements []recycledState
 }
 
 // TestRecycledMemoryIsNeverRead is the use-after-recycle matrix: with every
-// recycled slab — rows, tail vectors, header arrays — poisoned, Q6–Q9 and
-// F1–F6 at the chain_spill budget run through engine cursors that stay open
-// while other statements run to their end, and still equal the reference
-// when drained last; so do F1–F6 in memory, where a Full Sort's buffer is
-// the chain's order, and the shareable ones through a service, as
-// derivation suffixes over one SharedSegment, and all of them through an
-// engine at Parallelism 3, whose sub-chains are flattened into the
-// statement's chain and released mid-run. A statement cancelled at each
-// step boundary of its chain — WHERE's survivors carved, tails not yet —
-// hands its slabs back and leaves the next statement correct.
+// recycled slab — rows, the strings a spill read back, tail vectors, header
+// arrays — poisoned, Q6–Q9, F1–F6 and the statements that carry ws_pad out
+// of a spilling chain (stringChecks) at the chain_spill budget run through
+// engine cursors that stay open while other statements run to their end,
+// and still equal the reference when drained last; so do F1–F6 in memory,
+// where a Full Sort's buffer is the chain's order, and the shareable ones
+// through a service, as derivation suffixes over one SharedSegment, and all
+// of them through an engine at Parallelism 3, whose sub-chains are
+// flattened into the statement's chain and released mid-run. The rows and
+// strings a reader kept stay intact after its cursor closed and other
+// statements carved its slabs (keptPastClose). A statement cancelled at
+// each step boundary of its chain — WHERE's survivors carved, tails not
+// yet — hands its slabs back and leaves the next statement correct.
 func TestRecycledMemoryIsNeverRead(t *testing.T) {
 	defer storage.PoisonRewound()()
 	const bs = 1024
-	table := datagen.WebSales(datagen.WebSalesConfig{Rows: 3000, Seed: 42, PadBytes: 24})
+	table := variedPads(datagen.WebSales(datagen.WebSalesConfig{Rows: 3000, Seed: 42, PadBytes: 24}), 97)
 	mem := max(int(0.85*math.Sqrt(float64(table.ByteSize()/bs)/2)), 3) * bs
 	eng := windowdb.New(windowdb.Config{SortMemBytes: mem, BlockSize: bs, Parallelism: 1})
 	eng.Register("web_sales", table)
+	par := windowdb.New(windowdb.Config{SortMemBytes: mem, BlockSize: bs, Parallelism: 3})
+	par.Register("web_sales", table)
 	frames := frameChecks(t, table, mem, bs)
-	statements := append(paperChecks(t, table), frames...)
+	strs := stringChecks(t, table)
+	statements := append(append(paperChecks(t, table), frames...), strs...)
 	ctx := context.Background()
 
 	recycledMatrix(t, eng, statements)
@@ -503,9 +670,21 @@ func TestRecycledMemoryIsNeverRead(t *testing.T) {
 	})
 
 	t.Run("parallelism 3", func(t *testing.T) {
-		par := windowdb.New(windowdb.Config{SortMemBytes: mem, BlockSize: bs, Parallelism: 3})
-		par.Register("web_sales", table)
 		recycledMatrix(t, par, statements)
+	})
+
+	t.Run("kept past close", func(t *testing.T) {
+		kept := append(paperStatements(t, table), firstValueStatement(t, table))
+		for _, q := range []struct {
+			name string
+			q    windowdb.Queryer
+		}{{"parallelism 1", eng}, {"parallelism 3", par}} {
+			for _, st := range kept {
+				t.Run(q.name+"/"+st.name, func(t *testing.T) {
+					keptPastClose(t, q.q, table, st, frames)
+				})
+			}
+		}
 	})
 
 	t.Run("shared suffix", func(t *testing.T) {
@@ -545,9 +724,11 @@ func TestRecycledMemoryIsNeverRead(t *testing.T) {
 				}
 				next.check(t, rows)
 			}
-			// F3 is one step and no WHERE: nothing is carved before its last
-			// boundary, so no cancelled run has slabs to hand back.
-			if recycled == 0 && st.name != "F3" {
+			// F3 and the string statements are one step and no WHERE: nothing
+			// is carved before their last boundary, so no cancelled run has
+			// slabs to hand back.
+			oneStep := st.name == "F3" || slices.ContainsFunc(strs, func(s recycledStatement) bool { return s.name == st.name })
+			if recycled == 0 && !oneStep {
 				t.Fatalf("%s: no cancelled run handed its slabs back", st.name)
 			}
 		}

@@ -60,9 +60,9 @@ func (s *paperChains) run(t *testing.T, specs []window.Spec, mem int, spill bool
 }
 
 // TestRecycledChainBytesPerRow pins the gain: a spilling L > 0 chain run a
-// second time carves the slabs the first one released — its row array and
-// every row a spill read back — and allocates what is left of a statement,
-// under a stated bound per row.
+// second time carves the slabs the first one released — its row array,
+// every row a spill read back and the strings in those rows — and allocates
+// what is left of a statement, under a stated bound per row.
 func TestRecycledChainBytesPerRow(t *testing.T) {
 	s := newPaperChains()
 	n, mem := float64(s.table.Len()), s.spillBudget()
@@ -83,11 +83,12 @@ func TestRecycledChainBytesPerRow(t *testing.T) {
 	second := allocated(func() { s.run(t, paper.Q6(), mem, true).Release() })
 	t.Logf("Q6 at M = %d: %.0f B/row on an empty pool, %.0f B/row recycled", mem, first, second)
 	// The first run carves its row array and the rows its spills read back,
-	// 16 B × (12 columns + L = 1) each, its header array and its tail
-	// vector, and allocates ~540 B/row. What the second allocates is
-	// ~70 B/row: the ws_pad strings the spills decode (~50 B), and bucket
-	// lists and readers; the sorts merge back into the arrays they read.
-	const bound = 100
+	// 16 B × (12 columns + L = 1) each, the ws_pad strings in them, its
+	// header array and its tail vector, and allocates ~530 B/row. What the
+	// second allocates is ~20 B/row: bucket lists, spill files and readers;
+	// the sorts merge back into the arrays they read, and the strings land
+	// in the byte slabs the first run handed back.
+	const bound = 30
 	if second > bound {
 		t.Errorf("a recycled Q6 allocates %.0f B/row, want at most %d", second, bound)
 	}
@@ -254,10 +255,13 @@ func TestWarmFrameChainBytes(t *testing.T) {
 // TestArenaPoolSteadyState pins the bound over the benchmark's mixes: after
 // one round of Q1–Q9 at the chain_spill budget and F1–F6 in memory, one
 // statement at a time, a second round leaves the pool holding exactly what
-// the first left — every row, vector and header array a statement carves
-// fits a slab the round before handed back. At Parallelism 3 a statement
-// is its chain and up to three sub-chains per segment, each taking back
-// the slab set it returned (exec's release order), and the pool holds at
+// the first left — every row, string, vector and header array a statement
+// carves fits a slab the round before handed back. At Parallelism 3 a
+// statement is its chain and up to three sub-chains per segment, each
+// taking back the slab set it returned (exec's release order; a sub-chain's
+// strings are copied into its parent's byte slabs, not handed over with the
+// slabs they lie in, or every round would move slabs between roles and the
+// pool would grow), and the pool holds at
 // most GOMAXPROCS sets; a set's slabs are shaped by every request it has
 // served since the empty pool, so the partitioned mix settles one round
 // later — its second round still adds a slab or two — and a third round

@@ -3,6 +3,7 @@ package stream
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"repro/internal/storage"
 )
@@ -264,6 +265,37 @@ func (b *Batch) set(c int, v colView) {
 			} else {
 				col.Strs[i] = x.Str()
 			}
+		}
+	}
+}
+
+// DetachStrings copies every string the batch holds into memory of the
+// batch's consumer, one allocation per column that holds any: what a
+// producer calls when the memory it filled the batch from is reused before
+// the consumer is done with the strings — a chain's arena, whose string
+// payloads go back to a pool when the chain is released.
+func (b *Batch) DetachStrings() {
+	for c := range b.cols {
+		col := &b.cols[c]
+		if col.Mixed != nil {
+			storage.DetachStrings(col.Mixed)
+			continue
+		}
+		n := 0
+		for _, s := range col.Strs {
+			n += len(s)
+		}
+		if n == 0 {
+			continue
+		}
+		var sb strings.Builder
+		sb.Grow(n)
+		for _, s := range col.Strs {
+			sb.WriteString(s)
+		}
+		all := sb.String()
+		for i, s := range col.Strs {
+			col.Strs[i], all = all[:len(s)], all[len(s):]
 		}
 	}
 }

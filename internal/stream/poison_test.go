@@ -210,12 +210,15 @@ func TestReusedBatchesAreNeverRead(t *testing.T) {
 // a coordinator-side DISTINCT/ORDER BY). Over in-process nodes the batch is
 // the node cursor's own and over HTTP the stream reader's: a tuple, a vector
 // or a string that outlived either shows as poison in what the reader kept,
-// and what it kept equals the single engine's rows.
+// and what it kept equals the single engine's rows. Every chain spills, and
+// recycled arena memory is poisoned too: a ws_pad string a node's spill
+// read back, kept past the node cursor's Close, shows as well.
 func TestClusterKeepsNoBatchPastItsRefill(t *testing.T) {
 	defer stream.PoisonReused()()
+	defer storage.PoisonRewound()()
 
 	ctx := context.Background()
-	engCfg := windowdb.Config{SortMemBytes: 1 << 20, Parallelism: 1}
+	engCfg := windowdb.Config{SortMemBytes: 64 << 10, BlockSize: 1024, Parallelism: 1}
 	ws := datagen.WebSales(datagen.WebSalesConfig{Rows: 3000, Seed: 42, PadBytes: 24})
 	eng := windowdb.New(engCfg)
 	eng.Register("web_sales", ws)

@@ -382,7 +382,8 @@ func (e *Engine) Plan(table string, specs []window.Spec) (*core.Plan, error) {
 // registered table, returning the table extended with one derived column
 // per function (in chain order) plus execution metrics. The table is the
 // chain's, materialized (exec.Chain.Table); the chain is not released, as
-// the table's rows may be its arena's.
+// the table's rows, and the strings its spills read back, may be its
+// arena's.
 func (e *Engine) EvaluateWindows(table string, specs []window.Spec) (*storage.Table, *exec.Metrics, error) {
 	entry, err := e.cat.Lookup(table)
 	if err != nil {

@@ -1,7 +1,7 @@
 # Local targets mirroring .github/workflows/ci.yml.
 GO ?= go
 
-.PHONY: build test race bench fmt fmt-check vet loc benchmark-check benchmark-smoke serve load-smoke cluster-smoke ci
+.PHONY: build test race test-long bench fmt fmt-check vet loc benchmark-check benchmark-smoke serve load-smoke cluster-smoke ci
 
 build:
 	$(GO) build ./...
@@ -11,6 +11,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The generated tests at about 15 times their tier-1 seeds. Only the
+# packages that import internal/gen accept -long.
+GEN_PKGS = ./internal/window ./internal/exec ./internal/sql ./internal/delta ./internal/shard ./internal/conformance
+test-long:
+	$(GO) test -count=1 $(GEN_PKGS) -long
 
 # One iteration per benchmark: a smoke run, not a measurement — but the
 # B/op and allocs/op columns repeat, so they are worth reading. Use
@@ -251,4 +257,4 @@ cluster-smoke:
 	[ "$$aborted" = 1 ] || { echo "cluster-smoke: windowdb_queries_aborted_total never incremented after the kill" >&2; exit 1; }; \
 	echo "cluster-smoke: live query listed with node subtree, killed by id, abort counted OK"
 
-ci: build loc vet benchmark-check benchmark-smoke fmt-check race bench load-smoke cluster-smoke
+ci: build loc vet benchmark-check benchmark-smoke fmt-check race test-long bench load-smoke cluster-smoke

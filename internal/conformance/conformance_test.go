@@ -12,6 +12,8 @@ package conformance
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"net/http/httptest"
 	"slices"
 	"strings"
@@ -20,6 +22,7 @@ import (
 	windowdb "repro"
 	"repro/internal/catalog"
 	"repro/internal/datagen"
+	"repro/internal/gen"
 	"repro/internal/service"
 	"repro/internal/shard"
 	"repro/internal/sql"
@@ -53,8 +56,15 @@ func newEngine() *windowdb.Engine {
 	eng.Register("web_sales_g", grouped)
 	eng.Register("emptab", emp)
 	eng.Register("edge", edgeTable())
+	for i, t := range genTables {
+		eng.Register(fmt.Sprintf("gen%d", i), t)
+	}
 	return eng
 }
+
+// genTables are generated tables, one of every shape, registered on every
+// backend as gen0, gen1, …: what TestGeneratedStatements queries.
+var genTables = gen.Tables(rand.New(rand.NewSource(1)))
 
 // backend is one Queryer under test.
 type backend struct {
@@ -108,6 +118,11 @@ func backends(t *testing.T) []backend {
 		}
 		if err := c.RegisterSharded(ctx, "edge", edgeTable(), "k"); err != nil {
 			t.Fatal(err)
+		}
+		for i, table := range genTables {
+			if err := c.RegisterSharded(ctx, fmt.Sprintf("gen%d", i), table, "g"); err != nil {
+				t.Fatal(err)
+			}
 		}
 		return c
 	}
@@ -289,6 +304,37 @@ func TestQueryerValueIdentity(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestGeneratedStatements: generated statements over genTables, through
+// every backend, each result held to the oracle's.
+func TestGeneratedStatements(t *testing.T) {
+	bks := backends(t)
+	hit := gen.Hits{}
+	for seed := range gen.Seeds(100) {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		i := rng.Intn(len(genTables))
+		s := gen.NewStatement(rng, fmt.Sprintf("gen%d", i), genTables[i].Len())
+		projected, err := s.Project(genTables[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		hit.Windows(s)
+		for _, bk := range bks {
+			rows, err := bk.q.QueryContext(context.Background(), s.SQL())
+			if err != nil {
+				t.Fatalf("%s, seed %d: %v\n%s", bk.name, seed, err, s.SQL())
+			}
+			var got []storage.Tuple
+			for rows.Next() {
+				got = append(got, rows.Row())
+			}
+			if err := errors.Join(rows.Err(), s.Check(got, projected)); err != nil {
+				t.Fatalf("%s, seed %d: %v\n%s", bk.name, seed, err, s.SQL())
+			}
+		}
+	}
+	hit.Require(t)
 }
 
 // TestQueryerErrorTaxonomy: parse, bind and unknown-table failures carry

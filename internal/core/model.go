@@ -83,17 +83,10 @@ func (p Props) equal(q Props) bool {
 	return p.X == q.X && p.Grouped == q.Grouped && p.Y.Equal(q.Y)
 }
 
-// orderedOn reports whether every segment of a stream with property p is
-// necessarily sorted on target. For grouped properties the X attributes are
-// constant within a segment, so they are dropped from both the target and
-// the recorded ordering before the prefix test (dropping a constant
-// attribute anywhere in a lexicographic ordering does not change it).
-func (p Props) orderedOn(target attrs.Seq) bool {
-	return p.effective(p.Y).HasPrefix(p.effective(target))
-}
-
 // effective normalizes an ordering against the property: for grouped
-// streams the constant X attributes are removed.
+// streams the X attributes are constant within a segment and are removed
+// (dropping a constant attribute anywhere in a lexicographic ordering does
+// not change it).
 func (p Props) effective(seq attrs.Seq) attrs.Seq {
 	if p.Grouped {
 		return dropAttrs(seq, p.X)
@@ -127,7 +120,10 @@ func dropAttrs(seq attrs.Seq, set attrs.Set) attrs.Seq {
 // Matches implements Definition 2: R_{X,Y} matches wf iff X ⊆ WPK and there
 // is a permutation →WPK with →WPK ∘ WOK ≤ Y (modulo the grouped relaxation).
 // By Theorem 1 a matched stream supports evaluating wf with a single
-// sequential scan and no reordering.
+// sequential scan and no reordering. The elements of →WPK may run in any
+// direction and put NULLs either side: an ordering groups equal values
+// whichever way it runs, so Y's WPK slots are compared by attribute, as
+// CoveringSeq fills them.
 func (p Props) Matches(wf WF) bool {
 	if wf.PK.Empty() && wf.OK.Empty() {
 		// Degenerate function: a single window partition (the whole table)
@@ -137,15 +133,8 @@ func (p Props) Matches(wf WF) bool {
 	if !p.X.SubsetOf(wf.PK) {
 		return false
 	}
-	found := false
-	enumeratePKPerms(wf, func(perm attrs.Seq) bool {
-		if p.orderedOn(perm.Concat(wf.OK)) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
+	y, pk := p.effective(p.Y), p.effective(wf.PK.AscSeq())
+	return len(y) >= len(pk) && y[:len(pk)].Attrs() == pk.Attrs() && y[len(pk):].HasPrefix(p.effective(wf.OK))
 }
 
 // MatchesAll reports whether p matches every function in ws (Definition 2's
@@ -179,21 +168,19 @@ func HSReorderable(wf WF) bool { return !wf.PK.Empty() }
 
 // SSReorderable implements Section 3.3's applicability rule: (R_{X,Y}, wf)
 // is SS-reorderable iff either (1) X ≠ ∅ and X ⊆ WPK, or (2) X = ∅ and some
-// permutation →WPK makes (→WPK ∘ WOK) ∧ Y non-empty. Rule (2) is what stops
-// SS degenerating into a full sort of the single segment.
+// permutation →WPK makes (→WPK ∘ WOK) ∧ Y non-empty — its first element
+// being Y's, a WPK slot in any direction (see Matches). Rule (2) is what
+// stops SS degenerating into a full sort of the single segment.
 func SSReorderable(p Props, wf WF) bool {
-	if !p.X.Empty() {
+	switch {
+	case !p.X.Empty():
 		return p.X.SubsetOf(wf.PK)
+	case len(p.Y) == 0:
+		return false
+	case !wf.PK.Empty():
+		return wf.PK.Contains(p.Y[0].Attr)
 	}
-	ok := false
-	enumeratePKPerms(wf, func(perm attrs.Seq) bool {
-		if !perm.Concat(wf.OK).LCP(p.Y).Empty() {
-			ok = true
-			return false
-		}
-		return true
-	})
-	return ok
+	return len(wf.OK) > 0 && wf.OK[0] == p.Y[0]
 }
 
 // SSChoice is the outcome of planning a Segmented Sort: the chosen target

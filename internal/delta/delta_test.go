@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/gen"
 	"repro/internal/sql"
 	"repro/internal/storage"
 	"repro/internal/window"
@@ -116,56 +117,46 @@ func TestMaintainRankMidPartitionUpserts(t *testing.T) {
 	}
 }
 
+// TestMaintainFunctionMatrix — generated statements, cut down to what a
+// subscription maintains (every column and the windows, the WHERE kept, no
+// DISTINCT, ORDER BY or LIMIT), maintained while their table arrives as a
+// base and three appended batches: after each batch the maintained result
+// is the oracle's over everything appended so far.
 func TestMaintainFunctionMatrix(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	randomRows := func(n int, maxO int64) [][3]int64 {
-		out := make([][3]int64, n)
-		for i := range out {
-			out[i] = [3]int64{rng.Int63n(4), rng.Int63n(maxO), rng.Int63n(50)}
-		}
-		return out
-	}
-	baseRows := randomRows(60, 100)
-	queries := []string{
-		"SELECT k, dense_rank() OVER (PARTITION BY k ORDER BY o) FROM t",
-		"SELECT k, row_number() OVER (PARTITION BY k ORDER BY o) FROM t",
-		"SELECT k, sum(v) OVER (PARTITION BY k ORDER BY o) FROM t",
-		"SELECT k, avg(v) OVER (PARTITION BY k ORDER BY o) FROM t",
-		"SELECT k, count(v) OVER (PARTITION BY k ORDER BY o) FROM t",
-		"SELECT k, min(v) OVER (PARTITION BY k ORDER BY o) FROM t",
-		"SELECT k, max(v) OVER (PARTITION BY k ORDER BY o) FROM t",
-		"SELECT k, sum(v) OVER (PARTITION BY k ORDER BY o ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW) FROM t",
-		"SELECT k, sum(v) OVER (PARTITION BY k ORDER BY o ROWS BETWEEN 3 PRECEDING AND CURRENT ROW) FROM t",
-		"SELECT k, avg(v) OVER (PARTITION BY k ORDER BY o ROWS BETWEEN 2 PRECEDING AND CURRENT ROW) FROM t",
-		"SELECT k, min(v) OVER (PARTITION BY k ORDER BY o ROWS BETWEEN 4 PRECEDING AND CURRENT ROW) FROM t",
-		// Full-recompute modes must stay correct too.
-		"SELECT k, percent_rank() OVER (PARTITION BY k ORDER BY o) FROM t",
-		"SELECT k, cume_dist() OVER (PARTITION BY k ORDER BY o) FROM t",
-		"SELECT k, sum(v) OVER (PARTITION BY k ORDER BY o ROWS BETWEEN CURRENT ROW AND UNBOUNDED FOLLOWING) FROM t",
-		"SELECT k, lag(v) OVER (PARTITION BY k ORDER BY o) FROM t",
-		// Windowless and filtered statements maintain too.
-		"SELECT k, v FROM t WHERE v > 10",
-		"SELECT k, rank() OVER (PARTITION BY k ORDER BY o) FROM t WHERE v > 10",
-	}
-	for qi, q := range queries {
-		t.Run(fmt.Sprintf("q%d", qi), func(t *testing.T) {
-			base := ws(baseRows...)
-			// Three batches: monotone tail appends (hit the patch paths),
-			// then random (exercise fallback), then a mix with ties.
-			tail := [][3]int64{{0, 200, 3}, {1, 201, 4}, {0, 205, 11}, {2, 210, 30}}
-			random := randomRows(10, 100)
-			ties := [][3]int64{{0, 205, 8}, {1, 201, 2}, {3, 50, 6}}
-			var batches [][]storage.Tuple
-			for _, group := range [][][3]int64{tail, random, ties} {
-				var b []storage.Tuple
-				for _, r := range group {
-					b = append(b, storage.Tuple{storage.Int(r[0]), storage.Int(r[1]), storage.Int(r[2])})
-				}
-				batches = append(batches, b)
+	hit := gen.Hits{}
+	for i, c := range gen.Cases(150) {
+		t.Run(fmt.Sprintf("q%d", i), func(t *testing.T) {
+			s, n := c.Stmt.Chain(), c.Table.Len()
+			hit.Windows(s)
+			info, entry := prep(t, &storage.Table{Schema: c.Table.Schema, Rows: c.Table.Rows[:n/2]}, s.SQL())
+			snap, g := entry.Snapshot()
+			m, err := NewMaintainer(info, snap, g)
+			if err != nil {
+				t.Fatal(err)
 			}
-			checkMaintained(t, q, base, batches)
+			for k, cut := range []int{3 * n / 4, 7 * n / 8, n} {
+				start, g, err := entry.Append(c.Table.Rows[entry.Table().Len():cut], 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := m.Apply(Batch{Table: "t", Rows: entry.Table().Rows[start:], StartRid: start, Gen: g}); err != nil {
+					t.Fatal(err)
+				}
+				want, err := s.Project(entry.Table())
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := m.Initial()
+				for r := range got {
+					got[r] = got[r][:len(got[r])-len(MetaColumns())]
+				}
+				if err := gen.SameMultiset(got, want); err != nil {
+					t.Fatalf("%s, after batch %d: %v\n%s", c.Name, k+1, err, s.SQL())
+				}
+			}
 		})
 	}
+	hit.Require(t)
 }
 
 func TestMaintainSumIntToFloatRetype(t *testing.T) {

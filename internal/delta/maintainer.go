@@ -501,12 +501,17 @@ func (m *Maintainer) sortPositions(positions []int, spec window.Spec) {
 	})
 }
 
-// partKey encodes a row's partition-key values.
+// partKey encodes a row's partition-key values, −0.0 as the +0.0 it equals:
+// one window partition, as to every reorder.
 func partKey(row storage.Tuple, spec window.Spec) string {
 	ids := spec.PK.IDs()
 	var buf []byte
 	for _, id := range ids {
-		buf = storage.AppendTuple(buf, storage.Tuple{row[id]})
+		v := row[id]
+		if v.Kind() == storage.KindFloat && v.Float64() == 0 {
+			v = storage.Float(0)
+		}
+		buf = storage.AppendTuple(buf, storage.Tuple{v})
 	}
 	return string(buf)
 }

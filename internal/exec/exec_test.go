@@ -2,14 +2,16 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/attrs"
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/gen"
 	"repro/internal/paper"
 	"repro/internal/storage"
 	"repro/internal/window"
@@ -48,9 +50,8 @@ func runTable(table *storage.Table, specs []window.Spec, plan *core.Plan, cfg Co
 	return chain.Table(), m, nil
 }
 
-// runScheme plans with the given scheme and executes at the given
-// Parallelism.
-func runScheme(t *testing.T, scheme string, table *storage.Table, entry *catalog.Entry, specs []window.Spec, memBytes, parallelism int) (map[int64]map[int]storage.Value, *Metrics, *core.Plan) {
+// runScheme plans specs with the given scheme and executes the plan.
+func runScheme(t *testing.T, scheme string, table *storage.Table, entry *catalog.Entry, specs []window.Spec, memBytes int) (*Metrics, *core.Plan) {
 	t.Helper()
 	ws := paper.WFs(specs)
 	opt := core.Options{Cost: entry.CostParams(memBytes, 4096)}
@@ -61,8 +62,6 @@ func runScheme(t *testing.T, scheme string, table *storage.Table, entry *catalog
 	switch scheme {
 	case "CSO":
 		plan, err = core.CSO(ws, core.Unordered(), opt)
-	case "BFO":
-		plan, err = core.BFO(ws, core.Unordered(), opt)
 	case "ORCL":
 		plan, err = core.ORCL(ws, core.Unordered(), opt)
 	case "PSQL":
@@ -73,64 +72,99 @@ func runScheme(t *testing.T, scheme string, table *storage.Table, entry *catalog
 	if err != nil {
 		t.Fatalf("%s: %v", scheme, err)
 	}
-	cfg := Config{
-		MemoryBytes: memBytes,
-		BlockSize:   4096,
-		Distinct:    entry.Distinct,
-		Parallelism: parallelism,
-	}
-	result, metrics, err := runTable(table, specs, plan, cfg)
+	result, metrics, err := runTable(table, specs, plan, Config{MemoryBytes: memBytes, BlockSize: 4096, Distinct: entry.Distinct})
 	if err != nil {
 		t.Fatalf("%s execute: %v", scheme, err)
 	}
 	if result.Len() != table.Len() {
 		t.Fatalf("%s: result has %d rows, want %d", scheme, result.Len(), table.Len())
 	}
-	return derived(t, result, plan, table.Schema.Len()), metrics, plan
+	return metrics, plan
 }
 
 // TestSchemesAgreeOnPaperQueries — every optimization scheme computes
-// identical window function values on Q6–Q9, and they agree with the O(n²)
-// reference evaluator. This is the end-to-end correctness statement behind
-// Figures 5–8: the schemes differ only in speed.
+// the definition's window function values on Q1–Q9 and F1–F6: the
+// end-to-end correctness statement behind Figures 5–8, where the schemes
+// differ only in speed (checkPlanners).
 func TestSchemesAgreeOnPaperQueries(t *testing.T) {
-	table, entry := smallWebSales(4000)
-	queries := map[string][]window.Spec{
-		"Q6": paper.Q6(),
-		"Q7": paper.Q7(),
-		"Q8": paper.Q8(),
-		"Q9": paper.Q9(),
+	for _, c := range gen.Corpus(600) {
+		t.Run(c.Name, func(t *testing.T) { checkPlanners(t, gen.Hits{}, c) })
 	}
-	for name, specs := range queries {
-		t.Run(name, func(t *testing.T) {
-			// Reference values per wf.
-			want := make([]map[int64]storage.Value, len(specs))
-			for i, spec := range specs {
-				vals, err := window.Reference(table.Rows, spec)
+}
+
+// TestRandomChainsAgainstReference — the window lists of generated
+// statements, planned and run as TestSchemesAgreeOnPaperQueries runs the
+// paper's.
+func TestRandomChainsAgainstReference(t *testing.T) {
+	hit := gen.Hits{}
+	for _, c := range gen.Cases(200) {
+		checkPlanners(t, hit, c)
+	}
+	hit.Require(t, "spilled", "concatenated")
+}
+
+// checkPlanners plans c's windows with CSO, BFO, ORCL and PSQL over the
+// statement's WHERE survivors — every plan valid, and BFO's no costlier
+// than the others' — and runs each at a spilling and an in-memory M,
+// sequentially and partitioned three ways: every chain's rows are the
+// oracle's.
+func checkPlanners(t *testing.T, hit gen.Hits, c gen.Case) {
+	t.Helper()
+	s := c.Stmt.Chain()
+	if len(s.Windows) == 0 {
+		return
+	}
+	want, err := s.Project(c.Table)
+	if err != nil {
+		t.Fatalf("%s: oracle: %v", c.Name, err)
+	}
+	hit.Windows(s)
+	input := &storage.Table{Schema: c.Table.Schema, Rows: s.Input(c.Table)}
+	entry := catalog.New().Register(s.Table, input)
+	ws := paper.WFs(s.Windows)
+	for _, mem := range []int{4 << 10, 1 << 20} {
+		opt := core.Options{Cost: entry.CostParams(mem, 512)}
+		cso, err1 := core.CSO(ws, core.Unordered(), opt)
+		bfo, err2 := core.BFO(ws, core.Unordered(), opt)
+		orcl, err3 := core.ORCL(ws, core.Unordered(), opt)
+		psql, err4 := core.PSQL(ws, core.Unordered())
+		if err := errors.Join(err1, err2, err3, err4); err != nil {
+			t.Fatalf("%s: %v\n%s", c.Name, err, s.SQL())
+		}
+		for scheme, p := range map[string]*core.Plan{"CSO": cso, "BFO": bfo, "ORCL": orcl, "PSQL": psql} {
+			if err := p.Validate(ws, core.Unordered()); err != nil {
+				t.Fatalf("%s: %s: %v\n%s", c.Name, scheme, err, s.SQL())
+			}
+			if least, other := opt.Cost.PlanCost(bfo), opt.Cost.PlanCost(p); least > other+1e-9 {
+				t.Errorf("%s: BFO costs %g, %s %g (%s)\n%s", c.Name, least, scheme, other, p, s.SQL())
+			}
+			for _, par := range []int{1, 3} {
+				chain, m, err := RunChain(context.Background(), input, s.Windows, p, Config{MemoryBytes: mem, BlockSize: 512, Distinct: entry.Distinct, Parallelism: par})
 				if err != nil {
-					t.Fatalf("reference wf%d: %v", i+1, err)
+					t.Fatalf("%s: %s M=%d P=%d: %v\n%s", c.Name, scheme, mem, par, err, s.SQL())
 				}
-				m := make(map[int64]storage.Value, len(vals))
-				for r, v := range vals {
-					m[table.Rows[r][datagen.ColOrderNumber].Int64()] = v
-				}
-				want[i] = m
-			}
-			for _, scheme := range []string{"CSO", "BFO", "ORCL", "PSQL"} {
-				got, _, plan := runScheme(t, scheme, table, entry, specs, 64<<10, 1)
-				if err := plan.Validate(paper.WFs(specs), core.Unordered()); err != nil {
-					t.Fatalf("%s plan invalid: %v", scheme, err)
-				}
-				for tag, perWF := range got {
-					for wfID, v := range perWF {
-						if !storage.Equal(v, want[wfID][tag]) {
-							t.Fatalf("%s %s: row %d wf%d = %s, reference %s (plan %s)",
-								scheme, name, tag, wfID+1, v, want[wfID][tag], plan.PaperString())
-						}
+				// The chain's columns are the input's, then one per step in plan
+				// order; the oracle's, the input's, then the windows'.
+				arity, got := input.Schema.Len(), chain.Table().Rows
+				for i, row := range got {
+					out := append(make(storage.Tuple, 0, arity+len(p.Steps)), row[:arity]...)
+					for id := range s.Windows {
+						out = append(out, row[arity+slices.IndexFunc(p.Steps, func(st core.Step) bool { return st.WF.ID == id })])
 					}
+					got[i] = out
+				}
+				if err := gen.SameMultiset(got, want); err != nil {
+					t.Fatalf("%s: %s M=%d P=%d: %v\n%s\nplan %s", c.Name, scheme, mem, par, err, s.SQL(), p)
+				}
+				chain.Release()
+				if m.TotalBlocks() > 0 {
+					hit["spilled"]++
+				}
+				if m.Concatenated {
+					hit["concatenated"]++
 				}
 			}
-		})
+		}
 	}
 }
 
@@ -140,13 +174,13 @@ func TestCSOBeatsPSQLOnIO(t *testing.T) {
 	table, entry := smallWebSales(6000)
 	specs := paper.Q9()
 	mem := 24 << 10 // small enough that full sorts spill
-	_, csoM, csoPlan := runScheme(t, "CSO", table, entry, specs, mem, 1)
-	_, psqlM, _ := runScheme(t, "PSQL", table, entry, specs, mem, 1)
+	csoM, csoPlan := runScheme(t, "CSO", table, entry, specs, mem)
+	psqlM, _ := runScheme(t, "PSQL", table, entry, specs, mem)
 	if csoM.TotalBlocks() >= psqlM.TotalBlocks() {
 		t.Errorf("CSO I/O %d ≥ PSQL I/O %d (CSO plan %s)",
 			csoM.TotalBlocks(), psqlM.TotalBlocks(), csoPlan.PaperString())
 	}
-	_, orclM, _ := runScheme(t, "ORCL", table, entry, specs, mem, 1)
+	orclM, _ := runScheme(t, "ORCL", table, entry, specs, mem)
 	if csoM.TotalBlocks() >= orclM.TotalBlocks() {
 		t.Errorf("CSO I/O %d ≥ ORCL I/O %d", csoM.TotalBlocks(), orclM.TotalBlocks())
 	}
@@ -156,7 +190,7 @@ func TestCSOBeatsPSQLOnIO(t *testing.T) {
 func TestStepMetrics(t *testing.T) {
 	table, entry := smallWebSales(3000)
 	specs := paper.Q6()
-	_, m, _ := runScheme(t, "CSO", table, entry, specs, 16<<10, 1)
+	m, _ := runScheme(t, "CSO", table, entry, specs, 16<<10)
 	var r, w, c int64
 	for _, s := range m.Steps {
 		r += s.BlocksRead
@@ -192,80 +226,8 @@ func TestFileBackedExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	collect := func(tb *storage.Table) map[string]int {
-		m := map[string]int{}
-		for _, r := range tb.Rows {
-			m[string(storage.AppendTuple(nil, r))]++
-		}
-		return m
-	}
-	a, b := collect(memResult), collect(fileResult)
-	if len(a) != len(b) {
-		t.Fatalf("row multiset size differs: %d vs %d", len(a), len(b))
-	}
-	for k, n := range a {
-		if b[k] != n {
-			t.Fatalf("file-backed results differ from memory-backed")
-		}
-	}
-}
-
-// TestRandomChainsAgainstReference — random multi-function chains through
-// CSO and PSQL, each run at Parallelism 1, 2 and 3, agree with the
-// reference evaluator (beyond the fixed paper queries).
-func TestRandomChainsAgainstReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(123))
-	table, entry := smallWebSales(1500)
-	attrsPool := []attrs.ID{paper.Date, paper.Time, paper.Item, paper.Bill, paper.Quantity}
-	for trial := 0; trial < 8; trial++ {
-		n := 1 + rng.Intn(4)
-		specs := make([]window.Spec, n)
-		for i := range specs {
-			var pkIDs []attrs.ID
-			for _, a := range attrsPool {
-				if rng.Intn(3) == 0 {
-					pkIDs = append(pkIDs, a)
-				}
-			}
-			var ok attrs.Seq
-			for _, a := range attrsPool {
-				if attrs.MakeSet(pkIDs...).Contains(a) {
-					continue
-				}
-				if rng.Intn(4) == 0 {
-					ok = append(ok, attrs.Asc(a))
-				}
-			}
-			specs[i] = window.Spec{
-				Name: fmt.Sprintf("wf%d", i+1), Kind: window.Rank, Arg: -1,
-				PK: attrs.MakeSet(pkIDs...), PKOrder: attrs.AscSeq(pkIDs...), OK: ok,
-			}
-		}
-		want := make([]map[int64]storage.Value, n)
-		for i, spec := range specs {
-			vals, err := window.Reference(table.Rows, spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m := map[int64]storage.Value{}
-			for r, v := range vals {
-				m[table.Rows[r][datagen.ColOrderNumber].Int64()] = v
-			}
-			want[i] = m
-		}
-		for _, scheme := range []string{"CSO", "PSQL"} {
-			for _, parallelism := range []int{1, 2, 3} {
-				got, _, plan := runScheme(t, scheme, table, entry, specs, 32<<10, parallelism)
-				for tag, perWF := range got {
-					for wfID, v := range perWF {
-						if !storage.Equal(v, want[wfID][tag]) {
-							t.Fatalf("trial %d %s at Parallelism %d: row %d wf%d = %s, want %s (plan %s, spec %+v)",
-								trial, scheme, parallelism, tag, wfID+1, v, want[wfID][tag], plan, specs[wfID])
-						}
-					}
-				}
-			}
-		}
+	if err := gen.SameMultiset(fileResult.Rows, memResult.Rows); err != nil {
+		t.Fatalf("file-backed results differ from memory-backed: %v", err)
 	}
 }
 

@@ -94,21 +94,13 @@ func TestParallelRunMatchesSequential(t *testing.T) {
 }
 
 // TestParallelEvaluate — Section 3.5's single-function form is a one-step
-// chain: partitioned on its PARTITION BY, it equals the reference at every
-// degree; with an empty PARTITION BY there is no key to partition on, and
-// it runs sequentially.
+// chain: partitioned on its PARTITION BY at every degree past 1; with an
+// empty PARTITION BY there is no key to partition on, and it runs
+// sequentially. (Its values are TestRandomChainsAgainstReference's.)
 func TestParallelEvaluate(t *testing.T) {
 	table, entry := smallWebSales(3000)
 	check := func(spec window.Spec, degrees []int, partitioned bool) {
 		t.Helper()
-		want, err := window.Reference(table.Rows, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantByTag := map[int64]storage.Value{}
-		for i, v := range want {
-			wantByTag[table.Rows[i][datagen.ColOrderNumber].Int64()] = v
-		}
 		specs := []window.Spec{spec}
 		plan := csoPlan(t, entry, specs, 1<<20)
 		for _, degree := range degrees {
@@ -121,13 +113,6 @@ func TestParallelEvaluate(t *testing.T) {
 			}
 			if got := m.PartitionedSteps > 0; got != (partitioned && degree > 1) {
 				t.Fatalf("degree %d: %d steps partitioned", degree, m.PartitionedSteps)
-			}
-			last := out.Schema.Len() - 1
-			for _, r := range out.Rows {
-				tag := r[datagen.ColOrderNumber].Int64()
-				if !storage.Equal(r[last], wantByTag[tag]) {
-					t.Fatalf("degree %d: row %d = %s, want %s", degree, tag, r[last], wantByTag[tag])
-				}
 			}
 		}
 	}

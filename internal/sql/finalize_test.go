@@ -2,24 +2,20 @@ package sql
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 
-	"repro/internal/attrs"
 	"repro/internal/catalog"
 	"repro/internal/datagen"
 	"repro/internal/exec"
+	"repro/internal/gen"
 	"repro/internal/storage"
+	"repro/internal/stream"
 )
-
-var long = flag.Bool("long", false, "sweep thousands of seeds in the generated tests instead of hundreds")
 
 // TestDistinctMergesSignedZeros — DISTINCT agrees with PARTITION BY on
 // what one value is: +0.0 and −0.0 compare equal everywhere in the engine,
@@ -91,279 +87,103 @@ func TestHashPlacementKeepsSignedZerosTogether(t *testing.T) {
 	}
 }
 
-// finalizeShape is one window list of the generated statements. aligned
-// lists ORDER BY keys (over base columns) that the shape's chain can end
-// ordered on, wholly or by a prefix: what makes the avoided and partial
-// dispositions likely enough to be hit in a few hundred seeds.
-type finalizeShape struct {
-	wins    []string // "expr AS name"
-	aligned [][]string
-}
-
-var finalizeShapes = []finalizeShape{
-	{nil, nil}, // window-less: no plan, every ORDER BY is a full sort
-	{[]string{`rank() OVER (PARTITION BY g ORDER BY h) AS w1`},
-		[][]string{{"g"}, {"g", "h"}, {"g", "u"}, {"g", "h", "u"}}},
-	{[]string{`sum(h) OVER (PARTITION BY g ORDER BY u ROWS BETWEEN 2 PRECEDING AND CURRENT ROW) AS w1`},
-		[][]string{{"g", "u"}, {"g", "h"}}},
-	{[]string{`count(*) OVER (PARTITION BY g) AS w1`, `max(h) OVER (PARTITION BY g) AS w2`},
-		[][]string{{"g"}, {"g", "s"}}},
-	{[]string{`row_number() OVER (ORDER BY h, u) AS w1`},
-		[][]string{{"h"}, {"h", "u"}, {"h", "g"}}},
-	{[]string{`rank() OVER (PARTITION BY g ORDER BY u) AS w1`, `dense_rank() OVER (PARTITION BY s ORDER BY h DESC NULLS FIRST) AS w2`},
-		[][]string{{"g", "u"}, {"s"}, {"s", "u"}}},
-}
-
-var finalizeColumns = []storage.Column{
-	{Name: "g", Type: storage.TypeInt}, {Name: "h", Type: storage.TypeInt}, {Name: "x", Type: storage.TypeFloat},
-	{Name: "s", Type: storage.TypeString}, {Name: "u", Type: storage.TypeInt},
-}
-
-// finalizeTable draws one of the adversarial data shapes: every value tied,
-// NULL-heavy, one group, one row, empty, or plainly random. u is always
-// the row's arrival position, so it is unique.
-func finalizeTable(rng *rand.Rand) *storage.Table {
-	n, nullFrac, ties, oneGroup := 20+rng.Intn(130), 0.1, false, false
-	switch rng.Intn(8) {
-	case 0:
-		ties = true
-	case 1:
-		nullFrac = 0.7
-	case 2:
-		oneGroup = true
-	case 3:
-		n = 1
-	case 4:
-		n = 0
-	}
-	negZero := math.Copysign(0, -1)
-	floats := []float64{0, negZero, 1.5, -2.5}
-	strs := []string{"", "a", "b", "ab"}
-	table := storage.NewTable(storage.NewSchema(finalizeColumns...))
-	for i := 0; i < n; i++ {
-		row := storage.Tuple{
-			storage.Int(int64(rng.Intn(4))), storage.Int(int64(rng.Intn(6))),
-			storage.Float(floats[rng.Intn(len(floats))]), storage.StringVal(strs[rng.Intn(len(strs))]),
-			storage.Int(int64(i)),
-		}
-		if ties {
-			row[0], row[1], row[2], row[3] = storage.Int(1), storage.Int(1), storage.Float(floats[i%2]), storage.StringVal("a")
-		}
-		if oneGroup {
-			row[0] = storage.Int(7)
-		}
-		for c := 0; c < 4; c++ {
-			if !ties && rng.Float64() < nullFrac {
-				row[c] = storage.Null
-			}
-		}
-		table.MustAppend(row)
-	}
-	return table
-}
-
-// finalizeStatement draws [DISTINCT] × a select list × a window shape ×
-// [WHERE] × 1–3 ORDER BY keys × LIMIT over a table of n rows.
-func finalizeStatement(rng *rand.Rand, n int) string {
-	return finalizeStatementOf(rng, n, finalizeShapes[rng.Intn(len(finalizeShapes))])
-}
-
-// finalizeStatementOf is finalizeStatement over a given window shape.
-func finalizeStatementOf(rng *rand.Rand, n int, shape finalizeShape) string {
-	var order []string // ORDER BY items
-	cols := map[string]bool{}
-	if len(shape.aligned) > 0 && rng.Intn(3) == 0 {
-		for _, c := range shape.aligned[rng.Intn(len(shape.aligned))] {
-			order = append(order, c)
-			cols[c] = true
-		}
-	}
-	for _, c := range finalizeColumns {
-		if rng.Intn(2) == 0 {
-			cols[c.Name] = true
-		}
-	}
-	if len(cols) == 0 {
-		cols["h"] = true
-	}
-	var items, names []string
-	for _, c := range finalizeColumns { // schema order: the map's would not repeat
-		if cols[c.Name] {
-			items, names = append(items, c.Name), append(names, c.Name)
-		}
-	}
-	for _, w := range shape.wins {
-		items, names = append(items, w), append(names, w[strings.LastIndex(w, " ")+1:])
-	}
-	if order == nil {
-		for k := 1 + rng.Intn(3); k > 0; k-- {
-			item := names[rng.Intn(len(names))]
-			if rng.Intn(2) == 0 {
-				item += " DESC"
-			}
-			item += []string{"", " NULLS FIRST", " NULLS LAST"}[rng.Intn(3)]
-			order = append(order, item)
-		}
-	}
-	var sb strings.Builder
-	sb.WriteString("SELECT ")
-	if rng.Intn(3) == 0 {
-		sb.WriteString("DISTINCT ")
-	}
-	sb.WriteString(strings.Join(items, ", ") + " FROM t")
-	sb.WriteString([]string{"", "", " WHERE h >= 2", " WHERE NOT (h = 3)", " WHERE s IS NULL OR u < 40"}[rng.Intn(5)])
-	if rng.Intn(6) > 0 {
-		sb.WriteString(" ORDER BY " + strings.Join(order, ", "))
-	}
-	if limit := []int{-1, -1, 0, 1, n / 3, n, n + 5}[rng.Intn(7)]; limit >= 0 {
-		fmt.Fprintf(&sb, " LIMIT %d", limit)
-	}
-	return sb.String()
-}
-
-// finalizeOracle is the finalize phase as the SQL text reads: dedup the
-// projected rows keeping first occurrences, sort.SliceStable, truncate.
-func finalizeOracle(rows []storage.Tuple, distinct bool, key attrs.Seq, limit int64) []storage.Tuple {
-	out := slices.Clone(rows)
-	if distinct {
-		out = out[:0]
-		for _, r := range rows {
-			if !slices.ContainsFunc(out, func(kept storage.Tuple) bool {
-				return slices.EqualFunc(kept, r, func(v, w storage.Value) bool { return v.Kind() == w.Kind() && storage.Equal(v, w) })
-			}) {
-				out = append(out, r)
-			}
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return storage.CompareSeq(out[i], out[j], key) < 0 })
-	if limit >= 0 && int64(len(out)) > limit {
-		out = out[:limit]
-	}
-	return out
-}
-
-func sameSequence(got, want []storage.Tuple) error {
-	if len(got) != len(want) {
-		return fmt.Errorf("%d rows, oracle has %d", len(got), len(want))
-	}
-	for i := range want {
-		if !slices.EqualFunc(got[i], want[i], storage.Identical) {
-			return fmt.Errorf("row %d = %v, oracle has %v", i, got[i], want[i])
-		}
-	}
-	return nil
-}
-
-// finalizeRegressions are seeds that have caught a mistake; they run first,
-// whatever the sweep's range becomes.
-var finalizeRegressions = []int64{
-	1,   // top-k breaking ties by descending position; DISTINCT stopping at the LIMIT ahead of a sort
-	28,  // +0.0 and −0.0 kept as two DISTINCT rows
-	189, // a partial sort leaving the run that crosses the LIMIT unsorted
-}
-
-// TestFinalizeGenerated is the differential test of the finalize phase:
-// generated statements over adversarial tables, through every way a
-// statement reaches finalize — a spilling and a non-spilling M, sequential
-// and partition-concatenating chains, a cursor drained in batches and one
-// materialized, and a coordinator's Input.Concat — each held, as a
-// sequence, to the oracle over the same execution's unfinalized rows
-// (every sort is stable, so the finalized sequence is determined).
+// TestFinalizeGenerated is the SQL layer's generated test: the
+// regressions, then generated statements over adversarial tables, through
+// every way a statement runs (checkStatement).
 func TestFinalizeGenerated(t *testing.T) {
-	seeds := 300
-	if *long {
-		seeds = 5000
+	hit := gen.Hits{}
+	for _, c := range gen.Cases(150) {
+		checkStatement(t, hit, c)
 	}
-	ctx := context.Background()
-	hit := map[string]int{}
-	check := func(seed int64) {
-		rng := rand.New(rand.NewSource(seed))
-		table := finalizeTable(rng)
-		stmt := finalizeStatement(rng, table.Len())
-		cat := catalog.New()
-		cat.Register("t", table)
-		fail := func(where string, err error) {
-			t.Fatalf("seed %d, %s: %v\n%s\n%s", seed, where, err, stmt, FormatTable(table, 0))
-		}
-		for _, cfg := range []exec.Config{
-			{MemoryBytes: 1 << 20, BlockSize: 512, Parallelism: 1},
-			{MemoryBytes: 4 << 10, BlockSize: 512, Parallelism: 1},
-			{MemoryBytes: 1 << 20, BlockSize: 512, Parallelism: 3},
-			{MemoryBytes: 4 << 10, BlockSize: 512, Parallelism: 3},
-		} {
-			where := fmt.Sprintf("M=%d P=%d", cfg.MemoryBytes, cfg.Parallelism)
-			p, err := (&Runner{Catalog: cat, Exec: cfg}).Prepare(stmt)
-			if err != nil {
-				fail(where, err)
-			}
-			base, err := openResult(ctx, p, Input{}, true)
-			if err != nil {
-				fail(where, err)
-			}
-			want := finalizeOracle(base.Table.Rows, p.q.Distinct, p.orderKey, p.q.Limit)
+	hit.Require(t, "none", "avoided", "partial", "full", "top-k", "spilled", "concatenated", "concat", "shared")
+}
 
-			cur, err := p.Open(ctx, Input{}, false)
-			if err != nil {
-				fail(where, err)
-			}
-			meta := cur.Meta()
-			if err := sameSequence(drainCursor(t, cur), want); err != nil {
-				fail(where+" cursor, final sort "+meta.FinalSort, err)
-			}
-			whole, err := openResult(ctx, p, Input{}, false)
-			if err != nil {
-				fail(where, err)
-			}
-			if err := sameSequence(whole.Table.Rows, want); err != nil {
-				fail(where+" materialized", err)
-			}
-			hit[meta.FinalSort]++
-			if meta.Finalize.TopK {
-				hit["top-k"]++
-			}
-			if meta.Metrics != nil && meta.Metrics.TotalBlocks() > 0 {
-				hit["spilled"]++
-			}
-			if meta.Metrics != nil && meta.Metrics.Concatenated {
-				hit["concatenated"]++
-			}
-			if f := meta.Finalize; !p.ConcatStreams() && f.RowsOut != int64(len(want)) {
-				fail(where, fmt.Errorf("finalize reports %d rows out of %d in; %d left", f.RowsOut, f.RowsIn, len(want)))
-			}
+// TestSQLAgainstReference runs the paper's Q1–Q9 and F1–F6 as
+// TestFinalizeGenerated runs a generated statement.
+func TestSQLAgainstReference(t *testing.T) {
+	for _, c := range gen.Corpus(300) {
+		t.Run(c.Name, func(t *testing.T) { checkStatement(t, gen.Hits{}, c) })
+	}
+}
 
-			// The coordinator's side: the same rows as shards would hand them
-			// over, projected and in no particular order.
-			if cfg.Parallelism == 1 && base.Table.Len() > 0 {
-				cut := rng.Intn(base.Table.Len())
-				concat := storage.NewTable(base.Table.Schema)
-				concat.Rows = append(slices.Clone(base.Table.Rows[cut:]), base.Table.Rows[:cut]...)
-				want := finalizeOracle(concat.Rows, p.q.Distinct, p.orderKey, p.q.Limit)
-				got, err := openResult(ctx, p, Input{Concat: concat}, false)
-				if err != nil {
-					fail(where+" concat", err)
+// checkStatement runs c's statement planned by CSO, BFO, ORCL and PSQL, at
+// a spilling and an in-memory M, at Parallelism 1, 2 and 3, with rewound
+// and reused memory poisoned: each plan drained through a cursor,
+// materialized, over a rotated concatenation of its unfinalized rows (a
+// coordinator's Input.Concat) and, when it is shareable, over its shared
+// subplan. Each result is held by gen's comparer to the oracle, and
+// finalize — every sort is stable — as a sequence to the finalize oracle
+// over the same execution's unfinalized rows.
+func checkStatement(t *testing.T, hit gen.Hits, c gen.Case) {
+	t.Helper()
+	defer storage.PoisonRewound()()
+	defer stream.PoisonReused()()
+	ctx, s := context.Background(), c.Stmt
+	check := func(where string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s, %s: %v\n%s\n%s", c.Name, where, err, s.SQL(), FormatTable(c.Table, 0))
+		}
+	}
+	projected, err := s.Project(c.Table)
+	check("oracle", err)
+	hit.Windows(s)
+	cat := catalog.New()
+	cat.Register(s.Table, c.Table)
+	for _, scheme := range []Scheme{SchemeCSO, SchemeBFO, SchemeORCL, SchemePSQL} {
+		for _, mem := range []int{4 << 10, 1 << 20} {
+			for par := 1; par <= 3; par++ {
+				where := fmt.Sprintf("%s M=%d P=%d ", scheme, mem, par)
+				p, err := (&Runner{Catalog: cat, Exec: exec.Config{MemoryBytes: mem, BlockSize: 512, Parallelism: par}, Scheme: scheme}).Prepare(s.SQL())
+				check(where+"prepare", err)
+				base, err := openResult(ctx, p, Input{}, true)
+				check(where+"shard-local", err)
+				check(where+"shard-local", gen.SameMultiset(base.Table.Rows, projected))
+				want := s.Finalize(base.Table.Rows)
+				cur, err := p.Open(ctx, Input{}, false)
+				check(where+"cursor", err)
+				meta := cur.Meta()
+				got := drainCursor(t, cur)
+				check(where+"cursor, final sort "+meta.FinalSort, s.Check(got, projected))
+				check(where+"cursor, final sort "+meta.FinalSort, gen.SameSequence(got, want))
+				whole, err := openResult(ctx, p, Input{}, false)
+				check(where+"materialized", err)
+				check(where+"materialized", gen.SameSequence(whole.Table.Rows, want))
+				if f := meta.Finalize; !p.ConcatStreams() && f.RowsOut != int64(len(want)) {
+					check(where+"finalize", fmt.Errorf("%d rows out of %d in; %d left", f.RowsOut, f.RowsIn, len(want)))
 				}
-				if err := sameSequence(got.Table.Rows, want); err != nil {
-					fail(where+" concat", err)
+				m := meta.Metrics
+				for path, reached := range map[string]bool{meta.FinalSort: true, "top-k": meta.Finalize.TopK,
+					"spilled": m != nil && m.TotalBlocks() > 0, "concatenated": m != nil && m.Concatenated} {
+					if reached {
+						hit[path]++
+					}
 				}
-				if got.FinalSort == "avoided" || got.FinalSort == "partial" {
-					fail(where+" concat", fmt.Errorf("final sort %s over a concatenation", got.FinalSort))
+				if n := base.Table.Len(); par == 1 && n > 0 {
+					// The coordinator's side: the same rows as shards would hand
+					// them over, projected and in no particular order.
+					concat := storage.NewTable(base.Table.Schema)
+					concat.Rows = append(slices.Clone(base.Table.Rows[n/2:]), base.Table.Rows[:n/2]...)
+					got, err := openResult(ctx, p, Input{Concat: concat}, false)
+					check(where+"concat", err)
+					check(where+"concat", s.Check(got.Table.Rows, projected))
+					check(where+"concat", gen.SameSequence(got.Table.Rows, s.Finalize(concat.Rows)))
+					if got.FinalSort == "avoided" || got.FinalSort == "partial" {
+						check(where+"concat", fmt.Errorf("final sort %s over a concatenation", got.FinalSort))
+					}
+					hit["concat"]++
 				}
-				hit["concat"]++
+				if p.Shareable() {
+					seg, err := p.RunSubplan(ctx)
+					check(where+"subplan", err)
+					got, err := openResult(ctx, p, Input{Shared: seg}, false)
+					check(where+"shared", err)
+					check(where+"shared", s.Check(got.Table.Rows, projected))
+					hit["shared"]++
+				}
 			}
 		}
 	}
-	for _, seed := range finalizeRegressions {
-		check(seed)
-	}
-	for seed := int64(1); seed <= int64(seeds); seed++ {
-		check(seed)
-	}
-	for _, path := range []string{"none", "avoided", "partial", "full", "top-k", "spilled", "concatenated", "concat"} {
-		if hit[path] == 0 {
-			t.Errorf("no generated statement went through %q", path)
-		}
-	}
-	t.Logf("%d seeds: %v", seeds, hit)
 }
 
 // finalizeFixture runs stmt's chain over n web_sales rows once and returns

@@ -10,6 +10,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/gen"
 	"repro/internal/storage"
 )
 
@@ -21,9 +22,9 @@ const shippedStatement = `SELECT g, u,
  dense_rank() OVER (PARTITION BY g ORDER BY u) AS w2,
  row_number() OVER (ORDER BY s, u) AS w3 FROM t`
 
-// shippedTable is a node's tiny partition: 24 rows of finalize's columns.
+// shippedTable is a node's tiny partition: 24 rows of gen's columns.
 func shippedTable() *storage.Table {
-	t := storage.NewTable(storage.NewSchema(finalizeColumns...))
+	t := storage.NewTable(gen.Schema)
 	for i := 0; i < 24; i++ {
 		t.MustAppend(storage.Tuple{
 			storage.Int(int64(i % 3)), storage.Int(int64(i % 5)), storage.Float(float64(i) / 2),

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"maps"
-	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -14,8 +13,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/exec"
+	"repro/internal/gen"
 	"repro/internal/paper"
 	"repro/internal/storage"
+	"repro/internal/window"
 )
 
 // TestShardPhasesComposeToExecute: manually hash-partitioning the table,
@@ -91,13 +92,19 @@ func TestShardPhasesComposeToExecute(t *testing.T) {
 // coordinator prepared against a schema-only stub.
 func TestExecuteOverContext(t *testing.T) {
 	ws := datagen.WebSales(datagen.WebSalesConfig{Rows: 400, Seed: 5})
-	for src, segments := range map[string]int{
-		`SELECT ws_order_number, rank() OVER (ORDER BY ws_sold_time_sk) AS r FROM web_sales ORDER BY ws_order_number`: 1,
-		`SELECT ws_order_number, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS a,
-		 rank() OVER (ORDER BY ws_sold_time_sk) AS b FROM web_sales WHERE ws_quantity <= 80 ORDER BY b DESC, ws_order_number LIMIT 50`: 2,
+	rank := func(name string, pk attrs.Set, ok int) window.Spec {
+		return window.Spec{Name: name, Kind: window.Rank, Arg: -1, PK: pk, OK: attrs.AscSeq(attrs.ID(ok))}
+	}
+	order := []attrs.ID{datagen.ColOrderNumber}
+	quantity := &gen.Pred{SQL: "ws_quantity <= 80", Keep: func(r storage.Tuple) bool { return r[datagen.ColQuantity].Int64() <= 80 }}
+	for segments, s := range map[int]*gen.Statement{
+		1: {Cols: order, Windows: []window.Spec{rank("r", 0, datagen.ColSoldTime)}, OrderBy: attrs.AscSeq(0), Limit: -1},
+		2: {Cols: order, Windows: []window.Spec{rank("a", itemKey, datagen.ColSoldDate), rank("b", 0, datagen.ColSoldTime)},
+			Where: quantity, OrderBy: attrs.Seq{{Attr: 2, Desc: true, NullsFirst: true}, {Attr: 0}}, Limit: 50},
 	} {
-		if got := composeSegments(t, ws, itemKey, src, SchemeCSO).Segments(); got != segments {
-			t.Errorf("%d segments, want %d: %s", got, segments, src)
+		s.Table, s.Schema = "web_sales", ws.Schema
+		if got := composeSegments(t, gen.Case{Name: "web_sales", Table: ws, Stmt: s}, itemKey, SchemeCSO, 3).Segments(); got != segments {
+			t.Errorf("%d segments, want %d: %s", got, segments, s.SQL())
 		}
 	}
 }
@@ -208,110 +215,62 @@ func cutString(plan *core.Plan, r *SegmentRunner, base *storage.Schema) string {
 }
 
 // TestSegmentRunnerComposesToExecute is the algebraic identity the
-// cluster's shuffle route rests on: hash-partitioning the table across N
-// "nodes", running each segment of the coordinator's plan per node with a
-// re-shuffle on the segment's key in between, concatenating the final
-// segment's projected streams and finalizing at a coordinator reproduces
-// the single engine — WHERE, DISTINCT, ORDER BY and LIMIT included. It
-// covers a key-divergent chain, the paper's Q7–Q9 (Q7 and Q9 with
-// PARTITION-BY-less functions) under CSO and PSQL coordinators, and
-// finalize's generated statements, among them a keyed → keyless → keyed
-// chain.
+// cluster's shuffle route rests on: hash-partitioning the table across 1, 2
+// and 4 "nodes", running each segment of the coordinator's plan per node
+// with a re-shuffle on the segment's key in between, concatenating the final
+// segment's projected streams and finalizing at a coordinator gives the
+// oracle's result — WHERE, DISTINCT, ORDER BY and LIMIT included. It runs
+// the paper's statements and generated ones under CSO and PSQL
+// coordinators, among them a keyed → keyless → keyed chain.
 func TestSegmentRunnerComposesToExecute(t *testing.T) {
-	ws := datagen.WebSales(datagen.WebSalesConfig{Rows: 900, Seed: 4})
-	if got := composeSegments(t, ws, itemKey, `SELECT ws_order_number, ws_warehouse_sk,
-	 rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS a,
-	 rank() OVER (PARTITION BY ws_warehouse_sk ORDER BY ws_sold_date_sk) AS b
-	 FROM web_sales WHERE ws_quantity <= 80 ORDER BY ws_order_number, b LIMIT 300`, SchemeCSO).Segments(); got != 2 {
-		t.Errorf("%d segments, want 2", got)
-	}
-	for _, name := range []string{"Q7", "Q8", "Q9"} {
+	hit := gen.Hits{}
+	for _, c := range append(gen.Corpus(900), gen.Cases(100)...) {
+		hit.Windows(c.Stmt)
 		for _, scheme := range []Scheme{SchemeCSO, SchemePSQL} {
-			composeSegments(t, ws, itemKey, paper.Statements[name], scheme)
-		}
-	}
-
-	shapes := append(slices.Clone(finalizeShapes), finalizeShape{
-		[]string{`rank() OVER (PARTITION BY g ORDER BY u) AS w1`, `row_number() OVER (ORDER BY h, u) AS w2`,
-			`dense_rank() OVER (PARTITION BY s ORDER BY h DESC NULLS FIRST) AS w3`},
-		[][]string{{"g", "u"}, {"h", "u"}, {"s"}},
-	})
-	seeds := 60
-	if *long {
-		seeds = 1000
-	}
-	shardKey := attrs.MakeSet(0) // g
-	keylessMidChain := 0
-	for seed := int64(1); seed <= int64(seeds); seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		table := finalizeTable(rng)
-		shape := shapes[len(shapes)-1]
-		if seed%2 == 0 {
-			shape = shapes[rng.Intn(len(shapes))]
-		}
-		stmt := finalizeStatementOf(rng, table.Len(), shape)
-		for _, scheme := range []Scheme{SchemeCSO, SchemePSQL} {
-			r := composeSegments(t, table, shardKey, stmt, scheme)
-			for seg := 1; r != nil && seg < r.Segments()-1; seg++ {
-				if r.Key(seg).Empty() && !r.Key(seg-1).Empty() && !r.Key(seg+1).Empty() {
-					keylessMidChain++
-					break
+			for _, nodes := range []int{1, 2, 4} {
+				r := composeSegments(t, c, attrs.MakeSet(0), scheme, nodes)
+				for seg := 1; r != nil && seg < r.Segments()-1; seg++ {
+					if r.Key(seg).Empty() && !r.Key(seg-1).Empty() && !r.Key(seg+1).Empty() {
+						hit["keyless mid-chain"]++
+						break
+					}
 				}
 			}
 		}
 	}
-	if keylessMidChain == 0 {
-		t.Error("no generated chain cut keyed → keyless → keyed")
-	}
+	hit.Require(t, "keyless mid-chain")
 }
 
 // itemKey is the web_sales shard key the compose tests partition on.
 var itemKey = attrs.MakeSet(attrs.ID(datagen.ColItem))
 
-// composeSegments runs src the way the cluster's shuffle route does, over
-// three "nodes" holding table hash-partitioned on shardKey and a
-// coordinator that plans src under scheme against a schema-only stub and
-// ships its plan: every node runs each segment of it, the rows re-shuffle on
-// the next segment's key in between (the first re-shuffle skipped when the
-// shard key covers segment 0's key), and the coordinator finalizes the
-// concatenated final streams. Before finalize the concatenation must be the
-// single engine's shard-local rows as a multiset — the window values; after
-// it, the single engine's result as a sequence where the ORDER BY is total
-// over it, as a multiset where there is no LIMIT to pick among ties, and by
-// its row count otherwise. The table is registered under the name src
-// reads. It returns node 0's runner, or nil for a window-less src, which
-// it skips.
-func composeSegments(t *testing.T, table *storage.Table, shardKey attrs.Set, src string, scheme Scheme) *SegmentRunner {
+// composeSegments runs c's statement the way the cluster's shuffle route
+// does, over nodes "nodes" holding the table hash-partitioned on shardKey
+// and a coordinator that plans it under scheme against a schema-only stub
+// and ships its plan: every node runs each segment of it, the rows
+// re-shuffle on the next segment's key in between (the first re-shuffle
+// skipped when the shard key covers segment 0's key), and the coordinator
+// finalizes the concatenated final streams. Before finalize the
+// concatenation must be the oracle's projected rows as a multiset — the
+// window values; after it, the oracle's result by gen's comparer. It returns
+// node 0's runner, or nil for a window-less statement, which it skips.
+func composeSegments(t *testing.T, c gen.Case, shardKey attrs.Set, scheme Scheme, nodes int) *SegmentRunner {
 	t.Helper()
-	ctx := context.Background()
-	q, err := Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctx, table, src := context.Background(), c.Table, c.Stmt.SQL()
 	cfg := exec.Config{MemoryBytes: 1 << 20}
 	fail := func(format string, args ...any) {
 		t.Helper()
-		t.Fatalf("%s coordinator, %s: %s\n%s", scheme, src, fmt.Sprintf(format, args...), FormatTable(table, 12))
+		t.Fatalf("%s: %s coordinator, %d nodes, %s: %s\n%s", c.Name, scheme, nodes, src, fmt.Sprintf(format, args...), FormatTable(table, 12))
 	}
-	full := catalog.New()
-	full.Register(q.Table, table)
-	single, err := (&Runner{Catalog: full, Exec: cfg}).Prepare(src)
-	if err != nil {
-		fail("%v", err)
-	}
-	if single.Plan() == nil {
+	if len(c.Stmt.Windows) == 0 {
 		return nil
 	}
-	local, err := openResult(ctx, single, Input{}, true)
+	projected, err := c.Stmt.Project(table)
 	if err != nil {
-		fail("%v", err)
-	}
-	want, err := openResult(ctx, single, Input{}, false)
-	if err != nil {
-		fail("%v", err)
+		fail("oracle: %v", err)
 	}
 	stub := catalog.New()
-	stub.RegisterStub(q.Table, table.Schema, catalog.TableStats{
+	stub.RegisterStub(c.Stmt.Table, table.Schema, catalog.TableStats{
 		Rows:     int64(table.Len()),
 		Bytes:    int64(table.ByteSize()),
 		Distinct: func(set attrs.Set) int64 { return int64(table.DistinctCount(set)) },
@@ -321,7 +280,6 @@ func composeSegments(t *testing.T, table *storage.Table, shardKey attrs.Set, src
 		fail("%v", err)
 	}
 
-	const nodes = 3
 	parts := exec.PartitionRows(table.Rows, shardKey.IDs(), nodes)
 	runners := make([]*SegmentRunner, nodes)
 	cur := make([]*storage.Table, nodes)
@@ -329,7 +287,7 @@ func composeSegments(t *testing.T, table *storage.Table, shardKey attrs.Set, src
 		cat := catalog.New()
 		pt := storage.NewTable(table.Schema)
 		pt.Rows = parts[i]
-		cat.Register(q.Table, pt)
+		cat.Register(c.Stmt.Table, pt)
 		p, err := (&Runner{Catalog: cat, Exec: cfg}).Prepare(src)
 		if err != nil {
 			fail("%v", err)
@@ -382,71 +340,26 @@ func composeSegments(t *testing.T, table *storage.Table, shardKey attrs.Set, src
 		}
 	}
 	reshuffle(last)
-	concat := storage.NewTable(storage.NewSchema(single.outCols...))
+	concat := storage.NewTable(storage.NewSchema(prep.outCols...))
 	for i := 0; i < nodes; i++ {
-		c, err := runners[i].StreamFinal(ctx, cur[i])
+		cur, err := runners[i].StreamFinal(ctx, cur[i])
 		if err != nil {
 			fail("node %d final segment: %v", i, err)
 		}
-		verbatim(i, last, c.Meta().Metrics)
-		concat.Rows = append(concat.Rows, drainCursor(t, c)...)
+		verbatim(i, last, cur.Meta().Metrics)
+		concat.Rows = append(concat.Rows, drainCursor(t, cur)...)
 	}
-	if !slices.Equal(multiset(concat.Rows), multiset(local.Table.Rows)) {
-		fail("the shuffled chain's rows are not the single engine's")
+	if err := gen.SameMultiset(concat.Rows, projected); err != nil {
+		fail("the shuffled chain's rows are not the oracle's: %v", err)
 	}
 	got, err := openResult(ctx, prep, Input{Concat: concat}, false)
 	if err != nil {
 		fail("%v", err)
 	}
-	switch {
-	case totalOver(local.Table.Rows, single):
-		if !slices.Equal(sequence(got.Table.Rows), sequence(want.Table.Rows)) {
-			fail("finalized rows differ from the single engine's sequence")
-		}
-	case single.q.Limit < 0:
-		if !slices.Equal(multiset(got.Table.Rows), multiset(want.Table.Rows)) {
-			fail("finalized rows differ from the single engine's multiset")
-		}
-	case got.Table.Len() != want.Table.Len():
-		fail("%d finalized rows, the single engine has %d", got.Table.Len(), want.Table.Len())
+	if err := c.Stmt.Check(got.Table.Rows, projected); err != nil {
+		fail("finalized: %v", err)
 	}
 	return runners[0]
-}
-
-// sequence encodes rows one string each, the two float zeros as one value
-// (DISTINCT keeps whichever comes first).
-func sequence(rows []storage.Tuple) []string {
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		var b []byte
-		for _, v := range r {
-			if v.Kind() == storage.KindFloat && v.Float64() == 0 {
-				v = storage.Float(0)
-			}
-			b = storage.AppendTuple(b, storage.Tuple{v})
-		}
-		out[i] = string(b)
-	}
-	return out
-}
-
-// multiset is sequence sorted.
-func multiset(rows []storage.Tuple) []string { return slices.Sorted(slices.Values(sequence(rows))) }
-
-// totalOver reports whether p's ORDER BY leaves no choice over its
-// projected rows: after DISTINCT, rows that tie on the key are the same row.
-func totalOver(rows []storage.Tuple, p *Prepared) bool {
-	if len(p.orderKey) == 0 {
-		return false
-	}
-	sorted := finalizeOracle(rows, p.q.Distinct, p.orderKey, -1)
-	enc := sequence(sorted)
-	for i := 1; i < len(sorted); i++ {
-		if storage.CompareSeq(sorted[i-1], sorted[i], p.orderKey) == 0 && enc[i-1] != enc[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestShardLocalPredicate pins the routing rule on crafted chains.

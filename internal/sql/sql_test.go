@@ -12,7 +12,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/exec"
 	"repro/internal/storage"
-	"repro/internal/window"
 	"repro/internal/xsort"
 )
 
@@ -69,30 +68,6 @@ func TestExample1(t *testing.T) {
 	}
 	if res.Plan == nil || res.Metrics == nil {
 		t.Errorf("expected plan and metrics")
-	}
-}
-
-func TestSchemesAgreeViaSQL(t *testing.T) {
-	query := `
-		SELECT ws_item_sk,
-		       rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS r1,
-		       rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_bill_customer_sk) AS r2
-		FROM web_sales
-		ORDER BY ws_item_sk, r1, r2`
-	var outputs []string
-	for _, scheme := range []Scheme{SchemeCSO, SchemeBFO, SchemeORCL, SchemePSQL} {
-		r := testRunner(t)
-		r.Scheme = scheme
-		res, err := r.Query(query)
-		if err != nil {
-			t.Fatalf("%s: %v", scheme, err)
-		}
-		outputs = append(outputs, FormatTable(res.Table, 0))
-	}
-	for i := 1; i < len(outputs); i++ {
-		if outputs[i] != outputs[0] {
-			t.Fatalf("scheme %d output differs from CSO", i)
-		}
 	}
 }
 
@@ -238,50 +213,6 @@ func TestNoWindowFunctions(t *testing.T) {
 	}
 	if !strings.EqualFold(res.Table.Schema.Columns[0].Name, "empnum") {
 		t.Errorf("schema = %v", res.Table.Schema.Names())
-	}
-}
-
-// TestSQLAgainstReference cross-checks a framed aggregate through the whole
-// SQL path against the reference evaluator.
-func TestSQLAgainstReference(t *testing.T) {
-	r := testRunner(t)
-	res, err := r.Query(`
-		SELECT ws_order_number,
-		       sum(ws_quantity) OVER (PARTITION BY ws_warehouse_sk ORDER BY ws_order_number
-		                              ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS s
-		FROM web_sales
-		ORDER BY ws_order_number`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entry, _ := r.Catalog.Lookup("web_sales")
-	table := entry.Table()
-	spec := window.Spec{
-		Kind: window.Sum,
-		Arg:  datagen.ColQuantity,
-		PK:   attrs.MakeSet(attrs.ID(datagen.ColWarehouse)),
-		OK:   attrs.AscSeq(attrs.ID(datagen.ColOrderNumber)),
-		Frame: &window.Frame{
-			Mode:  window.Rows,
-			Start: window.Bound{Type: window.Preceding, Offset: 2},
-			End:   window.Bound{Type: window.Following, Offset: 1},
-		},
-	}
-	want, err := window.Reference(table.Rows, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantByTag := map[int64]storage.Value{}
-	for i, v := range want {
-		wantByTag[table.Rows[i][datagen.ColOrderNumber].Int64()] = v
-	}
-	if res.Table.Len() != table.Len() {
-		t.Fatalf("row count mismatch")
-	}
-	for _, row := range res.Table.Rows {
-		if !storage.Equal(row[1], wantByTag[row[0].Int64()]) {
-			t.Fatalf("row %s: sum = %s, want %s", row[0], row[1], wantByTag[row[0].Int64()])
-		}
 	}
 }
 

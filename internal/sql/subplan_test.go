@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/storage"
 )
 
@@ -122,7 +123,9 @@ func TestLatticeAttach(t *testing.T) {
 		}
 		// Cross-statement attach: values must agree; compare as multisets
 		// (the attacher's row order follows the finer segment's order).
-		assertSameMultiset(t, q, want.Table, got.Table)
+		if err := gen.SameMultiset(got.Table.Rows, want.Table.Rows); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
 	}
 
 	// The reverse direction must be rejected: a coarse segment cannot
@@ -179,25 +182,6 @@ func assertSameRows(t *testing.T, q string, want, got *storage.Table) {
 	for i := range want.Rows {
 		if string(storage.AppendTuple(nil, got.Rows[i])) != string(storage.AppendTuple(nil, want.Rows[i])) {
 			t.Fatalf("%s: row %d differs", q, i)
-		}
-	}
-}
-
-func assertSameMultiset(t *testing.T, q string, want, got *storage.Table) {
-	t.Helper()
-	if got.Len() != want.Len() {
-		t.Fatalf("%s: %d rows, want %d", q, got.Len(), want.Len())
-	}
-	counts := make(map[string]int, want.Len())
-	for _, row := range want.Rows {
-		counts[string(storage.AppendTuple(nil, row))]++
-	}
-	for _, row := range got.Rows {
-		counts[string(storage.AppendTuple(nil, row))]--
-	}
-	for k, c := range counts {
-		if c != 0 {
-			t.Fatalf("%s: multiset mismatch (%d for %q)", q, c, k)
 		}
 	}
 }

@@ -72,9 +72,19 @@ type Col struct {
 // poisonReused makes Reset overwrite every vector it is about to hand out
 // again, so a row, a vector or a value read out of a batch after the batch
 // went back for a refill shows as garbage instead of as whatever the next
-// fill happens to leave there. Tests set it (export_test.go); it is never
-// set in a running engine.
+// fill happens to leave there. Tests set it (PoisonReused); it is never set
+// in a running engine.
 var poisonReused bool
+
+// PoisonReused switches on the overwriting of every vector a Batch hands
+// out again and returns the function that switches it back off. It is a
+// test switch — exported for the tests of the packages whose results travel
+// in batches, such as the SQL cursor — and tests that use it must not run in
+// parallel with other batch users.
+func PoisonReused() (restore func()) {
+	poisonReused = true
+	return func() { poisonReused = false }
+}
 
 const (
 	poisonInt = int64(-0x2152215221522153) // 0xDEADDEADDEADDEAD

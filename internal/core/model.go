@@ -46,11 +46,6 @@ func (w WF) String() string {
 // Key returns →PK ∘ OK for the given PK permutation.
 func (w WF) Key(pkPerm attrs.Seq) attrs.Seq { return pkPerm.Concat(w.OK) }
 
-// permutationsLimit guards the factorial enumeration of partitioning-key
-// permutations; window functions in practice have very few partitioning
-// attributes (the paper's workloads peak at 4).
-const permutationsLimit = 8
-
 // Props captures the physical property of a tuple stream as a segmented
 // relation R_{X,Y} (Definition 1): the stream is a sequence of segments
 // whose X values are pairwise disjoint and each of which is sorted on Y.
@@ -148,20 +143,6 @@ func (p Props) MatchesAll(ws []WF) bool {
 	return true
 }
 
-// enumeratePKPerms invokes fn for each permutation of wf.PK (ascending
-// canonical elements); fn returns false to stop. An empty PK yields one
-// empty permutation.
-func enumeratePKPerms(wf WF, fn func(attrs.Seq) bool) {
-	if wf.PK.Len() > permutationsLimit {
-		panic(fmt.Sprintf("core: partitioning key %s too large to enumerate", wf.PK))
-	}
-	if wf.PK.Empty() {
-		fn(attrs.Seq{})
-		return
-	}
-	wf.PK.Permutations(fn)
-}
-
 // HSReorderable reports whether (R, wf) is HS-reorderable: HS requires a
 // non-empty hash key WHK ⊆ WPK, hence WPK ≠ ∅ (Section 3.2).
 func HSReorderable(wf WF) bool { return !wf.PK.Empty() }
@@ -196,30 +177,20 @@ type SSChoice struct {
 // PlanSS chooses the Segmented Sort reordering of a stream with property p
 // to match wf, maximizing |α| as Section 3.3 prescribes (footnote 2:
 // maximizing the number of attributes in α minimizes the units to sort).
-// It returns false when (p, wf) is not SS-reorderable or already matches.
+// The target is the permutation of wf sharing the longest prefix with Y,
+// its WPK slots taking Y's elements in any direction, as CSO chooses one.
+// It returns false when (p, wf) is not SS-reorderable.
 func PlanSS(p Props, wf WF) (SSChoice, bool) {
 	if !SSReorderable(p, wf) {
 		return SSChoice{}, false
 	}
-	best := SSChoice{}
-	found := false
-	enumeratePKPerms(wf, func(perm attrs.Seq) bool {
-		target := perm.Concat(wf.OK)
-		alpha, beta := SSDerive(p, target)
-		if p.X.Empty() && alpha.Empty() {
-			return true // rule (2): this permutation would degenerate to FS
-		}
-		cand := SSChoice{
-			Target: target,
-			Alpha:  alpha,
-			Beta:   beta,
-			Out:    Props{X: p.X, Y: target, Grouped: p.Grouped},
-		}
-		if !found || len(cand.Alpha) > len(best.Alpha) {
-			best = cand
-			found = true
-		}
-		return true
-	})
-	return best, found
+	target, ok := coveringSeqAligned(wf, []WF{wf}, p.Y)
+	if !ok {
+		return SSChoice{}, false
+	}
+	alpha, beta := SSDerive(p, target)
+	if p.X.Empty() && alpha.Empty() {
+		return SSChoice{}, false // rule (2): this target would degenerate to FS
+	}
+	return SSChoice{Target: target, Alpha: alpha, Beta: beta, Out: Props{X: p.X, Y: target, Grouped: p.Grouped}}, true
 }

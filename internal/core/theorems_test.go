@@ -221,13 +221,22 @@ func TestTheorem2Planner(t *testing.T) {
 	}
 }
 
-// TestPlanSSOutMatches — the SS target property must match the function.
+// TestPlanSSOutMatches — PlanSS plans exactly the SS-reorderable pairs, and
+// the SS target property must match the function.
 func TestPlanSSOutMatches(t *testing.T) {
+	// A WPK slot takes Y's element in either direction.
+	desc, pk := core.TotallyOrdered(attrs.Seq{{Attr: 0, Desc: true}}), attrs.Set(0).Add(0).Add(1)
+	if choice, ok := core.PlanSS(desc, core.WF{PK: pk}); !ok || len(choice.Alpha) != 1 {
+		t.Fatalf("PlanSS(%s, PK=%s) = %+v, %v; want α = (0 DESC)", desc, pk, choice, ok)
+	}
 	rng := rand.New(rand.NewSource(19))
 	for i := 0; i < 5000; i++ {
 		p := randProps(rng, 4)
 		wf := randWF(rng, 0, 4)
 		choice, ok := core.PlanSS(p, wf)
+		if ok != core.SSReorderable(p, wf) {
+			t.Fatalf("PlanSS(%s, %s) plans %v, SSReorderable says %v", p, wf, ok, !ok)
+		}
 		if !ok {
 			continue
 		}

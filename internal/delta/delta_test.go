@@ -139,9 +139,12 @@ func TestMaintainFunctionMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := m.Apply(Batch{Table: "t", Rows: entry.Table().Rows[start:], StartRid: start, Gen: g}); err != nil {
+				base := len(m.rows)
+				u, err := m.Apply(Batch{Table: "t", Rows: entry.Table().Rows[start:], StartRid: start, Gen: g})
+				if err != nil {
 					t.Fatal(err)
 				}
+				dispositions(hit, m, u, base)
 				want, err := s.Project(entry.Table())
 				if err != nil {
 					t.Fatal(err)
@@ -156,7 +159,30 @@ func TestMaintainFunctionMatrix(t *testing.T) {
 			}
 		})
 	}
-	hit.Require(t)
+	hit.Require(t, "patched", "recomputed")
+}
+
+// dispositions counts the paths one Apply took: "recomputed" when it
+// upserted an old row, which only a partition's recompute does, and
+// "patched" when it scanned fewer rows than recomputing every partition
+// the batch (its rows from position base on) touched would have.
+func dispositions(hit gen.Hits, m *Maintainer, u *Update, base int) {
+	if u.Upserted > 0 {
+		hit["recomputed"]++
+	}
+	var dirty int64
+	for _, wf := range m.wfs {
+		keys := map[string]bool{}
+		for _, r := range m.rows[base:] {
+			keys[partKey(r, wf.spec)] = true
+		}
+		for k := range keys {
+			dirty += int64(len(wf.parts[k].positions))
+		}
+	}
+	if u.RowsScanned < dirty {
+		hit["patched"]++
+	}
 }
 
 func TestMaintainSumIntToFloatRetype(t *testing.T) {

@@ -204,7 +204,11 @@ func newWindow(rng *rand.Rand, name string, n int) window.Spec {
 	}
 	switch w.Kind {
 	case window.Ntile, window.NthValue:
-		w.N = max(offset(), 1)
+		// Half the time N is 3–7: ntile's buckets of two sizes, with
+		// several of them a row larger, and an nth row inside the partition.
+		if w.N = max(offset(), 1); rng.Intn(2) == 0 {
+			w.N = 3 + rng.Int63n(5)
+		}
 	case window.Lead, window.Lag:
 		if w.N = offset(); rng.Intn(2) == 0 {
 			w.Default = storage.Int(-7)

@@ -131,7 +131,7 @@ func (s *Statement) Check(got, projected []storage.Tuple) error {
 	}
 	switch {
 	case total:
-		return SameSequence(got, want)
+		return sequence(got, want, func(r, w storage.Tuple) bool { return key(r) == key(w) })
 	case s.Limit < 0:
 		return SameMultiset(got, want)
 	case len(got) != len(want):
@@ -161,13 +161,22 @@ func key(r storage.Tuple) string {
 	return string(b)
 }
 
-// SameSequence reports how got differs from want as a sequence of rows.
-func SameSequence(got, want []storage.Tuple) error {
+// IdenticalSequence reports how got differs from want as a sequence of
+// rows whose values are storage.Identical, so the two float zeros differ:
+// what finalize is held to against the finalize oracle over the same
+// execution's rows, where DISTINCT must keep the first occurrence's sign.
+func IdenticalSequence(got, want []storage.Tuple) error {
+	return sequence(got, want, func(r, w storage.Tuple) bool { return slices.EqualFunc(r, w, storage.Identical) })
+}
+
+// sequence reports how got differs from want as a sequence of rows, same
+// deciding whether two rows are one.
+func sequence(got, want []storage.Tuple, same func(r, w storage.Tuple) bool) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("%d rows, the oracle has %d", len(got), len(want))
 	}
 	for i := range want {
-		if key(got[i]) != key(want[i]) {
+		if !same(got[i], want[i]) {
 			return fmt.Errorf("row %d = %v, the oracle has %v", i, got[i], want[i])
 		}
 	}

@@ -145,10 +145,10 @@ func checkStatement(t *testing.T, hit gen.Hits, c gen.Case) {
 				meta := cur.Meta()
 				got := drainCursor(t, cur)
 				check(where+"cursor, final sort "+meta.FinalSort, s.Check(got, projected))
-				check(where+"cursor, final sort "+meta.FinalSort, gen.SameSequence(got, want))
+				check(where+"cursor, final sort "+meta.FinalSort, gen.IdenticalSequence(got, want))
 				whole, err := openResult(ctx, p, Input{}, false)
 				check(where+"materialized", err)
-				check(where+"materialized", gen.SameSequence(whole.Table.Rows, want))
+				check(where+"materialized", gen.IdenticalSequence(whole.Table.Rows, want))
 				if f := meta.Finalize; !p.ConcatStreams() && f.RowsOut != int64(len(want)) {
 					check(where+"finalize", fmt.Errorf("%d rows out of %d in; %d left", f.RowsOut, f.RowsIn, len(want)))
 				}
@@ -167,7 +167,7 @@ func checkStatement(t *testing.T, hit gen.Hits, c gen.Case) {
 					got, err := openResult(ctx, p, Input{Concat: concat}, false)
 					check(where+"concat", err)
 					check(where+"concat", s.Check(got.Table.Rows, projected))
-					check(where+"concat", gen.SameSequence(got.Table.Rows, s.Finalize(concat.Rows)))
+					check(where+"concat", gen.IdenticalSequence(got.Table.Rows, s.Finalize(concat.Rows)))
 					if got.FinalSort == "avoided" || got.FinalSort == "partial" {
 						check(where+"concat", fmt.Errorf("final sort %s over a concatenation", got.FinalSort))
 					}

@@ -17,7 +17,7 @@ import (
 // column and into the rows, over partitions that grow and shrink from one
 // window to the next, and each value must be window.Reference's.
 func TestAllFunctionsAgainstReference(t *testing.T) {
-	cases := gen.Cases(300)
+	cases, hit := gen.Cases(300), gen.Hits{}
 	var ev window.Evaluator
 	for kind := window.RowNumber; kind <= window.Max; kind++ {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -27,6 +27,7 @@ func TestAllFunctionsAgainstReference(t *testing.T) {
 					continue
 				}
 				led++
+				hit.Windows(c.Stmt)
 				rows := c.Stmt.Input(c.Table)
 				for _, w := range c.Stmt.Windows {
 					if err := evaluate(&ev, rows, w); err != nil {
@@ -39,6 +40,7 @@ func TestAllFunctionsAgainstReference(t *testing.T) {
 			}
 		})
 	}
+	hit.Require(t)
 	if err := ev.EvaluateSlice(make([]storage.Tuple, 3), window.Spec{Kind: window.RowNumber}, make([]storage.Value, 2)); err == nil {
 		t.Error("a column shorter than the rows must fail")
 	}

@@ -41,7 +41,7 @@ func TestWarmHitAllocations(t *testing.T) {
 		t.Errorf("warm plan-cache hit allocates %v times, want at most %v", got, planHit)
 	}
 	if got := testing.AllocsPerRun(100, func() {
-		if _, disp, err := svc.sharedSegment(ctx, prep, ""); err != nil || disp != cache.Hit {
+		if _, disp, err := svc.sharedSegment(ctx, prep); err != nil || disp != cache.Hit {
 			t.Fatalf("warm subplan lookup: %q, %v", disp, err)
 		}
 	}); got > subplanHit {

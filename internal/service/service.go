@@ -338,7 +338,9 @@ func (s *Service) QueryContext(ctx context.Context, src string) (*windowdb.Rows,
 	if inner, ok := windowdb.StripSubscribe(src); ok {
 		return s.subscribeStream(ctx, src, inner)
 	}
-	return s.stream(ctx, src, "", false)
+	return s.streamCursor(ctx, src, src, "draining", func(ctx context.Context, prep *sql.Prepared) (execCursor, error) {
+		return s.openStream(ctx, prep, sql.Input{}, false)
+	})
 }
 
 // insertStream serves an INSERT: parse, append (metered), one-row summary.
@@ -368,18 +370,6 @@ func (s *Service) subscribeStream(ctx context.Context, full, inner string) (*win
 	})
 }
 
-// StreamShardLocal is QueryContext for the shard-local part of a statement
-// (WHERE, chain, projection — no DISTINCT/ORDER BY/LIMIT): what a shard
-// node streams back to a scatter-gather coordinator. subplanFP is the
-// coordinator's subplan fingerprint: when every request of a distributed
-// statement carries it, the node's shared-subplan cache collides them by
-// construction and one scan serves the fan-out. Because the shard-local
-// pipeline never finalizes, rows leave the node the moment the final chain
-// segment's projection yields them.
-func (s *Service) StreamShardLocal(ctx context.Context, src, subplanFP string) (*windowdb.Rows, error) {
-	return s.stream(ctx, src, subplanFP, true)
-}
-
 // PrepareContext validates and plans src through the service's plan cache,
 // returning a statement that executes via the streaming path.
 func (s *Service) PrepareContext(ctx context.Context, src string) (windowdb.Stmt, error) {
@@ -403,16 +393,10 @@ type execCursor interface {
 	Meta() *sql.Result
 }
 
-func (s *Service) stream(ctx context.Context, src, subplanFP string, shardLocal bool) (*windowdb.Rows, error) {
-	return s.streamCursor(ctx, src, src, "draining", func(ctx context.Context, prep *sql.Prepared) (execCursor, error) {
-		return s.openStream(ctx, prep, subplanFP, shardLocal)
-	})
-}
-
 // streamCursor is the shared streaming-serve body: plan-cache resolution,
 // admission, and the handoff-guarded slot-to-cursor transfer, with the
-// execution cursor opened by open (the full statement, its shard-local
-// part, a shuffle segment, or a subscription). display is the statement
+// execution cursor opened by open (the full statement, a sharded
+// statement's last stage, or a subscription). display is the statement
 // text registered in /debug/queries (the full SUBSCRIBE spelling for
 // subscriptions); src is what resolves through the plan cache; phase is
 // the registry phase the cursor shows while it streams.

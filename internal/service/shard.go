@@ -19,7 +19,7 @@ import (
 // cluster coordinator (internal/shard) can use it as a shard node. The
 // routes mount only under Config.ShardRoutes (windserve -shardnode).
 //
-//	POST /shard/query        {"sql": "...", "mode": "local"|"full"|"segment"} (row stream)
+//	POST /shard/query        {"sql": "...", "mode": "full"|"segment", stage...} (row stream)
 //	POST /shard/register     {"name": "t", "table": {wire table}}
 //	GET  /shard/distinct?table=t&attrs=3,4
 //	POST /shard/shuffle/run  {ShuffleRunRequest}
@@ -32,54 +32,65 @@ import (
 // engine — like every route here it is an intra-cluster interface: deploy
 // shard nodes behind the cluster boundary, not on the public edge.
 // /shard/distinct answers a distinct count for the coordinator's
-// statistics stubs. The /shard/shuffle data-plane routes carry the
-// per-segment distributed execution of every chain the shard key does not
-// cover: "run" executes one stage
+// statistics stubs. Every statement over a sharded table runs as stages of
+// the coordinator's plan (Stage): "run" executes one stage before the last
 // (RunShuffleStep), the bare route ingests a peer's re-shuffled rows into
 // the node's inbox — node-to-node traffic that never transits the
-// coordinator.
+// coordinator — and the last stage streams back through /shard/query. A
+// statement whose chain the shard key covers has no stage before the last.
 
-// ShardQueryRequest asks a shard node to execute a statement.
-type ShardQueryRequest struct {
+// Stage is one stage of a statement over a sharded table as a node runs it:
+// the coordinator's plan bound onto the statement (sql.Prepared.Bind), the
+// segment of it the stage runs and where the stage's rows come from. A
+// ShuffleRunRequest carries a stage before the last, a "segment"
+// ShardQueryRequest the last.
+type Stage struct {
 	SQL string `json:"sql"`
-	// Mode is "local" (shard-local part only), "full" (entire statement,
-	// SUBSCRIBE included) or "segment" (final shuffle segment over the
-	// node's inbox).
+	// Plan is the coordinator's planned chain, nil for a window-less
+	// statement: every node runs its steps verbatim, cut by exec.Segments.
+	Plan *core.Plan `json:"plan,omitempty"`
+	// Segment is the segment the stage runs, or -1 for the raw stage: WHERE
+	// filtering only — the base rows shuffled onto the first segment's key
+	// when the shard key does not cover it, or a window-less statement's one
+	// stage.
+	Segment int `json:"segment"`
+	// Source is "local" (the node's registered partition) or "inbox" (the
+	// shuffle buffer the previous round delivered).
+	Source string `json:"source"`
+	// ShuffleID names the statement's shuffle state on every node; empty
+	// when no stage precedes the last.
+	ShuffleID string `json:"shuffle_id,omitempty"`
+	// Round is the stage index: the inbox generation an "inbox" stage
+	// consumes; a stage before the last delivers its output to Round+1.
+	Round int `json:"round,omitempty"`
+	// Senders is the cluster width: the expected sender count of every
+	// inbox buffer and the partition count of a shuffled stage's output.
+	Senders int `json:"senders,omitempty"`
+}
+
+// ShardQueryRequest asks a shard node for a row stream.
+type ShardQueryRequest struct {
+	// Mode is "full" (the entire statement, planned by the node: a
+	// replicated table's query or a SUBSCRIBE) or "segment" (the last stage
+	// of a statement over a sharded table, run on the shipped plan).
 	Mode string `json:"mode"`
-
-	// SubplanFP is the coordinator's subplan fingerprint
-	// (sql.Prepared.SubplanFingerprint): the identity of the statement's
-	// scan+reorder subplan, shipped so the node's shared-subplan cache
-	// collides every request of one distributed statement on one scan.
-	// Optional — "" lets the node derive the identity itself.
-	SubplanFP string `json:"subplan_fp,omitempty"`
-
-	// Mode "segment" only: the coordinator's planned chain and the inbox
-	// generation holding the final segment's shuffled input.
-	Plan      *core.Plan `json:"plan,omitempty"`
-	ShuffleID string     `json:"shuffle_id,omitempty"`
-	Round     int        `json:"round,omitempty"`
-	Senders   int        `json:"senders,omitempty"`
+	Stage
 }
 
 // errBadRequest marks a malformed node request; StatusFor answers it 400.
 var errBadRequest = errors.New("service: bad request")
 
 // ShardStream serves one of a cluster coordinator's node streams, by mode:
-// "local" the shard-local part of the statement (WHERE, chain, projection —
-// no DISTINCT/ORDER BY/LIMIT; StreamShardLocal), "full" the entire
-// statement — a replicated table's query, or a SUBSCRIBE's live cursor —
-// and "segment" the final segment of the shipped plan over the node's
-// shuffle inbox. Both transports reach it: the in-process one directly,
-// the HTTP one through /shard/query.
+// "full" the entire statement — a replicated table's query, or a
+// SUBSCRIBE's live cursor — and "segment" the last stage of the shipped
+// plan. Both transports reach it: the in-process one directly, the HTTP one
+// through /shard/query.
 func (s *Service) ShardStream(ctx context.Context, req ShardQueryRequest) (*windowdb.Rows, error) {
 	switch req.Mode {
-	case "local":
-		return s.StreamShardLocal(ctx, req.SQL, req.SubplanFP)
 	case "full":
 		return s.QueryContext(ctx, req.SQL)
 	case "segment":
-		return s.streamSegment(ctx, req)
+		return s.streamSegment(ctx, req.Stage)
 	}
 	return nil, fmt.Errorf("%w: unknown shard query mode %q", errBadRequest, req.Mode)
 }

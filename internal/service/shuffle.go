@@ -9,27 +9,28 @@ import (
 
 	windowdb "repro"
 	"repro/internal/cache"
-	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/sql"
 	"repro/internal/storage"
 	"repro/internal/trace"
 )
 
-// The node half of the cluster's shuffle data plane (the coordinator half
-// lives in internal/shard): per-segment distributed execution of
-// window chains the shard key does not cover. The coordinator ships its
-// planned chain (core.Plan), which every node cuts where exec.Segments cuts
-// it, and drives one round per non-final stage: every node runs the stage
-// over its current rows (RunShuffleStep) and re-shuffles the output
-// directly to its peers, hash-partitioned on the next segment's key — on ∅,
-// every row to one node, when that segment is sequential — so rows never
-// transit the coordinator. Peers ingest into a per-service shuffle inbox
-// keyed by (shuffle id, round); the next round's stage consumes its inbox
-// buffer whole (the coordinator barriers rounds, so a consumed buffer is
-// always complete). The final segment streams its projected output back as a
-// "segment" node stream (ShardStream), which the coordinator
-// merge-concatenates exactly as the scatter route does.
+// The node half of the cluster's distributed execution (the coordinator
+// half lives in internal/shard): every statement over a sharded table runs
+// segment by segment on the coordinator's planned chain (core.Plan), which
+// every node binds (sql.Prepared.Bind) and cuts where exec.Segments cuts
+// it. The coordinator drives one round per stage before the last: every
+// node runs the stage over its current rows (RunShuffleStep) and
+// re-shuffles the output directly to its peers, hash-partitioned on the
+// next segment's key — on ∅, every row to one node, when that segment is
+// sequential — so rows never transit the coordinator. Peers ingest into a
+// per-service shuffle inbox keyed by (shuffle id, round); the next round's
+// stage consumes its inbox buffer whole (the coordinator barriers rounds,
+// so a consumed buffer is always complete). The last stage streams its
+// projected output back as a "segment" node stream (ShardStream), which the
+// coordinator merge-concatenates. A chain that is one segment whose key
+// covers the shard key runs zero rounds: its last stage is its only one,
+// over the node's own partition.
 //
 // Memory discipline: a node's resident shuffle state is its own partition
 // of the intermediate rows — the same order of magnitude as its registered
@@ -54,28 +55,9 @@ type ShuffleBatch struct {
 // handler POSTs frames to the peer's /shard/shuffle route.
 type ShuffleSend func(ctx context.Context, peer int, b *ShuffleBatch) error
 
-// ShuffleRunRequest asks a node to execute one non-final shuffle stage.
+// ShuffleRunRequest asks a node to execute one stage before the last.
 type ShuffleRunRequest struct {
-	SQL string `json:"sql"`
-	// Plan is the coordinator's planned chain: every node runs its steps
-	// verbatim, cut by exec.Segments, and shuffles a stage's output on the
-	// next segment's key.
-	Plan *core.Plan `json:"plan"`
-	// Segment is the segment to execute, or -1 for the raw stage: WHERE
-	// filtering only, shuffling the statement's base rows onto the first
-	// segment's key when the shard key does not already cover it.
-	Segment int `json:"segment"`
-	// Source is "local" (the node's registered partition) or "inbox" (the
-	// shuffle buffer the previous round delivered).
-	Source string `json:"source"`
-	// ShuffleID names the query's shuffle state on every node.
-	ShuffleID string `json:"shuffle_id"`
-	// Round is the stage index: the inbox generation consumed when Source
-	// is "inbox"; the stage's output is delivered to Round+1.
-	Round int `json:"round"`
-	// Senders is the cluster width: the expected sender count of every
-	// inbox buffer and the partition count of the stage's output.
-	Senders int `json:"senders"`
+	Stage
 	// Peers are the nodes' base URLs for the HTTP data plane; Peers[Self]
 	// is this node. Unused when Deliver is set.
 	Peers []string `json:"peers,omitempty"`
@@ -297,14 +279,14 @@ func (s *Service) ShuffleBuffered() int {
 	return len(s.inbox.bufs)
 }
 
-// RunShuffleStep executes one non-final shuffle stage: resolve the
-// statement (plan cache), take the stage's input (local partition or inbox
-// buffer), run the segment's chain steps under an admission slot, hash-
-// partition the output on the next segment's key and deliver every
-// partition to its peer through send (req.Deliver when send is nil). It
-// returns when every peer has ingested its partition, which is what lets
-// the coordinator barrier rounds. A failed delivery cancels the remaining
-// sends.
+// RunShuffleStep executes one stage before the last: resolve the statement
+// (plan cache) and bind the shipped plan, take the stage's input (local
+// partition or inbox buffer), run the segment's chain steps under an
+// admission slot, hash-partition the output on the next segment's key and
+// deliver every partition to its peer through send (req.Deliver when send
+// is nil). It returns when every peer has ingested its partition, which is
+// what lets the coordinator barrier rounds. A failed delivery cancels the
+// remaining sends.
 func (s *Service) RunShuffleStep(ctx context.Context, req ShuffleRunRequest, send ShuffleSend) (*ShuffleRunResult, error) {
 	if send == nil {
 		send = req.Deliver
@@ -324,13 +306,11 @@ func (s *Service) RunShuffleStep(ctx context.Context, req ShuffleRunRequest, sen
 	if err != nil {
 		return fail(err)
 	}
-	runner, err := prep.Segments(req.Plan)
+	bound, err := prep.Bind(req.Plan)
 	if err != nil {
 		return fail(err)
 	}
-	if req.Segment < -1 || req.Segment >= runner.Segments()-1 {
-		return fail(fmt.Errorf("service: shuffle stage for segment %d of %d: only a segment before the last runs as a stage", req.Segment, runner.Segments()))
-	}
+	runner := bound.Segments()
 
 	// Node-side lifecycle visibility: the stage registers under the
 	// coordinator's trace ID, so the coordinator's /debug/queries merge
@@ -367,31 +347,19 @@ func (s *Service) RunShuffleStep(ctx context.Context, req ShuffleRunRequest, sen
 	live.SetPhase(phase)
 	queuedMillis := phaseMillis(&phaseStart)
 
-	var in *storage.Table
-	switch req.Source {
-	case "local":
-		in, err = runner.FilterBase(ctx)
-	case "inbox":
-		if req.Segment < 0 {
-			err = errors.New("service: raw shuffle stage cannot read the inbox")
-		} else {
-			in, err = s.takeShuffle(req.ShuffleID, req.Round, req.Senders, runner.InputSchema(req.Segment))
-		}
-	default:
-		err = fmt.Errorf("service: unknown shuffle source %q", req.Source)
-	}
+	in, err := s.stageInput(ctx, runner, req.Stage, false)
 	if err != nil {
 		return fail(err)
 	}
 
 	res := &ShuffleRunResult{
-		RowsIn: int64(in.Len()), CacheHit: planCache != cache.Miss,
+		RowsIn: int64(in.Rows.Len()), CacheHit: planCache != cache.Miss,
 		QueuedMillis: queuedMillis, InputMillis: phaseMillis(&phaseStart),
 	}
-	out := in
+	out := in.Rows
 	if req.Segment >= 0 {
 		var m *exec.Metrics
-		out, m, err = runner.Run(ctx, req.Segment, in)
+		out, m, err = runner.Run(ctx, req.Segment, in.Rows)
 		if err != nil {
 			return fail(err)
 		}
@@ -449,22 +417,54 @@ func phaseMillis(start *time.Time) float64 {
 	return float64(d) / float64(time.Millisecond)
 }
 
-// streamSegment serves the final shuffle segment as a streaming cursor: the
-// last round's inbox buffer runs through the segment's chain steps and the
-// statement's projection, with the node's admission slot held for the
-// cursor lifetime — the shuffle sibling of StreamShardLocal. DISTINCT,
-// ORDER BY and LIMIT stay with the coordinator's finalize, as on the
-// scatter route.
-func (s *Service) streamSegment(ctx context.Context, req ShardQueryRequest) (*windowdb.Rows, error) {
-	return s.streamCursor(ctx, req.SQL, req.SQL, "draining", func(ctx context.Context, prep *sql.Prepared) (execCursor, error) {
-		runner, err := prep.Segments(req.Plan)
+// stageInput is a stage's input, checked against the bound statement's cut:
+// the one switch over where a stage's rows come from. The last stage runs
+// the last segment (-1 for a window-less statement), a stage before it an
+// earlier segment or the raw stage. Source "local" is the node's own
+// partition, which only the first stage reads: through the statement's
+// WHERE for a stage before the last, and as the zero sql.Input for the last
+// — the whole statement, which reads its table itself and may share its
+// scan. Source "inbox" is the buffer the previous round delivered.
+func (s *Service) stageInput(ctx context.Context, runner *sql.SegmentRunner, st Stage, last bool) (sql.Input, error) {
+	final := runner.Segments() - 1
+	if last && st.Segment != final || !last && (st.Segment < -1 || st.Segment >= final) {
+		return sql.Input{}, fmt.Errorf("%w: stage for segment %d of %d", errBadRequest, st.Segment, runner.Segments())
+	}
+	switch st.Source {
+	case "local":
+		if st.Segment > 0 {
+			return sql.Input{}, fmt.Errorf("%w: segment %d cannot read the local partition", errBadRequest, st.Segment)
+		}
+		if last {
+			return sql.Input{}, nil
+		}
+		t, err := runner.FilterBase(ctx)
+		return sql.Input{Rows: t}, err
+	case "inbox":
+		if st.Segment < 0 {
+			return sql.Input{}, fmt.Errorf("%w: the raw stage cannot read the inbox", errBadRequest)
+		}
+		t, err := s.takeShuffle(st.ShuffleID, st.Round, st.Senders, runner.InputSchema(st.Segment))
+		return sql.Input{Rows: t}, err
+	}
+	return sql.Input{}, fmt.Errorf("%w: unknown stage source %q", errBadRequest, st.Source)
+}
+
+// streamSegment serves the last stage of a statement over a sharded table
+// as a streaming cursor, with the node's admission slot held for the cursor
+// lifetime: the shipped plan's last segment over the stage's input.
+// DISTINCT, ORDER BY and LIMIT stay with the coordinator's finalize over
+// the concatenation of every node's stream.
+func (s *Service) streamSegment(ctx context.Context, st Stage) (*windowdb.Rows, error) {
+	return s.streamCursor(ctx, st.SQL, st.SQL, "draining", func(ctx context.Context, prep *sql.Prepared) (execCursor, error) {
+		bound, err := prep.Bind(st.Plan)
 		if err != nil {
 			return nil, err
 		}
-		in, err := s.takeShuffle(req.ShuffleID, req.Round, req.Senders, runner.InputSchema(runner.Segments()-1))
+		in, err := s.stageInput(ctx, bound.Segments(), st, true)
 		if err != nil {
 			return nil, err
 		}
-		return runner.StreamFinal(ctx, in)
+		return s.openStream(ctx, bound, in, true)
 	})
 }

@@ -25,9 +25,9 @@ import (
 //     and re-scans.
 //
 //   - the *node*: the canonical form of the leading reorder — the frame
-//     lattice position (core.LatticeNode), or the coordinator-shipped
-//     subplan fingerprint when a scatter request carries one, so every
-//     request of one distributed statement collides by construction.
+//     lattice position (core.LatticeNode) of the chain that runs, which on
+//     a shard node is the coordinator's plan (sql.Prepared.Bind), so every
+//     node of one distributed statement keys its scan on the same node.
 //
 // An exact (group, node) match is direct reuse. Within a group, a miss
 // also takes a *finer* cached segment whose stream properties match all of
@@ -52,11 +52,11 @@ import (
 // attached to a flight whose leader failed (the fallback). A non-nil
 // segment comes with the disposition the caller stamps on the result;
 // disposition "miss" means this query led the scan and must charge it.
-func (s *Service) sharedSegment(ctx context.Context, prep *sql.Prepared, shippedFP string) (*sql.SharedSegment, string, error) {
+func (s *Service) sharedSegment(ctx context.Context, prep *sql.Prepared) (*sql.SharedSegment, string, error) {
 	if s.subplans == nil || !prep.Shareable() {
 		return nil, "", nil
 	}
-	seg, disp, err := s.subplans.Get(ctx, subplanLookup(prep, shippedFP), s.eng.Generation(), func() (*sql.SharedSegment, error) {
+	seg, disp, err := s.subplans.Get(ctx, subplanLookup(prep), s.eng.Generation(), func() (*sql.SharedSegment, error) {
 		return prep.RunSubplan(ctx)
 	})
 	if err != nil && disp == cache.Attach {
@@ -69,14 +69,10 @@ func (s *Service) sharedSegment(ctx context.Context, prep *sql.Prepared, shipped
 }
 
 // subplanLookup is prep's identity in the subplan cache: its group, and
-// its node within the group — the coordinator's subplan fingerprint when
-// shipped, its frame-lattice node otherwise.
-func subplanLookup(prep *sql.Prepared, shippedFP string) cache.Lookup {
-	group, node := prep.SubplanGroup(), shippedFP
-	if node == "" {
-		node = prep.SubplanNode()
-	}
-	return cache.Lookup{Key: group + "|" + node, Group: group, Tag: prep, Match: finerSegment}
+// its frame-lattice node within the group.
+func subplanLookup(prep *sql.Prepared) cache.Lookup {
+	group := prep.SubplanGroup()
+	return cache.Lookup{Key: group + "|" + prep.SubplanNode(), Group: group, Tag: prep, Match: finerSegment}
 }
 
 // finerSegment is the frame-lattice match: the segment led by statement
@@ -86,21 +82,25 @@ func finerSegment(have, want any) bool {
 	return have.(*sql.Prepared).SubplanProps().MatchesAll(want.(*sql.Prepared).WFs())
 }
 
-// openStream opens prep's cursor behind stream(): over the shared segment
-// when the subplan cache yields one, privately otherwise. The disposition
-// is stamped on the cursor's meta so it reaches the trace, the trailer and
-// EXPLAIN ANALYZE.
-func (s *Service) openStream(ctx context.Context, prep *sql.Prepared, shippedFP string, shardLocal bool) (execCursor, error) {
+// openStream opens prep's cursor over in: over the shared segment when in
+// is the statement's own table and the subplan cache yields one, privately
+// otherwise. The disposition is stamped on the cursor's meta so it reaches
+// the trace, the trailer and EXPLAIN ANALYZE.
+func (s *Service) openStream(ctx context.Context, prep *sql.Prepared, in sql.Input, shardLocal bool) (execCursor, error) {
 	start := time.Now()
-	seg, disp, err := s.sharedSegment(ctx, prep, shippedFP)
-	if err != nil {
-		return nil, err
+	var disp string
+	if in.Rows == nil {
+		var err error
+		if in.Shared, disp, err = s.sharedSegment(ctx, prep); err != nil {
+			return nil, err
+		}
 	}
 	wait := time.Since(start)
 	if disp == cache.Miss {
-		wait -= seg.Metrics.Elapsed // the leader's reorder is booked under its execute span
+		wait -= in.Shared.Metrics.Elapsed // the leader's reorder is booked under its execute span
 	}
-	cur, err := prep.Open(ctx, sql.Input{Shared: seg, ChargeScan: disp == cache.Miss}, shardLocal)
+	in.ChargeScan = disp == cache.Miss
+	cur, err := prep.Open(ctx, in, shardLocal)
 	if err != nil {
 		return nil, err
 	}

@@ -129,7 +129,7 @@ func (c *Cluster) streamSubscribe(ctx context.Context, inner string, qt *cluster
 	if _, err := prep.Maintenance(); err != nil {
 		return nil, err
 	}
-	req := service.ShardQueryRequest{SQL: "SUBSCRIBE " + inner, Mode: string(ModeFull)}
+	req := service.ShardQueryRequest{Mode: string(ModeFull), Stage: service.Stage{SQL: "SUBSCRIBE " + inner}}
 	var (
 		route string
 		n     int

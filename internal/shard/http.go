@@ -20,7 +20,7 @@ import (
 
 // HTTP reaches a shard node over the /shard/* routes of its windserve
 // process, so multiple processes form a real cluster. Safe for concurrent
-// use (http.Client is). Every row that crosses — scatter and segment
+// use (http.Client is). Every row that crosses — node
 // streams, shuffle deliveries, appends — rides the binary columnar frame
 // codec, the node planes' only one.
 type HTTP struct {

@@ -105,9 +105,10 @@ func TestHTTPErrorTaxonomy(t *testing.T) {
 	}
 }
 
-// TestUnknownModeErrorsOnBothTransports: a node stream's mode is one of
-// local, full and segment on either transport — neither runs anything else
-// as a full statement — and over HTTP a bad mode is the caller's fault.
+// TestUnknownModeErrorsOnBothTransports: a node stream's mode is full or
+// segment on either transport — neither runs anything else as a full
+// statement, the retired "local" of a stale coordinator included — and over
+// HTTP a bad mode is the caller's fault.
 func TestUnknownModeErrorsOnBothTransports(t *testing.T) {
 	svc := service.New(windowdb.New(testEngineConfig()), service.Config{ShardRoutes: true})
 	svc.Engine().Register("emptab", datagen.Emptab())
@@ -115,8 +116,8 @@ func TestUnknownModeErrorsOnBothTransports(t *testing.T) {
 	defer srv.Close()
 	ctx := context.Background()
 	for name, tr := range map[string]Transport{"local": NewLocal(svc), "http": NewHTTP(srv.URL, nil)} {
-		for _, mode := range []string{"", "segmnet", "FULL"} {
-			rows, err := tr.QueryStream(ctx, service.ShardQueryRequest{SQL: `SELECT empnum FROM emptab`, Mode: mode})
+		for _, mode := range []string{"", "segmnet", "FULL", "local"} {
+			rows, err := tr.QueryStream(ctx, service.ShardQueryRequest{Mode: mode, Stage: service.Stage{SQL: `SELECT empnum FROM emptab`}})
 			if err == nil {
 				rows.Close()
 				t.Errorf("%s: mode %q streamed", name, mode)
@@ -126,7 +127,7 @@ func TestUnknownModeErrorsOnBothTransports(t *testing.T) {
 				t.Errorf("%s: mode %q failed with %v, want a 400", name, mode, err)
 			}
 		}
-		rows, err := tr.QueryStream(ctx, service.ShardQueryRequest{SQL: `SELECT empnum FROM emptab`, Mode: string(ModeFull)})
+		rows, err := tr.QueryStream(ctx, service.ShardQueryRequest{Mode: string(ModeFull), Stage: service.Stage{SQL: `SELECT empnum FROM emptab`}})
 		if err != nil {
 			t.Fatalf("%s: full mode: %v", name, err)
 		}

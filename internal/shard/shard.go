@@ -8,29 +8,28 @@
 // rows on a declared shard key with the executors' tuple-encoding hash
 // (exec.PartitionRows); small dimension tables replicate instead. A query
 // prepares once at the coordinator — against a schema-only catalog stub
-// whose statistics are aggregated from the shards — and then routes on the
+// whose statistics are aggregated from the shards — and then runs on the
 // one cut of its plan, exec.Segments (the cut a partitioned exec.Chain.Run
 // makes across worker threads):
 //
-//   - scatter: when the chain is one segment whose key covers the shard key
-//     (sql.Prepared.ShardLocal), no window partition spans shards, so
-//     every shard runs the unchanged sequential/parallel pipeline over its
-//     own rows and the coordinator concatenates the outputs in shard-index
-//     order — deterministic and value-identical to single-engine
-//     execution — then finalizes (DISTINCT, ORDER BY as a full sort, LIMIT)
-//     over the concatenation, exactly as post-barrier segments restart in a
-//     partitioned exec.Chain.Run;
-//   - shuffle: every other chain ships the coordinator's plan to the nodes,
-//     which run its steps verbatim segment by segment, scattered one round
-//     at a time, each node re-shuffling its output rows directly to the
-//     peer nodes hash-partitioned on the next segment's key (the service's
-//     /shard/shuffle data plane). A sequential segment — one with a
-//     PARTITION-BY-less function, or whose keys diverge to nothing — is
+//   - a statement over a sharded table ships the coordinator's plan to the
+//     nodes, which run its steps verbatim segment by segment, scattered one
+//     round at a time, each node re-shuffling its output rows directly to
+//     the peer nodes hash-partitioned on the next segment's key (the
+//     service's /shard/shuffle data plane). A sequential segment — one with
+//     a PARTITION-BY-less function, or whose keys diverge to nothing — is
 //     keyed on ∅: every row hashes to the same node, which runs it while
-//     its peers hold no rows. The coordinator only drives the rounds and
-//     merge-concatenates the final segment's streams exactly as scatter
-//     does, so its resident rows stay bounded by the wire batch × shard
-//     count while the re-shuffled rows never leave the node tier;
+//     its peers hold no rows. The last segment streams back, and the
+//     coordinator concatenates the streams in shard-index order —
+//     deterministic and value-identical to single-engine execution — then
+//     finalizes (DISTINCT, ORDER BY as a full sort, LIMIT) over the
+//     concatenation, exactly as post-barrier segments restart in a
+//     partitioned exec.Chain.Run; its resident rows stay bounded by the
+//     wire batch × shard count while the re-shuffled rows never leave the
+//     node tier. When the chain is one segment whose key covers the shard
+//     key (sql.Prepared.ShardLocal), no window partition spans shards and
+//     the statement runs zero rounds: each node streams the whole chain
+//     over its own rows. It reports route "scatter", any other "shuffle";
 //   - replica: queries over replicated tables go, whole, to one node
 //     round-robin.
 //
@@ -408,14 +407,15 @@ func (c *Cluster) eachShard(ctx context.Context, fn func(ctx context.Context, i 
 type Result struct {
 	Table *storage.Table
 	// Plan is the coordinator's planned chain (nil for window-less
-	// statements). The shuffle route's nodes run it verbatim; the scatter
-	// and replica routes' nodes plan against their local statistics, and
-	// any valid chain computes the same values.
+	// statements). Over a sharded table every node runs it verbatim, so it
+	// is the chain that ran; a replica node plans against its own
+	// statistics, and any valid chain computes the same values.
 	Plan *core.Plan
-	// Route is "scatter" (shard-local chains, coordinator finalize),
-	// "shuffle" (per-segment scattered execution with node-to-node
-	// re-shuffles between key-divergent segments) or "replica" (whole
-	// query on one node).
+	// Route is "scatter" (zero shuffle rounds: each node runs the whole
+	// chain over its own rows, coordinator finalize), "shuffle"
+	// (per-segment scattered execution with node-to-node re-shuffles
+	// between key-divergent segments) or "replica" (whole query on one
+	// node).
 	Route string
 	// ShardsUsed is the number of nodes that executed for this query.
 	ShardsUsed int
@@ -479,12 +479,12 @@ func (c *Cluster) Query(ctx context.Context, src string) (*Result, error) {
 // Cluster implements windowdb.Queryer.
 var _ windowdb.Queryer = (*Cluster)(nil)
 
-// QueryContext serves one statement as an incremental Rows cursor. The
-// scatter route merge-concatenates the per-node row streams in
-// shard-index order — the coordinator holds in-flight rows, not node
-// responses, so its memory is bounded by the wire batch size × shard
-// count instead of |R| — except when DISTINCT or ORDER BY force the
-// finalize pass to materialize the concatenation first. Every route holds
+// QueryContext serves one statement as an incremental Rows cursor. A
+// statement over a sharded table merge-concatenates the per-node row
+// streams of its last stage in shard-index order — the coordinator holds
+// in-flight rows, not node responses, so its memory is bounded by the wire
+// batch size × shard count instead of |R| — except when DISTINCT or ORDER
+// BY force the finalize pass to materialize the concatenation first. Every route holds
 // its shard streams until the cursor is drained or closed.
 func (c *Cluster) QueryContext(ctx context.Context, src string) (*windowdb.Rows, error) {
 	if inner, ok := windowdb.StripExplainAnalyze(src); ok {
@@ -662,16 +662,10 @@ func (c *Cluster) streamQuery(ctx context.Context, src string, cancel context.Ca
 		// cluster-registered: nothing owns rows for it.
 		return nil, fmt.Errorf("%w %q (not cluster-registered)", catalog.ErrUnknownTable, prep.Table())
 	}
-	switch {
-	case !info.sharded:
+	if !info.sharded {
 		return c.streamReplica(ctx, src, prep, hit, qt)
-	case prep.ShardLocal(info.key):
-		return c.streamScatter(ctx, src, prep, hit, qt)
-	default:
-		// The chain is not one segment whose key covers the shard key: run
-		// it segment by segment with node-to-node re-shuffles.
-		return c.streamShuffle(ctx, src, prep, info, hit, qt)
 	}
+	return c.streamShuffle(ctx, src, prep, info, hit, qt)
 }
 
 // openStreams opens n row streams concurrently through open (the nodes
@@ -720,20 +714,6 @@ func (c *Cluster) openStreams(ctx context.Context, n int, open func(ctx context.
 	return streams, cancel, nil
 }
 
-// streamScatter runs the shard-local part on every shard and emits the
-// concatenation of their streams in shard-index order.
-func (c *Cluster) streamScatter(ctx context.Context, src string, prep *sql.Prepared, hit bool, qt *clusterTrace) (*windowdb.Rows, error) {
-	c.scatter.Add(1)
-	req := service.ShardQueryRequest{SQL: src, Mode: string(ModeLocal), SubplanFP: prep.SubplanFingerprint()}
-	streams, streamCancel, err := c.openStreams(ctx, len(c.shards), func(ctx context.Context, i int) (*windowdb.Rows, error) {
-		return c.shards[i].QueryStream(ctx, req)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return c.emitStreams(ctx, "scatter", prep, hit, streams, streamCancel, qt, work{})
-}
-
 // work is block and comparison counters summed over what nodes report.
 type work struct{ read, written, cmp int64 }
 
@@ -768,8 +748,8 @@ func appendTuples(ctx context.Context, dst []storage.Tuple, s *windowdb.Rows) ([
 	}
 }
 
-// emitStreams turns per-node output streams into the public cursor for a
-// scatter-shaped route. Statements whose finalize phase streams (no
+// emitStreams turns the per-node streams of a sharded statement's last
+// stage into the public cursor. Statements whose finalize phase streams (no
 // DISTINCT/ORDER BY) flow through with LIMIT applied by early termination;
 // the rest drain into a buffer (still incremental on the wire), finalize
 // at the coordinator (sql.Input.Concat) and stream the finalized table.
@@ -825,7 +805,7 @@ func (c *Cluster) emitStreams(ctx context.Context, route string, prep *sql.Prepa
 func (c *Cluster) streamReplica(ctx context.Context, src string, prep *sql.Prepared, hit bool, qt *clusterTrace) (*windowdb.Rows, error) {
 	c.replica.Add(1)
 	node := int(c.rr.Add(1)-1) % len(c.shards)
-	req := service.ShardQueryRequest{SQL: src, Mode: string(ModeFull)}
+	req := service.ShardQueryRequest{Mode: string(ModeFull), Stage: service.Stage{SQL: src}}
 	streams, streamCancel, err := c.openStreams(ctx, 1, func(ctx context.Context, _ int) (*windowdb.Rows, error) {
 		return c.shards[node].QueryStream(ctx, req)
 	})
@@ -839,43 +819,54 @@ func (c *Cluster) streamReplica(ctx context.Context, src string, prep *sql.Prepa
 	}), nil
 }
 
-// streamShuffle executes a chain the shard key does not cover segment by
+// streamShuffle executes a statement over a sharded table segment by
 // segment, cut by exec.Segments — the cut a partitioned Chain.Run makes —
 // with the coordinator's plan shipped to every node, which runs its steps
 // verbatim. Every segment runs scattered on all nodes, and between segments
 // each node re-shuffles its output rows directly to its peers,
 // hash-partitioned on the next segment's key: on ∅, every row to one node,
 // for a sequential segment. The coordinator drives one barriered round per
-// non-final stage — a ShuffleRun returns only when every peer ingested its partition
-// — and then merge-concatenates the final segment's streams exactly like
-// scatter, so coordinator-resident rows stay bounded by the wire batch ×
-// shard count while every intermediate row moves node-to-node. A failing
-// stage cancels its peers (eachShard) and drops every node's buffered
-// shuffle state before surfacing the error.
+// stage before the last — a ShuffleRun returns only when every peer
+// ingested its partition — and then merge-concatenates the last stage's
+// streams, so coordinator-resident rows stay bounded by the wire batch ×
+// shard count while every intermediate row moves node-to-node. A chain that
+// is one segment whose key covers the shard key (sql.Prepared.ShardLocal),
+// or no chain, runs zero rounds and routes "scatter": its last stage is its
+// only one, over each node's own partition. A failing stage cancels its
+// peers (eachShard) and drops every node's buffered shuffle state before
+// surfacing the error.
 func (c *Cluster) streamShuffle(ctx context.Context, src string, prep *sql.Prepared, info *tableInfo, hit bool, qt *clusterTrace) (*windowdb.Rows, error) {
-	c.shuffled.Add(1)
-	id := fmt.Sprintf("%s-%d", c.shuffleNonce, c.shuffleSeq.Add(1))
 	n := len(c.shards)
 	plan := prep.Plan()
-	segs := exec.Segments(plan)
-	// Stage list: when the shard key already covers the first segment's
-	// key, segment 0 reads each node's local partition directly; otherwise
-	// a raw stage (WHERE only) shuffles the base rows onto that key first.
-	// Every later segment reads the inbox its predecessor filled. The
-	// final stage always reads the inbox (a single covered segment would
-	// have routed scatter), and streams instead of shuffling on.
-	type stage struct {
-		segment int // -1 = raw pass-through
-		source  string
+	var segs []exec.Segment
+	if plan != nil {
+		segs = exec.Segments(plan)
 	}
-	var stages []stage
-	if info.key.SubsetOf(segs[0].Key) {
-		stages = append(stages, stage{segment: 0, source: "local"})
+	// Stage list: when the shard key covers the first segment's key,
+	// segment 0 reads each node's local partition directly; otherwise a raw
+	// stage (WHERE only) shuffles the base rows onto that key first — and is
+	// a window-less statement's only stage. Every later segment reads the
+	// inbox its predecessor filled; the last stage streams instead of
+	// shuffling on.
+	var stages []service.Stage
+	source := "local"
+	if len(segs) == 0 || !info.key.SubsetOf(segs[0].Key) {
+		stages = append(stages, service.Stage{Segment: -1, Source: source})
+		source = "inbox"
+	}
+	for s := range segs {
+		stages = append(stages, service.Stage{Segment: s, Source: source})
+		source = "inbox"
+	}
+	route, id := "scatter", ""
+	if len(stages) > 1 {
+		route, id = "shuffle", fmt.Sprintf("%s-%d", c.shuffleNonce, c.shuffleSeq.Add(1))
+		c.shuffled.Add(1)
 	} else {
-		stages = append(stages, stage{segment: -1, source: "local"}, stage{segment: 0, source: "inbox"})
+		c.scatter.Add(1)
 	}
-	for s := 1; s < len(segs); s++ {
-		stages = append(stages, stage{segment: s, source: "inbox"})
+	for i := range stages {
+		stages[i].SQL, stages[i].Plan, stages[i].ShuffleID, stages[i].Round, stages[i].Senders = src, plan, id, i, n
 	}
 
 	// cleanup drops every node's buffered rounds of this shuffle: the
@@ -883,6 +874,9 @@ func (c *Cluster) streamShuffle(ctx context.Context, src string, prep *sql.Prepa
 	// behind on the node tier. Detached from ctx — the query's context is
 	// typically already cancelled when cleanup runs.
 	cleanup := func() {
+		if id == "" {
+			return
+		}
 		dctx, dcancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer dcancel()
 		_ = c.eachShard(dctx, func(ctx context.Context, i int, tr Transport) error {
@@ -893,17 +887,14 @@ func (c *Cluster) streamShuffle(ctx context.Context, src string, prep *sql.Prepa
 
 	var mu sync.Mutex
 	var base work
-	for si := 0; si < len(stages)-1; si++ {
-		st := stages[si]
+	for si, st := range stages[:len(stages)-1] {
 		qt.live().SetPhase(fmt.Sprintf("shuffle round %d of %d", si+1, len(stages)))
 		roundStart := time.Now()
 		nodeSpans := make([]*trace.Span, n)
 		rowsOut := make([]int64, n)
 		err := c.eachShard(ctx, func(ctx context.Context, i int, tr Transport) error {
 			res, err := tr.ShuffleRun(ctx, service.ShuffleRunRequest{
-				SQL: src, Plan: plan, Segment: st.segment, Source: st.source,
-				ShuffleID: id, Round: si, Senders: n,
-				Peers: c.peerAddrs, Self: i,
+				Stage: st, Peers: c.peerAddrs, Self: i,
 				Deliver: c.deliverShuffle,
 				TraceID: qt.id,
 			})
@@ -913,13 +904,13 @@ func (c *Cluster) streamShuffle(ctx context.Context, src string, prep *sql.Prepa
 			qt.live().AddShuffleRows(res.RowsOut)
 			mu.Lock()
 			base.add(res.BlocksRead, res.BlocksWritten, res.Comparisons)
-			nodeSpans[i] = shuffleNodeSpan(i, st.source, res)
+			nodeSpans[i] = shuffleNodeSpan(i, st.Source, res)
 			rowsOut[i] = res.RowsOut
 			mu.Unlock()
 			return nil
 		})
 		rs := trace.New(fmt.Sprintf("shuffle round %d", si), time.Since(roundStart))
-		rs.SetInt("segment", int64(st.segment)).SetAttr("source", st.source)
+		rs.SetInt("segment", int64(st.Segment)).SetAttr("source", st.Source)
 		if err != nil {
 			rs.SetAttr("error", err.Error())
 		} else if ratio := imbalanceRatio(rowsOut); ratio > 0 {
@@ -938,7 +929,7 @@ func (c *Cluster) streamShuffle(ctx context.Context, src string, prep *sql.Prepa
 			// Even a failed round leaves its trace: record what the query
 			// looked like up to the failing stage before cleaning up.
 			c.finishTrace(qt, &windowdb.QueryMetrics{
-				Route: "shuffle", ShardsUsed: n, CacheHit: hit,
+				Route: route, ShardsUsed: n, CacheHit: hit,
 				Elapsed: time.Since(qt.start),
 			}, windowdb.Ending{Err: err}, windowdb.Failed, nil)
 			cleanup()
@@ -946,11 +937,8 @@ func (c *Cluster) streamShuffle(ctx context.Context, src string, prep *sql.Prepa
 		}
 	}
 
-	qt.live().SetPhase(fmt.Sprintf("segment %d of %d", len(segs), len(segs)))
-	freq := service.ShardQueryRequest{
-		SQL: src, Mode: string(ModeSegment), Plan: plan,
-		ShuffleID: id, Round: len(stages) - 1, Senders: n,
-	}
+	qt.live().SetPhase(fmt.Sprintf("stage %d of %d", len(stages), len(stages)))
+	freq := service.ShardQueryRequest{Mode: string(ModeSegment), Stage: stages[len(stages)-1]}
 	streams, streamCancel, err := c.openStreams(ctx, n, func(ctx context.Context, i int) (*windowdb.Rows, error) {
 		return c.shards[i].QueryStream(ctx, freq)
 	})
@@ -958,7 +946,7 @@ func (c *Cluster) streamShuffle(ctx context.Context, src string, prep *sql.Prepa
 		cleanup()
 		return nil, err
 	}
-	rows, err := c.emitStreams(ctx, "shuffle", prep, hit, streams, streamCancel, qt, base)
+	rows, err := c.emitStreams(ctx, route, prep, hit, streams, streamCancel, qt, base)
 	if err != nil {
 		// The final streams are closed by emitStreams' handoff guard; any
 		// node that never served its segment stream still holds its buffer.
@@ -1004,8 +992,8 @@ func closeStreams(streams []*windowdb.Rows) {
 // reads is the node stream's own — a Local node's cursor batch, an HTTP
 // node's decoded frame — so the coordinator holds no row of its own, and
 // the streams behind the draining one at most their transport's read
-// buffer. It serves the streaming scatter route, the shuffle route's
-// final-segment merge, and (with a single stream) the replica route. LIMIT
+// buffer. It serves the last stage's merge of a statement over a sharded
+// table and (with a single stream) the replica route. LIMIT
 // truncates the batch that crosses it and ends the merge early, cancelling
 // the remaining node streams.
 type scatterSource struct {

@@ -13,12 +13,14 @@ import (
 	"repro"
 	"repro/internal/attrs"
 	"repro/internal/catalog"
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/exec"
 	"repro/internal/paper"
 	"repro/internal/service"
 	"repro/internal/sql"
 	"repro/internal/storage"
+	"repro/internal/trace"
 )
 
 // q6SQL is the Q6 chain (Table 3) as SQL: both functions share
@@ -61,10 +63,19 @@ func testEngineConfig() windowdb.Config {
 // sharded on ws_item_sk and emptab replicated.
 func newLocalCluster(t *testing.T, n int, rows int) *Cluster {
 	t.Helper()
+	c, _ := localCluster(t, n, rows, service.Config{})
+	return c
+}
+
+// localCluster is newLocalCluster over nodes served with the given config,
+// returning the node services too.
+func localCluster(t *testing.T, n int, rows int, node service.Config) (*Cluster, []*service.Service) {
+	t.Helper()
+	svcs := make([]*service.Service, n)
 	shards := make([]Transport, n)
 	for i := range shards {
-		eng := windowdb.New(testEngineConfig())
-		shards[i] = NewLocal(service.New(eng, service.Config{}))
+		svcs[i] = service.New(windowdb.New(testEngineConfig()), node)
+		shards[i] = NewLocal(svcs[i])
 	}
 	c, err := New(Config{Engine: testEngineConfig()}, shards)
 	if err != nil {
@@ -78,7 +89,7 @@ func newLocalCluster(t *testing.T, n int, rows int) *Cluster {
 	if err := c.RegisterReplicated(ctx, "emptab", datagen.Emptab()); err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return c, svcs
 }
 
 // singleEngine builds the single-engine reference over the same data.
@@ -240,11 +251,11 @@ func TestShardKeyMergesSignedZeros(t *testing.T) {
 	}
 }
 
-// TestGatherEquivalence: chains with no usable shuffle key (an empty
-// PARTITION BY) gather every row at one node, by shuffle — the raw round
-// from all of them, the chain on that one alone — and still match the
-// single engine.
-func TestGatherEquivalence(t *testing.T) {
+// TestKeylessShuffleEquivalence: a chain with no usable shuffle key (an
+// empty PARTITION BY) is one segment keyed on nothing, so every row
+// shuffles to one node — the raw round from all of them, the chain on that
+// one alone — and still matches the single engine.
+func TestKeylessShuffleEquivalence(t *testing.T) {
 	const rows = 1000
 	ref, err := singleEngine(rows).Query(keylessSQL)
 	if err != nil {
@@ -317,6 +328,38 @@ func TestShuffleEquivalence(t *testing.T) {
 	}
 }
 
+// nodeSteps reads what every node executed off a query's trace: per node
+// subtree, its execute span's steps as "step wfN <reorder>".
+func nodeSteps(root *trace.Span) [][]string {
+	var nodes [][]string
+	for _, node := range root.Children {
+		if !strings.HasPrefix(node.Name, "node ") {
+			continue
+		}
+		got := []string{}
+		for _, ex := range node.Children {
+			for _, st := range ex.Children {
+				if ex.Name == "execute" && strings.HasPrefix(st.Name, "step ") {
+					got = append(got, st.Name+" "+st.Attrs["reorder"])
+				}
+			}
+		}
+		nodes = append(nodes, got)
+	}
+	return nodes
+}
+
+// lastStageSteps is what nodeSteps reads off a node that ran plan
+// verbatim: the steps of its last segment, the last stage's.
+func lastStageSteps(plan *core.Plan) []string {
+	segs := exec.Segments(plan)
+	want := []string{}
+	for _, st := range plan.Steps[segs[len(segs)-1].Lo:] {
+		want = append(want, fmt.Sprintf("step wf%d %s", st.WF.ID+1, st.Reorder))
+	}
+	return want
+}
+
 // TestShuffleRunsTheCoordinatorsPlan: the shuffle route's nodes run the
 // coordinator's plan verbatim, cut where exec.Segments cuts it. Paper Q9
 // under CSO has PARTITION-BY-less functions, so it leads with a keyless
@@ -343,8 +386,7 @@ func TestShuffleRunsTheCoordinatorsPlan(t *testing.T) {
 		t.Fatal("Q9's shuffled result multiset differs from the single engine's")
 	}
 	segs := exec.Segments(res.Plan)
-	last := segs[len(segs)-1]
-	if len(segs) < 2 || segs[0].Key != 0 || last.Key == 0 {
+	if len(segs) < 2 || segs[0].Key != 0 || segs[len(segs)-1].Key == 0 {
 		t.Fatalf("plan %s cuts into %+v, want a keyless lead and a keyed last segment", res.Plan, segs)
 	}
 	sites := 0
@@ -356,30 +398,72 @@ func TestShuffleRunsTheCoordinatorsPlan(t *testing.T) {
 	if sites < 2 {
 		t.Fatalf("%d nodes compared rows, want the last segment's work spread over ≥ 2", sites)
 	}
-	var want []string
-	for _, st := range res.Plan.Steps[last.Lo:last.Hi] {
-		want = append(want, fmt.Sprintf("step wf%d %s", st.WF.ID+1, st.Reorder))
-	}
-	nodes := 0
-	for _, node := range res.Trace.Children {
-		if !strings.HasPrefix(node.Name, "node ") {
-			continue
+	nodes := nodeSteps(res.Trace)
+	for i, got := range nodes {
+		if want := lastStageSteps(res.Plan); !slices.Equal(got, want) {
+			t.Errorf("node %d ran %v, the coordinator planned %v", i, got, want)
 		}
-		nodes++
-		var got []string
-		for _, ex := range node.Children {
-			for _, st := range ex.Children {
-				if ex.Name == "execute" && strings.HasPrefix(st.Name, "step ") {
-					got = append(got, st.Name+" "+st.Attrs["reorder"])
-				}
+	}
+	if len(nodes) != 3 {
+		t.Fatalf("the trace holds %d node subtrees, want 3", len(nodes))
+	}
+}
+
+// TestScatterRunsTheCoordinatorsPlan: a statement of zero rounds runs the
+// coordinator's plan as a shuffle's last stage does — the chain that runs
+// is the chain that is reported. At M = 1 MB the coordinator plans paper Q1
+// and F3 against all 8 000 rows, where each of 4 nodes holding a quarter of
+// them would have picked another chain for its own partition; with scan
+// sharing off, every node's steps are res.Plan's, reorder for reorder.
+func TestScatterRunsTheCoordinatorsPlan(t *testing.T) {
+	const rows, n = 8000, 4
+	c, _ := localCluster(t, n, rows, service.Config{DisableSharing: true})
+	for _, name := range []string{"Q1", "F3"} {
+		res, err := c.Query(context.Background(), paper.Statements[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Route != "scatter" {
+			t.Fatalf("%s: route %q, want scatter", name, res.Route)
+		}
+		want := lastStageSteps(res.Plan)
+		if len(want) != len(res.Plan.Steps) {
+			t.Fatalf("%s: plan %s is not one segment", name, res.Plan)
+		}
+		nodes := nodeSteps(res.Trace)
+		if len(nodes) != n {
+			t.Fatalf("%s: the trace holds %d node subtrees, want %d", name, len(nodes), n)
+		}
+		for i, got := range nodes {
+			if !slices.Equal(got, want) {
+				t.Errorf("%s: node %d ran %v, the coordinator planned %v (%s)", name, i, got, want, res.Plan.PaperString())
 			}
 		}
-		if !slices.Equal(got, want) {
-			t.Errorf("%s ran %v, the coordinator planned %v", node.Name, got, want)
+	}
+}
+
+// TestNodeScanSharing: the nodes of a sharded table key their shared scans
+// on the plan they run, the coordinator's. Over 2 nodes of 2 000 rows
+// sharded on item, a rank over the item partitions misses each node's
+// subplan cache, the same statement again hits it, and a count over the
+// same partitioning hits the finer segment the rank left (the
+// frame-lattice hit).
+func TestNodeScanSharing(t *testing.T) {
+	c, svcs := localCluster(t, 2, 2000, service.Config{})
+	const rank = `SELECT ws_item_sk, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS r FROM web_sales`
+	for _, q := range []string{rank, rank, `SELECT ws_item_sk, count(*) OVER (PARTITION BY ws_item_sk) AS n FROM web_sales`} {
+		res, err := c.Query(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Route != "scatter" {
+			t.Fatalf("route %q, want scatter: %s", res.Route, q)
 		}
 	}
-	if nodes != 3 {
-		t.Fatalf("the trace holds %d node subtrees, want 3", nodes)
+	for i, svc := range svcs {
+		if st := svc.Stats().Subplans; st.Misses != 1 || st.Hits != 2 || st.Attaches != 0 {
+			t.Errorf("node %d subplan cache: %d misses, %d hits, %d attaches, want 1, 2 and 0", i, st.Misses, st.Hits, st.Attaches)
+		}
 	}
 }
 
@@ -703,33 +787,6 @@ func TestConcurrentQueries(t *testing.T) {
 	for g := 0; g < 12; g++ {
 		if err := <-done; err != nil {
 			t.Fatal(err)
-		}
-	}
-}
-
-// TestShardLocalRouting pins the routing predicate to the paper queries:
-// every Q6 chain step shares WPK {item} (scatter on an item shard key);
-// keylessSQL's function has an empty WPK and divergeSQL's keys diverge
-// (shuffle).
-func TestShardLocalRouting(t *testing.T) {
-	eng := windowdb.New(testEngineConfig())
-	eng.Register("web_sales", datagen.WebSales(datagen.WebSalesConfig{Rows: 200, Seed: 7}))
-	item := attrs.MakeSet(paper.Item)
-	for _, tc := range []struct {
-		sql  string
-		want bool
-	}{
-		{q6SQL, true},
-		{keylessSQL, false},
-		{divergeSQL, false},
-		{`SELECT ws_item_sk FROM web_sales WHERE ws_quantity = 1`, true}, // window-less
-	} {
-		prep, err := eng.Prepare(tc.sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := prep.ShardLocal(item); got != tc.want {
-			t.Errorf("ShardLocal(%q) = %v, want %v", tc.sql, got, tc.want)
 		}
 	}
 }

@@ -348,58 +348,6 @@ func waitNodeSlotsFree(t *testing.T, svcs []*service.Service) {
 	}
 }
 
-// TestScatterCloseReleasesNodeSlots: closing a half-drained scatter
-// stream closes the per-node streams, releasing every node's admission
-// slot.
-func TestScatterCloseReleasesNodeSlots(t *testing.T) {
-	c, svcs := streamCluster(t, 2, 4000, Config{})
-	rows, err := c.QueryContext(context.Background(), q6SQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if !rows.Next() {
-			t.Fatalf("stream ended early: %v", rows.Err())
-		}
-	}
-	if err := rows.Close(); err != nil {
-		t.Fatal(err)
-	}
-	waitNodeSlotsFree(t, svcs)
-	if got := c.aborted.Load(); got != 1 {
-		t.Fatalf("cluster aborted = %d, want 1 (early close is neither success nor failure)", got)
-	}
-	// Nodes admit again: a fresh scatter completes.
-	if _, err := c.Query(context.Background(), q6SQL); err != nil {
-		t.Fatalf("scatter after close: %v", err)
-	}
-}
-
-// TestScatterCancelMidDrain: a context cancelled while the scatter
-// stream is half-drained surfaces context.Canceled and releases the node
-// slots.
-func TestScatterCancelMidDrain(t *testing.T) {
-	c, svcs := streamCluster(t, 2, 4000, Config{})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	rows, err := c.QueryContext(ctx, q6SQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if !rows.Next() {
-			t.Fatalf("stream ended early: %v", rows.Err())
-		}
-	}
-	cancel()
-	for rows.Next() {
-	}
-	if err := rows.Err(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	waitNodeSlotsFree(t, svcs)
-}
-
 // nodesHold sums what the nodes hold for statements in flight: admission
 // slots and buffered shuffle rounds.
 func nodesHold(svcs []*service.Service) (slots int64, buffered int) {
@@ -410,62 +358,63 @@ func nodesHold(svcs []*service.Service) (slots int64, buffered int) {
 	return slots, buffered
 }
 
-// TestGatherSlotReleasedOnCancel: a keyless chain runs under the admission
-// slot of the one node every row was shuffled to, held while its cursor is
-// open; cancelling the half-drained cursor hands every node's slot and
-// inbox back, and the one-slot, no-queue nodes admit the next keyless
-// statement at once.
-func TestGatherSlotReleasedOnCancel(t *testing.T) {
-	c, svcs := streamCluster(t, 2, 4000, Config{})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	rows, err := c.QueryContext(ctx, keylessSQL)
-	if err != nil {
-		t.Fatal(err)
+// TestEarlyEndReleasesNodes: a cursor its caller leaves half-drained —
+// closed early, or its context cancelled mid-drain — hands every node's
+// admission slot and shuffle inbox back, on each shape of the one route: a
+// chain of zero rounds (Q6), a keyless chain shuffled to one node and a
+// key-divergent one. A cancel ends with context.Canceled, the statement is
+// counted aborted exactly once, and the one-slot, no-queue nodes admit the
+// next statement at once.
+func TestEarlyEndReleasesNodes(t *testing.T) {
+	ends := []struct {
+		name string
+		end  func(t *testing.T, rows *windowdb.Rows, cancel context.CancelFunc)
+	}{
+		{"close", func(t *testing.T, rows *windowdb.Rows, _ context.CancelFunc) {
+			if err := rows.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"cancel", func(t *testing.T, rows *windowdb.Rows, cancel context.CancelFunc) {
+			cancel()
+			for rows.Next() {
+			}
+			if err := rows.Err(); !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+		}},
 	}
-	if slots, _ := nodesHold(svcs); slots == 0 {
-		t.Fatal("no node holds an admission slot under an open keyless cursor")
-	}
-	for i := 0; i < 10; i++ {
-		if !rows.Next() {
-			t.Fatalf("stream ended early: %v", rows.Err())
+	for _, q := range []struct{ name, sql string }{{"q6", q6SQL}, {"keyless", keylessSQL}, {"diverge", divergeSQL}} {
+		for _, e := range ends {
+			t.Run(q.name+"/"+e.name, func(t *testing.T) {
+				c, svcs := streamCluster(t, 2, 4000, Config{})
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				rows, err := c.QueryContext(ctx, q.sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if slots, _ := nodesHold(svcs); slots == 0 {
+					t.Fatal("no node holds an admission slot under an open cursor")
+				}
+				for i := 0; i < 10; i++ {
+					if !rows.Next() {
+						t.Fatalf("stream ended early: %v", rows.Err())
+					}
+				}
+				e.end(t, rows, cancel)
+				waitNodeSlotsFree(t, svcs)
+				if _, buffered := nodesHold(svcs); buffered != 0 {
+					t.Fatalf("%d shuffle rounds still buffered", buffered)
+				}
+				if aborted, failures := c.aborted.Load(), c.failures.Load(); aborted != 1 || failures != 0 {
+					t.Fatalf("aborted = %d, failures = %d, want 1 and 0", aborted, failures)
+				}
+				if _, err := c.Query(context.Background(), q.sql); err != nil {
+					t.Fatalf("the next statement: %v", err)
+				}
+			})
 		}
-	}
-	cancel()
-	for rows.Next() {
-	}
-	if err := rows.Err(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	waitNodeSlotsFree(t, svcs)
-	if _, buffered := nodesHold(svcs); buffered != 0 {
-		t.Fatalf("%d shuffle rounds still buffered after cancel", buffered)
-	}
-	res, err := c.Query(context.Background(), keylessSQL)
-	if err != nil {
-		t.Fatalf("keyless statement after cancel: %v", err)
-	}
-	if res.Route != "shuffle" {
-		t.Fatalf("route = %q, want shuffle", res.Route)
-	}
-}
-
-// TestGatherSlotReleasedOnClose: early Close releases the nodes too.
-func TestGatherSlotReleasedOnClose(t *testing.T) {
-	c, svcs := streamCluster(t, 2, 2000, Config{})
-	rows, err := c.QueryContext(context.Background(), keylessSQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rows.Next() {
-		t.Fatalf("no rows: %v", rows.Err())
-	}
-	if err := rows.Close(); err != nil {
-		t.Fatal(err)
-	}
-	waitNodeSlotsFree(t, svcs)
-	if _, buffered := nodesHold(svcs); buffered != 0 {
-		t.Fatalf("%d shuffle rounds still buffered after Close", buffered)
 	}
 }
 
@@ -637,66 +586,6 @@ func TestShuffleFailureReleasesSlots(t *testing.T) {
 	}
 	if res.Route != "scatter" {
 		t.Fatalf("route %q, want scatter", res.Route)
-	}
-}
-
-// TestShuffleCloseReleasesNodeSlots: closing a half-drained shuffle
-// stream closes the per-node final-segment streams, releasing every
-// node's admission slot and leaving no buffered state.
-func TestShuffleCloseReleasesNodeSlots(t *testing.T) {
-	c, svcs := streamCluster(t, 2, 4000, Config{})
-	rows, err := c.QueryContext(context.Background(), divergeSQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if !rows.Next() {
-			t.Fatalf("stream ended early: %v", rows.Err())
-		}
-	}
-	if err := rows.Close(); err != nil {
-		t.Fatal(err)
-	}
-	waitNodeSlotsFree(t, svcs)
-	if got := c.aborted.Load(); got != 1 {
-		t.Fatalf("cluster aborted = %d, want 1", got)
-	}
-	for i, svc := range svcs {
-		if got := svc.ShuffleBuffered(); got != 0 {
-			t.Fatalf("node %d still buffers %d shuffle rounds after close", i, got)
-		}
-	}
-	if _, err := c.Query(context.Background(), divergeSQL); err != nil {
-		t.Fatalf("shuffle after close: %v", err)
-	}
-}
-
-// TestShuffleCancelMidDrain: a context cancelled while the final merge is
-// half-drained surfaces context.Canceled and releases the node slots.
-func TestShuffleCancelMidDrain(t *testing.T) {
-	c, svcs := streamCluster(t, 2, 4000, Config{})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	rows, err := c.QueryContext(ctx, divergeSQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if !rows.Next() {
-			t.Fatalf("stream ended early: %v", rows.Err())
-		}
-	}
-	cancel()
-	for rows.Next() {
-	}
-	if err := rows.Err(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	waitNodeSlotsFree(t, svcs)
-	for i, svc := range svcs {
-		if got := svc.ShuffleBuffered(); got != 0 {
-			t.Fatalf("node %d still buffers %d shuffle rounds after cancel", i, got)
-		}
 	}
 }
 

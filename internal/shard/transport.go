@@ -14,15 +14,15 @@ import (
 type Mode string
 
 const (
-	// ModeLocal executes the shard-local part: WHERE, chain, projection —
-	// no DISTINCT/ORDER BY/LIMIT, which the coordinator applies over the
-	// concatenation of every shard's output.
-	ModeLocal Mode = "local"
-	// ModeFull executes the entire statement: a replicated table's query,
-	// which a single node serves whole, or a SUBSCRIBE's live cursor.
+	// ModeFull executes the entire statement as the node plans it: a
+	// replicated table's query, which a single node serves whole, or a
+	// SUBSCRIBE's live cursor.
 	ModeFull Mode = "full"
-	// ModeSegment executes the final segment of the shipped plan over the
-	// node's shuffle inbox: the shuffle route's last stage.
+	// ModeSegment executes the last stage of the shipped plan — its last
+	// segment, over the node's shuffle inbox or its own partition — of a
+	// statement over a sharded table: WHERE, chain, projection, no
+	// DISTINCT/ORDER BY/LIMIT, which the coordinator applies over the
+	// concatenation of every node's output.
 	ModeSegment Mode = "segment"
 )
 
@@ -42,14 +42,14 @@ type Transport interface {
 	// QueryStream opens one of the node's row streams
 	// (service.ShardStream), bounding coordinator memory by what is in
 	// flight instead of the node's whole response. The request's Mode picks
-	// it: the scatter route's shard-local part, a replicated table's or a
-	// SUBSCRIBE's whole statement, or the shuffle route's final segment —
-	// which the coordinator merge-concatenates exactly like scatter streams.
+	// it: a replicated table's or a SUBSCRIBE's whole statement, or the last
+	// stage of a statement over a sharded table, which the coordinator
+	// merge-concatenates.
 	// A subscription's stream ends only when closed, the context is
 	// canceled, or the node kills the query.
 	QueryStream(ctx context.Context, req service.ShardQueryRequest) (*windowdb.Rows, error)
-	// ShuffleRun executes one non-final stage of a per-segment distributed
-	// chain on the node (service.RunShuffleStep): run the segment, then
+	// ShuffleRun executes one stage before the last of a statement over a
+	// sharded table on the node (service.RunShuffleStep): run the segment, then
 	// re-shuffle the output directly to the peer nodes. Returns once every
 	// peer has ingested — the coordinator's round barrier.
 	ShuffleRun(ctx context.Context, req service.ShuffleRunRequest) (*service.ShuffleRunResult, error)

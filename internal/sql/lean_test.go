@@ -131,8 +131,8 @@ func roomyCopy(t *storage.Table) *storage.Table {
 }
 
 // rowShape records what must not change about shared rows: the content
-// hash in row order, and every row's length, capacity and spare slots.
-func rowShape(t *testing.T, rows []storage.Tuple) (hash string, lens, caps []int) {
+// encoding in row order, and every row's length, capacity and spare slots.
+func rowShape(t *testing.T, rows []storage.Tuple) (content string, lens, caps []int) {
 	t.Helper()
 	var enc []byte
 	for _, row := range rows {
@@ -144,13 +144,13 @@ func rowShape(t *testing.T, rows []storage.Tuple) (hash string, lens, caps []int
 			}
 		}
 	}
-	return Fingerprint(string(enc)), lens, caps
+	return string(enc), lens, caps
 }
 
 // TestConcurrentStatementsLeaveSharedRowsAlone — statements with different
 // windows run at once over one registered table and over one shared
 // segment, whose rows all have spare capacity. Nothing may write to them:
-// -race sees any attempt, and afterwards the content hash, every row's
+// -race sees any attempt, and afterwards the content, every row's
 // len/cap and every spare slot are what they were.
 func TestConcurrentStatementsLeaveSharedRowsAlone(t *testing.T) {
 	ctx := context.Background()

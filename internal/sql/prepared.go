@@ -47,6 +47,7 @@ type Prepared struct {
 	shareable bool
 
 	outCols []storage.Column
+	outSrc  []int // per output column: its base column, or ^id for window function id
 	pick    []int // executed-table source column per output column
 
 	orderKey   attrs.Seq // final ORDER BY over the output schema
@@ -95,26 +96,6 @@ func (p *Prepared) Current() bool {
 	return err == nil && e == p.entry
 }
 
-// Fingerprint hashes text into a short identifier, FNV-64a hex-encoded:
-// the token SubplanFingerprint ships on the cluster's control plane.
-func Fingerprint(src string) string {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(src); i++ {
-		h ^= uint64(src[i])
-		h *= prime64
-	}
-	var out [16]byte
-	const hexdigits = "0123456789abcdef"
-	for i := 0; i < 16; i++ {
-		out[i] = hexdigits[(h>>uint(60-4*i))&0xf]
-	}
-	return string(out[:])
-}
-
 // Limit returns the statement's LIMIT, -1 when absent.
 func (p *Prepared) Limit() int64 { return p.q.Limit }
 
@@ -158,7 +139,6 @@ func (r *Runner) prepare(q *Query, src string) (*Prepared, error) {
 		gen:    gen,
 		scheme: r.Scheme,
 		cfg:    r.Exec,
-		wfCol:  map[int]int{},
 	}
 
 	if q.Where != nil {
@@ -202,17 +182,14 @@ func (r *Runner) prepare(q *Query, src string) (*Prepared, error) {
 		p.alignOrder = append(p.alignOrder, attrs.Elem{Attr: attrs.ID(c), Desc: item.Desc, NullsFirst: item.NullsFirst})
 	}
 
+	var plan *core.Plan
 	if len(p.specs) > 0 {
-		ws := make([]core.WF, len(p.specs))
-		for i, s := range p.specs {
-			ws[i] = s.WF(i)
-		}
+		ws := p.WFs()
 		opt := core.Options{
 			Cost:      entry.CostParams(r.Exec.MemoryBytes, r.Exec.BlockSize),
 			DisableHS: r.DisableHS,
 			DisableSS: r.DisableSS,
 		}
-		var plan *core.Plan
 		switch r.Scheme {
 		case SchemeBFO:
 			plan, err = core.BFO(ws, core.Unordered(), opt)
@@ -242,11 +219,6 @@ func (r *Runner) prepare(q *Query, src string) (*Prepared, error) {
 				plan = alt
 			}
 		}
-		p.plan = plan
-		for pos, step := range plan.Steps {
-			p.wfCol[step.WF.ID] = schema.Len() + pos
-		}
-		p.shareable = shareableChain(plan) && r.Exec.Parallelism <= 1
 	}
 
 	// Projection: the executed table is the base schema extended with one
@@ -256,16 +228,15 @@ func (r *Runner) prepare(q *Query, src string) (*Prepared, error) {
 		case item.Star:
 			for c := 0; c < schema.Len(); c++ {
 				p.outCols = append(p.outCols, schema.Columns[c])
-				p.pick = append(p.pick, c)
+				p.outSrc = append(p.outSrc, c)
 			}
 		case item.Window != nil:
-			srcCol := p.wfCol[windowItem[i]]
 			col := p.specs[windowItem[i]].OutputColumn()
 			if item.Alias != "" {
 				col.Name = item.Alias
 			}
 			p.outCols = append(p.outCols, col)
-			p.pick = append(p.pick, srcCol)
+			p.outSrc = append(p.outSrc, ^windowItem[i])
 		default:
 			c := schema.ColIndex(item.Column)
 			if c < 0 {
@@ -276,7 +247,7 @@ func (r *Runner) prepare(q *Query, src string) (*Prepared, error) {
 				col.Name = item.Alias
 			}
 			p.outCols = append(p.outCols, col)
-			p.pick = append(p.pick, c)
+			p.outSrc = append(p.outSrc, c)
 		}
 	}
 
@@ -288,9 +259,37 @@ func (r *Runner) prepare(q *Query, src string) (*Prepared, error) {
 			return nil, classify(ErrBind, fmt.Errorf("sql: ORDER BY column %q not in output", item.Column))
 		}
 		p.orderKey = append(p.orderKey, attrs.Elem{Attr: attrs.ID(c), Desc: item.Desc, NullsFirst: item.NullsFirst})
-		p.chainOrder = append(p.chainOrder, attrs.Elem{Attr: attrs.ID(p.pick[c]), Desc: item.Desc, NullsFirst: item.NullsFirst})
 	}
+	p.bind(plan)
 	return p, nil
+}
+
+// bind derives what depends on the chain from plan: each function's column
+// in the executed table — the base schema extended in plan order —, the
+// projection and the ORDER BY over that table, and whether the chain splits
+// at the subplan seam.
+func (p *Prepared) bind(plan *core.Plan) {
+	p.plan = plan
+	p.wfCol = make(map[int]int, len(p.specs))
+	if plan != nil {
+		base := p.entry.Table().Schema.Len()
+		for pos, step := range plan.Steps {
+			p.wfCol[step.WF.ID] = base + pos
+		}
+	}
+	p.shareable = shareableChain(plan) && p.cfg.Parallelism <= 1
+	p.pick = make([]int, len(p.outSrc))
+	for j, src := range p.outSrc {
+		if src < 0 {
+			src = p.wfCol[^src]
+		}
+		p.pick[j] = src
+	}
+	p.chainOrder = nil
+	for _, e := range p.orderKey {
+		e.Attr = attrs.ID(p.pick[e.Attr])
+		p.chainOrder = append(p.chainOrder, e)
+	}
 }
 
 // shareableChain reports whether a planned chain is a single heavy reorder
@@ -327,6 +326,10 @@ type Input struct {
 	// chains produced — an ORDER BY is always a full sort, exactly as after
 	// a partition-concatenating parallel chain. It is read, not reordered.
 	Concat *storage.Table
+	// Rows is a shuffle's input to the chain's last segment: WHERE applied
+	// and every earlier segment run, on the nodes, so only the last
+	// segment's steps run over it.
+	Rows *storage.Table
 }
 
 // Open runs the prepared statement over in and returns the cursor over its
@@ -335,8 +338,8 @@ type Input struct {
 // described on Cursor. shardLocal stops after the projection — no DISTINCT,
 // ORDER BY or LIMIT, which only a coordinator can apply, over the
 // concatenation of every shard's output (Input.Concat); it is only
-// meaningful when the caller established ShardLocal for the cluster's shard
-// key. Open is safe for concurrent use on one Prepared.
+// meaningful for the last stage of a statement over a sharded table, on a
+// shard node. Open is safe for concurrent use on one Prepared.
 func (p *Prepared) Open(ctx context.Context, in Input, shardLocal bool) (*Cursor, error) {
 	cur := &Cursor{cols: p.outCols, pick: p.pick, ctx: ctx}
 	key := p.chainOrder
@@ -351,6 +354,8 @@ func (p *Prepared) Open(ctx context.Context, in Input, shardLocal bool) (*Cursor
 		_, err = cur.src.Run(ctx, in.Concat, nil, p.cfg)
 	case in.Shared != nil:
 		cur.src, err = p.runSuffix(ctx, in.Shared, in.ChargeScan, &cur.meta)
+	case in.Rows != nil:
+		cur.src, err = p.runLast(ctx, in.Rows, &cur.meta)
 	default:
 		cur.src, err = p.runChain(ctx, p.entry.Table(), &cur.meta)
 	}

@@ -11,36 +11,25 @@ import (
 	"repro/internal/storage"
 )
 
-// SegmentRunner executes one statement's chain segment by segment on a
-// shard node: the per-segment execution entry points behind the cluster's
-// shuffle route. It runs the coordinator's plan, shipped with the statement
-// text, cut where exec.Segments cuts it: every node runs the same steps
-// verbatim, so every node appends the derived columns the shuffle exchanges
-// — the base schema extended in plan order — in the same sequence, and each
-// step's reorder is the one the coordinator's engine config chose. Build one
-// with Prepared.Segments; it is immutable and safe for concurrent use, like
-// the Prepared it wraps.
-type SegmentRunner struct {
-	p    *Prepared
-	plan *core.Plan
-	segs []exec.Segment
-	// schemas[i] is the input schema of segment i; the last entry is the
-	// executed schema.
-	schemas []*storage.Schema
-	pick    []int // projection over the executed schema
-}
-
-// Segments checks a coordinator's plan against this statement and returns
-// the runner executing it. The plan comes off the network, so it is trusted
-// only as far as core.Plan.Validate replays it over the statement's own
-// window functions and every attribute a step names is a base-schema
-// column; a violation is a coordination fault, never a panic.
-func (p *Prepared) Segments(plan *core.Plan) (*SegmentRunner, error) {
-	if p.plan == nil {
-		return nil, errors.New("sql: segment execution of a window-less statement")
-	}
-	if plan == nil {
-		return nil, errors.New("sql: segment execution without a plan")
+// Bind returns the statement bound to a coordinator's plan: what a node of a
+// sharded table executes, so that the chain it runs — and the shared scan it
+// keys on (SubplanNode) — is the chain the coordinator planned and reports.
+// Every node runs the same steps verbatim, so every node appends the derived
+// columns the shuffle exchanges — the base schema extended in plan order — in
+// the same sequence, and each step's reorder is the one the coordinator's
+// engine config chose. The plan comes off the network, so it is trusted only
+// as far as core.Plan.Validate replays it over the statement's own window
+// functions and every attribute a step names is a base-schema column; a
+// violation is a coordination fault, never a panic. A nil plan binds only a
+// window-less statement.
+func (p *Prepared) Bind(plan *core.Plan) (*Prepared, error) {
+	switch {
+	case plan == nil && p.plan == nil:
+		return p, nil
+	case plan == nil:
+		return nil, errors.New("sql: shipped plan: none for a statement with window functions")
+	case p.plan == nil:
+		return nil, errors.New("sql: shipped plan for a window-less statement")
 	}
 	base := p.entry.Table().Schema
 	var cols attrs.Set
@@ -60,38 +49,43 @@ func (p *Prepared) Segments(plan *core.Plan) (*SegmentRunner, error) {
 			return nil, fmt.Errorf("sql: shipped plan: step %d names a column outside the base schema", i)
 		}
 	}
-	ws := make([]core.WF, len(p.specs))
-	for i, s := range p.specs {
-		ws[i] = s.WF(i)
-	}
-	if err := plan.Validate(ws, core.Unordered()); err != nil {
+	if err := plan.Validate(p.WFs(), core.Unordered()); err != nil {
 		return nil, fmt.Errorf("sql: shipped plan: %w", err)
 	}
+	bound := *p
+	bound.bind(plan)
+	return &bound, nil
+}
 
-	r := &SegmentRunner{p: p, plan: plan, segs: exec.Segments(plan)}
-	schema := base
+// SegmentRunner executes a statement's chain segment by segment on a shard
+// node: the stages before the last of a sharded statement that shuffles. It
+// cuts the statement's plan — on a node, the coordinator's (Bind) — where
+// exec.Segments cuts it. Build one with Prepared.Segments; it is immutable
+// and safe for concurrent use, like the Prepared it wraps.
+type SegmentRunner struct {
+	p    *Prepared
+	segs []exec.Segment
+	// schemas[i] is the input schema of segment i; the last entry is the
+	// executed schema.
+	schemas []*storage.Schema
+}
+
+// Segments returns the runner of the statement's plan: no segment for a
+// window-less statement.
+func (p *Prepared) Segments() *SegmentRunner {
+	r := &SegmentRunner{p: p}
+	if p.plan != nil {
+		r.segs = exec.Segments(p.plan)
+	}
+	schema := p.entry.Table().Schema
 	for _, seg := range r.segs {
 		r.schemas = append(r.schemas, schema)
-		for _, st := range plan.Steps[seg.Lo:seg.Hi] {
+		for _, st := range p.plan.Steps[seg.Lo:seg.Hi] {
 			schema = schema.WithColumn(p.specs[st.WF.ID].OutputColumn())
 		}
 	}
 	r.schemas = append(r.schemas, schema)
-
-	// p.pick maps output columns onto the executed schema of p.plan's own
-	// step order, which the shipped plan may permute.
-	pos := make(map[int]int, len(plan.Steps))
-	for k, st := range plan.Steps {
-		pos[st.WF.ID] = base.Len() + k
-	}
-	r.pick = make([]int, len(p.pick))
-	for j, src := range p.pick {
-		r.pick[j] = src
-		if src >= base.Len() {
-			r.pick[j] = pos[p.plan.Steps[src-base.Len()].WF.ID]
-		}
-	}
-	return r, nil
+	return r
 }
 
 // Segments returns the runner's segment count.
@@ -101,10 +95,9 @@ func (r *SegmentRunner) Segments() int { return len(r.segs) }
 // partition key, or ∅ — every row to one node — for a sequential segment.
 func (r *SegmentRunner) Key(seg int) attrs.Set { return r.segs[seg].Key }
 
-// sub returns segment seg's steps as a plan of their own.
-func (r *SegmentRunner) sub(seg int) *core.Plan {
-	s := r.segs[seg]
-	return &core.Plan{Scheme: r.plan.Scheme, Steps: r.plan.Steps[s.Lo:s.Hi]}
+// segmentPlan returns a segment's steps as a plan of their own.
+func segmentPlan(plan *core.Plan, s exec.Segment) *core.Plan {
+	return &core.Plan{Scheme: plan.Scheme, Steps: plan.Steps[s.Lo:s.Hi]}
 }
 
 // InputSchema returns the row schema segment seg consumes: the base schema
@@ -129,22 +122,25 @@ func (r *SegmentRunner) FilterBase(ctx context.Context) (*storage.Table, error) 
 // never released — the table's rows, and the strings its spills read back,
 // may be its arena's — and goes with the table to the GC.
 func (r *SegmentRunner) Run(ctx context.Context, seg int, in *storage.Table) (*storage.Table, *exec.Metrics, error) {
-	out, m, _, err := r.p.runPlan(ctx, nil, in, r.sub(seg))
+	out, m, _, err := r.p.runPlan(ctx, nil, in, segmentPlan(r.p.plan, r.segs[seg]))
 	if err != nil {
 		return nil, nil, err
 	}
 	return out.Table(), m, nil
 }
 
-// StreamFinal executes the last segment over in and returns a cursor over
-// the projected output — shard-local, as Prepared.Open's shardLocal is: no
-// DISTINCT, ORDER BY or LIMIT, which only the coordinator can apply over
-// the concatenation of every node's stream (Input.Concat).
-func (r *SegmentRunner) StreamFinal(ctx context.Context, in *storage.Table) (*Cursor, error) {
-	out, m, par, err := r.p.runPlan(ctx, nil, in, r.sub(len(r.segs)-1))
+// runLast runs the chain's last segment over rows every earlier segment
+// already ran on (Input.Rows), filling result like runChain: the plan it
+// reports is the whole chain.
+func (p *Prepared) runLast(ctx context.Context, rows *storage.Table, result *Result) (*exec.Chain, error) {
+	if p.plan == nil {
+		return nil, errors.New("sql: segment input for a window-less statement")
+	}
+	segs := exec.Segments(p.plan)
+	out, m, par, err := p.runPlan(ctx, nil, rows, segmentPlan(p.plan, segs[len(segs)-1]))
 	if err != nil {
 		return nil, err
 	}
-	meta := Result{FinalSort: "none", Parallelism: par, Plan: r.plan, Metrics: m}
-	return &Cursor{cols: r.p.outCols, src: out, pick: r.pick, meta: meta, ctx: ctx, left: out.Len()}, nil
+	*result = Result{FinalSort: "none", Parallelism: par, Plan: p.plan, Metrics: m}
+	return out, nil
 }

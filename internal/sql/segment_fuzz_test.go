@@ -34,10 +34,14 @@ func shippedTable() *storage.Table {
 	return t
 }
 
-// shippedPrepared prepares shippedStatement on a node holding shippedTable,
-// and returns it with the plan its coordinator ships: one made against the
-// statistics of a table of a million rows.
-func shippedPrepared(tb testing.TB) (*Prepared, *core.Plan) {
+// oneSegmentStatement is a one-segment chain over shippedTable: the plan of
+// a scatter's zero-round stage.
+const oneSegmentStatement = `SELECT g, u, rank() OVER (PARTITION BY g ORDER BY h) AS w1 FROM t`
+
+// shippedPrepared prepares src on a node holding shippedTable, and returns
+// it with the plan its coordinator ships: one made against the statistics
+// of a table of a million rows.
+func shippedPrepared(tb testing.TB, src string) (*Prepared, *core.Plan) {
 	tb.Helper()
 	table := shippedTable()
 	cat, stub := catalog.New(), catalog.New()
@@ -48,7 +52,7 @@ func shippedPrepared(tb testing.TB) (*Prepared, *core.Plan) {
 	})
 	var preps [2]*Prepared
 	for i, c := range []*catalog.Catalog{cat, stub} {
-		p, err := (&Runner{Catalog: c, Exec: exec.Config{MemoryBytes: 64 << 10}}).Prepare(shippedStatement)
+		p, err := (&Runner{Catalog: c, Exec: exec.Config{MemoryBytes: 64 << 10}}).Prepare(src)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -95,34 +99,54 @@ func corrupted(tb testing.TB, plan *core.Plan, corrupt func([]core.Step) []core.
 
 // TestShippedPlanFaults: a node checks the plan a coordinator ships before
 // it runs a step of it. The plan survives the wire intact, and every way a
-// peer can get it wrong — an unknown reorder kind, a column outside the
-// base schema, a step whose recorded properties are not the replay's, a
-// step too few, a function twice or not the statement's — is an error.
+// peer can get it wrong — no plan for a statement with window functions, an
+// unknown reorder kind, a column outside the base schema, a step whose
+// recorded properties are not the replay's, a step too few, a function
+// twice or not the statement's — is an error. Only a window-less statement
+// binds no plan.
 func TestShippedPlanFaults(t *testing.T) {
-	p, plan := shippedPrepared(t)
+	p, plan := shippedPrepared(t, shippedStatement)
 	if fs, hs, ss := plan.ReorderCounts(); fs == 0 || hs == 0 || ss == 0 {
 		t.Fatalf("plan %s: the faults need an FS, an HS and an SS step", plan)
 	}
-	if _, err := p.Segments(corrupted(t, plan, func(s []core.Step) []core.Step { return s })); err != nil {
+	bound, err := p.Bind(corrupted(t, plan, func(s []core.Step) []core.Step { return s }))
+	if err != nil {
 		t.Fatalf("the plan does not survive the wire: %v", err)
 	}
-	if _, err := p.Segments(nil); err == nil {
+	if got, want := bound.Plan().String(), plan.String(); got != want {
+		t.Fatalf("bound plan %s, shipped %s", got, want)
+	}
+	if _, err := p.Bind(nil); err == nil {
 		t.Error("a missing plan was accepted")
 	}
 	for _, f := range shippedFaults {
-		_, err := p.Segments(corrupted(t, plan, f.corrupt))
+		_, err := p.Bind(corrupted(t, plan, f.corrupt))
 		if err == nil || !strings.Contains(err.Error(), f.want) {
 			t.Errorf("%s: error %v, want one naming %q", f.name, err, f.want)
 		}
 	}
+	windowless, err := (&Runner{Catalog: p.cat}).Prepare(`SELECT g FROM t`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := windowless.Bind(nil); err != nil {
+		t.Errorf("a window-less statement refused no plan: %v", err)
+	}
+	if _, err := windowless.Bind(plan); err == nil {
+		t.Error("a window-less statement accepted a plan")
+	}
 }
 
 // FuzzShippedPlan decodes arbitrary JSON into the plan a node is shipped,
-// then builds its runner and runs segment 0 on a tiny table: a plan off the
-// network is refused with an error or runs, and never panics the node.
-// Seeds: the valid plan and each of shippedFaults.
+// binds it onto a three-window statement and a one-window one, and runs
+// what binds on a tiny table — the first segment of a plan that shuffles,
+// the whole statement over the node's partition when there is one segment:
+// a plan off the network is refused with an error or runs, and never
+// panics the node. Seeds: the three-window plan and each of shippedFaults,
+// a one-segment plan, and no plan at all, which neither statement accepts.
 func FuzzShippedPlan(f *testing.F) {
-	p, plan := shippedPrepared(f)
+	p, plan := shippedPrepared(f, shippedStatement)
+	one, onePlan := shippedPrepared(f, oneSegmentStatement)
 	seed := func(plan *core.Plan) {
 		buf, err := json.Marshal(plan)
 		if err != nil {
@@ -134,30 +158,36 @@ func FuzzShippedPlan(f *testing.F) {
 	for _, fault := range shippedFaults {
 		seed(corrupted(f, plan, fault.corrupt))
 	}
+	seed(onePlan)
+	seed(nil)
 	ctx := context.Background()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var plan core.Plan
+		var plan *core.Plan
 		if json.Unmarshal(data, &plan) != nil {
 			return
 		}
-		r, err := p.Segments(&plan)
-		if err != nil {
-			return
-		}
-		in, err := r.FilterBase(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Segments() > 1 {
-			_, _, err = r.Run(ctx, 0, in)
-		} else {
-			var c *Cursor
-			if c, err = r.StreamFinal(ctx, in); err == nil {
-				drainCursor(t, c)
+		for _, p := range []*Prepared{p, one} {
+			b, err := p.Bind(plan)
+			if plan == nil && err == nil {
+				t.Fatal("a statement with window functions bound no plan")
 			}
-		}
-		if err != nil {
-			t.Fatalf("an accepted plan failed to run: %v\n%s", err, data)
+			if err != nil {
+				continue
+			}
+			if r := b.Segments(); r.Segments() > 1 {
+				var in *storage.Table
+				if in, err = r.FilterBase(ctx); err == nil {
+					_, _, err = r.Run(ctx, 0, in)
+				}
+			} else {
+				var c *Cursor
+				if c, err = b.Open(ctx, Input{}, true); err == nil {
+					drainCursor(t, c)
+				}
+			}
+			if err != nil {
+				t.Fatalf("an accepted plan failed to run: %v\n%s", err, data)
+			}
 		}
 	})
 }

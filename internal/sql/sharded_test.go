@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/attrs"
 	"repro/internal/catalog"
-	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/exec"
 	"repro/internal/gen"
@@ -18,73 +17,6 @@ import (
 	"repro/internal/storage"
 	"repro/internal/window"
 )
-
-// TestShardPhasesComposeToExecute: manually hash-partitioning the table,
-// running the shard-local part per partition, concatenating and finalizing
-// must reproduce ExecuteContext exactly — the algebraic identity the
-// cluster's scatter path rests on.
-func TestShardPhasesComposeToExecute(t *testing.T) {
-	ws := datagen.WebSales(datagen.WebSalesConfig{Rows: 700, Seed: 3})
-	src := `SELECT ws_item_sk, ws_order_number,
-	 rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS r
-	 FROM web_sales WHERE ws_quantity <= 70 ORDER BY ws_item_sk, ws_order_number LIMIT 200`
-	key := attrs.MakeSet(attrs.ID(datagen.ColItem))
-
-	full := catalog.New()
-	full.Register("web_sales", ws)
-	runner := Runner{Catalog: full, Exec: exec.Config{MemoryBytes: 1 << 20}}
-	prep, err := runner.Prepare(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !prep.ShardLocal(key) {
-		t.Fatal("statement should be shard-local on the item key")
-	}
-	want, err := prep.ExecuteContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const shards = 3
-	parts := exec.PartitionRows(ws.Rows, key.IDs(), shards)
-	var concat *storage.Table
-	for i := 0; i < shards; i++ {
-		cat := catalog.New()
-		pt := storage.NewTable(ws.Schema)
-		pt.Rows = parts[i]
-		cat.Register("web_sales", pt)
-		r := Runner{Catalog: cat, Exec: exec.Config{MemoryBytes: 1 << 20}}
-		p, err := r.Prepare(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := openResult(context.Background(), p, Input{}, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if concat == nil {
-			concat = storage.NewTable(res.Table.Schema)
-		}
-		concat.Rows = append(concat.Rows, res.Table.Rows...)
-	}
-	got, err := openResult(context.Background(), prep, Input{Concat: concat}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.FinalSort != "full" {
-		t.Fatalf("finalize sort %q, want full", got.FinalSort)
-	}
-	if got.Table.Len() != want.Table.Len() {
-		t.Fatalf("row count %d, want %d", got.Table.Len(), want.Table.Len())
-	}
-	for i := range want.Table.Rows {
-		a := storage.AppendTuple(nil, got.Table.Rows[i])
-		b := storage.AppendTuple(nil, want.Table.Rows[i])
-		if !slices.Equal(a, b) {
-			t.Fatalf("row %d differs after scatter composition", i)
-		}
-	}
-}
 
 // TestExecuteOverContext: a chain with an empty PARTITION BY composes as
 // every segmented chain does — its keyless segment keyed on nothing, so the
@@ -149,17 +81,11 @@ func TestSegmentPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seg, err := prep.Segments(prep.Plan())
-		if tc.cut == "" {
-			if err == nil {
-				t.Errorf("%s: a window-less statement has no segments to run", tc.src)
-			}
-			continue
-		}
+		bound, err := prep.Bind(prep.Plan())
 		if err != nil {
 			t.Fatalf("%s %s: %v", tc.scheme, tc.src, err)
 		}
-		if got := cutString(prep.Plan(), seg, prep.entry.Table().Schema); got != tc.cut {
+		if got := cutString(bound, prep.entry.Table().Schema); got != tc.cut {
 			t.Errorf("%s %s: cut %q, want %q", tc.scheme, tc.src, got, tc.cut)
 		}
 	}
@@ -200,11 +126,12 @@ var paperCuts = map[string]string{
 	"PSQL Q9": "FS[0,3){ws_item_sk} FS[3,4){} FS[4,6){ws_bill_customer_sk} FS[6,7){ws_sold_date_sk,ws_sold_time_sk} FS[7,8){}",
 }
 
-// cutString renders a runner's cut of plan as "<lead reorder>[lo,hi){key}"
-// per segment.
-func cutString(plan *core.Plan, r *SegmentRunner, base *storage.Schema) string {
+// cutString renders the cut of a statement's plan as "<lead
+// reorder>[lo,hi){key}" per segment.
+func cutString(p *Prepared, base *storage.Schema) string {
+	plan := p.Plan()
 	var parts []string
-	for _, seg := range r.segs {
+	for _, seg := range p.Segments().segs {
 		var cols []string
 		for _, id := range seg.Key.IDs() {
 			cols = append(cols, base.Columns[id].Name)
@@ -215,21 +142,27 @@ func cutString(plan *core.Plan, r *SegmentRunner, base *storage.Schema) string {
 }
 
 // TestSegmentRunnerComposesToExecute is the algebraic identity the
-// cluster's shuffle route rests on: hash-partitioning the table across 1, 2
-// and 4 "nodes", running each segment of the coordinator's plan per node
-// with a re-shuffle on the segment's key in between, concatenating the final
-// segment's projected streams and finalizing at a coordinator gives the
-// oracle's result — WHERE, DISTINCT, ORDER BY and LIMIT included. It runs
-// the paper's statements and generated ones under CSO and PSQL
-// coordinators, among them a keyed → keyless → keyed chain.
+// cluster's one distributed route rests on: hash-partitioning the table
+// across 1, 2 and 4 "nodes", running each segment of the coordinator's plan
+// per node with a re-shuffle on the segment's key in between — none when
+// the plan is one segment whose key covers the shard key —, concatenating
+// the final segment's projected streams and finalizing at a coordinator
+// gives the oracle's result — WHERE, DISTINCT, ORDER BY and LIMIT included.
+// It runs the paper's statements and generated ones under CSO and PSQL
+// coordinators, among them zero-round chains and a keyed → keyless → keyed
+// chain.
 func TestSegmentRunnerComposesToExecute(t *testing.T) {
 	hit := gen.Hits{}
+	shardKey := attrs.MakeSet(0)
 	for _, c := range append(gen.Corpus(900), gen.Cases(100)...) {
 		hit.Windows(c.Stmt)
 		for _, scheme := range []Scheme{SchemeCSO, SchemePSQL} {
 			for _, nodes := range []int{1, 2, 4} {
-				r := composeSegments(t, c, attrs.MakeSet(0), scheme, nodes)
-				for seg := 1; r != nil && seg < r.Segments()-1; seg++ {
+				r := composeSegments(t, c, shardKey, scheme, nodes)
+				if r.Segments() == 1 && shardKey.SubsetOf(r.Key(0)) {
+					hit["zero-round"]++
+				}
+				for seg := 1; seg < r.Segments()-1; seg++ {
 					if r.Key(seg).Empty() && !r.Key(seg-1).Empty() && !r.Key(seg+1).Empty() {
 						hit["keyless mid-chain"]++
 						break
@@ -238,22 +171,23 @@ func TestSegmentRunnerComposesToExecute(t *testing.T) {
 			}
 		}
 	}
-	hit.Require(t, "keyless mid-chain")
+	hit.Require(t, "zero-round", "keyless mid-chain")
 }
 
 // itemKey is the web_sales shard key the compose tests partition on.
 var itemKey = attrs.MakeSet(attrs.ID(datagen.ColItem))
 
-// composeSegments runs c's statement the way the cluster's shuffle route
-// does, over nodes "nodes" holding the table hash-partitioned on shardKey
-// and a coordinator that plans it under scheme against a schema-only stub
-// and ships its plan: every node runs each segment of it, the rows
-// re-shuffle on the next segment's key in between (the first re-shuffle
-// skipped when the shard key covers segment 0's key), and the coordinator
-// finalizes the concatenated final streams. Before finalize the
-// concatenation must be the oracle's projected rows as a multiset — the
-// window values; after it, the oracle's result by gen's comparer. It returns
-// node 0's runner, or nil for a window-less statement, which it skips.
+// composeSegments runs c's statement the way a cluster does, over nodes
+// "nodes" holding the table hash-partitioned on shardKey and a coordinator
+// that plans it under scheme against a schema-only stub and ships its plan:
+// every node binds the plan and runs each segment of it but the last, the
+// rows re-shuffling on the next segment's key after each (and first, by a
+// raw stage, when the shard key does not cover segment 0's key); then every
+// node streams the last segment — the whole statement over its own
+// partition when no round ran — and the coordinator finalizes the
+// concatenated streams. Before finalize the concatenation must be the
+// oracle's projected rows as a multiset — the window values; after it, the
+// oracle's result by gen's comparer. It returns node 0's runner.
 func composeSegments(t *testing.T, c gen.Case, shardKey attrs.Set, scheme Scheme, nodes int) *SegmentRunner {
 	t.Helper()
 	ctx, table, src := context.Background(), c.Table, c.Stmt.SQL()
@@ -261,9 +195,6 @@ func composeSegments(t *testing.T, c gen.Case, shardKey attrs.Set, scheme Scheme
 	fail := func(format string, args ...any) {
 		t.Helper()
 		t.Fatalf("%s: %s coordinator, %d nodes, %s: %s\n%s", c.Name, scheme, nodes, src, fmt.Sprintf(format, args...), FormatTable(table, 12))
-	}
-	if len(c.Stmt.Windows) == 0 {
-		return nil
 	}
 	projected, err := c.Stmt.Project(table)
 	if err != nil {
@@ -281,8 +212,8 @@ func composeSegments(t *testing.T, c gen.Case, shardKey attrs.Set, scheme Scheme
 	}
 
 	parts := exec.PartitionRows(table.Rows, shardKey.IDs(), nodes)
+	bound := make([]*Prepared, nodes)
 	runners := make([]*SegmentRunner, nodes)
-	cur := make([]*storage.Table, nodes)
 	for i := 0; i < nodes; i++ {
 		cat := catalog.New()
 		pt := storage.NewTable(table.Schema)
@@ -292,31 +223,12 @@ func composeSegments(t *testing.T, c gen.Case, shardKey attrs.Set, scheme Scheme
 		if err != nil {
 			fail("%v", err)
 		}
-		if runners[i], err = p.Segments(prep.Plan()); err != nil {
+		if bound[i], err = p.Bind(prep.Plan()); err != nil {
 			fail("node %d: %v", i, err)
 		}
-		if cur[i], err = runners[i].FilterBase(ctx); err != nil {
-			fail("%v", err)
-		}
+		runners[i] = bound[i].Segments()
 	}
 
-	// reshuffle redistributes every node's current rows onto segment seg's
-	// key, exactly as the nodes would exchange them over the wire.
-	reshuffle := func(seg int) {
-		if seg == 0 && shardKey.SubsetOf(runners[0].Key(0)) {
-			return
-		}
-		next := make([]*storage.Table, nodes)
-		for i := range next {
-			next[i] = storage.NewTable(runners[0].InputSchema(seg))
-		}
-		for _, t := range cur {
-			for p, rows := range exec.PartitionRows(t.Rows, runners[0].Key(seg).IDs(), nodes) {
-				next[p].Rows = append(next[p].Rows, rows...)
-			}
-		}
-		cur = next
-	}
 	// verbatim requires a node's steps to be the coordinator's, reorder for
 	// reorder.
 	verbatim := func(node, seg int, m *exec.Metrics) {
@@ -327,30 +239,61 @@ func composeSegments(t *testing.T, c gen.Case, shardKey attrs.Set, scheme Scheme
 			}
 		}
 	}
-	last := runners[0].Segments() - 1
-	for seg := 0; seg < last; seg++ {
-		reshuffle(seg)
+	// in[i] is node i's input to its next stage: its own partition until a
+	// round delivers it an inbox.
+	in := make([]Input, nodes)
+	// round runs segment seg (-1: the raw stage, WHERE only) on every node
+	// and re-shuffles the output onto the next segment's key, exactly as the
+	// nodes would exchange it over the wire.
+	round := func(seg int) {
+		next := make([]*storage.Table, nodes)
+		for i := range next {
+			next[i] = storage.NewTable(runners[0].InputSchema(seg + 1))
+		}
 		for i := 0; i < nodes; i++ {
-			out, m, err := runners[i].Run(ctx, seg, cur[i])
-			if err != nil {
-				fail("node %d segment %d: %v", i, seg, err)
+			out := in[i].Rows
+			if out == nil {
+				if out, err = runners[i].FilterBase(ctx); err != nil {
+					fail("%v", err)
+				}
 			}
-			verbatim(i, seg, m)
-			cur[i] = out
+			if seg >= 0 {
+				var m *exec.Metrics
+				if out, m, err = runners[i].Run(ctx, seg, out); err != nil {
+					fail("node %d segment %d: %v", i, seg, err)
+				}
+				verbatim(i, seg, m)
+			}
+			for p, rows := range exec.PartitionRows(out.Rows, runners[0].Key(seg+1).IDs(), nodes) {
+				next[p].Rows = append(next[p].Rows, rows...)
+			}
+		}
+		for i := range in {
+			in[i] = Input{Rows: next[i]}
 		}
 	}
-	reshuffle(last)
+	last := runners[0].Segments() - 1
+	if !prep.ShardLocal(shardKey) {
+		if !shardKey.SubsetOf(runners[0].Key(0)) {
+			round(-1)
+		}
+		for seg := 0; seg < last; seg++ {
+			round(seg)
+		}
+	}
 	concat := storage.NewTable(storage.NewSchema(prep.outCols...))
 	for i := 0; i < nodes; i++ {
-		cur, err := runners[i].StreamFinal(ctx, cur[i])
+		cur, err := bound[i].Open(ctx, in[i], true)
 		if err != nil {
 			fail("node %d final segment: %v", i, err)
 		}
-		verbatim(i, last, cur.Meta().Metrics)
+		if last >= 0 {
+			verbatim(i, last, cur.Meta().Metrics)
+		}
 		concat.Rows = append(concat.Rows, drainCursor(t, cur)...)
 	}
 	if err := gen.SameMultiset(concat.Rows, projected); err != nil {
-		fail("the shuffled chain's rows are not the oracle's: %v", err)
+		fail("the distributed chain's rows are not the oracle's: %v", err)
 	}
 	got, err := openResult(ctx, prep, Input{Concat: concat}, false)
 	if err != nil {
@@ -382,6 +325,11 @@ func TestShardLocalPredicate(t *testing.T) {
 		// item-partition spans shards (its rows hash by bill too), so the
 		// chain cannot run shard-locally.
 		{`SELECT rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_quantity) AS r FROM web_sales`, itemBill, false},
+		// An empty PARTITION BY keys its segment on nothing, and disjoint
+		// keys cut the chain in two: neither runs shard-locally.
+		{`SELECT rank() OVER (ORDER BY ws_sold_time_sk) AS r FROM web_sales`, item, false},
+		{`SELECT rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS a,
+		  rank() OVER (PARTITION BY ws_warehouse_sk ORDER BY ws_sold_date_sk) AS b FROM web_sales`, item, false},
 		// Empty shard key never routes shard-local.
 		{`SELECT ws_item_sk FROM web_sales`, 0, false},
 		// Window-less statements distribute trivially.

@@ -85,18 +85,6 @@ func (p *Prepared) SubplanNode() string {
 	return core.LatticeNode(p.plan)
 }
 
-// SubplanFingerprint hashes the subplan identity (scan key + lattice node)
-// into the short token a cluster coordinator ships with scatter and
-// shuffle requests, so every node resolves the same shared scan for one
-// distributed statement without re-deriving it from text. Empty for
-// non-shareable statements.
-func (p *Prepared) SubplanFingerprint() string {
-	if !p.shareable {
-		return ""
-	}
-	return Fingerprint(p.SubplanScanKey() + "|" + p.SubplanNode())
-}
-
 // SubplanProps is the physical stream property of the subplan's output —
 // what a shared segment cached under this statement's key carries.
 func (p *Prepared) SubplanProps() core.Props {

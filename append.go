@@ -78,9 +78,8 @@ func (e *Engine) DataGeneration(table string) (uint64, error) {
 	return entry.DataGen(), nil
 }
 
-// Subscriptions reports the number of live subscriptions on a table;
-// tests assert drain-to-zero with it.
-func (e *Engine) Subscriptions(table string) int { return e.hub.Subscribers(table) }
+// Subscriptions reports the number of live subscriptions over every table.
+func (e *Engine) Subscriptions() int { return e.hub.Subscribers() }
 
 // Subscription is a live maintained cursor over a prepared statement: it
 // emits the initial result (rows tagged "init"), then blocks until

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -24,7 +23,8 @@ import (
 // the buffered /query body and the streamed cursor of a service and of a
 // cluster coordinator, and a subscription on each. Each cell asserts what
 // the front end counted (served, aborted or failed, exactly one of them)
-// and that nothing the statement held is still held afterwards.
+// and that nothing the statement held is still held once its end has
+// returned — read at once, not waited for.
 
 // tally is a front end's three outcome counters.
 type tally struct{ queries, aborted, failures uint64 }
@@ -47,26 +47,13 @@ const (
 	endingBadSubSQL = `SUBSCRIBE ` + endingSQL + ` ORDER BY r`
 )
 
-// eventually spins until cond holds: what a finished statement held is
-// handed back by whoever notices last, not always by the caller's thread.
-func eventually(t *testing.T, what func() string) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for what() != "" {
-		if time.Now().After(deadline) {
-			t.Fatalf("still held after the statement ended: %s", what())
-		}
-		runtime.Gosched()
-	}
-}
-
 // endingFront is one front end under the matrix.
 type endingFront struct {
 	name  string
 	q     windowdb.Queryer
 	tally func() tally
-	// held names what a statement holds that is not back at baseline yet,
-	// "" when nothing is.
+	// held names what statements hold on the front end — its
+	// Snapshot.Held, or a coordinator's ClusterStats.Held — "" when nothing.
 	held func() string
 	kill func(id string) bool
 	// registered reports whether the statement with this trace ID has
@@ -78,27 +65,17 @@ type endingFront struct {
 	done  chan struct{}
 }
 
+// gated wraps a front end so that every /query request sends on the
+// returned channel once its handler has returned: a server lets go of a
+// statement then, which no response tells its client.
 func gated(h http.Handler) (http.Handler, chan struct{}) {
 	done := make(chan struct{}, 64) // every request of a cell sends before the cell reads
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		h.ServeHTTP(w, r)
-		done <- struct{}{}
+		if r.URL.Path == "/query" {
+			done <- struct{}{}
+		}
 	}), done
-}
-
-func serviceHeld(name string, svc *service.Service) string {
-	st := svc.Stats()
-	switch {
-	case st.InFlight != 0:
-		return fmt.Sprintf("%s: %d admission slots", name, st.InFlight)
-	case st.QueueDepth != 0:
-		return fmt.Sprintf("%s: %d queued", name, st.QueueDepth)
-	case st.LiveQueries != 0:
-		return fmt.Sprintf("%s: %d registry entries", name, st.LiveQueries)
-	case svc.Engine().Subscriptions("web_sales") != 0:
-		return fmt.Sprintf("%s: %d subscriptions", name, svc.Engine().Subscriptions("web_sales"))
-	}
-	return ""
 }
 
 // newServiceFront is a one-slot service: one open cursor holds everything
@@ -114,7 +91,7 @@ func newServiceFront(t *testing.T) *endingFront {
 			st := svc.Stats()
 			return tally{st.Queries, st.Aborted, st.Failures}
 		},
-		held:       func() string { return serviceHeld("service", svc) },
+		held:       func() string { return svc.Stats().Held() },
 		kill:       svc.Registry().Kill,
 		registered: func(id string) bool { return svc.Registry().Get(id) != nil },
 	}
@@ -149,18 +126,11 @@ func newClusterFront(t *testing.T) *endingFront {
 			return tally{st.Queries, st.Aborted, st.Failures}
 		},
 		held: func() string {
-			if c.Registry().Len() != 0 {
-				return fmt.Sprintf("cluster: %d registry entries", c.Registry().Len())
+			st, err := c.Stats(context.Background())
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i, svc := range nodes {
-				if held := serviceHeld(fmt.Sprintf("node %d", i), svc); held != "" {
-					return held
-				}
-				if svc.ShuffleBuffered() != 0 {
-					return fmt.Sprintf("node %d: %d buffered shuffle rounds", i, svc.ShuffleBuffered())
-				}
-			}
-			return ""
+			return st.Held()
 		},
 		kill:       c.Registry().Kill,
 		registered: func(id string) bool { return c.Registry().Get(id) != nil },
@@ -173,7 +143,9 @@ func (f *endingFront) cell(t *testing.T, ending string, want tally, run func(t *
 	t.Run(ending, func(t *testing.T) {
 		before := f.tally()
 		run(t)
-		eventually(t, f.held)
+		if held := f.held(); held != "" {
+			t.Fatalf("held after the statement ended: %s", held)
+		}
 		if got := f.tally().sub(before); got != want {
 			t.Fatalf("counted %+v, want %+v", got, want)
 		}
@@ -323,14 +295,13 @@ func (f *endingFront) bufferedEndings(t *testing.T) {
 	plus := func(a, b tally) tally {
 		return tally{a.queries + b.queries, a.aborted + b.aborted, a.failures + b.failures}
 	}
+	// waitRegistered yields until the goroutine posting id has got as far
+	// as the front end's registry: it waits for a statement to arrive,
+	// never for one to let go.
 	waitRegistered := func(t *testing.T, id string) {
-		t.Helper()
-		eventually(t, func() string {
-			if f.registered(id) {
-				return ""
-			}
-			return "statement " + id + " not registered yet"
-		})
+		for !f.registered(id) {
+			runtime.Gosched()
+		}
 	}
 
 	f.cell(t, "drained", served, func(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	windowdb "repro"
 	"repro/internal/datagen"
@@ -26,6 +25,10 @@ type registryBackend struct {
 	// wantNodes: the backend is a coordinator whose listing must carry a
 	// per-shard-node subtree for a draining query.
 	wantNodes bool
+	// queried receives once per /query its remote server has answered —
+	// the server lets go of a statement when its handler returns, which no
+	// response tells the client. Nil for in-process backends.
+	queried <-chan struct{}
 }
 
 // registryRows sizes this suite's dataset so a remote server cannot push a
@@ -80,7 +83,8 @@ func registryBackends(t *testing.T) []registryBackend {
 	svc := service.New(newEng(), service.Config{Slots: 2})
 
 	remoteSvc := service.New(newEng(), service.Config{Slots: 2})
-	srv := httptest.NewServer(remoteSvc.Handler())
+	remote, remoteQueried := gated(remoteSvc.Handler())
+	srv := httptest.NewServer(remote)
 	t.Cleanup(srv.Close)
 	client := service.NewClientCodec(srv.URL, srv.Client(), service.CodecBinary)
 
@@ -100,7 +104,8 @@ func registryBackends(t *testing.T) []registryBackend {
 	}
 	cluster := newCluster()
 	coord := newCluster()
-	coordSrv := httptest.NewServer(coord.Handler())
+	front, frontQueried := gated(coord.Handler())
+	coordSrv := httptest.NewServer(front)
 	t.Cleanup(coordSrv.Close)
 	coordClient := service.NewClientCodec(coordSrv.URL, coordSrv.Client(), service.CodecBinary)
 
@@ -113,6 +118,7 @@ func registryBackends(t *testing.T) []registryBackend {
 		{
 			name: "client-engine", q: client,
 			list: httpList(srv), kill: httpKill(srv),
+			queried: remoteQueried,
 		},
 		{
 			name: "cluster", q: cluster,
@@ -122,15 +128,17 @@ func registryBackends(t *testing.T) []registryBackend {
 		{
 			name: "client-coordinator", q: coordClient,
 			list: httpList(coordSrv), kill: httpKill(coordSrv),
-			wantNodes: true,
+			wantNodes: true, queried: frontQueried,
 		},
 	}
 }
 
 // TestQueryRegistryVisibilityAndKill: on every registry-bearing backend, an
-// in-flight query is listed with its statement and live counters, killing
-// it by ID aborts the stream and empties the registry, and the backend
-// still serves the same statement afterwards. The coordinator's listing
+// in-flight query is listed with its statement and live counters — it
+// registered before its cursor, or its stream's header, was handed out —
+// killing it by ID aborts the stream and has emptied the registry once the
+// stream's end has returned, and the backend still serves the same
+// statement afterwards. The coordinator's listing
 // must additionally merge the shard nodes' matching entries under the
 // owning query.
 func TestQueryRegistryVisibilityAndKill(t *testing.T) {
@@ -152,17 +160,13 @@ func TestQueryRegistryVisibilityAndKill(t *testing.T) {
 			// Visibility: the half-drained query is listed under its trace
 			// ID with the statement text and a live phase.
 			var info *trace.QueryInfo
-			deadline := time.Now().Add(5 * time.Second)
-			for info == nil {
-				for _, qi := range bk.list(t) {
-					if qi.ID == id {
-						info = &qi
-						break
-					}
+			for _, qi := range bk.list(t) {
+				if qi.ID == id {
+					info = &qi
 				}
-				if info == nil && time.Now().After(deadline) {
-					t.Fatalf("query %s never appeared in the registry", id)
-				}
+			}
+			if info == nil {
+				t.Fatalf("query %s is not in the registry", id)
 			}
 			if info.SQL != src {
 				t.Fatalf("registered SQL = %q, want the submitted statement", info.SQL)
@@ -185,15 +189,11 @@ func TestQueryRegistryVisibilityAndKill(t *testing.T) {
 				// drain must end.
 			}
 			_ = rows.Close()
-			deadline = time.Now().Add(5 * time.Second)
-			for {
-				if len(bk.list(t)) == 0 {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("registry still holds entries after kill: %+v", bk.list(t))
-				}
-				time.Sleep(5 * time.Millisecond)
+			if bk.queried != nil {
+				<-bk.queried
+			}
+			if infos := bk.list(t); len(infos) != 0 {
+				t.Fatalf("registry still holds entries after kill: %+v", infos)
 			}
 
 			// The backend still serves the statement completely.

@@ -284,7 +284,7 @@ func TestMaintainNoOrderByRank(t *testing.T) {
 func TestHubPublishSubscribe(t *testing.T) {
 	h := NewHub()
 	s := h.Subscribe("T", 2)
-	if n := h.Subscribers("t"); n != 1 {
+	if n := h.Subscribers(); n != 1 {
 		t.Fatalf("subscribers = %d", n)
 	}
 	h.Publish(Batch{Table: "t", Gen: 2})
@@ -302,7 +302,7 @@ func TestHubPublishSubscribe(t *testing.T) {
 	}
 	s.Close()
 	s.Close() // idempotent
-	if n := h.Subscribers("t"); n != 0 {
+	if n := h.Subscribers(); n != 0 {
 		t.Errorf("subscribers after close = %d", n)
 	}
 	if _, ok := <-s.Chan(); ok {
@@ -318,7 +318,7 @@ func TestHubOverflowLags(t *testing.T) {
 	s := h.Subscribe("t", 1)
 	h.Publish(Batch{Table: "t", Gen: 2})
 	h.Publish(Batch{Table: "t", Gen: 3}) // buffer full: dropped
-	if n := h.Subscribers("t"); n != 0 {
+	if n := h.Subscribers(); n != 0 {
 		t.Errorf("lagged sub still registered")
 	}
 	if b := <-s.Chan(); b.Gen != 2 {

@@ -86,12 +86,16 @@ func (h *Hub) Publish(b Batch) {
 	}
 }
 
-// Subscribers returns the number of live subscriptions on a table;
-// tests use it to assert drain-to-zero.
-func (h *Hub) Subscribers(table string) int {
+// Subscribers returns the number of live subscriptions over every table:
+// what a service reports as held by statements still in flight.
+func (h *Hub) Subscribers() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return len(h.subs[strings.ToLower(table)])
+	n := 0
+	for _, set := range h.subs {
+		n += len(set)
+	}
+	return n
 }
 
 // Sub is one subscription. Receive from Chan; a closed channel means the

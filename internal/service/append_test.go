@@ -87,7 +87,8 @@ func TestServiceSubscribeBufferedRejected(t *testing.T) {
 // and registry entry drains.
 func TestServiceSubscribeHTTP(t *testing.T) {
 	svc := newTestService(t, Config{}, 0)
-	srv := httptest.NewServer(svc.Handler())
+	handler, done := handlerDone(svc.Handler())
+	srv := httptest.NewServer(handler)
 	defer srv.Close()
 	c := NewClient(srv.URL, nil)
 
@@ -112,17 +113,10 @@ func TestServiceSubscribeHTTP(t *testing.T) {
 		}
 	}
 
-	// The subscription shows in the registry with the live phase.
-	deadlineInfo := time.Now().Add(2 * time.Second)
-	for {
-		infos := svc.Registry().Snapshot()
-		if len(infos) == 1 && strings.HasPrefix(infos[0].SQL, "SUBSCRIBE") {
-			break
-		}
-		if time.Now().After(deadlineInfo) {
-			t.Fatalf("subscription not in registry: %+v", infos)
-		}
-		time.Sleep(time.Millisecond)
+	// The subscription shows in the registry: it registered before its
+	// stream's header left.
+	if infos := svc.Registry().Snapshot(); len(infos) != 1 || !strings.HasPrefix(infos[0].SQL, "SUBSCRIBE") {
+		t.Fatalf("subscription not in registry: %+v", infos)
 	}
 
 	// Routed append wakes the cursor.
@@ -141,10 +135,13 @@ func TestServiceSubscribeHTTP(t *testing.T) {
 		t.Fatalf("delta watermark = %d, append watermark = %d", wm, resp.Watermark)
 	}
 
-	// Close ends the stream; the server drains its slot, registry entry and
+	// Close ends the stream; once the subscription's handler — and the
+	// append's — have returned, the server holds no slot, registry entry or
 	// hub subscription.
 	rows.Close()
-	waitDrained(t, svc)
+	<-done
+	<-done
+	requireIdle(t, svc)
 }
 
 // TestServiceSubscribeKill kills a live subscription through the registry
@@ -152,7 +149,8 @@ func TestServiceSubscribeHTTP(t *testing.T) {
 // ends and the server drains.
 func TestServiceSubscribeKill(t *testing.T) {
 	svc := newTestService(t, Config{}, 0)
-	srv := httptest.NewServer(svc.Handler())
+	handler, done := handlerDone(svc.Handler())
+	srv := httptest.NewServer(handler)
 	defer srv.Close()
 	c := NewClient(srv.URL, nil)
 
@@ -168,52 +166,38 @@ func TestServiceSubscribeKill(t *testing.T) {
 	}
 
 	// Find and kill the one in-flight query.
-	var id string
-	deadline := time.Now().Add(2 * time.Second)
-	for id == "" {
-		if infos := svc.Registry().Snapshot(); len(infos) == 1 {
-			id = infos[0].ID
-		} else if time.Now().After(deadline) {
-			t.Fatalf("subscription not registered: %+v", infos)
-		} else {
-			time.Sleep(time.Millisecond)
-		}
+	infos := svc.Registry().Snapshot()
+	if len(infos) != 1 {
+		t.Fatalf("subscription not registered: %+v", infos)
 	}
-	if !svc.Registry().Kill(id) {
+	if id := infos[0].ID; !svc.Registry().Kill(id) {
 		t.Fatalf("kill %s failed", id)
 	}
 
 	// The client's blocked read ends (error or EOF — the stream was cut or
 	// the trailer carried the cancellation).
-	done := make(chan struct{})
+	ended := make(chan struct{})
 	go func() {
 		for rows.Next() {
 		}
-		close(done)
+		close(ended)
 	}()
 	select {
-	case <-done:
+	case <-ended:
 	case <-time.After(5 * time.Second):
 		t.Fatal("client stream did not end after kill")
 	}
-	waitDrained(t, svc)
+	<-done
+	requireIdle(t, svc)
 }
 
-// waitDrained asserts every serving resource returns to idle: registry
-// empty, no in-flight execution, and no live hub subscription.
-func waitDrained(t *testing.T, svc *Service) {
+// requireIdle fails t unless the service holds nothing for a statement
+// (Snapshot.Held): read once the statements' ends have returned — over
+// HTTP, their handlers — never waited for.
+func requireIdle(t *testing.T, svc *Service) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		stats := svc.Stats()
-		subs := svc.Engine().Subscriptions("emptab")
-		if stats.LiveQueries == 0 && stats.InFlight == 0 && subs == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("not drained: live=%d inflight=%d subs=%d", stats.LiveQueries, stats.InFlight, subs)
-		}
-		time.Sleep(2 * time.Millisecond)
+	if held := svc.Stats().Held(); held != "" {
+		t.Fatalf("held after the statement ended: %s", held)
 	}
 }
 

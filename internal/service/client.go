@@ -40,6 +40,8 @@ func (e *RemoteError) Unwrap() error {
 		return sql.ErrParse
 	case "bind":
 		return sql.ErrBind
+	case "request":
+		return ErrBadRequest
 	case "unknown_table":
 		return catalog.ErrUnknownTable
 	case "overloaded":

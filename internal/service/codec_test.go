@@ -227,7 +227,7 @@ func TestNodePlanesSpeakFramesOnly(t *testing.T) {
 			t.Fatalf("Content-Type %q: %+v, want 415 kind request", ct, re)
 		}
 		resp.Body.Close()
-		if got := svc.ShuffleBuffered(); got != 0 {
+		if got := svc.shuffleBuffered(); got != 0 {
 			t.Fatalf("Content-Type %q: node buffers %d shuffle rounds after the refusal", ct, got)
 		}
 	}
@@ -235,7 +235,7 @@ func TestNodePlanesSpeakFramesOnly(t *testing.T) {
 	if err := SendShuffleHTTP(context.Background(), srv.Client(), srv.URL, testBatch("q", 1, 0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if got := svc.ShuffleBuffered(); got != 1 {
+	if got := svc.shuffleBuffered(); got != 1 {
 		t.Fatalf("node buffers %d shuffle rounds after a frame delivery, want 1", got)
 	}
 }

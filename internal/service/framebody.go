@@ -24,7 +24,8 @@ const frameChunk = 512
 
 // postFrames POSTs rows to url as a streamed frame body under hdr and
 // returns the 2xx response, which the caller closes; any other status is a
-// *RemoteError. Neither side materializes the body.
+// *RemoteError. Neither side materializes the body, and the goroutine that
+// writes it has ended by the time postFrames returns.
 func postFrames(ctx context.Context, hc *http.Client, url string, hdr any, rows []storage.Tuple, arity int) (*http.Response, error) {
 	if hc == nil {
 		hc = http.DefaultClient
@@ -35,7 +36,15 @@ func postFrames(ctx context.Context, hc *http.Client, url string, hdr any, rows 
 		return nil, err
 	}
 	req.Header.Set("Content-Type", ContentTypeBinary)
+	written := make(chan struct{})
+	defer func() {
+		// A request that ended before its body did leaves the writer blocked
+		// on the pipe: closing the read end ends it.
+		pr.Close()
+		<-written
+	}()
 	go func() {
+		defer close(written)
 		fw := stream.NewFrameWriter(pw)
 		payload, err := json.Marshal(hdr)
 		if err == nil {

@@ -119,7 +119,7 @@ func StatusFor(err error) (int, string) {
 		return http.StatusBadRequest, "parse"
 	case errors.Is(err, sql.ErrBind):
 		return http.StatusBadRequest, "bind"
-	case errors.Is(err, errBadRequest):
+	case errors.Is(err, ErrBadRequest):
 		return http.StatusBadRequest, "request"
 	case errors.Is(err, catalog.ErrUnknownTable):
 		return http.StatusNotFound, "unknown_table"

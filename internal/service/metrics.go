@@ -1,7 +1,9 @@
 package service
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -172,6 +174,10 @@ type Snapshot struct {
 	// LiveQueries is the in-flight query registry's size (GET
 	// /debug/queries lists the entries).
 	LiveQueries int `json:"live_queries"`
+	// Subscriptions counts the engine's live SUBSCRIBE deliveries, and
+	// ShuffleBuffered the shuffle rounds buffered in the node's inbox.
+	Subscriptions   int `json:"subscriptions"`
+	ShuffleBuffered int `json:"shuffle_buffered"`
 
 	P50Millis float64 `json:"p50_ms"`
 	P95Millis float64 `json:"p95_ms"`
@@ -186,6 +192,30 @@ type Snapshot struct {
 	BlocksWritten int64 `json:"blocks_written"`
 	Comparisons   int64 `json:"comparisons"`
 	RowsOut       int64 `json:"rows_out"`
+}
+
+// Held names what statements in flight hold on the service — admission
+// slots, queued waiters, registry entries, subscriptions, buffered shuffle
+// rounds — and is "" when it holds nothing. A statement hands all of it
+// back before its end returns, so "" is what every test reads once the
+// statements it ran have ended, without waiting.
+func (s Snapshot) Held() string {
+	var held []string
+	for _, h := range []struct {
+		n    int64
+		what string
+	}{
+		{s.InFlight, "admission slots"},
+		{s.QueueDepth, "queued"},
+		{int64(s.LiveQueries), "registry entries"},
+		{int64(s.Subscriptions), "subscriptions"},
+		{int64(s.ShuffleBuffered), "buffered shuffle rounds"},
+	} {
+		if h.n != 0 {
+			held = append(held, fmt.Sprintf("%d %s", h.n, h.what))
+		}
+	}
+	return strings.Join(held, ", ")
 }
 
 func (m *Metrics) snapshot() Snapshot {

@@ -556,6 +556,8 @@ func (s *Service) Stats() Snapshot {
 	snap.Slots = s.gov.Slots()
 	snap.QueueDepth = s.gov.queueDepth()
 	snap.LiveQueries = s.reg.Len()
+	snap.Subscriptions = s.eng.Subscriptions()
+	snap.ShuffleBuffered = s.shuffleBuffered()
 	gen := s.eng.Generation()
 	snap.Cache = s.cache.Stats(gen)
 	if s.subplans != nil {

@@ -77,8 +77,11 @@ type ShardQueryRequest struct {
 	Stage
 }
 
-// errBadRequest marks a malformed node request; StatusFor answers it 400.
-var errBadRequest = errors.New("service: bad request")
+// ErrBadRequest marks a node request the node refuses: malformed, naming a
+// stage the shipped plan does not have, carrying a plan that does not bind,
+// or delivering into an inbox out of turn. StatusFor answers it 400, and a
+// RemoteError of kind "request" unwraps to it.
+var ErrBadRequest = errors.New("service: bad request")
 
 // ShardStream serves one of a cluster coordinator's node streams, by mode:
 // "full" the entire statement — a replicated table's query, or a
@@ -92,7 +95,7 @@ func (s *Service) ShardStream(ctx context.Context, req ShardQueryRequest) (*wind
 	case "segment":
 		return s.streamSegment(ctx, req.Stage)
 	}
-	return nil, fmt.Errorf("%w: unknown shard query mode %q", errBadRequest, req.Mode)
+	return nil, fmt.Errorf("%w: unknown shard query mode %q", ErrBadRequest, req.Mode)
 }
 
 // ShardRegisterRequest installs a table on a shard node.

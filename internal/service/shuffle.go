@@ -185,14 +185,14 @@ func (s *Service) appendShuffle(id string, round, arity int, rows []storage.Tupl
 	defer s.inbox.mu.Unlock()
 	s.inbox.sweep(s.cfg.ShuffleTTL)
 	if s.inbox.dropped[id] {
-		return fmt.Errorf("service: shuffle %s was dropped", id)
+		return fmt.Errorf("%w: shuffle %s was dropped", ErrBadRequest, id)
 	}
 	b := s.inbox.buf(id, round)
 	if b.arity == 0 {
 		b.arity = arity
 	}
 	if arity != b.arity {
-		return fmt.Errorf("service: shuffle %s round %d: row arity %d != %d", id, round, arity, b.arity)
+		return fmt.Errorf("%w: shuffle %s round %d: row arity %d != %d", ErrBadRequest, id, round, arity, b.arity)
 	}
 	b.rows = append(b.rows, rows...)
 	return nil
@@ -204,14 +204,14 @@ func (s *Service) finishShuffle(id string, round, sender, arity int) error {
 	s.inbox.mu.Lock()
 	defer s.inbox.mu.Unlock()
 	if s.inbox.dropped[id] {
-		return fmt.Errorf("service: shuffle %s was dropped", id)
+		return fmt.Errorf("%w: shuffle %s was dropped", ErrBadRequest, id)
 	}
 	b := s.inbox.buf(id, round)
 	if b.arity == 0 {
 		b.arity = arity
 	}
 	if b.senders[sender] {
-		return fmt.Errorf("service: shuffle %s round %d: sender %d delivered twice", id, round, sender)
+		return fmt.Errorf("%w: shuffle %s round %d: sender %d delivered twice", ErrBadRequest, id, round, sender)
 	}
 	b.senders[sender] = true
 	return nil
@@ -240,14 +240,14 @@ func (s *Service) takeShuffle(id string, round, senders int, schema *storage.Sch
 	key := shuffleKey(id, round)
 	b := s.inbox.bufs[key]
 	if b == nil {
-		return nil, fmt.Errorf("service: shuffle %s round %d: no buffered input", id, round)
+		return nil, fmt.Errorf("%w: shuffle %s round %d: no buffered input", ErrBadRequest, id, round)
 	}
 	delete(s.inbox.bufs, key)
 	if len(b.senders) != senders {
-		return nil, fmt.Errorf("service: shuffle %s round %d: %d of %d senders delivered", id, round, len(b.senders), senders)
+		return nil, fmt.Errorf("%w: shuffle %s round %d: %d of %d senders delivered", ErrBadRequest, id, round, len(b.senders), senders)
 	}
 	if b.arity != 0 && b.arity != schema.Len() {
-		return nil, fmt.Errorf("service: shuffle %s round %d: row arity %d != schema arity %d", id, round, b.arity, schema.Len())
+		return nil, fmt.Errorf("%w: shuffle %s round %d: row arity %d != schema arity %d", ErrBadRequest, id, round, b.arity, schema.Len())
 	}
 	t := storage.NewTable(schema)
 	t.Rows = b.rows
@@ -271,9 +271,9 @@ func (s *Service) ShuffleDrop(id string) {
 	}
 }
 
-// ShuffleBuffered returns the number of buffered shuffle rounds; tests
-// assert it returns to zero after failures and cancellations.
-func (s *Service) ShuffleBuffered() int {
+// shuffleBuffered returns the number of buffered shuffle rounds
+// (Snapshot.ShuffleBuffered).
+func (s *Service) shuffleBuffered() int {
 	s.inbox.mu.Lock()
 	defer s.inbox.mu.Unlock()
 	return len(s.inbox.bufs)
@@ -306,7 +306,7 @@ func (s *Service) RunShuffleStep(ctx context.Context, req ShuffleRunRequest, sen
 	if err != nil {
 		return fail(err)
 	}
-	bound, err := prep.Bind(req.Plan)
+	bound, err := bindStage(prep, req.Stage)
 	if err != nil {
 		return fail(err)
 	}
@@ -417,6 +417,16 @@ func phaseMillis(start *time.Time) float64 {
 	return float64(d) / float64(time.Millisecond)
 }
 
+// bindStage binds the stage's shipped plan onto the node's statement; a
+// plan that does not bind is a refused request.
+func bindStage(prep *sql.Prepared, st Stage) (*sql.Prepared, error) {
+	bound, err := prep.Bind(st.Plan)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
+	}
+	return bound, nil
+}
+
 // stageInput is a stage's input, checked against the bound statement's cut:
 // the one switch over where a stage's rows come from. The last stage runs
 // the last segment (-1 for a window-less statement), a stage before it an
@@ -428,12 +438,12 @@ func phaseMillis(start *time.Time) float64 {
 func (s *Service) stageInput(ctx context.Context, runner *sql.SegmentRunner, st Stage, last bool) (sql.Input, error) {
 	final := runner.Segments() - 1
 	if last && st.Segment != final || !last && (st.Segment < -1 || st.Segment >= final) {
-		return sql.Input{}, fmt.Errorf("%w: stage for segment %d of %d", errBadRequest, st.Segment, runner.Segments())
+		return sql.Input{}, fmt.Errorf("%w: stage for segment %d of %d", ErrBadRequest, st.Segment, runner.Segments())
 	}
 	switch st.Source {
 	case "local":
 		if st.Segment > 0 {
-			return sql.Input{}, fmt.Errorf("%w: segment %d cannot read the local partition", errBadRequest, st.Segment)
+			return sql.Input{}, fmt.Errorf("%w: segment %d cannot read the local partition", ErrBadRequest, st.Segment)
 		}
 		if last {
 			return sql.Input{}, nil
@@ -442,12 +452,12 @@ func (s *Service) stageInput(ctx context.Context, runner *sql.SegmentRunner, st 
 		return sql.Input{Rows: t}, err
 	case "inbox":
 		if st.Segment < 0 {
-			return sql.Input{}, fmt.Errorf("%w: the raw stage cannot read the inbox", errBadRequest)
+			return sql.Input{}, fmt.Errorf("%w: the raw stage cannot read the inbox", ErrBadRequest)
 		}
 		t, err := s.takeShuffle(st.ShuffleID, st.Round, st.Senders, runner.InputSchema(st.Segment))
 		return sql.Input{Rows: t}, err
 	}
-	return sql.Input{}, fmt.Errorf("%w: unknown stage source %q", errBadRequest, st.Source)
+	return sql.Input{}, fmt.Errorf("%w: unknown stage source %q", ErrBadRequest, st.Source)
 }
 
 // streamSegment serves the last stage of a statement over a sharded table
@@ -457,7 +467,7 @@ func (s *Service) stageInput(ctx context.Context, runner *sql.SegmentRunner, st 
 // the concatenation of every node's stream.
 func (s *Service) streamSegment(ctx context.Context, st Stage) (*windowdb.Rows, error) {
 	return s.streamCursor(ctx, st.SQL, st.SQL, "draining", func(ctx context.Context, prep *sql.Prepared) (execCursor, error) {
-		bound, err := prep.Bind(st.Plan)
+		bound, err := bindStage(prep, st)
 		if err != nil {
 			return nil, err
 		}

@@ -55,7 +55,7 @@ func TestShuffleInboxRoundTrip(t *testing.T) {
 	if tab.Len() != 4 {
 		t.Fatalf("took %d rows, want 4", tab.Len())
 	}
-	if got := s.ShuffleBuffered(); got != 0 {
+	if got := s.shuffleBuffered(); got != 0 {
 		t.Fatalf("%d buffers left after take", got)
 	}
 	// Duplicate sender delivery is rejected.
@@ -78,14 +78,14 @@ func TestShuffleDropTombstone(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.ShuffleDrop("doomed")
-	if got := s.ShuffleBuffered(); got != 0 {
+	if got := s.shuffleBuffered(); got != 0 {
 		t.Fatalf("%d buffers left after drop", got)
 	}
 	err := s.ShuffleAccept(ctx, testBatch("doomed", 2, 1, 5))
 	if err == nil || !strings.Contains(err.Error(), "dropped") {
 		t.Fatalf("straggler after drop: err = %v, want dropped rejection", err)
 	}
-	if got := s.ShuffleBuffered(); got != 0 {
+	if got := s.shuffleBuffered(); got != 0 {
 		t.Fatalf("straggler re-created %d buffers past the tombstone", got)
 	}
 	// A fresh shuffle id is unaffected.
@@ -115,12 +115,12 @@ func TestShuffleBufferTTL(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Stats() // the periodic sweep trigger
-	if got := s.ShuffleBuffered(); got != 1 {
+	if got := s.shuffleBuffered(); got != 1 {
 		t.Fatalf("buffered = %d after a sweep inside the TTL, want 1", got)
 	}
 	age(s, 2*time.Minute)
 	s.Stats()
-	if got := s.ShuffleBuffered(); got != 0 {
+	if got := s.shuffleBuffered(); got != 0 {
 		t.Fatalf("buffered = %d after TTL sweep, want 0", got)
 	}
 	// Negative TTL disables expiry.
@@ -130,7 +130,7 @@ func TestShuffleBufferTTL(t *testing.T) {
 	}
 	age(s2, 24*time.Hour)
 	s2.Stats()
-	if got := s2.ShuffleBuffered(); got != 1 {
+	if got := s2.shuffleBuffered(); got != 1 {
 		t.Fatalf("buffered = %d with expiry disabled, want 1", got)
 	}
 }

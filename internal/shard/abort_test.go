@@ -65,7 +65,8 @@ func handlerDone(h http.Handler) (http.Handler, <-chan struct{}) {
 // merge of node streams and the coordinator-side cursor over a finalized
 // concatenation (here a keyless chain's, gathered at one node by shuffle and
 // sorted at the coordinator). aborted ticks, failures does not, and node slots,
-// inboxes and the registry are back where they were.
+// inboxes and the registries are back where they were once the front end's
+// handler, or the cursor's own end, has returned.
 func TestCoordinatorDisconnectIsAnAbort(t *testing.T) {
 	for _, route := range []struct{ name, sql, route string }{
 		{"scatter", q6SQL, "scatter"},
@@ -118,15 +119,13 @@ func TestCoordinatorDisconnectIsAnAbort(t *testing.T) {
 			t.Run(route.name+"/"+how, func(t *testing.T) {
 				c, svcs := streamCluster(t, 2, 20_000, Config{})
 				walkAway(t, c)
-				if n := c.reg.Len(); n != 0 {
-					t.Fatalf("%d statements still registered at the coordinator", n)
-				}
+				requireIdle(t, c)
 				if aborted, failures := c.aborted.Load(), c.failures.Load(); aborted != 1 || failures != 0 {
 					t.Fatalf("aborted = %d, failures = %d, want 1 and 0", aborted, failures)
 				}
 				for i, svc := range svcs {
-					if st := svc.Stats(); st.InFlight != 0 || st.LiveQueries != 0 || st.Failures != 0 || svc.ShuffleBuffered() != 0 {
-						t.Fatalf("node %d: %d slots held, %d live queries, %d failures, %d buffered rounds, want none", i, st.InFlight, st.LiveQueries, st.Failures, svc.ShuffleBuffered())
+					if st := svc.Stats(); st.Failures != 0 {
+						t.Fatalf("node %d counted %d failures, want none", i, st.Failures)
 					}
 				}
 				res, err := c.Query(context.Background(), route.sql)

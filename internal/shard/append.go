@@ -281,13 +281,15 @@ func (ls *liveSource) next() (storage.Tuple, error) {
 	}
 }
 
-// End stops the pumps and counts the subscription. A live stream has no
-// final row: its caller closing it, or leaving, is its natural end and
-// counts as served, not aborted — the one place the cluster asks the
-// ending rule for that.
+// End stops the pumps, waits until each has closed its node stream — so
+// every node's slot and subscription are back before End returns — and
+// counts the subscription. A live stream has no final row: its caller
+// closing it, or leaving, is its natural end and counts as served, not
+// aborted — the one place the cluster asks the ending rule for that.
 func (ls *liveSource) End(end windowdb.Ending) *windowdb.QueryMetrics {
 	close(ls.done)
 	ls.streamCancel()
+	ls.wg.Wait()
 	meta := mergedMeta(ls.prep, ls.cacheHit, ls.route, len(ls.streams))
 	meta.Watermark = ls.watermark
 	return ls.c.ended(ls.qt, meta, end, nil, true)

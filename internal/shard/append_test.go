@@ -3,10 +3,10 @@ package shard
 import (
 	"context"
 	"errors"
+	"io"
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"repro"
 	"repro/internal/catalog"
@@ -14,6 +14,7 @@ import (
 	"repro/internal/service"
 	"repro/internal/sql"
 	"repro/internal/storage"
+	"repro/internal/stream"
 )
 
 // subSQL is a shard-local maintainable chain (one rank partitioned on the
@@ -171,7 +172,7 @@ func TestClusterInsertReplicated(t *testing.T) {
 func TestClusterSubscribe(t *testing.T) {
 	const base = 300
 	ctx := context.Background()
-	c, svcs := newLocalClusterNodes(t, 2, base)
+	c, _ := newLocalClusterNodes(t, 2, base)
 
 	rows, err := c.QueryContext(ctx, "SUBSCRIBE "+subSQL)
 	if err != nil {
@@ -199,17 +200,11 @@ func TestClusterSubscribe(t *testing.T) {
 	}
 
 	// The subscription is registered and killable at the coordinator.
-	var id string
-	deadline := time.Now().Add(2 * time.Second)
-	for id == "" {
-		if infos := c.Registry().Snapshot(); len(infos) == 1 && strings.HasPrefix(infos[0].SQL, "SUBSCRIBE") {
-			id = infos[0].ID
-		} else if time.Now().After(deadline) {
-			t.Fatalf("subscription not registered: %+v", infos)
-		} else {
-			time.Sleep(time.Millisecond)
-		}
+	infos := c.Registry().Snapshot()
+	if len(infos) != 1 || !strings.HasPrefix(infos[0].SQL, "SUBSCRIBE") {
+		t.Fatalf("subscription not registered: %+v", infos)
 	}
+	id := infos[0].ID
 
 	// A routed append wakes the cursor; the delta carries the
 	// coordinator-assigned watermark and a fresh cluster-unique rid.
@@ -242,22 +237,14 @@ func TestClusterSubscribe(t *testing.T) {
 	}
 
 	// Kill through the registry (what DELETE /debug/queries/{id} fires):
-	// the cursor ends and every node drains its slot and subscription.
+	// the cursor ends, and by then every node has handed back its slot and
+	// subscription.
 	if !c.Registry().Kill(id) {
 		t.Fatalf("kill %s failed", id)
 	}
-	done := make(chan struct{})
-	go func() {
-		for rows.Next() {
-		}
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("cluster stream did not end after kill")
+	for rows.Next() {
 	}
-	waitClusterDrained(t, c, svcs)
+	requireIdle(t, c)
 }
 
 // TestClusterSubscribeRejects covers the statements a cluster cannot
@@ -288,7 +275,7 @@ func TestClusterSubscribeRejects(t *testing.T) {
 // append.
 func TestClusterSubscribeReplica(t *testing.T) {
 	ctx := context.Background()
-	c, svcs := newLocalClusterNodes(t, 2, 50)
+	c, _ := newLocalClusterNodes(t, 2, 50)
 
 	rows, err := c.QueryContext(ctx, `SUBSCRIBE SELECT empnum, rank() OVER (PARTITION BY dept ORDER BY salary DESC NULLS LAST) AS r FROM emptab`)
 	if err != nil {
@@ -315,29 +302,84 @@ func TestClusterSubscribeReplica(t *testing.T) {
 		t.Fatalf("delta watermark = %d, append watermark = %d", wm, resp.Watermark)
 	}
 	rows.Close()
-	waitClusterDrained(t, c, svcs)
+	requireIdle(t, c)
 }
 
-// waitClusterDrained asserts the coordinator registry and every node's
-// serving resources return to idle.
-func waitClusterDrained(t *testing.T, c *Cluster, svcs []*service.Service) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		idle := len(c.Registry().Snapshot()) == 0
-		for _, svc := range svcs {
-			stats := svc.Stats()
-			subs := svc.Engine().Subscriptions("web_sales") + svc.Engine().Subscriptions("emptab")
-			if stats.LiveQueries != 0 || stats.InFlight != 0 || subs != 0 {
-				idle = false
-			}
-		}
-		if idle {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("cluster did not drain after close/kill")
-		}
-		time.Sleep(2 * time.Millisecond)
+// heldEnd is a node stream whose End parks until release is closed, having
+// closed entered: a node still letting go when the coordinator is asked to.
+type heldEnd struct {
+	inner            *windowdb.Rows
+	entered, release chan struct{}
+}
+
+func (h *heldEnd) Columns() []storage.Column { return h.inner.ColumnTypes() }
+
+func (h *heldEnd) NextBatch() (*stream.Batch, error) {
+	if b, ok := h.inner.NextBatch(); ok {
+		return b, nil
 	}
+	if err := h.inner.Err(); err != nil {
+		return nil, err
+	}
+	return nil, io.EOF
+}
+
+func (h *heldEnd) End(windowdb.Ending) *windowdb.QueryMetrics {
+	close(h.entered)
+	<-h.release
+	_ = h.inner.Close()
+	return h.inner.Metrics()
+}
+
+// heldEndTransport hands out node 0's stream behind a heldEnd.
+type heldEndTransport struct {
+	Transport
+	end *heldEnd
+}
+
+func (t *heldEndTransport) QueryStream(ctx context.Context, req service.ShardQueryRequest) (*windowdb.Rows, error) {
+	rows, err := t.Transport.QueryStream(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	t.end.inner = rows
+	return windowdb.NewRows(t.end), nil
+}
+
+// TestClusterSubscribeEndWaitsForNodes: closing a cluster subscription
+// returns only once every node stream has ended — a node stream still
+// ending holds the coordinator's Close — so the nodes hold nothing once it
+// has returned.
+func TestClusterSubscribeEndWaitsForNodes(t *testing.T) {
+	end := &heldEnd{entered: make(chan struct{}), release: make(chan struct{})}
+	shards := []Transport{
+		&heldEndTransport{Transport: NewLocal(service.New(windowdb.New(testEngineConfig()), service.Config{})), end: end},
+		NewLocal(service.New(windowdb.New(testEngineConfig()), service.Config{})),
+	}
+	c, err := New(Config{Engine: testEngineConfig()}, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := c.RegisterSharded(ctx, "web_sales", datagen.WebSales(datagen.WebSalesConfig{Rows: 100, Seed: 7}), "ws_item_sk"); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := c.QueryContext(ctx, "SUBSCRIBE "+subSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan struct{})
+	go func() {
+		_ = rows.Close()
+		close(closed)
+	}()
+	<-end.entered
+	select {
+	case <-closed:
+		t.Fatal("the subscription's Close returned while a node stream was still ending")
+	default:
+	}
+	close(end.release)
+	<-closed
+	requireIdle(t, c)
 }

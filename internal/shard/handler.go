@@ -55,6 +55,22 @@ type ClusterStats struct {
 	ShardStats []service.Snapshot `json:"shard_stats"`
 }
 
+// Held names what statements in flight hold across the cluster — the
+// coordinator's registry entries and each node's Snapshot.Held — and is ""
+// when nothing is held.
+func (s *ClusterStats) Held() string {
+	var held []string
+	if s.LiveQueries != 0 {
+		held = append(held, fmt.Sprintf("coordinator: %d registry entries", s.LiveQueries))
+	}
+	for i, snap := range s.ShardStats {
+		if h := snap.Held(); h != "" {
+			held = append(held, fmt.Sprintf("node %d: %s", i, h))
+		}
+	}
+	return strings.Join(held, "; ")
+}
+
 // Stats fans out to every shard and aggregates.
 func (c *Cluster) Stats(ctx context.Context) (*ClusterStats, error) {
 	snaps := make([]service.Snapshot, len(c.shards))

@@ -7,61 +7,23 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
-	windowdb "repro"
-	"repro/internal/datagen"
 	"repro/internal/service"
 	"repro/internal/trace"
 )
 
-// gatedShuffleTransport parks the node's first ShuffleRun until its context
-// is cancelled, freezing the query mid-round: the window in which a DELETE
-// /debug/queries/{id} must land. Later calls (and other methods) pass
-// through, so the cluster still serves after the kill.
-type gatedShuffleTransport struct {
-	Transport
-	entered chan struct{}
-	once    sync.Once
-	gated   sync.Once
-}
-
-func (g *gatedShuffleTransport) ShuffleRun(ctx context.Context, req service.ShuffleRunRequest) (*service.ShuffleRunResult, error) {
-	var first bool
-	g.gated.Do(func() { first = true })
-	if !first {
-		return g.Transport.ShuffleRun(ctx, req)
-	}
-	g.once.Do(func() { close(g.entered) })
-	<-ctx.Done()
-	return nil, ctx.Err()
-}
-
 // TestKillMidShuffle: DELETE /debug/queries/{id} on the coordinator while a
-// shuffle round is in flight cancels the peer stages, drops every node's
-// inbox buffers, returns every admission slot, empties every
-// registry, classifies the query as aborted — and the cluster still serves.
+// shuffle round is in flight — node 0's first stage stalled until the kill
+// lands — cancels the peer stages, and by the time the statement's error
+// returns every node's inbox buffers are dropped, every admission slot is
+// back and every registry is empty; the query is classified as aborted, and
+// the cluster still serves.
 func TestKillMidShuffle(t *testing.T) {
-	const n = 3
-	svcs := make([]*service.Service, n)
-	shards := make([]Transport, n)
-	for i := range shards {
-		svcs[i] = service.New(windowdb.New(testEngineConfig()), service.Config{Slots: 1, MaxQueue: -1})
-		shards[i] = NewLocal(svcs[i])
-	}
-	gate := &gatedShuffleTransport{Transport: shards[0], entered: make(chan struct{})}
-	shards[0] = gate
-	c, err := New(Config{Engine: testEngineConfig()}, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	ws := datagen.WebSales(datagen.WebSalesConfig{Rows: 4000, Seed: 7})
-	if err := c.RegisterSharded(ctx, "web_sales", ws, "ws_item_sk"); err != nil {
-		t.Fatal(err)
-	}
+	c, sched := faultCluster(t, 3, 4000, service.Config{Slots: 1, MaxQueue: -1})
+	stalled := make(chan struct{})
+	sched.Store(&schedule{fault: stall, stalled: stalled})
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 
@@ -80,7 +42,7 @@ func TestKillMidShuffle(t *testing.T) {
 	}()
 
 	select {
-	case <-gate.entered:
+	case <-stalled:
 	case <-time.After(10 * time.Second):
 		t.Fatal("shuffle round never started")
 	}
@@ -132,25 +94,8 @@ func TestKillMidShuffle(t *testing.T) {
 		t.Fatal("killed query never returned")
 	}
 
-	// Everything returns to zero: admission slots, inbox buffers,
-	// registries. Buffer cleanup runs detached, so poll.
-	waitNodeSlotsFree(t, svcs)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		buffered, regs := 0, 0
-		for _, svc := range svcs {
-			buffered += svc.ShuffleBuffered()
-			regs += svc.Registry().Len()
-		}
-		if buffered == 0 && regs == 0 && c.Registry().Len() == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("after kill: %d shuffle rounds buffered, %d node registry entries, %d coordinator entries",
-				buffered, regs, c.Registry().Len())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	sched.Store(nil)
+	requireIdle(t, c)
 	if got := c.aborted.Load(); got != 1 {
 		t.Fatalf("cluster aborted = %d, want 1", got)
 	}
@@ -158,8 +103,7 @@ func TestKillMidShuffle(t *testing.T) {
 		t.Fatalf("cluster failures = %d, want 0 (a kill is an abort, not a fault)", got)
 	}
 
-	// A scatter-routed statement avoids the still-gated shuffle plane.
-	if _, err := c.Query(context.Background(), q6SQL); err != nil {
+	if _, err := c.Query(context.Background(), divergeSQL); err != nil {
 		t.Fatalf("query after kill: %v", err)
 	}
 }
@@ -169,7 +113,7 @@ func TestKillMidShuffle(t *testing.T) {
 // between polls, shuffle rows and the imbalance gauge are recorded, and
 // the entry leaves the registry when the cursor finishes.
 func TestLiveCountersAdvance(t *testing.T) {
-	c, svcs := streamCluster(t, 2, 20_000, Config{})
+	c, _ := streamCluster(t, 2, 20_000, Config{})
 	id := trace.NewID()
 	ctx := trace.NewContext(context.Background(), id)
 	rows, err := c.QueryContext(ctx, divergeSQL)
@@ -232,10 +176,7 @@ func TestLiveCountersAdvance(t *testing.T) {
 	if err := rows.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Registry().Len(); got != 0 {
-		t.Fatalf("coordinator registry holds %d entries after drain, want 0", got)
-	}
-	waitNodeSlotsFree(t, svcs)
+	requireIdle(t, c)
 	if ratio := c.ShuffleImbalance(); ratio < 1 {
 		t.Fatalf("shuffle imbalance ratio = %v, want >= 1 after a shuffle round", ratio)
 	}

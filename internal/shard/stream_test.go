@@ -5,11 +5,9 @@ import (
 	"errors"
 	"hash/fnv"
 	"io"
-	"runtime"
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	windowdb "repro"
 	"repro/internal/datagen"
@@ -323,48 +321,13 @@ func streamCluster(t *testing.T, n, rows int, cfg Config) (*Cluster, []*service.
 	return c, svcs
 }
 
-// waitNodeSlotsFree yields until every node's in-flight gauge is back at
-// zero: a slot is released by the goroutine that ran the node's stage, which
-// the coordinator's own return does not wait for on every path.
-func waitNodeSlotsFree(t *testing.T, svcs []*service.Service) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		busy := false
-		for _, s := range svcs {
-			if s.Stats().InFlight != 0 {
-				busy = true
-			}
-		}
-		if !busy {
-			return
-		}
-		runtime.Gosched()
-	}
-	for i, s := range svcs {
-		if got := s.Stats().InFlight; got != 0 {
-			t.Fatalf("node %d in-flight gauge stuck at %d", i, got)
-		}
-	}
-}
-
-// nodesHold sums what the nodes hold for statements in flight: admission
-// slots and buffered shuffle rounds.
-func nodesHold(svcs []*service.Service) (slots int64, buffered int) {
-	for _, s := range svcs {
-		slots += s.Stats().InFlight
-		buffered += s.ShuffleBuffered()
-	}
-	return slots, buffered
-}
-
 // TestEarlyEndReleasesNodes: a cursor its caller leaves half-drained —
-// closed early, or its context cancelled mid-drain — hands every node's
-// admission slot and shuffle inbox back, on each shape of the one route: a
-// chain of zero rounds (Q6), a keyless chain shuffled to one node and a
-// key-divergent one. A cancel ends with context.Canceled, the statement is
-// counted aborted exactly once, and the one-slot, no-queue nodes admit the
-// next statement at once.
+// closed early, or its context cancelled mid-drain — has handed every
+// node's admission slot and shuffle inbox back by the time its end returns,
+// on each shape of the one route: a chain of zero rounds (Q6), a keyless
+// chain shuffled to one node and a key-divergent one. A cancel ends with
+// context.Canceled, the statement is counted aborted exactly once, and the
+// one-slot, no-queue nodes admit the next statement at once.
 func TestEarlyEndReleasesNodes(t *testing.T) {
 	ends := []struct {
 		name string
@@ -394,7 +357,11 @@ func TestEarlyEndReleasesNodes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if slots, _ := nodesHold(svcs); slots == 0 {
+				var slots int64
+				for _, svc := range svcs {
+					slots += svc.Stats().InFlight
+				}
+				if slots == 0 {
 					t.Fatal("no node holds an admission slot under an open cursor")
 				}
 				for i := 0; i < 10; i++ {
@@ -403,10 +370,7 @@ func TestEarlyEndReleasesNodes(t *testing.T) {
 					}
 				}
 				e.end(t, rows, cancel)
-				waitNodeSlotsFree(t, svcs)
-				if _, buffered := nodesHold(svcs); buffered != 0 {
-					t.Fatalf("%d shuffle rounds still buffered", buffered)
-				}
+				requireIdle(t, c)
 				if aborted, failures := c.aborted.Load(), c.failures.Load(); aborted != 1 || failures != 0 {
 					t.Fatalf("aborted = %d, failures = %d, want 1 and 0", aborted, failures)
 				}
@@ -421,7 +385,7 @@ func TestEarlyEndReleasesNodes(t *testing.T) {
 // TestScatterStreamLimitStopsEarly: LIMIT on a streamable scatter
 // terminates the merge early and still releases every stream.
 func TestScatterStreamLimitStopsEarly(t *testing.T) {
-	c, svcs := streamCluster(t, 2, 4000, Config{})
+	c, _ := streamCluster(t, 2, 4000, Config{})
 	rows, err := c.QueryContext(context.Background(), q6SQL+` LIMIT 5`)
 	if err != nil {
 		t.Fatal(err)
@@ -436,7 +400,7 @@ func TestScatterStreamLimitStopsEarly(t *testing.T) {
 	if n != 5 {
 		t.Fatalf("got %d rows, want 5", n)
 	}
-	waitNodeSlotsFree(t, svcs)
+	requireIdle(t, c)
 }
 
 // TestShuffleStreamBoundedResidency is the acceptance test for the
@@ -454,12 +418,10 @@ func TestShuffleStreamBoundedResidency(t *testing.T) {
 	)
 	engCfg := windowdb.Config{SortMemBytes: 32 << 20, Parallelism: 1}
 	gauge := &residencyGauge{}
-	svcs := make([]*service.Service, nShard)
 	shards := make([]Transport, nShard)
 	for i := range shards {
-		svcs[i] = service.New(windowdb.New(engCfg), service.Config{})
 		shards[i] = &countingTransport{
-			Transport: NewLocal(svcs[i]),
+			Transport: NewLocal(service.New(windowdb.New(engCfg), service.Config{})),
 			gauge:     gauge,
 		}
 	}
@@ -517,68 +479,29 @@ func TestShuffleStreamBoundedResidency(t *testing.T) {
 	if res := gauge.Resident(); res != 0 {
 		t.Fatalf("resident rows %d after drain, want 0", res)
 	}
-	for i, svc := range svcs {
-		if got := svc.ShuffleBuffered(); got != 0 {
-			t.Fatalf("node %d still buffers %d shuffle rounds", i, got)
-		}
-	}
+	requireIdle(t, c)
 }
 
-// failingShuffleTransport injects a delivery failure: every re-shuffled
-// batch aimed at this node is refused, dooming any shuffle round that
-// includes it.
-type failingShuffleTransport struct {
-	Transport
-}
-
-func (f *failingShuffleTransport) AcceptShuffle(ctx context.Context, b *service.ShuffleBatch) error {
-	return errors.New("injected shuffle delivery failure")
-}
-
-// TestShuffleFailureReleasesSlots: a shuffle that fails on one node
-// cancels the peer stages, drops every node's buffered shuffle state and
-// releases every node's admission slot — for a key-divergent chain and for
-// a keyless one alike — and the cluster still serves afterwards.
+// TestShuffleFailureReleasesSlots: a shuffle whose delivery into one node
+// is refused cancels the peer stages, and by the time the statement's
+// error returns every node's buffered shuffle state is dropped and every
+// admission slot released — for a key-divergent chain and for a keyless
+// one alike — and the cluster still serves afterwards.
 func TestShuffleFailureReleasesSlots(t *testing.T) {
-	const n = 3
-	svcs := make([]*service.Service, n)
-	shards := make([]Transport, n)
-	for i := range shards {
-		svcs[i] = service.New(windowdb.New(testEngineConfig()), service.Config{Slots: 1})
-		shards[i] = NewLocal(svcs[i])
-	}
-	shards[1] = &failingShuffleTransport{Transport: shards[1]}
-	c, err := New(Config{Engine: testEngineConfig()}, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, sched := faultCluster(t, 3, 2000, service.Config{Slots: 1})
 	ctx := context.Background()
-	ws := datagen.WebSales(datagen.WebSalesConfig{Rows: 2000, Seed: 7})
-	if err := c.RegisterSharded(ctx, "web_sales", ws, "ws_item_sk"); err != nil {
-		t.Fatal(err)
-	}
-
 	for _, src := range []string{divergeSQL, keylessSQL} {
 		failuresBefore := c.failures.Load()
-		if _, err := c.Query(ctx, src); err == nil {
-			t.Fatal("shuffle with a failing node must error")
+		sched.Store(&schedule{fault: refuse, node: 1})
+		if _, err := c.Query(ctx, src); !errors.Is(err, errInjected) {
+			t.Fatalf("shuffle with a refused delivery: err = %v, want the injected fault", err)
 		}
-		waitNodeSlotsFree(t, svcs)
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			_, buffered := nodesHold(svcs)
-			if buffered == 0 {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%d shuffle rounds still buffered after failure cleanup", buffered)
-			}
-			runtime.Gosched()
-		}
+		requireIdle(t, c)
 		if c.failures.Load() != failuresBefore+1 {
 			t.Fatal("failed shuffle not counted")
 		}
 	}
+	sched.Store(nil)
 	// The cluster still serves routes that avoid the broken data plane.
 	res, err := c.Query(ctx, q6SQL)
 	if err != nil {

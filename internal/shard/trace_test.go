@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro"
-	"repro/internal/datagen"
 	"repro/internal/service"
 	"repro/internal/trace"
 )
@@ -80,24 +78,9 @@ func TestShuffleTraceAssembly(t *testing.T) {
 // produces a trace — the ring entry carries the terminal error and the
 // partial round spans gathered before the round collapsed.
 func TestShuffleFailureTraceRecorded(t *testing.T) {
-	const n = 3
-	svcs := make([]*service.Service, n)
-	shards := make([]Transport, n)
-	for i := range shards {
-		svcs[i] = service.New(windowdb.New(testEngineConfig()), service.Config{Slots: 1})
-		shards[i] = NewLocal(svcs[i])
-	}
-	shards[1] = &failingShuffleTransport{Transport: shards[1]}
-	c, err := New(Config{Engine: testEngineConfig()}, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, sched := faultCluster(t, 3, 2000, service.Config{Slots: 1})
+	sched.Store(&schedule{fault: refuse, node: 1})
 	ctx := context.Background()
-	ws := datagen.WebSales(datagen.WebSalesConfig{Rows: 2000, Seed: 7})
-	if err := c.RegisterSharded(ctx, "web_sales", ws, "ws_item_sk"); err != nil {
-		t.Fatal(err)
-	}
-
 	const id = "0badc0de0badc0de"
 	if _, err := c.Query(trace.NewContext(ctx, id), divergeSQL); err == nil {
 		t.Fatal("shuffle with a failing node must error")

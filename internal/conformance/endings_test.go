@@ -296,11 +296,14 @@ func (f *endingFront) bufferedEndings(t *testing.T) {
 		return tally{a.queries + b.queries, a.aborted + b.aborted, a.failures + b.failures}
 	}
 	// waitRegistered yields until the goroutine posting id has got as far
-	// as the front end's registry: it waits for a statement to arrive,
-	// never for one to let go.
+	// as the front end's registry — it waits for a statement to arrive,
+	// never for one to let go — and fails the cell if it never does.
 	waitRegistered := func(t *testing.T, id string) {
-		for !f.registered(id) {
-			runtime.Gosched()
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !f.registered(id); runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("statement %s never reached the registry", id)
+			}
 		}
 	}
 

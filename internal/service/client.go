@@ -40,8 +40,8 @@ func (e *RemoteError) Unwrap() error {
 		return sql.ErrParse
 	case "bind":
 		return sql.ErrBind
-	case "request":
-		return ErrBadRequest
+	case "refused":
+		return ErrRefused
 	case "unknown_table":
 		return catalog.ErrUnknownTable
 	case "overloaded":

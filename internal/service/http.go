@@ -115,11 +115,14 @@ type errorResponse struct {
 // the same taxonomy.
 func StatusFor(err error) (int, string) {
 	switch {
+	case errors.Is(err, ErrRefused):
+		// First: a refusal is the cluster's fault whatever it wraps.
+		return http.StatusInternalServerError, "refused"
 	case errors.Is(err, sql.ErrParse):
 		return http.StatusBadRequest, "parse"
 	case errors.Is(err, sql.ErrBind):
 		return http.StatusBadRequest, "bind"
-	case errors.Is(err, ErrBadRequest):
+	case errors.Is(err, errBadRequest):
 		return http.StatusBadRequest, "request"
 	case errors.Is(err, catalog.ErrUnknownTable):
 		return http.StatusNotFound, "unknown_table"

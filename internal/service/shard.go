@@ -77,11 +77,17 @@ type ShardQueryRequest struct {
 	Stage
 }
 
-// ErrBadRequest marks a node request the node refuses: malformed, naming a
-// stage the shipped plan does not have, carrying a plan that does not bind,
-// or delivering into an inbox out of turn. StatusFor answers it 400, and a
-// RemoteError of kind "request" unwraps to it.
-var ErrBadRequest = errors.New("service: bad request")
+// errBadRequest marks a malformed node request; StatusFor answers it 400.
+var errBadRequest = errors.New("service: bad request")
+
+// ErrRefused marks a stage or a delivery of its coordinator's statement
+// that a node refuses: a stage the shipped plan does not have, a plan that
+// does not bind, a delivery into a dropped shuffle or out of turn, an
+// incomplete inbox. It is a coordination fault, not the end client's:
+// StatusFor answers it 500, kind "refused", on a node and on the
+// coordinator's front end alike, and a RemoteError of that kind unwraps to
+// it.
+var ErrRefused = errors.New("service: node refused the stage")
 
 // ShardStream serves one of a cluster coordinator's node streams, by mode:
 // "full" the entire statement — a replicated table's query, or a
@@ -95,7 +101,7 @@ func (s *Service) ShardStream(ctx context.Context, req ShardQueryRequest) (*wind
 	case "segment":
 		return s.streamSegment(ctx, req.Stage)
 	}
-	return nil, fmt.Errorf("%w: unknown shard query mode %q", ErrBadRequest, req.Mode)
+	return nil, fmt.Errorf("%w: unknown shard query mode %q", errBadRequest, req.Mode)
 }
 
 // ShardRegisterRequest installs a table on a shard node.

@@ -185,14 +185,14 @@ func (s *Service) appendShuffle(id string, round, arity int, rows []storage.Tupl
 	defer s.inbox.mu.Unlock()
 	s.inbox.sweep(s.cfg.ShuffleTTL)
 	if s.inbox.dropped[id] {
-		return fmt.Errorf("%w: shuffle %s was dropped", ErrBadRequest, id)
+		return fmt.Errorf("%w: shuffle %s was dropped", ErrRefused, id)
 	}
 	b := s.inbox.buf(id, round)
 	if b.arity == 0 {
 		b.arity = arity
 	}
 	if arity != b.arity {
-		return fmt.Errorf("%w: shuffle %s round %d: row arity %d != %d", ErrBadRequest, id, round, arity, b.arity)
+		return fmt.Errorf("%w: shuffle %s round %d: row arity %d != %d", ErrRefused, id, round, arity, b.arity)
 	}
 	b.rows = append(b.rows, rows...)
 	return nil
@@ -204,14 +204,14 @@ func (s *Service) finishShuffle(id string, round, sender, arity int) error {
 	s.inbox.mu.Lock()
 	defer s.inbox.mu.Unlock()
 	if s.inbox.dropped[id] {
-		return fmt.Errorf("%w: shuffle %s was dropped", ErrBadRequest, id)
+		return fmt.Errorf("%w: shuffle %s was dropped", ErrRefused, id)
 	}
 	b := s.inbox.buf(id, round)
 	if b.arity == 0 {
 		b.arity = arity
 	}
 	if b.senders[sender] {
-		return fmt.Errorf("%w: shuffle %s round %d: sender %d delivered twice", ErrBadRequest, id, round, sender)
+		return fmt.Errorf("%w: shuffle %s round %d: sender %d delivered twice", ErrRefused, id, round, sender)
 	}
 	b.senders[sender] = true
 	return nil
@@ -240,14 +240,14 @@ func (s *Service) takeShuffle(id string, round, senders int, schema *storage.Sch
 	key := shuffleKey(id, round)
 	b := s.inbox.bufs[key]
 	if b == nil {
-		return nil, fmt.Errorf("%w: shuffle %s round %d: no buffered input", ErrBadRequest, id, round)
+		return nil, fmt.Errorf("%w: shuffle %s round %d: no buffered input", ErrRefused, id, round)
 	}
 	delete(s.inbox.bufs, key)
 	if len(b.senders) != senders {
-		return nil, fmt.Errorf("%w: shuffle %s round %d: %d of %d senders delivered", ErrBadRequest, id, round, len(b.senders), senders)
+		return nil, fmt.Errorf("%w: shuffle %s round %d: %d of %d senders delivered", ErrRefused, id, round, len(b.senders), senders)
 	}
 	if b.arity != 0 && b.arity != schema.Len() {
-		return nil, fmt.Errorf("%w: shuffle %s round %d: row arity %d != schema arity %d", ErrBadRequest, id, round, b.arity, schema.Len())
+		return nil, fmt.Errorf("%w: shuffle %s round %d: row arity %d != schema arity %d", ErrRefused, id, round, b.arity, schema.Len())
 	}
 	t := storage.NewTable(schema)
 	t.Rows = b.rows
@@ -418,11 +418,11 @@ func phaseMillis(start *time.Time) float64 {
 }
 
 // bindStage binds the stage's shipped plan onto the node's statement; a
-// plan that does not bind is a refused request.
+// plan that does not bind is a refused stage.
 func bindStage(prep *sql.Prepared, st Stage) (*sql.Prepared, error) {
 	bound, err := prep.Bind(st.Plan)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
+		return nil, fmt.Errorf("%w: %w", ErrRefused, err)
 	}
 	return bound, nil
 }
@@ -438,12 +438,12 @@ func bindStage(prep *sql.Prepared, st Stage) (*sql.Prepared, error) {
 func (s *Service) stageInput(ctx context.Context, runner *sql.SegmentRunner, st Stage, last bool) (sql.Input, error) {
 	final := runner.Segments() - 1
 	if last && st.Segment != final || !last && (st.Segment < -1 || st.Segment >= final) {
-		return sql.Input{}, fmt.Errorf("%w: stage for segment %d of %d", ErrBadRequest, st.Segment, runner.Segments())
+		return sql.Input{}, fmt.Errorf("%w: stage for segment %d of %d", ErrRefused, st.Segment, runner.Segments())
 	}
 	switch st.Source {
 	case "local":
 		if st.Segment > 0 {
-			return sql.Input{}, fmt.Errorf("%w: segment %d cannot read the local partition", ErrBadRequest, st.Segment)
+			return sql.Input{}, fmt.Errorf("%w: segment %d cannot read the local partition", ErrRefused, st.Segment)
 		}
 		if last {
 			return sql.Input{}, nil
@@ -452,12 +452,12 @@ func (s *Service) stageInput(ctx context.Context, runner *sql.SegmentRunner, st 
 		return sql.Input{Rows: t}, err
 	case "inbox":
 		if st.Segment < 0 {
-			return sql.Input{}, fmt.Errorf("%w: the raw stage cannot read the inbox", ErrBadRequest)
+			return sql.Input{}, fmt.Errorf("%w: the raw stage cannot read the inbox", ErrRefused)
 		}
 		t, err := s.takeShuffle(st.ShuffleID, st.Round, st.Senders, runner.InputSchema(st.Segment))
 		return sql.Input{Rows: t}, err
 	}
-	return sql.Input{}, fmt.Errorf("%w: unknown stage source %q", ErrBadRequest, st.Source)
+	return sql.Input{}, fmt.Errorf("%w: unknown stage source %q", ErrRefused, st.Source)
 }
 
 // streamSegment serves the last stage of a statement over a sharded table

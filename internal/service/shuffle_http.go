@@ -104,7 +104,11 @@ func (s *Service) handleShuffleIngest(w http.ResponseWriter, r *http.Request) {
 		err = s.finishShuffle(hdr.ShuffleID, hdr.Round, hdr.Sender, hdr.arity())
 	}
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "request", err)
+		status, kind := http.StatusBadRequest, "request"
+		if errors.Is(err, ErrRefused) {
+			status, kind = StatusFor(err)
+		}
+		writeError(w, status, kind, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "rows": n})

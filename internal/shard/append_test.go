@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"errors"
-	"io"
 	"slices"
 	"strings"
 	"testing"
@@ -14,7 +13,6 @@ import (
 	"repro/internal/service"
 	"repro/internal/sql"
 	"repro/internal/storage"
-	"repro/internal/stream"
 )
 
 // subSQL is a shard-local maintainable chain (one rank partitioned on the
@@ -305,66 +303,15 @@ func TestClusterSubscribeReplica(t *testing.T) {
 	requireIdle(t, c)
 }
 
-// heldEnd is a node stream whose End parks until release is closed, having
-// closed entered: a node still letting go when the coordinator is asked to.
-type heldEnd struct {
-	inner            *windowdb.Rows
-	entered, release chan struct{}
-}
-
-func (h *heldEnd) Columns() []storage.Column { return h.inner.ColumnTypes() }
-
-func (h *heldEnd) NextBatch() (*stream.Batch, error) {
-	if b, ok := h.inner.NextBatch(); ok {
-		return b, nil
-	}
-	if err := h.inner.Err(); err != nil {
-		return nil, err
-	}
-	return nil, io.EOF
-}
-
-func (h *heldEnd) End(windowdb.Ending) *windowdb.QueryMetrics {
-	close(h.entered)
-	<-h.release
-	_ = h.inner.Close()
-	return h.inner.Metrics()
-}
-
-// heldEndTransport hands out node 0's stream behind a heldEnd.
-type heldEndTransport struct {
-	Transport
-	end *heldEnd
-}
-
-func (t *heldEndTransport) QueryStream(ctx context.Context, req service.ShardQueryRequest) (*windowdb.Rows, error) {
-	rows, err := t.Transport.QueryStream(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	t.end.inner = rows
-	return windowdb.NewRows(t.end), nil
-}
-
 // TestClusterSubscribeEndWaitsForNodes: closing a cluster subscription
 // returns only once every node stream has ended — a node stream still
 // ending holds the coordinator's Close — so the nodes hold nothing once it
 // has returned.
 func TestClusterSubscribeEndWaitsForNodes(t *testing.T) {
-	end := &heldEnd{entered: make(chan struct{}), release: make(chan struct{})}
-	shards := []Transport{
-		&heldEndTransport{Transport: NewLocal(service.New(windowdb.New(testEngineConfig()), service.Config{})), end: end},
-		NewLocal(service.New(windowdb.New(testEngineConfig()), service.Config{})),
-	}
-	c, err := New(Config{Engine: testEngineConfig()}, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if err := c.RegisterSharded(ctx, "web_sales", datagen.WebSales(datagen.WebSalesConfig{Rows: 100, Seed: 7}), "ws_item_sk"); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := c.QueryContext(ctx, "SUBSCRIBE "+subSQL)
+	c, sched := faultCluster(t, 2, 100, service.Config{})
+	sc := &schedule{nodes: 2, parked: make(chan struct{}), park: make(chan struct{})}
+	sched.Store(sc)
+	rows, err := c.QueryContext(context.Background(), "SUBSCRIBE "+subSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,13 +320,13 @@ func TestClusterSubscribeEndWaitsForNodes(t *testing.T) {
 		_ = rows.Close()
 		close(closed)
 	}()
-	<-end.entered
+	<-sc.parked
 	select {
 	case <-closed:
 		t.Fatal("the subscription's Close returned while a node stream was still ending")
 	default:
 	}
-	close(end.release)
+	close(sc.park)
 	<-closed
 	requireIdle(t, c)
 }

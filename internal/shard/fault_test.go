@@ -74,6 +74,9 @@ type schedule struct {
 	// begun.
 	kill, expire func()
 	stalled      chan struct{}
+	// parked, when set, is closed once the node's stream has entered its
+	// End, which then waits until park is closed: a node still letting go.
+	parked, park chan struct{}
 
 	calls atomic.Int64
 	fired atomic.Bool
@@ -148,11 +151,24 @@ type faultTransport struct {
 // web_sales of rows rows is sharded on ws_item_sk unless rows is 0.
 func faultCluster(t *testing.T, n, rows int, node service.Config) (*Cluster, *atomic.Pointer[schedule]) {
 	t.Helper()
+	nodes := make([]Transport, n)
+	for i := range nodes {
+		nodes[i] = NewLocal(service.New(windowdb.New(testEngineConfig()), node))
+	}
+	return faultClusterOver(t, rows, nodes)
+}
+
+// faultClusterOver is faultCluster over the given node transports.
+func faultClusterOver(t *testing.T, rows int, nodes []Transport) (*Cluster, *atomic.Pointer[schedule]) {
+	t.Helper()
 	sched := &atomic.Pointer[schedule]{}
-	shards := make([]Transport, n)
-	for i := range shards {
-		svc := service.New(windowdb.New(testEngineConfig()), node)
-		shards[i] = &faultTransport{Transport: NewLocal(svc), node: i, sched: sched}
+	shards := make([]Transport, len(nodes))
+	for i, node := range nodes {
+		ft := &faultTransport{Transport: node, node: i, sched: sched}
+		shards[i] = ft
+		if a, ok := node.(interface{ Addr() string }); ok {
+			shards[i] = addressed{ft, a.Addr()}
+		}
 	}
 	c, err := New(Config{Engine: testEngineConfig()}, shards)
 	if err != nil {
@@ -166,6 +182,15 @@ func faultCluster(t *testing.T, n, rows int, node service.Config) (*Cluster, *at
 	}
 	return c, sched
 }
+
+// addressed is a faultTransport over a node with an address, which its
+// peers deliver to directly, past the coordinator's transports.
+type addressed struct {
+	*faultTransport
+	addr string
+}
+
+func (a addressed) Addr() string { return a.addr }
 
 func (ft *faultTransport) QueryStream(ctx context.Context, req service.ShardQueryRequest) (*windowdb.Rows, error) {
 	s := ft.sched.Load()
@@ -279,6 +304,10 @@ func (fs *faultSource) NextBatch() (*stream.Batch, error) {
 }
 
 func (fs *faultSource) End(windowdb.Ending) *windowdb.QueryMetrics {
+	if fs.s.parked != nil {
+		close(fs.s.parked)
+		<-fs.s.park
+	}
 	_ = fs.inner.Close()
 	return fs.inner.Metrics()
 }
@@ -375,7 +404,7 @@ func (sc *schedule) check(e ending, oracle func([]storage.Tuple) error) error {
 	case failOpen, cutStream, failRun, failBarrier, refuse:
 		want, wantErr = failed, errInjected
 	case duplicate, corruptPlan:
-		want, wantErr = failed, service.ErrBadRequest
+		want, wantErr = failed, service.ErrRefused
 	case kill, stall, closeEarly:
 		want, wantErr = aborted, context.Canceled
 	case cancelDrain:

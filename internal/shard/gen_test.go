@@ -14,24 +14,25 @@ import (
 
 // TestGeneratedStatements — generated statements over generated tables,
 // one of every shape, each sharded on g, through in-process clusters of 1,
-// 2 and 4 Local shards, each statement under one seeded fault schedule
-// (fault_test.go). Half of them are cut to their chain
+// 2 and 4 Local shards. Each statement runs twice. First whole and
+// unfaulted: whatever route it takes, its result is the oracle's, and every
+// node ran the coordinator's plan verbatim — its last stage's steps, read
+// off the trace, are res.Plan's, reorder for reorder (with scan sharing
+// off, so no node runs a shared scan's suffix instead). Then under one
+// seeded fault schedule (fault_test.go), half the time cut to its chain
 // (gen.Statement.Chain), which streams through the coordinator's merge of
-// the node streams instead of a finalize over their drained concatenation.
-// A statement no fault reached ends with the oracle's rows whatever route
-// it takes, and every node ran the coordinator's plan verbatim: its last
-// stage's steps, read off the trace, are res.Plan's, reorder for reorder
-// (with scan sharing off, so no node runs a shared scan's suffix instead).
-// One a fault reached ends as the fault says. Either way, once its end has
-// returned the cluster holds nothing for it, and the process no goroutine
-// or spill block more than before it.
+// the node streams instead of a finalize over their drained concatenation:
+// it ends with the oracle's rows or as the fault says. After either run,
+// once its end has returned, the cluster holds nothing for it, and the
+// process no goroutine or spill block more than before it.
 func TestGeneratedStatements(t *testing.T) {
+	ctx := context.Background()
 	tables := gen.Tables(rand.New(rand.NewSource(1)))
 	hit := gen.Hits{}
 	for _, shards := range []int{1, 2, 4} {
 		c, sched := faultCluster(t, shards, 0, service.Config{DisableSharing: true})
 		for i, table := range tables {
-			if err := c.RegisterSharded(context.Background(), fmt.Sprintf("t%d", i), table, "g"); err != nil {
+			if err := c.RegisterSharded(ctx, fmt.Sprintf("t%d", i), table, "g"); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -40,42 +41,52 @@ func TestGeneratedStatements(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(seed)))
 			i := rng.Intn(len(tables))
 			s := gen.NewStatement(rng, fmt.Sprintf("t%d", i), tables[i].Len())
-			if rng.Intn(2) == 0 {
-				// Half the statements stream through the coordinator's merge of
-				// the node streams: nothing to finalize over a drained
-				// concatenation.
-				s = s.Chain()
-			}
 			projected, err := s.Project(tables[i])
 			if err != nil {
 				t.Fatal(err)
 			}
-			sc := newSchedule(rng, shards, len(s.Finalize(projected)))
-			e := play(c, sched, sc, s.SQL())
-			err = sc.check(e, func(rows []storage.Tuple) error { return s.Check(rows, projected) })
+			res, err := c.Query(ctx, s.SQL())
+			if err == nil {
+				err = s.Check(res.Table.Rows, projected)
+			}
 			if err == nil {
 				err = released(c, base)
 			}
 			if err != nil {
-				t.Fatalf("%d shards, seed %d, %s: %v\n%s", shards, seed, sc, err, s.SQL())
+				t.Fatalf("%d shards, seed %d: %v\n%s", shards, seed, err, s.SQL())
 			}
 			hit.Windows(s)
+			hit[res.Route]++
+			if res.Plan != nil {
+				want := lastStageSteps(res.Plan)
+				for node, got := range nodeSteps(res.Trace) {
+					if !slices.Equal(got, want) {
+						t.Fatalf("%d shards, seed %d: node %d ran %v, the coordinator planned %v (%s)\n%s", shards, seed, node, got, want, res.Plan, s.SQL())
+					}
+				}
+				hit["verbatim "+res.Route]++
+			}
+
+			faulted := s
+			if rng.Intn(2) == 0 {
+				faulted = s.Chain()
+				if projected, err = faulted.Project(tables[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sc := newSchedule(rng, shards, len(faulted.Finalize(projected)))
+			e := play(c, sched, sc, faulted.SQL())
+			err = sc.check(e, func(rows []storage.Tuple) error { return faulted.Check(rows, projected) })
+			if err == nil {
+				err = released(c, base)
+			}
+			if err != nil {
+				t.Fatalf("%d shards, seed %d, %s: %v\n%s", shards, seed, sc, err, faulted.SQL())
+			}
 			hit[e.counted.String()]++
 			if sc.fired.Load() {
 				hit[sc.fault.String()]++
-				continue
 			}
-			hit[e.meta.Route]++
-			if e.meta.Plan == nil {
-				continue
-			}
-			want := lastStageSteps(e.meta.Plan)
-			for node, got := range nodeSteps(e.meta.Trace) {
-				if !slices.Equal(got, want) {
-					t.Fatalf("%d shards, seed %d: node %d ran %v, the coordinator planned %v (%s)\n%s", shards, seed, node, got, want, e.meta.Plan, s.SQL())
-				}
-			}
-			hit["verbatim "+e.meta.Route]++
 		}
 	}
 	paths := []string{"scatter", "shuffle", "verbatim scatter", "verbatim shuffle", "served", "aborted", "failed"}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"slices"
 	"strings"
 	"sync"
@@ -132,6 +133,58 @@ func TestUnknownModeErrorsOnBothTransports(t *testing.T) {
 			t.Fatalf("%s: full mode: %v", name, err)
 		}
 		rows.Close()
+	}
+}
+
+// TestRefusedStageIsAServerFault: a node refusing its coordinator's stage —
+// a plan that does not bind, a delivery out of turn — is the cluster's
+// fault, not the end client's, so the coordinator's /query answers it 500,
+// kind "refused", over in-process and HTTP nodes alike. (HTTP nodes deliver
+// to each other, past the coordinator's transports, so only in-process
+// nodes get a duplicated delivery.)
+func TestRefusedStageIsAServerFault(t *testing.T) {
+	for _, tc := range []struct {
+		transport string
+		fault     fault
+		sql       string
+	}{
+		{"local", corruptPlan, q6SQL},
+		{"local", corruptPlan, keylessSQL},
+		{"local", duplicate, keylessSQL},
+		{"http", corruptPlan, q6SQL},
+		{"http", corruptPlan, keylessSQL},
+	} {
+		name := tc.transport + " " + tc.fault.String() + " " + tc.sql[:40]
+		nodes := make([]Transport, 2)
+		for i := range nodes {
+			svc := service.New(windowdb.New(testEngineConfig()), service.Config{ShardRoutes: true})
+			nodes[i] = NewLocal(svc)
+			if tc.transport == "http" {
+				srv := httptest.NewServer(svc.Handler())
+				t.Cleanup(srv.Close)
+				nodes[i] = NewHTTP(srv.URL, srv.Client())
+			}
+		}
+		c, sched := faultClusterOver(t, 600, nodes)
+		front := httptest.NewServer(c.Handler())
+		t.Cleanup(front.Close)
+		sc := &schedule{fault: tc.fault, nodes: len(nodes)}
+		sched.Store(sc)
+		resp, err := front.Client().Get(front.URL + "/query?q=" + url.QueryEscape(tc.sql))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body errorResponse
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		switch {
+		case err != nil:
+			t.Fatalf("%s: %v", name, err)
+		case !sc.fired.Load():
+			t.Fatalf("%s: the fault never fired", name)
+		case resp.StatusCode != http.StatusInternalServerError || body.Kind != "refused":
+			t.Fatalf("%s: %d %q (%s), want 500 \"refused\"", name, resp.StatusCode, body.Kind, body.Error)
+		}
 	}
 }
 

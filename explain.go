@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/storage"
 	"repro/internal/stream"
 	"repro/internal/trace"
@@ -67,8 +68,8 @@ func ExplainAnalyzeRows(ctx context.Context, q Queryer, inner string) (*Rows, er
 
 // RenderAnalyze flattens a drained query's metadata into the EXPLAIN
 // ANALYZE lines: the planned chain with per-step actual vs. estimated
-// rows and spill I/O, the final-sort disposition, the route, and the
-// recorded span tree.
+// rows and comparisons and the spill I/O, the final-sort disposition, the
+// route, and the recorded span tree.
 func RenderAnalyze(m *QueryMetrics) []string {
 	if m == nil {
 		return []string{"(no metrics: stream ended without a trailer)"}
@@ -83,9 +84,9 @@ func RenderAnalyze(m *QueryMetrics) []string {
 			if m.EstRows > 0 {
 				est = fmt.Sprintf(" (est %d)", m.EstRows)
 			}
-			line := fmt.Sprintf("  wf%d [%s]  rows=%d%s  spill r=%d w=%d  cmp=%d  %v",
+			line := fmt.Sprintf("  wf%d [%s]  rows=%d%s  spill r=%d w=%d  cmp=%d est_cmps=%d  %v",
 				st.WFID+1, st.Reorder, st.Rows, est,
-				st.BlocksRead, st.BlocksWritten, st.Comparisons,
+				st.BlocksRead, st.BlocksWritten, st.Comparisons, st.EstComparisons,
 				st.Duration.Round(10_000)) // 10µs
 			if st.Detail != "" {
 				line += "  " + st.Detail
@@ -132,8 +133,9 @@ func (m *QueryMetrics) ExecElapsed() time.Duration {
 }
 
 // ExecTrace builds the executor span subtree — one child per chain step
-// with reorder kind, cardinality and spill counters, and one for the
-// finalize phase (DISTINCT, the final sort) — from a query's metrics.
+// with reorder kind, cardinality, spill counters and, on a reordering
+// step, its comparisons (cmps, and the cost model's est_cmps), and one for
+// the finalize phase (DISTINCT, the final sort) — from a query's metrics.
 // In-process backends hang it under their serving spans; nil when neither
 // phase ran in this process (a Finalize of zero duration is a statement
 // without DISTINCT or ORDER BY).
@@ -162,6 +164,10 @@ func ExecTrace(m *QueryMetrics) *trace.Span {
 			}
 			c.SetInt("spilled_blocks", st.BlocksWritten)
 			c.SetInt("blocks_read", st.BlocksRead)
+			if st.Reorder != core.ReorderNone {
+				c.SetInt("cmps", st.Comparisons)
+				c.SetInt("est_cmps", st.EstComparisons)
+			}
 			if st.Detail != "" {
 				c.SetAttr("detail", st.Detail)
 			}

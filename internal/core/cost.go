@@ -132,7 +132,13 @@ func sortCmps(n int64) float64 {
 // FSCost predicts this engine's Full Sort: external sort of the whole table.
 func (p CostParams) FSCost() float64 {
 	io := externalSortIO(p.TableBlocks, p.MemBlocks, p.mergeOrder())
-	return float64(io) + sortCmps(p.TableTuples)*CmpBlockEquiv
+	return float64(io) + p.sortsCmps(1)*CmpBlockEquiv
+}
+
+// sortsCmps is the comparison term of an operator that sorts the table in
+// the given number of equal parts: the sorts' n·log₂n summed.
+func (p CostParams) sortsCmps(sorts int64) float64 {
+	return float64(sorts) * sortCmps(ceilDiv(p.TableTuples, sorts))
 }
 
 // HSBucketCount mirrors the runtime's bucket-count policy: enough buckets
@@ -167,8 +173,7 @@ func maxi64(a, b int64) int64 {
 // (Eq. 2's 2·B·(1−N′/N) term), plus per-bucket sorts. A small per-tuple
 // hashing/bucketing term keeps FS preferred when I/O ties.
 func (p CostParams) HSCost(whk attrs.Set) float64 {
-	d := p.distinct(whk)
-	n := HSBucketCount(d, p.TableBlocks, p.MemBlocks)
+	n := p.hsBuckets(whk)
 	bucketBlocks := ceilDiv(p.TableBlocks, n)
 	// Buckets never spilled: those resident when partitioning ends (Eq. 2).
 	nResident := p.MemBlocks * n / maxi64(p.TableBlocks, 1)
@@ -178,16 +183,29 @@ func (p CostParams) HSCost(whk attrs.Set) float64 {
 	spillFrac := 1 - float64(nResident)/float64(n)
 	partitionIO := 2 * float64(p.TableBlocks) * spillFrac
 	sortIO := float64(n) * float64(externalSortIO(bucketBlocks, p.MemBlocks, p.mergeOrder()))
-	bucketTuples := ceilDiv(p.TableTuples, n)
-	cmps := float64(n) * sortCmps(bucketTuples)
 	hashWork := HSPerTupleOverhead * float64(p.TableTuples)
-	return partitionIO + sortIO + (cmps+hashWork)*CmpBlockEquiv
+	return partitionIO + sortIO + (p.sortsCmps(n)+hashWork)*CmpBlockEquiv
+}
+
+// hsBuckets is the bucket count Hashed Sort on whk runs with.
+func (p CostParams) hsBuckets(whk attrs.Set) int64 {
+	return HSBucketCount(p.distinct(whk), p.TableBlocks, p.MemBlocks)
 }
 
 // SSCost predicts Segmented Sort per Eq. 3's unit analysis: k segments, u
 // units per segment, each of B/(k·u) blocks, sorted independently. Unit
 // counts follow the paper's uniformity assumptions.
 func (p CostParams) SSCost(in Props, choice SSChoice) float64 {
+	units := p.ssUnits(in, choice)
+	unitBlocks := ceilDiv(p.TableBlocks, units)
+	io := float64(units) * float64(externalSortIO(unitBlocks, p.MemBlocks, p.mergeOrder()))
+	cmps := p.sortsCmps(units) + SSPerUnitOverhead*float64(units)
+	return io + cmps*CmpBlockEquiv
+}
+
+// ssUnits is the number of units Segmented Sort sorts: k segments of u
+// units each.
+func (p CostParams) ssUnits(in Props, choice SSChoice) int64 {
 	var k int64 = 1
 	if !in.X.Empty() {
 		k = p.distinct(in.X)
@@ -211,12 +229,7 @@ func (p CostParams) SSCost(in Props, choice SSChoice) float64 {
 	if u < 1 {
 		u = 1
 	}
-	units := k * u
-	unitBlocks := ceilDiv(p.TableBlocks, units)
-	unitTuples := ceilDiv(p.TableTuples, units)
-	io := float64(units) * float64(externalSortIO(unitBlocks, p.MemBlocks, p.mergeOrder()))
-	cmps := float64(units)*sortCmps(unitTuples) + SSPerUnitOverhead*float64(units)
-	return io + cmps*CmpBlockEquiv
+	return k * u
 }
 
 func mini64(a, b int64) int64 {
@@ -261,6 +274,23 @@ func (p CostParams) StepCost(s Step) float64 {
 		return p.HSCost(s.HashKey)
 	case ReorderSS:
 		return p.SSCost(s.In, SSChoice{Target: s.SortKey, Alpha: s.Alpha, Beta: s.Beta})
+	default:
+		return 0
+	}
+}
+
+// StepCmps is the comparison term StepCost prices one plan step's
+// reordering with — n·log₂n per sort, over the sorts the step's operator
+// runs — before it is converted to block I/Os: the estimate EXPLAIN
+// ANALYZE prints beside the comparisons the step actually made.
+func (p CostParams) StepCmps(s Step) float64 {
+	switch s.Reorder {
+	case ReorderFS:
+		return p.sortsCmps(1)
+	case ReorderHS:
+		return p.sortsCmps(p.hsBuckets(s.HashKey))
+	case ReorderSS:
+		return p.sortsCmps(p.ssUnits(s.In, SSChoice{Target: s.SortKey, Alpha: s.Alpha, Beta: s.Beta}))
 	default:
 		return 0
 	}

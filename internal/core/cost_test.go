@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/attrs"
@@ -134,5 +135,39 @@ func TestCostDefaultDistinct(t *testing.T) {
 	p := core.CostParams{TableBlocks: 1000, TableTuples: 10000, MemBlocks: 16, BlockSize: 8192}
 	if p.HSCost(attrs.MakeSet(0)) <= 0 {
 		t.Errorf("HS cost with default distinct should be positive")
+	}
+}
+
+// TestStepCmpsIsTheModelsComparisonTerm — StepCmps is the comparison term
+// the step's cost already carries: with the table in memory FS costs
+// exactly its comparisons, HS its comparisons plus the per-tuple hashing
+// work and SS its comparisons plus the per-unit overhead, one sort of
+// n·log₂n per bucket or unit, fewer the more sorts there are; a step
+// without a reorder makes none.
+func TestStepCmpsIsTheModelsComparisonTerm(t *testing.T) {
+	p := costAt(10_000) // M > B: no spill I/O in any step
+	n := float64(p.TableTuples)
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(1, math.Abs(b)) }
+
+	fs := core.Step{Reorder: core.ReorderFS}
+	if got, want := p.StepCmps(fs), n*math.Log2(n); !near(got, want) || !near(p.FSCost(), got*core.CmpBlockEquiv) {
+		t.Errorf("FS: StepCmps %.0f, want n·log₂n = %.0f; FSCost %.4f", got, want, p.FSCost())
+	}
+	item := attrs.MakeSet(3)
+	hs := core.Step{Reorder: core.ReorderHS, HashKey: item}
+	if got := p.StepCmps(hs); got <= 0 || got >= p.StepCmps(fs) || !near(p.HSCost(item), (got+core.HSPerTupleOverhead*n)*core.CmpBlockEquiv) {
+		t.Errorf("HS: StepCmps %.0f (FS %.0f), HSCost %.4f", got, p.StepCmps(fs), p.HSCost(item))
+	}
+	in := core.TotallyOrdered(attrs.AscSeq(6))
+	choice, ok := core.PlanSS(in, core.WF{ID: 0, PK: attrs.MakeSet(6), OK: attrs.AscSeq(3)})
+	if !ok {
+		t.Fatal("not SS-reorderable")
+	}
+	ss := core.Step{Reorder: core.ReorderSS, In: in, SortKey: choice.Target, Alpha: choice.Alpha, Beta: choice.Beta}
+	if got := p.StepCmps(ss); got <= 0 || got >= p.StepCmps(fs) || p.SSCost(in, choice) <= got*core.CmpBlockEquiv {
+		t.Errorf("SS: StepCmps %.0f (FS %.0f), SSCost %.4f", got, p.StepCmps(fs), p.SSCost(in, choice))
+	}
+	if got := p.StepCmps(core.Step{Reorder: core.ReorderNone}); got != 0 {
+		t.Errorf("no reorder: StepCmps %.0f", got)
 	}
 }

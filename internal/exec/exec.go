@@ -90,8 +90,13 @@ type StepMetrics struct {
 	// Duration is the step's wall time; the first step's includes the
 	// chain's set-up, so the steps add up to Metrics.Elapsed.
 	Duration time.Duration
-	// Detail carries operator-specific statistics (runs, buckets, units).
+	// Detail carries operator-specific statistics (runs, buckets, units,
+	// and the rows its sorts placed by grouping).
 	Detail string
+	// EstComparisons is the cost model's comparison term for the step
+	// (core.CostParams.StepCmps), set by the layer that holds the
+	// planner's statistics; 0 when none did.
+	EstComparisons int64
 }
 
 // Metrics aggregates a chain execution.
@@ -425,10 +430,15 @@ func (c *Chain) run(ctx context.Context, table *storage.Table, specs []window.Sp
 // scan) runs with: the unit memory, a fresh spill store, the arena — whose
 // rows have the chain's row width as capacity, so
 // whatever spills comes back with room for every derived column still to
-// be appended — and the counters: comparisons, and the returned statistics
-// for the store's block transfers.
+// be appended — and the counters: comparisons, the rows the sorts placed
+// by grouping (which applyReorder's details read), and the returned
+// statistics for the store's block transfers.
 func reorderConfig(cfg Config, comparisons *int64, arena *storage.TupleArena) (reorder.Config, *pagestore.Stats) {
-	stats := &pagestore.Stats{}
+	counters := &struct {
+		blocks  pagestore.Stats
+		grouped int64
+	}{}
+	stats := &counters.blocks
 	var store *pagestore.Store
 	if cfg.FileBacked {
 		store = pagestore.NewFileBacked(cfg.TempDir, cfg.blockSize(), stats)
@@ -439,6 +449,7 @@ func reorderConfig(cfg Config, comparisons *int64, arena *storage.TupleArena) (r
 		MemoryBytes:  cfg.MemoryBytes,
 		Store:        store,
 		Comparisons:  comparisons,
+		Grouped:      &counters.grouped,
 		RunFormation: cfg.RunFormation,
 		Arena:        arena,
 	}, stats
@@ -450,12 +461,13 @@ func reorderConfig(cfg Config, comparisons *int64, arena *storage.TupleArena) (r
 // once out is drained. tableBlocks is B(R) of the chain's input, for the
 // Hashed Sort bucket-count policy.
 func applyReorder(in stream.Stream, step core.Step, cfg Config, rcfg reorder.Config, tableBlocks int64) (out stream.Stream, detail func() string, err error) {
+	grouped, g0 := rcfg.Grouped, *rcfg.Grouped
 	switch step.Reorder {
 	case core.ReorderFS:
 		var st reorder.FSStats
 		out, st, err = reorder.FullSort(in, step.SortKey, rcfg)
 		detail = func() string {
-			return fmt.Sprintf("runs=%d passes=%d inmem=%v", st.Sort.InitialRuns, st.Sort.MergePasses, st.Sort.InMemory)
+			return fmt.Sprintf("runs=%d passes=%d inmem=%v grouped=%d", st.Sort.InitialRuns, st.Sort.MergePasses, st.Sort.InMemory, st.Sort.Grouped)
 		}
 	case core.ReorderHS:
 		opt := reorder.HSOptions{
@@ -476,7 +488,7 @@ func applyReorder(in stream.Stream, step core.Step, cfg Config, rcfg reorder.Con
 		var st reorder.HSStats
 		out, st, err = reorder.HashedSort(in, opt, rcfg)
 		detail = func() string {
-			return fmt.Sprintf("buckets=%d spilled=%d resident=%d mfv=%d", st.Buckets, st.SpilledBuckets, st.MemoryResident, st.MFVTuples)
+			return fmt.Sprintf("buckets=%d spilled=%d resident=%d mfv=%d grouped=%d", st.Buckets, st.SpilledBuckets, st.MemoryResident, st.MFVTuples, *grouped-g0)
 		}
 	case core.ReorderSS:
 		opt := reorder.SSOptions{Alpha: step.Alpha, Beta: step.Beta}
@@ -487,7 +499,7 @@ func applyReorder(in stream.Stream, step core.Step, cfg Config, rcfg reorder.Con
 		var st *reorder.SSStats
 		out, st, err = reorder.SegmentedSort(in, opt, rcfg)
 		detail = func() string {
-			return fmt.Sprintf("segments=%d units=%d external=%d", st.Segments, st.Units, st.ExternalUnits)
+			return fmt.Sprintf("segments=%d units=%d external=%d grouped=%d", st.Segments, st.Units, st.ExternalUnits, *grouped-g0)
 		}
 	default:
 		out = in

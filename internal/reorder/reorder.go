@@ -38,6 +38,10 @@ type Config struct {
 	Store *pagestore.Store
 	// Comparisons, if non-nil, accumulates key comparisons.
 	Comparisons *int64
+	// Grouped, if non-nil, accumulates the rows the operators' in-memory
+	// sorts placed by grouping on their leading key column
+	// (xsort.Stats.Grouped).
+	Grouped *int64
 	// RunFormation selects the external sort's run formation policy.
 	RunFormation xsort.RunFormation
 	// Arena, if non-nil, is the arena of the chain the operator runs in:
@@ -62,6 +66,7 @@ func (c Config) sorter(key attrs.Seq) *xsort.Sorter {
 		MemoryBytes:  c.MemoryBytes,
 		Store:        c.Store,
 		Comparisons:  c.Comparisons,
+		Grouped:      c.Grouped,
 		RunFormation: c.RunFormation,
 		Arena:        c.Arena,
 	}

@@ -479,11 +479,25 @@ func (p *Prepared) runPlan(ctx context.Context, chain *exec.Chain, in *storage.T
 	if err != nil {
 		return nil, nil, 0, err
 	}
+	p.estimate(metrics.Steps, plan.Steps)
 	par := 1
 	if metrics.PartitionedSteps > 0 {
 		par = cfg.Parallelism
 	}
 	return chain, metrics, par, nil
+}
+
+// estimate sets each executed step's EstComparisons from the cost model
+// the statement was planned with, over the statement's table; steps holds
+// one metric per step of plan.
+func (p *Prepared) estimate(steps []exec.StepMetrics, plan []core.Step) {
+	if len(steps) != len(plan) {
+		return
+	}
+	cost := p.entry.CostParams(p.cfg.MemoryBytes, p.cfg.BlockSize)
+	for i, s := range plan {
+		steps[i].EstComparisons = int64(cost.StepCmps(s))
+	}
 }
 
 // finalize decides the statement's terminal phases — DISTINCT, the final

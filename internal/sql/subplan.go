@@ -126,6 +126,7 @@ func (p *Prepared) RunSubplan(ctx context.Context) (*SharedSegment, error) {
 	if err != nil {
 		return nil, err
 	}
+	p.estimate(metrics.Steps, p.plan.Steps[:1])
 	return &SharedSegment{Table: seg, Props: p.plan.Steps[0].Out, Metrics: metrics, DataGen: gen, prep: p}, nil
 }
 

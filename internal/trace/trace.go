@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -59,9 +60,10 @@ func (s *Span) SetAttr(key, value string) *Span {
 	return s
 }
 
-// SetInt records an integer attribute.
+// SetInt records an integer attribute. strconv, not fmt: every executed
+// statement's step spans carry a handful, and fmt boxes each value.
 func (s *Span) SetInt(key string, v int64) *Span {
-	return s.SetAttr(key, fmt.Sprintf("%d", v))
+	return s.SetAttr(key, strconv.FormatInt(v, 10))
 }
 
 // Add appends a child span and returns it for chaining.

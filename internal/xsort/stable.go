@@ -140,11 +140,11 @@ func StableTuples(rows []storage.Tuple, cmp func(a, b storage.Tuple) int) {
 		mergeSort(rows, nil, cmp)
 		return
 	}
-	buf := workspace.borrow(need)
-	// Deferred so a panicking comparison hands the buffer back too, once
+	sc := workspace.borrow(need)
+	// Deferred so a panicking comparison hands the scratch back too, once
 	// and empty.
-	defer workspace.giveBack(buf)
-	mergeSort(rows, buf, cmp)
+	defer workspace.giveBack(sc)
+	mergeSort(rows, sc.rows, cmp)
 }
 
 // maxRetainedHeaders is the longest scratch the workspace keeps (24 MB of
@@ -154,16 +154,29 @@ func StableTuples(rows []storage.Tuple, cmp func(a, b storage.Tuple) int) {
 // the process.
 const maxRetainedHeaders = 1 << 20
 
-// scratchPool is a free list of merge scratch buffers. It is a plain list
-// and not a sync.Pool because the buffers must survive a GC — a statement
-// that finds the pool emptied allocates half its row count in headers,
-// which is what the pool exists to avoid — and because a slice goes in and
-// out of it without being boxed. It holds at most GOMAXPROCS buffers, the
-// most sorts that can be running at once, and keeps the longest it has
-// seen; a buffer in the list holds no tuple.
+// sortScratch is what one in-memory sort borrows: the kernel's merge
+// scratch and, for the grouped sort (grouped.go), each row's group and
+// then its place, the probe table, the first row of each group of the
+// range being grouped and a stack of every level's groups. rows is
+// borrowed at the length the sort needs; the other arrays grow when a sort
+// needs them longer and are kept at that length.
+type sortScratch struct {
+	rows   []storage.Tuple
+	ids    []int32
+	table  []int32
+	firsts []int32
+	groups []int32
+}
+
+// scratchPool is a free list of sort scratch. It is a plain list and not a
+// sync.Pool because the scratch must survive a GC — a statement that finds
+// the pool emptied allocates half its row count in headers, which is what
+// the pool exists to avoid. It holds at most GOMAXPROCS scratches, the most
+// sorts that can be running at once, and keeps those with the longest rows
+// it has seen; a scratch in the list holds no tuple.
 type scratchPool struct {
 	mu   sync.Mutex
-	free [][]storage.Tuple
+	free []*sortScratch
 }
 
 var (
@@ -173,66 +186,72 @@ var (
 	workspaceSlots = runtime.GOMAXPROCS(0)
 )
 
-// borrow takes the shortest free buffer of at least n headers out of the
-// list, or allocates one, and returns it with length n. The caller owns it
-// until giveBack.
-func (p *scratchPool) borrow(n int) []storage.Tuple {
+// borrow takes the free scratch with the shortest rows of at least n
+// headers out of the list, or allocates one, and returns it with rows of
+// length n. The caller owns it until giveBack.
+func (p *scratchPool) borrow(n int) *sortScratch {
 	p.mu.Lock()
 	best := -1
-	for i, b := range p.free {
-		if cap(b) >= n && (best < 0 || cap(b) < cap(p.free[best])) {
+	for i, sc := range p.free {
+		if cap(sc.rows) >= n && (best < 0 || cap(sc.rows) < cap(p.free[best].rows)) {
 			best = i
 		}
 	}
-	var buf []storage.Tuple
+	var sc *sortScratch
 	if best >= 0 {
 		last := len(p.free) - 1
-		buf = p.free[best]
+		sc = p.free[best]
 		p.free[best] = p.free[last]
 		p.free[last] = nil
 		p.free = p.free[:last]
 	}
 	p.mu.Unlock()
-	if buf == nil {
-		return make([]storage.Tuple, n)
+	if sc == nil {
+		return &sortScratch{rows: make([]storage.Tuple, n)}
 	}
-	return buf[:n]
+	sc.rows = sc.rows[:n]
+	return sc
 }
 
-// giveBack clears buf — it was borrowed at the length that was used — and
-// puts it in the list, in place of the shortest buffer there when the list
-// is full and that one is shorter.
-func (p *scratchPool) giveBack(buf []storage.Tuple) {
-	clear(buf)
-	if cap(buf) > maxRetainedHeaders {
+// giveBack clears sc's rows — they were borrowed at the length that was
+// used — and puts it in the list, in place of the scratch with the
+// shortest rows when the list is full and those are shorter.
+func (p *scratchPool) giveBack(sc *sortScratch) {
+	clear(sc.rows)
+	if cap(sc.rows) > maxRetainedHeaders {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if len(p.free) < workspaceSlots {
-		p.free = append(p.free, buf)
+		p.free = append(p.free, sc)
 		return
 	}
 	shortest := 0
-	for i, b := range p.free {
-		if cap(b) < cap(p.free[shortest]) {
+	for i, f := range p.free {
+		if cap(f.rows) < cap(p.free[shortest].rows) {
 			shortest = i
 		}
 	}
-	if cap(p.free[shortest]) < cap(buf) {
-		p.free[shortest] = buf
+	if cap(p.free[shortest].rows) < cap(sc.rows) {
+		p.free[shortest] = sc
 	}
 }
 
+// bytes is the memory sc retains.
+func (sc *sortScratch) bytes() int64 {
+	return int64(cap(sc.rows))*int64(unsafe.Sizeof(storage.Tuple{})) +
+		int64(cap(sc.ids)+cap(sc.table)+cap(sc.firsts)+cap(sc.groups))*4
+}
+
 // WorkspaceBytes reports the memory the idle sort workspace retains: the
-// scratch buffers waiting in the free list, not the ones a running sort
-// holds.
+// scratch waiting in the free list, not the scratch a running sort holds.
 func WorkspaceBytes() int64 {
 	workspace.mu.Lock()
 	defer workspace.mu.Unlock()
-	var headers int64
-	for _, b := range workspace.free {
-		headers += int64(cap(b))
+	var n int64
+	for _, sc := range workspace.free {
+		n += sc.bytes()
 	}
-	return headers * int64(unsafe.Sizeof(storage.Tuple{}))
+	return n
 }

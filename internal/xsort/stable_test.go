@@ -124,44 +124,64 @@ func TestTopKIsTheStableSortsPrefix(t *testing.T) {
 	}
 }
 
-// TestStableKernelGoldenCount pins the kernel's comparison count on one
-// fixed input. Comparisons are the paper's CPU currency and every
-// benchmark's comparisons_per_op follows from this number: a change to it
-// is a change to the currency, to be made on purpose and recorded.
+// TestStableKernelGoldenCount pins the merge kernel's comparison count on
+// one fixed input. Comparisons are the paper's CPU currency: every range
+// the grouped sort does not group is sorted by this kernel, so a change to
+// it is a change to the currency, to be made on purpose and recorded.
 func TestStableKernelGoldenCount(t *testing.T) {
 	const n, golden = 5000, 56045
 	rows := randRows(rand.New(rand.NewSource(20120827)), n, 12)
+	key := attrs.AscSeq(0, 1)
 	var cmps int64
-	s := &Sorter{Key: attrs.AscSeq(0, 1), Comparisons: &cmps}
-	if _, _, err := s.SortTuples(rows); err != nil {
-		t.Fatal(err)
-	}
+	StableTuples(rows, func(a, b storage.Tuple) int {
+		cmps++
+		return storage.CompareSeq(a, b, key)
+	})
 	if cmps != golden {
 		t.Fatalf("%d comparisons for %d rows of seed 20120827, the committed count is %d (slices.SortStableFunc took 69961)", cmps, n, golden)
 	}
 }
 
+// TestSorterGoldenCount pins what the Sorter's in-memory sort asks for on
+// the kernel's golden input: both key columns have 12 values, so the rows
+// are placed by grouping on each in turn and only the distinct values of
+// each range are compared. Every benchmark's comparisons_per_op follows
+// from this path.
+func TestSorterGoldenCount(t *testing.T) {
+	const n, golden = 5000, 402
+	rows := randRows(rand.New(rand.NewSource(20120827)), n, 12)
+	var cmps int64
+	s := &Sorter{Key: attrs.AscSeq(0, 1), Comparisons: &cmps, Grouped: new(int64)}
+	_, st, err := s.SortTuples(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cmps != golden || st.Grouped != n {
+		t.Fatalf("%d comparisons and %d rows grouped for %d rows of seed 20120827, the committed count is %d (the merge kernel takes 56045)", cmps, st.Grouped, n, golden)
+	}
+}
+
 // checkWorkspaceClean asserts what holds of the free list whenever no sort
-// is running: at most workspaceSlots buffers, no two of them the same
-// memory, and every slot of every one — to its capacity, not its length —
-// the zero Tuple, so an idle workspace pins no row.
+// is running: at most workspaceSlots scratches, no two of them the same
+// memory, and every slot of every one's rows — to its capacity, not its
+// length — the zero Tuple, so an idle workspace pins no row.
 func checkWorkspaceClean(t *testing.T) {
 	t.Helper()
 	workspace.mu.Lock()
 	defer workspace.mu.Unlock()
 	if len(workspace.free) > workspaceSlots {
-		t.Errorf("workspace holds %d buffers, over its %d slots", len(workspace.free), workspaceSlots)
+		t.Errorf("workspace holds %d scratches, over its %d slots", len(workspace.free), workspaceSlots)
 	}
 	seen := map[*storage.Tuple]bool{}
-	for _, b := range workspace.free {
-		b = b[:cap(b)]
+	for _, sc := range workspace.free {
+		b := sc.rows[:cap(sc.rows)]
 		if seen[&b[0]] {
-			t.Errorf("workspace holds one buffer twice")
+			t.Errorf("workspace holds one scratch twice")
 		}
 		seen[&b[0]] = true
 		for i, slot := range b {
 			if slot != nil {
-				t.Fatalf("slot %d of a returned %d-header buffer still holds a tuple", i, len(b))
+				t.Fatalf("slot %d of a returned %d-header scratch still holds a tuple", i, len(b))
 			}
 		}
 	}

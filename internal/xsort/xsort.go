@@ -5,7 +5,9 @@
 //
 // Run formation and every merge are played on one tournament tree of
 // losers (loserTree), one counted comparison per level; the in-memory path
-// is the merge kernel Stable. Both keep equal keys in input order — a
+// is the grouped sort (grouped.go), which places rows by a hash of a
+// low-cardinality leading key column and leaves the rest to the merge
+// kernel Stable. Both keep equal keys in input order — a
 // match between equal keys goes to the earlier arrival, or the earlier run —
 // so a sort returns the same permutation whether or not its budget made it
 // spill. The tree belongs to the Sorter and is reused by all its sorts; it
@@ -63,6 +65,9 @@ type Sorter struct {
 
 	// Comparisons, if non-nil, accumulates key comparison counts.
 	Comparisons *int64
+	// Grouped, if non-nil, accumulates the rows in-memory sorts placed by
+	// grouping on the leading key column (grouped.go).
+	Grouped *int64
 
 	// Arena, if non-nil, is the arena the input rows live in (or at least
 	// every row in it is part of the input), and where rows read back from
@@ -91,21 +96,24 @@ type Stats struct {
 	MergePasses int   // intermediate passes that re-materialized runs
 	InMemory    bool  // true when no spill occurred
 	Comparisons int64 // key comparisons performed by this sort
+	// Grouped counts the rows whose in-memory sort — the whole input, or a
+	// load-sort-store run — placed them by grouping on the leading key
+	// column rather than merging them; counted when Sorter.Grouped is set.
+	Grouped int64
 }
 
 // compare is the counted key comparison every phase of the sort goes
 // through.
 func (s *Sorter) compare(a, b storage.Tuple) int {
-	if s.Comparisons != nil {
-		*s.Comparisons++
-	}
+	s.count()
 	return storage.CompareSeq(a, b, s.Key)
 }
 
-// sortInMemory stably sorts tuples in place with the merge kernel, every
-// comparison counted.
-func (s *Sorter) sortInMemory(tuples []storage.Tuple) {
-	StableTuples(tuples, s.compare)
+// count counts one key comparison.
+func (s *Sorter) count() {
+	if s.Comparisons != nil {
+		*s.Comparisons++
+	}
 }
 
 // SortTuples sorts a materialized slice honoring the memory budget: if the
@@ -189,13 +197,19 @@ func (s *Sorter) Sort(in Input, sizeHint int) ([]storage.Tuple, Stats, error) {
 // when non-nil, is the mark s.Arena is released to between the two: the
 // input is dead from there on.
 func (s *Sorter) finish(buf []storage.Tuple, rest Input, rewind *storage.ArenaMark) (out []storage.Tuple, st Stats, err error) {
-	start := int64(0)
+	start, grouped := int64(0), int64(0)
 	if s.Comparisons != nil {
 		start = *s.Comparisons
+	}
+	if s.Grouped != nil {
+		grouped = *s.Grouped
 	}
 	defer func() {
 		if s.Comparisons != nil {
 			st.Comparisons = *s.Comparisons - start
+		}
+		if s.Grouped != nil {
+			st.Grouped = *s.Grouped - grouped
 		}
 	}()
 

@@ -3,6 +3,7 @@ package windowdb
 import (
 	"context"
 	"errors"
+	"fmt"
 	"regexp"
 	"slices"
 	"strconv"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/attrs"
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/paper"
 	"repro/internal/sql"
@@ -359,6 +361,70 @@ func TestExplainAnalyzeStepComparisonsSumToQueryMetrics(t *testing.T) {
 		if steps != m.Comparisons || rendered != m.Comparisons {
 			t.Errorf("%s: steps sum to %d comparisons, EXPLAIN ANALYZE lines to %d, QueryMetrics.Comparisons is %d", name, steps, rendered, m.Comparisons)
 		}
+	}
+}
+
+// TestExplainAnalyzeShowsEstimatedComparisons — every reorder step carries
+// the cost model's comparison term beside the comparisons it made, on its
+// EXPLAIN ANALYZE line and its step span (a step without a reorder has 0
+// of each on its line and neither on its span), and its detail says how many
+// rows its sorts placed by grouping: all of them for F1's in-memory Full
+// Sort on (ws_item_sk, ws_sold_date_sk), whose grouped sort asks for well
+// under the n·log₂n the model prices.
+func TestExplainAnalyzeShowsEstimatedComparisons(t *testing.T) {
+	grouped := regexp.MustCompile(`\bgrouped=(\d+)$`)
+	for _, tc := range []struct {
+		stmt string
+		cfg  Config
+	}{
+		{"F1", Config{SortMemBytes: 256 << 20, Parallelism: 1}},
+		{"Q9", Config{SortMemBytes: 16 << 10, BlockSize: 1024, Parallelism: 1}},
+	} {
+		eng := New(tc.cfg)
+		eng.Register("web_sales", datagen.WebSales(datagen.WebSalesConfig{Rows: 4000, Seed: 3}))
+		rows, err := eng.QueryContext(context.Background(), paper.Statements[tc.stmt])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rows.Next() {
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatal(err)
+		}
+		m := rows.Metrics()
+		lines := strings.Join(RenderAnalyze(m), "\n")
+		spans := ExecTrace(m).Children
+		reorders := 0
+		for i, st := range m.Exec.Steps {
+			if (st.EstComparisons > 0) != (st.Reorder != core.ReorderNone) {
+				t.Errorf("%s step %d [%s]: est_cmps %d", tc.stmt, i, st.Reorder, st.EstComparisons)
+			}
+			if want := fmt.Sprintf("cmp=%d est_cmps=%d", st.Comparisons, st.EstComparisons); !strings.Contains(lines, want) {
+				t.Errorf("%s step %d: EXPLAIN ANALYZE lacks %q:\n%s", tc.stmt, i, want, lines)
+			}
+			a := spans[i].Attrs
+			if st.Reorder == core.ReorderNone {
+				if _, ok := a["est_cmps"]; ok {
+					t.Errorf("%s step %d: a step without a reorder has span attrs %v", tc.stmt, i, a)
+				}
+				continue
+			}
+			if a["cmps"] != strconv.FormatInt(st.Comparisons, 10) || a["est_cmps"] != strconv.FormatInt(st.EstComparisons, 10) {
+				t.Errorf("%s step %d: span attrs %v", tc.stmt, i, a)
+			}
+			reorders++
+			g := grouped.FindStringSubmatch(st.Detail)
+			if g == nil {
+				t.Fatalf("%s step %d: detail %q has no grouped=", tc.stmt, i, st.Detail)
+			}
+			if tc.stmt == "F1" && (g[1] != strconv.FormatInt(st.Rows, 10) || 4*st.Comparisons > st.EstComparisons) {
+				t.Errorf("F1's full sort: %s, %d comparisons against the model's %d", st.Detail, st.Comparisons, st.EstComparisons)
+			}
+		}
+		if reorders == 0 {
+			t.Errorf("%s: no reorder step", tc.stmt)
+		}
+		t.Logf("%s:\n%s", tc.stmt, strings.Join(RenderAnalyze(m)[:len(m.Exec.Steps)+1], "\n"))
 	}
 }
 

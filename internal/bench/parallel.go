@@ -91,7 +91,7 @@ func (d *Dataset) RunParallel(w io.Writer) ([]ParallelResult, error) {
 				elapsed[i], mets[i] = e, m
 			}
 			if rep == 0 {
-				results[i] = canonicalRows(chain.Table())
+				results[i] = canonicalChain(chain)
 			}
 			chain.Release()
 		}
@@ -118,6 +118,20 @@ func canonicalRows(t *storage.Table) []string {
 	out := make([]string, t.Len())
 	for i, r := range t.Rows {
 		out[i] = string(storage.AppendTuple(nil, r))
+	}
+	slices.Sort(out)
+	return out
+}
+
+// canonicalChain is canonicalRows over a chain's rows, read in place.
+func canonicalChain(c *exec.Chain) []string {
+	out := make([]string, c.Len())
+	row := make(storage.Tuple, c.Schema.Len())
+	for i := range out {
+		for col := range row {
+			row[col] = c.At(i, col)
+		}
+		out[i] = string(storage.AppendTuple(nil, row))
 	}
 	slices.Sort(out)
 	return out

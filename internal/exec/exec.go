@@ -209,9 +209,9 @@ func (c *Chain) Compare(a, b int, key attrs.Seq) int {
 // Table materializes the chain as whole tuples: one copy of every row into
 // a contiguous allocation, each sliced to exactly its own region; a chain
 // without a tail lends its rows instead, so it must outlive the table.
-// Callers that need rows to carry their derived columns —
-// Engine.EvaluateWindows, a shuffle's intermediate rows — pay for it once,
-// at the end; the SQL layer projects straight from the Chain.
+// Engine.EvaluateWindows, whose caller needs rows that carry their derived
+// columns, pays for it once, at the end; the SQL layer projects straight
+// from the Chain, and a shuffle stage encodes its wire bodies from it.
 func (c *Chain) Table() *storage.Table {
 	t := storage.NewTable(c.Schema)
 	if len(c.Tail) == 0 {

@@ -275,6 +275,30 @@ func PartitionRows(rows []storage.Tuple, ids []attrs.ID, degree int) [][]storage
 	return parts
 }
 
+// PartitionPositions is PartitionRows by position: part p lists, in scan
+// order, the indices of the rows PartitionRows places in part p, so a
+// caller can gather each part's columns out of rows it does not copy (a
+// shuffle stage's chain). The parts share one array.
+func PartitionPositions(rows []storage.Tuple, ids []attrs.ID, degree int) [][]int {
+	part := make([]int, len(rows))
+	sizes := make([]int, degree)
+	for i, t := range rows {
+		part[i] = int(hashTupleKey(t, ids) % uint64(degree))
+		sizes[part[i]]++
+	}
+	pos := make([]int, len(rows))
+	parts := make([][]int, degree)
+	off := 0
+	for p, n := range sizes {
+		parts[p] = pos[off : off : off+n]
+		off += n
+	}
+	for i, p := range part {
+		parts[p] = append(parts[p], i)
+	}
+	return parts
+}
+
 // hashTupleKey is FNV-1a over the concatenated single-value tuple
 // encodings of the key attributes, streamed through storage.HashValueFNV
 // instead of materializing the encoding — the partitioning hash runs once

@@ -73,4 +73,15 @@ func TestPartitionRowsMatchesInternal(t *testing.T) {
 	if total != len(rows) {
 		t.Fatalf("partitioning lost rows: %d of %d", total, len(rows))
 	}
+	// By position, the parts are the same rows in the same order.
+	for p, pos := range PartitionPositions(rows, ids, 4) {
+		if len(pos) != len(a[p]) {
+			t.Fatalf("part %d: %d positions, %d rows", p, len(pos), len(a[p]))
+		}
+		for k, i := range pos {
+			if &rows[i][0] != &a[p][k][0] {
+				t.Fatalf("part %d row %d is input row %d, not the row PartitionRows placed there", p, k, i)
+			}
+		}
+	}
 }

@@ -13,6 +13,7 @@ import (
 	"repro"
 	"repro/internal/catalog"
 	"repro/internal/storage"
+	"repro/internal/stream"
 )
 
 // The ingestion surface: POST /append applies one batch of rows to a
@@ -159,7 +160,13 @@ func SendAppendHTTP(ctx context.Context, hc *http.Client, base, table string, ro
 	}
 	arity := len(rows[0])
 	target := base + "/append?table=" + url.QueryEscape(table) + "&watermark=" + strconv.FormatUint(watermark, 10)
-	resp, err := postFrames(ctx, hc, target, streamHeader{Columns: make([]WireColumn, arity)}, rows, arity)
+	body, err := encodeFrameBody(streamHeader{Columns: make([]WireColumn, arity)}, len(rows), &stream.Batch{}, func(b *stream.Batch, off, k int) error {
+		return b.FillTuples(rows[off:off+k], arity)
+	})
+	if err != nil {
+		return out, err
+	}
+	resp, err := postBody(ctx, hc, target, body)
 	if err != nil {
 		return out, err
 	}

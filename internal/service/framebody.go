@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -17,50 +18,49 @@ import (
 // (Content-Type application/x-windowdb-frame): a header frame whose JSON
 // names the columns, the rows as columnar batches, and a trailer frame whose
 // row_count must be what arrived — a body cut anywhere, a frame boundary
-// included, is never taken for a short batch.
+// included, is never taken for a short batch. A sender encodes the whole
+// body in memory (encodeFrameBody) before it ships it, so what it read the
+// rows out of can be let go first; a receiver reads it with readFrameBody.
 
 // frameChunk is the most rows a pushed body packs into one batch frame.
 const frameChunk = 512
 
-// postFrames POSTs rows to url as a streamed frame body under hdr and
-// returns the 2xx response, which the caller closes; any other status is a
-// *RemoteError. Neither side materializes the body, and the goroutine that
-// writes it has ended by the time postFrames returns.
-func postFrames(ctx context.Context, hc *http.Client, url string, hdr any, rows []storage.Tuple, arity int) (*http.Response, error) {
+// encodeFrameBody encodes one pushed body: hdr as the header frame, n rows
+// in batch frames of at most frameChunk, and a trailer counting them. fill
+// refills b with the k rows from off on; b is the caller's, so a caller
+// encoding several bodies fills one batch's vectors throughout.
+func encodeFrameBody(hdr any, n int, b *stream.Batch, fill func(b *stream.Batch, off, k int) error) ([]byte, error) {
+	var body bytes.Buffer
+	fw := stream.NewFrameWriter(&body)
+	payload, err := json.Marshal(hdr)
+	if err == nil {
+		err = fw.WriteHeader(payload)
+	}
+	for off := 0; err == nil && off < n; off += frameChunk {
+		if err = fill(b, off, min(frameChunk, n-off)); err == nil {
+			err = fw.WriteBatch(b)
+		}
+	}
+	if err == nil {
+		payload, err = json.Marshal(StreamTrailer{Done: true, RowCount: int64(n)})
+	}
+	if err == nil {
+		err = fw.WriteTrailer(payload)
+	}
+	return body.Bytes(), err
+}
+
+// postBody POSTs an encoded frame body to url and returns the 2xx
+// response, which the caller closes; any other status is a *RemoteError.
+func postBody(ctx context.Context, hc *http.Client, url string, body []byte) (*http.Response, error) {
 	if hc == nil {
 		hc = http.DefaultClient
 	}
-	pr, pw := io.Pipe()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, pr)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", ContentTypeBinary)
-	written := make(chan struct{})
-	defer func() {
-		// A request that ended before its body did leaves the writer blocked
-		// on the pipe: closing the read end ends it.
-		pr.Close()
-		<-written
-	}()
-	go func() {
-		defer close(written)
-		fw := stream.NewFrameWriter(pw)
-		payload, err := json.Marshal(hdr)
-		if err == nil {
-			err = fw.WriteHeader(payload)
-		}
-		for off := 0; err == nil && off < len(rows); off += frameChunk {
-			err = fw.WriteTuples(rows[off:min(off+frameChunk, len(rows))], arity)
-		}
-		if err == nil {
-			payload, err = json.Marshal(StreamTrailer{Done: true, RowCount: int64(len(rows))})
-		}
-		if err == nil {
-			err = fw.WriteTrailer(payload)
-		}
-		pw.CloseWithError(err)
-	}()
 	resp, err := hc.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("service: POST %s: %w", url, err)

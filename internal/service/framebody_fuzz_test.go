@@ -2,19 +2,22 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"testing"
 
+	windowdb "repro"
+	"repro/internal/datagen"
 	"repro/internal/storage"
 	"repro/internal/stream"
 )
 
 // FuzzReadFrameBody drives readFrameBody, the reader every pushed body —
-// an /append from a client, a /shard/shuffle delivery from a peer — goes
-// through. On any input it returns an error or the trailer-confirmed row
-// count and never panics, and it hands the sink only whole batches: every
-// tuple as wide as the header's columns, the rows adding up to the count
-// it returns.
+// an /append from a client, a shuffle delivery from a peer, in process or
+// over /shard/shuffle — goes through. On any input it returns an error or
+// the trailer-confirmed row count and never panics, and it hands the sink
+// only whole batches: every tuple as wide as the header's columns, the rows
+// adding up to the count it returns.
 func FuzzReadFrameBody(f *testing.F) {
 	rows := func(n int) []storage.Tuple {
 		out := make([]storage.Tuple, n)
@@ -42,6 +45,7 @@ func FuzzReadFrameBody(f *testing.F) {
 	hostile := append([]byte{}, good.Bytes()[:len(stream.FrameMagic)+5+len(`{"columns":[{},{},{}]}`)]...)
 	hostile = binary.LittleEndian.AppendUint32(append(hostile, stream.FrameBatch), 0xfffffff0)
 	f.Add(hostile)
+	f.Add(stageBody(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var hdr streamHeader
@@ -59,4 +63,39 @@ func FuzzReadFrameBody(f *testing.F) {
 			t.Fatalf("reader reports %d rows, the sink got %d", n, delivered)
 		}
 	})
+}
+
+// stageBody is the frame body a shuffle stage ships: a chain whose derived
+// column is a tail vector and whose ws_pad strings a spill read back into
+// its arena, encoded by encodeShuffle for one peer.
+func stageBody(tb testing.TB) []byte {
+	eng := windowdb.New(windowdb.Config{SortMemBytes: 8 << 10, BlockSize: 1024, Parallelism: 1})
+	eng.Register("web_sales", datagen.WebSales(datagen.WebSalesConfig{Rows: 300, Seed: 1, PadBytes: 24}))
+	prep, err := eng.Prepare(`SELECT ws_pad, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_pad) AS r FROM web_sales`)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	runner := prep.Segments()
+	in, err := runner.FilterBase(context.Background())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	chain, _, err := runner.Run(context.Background(), 0, in)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer chain.Release()
+	if len(chain.Tail) == 0 || !chain.ArenaStrings() {
+		tb.Fatal("the seed's chain has no tail column or no spilled string")
+	}
+	hdr := shuffleHeader{ShuffleID: "seed", Round: 1, streamHeader: streamHeader{Columns: WireColumns(chain.Schema.Columns)}}
+	bodies, err := encodeShuffle(chain, nil, 1, hdr)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	n, err := readFrameBody(bytes.NewReader(bodies[0]), &streamHeader{}, func([]storage.Tuple) error { return nil })
+	if err != nil || n != int64(chain.Len()) {
+		tb.Fatalf("the stage body reads back %d of %d rows: %v", n, chain.Len(), err)
+	}
+	return bodies[0]
 }

@@ -176,6 +176,7 @@ func New(eng *windowdb.Engine, cfg Config) *Service {
 		metrics: newMetrics(),
 		slow:    trace.NewSlowLoggerRate(slowW, cfg.SlowLogThreshold, cfg.SlowLogRate),
 		reg:     trace.NewRegistry(),
+		inbox:   shuffleInbox{bufs: make(map[string]*shuffleBuf)},
 	}
 	if !cfg.DisableSharing {
 		s.subplans = cache.New(cfg.SubplanEntries, (*sql.SharedSegment).Current)

@@ -4,14 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
 	windowdb "repro"
+	"repro/internal/attrs"
 	"repro/internal/cache"
 	"repro/internal/exec"
 	"repro/internal/sql"
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/trace"
 )
 
@@ -39,21 +42,15 @@ import (
 // admission slot for the stage's chain execution; the segment stream holds
 // it for the cursor lifetime, exactly like every other streamed query.
 
-// ShuffleBatch is one sender's contribution to one inbox buffer: the rows
-// of the receiver's hash partition, tagged with their round and sender so
-// the receiver can account completeness.
+// ShuffleBatch is one sender's contribution to one inbox buffer: the frame
+// body (framebody.go) of the rows of the receiver's hash partition, whose
+// header names the shuffle, round and sender the envelope repeats.
 type ShuffleBatch struct {
 	ID     string
 	Round  int
 	Sender int
-	Cols   []storage.Column
-	Rows   []storage.Tuple
+	Body   []byte
 }
-
-// ShuffleSend delivers one batch to peer (a shard index). The in-process
-// cluster wires this straight into the peer services' inboxes; the HTTP
-// handler POSTs frames to the peer's /shard/shuffle route.
-type ShuffleSend func(ctx context.Context, peer int, b *ShuffleBatch) error
 
 // ShuffleRunRequest asks a node to execute one stage before the last.
 type ShuffleRunRequest struct {
@@ -66,9 +63,10 @@ type ShuffleRunRequest struct {
 	// TraceID joins the stage to the coordinator's distributed trace; ""
 	// leaves the stage untraced.
 	TraceID string `json:"trace_id,omitempty"`
-	// Deliver overrides peer delivery for in-process nodes. Never
-	// serialized: a remote node builds its own frame sender from Peers.
-	Deliver ShuffleSend `json:"-"`
+	// Deliver ships one body to peer (a shard index), whose ShuffleIngest
+	// reads it. Never serialized: an in-process cluster sets it, a remote
+	// node's handler builds it from Peers.
+	Deliver func(ctx context.Context, peer int, b *ShuffleBatch) error `json:"-"`
 }
 
 // ShuffleRunResult reports one executed stage: row flow plus the execution
@@ -80,13 +78,16 @@ type ShuffleRunResult struct {
 	BlocksRead    int64 `json:"blocks_read"`
 	BlocksWritten int64 `json:"blocks_written"`
 	Comparisons   int64 `json:"comparisons"`
+	// BytesOut is the size of the frame bodies the stage shipped, its own
+	// partition's included.
+	BytesOut int64 `json:"bytes_out"`
 
 	// Per-phase wall-clock breakdown of the stage, for the coordinator's
 	// shuffle-round trace spans: admission wait, input acquisition (local
 	// base filter, or the wait-free inbox take whose cost is the rows a
 	// slow peer has not yet delivered — by the round barrier it is the
-	// take itself), segment chain execution, and partition + peer
-	// delivery.
+	// take itself), segment chain execution, and partitioning, encoding
+	// and peer delivery.
 	QueuedMillis  float64 `json:"queued_ms"`
 	InputMillis   float64 `json:"input_ms"`
 	ExecMillis    float64 `json:"exec_ms"`
@@ -129,27 +130,12 @@ func (in *shuffleInbox) tombstone(id string) {
 }
 
 type shuffleBuf struct {
-	rows    []storage.Tuple
 	arity   int
-	senders map[int]bool // senders whose delivery completed
-	touched time.Time    // last append/finish; drives the TTL sweep
+	senders map[int][]storage.Tuple // each committed sender's rows
+	touched time.Time               // last commit; drives the TTL sweep
 }
 
 func shuffleKey(id string, round int) string { return fmt.Sprintf("%s/%d", id, round) }
-
-func (in *shuffleInbox) buf(id string, round int) *shuffleBuf {
-	if in.bufs == nil {
-		in.bufs = make(map[string]*shuffleBuf)
-	}
-	key := shuffleKey(id, round)
-	b := in.bufs[key]
-	if b == nil {
-		b = &shuffleBuf{senders: make(map[int]bool)}
-		in.bufs[key] = b
-	}
-	b.touched = time.Now()
-	return b
-}
 
 // sweep drops buffers untouched for ttl: the node-side backstop for a
 // coordinator that died (or whose cleanup drop never arrived) between
@@ -176,64 +162,51 @@ func (s *Service) sweepShuffle() {
 	s.inbox.mu.Unlock()
 }
 
-// appendShuffle ingests a chunk of rows into a buffer; callers mark the
-// sender complete with finishShuffle once its stream ends. arity pins the
-// row width so a malformed sender fails fast instead of corrupting the
-// buffer.
-func (s *Service) appendShuffle(id string, round, arity int, rows []storage.Tuple) error {
+// ShuffleIngest reads one peer's frame body (framebody.go) whole, then
+// commits its rows and its sender's completion to the buffer its header
+// names under one lock, so a body that does not decode (cut anywhere, a
+// trailer miscounting) or that the inbox refuses (a dropped shuffle, a
+// duplicate sender, a wrong arity) leaves the inbox as it was: ErrRefused.
+// In-process deliveries and the /shard/shuffle route both end here.
+func (s *Service) ShuffleIngest(ctx context.Context, body io.Reader) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	var hdr shuffleHeader
+	var rows []storage.Tuple
+	if _, err := readFrameBody(body, &hdr, func(batch []storage.Tuple) error {
+		rows = append(rows, batch...)
+		return nil
+	}); err != nil {
+		return fmt.Errorf("%w: %w", ErrRefused, err)
+	}
+	id, round, arity := hdr.ShuffleID, hdr.Round, hdr.arity()
 	s.inbox.mu.Lock()
 	defer s.inbox.mu.Unlock()
 	s.inbox.sweep(s.cfg.ShuffleTTL)
 	if s.inbox.dropped[id] {
 		return fmt.Errorf("%w: shuffle %s was dropped", ErrRefused, id)
 	}
-	b := s.inbox.buf(id, round)
-	if b.arity == 0 {
-		b.arity = arity
-	}
-	if arity != b.arity {
+	key := shuffleKey(id, round)
+	b := s.inbox.bufs[key]
+	if b == nil {
+		b = &shuffleBuf{arity: arity, senders: make(map[int][]storage.Tuple)}
+		s.inbox.bufs[key] = b
+	} else if _, dup := b.senders[hdr.Sender]; dup {
+		return fmt.Errorf("%w: shuffle %s round %d: sender %d delivered twice", ErrRefused, id, round, hdr.Sender)
+	} else if b.arity != arity {
 		return fmt.Errorf("%w: shuffle %s round %d: row arity %d != %d", ErrRefused, id, round, arity, b.arity)
 	}
-	b.rows = append(b.rows, rows...)
+	b.senders[hdr.Sender] = rows
+	b.touched = time.Now()
 	return nil
-}
-
-// finishShuffle records that a sender's delivery for (id, round) is
-// complete, even when it contributed no rows.
-func (s *Service) finishShuffle(id string, round, sender, arity int) error {
-	s.inbox.mu.Lock()
-	defer s.inbox.mu.Unlock()
-	if s.inbox.dropped[id] {
-		return fmt.Errorf("%w: shuffle %s was dropped", ErrRefused, id)
-	}
-	b := s.inbox.buf(id, round)
-	if b.arity == 0 {
-		b.arity = arity
-	}
-	if b.senders[sender] {
-		return fmt.Errorf("%w: shuffle %s round %d: sender %d delivered twice", ErrRefused, id, round, sender)
-	}
-	b.senders[sender] = true
-	return nil
-}
-
-// ShuffleAccept ingests one whole peer batch: the in-process delivery path
-// (the HTTP route ingests incrementally through appendShuffle instead).
-func (s *Service) ShuffleAccept(ctx context.Context, b *ShuffleBatch) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if len(b.Rows) > 0 {
-		if err := s.appendShuffle(b.ID, b.Round, len(b.Cols), b.Rows); err != nil {
-			return err
-		}
-	}
-	return s.finishShuffle(b.ID, b.Round, b.Sender, len(b.Cols))
 }
 
 // takeShuffle removes and returns the buffer for (id, round) as a table
-// with the given schema. The coordinator barriers rounds, so an incomplete
-// buffer — missing senders, wrong arity — is a coordination fault.
+// with the given schema, its senders' rows in sender order whatever order
+// they arrived in, so a stage's input and counts are the same every run.
+// The coordinator barriers rounds, so an incomplete buffer — missing
+// senders, wrong arity — is a coordination fault.
 func (s *Service) takeShuffle(id string, round, senders int, schema *storage.Schema) (*storage.Table, error) {
 	s.inbox.mu.Lock()
 	defer s.inbox.mu.Unlock()
@@ -246,11 +219,17 @@ func (s *Service) takeShuffle(id string, round, senders int, schema *storage.Sch
 	if len(b.senders) != senders {
 		return nil, fmt.Errorf("%w: shuffle %s round %d: %d of %d senders delivered", ErrRefused, id, round, len(b.senders), senders)
 	}
-	if b.arity != 0 && b.arity != schema.Len() {
+	if b.arity != schema.Len() {
 		return nil, fmt.Errorf("%w: shuffle %s round %d: row arity %d != schema arity %d", ErrRefused, id, round, b.arity, schema.Len())
 	}
 	t := storage.NewTable(schema)
-	t.Rows = b.rows
+	for sender := range senders {
+		rows, ok := b.senders[sender]
+		if !ok {
+			return nil, fmt.Errorf("%w: shuffle %s round %d: no body from sender %d", ErrRefused, id, round, sender)
+		}
+		t.Rows = append(t.Rows, rows...)
+	}
 	return t, nil
 }
 
@@ -282,15 +261,13 @@ func (s *Service) shuffleBuffered() int {
 // RunShuffleStep executes one stage before the last: resolve the statement
 // (plan cache) and bind the shipped plan, take the stage's input (local
 // partition or inbox buffer), run the segment's chain steps under an
-// admission slot, hash-partition the output on the next segment's key and
-// deliver every partition to its peer through send (req.Deliver when send
-// is nil). It returns when every peer has ingested its partition, which is
-// what lets the coordinator barrier rounds. A failed delivery cancels the
-// remaining sends.
-func (s *Service) RunShuffleStep(ctx context.Context, req ShuffleRunRequest, send ShuffleSend) (*ShuffleRunResult, error) {
-	if send == nil {
-		send = req.Deliver
-	}
+// admission slot, encode the output into one frame body per peer,
+// hash-partitioned on the next segment's key (encodeShuffle), release the
+// chain, and deliver every body through req.Deliver. It returns when every
+// peer has ingested its body, which is what lets the coordinator barrier
+// rounds. A failed delivery cancels the remaining sends.
+func (s *Service) RunShuffleStep(ctx context.Context, req ShuffleRunRequest) (*ShuffleRunResult, error) {
+	send := req.Deliver
 	if send == nil {
 		return nil, errors.New("service: shuffle stage without a delivery path")
 	}
@@ -356,26 +333,29 @@ func (s *Service) RunShuffleStep(ctx context.Context, req ShuffleRunRequest, sen
 		RowsIn: int64(in.Rows.Len()), CacheHit: planCache != cache.Miss,
 		QueuedMillis: queuedMillis, InputMillis: phaseMillis(&phaseStart),
 	}
-	out := in.Rows
-	if req.Segment >= 0 {
-		var m *exec.Metrics
-		out, m, err = runner.Run(ctx, req.Segment, in.Rows)
-		if err != nil {
-			return fail(err)
-		}
-		if m != nil {
-			res.BlocksRead = m.BlocksRead
-			res.BlocksWritten = m.BlocksWritten
-			res.Comparisons = m.Comparisons
-		}
+	out, m, err := runner.Run(ctx, req.Segment, in.Rows)
+	if err != nil {
+		return fail(err)
 	}
+	res.BlocksRead, res.BlocksWritten, res.Comparisons = m.BlocksRead, m.BlocksWritten, m.Comparisons
 	res.RowsOut = int64(out.Len())
 	res.ExecMillis = phaseMillis(&phaseStart)
 
-	parts := exec.PartitionRows(out.Rows, runner.Key(req.Segment+1).IDs(), req.Senders)
+	hdr := shuffleHeader{
+		ShuffleID: req.ShuffleID, Round: req.Round + 1, Sender: req.Self,
+		streamHeader: streamHeader{Columns: WireColumns(out.Schema.Columns)},
+	}
+	bodies, err := encodeShuffle(out, runner.Key(req.Segment+1).IDs(), req.Senders, hdr)
+	out.Release()
+	if err != nil {
+		return fail(err)
+	}
+	for _, body := range bodies {
+		res.BytesOut += int64(len(body))
+	}
 
-	// Deliver every partition concurrently; the first failure cancels the
-	// peers' streams so a doomed round does not keep shipping rows.
+	// Deliver every body concurrently; the first failure cancels the other
+	// sends so a doomed round does not keep shipping rows.
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	errs := make([]error, req.Senders)
@@ -384,10 +364,7 @@ func (s *Service) RunShuffleStep(ctx context.Context, req ShuffleRunRequest, sen
 		wg.Add(1)
 		go func(peer int) {
 			defer wg.Done()
-			b := &ShuffleBatch{
-				ID: req.ShuffleID, Round: req.Round + 1, Sender: req.Self,
-				Cols: out.Schema.Columns, Rows: parts[peer],
-			}
+			b := &ShuffleBatch{ID: hdr.ShuffleID, Round: hdr.Round, Sender: hdr.Sender, Body: bodies[peer]}
 			if err := send(sctx, peer, b); err != nil {
 				errs[peer] = err
 				cancel()
@@ -406,6 +383,34 @@ func (s *Service) RunShuffleStep(ctx context.Context, req ShuffleRunRequest, sen
 	res.DeliverMillis = phaseMillis(&phaseStart)
 	live.AddShuffleRows(res.RowsOut)
 	return res, nil
+}
+
+// encodeShuffle encodes a stage's output into one frame body per peer: the
+// rows exec.PartitionPositions hashes to the peer on key, every column
+// gathered straight out of the chain — a row's slots, a tail vector — as
+// Cursor.NextBatch gathers it. The bodies copy every value and string, so
+// the chain may be released as soon as they are made.
+func encodeShuffle(out *exec.Chain, key []attrs.ID, peers int, hdr shuffleHeader) ([][]byte, error) {
+	var b stream.Batch
+	bodies := make([][]byte, peers)
+	for peer, pos := range exec.PartitionPositions(out.Rows, key, peers) {
+		var err error
+		bodies[peer], err = encodeFrameBody(hdr, len(pos), &b, func(b *stream.Batch, off, k int) error {
+			b.Reset(out.Schema.Len(), k)
+			for c := 0; c < out.Schema.Len(); c++ {
+				if c < out.Width {
+					b.GatherTuples(c, out.Rows, c, pos[off:])
+				} else {
+					b.GatherValues(c, out.Tail[c-out.Width], pos[off:])
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return bodies, nil
 }
 
 // phaseMillis reports the milliseconds since *start and advances it: the

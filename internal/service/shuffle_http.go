@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,15 +10,14 @@ import (
 	"net/http"
 	"strings"
 
-	"repro/internal/storage"
 	"repro/internal/trace"
 )
 
 // The HTTP spelling of the shuffle data plane: /shard/shuffle/run executes
 // one stage on a node, and the bare /shard/shuffle route is the
 // node-to-node row exchange — one frame body (framebody.go) per (sender,
-// receiver, round). Rows go straight from the wire into the receiver's
-// inbox buffer; neither side materializes a request or response body.
+// receiver, round), the bytes the stage encoded, which the receiver reads
+// with ShuffleIngest like an in-process delivery.
 
 // shuffleHeader is the header frame of a peer shuffle stream.
 type shuffleHeader struct {
@@ -27,15 +27,11 @@ type shuffleHeader struct {
 	streamHeader
 }
 
-// SendShuffleHTTP delivers one shuffle batch to a peer node's
-// /shard/shuffle route as a streamed POST of frames. The cluster's HTTP
-// transport and the shard-node handler's peer sender both use it.
+// SendShuffleHTTP POSTs one shuffle batch's body to a peer node's
+// /shard/shuffle route. The cluster's HTTP transport and the shard-node
+// handler's peer sender both use it.
 func SendShuffleHTTP(ctx context.Context, hc *http.Client, base string, b *ShuffleBatch) error {
-	hdr := shuffleHeader{
-		ShuffleID: b.ID, Round: b.Round, Sender: b.Sender,
-		streamHeader: streamHeader{Columns: WireColumns(b.Cols)},
-	}
-	resp, err := postFrames(ctx, hc, base+"/shard/shuffle", hdr, b.Rows, len(b.Cols))
+	resp, err := postBody(ctx, hc, base+"/shard/shuffle", b.Body)
 	if err != nil {
 		return err
 	}
@@ -45,8 +41,8 @@ func SendShuffleHTTP(ctx context.Context, hc *http.Client, base string, b *Shuff
 }
 
 // handleShuffleRun executes one shuffle stage, delivering the re-shuffled
-// output directly to the peer addresses the request names (self-deliveries
-// skip the socket).
+// output directly to the peer addresses the request names (a
+// self-delivery skips the socket for ShuffleIngest).
 func (s *Service) handleShuffleRun(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")
@@ -63,16 +59,16 @@ func (s *Service) handleShuffleRun(w http.ResponseWriter, r *http.Request) {
 	if req.TraceID == "" {
 		req.TraceID = r.Header.Get(trace.HeaderTraceID)
 	}
-	send := func(ctx context.Context, peer int, b *ShuffleBatch) error {
+	req.Deliver = func(ctx context.Context, peer int, b *ShuffleBatch) error {
 		if peer == req.Self {
-			return s.ShuffleAccept(ctx, b)
+			return s.ShuffleIngest(ctx, bytes.NewReader(b.Body))
 		}
 		if peer < 0 || peer >= len(req.Peers) || req.Peers[peer] == "" {
 			return fmt.Errorf("service: no address for shuffle peer %d", peer)
 		}
 		return SendShuffleHTTP(ctx, s.cfg.PeerClient, req.Peers[peer], b)
 	}
-	res, err := s.RunShuffleStep(r.Context(), req, send)
+	res, err := s.RunShuffleStep(r.Context(), req)
 	if err != nil {
 		status, kind := StatusFor(err)
 		writeError(w, status, kind, err)
@@ -81,11 +77,10 @@ func (s *Service) handleShuffleRun(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
-// handleShuffleIngest receives one peer's shuffle stream, decoding rows
-// incrementally into the inbox. The sender is registered complete only
-// when the trailer arrives with the right row count — a cut stream leaves
-// the buffer incomplete, which the consuming stage reports. A body that
-// does not declare itself frames is refused unread.
+// handleShuffleIngest receives one peer's frame body into the inbox
+// (ShuffleIngest): a body that does not decode, or that the inbox refuses,
+// is a 500 refused and leaves the inbox as it was. A body that does not
+// declare itself frames is a 415, unread.
 func (s *Service) handleShuffleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")
@@ -96,22 +91,12 @@ func (s *Service) handleShuffleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnsupportedMediaType, "request", fmt.Errorf("service: a shuffle stream is %s", ContentTypeBinary))
 		return
 	}
-	var hdr shuffleHeader
-	n, err := readFrameBody(r.Body, &hdr, func(rows []storage.Tuple) error {
-		return s.appendShuffle(hdr.ShuffleID, hdr.Round, hdr.arity(), rows)
-	})
-	if err == nil {
-		err = s.finishShuffle(hdr.ShuffleID, hdr.Round, hdr.Sender, hdr.arity())
-	}
-	if err != nil {
-		status, kind := http.StatusBadRequest, "request"
-		if errors.Is(err, ErrRefused) {
-			status, kind = StatusFor(err)
-		}
+	if err := s.ShuffleIngest(r.Context(), r.Body); err != nil {
+		status, kind := StatusFor(err)
 		writeError(w, status, kind, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "rows": n})
+	writeJSON(w, http.StatusOK, map[string]any{"ok": true})
 }
 
 // handleShuffleDrop discards a query's buffered shuffle state: the

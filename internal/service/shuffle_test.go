@@ -1,7 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -9,32 +15,75 @@ import (
 	windowdb "repro"
 	"repro/internal/datagen"
 	"repro/internal/storage"
+	"repro/internal/stream"
 )
 
 func shuffleTestService() *Service {
 	eng := windowdb.New(windowdb.Config{SortMemBytes: 1 << 20, Parallelism: 1})
 	eng.Register("web_sales", datagen.WebSales(datagen.WebSalesConfig{Rows: 100, Seed: 1}))
-	return New(eng, Config{})
+	return New(eng, Config{ShardRoutes: true})
 }
 
+// testBatch is sender's delivery of n one-column rows into round of
+// shuffle id.
 func testBatch(id string, round, sender int, n int) *ShuffleBatch {
-	cols := []storage.Column{{Name: "a", Type: storage.TypeInt}}
+	return testBatchOf(id, round, sender, n, 1)
+}
+
+// testBatchOf is testBatch with rows of arity columns.
+func testBatchOf(id string, round, sender, n, arity int) *ShuffleBatch {
+	cols := make([]storage.Column, arity)
+	for c := range cols {
+		cols[c] = storage.Column{Name: fmt.Sprintf("c%d", c), Type: storage.TypeInt}
+	}
 	rows := make([]storage.Tuple, n)
 	for i := range rows {
-		rows[i] = storage.Tuple{storage.Int(int64(i))}
+		rows[i] = make(storage.Tuple, arity)
+		for c := range rows[i] {
+			rows[i][c] = storage.Int(int64(i))
+		}
 	}
-	return &ShuffleBatch{ID: id, Round: round, Sender: sender, Cols: cols, Rows: rows}
+	hdr := shuffleHeader{ShuffleID: id, Round: round, Sender: sender, streamHeader: streamHeader{Columns: WireColumns(cols)}}
+	body, err := encodeFrameBody(hdr, n, &stream.Batch{}, func(b *stream.Batch, off, k int) error {
+		return b.FillTuples(rows[off:off+k], arity)
+	})
+	if err != nil {
+		panic(err)
+	}
+	return &ShuffleBatch{ID: id, Round: round, Sender: sender, Body: body}
 }
 
-// TestShuffleInboxRoundTrip: batches accumulate per (id, round), take
-// requires completeness, and a consumed buffer is gone.
+// accept delivers b into s as an in-process peer does.
+func accept(s *Service, b *ShuffleBatch) error {
+	return s.ShuffleIngest(context.Background(), bytes.NewReader(b.Body))
+}
+
+// frameStarts returns the offset of every frame of a frame body, and the
+// body's length last.
+func frameStarts(body []byte) []int {
+	var starts []int
+	for at := len(stream.FrameMagic); at < len(body); at += 5 + int(binary.LittleEndian.Uint32(body[at+1:])) {
+		starts = append(starts, at)
+	}
+	return append(starts, len(body))
+}
+
+// cut is b with its body cut to n bytes.
+func cut(b *ShuffleBatch, n int) *ShuffleBatch {
+	c := *b
+	c.Body = b.Body[:n]
+	return &c
+}
+
+// TestShuffleInboxRoundTrip: bodies accumulate per (id, round), take
+// requires completeness, a consumed buffer is gone, and a body the inbox
+// refuses — over either carrier — leaves the buffer as it was.
 func TestShuffleInboxRoundTrip(t *testing.T) {
 	s := shuffleTestService()
-	ctx := context.Background()
-	if err := s.ShuffleAccept(ctx, testBatch("q1", 1, 0, 3)); err != nil {
+	if err := accept(s, testBatch("q1", 1, 0, 3)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ShuffleAccept(ctx, testBatch("q1", 1, 1, 0)); err != nil {
+	if err := accept(s, testBatch("q1", 1, 1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	// Incomplete: only 2 of 3 senders delivered.
@@ -44,7 +93,7 @@ func TestShuffleInboxRoundTrip(t *testing.T) {
 	}
 	// takeShuffle removed the buffer even on failure; re-deliver fully.
 	for sender := 0; sender < 2; sender++ {
-		if err := s.ShuffleAccept(ctx, testBatch("q1", 1, sender, 2)); err != nil {
+		if err := accept(s, testBatch("q1", 1, sender, 2)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -58,12 +107,58 @@ func TestShuffleInboxRoundTrip(t *testing.T) {
 	if got := s.shuffleBuffered(); got != 0 {
 		t.Fatalf("%d buffers left after take", got)
 	}
-	// Duplicate sender delivery is rejected.
-	if err := s.ShuffleAccept(ctx, testBatch("q2", 1, 0, 1)); err != nil {
-		t.Fatal(err)
+
+	// Every body the inbox refuses, against a buffer of shuffle id holding
+	// sender 0's three rows.
+	s.ShuffleDrop("gone")
+	refused := func(id string) map[string]*ShuffleBatch {
+		wide := testBatch(id, 1, 1, 2*frameChunk)
+		at := frameStarts(wide.Body) // header, two batches, trailer, end
+		return map[string]*ShuffleBatch{
+			"duplicate":          testBatch(id, 1, 0, 1),
+			"cut in a batch":     cut(wide, at[1]+7),
+			"cut at a boundary":  cut(wide, at[2]),
+			"cut in the trailer": cut(wide, at[4]-2),
+			"wrong arity":        testBatchOf(id, 1, 1, 2, 2),
+			"dropped id":         testBatch("gone", 1, 1, 2),
+		}
 	}
-	if err := s.ShuffleAccept(ctx, testBatch("q2", 1, 0, 1)); err == nil {
-		t.Fatal("duplicate sender must be rejected")
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	carriers := map[string]func(b *ShuffleBatch) error{
+		"in-process": func(b *ShuffleBatch) error { return accept(s, b) },
+		"http": func(b *ShuffleBatch) error {
+			return SendShuffleHTTP(context.Background(), srv.Client(), srv.URL, b)
+		},
+	}
+	for carrier, deliver := range carriers {
+		id := "q2-" + carrier
+		if err := deliver(testBatch(id, 1, 0, 3)); err != nil {
+			t.Fatal(err)
+		}
+		for name, b := range refused(id) {
+			err := deliver(b)
+			if !errors.Is(err, ErrRefused) {
+				t.Fatalf("%s/%s: %v, want a refusal", carrier, name, err)
+			}
+			var re *RemoteError
+			if carrier == "http" && (!errors.As(err, &re) || re.Status != http.StatusInternalServerError) {
+				t.Fatalf("%s/%s: %v, want 500 refused", carrier, name, err)
+			}
+			s.inbox.mu.Lock()
+			var senders []int
+			rows := 0
+			for sender, r := range s.inbox.bufs[shuffleKey(id, 1)].senders {
+				senders, rows = append(senders, sender), rows+len(r)
+			}
+			_, revived := s.inbox.bufs[shuffleKey("gone", 1)]
+			s.inbox.mu.Unlock()
+			if rows != 3 || fmt.Sprint(senders) != "[0]" || revived {
+				t.Fatalf("%s/%s: the buffer holds %d rows from senders %v after the refusal (dropped id revived: %v), want 3 from sender 0",
+					carrier, name, rows, senders, revived)
+			}
+		}
+		s.ShuffleDrop(id)
 	}
 }
 
@@ -73,15 +168,14 @@ func TestShuffleInboxRoundTrip(t *testing.T) {
 // arrives.
 func TestShuffleDropTombstone(t *testing.T) {
 	s := shuffleTestService()
-	ctx := context.Background()
-	if err := s.ShuffleAccept(ctx, testBatch("doomed", 1, 0, 5)); err != nil {
+	if err := accept(s, testBatch("doomed", 1, 0, 5)); err != nil {
 		t.Fatal(err)
 	}
 	s.ShuffleDrop("doomed")
 	if got := s.shuffleBuffered(); got != 0 {
 		t.Fatalf("%d buffers left after drop", got)
 	}
-	err := s.ShuffleAccept(ctx, testBatch("doomed", 2, 1, 5))
+	err := accept(s, testBatch("doomed", 2, 1, 5))
 	if err == nil || !strings.Contains(err.Error(), "dropped") {
 		t.Fatalf("straggler after drop: err = %v, want dropped rejection", err)
 	}
@@ -89,7 +183,7 @@ func TestShuffleDropTombstone(t *testing.T) {
 		t.Fatalf("straggler re-created %d buffers past the tombstone", got)
 	}
 	// A fresh shuffle id is unaffected.
-	if err := s.ShuffleAccept(ctx, testBatch("fresh", 1, 0, 1)); err != nil {
+	if err := accept(s, testBatch("fresh", 1, 0, 1)); err != nil {
 		t.Fatal(err)
 	}
 	s.ShuffleDrop("fresh")
@@ -110,8 +204,7 @@ func TestShuffleBufferTTL(t *testing.T) {
 	}
 	eng := windowdb.New(windowdb.Config{SortMemBytes: 1 << 20, Parallelism: 1})
 	s := New(eng, Config{ShuffleTTL: time.Minute})
-	ctx := context.Background()
-	if err := s.ShuffleAccept(ctx, testBatch("orphan", 1, 0, 8)); err != nil {
+	if err := accept(s, testBatch("orphan", 1, 0, 8)); err != nil {
 		t.Fatal(err)
 	}
 	s.Stats() // the periodic sweep trigger
@@ -125,7 +218,7 @@ func TestShuffleBufferTTL(t *testing.T) {
 	}
 	// Negative TTL disables expiry.
 	s2 := New(eng, Config{ShuffleTTL: -1})
-	if err := s2.ShuffleAccept(ctx, testBatch("kept", 1, 0, 1)); err != nil {
+	if err := accept(s2, testBatch("kept", 1, 0, 1)); err != nil {
 		t.Fatal(err)
 	}
 	age(s2, 24*time.Hour)

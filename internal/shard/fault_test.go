@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -44,6 +45,7 @@ const (
 	refuse            // the at-th delivery into the node's inbox is refused
 	duplicate         // the at-th delivery into the node's inbox arrives twice
 	reorder           // the at-th delivery into the node's inbox lands after its round's others
+	cutBody           // the at-th delivery into the node's inbox arrives cut at a seeded offset
 	corruptPlan       // the at-th stage the node is sent carries a plan that does not bind
 	kill              // the coordinator's kill fires at the node's at-th call, which goes on
 	stall             // the node's at-th call stalls until the statement is killed
@@ -55,7 +57,7 @@ const (
 
 var faultNames = [faults]string{
 	"none", "fail open", "cut stream", "fail run", "fail barrier", "refuse",
-	"duplicate", "reorder", "corrupt plan", "kill", "stall", "deadline", "close early",
+	"duplicate", "reorder", "cut body", "corrupt plan", "kill", "stall", "deadline", "close early",
 	"cancel drain",
 }
 
@@ -68,7 +70,8 @@ type schedule struct {
 	fault fault
 	node  int
 	at    int64
-	nodes int // the cluster's width: every round delivers this many batches into each node
+	nodes int   // the cluster's width: every round delivers this many batches into each node
+	cut   int64 // cutBody: the seed of where the body is cut (cutAt)
 	// kill fires the coordinator's kill switch for the statement and expire
 	// passes its deadline; stalled, when set, is closed once the stall has
 	// begun.
@@ -93,8 +96,11 @@ func newSchedule(rng *rand.Rand, nodes, rows int) *schedule {
 	if rng.Intn(3) > 0 {
 		s.fault = fault(1 + rng.Intn(int(faults)-1))
 	}
-	if s.fault == closeEarly || s.fault == cancelDrain {
+	switch s.fault {
+	case closeEarly, cancelDrain:
 		s.at = int64(rng.Intn(rows + 1))
+	case cutBody:
+		s.cut = rng.Int63()
 	}
 	return s
 }
@@ -242,6 +248,10 @@ func (ft *faultTransport) AcceptShuffle(ctx context.Context, b *service.ShuffleB
 		}
 	case s.on(reorder, ft.node):
 		s.await(b.Round, s.nodes-1)
+	case s.on(cutBody, ft.node):
+		cut := *b
+		cut.Body = b.Body[:cutAt(b.Body, s.cut)]
+		b = &cut
 	}
 	err := ft.Transport.AcceptShuffle(ctx, b)
 	if s != nil && s.fault == reorder && s.node == ft.node {
@@ -267,6 +277,32 @@ func (s *schedule) await(round, n int) {
 	for s.landed[round] < n {
 		s.cond.Wait()
 	}
+}
+
+// cutAt is where a cutBody fault with the given seed cuts a frame body:
+// inside its header frame, inside one of its batch frames, at one of the
+// frame boundaries after the header, or inside its trailer frame. A body
+// without a batch — a peer's empty partition — is cut at a boundary
+// instead of in a batch.
+func cutAt(body []byte, seed int64) int {
+	var starts []int // every frame's offset: header, batches, trailer
+	for at := len(stream.FrameMagic); at < len(body); at += 5 + int(binary.LittleEndian.Uint32(body[at+1:])) {
+		starts = append(starts, at)
+	}
+	ends := append(starts[1:], len(body))
+	rng := rand.New(rand.NewSource(seed))
+	inside := func(frame int) int { return starts[frame] + 1 + rng.Intn(ends[frame]-starts[frame]-1) }
+	switch last := len(starts) - 1; rng.Intn(4) {
+	case 0:
+		return inside(0)
+	case 1:
+		if last > 1 {
+			return inside(1 + rng.Intn(last-1))
+		}
+	case 3:
+		return inside(last)
+	}
+	return starts[1+rng.Intn(len(starts)-1)]
 }
 
 // corrupted is a copy of plan missing its last step: one that does not bind.
@@ -403,7 +439,7 @@ func (sc *schedule) check(e ending, oracle func([]storage.Tuple) error) error {
 	switch f {
 	case failOpen, cutStream, failRun, failBarrier, refuse:
 		want, wantErr = failed, errInjected
-	case duplicate, corruptPlan:
+	case duplicate, cutBody, corruptPlan:
 		want, wantErr = failed, service.ErrRefused
 	case kill, stall, closeEarly:
 		want, wantErr = aborted, context.Canceled

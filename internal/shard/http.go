@@ -127,8 +127,8 @@ func (h *HTTP) ShuffleRun(ctx context.Context, req service.ShuffleRunRequest) (*
 	return &res, nil
 }
 
-// AcceptShuffle implements Transport: a streamed POST of frames to the
-// node's /shard/shuffle ingest route.
+// AcceptShuffle implements Transport: the body POSTed to the node's
+// /shard/shuffle ingest route.
 func (h *HTTP) AcceptShuffle(ctx context.Context, b *service.ShuffleBatch) error {
 	return service.SendShuffleHTTP(ctx, h.client, h.base, b)
 }

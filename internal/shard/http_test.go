@@ -141,7 +141,7 @@ func TestUnknownModeErrorsOnBothTransports(t *testing.T) {
 // fault, not the end client's, so the coordinator's /query answers it 500,
 // kind "refused", over in-process and HTTP nodes alike. (HTTP nodes deliver
 // to each other, past the coordinator's transports, so only in-process
-// nodes get a duplicated delivery.)
+// nodes get a duplicated or a cut delivery.)
 func TestRefusedStageIsAServerFault(t *testing.T) {
 	for _, tc := range []struct {
 		transport string
@@ -151,6 +151,7 @@ func TestRefusedStageIsAServerFault(t *testing.T) {
 		{"local", corruptPlan, q6SQL},
 		{"local", corruptPlan, keylessSQL},
 		{"local", duplicate, keylessSQL},
+		{"local", cutBody, keylessSQL},
 		{"http", corruptPlan, q6SQL},
 		{"http", corruptPlan, keylessSQL},
 	} {

@@ -263,8 +263,8 @@ func shuffleNonce() string {
 }
 
 // deliverShuffle routes one re-shuffled batch to the peer's transport: the
-// in-process data plane (Local nodes ingest directly, HTTP nodes get the
-// frame POST their transport speaks). Remote nodes executing a stage use
+// in-process data plane (a Local node reads the body into its inbox, an
+// HTTP node gets it POSTed). Remote nodes executing a stage use
 // the request's peer addresses instead and never call back here.
 func (c *Cluster) deliverShuffle(ctx context.Context, peer int, b *service.ShuffleBatch) error {
 	if peer < 0 || peer >= len(c.shards) {
@@ -962,7 +962,7 @@ func (c *Cluster) streamShuffle(ctx context.Context, src string, prep *sql.Prepa
 func shuffleNodeSpan(i int, source string, res *service.ShuffleRunResult) *trace.Span {
 	ms := func(v float64) time.Duration { return time.Duration(v * float64(time.Millisecond)) }
 	sp := trace.New(fmt.Sprintf("node %d", i), ms(res.QueuedMillis+res.InputMillis+res.ExecMillis+res.DeliverMillis))
-	sp.SetInt("rows_in", res.RowsIn).SetInt("rows_out", res.RowsOut)
+	sp.SetInt("rows_in", res.RowsIn).SetInt("rows_out", res.RowsOut).SetInt("bytes_out", res.BytesOut)
 	if res.CacheHit {
 		sp.SetAttr("plan_cache", "hit")
 	} else {

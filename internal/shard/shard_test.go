@@ -69,7 +69,7 @@ func newLocalCluster(t *testing.T, n int, rows int) *Cluster {
 
 // localCluster is newLocalCluster over nodes served with the given config,
 // returning the node services too.
-func localCluster(t *testing.T, n int, rows int, node service.Config) (*Cluster, []*service.Service) {
+func localCluster(t testing.TB, n int, rows int, node service.Config) (*Cluster, []*service.Service) {
 	t.Helper()
 	svcs := make([]*service.Service, n)
 	shards := make([]Transport, n)

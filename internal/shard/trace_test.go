@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -59,6 +60,12 @@ func TestShuffleTraceAssembly(t *testing.T) {
 			if !phases[want] {
 				t.Fatalf("node span %s lacks phase %s: %v", n.Name, want, trace.Render(n))
 			}
+		}
+		// Every body carries a header and a trailer, so a node that
+		// shipped its rows shipped more bytes than rows.
+		rows, _ := strconv.ParseInt(n.Attrs["rows_out"], 10, 64)
+		if sent, err := strconv.ParseInt(n.Attrs["bytes_out"], 10, 64); err != nil || sent <= rows {
+			t.Fatalf("node span %s: bytes_out %q for %d rows out", n.Name, n.Attrs["bytes_out"], rows)
 		}
 	}
 	if nodes != 2 {

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 
 	"repro"
@@ -53,10 +54,10 @@ type Transport interface {
 	// re-shuffle the output directly to the peer nodes. Returns once every
 	// peer has ingested — the coordinator's round barrier.
 	ShuffleRun(ctx context.Context, req service.ShuffleRunRequest) (*service.ShuffleRunResult, error)
-	// AcceptShuffle delivers one re-shuffled row batch into the node's
-	// shuffle inbox. Nodes address each other directly over their own data
-	// plane; this entry point exists so in-process clusters (and tests
-	// wrapping transports) can route peer deliveries without sockets.
+	// AcceptShuffle reads one peer's frame body into the node's shuffle
+	// inbox. Nodes address each other directly over their own data plane;
+	// this entry point exists so in-process clusters (and tests wrapping
+	// transports) can route peer deliveries without sockets.
 	AcceptShuffle(ctx context.Context, b *service.ShuffleBatch) error
 	// ShuffleDrop discards the node's buffered shuffle state for id — the
 	// coordinator's cleanup when a stage fails mid-shuffle.
@@ -106,15 +107,15 @@ func (l *Local) QueryStream(ctx context.Context, req service.ShardQueryRequest) 
 }
 
 // ShuffleRun implements Transport: the node executes the stage in-process,
-// delivering re-shuffled partitions through the request's Deliver hook
-// (the cluster wires it to the peer transports' AcceptShuffle).
+// delivering its bodies through the request's Deliver hook (the cluster
+// wires it to the peer transports' AcceptShuffle).
 func (l *Local) ShuffleRun(ctx context.Context, req service.ShuffleRunRequest) (*service.ShuffleRunResult, error) {
-	return l.svc.RunShuffleStep(ctx, req, nil)
+	return l.svc.RunShuffleStep(ctx, req)
 }
 
-// AcceptShuffle implements Transport: straight into the node's inbox.
+// AcceptShuffle implements Transport: ShuffleIngest, as /shard/shuffle.
 func (l *Local) AcceptShuffle(ctx context.Context, b *service.ShuffleBatch) error {
-	return l.svc.ShuffleAccept(ctx, b)
+	return l.svc.ShuffleIngest(ctx, bytes.NewReader(b.Body))
 }
 
 // ShuffleDrop implements Transport.

@@ -116,17 +116,15 @@ func (r *SegmentRunner) FilterBase(ctx context.Context) (*storage.Table, error) 
 }
 
 // Run executes segment seg's chain steps over in — rows already
-// hash-partitioned on the segment's key — returning the extended table and
-// the executor metrics. The table is materialized: its rows are the next
-// shuffle's wire rows and must carry their derived columns. The chain is
-// never released — the table's rows, and the strings its spills read back,
-// may be its arena's — and goes with the table to the GC.
-func (r *SegmentRunner) Run(ctx context.Context, seg int, in *storage.Table) (*storage.Table, *exec.Metrics, error) {
-	out, m, _, err := r.p.runPlan(ctx, nil, in, segmentPlan(r.p.plan, r.segs[seg]))
-	if err != nil {
-		return nil, nil, err
+// hash-partitioned on the segment's key — and returns the chain, which the
+// caller releases, and the executor metrics. Segment -1, the raw stage, runs
+// no step: its chain is in.
+func (r *SegmentRunner) Run(ctx context.Context, seg int, in *storage.Table) (*exec.Chain, *exec.Metrics, error) {
+	if seg < 0 {
+		return exec.RunChain(ctx, in, nil, nil, exec.Config{})
 	}
-	return out.Table(), m, nil
+	out, m, _, err := r.p.runPlan(ctx, nil, in, segmentPlan(r.p.plan, r.segs[seg]))
+	return out, m, err
 }
 
 // runLast runs the chain's last segment over rows every earlier segment

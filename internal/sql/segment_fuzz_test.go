@@ -177,7 +177,10 @@ func FuzzShippedPlan(f *testing.F) {
 			if r := b.Segments(); r.Segments() > 1 {
 				var in *storage.Table
 				if in, err = r.FilterBase(ctx); err == nil {
-					_, _, err = r.Run(ctx, 0, in)
+					var c *exec.Chain
+					if c, _, err = r.Run(ctx, 0, in); err == nil {
+						c.Release()
+					}
 				}
 			} else {
 				var c *Cursor

@@ -258,11 +258,14 @@ func composeSegments(t *testing.T, c gen.Case, shardKey attrs.Set, scheme Scheme
 				}
 			}
 			if seg >= 0 {
-				var m *exec.Metrics
-				if out, m, err = runners[i].Run(ctx, seg, out); err != nil {
+				// The chain goes to the GC with the table: a spilled
+				// string in it may be the chain arena's.
+				chain, m, err := runners[i].Run(ctx, seg, out)
+				if err != nil {
 					fail("node %d segment %d: %v", i, seg, err)
 				}
 				verbatim(i, seg, m)
+				out = chain.Table()
 			}
 			for p, rows := range exec.PartitionRows(out.Rows, runners[0].Key(seg+1).IDs(), nodes) {
 				next[p].Rows = append(next[p].Rows, rows...)

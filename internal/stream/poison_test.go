@@ -10,6 +10,7 @@ import (
 
 	windowdb "repro"
 	"repro/internal/datagen"
+	"repro/internal/exec"
 	"repro/internal/paper"
 	"repro/internal/service"
 	"repro/internal/shard"
@@ -203,16 +204,19 @@ func TestReusedBatchesAreNeverRead(t *testing.T) {
 }
 
 // TestClusterKeepsNoBatchPastItsRefill runs every way rows cross a
-// coordinator under the poison switch. Three of them hand the node's batch
-// straight to the caller (scatter, a shuffle's final segment, and a keyless
-// chain's — gathered at one node, which streams every row, its peer none);
-// one copies its rows out before asking for the next (the drain that feeds
-// a coordinator-side DISTINCT/ORDER BY). Over in-process nodes the batch is
-// the node cursor's own and over HTTP the stream reader's: a tuple, a vector
-// or a string that outlived either shows as poison in what the reader kept,
-// and what it kept equals the single engine's rows. Every chain spills, and
-// recycled arena memory is poisoned too: a ws_pad string a node's spill
-// read back, kept past the node cursor's Close, shows as well.
+// coordinator under the poison switch, over 2 and 3 nodes. Three of them
+// hand the node's batch straight to the caller (scatter, a shuffle's final
+// segment, and a keyless chain's — gathered at one node, which streams every
+// row, its peers none); one copies its rows out before asking for the next
+// (the drain that feeds a coordinator-side DISTINCT/ORDER BY). Over
+// in-process nodes the batch is the node cursor's own and over HTTP the
+// stream reader's: a tuple, a vector or a string that outlived either shows
+// as poison in what the reader kept, and what it kept equals the single
+// engine's rows. Every chain spills, and recycled arena memory is poisoned
+// too: a ws_pad string a node's spill read back, kept past the node cursor's
+// Close, shows as well — and so does one a stage before the last encoded
+// after releasing its chain, which the three-segment chain's middle stage
+// would ship to its peers.
 func TestClusterKeepsNoBatchPastItsRefill(t *testing.T) {
 	defer stream.PoisonReused()()
 	defer storage.PoisonRewound()()
@@ -233,52 +237,71 @@ func TestClusterKeepsNoBatchPastItsRefill(t *testing.T) {
 			return shard.NewHTTP(srv.URL, srv.Client())
 		},
 	}
-	paths := []struct{ route, name, sql string }{
-		{"scatter", "pass-through", `SELECT ws_item_sk, ws_pad, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS r FROM web_sales`},
+	paths := []struct {
+		route, name, sql string
+		segments         int // of the plan, when the path needs that many
+	}{
+		{"scatter", "pass-through", `SELECT ws_item_sk, ws_pad, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS r FROM web_sales`, 0},
 		{"shuffle", "final segment", `SELECT ws_order_number, ws_pad,
 			rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS a,
-			rank() OVER (PARTITION BY ws_warehouse_sk ORDER BY ws_sold_date_sk) AS b FROM web_sales`},
-		{"scatter", "concat drain", `SELECT ws_order_number, ws_pad, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS r FROM web_sales ORDER BY ws_order_number`},
-		{"shuffle", "gather", `SELECT ws_order_number, ws_pad, rank() OVER (ORDER BY ws_sold_time_sk) AS r FROM web_sales`},
+			rank() OVER (PARTITION BY ws_warehouse_sk ORDER BY ws_sold_date_sk) AS b FROM web_sales`, 2},
+		{"shuffle", "middle stage", `SELECT ws_order_number, ws_pad,
+			rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS a,
+			rank() OVER (PARTITION BY ws_warehouse_sk ORDER BY ws_pad) AS b,
+			rank() OVER (PARTITION BY ws_bill_customer_sk ORDER BY ws_sold_time_sk) AS c FROM web_sales`, 3},
+		{"scatter", "concat drain", `SELECT ws_order_number, ws_pad, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS r FROM web_sales ORDER BY ws_order_number`, 0},
+		{"shuffle", "gather", `SELECT ws_order_number, ws_pad, rank() OVER (ORDER BY ws_sold_time_sk) AS r FROM web_sales`, 0},
 	}
 	for transport, node := range clusters {
-		c, err := shard.New(shard.Config{Engine: engCfg}, []shard.Transport{node(), node()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.RegisterSharded(ctx, "web_sales", ws, "ws_item_sk"); err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range paths {
-			t.Run(transport+"/"+p.name, func(t *testing.T) {
-				want, err := eng.Query(p.sql)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rows, err := c.QueryContext(ctx, p.sql)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := drainKeeping(t, rows, nil)
-				if m := rows.Metrics(); m == nil || m.Route != p.route {
-					t.Fatalf("metrics %+v, want route %s", m, p.route)
-				}
-				if len(got) != want.Table.Len() {
-					t.Fatalf("%d rows, the single engine has %d", len(got), want.Table.Len())
-				}
-				gotEnc, wantEnc := make([]string, len(got)), make([]string, len(got))
-				for i, k := range got {
-					gotEnc[i] = string(storage.AppendTuple(nil, k.row))
-					wantEnc[i] = string(storage.AppendTuple(nil, want.Table.Rows[i]))
-				}
-				sort.Strings(gotEnc)
-				sort.Strings(wantEnc)
-				for i := range gotEnc {
-					if gotEnc[i] != wantEnc[i] {
-						t.Fatalf("the rows read differ from the single engine's (at %d of the sorted encodings)", i)
+		for _, n := range []int{2, 3} {
+			nodes := make([]shard.Transport, n)
+			for i := range nodes {
+				nodes[i] = node()
+			}
+			c, err := shard.New(shard.Config{Engine: engCfg}, nodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.RegisterSharded(ctx, "web_sales", ws, "ws_item_sk"); err != nil {
+				t.Fatal(err)
+			}
+			cluster := transport // 2 nodes; wider clusters say how wide
+			if n > 2 {
+				cluster = fmt.Sprintf("%s-%d", transport, n)
+			}
+			for _, p := range paths {
+				t.Run(cluster+"/"+p.name, func(t *testing.T) {
+					want, err := eng.Query(p.sql)
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-			})
+					rows, err := c.QueryContext(ctx, p.sql)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := drainKeeping(t, rows, nil)
+					if m := rows.Metrics(); m == nil || m.Route != p.route {
+						t.Fatalf("metrics %+v, want route %s", m, p.route)
+					} else if segs := len(exec.Segments(m.Plan)); p.segments > 0 && segs != p.segments {
+						t.Fatalf("the plan has %d segments, the path needs %d: %s", segs, p.segments, m.Chain)
+					}
+					if len(got) != want.Table.Len() {
+						t.Fatalf("%d rows, the single engine has %d", len(got), want.Table.Len())
+					}
+					gotEnc, wantEnc := make([]string, len(got)), make([]string, len(got))
+					for i, k := range got {
+						gotEnc[i] = string(storage.AppendTuple(nil, k.row))
+						wantEnc[i] = string(storage.AppendTuple(nil, want.Table.Rows[i]))
+					}
+					sort.Strings(gotEnc)
+					sort.Strings(wantEnc)
+					for i := range gotEnc {
+						if gotEnc[i] != wantEnc[i] {
+							t.Fatalf("the rows read differ from the single engine's (at %d of the sorted encodings)", i)
+						}
+					}
+				})
+			}
 		}
 	}
 }

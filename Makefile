@@ -136,9 +136,9 @@ load-smoke:
 # loopback socket buffers, which keeps a throttled client's shuffle query
 # genuinely in flight: the query must show up in the coordinator's
 # /debug/queries with a merged shard-node subtree, DELETE by ID must kill
-# it, and windowdb_queries_aborted_total must tick. (The table push is
-# row-tagged JSON, so this cluster boots in tens of seconds — hence its
-# own longer health wait and its own small shard pair.)
+# it, and windowdb_queries_aborted_total must tick. (Its tables are pushed
+# to the nodes as frame bodies over /shard/register; it gets its own
+# longer health wait and its own small shard pair.)
 cluster-smoke: SMOKE_KILL_ROWS = 120000
 cluster-smoke: SMOKE_Q = SELECT ws_item_sk, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_time_sk) AS r FROM web_sales
 cluster-smoke: SMOKE_DIVQ = SELECT ws_order_number, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS a, rank() OVER (PARTITION BY ws_warehouse_sk ORDER BY ws_sold_date_sk) AS b FROM web_sales

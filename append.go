@@ -150,14 +150,6 @@ func (e *Engine) SubscribeStatement(ctx context.Context, p *sql.Prepared) (*Subs
 // _rid/_op/_watermark meta columns.
 func (s *Subscription) Columns() []storage.Column { return s.cols }
 
-// Watermark returns the data generation the emitted rows are current as
-// of; it advances with every applied batch.
-func (s *Subscription) Watermark() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.watermark
-}
-
 // NextBatch returns the next output row as a one-row batch, blocking
 // between delta batches until an append lands or the context is canceled.
 func (s *Subscription) NextBatch() (*stream.Batch, error) { return s.b.NextBatch() }

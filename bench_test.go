@@ -34,10 +34,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/paper"
-	"repro/internal/reorder"
 	"repro/internal/storage"
 	"repro/internal/window"
-	"repro/internal/xsort"
 )
 
 var (
@@ -240,23 +238,6 @@ func BenchmarkTable11(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRunFormation — replacement selection vs load-sort-store.
-func BenchmarkAblationRunFormation(b *testing.B) {
-	d := dataset(b)
-	q1 := paper.MicroQueries()[0].Spec
-	mem := microPoints(d)[0]
-	for _, rf := range []struct {
-		name string
-		kind xsort.RunFormation
-	}{{"ReplacementSelection", xsort.ReplacementSelection}, {"LoadSortStore", xsort.LoadSortStore}} {
-		b.Run(rf.name, func(b *testing.B) {
-			runSingleOp(b, d, "web_sales", q1, core.ReorderFS, mem, core.Unordered(), func(c *exec.Config) {
-				c.RunFormation = rf.kind
-			})
-		})
-	}
-}
-
 // BenchmarkAblationBucketCount — HS bucket-count policy vs fixed counts.
 func BenchmarkAblationBucketCount(b *testing.B) {
 	d := dataset(b)
@@ -270,23 +251,6 @@ func BenchmarkAblationBucketCount(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			runSingleOp(b, d, "web_sales", q1, core.ReorderHS, mem, core.Unordered(), func(c *exec.Config) {
 				c.HSBuckets = buckets
-			})
-		})
-	}
-}
-
-// BenchmarkAblationSpillPolicy — HS flush victim selection.
-func BenchmarkAblationSpillPolicy(b *testing.B) {
-	d := dataset(b)
-	q1 := paper.MicroQueries()[0].Spec
-	mem := microPoints(d)[0]
-	for _, p := range []struct {
-		name   string
-		policy reorder.SpillPolicy
-	}{{"Largest", reorder.SpillLargest}, {"RoundRobin", reorder.SpillRoundRobin}} {
-		b.Run(p.name, func(b *testing.B) {
-			runSingleOp(b, d, "web_sales", q1, core.ReorderHS, mem, core.Unordered(), func(c *exec.Config) {
-				c.SpillPolicy = p.policy
 			})
 		})
 	}

@@ -1,9 +1,10 @@
 // Command windbench regenerates the paper's evaluation (Section 6) on this
 // repository's substrate: Figures 3–8, the plan Tables 4/6/8/10, the
-// optimizer-overhead Table 11, the design-choice ablations, and the two
-// Section 3.5 sweeps (in-process parallel degrees, in-process shards).
-// What it prints is for reading; the shapes it shows are asserted in
-// internal/bench's tests, and performance claims are made on benchmark/.
+// optimizer-overhead Table 11, the design-choice ablations (HS bucket count,
+// the MFV bypass and SS's α choice), and the two Section 3.5 sweeps
+// (in-process parallel degrees, in-process shards). What it prints is for
+// reading; the shapes it shows are asserted in internal/bench's tests, and
+// performance claims are made on benchmark/.
 //
 // Usage:
 //

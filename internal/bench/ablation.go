@@ -9,10 +9,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/paper"
-	"repro/internal/reorder"
 	"repro/internal/storage"
 	"repro/internal/window"
-	"repro/internal/xsort"
 )
 
 // AblationResult is one measurement of a design-choice ablation.
@@ -25,9 +23,9 @@ type AblationResult struct {
 	Detail      string
 }
 
-// RunAblations measures the design choices DESIGN.md calls out:
-// run-formation policy, HS bucket count, HS spill policy, the MFV bypass on
-// Q3's oversized partitions, and SS's α-maximization rule.
+// RunAblations measures the design choices DESIGN.md calls out: HS bucket
+// count, the MFV bypass on Q3's oversized partitions, and SS's
+// α-maximization rule.
 func (d *Dataset) RunAblations(w io.Writer) ([]AblationResult, error) {
 	var out []AblationResult
 	record := func(exp, variant string, r MicroResult) {
@@ -42,24 +40,8 @@ func (d *Dataset) RunAblations(w io.Writer) ([]AblationResult, error) {
 	largeMem := d.MicroMemSweep()[6] // the "500MB" point
 	q1 := paper.MicroQueries()[0].Spec
 
-	// 1. Run formation: replacement selection (runs ≈ 2M) vs load-sort-store
-	// (runs ≈ M) under a deep external FS.
-	fprintf(w, "== Ablation 1: run formation (FS on Q1 @ %s) ==\n", smallMem.Label)
-	for _, rf := range []struct {
-		name string
-		kind xsort.RunFormation
-	}{{"replacement-selection", xsort.ReplacementSelection}, {"load-sort-store", xsort.LoadSortStore}} {
-		r, err := d.runMicroWith(d.WebSales, q1, core.ReorderFS, smallMem, core.Unordered(), func(c *exec.Config) {
-			c.RunFormation = rf.kind
-		})
-		if err != nil {
-			return nil, err
-		}
-		record("run-formation", rf.name, r)
-	}
-
-	// 2. HS bucket count: the policy default vs fixed counts.
-	fprintf(w, "== Ablation 2: HS bucket count (Q1 @ %s) ==\n", smallMem.Label)
+	// 1. HS bucket count: the policy default vs fixed counts.
+	fprintf(w, "== Ablation 1: HS bucket count (Q1 @ %s) ==\n", smallMem.Label)
 	for _, b := range []int{0, 16, 64, 1024} {
 		name := "policy-default"
 		if b > 0 {
@@ -74,26 +56,11 @@ func (d *Dataset) RunAblations(w io.Writer) ([]AblationResult, error) {
 		record("bucket-count", name, r)
 	}
 
-	// 3. HS spill policy under memory pressure.
-	fprintf(w, "== Ablation 3: HS spill policy (Q1 @ %s) ==\n", smallMem.Label)
-	for _, p := range []struct {
-		name   string
-		policy reorder.SpillPolicy
-	}{{"largest-first", reorder.SpillLargest}, {"round-robin", reorder.SpillRoundRobin}} {
-		r, err := d.runMicroWith(d.WebSales, q1, core.ReorderHS, smallMem, core.Unordered(), func(c *exec.Config) {
-			c.SpillPolicy = p.policy
-		})
-		if err != nil {
-			return nil, err
-		}
-		record("spill-policy", p.name, r)
-	}
-
-	// 4. MFV bypass on Q3 (16 partitions, every one larger than memory) at
+	// 2. MFV bypass on Q3 (16 partitions, every one larger than memory) at
 	// large M — the pathology Fig. 3(c) discusses; the paper's prototype did
 	// not implement the bypass.
 	q3 := paper.MicroQueries()[2].Spec
-	fprintf(w, "== Ablation 4: HS most-frequent-value bypass (Q3 @ %s) ==\n", largeMem.Label)
+	fprintf(w, "== Ablation 2: HS most-frequent-value bypass (Q3 @ %s) ==\n", largeMem.Label)
 	for _, withMFV := range []bool{false, true} {
 		name := "no-bypass (paper prototype)"
 		if withMFV {
@@ -111,11 +78,11 @@ func (d *Dataset) RunAblations(w io.Writer) ([]AblationResult, error) {
 		record("mfv-bypass", name, r)
 	}
 
-	// 5. SS α-maximization (footnote 2): α = (quantity, item) — many small
+	// 3. SS α-maximization (footnote 2): α = (quantity, item) — many small
 	// units — vs the shorter α = (quantity) with larger per-unit sorts.
 	// Input: web_sales_s extended to order (quantity, item); target
 	// wf = ({quantity, item}, (time)).
-	fprintf(w, "== Ablation 5: SS α choice (web_sales sorted on (quantity,item)) ==\n")
+	fprintf(w, "== Ablation 3: SS α choice (web_sales sorted on (quantity,item)) ==\n")
 	sorted := d.WebSalesS.Clone()
 	sorted.SortBy(attrs.AscSeq(paper.Quantity, paper.Item))
 	spec := window.Spec{

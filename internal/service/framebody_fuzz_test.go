@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"math"
 	"testing"
 
 	windowdb "repro"
@@ -14,7 +15,7 @@ import (
 
 // FuzzReadFrameBody drives readFrameBody, the reader every pushed body —
 // an /append from a client, a shuffle delivery from a peer, in process or
-// over /shard/shuffle — goes through. On any input it returns an error or
+// over /shard/shuffle, a table a coordinator registers — goes through. On any input it returns an error or
 // the trailer-confirmed row count and never panics, and it hands the sink
 // only whole batches: every tuple as wide as the header's columns, the rows
 // adding up to the count it returns.
@@ -46,6 +47,7 @@ func FuzzReadFrameBody(f *testing.F) {
 	hostile = binary.LittleEndian.AppendUint32(append(hostile, stream.FrameBatch), 0xfffffff0)
 	f.Add(hostile)
 	f.Add(stageBody(f))
+	f.Add(registerBody(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var hdr streamHeader
@@ -98,4 +100,28 @@ func stageBody(tb testing.TB) []byte {
 		tb.Fatalf("the stage body reads back %d of %d rows: %v", n, chain.Len(), err)
 	}
 	return bodies[0]
+}
+
+// registerBody is the /shard/register body of a table whose FLOAT column
+// holds NaN, +Inf and −Inf and whose rows hold a NULL, encoded by
+// encodeRegister; it must read back whole.
+func registerBody(tb testing.TB) []byte {
+	t := storage.NewTable(storage.NewSchema(
+		storage.Column{Name: "k", Type: storage.TypeInt},
+		storage.Column{Name: "f", Type: storage.TypeFloat},
+	))
+	for i, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		t.MustAppend(storage.Tuple{storage.Int(int64(i)), storage.Float(f)})
+	}
+	t.MustAppend(storage.Tuple{storage.Int(3), storage.Null})
+	body, err := encodeRegister("seed", t)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var hdr registerHeader
+	n, err := readFrameBody(bytes.NewReader(body), &hdr, func([]storage.Tuple) error { return nil })
+	if err != nil || n != int64(t.Len()) || hdr.Table != "seed" {
+		tb.Fatalf("the register body reads back %d of %d rows of %q: %v", n, t.Len(), hdr.Table, err)
+	}
+	return body
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -12,6 +13,8 @@ import (
 	"repro"
 	"repro/internal/attrs"
 	"repro/internal/core"
+	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/trace"
 )
 
@@ -20,7 +23,7 @@ import (
 // routes mount only under Config.ShardRoutes (windserve -shardnode).
 //
 //	POST /shard/query        {"sql": "...", "mode": "full"|"segment", stage...} (row stream)
-//	POST /shard/register     {"name": "t", "table": {wire table}}
+//	POST /shard/register     (frame body: the table's name, columns and rows)
 //	GET  /shard/distinct?table=t&attrs=3,4
 //	POST /shard/shuffle/run  {ShuffleRunRequest}
 //	POST /shard/shuffle      (peer row stream — node-to-node)
@@ -29,8 +32,9 @@ import (
 // /shard/query serves every node stream (ShardStream) and always answers
 // with the row stream of stream.go as binary frames, whatever the Accept.
 // /shard/register installs a table partition (or replica) into the node's
-// engine — like every route here it is an intra-cluster interface: deploy
-// shard nodes behind the cluster boundary, not on the public edge.
+// engine from one frame body (framebody.go) — like every route here it is
+// an intra-cluster interface: deploy shard nodes behind the cluster
+// boundary, not on the public edge.
 // /shard/distinct answers a distinct count for the coordinator's
 // statistics stubs. Every statement over a sharded table runs as stages of
 // the coordinator's plan (Stage): "run" executes one stage before the last
@@ -104,10 +108,36 @@ func (s *Service) ShardStream(ctx context.Context, req ShardQueryRequest) (*wind
 	return nil, fmt.Errorf("%w: unknown shard query mode %q", errBadRequest, req.Mode)
 }
 
-// ShardRegisterRequest installs a table on a shard node.
-type ShardRegisterRequest struct {
-	Name  string    `json:"name"`
-	Table WireTable `json:"table"`
+// registerHeader is the header frame of a /shard/register body: the name
+// the table is installed under and its typed columns.
+type registerHeader struct {
+	Table string `json:"table"`
+	streamHeader
+}
+
+// encodeRegister encodes the /shard/register body that installs t as name.
+func encodeRegister(name string, t *storage.Table) ([]byte, error) {
+	arity := t.Schema.Len()
+	hdr := registerHeader{Table: name, streamHeader: streamHeader{Columns: WireColumns(t.Schema.Columns)}}
+	return encodeFrameBody(hdr, t.Len(), &stream.Batch{}, func(b *stream.Batch, off, k int) error {
+		return b.FillTuples(t.Rows[off:off+k], arity)
+	})
+}
+
+// SendRegisterHTTP installs t on a node as name: one frame body to its
+// /shard/register route, the rows as /append and /shard/shuffle carry them.
+func SendRegisterHTTP(ctx context.Context, hc *http.Client, base, name string, t *storage.Table) error {
+	body, err := encodeRegister(name, t)
+	if err != nil {
+		return err
+	}
+	resp, err := postBody(ctx, hc, base+"/shard/register", body)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	_, _ = io.Copy(io.Discard, resp.Body)
+	return nil
 }
 
 // ShardDistinctResponse is a shard-local distinct count.
@@ -148,27 +178,41 @@ func (s *Service) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 	WriteStream(liveContext(r.Context(), s.reg, traceID), w, rows, 0, CodecBinary)
 }
 
+// handleShardRegister installs the table a frame body carries. A body that
+// does not declare itself frames is a 415, unread; one that does not decode,
+// names no table or types a column unknown is a 400.
 func (s *Service) handleShardRegister(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")
-		writeError(w, http.StatusMethodNotAllowed, "request", errors.New("service: POST a ShardRegisterRequest"))
+		writeError(w, http.StatusMethodNotAllowed, "request", errors.New("service: POST a table as a frame body"))
 		return
 	}
-	var req ShardRegisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "request", fmt.Errorf("service: bad request body: %w", err))
+	if !strings.Contains(r.Header.Get("Content-Type"), ContentTypeBinary) {
+		writeError(w, http.StatusUnsupportedMediaType, "request", fmt.Errorf("service: a registered table is %s", ContentTypeBinary))
 		return
 	}
-	if req.Name == "" {
-		writeError(w, http.StatusBadRequest, "request", errors.New("service: register needs a table name"))
-		return
+	var (
+		hdr  registerHeader
+		rows []storage.Tuple
+	)
+	_, err := readFrameBody(r.Body, &hdr, func(batch []storage.Tuple) error {
+		rows = append(rows, batch...)
+		return nil
+	})
+	if err == nil && hdr.Table == "" {
+		err = errors.New("service: register needs a table name")
 	}
-	t, err := req.Table.Decode()
+	var cols []storage.Column
+	if err == nil {
+		cols, err = DecodeColumns(hdr.Columns)
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "request", err)
 		return
 	}
-	s.eng.Register(req.Name, t)
+	t := storage.NewTable(storage.NewSchema(cols...))
+	t.Rows = rows
+	s.eng.Register(hdr.Table, t)
 	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "rows": t.Len()})
 }
 

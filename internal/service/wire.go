@@ -9,9 +9,10 @@ import (
 	"repro/internal/storage"
 )
 
-// Wire types for the shard transport: a lossless JSON encoding of tables
-// so a coordinator and its shard nodes exchange rows without collapsing
-// value kinds. The /query endpoint's row encoding (jsonValue) maps values
+// The tagged JSON value encoding of NDJSON streams and hand-written JSON
+// /append bodies: lossless, so rows cross without collapsing value kinds
+// (rows between cluster processes ride frame bodies instead, framebody.go).
+// The /query endpoint's row encoding (jsonValue) maps values
 // to their natural JSON forms — good for human clients, but it erases the
 // int/float distinction that the engine's canonical tuple encoding (and
 // therefore result-equivalence checking) preserves. WireValue instead tags
@@ -77,28 +78,8 @@ type WireColumn struct {
 	Type string `json:"type"` // INT | FLOAT | STRING
 }
 
-// WireTable is a schema plus tagged rows.
-type WireTable struct {
-	Columns []WireColumn  `json:"columns"`
-	Rows    [][]WireValue `json:"rows"`
-}
-
-// EncodeTable converts a table to its wire form.
-func EncodeTable(t *storage.Table) WireTable {
-	wt := WireTable{Columns: WireColumns(t.Schema.Columns)}
-	wt.Rows = make([][]WireValue, t.Len())
-	for ri, row := range t.Rows {
-		out := make([]WireValue, len(row))
-		for ci, v := range row {
-			out[ci] = WireValue{V: v}
-		}
-		wt.Rows[ri] = out
-	}
-	return wt
-}
-
 // WireColumns converts a schema's columns to their wire form: the header
-// line of the NDJSON stream and the column block of WireTable.
+// line of the NDJSON stream and the column block of a frame body's header.
 func WireColumns(cols []storage.Column) []WireColumn {
 	out := make([]WireColumn, len(cols))
 	for i, c := range cols {
@@ -126,26 +107,4 @@ func DecodeColumns(wc []WireColumn) ([]storage.Column, error) {
 		cols[i] = storage.Column{Name: c.Name, Type: typ}
 	}
 	return cols, nil
-}
-
-// Decode converts a wire table back to a storage table, validating column
-// types and row arity.
-func (w WireTable) Decode() (*storage.Table, error) {
-	cols, err := DecodeColumns(w.Columns)
-	if err != nil {
-		return nil, err
-	}
-	t := storage.NewTable(storage.NewSchema(cols...))
-	t.Rows = make([]storage.Tuple, len(w.Rows))
-	for ri, row := range w.Rows {
-		if len(row) != len(cols) {
-			return nil, fmt.Errorf("service: wire row %d arity %d != schema arity %d", ri, len(row), len(cols))
-		}
-		tuple := make(storage.Tuple, len(row))
-		for ci, v := range row {
-			tuple[ci] = v.V
-		}
-		t.Rows[ri] = tuple
-	}
-	return t, nil
 }

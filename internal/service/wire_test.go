@@ -1,7 +1,11 @@
 package service
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -9,6 +13,7 @@ import (
 
 	"repro"
 	"repro/internal/storage"
+	"repro/internal/stream"
 )
 
 // TestWireValueRoundTrip: every kind survives the tagged encoding exactly,
@@ -39,34 +44,43 @@ func TestWireValueRoundTrip(t *testing.T) {
 			t.Fatalf("round trip %v (%v) -> %v (%v)", v, v.Kind(), back.V, back.V.Kind())
 		}
 	}
+	var wv WireValue
+	if err := json.Unmarshal([]byte(`{"x":1}`), &wv); err == nil {
+		t.Fatal("untagged wire value must fail")
+	}
+	if err := json.Unmarshal([]byte(`{"i":"not-a-number"}`), &wv); err == nil {
+		t.Fatal("bad int payload must fail")
+	}
 }
 
-// TestWireTableRoundTrip: schema and rows survive; canonical encodings are
-// bit-identical (the property shard result-equivalence checks rest on).
-func TestWireTableRoundTrip(t *testing.T) {
+// TestRegisterRoundTrip: a table sent to /shard/register keeps its schema
+// and rows; canonical encodings are bit-identical (the property shard
+// result-equivalence checks rest on), non-finite floats and ints past 2^53
+// included.
+func TestRegisterRoundTrip(t *testing.T) {
+	svc := New(windowdb.New(windowdb.Config{}), Config{ShardRoutes: true})
+	node := httptest.NewServer(svc.Handler())
+	defer node.Close()
 	schema := storage.NewSchema(
 		storage.Column{Name: "a", Type: storage.TypeInt},
 		storage.Column{Name: "b", Type: storage.TypeFloat},
 		storage.Column{Name: "c", Type: storage.TypeString},
 	)
 	tab := storage.NewTable(schema)
-	tab.MustAppend(storage.Tuple{storage.Int(1), storage.Float(1.5), storage.StringVal("x")})
+	tab.MustAppend(storage.Tuple{storage.Int(1<<62 + 12345), storage.Float(1.5), storage.StringVal("x")})
 	tab.MustAppend(storage.Tuple{storage.Null, storage.Int(7), storage.Null}) // mixed kind in a FLOAT column
+	tab.MustAppend(storage.Tuple{storage.Int(-1), storage.Float(math.NaN()), storage.StringVal("")})
+	tab.MustAppend(storage.Tuple{storage.Int(2), storage.Float(math.Inf(-1)), storage.StringVal(`quotes " ✓`)})
 
-	buf, err := json.Marshal(EncodeTable(tab))
+	if err := SendRegisterHTTP(context.Background(), node.Client(), node.URL, "t", tab); err != nil {
+		t.Fatal(err)
+	}
+	back, err := svc.Engine().Table("t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wt WireTable
-	if err := json.Unmarshal(buf, &wt); err != nil {
-		t.Fatal(err)
-	}
-	back, err := wt.Decode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Schema.Len() != 3 || back.Schema.Columns[1].Type != storage.TypeFloat {
-		t.Fatalf("schema mangled: %+v", back.Schema)
+	if !slices.Equal(back.Schema.Columns, schema.Columns) || back.Len() != tab.Len() {
+		t.Fatalf("registered %+v with %d rows, sent %+v with %d", back.Schema.Columns, back.Len(), schema.Columns, tab.Len())
 	}
 	for i := range tab.Rows {
 		got := storage.AppendTuple(nil, back.Rows[i])
@@ -77,24 +91,49 @@ func TestWireTableRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireTableDecodeErrors rejects malformed wire tables.
-func TestWireTableDecodeErrors(t *testing.T) {
-	if _, err := (WireTable{Columns: []WireColumn{{Name: "a", Type: "BLOB"}}}).Decode(); err == nil {
-		t.Fatal("unknown column type must fail")
+// TestRegisterRejectsBadBodies: /shard/register takes a frame body only
+// (415 otherwise, unread), and a body naming an unknown column type or no
+// table, with rows wider than its columns, or cut short is a 400 request
+// that registers nothing.
+func TestRegisterRejectsBadBodies(t *testing.T) {
+	svc := New(windowdb.New(windowdb.Config{}), Config{ShardRoutes: true})
+	node := httptest.NewServer(svc.Handler())
+	defer node.Close()
+	// body is a one-row body under a one-column header whose batch is
+	// arity columns wide.
+	body := func(table, typ string, arity int) []byte {
+		hdr := registerHeader{Table: table, streamHeader: streamHeader{Columns: []WireColumn{{Name: "a", Type: typ}}}}
+		b, err := encodeFrameBody(hdr, 1, &stream.Batch{}, func(b *stream.Batch, _, _ int) error {
+			return b.FillTuples([]storage.Tuple{storage.Tuple{storage.Int(1), storage.Int(2)}[:arity]}, arity)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	wt := WireTable{
-		Columns: []WireColumn{{Name: "a", Type: "INT"}},
-		Rows:    [][]WireValue{{{V: storage.Int(1)}, {V: storage.Int(2)}}},
+	good := body("t", "INT", 1)
+	for name, b := range map[string][]byte{
+		"unknown type": body("t", "BLOB", 1),
+		"no name":      body("", "INT", 1),
+		"arity":        body("t", "INT", 2),
+		"cut":          good[:len(good)-3],
+	} {
+		_, err := postBody(context.Background(), node.Client(), node.URL+"/shard/register", b)
+		var re *RemoteError
+		if !errors.As(err, &re) || re.Status != http.StatusBadRequest || re.Kind != "request" {
+			t.Errorf("%s: %v, want a 400 request", name, err)
+		}
 	}
-	if _, err := wt.Decode(); err == nil {
-		t.Fatal("arity mismatch must fail")
+	resp, err := node.Client().Post(node.URL+"/shard/register", "application/json", bytes.NewReader(good))
+	if err != nil {
+		t.Fatal(err)
 	}
-	var wv WireValue
-	if err := json.Unmarshal([]byte(`{"x":1}`), &wv); err == nil {
-		t.Fatal("untagged wire value must fail")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnsupportedMediaType {
+		t.Errorf("a JSON Content-Type: %s, want 415", resp.Status)
 	}
-	if err := json.Unmarshal([]byte(`{"i":"not-a-number"}`), &wv); err == nil {
-		t.Fatal("bad int payload must fail")
+	if _, err := svc.Engine().Table("t"); err == nil {
+		t.Error("a refused body registered its table")
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 // HTTP reaches a shard node over the /shard/* routes of its windserve
 // process, so multiple processes form a real cluster. Safe for concurrent
 // use (http.Client is). Every row that crosses — node
-// streams, shuffle deliveries, appends — rides the binary columnar frame
+// streams, shuffle deliveries, appends, registered tables — rides the binary columnar frame
 // codec, the node planes' only one.
 type HTTP struct {
 	base   string
@@ -138,10 +138,10 @@ func (h *HTTP) ShuffleDrop(ctx context.Context, id string) error {
 	return h.do(ctx, http.MethodPost, "/shard/shuffle/drop", map[string]string{"shuffle_id": id}, nil)
 }
 
-// Register implements Transport.
+// Register implements Transport: the table POSTed as frames to the node's
+// /shard/register route.
 func (h *HTTP) Register(ctx context.Context, name string, t *storage.Table) error {
-	req := service.ShardRegisterRequest{Name: name, Table: service.EncodeTable(t)}
-	return h.do(ctx, http.MethodPost, "/shard/register", req, nil)
+	return service.SendRegisterHTTP(ctx, h.client, h.base, name, t)
 }
 
 // Append implements Transport: the batch POSTed as frames to the node's

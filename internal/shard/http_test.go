@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +18,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/service"
 	"repro/internal/sql"
+	"repro/internal/storage"
 )
 
 // newHTTPCluster boots n shard windserve handlers on httptest servers and
@@ -89,6 +92,68 @@ func TestHTTPTransportRoundTrip(t *testing.T) {
 	}
 	if stats.ShardShuffleRounds == 0 {
 		t.Fatal("shuffle stages over HTTP not counted on the nodes")
+	}
+}
+
+// TestRegisterNonFiniteOverHTTP: a table holding NaN, ±Inf, an INT past
+// 2^53 and NULLs registers sharded on two HTTP nodes — its rows cross as
+// frames, which carry every value the engine holds — and reads back, bare
+// and through a window function, exactly as over in-process nodes.
+func TestRegisterNonFiniteOverHTTP(t *testing.T) {
+	tab := storage.NewTable(storage.NewSchema(
+		storage.Column{Name: "k", Type: storage.TypeInt},
+		storage.Column{Name: "f", Type: storage.TypeFloat},
+		storage.Column{Name: "s", Type: storage.TypeString},
+	))
+	for i, f := range []storage.Value{
+		storage.Float(math.NaN()), storage.Float(math.Inf(1)), storage.Float(math.Inf(-1)), storage.Null,
+		storage.Float(-0.5), storage.Float(math.NaN()), storage.Float(2), storage.Float(math.Inf(1)),
+	} {
+		k, str := storage.Int(int64(i%3)), storage.StringVal(strconv.Itoa(i))
+		switch i {
+		case 1:
+			k = storage.Int(1<<53 + 1)
+		case 4:
+			k = storage.Null
+		case 6:
+			str = storage.Null
+		}
+		tab.MustAppend(storage.Tuple{k, f, str})
+	}
+	ctx := context.Background()
+	results := map[string][][]string{}
+	for name, tr := range map[string]func() Transport{
+		"local": func() Transport {
+			return NewLocal(service.New(windowdb.New(testEngineConfig()), service.Config{}))
+		},
+		"http": func() Transport {
+			srv := httptest.NewServer(service.New(windowdb.New(testEngineConfig()), service.Config{ShardRoutes: true}).Handler())
+			t.Cleanup(srv.Close)
+			return NewHTTP(srv.URL, srv.Client())
+		},
+	} {
+		c, err := New(Config{Engine: testEngineConfig()}, []Transport{tr(), tr()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.RegisterSharded(ctx, "t", tab, "k"); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, q := range []string{`SELECT k, f, s FROM t`, `SELECT k, f, s, rank() OVER (PARTITION BY s ORDER BY f) AS r FROM t`} {
+			res, err := c.Query(ctx, q)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", name, q, err)
+			}
+			results[name] = append(results[name], canonical(res.Table))
+		}
+	}
+	if len(results["http"][0]) != tab.Len() {
+		t.Fatalf("read back %d rows over HTTP, registered %d", len(results["http"][0]), tab.Len())
+	}
+	for i := range results["local"] {
+		if !slices.Equal(results["http"][i], results["local"][i]) {
+			t.Fatalf("statement %d reads back differently over HTTP than in process", i)
+		}
 	}
 }
 

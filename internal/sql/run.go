@@ -110,20 +110,6 @@ func (r *Runner) QueryContext(ctx context.Context, src string) (*Result, error) 
 	return p.ExecuteContext(ctx)
 }
 
-// Run executes a parsed query.
-func (r *Runner) Run(q *Query) (*Result, error) {
-	return r.RunContext(context.Background(), q)
-}
-
-// RunContext prepares and executes a parsed query under ctx.
-func (r *Runner) RunContext(ctx context.Context, q *Query) (*Result, error) {
-	p, err := r.prepare(q, "")
-	if err != nil {
-		return nil, err
-	}
-	return p.ExecuteContext(ctx)
-}
-
 // resolveOutputColumn finds the first SELECT item whose visible name is
 // name and, when that item projects a base-table column, returns the base
 // column index. Window-function items and unmatched names return false.

@@ -149,14 +149,6 @@ type QueryEntry struct {
 	live    Live
 }
 
-// ID returns the entry's trace ID.
-func (e *QueryEntry) ID() string {
-	if e == nil {
-		return ""
-	}
-	return e.id
-}
-
 // Live returns the entry's counters (nil-safe; a nil entry yields a nil
 // Live, whose methods are no-ops).
 func (e *QueryEntry) Live() *Live {

@@ -211,18 +211,15 @@ func TestFailedMergeReturnsItsPages(t *testing.T) {
 
 // TestTreeHoldsNoTuples — the tree outlives the sort that filled it, so it
 // is emptied whichever way the sort ends: sorts of growing and shrinking
-// leaf counts, under both run formations, and an input that panics while
+// leaf counts, and an input that panics while
 // runs are being formed, all leave every leaf zero — and the sorter fit for
 // the next sort.
 func TestTreeHoldsNoTuples(t *testing.T) {
 	key := attrs.AscSeq(0, 1)
 	s := &Sorter{Key: key, Store: pagestore.NewMem(256, nil)}
-	for _, tc := range []struct {
-		n, budgetRows int
-		rf            RunFormation
-	}{{3000, 40, ReplacementSelection}, {500, 3, ReplacementSelection}, {2000, 100, LoadSortStore}, {100, 1, LoadSortStore}, {50, 50, ReplacementSelection}} {
+	for _, tc := range []struct{ n, budgetRows int }{{3000, 40}, {500, 3}, {2000, 100}, {100, 1}, {50, 50}} {
 		rows := randRows(rand.New(rand.NewSource(int64(tc.n))), tc.n, 12)
-		s.MemoryBytes, s.RunFormation = tc.budgetRows*rows[0].Size(), tc.rf
+		s.MemoryBytes = tc.budgetRows * rows[0].Size()
 		got, st, err := s.SortTuples(slices.Clone(rows))
 		if err != nil || !storage.SortedOn(got, key) || !multisetEqual(got, rows) {
 			t.Fatalf("%+v: wrong result (%v, %+v)", tc, err, st)
@@ -231,7 +228,7 @@ func TestTreeHoldsNoTuples(t *testing.T) {
 	}
 
 	rows := randRows(rand.New(rand.NewSource(8)), 1000, 12)
-	s.MemoryBytes, s.RunFormation = 40*rows[0].Size(), ReplacementSelection
+	s.MemoryBytes = 40 * rows[0].Size()
 	for _, after := range []int{41, 42, 500, 1000} {
 		func() {
 			defer func() {

@@ -5,7 +5,7 @@ import (
 	"repro/internal/storage"
 )
 
-// formRunsReplacement forms initial runs with replacement selection over
+// formRuns forms initial runs with replacement selection over
 // the loser tree, one leaf per buffered tuple: the winner goes out to the
 // current run and the next input tuple takes its leaf — tagged for the next
 // run when it sorts below the key just written, and with its arrival number
@@ -15,7 +15,7 @@ import (
 //
 // buf holds the tuples that filled the memory budget, at least one; next
 // supplies the rest.
-func (s *Sorter) formRunsReplacement(buf []storage.Tuple, next Input) ([]*run, error) {
+func (s *Sorter) formRuns(buf []storage.Tuple, next Input) ([]*run, error) {
 	defer s.tree.release()
 	leaves := s.tree.reset(len(buf))
 	for i, t := range buf {
@@ -78,60 +78,6 @@ func (s *Sorter) formRunsReplacement(buf []storage.Tuple, next Input) ([]*run, e
 	}
 	if err = closeCurrent(); err != nil {
 		return fail(err)
-	}
-	return runs, nil
-}
-
-// formRunsLoadSort is the ablation alternative: fill memory, quicksort,
-// spill, repeat. Runs have length M instead of 2M.
-func (s *Sorter) formRunsLoadSort(buf []storage.Tuple, next Input) ([]*run, error) {
-	var runs []*run
-	spillChunk := func(chunk []storage.Tuple) error {
-		s.sortInMemory(chunk)
-		w, err := spill.NewWriter(s.Store)
-		if err != nil {
-			return err
-		}
-		for _, t := range chunk {
-			if err := w.Write(t); err != nil {
-				w.Abort()
-				return err
-			}
-		}
-		f, err := w.Finish()
-		if err != nil {
-			w.Abort()
-			return err
-		}
-		runs = append(runs, &run{file: f})
-		return nil
-	}
-	chunk := buf
-	bytes := 0
-	for _, t := range chunk {
-		bytes += t.Size()
-	}
-	for {
-		t, ok := next()
-		if !ok {
-			break
-		}
-		if s.MemoryBytes > 0 && bytes+t.Size() > s.MemoryBytes && len(chunk) > 0 {
-			if err := spillChunk(chunk); err != nil {
-				releaseRuns(runs)
-				return nil, err
-			}
-			chunk = nil
-			bytes = 0
-		}
-		chunk = append(chunk, t)
-		bytes += t.Size()
-	}
-	if len(chunk) > 0 {
-		if err := spillChunk(chunk); err != nil {
-			releaseRuns(runs)
-			return nil, err
-		}
 	}
 	return runs, nil
 }

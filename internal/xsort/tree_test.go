@@ -122,10 +122,10 @@ func chainSpillBudget(rows []storage.Tuple) (mem, blockSize int) {
 
 // externalSort sorts rows at the chain_spill budget through Sort, as Full
 // Sort does (the input slice itself is only read), and returns what it cost.
-func externalSort(tb testing.TB, rows []storage.Tuple, rf RunFormation) Stats {
+func externalSort(tb testing.TB, rows []storage.Tuple) Stats {
 	mem, block := chainSpillBudget(rows)
 	var cmps int64
-	s := &Sorter{Key: attrs.AscSeq(0, 1), MemoryBytes: mem, Store: pagestore.NewMem(block, nil), RunFormation: rf, Comparisons: &cmps}
+	s := &Sorter{Key: attrs.AscSeq(0, 1), MemoryBytes: mem, Store: pagestore.NewMem(block, nil), Comparisons: &cmps}
 	got, st, err := s.Sort(SliceInput(rows), len(rows))
 	if err != nil || st.InMemory || len(got) != len(rows) {
 		tb.Fatalf("external sort of %d rows: %v %+v", len(rows), err, st)
@@ -133,25 +133,18 @@ func externalSort(tb testing.TB, rows []storage.Tuple, rf RunFormation) Stats {
 	return st
 }
 
-// TestExternalSortGoldenCount pins what one seeded external sort asks for
-// under each run formation, as TestStableKernelGoldenCount does for the
-// in-memory kernel: chain_spill's comparisons_per_op follows from these.
+// TestExternalSortGoldenCount pins what one seeded external sort asks for,
+// as TestStableKernelGoldenCount does for the in-memory kernel:
+// chain_spill's comparisons_per_op follows from it.
 func TestExternalSortGoldenCount(t *testing.T) {
+	const (
+		golden = 213481
+		heap   = 296788 // what the container/heap run formation and merge took
+	)
 	rows := randRows(rand.New(rand.NewSource(20120827)), 16000, 4000)
-	for _, tc := range []struct {
-		name   string
-		rf     RunFormation
-		golden int64
-		heap   int64 // what the container/heap run formation and merge took
-	}{
-		{"replacement selection", ReplacementSelection, 213481, 296788},
-		{"load-sort-store", LoadSortStore, 209534, 227392},
-	} {
-		st := externalSort(t, rows, tc.rf)
-		if st.Comparisons != tc.golden {
-			t.Errorf("%s: %d comparisons (%d runs, %d passes), the committed count is %d (the heaps took %d)",
-				tc.name, st.Comparisons, st.InitialRuns, st.MergePasses, tc.golden, tc.heap)
-		}
+	if st := externalSort(t, rows); st.Comparisons != golden {
+		t.Errorf("%d comparisons (%d runs, %d passes), the committed count is %d (the heaps took %d)",
+			st.Comparisons, st.InitialRuns, st.MergePasses, golden, heap)
 	}
 }
 
@@ -161,41 +154,31 @@ func TestExternalSortGoldenCount(t *testing.T) {
 func TestExternalSortComparisonsTrackModel(t *testing.T) {
 	const n = 16000
 	rows := randRows(rand.New(rand.NewSource(1)), n, 1<<40)
-	for _, rf := range []RunFormation{ReplacementSelection, LoadSortStore} {
-		st := externalSort(t, rows, rf)
-		model := n * math.Log2(n)
-		t.Logf("run formation %d: %d comparisons = %.3f·n·log₂n, %d runs, %d passes", rf, st.Comparisons, float64(st.Comparisons)/model, st.InitialRuns, st.MergePasses)
-		if float64(st.Comparisons) > model {
-			t.Errorf("run formation %d: %d comparisons, over the model's n·log₂n = %.0f", rf, st.Comparisons, model)
-		}
+	st := externalSort(t, rows)
+	model := n * math.Log2(n)
+	t.Logf("%d comparisons = %.3f·n·log₂n, %d runs, %d passes", st.Comparisons, float64(st.Comparisons)/model, st.InitialRuns, st.MergePasses)
+	if float64(st.Comparisons) > model {
+		t.Errorf("%d comparisons, over the model's n·log₂n = %.0f", st.Comparisons, model)
 	}
 }
 
 // BenchmarkExternalSort is the spilling sort on its own rung: 16 000 rows at
-// the chain_spill budget, from a single-valued key to a nearly unique one,
-// under both run formations. comparisons/row is exact. Heavy ties are
-// where the heaps asked less — a sift stops at the first tie, a tournament
-// plays every level: 3.95 → 10.44 a row on the single-valued key under
-// replacement selection, 12.94 → 13.09 on 256 values under load-sort-store;
-// everywhere else the tree asks less (17.59 → 13.36, 18.56 → 13.34,
-// 14.24 → 13.09).
+// the chain_spill budget, from a single-valued key to a nearly unique one.
+// comparisons/row is exact. Heavy ties are where the heaps asked less — a
+// sift stops at the first tie, a tournament plays every level: 3.95 → 10.44
+// a row on the single-valued key; on the wider keys the tree asks less.
 func BenchmarkExternalSort(b *testing.B) {
 	const n = 16000
 	for _, domain := range []int{1, 16, 4000} {
-		for _, rf := range []struct {
-			name string
-			rf   RunFormation
-		}{{"replacement", ReplacementSelection}, {"loadsort", LoadSortStore}} {
-			b.Run(fmt.Sprintf("domain=%d/%s", domain, rf.name), func(b *testing.B) {
-				rows := randRows(rand.New(rand.NewSource(1)), n, domain)
-				var cmps int64
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					cmps += externalSort(b, rows, rf.rf).Comparisons
-				}
-				b.ReportMetric(float64(cmps)/float64(b.N)/n, "comparisons/row")
-			})
-		}
+		b.Run(fmt.Sprintf("domain=%d", domain), func(b *testing.B) {
+			rows := randRows(rand.New(rand.NewSource(1)), n, domain)
+			var cmps int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cmps += externalSort(b, rows).Comparisons
+			}
+			b.ReportMetric(float64(cmps)/float64(b.N)/n, "comparisons/row")
+		})
 	}
 }

@@ -43,25 +43,12 @@ func SliceInput(tuples []storage.Tuple) Input {
 	}
 }
 
-// RunFormation selects the run-formation algorithm.
-type RunFormation uint8
-
-const (
-	// ReplacementSelection forms runs of expected length 2M with a
-	// tournament tree (the paper's assumption in Eq. 1).
-	ReplacementSelection RunFormation = iota
-	// LoadSortStore forms runs of length M by fill-sort-spill; provided for
-	// the ablation benchmark on run formation policy.
-	LoadSortStore
-)
-
 // Sorter configures one external sort. The zero value is not usable; set at
 // least Key and Store. MemoryBytes ≤ 0 means "unlimited" (always in-memory).
 type Sorter struct {
-	Key          attrs.Seq
-	MemoryBytes  int
-	Store        *pagestore.Store
-	RunFormation RunFormation
+	Key         attrs.Seq
+	MemoryBytes int
+	Store       *pagestore.Store
 
 	// Comparisons, if non-nil, accumulates key comparison counts.
 	Comparisons *int64
@@ -96,9 +83,9 @@ type Stats struct {
 	MergePasses int   // intermediate passes that re-materialized runs
 	InMemory    bool  // true when no spill occurred
 	Comparisons int64 // key comparisons performed by this sort
-	// Grouped counts the rows whose in-memory sort — the whole input, or a
-	// load-sort-store run — placed them by grouping on the leading key
-	// column rather than merging them; counted when Sorter.Grouped is set.
+	// Grouped counts the rows an in-memory sort placed by grouping on the
+	// leading key column rather than merging them; counted when
+	// Sorter.Grouped is set.
 	Grouped int64
 }
 
@@ -231,13 +218,7 @@ func (s *Sorter) finish(buf []storage.Tuple, rest Input, rewind *storage.ArenaMa
 		}
 		return t, ok
 	}
-	var runs []*run
-	switch s.RunFormation {
-	case LoadSortStore:
-		runs, err = s.formRunsLoadSort(buf, counted)
-	default:
-		runs, err = s.formRunsReplacement(buf, counted)
-	}
+	runs, err := s.formRuns(buf, counted)
 	if err != nil {
 		releaseRuns(runs)
 		return nil, st, err

@@ -131,15 +131,6 @@ func TestReplacementSelectionRunLength(t *testing.T) {
 		t.Errorf("sorted input formed %d runs, want 1", st2.InitialRuns)
 	}
 
-	// Load-sort-store forms ≈ n/200 = 20 runs on the same input.
-	s3 := &Sorter{Key: attrs.AscSeq(0), MemoryBytes: mem, Store: pagestore.NewMem(512, nil), RunFormation: LoadSortStore}
-	_, st3, err := s3.SortTuples(append([]storage.Tuple(nil), rows...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st3.InitialRuns <= st.InitialRuns {
-		t.Errorf("load-sort-store runs (%d) should exceed replacement selection (%d)", st3.InitialRuns, st.InitialRuns)
-	}
 }
 
 func TestSortStability(t *testing.T) {
@@ -180,8 +171,8 @@ func sortVia(s *Sorter, entry string, rows []storage.Tuple) ([]storage.Tuple, St
 
 // TestExternalSortIsStable — a sort puts equal keys out in input order
 // whether or not the budget made it spill, so one statement does not order
-// its tied rows by how much memory it was given. Every entry point, under
-// both run formations, from a key with one value to an all but unique one,
+// its tied rows by how much memory it was given. Every entry point in every
+// cell, from a key with one value to an all but unique one,
 // at budgets from one row up: with 256-byte blocks the fan-in is 2 below 11
 // rows, so the long inputs go through many intermediate passes.
 func TestExternalSortIsStable(t *testing.T) {
@@ -191,7 +182,6 @@ func TestExternalSortIsStable(t *testing.T) {
 		{{Attr: 0, Desc: true}},
 		{{Attr: 0, Desc: true, NullsFirst: true}},
 	}
-	entries := []string{"Sort", "SortTuples", "SortLoaded"}
 	spilled, passes := 0, 0
 	for _, domain := range []int64{1, 2, 7, 50, 100_000} {
 		for _, n := range []int{2, 3, 50, 777, 5000} {
@@ -201,18 +191,16 @@ func TestExternalSortIsStable(t *testing.T) {
 				}
 				return storage.Int(rng.Int63n(domain))
 			})
-			for ki, key := range directions {
+			for _, key := range directions {
 				want := slices.Clone(rows)
 				sort.SliceStable(want, func(i, j int) bool {
 					return storage.CompareSeq(want[i], want[j], key) < 0
 				})
-				for bi, budgetRows := range []int{1, 2, 3, 10, 64} {
-					for _, rf := range []RunFormation{ReplacementSelection, LoadSortStore} {
-						// One entry point per cell, all three over the matrix.
-						entry := entries[(ki+bi+int(rf))%len(entries)]
-						s := &Sorter{Key: key, MemoryBytes: budgetRows * rows[0].Size(), Store: pagestore.NewMem(256, nil), RunFormation: rf}
+				for _, budgetRows := range []int{1, 2, 3, 10, 64} {
+					for _, entry := range []string{"Sort", "SortTuples", "SortLoaded"} {
+						s := &Sorter{Key: key, MemoryBytes: budgetRows * rows[0].Size(), Store: pagestore.NewMem(256, nil)}
 						got, st, err := sortVia(s, entry, slices.Clone(rows))
-						name := fmt.Sprintf("domain=%d n=%d key=%v budget=%d rows rf=%d %s", domain, n, key, budgetRows, rf, entry)
+						name := fmt.Sprintf("domain=%d n=%d key=%v budget=%d rows %s", domain, n, key, budgetRows, entry)
 						if err != nil || len(got) != n || st.InMemory != (n <= budgetRows) {
 							t.Fatalf("%s: %v, %d rows, %+v", name, err, len(got), st)
 						}
@@ -252,9 +240,8 @@ func FuzzExternalSort(f *testing.F) {
 		want := slices.Clone(rows)
 		Stable(want, nil, func(a, b storage.Tuple) int { return storage.CompareSeq(a, b, key) })
 
-		// The low bit of budget picks the run formation, the rest the rows
-		// that fit.
-		s := &Sorter{Key: key, MemoryBytes: (1 + int(budget>>1)%24) * 72, Store: pagestore.NewMem(256, nil), RunFormation: RunFormation(budget & 1)}
+		// budget picks the rows that fit.
+		s := &Sorter{Key: key, MemoryBytes: (1 + int(budget)%24) * 72, Store: pagestore.NewMem(256, nil)}
 		got, st, err := s.Sort(SliceInput(rows), len(rows))
 		if err != nil || len(got) != len(want) {
 			t.Fatalf("%v, %d of %d rows, %+v", err, len(got), len(want), st)

@@ -37,7 +37,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/attrs"
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/delta"
@@ -77,9 +76,6 @@ type Config struct {
 	// CSO(v2) ablation variants.
 	DisableHS bool
 	DisableSS bool
-	// MFVBypass enables the Hashed Sort most-frequent-value optimization
-	// (Section 3.2), using catalog statistics.
-	MFVBypass bool
 	// Parallelism is the worker degree of exec.Chain.Run, which runs every
 	// chain EvaluateWindows and Query execute: above 1 it hash-partitions
 	// the chain's segments across that many workers. 0 is
@@ -395,12 +391,6 @@ func (e *Engine) EvaluateWindows(table string, specs []window.Spec) (*storage.Ta
 	}
 	cfg := e.execConfig()
 	cfg.Distinct = entry.Distinct
-	if e.cfg.MFVBypass {
-		mem := e.cfg.SortMemBytes
-		cfg.MFV = func(key attrs.Set) map[string]bool {
-			return entry.MFVs(key, mem)
-		}
-	}
 	chain, metrics, err := exec.RunChain(context.Background(), entry.Table(), specs, plan, cfg)
 	if err != nil {
 		return nil, nil, err

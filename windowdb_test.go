@@ -159,36 +159,6 @@ func TestEngineParallelism(t *testing.T) {
 	}
 }
 
-func TestEngineMFVBypass(t *testing.T) {
-	eng := New(Config{MFVBypass: true, SortMemBytes: 32 << 10, BlockSize: 4096})
-	eng.Register("web_sales", datagen.WebSales(datagen.WebSalesConfig{Rows: 4000, Seed: 2, PadBytes: 16}))
-	spec := window.Spec{
-		Kind: window.Rank, Arg: -1,
-		PK: attrs.MakeSet(attrs.ID(datagen.ColWarehouse)),
-		OK: attrs.AscSeq(attrs.ID(datagen.ColSoldTime)),
-	}
-	out, _, err := eng.EvaluateWindows("web_sales", []window.Spec{spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Cross-check one derived column against the reference evaluator.
-	entry, _ := eng.Stats("web_sales")
-	want, err := window.Reference(entry.Table().Rows, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantByTag := map[int64]storage.Value{}
-	for i, v := range want {
-		wantByTag[entry.Table().Rows[i][datagen.ColOrderNumber].Int64()] = v
-	}
-	last := out.Schema.Len() - 1
-	for _, row := range out.Rows {
-		if !storage.Equal(row[last], wantByTag[row[datagen.ColOrderNumber].Int64()]) {
-			t.Fatalf("MFV bypass changed results")
-		}
-	}
-}
-
 func TestEngineErrors(t *testing.T) {
 	eng := testEngine(SchemeCSO)
 	if _, err := eng.Query("SELECT * FROM missing"); err == nil {

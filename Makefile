@@ -1,10 +1,19 @@
 # Local targets mirroring .github/workflows/ci.yml.
 GO ?= go
 
-.PHONY: build test race test-long bench fmt fmt-check vet loc benchmark-check benchmark-smoke serve load-smoke cluster-smoke ci
+.PHONY: build examples test race test-long bench fmt fmt-check vet loc benchmark-check benchmark-smoke serve load-smoke cluster-smoke ci
 
 build:
 	$(GO) build ./...
+
+# Run every example program; each checks its own result and exits
+# non-zero on a wrong one.
+EXAMPLES = quickstart movingavg salesreport parallel
+examples:
+	@for ex in $(EXAMPLES); do \
+		$(GO) run ./examples/$$ex > /dev/null || { echo "examples: $$ex failed" >&2; exit 1; }; \
+		echo "examples: $$ex OK"; \
+	done
 
 test:
 	$(GO) test ./...
@@ -257,4 +266,4 @@ cluster-smoke:
 	[ "$$aborted" = 1 ] || { echo "cluster-smoke: windowdb_queries_aborted_total never incremented after the kill" >&2; exit 1; }; \
 	echo "cluster-smoke: live query listed with node subtree, killed by id, abort counted OK"
 
-ci: build loc vet benchmark-check benchmark-smoke fmt-check race test-long bench load-smoke cluster-smoke
+ci: build examples loc vet benchmark-check benchmark-smoke fmt-check race test-long bench load-smoke cluster-smoke

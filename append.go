@@ -198,17 +198,17 @@ func (s *Subscription) Close() error {
 	return nil
 }
 
-// Meta renders the subscription's maintenance accounting in the sql
-// result shape: one step per maintained spec with the rows it scanned
+// Meta renders the subscription's maintenance accounting as an execution
+// record: one step per maintained spec with the rows it scanned
 // across all applied batches — the numbers that prove incrementality.
-func (s *Subscription) Meta() *sql.Result {
+func (s *Subscription) Meta() *sql.Meta {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	u := delta.Update{Steps: append([]int64{}, s.steps...)}
-	return &sql.Result{
+	return &sql.Meta{
 		FinalSort:   "none",
 		Parallelism: 1,
-		Metrics:     u.Metrics(),
+		Exec:        u.Metrics(),
 		EstRows:     s.fullRows,
 		Watermark:   s.watermark,
 	}
@@ -266,7 +266,7 @@ func (ss subSource) Columns() []storage.Column { return ss.s.Columns() }
 func (ss subSource) NextBatch() (*stream.Batch, error) { return ss.s.NextBatch() }
 
 func (ss subSource) End(Ending) *QueryMetrics {
-	meta := MetaFromResult(ss.s.Meta())
+	meta := NewQueryMetrics(ss.s.Meta())
 	meta.Elapsed = time.Since(ss.s.start)
 	_ = ss.s.Close()
 	return meta

@@ -4,7 +4,8 @@
 // Demonstrates the OLAP use cases the paper's introduction motivates
 // ("moving averages and cumulative sums can be expressed concisely in a
 // single SQL statement") on this engine, including a 7-day RANGE frame that
-// handles gaps in the date sequence correctly.
+// handles gaps in the date sequence correctly. It exits non-zero unless
+// every window value equals the one recomputed from the rows themselves.
 //
 // Run with: go run ./examples/movingavg
 package main
@@ -44,6 +45,40 @@ func main() {
 	fmt.Print(sql.FormatTable(res.Table, 0))
 	fmt.Printf("\nchain: %s\n", res.Plan.PaperString())
 	fmt.Println("(all four aggregates share one reordering: they form a single cover set)")
+	check(res.Table)
+}
+
+// check recomputes each window value of the first rows of the store's
+// series from those rows alone — every frame ends at the current row, so
+// the rows before it are all it needs — and fails on any difference.
+func check(t *storage.Table) {
+	if t.Len() != 20 {
+		log.Fatalf("%d rows, want 20", t.Len())
+	}
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-6*math.Max(1, math.Abs(b)) }
+	avg := func(rows []storage.Tuple) float64 {
+		var sum float64
+		for _, r := range rows {
+			sum += r[2].Float64()
+		}
+		return sum / float64(len(rows))
+	}
+	var cumulative float64
+	for i, row := range t.Rows {
+		day, revenue := row[1].Int64(), row[2].Float64()
+		cumulative += revenue
+		week := i
+		for week > 0 && t.Rows[week-1][1].Int64() >= day-6 {
+			week--
+		}
+		ma3 := avg(t.Rows[max(0, i-2) : i+1])
+		weekly := avg(t.Rows[week : i+1])
+		if !near(row[3].Float64(), ma3) || !near(row[4].Float64(), cumulative) ||
+			!near(row[5].Float64(), weekly) || row[6].Float64() < revenue {
+			log.Fatalf("day %d: got ma3 %v cumulative %v weekly %v best %v, want %v %v %v and at least %v",
+				day, row[3], row[4], row[5], row[6], ma3, cumulative, weekly, revenue)
+		}
+	}
 }
 
 // buildDailySales synthesizes 3 stores × ~60 days of revenue with weekly

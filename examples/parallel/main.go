@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"runtime"
@@ -25,47 +26,45 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/attrs"
 	"repro/internal/datagen"
 	"repro/internal/paper"
 	"repro/internal/storage"
-	"repro/internal/window"
 )
+
+// priceRank is the single-function workload: every row with its rank by
+// price within its item.
+const priceRank = `SELECT *, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sales_price DESC) AS price_rank FROM web_sales`
 
 func main() {
 	table := datagen.WebSales(datagen.WebSalesConfig{Rows: 60_000, Seed: 5})
-	spec := window.Spec{
-		Name: "price_rank",
-		Kind: window.Rank,
-		Arg:  -1,
-		PK:   attrs.MakeSet(attrs.ID(datagen.ColItem)),
-		OK:   attrs.Seq{{Attr: attrs.ID(datagen.ColSalesPrice), Desc: true}},
-	}
 
 	fmt.Printf("rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sales_price DESC), %d rows, GOMAXPROCS=%d\n\n",
 		table.Len(), runtime.GOMAXPROCS(0))
-	sweep(table, []window.Spec{spec})
+	sweep(table, priceRank)
 
 	// Part 2: the whole CSO-planned Q6 chain (two rank() functions sharing
 	// PARTITION BY ws_item_sk).
 	fmt.Printf("\nQ6 chain (2 window functions):\n\n")
-	sweep(table, paper.Q6())
+	sweep(table, paper.Statements["Q6"])
 }
 
-// sweep evaluates specs over table at Config.Parallelism 1, 2, 4 and 8 and
-// prints each degree's time and blocks, failing unless every degree
+// sweep runs the statement over table at Config.Parallelism 1, 2, 4 and 8
+// and prints each degree's time and blocks, failing unless every degree
 // returns degree 1's rows.
-func sweep(table *storage.Table, specs []window.Spec) {
+func sweep(table *storage.Table, stmt string) {
 	var baseline string
 	for _, degree := range []int{1, 2, 4, 8} {
 		eng := windowdb.New(windowdb.Config{SortMemBytes: 4 << 20, Parallelism: degree})
 		eng.Register("web_sales", table)
 		start := time.Now()
-		out, metrics, err := eng.EvaluateWindows("web_sales", specs)
+		rows, err := eng.QueryContext(context.Background(), stmt)
 		if err != nil {
 			log.Fatal(err)
 		}
-		sum := checksum(out)
+		sum, n := checksum(rows)
+		if n != table.Len() {
+			log.Fatalf("degree %d returned %d rows for %d", degree, n, table.Len())
+		}
 		status := "baseline"
 		if baseline == "" {
 			baseline = sum
@@ -76,24 +75,27 @@ func sweep(table *storage.Table, specs []window.Spec) {
 		}
 		fmt.Printf("degree %d: %8v  %6d blocks  checksum %s  (%s)\n",
 			degree, time.Since(start).Round(time.Millisecond),
-			metrics.TotalBlocks(), sum[:12], status)
+			rows.Metrics().Exec.TotalBlocks(), sum[:12], status)
 	}
 }
 
-// checksum produces an order-insensitive digest of the full rows, derived
-// columns included, so any divergence between degrees is caught.
-func checksum(t *storage.Table) string {
-	pairs := make([]string, t.Len())
-	for i, row := range t.Rows {
-		pairs[i] = string(storage.AppendTuple(nil, row))
+// checksum drains the cursor into an order-insensitive digest of its rows,
+// derived columns included, so any divergence between degrees is caught.
+func checksum(rows *windowdb.Rows) (string, int) {
+	var encoded []string
+	for rows.Next() {
+		encoded = append(encoded, string(storage.AppendTuple(nil, rows.Row())))
 	}
-	sort.Strings(pairs)
+	if err := rows.Err(); err != nil {
+		log.Fatal(err)
+	}
+	sort.Strings(encoded)
 	h := uint64(14695981039346656037)
-	for _, p := range pairs {
+	for _, p := range encoded {
 		for i := 0; i < len(p); i++ {
 			h ^= uint64(p[i])
 			h *= 1099511628211
 		}
 	}
-	return fmt.Sprintf("%016x", h)
+	return fmt.Sprintf("%016x", h), len(encoded)
 }

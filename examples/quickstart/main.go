@@ -5,7 +5,7 @@
 // each employee's salary rank within their department and across the whole
 // company — scans the Rows cursor as the engine yields it, and prints the
 // window-function chain the cover-set optimizer produced (from the
-// post-drain metrics).
+// post-drain metrics). It exits non-zero unless the rows are the paper's.
 //
 // Run with: go run ./examples/quickstart
 package main
@@ -14,11 +14,26 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"slices"
 	"strings"
 
 	"repro"
 	"repro/internal/datagen"
 )
+
+// sample is Example 1's output as the paper prints it ("-" is NULL).
+var sample = []string{
+	"4  1  78000  1  3",
+	"5  1  75000  2  4",
+	"9  1  53000  3  7",
+	"7  2  51000  1  8",
+	"3  2  -  2  9",
+	"6  3  79000  1  2",
+	"10  3  75000  2  4",
+	"8  3  55000  3  6",
+	"2  -  84000  1  1",
+	"1  -  -  2  9",
+}
 
 func main() {
 	eng := windowdb.New(windowdb.Config{})
@@ -37,15 +52,20 @@ func main() {
 
 	fmt.Println("Example 1 of the paper — sample output:")
 	fmt.Println(strings.ToUpper(strings.Join(rows.Columns(), "  ")))
+	var lines []string
 	for rows.Next() {
 		cells := make([]string, 0, len(rows.Columns()))
 		for _, v := range rows.Row() {
 			cells = append(cells, v.String())
 		}
-		fmt.Println(strings.Join(cells, "  "))
+		lines = append(lines, strings.Join(cells, "  "))
+		fmt.Println(lines[len(lines)-1])
 	}
 	if err := rows.Err(); err != nil {
 		log.Fatal(err)
+	}
+	if !slices.Equal(lines, sample) {
+		log.Fatalf("the rows differ from the paper's sample output:\n%s", strings.Join(sample, "\n"))
 	}
 
 	// Post-drain metrics carry the plan and the executor's I/O accounting.

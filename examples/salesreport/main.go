@@ -45,10 +45,13 @@ func main() {
 		if err != nil {
 			log.Fatalf("%s: %v", scheme, err)
 		}
+		if res.Table.Len() != 12 {
+			log.Fatalf("%s: %d rows, want the LIMIT's 12", scheme, res.Table.Len())
+		}
 		fs, hs, ss := res.Plan.ReorderCounts()
 		fmt.Printf("\n%-5s chain: %s\n", scheme, res.Plan.PaperString())
 		fmt.Printf("      reorders: %d FS, %d HS, %d SS; spill I/O %d blocks; %v\n",
-			fs, hs, ss, res.Metrics.TotalBlocks(), res.Metrics.Elapsed.Round(1e6))
+			fs, hs, ss, res.Exec.TotalBlocks(), res.Exec.Elapsed.Round(1e6))
 		out := sql.FormatTable(res.Table, 0)
 		if reference == "" {
 			reference = out

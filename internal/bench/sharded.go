@@ -91,7 +91,7 @@ func (d *Dataset) RunSharded(w io.Writer) ([]ShardedResult, error) {
 		for i := range shardCounts {
 			runtime.GC()
 			start := time.Now()
-			res, err := clusters[i].Query(ctx, shardedQ6)
+			res, err := windowdb.Collect(ctx, clusters[i], shardedQ6)
 			if err != nil {
 				return nil, fmt.Errorf("sharded %d: %w", shardCounts[i], err)
 			}
@@ -168,7 +168,7 @@ func runShardedHTTP(engCfg windowdb.Config, ws *storage.Table, want []string) (*
 		return nil, err
 	}
 	start := time.Now()
-	res, err := c.Query(ctx, shardedQ6)
+	res, err := windowdb.Collect(ctx, c, shardedQ6)
 	if err != nil {
 		return nil, fmt.Errorf("sharded http: %w", err)
 	}

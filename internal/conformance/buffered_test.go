@@ -4,19 +4,19 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	windowdb "repro"
-	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/paper"
 	"repro/internal/service"
-	"repro/internal/shard"
+	"repro/internal/sql"
 	"repro/internal/storage"
 )
 
@@ -59,20 +59,6 @@ func jsonRows(t *storage.Table) []string {
 	return rows
 }
 
-func planChain(p *core.Plan) string {
-	if p == nil {
-		return ""
-	}
-	return p.PaperString()
-}
-
-func execBlocks(m *exec.Metrics) (read, written int64) {
-	if m == nil {
-		return 0, 0
-	}
-	return m.BlocksRead, m.BlocksWritten
-}
-
 // viaCursor drains the backend's Rows cursor.
 func viaCursor(t *testing.T, q windowdb.Queryer, src string) observed {
 	t.Helper()
@@ -99,40 +85,19 @@ func viaCursor(t *testing.T, q windowdb.Queryer, src string) observed {
 	return o
 }
 
-// viaQuery runs the backend's materializing Query, for the backends that
-// have one; ok is false for the rest.
-func viaQuery(t *testing.T, q windowdb.Queryer, src string) (o observed, ok bool) {
+// viaCollect answers the statement whole through windowdb.Collect.
+func viaCollect(t *testing.T, q windowdb.Queryer, src string) observed {
 	t.Helper()
-	switch b := q.(type) {
-	case *windowdb.Engine:
-		res, err := b.Query(src)
-		if err != nil {
-			t.Fatalf("Engine.Query: %v", err)
-		}
-		o = observed{rows: jsonRows(res.Table), chain: planChain(res.Plan), finalSort: res.FinalSort, sharedScan: res.SharedScan}
-		o.blocksRead, o.blocksWritten = execBlocks(res.Metrics)
-	case *service.Service:
-		res, err := b.Query(context.Background(), src)
-		if err != nil {
-			t.Fatalf("Service.Query: %v", err)
-		}
-		o = observed{rows: jsonRows(res.Table), chain: planChain(res.Plan), finalSort: res.FinalSort, sharedScan: res.SharedScan}
-		o.blocksRead, o.blocksWritten = execBlocks(res.Metrics)
-	case *shard.Cluster:
-		res, err := b.Query(context.Background(), src)
-		if err != nil {
-			t.Fatalf("Cluster.Query: %v", err)
-		}
-		o = observed{
-			rows: jsonRows(res.Table), chain: planChain(res.Plan), finalSort: res.FinalSort,
-			route: res.Route, shardsUsed: res.ShardsUsed,
-			blocksRead: res.BlocksRead, blocksWritten: res.BlocksWritten,
-		}
-	default:
-		return observed{}, false
+	res, err := windowdb.Collect(context.Background(), q, src)
+	if err != nil {
+		t.Fatalf("Collect: %v", err)
 	}
-	o.rowCount = int64(len(o.rows))
-	return o, true
+	return observed{
+		rows: jsonRows(res.Table), rowCount: res.Rows,
+		chain: res.Chain, finalSort: res.FinalSort, sharedScan: res.SharedScan,
+		route: res.Route, shardsUsed: res.ShardsUsed,
+		blocksRead: res.BlocksRead, blocksWritten: res.BlocksWritten,
+	}
 }
 
 // viaBufferedHTTP posts the statement to a front end's /query and decodes
@@ -178,8 +143,8 @@ func viaBufferedHTTP(t *testing.T, front *httptest.Server, src string, maxRows i
 	return o
 }
 
-// TestBufferedEqualsCursor: a statement answered whole — by a backend's
-// materializing Query, by DrainResult, by a front end's buffered JSON body
+// TestBufferedEqualsCursor: a statement answered whole — by
+// windowdb.Collect over every backend, by a front end's buffered JSON body
 // — is the statement's cursor, drained: the same rows in the same order
 // and the same chain, final-sort disposition, shared-scan disposition,
 // route, shard count and block counters, for the paper's Q1–Q9, the
@@ -234,18 +199,7 @@ func TestBufferedEqualsCursor(t *testing.T) {
 					}
 				}
 
-				if got, ok := viaQuery(t, bk.q, src); ok {
-					same("Query", got, want.rows)
-				}
-				rows, err := bk.q.QueryContext(context.Background(), src)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := windowdb.DrainResult(rows)
-				if err != nil {
-					t.Fatalf("DrainResult: %v", err)
-				}
-				sameRows("DrainResult", jsonRows(res.Table), want.rows)
+				same("Collect", viaCollect(t, bk.q, src), want.rows)
 
 				if bk.front == nil {
 					return
@@ -266,4 +220,38 @@ func TestBufferedEqualsCursor(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestCollectRefusesSubscribe: a subscription never ends, so answering one
+// whole is refused — sql.ErrBind from Collect on every backend, and from
+// Engine.Query, within a guard instead of a drain that blocks forever.
+func TestCollectRefusesSubscribe(t *testing.T) {
+	const src = `SUBSCRIBE SELECT ws_item_sk, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_time_sk) AS r FROM web_sales`
+	guard := func(t *testing.T, answer func() error) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- answer() }()
+		select {
+		case err := <-done:
+			if !errors.Is(err, sql.ErrBind) {
+				t.Fatalf("err = %v, want sql.ErrBind", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("still answering a SUBSCRIBE after 5 s")
+		}
+	}
+	for _, bk := range backends(t) {
+		t.Run(bk.name, func(t *testing.T) {
+			guard(t, func() error {
+				_, err := windowdb.Collect(context.Background(), bk.q, src)
+				return err
+			})
+		})
+	}
+	t.Run("engine/Query", func(t *testing.T) {
+		guard(t, func() error {
+			_, err := newEngine().Query(src)
+			return err
+		})
+	})
 }

@@ -167,7 +167,7 @@ func TestFactoredFreshnessUnderAppends(t *testing.T) {
 				return
 			}
 			want := base + (b+1)*batch
-			res, err := svc.Query(ctx, shareGrains[b%len(shareGrains)])
+			res, err := windowdb.Collect(ctx, svc, shareGrains[b%len(shareGrains)])
 			if err != nil {
 				errCh <- err
 				return

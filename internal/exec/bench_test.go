@@ -35,8 +35,8 @@ func BenchTable() *storage.Table {
 }
 
 // BenchmarkRunChain measures the sequential chain executor in memory over a
-// synthetic wide table. "two FS" is a two-step rank chain materialized with
-// Chain.Table: both reorders, the in-tuple first column, the tail vector,
+// synthetic wide table. "two FS" is a two-step rank chain materialized as
+// whole tuples (chainTable): both reorders, the in-tuple first column, the tail vector,
 // and the whole-tuple copy, the chain released once the table is made;
 // BenchmarkRunChainPrepared is the same chain drained through a cursor. "F1 shape"
 // is frames_inmem's F1: one Full Sort (L = 0) and two framed aggregates into
@@ -63,7 +63,7 @@ func BenchmarkRunChain(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			chain.Table()
+			chainTable(chain)
 			chain.Release()
 		}
 	})

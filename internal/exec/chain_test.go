@@ -45,7 +45,7 @@ func checkChain(t *testing.T, table *storage.Table, specs []window.Spec, plan *c
 	if err != nil {
 		t.Fatal(err)
 	}
-	result := chain.Table()
+	result := chainTable(chain)
 
 	arity, last := table.Schema.Len(), lastReorder(plan)
 	if chain.Width != arity+last || len(chain.Tail) != len(plan.Steps)-last {
@@ -402,7 +402,7 @@ func TestStepsBeforeLastReorderKeepTheSequence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					sameTable(t, "RunChain vs the reference chain", chain.Table(), &storage.Table{Schema: chain.Schema, Rows: after[last]})
+					sameTable(t, "RunChain vs the reference chain", chainTable(chain), &storage.Table{Schema: chain.Schema, Rows: after[last]})
 					for k, row := range chain.Rows {
 						if len(row) != chain.Width || cap(row) != chain.Width {
 							t.Fatalf("chain row %d: len %d cap %d, want both %d: an Extend copied", k, len(row), cap(row), chain.Width)

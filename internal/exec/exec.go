@@ -201,23 +201,6 @@ func (c *Chain) Compare(a, b int, key attrs.Seq) int {
 	return 0
 }
 
-// Table materializes the chain as whole tuples: one copy of every row into
-// a contiguous allocation, each sliced to exactly its own region; a chain
-// without a tail lends its rows instead, so it must outlive the table.
-// Engine.EvaluateWindows, whose caller needs rows that carry their derived
-// columns, pays for it once, at the end; the SQL layer projects straight
-// from the Chain, and a shuffle stage encodes its wire bodies from it.
-func (c *Chain) Table() *storage.Table {
-	t := storage.NewTable(c.Schema)
-	if len(c.Tail) == 0 {
-		t.Rows = slices.Clone(c.Rows)
-		return t
-	}
-	n := len(c.Rows)
-	t.Rows = c.appendRows(make([]storage.Tuple, 0, n), make([]storage.Value, n*(c.Width+len(c.Tail))))
-	return t
-}
-
 // appendRows appends the chain's rows to dst as whole tuples — each row's
 // values followed by its tail values — carved one after another out of
 // vals, each sliced to exactly its own region.

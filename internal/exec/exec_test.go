@@ -40,14 +40,22 @@ func derived(t *testing.T, result *storage.Table, plan *core.Plan, baseCols int)
 	return out
 }
 
+// chainTable materializes a chain as whole tuples: each row's values
+// followed by its tail values.
+func chainTable(c *Chain) *storage.Table {
+	t := storage.NewTable(c.Schema)
+	t.Rows = c.appendRows(make([]storage.Tuple, 0, c.Len()), make([]storage.Value, c.Len()*(c.Width+len(c.Tail))))
+	return t
+}
+
 // runTable runs plan over table through RunChain and returns its rows as
-// whole tuples (Chain.Table).
+// whole tuples (chainTable).
 func runTable(table *storage.Table, specs []window.Spec, plan *core.Plan, cfg Config) (*storage.Table, *Metrics, error) {
 	chain, m, err := RunChain(context.Background(), table, specs, plan, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	return chain.Table(), m, nil
+	return chainTable(chain), m, nil
 }
 
 // runScheme plans specs with the given scheme and executes the plan.
@@ -145,7 +153,7 @@ func checkPlanners(t *testing.T, hit gen.Hits, c gen.Case) {
 				}
 				// The chain's columns are the input's, then one per step in plan
 				// order; the oracle's, the input's, then the windows'.
-				arity, got := input.Schema.Len(), chain.Table().Rows
+				arity, got := input.Schema.Len(), chainTable(chain).Rows
 				for i, row := range got {
 					out := append(make(storage.Tuple, 0, arity+len(p.Steps)), row[:arity]...)
 					for id := range s.Windows {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro"
 	"repro/internal/storage"
 	"repro/internal/stream"
 )
@@ -21,7 +22,7 @@ func TestServiceInsertAndAppendRoute(t *testing.T) {
 	c := NewClient(srv.URL, nil)
 
 	// INSERT through the buffered surface.
-	res, err := svc.Query(context.Background(), `INSERT INTO emptab VALUES (11, 20, 4000)`)
+	res, err := windowdb.Collect(context.Background(), svc, `INSERT INTO emptab VALUES (11, 20, 4000)`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestServiceInsertAndAppendRoute(t *testing.T) {
 	}
 
 	// All appended rows are queryable.
-	qres, err := svc.Query(context.Background(), `SELECT empnum FROM emptab WHERE empnum >= 11 ORDER BY empnum`)
+	qres, err := windowdb.Collect(context.Background(), svc, `SELECT empnum FROM emptab WHERE empnum >= 11 ORDER BY empnum`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestServiceInsertAndAppendRoute(t *testing.T) {
 
 func TestServiceSubscribeBufferedRejected(t *testing.T) {
 	svc := newTestService(t, Config{}, 100)
-	if _, err := svc.Query(context.Background(), `SUBSCRIBE SELECT empnum FROM emptab`); err == nil {
+	if _, err := windowdb.Collect(context.Background(), svc, `SUBSCRIBE SELECT empnum FROM emptab`); err == nil {
 		t.Fatal("buffered SUBSCRIBE succeeded")
 	}
 }

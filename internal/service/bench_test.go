@@ -25,12 +25,12 @@ func BenchmarkService(b *testing.B) {
 	b.Run("cache=hit", func(b *testing.B) {
 		svc := newService()
 		ctx := context.Background()
-		if _, err := svc.Query(ctx, q); err != nil {
+		if _, err := windowdb.Collect(ctx, svc, q); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := svc.Query(ctx, q); err != nil {
+			if _, err := windowdb.Collect(ctx, svc, q); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -45,7 +45,7 @@ func BenchmarkService(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			svc.Engine().Register("web_sales", table) // bump the generation
-			if _, err := svc.Query(ctx, q); err != nil {
+			if _, err := windowdb.Collect(ctx, svc, q); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -26,7 +26,7 @@ func TestWarmHitAllocations(t *testing.T) {
 	}
 	svc := newTestService(t, Config{Slots: 2}, 500)
 	ctx := context.Background()
-	if _, err := svc.Query(ctx, shareQFine); err != nil {
+	if _, err := windowdb.Collect(ctx, svc, shareQFine); err != nil {
 		t.Fatal(err)
 	}
 	prep, _, err := svc.resolve(ctx, shareQFine)
@@ -103,11 +103,11 @@ func TestQuotedIdentifierQuery(t *testing.T) {
 	quoted := `SELECT "ws_item_sk", rank() OVER (PARTITION BY "ws_item_sk" ORDER BY "ws_sold_time_sk") AS r FROM "web_sales"`
 
 	ctx := context.Background()
-	bare, err := svc.Query(ctx, mixQ1)
+	bare, err := windowdb.Collect(ctx, svc, mixQ1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := svc.Query(ctx, quoted)
+	res, err := windowdb.Collect(ctx, svc, quoted)
 	if err != nil {
 		t.Fatalf("quoted-identifier statement failed: %v", err)
 	}
@@ -166,7 +166,7 @@ func TestCacheHammer(t *testing.T) {
 				// The last write is an append over a cached segment: no epoch
 				// move sweeps that segment away, only the next miss does.
 				<-registered
-				if _, err := svc.Query(ctx, shareQFine); err != nil {
+				if _, err := windowdb.Collect(ctx, svc, shareQFine); err != nil {
 					t.Error(err)
 					return
 				}
@@ -186,7 +186,7 @@ func TestCacheHammer(t *testing.T) {
 			defer readers.Done()
 			for i := 0; i < 30; i++ {
 				q := mix[(g+i)%len(mix)]
-				res, err := svc.Query(ctx, q)
+				res, err := windowdb.Collect(ctx, svc, q)
 				if err != nil {
 					t.Errorf("%s: %v", q, err)
 					return
@@ -203,7 +203,7 @@ func TestCacheHammer(t *testing.T) {
 
 	// One more lookup per cache: a shareable web_sales statement goes
 	// through both, and reads the table as it now is.
-	res, err := svc.Query(ctx, shareQFine)
+	res, err := windowdb.Collect(ctx, svc, shareQFine)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -169,14 +169,12 @@ func (cs clientSource) End(end windowdb.Ending) *windowdb.QueryMetrics {
 // trailer's ElapsedMillis is the server-side figure.
 func metaFromTrailer(t *StreamTrailer) *windowdb.QueryMetrics {
 	if t == nil {
-		return &windowdb.QueryMetrics{FinalSort: "none", Parallelism: 1}
+		return &windowdb.QueryMetrics{Meta: sql.Meta{FinalSort: "none", Parallelism: 1}}
 	}
 	return &windowdb.QueryMetrics{
+		Meta:          sql.Meta{FinalSort: t.FinalSort, Parallelism: 1, SharedScan: t.SharedScan},
 		Chain:         t.Chain,
-		FinalSort:     t.FinalSort,
-		Parallelism:   1,
 		CacheHit:      t.CacheHit,
-		SharedScan:    t.SharedScan,
 		Route:         t.Route,
 		ShardsUsed:    t.ShardsUsed,
 		Queued:        time.Duration(t.QueuedMillis * float64(time.Millisecond)),

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro"
 	"repro/internal/datagen"
 )
 
@@ -172,7 +173,7 @@ func TestHTTPErrorTaxonomy(t *testing.T) {
 func TestHTTPStatsAndHealth(t *testing.T) {
 	svc := newTestService(t, Config{}, 200)
 	h := svc.Handler()
-	if _, err := svc.Query(httptest.NewRequest("GET", "/", nil).Context(), `SELECT empnum FROM emptab LIMIT 1`); err != nil {
+	if _, err := windowdb.Collect(httptest.NewRequest("GET", "/", nil).Context(), svc, `SELECT empnum FROM emptab LIMIT 1`); err != nil {
 		t.Fatal(err)
 	}
 	rec, stats := doJSON(t, h, http.MethodGet, "/stats", "")

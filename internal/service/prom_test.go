@@ -28,7 +28,7 @@ func TestMetricsExposition(t *testing.T) {
 	svc := newTestService(t, Config{Slots: 2}, 2000)
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
-		if _, err := svc.Query(ctx, mixQ1); err != nil {
+		if _, err := windowdb.Collect(ctx, svc, mixQ1); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -30,7 +30,6 @@ package service
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -243,49 +242,6 @@ func (s *Service) resolve(ctx context.Context, src string) (*sql.Prepared, strin
 // Slots returns the concurrent-execution bound the governor enforces.
 func (s *Service) Slots() int { return s.gov.Slots() }
 
-// QueryResult is one served query: the engine result plus serving-side
-// observations.
-type QueryResult struct {
-	*windowdb.Result
-	// CacheHit reports that the plan came from the prepared-statement cache
-	// (no parse/bind/plan work on this call).
-	CacheHit bool
-	// Queued is the time spent waiting for an execution slot.
-	Queued time.Duration
-	// Elapsed is the end-to-end service time: cache lookup or prepare,
-	// admission wait, and execution.
-	Elapsed time.Duration
-	// TraceID names the query's recorded trace in /debug/trace/{id}.
-	TraceID string
-}
-
-// Query serves one query and materializes its result: QueryContext's
-// cursor, drained. Error classes: parse and bind errors
-// (sql.ErrParse/ErrBind), unknown tables (catalog.ErrUnknownTable),
-// admission rejection (ErrOverloaded), and ctx.Err() for queries cancelled
-// or timed out while queued, between chain steps or mid-drain; anything
-// else is an engine fault.
-func (s *Service) Query(ctx context.Context, src string) (*QueryResult, error) {
-	if _, ok := windowdb.StripSubscribe(src); ok {
-		// A subscription never completes, so it cannot be served buffered.
-		return nil, fmt.Errorf("%w: SUBSCRIBE needs a streaming client (stream=1 or Accept: %s)", sql.ErrBind, ContentTypeNDJSON)
-	}
-	start := time.Now()
-	rows, err := s.QueryContext(ctx, src)
-	if err != nil {
-		return nil, err
-	}
-	res, err := windowdb.DrainResult(rows)
-	if err != nil {
-		return nil, err
-	}
-	qr := &QueryResult{Result: res, Elapsed: time.Since(start)}
-	if m := rows.Metrics(); m != nil {
-		qr.CacheHit, qr.Queued, qr.TraceID = m.CacheHit, m.Queued, m.TraceID
-	}
-	return qr, nil
-}
-
 // queryTrace assembles a served query's span tree: the plan-cache lookup
 // (a prepare on a miss), the admission wait, the shared-subplan lookup
 // (an attacher's wait, a leader's scan short of its reorder), the chain
@@ -321,8 +277,11 @@ func queryTrace(elapsed, planned, queued time.Duration, planCache string, rows i
 // releases the slot the same way.
 var _ windowdb.Queryer = (*Service)(nil)
 
-// QueryContext serves one query as a streaming cursor. The error classes
-// match Query's. An `EXPLAIN ANALYZE <stmt>` prefix executes the inner
+// QueryContext serves one query as a streaming cursor. Error classes:
+// parse and bind errors (sql.ErrParse/ErrBind), unknown tables
+// (catalog.ErrUnknownTable), admission rejection (ErrOverloaded), and
+// ctx.Err() for queries cancelled or timed out while queued, between chain
+// steps or mid-drain; anything else is an engine fault. An `EXPLAIN ANALYZE <stmt>` prefix executes the inner
 // statement through the same path and returns the annotated trace
 // rendering as a one-column text cursor; an `INSERT INTO ...` statement
 // appends through Service.Append and returns the one-row summary cursor;
@@ -391,7 +350,7 @@ type execCursor interface {
 	Columns() []storage.Column
 	NextBatch() (*stream.Batch, error)
 	Close() error
-	Meta() *sql.Result
+	Meta() *sql.Meta
 }
 
 // streamCursor is the shared streaming-serve body: plan-cache resolution,
@@ -516,7 +475,7 @@ func (ss *servedSource) End(end windowdb.Ending) *windowdb.QueryMetrics {
 	killed := ss.entry.Killed()
 	elapsed := time.Since(ss.start)
 	res := ss.cur.Meta()
-	meta := windowdb.MetaFromResult(res)
+	meta := windowdb.NewQueryMetrics(res)
 	meta.CacheHit, meta.Queued, meta.Elapsed = ss.planCache != cache.Miss, ss.queued, elapsed
 	root := queryTrace(elapsed, ss.planned, ss.queued, ss.planCache, end.Rows, meta, res.SharedWait)
 	if killed {
@@ -524,7 +483,7 @@ func (ss *servedSource) End(end windowdb.Ending) *windowdb.QueryMetrics {
 	}
 	switch outcome := end.Outcome(killed, false); outcome {
 	case windowdb.Served:
-		ss.svc.metrics.observe(res.Metrics, end.Rows, elapsed)
+		ss.svc.metrics.observe(res.Exec, end.Rows, elapsed)
 	case windowdb.Aborted:
 		root.SetAttr("aborted", "true")
 		ss.svc.metrics.count(outcome)

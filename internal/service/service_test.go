@@ -37,7 +37,7 @@ func TestAdmissionBoundsInFlight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 3; j++ {
-				if _, err := svc.Query(ctx, mixQ1); err != nil {
+				if _, err := windowdb.Collect(ctx, svc, mixQ1); err != nil {
 					t.Errorf("query: %v", err)
 					return
 				}
@@ -110,7 +110,7 @@ func TestGovernorCancelWhileQueued(t *testing.T) {
 func TestServiceOverloaded(t *testing.T) {
 	svc := newTestService(t, Config{Slots: 1, MaxQueue: -1}, 200)
 	svc.gov.slots <- struct{}{} // occupy the only slot
-	_, err := svc.Query(context.Background(), mixQ1)
+	_, err := windowdb.Collect(context.Background(), svc, mixQ1)
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("err=%v, want ErrOverloaded", err)
 	}
@@ -119,7 +119,7 @@ func TestServiceOverloaded(t *testing.T) {
 		t.Fatalf("rejected=%d failures=%d, want 1/1", stats.Rejected, stats.Failures)
 	}
 	<-svc.gov.slots
-	if _, err := svc.Query(context.Background(), mixQ1); err != nil {
+	if _, err := windowdb.Collect(context.Background(), svc, mixQ1); err != nil {
 		t.Fatalf("after release: %v", err)
 	}
 }
@@ -129,12 +129,12 @@ func TestServiceOverloaded(t *testing.T) {
 func TestPlanCacheHitMissInvalidation(t *testing.T) {
 	svc := newTestService(t, Config{}, 500)
 	ctx := context.Background()
-	if _, err := svc.Query(ctx, mixQ1); err != nil {
+	if _, err := windowdb.Collect(ctx, svc, mixQ1); err != nil {
 		t.Fatal(err)
 	}
 	// A whitespace variant of the same statement must share the slot.
 	variant := "SELECT   ws_item_sk,\trank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_time_sk) AS r\n FROM web_sales"
-	res, err := svc.Query(ctx, variant)
+	res, err := windowdb.Collect(ctx, svc, variant)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestPlanCacheHitMissInvalidation(t *testing.T) {
 	// Re-registering any table bumps the generation: the cached plan is
 	// stale, the lookup counts an invalidation and the query re-prepares.
 	svc.Engine().Register("web_sales", datagen.WebSales(datagen.WebSalesConfig{Rows: 300, Seed: 2}))
-	res, err = svc.Query(ctx, mixQ1)
+	res, err = windowdb.Collect(ctx, svc, mixQ1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestPlanCacheLRU(t *testing.T) {
 		`SELECT ws_warehouse_sk FROM web_sales LIMIT 1`,
 	}
 	for _, q := range queries {
-		if _, err := svc.Query(ctx, q); err != nil {
+		if _, err := windowdb.Collect(ctx, svc, q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -183,14 +183,14 @@ func TestPlanCacheLRU(t *testing.T) {
 		t.Fatalf("size=%d evictions=%d, want 2/1", c.Size, c.Evictions)
 	}
 	// The first statement was evicted; the last two still hit.
-	res, err := svc.Query(ctx, queries[2])
+	res, err := windowdb.Collect(ctx, svc, queries[2])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.CacheHit {
 		t.Fatal("most recent statement evicted")
 	}
-	res, err = svc.Query(ctx, queries[0])
+	res, err = windowdb.Collect(ctx, svc, queries[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestQueryDeadline(t *testing.T) {
 	svc := newTestService(t, Config{}, 20_000)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
-	_, err := svc.Query(ctx, mixQ1)
+	_, err := windowdb.Collect(ctx, svc, mixQ1)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err=%v, want DeadlineExceeded", err)
 	}
@@ -216,7 +216,7 @@ func TestStatsSnapshot(t *testing.T) {
 	svc := newTestService(t, Config{Slots: 3}, 500)
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
-		if _, err := svc.Query(ctx, mixQ1); err != nil {
+		if _, err := windowdb.Collect(ctx, svc, mixQ1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -272,7 +272,7 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 10; j++ {
 				q := fmt.Sprintf(`SELECT ws_item_sk, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_time_sk) AS r FROM web_sales LIMIT %d`, 1+(i+j)%4)
-				if _, err := svc.Query(ctx, q); err != nil {
+				if _, err := windowdb.Collect(ctx, svc, q); err != nil {
 					t.Errorf("worker %d: %v", i, err)
 					return
 				}
@@ -308,7 +308,7 @@ func TestPlanCacheSweepOnGenerationChange(t *testing.T) {
 		`SELECT ws_warehouse_sk FROM web_sales LIMIT 1`,
 	}
 	for _, q := range queries {
-		if _, err := svc.Query(ctx, q); err != nil {
+		if _, err := windowdb.Collect(ctx, svc, q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -317,7 +317,7 @@ func TestPlanCacheSweepOnGenerationChange(t *testing.T) {
 	}
 	svc.Engine().Register("web_sales", datagen.WebSales(datagen.WebSalesConfig{Rows: 100, Seed: 5}))
 	// One lookup of a brand-new statement triggers the sweep of all three.
-	if _, err := svc.Query(ctx, `SELECT ws_order_number FROM web_sales LIMIT 1`); err != nil {
+	if _, err := windowdb.Collect(ctx, svc, `SELECT ws_order_number FROM web_sales LIMIT 1`); err != nil {
 		t.Fatal(err)
 	}
 	c := svc.Stats().Cache

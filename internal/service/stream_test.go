@@ -94,14 +94,14 @@ func TestStreamSlotHeldUntilClose(t *testing.T) {
 	if got := svc.Stats().InFlight; got != 1 {
 		t.Fatalf("in-flight = %d with an open cursor, want 1", got)
 	}
-	if _, err := svc.Query(ctx, mixQ1); !errors.Is(err, ErrOverloaded) {
+	if _, err := windowdb.Collect(ctx, svc, mixQ1); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("second query err = %v, want ErrOverloaded while cursor holds the slot", err)
 	}
 	if err := rows.Close(); err != nil {
 		t.Fatal(err)
 	}
 	requireInFlightZero(t, svc)
-	if _, err := svc.Query(ctx, mixQ1); err != nil {
+	if _, err := windowdb.Collect(ctx, svc, mixQ1); err != nil {
 		t.Fatalf("query after Close: %v", err)
 	}
 }
@@ -154,7 +154,7 @@ func TestStreamCancelMidDrain(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	requireInFlightZero(t, svc)
-	if _, err := svc.Query(context.Background(), mixQ1); err != nil {
+	if _, err := windowdb.Collect(context.Background(), svc, mixQ1); err != nil {
 		t.Fatalf("slot not released after cancel: %v", err)
 	}
 }
@@ -164,7 +164,7 @@ func TestStreamCancelMidDrain(t *testing.T) {
 func TestStreamValueIdentity(t *testing.T) {
 	svc := newTestService(t, Config{Slots: 2}, 1000)
 	ctx := context.Background()
-	want, err := svc.Query(ctx, mixQ1)
+	want, err := windowdb.Collect(ctx, svc, mixQ1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestClientStreamRoundTrip(t *testing.T) {
 	client := NewClient(srv.URL, srv.Client())
 
 	ctx := context.Background()
-	want, err := svc.Query(ctx, mixQ1)
+	want, err := windowdb.Collect(ctx, svc, mixQ1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestClientDisconnectReleasesSlot(t *testing.T) {
 	}
 	<-done
 	requireInFlightZero(t, svc)
-	if _, err := svc.Query(context.Background(), mixQ1); err != nil {
+	if _, err := windowdb.Collect(context.Background(), svc, mixQ1); err != nil {
 		t.Fatalf("slot not released after disconnect: %v", err)
 	}
 	// The cut stream classifies as aborted — not as a fast success.

@@ -43,19 +43,19 @@ func TestSubplanSingleflight(t *testing.T) {
 	off := newSpillService(t, Config{Slots: 4, DisableSharing: true}, rows)
 	ctx := context.Background()
 
-	want, err := off.Query(ctx, shareQFine)
+	want, err := windowdb.Collect(ctx, off, shareQFine)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var wg sync.WaitGroup
-	results := make([]*QueryResult, clients)
+	results := make([]*windowdb.Result, clients)
 	errs := make([]error, clients)
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = svc.Query(ctx, shareQFine)
+			results[i], errs[i] = windowdb.Collect(ctx, svc, shareQFine)
 		}(i)
 	}
 	wg.Wait()
@@ -89,7 +89,7 @@ func TestSubplanSingleflight(t *testing.T) {
 	// The A/B I/O check: the same 8 queries without sharing read at least
 	// 2x the blocks (the acceptance bar; in practice it is ~8x).
 	for i := 0; i < clients-1; i++ { // off already served one
-		if _, err := off.Query(ctx, shareQFine); err != nil {
+		if _, err := windowdb.Collect(ctx, off, shareQFine); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -111,7 +111,7 @@ func TestSubplanLattice(t *testing.T) {
 	off := newTestService(t, Config{Slots: 2, DisableSharing: true}, 3000)
 	ctx := context.Background()
 
-	fine, err := svc.Query(ctx, shareQFine)
+	fine, err := windowdb.Collect(ctx, svc, shareQFine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,14 +119,14 @@ func TestSubplanLattice(t *testing.T) {
 		t.Fatalf("first query disposition %q, want miss", fine.SharedScan)
 	}
 	for _, q := range []string{shareQMid, shareQDate, shareQCoarse} {
-		got, err := svc.Query(ctx, q)
+		got, err := windowdb.Collect(ctx, svc, q)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
 		if got.SharedScan != cache.Hit {
 			t.Fatalf("%s: disposition %q, want lattice hit", q, got.SharedScan)
 		}
-		want, err := off.Query(ctx, q)
+		want, err := windowdb.Collect(ctx, off, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func TestSubplanAppendInvalidation(t *testing.T) {
 	svc := newTestService(t, Config{Slots: 2}, rows)
 	ctx := context.Background()
 
-	first, err := svc.Query(ctx, shareQFine)
+	first, err := windowdb.Collect(ctx, svc, shareQFine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestSubplanAppendInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	second, err := svc.Query(ctx, shareQFine)
+	second, err := windowdb.Collect(ctx, svc, shareQFine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestSubplanAppendInvalidation(t *testing.T) {
 func TestExplainAnalyzeSharedScan(t *testing.T) {
 	svc := newTestService(t, Config{Slots: 2}, 1500)
 	ctx := context.Background()
-	if _, err := svc.Query(ctx, shareQFine); err != nil {
+	if _, err := windowdb.Collect(ctx, svc, shareQFine); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := svc.QueryContext(ctx, "EXPLAIN ANALYZE "+shareQFine)
@@ -253,7 +253,7 @@ func TestSubplanHammer(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				if _, err := svc.Query(ctx, mix[(g+i)%len(mix)]); err != nil {
+				if _, err := windowdb.Collect(ctx, svc, mix[(g+i)%len(mix)]); err != nil {
 					errCh <- err
 					return
 				}
@@ -285,7 +285,7 @@ func TestSubplanHammer(t *testing.T) {
 	}
 
 	// The governor must not be wedged and the cache must still serve.
-	res, err := svc.Query(ctx, shareQFine)
+	res, err := windowdb.Collect(ctx, svc, shareQFine)
 	if err != nil {
 		t.Fatalf("post-hammer query: %v", err)
 	}

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro"
 	"repro/internal/service"
 )
 
@@ -128,7 +129,7 @@ func TestCoordinatorDisconnectIsAnAbort(t *testing.T) {
 						t.Fatalf("node %d counted %d failures, want none", i, st.Failures)
 					}
 				}
-				res, err := c.Query(context.Background(), route.sql)
+				res, err := windowdb.Collect(context.Background(), c, route.sql)
 				if err != nil {
 					t.Fatalf("%s after the walk-away: %v", route.name, err)
 				}

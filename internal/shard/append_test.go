@@ -53,7 +53,7 @@ func TestClusterAppendSharded(t *testing.T) {
 	c, svcs := newLocalClusterNodes(t, 3, base)
 
 	// Warm the coordinator plan cache before the append.
-	if _, err := c.Query(ctx, q6SQL); err != nil {
+	if _, err := windowdb.Collect(ctx, c, q6SQL); err != nil {
 		t.Fatal(err)
 	}
 
@@ -92,7 +92,7 @@ func TestClusterAppendSharded(t *testing.T) {
 
 	// The prepared plan survived (appends bump only the data generation)
 	// and the re-evaluated result matches a fresh engine over base+batch.
-	res, err := c.Query(ctx, q6SQL)
+	res, err := windowdb.Collect(ctx, c, q6SQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestClusterInsertReplicated(t *testing.T) {
 	ctx := context.Background()
 	c, svcs := newLocalClusterNodes(t, 2, 100)
 
-	res, err := c.Query(ctx, `INSERT INTO emptab VALUES (11, 20, 4000), (12, 20, NULL)`)
+	res, err := windowdb.Collect(ctx, c, `INSERT INTO emptab VALUES (11, 20, 4000), (12, 20, NULL)`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestClusterInsertReplicated(t *testing.T) {
 		}
 	}
 	// The coordinator keeps a replica too; replica-routed reads see the rows.
-	qres, err := c.Query(ctx, `SELECT empnum FROM emptab WHERE empnum >= 11`)
+	qres, err := windowdb.Collect(ctx, c, `SELECT empnum FROM emptab WHERE empnum >= 11`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestClusterSubscribeRejects(t *testing.T) {
 	if _, err := c.QueryContext(ctx, "SUBSCRIBE "+subSQL+" ORDER BY ws_item_sk"); !errors.Is(err, sql.ErrBind) {
 		t.Errorf("ORDER BY SUBSCRIBE error = %v", err)
 	}
-	if _, err := c.Query(ctx, "SUBSCRIBE "+subSQL); !errors.Is(err, sql.ErrBind) {
+	if _, err := windowdb.Collect(ctx, c, "SUBSCRIBE "+subSQL); !errors.Is(err, sql.ErrBind) {
 		t.Errorf("buffered SUBSCRIBE error = %v", err)
 	}
 	if _, err := c.QueryContext(ctx, `SUBSCRIBE SELECT empnum FROM nosuch`); !errors.Is(err, catalog.ErrUnknownTable) {

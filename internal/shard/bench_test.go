@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro"
 	"repro/internal/paper"
 	"repro/internal/service"
 	"repro/internal/trace"
@@ -20,14 +21,14 @@ func BenchmarkShuffleStage(b *testing.B) {
 	c, _ := localCluster(b, 2, 10_000, service.Config{})
 	ctx := context.Background()
 	q := paper.Statements["Q9"]
-	if _, err := c.Query(ctx, q); err != nil { // warm the plan caches
+	if _, err := windowdb.Collect(ctx, c, q); err != nil { // warm the plan caches
 		b.Fatal(err)
 	}
 	var shipped int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := c.Query(ctx, q)
+		res, err := windowdb.Collect(ctx, c, q)
 		if err != nil {
 			b.Fatal(err)
 		}

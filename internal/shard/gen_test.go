@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro"
 	"repro/internal/gen"
 	"repro/internal/service"
 	"repro/internal/storage"
@@ -45,7 +46,7 @@ func TestGeneratedStatements(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := c.Query(ctx, s.SQL())
+			res, err := windowdb.Collect(ctx, c, s.SQL())
 			if err == nil {
 				err = s.Check(res.Table.Rows, projected)
 			}

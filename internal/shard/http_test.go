@@ -69,7 +69,7 @@ func TestHTTPTransportRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := c.Query(ctx, tc.sql)
+		res, err := windowdb.Collect(ctx, c, tc.sql)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.route, err)
 		}
@@ -140,7 +140,7 @@ func TestRegisterNonFiniteOverHTTP(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for _, q := range []string{`SELECT k, f, s FROM t`, `SELECT k, f, s, rank() OVER (PARTITION BY s ORDER BY f) AS r FROM t`} {
-			res, err := c.Query(ctx, q)
+			res, err := windowdb.Collect(ctx, c, q)
 			if err != nil {
 				t.Fatalf("%s: %s: %v", name, q, err)
 			}
@@ -161,7 +161,7 @@ func TestRegisterNonFiniteOverHTTP(t *testing.T) {
 // local ones, so errors.Is sees through the transport.
 func TestHTTPErrorTaxonomy(t *testing.T) {
 	c := newHTTPCluster(t, 2, 100)
-	_, err := c.Query(context.Background(), q6SQL+` GARBAGE TRAILING`)
+	_, err := windowdb.Collect(context.Background(), c, q6SQL+` GARBAGE TRAILING`)
 	if !errors.Is(err, sql.ErrParse) {
 		t.Fatalf("got %v, want ErrParse through RemoteError", err)
 	}
@@ -420,11 +420,11 @@ func TestHTTPAppendRidesFrames(t *testing.T) {
 	if _, err := local.Append(ctx, "web_sales", batch); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Query(ctx, q6SQL)
+	got, err := windowdb.Collect(ctx, c, q6SQL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := local.Query(ctx, q6SQL)
+	ref, err := windowdb.Collect(ctx, local, q6SQL)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro"
 	"repro/internal/service"
 	"repro/internal/trace"
 )
@@ -103,7 +104,7 @@ func TestKillMidShuffle(t *testing.T) {
 		t.Fatalf("cluster failures = %d, want 0 (a kill is an abort, not a fault)", got)
 	}
 
-	if _, err := c.Query(context.Background(), divergeSQL); err != nil {
+	if _, err := windowdb.Collect(context.Background(), c, divergeSQL); err != nil {
 		t.Fatalf("query after kill: %v", err)
 	}
 }
@@ -189,7 +190,7 @@ func TestLiveCountersAdvance(t *testing.T) {
 // new observability families.
 func TestCoordinatorMetricsExposition(t *testing.T) {
 	c, _ := streamCluster(t, 2, 2000, Config{})
-	if _, err := c.Query(context.Background(), divergeSQL); err != nil {
+	if _, err := windowdb.Collect(context.Background(), c, divergeSQL); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(c.Handler())

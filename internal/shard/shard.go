@@ -58,7 +58,6 @@ import (
 	"repro/internal/attrs"
 	"repro/internal/cache"
 	"repro/internal/catalog"
-	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/service"
 	"repro/internal/sql"
@@ -402,80 +401,6 @@ func (c *Cluster) eachShard(ctx context.Context, fn func(ctx context.Context, i 
 	return errors.Join(errs...)
 }
 
-// Result is one coordinated query: the final table plus how it was routed
-// and the aggregated execution observations.
-type Result struct {
-	Table *storage.Table
-	// Plan is the coordinator's planned chain (nil for window-less
-	// statements). Over a sharded table every node runs it verbatim, so it
-	// is the chain that ran; a replica node plans against its own
-	// statistics, and any valid chain computes the same values.
-	Plan *core.Plan
-	// Route is "scatter" (zero shuffle rounds: each node runs the whole
-	// chain over its own rows, coordinator finalize), "shuffle"
-	// (per-segment scattered execution with node-to-node re-shuffles
-	// between key-divergent segments) or "replica" (whole query on one
-	// node).
-	Route string
-	// ShardsUsed is the number of nodes that executed for this query.
-	ShardsUsed int
-	// CacheHit reports a coordinator plan-cache hit (shard-side caches are
-	// separate).
-	CacheHit bool
-	// FinalSort reports how an ORDER BY was satisfied at the final step.
-	FinalSort string
-	// Elapsed is the end-to-end coordinator time.
-	Elapsed time.Duration
-	// Block and comparison counters sum over every participating node
-	// (plus the coordinator's own finalize sort).
-	BlocksRead    int64
-	BlocksWritten int64
-	Comparisons   int64
-	// TraceID and Trace identify and carry the query's assembled
-	// distributed span tree (shuffle rounds, node drains, coordinator
-	// phases).
-	TraceID string
-	Trace   *trace.Span
-}
-
-// Query serves one statement and materializes its result: prepare
-// (cached) at the coordinator, route, execute, finalize. It is the
-// compatibility wrapper over QueryContext — the cursor drained into a
-// table. Error classes match the single-engine service:
-// sql.ErrParse/ErrBind, catalog.ErrUnknownTable, service.ErrOverloaded
-// (from a shard's admission control), ctx errors, and engine faults —
-// remote errors unwrap to the same sentinels (RemoteError).
-func (c *Cluster) Query(ctx context.Context, src string) (*Result, error) {
-	if _, ok := windowdb.StripSubscribe(src); ok {
-		// A subscription never ends on its own; draining it into a table
-		// would block forever.
-		return nil, fmt.Errorf("%w: SUBSCRIBE needs a streaming cursor (QueryContext)", sql.ErrBind)
-	}
-	start := time.Now()
-	rows, err := c.QueryContext(ctx, src)
-	if err != nil {
-		return nil, err
-	}
-	drained, err := windowdb.DrainResult(rows)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Table: drained.Table, Route: "scatter", ShardsUsed: len(c.shards), Elapsed: time.Since(start)}
-	if m := rows.Metrics(); m != nil {
-		res.Plan = m.Plan
-		res.Route = m.Route
-		res.ShardsUsed = m.ShardsUsed
-		res.CacheHit = m.CacheHit
-		res.FinalSort = m.FinalSort
-		res.BlocksRead = m.BlocksRead
-		res.BlocksWritten = m.BlocksWritten
-		res.Comparisons = m.Comparisons
-		res.TraceID = m.TraceID
-		res.Trace = m.Trace
-	}
-	return res, nil
-}
-
 // Cluster implements windowdb.Queryer.
 var _ windowdb.Queryer = (*Cluster)(nil)
 
@@ -485,7 +410,11 @@ var _ windowdb.Queryer = (*Cluster)(nil)
 // in-flight rows, not node responses, so its memory is bounded by the wire
 // batch size × shard count instead of |R| — except when DISTINCT or ORDER
 // BY force the finalize pass to materialize the concatenation first. Every route holds
-// its shard streams until the cursor is drained or closed.
+// its shard streams until the cursor is drained or closed. Error classes
+// match the single-engine service: sql.ErrParse/ErrBind,
+// catalog.ErrUnknownTable, service.ErrOverloaded (from a shard's admission
+// control), ctx errors, and engine faults — remote errors unwrap to the
+// same sentinels (RemoteError).
 func (c *Cluster) QueryContext(ctx context.Context, src string) (*windowdb.Rows, error) {
 	if inner, ok := windowdb.StripExplainAnalyze(src); ok {
 		return windowdb.ExplainAnalyzeRows(ctx, c, inner)
@@ -1059,7 +988,7 @@ func (ss *scatterSource) End(end windowdb.Ending) *windowdb.QueryMetrics {
 // coordinator's, nothing was sorted here.
 func mergedMeta(prep *sql.Prepared, cacheHit bool, route string, streams int) *windowdb.QueryMetrics {
 	meta := &windowdb.QueryMetrics{
-		Plan: prep.Plan(), FinalSort: "none", Parallelism: 1,
+		Meta:     sql.Meta{Plan: prep.Plan(), FinalSort: "none", Parallelism: 1},
 		CacheHit: cacheHit, Route: route, ShardsUsed: streams,
 	}
 	if meta.Plan != nil {
@@ -1093,7 +1022,7 @@ func (cs *coordCursorSource) NextBatch() (*stream.Batch, error) {
 }
 
 func (cs *coordCursorSource) End(end windowdb.Ending) *windowdb.QueryMetrics {
-	meta := windowdb.MetaFromResult(cs.cur.Meta())
+	meta := windowdb.NewQueryMetrics(cs.cur.Meta())
 	meta.Route = cs.route
 	meta.ShardsUsed = cs.shardsUsed
 	meta.CacheHit = cs.cacheHit

@@ -129,7 +129,7 @@ func TestScatterEquivalence(t *testing.T) {
 	want := canonical(ref.Table)
 	for _, n := range []int{1, 2, 4} {
 		c := newLocalCluster(t, n, rows)
-		res, err := c.Query(context.Background(), q6SQL)
+		res, err := windowdb.Collect(context.Background(), c, q6SQL)
 		if err != nil {
 			t.Fatalf("%d shards: %v", n, err)
 		}
@@ -156,7 +156,7 @@ func TestScatterOrderBy(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := newLocalCluster(t, 3, rows)
-	res, err := c.Query(context.Background(), q)
+	res, err := windowdb.Collect(context.Background(), c, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestScatterLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := newLocalCluster(t, 4, rows)
-	res, err := c.Query(context.Background(), q)
+	res, err := windowdb.Collect(context.Background(), c, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestScatterWhereDistinct(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := newLocalCluster(t, 4, rows)
-	res, err := c.Query(context.Background(), q)
+	res, err := windowdb.Collect(context.Background(), c, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestShardKeyMergesSignedZeros(t *testing.T) {
 		if err := c.RegisterSharded(ctx, "t", table, "x"); err != nil {
 			t.Fatal(err)
 		}
-		res, err := c.Query(ctx, `SELECT x, count(*) OVER (PARTITION BY x) AS n FROM t`)
+		res, err := windowdb.Collect(ctx, c, `SELECT x, count(*) OVER (PARTITION BY x) AS n FROM t`)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,7 +262,7 @@ func TestKeylessShuffleEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, svcs := streamCluster(t, 3, rows, Config{})
-	res, err := c.Query(context.Background(), keylessSQL)
+	res, err := windowdb.Collect(context.Background(), c, keylessSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestShuffleEquivalence(t *testing.T) {
 		want := canonical(ref.Table)
 		for _, n := range []int{1, 2, 4} {
 			c := newLocalCluster(t, n, rows)
-			res, err := c.Query(context.Background(), q)
+			res, err := windowdb.Collect(context.Background(), c, q)
 			if err != nil {
 				t.Fatalf("%d shards: %v", n, err)
 			}
@@ -369,7 +369,7 @@ func TestShuffleRunsTheCoordinatorsPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, svcs := streamCluster(t, 3, rows, Config{})
-	res, err := c.Query(context.Background(), q)
+	res, err := windowdb.Collect(context.Background(), c, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +413,7 @@ func TestScatterRunsTheCoordinatorsPlan(t *testing.T) {
 	const rows, n = 8000, 4
 	c, _ := localCluster(t, n, rows, service.Config{DisableSharing: true})
 	for _, name := range []string{"Q1", "F3"} {
-		res, err := c.Query(context.Background(), paper.Statements[name])
+		res, err := windowdb.Collect(context.Background(), c, paper.Statements[name])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -446,7 +446,7 @@ func TestNodeScanSharing(t *testing.T) {
 	c, svcs := localCluster(t, 2, 2000, service.Config{})
 	const rank = `SELECT ws_item_sk, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS r FROM web_sales`
 	for _, q := range []string{rank, rank, `SELECT ws_item_sk, count(*) OVER (PARTITION BY ws_item_sk) AS n FROM web_sales`} {
-		res, err := c.Query(context.Background(), q)
+		res, err := windowdb.Collect(context.Background(), c, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -479,7 +479,7 @@ func TestShuffleOrderByDistinctLimit(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := newLocalCluster(t, 3, rows)
-		res, err := c.Query(context.Background(), q)
+		res, err := windowdb.Collect(context.Background(), c, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -500,7 +500,7 @@ func TestReplicaRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ { // round-robin hits every node
-		res, err := c.Query(context.Background(), `SELECT empnum, rank() OVER (ORDER BY salary DESC) AS r FROM emptab ORDER BY r, empnum`)
+		res, err := windowdb.Collect(context.Background(), c, `SELECT empnum, rank() OVER (ORDER BY salary DESC) AS r FROM emptab ORDER BY r, empnum`)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -518,14 +518,14 @@ func TestReplicaRoute(t *testing.T) {
 func TestPlanCache(t *testing.T) {
 	c := newLocalCluster(t, 2, 300)
 	ctx := context.Background()
-	r1, err := c.Query(ctx, q6SQL)
+	r1, err := windowdb.Collect(ctx, c, q6SQL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.CacheHit {
 		t.Fatal("first query cannot hit")
 	}
-	r2, err := c.Query(ctx, "  "+q6SQL+"  ")
+	r2, err := windowdb.Collect(ctx, c, "  "+q6SQL+"  ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,7 +536,7 @@ func TestPlanCache(t *testing.T) {
 	if err := c.RegisterSharded(ctx, "web_sales", ws, "ws_item_sk"); err != nil {
 		t.Fatal(err)
 	}
-	r3, err := c.Query(ctx, q6SQL)
+	r3, err := windowdb.Collect(ctx, c, q6SQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,7 +594,7 @@ func TestCacheHammer(t *testing.T) {
 				// The last write is an append over cached segments: no epoch
 				// move sweeps them away, only the next miss does.
 				<-registered
-				if _, err := c.Query(ctx, shareQ); err != nil {
+				if _, err := windowdb.Collect(ctx, c, shareQ); err != nil {
 					t.Error(err)
 					return
 				}
@@ -612,7 +612,7 @@ func TestCacheHammer(t *testing.T) {
 			defer readers.Done()
 			for i := 0; i < 15; i++ {
 				q := mix[(g+i)%len(mix)]
-				res, err := c.Query(ctx, q)
+				res, err := windowdb.Collect(ctx, c, q)
 				if err != nil {
 					t.Errorf("%s: %v", q, err)
 					return
@@ -629,7 +629,7 @@ func TestCacheHammer(t *testing.T) {
 
 	// One more lookup per cache: a shareable scatter statement goes through
 	// the coordinator's plan cache and both caches of every node.
-	res, err := c.Query(ctx, shareQ)
+	res, err := windowdb.Collect(ctx, c, shareQ)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -666,7 +666,7 @@ func TestCacheHammer(t *testing.T) {
 // TestUnknownTable maps to the catalog sentinel through the cluster.
 func TestUnknownTable(t *testing.T) {
 	c := newLocalCluster(t, 2, 100)
-	_, err := c.Query(context.Background(), `SELECT x FROM nope`)
+	_, err := windowdb.Collect(context.Background(), c, `SELECT x FROM nope`)
 	if !errors.Is(err, catalog.ErrUnknownTable) {
 		t.Fatalf("got %v, want ErrUnknownTable", err)
 	}
@@ -676,7 +676,7 @@ func TestUnknownTable(t *testing.T) {
 // cluster path.
 func TestParseErrorClass(t *testing.T) {
 	c := newLocalCluster(t, 2, 100)
-	_, err := c.Query(context.Background(), `SELEC nonsense`)
+	_, err := windowdb.Collect(context.Background(), c, `SELEC nonsense`)
 	if !errors.Is(err, sql.ErrParse) {
 		t.Fatalf("got %v, want ErrParse", err)
 	}
@@ -717,16 +717,16 @@ func TestStubStatistics(t *testing.T) {
 func TestClusterStats(t *testing.T) {
 	c := newLocalCluster(t, 2, 300)
 	ctx := context.Background()
-	if _, err := c.Query(ctx, q6SQL); err != nil {
+	if _, err := windowdb.Collect(ctx, c, q6SQL); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Query(ctx, keylessSQL); err != nil {
+	if _, err := windowdb.Collect(ctx, c, keylessSQL); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Query(ctx, `SELECT empnum FROM emptab`); err != nil {
+	if _, err := windowdb.Collect(ctx, c, `SELECT empnum FROM emptab`); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Query(ctx, divergeSQL); err != nil {
+	if _, err := windowdb.Collect(ctx, c, divergeSQL); err != nil {
 		t.Fatal(err)
 	}
 	stats, err := c.Stats(ctx)
@@ -771,7 +771,7 @@ func TestConcurrentQueries(t *testing.T) {
 	for g := 0; g < 12; g++ {
 		go func(g int) {
 			q := queries[g%len(queries)]
-			res, err := c.Query(context.Background(), q)
+			res, err := windowdb.Collect(context.Background(), c, q)
 			if err == nil && q == q6SQL && !slices.Equal(canonical(res.Table), want) {
 				err = errors.New("concurrent scatter result differs")
 			}

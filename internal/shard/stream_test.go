@@ -374,7 +374,7 @@ func TestEarlyEndReleasesNodes(t *testing.T) {
 				if aborted, failures := c.aborted.Load(), c.failures.Load(); aborted != 1 || failures != 0 {
 					t.Fatalf("aborted = %d, failures = %d, want 1 and 0", aborted, failures)
 				}
-				if _, err := c.Query(context.Background(), q.sql); err != nil {
+				if _, err := windowdb.Collect(context.Background(), c, q.sql); err != nil {
 					t.Fatalf("the next statement: %v", err)
 				}
 			})
@@ -493,7 +493,7 @@ func TestShuffleFailureReleasesSlots(t *testing.T) {
 	for _, src := range []string{divergeSQL, keylessSQL} {
 		failuresBefore := c.failures.Load()
 		sched.Store(&schedule{fault: refuse, node: 1})
-		if _, err := c.Query(ctx, src); !errors.Is(err, errInjected) {
+		if _, err := windowdb.Collect(ctx, c, src); !errors.Is(err, errInjected) {
 			t.Fatalf("shuffle with a refused delivery: err = %v, want the injected fault", err)
 		}
 		requireIdle(t, c)
@@ -503,7 +503,7 @@ func TestShuffleFailureReleasesSlots(t *testing.T) {
 	}
 	sched.Store(nil)
 	// The cluster still serves routes that avoid the broken data plane.
-	res, err := c.Query(ctx, q6SQL)
+	res, err := windowdb.Collect(ctx, c, q6SQL)
 	if err != nil {
 		t.Fatalf("scatter after shuffle failure: %v", err)
 	}
@@ -519,14 +519,14 @@ func TestCoordCachePerTableInvalidation(t *testing.T) {
 	ctx := context.Background()
 
 	// Prime both tables' plans.
-	if _, err := c.Query(ctx, q6SQL); err != nil {
+	if _, err := windowdb.Collect(ctx, c, q6SQL); err != nil {
 		t.Fatal(err)
 	}
 	empQ := `SELECT empnum, rank() OVER (ORDER BY salary DESC NULLS LAST) AS r FROM emptab`
-	if _, err := c.Query(ctx, empQ); err != nil {
+	if _, err := windowdb.Collect(ctx, c, empQ); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Query(ctx, q6SQL)
+	res, err := windowdb.Collect(ctx, c, q6SQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,7 +538,7 @@ func TestCoordCachePerTableInvalidation(t *testing.T) {
 	if err := c.RegisterReplicated(ctx, "emptab", datagen.Emptab()); err != nil {
 		t.Fatal(err)
 	}
-	res, err = c.Query(ctx, q6SQL)
+	res, err = windowdb.Collect(ctx, c, q6SQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -546,7 +546,7 @@ func TestCoordCachePerTableInvalidation(t *testing.T) {
 		t.Fatal("re-registering emptab invalidated web_sales plans")
 	}
 	// ...but it does evict emptab's.
-	res, err = c.Query(ctx, empQ)
+	res, err = windowdb.Collect(ctx, c, empQ)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -563,7 +563,7 @@ func TestCoordCachePerTableInvalidation(t *testing.T) {
 	if got := c.cache.Stats(c.coord.Generation()).Invalidations; got <= before {
 		t.Fatalf("invalidations %d not advanced past %d", got, before)
 	}
-	res, err = c.Query(ctx, q6SQL)
+	res, err = windowdb.Collect(ctx, c, q6SQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -585,7 +585,7 @@ func TestCoordCacheEvictsLeastRecent(t *testing.T) {
 		`SELECT ws_warehouse_sk FROM web_sales LIMIT 1`,
 	}
 	for _, q := range queries {
-		if _, err := c.Query(ctx, q); err != nil {
+		if _, err := windowdb.Collect(ctx, c, q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -593,7 +593,7 @@ func TestCoordCacheEvictsLeastRecent(t *testing.T) {
 	if st.Size != capacity || st.Evictions != 1 {
 		t.Fatalf("size=%d evictions=%d after %d statements, want %d/1", st.Size, st.Evictions, len(queries), capacity)
 	}
-	res, err := c.Query(ctx, queries[len(queries)-1])
+	res, err := windowdb.Collect(ctx, c, queries[len(queries)-1])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro"
 	"repro/internal/service"
 	"repro/internal/trace"
 )
@@ -20,7 +21,7 @@ func TestShuffleTraceAssembly(t *testing.T) {
 	const id = "feedfacefeedface"
 	ctx := trace.NewContext(context.Background(), id)
 
-	res, err := c.Query(ctx, divergeSQL)
+	res, err := windowdb.Collect(ctx, c, divergeSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestShuffleFailureTraceRecorded(t *testing.T) {
 	sched.Store(&schedule{fault: refuse, node: 1})
 	ctx := context.Background()
 	const id = "0badc0de0badc0de"
-	if _, err := c.Query(trace.NewContext(ctx, id), divergeSQL); err == nil {
+	if _, err := windowdb.Collect(trace.NewContext(ctx, id), c, divergeSQL); err == nil {
 		t.Fatal("shuffle with a failing node must error")
 	}
 	recorded := c.Traces().Get(id)

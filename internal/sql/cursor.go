@@ -23,7 +23,7 @@ import (
 // may serve any number of concurrent cursors.
 type Cursor struct {
 	cols []storage.Column
-	meta Result // Table nil: the executed statement's metadata
+	meta Meta // the executed statement's record
 	ctx  context.Context
 
 	src    *exec.Chain
@@ -38,11 +38,10 @@ type Cursor struct {
 // Columns returns the output schema.
 func (c *Cursor) Columns() []storage.Column { return c.cols }
 
-// Meta returns the executed statement's metadata — the plan, executor
-// metrics, final-sort disposition and parallel degree of Result, with
-// Table nil. It is valid from cursor creation (the chain has already
-// run).
-func (c *Cursor) Meta() *Result { return &c.meta }
+// Meta returns the executed statement's record — the plan, executor
+// metrics, final-sort disposition and parallel degree. It is valid from
+// cursor creation (the chain has already run).
+func (c *Cursor) Meta() *Meta { return &c.meta }
 
 // NextBatch returns the next output rows, at most stream.BatchRows of
 // them, or io.EOF when the stream is exhausted (or the cursor closed), or
@@ -101,8 +100,7 @@ func (c *Cursor) Close() error {
 // every remaining output row projected out of one value slab. The cursor is
 // exhausted and closed afterwards.
 func (c *Cursor) Materialize() *Result {
-	res := c.meta
-	res.Table = storage.NewTable(storage.NewSchema(c.cols...))
+	res := Result{Table: storage.NewTable(storage.NewSchema(c.cols...)), Meta: c.meta}
 	if c.left > 0 {
 		res.Table.Rows = c.projectRows(c.left)
 	}

@@ -19,6 +19,15 @@ func openResult(ctx context.Context, p *Prepared, in Input, shardLocal bool) (*R
 	return cur.Materialize(), nil
 }
 
+// runQuery prepares src and executes it whole.
+func runQuery(r *Runner, src string) (*Result, error) {
+	p, err := r.Prepare(src)
+	if err != nil {
+		return nil, err
+	}
+	return p.ExecuteContext(context.Background())
+}
+
 // drainCursor pulls a cursor dry.
 func drainCursor(t *testing.T, c *Cursor) []storage.Tuple {
 	t.Helper()

@@ -30,7 +30,7 @@ func TestDistinctMergesSignedZeros(t *testing.T) {
 	cat := catalog.New()
 	cat.Register("t", table)
 	r := &Runner{Catalog: cat, Exec: exec.Config{MemoryBytes: 1 << 20, BlockSize: 4096}}
-	res, err := r.Query(`SELECT DISTINCT x, count(*) OVER (PARTITION BY x) AS n FROM t`)
+	res, err := runQuery(r, `SELECT DISTINCT x, count(*) OVER (PARTITION BY x) AS n FROM t`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestHashPlacementKeepsSignedZerosTogether(t *testing.T) {
 		"HS":       {Catalog: cat, Exec: exec.Config{MemoryBytes: 8 << 10, BlockSize: 1024, HSBuckets: 7}},
 		"parallel": {Catalog: cat, Exec: exec.Config{MemoryBytes: 1 << 20, BlockSize: 1024, Parallelism: 3}},
 	} {
-		res, err := r.Query(`SELECT x, count(*) OVER (PARTITION BY x) AS n FROM t`)
+		res, err := runQuery(r, `SELECT x, count(*) OVER (PARTITION BY x) AS n FROM t`)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func checkStatement(t *testing.T, hit gen.Hits, c gen.Case) {
 				if f := meta.Finalize; !p.ConcatStreams() && f.RowsOut != int64(len(want)) {
 					check(where+"finalize", fmt.Errorf("%d rows out of %d in; %d left", f.RowsOut, f.RowsIn, len(want)))
 				}
-				m := meta.Metrics
+				m := meta.Exec
 				for path, reached := range map[string]bool{meta.FinalSort: true, "top-k": meta.Finalize.TopK,
 					"spilled": m != nil && m.TotalBlocks() > 0, "concatenated": m != nil && m.Concatenated} {
 					if reached {
@@ -189,7 +189,7 @@ func checkStatement(t *testing.T, hit gen.Hits, c gen.Case) {
 // finalizeFixture runs stmt's chain over n web_sales rows once and returns
 // what finalize is handed: the prepared statement, the chain, and the
 // chain's metadata to copy per call.
-func finalizeFixture(tb testing.TB, n int, stmt string) (*Prepared, *exec.Chain, Result) {
+func finalizeFixture(tb testing.TB, n int, stmt string) (*Prepared, *exec.Chain, Meta) {
 	tb.Helper()
 	cat := catalog.New()
 	cat.Register("web_sales", datagen.WebSales(datagen.WebSalesConfig{Rows: n, Seed: 20120827}))
@@ -197,7 +197,7 @@ func finalizeFixture(tb testing.TB, n int, stmt string) (*Prepared, *exec.Chain,
 	if err != nil {
 		tb.Fatal(err)
 	}
-	var meta Result
+	var meta Meta
 	chain, err := p.runChain(context.Background(), p.entry.Table(), &meta)
 	if err != nil {
 		tb.Fatal(err)

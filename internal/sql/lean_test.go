@@ -33,6 +33,21 @@ func leanRunner(rows, memBytes int) *Runner {
 	return &Runner{Catalog: cat, Exec: exec.Config{MemoryBytes: memBytes, BlockSize: 4096}}
 }
 
+// chainTable materializes a chain as whole tuples: each row's values
+// followed by its tail values.
+func chainTable(c *exec.Chain) *storage.Table {
+	t := storage.NewTable(c.Schema)
+	w := c.Schema.Len()
+	t.Rows = make([]storage.Tuple, c.Len())
+	for i := range t.Rows {
+		t.Rows[i] = make(storage.Tuple, w)
+		for k := range w {
+			t.Rows[i][k] = c.At(i, k)
+		}
+	}
+	return t
+}
+
 // TestLeanMatchesRunAndReference — differential: on Q1–Q9 under a budget
 // that spills and F1–F6 in memory, the chain result the SQL layer projects
 // from equals exec.RunChain's over the same input row for row (the values
@@ -68,7 +83,7 @@ func TestLeanMatchesRunAndReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSameRows(t, name+" lean vs RunChain", ran.Table(), chain.Table())
+			assertSameRows(t, name+" lean vs RunChain", chainTable(ran), chainTable(chain))
 
 			want, err := p.ExecuteContext(ctx)
 			if err != nil {
@@ -103,7 +118,7 @@ func TestLeanSharedSuffix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		chain, err := p.runSuffix(ctx, seg, true, new(Result))
+		chain, err := p.runSuffix(ctx, seg, true, new(Meta))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,7 +312,7 @@ func TestSpillingStatementBytesAreBounded(t *testing.T) {
 				break
 			}
 		}
-		if m := cur.Meta().Metrics; m.TotalBlocks() == 0 {
+		if m := cur.Meta().Exec; m.TotalBlocks() == 0 {
 			t.Fatal("the statement did not spill")
 		}
 	}

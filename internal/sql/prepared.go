@@ -350,7 +350,7 @@ func (p *Prepared) Open(ctx context.Context, in Input, shardLocal bool) (*Cursor
 		// avoidance off the result's plan; a concatenation has none to offer
 		// until it is finalized.
 		cur.src, cur.pick, key = exec.NewChain(in.Concat.Schema, nil), indices(len(p.outCols)), p.orderKey
-		cur.meta = Result{FinalSort: "none", Parallelism: 1}
+		cur.meta = Meta{FinalSort: "none", Parallelism: 1}
 		_, err = cur.src.Run(ctx, in.Concat, nil, p.cfg)
 	case in.Shared != nil:
 		cur.src, err = p.runSuffix(ctx, in.Shared, in.ChargeScan, &cur.meta)
@@ -394,7 +394,7 @@ func (p *Prepared) ExecuteContext(ctx context.Context) (*Result, error) {
 // directly — no whole-tuple table is built in between. The chain exists
 // before its input does: the WHERE's survivors are carved from its arena,
 // and go back to the pool with the rest of the statement's arrays.
-func (p *Prepared) runChain(ctx context.Context, base *storage.Table, result *Result) (*exec.Chain, error) {
+func (p *Prepared) runChain(ctx context.Context, base *storage.Table, result *Meta) (*exec.Chain, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -404,7 +404,7 @@ func (p *Prepared) runChain(ctx context.Context, base *storage.Table, result *Re
 		chain.Release()
 		return nil, err
 	}
-	*result = Result{FinalSort: "none", Parallelism: 1, EstRows: p.entry.Rows()}
+	*result = Meta{FinalSort: "none", Parallelism: 1, EstRows: p.entry.Rows()}
 	if p.plan == nil {
 		_, err := chain.Run(ctx, windowed, nil, p.cfg)
 		return chain, err
@@ -414,7 +414,7 @@ func (p *Prepared) runChain(ctx context.Context, base *storage.Table, result *Re
 		return nil, err
 	}
 	result.Plan = p.plan
-	result.Metrics = metrics
+	result.Exec = metrics
 	result.Parallelism = par
 	return executed, nil
 }
@@ -507,7 +507,7 @@ func (p *Prepared) estimate(steps []exec.StepMetrics, plan []core.Step) {
 // output order, nil meaning the chain's own sequence (which the cursor cuts
 // to the LIMIT); the cursor gathers through the list, so no row is built.
 // These comparisons order output, not window input: they are not counted.
-func (p *Prepared) finalize(src *exec.Chain, pick []int, key attrs.Seq, result *Result) []int {
+func (p *Prepared) finalize(src *exec.Chain, pick []int, key attrs.Seq, result *Meta) []int {
 	if p.ConcatStreams() {
 		return nil // LIMIT alone is the cursor's early termination
 	}
@@ -523,7 +523,7 @@ func (p *Prepared) finalize(src *exec.Chain, pick []int, key attrs.Seq, result *
 		// A chain whose final segment ran hash-partitioned concatenates
 		// partitions: its nominal final ordering holds only within each, and
 		// the ORDER BY takes a full sort.
-		if result.Plan != nil && (result.Metrics == nil || !result.Metrics.Concatenated) {
+		if result.Plan != nil && (result.Exec == nil || !result.Exec.Concatenated) {
 			// alignOrder is the ORDER BY's leading base-column items.
 			finalProps := result.Plan.FinalProps(core.Unordered())
 			sat = min(core.OrderSatisfiedPrefix(finalProps, p.alignOrder), len(key))

@@ -66,7 +66,7 @@ func TestPreparedMatchesQuery(t *testing.T) {
 		`SELECT DISTINCT dept FROM emptab WHERE salary > 40 ORDER BY dept LIMIT 2`,
 	}
 	for _, src := range queries {
-		want, err := r.Query(src)
+		want, err := runQuery(r, src)
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
@@ -131,13 +131,17 @@ func TestPreparedGenerationSnapshot(t *testing.T) {
 	}
 }
 
-// TestQueryContextCancelled: the runner's context-aware entry point
-// propagates cancellation.
+// TestQueryContextCancelled: a prepared statement's execution propagates
+// cancellation.
 func TestQueryContextCancelled(t *testing.T) {
 	r := testRunner(t)
+	p, err := r.Prepare(`SELECT ws_item_sk, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS r FROM web_sales`)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := r.QueryContext(ctx, `SELECT ws_item_sk, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS r FROM web_sales`)
+	_, err = p.ExecuteContext(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

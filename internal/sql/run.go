@@ -1,7 +1,6 @@
 package sql
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -37,12 +36,12 @@ type Runner struct {
 	DisableSS bool
 }
 
-// Result is an executed query: the output table plus the window chain and
-// its execution metrics (nil when the query had no window functions).
-type Result struct {
-	Table   *storage.Table
-	Plan    *core.Plan
-	Metrics *exec.Metrics
+// Meta is an executed statement's record: the window chain and its
+// execution metrics (nil when the statement had no window functions), and
+// how its terminal phases ran.
+type Meta struct {
+	Plan *core.Plan
+	Exec *exec.Metrics
 	// FinalSort reports how the query's ORDER BY was satisfied: "none"
 	// (no ORDER BY), "full" (explicit sort), "partial" (the chain's output
 	// ordering pre-satisfied a prefix; only within-group sorting remained)
@@ -56,8 +55,8 @@ type Result struct {
 	// 1 when every step ran on the sequential pipeline — including chains
 	// Chain.Run found no partition key for — and the configured degree
 	// when at least one segment ran
-	// hash-partitioned (Metrics.PartitionedSteps > 0). When the final
-	// segment ran partitioned (Metrics.Concatenated), the chain's nominal
+	// hash-partitioned (Exec.PartitionedSteps > 0). When the final
+	// segment ran partitioned (Exec.Concatenated), the chain's nominal
 	// output ordering is not preserved and any ORDER BY is satisfied by a
 	// full explicit sort; chains run sequentially end to end keep
 	// Section 5's sort avoidance.
@@ -79,9 +78,16 @@ type Result struct {
 	// serving layer.
 	SharedScan string
 	// SharedWait is the time the serving layer spent in the shared-subplan
-	// cache that Metrics does not book: a hit's lookup, an attacher's wait,
+	// cache that Exec does not book: a hit's lookup, an attacher's wait,
 	// a leader's scan short of its reorder.
 	SharedWait time.Duration
+}
+
+// Result is an executed statement materialized: its output table and its
+// record.
+type Result struct {
+	Table *storage.Table
+	Meta
 }
 
 // FinalizeMetrics measures a statement's terminal phase: DISTINCT and the
@@ -93,21 +99,6 @@ type FinalizeMetrics struct {
 	// TopK reports that ORDER BY ... LIMIT k ran as a bounded selection of
 	// k positions rather than a sort of all of them.
 	TopK bool
-}
-
-// Query parses, plans and executes one window query block.
-func (r *Runner) Query(src string) (*Result, error) {
-	return r.QueryContext(context.Background(), src)
-}
-
-// QueryContext is Query with cancellation and deadline support: ctx is
-// threaded through the executor and checked at chain-step boundaries.
-func (r *Runner) QueryContext(ctx context.Context, src string) (*Result, error) {
-	p, err := r.Prepare(src)
-	if err != nil {
-		return nil, err
-	}
-	return p.ExecuteContext(ctx)
 }
 
 // resolveOutputColumn finds the first SELECT item whose visible name is

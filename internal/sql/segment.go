@@ -130,7 +130,7 @@ func (r *SegmentRunner) Run(ctx context.Context, seg int, in *storage.Table) (*e
 // runLast runs the chain's last segment over rows every earlier segment
 // already ran on (Input.Rows), filling result like runChain: the plan it
 // reports is the whole chain.
-func (p *Prepared) runLast(ctx context.Context, rows *storage.Table, result *Result) (*exec.Chain, error) {
+func (p *Prepared) runLast(ctx context.Context, rows *storage.Table, result *Meta) (*exec.Chain, error) {
 	if p.plan == nil {
 		return nil, errors.New("sql: segment input for a window-less statement")
 	}
@@ -139,6 +139,6 @@ func (p *Prepared) runLast(ctx context.Context, rows *storage.Table, result *Res
 	if err != nil {
 		return nil, err
 	}
-	*result = Result{FinalSort: "none", Parallelism: par, Plan: p.plan, Metrics: m}
+	*result = Meta{FinalSort: "none", Parallelism: par, Plan: p.plan, Exec: m}
 	return out, nil
 }

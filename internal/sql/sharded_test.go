@@ -265,7 +265,7 @@ func composeSegments(t *testing.T, c gen.Case, shardKey attrs.Set, scheme Scheme
 					fail("node %d segment %d: %v", i, seg, err)
 				}
 				verbatim(i, seg, m)
-				out = chain.Table()
+				out = chainTable(chain)
 			}
 			for p, rows := range exec.PartitionRows(out.Rows, runners[0].Key(seg+1).IDs(), nodes) {
 				next[p].Rows = append(next[p].Rows, rows...)
@@ -291,7 +291,7 @@ func composeSegments(t *testing.T, c gen.Case, shardKey attrs.Set, scheme Scheme
 			fail("node %d final segment: %v", i, err)
 		}
 		if last >= 0 {
-			verbatim(i, last, cur.Meta().Metrics)
+			verbatim(i, last, cur.Meta().Exec)
 		}
 		concat.Rows = append(concat.Rows, drainCursor(t, cur)...)
 	}

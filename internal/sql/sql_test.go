@@ -27,7 +27,7 @@ func testRunner(t *testing.T) *Runner {
 // the full sample output table.
 func TestExample1(t *testing.T) {
 	r := testRunner(t)
-	res, err := r.Query(`
+	res, err := runQuery(r, `
 		SELECT empnum, dept, salary,
 		       rank() OVER (PARTITION BY dept ORDER BY salary DESC NULLS LAST) AS rank_in_dept,
 		       rank() OVER (ORDER BY salary DESC NULLS LAST) AS globalrank
@@ -66,14 +66,14 @@ func TestExample1(t *testing.T) {
 			}
 		}
 	}
-	if res.Plan == nil || res.Metrics == nil {
+	if res.Plan == nil || res.Exec == nil {
 		t.Errorf("expected plan and metrics")
 	}
 }
 
 func TestWhereAndLimit(t *testing.T) {
 	r := testRunner(t)
-	res, err := r.Query(`
+	res, err := runQuery(r, `
 		SELECT empnum, salary, row_number() OVER (ORDER BY salary DESC) AS rn
 		FROM emptab
 		WHERE salary IS NOT NULL AND dept IS NOT NULL AND salary >= 55000
@@ -92,7 +92,7 @@ func TestWhereAndLimit(t *testing.T) {
 
 func TestAggregatesAndFrames(t *testing.T) {
 	r := testRunner(t)
-	res, err := r.Query(`
+	res, err := runQuery(r, `
 		SELECT empnum, dept, salary,
 		       sum(salary) OVER (PARTITION BY dept ORDER BY salary
 		                         ROWS BETWEEN 1 PRECEDING AND CURRENT ROW) AS s2,
@@ -116,7 +116,7 @@ func TestAggregatesAndFrames(t *testing.T) {
 
 func TestLeadLagNtile(t *testing.T) {
 	r := testRunner(t)
-	res, err := r.Query(`
+	res, err := runQuery(r, `
 		SELECT empnum,
 		       lead(salary, 1, -1) OVER (ORDER BY empnum) AS next_sal,
 		       lag(salary) OVER (ORDER BY empnum) AS prev_sal,
@@ -174,7 +174,7 @@ func TestBindErrors(t *testing.T) {
 		"SELECT * FROM emptab ORDER BY nosuch",
 	}
 	for _, src := range bad {
-		if _, err := r.Query(src); err == nil {
+		if _, err := runQuery(r, src); err == nil {
 			t.Errorf("Query(%q) should fail", src)
 		}
 	}
@@ -183,7 +183,7 @@ func TestBindErrors(t *testing.T) {
 func TestPlanExposedMatchesScheme(t *testing.T) {
 	r := testRunner(t)
 	r.Scheme = SchemePSQL
-	res, err := r.Query(`
+	res, err := runQuery(r, `
 		SELECT rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS a,
 		       rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_bill_customer_sk) AS b
 		FROM web_sales`)
@@ -201,7 +201,7 @@ func TestPlanExposedMatchesScheme(t *testing.T) {
 
 func TestNoWindowFunctions(t *testing.T) {
 	r := testRunner(t)
-	res, err := r.Query("SELECT empnum, salary FROM emptab WHERE dept = 1 ORDER BY salary DESC")
+	res, err := runQuery(r, "SELECT empnum, salary FROM emptab WHERE dept = 1 ORDER BY salary DESC")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestNoWindowFunctions(t *testing.T) {
 // still correctly ordered.
 func TestSection5OrderIntegration(t *testing.T) {
 	r := testRunner(t)
-	res, err := r.Query(`
+	res, err := runQuery(r, `
 		SELECT ws_item_sk, ws_sold_date_sk,
 		       rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS r1,
 		       rank() OVER (PARTITION BY ws_warehouse_sk ORDER BY ws_sold_time_sk) AS r2
@@ -241,7 +241,7 @@ func TestSection5OrderIntegration(t *testing.T) {
 	// The same query under PSQL pays a full final sort but agrees on rows.
 	rp := testRunner(t)
 	rp.Scheme = SchemePSQL
-	resP, err := rp.Query(`
+	resP, err := runQuery(rp, `
 		SELECT ws_item_sk, ws_sold_date_sk,
 		       rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS r1,
 		       rank() OVER (PARTITION BY ws_warehouse_sk ORDER BY ws_sold_time_sk) AS r2
@@ -298,7 +298,7 @@ func TestFinalSortsKeepChainOrderOnTies(t *testing.T) {
 // fool the Section 5 alignment into skipping a needed sort.
 func TestAliasShadowingOrderBy(t *testing.T) {
 	r := testRunner(t)
-	res, err := r.Query(`
+	res, err := runQuery(r, `
 		SELECT ws_sold_date_sk AS ws_item_sk,
 		       rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS rk
 		FROM web_sales
@@ -314,7 +314,7 @@ func TestAliasShadowingOrderBy(t *testing.T) {
 
 func TestSelectDistinct(t *testing.T) {
 	r := testRunner(t)
-	res, err := r.Query(`SELECT DISTINCT dept FROM emptab ORDER BY dept NULLS LAST`)
+	res, err := runQuery(r, `SELECT DISTINCT dept FROM emptab ORDER BY dept NULLS LAST`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestSelectDistinct(t *testing.T) {
 		t.Fatalf("distinct depts = %d, want 4\n%s", res.Table.Len(), FormatTable(res.Table, 0))
 	}
 	// DISTINCT over a window result: each dept has 3 or 2 distinct ranks.
-	res2, err := r.Query(`
+	res2, err := runQuery(r, `
 		SELECT DISTINCT dept, count(*) OVER (PARTITION BY dept) AS sz
 		FROM emptab ORDER BY dept NULLS LAST`)
 	if err != nil {
@@ -348,13 +348,13 @@ func TestRunnerParallelExecution(t *testing.T) {
 		FROM web_sales
 		ORDER BY ws_item_sk, ws_order_number`
 	seq := testRunner(t)
-	seqRes, err := seq.Query(query)
+	seqRes, err := runQuery(seq, query)
 	if err != nil {
 		t.Fatal(err)
 	}
 	par := testRunner(t)
 	par.Exec.Parallelism = 4
-	parRes, err := par.Query(query)
+	parRes, err := runQuery(par, query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,17 +388,17 @@ func TestRunnerParallelKeepsSortAvoidance(t *testing.T) {
 	const query = `SELECT empnum, salary, rank() OVER (ORDER BY salary DESC NULLS LAST) AS r
 		FROM emptab ORDER BY salary DESC NULLS LAST`
 	seq := testRunner(t)
-	seqRes, err := seq.Query(query)
+	seqRes, err := runQuery(seq, query)
 	if err != nil {
 		t.Fatal(err)
 	}
 	par := testRunner(t)
 	par.Exec.Parallelism = 4
-	parRes, err := par.Query(query)
+	parRes, err := runQuery(par, query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parRes.Metrics.Concatenated {
+	if parRes.Exec.Concatenated {
 		t.Fatalf("empty-WPK chain reported concatenated output")
 	}
 	if parRes.Parallelism != 1 {

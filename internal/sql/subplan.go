@@ -135,7 +135,7 @@ func (p *Prepared) RunSubplan(ctx context.Context) (*SharedSegment, error) {
 // property (every step reorder-free, by core.DeriveSuffix), run
 // sequentially, filling result like runChain. chargeScan merges the
 // segment's scan metrics into the result.
-func (p *Prepared) runSuffix(ctx context.Context, seg *SharedSegment, chargeScan bool, result *Result) (*exec.Chain, error) {
+func (p *Prepared) runSuffix(ctx context.Context, seg *SharedSegment, chargeScan bool, result *Meta) (*exec.Chain, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -162,13 +162,13 @@ func (p *Prepared) runSuffix(ctx context.Context, seg *SharedSegment, chargeScan
 		merged.Steps = append(append([]exec.StepMetrics{}, seg.Metrics.Steps...), metrics.Steps...)
 		metrics = merged
 	}
-	// Result.Plan is the suffix chain: truthful for this execution (no
+	// Meta.Plan is the suffix chain: truthful for this execution (no
 	// reorders ran) and what EXPLAIN renders. Its final property replays to
 	// Unordered, so a final ORDER BY is satisfied by a stable full sort —
 	// over a segment already carrying the order that sort is the identity
 	// permutation, so shared and private executions emit identical rows in
 	// identical order for any totally-ordering ORDER BY.
-	*result = Result{FinalSort: "none", Parallelism: 1, EstRows: p.entry.Rows(), Plan: suffix, Metrics: metrics}
+	*result = Meta{FinalSort: "none", Parallelism: 1, EstRows: p.entry.Rows(), Plan: suffix, Exec: metrics}
 	return out, nil
 }
 

@@ -86,7 +86,7 @@ func TestSharedMatchesPrivate(t *testing.T) {
 			}
 		}
 		// Attachers (chargeScan=false) must not be billed the scan's I/O.
-		if m := cur.Meta().Metrics; m != nil && seg.Metrics.BlocksRead > 0 && m.BlocksRead >= seg.Metrics.BlocksRead {
+		if m := cur.Meta().Exec; m != nil && seg.Metrics.BlocksRead > 0 && m.BlocksRead >= seg.Metrics.BlocksRead {
 			t.Errorf("%s: attacher charged scan I/O (%d blocks)", q, m.BlocksRead)
 		}
 	}

@@ -23,6 +23,21 @@ import (
 	"repro/internal/window"
 )
 
+// chainTable materializes a chain as whole tuples: each row's values
+// followed by its tail values.
+func chainTable(c *exec.Chain) *storage.Table {
+	t := storage.NewTable(c.Schema)
+	w := c.Schema.Len()
+	t.Rows = make([]storage.Tuple, c.Len())
+	for i := range t.Rows {
+		t.Rows[i] = make(storage.Tuple, w)
+		for k := range w {
+			t.Rows[i][k] = c.At(i, k)
+		}
+	}
+	return t
+}
+
 // checkPoisoned runs plan through the executor and holds the result to the
 // reference evaluator, kind-exact, and to the input: every derived value,
 // every base column of every row, and — when derived columns ride in the
@@ -44,7 +59,7 @@ func checkPoisoned(t *testing.T, table *storage.Table, specs []window.Spec, plan
 	for _, row := range table.Rows {
 		byTag[row[datagen.ColOrderNumber].Int64()] = row
 	}
-	result := chain.Table()
+	result := chainTable(chain)
 	got := make(map[int64]storage.Tuple, result.Len())
 	for i, row := range result.Rows {
 		if r := chain.Rows[i]; (chain.Width > arity || spilled) && (len(r) != chain.Width || cap(r) != chain.Width) {

@@ -77,9 +77,6 @@ type tupleStream struct {
 // and never writes it.
 func FromTuples(tuples []storage.Tuple) Stream { return &tupleStream{tuples: tuples} }
 
-// FromTable streams a table as a single segment.
-func FromTable(t *storage.Table) Stream { return FromTuples(t.Rows) }
-
 func (s *tupleStream) Next() (Row, bool) {
 	if s.pos >= len(s.tuples) {
 		return Row{}, false
@@ -115,17 +112,6 @@ func (s *arrayStream) Next() (Row, bool) {
 		s.starts = s.starts[1:]
 	}
 	return r, ok
-}
-
-// FromSegments wraps a list of segments, tagging each segment head.
-func FromSegments(segments [][]storage.Tuple) Stream {
-	var rows []Row
-	for _, seg := range segments {
-		for i, t := range seg {
-			rows = append(rows, Row{Tuple: t, Boundary: i == 0})
-		}
-	}
-	return FromRows(rows)
 }
 
 // Collect drains a stream into a tagged row slice and closes it.
@@ -207,36 +193,4 @@ func Segments(s Stream) ([][]storage.Tuple, error) {
 		segs[len(segs)-1] = append(segs[len(segs)-1], r.Tuple)
 	}
 	return segs, nil
-}
-
-// Concat chains streams; each source's segments are preserved.
-func Concat(streams ...Stream) Stream { return &concatStream{streams: streams} }
-
-type concatStream struct {
-	streams []Stream
-	idx     int
-	err     error
-}
-
-func (c *concatStream) Next() (Row, bool) {
-	for c.idx < len(c.streams) {
-		r, ok := c.streams[c.idx].Next()
-		if ok {
-			return r, true
-		}
-		if err := c.streams[c.idx].Close(); err != nil && c.err == nil {
-			c.err = err
-		}
-		c.idx++
-	}
-	return Row{}, false
-}
-
-func (c *concatStream) Close() error {
-	for ; c.idx < len(c.streams); c.idx++ {
-		if err := c.streams[c.idx].Close(); err != nil && c.err == nil {
-			c.err = err
-		}
-	}
-	return c.err
 }

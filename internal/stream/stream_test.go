@@ -28,10 +28,9 @@ func TestFromTuplesSingleSegment(t *testing.T) {
 	}
 }
 
-func TestFromSegments(t *testing.T) {
-	segsIn := [][]storage.Tuple{rows(1, 2), rows(3), rows(4, 5, 6)}
-	s := FromSegments(segsIn)
-	segs, err := Segments(s)
+// TestSegments — Segments cuts a stream at its boundaries.
+func TestSegments(t *testing.T) {
+	segs, err := Segments(FromArray(rows(1, 2, 3, 4, 5, 6), []int{2, 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,18 +117,6 @@ func TestFromArray(t *testing.T) {
 	}
 }
 
-func TestConcatPreservesSegments(t *testing.T) {
-	a := FromSegments([][]storage.Tuple{rows(1), rows(2)})
-	b := FromTuples(rows(3, 4))
-	segs, err := Segments(Concat(a, b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) != 3 {
-		t.Fatalf("segments = %d, want 3", len(segs))
-	}
-}
-
 func TestEmptyStream(t *testing.T) {
 	segs, err := Segments(FromTuples(nil))
 	if err != nil {
@@ -141,18 +128,5 @@ func TestEmptyStream(t *testing.T) {
 	r, ok := FromRows(nil).Next()
 	if ok {
 		t.Fatalf("empty stream yielded %v", r)
-	}
-}
-
-func TestTableRoundTrip(t *testing.T) {
-	tbl := storage.NewTable(storage.NewSchema(storage.Column{Name: "a", Type: storage.TypeInt}))
-	tbl.MustAppend(storage.Tuple{storage.Int(7)})
-	tbl.MustAppend(storage.Tuple{storage.Int(8)})
-	got, err := CollectTuples(FromTable(tbl))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[1][0].Int64() != 8 {
-		t.Fatalf("round trip = %v", got)
 	}
 }

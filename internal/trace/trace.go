@@ -287,12 +287,6 @@ type SlowLogger struct {
 	suppressed  int64
 }
 
-// NewSlowLogger builds a slow-query logger with the default rate cap;
-// nil when disabled.
-func NewSlowLogger(w io.Writer, threshold time.Duration) *SlowLogger {
-	return NewSlowLoggerRate(w, threshold, 0)
-}
-
 // NewSlowLoggerRate builds a slow-query logger capped at maxPerSec lines
 // per second (0 means DefaultSlowLogRate, negative means uncapped); nil
 // when disabled.

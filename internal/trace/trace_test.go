@@ -137,7 +137,7 @@ func TestRingConcurrent(t *testing.T) {
 
 func TestSlowLogger(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewSlowLogger(&buf, 10*time.Millisecond)
+	l := NewSlowLoggerRate(&buf, 10*time.Millisecond, 0)
 	l.Observe(&Trace{ID: "fast", DurationMillis: 5})
 	if buf.Len() != 0 {
 		t.Fatalf("fast query logged: %s", buf.String())
@@ -160,10 +160,10 @@ func TestSlowLogger(t *testing.T) {
 }
 
 func TestSlowLoggerDisabled(t *testing.T) {
-	if NewSlowLogger(nil, time.Second) != nil {
+	if NewSlowLoggerRate(nil, time.Second, 0) != nil {
 		t.Fatal("nil writer should disable the logger")
 	}
-	if NewSlowLogger(&bytes.Buffer{}, 0) != nil {
+	if NewSlowLoggerRate(&bytes.Buffer{}, 0, 0) != nil {
 		t.Fatal("zero threshold should disable the logger")
 	}
 	var l *SlowLogger

@@ -9,8 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/sql"
 	"repro/internal/storage"
 	"repro/internal/stream"
@@ -129,34 +127,19 @@ func (e Ending) Outcome(killed, closeIsServed bool) Outcome {
 // counters from their wire trailers; in-process backends additionally
 // expose the planned chain and full executor metrics.
 type QueryMetrics struct {
-	// Plan is the planned window chain (nil for window-less statements and
-	// for remote backends, which see only Chain).
-	Plan *core.Plan
+	// Meta is the execution record the SQL cursor fills: the planned chain
+	// (Plan, nil for window-less statements and for remote backends, which
+	// see only Chain), the executor metrics (Exec, nil for remote backends),
+	// the final-sort disposition and satisfied ORDER BY prefix, the
+	// finalize phase where it ran in this process (remote backends see it as
+	// the trace's "finalize" span), the parallel degree, the planner's row
+	// estimate (0 when unknown), a subscription's watermark and the
+	// shared-subplan disposition.
+	sql.Meta
 	// Chain is the chain in the paper's notation, "" when windowless.
 	Chain string
-	// Exec carries the full executor metrics when the chain ran in this
-	// process; nil for remote backends.
-	Exec *exec.Metrics
-	// FinalSort reports how the final ORDER BY was satisfied: "none",
-	// "full", "partial" or "avoided" (Section 5 integration).
-	FinalSort string
-	// SatisfiedPrefix counts the leading ORDER BY elements the chain's
-	// output ordering guaranteed (in-process backends only).
-	SatisfiedPrefix int
-	// Finalize measures the DISTINCT / ORDER BY phase where it ran in this
-	// process (a coordinator's, over its shards' concatenation); zero for a
-	// statement without one. Remote backends see it as the trace's
-	// "finalize" span.
-	Finalize sql.FinalizeMetrics
-	// Parallelism is the worker degree the chain executed with.
-	Parallelism int
 	// CacheHit reports a prepared-plan cache hit at the serving layer.
 	CacheHit bool
-	// SharedScan is the shared-subplan cache disposition — "miss" (this
-	// query ran the scan), "hit" (served from a completed shared segment)
-	// or "attach" (waited on an in-flight scan). Empty when the execution
-	// did not go through the shared-subplan cache.
-	SharedScan string
 	// Route is the cluster routing decision ("scatter", "shuffle",
 	// "replica"), "" for single-engine backends.
 	Route string
@@ -165,14 +148,6 @@ type QueryMetrics struct {
 	ShardsUsed int
 	// Rows counts the rows the cursor yielded.
 	Rows int64
-	// Watermark is the table data generation a maintained (SUBSCRIBE)
-	// cursor's output was current as of when the stream ended; 0 for
-	// one-shot queries.
-	Watermark uint64
-	// EstRows is the planner's input-cardinality estimate (catalog |R|),
-	// the "estimated" side of EXPLAIN ANALYZE; 0 when unknown (remote
-	// backends without a trailer estimate).
-	EstRows int64
 	// Queued is the time spent waiting for an admission slot.
 	Queued time.Duration
 	// Elapsed is the end-to-end time from query start to stream end.

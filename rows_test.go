@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/exec"
+	"repro/internal/sql"
 	"repro/internal/storage"
 	"repro/internal/stream"
 )
@@ -125,25 +126,36 @@ func (metaSource) Columns() []storage.Column {
 func (metaSource) NextBatch() (*stream.Batch, error) { return nil, io.EOF }
 func (s metaSource) End(Ending) *QueryMetrics        { return s.meta }
 
-// TestDrainResultIsLossless — a Result drained out of a cursor says what
-// the Result the cursor was opened over said: MetaFromResult of one equals
-// MetaFromResult of the other, field for field, for every metadata shape a
-// backend produces — so Query (a drain) can stand in for an eager result.
-func TestDrainResultIsLossless(t *testing.T) {
+// metaQueryer answers every statement with a metaSource.
+type metaQueryer struct{ meta *QueryMetrics }
+
+func (q metaQueryer) QueryContext(context.Context, string) (*Rows, error) {
+	return NewRows(metaSource{q.meta}), nil
+}
+func (q metaQueryer) PrepareContext(_ context.Context, src string) (Stmt, error) {
+	return TextStmt(q, src), nil
+}
+
+// TestCollectIsLossless — a Result collected out of a cursor carries the
+// QueryMetrics the cursor ended with, field for field, for every metadata
+// shape a backend produces: Collect can stand in for the cursor wherever a
+// statement is answered whole.
+func TestCollectIsLossless(t *testing.T) {
 	plan := &core.Plan{}
-	for name, res := range map[string]*Result{
+	for name, meta := range map[string]sql.Meta{
 		"bare":         {FinalSort: "none", Parallelism: 1},
-		"chain":        {Plan: plan, Metrics: &exec.Metrics{BlocksRead: 7, BlocksWritten: 5, Comparisons: 3}, FinalSort: "partial", SatisfiedPrefix: 2, Parallelism: 4, EstRows: 2000},
-		"shared scan":  {Plan: plan, Metrics: &exec.Metrics{}, FinalSort: "full", Parallelism: 1, EstRows: 10, SharedScan: "attach"},
-		"subscription": {Metrics: &exec.Metrics{}, FinalSort: "none", Parallelism: 1, EstRows: 12, Watermark: 9},
+		"chain":        {Plan: plan, Exec: &exec.Metrics{BlocksRead: 7, BlocksWritten: 5, Comparisons: 3}, FinalSort: "partial", SatisfiedPrefix: 2, Parallelism: 4, EstRows: 2000},
+		"shared scan":  {Plan: plan, Exec: &exec.Metrics{}, FinalSort: "full", Parallelism: 1, EstRows: 10, SharedScan: "attach"},
+		"subscription": {Exec: &exec.Metrics{}, FinalSort: "none", Parallelism: 1, EstRows: 12, Watermark: 9},
 	} {
-		want := MetaFromResult(res)
-		drained, err := DrainResult(NewRows(metaSource{MetaFromResult(res)}))
+		want := NewQueryMetrics(&meta)
+		want.Route, want.ShardsUsed, want.CacheHit, want.TraceID = "shuffle", 2, true, "t1"
+		res, err := Collect(context.Background(), metaQueryer{want}, "SELECT n FROM t")
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got := MetaFromResult(drained); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: drained metadata %+v, want %+v", name, got, want)
+		if !reflect.DeepEqual(&res.QueryMetrics, want) {
+			t.Errorf("%s: collected metadata %+v, want %+v", name, res.QueryMetrics, *want)
 		}
 	}
 }

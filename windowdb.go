@@ -26,9 +26,10 @@
 //		_ = rows.Scan(&emp, &r)
 //	}
 //
-// Query returns the materialized *Result of the original API, as a thin
-// wrapper that drains the cursor. See the examples directory for complete
-// programs and DESIGN.md for the system inventory.
+// Collect answers a statement whole over any Queryer: the cursor drained
+// into a *Result, the table beside the same QueryMetrics the cursor
+// reports. See the examples directory for complete programs and DESIGN.md
+// for the system inventory.
 package windowdb
 
 import (
@@ -38,7 +39,6 @@ import (
 	"time"
 
 	"repro/internal/catalog"
-	"repro/internal/core"
 	"repro/internal/delta"
 	"repro/internal/exec"
 	"repro/internal/pagestore"
@@ -46,7 +46,6 @@ import (
 	"repro/internal/storage"
 	"repro/internal/stream"
 	"repro/internal/trace"
-	"repro/internal/window"
 )
 
 // Re-exported scheme names.
@@ -77,8 +76,8 @@ type Config struct {
 	DisableHS bool
 	DisableSS bool
 	// Parallelism is the worker degree of exec.Chain.Run, which runs every
-	// chain EvaluateWindows and Query execute: above 1 it hash-partitions
-	// the chain's segments across that many workers. 0 is
+	// statement's chain: above 1 it hash-partitions the chain's segments
+	// across that many workers. 0 is
 	// the GOMAXPROCS sequential-compatible default (identical derived
 	// values and row multiset; row order follows partition index, so ORDER
 	// BY queries are sorted explicitly); 1 or a negative value runs the
@@ -107,12 +106,12 @@ func (c Config) withDefaults() Config {
 // Engine owns a catalog of tables and executes window queries against it.
 //
 // Concurrency contract: an Engine is safe for unrestricted concurrent use.
-// Query/QueryContext, Prepare, EvaluateWindows, Plan and the catalog
-// accessors may run from any number of goroutines, concurrently with
-// Register. Registered tables are treated as immutable — callers must not
-// mutate a *storage.Table after handing it to Register; replacing a table
-// re-registers under the same name and advances the catalog generation
-// (Generation), invalidating prepared statements built on the old entry.
+// Query/QueryContext, Prepare and the catalog accessors may run from any
+// number of goroutines, concurrently with Register. Registered tables are
+// treated as immutable — callers must not mutate a *storage.Table after
+// handing it to Register; replacing a table re-registers under the same
+// name and advances the catalog generation (Generation), invalidating
+// prepared statements built on the old entry.
 // Queries that already hold the old entry finish against the old (still
 // immutable) table — the snapshot-at-lookup semantics of the catalog.
 // Lazily computed statistics (distinct counts, MFVs) are mutex-guarded
@@ -164,20 +163,43 @@ func (e *Engine) Table(name string) (*storage.Table, error) {
 	return entry.Table(), nil
 }
 
-// Result re-exports the SQL result type: the fully-materialized form the
-// original API served and Query still returns, now assembled by draining
-// the streaming cursor.
-type Result = sql.Result
+// Result is a statement answered whole: its output table and the metadata
+// its cursor reported.
+type Result struct {
+	Table *storage.Table
+	QueryMetrics
+}
 
-// Query parses, plans and executes one window query block, returning the
-// materialized result. It is the compatibility wrapper over the streaming
-// surface: QueryContext's Rows cursor, drained into a table.
-func (e *Engine) Query(src string) (*Result, error) {
-	rows, err := e.QueryContext(context.Background(), src)
+// Collect runs src on q and drains the cursor into a Result: the rows in
+// the cursor's order, and its metadata. It is the one way to answer a
+// statement whole, over any backend. A SUBSCRIBE never ends, so Collect
+// refuses it (sql.ErrBind) instead of draining it forever.
+func Collect(ctx context.Context, q Queryer, src string) (*Result, error) {
+	if _, ok := StripSubscribe(src); ok {
+		return nil, fmt.Errorf("%w: SUBSCRIBE never ends; read it through a QueryContext cursor", sql.ErrBind)
+	}
+	rows, err := q.QueryContext(ctx, src)
 	if err != nil {
 		return nil, err
 	}
-	return DrainResult(rows)
+	defer rows.Close()
+	res := &Result{Table: storage.NewTable(storage.NewSchema(rows.ColumnTypes()...))}
+	for rows.Next() {
+		res.Table.Rows = append(res.Table.Rows, rows.Row())
+	}
+	if err := rows.Err(); err != nil {
+		return nil, err
+	}
+	if m := rows.Metrics(); m != nil {
+		res.QueryMetrics = *m
+	}
+	return res, nil
+}
+
+// Query answers one statement whole on this engine: Collect under a
+// background context.
+func (e *Engine) Query(src string) (*Result, error) {
+	return Collect(context.Background(), e, src)
 }
 
 // QueryContext executes one query and returns an incremental Rows cursor
@@ -241,7 +263,7 @@ func (cs *cursorSource) Columns() []storage.Column { return cs.cur.Columns() }
 func (cs *cursorSource) NextBatch() (*stream.Batch, error) { return cs.cur.NextBatch() }
 
 func (cs *cursorSource) End(Ending) *QueryMetrics {
-	meta := MetaFromResult(cs.cur.Meta())
+	meta := NewQueryMetrics(cs.cur.Meta())
 	meta.Elapsed = time.Since(cs.start)
 	meta.TraceID = cs.traceID
 	meta.Trace = ExecTrace(meta)
@@ -249,58 +271,19 @@ func (cs *cursorSource) End(Ending) *QueryMetrics {
 	return meta
 }
 
-// MetaFromResult translates a sql.Result's metadata (the table, if any, is
-// ignored) into the public QueryMetrics shape. Serving layers use it when
-// adapting their execution paths to the Rows surface.
-func MetaFromResult(res *sql.Result) *QueryMetrics {
-	m := &QueryMetrics{
-		Plan:            res.Plan,
-		Exec:            res.Metrics,
-		FinalSort:       res.FinalSort,
-		SatisfiedPrefix: res.SatisfiedPrefix,
-		Finalize:        res.Finalize,
-		Parallelism:     res.Parallelism,
-		EstRows:         res.EstRows,
-		Watermark:       res.Watermark,
-		SharedScan:      res.SharedScan,
+// NewQueryMetrics wraps an execution record in the public QueryMetrics,
+// with the chain in the paper's notation and its block and comparison
+// counters. Serving layers use it when adapting their execution paths to
+// the Rows surface.
+func NewQueryMetrics(m *sql.Meta) *QueryMetrics {
+	qm := &QueryMetrics{Meta: *m}
+	if m.Plan != nil {
+		qm.Chain = m.Plan.PaperString()
 	}
-	if res.Plan != nil {
-		m.Chain = res.Plan.PaperString()
+	if m.Exec != nil {
+		qm.BlocksRead, qm.BlocksWritten, qm.Comparisons = m.Exec.BlocksRead, m.Exec.BlocksWritten, m.Exec.Comparisons
 	}
-	if res.Metrics != nil {
-		m.BlocksRead = res.Metrics.BlocksRead
-		m.BlocksWritten = res.Metrics.BlocksWritten
-		m.Comparisons = res.Metrics.Comparisons
-	}
-	return m
-}
-
-// DrainResult consumes a Rows cursor into the materialized Result shape of
-// the original API: the table plus plan, metrics and final-sort
-// disposition — everything MetaFromResult reads back out of a Result. The
-// cursor is closed when DrainResult returns.
-func DrainResult(rows *Rows) (*Result, error) {
-	defer rows.Close()
-	t := storage.NewTable(storage.NewSchema(rows.ColumnTypes()...))
-	for rows.Next() {
-		t.Rows = append(t.Rows, rows.Row())
-	}
-	if err := rows.Err(); err != nil {
-		return nil, err
-	}
-	res := &Result{Table: t, FinalSort: "none", Parallelism: 1}
-	if m := rows.Metrics(); m != nil {
-		res.Plan = m.Plan
-		res.Metrics = m.Exec
-		res.FinalSort = m.FinalSort
-		res.SatisfiedPrefix = m.SatisfiedPrefix
-		res.Finalize = m.Finalize
-		res.Parallelism = m.Parallelism
-		res.EstRows = m.EstRows
-		res.Watermark = m.Watermark
-		res.SharedScan = m.SharedScan
-	}
-	return res, nil
+	return qm
 }
 
 // Prepare parses, binds and plans a query without executing it. The
@@ -343,59 +326,6 @@ func (e *Engine) execConfig() exec.Config {
 		TempDir:     e.cfg.TempDir,
 		Parallelism: e.cfg.Parallelism,
 	}
-}
-
-// Plan plans (without executing) the given window function specs over a
-// registered table using the engine's scheme.
-func (e *Engine) Plan(table string, specs []window.Spec) (*core.Plan, error) {
-	entry, err := e.cat.Lookup(table)
-	if err != nil {
-		return nil, err
-	}
-	ws := make([]core.WF, len(specs))
-	for i, s := range specs {
-		ws[i] = s.WF(i)
-	}
-	opt := core.Options{
-		Cost:      entry.CostParams(e.cfg.SortMemBytes, e.cfg.BlockSize),
-		DisableHS: e.cfg.DisableHS,
-		DisableSS: e.cfg.DisableSS,
-	}
-	switch e.cfg.Scheme {
-	case sql.SchemeBFO:
-		return core.BFO(ws, core.Unordered(), opt)
-	case sql.SchemeORCL:
-		return core.ORCL(ws, core.Unordered(), opt)
-	case sql.SchemePSQL:
-		return core.PSQL(ws, core.Unordered())
-	case sql.SchemeCSO, "":
-		return core.CSO(ws, core.Unordered(), opt)
-	}
-	return nil, fmt.Errorf("windowdb: unknown scheme %q", e.cfg.Scheme)
-}
-
-// EvaluateWindows plans and executes a set of window functions over a
-// registered table, returning the table extended with one derived column
-// per function (in chain order) plus execution metrics. The table is the
-// chain's, materialized (exec.Chain.Table); the chain is not released, as
-// the table's rows, and the strings its spills read back, may be its
-// arena's.
-func (e *Engine) EvaluateWindows(table string, specs []window.Spec) (*storage.Table, *exec.Metrics, error) {
-	entry, err := e.cat.Lookup(table)
-	if err != nil {
-		return nil, nil, err
-	}
-	plan, err := e.Plan(table, specs)
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg := e.execConfig()
-	cfg.Distinct = entry.Distinct
-	chain, metrics, err := exec.RunChain(context.Background(), entry.Table(), specs, plan, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return chain.Table(), metrics, nil
 }
 
 // Stats exposes a table's catalog statistics for cost-model inspection.

@@ -11,13 +11,11 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/attrs"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/paper"
 	"repro/internal/sql"
 	"repro/internal/storage"
-	"repro/internal/window"
 )
 
 func testEngine(scheme sql.Scheme) *Engine {
@@ -41,42 +39,45 @@ func TestEngineQuery(t *testing.T) {
 	}
 }
 
-func TestEngineEvaluateWindows(t *testing.T) {
+// q6Columns is paper Q6 with the base columns beside its two ranks.
+var q6Columns = "SELECT *, " + strings.TrimPrefix(paper.Statements["Q6"], "SELECT ")
+
+// TestEngineWindowColumns — Q6's two window functions extend every row
+// with two derived columns, one chain step each.
+func TestEngineWindowColumns(t *testing.T) {
 	eng := testEngine(SchemeCSO)
-	specs := paper.Q6()
-	out, metrics, err := eng.EvaluateWindows("web_sales", specs)
+	res, err := Collect(context.Background(), eng, q6Columns)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Schema.Len() != datagen.WebSalesSchema().Len()+2 {
+	if res.Table.Schema.Len() != datagen.WebSalesSchema().Len()+2 {
 		t.Errorf("expected two derived columns")
 	}
-	if metrics == nil || len(metrics.Steps) != 2 {
+	if res.Exec == nil || len(res.Exec.Steps) != 2 {
 		t.Errorf("metrics missing")
 	}
 }
 
 func TestEnginePlanSchemes(t *testing.T) {
-	specs := paper.Q6()
 	for _, scheme := range []sql.Scheme{SchemeCSO, SchemeBFO, SchemeORCL, SchemePSQL} {
 		eng := testEngine(scheme)
-		plan, err := eng.Plan("web_sales", specs)
+		p, err := eng.Prepare(paper.Statements["Q6"])
 		if err != nil {
 			t.Fatalf("%s: %v", scheme, err)
 		}
-		if plan.Scheme != string(scheme) {
+		if plan := p.Plan(); plan.Scheme != string(scheme) {
 			t.Errorf("plan scheme %q != %q", plan.Scheme, scheme)
 		}
 	}
 	// Ablation variants through the facade.
 	eng := New(Config{DisableSS: true, SortMemBytes: 1 << 20})
 	eng.Register("web_sales", datagen.WebSales(datagen.WebSalesConfig{Rows: 500, Seed: 1, PadBytes: 8}))
-	plan, err := eng.Plan("web_sales", specs)
+	p, err := eng.Prepare(paper.Statements["Q6"])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ss := plan.ReorderCounts(); ss != 0 {
-		t.Errorf("DisableSS plan still uses SS: %s", plan)
+	if _, _, ss := p.Plan().ReorderCounts(); ss != 0 {
+		t.Errorf("DisableSS plan still uses SS: %s", p.Plan())
 	}
 }
 
@@ -85,42 +86,37 @@ func TestEnginePlanSchemes(t *testing.T) {
 func TestEngineParallel(t *testing.T) {
 	eng := New(Config{SortMemBytes: 1 << 20, BlockSize: 4096, Parallelism: 3})
 	eng.Register("web_sales", datagen.WebSales(datagen.WebSalesConfig{Rows: 2000, Seed: 3}))
-	spec := window.Spec{
-		Kind: window.Rank, Arg: -1,
-		PK: attrs.MakeSet(attrs.ID(datagen.ColItem)),
-		OK: attrs.AscSeq(attrs.ID(datagen.ColSoldTime)),
-	}
-	out, m, err := eng.EvaluateWindows("web_sales", []window.Spec{spec})
+	res, err := Collect(context.Background(), eng, `SELECT ws_order_number, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_time_sk) AS r FROM web_sales`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Len() != 2000 || m.PartitionedSteps != 1 {
-		t.Errorf("rows = %d, %d steps partitioned", out.Len(), m.PartitionedSteps)
+	if res.Table.Len() != 2000 || res.Exec.PartitionedSteps != 1 {
+		t.Errorf("rows = %d, %d steps partitioned", res.Table.Len(), res.Exec.PartitionedSteps)
 	}
 }
 
-// TestEngineParallelism — Config.Parallelism routes EvaluateWindows and
-// Query through the parallel chain executor with results identical to the
+// TestEngineParallelism — Config.Parallelism routes every statement
+// through the parallel chain executor with results identical to the
 // sequential engine's.
 func TestEngineParallelism(t *testing.T) {
 	seq := testEngine(SchemeCSO)
 	par := New(Config{Scheme: SchemeCSO, SortMemBytes: 1 << 20, BlockSize: 4096, Parallelism: 4})
 	par.Register("web_sales", datagen.WebSales(datagen.WebSalesConfig{Rows: 2000, Seed: 3, PadBytes: 16}))
 
-	specs := paper.Q6()
-	seqOut, _, err := seq.EvaluateWindows("web_sales", specs)
+	ctx := context.Background()
+	seqOut, err := Collect(ctx, seq, q6Columns)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parOut, metrics, err := par.EvaluateWindows("web_sales", specs)
+	parOut, err := Collect(ctx, par, q6Columns)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if metrics == nil || len(metrics.Steps) != len(specs) {
+	if parOut.Exec == nil || len(parOut.Exec.Steps) != 2 {
 		t.Fatalf("parallel metrics missing per-step entries")
 	}
-	if parOut.Len() != seqOut.Len() {
-		t.Fatalf("parallel rows = %d, sequential %d", parOut.Len(), seqOut.Len())
+	if parOut.Table.Len() != seqOut.Table.Len() {
+		t.Fatalf("parallel rows = %d, sequential %d", parOut.Table.Len(), seqOut.Table.Len())
 	}
 	byTag := func(tb *storage.Table) map[int64]string {
 		m := make(map[int64]string, tb.Len())
@@ -129,14 +125,14 @@ func TestEngineParallelism(t *testing.T) {
 		}
 		return m
 	}
-	want, got := byTag(seqOut), byTag(parOut)
+	want, got := byTag(seqOut.Table), byTag(parOut.Table)
 	for tag, row := range want {
 		if got[tag] != row {
 			t.Fatalf("row %d differs between sequential and parallel engines", tag)
 		}
 	}
 
-	// The SQL path routes too, and ORDER BY keeps results deterministic.
+	// ORDER BY keeps results deterministic.
 	const q = `SELECT ws_order_number, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS r
 		FROM web_sales ORDER BY ws_order_number`
 	seqRes, err := seq.Query(q)
@@ -167,12 +163,12 @@ func TestEngineErrors(t *testing.T) {
 	if _, err := eng.Table("missing"); err == nil {
 		t.Errorf("missing table lookup should fail")
 	}
-	if _, err := eng.Plan("missing", paper.Q6()); err == nil {
+	if _, err := eng.Prepare(strings.Replace(paper.Statements["Q6"], "web_sales", "missing", 1)); err == nil {
 		t.Errorf("plan over missing table should fail")
 	}
 	bad := New(Config{Scheme: "NOPE"})
 	bad.Register("web_sales", datagen.WebSales(datagen.WebSalesConfig{Rows: 10, Seed: 1, PadBytes: 8}))
-	if _, err := bad.Plan("web_sales", paper.Q6()); err == nil {
+	if _, err := bad.Prepare(paper.Statements["Q6"]); err == nil {
 		t.Errorf("unknown scheme should fail")
 	}
 }
@@ -186,9 +182,9 @@ func TestTablesListing(t *testing.T) {
 }
 
 // TestEngineConcurrentRegisterQuery exercises the documented concurrency
-// contract: unrestricted Query/QueryContext/Prepare/EvaluateWindows from
-// many goroutines concurrent with Register on the same engine. Under
-// -race this is the engine's thread-safety proof.
+// contract: unrestricted QueryContext and Collect from many goroutines
+// concurrent with Register on the same engine. Under -race this is the
+// engine's thread-safety proof.
 func TestEngineConcurrentRegisterQuery(t *testing.T) {
 	eng := testEngine(SchemeCSO)
 	const q = `SELECT ws_item_sk, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_time_sk) AS r FROM web_sales`
@@ -199,10 +195,12 @@ func TestEngineConcurrentRegisterQuery(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
-				if _, err := eng.QueryContext(ctx, q); err != nil {
+				rows, err := eng.QueryContext(ctx, q)
+				if err != nil {
 					t.Errorf("query: %v", err)
 					return
 				}
+				rows.Close()
 			}
 		}()
 	}
@@ -213,12 +211,8 @@ func TestEngineConcurrentRegisterQuery(t *testing.T) {
 			// Replace web_sales (same schema, fresh entry) while queries run,
 			// and keep the statistics caches busy on the side.
 			eng.Register("web_sales", datagen.WebSales(datagen.WebSalesConfig{Rows: 1000 + 100*i, Seed: int64(i), PadBytes: 16}))
-			if _, _, err := eng.EvaluateWindows("web_sales", []window.Spec{{
-				Name: "r", Kind: window.Rank, Arg: -1,
-				PK: attrs.MakeSet(paper.Item), PKOrder: attrs.AscSeq(paper.Item),
-				OK: attrs.AscSeq(paper.Time),
-			}}); err != nil {
-				t.Errorf("evaluate: %v", err)
+			if _, err := Collect(ctx, eng, q); err != nil {
+				t.Errorf("collect: %v", err)
 				return
 			}
 		}

@@ -1,7 +1,7 @@
 # Local targets mirroring .github/workflows/ci.yml.
 GO ?= go
 
-.PHONY: build examples test race test-long bench fmt fmt-check vet loc benchmark-check benchmark-smoke serve load-smoke cluster-smoke ci
+.PHONY: build examples test race test-long bench golden fmt fmt-check vet loc benchmark-check benchmark-smoke serve load-smoke cluster-smoke ci
 
 build:
 	$(GO) build ./...
@@ -28,10 +28,20 @@ test-long:
 	$(GO) test -count=1 $(GEN_PKGS) -long
 
 # One iteration per benchmark: a smoke run, not a measurement — but the
-# B/op and allocs/op columns repeat, so they are worth reading. Use
-# cmd/windbench for the full-scale sweeps.
+# B/op and allocs/op columns repeat, so they are worth reading. The root
+# package's one benchmark, BenchmarkPaper, runs every experiment of the
+# paper's evaluation through internal/bench's runner at 20 000 rows and
+# reports its blocks/op and cmps/op (exact); the per-package benchmarks
+# measure one layer each. Use cmd/windbench for the full-scale sweeps.
 bench:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' ./...
+
+# Rewrite internal/bench/testdata/paper.golden — every experiment's plans,
+# cuts, estimates, blocks and comparisons, which TestPaperGolden holds the
+# tree to — from this tree. Review the diff: a line that moves is a paper
+# figure that moved.
+golden:
+	$(GO) test ./internal/bench -run '^TestPaperGolden$$' -count=1 -update
 
 fmt:
 	gofmt -l -w .

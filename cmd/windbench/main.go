@@ -2,8 +2,9 @@
 // repository's substrate: Figures 3–8, the plan Tables 4/6/8/10, the
 // optimizer-overhead Table 11, the design-choice ablations (HS bucket count,
 // the MFV bypass and SS's α choice), and the two Section 3.5 sweeps
-// (in-process parallel degrees, in-process shards). What it prints is for
-// reading; the shapes it shows are asserted in internal/bench's tests, and
+// (in-process parallel degrees, in-process shards). It prints the rows of
+// internal/bench's one runner, whose counts internal/bench/testdata/
+// paper.golden pins and whose shapes internal/bench's tests assert;
 // performance claims are made on benchmark/.
 //
 // Usage:
@@ -46,60 +47,55 @@ func (r *run) data() *bench.Dataset {
 	return r.d
 }
 
-type experiment struct {
-	name string
-	run  func(*run) error
-}
-
 // experiments is the one list of what windbench runs: -exp is validated
-// against it, -h prints its names, and "all" runs it top to bottom.
-var experiments = []experiment{
-	// FS vs HS on Q1–Q3 across unit reorder memory.
-	{"fig3", func(r *run) error { _, err := r.data().RunFig3(r.out); return err }},
-	// FS vs HS vs SS on sorted and grouped input (Q4, Q5).
-	{"fig4", func(r *run) error { _, err := r.data().RunFig4(r.out); return err }},
+// against it, -h prints it, and "all" runs it top to bottom.
+var experiments = []string{
+	// FS vs HS on Q1–Q3 across unit reorder memory, then FS vs HS vs SS on
+	// sorted and grouped input (Q4, Q5).
+	"fig3", "fig4",
 	// Tables 4, 6, 8, 10: the chain each scheme picks for Q6–Q9.
-	{"plans", func(r *run) error { return r.data().PrintPlans(r.out) }},
+	"plans",
 	// Q6–Q9 under PSQL, ORCL, BFO and CSO.
-	{"fig5", schemes("Q6")},
-	{"fig6", schemes("Q7")},
-	{"fig7", schemes("Q8")},
-	{"fig8", schemes("Q9")},
+	"fig5", "fig6", "fig7", "fig8",
 	// Optimizer overhead by function count, -queries random queries a point.
-	{"table11", func(r *run) error { _, err := bench.RunTable11(r.queries, r.out); return err }},
-	{"ablation", func(r *run) error { _, err := r.data().RunAblations(r.out); return err }},
+	"table11",
+	// HS bucket count, the MFV bypass, SS's α choice.
+	"ablation",
 	// Section 3.5: Q6 at parallel degrees 1, 2, 4, 8, then over 1, 2, 4
-	// in-process shards plus one HTTP round trip.
-	{"parallel", func(r *run) error { _, err := r.data().RunParallel(r.out); return err }},
-	{"sharded", func(r *run) error { _, err := r.data().RunSharded(r.out); return err }},
+	// in-process shards and 2 shards over HTTP.
+	"parallel", "sharded",
 }
 
-func schemes(query string) func(*run) error {
-	return func(r *run) error { _, err := r.data().RunSchemes(query, r.out); return err }
-}
-
-func names() []string {
-	out := make([]string, len(experiments))
-	for i, e := range experiments {
-		out[i] = e.name
+// execute measures one experiment and prints its rows.
+func (r *run) execute(name string) error {
+	if name == "table11" {
+		rows, err := bench.RunTable11(r.queries)
+		if err != nil {
+			return err
+		}
+		return bench.Print(r.out, nil, name, rows)
 	}
-	return out
+	rows, err := r.data().Run(name)
+	if err != nil {
+		return err
+	}
+	return bench.Print(r.out, r.d, name, rows)
 }
 
 // choose resolves a comma-separated -exp value to experiments in table
 // order; "all" is the whole table, any other unknown name an error.
-func choose(arg string) ([]experiment, error) {
-	valid, wants := names(), map[string]bool{}
+func choose(arg string) ([]string, error) {
+	wants := map[string]bool{}
 	for _, name := range strings.Split(arg, ",") {
 		name = strings.ToLower(strings.TrimSpace(name))
-		if name != "all" && !slices.Contains(valid, name) {
-			return nil, fmt.Errorf("unknown experiment %q; valid: all, %s", name, strings.Join(valid, ", "))
+		if name != "all" && !slices.Contains(experiments, name) {
+			return nil, fmt.Errorf("unknown experiment %q; valid: all, %s", name, strings.Join(experiments, ", "))
 		}
 		wants[name] = true
 	}
-	var chosen []experiment
+	var chosen []string
 	for _, e := range experiments {
-		if wants["all"] || wants[e.name] {
+		if wants["all"] || wants[e] {
 			chosen = append(chosen, e)
 		}
 	}
@@ -108,7 +104,7 @@ func choose(arg string) ([]experiment, error) {
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "comma-separated experiments: all|"+strings.Join(names(), "|"))
+		exp       = flag.String("exp", "all", "comma-separated experiments: all|"+strings.Join(experiments, "|"))
 		rows      = flag.Int("rows", 120_000, "web_sales rows (paper: 72M at scale factor 100)")
 		seed      = flag.Int64("seed", 0, "generator seed (0 = default)")
 		blockSize = flag.Int("blocksize", 8192, "simulated page size in bytes")
@@ -122,9 +118,9 @@ func main() {
 		os.Exit(2)
 	}
 	r := &run{cfg: bench.Config{Rows: *rows, Seed: *seed, BlockSize: *blockSize}, queries: *queries, out: os.Stdout}
-	for _, e := range chosen {
-		if err := e.run(r); err != nil {
-			fmt.Fprintf(os.Stderr, "windbench: %s: %v\n", e.name, err)
+	for _, name := range chosen {
+		if err := r.execute(name); err != nil {
+			fmt.Fprintf(os.Stderr, "windbench: %s: %v\n", name, err)
 			os.Exit(1)
 		}
 		fmt.Fprintln(r.out)

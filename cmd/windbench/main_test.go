@@ -1,9 +1,12 @@
 package main
 
 import (
+	"io"
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/bench"
 )
 
 // TestChoose — -exp resolves against the experiment table: "all" is the
@@ -15,7 +18,7 @@ func TestChoose(t *testing.T) {
 		arg  string
 		want []string // nil = error
 	}{
-		{"all", names()},
+		{"all", experiments},
 		{"fig5", []string{"fig5"}},
 		{"fig3, plans", []string{"fig3", "plans"}},
 		{"plans,FIG3", []string{"fig3", "plans"}},
@@ -25,7 +28,7 @@ func TestChoose(t *testing.T) {
 	} {
 		chosen, err := choose(tc.arg)
 		if tc.want == nil {
-			if err == nil || !strings.Contains(err.Error(), strings.Join(names(), ", ")) {
+			if err == nil || !strings.Contains(err.Error(), strings.Join(experiments, ", ")) {
 				t.Errorf("choose(%q) = %v, want an error listing the valid names", tc.arg, err)
 			}
 			continue
@@ -34,12 +37,19 @@ func TestChoose(t *testing.T) {
 			t.Errorf("choose(%q): %v", tc.arg, err)
 			continue
 		}
-		var got []string
-		for _, e := range chosen {
-			got = append(got, e.name)
+		if !slices.Equal(chosen, tc.want) {
+			t.Errorf("choose(%q) = %v, want %v", tc.arg, chosen, tc.want)
 		}
-		if !slices.Equal(got, tc.want) {
-			t.Errorf("choose(%q) = %v, want %v", tc.arg, got, tc.want)
+	}
+}
+
+// TestEveryExperimentRuns — every -exp name measures and prints at a small
+// scale without an error or a panic.
+func TestEveryExperimentRuns(t *testing.T) {
+	r := &run{cfg: bench.Config{Rows: 2000}, queries: 1, out: io.Discard}
+	for _, name := range experiments {
+		if err := r.execute(name); err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
 	}
 }

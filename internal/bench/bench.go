@@ -4,9 +4,19 @@
 // (Figures 5–8 with the plan Tables 4, 6, 8, 10), the optimizer overhead
 // table (Table 11), the design-choice ablations called out in DESIGN.md (HS
 // bucket count, the MFV bypass, SS's α choice), and the two Section 3.5
-// sweeps (parallel degrees, in-process shards). cmd/windbench prints them;
-// nothing here is a gate on elapsed time — load and performance claims
-// belong to benchmark/ and BENCHMARK.json.
+// sweeps (parallel degrees, in-process shards).
+//
+// Every experiment reports in rows of one type, Row, from one runner
+// (Dataset.Run; RunTable11 for the optimizer timings). The multi-window
+// experiments run paper.Statements through windowdb.Engine — or, sharded,
+// shard.Cluster — and read the plan and the counts off the cursor's
+// QueryMetrics; only the rows that force an operator the planner would
+// not choose (Figures 3–4 and the ablations) build a one-step plan, in
+// forced. cmd/windbench prints the rows (Print); testdata/paper.golden
+// pins every row's plan, cut, estimates and counts, so a change that moves
+// a paper figure is a reviewed diff. Nothing here is a gate on elapsed
+// time — load and performance claims belong to benchmark/ and
+// BENCHMARK.json.
 //
 // Scaling. The paper ran a 14.3 GB, 72 M-row web_sales against unit reorder
 // memories of 10 MB–1000 MB. This harness scales rows down (default 120 000)
@@ -31,12 +41,15 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"math"
+	"strings"
+	"time"
 
-	"repro/internal/attrs"
+	"repro"
 	"repro/internal/catalog"
+	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/exec"
 	"repro/internal/pagestore"
 	"repro/internal/storage"
 )
@@ -64,7 +77,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Dataset bundles the generated tables and their statistics.
+// Dataset bundles the generated tables, their statistics and the engines
+// the experiments have run on. It is for one goroutine at a time.
 type Dataset struct {
 	Cfg Config
 
@@ -72,23 +86,21 @@ type Dataset struct {
 	WebSalesS *storage.Table
 	WebSalesG *storage.Table
 
-	Catalog *catalog.Catalog
-	Entry   *catalog.Entry // web_sales statistics
-	Blocks  int64          // B(web_sales)
+	Entry  *catalog.Entry // web_sales statistics
+	Blocks int64          // B(web_sales)
+
+	engines map[windowdb.Config]*windowdb.Engine
 }
 
 // Build generates the dataset.
 func Build(cfg Config) *Dataset {
 	cfg = cfg.withDefaults()
 	gen := datagen.WebSalesConfig{Rows: cfg.Rows, Seed: cfg.Seed}
-	d := &Dataset{Cfg: cfg}
+	d := &Dataset{Cfg: cfg, engines: map[windowdb.Config]*windowdb.Engine{}}
 	d.WebSales = datagen.WebSales(gen)
 	d.WebSalesS = datagen.WebSalesSorted(gen)
 	d.WebSalesG = datagen.WebSalesGrouped(gen)
-	d.Catalog = catalog.New()
-	d.Entry = d.Catalog.Register("web_sales", d.WebSales)
-	d.Catalog.Register("web_sales_s", d.WebSalesS)
-	d.Catalog.Register("web_sales_g", d.WebSalesG)
+	d.Entry = catalog.New().Register("web_sales", d.WebSales)
 	d.Blocks = d.Entry.Blocks(cfg.BlockSize)
 	return d
 }
@@ -143,16 +155,88 @@ func (d *Dataset) SchemeMemSweep() []MemPoint {
 	}
 }
 
-// MicroSpec names the rank() template of the micro-benchmark (Table 1).
-type MicroSpec struct {
-	Query string
-	Table string
-	PK    attrs.Set
-	OK    attrs.Seq
+// Row is one measurement of the evaluation, whatever the experiment: a
+// chain run (for plans, only prepared) at one memory point, or one
+// optimizer timing of Table 11.
+type Row struct {
+	Exp     string // the experiment, as windbench -exp names it
+	Query   string // the statement; for an ablation the choice it ablates, for Table 11 the function count
+	Variant string // the scheme, forced operator, ablation setting, parallel degree or shard count
+	Mem     MemPoint
+
+	Plan    string  // the chain in the paper's notation
+	Cut     string  // exec.Segments' cut of the chain
+	Cost    float64 // the cost model's price of the chain, in block I/Os
+	EstCmps int64   // the cost model's comparisons, summed over the steps
+
+	Blocks      int64 // spill blocks read and written
+	Comparisons int64
+	Detail      string // a one-step chain's operator statistics
+	Elapsed     time.Duration
 }
 
-func fprintf(w io.Writer, format string, args ...interface{}) {
-	if w != nil {
-		fmt.Fprintf(w, format, args...)
+// Experiments are the names Run takes, in the order windbench prints them
+// (Table 11, RunTable11, sits after fig8).
+var Experiments = []string{"fig3", "fig4", "plans", "fig5", "fig6", "fig7", "fig8", "ablation", "parallel", "sharded"}
+
+// Run measures one experiment.
+func (d *Dataset) Run(exp string) ([]Row, error) {
+	switch exp {
+	case "fig3":
+		return d.fig3()
+	case "fig4":
+		return d.fig4()
+	case "plans":
+		return d.plans()
+	case "fig5", "fig6", "fig7", "fig8":
+		return d.figure(exp)
+	case "ablation":
+		return d.ablations()
+	case "parallel":
+		return d.parallel()
+	case "sharded":
+		return d.sharded()
+	}
+	return nil, fmt.Errorf("bench: unknown experiment %q", exp)
+}
+
+// engine returns the engine of cfg at memory point mem over web_sales,
+// built the first time it is asked for. A configuration that names no
+// parallel degree runs sequentially, as the paper's chains do.
+func (d *Dataset) engine(cfg windowdb.Config, mem MemPoint) *windowdb.Engine {
+	cfg.SortMemBytes, cfg.BlockSize = mem.Bytes(d.Cfg.BlockSize), d.Cfg.BlockSize
+	if cfg.Parallelism == 0 {
+		cfg.Parallelism = 1
+	}
+	eng := d.engines[cfg]
+	if eng == nil {
+		eng = windowdb.New(cfg)
+		eng.Register("web_sales", d.WebSales)
+		d.engines[cfg] = eng
+	}
+	return eng
+}
+
+// describe fills r's plan columns from plan: the chain in the paper's
+// notation, its cut, and the cost model's price of it over web_sales at
+// r's memory point.
+func (d *Dataset) describe(r *Row, plan *core.Plan) {
+	if plan == nil {
+		return
+	}
+	r.Plan = plan.PaperString()
+	var cut []string
+	for _, seg := range exec.Segments(plan) {
+		var key []string
+		for _, id := range seg.Key.IDs() {
+			key = append(key, d.WebSales.Schema.Columns[id].Name)
+		}
+		cut = append(cut, fmt.Sprintf("%s[%d,%d){%s}", plan.Steps[seg.Lo].Reorder, seg.Lo, seg.Hi, strings.Join(key, ",")))
+	}
+	r.Cut = strings.Join(cut, " ")
+	cost := d.Entry.CostParams(r.Mem.Bytes(d.Cfg.BlockSize), d.Cfg.BlockSize)
+	r.Cost = cost.PlanCost(plan)
+	for _, s := range plan.Steps {
+		r.EstCmps += int64(cost.StepCmps(s))
 	}
 }

@@ -15,8 +15,9 @@ import (
 // Our ORCL derives its groups with the same greedy cover-set partitioning
 // used by CSO. On some inputs this finds slightly fewer groups than the
 // grouping the paper observed from Oracle (e.g. 6 instead of 7 on Q9),
-// making ORCL a marginally stronger baseline here; EXPERIMENTS.md records
-// this.
+// making ORCL a marginally stronger baseline here; DESIGN.md ("Deviations
+// from the published plans") records this, and internal/bench/testdata/
+// paper.golden holds the chains.
 func ORCL(ws []WF, in Props, opt Options) (*Plan, error) {
 	plan := &Plan{Scheme: "ORCL"}
 	props := in

@@ -125,69 +125,3 @@ func TestLatticeNode(t *testing.T) {
 		t.Errorf("LatticeNode(nil) = %q, want empty", got)
 	}
 }
-
-// TestRewritePlanSubsumesSS builds the case where the factor rewrite
-// strictly beats CSO: on a segmented input a C1 (SS-reorderable) function
-// is engulfed by a C2 neighbour's covering permutation, so evaluating the
-// heavy reorder first makes the segmented sort unnecessary.
-func TestRewritePlanSubsumesSS(t *testing.T) {
-	in := Props{X: attrs.MakeSet(1), Y: attrs.Seq{attrs.Asc(1)}}
-	wf1 := wf(0, []attrs.ID{1, 2}, 3) // X ⊆ WPK → C1
-	wf2 := wf(1, []attrs.ID{2}, 1, 3) // X ⊄ WPK → C2; γ=(2,1,3) engulfs wf1
-	ws := []WF{wf1, wf2}
-	opt := Options{Cost: testCost()}
-
-	base, err := CSO(ws, in, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, baseSS := base.ReorderCounts()
-	if baseSS == 0 {
-		t.Fatalf("expected CSO to pay an SS here, got %s", base)
-	}
-
-	plan, err := RewritePlan(ws, in, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := plan.Validate(ws, in); err != nil {
-		t.Fatalf("rewritten plan invalid: %v", err)
-	}
-	_, _, ss := plan.ReorderCounts()
-	if ss != 0 {
-		t.Errorf("rewrite kept %d segmented sorts: %s", ss, plan)
-	}
-	if got, want := opt.Cost.PlanCost(plan), opt.Cost.PlanCost(base); got >= want {
-		t.Errorf("rewrite cost %.1f not below CSO cost %.1f", got, want)
-	}
-}
-
-// TestRewritePlanNeverWorse: across a spread of unordered-input statements
-// (the SQL entry point) the rewrite must return exactly the CSO chain —
-// for X=∅ inputs a heavy reorder can never subsume a C1 function, so the
-// alternative is either unconstructible or costlier.
-func TestRewritePlanNeverWorse(t *testing.T) {
-	opt := Options{Cost: testCost()}
-	suites := [][]WF{
-		{wf(0, []attrs.ID{1}, 2)},
-		{wf(0, []attrs.ID{1}, 2), wf(1, []attrs.ID{1}, 2, 3)},
-		{wf(0, []attrs.ID{1}, 2), wf(1, []attrs.ID{3}, 4)},
-		{wf(0, nil, 1), wf(1, []attrs.ID{1}), wf(2, []attrs.ID{2}, 1)},
-	}
-	for _, ws := range suites {
-		base, err := CSO(ws, Unordered(), opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan, err := RewritePlan(ws, Unordered(), opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := opt.Cost.PlanCost(plan), opt.Cost.PlanCost(base); got > want {
-			t.Errorf("rewrite worsened %v: %.1f > %.1f", ws, got, want)
-		}
-		if err := plan.Validate(ws, Unordered()); err != nil {
-			t.Errorf("plan for %v invalid: %v", ws, err)
-		}
-	}
-}

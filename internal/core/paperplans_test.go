@@ -14,9 +14,10 @@ import (
 // unit reorder memories chosen to land in the same B(R)/M regimes as the
 // paper's 50 MB / 75 MB / 150 MB points (HS cheaper below the single-pass
 // threshold, FS cheaper at it). Deviations from the published tables are
-// deliberate and documented in EXPERIMENTS.md: evaluation order among
-// cost-equal cover sets / prefixable groups is a degree of freedom the paper
-// itself defers (Section 4.6).
+// deliberate and recorded in DESIGN.md ("Deviations from the published
+// plans"); internal/bench/testdata/paper.golden holds every scheme's chain:
+// evaluation order among cost-equal cover sets / prefixable groups is a
+// degree of freedom the paper itself defers (Section 4.6).
 const (
 	m50  = 48 // blocks; FS needs a materialized merge pass
 	m75  = 56 // blocks; FS still multi-pass
@@ -222,7 +223,8 @@ func TestQ9Plans(t *testing.T) {
 	}
 
 	// Our ORCL's greedy finds 6 ordering groups (Oracle's own grouping
-	// produced 7; ours is a slightly stronger baseline — see EXPERIMENTS.md).
+	// produced 7; ours is a slightly stronger baseline — see DESIGN.md,
+	// "Deviations from the published plans", and paper.golden's Q9 rows).
 	orcl, err := core.ORCL(ws, core.Unordered(), core.Options{Cost: scaledParams(m50)})
 	if err != nil {
 		t.Fatalf("ORCL: %v", err)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"runtime/debug"
 	"strings"
@@ -262,8 +263,9 @@ func WriteBuffered(w http.ResponseWriter, rows *windowdb.Rows, maxRows int) {
 }
 
 // JSONValue maps a storage value to its natural JSON representation (the
-// human-facing /query row encoding; the lossless shard-transport encoding
-// is WireValue).
+// human-facing /query row encoding; the lossless tagged encoding is
+// WireValue). JSON has no NaN or infinity, so a non-finite FLOAT renders
+// as the string "NaN", "+Inf" or "-Inf".
 func JSONValue(v storage.Value) any {
 	switch v.Kind() {
 	case storage.KindNull:
@@ -271,7 +273,11 @@ func JSONValue(v storage.Value) any {
 	case storage.KindInt:
 		return v.Int64()
 	case storage.KindFloat:
-		return v.Float64()
+		f := v.Float64()
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return nonFinite(f)
+		}
+		return f
 	case storage.KindString:
 		return v.Str()
 	default:

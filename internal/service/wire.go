@@ -17,7 +17,8 @@ import (
 // int/float distinction that the engine's canonical tuple encoding (and
 // therefore result-equivalence checking) preserves. WireValue instead tags
 // every value: null, {"i":"<int64>"} (string payload — JSON numbers lose
-// precision past 2^53), {"f":<float64>} or {"s":"<string>"}.
+// precision past 2^53), {"f":<float64>} — {"f":"NaN"}, {"f":"+Inf"} or
+// {"f":"-Inf"} for what JSON numbers cannot hold — or {"s":"<string>"}.
 
 // WireValue wraps one storage.Value for tagged JSON transport.
 type WireValue struct{ V storage.Value }
@@ -32,7 +33,7 @@ func (w WireValue) MarshalJSON() ([]byte, error) {
 	case storage.KindFloat:
 		f := w.V.Float64()
 		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return nil, fmt.Errorf("service: cannot encode non-finite float %v", f)
+			return []byte(`{"f":"` + nonFinite(f) + `"}`), nil
 		}
 		return json.Marshal(map[string]float64{"f": f})
 	case storage.KindString:
@@ -48,9 +49,9 @@ func (w *WireValue) UnmarshalJSON(data []byte) error {
 		return nil
 	}
 	var tag struct {
-		I *string  `json:"i"`
-		F *float64 `json:"f"`
-		S *string  `json:"s"`
+		I *string          `json:"i"`
+		F *json.RawMessage `json:"f"`
+		S *string          `json:"s"`
 	}
 	if err := json.Unmarshal(data, &tag); err != nil {
 		return fmt.Errorf("service: bad wire value %q: %w", data, err)
@@ -63,13 +64,51 @@ func (w *WireValue) UnmarshalJSON(data []byte) error {
 		}
 		w.V = storage.Int(n)
 	case tag.F != nil:
-		w.V = storage.Float(*tag.F)
+		f, err := decodeFloat(*tag.F)
+		if err != nil {
+			return err
+		}
+		w.V = storage.Float(f)
 	case tag.S != nil:
 		w.V = storage.StringVal(*tag.S)
 	default:
 		return fmt.Errorf("service: wire value %q carries no kind tag", data)
 	}
 	return nil
+}
+
+// nonFinite names a NaN or infinite float the way both JSON encodings
+// carry it.
+func nonFinite(f float64) string {
+	switch {
+	case math.IsNaN(f):
+		return "NaN"
+	case f > 0:
+		return "+Inf"
+	default:
+		return "-Inf"
+	}
+}
+
+// decodeFloat reads a tagged float's payload: a JSON number, or one of the
+// strings nonFinite writes.
+func decodeFloat(data []byte) (float64, error) {
+	var f float64
+	if err := json.Unmarshal(data, &f); err == nil {
+		return f, nil
+	}
+	var name string
+	if err := json.Unmarshal(data, &name); err == nil {
+		switch name {
+		case "NaN":
+			return math.NaN(), nil
+		case "+Inf":
+			return math.Inf(1), nil
+		case "-Inf":
+			return math.Inf(-1), nil
+		}
+	}
+	return 0, fmt.Errorf("service: bad wire float %s", data)
 }
 
 // WireColumn is one schema column on the wire.

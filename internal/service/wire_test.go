@@ -53,6 +53,36 @@ func TestWireValueRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNonFiniteFloatsOverJSON: JSON numbers hold no NaN or infinity, so
+// the tagged encoding carries them as {"f":"NaN"}, {"f":"+Inf"} and
+// {"f":"-Inf"} and reads them back, the /query row encoding renders them
+// as those strings, and any other string payload is refused.
+func TestNonFiniteFloatsOverJSON(t *testing.T) {
+	for _, tc := range []struct {
+		f    float64
+		name string
+	}{{math.NaN(), "NaN"}, {math.Inf(1), "+Inf"}, {math.Inf(-1), "-Inf"}} {
+		buf, err := json.Marshal(WireValue{V: storage.Float(tc.f)})
+		if err != nil || string(buf) != `{"f":"`+tc.name+`"}` {
+			t.Fatalf("%v: %s, %v", tc.f, buf, err)
+		}
+		var back WireValue
+		if err := json.Unmarshal(buf, &back); err != nil {
+			t.Fatal(err)
+		}
+		if got := back.V; got.Kind() != storage.KindFloat || !slices.Equal(storage.AppendTuple(nil, storage.Tuple{got}), storage.AppendTuple(nil, storage.Tuple{storage.Float(tc.f)})) {
+			t.Errorf("%s came back as %v", buf, got)
+		}
+		if got := JSONValue(storage.Float(tc.f)); got != tc.name {
+			t.Errorf("JSONValue(%v) = %v, want %q", tc.f, got, tc.name)
+		}
+	}
+	var wv WireValue
+	if err := json.Unmarshal([]byte(`{"f":"Infinity"}`), &wv); err == nil {
+		t.Fatal("an unknown float name must fail")
+	}
+}
+
 // TestRegisterRoundTrip: a table sent to /shard/register keeps its schema
 // and rows; canonical encodings are bit-identical (the property shard
 // result-equivalence checks rest on), non-finite floats and ints past 2^53

@@ -212,13 +212,6 @@ func (r *Runner) prepare(q *Query, src string) (*Prepared, error) {
 		if err != nil {
 			return nil, err
 		}
-		if r.Scheme == SchemeCSO || r.Scheme == "" {
-			// Factor-window rewrite (core/rewrite.go): keep the heavy-first
-			// variant when it validates and costs strictly less.
-			if alt := core.RewriteAlternative(ws, core.Unordered(), opt, plan); alt != nil {
-				plan = alt
-			}
-		}
 	}
 
 	// Projection: the executed table is the base schema extended with one

@@ -1,8 +1,8 @@
 // Command windbench regenerates the paper's evaluation (Section 6) on this
 // repository's substrate: Figures 3–8, the plan Tables 4/6/8/10, the
-// optimizer-overhead Table 11, the design-choice ablations (HS bucket count,
-// the MFV bypass and SS's α choice), and the two Section 3.5 sweeps
-// (in-process parallel degrees, in-process shards). It prints the rows of
+// optimizer-overhead Table 11, the design-choice ablations (HS bucket count
+// and SS's α choice), and the two Section 3.5 sweeps (in-process parallel
+// degrees, in-process shards). It prints the rows of
 // internal/bench's one runner, whose counts internal/bench/testdata/
 // paper.golden pins and whose shapes internal/bench's tests assert;
 // performance claims are made on benchmark/.
@@ -59,7 +59,7 @@ var experiments = []string{
 	"fig5", "fig6", "fig7", "fig8",
 	// Optimizer overhead by function count, -queries random queries a point.
 	"table11",
-	// HS bucket count, the MFV bypass, SS's α choice.
+	// HS bucket count, SS's α choice.
 	"ablation",
 	// Section 3.5: Q6 at parallel degrees 1, 2, 4, 8, then over 1, 2, 4
 	// in-process shards and 2 shards over HTTP.

@@ -3,8 +3,8 @@
 // micro-benchmarks (Figures 3–4), the multi-window scheme comparisons
 // (Figures 5–8 with the plan Tables 4, 6, 8, 10), the optimizer overhead
 // table (Table 11), the design-choice ablations called out in DESIGN.md (HS
-// bucket count, the MFV bypass, SS's α choice), and the two Section 3.5
-// sweeps (parallel degrees, in-process shards).
+// bucket count, SS's α choice), and the two Section 3.5 sweeps (parallel
+// degrees, in-process shards).
 //
 // Every experiment reports in rows of one type, Row, from one runner
 // (Dataset.Run; RunTable11 for the optimizer timings). The multi-window

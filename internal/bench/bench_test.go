@@ -208,15 +208,12 @@ func TestTable11Shape(t *testing.T) {
 	}
 }
 
-// TestAblations — the MFV bypass saves partition I/O on Q3, and the
-// maximal α makes fewer comparisons than the short one.
+// TestAblations — the maximal α makes fewer comparisons than the short
+// one.
 func TestAblations(t *testing.T) {
 	by := map[string]Row{}
 	for _, r := range experiment(t, "ablation") {
 		by[r.Query+"/"+r.Variant] = r
-	}
-	if by["mfv-bypass/mfv-bypass"].Blocks >= by["mfv-bypass/no-bypass (paper prototype)"].Blocks {
-		t.Errorf("MFV bypass saved no I/O")
 	}
 	if by["ss-alpha/alpha-max (quantity,item)"].Comparisons >= by["ss-alpha/alpha-short (quantity)"].Comparisons {
 		t.Errorf("α-max should minimize comparisons (footnote 2)")

@@ -15,8 +15,8 @@ import (
 // forced runs spec alone over t under the reorder op, whatever the planner
 // would choose — the one-step chains of Figures 3–4 and the ablations — and
 // fills r's measurements. in is the order t's rows already have; tune, when
-// set, adjusts the step (SS's α) and the executor (HS buckets, the MFV
-// bypass) before the run.
+// set, adjusts the step (SS's α) and the executor (HS buckets) before the
+// run.
 func (d *Dataset) forced(r Row, t *storage.Table, spec window.Spec, op core.ReorderKind, in core.Props, tune func(*core.Step, *exec.Config)) (Row, error) {
 	wf := spec.WF(0)
 	step := core.Step{WF: wf, Reorder: op, In: in, SortKey: wf.PK.AscSeq().Concat(wf.OK)}
@@ -99,11 +99,9 @@ func (d *Dataset) fig4() ([]Row, error) {
 }
 
 // ablations measures the design choices DESIGN.md calls out: HS bucket
-// count, the MFV bypass on Q3's oversized partitions, and SS's
-// α-maximization rule.
+// count and SS's α-maximization rule.
 func (d *Dataset) ablations() ([]Row, error) {
 	smallMem := d.MicroMemSweep()[2] // the "50MB" point
-	largeMem := d.MicroMemSweep()[6] // the "500MB" point
 	var out []Row
 	add := func(r Row, t *storage.Table, spec window.Spec, op core.ReorderKind, in core.Props, tune func(*core.Step, *exec.Config)) error {
 		r.Exp = "ablation"
@@ -128,28 +126,7 @@ func (d *Dataset) ablations() ([]Row, error) {
 		}
 	}
 
-	// 2. MFV bypass on Q3 (16 partitions, every one larger than memory) at
-	// large M — the pathology Fig. 3(c) discusses; the paper's prototype did
-	// not implement the bypass.
-	q3 := paper.MicroQueries()[2].Spec
-	for _, withMFV := range []bool{false, true} {
-		name := "no-bypass (paper prototype)"
-		if withMFV {
-			name = "mfv-bypass"
-		}
-		err := add(Row{Query: "mfv-bypass", Variant: name, Mem: largeMem}, d.WebSales, q3, core.ReorderHS, core.Unordered(),
-			func(_ *core.Step, c *exec.Config) {
-				if withMFV {
-					mem := largeMem.Bytes(d.Cfg.BlockSize)
-					c.MFV = func(key attrs.Set) map[string]bool { return d.Entry.MFVs(key, mem) }
-				}
-			})
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// 3. SS α-maximization (footnote 2): α = (quantity, item) — many small
+	// 2. SS α-maximization (footnote 2): α = (quantity, item) — many small
 	// units — vs the shorter α = (quantity) with larger per-unit sorts.
 	// Input: web_sales_s extended to order (quantity, item); target
 	// wf = ({quantity, item}, (time)).

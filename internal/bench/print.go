@@ -93,10 +93,8 @@ func Print(w io.Writer, d *Dataset, exp string, rows []Row) error {
 			switch g[0].Query {
 			case "bucket-count":
 				fmt.Fprintf(w, "== Ablation 1: HS bucket count (Q1 @ %s) ==\n", g[0].Mem.Label)
-			case "mfv-bypass":
-				fmt.Fprintf(w, "== Ablation 2: HS most-frequent-value bypass (Q3 @ %s) ==\n", g[0].Mem.Label)
 			case "ss-alpha":
-				fmt.Fprintf(w, "== Ablation 3: SS α choice (web_sales sorted on (quantity,item)) ==\n")
+				fmt.Fprintf(w, "== Ablation 2: SS α choice (web_sales sorted on (quantity,item)) ==\n")
 			}
 			for _, r := range g {
 				fmt.Fprintf(w, "  %-28s  %12v  %10d blk  %12d cmp  %s\n", r.Variant, ms(r), r.Blocks, r.Comparisons, r.Detail)

@@ -1,14 +1,13 @@
 // Package catalog registers tables and computes the column statistics the
-// cost models and the Hashed Sort consume: distinct-value counts D(A) and
-// most-frequent values (MFVs) whose groups exceed a memory budget.
+// cost models and the Hashed Sort consume: distinct-value counts D(A).
 //
-// Since PR 9 the catalog tracks two generations with different blast radii.
+// The catalog tracks two generations with different blast radii.
 // The *schema generation* (Catalog.Generation) advances only on Register /
 // RegisterStub — a table was created or replaced wholesale, so prepared
 // plans built against the old entry are invalid. The per-entry *data
 // generation* (Entry.DataGen) advances on every Append — the schema, and
 // therefore every prepared plan, is still valid, but any cached *result*
-// (materialized query output, distinct counts, MFV sets) may be stale.
+// (materialized query output, distinct counts) may be stale.
 // A cached plan stays valid while its entry is the catalog's entry for its
 // table, so it survives appends and other tables' registrations; cached
 // results must also match the data generation.
@@ -81,9 +80,7 @@ type TableStats struct {
 // rows whose statistics come from stats instead of local scans. It is the
 // coordinator side of sharded registration — planning needs the schema,
 // B(R), |R| and D(·), none of which require the rows to be resident. Like
-// Register it advances the schema generation. MFV statistics are
-// unavailable on stubs (the bypass needs the actual rows), so MFVs
-// returns nil.
+// Register it advances the schema generation.
 func (c *Catalog) RegisterStub(name string, schema *storage.Schema, stats TableStats) *Entry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -178,14 +175,7 @@ type Entry struct {
 
 	mu       sync.Mutex
 	distinct map[attrs.Set]int64
-	mfvs     map[mfvKey]map[string]bool
 	byteSize int64
-}
-
-// mfvKey caches MFVs per (attribute set, memory budget) pair.
-type mfvKey struct {
-	set attrs.Set
-	mem int
 }
 
 // Table returns the current immutable data snapshot. Callers holding the
@@ -248,7 +238,6 @@ func (e *Entry) Append(rows []storage.Tuple, atLeast uint64) (startRid int64, ge
 	}
 	// Data-dependent statistics are stale now.
 	e.distinct = make(map[attrs.Set]int64)
-	e.mfvs = nil
 	if e.byteSize != 0 {
 		e.byteSize += int64(addedBytes)
 	}
@@ -364,50 +353,6 @@ func (e *Entry) Distinct(set attrs.Set) int64 {
 	}
 	e.mu.Unlock()
 	return d
-}
-
-// MFVs returns the encoded values of the attribute set whose groups exceed
-// memBytes of tuple data — the candidates for the Hashed Sort bypass
-// optimization (Section 3.2). The encoding matches reorder.EncodeHashKey.
-// The result is cached per (set, budget) — parallel workers share one
-// full-table scan — and must be treated as read-only by callers.
-func (e *Entry) MFVs(set attrs.Set, memBytes int) map[string]bool {
-	if memBytes <= 0 {
-		return nil
-	}
-	key := mfvKey{set: set, mem: memBytes}
-	// The lock is held across the scan so simultaneous first callers (the
-	// parallel workers) really do share one computation; the scan touches
-	// only an immutable snapshot, no other Entry state.
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.mfvs == nil {
-		e.mfvs = make(map[mfvKey]map[string]bool)
-	}
-	if m, ok := e.mfvs[key]; ok {
-		return m
-	}
-	sizes := make(map[string]int)
-	ids := set.IDs()
-	var buf []byte
-	for _, t := range e.Table().Rows {
-		buf = buf[:0]
-		for _, id := range ids {
-			buf = storage.AppendTuple(buf, storage.Tuple{t[id]})
-		}
-		sizes[string(buf)] += t.Size()
-	}
-	out := make(map[string]bool)
-	for v, sz := range sizes {
-		if sz > memBytes {
-			out[v] = true
-		}
-	}
-	if len(out) == 0 {
-		out = nil
-	}
-	e.mfvs[key] = out
-	return out
 }
 
 // CostParams builds the cost-model inputs for this table.

@@ -3,7 +3,6 @@ package catalog
 import (
 	"errors"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/attrs"
@@ -56,32 +55,6 @@ func TestDistinctCached(t *testing.T) {
 	}
 }
 
-func TestMFVs(t *testing.T) {
-	c := New()
-	var rows [][]int64
-	for i := 0; i < 100; i++ {
-		rows = append(rows, []int64{7, int64(i)}) // value 7 dominates column a
-	}
-	rows = append(rows, []int64{1, 0}, []int64{2, 0})
-	e := c.Register("t", table(rows...))
-	tupleSize := e.Table().Rows[0].Size()
-	mfvs := e.MFVs(attrs.MakeSet(0), 10*tupleSize)
-	if len(mfvs) != 1 {
-		t.Fatalf("MFVs = %d entries, want 1", len(mfvs))
-	}
-	// The encoded key of value 7 must be present.
-	key := string(storage.AppendTuple(nil, storage.Tuple{storage.Int(7)}))
-	if !mfvs[key] {
-		t.Errorf("dominant value missing from MFVs")
-	}
-	if e.MFVs(attrs.MakeSet(0), 0) != nil {
-		t.Errorf("MFVs with no budget should be nil")
-	}
-	if e.MFVs(attrs.MakeSet(1), 1000*tupleSize) != nil {
-		t.Errorf("uniform column should have no MFVs")
-	}
-}
-
 func TestCostParams(t *testing.T) {
 	c := New()
 	e := c.Register("t", table([]int64{1, 2}, []int64{3, 4}))
@@ -131,60 +104,6 @@ func TestUnknownTableError(t *testing.T) {
 	}
 }
 
-// TestMFVContention hammers the per-(set, budget) MFV cache from many
-// goroutines over distinct and overlapping keys; under -race this is the
-// regression test for the PR-1 cache's concurrency. All callers of one key
-// must observe the identical (shared, read-only) map.
-func TestMFVContention(t *testing.T) {
-	c := New()
-	var rows [][]int64
-	for i := 0; i < 400; i++ {
-		rows = append(rows, []int64{int64(i % 3), int64(i)})
-	}
-	e := c.Register("t", table(rows...))
-	tupleSize := e.Table().Rows[0].Size()
-	budgets := []int{10 * tupleSize, 50 * tupleSize, 200 * tupleSize}
-	sets := []attrs.Set{attrs.MakeSet(0), attrs.MakeSet(1), attrs.MakeSet(0, 1)}
-
-	type obs struct {
-		set    attrs.Set
-		budget int
-		mfvs   map[string]bool
-	}
-	results := make(chan obs, 16*len(sets)*len(budgets))
-	var wg sync.WaitGroup
-	for w := 0; w < 16; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, set := range sets {
-				for _, budget := range budgets {
-					m := e.MFVs(set, budget)
-					for k := range m { // concurrent read of the shared map
-						_ = m[k]
-					}
-					results <- obs{set: set, budget: budget, mfvs: m}
-					e.Distinct(set) // contend on the sibling cache too
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(results)
-	first := map[[2]int64]map[string]bool{}
-	for o := range results {
-		key := [2]int64{int64(o.set), int64(o.budget)}
-		if prev, ok := first[key]; ok {
-			if len(prev) != len(o.mfvs) {
-				t.Fatalf("set %v budget %d: observers saw different MFV maps (%d vs %d entries)",
-					o.set, o.budget, len(prev), len(o.mfvs))
-			}
-			continue
-		}
-		first[key] = o.mfvs
-	}
-}
-
 // TestLookupCaseInsensitive: table names fold like the dialect's column
 // identifiers, so a serving layer's case-folding cache key and the catalog
 // agree on which queries resolve.
@@ -212,7 +131,7 @@ func TestLookupCaseInsensitive(t *testing.T) {
 
 // TestRegisterStub: schema-only entries answer the statistics accessors
 // from injected TableStats, advance the generation like Register, cache
-// the distinct estimator per set, and never produce MFVs.
+// the distinct estimator per set.
 func TestRegisterStub(t *testing.T) {
 	c := New()
 	gen0 := c.Generation()
@@ -245,9 +164,6 @@ func TestRegisterStub(t *testing.T) {
 	}
 	if d := e.Distinct(set); d != 77 || calls != 1 {
 		t.Fatalf("Distinct must cache per set: d=%d calls=%d", d, calls)
-	}
-	if mfvs := e.MFVs(set, 1); mfvs != nil {
-		t.Fatalf("stub MFVs must be nil, got %v", mfvs)
 	}
 	cp := e.CostParams(8192*4, 8192)
 	if cp.TableBlocks != 8 || cp.TableTuples != 1000 {

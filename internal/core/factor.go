@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/attrs"
-)
+import "fmt"
 
 // Frame lattice (factor windows). Two window functions over the same table
 // stand in a derivability relation a ⊑ b — "a factors through b" — when a
@@ -23,15 +19,6 @@ import (
 // never the reordering requirement, so two specs that differ solely in
 // frame are at the *same* lattice node and trivially share; differing
 // grains (ordering-key prefixes) are the interesting ⊑ edges.
-
-// Factor reports whether wfA is derivable from wfB in the frame lattice —
-// whether some single ordering γ = →WPKb ∘ WOKb that serves wfB also
-// matches wfA (Definition 4's pairwise coverage, built with the joint
-// CoveringSeq construction). On success it returns that γ: reorder once to
-// γ and both functions evaluate scan-only.
-func Factor(wfA, wfB WF) (attrs.Seq, bool) {
-	return CoveringSeq(wfB, []WF{wfA}, nil)
-}
 
 // LatticeNode canonically names the physical reorder a planned chain asks
 // of its input — the frame-lattice coordinate of the chain's scan+reorder

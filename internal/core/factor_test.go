@@ -38,9 +38,9 @@ func TestFactorLattice(t *testing.T) {
 		{"different partition key unrelated", other, fine, false},
 	}
 	for _, c := range cases {
-		gamma, ok := Factor(c.a, c.b)
+		gamma, ok := CoveringSeq(c.b, []WF{c.a}, nil)
 		if ok != c.want {
-			t.Errorf("%s: Factor(%s, %s) = %v, want %v", c.name, c.a, c.b, ok, c.want)
+			t.Errorf("%s: %s covering %s = %v, want %v", c.name, c.b, c.a, ok, c.want)
 			continue
 		}
 		if !ok {
@@ -65,9 +65,9 @@ func TestDeriveSuffix(t *testing.T) {
 	}
 
 	// A segment reordered for the finer function covers the coarser chain.
-	gamma, ok := Factor(mid, fine)
+	gamma, ok := CoveringSeq(fine, []WF{mid}, nil)
 	if !ok {
-		t.Fatalf("Factor(%s, %s) should hold", mid, fine)
+		t.Fatalf("%s should cover %s", fine, mid)
 	}
 	seg := TotallyOrdered(gamma)
 	suffix, ok := DeriveSuffix(plan, seg)

@@ -11,8 +11,7 @@ import (
 //
 //   - partitioning a set of window functions into a minimum number of cover
 //     sets (Section 4.4; reduction from minimum vertex coloring), solved
-//     with a greedy maximum-cover heuristic (and a DSATUR-based alternative
-//     used for cross-validation and the partition-heuristic ablation);
+//     with a greedy maximum-cover heuristic;
 //   - partitioning C2 into a minimum number of prefixable subsets
 //     (Section 4.5; reduction from minimum set cover), solved exactly for
 //     the small attribute counts of real queries via branch-and-bound set
@@ -138,89 +137,6 @@ func maxCoverSubset(c WF, remaining []WF) []WF {
 	}
 	dfs(0)
 	return best
-}
-
-// PartitionCoverSetsDSATUR is the Brélaz-style alternative mentioned in
-// Section 4.4: color the pairwise-incompatibility graph with DSATUR, then
-// validate each color class with the joint covering test, splitting classes
-// that pairwise compatibility wrongly merged. Used by tests and the
-// partition-heuristic ablation.
-func PartitionCoverSetsDSATUR(ws []WF) []CoverSet {
-	n := len(ws)
-	if n == 0 {
-		return nil
-	}
-	// Conflict edge: neither function can cover the other.
-	conflict := make([][]bool, n)
-	for i := range conflict {
-		conflict[i] = make([]bool, n)
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if !Covers(ws[i], ws[j]) && !Covers(ws[j], ws[i]) {
-				conflict[i][j], conflict[j][i] = true, true
-			}
-		}
-	}
-	color := make([]int, n)
-	for i := range color {
-		color[i] = -1
-	}
-	degree := make([]int, n)
-	for i := range conflict {
-		for j := range conflict[i] {
-			if conflict[i][j] {
-				degree[i]++
-			}
-		}
-	}
-	colors := 0
-	for done := 0; done < n; done++ {
-		// Pick the uncolored vertex with maximum saturation, then degree.
-		best, bestSat := -1, -1
-		for v := 0; v < n; v++ {
-			if color[v] >= 0 {
-				continue
-			}
-			satSet := map[int]bool{}
-			for u := 0; u < n; u++ {
-				if conflict[v][u] && color[u] >= 0 {
-					satSet[color[u]] = true
-				}
-			}
-			sat := len(satSet)
-			if sat > bestSat || (sat == bestSat && (best < 0 || degree[v] > degree[best])) {
-				best, bestSat = v, sat
-			}
-		}
-		used := map[int]bool{}
-		for u := 0; u < n; u++ {
-			if conflict[best][u] && color[u] >= 0 {
-				used[color[u]] = true
-			}
-		}
-		c := 0
-		for used[c] {
-			c++
-		}
-		color[best] = c
-		if c+1 > colors {
-			colors = c + 1
-		}
-	}
-	var out []CoverSet
-	for c := 0; c < colors; c++ {
-		var class []WF
-		for v := 0; v < n; v++ {
-			if color[v] == c {
-				class = append(class, ws[v])
-			}
-		}
-		// Pairwise compatibility does not imply a joint covering
-		// permutation; split the class greedily where needed.
-		out = append(out, PartitionCoverSets(class)...)
-	}
-	return out
 }
 
 // prefCand is a candidate prefixable group: the shared first element and the

@@ -259,25 +259,23 @@ func TestPartitionCoverSetsValid(t *testing.T) {
 		for j := range ws {
 			ws[j] = randWF(rng, j, 4)
 		}
-		for _, part := range [][]core.CoverSet{core.PartitionCoverSets(ws), core.PartitionCoverSetsDSATUR(ws)} {
-			seen := map[int]bool{}
-			for _, cs := range part {
-				if !core.IsCoverSet(cs.Members) {
-					t.Fatalf("partition element %v is not a cover set", cs.Members)
-				}
-				if cs.Members[0].ID != cs.Covering.ID {
-					t.Fatalf("covering function %v is not evaluated first in %v", cs.Covering, cs.Members)
-				}
-				for _, m := range cs.Members {
-					if seen[m.ID] {
-						t.Fatalf("wf%d appears in two cover sets", m.ID)
-					}
-					seen[m.ID] = true
-				}
+		seen := map[int]bool{}
+		for _, cs := range core.PartitionCoverSets(ws) {
+			if !core.IsCoverSet(cs.Members) {
+				t.Fatalf("partition element %v is not a cover set", cs.Members)
 			}
-			if len(seen) != n {
-				t.Fatalf("partition covers %d of %d functions", len(seen), n)
+			if cs.Members[0].ID != cs.Covering.ID {
+				t.Fatalf("covering function %v is not evaluated first in %v", cs.Covering, cs.Members)
 			}
+			for _, m := range cs.Members {
+				if seen[m.ID] {
+					t.Fatalf("wf%d appears in two cover sets", m.ID)
+				}
+				seen[m.ID] = true
+			}
+		}
+		if len(seen) != n {
+			t.Fatalf("partition covers %d of %d functions", len(seen), n)
 		}
 	}
 }

@@ -36,10 +36,6 @@ type Config struct {
 	// Distinct estimates D(set) from catalog statistics; used for HS bucket
 	// sizing. nil falls back to policy defaults.
 	Distinct func(set attrs.Set) int64
-	// MFV returns the encoded most-frequent values of a hash key whose
-	// groups exceed the sort budget (Section 3.2's bypass optimization);
-	// nil disables the bypass, matching the paper's prototype.
-	MFV func(key attrs.Set) map[string]bool
 	// Parallelism is the worker degree of Chain.Run (Section 3.5
 	// generalized to whole chains): a value > 1 hash-partitions the input
 	// of every segment Segments finds into that many data partitions,
@@ -458,13 +454,11 @@ func applyReorder(in stream.Stream, step core.Step, cfg Config, rcfg reorder.Con
 		if opt.Buckets <= 0 {
 			opt.Buckets = int(core.HSBucketCount(opt.DistinctHint, tableBlocks, int64(cfg.MemoryBytes)/int64(cfg.blockSize())))
 		}
-		if cfg.MFV != nil {
-			opt.MFVs = cfg.MFV(step.HashKey)
-		}
-		var st reorder.HSStats
-		out, st, err = reorder.HashedSort(in, opt, rcfg)
+		out, _, err = reorder.HashedSort(in, opt, rcfg)
+		hs, _ := out.(interface{ Stats() reorder.HSStats })
 		detail = func() string {
-			return fmt.Sprintf("buckets=%d spilled=%d resident=%d mfv=%d grouped=%d", st.Buckets, st.SpilledBuckets, st.MemoryResident, st.MFVTuples, *grouped-g0)
+			st := hs.Stats()
+			return fmt.Sprintf("buckets=%d spilled=%d resident=%d external=%d grouped=%d", st.Buckets, st.SpilledBuckets, st.MemoryResident, st.ExternalBuckets, *grouped-g0)
 		}
 	case core.ReorderSS:
 		opt := reorder.SSOptions{Alpha: step.Alpha, Beta: step.Beta}

@@ -325,7 +325,7 @@ func TestSpillingChainExtendsInPlace(t *testing.T) {
 	}}
 	chain, m := checkChain(t, table, specs, plan, Config{MemoryBytes: 8 << 10, BlockSize: 1024, HSBuckets: 4})
 
-	var runs, passes, units, external, buckets, spilled, resident, mfv int
+	var runs, passes, units, external, buckets, spilled, resident int
 	var inmem bool
 	if _, err := fmt.Sscanf(m.Steps[0].Detail, "runs=%d passes=%d inmem=%t", &runs, &passes, &inmem); err != nil || inmem || runs < 2 {
 		t.Fatalf("FS step did not spill: %q (%v)", m.Steps[0].Detail, err)
@@ -334,7 +334,7 @@ func TestSpillingChainExtendsInPlace(t *testing.T) {
 	if _, err := fmt.Sscanf(m.Steps[1].Detail, "segments=%d units=%d external=%d", &segments, &units, &external); err != nil || external == 0 {
 		t.Fatalf("SS step sorted no unit externally: %q (%v)", m.Steps[1].Detail, err)
 	}
-	if _, err := fmt.Sscanf(m.Steps[2].Detail, "buckets=%d spilled=%d resident=%d mfv=%d", &buckets, &spilled, &resident, &mfv); err != nil || spilled == 0 {
+	if _, err := fmt.Sscanf(m.Steps[2].Detail, "buckets=%d spilled=%d resident=%d external=%d", &buckets, &spilled, &resident, &external); err != nil || spilled == 0 {
 		t.Fatalf("HS step flushed no bucket: %q (%v)", m.Steps[2].Detail, err)
 	}
 	for i, s := range m.Steps {

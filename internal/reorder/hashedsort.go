@@ -22,36 +22,18 @@ type HSOptions struct {
 	Buckets int
 	// DistinctHint estimates D(WHK) for the bucket-count policy (0 = unknown).
 	DistinctHint int64
-	// MFVs lists most-frequent WHK values (encoded with EncodeHashKey).
-	// Tuples carrying them bypass partitioning and stream straight into a
-	// dedicated sort that is emitted first (the Section 3.2 optimization).
-	MFVs map[string]bool
 }
 
 // HSStats reports a HashedSort execution.
 type HSStats struct {
-	Buckets         int
-	SpilledBuckets  int
-	MemoryResident  int
-	MFVTuples       int
-	InputTuples     int
-	ExternalBuckets int // buckets whose sort spilled
-}
-
-// EncodeHashKey serializes the WHK projection of a tuple: the form MFVs are
-// keyed by. Buckets are chosen by FNV-1a over these bytes, computed without
-// building them (storage.HashKeyFNV).
-func EncodeHashKey(t storage.Tuple, key []attrs.ID) []byte {
-	return appendHashKey(nil, t, key)
-}
-
-func appendHashKey(dst []byte, t storage.Tuple, key []attrs.ID) []byte {
-	var one [1]storage.Value
-	for _, id := range key {
-		one[0] = t[id]
-		dst = storage.AppendTuple(dst, one[:])
-	}
-	return dst
+	Buckets        int
+	SpilledBuckets int
+	MemoryResident int
+	InputTuples    int
+	// ExternalBuckets counts the buckets whose sort spilled. Buckets are
+	// sorted as the output is read, so only the output stream's Stats
+	// method, called once it is drained, reports them all.
+	ExternalBuckets int
 }
 
 // hsBucket is one hash partition during the build phase.
@@ -72,8 +54,8 @@ func releaseBuckets(buckets []*hsBucket) {
 }
 
 // HashedSort reorders the input per Section 3.2. The output stream is one
-// segment per non-empty bucket (MFV bucket first), each sorted on SortKey;
-// its property is R_{WHK, SortKey}.
+// segment per non-empty bucket, each sorted on SortKey; its property is
+// R_{WHK, SortKey}.
 func HashedSort(in stream.Stream, opt HSOptions, cfg Config) (stream.Stream, HSStats, error) {
 	var st HSStats
 	if len(opt.HashKey) == 0 {
@@ -100,10 +82,8 @@ func HashedSort(in stream.Stream, opt HSOptions, cfg Config) (stream.Stream, HSS
 		buckets[i] = &hsBucket{}
 	}
 	var (
-		memUsed   int
-		mfvTuples []storage.Tuple
-		mfvKey    []byte // scratch for the MFV lookup
-		err       error
+		memUsed int
+		err     error
 	)
 	defer in.Close()
 	fail := func(err error) (stream.Stream, HSStats, error) {
@@ -151,15 +131,6 @@ func HashedSort(in stream.Stream, opt HSOptions, cfg Config) (stream.Stream, HSS
 		}
 		st.InputTuples++
 		t := r.Tuple
-		if opt.MFVs != nil {
-			mfvKey = appendHashKey(mfvKey[:0], t, opt.HashKey)
-			if opt.MFVs[string(mfvKey)] {
-				// Bypass: straight to the pipelined MFV sort, no partition I/O.
-				mfvTuples = append(mfvTuples, t)
-				st.MFVTuples++
-				continue
-			}
-		}
 		b := buckets[storage.HashKeyFNV(t, opt.HashKey)%uint64(len(buckets))]
 		if b.writer != nil {
 			// Once flushed, a bucket stays disk-bound (Section 3.2).
@@ -201,8 +172,8 @@ func HashedSort(in stream.Stream, opt HSOptions, cfg Config) (stream.Stream, HSS
 		}
 	}
 
-	// Sort order: MFV bucket first, then memory-resident buckets, then
-	// disk-resident buckets (Section 3.2's prescribed order).
+	// Sort order: memory-resident buckets, then disk-resident buckets
+	// (Section 3.2's prescribed order).
 	onDisk := func(b *hsBucket) int {
 		if b.writer != nil {
 			return 1
@@ -222,14 +193,11 @@ func HashedSort(in stream.Stream, opt HSOptions, cfg Config) (stream.Stream, HSS
 		// arena nothing was carved from — the input is a table's own rows
 		// — has nothing to hand back.)
 		keep := storage.NewTupleArena(arena.Stride())
-		survivors := len(mfvTuples)
+		survivors := 0
 		for _, b := range buckets {
 			survivors += len(b.mem)
 		}
 		keep.Reserve(survivors)
-		for i, t := range mfvTuples {
-			mfvTuples[i] = keep.CopyStrings(t)
-		}
 		for _, b := range buckets {
 			for i, t := range b.mem {
 				b.mem[i] = keep.CopyStrings(t)
@@ -245,16 +213,6 @@ func HashedSort(in stream.Stream, opt HSOptions, cfg Config) (stream.Stream, HSS
 		stats:   &st,
 	}
 	out.sorter.Arena = arena
-	if len(mfvTuples) > 0 {
-		sorted, sstats, err := out.sorter.SortTuples(mfvTuples)
-		if err != nil {
-			return fail(err)
-		}
-		if !sstats.InMemory {
-			st.ExternalBuckets++
-		}
-		out.current = sorted
-	}
 	return out, st, nil
 }
 
@@ -273,6 +231,10 @@ type hsStream struct {
 	stats   *HSStats
 	err     error
 }
+
+// Stats reports the sort so far: ExternalBuckets counts the buckets
+// emitted until now whose sort spilled.
+func (s *hsStream) Stats() HSStats { return *s.stats }
 
 func (s *hsStream) Next() (stream.Row, bool) {
 	for {

@@ -8,8 +8,7 @@
 //     buckets are emitted as segments in arbitrary order — which Section 3's
 //     key observation shows is irrelevant to window-function correctness.
 //     When memory fills it flushes the largest resident bucket, and a
-//     flushed bucket stays disk-bound; tuples carrying a most-frequent value
-//     bypass the buckets (the MFV optimization).
+//     flushed bucket stays disk-bound.
 //   - SegmentedSort (SS, Section 3.3): within each existing segment, detect
 //     α-groups (runs of equal α values, α being the shared prefix between
 //     the target key and the input ordering) and sort each independently on

@@ -271,62 +271,6 @@ func TestHashedSortFlushesLargestBucket(t *testing.T) {
 	}
 }
 
-func TestHashedSortMFVBypass(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	// Column 0 heavily skewed to value 7.
-	rows := make([]storage.Tuple, 3000)
-	for i := range rows {
-		v := int64(7)
-		if rng.Intn(4) == 0 {
-			v = rng.Int63n(40)
-		}
-		rows[i] = storage.Tuple{storage.Int(v), storage.Int(rng.Int63n(50)), storage.Int(int64(i))}
-	}
-	mfv := map[string]bool{string(EncodeHashKey(rows[0], []attrs.ID{0})): true} // rows[0] has value 7? ensure below
-	rows[0][0] = storage.Int(7)
-	mfv = map[string]bool{string(EncodeHashKey(rows[0], []attrs.ID{0})): true}
-
-	cfgBypass, statsBypass := testConfig(2048)
-	out, hsStats, err := HashedSort(stream.FromTuples(rows), HSOptions{
-		HashKey: []attrs.ID{0}, SortKey: attrs.AscSeq(0, 1), Buckets: 16, MFVs: mfv,
-	}, cfgBypass)
-	if err != nil {
-		t.Fatal(err)
-	}
-	segs, err := stream.Segments(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var flat []storage.Tuple
-	for _, s := range segs {
-		flat = append(flat, s...)
-	}
-	tagMultisetEqual(t, flat, rows, 2)
-	verifyMatches(t, segs, attrs.MakeSet(0), attrs.AscSeq(0, 1))
-	if hsStats.MFVTuples == 0 {
-		t.Fatalf("MFV bypass routed no tuples")
-	}
-	// The MFV segment must come first (Section 3.2: Rx sorted before any
-	// other bucket).
-	if len(segs) == 0 || segs[0][0][0].Int64() != 7 {
-		t.Errorf("MFV bucket not emitted first")
-	}
-
-	cfgPlain, statsPlain := testConfig(2048)
-	out2, _, err := HashedSort(stream.FromTuples(rows), HSOptions{
-		HashKey: []attrs.ID{0}, SortKey: attrs.AscSeq(0, 1), Buckets: 16,
-	}, cfgPlain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := stream.CollectTuples(out2); err != nil {
-		t.Fatal(err)
-	}
-	if statsBypass.TotalBlocks() >= statsPlain.TotalBlocks() {
-		t.Errorf("MFV bypass saved no I/O: %d vs %d", statsBypass.TotalBlocks(), statsPlain.TotalBlocks())
-	}
-}
-
 func TestSegmentedSortAlphaGroups(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	rows := randTable(rng, 3000, 15, 40, 40)

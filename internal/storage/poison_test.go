@@ -17,7 +17,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/exec"
 	"repro/internal/paper"
-	"repro/internal/reorder"
 	"repro/internal/service"
 	"repro/internal/storage"
 	"repro/internal/window"
@@ -174,7 +173,7 @@ func TestRewoundMemoryIsNeverRead(t *testing.T) {
 	t.Run("FS to SS to HS", func(t *testing.T) {
 		plan := &core.Plan{Scheme: "test", Steps: []core.Step{fsItemDate, ssItemBill, hsWarehouse}}
 		m := checkPoisoned(t, table, specs, plan, exec.Config{MemoryBytes: 8 << 10, BlockSize: 1024, HSBuckets: 4})
-		var runs, passes, segments, units, external, buckets, spilled, resident, mfv int
+		var runs, passes, segments, units, external, buckets, spilled, resident int
 		var inmem bool
 		if detail(t, m, 0, "runs=%d passes=%d inmem=%t", &runs, &passes, &inmem); inmem {
 			t.Fatal("FS did not spill")
@@ -182,7 +181,7 @@ func TestRewoundMemoryIsNeverRead(t *testing.T) {
 		if detail(t, m, 1, "segments=%d units=%d external=%d", &segments, &units, &external); external == 0 {
 			t.Fatal("SS sorted no unit externally")
 		}
-		if detail(t, m, 2, "buckets=%d spilled=%d resident=%d mfv=%d", &buckets, &spilled, &resident, &mfv); spilled == 0 {
+		if detail(t, m, 2, "buckets=%d spilled=%d resident=%d external=%d", &buckets, &spilled, &resident, &external); spilled == 0 {
 			t.Fatal("HS flushed no bucket")
 		}
 	})
@@ -231,29 +230,10 @@ func TestRewoundMemoryIsNeverRead(t *testing.T) {
 		plan := &core.Plan{Scheme: "test", Steps: []core.Step{hsItem, hsWarehouse, fsItemDate}}
 		m := checkPoisoned(t, wide, specs, plan, exec.Config{MemoryBytes: wide.ByteSize() / 2, BlockSize: 1024, HSBuckets: 20})
 		for step := 0; step < 2; step++ {
-			var buckets, spilled, resident, mfv int
-			if detail(t, m, step, "buckets=%d spilled=%d resident=%d mfv=%d", &buckets, &spilled, &resident, &mfv); spilled == 0 || resident == 0 {
+			var buckets, spilled, resident, external int
+			if detail(t, m, step, "buckets=%d spilled=%d resident=%d external=%d", &buckets, &spilled, &resident, &external); spilled == 0 || resident == 0 {
 				t.Fatalf("HS step %d: %d spilled and %d resident buckets, want both", step, spilled, resident)
 			}
-		}
-	})
-
-	t.Run("HS with MFVs", func(t *testing.T) {
-		// Item 1 of 4 bypasses the buckets of the second step; a quarter of
-		// the table is more than the budget, so its sort spills as well.
-		mfvs := map[string]bool{string(reorder.EncodeHashKey(storage.Tuple{paper.Item: storage.Int(1)}, []attrs.ID{paper.Item})): true}
-		plan := &core.Plan{Scheme: "test", Steps: []core.Step{fsItemDate, hsItem, hsWarehouse}}
-		cfg := exec.Config{MemoryBytes: 8 << 10, BlockSize: 1024, HSBuckets: 4,
-			MFV: func(key attrs.Set) map[string]bool {
-				if key == attrs.MakeSet(paper.Item) {
-					return mfvs
-				}
-				return nil
-			}}
-		m := checkPoisoned(t, table, specs, plan, cfg)
-		var buckets, spilled, resident, mfv int
-		if detail(t, m, 1, "buckets=%d spilled=%d resident=%d mfv=%d", &buckets, &spilled, &resident, &mfv); spilled == 0 || mfv == 0 {
-			t.Fatalf("HS step: %d spilled buckets and %d MFV tuples, want both", spilled, mfv)
 		}
 	})
 

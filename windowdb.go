@@ -114,7 +114,7 @@ func (c Config) withDefaults() Config {
 // prepared statements built on the old entry.
 // Queries that already hold the old entry finish against the old (still
 // immutable) table — the snapshot-at-lookup semantics of the catalog.
-// Lazily computed statistics (distinct counts, MFVs) are mutex-guarded
+// Lazily computed statistics (distinct counts) are mutex-guarded
 // inside each catalog entry and computed at most once per key.
 type Engine struct {
 	cfg Config
@@ -136,7 +136,7 @@ func New(cfg Config) *Engine {
 }
 
 // Register adds (or replaces) a table under name. Statistics (distinct
-// counts, most-frequent values) are computed lazily on first use.
+// counts) are computed lazily on first use.
 func (e *Engine) Register(name string, t *storage.Table) {
 	e.cat.Register(name, t)
 }
@@ -317,7 +317,7 @@ func (e *Engine) runner() sql.Runner {
 }
 
 // execConfig assembles the executor configuration (Parallelism is resolved
-// already, by withDefaults); the MFV callback is wired only on demand.
+// already, by withDefaults).
 func (e *Engine) execConfig() exec.Config {
 	return exec.Config{
 		MemoryBytes: e.cfg.SortMemBytes,

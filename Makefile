@@ -76,13 +76,18 @@ benchmark-check:
 # finalize) and of the cluster workload the benchmark driver does not gate
 # (two HTTP shard nodes behind a coordinator): every statement is checked
 # against the reference engine, and the harness prints its result as the
-# last line.
+# last line. Each workload's OK line echoes that line's alloc_mb_per_op,
+# allocs_per_op and comparisons_per_op, so a CI log records their trend.
 benchmark-smoke:
 	@for w in chain_spill serve_http frames_inmem cluster_2shard; do \
 		out="$$(bash benchmark/run.sh --workload $$w --seed 20120827 --seconds 3 --trace 0 | tail -n 1)"; \
 		printf '%s\n' "$$out" | grep -q '"correct":true' && printf '%s\n' "$$out" | grep -q '"failed":0' \
 			|| { echo "benchmark-smoke: $$w did not end correct with 0 failed: $$out" >&2; exit 1; }; \
-		echo "benchmark-smoke: $$w OK"; \
+		trend=""; \
+		for m in alloc_mb_per_op allocs_per_op comparisons_per_op; do \
+			trend="$$trend $$m=$$(printf '%s\n' "$$out" | sed -n "s/.*\"$$m\":{\"value\":\([^,}]*\).*/\1/p")"; \
+		done; \
+		echo "benchmark-smoke: $$w OK$$trend"; \
 	done
 
 # Run the HTTP query service (see cmd/windserve -h for knobs). Relocate

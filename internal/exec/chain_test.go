@@ -319,14 +319,15 @@ func referenceSteps(t *testing.T, table *storage.Table, specs []window.Spec, pla
 	}
 	for i, step := range plan.Steps {
 		var comparisons int64
-		rcfg, _ := reorderConfig(cfg, &comparisons, nil)
-		out, _, err := applyReorder(stream.FromRows(rows), step, cfg, rcfg, 0)
+		ws := getWorkspace(cfg)
+		out, _, err := applyReorder(stream.FromRows(rows), step, cfg, ws.reorderConfig(cfg, &comparisons, nil), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rows, err = stream.Collect(out); err != nil {
 			t.Fatal(err)
 		}
+		ws.giveBack()
 		tuples := make([]storage.Tuple, len(rows))
 		var starts []int
 		for k, r := range rows {
@@ -371,8 +372,12 @@ func TestStepsBeforeLastReorderKeepTheSequence(t *testing.T) {
 					after, boundaries := referenceSteps(t, table, specs, plan, cfg)
 
 					var comparisons int64
-					rcfg, stats := reorderConfig(cfg, &comparisons, storage.NewTupleArena(table.Schema.Len()+last))
-					own := newRowArray(table, rcfg.Arena)
+					ws := getWorkspace(cfg)
+					defer ws.giveBack()
+					rcfg := ws.reorderConfig(cfg, &comparisons, storage.NewTupleArena(table.Schema.Len()+last))
+					stats := ws.store.Stats()
+					own := &ws.rows
+					own.fill(table, rcfg.Arena)
 					var ev window.Evaluator
 					for i, step := range plan.Steps {
 						if _, err := own.reorder(step, cfg, rcfg, 0); err != nil {
@@ -389,8 +394,12 @@ func TestStepsBeforeLastReorderKeepTheSequence(t *testing.T) {
 							}
 						}
 						if i < last {
-							if err := ev.ExtendSlice(own.rows, specs[i]); err != nil {
+							col := make([]storage.Value, len(own.rows))
+							if err := ev.EvaluateSlice(own.rows, specs[i], col); err != nil {
 								t.Fatal(err)
+							}
+							for k, v := range col {
+								own.rows[k] = own.rows[k].Extend(v)
 							}
 						}
 					}
@@ -416,8 +425,8 @@ func TestStepsBeforeLastReorderKeepTheSequence(t *testing.T) {
 
 // TestRunChainBytesPerRow pins what an in-memory chain allocates per input
 // row: the arena slab (one slot per column and per in-tuple derived
-// column), the one row array, the one evaluation scratch (step 0 has no
-// PARTITION BY, so it is as long as the table) and a tail vector per step
+// column), the one row array, the one column the steps before L evaluate
+// into and a tail vector per step
 // from L on — and nothing per reorder. A four-step chain is run with its
 // last reorder at L = 1, 2 and 3: each reorder moved in front of L trades
 // a 16-byte tail slot for a 16-byte arena slot, so the three cost the
@@ -472,10 +481,10 @@ func TestRunChainBytesPerRow(t *testing.T) {
 	per := map[int]float64{1: bytesPerRow(1), 2: bytesPerRow(2), 3: bytesPerRow(3)}
 	t.Logf("bytes per row at L = 1, 2, 3: %.1f, %.1f, %.1f", per[1], per[2], per[3])
 	// Per row at L = 2: 16 B × (columns + 2) of slab, 24 B of array header,
-	// 16 B of scratch, 2 × 16 B of tail.
+	// 16 B of the column before L, 2 × 16 B of tail.
 	exact := float64(16*(table.Schema.Len()+2) + 24 + 16 + 2*16)
 	if bound := exact * 1.1; per[2] > bound { // the race detector's allocator adds 6 %
-		t.Errorf("three reorders allocate %.1f B/row, want at most %.1f (slab, array, scratch and tail are %.0f)", per[2], bound, exact)
+		t.Errorf("three reorders allocate %.1f B/row, want at most %.1f (slab, array, column and tail are %.0f)", per[2], bound, exact)
 	}
 	if grew := per[3] - per[1]; grew > 4 {
 		t.Errorf("moving two reorders in front of L adds %.1f B/row: something is allocated per step", grew)

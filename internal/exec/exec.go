@@ -10,10 +10,12 @@ import (
 	"runtime"
 	"slices"
 	"time"
+	"unsafe"
 
 	"repro/internal/attrs"
 	"repro/internal/core"
 	"repro/internal/pagestore"
+	"repro/internal/recycle"
 	"repro/internal/reorder"
 	"repro/internal/storage"
 	"repro/internal/stream"
@@ -278,8 +280,9 @@ func (c *Chain) Run(ctx context.Context, table *storage.Table, specs []window.Sp
 // its reorder back into that array, and
 // the steps before L evaluate over it and extend each row in place; from L
 // on the order is final, and step L and every later step evaluate into the
-// Chain's tail vectors, carved from the arena's vector slabs in one piece,
-// which no rewind reaches (storage.TupleArena.Values). With L = 0 (one
+// Chain's tail vectors, carved from the arena's vector slabs in one piece
+// with the column the steps before L evaluate into, which no rewind
+// reaches (storage.TupleArena.Values). With L = 0 (one
 // leading reorder, or none — every shared-subplan suffix) there is no copy
 // at all: the reorder permutes headers of the table's own tuples, which are
 // never extended, so any number of statements may run over one table or
@@ -287,16 +290,20 @@ func (c *Chain) Run(ctx context.Context, table *storage.Table, specs []window.Sp
 //
 // A spec reads the columns that are in the tuples when it runs: the input
 // schema plus the derived columns of steps before min(i, L). Every step
-// evaluates with one window.Evaluator, whose buffers the chain sizes once.
+// evaluates with the workspace's window.Evaluator; a step before L
+// evaluates into the one column carved for all of them, then extends each
+// row with its value.
 //
 // Each step drains its (lazily reordering) stream fully before it
 // evaluates, so per-step metrics are exact.
 //
-// The row array, every row read back from a spill, the tail vectors and the
-// header arrays the reorders leave (a Full Sort's buffer, a drained
-// reorder's order) are carved from the chain's arena: from a pooled one
-// (NewChain) they are slabs an earlier statement handed back, and
-// Chain.Release — the statement's cursor closing — hands them on.
+// The row array, every row read back from a spill, the column of the steps
+// before L, the tail vectors and the header arrays the reorders leave (a
+// Full Sort's buffer, a drained reorder's order) are carved from the
+// chain's arena: from a pooled one (NewChain) they are slabs an earlier
+// statement handed back, and Chain.Release — the statement's cursor
+// closing — hands them on. Everything else the run uses comes from its
+// workspace, which goes back when the run returns.
 func (c *Chain) run(ctx context.Context, table *storage.Table, specs []window.Spec, cfg Config) (*Metrics, error) {
 	steps := c.plan.Steps
 	var comparisons int64
@@ -308,16 +315,24 @@ func (c *Chain) run(ctx context.Context, table *storage.Table, specs []window.Sp
 	tableBlocks := int64(table.ByteSize()) / int64(cfg.blockSize())
 
 	c.Schema, c.Rows = table.Schema, table.Rows
-	rcfg, stats := reorderConfig(cfg, &comparisons, c.arena)
+	ws := getWorkspace(cfg)
+	defer ws.giveBack()
+	rcfg := ws.reorderConfig(cfg, &comparisons, c.arena)
+	stats := ws.store.Stats()
 	inTuple := table.Schema // the columns a spec can read
-	var (
-		own   rowArray
-		ev    window.Evaluator
-		tails []storage.Value
-	)
+	own, ev := &ws.rows, &ws.ev
+	// The tail vectors and, with L > 0, the column the steps before L
+	// evaluate into are one piece of the arena's vector slabs.
+	cols := len(steps) - last
 	if last > 0 {
-		own = newRowArray(table, rcfg.Arena)
+		cols++
+	}
+	tails := c.arena.Values(cols * n)
+	var before []storage.Value
+	if last > 0 {
+		own.fill(table, rcfg.Arena)
 		c.Rows = own.rows
+		before, tails = tails[:n:n], tails[n:]
 	}
 
 	for i, step := range steps {
@@ -356,13 +371,15 @@ func (c *Chain) run(ctx context.Context, table *storage.Table, specs []window.Sp
 			}
 		}
 		if i < last {
-			if err := ev.ExtendSlice(own.rows, spec); err != nil {
+			if err := ev.EvaluateSlice(own.rows, spec, before); err != nil {
 				return nil, fmt.Errorf("exec: wf%d evaluate: %w", step.WF.ID, err)
+			}
+			for k, v := range before {
+				own.rows[k] = own.rows[k].Extend(v)
 			}
 			inTuple = inTuple.WithColumn(spec.OutputColumn())
 		} else {
 			if i == last {
-				tails = c.arena.Values((len(steps) - last) * n)
 				c.Tail = make([][]storage.Value, 0, len(steps)-last)
 			}
 			k := len(c.Tail)
@@ -400,32 +417,81 @@ func (c *Chain) run(ctx context.Context, table *storage.Table, specs []window.Sp
 	return metrics, nil
 }
 
-// reorderConfig builds what every reorder of one chain (or one shared
-// scan) runs with: the unit memory, a fresh spill store, the arena — whose
-// rows have the chain's row width as capacity, so
-// whatever spills comes back with room for every derived column still to
-// be appended — and the counters: comparisons, the rows the sorts placed
-// by grouping (which applyReorder's details read), and the returned
-// statistics for the store's block transfers.
-func reorderConfig(cfg Config, comparisons *int64, arena *storage.TupleArena) (reorder.Config, *pagestore.Stats) {
-	counters := &struct {
-		blocks  pagestore.Stats
-		grouped int64
-	}{}
-	stats := &counters.blocks
-	var store *pagestore.Store
+// workspace is what one run of a chain, or one shared scan, borrows from
+// workspaces beside its arena and gives back however it returns: the spill
+// store, whose released files wait in it for the next run's Create; the
+// counter of the rows the sorts placed by grouping; the evaluator every
+// step evaluates with; and the row array's segment starts. So a warm run
+// allocates neither a file per spill nor an evaluator buffer per chain.
+type workspace struct {
+	store   *pagestore.Store
+	site    spillSite // what store was made for
+	grouped int64
+	ev      window.Evaluator
+	rows    rowArray
+}
+
+// spillSite is where a store's files live: what a run's Config says about
+// them.
+type spillSite struct {
+	blockSize  int
+	fileBacked bool
+	tempDir    string
+}
+
+var workspaces = recycle.NewList((*workspace).bytes)
+
+// getWorkspace borrows a workspace whose store spills where cfg says, with
+// its counters at zero.
+func getWorkspace(cfg Config) *workspace {
+	w := workspaces.Get()
+	site := spillSite{blockSize: cfg.blockSize()}
 	if cfg.FileBacked {
-		store = pagestore.NewFileBacked(cfg.TempDir, cfg.blockSize(), stats)
-	} else {
-		store = pagestore.NewMem(cfg.blockSize(), stats)
+		site.fileBacked, site.tempDir = true, cfg.TempDir
 	}
+	if w.store == nil || w.site != site {
+		if site.fileBacked {
+			w.store = pagestore.NewFileBacked(site.tempDir, site.blockSize, nil)
+		} else {
+			w.store = pagestore.NewMem(site.blockSize, nil)
+		}
+		w.site = site
+	}
+	w.store.Stats().Reset()
+	w.grouped = 0
+	return w
+}
+
+// giveBack clears what of w could hold a row — the row array's headers are
+// the arena's, so it drops them — and puts w back. Every spill file of the
+// run has been released.
+func (w *workspace) giveBack() {
+	w.rows = rowArray{starts: w.rows.starts[:0], spare: w.rows.spare[:0]}
+	workspaces.Put(w)
+}
+
+// bytes is the memory w retains.
+func (w *workspace) bytes() int64 {
+	n := int64(unsafe.Sizeof(*w)) + w.ev.Bytes() + int64(cap(w.rows.starts)+cap(w.rows.spare))*int64(unsafe.Sizeof(0))
+	if w.store != nil {
+		n += w.store.Bytes()
+	}
+	return n
+}
+
+// reorderConfig builds what every reorder of the run works with: the unit
+// memory, the workspace's store, the arena — whose rows have the chain's
+// row width as capacity, so whatever spills comes back with room for every
+// derived column still to be appended — and the counters: comparisons and
+// the rows the sorts placed by grouping, which applyReorder's details read.
+func (w *workspace) reorderConfig(cfg Config, comparisons *int64, arena *storage.TupleArena) reorder.Config {
 	return reorder.Config{
 		MemoryBytes: cfg.MemoryBytes,
-		Store:       store,
+		Store:       w.store,
 		Comparisons: comparisons,
-		Grouped:     &counters.grouped,
+		Grouped:     &w.grouped,
 		Arena:       arena,
-	}, stats
+	}
 }
 
 // applyReorder puts step's reordering operator over in. detail renders the
@@ -511,8 +577,9 @@ type rowArray struct {
 	starts, spare []int
 }
 
-// newRowArray copies the input tuples into the chain's arena, the rows as
-// its first value slab and the array in one header slab: each row comes out
+// fill makes the array a copy of the input tuples in the chain's arena, with
+// no segment starts: the rows as its first value slab and the array in one
+// header slab. Each row comes out
 // with the chain's width as capacity, spare slots for the derived columns
 // that must stay in the tuple (those of the steps before the chain's last
 // reorder), so window evaluation (Tuple.Extend) grows rows in place. The
@@ -526,13 +593,13 @@ type rowArray struct {
 // the same arena (reorder.Config.Arena) — over this slab, once the whole
 // input is on disk — so the discipline holds across FS runs, HS buckets and
 // SS units too. Strings are not copied: the table's outlive the chain.
-func newRowArray(table *storage.Table, arena *storage.TupleArena) rowArray {
+func (a *rowArray) fill(table *storage.Table, arena *storage.TupleArena) {
 	rows := arena.Headers(len(table.Rows))
 	arena.Reserve(len(table.Rows))
 	for _, t := range table.Rows {
 		rows = append(rows, arena.Copy(t))
 	}
-	return rowArray{rows: rows}
+	a.rows, a.starts = rows, a.starts[:0]
 }
 
 // reorder puts step's reordering operator over the array and drains it back

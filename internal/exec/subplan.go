@@ -31,7 +31,10 @@ func ReorderTable(ctx context.Context, table *storage.Table, step core.Step, cfg
 	// A private arena, never recycled: the segment's rows, and the strings
 	// its spills read back, outlive any one statement and go to the GC with
 	// the segment.
-	rcfg, stats := reorderConfig(cfg, &comparisons, storage.NewTupleArena(table.Schema.Len()))
+	ws := getWorkspace(cfg)
+	defer ws.giveBack()
+	rcfg := ws.reorderConfig(cfg, &comparisons, storage.NewTupleArena(table.Schema.Len()))
+	stats := ws.store.Stats()
 	tableBlocks := int64(table.ByteSize()) / int64(cfg.blockSize())
 
 	// No copy, and nothing downstream extends a segment's rows.

@@ -12,6 +12,7 @@ package pagestore
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -118,14 +119,52 @@ func PoolCounters() (allocated, held int64) {
 }
 
 // Store creates spill files over one backend with shared accounting. A
-// store serves one chain, whose operators run on one goroutine: its files
-// may be read concurrently once sealed, but only one goroutine writes.
+// store serves one chain at a time, whose operators run on one goroutine:
+// its files may be read concurrently once sealed, but only one goroutine
+// writes. A released file waits in the store for its next Create, and its
+// page index for the next file that grows to that many pages: a store kept
+// from one chain to the next allocates neither once it has held as many at
+// once.
 type Store struct {
 	blockSize int
 	stats     *Stats
 	dir       string // non-empty ⇒ file-backed
 	blocks    *blockPool
 	scratch   []byte
+	free      []*File // released files, for Create
+	// indexes holds emptied page indexes by capacity: class k those of
+	// minIndex<<k pages.
+	indexes [indexClasses][][][]byte
+}
+
+// A page index starts at minIndex pages and doubles; a store keeps the
+// emptied ones of each capacity.
+const (
+	minIndex     = 8
+	indexClasses = 32
+)
+
+// pageIndex returns an empty page index with room for more pages than an
+// index of capacity had, from the store's or new.
+func (s *Store) pageIndex(had int) [][]byte {
+	class := 0
+	if had > 0 {
+		class = bits.Len(uint(had / minIndex))
+	}
+	if free := s.indexes[class]; len(free) > 0 {
+		ix := free[len(free)-1]
+		free[len(free)-1] = nil
+		s.indexes[class] = free[:len(free)-1]
+		return ix
+	}
+	return make([][]byte, 0, minIndex<<class)
+}
+
+// recycleIndex clears ix, a page index from pageIndex, and keeps it.
+func (s *Store) recycleIndex(ix [][]byte) {
+	clear(ix)
+	class := bits.Len(uint(cap(ix)/minIndex)) - 1
+	s.indexes[class] = append(s.indexes[class], ix[:0])
 }
 
 // NewMem returns a memory-backed store. stats may be nil.
@@ -173,28 +212,51 @@ func (s *Store) Recycle(b []byte) { s.blocks.put(b) }
 // holds one record's bytes, not a page per writer outside the budget.
 func (s *Store) Scratch() *[]byte { return &s.scratch }
 
-// Create opens a fresh spill file for sequential writing.
+// Create opens a fresh spill file for sequential writing: a file the store
+// released earlier, or a new one.
 func (s *Store) Create() (*File, error) {
-	f := &File{store: s}
+	var osf *os.File
 	if s.dir != "" {
-		osf, err := os.CreateTemp(s.dir, "windowdb-spill-*")
-		if err != nil {
+		var err error
+		if osf, err = os.CreateTemp(s.dir, "windowdb-spill-*"); err != nil {
 			return nil, fmt.Errorf("pagestore: create spill: %w", err)
 		}
-		f.osf = osf
 	}
+	var f *File
+	if last := len(s.free) - 1; last >= 0 {
+		f = s.free[last]
+		s.free[last] = nil
+		s.free = s.free[:last]
+	} else {
+		f = new(File)
+	}
+	*f = File{store: s, osf: osf}
 	return f, nil
+}
+
+// Bytes returns the memory the store retains for its next files: the
+// released files, the emptied page indexes and the encode buffer.
+func (s *Store) Bytes() int64 {
+	n := int64(cap(s.scratch)) + int64(cap(s.free))*int64(unsafe.Sizeof((*File)(nil)))
+	n += int64(len(s.free)) * int64(unsafe.Sizeof(File{}))
+	for _, free := range s.indexes {
+		for _, ix := range free {
+			n += int64(cap(ix)) * int64(unsafe.Sizeof([]byte(nil)))
+		}
+	}
+	return n
 }
 
 // File is a spill file: write sequentially, Seal, then read via one or more
 // independent Readers. Not safe for concurrent writers; readers are
 // independent and may run concurrently after Seal.
 type File struct {
-	store  *Store
-	pages  [][]byte // memory backend payload: full pages, the last possibly short
-	osf    *os.File // file backend handle (nil for memory)
-	size   int64
-	sealed bool
+	store    *Store
+	pages    [][]byte // memory backend payload: full pages, the last possibly short
+	osf      *os.File // file backend handle (nil for memory)
+	size     int64
+	sealed   bool
+	released bool
 	// wbuf is the current partial page. On the memory backend it is the
 	// page itself: flushing moves it into pages and the next write takes
 	// a new one, so payload bytes are copied once, by Write.
@@ -245,6 +307,13 @@ func (f *File) flushPage() error {
 		f.wbuf = f.wbuf[:0]
 		return nil
 	}
+	if len(f.pages) == cap(f.pages) {
+		ix := append(f.store.pageIndex(cap(f.pages)), f.pages...)
+		if f.pages != nil {
+			f.store.recycleIndex(f.pages)
+		}
+		f.pages = ix
+	}
 	f.pages = append(f.pages, f.wbuf)
 	f.size += int64(len(f.wbuf))
 	f.wbuf = nil
@@ -278,12 +347,20 @@ func (f *File) Blocks() int64 {
 
 // Release frees backing resources, sealed or not: the pages (and the write
 // page of a file abandoned before Seal) go back to the block pool, a temp
-// file is removed. Readers must be finished. Releasing twice is harmless.
+// file is removed, and the file goes back to its store, which hands it out
+// again from a later Create. Readers must be finished. Releasing twice
+// before that Create is harmless; after it, the file is another's.
 func (f *File) Release() {
+	if f.released {
+		return
+	}
 	for _, p := range f.pages {
 		f.store.Recycle(p)
 	}
-	f.pages = nil
+	if f.pages != nil {
+		f.store.recycleIndex(f.pages)
+		f.pages = nil
+	}
 	if f.wbuf != nil {
 		f.store.Recycle(f.wbuf)
 		f.wbuf = nil
@@ -294,18 +371,12 @@ func (f *File) Release() {
 		os.Remove(name)
 		f.osf = nil
 	}
-}
-
-// NewReader returns an independent sequential reader over the sealed file.
-func (f *File) NewReader() (*Reader, error) {
-	if !f.sealed {
-		return nil, fmt.Errorf("pagestore: NewReader before Seal")
-	}
-	return &Reader{f: f}, nil
+	f.released = true
+	f.store.free = append(f.store.free, f)
 }
 
 // Reader reads a sealed File sequentially, counting one block read per page
-// it consumes.
+// it consumes. The zero Reader reads nothing until Open.
 type Reader struct {
 	f          *File
 	off        int64
@@ -313,9 +384,22 @@ type Reader struct {
 	fileHandle *os.File
 }
 
+// Open points r, closed, at the start of the sealed file f: the readers of
+// one file are independent.
+func (r *Reader) Open(f *File) error {
+	if !f.sealed {
+		return fmt.Errorf("pagestore: reader opened before Seal")
+	}
+	*r = Reader{f: f}
+	return nil
+}
+
 // Read implements io.Reader with page-granular accounting.
 func (r *Reader) Read(p []byte) (int, error) {
 	f := r.f
+	if f.released {
+		return 0, fmt.Errorf("pagestore: read after Release")
+	}
 	if r.off >= f.size {
 		return 0, io.EOF
 	}
@@ -340,9 +424,6 @@ func (r *Reader) Read(p []byte) (int, error) {
 		}
 		n = m
 	} else {
-		if f.pages == nil {
-			return 0, fmt.Errorf("pagestore: read after Release")
-		}
 		for n < len(p) {
 			at := r.off + int64(n)
 			n += copy(p[n:], f.pages[at/bs][at%bs:])
@@ -369,7 +450,8 @@ func (r *Reader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// Close releases the reader's OS handle (memory backend: no-op).
+// Close releases the reader's OS handle (memory backend: no-op). Closing
+// twice, or a zero Reader, is harmless.
 func (r *Reader) Close() error {
 	if r.fileHandle != nil {
 		err := r.fileHandle.Close()

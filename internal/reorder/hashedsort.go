@@ -40,14 +40,17 @@ type HSStats struct {
 type hsBucket struct {
 	mem     []storage.Tuple // memory-resident tuples
 	memSize int
-	writer  *spill.Writer // non-nil once the bucket has been flushed
+	writer  spill.Writer // has a file once the bucket has been flushed
 	count   int
 }
+
+// spilled reports whether the bucket has been flushed.
+func (b *hsBucket) spilled() bool { return b.writer.File() != nil }
 
 // releaseBuckets gives up the spill files of buckets that will not be read.
 func releaseBuckets(buckets []*hsBucket) {
 	for _, b := range buckets {
-		if b.writer != nil {
+		if b.spilled() {
 			b.writer.Abort()
 		}
 	}
@@ -77,10 +80,8 @@ func HashedSort(in stream.Stream, opt HSOptions, cfg Config) (stream.Stream, HSS
 		nbuckets = 1
 	}
 
-	buckets := make([]*hsBucket, nbuckets)
-	for i := range buckets {
-		buckets[i] = &hsBucket{}
-	}
+	w := works.Get()
+	buckets := w.bucketSet(nbuckets)
 	var (
 		memUsed int
 		err     error
@@ -88,16 +89,15 @@ func HashedSort(in stream.Stream, opt HSOptions, cfg Config) (stream.Stream, HSS
 	defer in.Close()
 	fail := func(err error) (stream.Stream, HSStats, error) {
 		releaseBuckets(buckets)
+		w.giveBack()
 		return nil, st, err
 	}
 
 	flush := func(b *hsBucket) error {
-		if b.writer == nil {
-			w, err := spill.NewWriter(cfg.Store)
-			if err != nil {
+		if !b.spilled() {
+			if b.writer, err = spill.NewWriter(cfg.Store); err != nil {
 				return err
 			}
-			b.writer = w
 			st.SpilledBuckets++
 		}
 		for _, t := range b.mem {
@@ -106,7 +106,7 @@ func HashedSort(in stream.Stream, opt HSOptions, cfg Config) (stream.Stream, HSS
 			}
 		}
 		memUsed -= b.memSize
-		b.mem = nil
+		b.mem = b.mem[:0]
 		b.memSize = 0
 		return nil
 	}
@@ -132,7 +132,7 @@ func HashedSort(in stream.Stream, opt HSOptions, cfg Config) (stream.Stream, HSS
 		st.InputTuples++
 		t := r.Tuple
 		b := buckets[storage.HashKeyFNV(t, opt.HashKey)%uint64(len(buckets))]
-		if b.writer != nil {
+		if b.spilled() {
 			// Once flushed, a bucket stays disk-bound (Section 3.2).
 			if err = b.writer.Write(t); err != nil {
 				return fail(err)
@@ -149,7 +149,7 @@ func HashedSort(in stream.Stream, opt HSOptions, cfg Config) (stream.Stream, HSS
 				}
 			}
 		}
-		if b.writer != nil { // b itself was the victim
+		if b.spilled() { // b itself was the victim
 			if err = b.writer.Write(t); err != nil {
 				return fail(err)
 			}
@@ -166,7 +166,7 @@ func HashedSort(in stream.Stream, opt HSOptions, cfg Config) (stream.Stream, HSS
 	for _, b := range buckets {
 		if b.count > 0 {
 			st.Buckets++
-			if b.writer == nil {
+			if !b.spilled() {
 				st.MemoryResident++
 			}
 		}
@@ -175,7 +175,7 @@ func HashedSort(in stream.Stream, opt HSOptions, cfg Config) (stream.Stream, HSS
 	// Sort order: memory-resident buckets, then disk-resident buckets
 	// (Section 3.2's prescribed order).
 	onDisk := func(b *hsBucket) int {
-		if b.writer != nil {
+		if b.spilled() {
 			return 1
 		}
 		return 0
@@ -188,27 +188,35 @@ func HashedSort(in stream.Stream, opt HSOptions, cfg Config) (stream.Stream, HSS
 	} else if st.SpilledBuckets > 0 && arena.Mark() != (storage.ArenaMark{}) {
 		// The input is consumed and what spilled of it is on disk. What
 		// stayed in memory moves out of the arena — rows and strings, the
-		// previous step may have decoded both into it — and the arena
-		// starts over: the spilled buckets come back over the input. (An
-		// arena nothing was carved from — the input is a table's own rows
-		// — has nothing to hand back.)
-		keep := storage.NewTupleArena(arena.Stride())
+		// previous step may have decoded both into it — into the work's
+		// keep arena, the arena starts over, and it moves back to the
+		// arena's start: the spilled buckets come back after it, over the
+		// input. (An arena nothing was carved from — the input is a table's
+		// own rows — has nothing to hand back.)
 		survivors := 0
 		for _, b := range buckets {
 			survivors += len(b.mem)
 		}
-		keep.Reserve(survivors)
+		keep := w.keepArena()
 		for _, b := range buckets {
 			for i, t := range b.mem {
 				b.mem[i] = keep.CopyStrings(t)
 			}
 		}
 		arena.Reset()
+		arena.Reserve(survivors)
+		for _, b := range buckets {
+			for i, t := range b.mem {
+				b.mem[i] = arena.CopyStrings(t)
+			}
+		}
+		keep.Reset()
 	}
 
 	out := &hsStream{
 		arena:   arena,
 		sorter:  cfg.sorter(opt.SortKey),
+		work:    w,
 		buckets: buckets,
 		stats:   &st,
 	}
@@ -220,12 +228,11 @@ func HashedSort(in stream.Stream, opt HSOptions, cfg Config) (stream.Stream, HSS
 type hsStream struct {
 	arena   *storage.TupleArena // where spilled buckets are loaded
 	sorter  *xsort.Sorter       // one for every bucket
+	work    *work               // the buckets' and the loads' arrays; nil once given back
 	buckets []*hsBucket         // not yet emitted
-	// loaded buffers a spilled bucket's tuples. A bucket is sorted in
-	// place, or merged back into it when its sort spills, so current
-	// aliases it until the bucket is emitted — which is when the next
-	// bucket is loaded over it.
-	loaded  []storage.Tuple
+	// current is the bucket being emitted: sorted in place in its resident
+	// array, or loaded into work.tuples (and merged back into it when its
+	// sort spills), where it stays until the next bucket is loaded over it.
 	current []storage.Tuple
 	pos     int
 	stats   *HSStats
@@ -254,11 +261,13 @@ func (s *hsStream) Next() (stream.Row, bool) {
 			}
 		}
 		if b == nil {
+			s.end()
 			return stream.Row{}, false
 		}
 		sorted, sstats, err := s.sortBucket(b)
 		if err != nil {
 			s.err = err
+			s.end()
 			return stream.Row{}, false
 		}
 		if !sstats.InMemory {
@@ -274,7 +283,7 @@ func (s *hsStream) Next() (stream.Row, bool) {
 // released back to where the bucket began once its runs are written, and
 // the merge decodes over what was loaded.
 func (s *hsStream) sortBucket(b *hsBucket) ([]storage.Tuple, xsort.Stats, error) {
-	if b.writer == nil {
+	if !b.spilled() {
 		return s.sorter.SortTuples(b.mem)
 	}
 	mark := s.arena.Mark()
@@ -285,9 +294,9 @@ func (s *hsStream) sortBucket(b *hsBucket) ([]storage.Tuple, xsort.Stats, error)
 	return s.sorter.SortLoaded(tuples, mark)
 }
 
-// loadBucket reads a spilled bucket back and releases its file. Under the
-// flush rule a spilled bucket keeps nothing in memory: flush moves
-// everything out and later arrivals append to the file.
+// loadBucket reads a spilled bucket back into work.tuples and releases its
+// file. Under the flush rule a spilled bucket keeps nothing in memory:
+// flush moves everything out and later arrivals append to the file.
 func (s *hsStream) loadBucket(b *hsBucket) ([]storage.Tuple, error) {
 	f, err := b.writer.Finish()
 	if err != nil {
@@ -295,12 +304,12 @@ func (s *hsStream) loadBucket(b *hsBucket) ([]storage.Tuple, error) {
 		return nil, err
 	}
 	defer f.Release()
-	rd, err := spill.NewArenaReader(f, s.arena)
-	if err != nil {
+	rd := &s.work.reader
+	if err := rd.Open(f, s.arena); err != nil {
 		return nil, err
 	}
 	defer rd.Close()
-	tuples := slices.Grow(s.loaded[:0], b.count)
+	tuples := slices.Grow(s.work.tuples[:0], b.count)
 	for {
 		t, ok, err := rd.Next()
 		if err != nil {
@@ -311,14 +320,24 @@ func (s *hsStream) loadBucket(b *hsBucket) ([]storage.Tuple, error) {
 		}
 		tuples = append(tuples, t)
 	}
-	s.loaded = tuples
+	s.work.tuples = tuples
 	return tuples, nil
 }
 
-// Close releases the spill files of the buckets the stream was not read
-// through to.
-func (s *hsStream) Close() error {
+// end releases the spill files of the buckets the stream was not read
+// through to and gives the work back: the stream has emitted its last row.
+// Ending twice is harmless.
+func (s *hsStream) end() {
 	releaseBuckets(s.buckets)
-	s.buckets = nil
+	s.buckets, s.current, s.pos = nil, nil, 0
+	if s.work != nil {
+		s.work.giveBack()
+		s.work = nil
+	}
+}
+
+// Close ends the stream wherever its reader stopped.
+func (s *hsStream) Close() error {
+	s.end()
 	return s.err
 }

@@ -3,6 +3,8 @@ package reorder
 import (
 	"math/rand"
 	"os"
+	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -498,13 +500,15 @@ func (s *sabotagedStream) Next() (stream.Row, bool) {
 
 // TestHashedSortReleasesBucketsItDoesNotEmit — a Hashed Sort that fails in
 // its build phase (the spill directory disappears under it, so the next
-// bucket to flush cannot create its file) and one whose output is closed
-// after the first row both give up every bucket file they opened: the
-// directory is empty and the pool has its blocks back.
+// bucket to flush cannot create its file), one whose output is closed after
+// the first row and one read to its end all give up every bucket file they
+// opened: the directory is empty and the pool has its blocks back. Each
+// gives its work back too, with no row left in it.
 func TestHashedSortReleasesBucketsItDoesNotEmit(t *testing.T) {
 	rows := randTable(rand.New(rand.NewSource(3)), 5000, 100, 10)
 	opt := HSOptions{HashKey: []attrs.ID{0}, SortKey: attrs.AscSeq(0, 1), Buckets: 32}
 	_, idle := pagestore.PoolCounters()
+	takeWorks()
 
 	dir := t.TempDir()
 	cfg := Config{MemoryBytes: 2048, Store: pagestore.NewFileBacked(dir, 512, nil)}
@@ -519,12 +523,51 @@ func TestHashedSortReleasesBucketsItDoesNotEmit(t *testing.T) {
 	if _, held := pagestore.PoolCounters(); held != idle {
 		t.Fatalf("failed build phase: %d blocks not handed back", held-idle)
 	}
+	checkWorksIdle(t, 1)
 
-	dir = t.TempDir()
-	cfg.Store = pagestore.NewFileBacked(dir, 512, nil)
-	out, st, err := HashedSort(stream.FromTuples(rows), opt, cfg)
+	for _, drain := range []bool{false, true} {
+		dir = t.TempDir()
+		cfg.Store = pagestore.NewFileBacked(dir, 512, nil)
+		out, st, err := HashedSort(stream.FromTuples(rows), opt, cfg)
+		if err != nil || st.SpilledBuckets < 2 {
+			t.Fatalf("err = %v, %d spilled buckets; want several", err, st.SpilledBuckets)
+		}
+		read := 0
+		for _, ok := out.Next(); ok && (drain || read == 0); _, ok = out.Next() {
+			read++
+		}
+		if drain != (read == len(rows)) {
+			t.Fatalf("read %d of %d rows", read, len(rows))
+		}
+		if err := out.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if left, _ := os.ReadDir(dir); len(left) != 0 {
+			t.Fatalf("drained %v: the stream left %d bucket files behind", drain, len(left))
+		}
+		if _, held := pagestore.PoolCounters(); held != idle {
+			t.Fatalf("drained %v: %d blocks not handed back", drain, held-idle)
+		}
+		checkWorksIdle(t, 1)
+	}
+}
+
+// TestSegmentedSortCloseClosesItsInput — a Segmented Sort abandoned after
+// its first row closes its input: over a spilling Hashed Sort, the
+// buckets it had not emitted give their files and pages back, and both
+// operators their works.
+func TestSegmentedSortCloseClosesItsInput(t *testing.T) {
+	rows := randTable(rand.New(rand.NewSource(5)), 5000, 100, 10)
+	cfg, _ := testConfig(2048)
+	_, idle := pagestore.PoolCounters()
+	takeWorks()
+	hs, st, err := HashedSort(stream.FromTuples(rows), HSOptions{HashKey: []attrs.ID{0}, SortKey: attrs.AscSeq(0), Buckets: 32}, cfg)
 	if err != nil || st.SpilledBuckets < 2 {
 		t.Fatalf("err = %v, %d spilled buckets; want several", err, st.SpilledBuckets)
+	}
+	out, _, err := SegmentedSort(hs, SSOptions{Alpha: attrs.AscSeq(0), Beta: attrs.AscSeq(1)}, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if _, ok := out.Next(); !ok {
 		t.Fatal("no first row")
@@ -532,10 +575,57 @@ func TestHashedSortReleasesBucketsItDoesNotEmit(t *testing.T) {
 	if err := out.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if left, _ := os.ReadDir(dir); len(left) != 0 {
-		t.Fatalf("abandoned stream left %d bucket files behind", len(left))
-	}
 	if _, held := pagestore.PoolCounters(); held != idle {
-		t.Fatalf("abandoned stream: %d blocks not handed back", held-idle)
+		t.Fatalf("%d blocks not handed back", held-idle)
+	}
+	checkWorksIdle(t, min(2, runtime.GOMAXPROCS(0)))
+	if err := out.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	checkWorksIdle(t, min(2, runtime.GOMAXPROCS(0)))
+}
+
+// takeWorks empties the free list of works, so a test counts what comes
+// back to it.
+func takeWorks() {
+	for works.Len() > 0 {
+		works.Get()
 	}
 }
+
+// checkWorksIdle asserts that the free list holds want works and that none
+// of them pins a row: every header array is clear to its capacity, no
+// bucket holds a file or a count, and the reader is closed.
+func checkWorksIdle(t *testing.T, want int) {
+	t.Helper()
+	idle := make([]*work, works.Len())
+	for i := range idle {
+		idle[i] = works.Get()
+	}
+	defer func() {
+		for _, w := range idle {
+			works.Put(w)
+		}
+	}()
+	if len(idle) != want {
+		t.Fatalf("%d works idle, want %d", len(idle), want)
+	}
+	for _, w := range idle {
+		if len(w.buckets)+len(w.order)+len(w.tuples) != 0 {
+			t.Fatalf("an idle work has %d buckets, %d in order and %d tuples in use", len(w.buckets), len(w.order), len(w.tuples))
+		}
+		for i, b := range w.buckets[:cap(w.buckets)] {
+			if b.spilled() || b.count != 0 || b.memSize != 0 || len(b.mem) != 0 || slices.ContainsFunc(b.mem[:cap(b.mem)], notNil) {
+				t.Fatalf("idle bucket %d holds rows or a file: %+v", i, b)
+			}
+		}
+		if slices.ContainsFunc(w.tuples[:cap(w.tuples)], notNil) || slices.ContainsFunc(w.order[:cap(w.order)], func(b *hsBucket) bool { return b != nil }) {
+			t.Fatal("an idle work's arrays hold rows or buckets")
+		}
+		if !reflect.ValueOf(w.reader).IsZero() {
+			t.Fatal("an idle work's reader is open")
+		}
+	}
+}
+
+func notNil(t storage.Tuple) bool { return t != nil }

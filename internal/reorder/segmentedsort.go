@@ -59,6 +59,7 @@ func SegmentedSort(in stream.Stream, opt SSOptions, cfg Config) (stream.Stream, 
 		sorter: cfg.sorter(opt.Beta),
 		segSet: attrs.MakeSet(opt.SegmentBy...),
 		stats:  st,
+		work:   works.Get(),
 	}, st, nil
 }
 
@@ -69,10 +70,11 @@ type ssStream struct {
 	segSet attrs.Set
 	stats  *SSStats
 
-	// unit buffers the α-group being read. A unit is sorted in place, or
-	// merged back into it when its sort spills, so current aliases it until
-	// the unit is emitted — which is when fillUnit next overwrites it.
-	unit     []storage.Tuple
+	// work.tuples buffers the α-group being read. A unit is sorted in
+	// place, or merged back into it when its sort spills, so current
+	// aliases it until the unit is emitted — which is when fillUnit next
+	// overwrites it. work goes back, and is nil, once the stream has ended.
+	work     *work
 	current  []storage.Tuple // sorted unit being emitted
 	pos      int
 	boundary bool // the unit being emitted starts a new segment
@@ -104,16 +106,44 @@ func (s *ssStream) Next() (stream.Row, bool) {
 			return r, true
 		}
 		if s.done {
+			s.end()
 			return stream.Row{}, false
 		}
 		if err := s.fillUnit(); err != nil {
 			s.err = err
+			s.end()
 			return stream.Row{}, false
 		}
 		if len(s.current) == 0 {
-			s.done = true
+			s.end()
 			return stream.Row{}, false
 		}
+	}
+}
+
+// closeInput closes the input the first time it is called; later calls
+// return nil.
+func (s *ssStream) closeInput() error {
+	if s.in == nil {
+		return nil
+	}
+	err := s.in.Close()
+	s.in = nil
+	return err
+}
+
+// end marks the stream done, gives the work back and closes the input —
+// its spill files, and whatever else it holds, go with it even when the
+// stream is abandoned before its input ran out. Ending twice is harmless.
+func (s *ssStream) end() {
+	s.done = true
+	s.current, s.pos, s.pending, s.prev = nil, 0, nil, nil
+	if s.work != nil {
+		s.work.giveBack()
+		s.work = nil
+	}
+	if err := s.closeInput(); err != nil && s.err == nil {
+		s.err = err
 	}
 }
 
@@ -124,7 +154,7 @@ func (s *ssStream) fillUnit() error {
 		if !ok {
 			s.done = true
 			s.current = nil
-			return s.in.Close()
+			return s.closeInput()
 		}
 		s.pending = r.Tuple
 		s.pendingSeg = true // first row of the stream starts a segment
@@ -139,12 +169,12 @@ func (s *ssStream) fillUnit() error {
 	}
 	head := s.pending
 	headSeg := s.pendingSeg
-	unit := append(s.unit[:0], head)
+	unit := append(s.work.tuples[:0], head)
 	s.pending = nil
 	for {
 		r, ok := s.in.Next()
 		if !ok {
-			if err := s.in.Close(); err != nil {
+			if err := s.closeInput(); err != nil {
 				return err
 			}
 			break
@@ -159,7 +189,7 @@ func (s *ssStream) fillUnit() error {
 		}
 		unit = append(unit, r.Tuple)
 	}
-	s.unit = unit
+	s.work.tuples = unit
 	sorted, sstats, err := s.sorter.SortTuples(unit)
 	if err != nil {
 		return err
@@ -180,9 +210,9 @@ func (s *ssStream) fillUnit() error {
 	return nil
 }
 
+// Close ends the stream wherever its reader stopped: its input is closed
+// too.
 func (s *ssStream) Close() error {
-	if s.err != nil {
-		return s.err
-	}
-	return nil
+	s.end()
+	return s.err
 }

@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"repro/internal/pagestore"
+	"repro/internal/recycle"
 	"repro/internal/storage"
 	"repro/internal/trace"
 	"repro/internal/xsort"
@@ -107,13 +108,15 @@ func WriteSnapshotMetrics(p *PromWriter, s Snapshot) {
 
 // WriteProcessMetrics emits what belongs to the process and not to one
 // service in it — the memory that outlives a statement: the spill block
-// pool, the sort workspace and the arena pool. The coordinator writes the
-// same families.
+// pool, the runs' workspace (of which the sort workspace is one list) and
+// the arena pool. The coordinator writes the same families.
 func WriteProcessMetrics(p *PromWriter) {
 	allocated, held := pagestore.PoolCounters()
 	p.Counter("windowdb_block_pool_allocated_total", "Spill blocks allocated because the process-wide pool had none free.", float64(allocated))
 	p.Gauge("windowdb_block_pool_held", "Spill blocks taken from the pool and not yet handed back.", float64(held))
-	p.Gauge("windowdb_sort_workspace_bytes", "Merge scratch the idle in-memory sort workspace retains.", float64(xsort.WorkspaceBytes()))
+	p.Gauge("windowdb_sort_workspace_bytes", "Merge scratch the idle in-memory sort workspace retains, part of windowdb_workspace_bytes.", float64(xsort.WorkspaceBytes()))
+	_, workspace := recycle.Idle()
+	p.Gauge("windowdb_workspace_bytes", "Spill files, reorder buckets and arrays, sort tournaments and scratch, and evaluator buffers idle in the free lists runs take their workspace from.", float64(workspace))
 	p.Gauge("windowdb_arena_pool_bytes", "Value, vector, header and byte slabs released chains left in the arena pool for the next chain to carve.", float64(storage.ArenaPoolBytes()))
 }
 

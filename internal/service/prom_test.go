@@ -77,6 +77,7 @@ func TestMetricsExposition(t *testing.T) {
 		"windowdb_block_pool_allocated_total",
 		"windowdb_block_pool_held",
 		"windowdb_sort_workspace_bytes",
+		"windowdb_workspace_bytes",
 		"windowdb_arena_pool_bytes",
 	} {
 		if !strings.Contains(body, "# HELP "+fam+" ") {
@@ -97,6 +98,12 @@ func TestMetricsExposition(t *testing.T) {
 		t.Errorf("sort_workspace_bytes has no sample")
 	} else if v, err := strconv.ParseFloat(m[1], 64); err != nil || v < 24 {
 		t.Errorf("sort_workspace_bytes = %q after in-memory sorts, want the retained scratch", m[1])
+	}
+
+	if m := regexp.MustCompile(`(?m)^windowdb_workspace_bytes (\S+)$`).FindStringSubmatch(body); m == nil {
+		t.Errorf("workspace_bytes has no sample")
+	} else if v, err := strconv.ParseFloat(m[1], 64); err != nil || v <= 0 {
+		t.Errorf("workspace_bytes = %q after two statements, want the workspace their runs gave back", m[1])
 	}
 
 	if m := regexp.MustCompile(`(?m)^windowdb_arena_pool_bytes (\S+)$`).FindStringSubmatch(body); m == nil {

@@ -13,23 +13,24 @@ import (
 	"repro/internal/storage"
 )
 
-// Writer appends tuples to a spill file.
+// Writer appends tuples to a spill file. It is a handle on the file, passed
+// by value; the zero Writer has no file.
 type Writer struct {
 	file *pagestore.File
 }
 
 // NewWriter creates a fresh spill file in store.
-func NewWriter(store *pagestore.Store) (*Writer, error) {
+func NewWriter(store *pagestore.Store) (Writer, error) {
 	f, err := store.Create()
 	if err != nil {
-		return nil, err
+		return Writer{}, err
 	}
-	return &Writer{file: f}, nil
+	return Writer{file: f}, nil
 }
 
 // Write appends one tuple, encoded in the store's scratch buffer, which
 // every writer of the store shares.
-func (w *Writer) Write(t storage.Tuple) error {
+func (w Writer) Write(t storage.Tuple) error {
 	buf := w.file.Store().Scratch()
 	*buf = storage.AppendTuple((*buf)[:0], t)
 	_, err := w.file.Write(*buf)
@@ -37,22 +38,24 @@ func (w *Writer) Write(t storage.Tuple) error {
 }
 
 // Finish seals the file and returns it for reading.
-func (w *Writer) Finish() (*pagestore.File, error) {
+func (w Writer) Finish() (*pagestore.File, error) {
 	if err := w.file.Seal(); err != nil {
 		return nil, err
 	}
 	return w.file, nil
 }
 
-// File returns the underlying file (valid before Finish for size queries).
-func (w *Writer) File() *pagestore.File { return w.file }
+// File returns the underlying file (valid before Finish for size queries),
+// nil for the zero Writer.
+func (w Writer) File() *pagestore.File { return w.file }
 
 // Abort gives up the file, finished or not, and releases what it holds.
-func (w *Writer) Abort() { w.file.Release() }
+func (w Writer) Abort() { w.file.Release() }
 
-// Reader decodes tuples back out of a sealed spill file.
+// Reader decodes tuples back out of a sealed spill file. The zero Reader is
+// closed; Open points it at a file.
 type Reader struct {
-	rd    *pagestore.Reader
+	rd    pagestore.Reader
 	store *pagestore.Store // where buf came from
 	arena *storage.TupleArena
 	buf   []byte
@@ -65,21 +68,28 @@ type Reader struct {
 // tuples it returns are decoded into an arena of the reader's own and have
 // no spare capacity.
 func NewReader(f *pagestore.File) (*Reader, error) {
-	return NewArenaReader(f, storage.NewTupleArena(0))
-}
-
-// NewArenaReader is NewReader decoding into arena, which the readers of one
-// merge or one bucket share: the rows come out with the arena's row
-// capacity, laid out in the order they were read. The read buffer is one
-// page from the store's block pool — what the merge-order arithmetic of
-// xsort budgets per run — and grows only for a tuple that does not fit in
-// it; Close hands it back.
-func NewArenaReader(f *pagestore.File, arena *storage.TupleArena) (*Reader, error) {
-	rd, err := f.NewReader()
-	if err != nil {
+	r := new(Reader)
+	if err := r.Open(f, storage.NewTupleArena(0)); err != nil {
 		return nil, err
 	}
-	return &Reader{rd: rd, store: f.Store(), arena: arena, buf: f.Store().Block()}, nil
+	return r, nil
+}
+
+// Open points r, closed, at the start of the sealed file f, decoding into
+// arena, which the readers of one merge or one bucket share: the rows come
+// out with the arena's row capacity, laid out in the order they were read.
+// The read buffer is one page from the store's block pool — what the
+// merge-order arithmetic of xsort budgets per run — and grows only for a
+// tuple that does not fit in it; Close hands it back. A reader kept in an
+// array (a merge's, a bucket load's) is opened where it lies and allocates
+// nothing.
+func (r *Reader) Open(f *pagestore.File, arena *storage.TupleArena) error {
+	*r = Reader{store: f.Store(), arena: arena}
+	if err := r.rd.Open(f); err != nil {
+		return err
+	}
+	r.buf = r.store.Block()
+	return nil
 }
 
 // Next returns the next tuple; ok is false at end of file.
@@ -128,7 +138,7 @@ func (r *Reader) refill() error {
 }
 
 // Close releases the reader and its page buffer; the tuples it returned
-// stay valid. Closing twice is harmless.
+// stay valid. Closing twice, or a zero Reader, is harmless.
 func (r *Reader) Close() {
 	if r.buf != nil {
 		r.store.Recycle(r.buf)

@@ -200,7 +200,7 @@ func TestWritesShareTheStoresBuffer(t *testing.T) {
 	}() {
 		store.Recycle(b)
 	}
-	ws := make([]*Writer, writers+1)
+	ws := make([]Writer, writers+1)
 	for i := range ws {
 		w, err := NewWriter(store)
 		if err != nil {
@@ -253,9 +253,9 @@ func TestReadsIntoAWarmArenaAllocateNothing(t *testing.T) {
 		t.Fatalf("the file is %d pages, want a multi-page file", f.Blocks())
 	}
 	arena := storage.NewPooledTupleArena(3)
-	rds := make([]*Reader, reads+1)
+	rds := make([]Reader, reads+1)
 	for i := range rds {
-		if rds[i], err = NewArenaReader(f, arena); err != nil {
+		if err := rds[i].Open(f, arena); err != nil {
 			t.Fatal(err)
 		}
 		defer rds[i].Close()
@@ -263,7 +263,7 @@ func TestReadsIntoAWarmArenaAllocateNothing(t *testing.T) {
 	read := 0
 	// AllocsPerRun's first call carves the slabs its Recycle hands back.
 	allocs := testing.AllocsPerRun(reads, func() {
-		rd := rds[read]
+		rd := &rds[read]
 		for i := 0; ; i++ {
 			tu, ok, err := rd.Next()
 			if err != nil {
@@ -311,8 +311,8 @@ func TestArenaReadersShareOneArena(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rd, err := NewArenaReader(f, arena)
-		if err != nil {
+		rd := new(Reader)
+		if err := rd.Open(f, arena); err != nil {
 			t.Fatal(err)
 		}
 		defer rd.Close()

@@ -279,6 +279,14 @@ func (a *TupleArena) stringVal(b []byte) Value {
 	return Value{num: uint64(len(b)), ptr: unsafe.Pointer(unsafe.SliceData(dst))}
 }
 
+// Bytes returns the memory the arena's slabs hold.
+func (a *TupleArena) Bytes() int64 { return a.slabSet().bytes() }
+
+// slabSet returns the slabs the arena holds.
+func (a *TupleArena) slabSet() slabSet {
+	return slabSet{vals: a.vals.list, strs: a.strs.list, vecs: a.vecs.list, hdrs: a.hdrs.list}
+}
+
 // Mark returns the current carving position.
 func (a *TupleArena) Mark() ArenaMark {
 	return ArenaMark{valSlab: a.vals.cur, valOff: a.vals.off, strSlab: a.strs.cur, strOff: a.strs.off}
@@ -301,7 +309,7 @@ func (a *TupleArena) Reset() { a.Release(ArenaMark{}) }
 // arena to carve. No row, string, vector or array carved from the arena may
 // be read afterwards. The arena is empty afterwards, as if new.
 func (a *TupleArena) Recycle() {
-	set := slabSet{vals: a.vals.list, strs: a.strs.list, vecs: a.vecs.list, hdrs: a.hdrs.list}
+	set := a.slabSet()
 	*a = TupleArena{stride: a.stride, pooled: a.pooled}
 	slabPool.put(set)
 }

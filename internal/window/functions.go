@@ -9,12 +9,14 @@ import (
 )
 
 // Evaluator computes window functions partition by partition over rows
-// already in an order that matches each (EvaluateSlice, ExtendSlice). It
-// owns every buffer a partition needs — frame bounds, peer groups, prefix
-// sums, the min/max deque, ExtendSlice's values — and reuses them from one
-// partition and one function to the next, so a chain that evaluates all its
-// functions with one Evaluator allocates them once, for its largest
-// partition. The zero value is ready to use. Not safe for concurrent use.
+// already in an order that matches each (EvaluateSlice). It owns every
+// buffer a partition needs — frame bounds, peer groups, prefix sums, the
+// min/max deque — and reuses them from one partition and one function to
+// the next, so a chain that evaluates all its functions with one Evaluator
+// allocates them once, for its largest partition, and an executor that
+// keeps one from run to run allocates them once for all its runs. The
+// buffers hold no row between two evaluations. The zero value is ready to
+// use. Not safe for concurrent use.
 type Evaluator struct {
 	spec Spec // the function being evaluated
 
@@ -23,7 +25,11 @@ type Evaluator struct {
 	sumF         []float64
 	sumI, counts []int64
 	deque        []int
-	scratch      []storage.Value // ExtendSlice's values of one partition
+}
+
+// Bytes returns the memory the evaluator's buffers retain.
+func (e *Evaluator) Bytes() int64 {
+	return 8 * int64(cap(e.lo)+cap(e.hi)+cap(e.peerS)+cap(e.peerE)+cap(e.sumF)+cap(e.sumI)+cap(e.counts)+cap(e.deque))
 }
 
 // sized returns buf resized to n elements, reallocating only to grow. The

@@ -7,15 +7,17 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/window"
 )
 
 // TestAllFunctionsAgainstReference holds the evaluator to the definition:
 // the windows of generated statements, grouped by the kind of each
 // statement's first window, over the statement's WHERE survivors arranged
-// in the window's order. One Evaluator evaluates every one of them, into a
-// column and into the rows, over partitions that grow and shrink from one
-// window to the next, and each value must be window.Reference's.
+// in the window's order. One Evaluator evaluates every one of them into a
+// column, over partitions that grow and shrink from one window to the next,
+// the stream form Evaluate into copies of the rows, and each value must be
+// window.Reference's.
 func TestAllFunctionsAgainstReference(t *testing.T) {
 	cases, hit := gen.Cases(300), gen.Hits{}
 	var ev window.Evaluator
@@ -47,8 +49,9 @@ func TestAllFunctionsAgainstReference(t *testing.T) {
 }
 
 // evaluate runs w over rows arranged in its order (PARTITION BY, then
-// ORDER BY, ties in table order), into a column and into copies of the
-// rows, and compares both with window.Reference over the rows as they are.
+// ORDER BY, ties in table order), into a column with ev and into copies of
+// the rows with Evaluate, and compares both with window.Reference over the
+// rows as they are.
 func evaluate(ev *window.Evaluator, rows []storage.Tuple, w window.Spec) error {
 	want, err := window.Reference(rows, w)
 	if err != nil {
@@ -68,12 +71,14 @@ func evaluate(ev *window.Evaluator, rows []storage.Tuple, w window.Spec) error {
 	if err := ev.EvaluateSlice(arranged, w, col); err != nil {
 		return err
 	}
-	if err := ev.ExtendSlice(extended, w); err != nil {
+	out, err := window.Evaluate(stream.FromTuples(extended), w)
+	if err != nil {
 		return err
 	}
 	for i, p := range pos {
-		if !gen.Same(col[i], want[p]) || !gen.Same(extended[i][len(rows[p])], want[p]) {
-			return fmt.Errorf("row %v: column %s, extended %s, reference %s", rows[p], col[i], extended[i][len(rows[p])], want[p])
+		r, _ := out.Next()
+		if !gen.Same(col[i], want[p]) || !gen.Same(r.Tuple[len(rows[p])], want[p]) {
+			return fmt.Errorf("row %v: column %s, extended %s, reference %s", rows[p], col[i], r.Tuple[len(rows[p])], want[p])
 		}
 	}
 	return nil

@@ -35,8 +35,8 @@ func (s *Sorter) sortInMemory(rows []storage.Tuple) {
 		StableTuples(rows, s.compare)
 		return
 	}
-	sc := workspace.borrow(scratchLen(len(rows)))
-	defer workspace.giveBack(sc)
+	sc := borrowScratch(scratchLen(len(rows)))
+	defer giveBackScratch(sc)
 	sc.ids = ensure(sc.ids, len(rows))
 	if s.sortRange(sc, rows, 0, s.Key, 0) && s.Grouped != nil {
 		*s.Grouped += int64(len(rows))

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -16,16 +17,36 @@ import (
 )
 
 // checkTreeClean asserts what holds of a sorter whenever it is not sorting:
-// no leaf of its tree — to the array's capacity, not its length — holds a
-// tuple or a reader, so an idle sorter pins no row and no page.
+// it holds no tree, and no idle tree in the free list — to its arrays'
+// capacity, not their length — holds a tuple or a reader, so neither an
+// idle sorter nor the free list pins a row or a page.
 func checkTreeClean(t *testing.T, s *Sorter) {
 	t.Helper()
-	if len(s.tree.leaves) != 0 {
-		t.Errorf("idle tree has %d leaves in use", len(s.tree.leaves))
+	if s.tree != nil {
+		t.Errorf("an idle sorter holds a %d-leaf tree", len(s.tree.leaves))
 	}
-	for i, l := range s.tree.leaves[:cap(s.tree.leaves)] {
-		if l.tuple != nil || l.rd != nil {
-			t.Fatalf("leaf %d of an idle %d-leaf tree still holds tuple %v, reader %v", i, cap(s.tree.leaves), l.tuple, l.rd)
+	idle := make([]*loserTree, trees.Len())
+	for i := range idle {
+		idle[i] = trees.Get()
+	}
+	defer func() {
+		for _, tr := range idle {
+			trees.Put(tr)
+		}
+	}()
+	for _, tr := range idle {
+		if len(tr.leaves) != 0 || len(tr.readers) != 0 {
+			t.Errorf("an idle tree has %d leaves and %d readers in use", len(tr.leaves), len(tr.readers))
+		}
+		for i, l := range tr.leaves[:cap(tr.leaves)] {
+			if l.tuple != nil || l.rd != nil {
+				t.Fatalf("leaf %d of an idle %d-leaf tree still holds tuple %v, reader %v", i, cap(tr.leaves), l.tuple, l.rd)
+			}
+		}
+		for i, rd := range tr.readers[:cap(tr.readers)] {
+			if !reflect.ValueOf(rd).IsZero() {
+				t.Fatalf("reader %d of an idle tree is not zero", i)
+			}
 		}
 	}
 }
@@ -127,7 +148,7 @@ func TestCorruptRunReleasesSpillFiles(t *testing.T) {
 func TestFailedMergeReturnsItsPages(t *testing.T) {
 	store := pagestore.NewMem(128, nil)
 	s := &Sorter{Key: attrs.AscSeq(0, 1), MemoryBytes: 1024, Store: store}
-	writeRun := func(keys []int64, garbage bool) *run {
+	writeRun := func(keys []int64, garbage bool) *pagestore.File {
 		w, err := spill.NewWriter(store)
 		if err != nil {
 			t.Fatal(err)
@@ -146,30 +167,30 @@ func TestFailedMergeReturnsItsPages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return &run{file: f}
+		return f
 	}
 	long := make([]int64, 200)
 	for i := range long {
 		long[i] = int64(i / 4)
 	}
-	makeRuns := func(corruptAt int) []*run {
-		runs := []*run{writeRun([]int64{0, 1, 2}, false), writeRun(long, false), writeRun(long, false), writeRun([]int64{3, 3}, false)}
+	makeRuns := func(corruptAt int) []*pagestore.File {
+		runs := []*pagestore.File{writeRun([]int64{0, 1, 2}, false), writeRun(long, false), writeRun(long, false), writeRun([]int64{3, 3}, false)}
 		return slices.Insert(runs, corruptAt, writeRun([]int64{-1, 25}, true))
 	}
 	_, idle := pagestore.PoolCounters()
 	for _, corruptAt := range []int{0, 2, 4} {
-		for name, merge := range map[string]func([]*run) error{
-			"to run": func(runs []*run) error {
+		for name, merge := range map[string]func([]*pagestore.File) error{
+			"to run": func(runs []*pagestore.File) error {
 				_, err := s.mergeToRun(runs, storage.NewTupleArena(0))
 				return err
 			},
-			"to slice": func(runs []*run) error {
+			"to slice": func(runs []*pagestore.File) error {
 				_, err := s.mergeToSlice(runs, nil, 0, storage.NewTupleArena(0))
 				return err
 			},
 			// The same merge a step at a time, to see the tree at the failure.
-			"stepwise": func(runs []*run) error {
-				defer s.tree.release()
+			"stepwise": func(runs []*pagestore.File) error {
+				defer s.endTree()
 				if err := s.startMerge(runs, storage.NewTupleArena(0)); err != nil {
 					return err
 				}
@@ -209,11 +230,11 @@ func TestFailedMergeReturnsItsPages(t *testing.T) {
 	}
 }
 
-// TestTreeHoldsNoTuples — the tree outlives the sort that filled it, so it
-// is emptied whichever way the sort ends: sorts of growing and shrinking
-// leaf counts, and an input that panics while
-// runs are being formed, all leave every leaf zero — and the sorter fit for
-// the next sort.
+// TestTreeHoldsNoTuples — the tree goes back to the free list for the next
+// sort, so it is emptied whichever way the sort ends: sorts of growing and
+// shrinking leaf counts, and an input that panics while runs are being
+// formed, all leave every idle leaf and reader zero — and the sorter fit
+// for the next sort.
 func TestTreeHoldsNoTuples(t *testing.T) {
 	key := attrs.AscSeq(0, 1)
 	s := &Sorter{Key: key, Store: pagestore.NewMem(256, nil)}

@@ -1,6 +1,9 @@
 package xsort
 
 import (
+	"slices"
+
+	"repro/internal/pagestore"
 	"repro/internal/spill"
 	"repro/internal/storage"
 )
@@ -15,38 +18,38 @@ import (
 //
 // buf holds the tuples that filled the memory budget, at least one; next
 // supplies the rest.
-func (s *Sorter) formRuns(buf []storage.Tuple, next Input) ([]*run, error) {
-	defer s.tree.release()
-	leaves := s.tree.reset(len(buf))
+func (s *Sorter) formRuns(buf []storage.Tuple, next Input) ([]*pagestore.File, error) {
+	leaves := s.startTree(len(buf))
+	defer s.endTree()
 	for i, t := range buf {
 		leaves[i].seq, leaves[i].tuple = i, t
 	}
 	s.build()
 
 	var (
-		runs    []*run
-		writer  *spill.Writer
+		runs    []*pagestore.File
+		writer  spill.Writer
 		current = 0
 		seq     = len(buf)
 		err     error
 	)
-	fail := func(err error) ([]*run, error) {
-		if writer != nil {
+	fail := func(err error) ([]*pagestore.File, error) {
+		if writer.File() != nil {
 			writer.Abort()
 		}
 		releaseRuns(runs)
 		return nil, err
 	}
 	closeCurrent := func() error {
-		if writer == nil {
+		if writer.File() == nil {
 			return nil
 		}
 		f, err := writer.Finish()
 		if err != nil {
 			return err
 		}
-		runs = append(runs, &run{file: f})
-		writer = nil
+		runs = append(runs, f)
+		writer = spill.Writer{}
 		return nil
 	}
 	for w := s.tree.winner(); w.run != retired; w = s.tree.winner() {
@@ -56,7 +59,7 @@ func (s *Sorter) formRuns(buf []storage.Tuple, next Input) ([]*run, error) {
 			}
 			current = w.run
 		}
-		if writer == nil {
+		if writer.File() == nil {
 			if writer, err = spill.NewWriter(s.Store); err != nil {
 				return fail(err)
 			}
@@ -86,11 +89,13 @@ func (s *Sorter) formRuns(buf []storage.Tuple, next Input) ([]*run, error) {
 // the tree over their first tuples: leaf i is runs[i], so equal keys leave
 // in run order, and a run with nothing (left) in it is a retired leaf. On
 // error the caller's release closes what was opened.
-func (s *Sorter) startMerge(runs []*run, arena *storage.TupleArena) error {
-	leaves := s.tree.reset(len(runs))
+func (s *Sorter) startMerge(runs []*pagestore.File, arena *storage.TupleArena) error {
+	leaves := s.startTree(len(runs))
+	readers := slices.Grow(s.tree.readers[:0], len(runs))[:len(runs)]
+	s.tree.readers = readers
 	for i, r := range runs {
-		rd, err := spill.NewArenaReader(r.file, arena)
-		if err != nil {
+		rd := &readers[i]
+		if err := rd.Open(r, arena); err != nil {
 			return err
 		}
 		leaves[i].seq, leaves[i].rd = i, rd
@@ -136,10 +141,10 @@ func (s *Sorter) mergeNext() (storage.Tuple, bool, error) {
 // them. The merged tuples pass through arena on their way back out, so
 // what they took of it is released again. On error the runs are the
 // caller's to release; the readers and the half-written output are gone.
-func (s *Sorter) mergeToRun(runs []*run, arena *storage.TupleArena) (*run, error) {
+func (s *Sorter) mergeToRun(runs []*pagestore.File, arena *storage.TupleArena) (*pagestore.File, error) {
 	mark := arena.Mark()
 	defer arena.Release(mark)
-	defer s.tree.release()
+	defer s.endTree()
 	if err := s.startMerge(runs, arena); err != nil {
 		return nil, err
 	}
@@ -147,7 +152,7 @@ func (s *Sorter) mergeToRun(runs []*run, arena *storage.TupleArena) (*run, error
 	if err != nil {
 		return nil, err
 	}
-	abort := func(err error) (*run, error) {
+	abort := func(err error) (*pagestore.File, error) {
 		w.Abort()
 		return nil, err
 	}
@@ -168,7 +173,7 @@ func (s *Sorter) mergeToRun(runs []*run, arena *storage.TupleArena) (*run, error
 	if err != nil {
 		return abort(err)
 	}
-	return &run{file: f}, nil
+	return f, nil
 }
 
 // mergeToSlice merges the final wave of runs — n tuples — straight into
@@ -177,8 +182,8 @@ func (s *Sorter) mergeToRun(runs []*run, arena *storage.TupleArena) (*run, error
 // when it has the capacity (a sorted slice's input array always has), and
 // a slice of s.headers otherwise. On error the runs are the caller's to
 // release; the readers are closed.
-func (s *Sorter) mergeToSlice(runs []*run, dead []storage.Tuple, n int, arena *storage.TupleArena) ([]storage.Tuple, error) {
-	defer s.tree.release()
+func (s *Sorter) mergeToSlice(runs []*pagestore.File, dead []storage.Tuple, n int, arena *storage.TupleArena) ([]storage.Tuple, error) {
+	defer s.endTree()
 	if err := s.startMerge(runs, arena); err != nil {
 		return nil, err
 	}

@@ -1,10 +1,9 @@
 package xsort
 
 import (
-	"runtime"
-	"sync"
 	"unsafe"
 
+	"repro/internal/recycle"
 	"repro/internal/storage"
 )
 
@@ -140,19 +139,12 @@ func StableTuples(rows []storage.Tuple, cmp func(a, b storage.Tuple) int) {
 		mergeSort(rows, nil, cmp)
 		return
 	}
-	sc := workspace.borrow(need)
+	sc := borrowScratch(need)
 	// Deferred so a panicking comparison hands the scratch back too, once
 	// and empty.
-	defer workspace.giveBack(sc)
+	defer giveBackScratch(sc)
 	mergeSort(rows, sc.rows, cmp)
 }
-
-// maxRetainedHeaders is the longest scratch the workspace keeps (24 MB of
-// tuple headers): an in-memory reorder's scratch is a small fraction of its
-// M-block budget, but a final ORDER BY sorts whatever the statement
-// returns, and one huge result must not pin its scratch for the life of
-// the process.
-const maxRetainedHeaders = 1 << 20
 
 // sortScratch is what one in-memory sort borrows: the kernel's merge
 // scratch and, for the grouped sort (grouped.go), each row's group and
@@ -168,74 +160,29 @@ type sortScratch struct {
 	groups []int32
 }
 
-// scratchPool is a free list of sort scratch. It is a plain list and not a
-// sync.Pool because the scratch must survive a GC — a statement that finds
-// the pool emptied allocates half its row count in headers, which is what
-// the pool exists to avoid. It holds at most GOMAXPROCS scratches, the most
-// sorts that can be running at once, and keeps those with the longest rows
-// it has seen; a scratch in the list holds no tuple.
-type scratchPool struct {
-	mu   sync.Mutex
-	free []*sortScratch
-}
+// scratches is the free list of sort scratch. The scratch must survive a
+// GC — a statement that finds it emptied allocates half its row count in
+// headers, which is what the list exists to avoid — and a scratch in it
+// holds no tuple.
+var scratches = recycle.NewList((*sortScratch).bytes)
 
-var (
-	workspace scratchPool
-	// workspaceSlots is read once: runtime.GOMAXPROCS takes the scheduler
-	// lock, and every sort past an insertion block would ask.
-	workspaceSlots = runtime.GOMAXPROCS(0)
-)
-
-// borrow takes the free scratch with the shortest rows of at least n
-// headers out of the list, or allocates one, and returns it with rows of
-// length n. The caller owns it until giveBack.
-func (p *scratchPool) borrow(n int) *sortScratch {
-	p.mu.Lock()
-	best := -1
-	for i, sc := range p.free {
-		if cap(sc.rows) >= n && (best < 0 || cap(sc.rows) < cap(p.free[best].rows)) {
-			best = i
-		}
-	}
-	var sc *sortScratch
-	if best >= 0 {
-		last := len(p.free) - 1
-		sc = p.free[best]
-		p.free[best] = p.free[last]
-		p.free[last] = nil
-		p.free = p.free[:last]
-	}
-	p.mu.Unlock()
-	if sc == nil {
-		return &sortScratch{rows: make([]storage.Tuple, n)}
+// borrowScratch takes the free scratch that retains the least among those
+// with rows of at least n headers, or a new one, and returns it with rows
+// of length n. The caller owns it until giveBackScratch.
+func borrowScratch(n int) *sortScratch {
+	sc := scratches.GetFit(func(sc *sortScratch) bool { return cap(sc.rows) >= n })
+	if cap(sc.rows) < n {
+		sc.rows = make([]storage.Tuple, n)
 	}
 	sc.rows = sc.rows[:n]
 	return sc
 }
 
-// giveBack clears sc's rows — they were borrowed at the length that was
-// used — and puts it in the list, in place of the scratch with the
-// shortest rows when the list is full and those are shorter.
-func (p *scratchPool) giveBack(sc *sortScratch) {
+// giveBackScratch clears sc's rows — they were borrowed at the length that
+// was used — and puts it in the list.
+func giveBackScratch(sc *sortScratch) {
 	clear(sc.rows)
-	if cap(sc.rows) > maxRetainedHeaders {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.free) < workspaceSlots {
-		p.free = append(p.free, sc)
-		return
-	}
-	shortest := 0
-	for i, f := range p.free {
-		if cap(f.rows) < cap(p.free[shortest].rows) {
-			shortest = i
-		}
-	}
-	if cap(p.free[shortest].rows) < cap(sc.rows) {
-		p.free[shortest] = sc
-	}
+	scratches.Put(sc)
 }
 
 // bytes is the memory sc retains.
@@ -246,12 +193,8 @@ func (sc *sortScratch) bytes() int64 {
 
 // WorkspaceBytes reports the memory the idle sort workspace retains: the
 // scratch waiting in the free list, not the scratch a running sort holds.
+// It is part of recycle.Idle's bytes.
 func WorkspaceBytes() int64 {
-	workspace.mu.Lock()
-	defer workspace.mu.Unlock()
-	var n int64
-	for _, sc := range workspace.free {
-		n += sc.bytes()
-	}
+	_, n := scratches.Idle()
 	return n
 }

@@ -162,18 +162,25 @@ func TestSorterGoldenCount(t *testing.T) {
 }
 
 // checkWorkspaceClean asserts what holds of the free list whenever no sort
-// is running: at most workspaceSlots scratches, no two of them the same
+// is running: at most GOMAXPROCS scratches, no two of them the same
 // memory, and every slot of every one's rows — to its capacity, not its
 // length — the zero Tuple, so an idle workspace pins no row.
 func checkWorkspaceClean(t *testing.T) {
 	t.Helper()
-	workspace.mu.Lock()
-	defer workspace.mu.Unlock()
-	if len(workspace.free) > workspaceSlots {
-		t.Errorf("workspace holds %d scratches, over its %d slots", len(workspace.free), workspaceSlots)
+	idle := make([]*sortScratch, scratches.Len())
+	for i := range idle {
+		idle[i] = scratches.Get()
+	}
+	defer func() {
+		for _, sc := range idle {
+			scratches.Put(sc)
+		}
+	}()
+	if slots := runtime.GOMAXPROCS(0); len(idle) > slots {
+		t.Errorf("workspace holds %d scratches, over its %d slots", len(idle), slots)
 	}
 	seen := map[*storage.Tuple]bool{}
-	for _, sc := range workspace.free {
+	for _, sc := range idle {
 		b := sc.rows[:cap(sc.rows)]
 		if seen[&b[0]] {
 			t.Errorf("workspace holds one scratch twice")
@@ -185,12 +192,6 @@ func checkWorkspaceClean(t *testing.T) {
 			}
 		}
 	}
-}
-
-func workspaceLen() int {
-	workspace.mu.Lock()
-	defer workspace.mu.Unlock()
-	return len(workspace.free)
 }
 
 // TestWorkspaceHoldsNoTuples — a buffer back in the free list is all zero
@@ -217,7 +218,7 @@ func TestWorkspaceSurvivesPanic(t *testing.T) {
 	rows := randRows(rand.New(rand.NewSource(11)), 2000, 12)
 	key := attrs.AscSeq(0, 1)
 	StableTuples(slices.Clone(rows), func(a, b storage.Tuple) int { return storage.CompareSeq(a, b, key) })
-	before := workspaceLen()
+	before := scratches.Len()
 
 	for _, after := range []int{1, 500, 15000} {
 		func() {
@@ -234,7 +235,7 @@ func TestWorkspaceSurvivesPanic(t *testing.T) {
 				return storage.CompareSeq(a, b, key)
 			})
 		}()
-		if got := workspaceLen(); got != before {
+		if got := scratches.Len(); got != before {
 			t.Fatalf("workspace holds %d buffers after a panic at comparison %d, held %d before", got, after, before)
 		}
 		checkWorkspaceClean(t)

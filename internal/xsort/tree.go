@@ -2,7 +2,9 @@ package xsort
 
 import (
 	"math"
+	"unsafe"
 
+	"repro/internal/recycle"
 	"repro/internal/spill"
 	"repro/internal/storage"
 )
@@ -17,7 +19,7 @@ type leaf struct {
 	run   int // run formation: the run the tuple goes out in; merge: 0; or retired
 	seq   int // what decides between equal keys: arrival number, or index of the merged run
 	tuple storage.Tuple
-	rd    *spill.Reader // merge: where the leaf's next tuple comes from, nil once closed
+	rd    *spill.Reader // merge: where the leaf's next tuple comes from (its tree's readers[i]), nil once closed
 }
 
 // loserTree is a tournament tree of losers (Knuth 5.4.1) over k ≥ 1 fixed
@@ -31,32 +33,54 @@ type leaf struct {
 // A match is decided by (run, key, seq). Only the key is a counted
 // Sorter.compare; run and seq are integer tests, and seq being distinct per
 // leaf makes the order total: equal keys leave in arrival order.
+//
+// A sorter borrows its tree from trees for one phase — run formation, or
+// one merge — and gives it back at the phase's end, so the arrays serve
+// every sort of the process; readers holds a merge's open runs, leaf i
+// reading through readers[i].
 type loserTree struct {
-	leaves []leaf
-	node   []int
+	leaves  []leaf
+	node    []int
+	readers []spill.Reader
 }
 
-// reset sizes the tree for k leaves, reusing what it has, and returns them
+// trees is the free list sorters borrow their tournaments from.
+var trees = recycle.NewList(func(t *loserTree) int64 {
+	return int64(unsafe.Sizeof(*t)) + int64(cap(t.leaves))*int64(unsafe.Sizeof(leaf{})) + int64(cap(t.node))*int64(unsafe.Sizeof(0)) +
+		int64(cap(t.readers))*int64(unsafe.Sizeof(spill.Reader{}))
+})
+
+// startTree borrows the sorter's tree, sized for k leaves, and returns them
 // zeroed for the caller to fill before build.
-func (t *loserTree) reset(k int) []leaf {
+func (s *Sorter) startTree(k int) []leaf {
+	t := trees.Get()
 	if cap(t.leaves) < k {
 		t.leaves = make([]leaf, k)
 		t.node = make([]int, k)
 	}
 	t.leaves, t.node = t.leaves[:k], t.node[:k]
+	s.tree = t
 	return t.leaves
 }
 
-// release closes the readers of the runs a merge has not exhausted and
-// drops every tuple, so an idle sorter pins no row and no page.
-func (t *loserTree) release() {
+// endTree closes the readers of the runs a merge has not exhausted, drops
+// every tuple and reader and gives the tree back, so an idle sorter pins no
+// row and no page, and neither does the free list.
+func (s *Sorter) endTree() {
+	t := s.tree
+	if t == nil {
+		return
+	}
 	for i := range t.leaves {
 		if rd := t.leaves[i].rd; rd != nil {
 			rd.Close()
 		}
 	}
 	clear(t.leaves)
-	t.leaves = t.leaves[:0]
+	clear(t.readers)
+	t.leaves, t.readers = t.leaves[:0], t.readers[:0]
+	s.tree = nil
+	trees.Put(t)
 }
 
 // winner is the leaf every other one lost to, directly or not.
@@ -97,7 +121,7 @@ func (s *Sorter) play(p int) int {
 // replay plays the winner's leaf, whose content has changed, against the
 // losers stored on its path to the root; whoever is left is the new winner.
 func (s *Sorter) replay() {
-	t := &s.tree
+	t := s.tree
 	w := t.node[0]
 	for p := (w + len(t.leaves)) / 2; p > 0; p /= 2 {
 		if s.beats(t.node[p], w) {

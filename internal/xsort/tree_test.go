@@ -17,7 +17,7 @@ import (
 // one run and tagged with their position, built.
 func filledTree(rows []storage.Tuple, cmps *int64) *Sorter {
 	s := &Sorter{Key: attrs.AscSeq(0), Comparisons: cmps}
-	leaves := s.tree.reset(len(rows))
+	leaves := s.startTree(len(rows))
 	for i, r := range rows {
 		leaves[i].seq, leaves[i].tuple = i, r
 	}

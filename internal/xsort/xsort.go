@@ -10,8 +10,8 @@
 // kernel Stable. Both keep equal keys in input order — a
 // match between equal keys goes to the earlier arrival, or the earlier run —
 // so a sort returns the same permutation whether or not its budget made it
-// spill. The tree belongs to the Sorter and is reused by all its sorts; it
-// holds no tuple and no reader between them.
+// spill. The tree is borrowed from a process-wide free list for one phase
+// and given back, cleared, at its end.
 //
 // All spill traffic goes through a pagestore.Store so experiments observe
 // exact block-I/O counts, and every key comparison is counted, giving the
@@ -70,10 +70,9 @@ type Sorter struct {
 	// recycled, and allocated when it is nil.
 	Arena *storage.TupleArena
 
-	// tree is the tournament every external phase is played on, one at a
-	// time: its leaves and nodes are reused by all of the sorter's sorts and
-	// hold no tuple and no reader between them.
-	tree loserTree
+	// tree is the tournament the external phase under way is played on,
+	// borrowed for the phase (startTree, endTree): nil between phases.
+	tree *loserTree
 }
 
 // Stats reports what one Sort did.
@@ -235,7 +234,7 @@ func (s *Sorter) finish(buf []storage.Tuple, rest Input, rewind *storage.ArenaMa
 	// re-materialize; the final merge streams directly into the result.
 	fanIn := s.mergeOrder()
 	for len(runs) > fanIn {
-		var next []*run
+		var next []*pagestore.File
 		for lo := 0; lo < len(runs); lo += fanIn {
 			hi := lo + fanIn
 			if hi > len(runs) {
@@ -280,14 +279,13 @@ func (s *Sorter) mergeOrder() int {
 	return f
 }
 
-type run struct {
-	file *pagestore.File
-}
-
-func releaseRuns(runs []*run) {
-	for _, r := range runs {
-		if r != nil && r.file != nil {
-			r.file.Release()
+// releaseRuns releases the runs' files, once: a released file goes back to
+// its store for the next Create.
+func releaseRuns(runs []*pagestore.File) {
+	for i, f := range runs {
+		if f != nil {
+			f.Release()
+			runs[i] = nil
 		}
 	}
 }

@@ -54,14 +54,22 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-# Non-blank lines of non-test Go per package, then their total for module
-# repro — the size measures ROADMAP and CHANGES.md quote — so every CI log
-# records the trend.
+# Non-blank lines of non-test Go per package, then the two subtotals
+# ROADMAP quotes — the paper engine and serving — and the total for module
+# repro, so every CI log records the trend.
+ENGINE_PKGS = core exec reorder xsort window storage spill pagestore
+SERVING_PKGS = service shard
 loc:
 	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | while read pkg files; do \
 		[ -n "$$files" ] || continue; \
 		printf '%6d  %s\n' "$$(cat $$files | grep -cv '^[[:space:]]*$$')" "$$pkg"; \
-	done | awk '{ print; total += $$1 } END { printf "%6d  total (module repro)\n", total }'
+	done | awk -v engine="$(ENGINE_PKGS)" -v serving="$(SERVING_PKGS)" ' \
+		BEGIN { split(engine, e); for (i in e) eng["repro/internal/" e[i]] = 1; \
+			split(serving, v); for (i in v) srv["repro/internal/" v[i]] = 1 } \
+		{ print; total += $$1; if ($$2 in eng) et += $$1; if ($$2 in srv) st += $$1 } \
+		END { printf "%6d  subtotal (paper engine: %s)\n", et, engine; \
+			printf "%6d  subtotal (serving: %s)\n", st, serving; \
+			printf "%6d  total (module repro)\n", total }'
 
 # benchmark/ is its own module (replace repro => ../), so the root build,
 # vet and test never see it: this is the gate that an internal/* API

@@ -1,14 +1,19 @@
 // Command windserve is the HTTP/JSON front end of the query service: a
 // windowdb.Engine wrapped in internal/service's prepared-plan cache,
-// admission control and metrics, listening on three endpoints:
+// admission control and metrics, serving
 //
 //	POST /query   {"sql": "SELECT ...", "max_rows": 100, "timeout_ms": 5000}
 //	GET  /query?q=SELECT+...
+//	POST /append  one batch of rows for a registered table
 //	GET  /stats   service counters (QPS, p50/p95/p99, cache, admission)
 //	GET  /healthz liveness probe
+//	GET  /metrics Prometheus exposition
+//	GET  /debug/trace/[{id}]           recent statement traces
+//	GET, DELETE /debug/queries[/{id}]  in-flight statements; DELETE kills
 //
-// plus the /shard/* routes (query/register/table/distinct) that let a
-// cluster coordinator use this process as a shard node.
+// plus, with -shardnode, the /shard/* routes (query, register, distinct,
+// shuffle) that let a cluster coordinator use this process as a shard
+// node. A coordinator serves the same public routes.
 //
 // /query answers buffered JSON by default; "stream":true, ?stream=1 or
 // `Accept: application/x-ndjson` switches to the chunked NDJSON row
@@ -92,19 +97,21 @@ func main() {
 		Parallelism:  *parallelism,
 	}
 
+	front := service.FrontConfig{
+		CacheEntries:     *cache,
+		DefaultTimeout:   *timeout,
+		TraceRing:        *traceRing,
+		SlowLogThreshold: *slowlog,
+		SlowLogRate:      *slowlograte,
+	}
+
 	startPprof(*pprofAddr)
 
 	if *shards != "" {
 		// Coordinator role. Chains run on the shard nodes: -slots, -budget
 		// and -queue govern their admission and are set where those
 		// processes start.
-		serveCoordinator(coordinatorConfig{
-			shardList: *shards, addr: *addr, eng: engCfg,
-			rows: *rows, cacheEntries: *cache,
-			timeout: *timeout,
-			csvPath: *csvPath, csvTable: *csvTable,
-			slowlog: *slowlog, slowlogRate: *slowlograte, traceRing: *traceRing,
-		})
+		serveCoordinator(*shards, *addr, shard.Config{FrontConfig: front, Engine: engCfg}, *rows, *csvPath, *csvTable)
 		return
 	}
 
@@ -117,20 +124,16 @@ func main() {
 	}
 
 	svc := service.New(eng, service.Config{
+		FrontConfig:       front,
 		MemoryBudgetBytes: *budget,
 		Slots:             *slots,
 		MaxQueue:          *queue,
-		CacheEntries:      *cache,
 		SubplanEntries:    *subplans,
 		DisableSharing:    !*share,
-		DefaultTimeout:    *timeout,
 		// Only shard nodes expose the /shard/* surface: register/table
 		// would let any client overwrite or dump tables on a public
 		// single-engine server.
-		ShardRoutes:      *shardNode,
-		TraceRing:        *traceRing,
-		SlowLogThreshold: *slowlog,
-		SlowLogRate:      *slowlograte,
+		ShardRoutes: *shardNode,
 	})
 
 	role := "engine"
@@ -142,24 +145,13 @@ func main() {
 	serve(*addr, svc.Handler())
 }
 
-// coordinatorConfig carries the coordinator role's flag values.
-type coordinatorConfig struct {
-	shardList, addr    string
-	eng                windowdb.Config
-	rows, cacheEntries int
-	timeout            time.Duration
-	csvPath, csvTable  string
-	slowlog            time.Duration
-	slowlogRate        int
-	traceRing          int
-}
-
-// serveCoordinator forms a cluster over the named shard nodes, distributes
-// the standard tables, and serves the coordinator front end.
-func serveCoordinator(cfg coordinatorConfig) {
+// serveCoordinator forms a cluster over the comma-separated shard nodes,
+// distributes the standard tables (rows deep) and any CSV file, and serves
+// the coordinator front end on addr.
+func serveCoordinator(shardList, addr string, cfg shard.Config, rows int, csvPath, csvTable string) {
 	var transports []shard.Transport
 	var addrs []string
-	for _, a := range strings.Split(cfg.shardList, ",") {
+	for _, a := range strings.Split(shardList, ",") {
 		a = strings.TrimSpace(a)
 		if a == "" {
 			continue
@@ -167,14 +159,7 @@ func serveCoordinator(cfg coordinatorConfig) {
 		addrs = append(addrs, a)
 		transports = append(transports, shard.NewHTTP(a, nil))
 	}
-	cluster, err := shard.New(shard.Config{
-		Engine:           cfg.eng,
-		CacheEntries:     cfg.cacheEntries,
-		DefaultTimeout:   cfg.timeout,
-		TraceRing:        cfg.traceRing,
-		SlowLogThreshold: cfg.slowlog,
-		SlowLogRate:      cfg.slowlogRate,
-	}, transports)
+	cluster, err := shard.New(cfg, transports)
 	if err != nil {
 		log.Fatalf("windserve: %v", err)
 	}
@@ -195,16 +180,16 @@ func serveCoordinator(cfg coordinatorConfig) {
 	}
 
 	ctx := context.Background()
-	if err := cli.RegisterStandardTablesSharded(ctx, cluster, cfg.rows); err != nil {
+	if err := cli.RegisterStandardTablesSharded(ctx, cluster, rows); err != nil {
 		log.Fatalf("windserve: sharding tables: %v", err)
 	}
-	if err := cli.RegisterCSVReplicated(ctx, cluster, cfg.csvPath, cfg.csvTable); err != nil {
+	if err := cli.RegisterCSVReplicated(ctx, cluster, csvPath, csvTable); err != nil {
 		log.Fatalf("windserve: %v", err)
 	}
 
 	fmt.Printf("windserve: coordinator listening on %s (%d shards: %s)\n",
-		cfg.addr, cluster.Shards(), strings.Join(addrs, ", "))
-	serve(cfg.addr, cluster.Handler())
+		addr, cluster.Shards(), strings.Join(addrs, ", "))
+	serve(addr, cluster.Handler())
 }
 
 // startPprof exposes net/http/pprof on its own private listener when

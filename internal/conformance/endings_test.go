@@ -14,14 +14,16 @@ import (
 	windowdb "repro"
 	"repro/internal/service"
 	"repro/internal/shard"
+	"repro/internal/sql"
 	"repro/internal/trace"
 )
 
 // The endings matrix: every way a statement can end — drained, closed
 // early, its caller's context cancelled, killed through the registry, its
-// deadline passed, an error — against every way a front end serves one —
-// the buffered /query body and the streamed cursor of a service and of a
-// cluster coordinator, and a subscription on each. Each cell asserts what
+// deadline passed, the front end's default timeout passed, an error —
+// against every way a front end serves one — the buffered /query body and
+// the streamed cursor of a service and of a cluster coordinator, a
+// subscription and an INSERT on each. Each cell asserts what
 // the front end counted (served, aborted or failed, exactly one of them)
 // and that nothing the statement held is still held once its end has
 // returned — read at once, not waited for.
@@ -45,6 +47,7 @@ const (
 	// A subscription that cannot be maintained fails when it is opened,
 	// after it was admitted.
 	endingBadSubSQL = `SUBSCRIBE ` + endingSQL + ` ORDER BY r`
+	endingInsertSQL = `INSERT INTO web_sales VALUES (2450001, 1, 2450002, 1, 1, 1, 5, 1.5, 2.5, 2.0, 999999, 'x')`
 )
 
 // endingFront is one front end under the matrix.
@@ -80,8 +83,8 @@ func gated(h http.Handler) (http.Handler, chan struct{}) {
 
 // newServiceFront is a one-slot service: one open cursor holds everything
 // a second statement needs.
-func newServiceFront(t *testing.T) *endingFront {
-	svc := service.New(newEngine(), service.Config{Slots: 1})
+func newServiceFront(t *testing.T, fc service.FrontConfig) *endingFront {
+	svc := service.New(newEngine(), service.Config{FrontConfig: fc, Slots: 1})
 	h, done := gated(svc.Handler())
 	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
@@ -98,7 +101,7 @@ func newServiceFront(t *testing.T) *endingFront {
 }
 
 // newClusterFront is a coordinator over two one-slot nodes.
-func newClusterFront(t *testing.T) *endingFront {
+func newClusterFront(t *testing.T, fc service.FrontConfig) *endingFront {
 	ws, _ := dataset()
 	nodes := make([]*service.Service, 2)
 	shards := make([]shard.Transport, len(nodes))
@@ -106,7 +109,7 @@ func newClusterFront(t *testing.T) *endingFront {
 		nodes[i] = service.New(windowdb.New(engCfg()), service.Config{Slots: 1})
 		shards[i] = shard.NewLocal(nodes[i])
 	}
-	c, err := shard.New(shard.Config{Engine: engCfg()}, shards)
+	c, err := shard.New(shard.Config{FrontConfig: fc, Engine: engCfg()}, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,9 +366,69 @@ func (f *endingFront) bufferedEndings(t *testing.T) {
 	})
 }
 
+// insertEndings runs the endings of an INSERT, which is counted when its
+// append returns: served, or failed — a parse error, an append the table
+// refuses, a caller's context cancelled before it ran.
+func (f *endingFront) insertEndings(t *testing.T) {
+	insert := func(ctx context.Context, src string) error {
+		rows, err := f.q.QueryContext(ctx, src)
+		if err == nil {
+			rows.Close()
+		}
+		return err
+	}
+	f.cell(t, "appended", served, func(t *testing.T) {
+		if err := insert(context.Background(), endingInsertSQL); err != nil {
+			t.Fatal(err)
+		}
+	})
+	f.cell(t, "parse error", failed, func(t *testing.T) {
+		if err := insert(context.Background(), `INSERT INTO web_sales VALUES (`); !errors.Is(err, sql.ErrParse) {
+			t.Fatalf("err = %v, want sql.ErrParse", err)
+		}
+	})
+	f.cell(t, "append error", failed, func(t *testing.T) {
+		if err := insert(context.Background(), `INSERT INTO web_sales VALUES (1)`); err == nil {
+			t.Fatal("a row of the wrong arity was appended")
+		}
+	})
+	f.cell(t, "context cancelled", failed, func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if err := insert(ctx, endingInsertSQL); !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	})
+}
+
+// defaultTimeoutEnding: a statement with no deadline of its own waits for
+// admission behind a cursor that holds every slot it needs until the front
+// end's DefaultTimeout passes. The holder carries a deadline of its own, so
+// the default leaves it alone; its early close is the cell's abort.
+func (f *endingFront) defaultTimeoutEnding(t *testing.T) {
+	f.cell(t, "default timeout", tally{aborted: 1, failures: 1}, func(t *testing.T) {
+		hctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		holder, err := f.q.QueryContext(hctx, endingSQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer holder.Close()
+		read(t, holder, 1)
+		rows, err := f.q.QueryContext(context.Background(), endingSQL)
+		if err == nil {
+			rows.Close()
+			t.Fatal("a statement behind a held slot opened a cursor")
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+		}
+	})
+}
+
 func TestEndingsMatrix(t *testing.T) {
-	for _, newFront := range []func(*testing.T) *endingFront{newServiceFront, newClusterFront} {
-		f := newFront(t)
+	for _, newFront := range []func(*testing.T, service.FrontConfig) *endingFront{newServiceFront, newClusterFront} {
+		f := newFront(t, service.FrontConfig{})
 		t.Run(f.name+"/buffered", f.bufferedEndings)
 		t.Run(f.name+"/streamed", func(t *testing.T) { f.cursorEndings(t, endingSQL, endingBadSQL, false, false) })
 		if f.name == "cluster" {
@@ -375,5 +438,8 @@ func TestEndingsMatrix(t *testing.T) {
 		t.Run(f.name+"/subscription", func(t *testing.T) {
 			f.cursorEndings(t, "SUBSCRIBE "+endingSQL, endingBadSubSQL, true, f.name == "cluster")
 		})
+		t.Run(f.name+"/insert", f.insertEndings)
+		timed := newFront(t, service.FrontConfig{DefaultTimeout: 100 * time.Millisecond})
+		t.Run(f.name+"/default-timeout", timed.defaultTimeoutEnding)
 	}
 }

@@ -61,7 +61,6 @@ func (s *Service) Append(ctx context.Context, table string, rows []storage.Tuple
 	}
 	start, wm, err := s.eng.AppendAt(table, rows, atLeast)
 	if err != nil {
-		s.metrics.failures.Add(1)
 		return 0, 0, err
 	}
 	s.metrics.appends.Add(1)
@@ -119,21 +118,21 @@ func DecodeAppendBody(r *http.Request) (AppendRequest, []storage.Tuple, error) {
 func (s *Service) handleAppend(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")
-		writeError(w, http.StatusMethodNotAllowed, "request", errors.New("service: use POST"))
+		WriteError(w, http.StatusMethodNotAllowed, "request", errors.New("service: use POST"))
 		return
 	}
 	req, rows, err := DecodeAppendBody(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "request", err)
+		WriteError(w, http.StatusBadRequest, "request", err)
 		return
 	}
 	start, wm, err := s.Append(r.Context(), req.Table, rows, req.Watermark)
 	if err != nil {
 		status, kind := AppendStatus(err)
-		writeError(w, status, kind, err)
+		WriteError(w, status, kind, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, AppendResponse{
+	WriteJSON(w, http.StatusOK, AppendResponse{
 		Table: req.Table, StartRid: start, RowsAppended: len(rows), Watermark: wm,
 	})
 }

@@ -144,7 +144,7 @@ func TestCacheHammer(t *testing.T) {
 	eng := windowdb.New(windowdb.Config{SortMemBytes: 4 << 20, Parallelism: 1})
 	eng.Register("web_sales", ws[0])
 	eng.Register("emptab", emp[0])
-	svc := New(eng, Config{Slots: 4, CacheEntries: 8, SubplanEntries: 4})
+	svc := New(eng, Config{Slots: 4, FrontConfig: FrontConfig{CacheEntries: 8}, SubplanEntries: 4})
 	ctx := context.Background()
 
 	var writers, readers sync.WaitGroup

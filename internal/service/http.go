@@ -138,15 +138,23 @@ func StatusFor(err error) (int, string) {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, body any) {
+// WriteJSON answers with body as JSON; every front end's routes answer
+// through it.
+func WriteJSON(w http.ResponseWriter, status int, body any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(body)
+	_ = json.NewEncoder(w).Encode(body)
 }
 
-func writeError(w http.ResponseWriter, status int, kind string, err error) {
-	writeJSON(w, status, errorResponse{Error: err.Error(), Kind: kind})
+// WriteError answers with the {"error", "kind"} body.
+func WriteError(w http.ResponseWriter, status int, kind string, err error) {
+	WriteJSON(w, status, errorResponse{Error: err.Error(), Kind: kind})
+}
+
+// WriteFailure answers err with the status and kind StatusFor maps it to.
+func WriteFailure(w http.ResponseWriter, err error) {
+	status, kind := StatusFor(err)
+	WriteError(w, status, kind, err)
 }
 
 func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -167,16 +175,16 @@ func ServeQuery(w http.ResponseWriter, r *http.Request, q windowdb.Queryer, reg 
 		req.SQL = r.URL.Query().Get("q")
 	case http.MethodPost:
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "request", fmt.Errorf("service: bad request body: %w", err))
+			WriteError(w, http.StatusBadRequest, "request", fmt.Errorf("service: bad request body: %w", err))
 			return
 		}
 	default:
 		w.Header().Set("Allow", "GET, POST")
-		writeError(w, http.StatusMethodNotAllowed, "request", errors.New("service: use GET ?q= or POST JSON"))
+		WriteError(w, http.StatusMethodNotAllowed, "request", errors.New("service: use GET ?q= or POST JSON"))
 		return
 	}
 	if req.SQL == "" {
-		writeError(w, http.StatusBadRequest, "request", errors.New("service: empty query: pass ?q= or a JSON body with \"sql\""))
+		WriteError(w, http.StatusBadRequest, "request", errors.New("service: empty query: pass ?q= or a JSON body with \"sql\""))
 		return
 	}
 	if v := r.URL.Query().Get("subscribe"); v == "1" || strings.EqualFold(v, "true") {
@@ -213,8 +221,7 @@ func ServeQuery(w http.ResponseWriter, r *http.Request, q windowdb.Queryer, reg 
 
 	rows, err := q.QueryContext(ctx, req.SQL)
 	if err != nil {
-		status, kind := StatusFor(err)
-		writeError(w, status, kind, err)
+		WriteFailure(w, err)
 		return
 	}
 	if req.Stream || StreamRequested(r) {
@@ -246,8 +253,7 @@ func WriteBuffered(w http.ResponseWriter, rows *windowdb.Rows, maxRows int) {
 		resp.Rows = append(resp.Rows, out)
 	}
 	if err := rows.Err(); err != nil {
-		status, kind := StatusFor(err)
-		writeError(w, status, kind, err)
+		WriteFailure(w, err)
 		return
 	}
 	if m := rows.Metrics(); m != nil {
@@ -259,7 +265,7 @@ func WriteBuffered(w http.ResponseWriter, rows *windowdb.Rows, maxRows int) {
 		resp.BlocksRead, resp.BlocksWritten = m.BlocksRead, m.BlocksWritten
 		resp.TraceID = m.TraceID
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // JSONValue maps a storage value to its natural JSON representation (the
@@ -286,7 +292,7 @@ func JSONValue(v storage.Value) any {
 }
 
 func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+	WriteJSON(w, http.StatusOK, s.Stats())
 }
 
 // liveContext attaches the registered query's live counters to the
@@ -314,18 +320,9 @@ type Health struct {
 	Role string `json:"role"`
 }
 
-// healthNow assembles this process's Health.
-func (s *Service) healthNow() Health {
-	h := Health{Status: "ok", Version: BuildVersion(), Role: "engine",
-		Codecs: []string{string(CodecBinary), string(CodecJSON)}}
-	if s.cfg.ShardRoutes {
-		h.Role = "shardnode"
-	}
-	return h
-}
-
 func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.healthNow())
+	WriteJSON(w, http.StatusOK, Health{Status: "ok", Version: BuildVersion(), Role: s.role,
+		Codecs: []string{string(CodecBinary), string(CodecJSON)}})
 }
 
 // BuildVersion reports this binary's module version (or VCS revision)

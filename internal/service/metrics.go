@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro"
 	"repro/internal/cache"
 	"repro/internal/exec"
 )
@@ -76,16 +75,14 @@ func (h *latencyHist) quantile(q float64) time.Duration {
 	return histUpper(histBuckets - 1)
 }
 
-// Metrics aggregates service-level observability: query and failure
-// counters, the in-flight gauge with its high-water mark, the latency
-// histogram, and the per-query exec.Metrics sums (block I/O, comparisons).
+// Metrics aggregates service-level observability beside the Front's
+// outcome counters: admission rejections, the in-flight gauge with its
+// high-water mark, the latency histogram, and the per-query exec.Metrics
+// sums (block I/O, comparisons).
 type Metrics struct {
 	start time.Time
 
-	queries  atomic.Uint64 // completed successfully
-	failures atomic.Uint64 // completed with any error
 	rejected atomic.Uint64 // of failures: ErrOverloaded rejections
-	aborted  atomic.Uint64 // streams closed before their last row (disconnects, truncation)
 
 	shuffleRounds atomic.Uint64 // executed shuffle stages (RunShuffleStep)
 
@@ -125,7 +122,6 @@ func (m *Metrics) endExec() { m.inFlight.Add(-1) }
 // yielded — at stream end, so the rows actually delivered, not the rows
 // the statement could have produced — and the executor's metrics.
 func (m *Metrics) observe(execM *exec.Metrics, rowsOut int64, d time.Duration) {
-	m.queries.Add(1)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.hist.observe(d)
@@ -135,15 +131,6 @@ func (m *Metrics) observe(execM *exec.Metrics, rowsOut int64, d time.Duration) {
 		m.comparisons += execM.Comparisons
 	}
 	m.rowsOut += rowsOut
-}
-
-// count records a statement that was not served: aborted or failed.
-func (m *Metrics) count(o windowdb.Outcome) {
-	if o == windowdb.Aborted {
-		m.aborted.Add(1)
-	} else {
-		m.failures.Add(1)
-	}
 }
 
 // Snapshot is a point-in-time view of the service counters, shaped for the
@@ -218,14 +205,15 @@ func (s Snapshot) Held() string {
 	return strings.Join(held, ", ")
 }
 
-func (m *Metrics) snapshot() Snapshot {
+// snapshot reads the counters, with the statement outcomes f counted.
+func (m *Metrics) snapshot(f *Front) Snapshot {
 	up := time.Since(m.start).Seconds()
 	s := Snapshot{
 		UptimeSeconds: up,
-		Queries:       m.queries.Load(),
-		Failures:      m.failures.Load(),
+		Queries:       f.Queries.Load(),
+		Failures:      f.Failures.Load(),
 		Rejected:      m.rejected.Load(),
-		Aborted:       m.aborted.Load(),
+		Aborted:       f.Aborted.Load(),
 		ShuffleRounds: m.shuffleRounds.Load(),
 		Appends:       m.appends.Load(),
 		RowsAppended:  m.rowsAppended.Load(),

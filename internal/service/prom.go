@@ -21,8 +21,8 @@ import (
 )
 
 // PromWriter accumulates metric families in Prometheus text exposition
-// format. The cluster coordinator (internal/shard) reuses it to add
-// per-shard labelled families on top of the service families.
+// format. The cluster coordinator (internal/shard) writes its Front's
+// families, its routing counters and per-shard labelled families with it.
 type PromWriter struct {
 	b bytes.Buffer
 }
@@ -65,17 +65,13 @@ func promValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// WriteSnapshotMetrics renders one service Snapshot as the windowdb_*
-// family set. The coordinator calls it for its own counters and then
-// layers per-shard labelled families beside it.
+// WriteSnapshotMetrics renders the windowdb_* families of a service
+// Snapshot that are a service's own — admission, shuffle rounds, appends,
+// execution work, the shared-subplan cache. The statement outcome, plan
+// cache and registry families are the Front's (Front.WriteMetrics), which a
+// service and a cluster coordinator both write.
 func WriteSnapshotMetrics(p *PromWriter, s Snapshot) {
-	p.Counter("windowdb_queries_total", "Queries completed successfully.", float64(s.Queries))
-	p.Counter("windowdb_query_failures_total", "Queries completed with an error.", float64(s.Failures))
 	p.Counter("windowdb_query_rejected_total", "Queries rejected by admission control (overloaded).", float64(s.Rejected))
-	p.Counter("windowdb_streams_aborted_total", "Streamed queries closed before their last row.", float64(s.Aborted))
-	// Same counter under the lifecycle plane's canonical name: kills via
-	// DELETE /debug/queries/{id} land here too.
-	p.Counter("windowdb_queries_aborted_total", "Queries aborted before completion (kills and client disconnects).", float64(s.Aborted))
 	p.Counter("windowdb_shuffle_rounds_total", "Shuffle stages executed for cluster coordinators.", float64(s.ShuffleRounds))
 	p.Counter("windowdb_appends_total", "Append batches applied (INSERT statements and /append bodies).", float64(s.Appends))
 	p.Counter("windowdb_rows_appended_total", "Rows ingested by append batches.", float64(s.RowsAppended))
@@ -83,11 +79,6 @@ func WriteSnapshotMetrics(p *PromWriter, s Snapshot) {
 	p.Counter("windowdb_blocks_read_total", "Storage blocks read by query execution.", float64(s.BlocksRead))
 	p.Counter("windowdb_blocks_written_total", "Storage blocks spilled by query execution.", float64(s.BlocksWritten))
 	p.Counter("windowdb_comparisons_total", "Tuple comparisons performed by query execution.", float64(s.Comparisons))
-
-	p.Counter("windowdb_plan_cache_hits_total", "Plan cache hits.", float64(s.Cache.Hits))
-	p.Counter("windowdb_plan_cache_misses_total", "Plan cache misses.", float64(s.Cache.Misses))
-	p.Counter("windowdb_plan_cache_invalidations_total", "Plan cache entries invalidated by DDL or stats changes.", float64(s.Cache.Invalidations))
-	p.Counter("windowdb_plan_cache_evictions_total", "Plan cache LRU evictions.", float64(s.Cache.Evictions))
 
 	p.Counter("windowdb_subplan_cache_hits_total", "Shared-subplan cache hits (completed segment reused).", float64(s.Subplans.Hits))
 	p.Counter("windowdb_subplan_cache_misses_total", "Shared-subplan cache misses (query led its own scan).", float64(s.Subplans.Misses))
@@ -100,8 +91,6 @@ func WriteSnapshotMetrics(p *PromWriter, s Snapshot) {
 	p.Gauge("windowdb_in_flight_max", "High-water mark of in-flight executions.", float64(s.MaxInFlight))
 	p.Gauge("windowdb_admission_slots", "Admission slots configured.", float64(s.Slots))
 	p.Gauge("windowdb_admission_queue_depth", "Executions waiting for an admission slot.", float64(s.QueueDepth))
-	p.Gauge("windowdb_live_queries", "In-flight queries in the /debug/queries registry.", float64(s.LiveQueries))
-	p.Gauge("windowdb_plan_cache_entries", "Plan cache resident entries.", float64(s.Cache.Size))
 	p.Gauge("windowdb_subplan_cache_entries", "Shared-subplan cache resident segments.", float64(s.Subplans.Size))
 	p.Gauge("windowdb_uptime_seconds", "Seconds since the service started.", s.UptimeSeconds)
 }
@@ -146,6 +135,7 @@ func WriteLatencyHistogram(p *PromWriter, name string, h latencyHist) {
 
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p := &PromWriter{}
+	s.WriteMetrics(p)
 	WriteSnapshotMetrics(p, s.Stats())
 	WriteProcessMetrics(p)
 	WriteBuildInfo(p)
@@ -168,7 +158,7 @@ func WriteBuildInfo(p *PromWriter) {
 // coordinator's debug surface.
 func ServeTraceRing(w http.ResponseWriter, r *http.Request, ring *trace.Ring, prefix string) {
 	if ring == nil {
-		writeError(w, http.StatusNotFound, "request", fmt.Errorf("service: tracing disabled"))
+		WriteError(w, http.StatusNotFound, "request", fmt.Errorf("service: tracing disabled"))
 		return
 	}
 	id := strings.TrimPrefix(r.URL.Path, prefix)
@@ -186,15 +176,15 @@ func ServeTraceRing(w http.ResponseWriter, r *http.Request, ring *trace.Ring, pr
 		if n > ring.Cap() {
 			n = ring.Cap()
 		}
-		writeJSON(w, http.StatusOK, ring.Recent(n))
+		WriteJSON(w, http.StatusOK, ring.Recent(n))
 		return
 	}
 	t := ring.Get(id)
 	if t == nil {
-		writeError(w, http.StatusNotFound, "request", fmt.Errorf("service: no trace %q in the ring (it holds the most recent %d)", id, ring.Len()))
+		WriteError(w, http.StatusNotFound, "request", fmt.Errorf("service: no trace %q in the ring (it holds the most recent %d)", id, ring.Len()))
 		return
 	}
-	writeJSON(w, http.StatusOK, t)
+	WriteJSON(w, http.StatusOK, t)
 }
 
 func (s *Service) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
@@ -217,33 +207,33 @@ func ServeQueryRegistry(w http.ResponseWriter, r *http.Request, reg *trace.Regis
 	if id == "" {
 		if r.Method != http.MethodGet {
 			w.Header().Set("Allow", "GET")
-			writeError(w, http.StatusMethodNotAllowed, "request", fmt.Errorf("service: use GET to list queries, DELETE %s/{id} to kill one", prefix))
+			WriteError(w, http.StatusMethodNotAllowed, "request", fmt.Errorf("service: use GET to list queries, DELETE %s/{id} to kill one", prefix))
 			return
 		}
 		infos := reg.Snapshot()
 		if infos == nil {
 			infos = []trace.QueryInfo{}
 		}
-		writeJSON(w, http.StatusOK, infos)
+		WriteJSON(w, http.StatusOK, infos)
 		return
 	}
 	switch r.Method {
 	case http.MethodGet:
 		e := reg.Get(id)
 		if e == nil {
-			writeError(w, http.StatusNotFound, "request", fmt.Errorf("service: no in-flight query %q", id))
+			WriteError(w, http.StatusNotFound, "request", fmt.Errorf("service: no in-flight query %q", id))
 			return
 		}
-		writeJSON(w, http.StatusOK, e.Info())
+		WriteJSON(w, http.StatusOK, e.Info())
 	case http.MethodDelete:
 		if !reg.Kill(id) {
-			writeError(w, http.StatusNotFound, "request", fmt.Errorf("service: no in-flight query %q", id))
+			WriteError(w, http.StatusNotFound, "request", fmt.Errorf("service: no in-flight query %q", id))
 			return
 		}
-		writeJSON(w, http.StatusOK, KillResponse{ID: id, Killed: true})
+		WriteJSON(w, http.StatusOK, KillResponse{ID: id, Killed: true})
 	default:
 		w.Header().Set("Allow", "GET, DELETE")
-		writeError(w, http.StatusMethodNotAllowed, "request", fmt.Errorf("service: use GET or DELETE"))
+		WriteError(w, http.StatusMethodNotAllowed, "request", fmt.Errorf("service: use GET or DELETE"))
 	}
 }
 

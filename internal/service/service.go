@@ -4,11 +4,13 @@
 //
 // Three mechanisms compose:
 //
-//   - a prepared-statement cache (a cache.LRU): normalized SQL text maps to
-//     a *sql.Prepared — parse, bind and CSO planning paid once — valid while
-//     the catalog entry it was planned on is current, so re-registering a
-//     table drops exactly the plans built on the old entry. Hit, miss,
-//     attach, invalidation and eviction counters are exported.
+//   - the statement lifecycle every front end shares (Front, front.go; a
+//     cluster coordinator holds one too): a prepared-statement cache (a
+//     cache.LRU) mapping normalized SQL text to a *sql.Prepared — parse,
+//     bind and CSO planning paid once — valid while the catalog entry it was
+//     planned on is current, so re-registering a table drops exactly the
+//     plans built on the old entry; the in-flight registry, the trace ring,
+//     the slow-query log and the outcome counters.
 //
 //   - admission control (governor): a global reorder-memory budget is
 //     divided into unit-memory execution slots; at most Slots chains run
@@ -30,9 +32,7 @@ package service
 import (
 	"context"
 	"errors"
-	"io"
 	"net/http"
-	"os"
 	"time"
 
 	"repro"
@@ -47,6 +47,9 @@ import (
 // slots, a 64-entry admission queue, a 256-statement plan cache, no
 // implicit deadline.
 type Config struct {
+	// FrontConfig is the statement lifecycle's half: plan cache, default
+	// timeout, trace ring and slow-query log.
+	FrontConfig
 	// MemoryBudgetBytes is the global reorder-memory budget shared by all
 	// concurrent queries. It is divided by the per-chain memory cost —
 	// the engine's unit reorder memory M times its resolved parallel
@@ -60,8 +63,6 @@ type Config struct {
 	// waiter is rejected with ErrOverloaded. Default 64; negative means no
 	// queue (immediate rejection when all slots are busy).
 	MaxQueue int
-	// CacheEntries bounds the prepared-statement cache (default 256).
-	CacheEntries int
 	// SubplanEntries bounds the shared-subplan cache — materialized
 	// scan+reorder segments shared across concurrent queries (subplan.go).
 	// Default 32; each entry pins a filtered, reordered copy of its table,
@@ -71,9 +72,6 @@ type Config struct {
 	// its own scan. Tests use the unshared service as their reference, and
 	// it is a bail-out if sharing ever misbehaves in production.
 	DisableSharing bool
-	// DefaultTimeout is applied to queries whose context carries no
-	// deadline. 0 leaves them unbounded.
-	DefaultTimeout time.Duration
 	// ShardRoutes mounts the /shard/* node surface (query, register,
 	// table, distinct, shuffle) on Handler. Off by default: those routes
 	// let a cluster coordinator install tables and dump raw rows, so only
@@ -93,20 +91,6 @@ type Config struct {
 	// default — generously past any round barrier a live coordinator
 	// would tolerate — and negative disables expiry.
 	ShuffleTTL time.Duration
-	// TraceRing bounds the /debug/trace ring buffer of recent query
-	// traces (default 128; negative disables recording).
-	TraceRing int
-	// SlowLogThreshold enables the structured slow-query log: every query
-	// at or over the threshold emits one JSON line (kind "slow_query")
-	// with its span tree to SlowLogWriter. 0 disables.
-	SlowLogThreshold time.Duration
-	// SlowLogWriter receives slow-query lines; nil defaults to stderr.
-	SlowLogWriter io.Writer
-	// SlowLogRate caps slow-query log emission in lines per second (the
-	// storm guard; suppressed lines are counted and the count rides on the
-	// next emitted line). 0 means trace.DefaultSlowLogRate; negative
-	// uncaps.
-	SlowLogRate int
 }
 
 func (c Config) withDefaults(chainMem int) Config {
@@ -126,9 +110,6 @@ func (c Config) withDefaults(chainMem int) Config {
 	case c.MaxQueue < 0:
 		c.MaxQueue = 0
 	}
-	if c.CacheEntries <= 0 {
-		c.CacheEntries = 256
-	}
 	if c.SubplanEntries <= 0 {
 		c.SubplanEntries = 32
 	}
@@ -142,18 +123,15 @@ func (c Config) withDefaults(chainMem int) Config {
 }
 
 // Service is a thread-safe query service over a windowdb.Engine. All
-// methods may be called concurrently.
+// methods may be called concurrently. Its Front is the statement
+// lifecycle a cluster coordinator shares.
 type Service struct {
-	eng      *windowdb.Engine
+	*Front
 	cfg      Config
 	gov      *governor
-	cache    *cache.LRU[*sql.Prepared]
 	subplans *cache.LRU[*sql.SharedSegment] // nil when Config.DisableSharing
 	metrics  *Metrics
 	inbox    shuffleInbox
-	ring     *trace.Ring
-	slow     *trace.SlowLogger
-	reg      *trace.Registry
 }
 
 // New builds a service over eng. The engine must not be shared with
@@ -163,81 +141,26 @@ func New(eng *windowdb.Engine, cfg Config) *Service {
 	// (ResolvedConfig returns the concrete degree, ≥ 1).
 	rc := eng.ResolvedConfig()
 	cfg = cfg.withDefaults(rc.SortMemBytes * rc.Parallelism)
-	slowW := cfg.SlowLogWriter
-	if slowW == nil {
-		slowW = os.Stderr
+	role := "engine"
+	if cfg.ShardRoutes {
+		role = "shardnode"
 	}
 	s := &Service{
-		eng:     eng,
+		Front:   NewFront(eng, role, cfg.FrontConfig),
 		cfg:     cfg,
 		gov:     newGovernor(cfg.Slots, cfg.MaxQueue),
-		cache:   cache.New(cfg.CacheEntries, (*sql.Prepared).Current),
 		metrics: newMetrics(),
-		slow:    trace.NewSlowLoggerRate(slowW, cfg.SlowLogThreshold, cfg.SlowLogRate),
-		reg:     trace.NewRegistry(),
 		inbox:   shuffleInbox{bufs: make(map[string]*shuffleBuf)},
 	}
 	if !cfg.DisableSharing {
 		s.subplans = cache.New(cfg.SubplanEntries, (*sql.SharedSegment).Current)
 	}
-	if cfg.TraceRing >= 0 {
-		n := cfg.TraceRing
-		if n == 0 {
-			n = 128
-		}
-		s.ring = trace.NewRing(n)
-	}
 	return s
-}
-
-// Traces exposes the ring buffer of recent query traces (nil when
-// disabled); the /debug/trace endpoint and the coordinator read it.
-func (s *Service) Traces() *trace.Ring { return s.ring }
-
-// Registry exposes the in-flight query registry behind GET/DELETE
-// /debug/queries: every admitted statement — a cursor or a shuffle stage —
-// is listed with live counters until it finishes,
-// and Kill fires the stored cancel (the query then classifies as
-// aborted).
-func (s *Service) Registry() *trace.Registry { return s.reg }
-
-// role names this process for registry entries.
-func (s *Service) role() string {
-	if s.cfg.ShardRoutes {
-		return "shardnode"
-	}
-	return "engine"
-}
-
-// recordTrace finalizes one served query's trace: the ring entry and, past
-// the threshold, the slow-query log line.
-func (s *Service) recordTrace(id, src string, start time.Time, elapsed time.Duration, root *trace.Span, err error) {
-	if id == "" || (s.ring == nil && s.slow == nil) {
-		return
-	}
-	t := &trace.Trace{
-		ID: id, SQL: src, Start: start,
-		DurationMillis: trace.Millis(elapsed),
-		Root:           root,
-	}
-	if err != nil {
-		t.Error = err.Error()
-	}
-	s.ring.Add(t)
-	s.slow.Observe(t)
 }
 
 // Engine returns the wrapped engine (for registration; Register invalidates
 // the cached plans of the table it replaces).
 func (s *Service) Engine() *windowdb.Engine { return s.eng }
-
-// resolve turns statement text into its Prepared through the plan cache,
-// preparing on a miss; disp is the lookup's cache disposition.
-func (s *Service) resolve(ctx context.Context, src string) (*sql.Prepared, string, error) {
-	return s.cache.Get(ctx, cache.Lookup{Key: NormalizeSQL(src)}, s.eng.Generation(), func() (*sql.Prepared, error) {
-		return s.eng.Prepare(src)
-	})
-}
 
 // Slots returns the concurrent-execution bound the governor enforces.
 func (s *Service) Slots() int { return s.gov.Slots() }
@@ -293,7 +216,10 @@ func (s *Service) QueryContext(ctx context.Context, src string) (*windowdb.Rows,
 		return windowdb.ExplainAnalyzeRows(ctx, s, inner)
 	}
 	if windowdb.IsInsert(src) {
-		return s.insertStream(ctx, src)
+		return s.Insert(ctx, src, func(ctx context.Context, table string, rows []storage.Tuple) (uint64, error) {
+			_, wm, err := s.Append(ctx, table, rows, 0)
+			return wm, err
+		})
 	}
 	if inner, ok := windowdb.StripSubscribe(src); ok {
 		return s.subscribeStream(ctx, src, inner)
@@ -301,23 +227,6 @@ func (s *Service) QueryContext(ctx context.Context, src string) (*windowdb.Rows,
 	return s.streamCursor(ctx, src, src, "draining", func(ctx context.Context, prep *sql.Prepared) (execCursor, error) {
 		return s.openStream(ctx, prep, sql.Input{}, false)
 	})
-}
-
-// insertStream serves an INSERT: parse, append (metered), one-row summary.
-func (s *Service) insertStream(ctx context.Context, src string) (*windowdb.Rows, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ins, err := sql.ParseInsert(src)
-	if err != nil {
-		s.metrics.failures.Add(1)
-		return nil, err
-	}
-	_, wm, err := s.Append(ctx, ins.Table, ins.Rows, 0)
-	if err != nil {
-		return nil, err
-	}
-	return windowdb.NewInsertRows(ins.Table, len(ins.Rows), wm), nil
 }
 
 // subscribeStream serves a SUBSCRIBE through the shared streaming body:
@@ -333,13 +242,7 @@ func (s *Service) subscribeStream(ctx context.Context, full, inner string) (*win
 // PrepareContext validates and plans src through the service's plan cache,
 // returning a statement that executes via the streaming path.
 func (s *Service) PrepareContext(ctx context.Context, src string) (windowdb.Stmt, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if _, _, err := s.resolve(ctx, src); err != nil {
-		return nil, err
-	}
-	return windowdb.TextStmt(s, src), nil
+	return s.Prepare(ctx, s, src)
 }
 
 // execCursor is what a served stream drains: the sql.Cursor shape, also
@@ -361,52 +264,20 @@ type execCursor interface {
 // subscriptions); src is what resolves through the plan cache; phase is
 // the registry phase the cursor shows while it streams.
 func (s *Service) streamCursor(ctx context.Context, display, src, phase string, open func(context.Context, *sql.Prepared) (execCursor, error)) (*windowdb.Rows, error) {
-	var timeoutCancel context.CancelFunc
-	if s.cfg.DefaultTimeout > 0 {
-		if _, ok := ctx.Deadline(); !ok {
-			// The timeout must cover the cursor's whole lifetime, so the
-			// cancel travels with the stream and fires when it finishes.
-			ctx, timeoutCancel = context.WithTimeout(ctx, s.cfg.DefaultTimeout)
-		}
-	}
-	// The kill cancel wraps ctx unconditionally — DELETE /debug/queries/{id}
-	// fires it through the registry entry whether or not a timeout is armed
-	// — and travels with the cursor exactly like the timeout cancel.
-	ctx, kill := context.WithCancel(ctx)
-	cancel := func() {
-		kill()
-		if timeoutCancel != nil {
-			timeoutCancel()
-		}
-	}
-	id := trace.IDFromContext(ctx)
-	ctx = trace.NewContext(ctx, id)
-	entry := s.reg.Register(id, display, s.role(), trace.ClientFromContext(ctx), kill)
-	live := entry.Live()
-	ctx = trace.WithLive(ctx, live)
-	live.SetPhase("planning")
-	// A statement that ends before it has a cursor is counted by the rule
-	// one that ends as a cursor is (servedSource.End).
-	fail := func(err error) error {
-		s.reg.Remove(entry)
-		s.metrics.count(windowdb.Ending{Err: err}.Outcome(entry.Killed(), false))
-		cancel()
-		return err
-	}
-	start := time.Now()
-	prep, planCache, err := s.resolve(ctx, src)
+	ctx, st := s.Begin(ctx, display)
+	prep, err := st.Resolve(ctx, src)
 	if err != nil {
-		return nil, fail(err)
+		return nil, st.Fail(err, nil)
 	}
-	planned := time.Since(start)
 
+	live := st.Live()
 	live.SetPhase("queued")
 	queueStart := time.Now()
 	if _, err := s.gov.acquire(ctx); err != nil {
 		if errors.Is(err, ErrOverloaded) {
 			s.metrics.rejected.Add(1)
 		}
-		return nil, fail(err)
+		return nil, st.Fail(err, nil)
 	}
 	queued := time.Since(queueStart)
 	live.RaiseMemPeak(1)
@@ -426,36 +297,25 @@ func (s *Service) streamCursor(ctx context.Context, display, src, phase string, 
 
 	cur, err := open(ctx, prep)
 	if err != nil {
-		return nil, fail(err)
+		return nil, st.Fail(err, nil)
 	}
 	live.SetPhase(phase)
 	handoff = true
-	return windowdb.NewRows(&servedSource{
-		svc: s, cur: cur, src: display, traceID: id, entry: entry, live: live,
-		start: start, planned: planned, queued: queued, planCache: planCache, cancel: cancel,
-	}), nil
+	return windowdb.NewRows(&servedSource{svc: s, st: st, cur: cur, queued: queued}), nil
 }
 
 // servedSource adapts an execution cursor to the Rows contract while
 // holding the service-side resources: the admission slot and the in-flight
 // gauge, both released when the cursor's one End arrives — drained, failed
-// or closed early — and the statement is counted (windowdb.Ending.Outcome):
-// a full drain is a query, an execution error a failure, and an early
-// Close, a kill or a caller that left an abort — on its own counter, with
-// no latency sample, so partial deliveries don't masquerade as fast
-// successes in the histogram.
+// or closed early — and the statement ends (Statement.End): a full drain
+// is a query, an execution error a failure, and an early Close, a kill or
+// a caller that left an abort — with no latency sample, so partial
+// deliveries don't masquerade as fast successes in the histogram.
 type servedSource struct {
-	svc       *Service
-	cur       execCursor
-	src       string
-	traceID   string
-	entry     *trace.QueryEntry
-	live      *trace.Live
-	start     time.Time
-	planned   time.Duration
-	queued    time.Duration
-	planCache string // the plan-cache disposition
-	cancel    context.CancelFunc
+	svc    *Service
+	st     Statement
+	cur    execCursor
+	queued time.Duration
 }
 
 func (ss *servedSource) Columns() []storage.Column { return ss.cur.Columns() }
@@ -463,7 +323,7 @@ func (ss *servedSource) Columns() []storage.Column { return ss.cur.Columns() }
 func (ss *servedSource) NextBatch() (*stream.Batch, error) {
 	b, err := ss.cur.NextBatch()
 	if err == nil {
-		ss.live.AddRowsEmitted(int64(b.Len()))
+		ss.st.Live().AddRowsEmitted(int64(b.Len()))
 	}
 	return b, err
 }
@@ -471,29 +331,15 @@ func (ss *servedSource) NextBatch() (*stream.Batch, error) {
 func (ss *servedSource) End(end windowdb.Ending) *windowdb.QueryMetrics {
 	ss.svc.gov.release()
 	ss.svc.metrics.endExec()
-	ss.svc.reg.Remove(ss.entry)
-	killed := ss.entry.Killed()
-	elapsed := time.Since(ss.start)
+	elapsed := time.Since(ss.st.Start)
 	res := ss.cur.Meta()
 	meta := windowdb.NewQueryMetrics(res)
-	meta.CacheHit, meta.Queued, meta.Elapsed = ss.planCache != cache.Miss, ss.queued, elapsed
-	root := queryTrace(elapsed, ss.planned, ss.queued, ss.planCache, end.Rows, meta, res.SharedWait)
-	if killed {
-		root.SetAttr("killed", "true")
-	}
-	switch outcome := end.Outcome(killed, false); outcome {
-	case windowdb.Served:
+	meta.CacheHit, meta.Queued, meta.Elapsed = ss.st.CacheHit(), ss.queued, elapsed
+	root := queryTrace(elapsed, ss.st.planned, ss.queued, ss.st.planCache, end.Rows, meta, res.SharedWait)
+	if ss.st.End(end, false, root) == windowdb.Served {
 		ss.svc.metrics.observe(res.Exec, end.Rows, elapsed)
-	case windowdb.Aborted:
-		root.SetAttr("aborted", "true")
-		ss.svc.metrics.count(outcome)
-	case windowdb.Failed:
-		root.SetAttr("error", end.Err.Error())
-		ss.svc.metrics.count(outcome)
 	}
-	meta.TraceID, meta.Trace = ss.traceID, root
-	ss.svc.recordTrace(ss.traceID, ss.src, ss.start, elapsed, root, end.Err)
-	ss.cancel()
+	meta.TraceID, meta.Trace = ss.st.ID, root
 	_ = ss.cur.Close()
 	return meta
 }
@@ -512,16 +358,15 @@ func (s *Service) ResetMaxInFlight() {
 // goroutine.
 func (s *Service) Stats() Snapshot {
 	s.sweepShuffle()
-	snap := s.metrics.snapshot()
+	snap := s.metrics.snapshot(s.Front)
 	snap.Slots = s.gov.Slots()
 	snap.QueueDepth = s.gov.queueDepth()
 	snap.LiveQueries = s.reg.Len()
 	snap.Subscriptions = s.eng.Subscriptions()
 	snap.ShuffleBuffered = s.shuffleBuffered()
-	gen := s.eng.Generation()
-	snap.Cache = s.cache.Stats(gen)
+	snap.Cache = s.CacheStats()
 	if s.subplans != nil {
-		snap.Subplans = s.subplans.Stats(gen)
+		snap.Subplans = s.subplans.Stats(s.eng.Generation())
 	}
 	return snap
 }

@@ -166,7 +166,7 @@ func TestPlanCacheHitMissInvalidation(t *testing.T) {
 // TestPlanCacheLRU: the least recently used statement is evicted past
 // capacity.
 func TestPlanCacheLRU(t *testing.T) {
-	svc := newTestService(t, Config{CacheEntries: 2}, 200)
+	svc := newTestService(t, Config{FrontConfig: FrontConfig{CacheEntries: 2}}, 200)
 	ctx := context.Background()
 	queries := []string{
 		`SELECT ws_item_sk FROM web_sales LIMIT 1`,
@@ -263,7 +263,7 @@ func TestHistogramQuantiles(t *testing.T) {
 // a mix of hits, misses and re-registrations; run under -race this is the
 // service's thread-safety proof.
 func TestConcurrentMixedTraffic(t *testing.T) {
-	svc := newTestService(t, Config{Slots: 4, CacheEntries: 8}, 500)
+	svc := newTestService(t, Config{Slots: 4, FrontConfig: FrontConfig{CacheEntries: 8}}, 500)
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for i := 0; i < 6; i++ {

@@ -148,16 +148,16 @@ type ShardDistinctResponse struct {
 func (s *Service) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")
-		writeError(w, http.StatusMethodNotAllowed, "request", errors.New("service: POST a ShardQueryRequest"))
+		WriteError(w, http.StatusMethodNotAllowed, "request", errors.New("service: POST a ShardQueryRequest"))
 		return
 	}
 	var req ShardQueryRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "request", fmt.Errorf("service: bad request body: %w", err))
+		WriteError(w, http.StatusBadRequest, "request", fmt.Errorf("service: bad request body: %w", err))
 		return
 	}
 	if req.SQL == "" {
-		writeError(w, http.StatusBadRequest, "request", errors.New("service: empty query"))
+		WriteError(w, http.StatusBadRequest, "request", errors.New("service: empty query"))
 		return
 	}
 	// Join the coordinator's distributed trace: the node's span subtree
@@ -171,8 +171,7 @@ func (s *Service) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 	ctx = trace.WithClient(ctx, r.RemoteAddr)
 	rows, err := s.ShardStream(ctx, req)
 	if err != nil {
-		status, kind := StatusFor(err)
-		writeError(w, status, kind, err)
+		WriteFailure(w, err)
 		return
 	}
 	WriteStream(liveContext(r.Context(), s.reg, traceID), w, rows, 0, CodecBinary)
@@ -184,11 +183,11 @@ func (s *Service) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleShardRegister(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")
-		writeError(w, http.StatusMethodNotAllowed, "request", errors.New("service: POST a table as a frame body"))
+		WriteError(w, http.StatusMethodNotAllowed, "request", errors.New("service: POST a table as a frame body"))
 		return
 	}
 	if !strings.Contains(r.Header.Get("Content-Type"), ContentTypeBinary) {
-		writeError(w, http.StatusUnsupportedMediaType, "request", fmt.Errorf("service: a registered table is %s", ContentTypeBinary))
+		WriteError(w, http.StatusUnsupportedMediaType, "request", fmt.Errorf("service: a registered table is %s", ContentTypeBinary))
 		return
 	}
 	var (
@@ -207,33 +206,32 @@ func (s *Service) handleShardRegister(w http.ResponseWriter, r *http.Request) {
 		cols, err = DecodeColumns(hdr.Columns)
 	}
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "request", err)
+		WriteError(w, http.StatusBadRequest, "request", err)
 		return
 	}
 	t := storage.NewTable(storage.NewSchema(cols...))
 	t.Rows = rows
 	s.eng.Register(hdr.Table, t)
-	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "rows": t.Len()})
+	WriteJSON(w, http.StatusOK, map[string]any{"ok": true, "rows": t.Len()})
 }
 
 func (s *Service) handleShardDistinct(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("table")
 	if name == "" {
-		writeError(w, http.StatusBadRequest, "request", errors.New("service: pass ?table="))
+		WriteError(w, http.StatusBadRequest, "request", errors.New("service: pass ?table="))
 		return
 	}
 	set, err := parseAttrSet(r.URL.Query().Get("attrs"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "request", err)
+		WriteError(w, http.StatusBadRequest, "request", err)
 		return
 	}
 	entry, err := s.eng.Stats(name)
 	if err != nil {
-		status, kind := StatusFor(err)
-		writeError(w, status, kind, err)
+		WriteFailure(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ShardDistinctResponse{Count: entry.Distinct(set)})
+	WriteJSON(w, http.StatusOK, ShardDistinctResponse{Count: entry.Distinct(set)})
 }
 
 // parseAttrSet parses a comma-separated attribute-ID list ("3,4") into a

@@ -10,7 +10,6 @@ import (
 
 	windowdb "repro"
 	"repro/internal/attrs"
-	"repro/internal/cache"
 	"repro/internal/exec"
 	"repro/internal/sql"
 	"repro/internal/storage"
@@ -265,39 +264,39 @@ func (s *Service) shuffleBuffered() int {
 // hash-partitioned on the next segment's key (encodeShuffle), release the
 // chain, and deliver every body through req.Deliver. It returns when every
 // peer has ingested its body, which is what lets the coordinator barrier
-// rounds. A failed delivery cancels the remaining sends.
+// rounds. A failed delivery cancels the remaining sends. The stage is a
+// statement of the node's Front under the coordinator's trace ID — listed
+// in /debug/queries, where the coordinator's merge finds it and a fanned-
+// out kill fires its cancel — that a failure ends and a success leaves
+// uncounted (it is a round, Snapshot.ShuffleRounds).
 func (s *Service) RunShuffleStep(ctx context.Context, req ShuffleRunRequest) (*ShuffleRunResult, error) {
-	send := req.Deliver
-	if send == nil {
+	if req.Deliver == nil {
 		return nil, errors.New("service: shuffle stage without a delivery path")
 	}
 	if req.Senders < 1 {
 		return nil, errors.New("service: malformed shuffle stage request")
 	}
-	var entry *trace.QueryEntry
-	fail := func(err error) (*ShuffleRunResult, error) {
-		s.metrics.count(windowdb.Ending{Err: err}.Outcome(entry.Killed(), false))
-		return nil, err
-	}
-	prep, planCache, err := s.resolve(ctx, req.SQL)
+	ctx, st := s.Begin(trace.NewContext(ctx, req.TraceID), req.SQL)
+	// Deferred so that a panicking stage leaves no entry behind either.
+	defer st.Leave()
+	res, err := s.runShuffleStep(ctx, &st, req)
 	if err != nil {
-		return fail(err)
+		return nil, st.Fail(err, nil)
+	}
+	return res, nil
+}
+
+func (s *Service) runShuffleStep(ctx context.Context, st *Statement, req ShuffleRunRequest) (*ShuffleRunResult, error) {
+	prep, err := st.Resolve(ctx, req.SQL)
+	if err != nil {
+		return nil, err
 	}
 	bound, err := bindStage(prep, req.Stage)
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	runner := bound.Segments()
-
-	// Node-side lifecycle visibility: the stage registers under the
-	// coordinator's trace ID, so the coordinator's /debug/queries merge
-	// finds it and a fanned-out kill fires this cancel between phases.
-	ctx, kill := context.WithCancel(ctx)
-	defer kill()
-	entry = s.reg.Register(req.TraceID, req.SQL, s.role(), trace.ClientFromContext(ctx), kill)
-	defer s.reg.Remove(entry)
-	live := entry.Live()
-	ctx = trace.WithLive(ctx, live)
+	live := st.Live()
 	phase := fmt.Sprintf("shuffle raw round %d", req.Round)
 	if req.Segment >= 0 {
 		phase = fmt.Sprintf("segment %d of %d", req.Segment+1, runner.Segments())
@@ -312,7 +311,7 @@ func (s *Service) RunShuffleStep(ctx context.Context, req ShuffleRunRequest) (*S
 		if errors.Is(err, ErrOverloaded) {
 			s.metrics.rejected.Add(1)
 		}
-		return fail(err)
+		return nil, err
 	}
 	s.metrics.beginExec()
 	defer func() {
@@ -326,16 +325,16 @@ func (s *Service) RunShuffleStep(ctx context.Context, req ShuffleRunRequest) (*S
 
 	in, err := s.stageInput(ctx, runner, req.Stage, false)
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 
 	res := &ShuffleRunResult{
-		RowsIn: int64(in.Rows.Len()), CacheHit: planCache != cache.Miss,
+		RowsIn: int64(in.Rows.Len()), CacheHit: st.CacheHit(),
 		QueuedMillis: queuedMillis, InputMillis: phaseMillis(&phaseStart),
 	}
 	out, m, err := runner.Run(ctx, req.Segment, in.Rows)
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	res.BlocksRead, res.BlocksWritten, res.Comparisons = m.BlocksRead, m.BlocksWritten, m.Comparisons
 	res.RowsOut = int64(out.Len())
@@ -348,7 +347,7 @@ func (s *Service) RunShuffleStep(ctx context.Context, req ShuffleRunRequest) (*S
 	bodies, err := encodeShuffle(out, runner.Key(req.Segment+1).IDs(), req.Senders, hdr)
 	out.Release()
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	for _, body := range bodies {
 		res.BytesOut += int64(len(body))
@@ -365,7 +364,7 @@ func (s *Service) RunShuffleStep(ctx context.Context, req ShuffleRunRequest) (*S
 		go func(peer int) {
 			defer wg.Done()
 			b := &ShuffleBatch{ID: hdr.ShuffleID, Round: hdr.Round, Sender: hdr.Sender, Body: bodies[peer]}
-			if err := send(sctx, peer, b); err != nil {
+			if err := req.Deliver(sctx, peer, b); err != nil {
 				errs[peer] = err
 				cancel()
 			}
@@ -374,11 +373,11 @@ func (s *Service) RunShuffleStep(ctx context.Context, req ShuffleRunRequest) (*S
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil && !errors.Is(err, context.Canceled) {
-			return fail(err)
+			return nil, err
 		}
 	}
 	if err := errors.Join(errs...); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	res.DeliverMillis = phaseMillis(&phaseStart)
 	live.AddShuffleRows(res.RowsOut)

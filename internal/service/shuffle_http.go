@@ -46,12 +46,12 @@ func SendShuffleHTTP(ctx context.Context, hc *http.Client, base string, b *Shuff
 func (s *Service) handleShuffleRun(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")
-		writeError(w, http.StatusMethodNotAllowed, "request", errors.New("service: POST a ShuffleRunRequest"))
+		WriteError(w, http.StatusMethodNotAllowed, "request", errors.New("service: POST a ShuffleRunRequest"))
 		return
 	}
 	var req ShuffleRunRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "request", fmt.Errorf("service: bad request body: %w", err))
+		WriteError(w, http.StatusBadRequest, "request", fmt.Errorf("service: bad request body: %w", err))
 		return
 	}
 	// The trace ID rides in the request body on this route; fall back to
@@ -70,11 +70,10 @@ func (s *Service) handleShuffleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := s.RunShuffleStep(r.Context(), req)
 	if err != nil {
-		status, kind := StatusFor(err)
-		writeError(w, status, kind, err)
+		WriteFailure(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	WriteJSON(w, http.StatusOK, res)
 }
 
 // handleShuffleIngest receives one peer's frame body into the inbox
@@ -84,19 +83,18 @@ func (s *Service) handleShuffleRun(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleShuffleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")
-		writeError(w, http.StatusMethodNotAllowed, "request", errors.New("service: POST a shuffle stream"))
+		WriteError(w, http.StatusMethodNotAllowed, "request", errors.New("service: POST a shuffle stream"))
 		return
 	}
 	if !strings.Contains(r.Header.Get("Content-Type"), ContentTypeBinary) {
-		writeError(w, http.StatusUnsupportedMediaType, "request", fmt.Errorf("service: a shuffle stream is %s", ContentTypeBinary))
+		WriteError(w, http.StatusUnsupportedMediaType, "request", fmt.Errorf("service: a shuffle stream is %s", ContentTypeBinary))
 		return
 	}
 	if err := s.ShuffleIngest(r.Context(), r.Body); err != nil {
-		status, kind := StatusFor(err)
-		writeError(w, status, kind, err)
+		WriteFailure(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"ok": true})
+	WriteJSON(w, http.StatusOK, map[string]any{"ok": true})
 }
 
 // handleShuffleDrop discards a query's buffered shuffle state: the
@@ -104,20 +102,20 @@ func (s *Service) handleShuffleIngest(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleShuffleDrop(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")
-		writeError(w, http.StatusMethodNotAllowed, "request", errors.New("service: POST a drop request"))
+		WriteError(w, http.StatusMethodNotAllowed, "request", errors.New("service: POST a drop request"))
 		return
 	}
 	var req struct {
 		ShuffleID string `json:"shuffle_id"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "request", fmt.Errorf("service: bad request body: %w", err))
+		WriteError(w, http.StatusBadRequest, "request", fmt.Errorf("service: bad request body: %w", err))
 		return
 	}
 	if req.ShuffleID == "" {
-		writeError(w, http.StatusBadRequest, "request", errors.New("service: drop needs a shuffle_id"))
+		WriteError(w, http.StatusBadRequest, "request", errors.New("service: drop needs a shuffle_id"))
 		return
 	}
 	s.ShuffleDrop(req.ShuffleID)
-	writeJSON(w, http.StatusOK, map[string]any{"ok": true})
+	WriteJSON(w, http.StatusOK, map[string]any{"ok": true})
 }

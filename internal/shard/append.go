@@ -90,31 +90,13 @@ func (c *Cluster) Append(ctx context.Context, table string, rows []storage.Tuple
 	}, nil
 }
 
-// insertRows executes a parsed-from-text INSERT at the cluster: parse at
-// the coordinator, route through Append, return the standard one-row
-// summary cursor every backend produces.
-func (c *Cluster) insertRows(ctx context.Context, src string) (*windowdb.Rows, error) {
-	ins, err := sql.ParseInsert(src)
-	if err != nil {
-		c.failures.Add(1)
-		return nil, err
-	}
-	resp, err := c.Append(ctx, ins.Table, ins.Rows)
-	if err != nil {
-		c.failures.Add(1)
-		return nil, err
-	}
-	c.queries.Add(1)
-	return windowdb.NewInsertRows(resp.Table, resp.RowsAppended, resp.Watermark), nil
-}
-
 // streamSubscribe serves a SUBSCRIBE statement cluster-wide. The inner
 // statement prepares normally at the coordinator (plan cache included);
 // the live cursor then routes: replicated tables go whole to one node
 // round-robin (every replica sees every cluster append), shard-local
 // chains fan in a live stream per node, and anything else is rejected.
 func (c *Cluster) streamSubscribe(ctx context.Context, inner string, qt *clusterTrace) (*windowdb.Rows, error) {
-	prep, hit, err := c.prepare(ctx, inner)
+	prep, err := qt.Resolve(ctx, inner)
 	if err != nil {
 		return nil, err
 	}
@@ -160,7 +142,7 @@ func (c *Cluster) streamSubscribe(ctx context.Context, inner string, qt *cluster
 	cols := streams[0].ColumnTypes()
 	ls := &liveSource{
 		c: c, cols: cols, streams: streams, streamCancel: streamCancel,
-		prep: prep, cacheHit: hit, route: route, qt: qt,
+		prep: prep, route: route, qt: qt,
 		ridIdx: colIndex(cols, "_rid"), wmIdx: colIndex(cols, "_watermark"),
 		ch:   make(chan liveItem),
 		done: make(chan struct{}),
@@ -172,7 +154,7 @@ func (c *Cluster) streamSubscribe(ctx context.Context, inner string, qt *cluster
 		ls.wg.Add(1)
 		go ls.pump(i, s)
 	}
-	qt.live().SetPhase("waiting for data")
+	qt.Live().SetPhase("waiting for data")
 	return windowdb.NewRows(ls), nil
 }
 
@@ -206,7 +188,6 @@ type liveSource struct {
 	streams      []*windowdb.Rows
 	streamCancel context.CancelFunc
 	prep         *sql.Prepared
-	cacheHit     bool
 	route        string
 	qt           *clusterTrace
 	ridIdx       int
@@ -276,7 +257,7 @@ func (ls *liveSource) next() (storage.Tuple, error) {
 				ls.watermark = wm
 			}
 		}
-		ls.qt.live().AddRowsEmitted(1)
+		ls.qt.Live().AddRowsEmitted(1)
 		return row, nil
 	}
 }
@@ -290,7 +271,7 @@ func (ls *liveSource) End(end windowdb.Ending) *windowdb.QueryMetrics {
 	close(ls.done)
 	ls.streamCancel()
 	ls.wg.Wait()
-	meta := mergedMeta(ls.prep, ls.cacheHit, ls.route, len(ls.streams))
+	meta := mergedMeta(ls.prep, ls.qt.CacheHit(), ls.route, len(ls.streams))
 	meta.Watermark = ls.watermark
-	return ls.c.ended(ls.qt, meta, end, nil, true)
+	return ls.c.finish(ls.qt, meta, end, nil, true)
 }

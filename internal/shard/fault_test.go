@@ -390,7 +390,7 @@ func play(c *Cluster, sched *atomic.Pointer[schedule], sc *schedule, src string)
 	due := newExpiring(trace.NewContext(context.Background(), id))
 	ctx, cancel := context.WithCancel(due)
 	defer cancel()
-	sc.kill, sc.expire = func() { c.reg.Kill(id) }, due.expire
+	sc.kill, sc.expire = func() { c.Registry().Kill(id) }, due.expire
 	sched.Store(sc)
 	defer sched.Store(nil)
 

@@ -2,7 +2,7 @@ package shard
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -91,8 +91,8 @@ func (c *Cluster) Stats(ctx context.Context) (*ClusterStats, error) {
 		Replica:      c.replica.Load(),
 		Appends:      c.appends.Load(),
 		RowsAppended: c.rowsAppended.Load(),
-		LiveQueries:  c.reg.Len(),
-		CoordCache:   c.cache.Stats(c.coord.Generation()),
+		LiveQueries:  c.Registry().Len(),
+		CoordCache:   c.front.CacheStats(),
 		ShardStats:   snaps,
 	}
 	for _, s := range snaps {
@@ -135,28 +135,12 @@ func (c *Cluster) Handler() http.Handler {
 	return mux
 }
 
-type errorResponse struct {
-	Error string `json:"error"`
-	Kind  string `json:"kind"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
-}
-
-func writeError(w http.ResponseWriter, err error) {
-	status, kind := service.StatusFor(err)
-	writeJSON(w, status, errorResponse{Error: err.Error(), Kind: kind})
-}
-
 // handleQuery is the front door every front end shares (service.ServeQuery)
 // over the cluster's cursor: on the scatter route a streamed response body
 // is the merge-concatenation of the per-node streams — rows transit the
 // coordinator without ever forming a whole-result buffer.
 func (c *Cluster) handleQuery(w http.ResponseWriter, r *http.Request) {
-	service.ServeQuery(w, r, c, c.reg)
+	service.ServeQuery(w, r, c, c.Registry())
 }
 
 // handleAppend is the coordinator's POST /append route: the same two body
@@ -166,30 +150,30 @@ func (c *Cluster) handleQuery(w http.ResponseWriter, r *http.Request) {
 func (c *Cluster) handleAppend(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "shard: use POST", Kind: "request"})
+		service.WriteError(w, http.StatusMethodNotAllowed, "request", errors.New("shard: use POST"))
 		return
 	}
 	req, rows, err := service.DecodeAppendBody(r)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error(), Kind: "request"})
+		service.WriteError(w, http.StatusBadRequest, "request", err)
 		return
 	}
 	resp, err := c.Append(r.Context(), req.Table, rows)
 	if err != nil {
 		status, kind := service.AppendStatus(err)
-		writeJSON(w, status, errorResponse{Error: err.Error(), Kind: kind})
+		service.WriteError(w, status, kind, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	service.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (c *Cluster) handleStats(w http.ResponseWriter, r *http.Request) {
 	stats, err := c.Stats(r.Context())
 	if err != nil {
-		writeError(w, err)
+		service.WriteFailure(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, stats)
+	service.WriteJSON(w, http.StatusOK, stats)
 }
 
 func (c *Cluster) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -201,41 +185,31 @@ func (c *Cluster) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := c.Health(r.Context()); err != nil {
 		h.Status = "degraded: " + err.Error()
-		writeJSON(w, http.StatusServiceUnavailable, h)
+		service.WriteJSON(w, http.StatusServiceUnavailable, h)
 		return
 	}
-	writeJSON(w, http.StatusOK, h)
+	service.WriteJSON(w, http.StatusOK, h)
 }
 
-// handleMetrics serves the coordinator's Prometheus exposition: its own
-// routing and cache counters plus per-shard labelled families built from
-// the shard snapshots, so one scrape shows cluster skew.
+// handleMetrics serves the coordinator's Prometheus exposition: its
+// Front's families, its routing counters, and per-shard labelled families
+// built from the shard snapshots, so one scrape shows cluster skew.
 func (c *Cluster) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	stats, err := c.Stats(r.Context())
 	if err != nil {
-		writeError(w, err)
+		service.WriteFailure(w, err)
 		return
 	}
 	p := &service.PromWriter{}
-	p.Counter("windowdb_queries_total", "Queries completed successfully at the coordinator.", float64(stats.Queries))
-	p.Counter("windowdb_query_failures_total", "Queries completed with an error.", float64(stats.Failures))
-	p.Counter("windowdb_streams_aborted_total", "Streamed queries closed before their last row.", float64(stats.Aborted))
-	p.Counter("windowdb_queries_aborted_total", "Queries aborted before completion (kills and client disconnects).", float64(stats.Aborted))
+	c.front.WriteMetrics(p)
 	p.Counter("windowdb_appends_total", "Append batches routed to the owning shard nodes.", float64(stats.Appends))
 	p.Counter("windowdb_rows_appended_total", "Rows ingested by cluster append batches.", float64(stats.RowsAppended))
-	p.Gauge("windowdb_live_queries", "In-flight queries in the coordinator registry.", float64(stats.LiveQueries))
 	p.Gauge("windowdb_shuffle_round_imbalance", "Most recent shuffle round's max/mean per-node output-row ratio (1 = balanced, 0 = none observed).", c.ShuffleImbalance())
 
 	p.Family("windowdb_route_queries_total", "Queries by coordinator route.", "counter")
 	p.Sample("windowdb_route_queries_total", `route="scatter"`, float64(stats.Scatter))
 	p.Sample("windowdb_route_queries_total", `route="shuffle"`, float64(stats.Shuffle))
 	p.Sample("windowdb_route_queries_total", `route="replica"`, float64(stats.Replica))
-
-	p.Counter("windowdb_plan_cache_hits_total", "Coordinator plan cache hits.", float64(stats.CoordCache.Hits))
-	p.Counter("windowdb_plan_cache_misses_total", "Coordinator plan cache misses.", float64(stats.CoordCache.Misses))
-	p.Counter("windowdb_plan_cache_invalidations_total", "Coordinator plan cache invalidations.", float64(stats.CoordCache.Invalidations))
-	p.Counter("windowdb_plan_cache_evictions_total", "Coordinator plan cache evictions.", float64(stats.CoordCache.Evictions))
-	p.Gauge("windowdb_plan_cache_entries", "Coordinator plan cache resident entries.", float64(stats.CoordCache.Size))
 
 	p.Gauge("windowdb_shards", "Shard nodes in the cluster.", float64(stats.Shards))
 
@@ -278,7 +252,7 @@ func (c *Cluster) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 // coordinator query (statements sent to a node directly) append at the
 // end, so cluster-wide visibility is complete.
 func (c *Cluster) mergedLiveQueries(ctx context.Context) []trace.QueryInfo {
-	own := c.reg.Snapshot()
+	own := c.Registry().Snapshot()
 	nodeInfos := make([][]trace.QueryInfo, len(c.shards))
 	var wg sync.WaitGroup
 	for i, tr := range c.shards {
@@ -324,17 +298,17 @@ func (c *Cluster) handleDebugQueries(w http.ResponseWriter, r *http.Request) {
 	id = strings.Trim(id, "/")
 	switch {
 	case r.Method == http.MethodGet && id == "":
-		writeJSON(w, http.StatusOK, c.mergedLiveQueries(r.Context()))
+		service.WriteJSON(w, http.StatusOK, c.mergedLiveQueries(r.Context()))
 	case r.Method == http.MethodGet:
 		for _, info := range c.mergedLiveQueries(r.Context()) {
 			if info.ID == id {
-				writeJSON(w, http.StatusOK, info)
+				service.WriteJSON(w, http.StatusOK, info)
 				return
 			}
 		}
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "shard: no in-flight query " + id, Kind: "request"})
+		service.WriteError(w, http.StatusNotFound, "request", errors.New("shard: no in-flight query "+id))
 	case r.Method == http.MethodDelete && id != "":
-		killed := c.reg.Kill(id)
+		killed := c.Registry().Kill(id)
 		// Fan the kill out regardless: a node could hold a stage of a
 		// query whose coordinator entry already finished (or that was
 		// submitted to the node directly).
@@ -351,12 +325,12 @@ func (c *Cluster) handleDebugQueries(w http.ResponseWriter, r *http.Request) {
 		}
 		wg.Wait()
 		if !killed && !nodeKilled.Load() {
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: "shard: no in-flight query " + id, Kind: "request"})
+			service.WriteError(w, http.StatusNotFound, "request", errors.New("shard: no in-flight query "+id))
 			return
 		}
-		writeJSON(w, http.StatusOK, service.KillResponse{ID: id, Killed: true})
+		service.WriteJSON(w, http.StatusOK, service.KillResponse{ID: id, Killed: true})
 	default:
 		w.Header().Set("Allow", "GET, DELETE")
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "shard: GET lists in-flight queries, DELETE /debug/queries/{id} kills one", Kind: "request"})
+		service.WriteError(w, http.StatusMethodNotAllowed, "request", errors.New("shard: GET lists in-flight queries, DELETE /debug/queries/{id} kills one"))
 	}
 }

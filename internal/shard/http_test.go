@@ -240,7 +240,7 @@ func TestRefusedStageIsAServerFault(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var body errorResponse
+		var body struct{ Error, Kind string }
 		err = json.NewDecoder(resp.Body).Decode(&body)
 		resp.Body.Close()
 		switch {

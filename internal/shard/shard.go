@@ -48,7 +48,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -56,7 +55,6 @@ import (
 
 	"repro"
 	"repro/internal/attrs"
-	"repro/internal/cache"
 	"repro/internal/catalog"
 	"repro/internal/exec"
 	"repro/internal/service"
@@ -68,40 +66,24 @@ import (
 
 // Config parameterizes a Cluster.
 type Config struct {
+	// FrontConfig is the coordinator's statement lifecycle: its plan cache
+	// (shard nodes keep their own; this one saves the coordinator's
+	// parse/bind/plan and routing work), the default timeout covering shard
+	// fan-outs and coordinator-side execution alike, the trace ring and the
+	// slow-query log.
+	service.FrontConfig
 	// Engine configures the coordinator's engine, which plans every
 	// statement (scheme, unit reorder memory and block size feed the cost
 	// model) and finalizes DISTINCT/ORDER BY over node streams; it never
 	// runs a chain.
 	Engine windowdb.Config
-	// CacheEntries bounds the coordinator's prepared-statement cache
-	// (default 256). Shard nodes keep their own plan caches; this one
-	// saves the coordinator's parse/bind/plan and routing work.
-	CacheEntries int
-	// DefaultTimeout is applied to queries whose context carries no
-	// deadline (0 leaves them unbounded), covering shard fan-outs and
-	// coordinator-side execution alike.
-	DefaultTimeout time.Duration
-	// StatsTimeout bounds each statistics fan-out behind the
-	// coordinator's catalog stubs (default 15s). The D(·) estimator runs
-	// during planning, detached from any single query's context — one
-	// wedged shard must not hang every statement that needs a fresh
-	// distinct count.
-	StatsTimeout time.Duration
-	// TraceRing bounds the coordinator's /debug/trace ring buffer of
-	// recent query traces (default 128; negative disables tracing
-	// retention — traces still assemble and ride the trailer).
-	TraceRing int
-	// SlowLogThreshold enables the structured slow-query log: every query
-	// at or over the threshold emits one JSON line (trace tree included)
-	// to SlowLogWriter. Zero disables.
-	SlowLogThreshold time.Duration
-	// SlowLogWriter receives slow-query log lines; nil means os.Stderr.
-	SlowLogWriter io.Writer
-	// SlowLogRate caps slow-query log emission in lines per second
-	// (suppressed lines are counted onto the next emitted line). 0 means
-	// trace.DefaultSlowLogRate; negative uncaps.
-	SlowLogRate int
 }
+
+// statsTimeout bounds each statistics fan-out behind the coordinator's
+// catalog stubs. The D(·) estimator runs during planning, detached from any
+// single query's context — one wedged shard must not hang every statement
+// that needs a fresh distinct count.
+const statsTimeout = 15 * time.Second
 
 // Cluster coordinates query execution over shard nodes. All methods are
 // safe for concurrent use once the cluster's tables are registered;
@@ -109,18 +91,19 @@ type Config struct {
 // invalidates the cached plans of the table it replaces, as on a single
 // engine).
 type Cluster struct {
-	cfg    Config
 	shards []Transport
 	coord  *windowdb.Engine
+	// front is the coordinator's statement lifecycle over coord: its plan
+	// cache keeps a plan while the stub or replica it was planned on is the
+	// coordinator catalog's entry, so a registration drops only its own
+	// table's plans. queries, failures and aborted are its outcome counters.
+	front                      *service.Front
+	queries, failures, aborted *atomic.Uint64
 
 	mu     sync.RWMutex
 	tables map[string]*tableInfo // keyed by folded name
 
-	// cache is the coordinator's plan cache: a plan stays while the stub or
-	// replica it was planned on is the coordinator catalog's entry, so a
-	// registration drops only its own table's plans.
-	cache *cache.LRU[*sql.Prepared]
-	rr    atomic.Uint64 // replica round-robin cursor
+	rr atomic.Uint64 // replica round-robin cursor
 
 	// Shuffle identity: every per-segment distributed query names its
 	// buffered state on the nodes with nonce-seq, so concurrent queries —
@@ -134,18 +117,12 @@ type Cluster struct {
 	// instead. All are set or none is (New).
 	peerAddrs []string
 
-	queries, failures, aborted atomic.Uint64
 	scatter, shuffled, replica atomic.Uint64
 	appends, rowsAppended      atomic.Uint64
 
-	// Coordinator-side observability: the /debug/trace ring of recent
-	// query traces, the slow-query logger (both optional), the in-flight
-	// query registry behind /debug/queries, and the last shuffle round's
-	// max/mean row imbalance ratio (math.Float64bits-packed) feeding the
-	// windowdb_shuffle_round_imbalance gauge.
-	ring      *trace.Ring
-	slow      *trace.SlowLogger
-	reg       *trace.Registry
+	// imbalance is the last shuffle round's max/mean row imbalance ratio
+	// (math.Float64bits-packed), feeding the windowdb_shuffle_round_imbalance
+	// gauge.
 	imbalance atomic.Uint64
 }
 
@@ -169,12 +146,6 @@ func New(cfg Config, shards []Transport) (*Cluster, error) {
 	if len(shards) == 0 {
 		return nil, errors.New("shard: a cluster needs at least one shard")
 	}
-	if cfg.CacheEntries <= 0 {
-		cfg.CacheEntries = 256
-	}
-	if cfg.StatsTimeout <= 0 {
-		cfg.StatsTimeout = 15 * time.Second
-	}
 	addrs := make([]string, len(shards))
 	addressable := 0
 	for i, tr := range shards {
@@ -186,41 +157,28 @@ func New(cfg Config, shards []Transport) (*Cluster, error) {
 	if addressable != 0 && addressable != len(shards) {
 		return nil, fmt.Errorf("shard: %d of %d shard transports are addressable: the shuffle data plane needs all of them remote or all in-process", addressable, len(shards))
 	}
-	slowW := cfg.SlowLogWriter
-	if slowW == nil {
-		slowW = os.Stderr
-	}
 	c := &Cluster{
-		cfg:          cfg,
 		shards:       shards,
 		coord:        windowdb.New(cfg.Engine),
 		tables:       make(map[string]*tableInfo),
-		cache:        cache.New(cfg.CacheEntries, (*sql.Prepared).Current),
 		shuffleNonce: shuffleNonce(),
 		peerAddrs:    addrs,
-		slow:         trace.NewSlowLoggerRate(slowW, cfg.SlowLogThreshold, cfg.SlowLogRate),
-		reg:          trace.NewRegistry(),
 	}
-	if cfg.TraceRing >= 0 {
-		n := cfg.TraceRing
-		if n == 0 {
-			n = 128
-		}
-		c.ring = trace.NewRing(n)
-	}
+	c.front = service.NewFront(c.coord, "coordinator", cfg.FrontConfig)
+	c.queries, c.failures, c.aborted = &c.front.Queries, &c.front.Failures, &c.front.Aborted
 	return c, nil
 }
 
 // Traces returns the coordinator's ring of recent query traces (nil when
 // disabled); /debug/trace serves from it.
-func (c *Cluster) Traces() *trace.Ring { return c.ring }
+func (c *Cluster) Traces() *trace.Ring { return c.front.Traces() }
 
 // Registry returns the coordinator's in-flight query registry: every
 // statement inside QueryContext is listed with live phase and counters,
 // and Kill fires its stored cancel (the query classifies as aborted).
 // GET/DELETE /debug/queries serve from it, with the shard nodes' matching
 // entries merged under each owning query.
-func (c *Cluster) Registry() *trace.Registry { return c.reg }
+func (c *Cluster) Registry() *trace.Registry { return c.front.Registry() }
 
 // ShuffleImbalance reports the most recent shuffle round's max/mean
 // per-node output-row ratio (1 = perfectly balanced, 0 = no shuffle round
@@ -346,7 +304,7 @@ func (c *Cluster) distinctFn(name string, rows int64) func(attrs.Set) int64 {
 		// The estimator runs during planning, outside any one query's
 		// context; bound it so a wedged shard cannot hang every statement
 		// that needs this set's count.
-		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.StatsTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), statsTimeout)
 		defer cancel()
 		counts := make([]int64, len(c.shards))
 		err := c.eachShard(ctx, func(ctx context.Context, i int, tr Transport) error {
@@ -420,41 +378,28 @@ func (c *Cluster) QueryContext(ctx context.Context, src string) (*windowdb.Rows,
 		return windowdb.ExplainAnalyzeRows(ctx, c, inner)
 	}
 	if windowdb.IsInsert(src) {
-		return c.insertRows(ctx, src)
+		return c.front.Insert(ctx, src, func(ctx context.Context, table string, rows []storage.Tuple) (uint64, error) {
+			resp, err := c.Append(ctx, table, rows)
+			return resp.Watermark, err
+		})
 	}
-	// Join or start the distributed trace here so every fan-out this
-	// statement makes — scatter streams, shuffle control rounds — carries
-	// the same ID to the nodes.
-	if trace.FromContext(ctx) == "" {
-		ctx = trace.NewContext(ctx, trace.NewID())
-	}
-	var timeoutCancel context.CancelFunc
-	if c.cfg.DefaultTimeout > 0 {
-		if _, ok := ctx.Deadline(); !ok {
-			ctx, timeoutCancel = context.WithTimeout(ctx, c.cfg.DefaultTimeout)
-		}
-	}
-	// The kill cancel wraps ctx unconditionally: DELETE /debug/queries/{id}
-	// fires it through the registry entry, cancelling every fan-out this
-	// statement has open. It travels with the cursor like the timeout.
-	ctx, kill := context.WithCancel(ctx)
-	cancel := func() {
-		kill()
-		if timeoutCancel != nil {
-			timeoutCancel()
-		}
-	}
-	entry := c.reg.Register(trace.FromContext(ctx), src, "coordinator", trace.ClientFromContext(ctx), kill)
-	ctx = trace.WithLive(ctx, entry.Live())
-	entry.Live().SetPhase("planning")
-	rows, err := c.streamQuery(ctx, src, cancel, entry)
+	// Every fan-out this statement makes — scatter streams, shuffle control
+	// rounds — carries its trace ID to the nodes, and its kill switch
+	// (DELETE /debug/queries/{id}) and timeout cancel every one.
+	ctx, st := c.front.Begin(ctx, src)
+	qt := &clusterTrace{Statement: st}
+	rows, err := c.streamQuery(ctx, qt)
 	if err != nil {
-		// Ended before it had a cursor: counted by the rule one that ends as
-		// a cursor is (Cluster.ended).
-		c.reg.Remove(entry)
-		c.count(windowdb.Ending{Err: err}.Outcome(entry.Killed(), false))
-		cancel()
-		return nil, err
+		var root *trace.Span
+		if len(qt.rounds) > 0 {
+			// Even a failed shuffle leaves its trace: what the statement
+			// looked like up to the failure.
+			root = c.traceRoot(qt, &windowdb.QueryMetrics{
+				Route: "shuffle", ShardsUsed: len(c.shards), CacheHit: qt.CacheHit(),
+				Elapsed: time.Since(qt.Start),
+			}, 0, nil)
+		}
+		return nil, qt.Fail(err, root)
 	}
 	return rows, nil
 }
@@ -463,66 +408,30 @@ func (c *Cluster) QueryContext(ctx context.Context, src string) (*windowdb.Rows,
 // plan cache), returning a statement that executes via the streaming
 // path.
 func (c *Cluster) PrepareContext(ctx context.Context, src string) (windowdb.Stmt, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if _, _, err := c.prepare(ctx, src); err != nil {
-		return nil, err
-	}
-	return windowdb.TextStmt(c, src), nil
+	return c.front.Prepare(ctx, c, src)
 }
 
-// clusterTrace carries a statement's trace identity through the routing
-// paths plus the spans collected before the final streams open (the
-// shuffle route's rounds), its /debug/queries registry entry, and the
-// cancel (kill switch and coordinator timeout) that must fire when the
-// statement ends.
+// clusterTrace is a statement of the coordinator's Front plus the spans
+// collected before its final streams open (the shuffle route's rounds).
 type clusterTrace struct {
-	id     string
-	src    string
-	start  time.Time
+	service.Statement
 	rounds []*trace.Span
-	entry  *trace.QueryEntry
-	cancel context.CancelFunc
 }
 
-// live returns the statement's live counters.
-func (qt *clusterTrace) live() *trace.Live { return qt.entry.Live() }
-
-// ended is the coordinator's end of every statement served as a cursor,
-// whichever source streamed it: classify the ending by the one rule
-// (windowdb.Ending.Outcome), record the assembled trace, leave the
-// registry, count, and fire the statement's cancel. nodes are the drained
-// node streams' metrics in shard-index order. meta is returned stamped.
-func (c *Cluster) ended(qt *clusterTrace, meta *windowdb.QueryMetrics, end windowdb.Ending, nodes []*windowdb.QueryMetrics, closeIsServed bool) *windowdb.QueryMetrics {
-	meta.Elapsed = time.Since(qt.start)
-	outcome := end.Outcome(qt.entry.Killed(), closeIsServed)
-	c.finishTrace(qt, meta, end, outcome, nodes)
-	c.reg.Remove(qt.entry)
-	c.count(outcome)
-	qt.cancel()
+// finish ends a statement served as a cursor, whichever source streamed
+// it, with the coordinator's span tree. nodes are the drained node
+// streams' metrics in shard-index order. meta is returned stamped.
+func (c *Cluster) finish(qt *clusterTrace, meta *windowdb.QueryMetrics, end windowdb.Ending, nodes []*windowdb.QueryMetrics, closeIsServed bool) *windowdb.QueryMetrics {
+	meta.Elapsed = time.Since(qt.Start)
+	meta.TraceID, meta.Trace = qt.ID, c.traceRoot(qt, meta, end.Rows, nodes)
+	qt.End(end, closeIsServed, meta.Trace)
 	return meta
 }
 
-// count ticks the outcome's counter.
-func (c *Cluster) count(o windowdb.Outcome) {
-	switch o {
-	case windowdb.Served:
-		c.queries.Add(1)
-	case windowdb.Aborted:
-		c.aborted.Add(1)
-	default:
-		c.failures.Add(1)
-	}
-}
-
-// finishTrace assembles the coordinator's span tree for a finished query,
-// stamps it into meta, and records it in the ring and slow log. The nodes'
-// Trace subtrees graft under per-node spans.
-func (c *Cluster) finishTrace(qt *clusterTrace, meta *windowdb.QueryMetrics, end windowdb.Ending, outcome windowdb.Outcome, nodes []*windowdb.QueryMetrics) {
-	if qt.id == "" {
-		return
-	}
+// traceRoot assembles the coordinator's span tree for a statement: its
+// route, the shuffle rounds, its own finalize, and the nodes' Trace
+// subtrees grafted under per-node spans.
+func (c *Cluster) traceRoot(qt *clusterTrace, meta *windowdb.QueryMetrics, rows int64, nodes []*windowdb.QueryMetrics) *trace.Span {
 	root := trace.New("query", meta.Elapsed)
 	root.SetAttr("route", meta.Route)
 	root.SetInt("shards", int64(meta.ShardsUsed))
@@ -531,13 +440,7 @@ func (c *Cluster) finishTrace(qt *clusterTrace, meta *windowdb.QueryMetrics, end
 	} else {
 		root.SetAttr("plan_cache", "miss")
 	}
-	root.SetInt("rows", end.Rows)
-	switch outcome {
-	case windowdb.Failed:
-		root.SetAttr("error", end.Err.Error())
-	case windowdb.Aborted:
-		root.SetAttr("aborted", "true")
-	}
+	root.SetInt("rows", rows)
 	for _, rs := range qt.rounds {
 		root.Add(rs)
 	}
@@ -558,28 +461,16 @@ func (c *Cluster) finishTrace(qt *clusterTrace, meta *windowdb.QueryMetrics, end
 			Children:       out.Trace.Children,
 		})
 	}
-	meta.TraceID = qt.id
-	meta.Trace = root
-	t := &trace.Trace{
-		ID: qt.id, SQL: qt.src, Start: qt.start,
-		DurationMillis: trace.Millis(meta.Elapsed), Root: root,
-	}
-	if end.Err != nil {
-		t.Error = end.Err.Error()
-	}
-	c.ring.Add(t)
-	c.slow.Observe(t)
+	return root
 }
 
 // streamQuery prepares, routes and opens the statement's row stream.
-// cancel is the kill switch and the coordinator-imposed timeout; it must
-// fire when the stream finishes, so it travels with the statement (qt).
-func (c *Cluster) streamQuery(ctx context.Context, src string, cancel context.CancelFunc, entry *trace.QueryEntry) (*windowdb.Rows, error) {
-	qt := &clusterTrace{id: trace.FromContext(ctx), src: src, start: time.Now(), entry: entry, cancel: cancel}
+func (c *Cluster) streamQuery(ctx context.Context, qt *clusterTrace) (*windowdb.Rows, error) {
+	src := qt.SQL
 	if inner, ok := windowdb.StripSubscribe(src); ok {
 		return c.streamSubscribe(ctx, inner, qt)
 	}
-	prep, hit, err := c.prepare(ctx, src)
+	prep, err := qt.Resolve(ctx, src)
 	if err != nil {
 		return nil, err
 	}
@@ -592,9 +483,9 @@ func (c *Cluster) streamQuery(ctx context.Context, src string, cancel context.Ca
 		return nil, fmt.Errorf("%w %q (not cluster-registered)", catalog.ErrUnknownTable, prep.Table())
 	}
 	if !info.sharded {
-		return c.streamReplica(ctx, src, prep, hit, qt)
+		return c.streamReplica(ctx, src, prep, qt)
 	}
-	return c.streamShuffle(ctx, src, prep, info, hit, qt)
+	return c.streamShuffle(ctx, src, prep, info, qt)
 }
 
 // openStreams opens n row streams concurrently through open (the nodes
@@ -686,7 +577,7 @@ func appendTuples(ctx context.Context, dst []storage.Tuple, s *windowdb.Rows) ([
 // Until the streams are handed to a source (or drained here), they are
 // closed on every exit — error or panic — so node admission slots are not
 // leaked past a recovered panic.
-func (c *Cluster) emitStreams(ctx context.Context, route string, prep *sql.Prepared, hit bool, streams []*windowdb.Rows, streamCancel context.CancelFunc, qt *clusterTrace, base work) (*windowdb.Rows, error) {
+func (c *Cluster) emitStreams(ctx context.Context, route string, prep *sql.Prepared, streams []*windowdb.Rows, streamCancel context.CancelFunc, qt *clusterTrace, base work) (*windowdb.Rows, error) {
 	handoff := false
 	defer func() {
 		if !handoff {
@@ -694,12 +585,12 @@ func (c *Cluster) emitStreams(ctx context.Context, route string, prep *sql.Prepa
 			streamCancel()
 		}
 	}()
-	qt.live().SetPhase("draining")
+	qt.Live().SetPhase("draining")
 	if prep.ConcatStreams() {
 		handoff = true
 		return windowdb.NewRows(&scatterSource{
 			c: c, streams: streams, streamCancel: streamCancel,
-			prep: prep, cacheHit: hit, route: route, qt: qt, base: base, limit: prep.Limit(),
+			prep: prep, route: route, qt: qt, base: base, limit: prep.Limit(),
 		}), nil
 	}
 
@@ -725,13 +616,13 @@ func (c *Cluster) emitStreams(ctx context.Context, route string, prep *sql.Prepa
 	streamCancel()
 	handoff = true // every stream drained, and so closed itself, above
 	return windowdb.NewRows(&coordCursorSource{
-		c: c, cur: cur, route: route, shardsUsed: len(streams), cacheHit: hit,
+		c: c, cur: cur, route: route, shardsUsed: len(streams),
 		base: base, qt: qt, nodes: nodes,
 	}), nil
 }
 
 // streamReplica streams the whole statement from one node, round-robin.
-func (c *Cluster) streamReplica(ctx context.Context, src string, prep *sql.Prepared, hit bool, qt *clusterTrace) (*windowdb.Rows, error) {
+func (c *Cluster) streamReplica(ctx context.Context, src string, prep *sql.Prepared, qt *clusterTrace) (*windowdb.Rows, error) {
 	c.replica.Add(1)
 	node := int(c.rr.Add(1)-1) % len(c.shards)
 	req := service.ShardQueryRequest{Mode: string(ModeFull), Stage: service.Stage{SQL: src}}
@@ -741,10 +632,10 @@ func (c *Cluster) streamReplica(ctx context.Context, src string, prep *sql.Prepa
 	if err != nil {
 		return nil, err
 	}
-	qt.live().SetPhase("draining")
+	qt.Live().SetPhase("draining")
 	return windowdb.NewRows(&scatterSource{
 		c: c, streams: streams, streamCancel: streamCancel,
-		route: "replica", prep: prep, cacheHit: hit, qt: qt, limit: -1,
+		route: "replica", prep: prep, qt: qt, limit: -1,
 	}), nil
 }
 
@@ -764,7 +655,7 @@ func (c *Cluster) streamReplica(ctx context.Context, src string, prep *sql.Prepa
 // only one, over each node's own partition. A failing stage cancels its
 // peers (eachShard) and drops every node's buffered shuffle state before
 // surfacing the error.
-func (c *Cluster) streamShuffle(ctx context.Context, src string, prep *sql.Prepared, info *tableInfo, hit bool, qt *clusterTrace) (*windowdb.Rows, error) {
+func (c *Cluster) streamShuffle(ctx context.Context, src string, prep *sql.Prepared, info *tableInfo, qt *clusterTrace) (*windowdb.Rows, error) {
 	n := len(c.shards)
 	plan := prep.Plan()
 	var segs []exec.Segment
@@ -817,7 +708,7 @@ func (c *Cluster) streamShuffle(ctx context.Context, src string, prep *sql.Prepa
 	var mu sync.Mutex
 	var base work
 	for si, st := range stages[:len(stages)-1] {
-		qt.live().SetPhase(fmt.Sprintf("shuffle round %d of %d", si+1, len(stages)))
+		qt.Live().SetPhase(fmt.Sprintf("shuffle round %d of %d", si+1, len(stages)))
 		roundStart := time.Now()
 		nodeSpans := make([]*trace.Span, n)
 		rowsOut := make([]int64, n)
@@ -825,12 +716,12 @@ func (c *Cluster) streamShuffle(ctx context.Context, src string, prep *sql.Prepa
 			res, err := tr.ShuffleRun(ctx, service.ShuffleRunRequest{
 				Stage: st, Peers: c.peerAddrs, Self: i,
 				Deliver: c.deliverShuffle,
-				TraceID: qt.id,
+				TraceID: qt.ID,
 			})
 			if err != nil {
 				return err
 			}
-			qt.live().AddShuffleRows(res.RowsOut)
+			qt.Live().AddShuffleRows(res.RowsOut)
 			mu.Lock()
 			base.add(res.BlocksRead, res.BlocksWritten, res.Comparisons)
 			nodeSpans[i] = shuffleNodeSpan(i, st.Source, res)
@@ -855,18 +746,12 @@ func (c *Cluster) streamShuffle(ctx context.Context, src string, prep *sql.Prepa
 		}
 		qt.rounds = append(qt.rounds, rs)
 		if err != nil {
-			// Even a failed round leaves its trace: record what the query
-			// looked like up to the failing stage before cleaning up.
-			c.finishTrace(qt, &windowdb.QueryMetrics{
-				Route: route, ShardsUsed: n, CacheHit: hit,
-				Elapsed: time.Since(qt.start),
-			}, windowdb.Ending{Err: err}, windowdb.Failed, nil)
 			cleanup()
 			return nil, err
 		}
 	}
 
-	qt.live().SetPhase(fmt.Sprintf("stage %d of %d", len(stages), len(stages)))
+	qt.Live().SetPhase(fmt.Sprintf("stage %d of %d", len(stages), len(stages)))
 	freq := service.ShardQueryRequest{Mode: string(ModeSegment), Stage: stages[len(stages)-1]}
 	streams, streamCancel, err := c.openStreams(ctx, n, func(ctx context.Context, i int) (*windowdb.Rows, error) {
 		return c.shards[i].QueryStream(ctx, freq)
@@ -875,7 +760,7 @@ func (c *Cluster) streamShuffle(ctx context.Context, src string, prep *sql.Prepa
 		cleanup()
 		return nil, err
 	}
-	rows, err := c.emitStreams(ctx, route, prep, hit, streams, streamCancel, qt, base)
+	rows, err := c.emitStreams(ctx, route, prep, streams, streamCancel, qt, base)
 	if err != nil {
 		// The final streams are closed by emitStreams' handoff guard; any
 		// node that never served its segment stream still holds its buffer.
@@ -930,7 +815,6 @@ type scatterSource struct {
 	streams      []*windowdb.Rows
 	streamCancel context.CancelFunc
 	prep         *sql.Prepared
-	cacheHit     bool
 	route        string
 	base         work  // done before the merged streams opened (the shuffle route's earlier rounds)
 	limit        int64 // remaining LIMIT budget; -1 = unlimited
@@ -962,7 +846,7 @@ func (ss *scatterSource) NextBatch() (*stream.Batch, error) {
 			}
 			ss.limit -= int64(b.Len())
 		}
-		ss.qt.live().AddRowsEmitted(int64(b.Len()))
+		ss.qt.Live().AddRowsEmitted(int64(b.Len()))
 		return b, nil
 	}
 	return nil, io.EOF
@@ -971,7 +855,7 @@ func (ss *scatterSource) NextBatch() (*stream.Batch, error) {
 func (ss *scatterSource) End(end windowdb.Ending) *windowdb.QueryMetrics {
 	closeStreams(ss.streams)
 	ss.streamCancel()
-	meta := mergedMeta(ss.prep, ss.cacheHit, ss.route, len(ss.streams))
+	meta := mergedMeta(ss.prep, ss.qt.CacheHit(), ss.route, len(ss.streams))
 	done := ss.base
 	for _, m := range ss.nodes {
 		done.add(m.BlocksRead, m.BlocksWritten, m.Comparisons)
@@ -980,7 +864,7 @@ func (ss *scatterSource) End(end windowdb.Ending) *windowdb.QueryMetrics {
 	if ss.route == "replica" && len(ss.nodes) > 0 {
 		meta.FinalSort = ss.nodes[0].FinalSort
 	}
-	return ss.c.ended(ss.qt, meta, end, ss.nodes, false)
+	return ss.c.finish(ss.qt, meta, end, ss.nodes, false)
 }
 
 // mergedMeta is the metadata of a statement whose chain ran on the nodes,
@@ -1005,7 +889,6 @@ type coordCursorSource struct {
 	cur        *sql.Cursor
 	route      string
 	shardsUsed int
-	cacheHit   bool
 	base       work // what the nodes did
 	qt         *clusterTrace
 	nodes      []*windowdb.QueryMetrics // of the drained node streams
@@ -1016,7 +899,7 @@ func (cs *coordCursorSource) Columns() []storage.Column { return cs.cur.Columns(
 func (cs *coordCursorSource) NextBatch() (*stream.Batch, error) {
 	b, err := cs.cur.NextBatch()
 	if err == nil {
-		cs.qt.live().AddRowsEmitted(int64(b.Len()))
+		cs.qt.Live().AddRowsEmitted(int64(b.Len()))
 	}
 	return b, err
 }
@@ -1025,21 +908,12 @@ func (cs *coordCursorSource) End(end windowdb.Ending) *windowdb.QueryMetrics {
 	meta := windowdb.NewQueryMetrics(cs.cur.Meta())
 	meta.Route = cs.route
 	meta.ShardsUsed = cs.shardsUsed
-	meta.CacheHit = cs.cacheHit
+	meta.CacheHit = cs.qt.CacheHit()
 	meta.BlocksRead += cs.base.read
 	meta.BlocksWritten += cs.base.written
 	meta.Comparisons += cs.base.cmp
 	_ = cs.cur.Close()
-	return cs.c.ended(cs.qt, meta, end, cs.nodes, false)
-}
-
-// prepare resolves src through the coordinator's plan cache; the bool
-// reports that this call ran no prepare of its own.
-func (c *Cluster) prepare(ctx context.Context, src string) (*sql.Prepared, bool, error) {
-	prep, disp, err := c.cache.Get(ctx, cache.Lookup{Key: service.NormalizeSQL(src)}, c.coord.Generation(), func() (*sql.Prepared, error) {
-		return c.coord.Prepare(src)
-	})
-	return prep, disp != cache.Miss, err
+	return cs.c.finish(cs.qt, meta, end, cs.nodes, false)
 }
 
 // Health fans out to every shard and returns the first failure.

@@ -645,7 +645,7 @@ func TestCacheHammer(t *testing.T) {
 		t.Fatalf("after the writers stopped: %d rows, the nodes hold %d", res.Table.Len(), held)
 	}
 	invalidations := func() []uint64 {
-		out := []uint64{c.cache.Stats(c.coord.Generation()).Invalidations}
+		out := []uint64{c.front.CacheStats().Invalidations}
 		for _, tr := range c.shards {
 			st := tr.(*Local).Service().Stats()
 			out = append(out, st.Cache.Invalidations, st.Subplans.Invalidations)

@@ -555,12 +555,12 @@ func TestCoordCachePerTableInvalidation(t *testing.T) {
 	}
 
 	// And re-registering web_sales evicts the q6 plan.
-	before := c.cache.Stats(c.coord.Generation()).Invalidations
+	before := c.front.CacheStats().Invalidations
 	ws := datagen.WebSales(datagen.WebSalesConfig{Rows: 1000, Seed: 8})
 	if err := c.RegisterSharded(ctx, "web_sales", ws, "ws_item_sk"); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.cache.Stats(c.coord.Generation()).Invalidations; got <= before {
+	if got := c.front.CacheStats().Invalidations; got <= before {
 		t.Fatalf("invalidations %d not advanced past %d", got, before)
 	}
 	res, err = windowdb.Collect(ctx, c, q6SQL)
@@ -577,7 +577,7 @@ func TestCoordCachePerTableInvalidation(t *testing.T) {
 // of the whole cache — and the most recent plan still hits.
 func TestCoordCacheEvictsLeastRecent(t *testing.T) {
 	const capacity = 2
-	c, _ := streamCluster(t, 2, 300, Config{CacheEntries: capacity})
+	c, _ := streamCluster(t, 2, 300, Config{FrontConfig: service.FrontConfig{CacheEntries: capacity}})
 	ctx := context.Background()
 	queries := []string{
 		`SELECT ws_item_sk FROM web_sales LIMIT 1`,
@@ -589,7 +589,7 @@ func TestCoordCacheEvictsLeastRecent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := c.cache.Stats(c.coord.Generation())
+	st := c.front.CacheStats()
 	if st.Size != capacity || st.Evictions != 1 {
 		t.Fatalf("size=%d evictions=%d after %d statements, want %d/1", st.Size, st.Evictions, len(queries), capacity)
 	}

@@ -247,7 +247,7 @@ func NewInsertRows(table string, appended int, watermark uint64) *Rows {
 
 // subscribeRows opens a subscription cursor on the Rows surface.
 func (e *Engine) subscribeRows(ctx context.Context, inner string) (*Rows, error) {
-	p, err := e.Prepare(inner)
+	p, _, err := e.Resolve(ctx, inner)
 	if err != nil {
 		return nil, err
 	}

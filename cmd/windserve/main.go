@@ -1,6 +1,6 @@
 // Command windserve is the HTTP/JSON front end of the query service: a
-// windowdb.Engine wrapped in internal/service's prepared-plan cache,
-// admission control and metrics, serving
+// windowdb.Engine (whose plan cache -cachesize bounds) wrapped in
+// internal/service's admission control and metrics, serving
 //
 //	POST /query   {"sql": "SELECT ...", "max_rows": 100, "timeout_ms": 5000}
 //	GET  /query?q=SELECT+...
@@ -95,10 +95,12 @@ func main() {
 		Scheme:       sql.Scheme(*scheme),
 		SortMemBytes: *mem,
 		Parallelism:  *parallelism,
+		// Every role plans through its engine's cache: a single engine, a
+		// shard node and a coordinator alike.
+		PlanCacheEntries: *cache,
 	}
 
 	front := service.FrontConfig{
-		CacheEntries:     *cache,
 		DefaultTimeout:   *timeout,
 		TraceRing:        *traceRing,
 		SlowLogThreshold: *slowlog,

@@ -106,7 +106,7 @@ func main() {
 			os.Exit(1)
 		}
 		// One slot: an interactive shell runs one statement at a time, but
-		// the service supplies the plan cache and the metrics plumbing.
+		// the service supplies the metrics plumbing.
 		q = service.New(eng, service.Config{Slots: 1})
 		tables = eng.Tables()
 	}

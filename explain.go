@@ -69,7 +69,7 @@ func ExplainAnalyzeRows(ctx context.Context, q Queryer, inner string) (*Rows, er
 // RenderAnalyze flattens a drained query's metadata into the EXPLAIN
 // ANALYZE lines: the planned chain with per-step actual vs. estimated
 // rows and comparisons and the spill I/O, the final-sort disposition, the
-// route, and the recorded span tree.
+// plan-cache disposition, the route, and the recorded span tree.
 func RenderAnalyze(m *QueryMetrics) []string {
 	if m == nil {
 		return []string{"(no metrics: stream ended without a trailer)"}
@@ -104,6 +104,11 @@ func RenderAnalyze(m *QueryMetrics) []string {
 		}
 		lines = append(lines, line)
 	}
+	planCache := "miss"
+	if m.CacheHit {
+		planCache = "hit"
+	}
+	lines = append(lines, "plan cache: "+planCache)
 	if m.Route != "" {
 		lines = append(lines, fmt.Sprintf("route: %s over %d shard(s)", m.Route, m.ShardsUsed))
 	}

@@ -1,8 +1,8 @@
 // Package cache is the serving layers' one cache: a count-bounded,
 // string-keyed LRU whose misses fill once however many lookups collide
 // (singleflight), and whose entries stay only while their value is valid.
-// The node plan cache, the coordinator plan cache and the shared-subplan
-// cache are three instances of it.
+// An engine's plan cache (windowdb.Engine, shared by every front end over
+// it) and a service's shared-subplan cache are its two instances.
 //
 // Validity is the owner's rule, asked of a value at two moments: when its
 // fill completes — under the cache lock, so a fill that raced the change
@@ -104,7 +104,7 @@ func New[V any](capacity int, valid func(V) bool) *LRU[V] {
 // gets fill's value and error even when the value is not kept — a failed
 // fill is removed at once, a stale one never cached — and so do its
 // attachers, unless their ctx ends first.
-func (c *LRU[V]) Get(ctx context.Context, q Lookup, epoch uint64, fill func() (V, error)) (v V, disp string, err error) {
+func (c *LRU[V]) Get(ctx context.Context, q Lookup, epoch uint64, fill func() (V, error)) (V, string, error) {
 	c.mu.Lock()
 	c.observeLocked(epoch)
 	e := c.items[q.Key]
@@ -113,6 +113,27 @@ func (c *LRU[V]) Get(ctx context.Context, q Lookup, epoch uint64, fill func() (V
 			e = x
 		}
 	}
+	return c.serveLocked(ctx, e, q, fill)
+}
+
+// GetBytes is Get on a key held in a buffer the caller reuses: a hit looks
+// it up without converting it, and only a miss copies it into the string
+// its entry keeps.
+func (c *LRU[V]) GetBytes(ctx context.Context, key []byte, epoch uint64, fill func() (V, error)) (V, string, error) {
+	c.mu.Lock()
+	c.observeLocked(epoch)
+	e := c.items[string(key)]
+	var q Lookup
+	if e == nil {
+		q.Key = string(key)
+	}
+	return c.serveLocked(ctx, e, q, fill)
+}
+
+// serveLocked serves a lookup that found e — a hit or an attach — or, when
+// e is nil, leads the fill of a new entry for q. It is called with the lock
+// held and releases it.
+func (c *LRU[V]) serveLocked(ctx context.Context, e *entry[V], q Lookup, fill func() (V, error)) (v V, disp string, err error) {
 	if e != nil {
 		c.unring(e)
 		c.ringFront(e)

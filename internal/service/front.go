@@ -17,8 +17,6 @@ import (
 // shard.Config embed it, so a single engine, a shard node and a cluster
 // coordinator are configured alike.
 type FrontConfig struct {
-	// CacheEntries bounds the prepared-statement cache (default 256).
-	CacheEntries int
 	// DefaultTimeout is applied to statements whose context carries no
 	// deadline: a cursor's whole lifetime, a coordinator's fan-outs and a
 	// node's shuffle stages alike. 0 leaves them unbounded.
@@ -40,8 +38,9 @@ type FrontConfig struct {
 
 // Front is the front-end half of a statement, written once for every front
 // end — a single engine, a shard node (role "engine" or "shardnode") and a
-// cluster coordinator ("coordinator"): the plan cache over its engine, the
-// in-flight registry behind /debug/queries, the trace ring and slow-query
+// cluster coordinator ("coordinator"): plan-cache resolution through its
+// engine (whose cache every front end over it shares), the in-flight
+// registry behind /debug/queries, the trace ring and slow-query
 // log, and the outcome counters. A statement is begun (Begin) and then
 // ended exactly once — Fail before it has a cursor, End when its cursor
 // ends, Leave for a node's shuffle stage that succeeded — so every front
@@ -50,7 +49,6 @@ type Front struct {
 	eng     *windowdb.Engine
 	role    string
 	timeout time.Duration
-	cache   *cache.LRU[*sql.Prepared]
 	reg     *trace.Registry
 	ring    *trace.Ring // nil when retention is off
 	slow    *trace.SlowLogger
@@ -60,17 +58,14 @@ type Front struct {
 	Queries, Failures, Aborted atomic.Uint64
 }
 
-// NewFront builds the front end half over eng, whose plans it caches;
-// role names the process in its registry entries.
+// NewFront builds the front end half over eng, whose plan cache it
+// resolves statements through; role names the process in its registry
+// entries.
 func NewFront(eng *windowdb.Engine, role string, cfg FrontConfig) *Front {
-	if cfg.CacheEntries <= 0 {
-		cfg.CacheEntries = 256
-	}
 	f := &Front{
 		eng:     eng,
 		role:    role,
 		timeout: cfg.DefaultTimeout,
-		cache:   cache.New(cfg.CacheEntries, (*sql.Prepared).Current),
 		reg:     trace.NewRegistry(),
 		slow:    trace.NewSlowLoggerRate(os.Stderr, cfg.SlowLogThreshold, cfg.SlowLogRate),
 	}
@@ -94,16 +89,8 @@ func (f *Front) Traces() *trace.Ring { return f.ring }
 // it ends, and Kill fires its stored cancel (it then counts as aborted).
 func (f *Front) Registry() *trace.Registry { return f.reg }
 
-// CacheStats snapshots the plan cache.
-func (f *Front) CacheStats() cache.Stats { return f.cache.Stats(f.eng.Generation()) }
-
-// resolve turns statement text into its Prepared through the plan cache,
-// preparing on a miss; disp is the lookup's cache disposition.
-func (f *Front) resolve(ctx context.Context, src string) (*sql.Prepared, string, error) {
-	return f.cache.Get(ctx, cache.Lookup{Key: NormalizeSQL(src)}, f.eng.Generation(), func() (*sql.Prepared, error) {
-		return f.eng.Prepare(src)
-	})
-}
+// CacheStats snapshots the engine's plan cache.
+func (f *Front) CacheStats() cache.Stats { return f.eng.PlanCacheStats() }
 
 // Prepare validates and plans src through the plan cache, returning a
 // statement that q executes by its text: a front end's PrepareContext.
@@ -111,7 +98,7 @@ func (f *Front) Prepare(ctx context.Context, q windowdb.Queryer, src string) (wi
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if _, _, err := f.resolve(ctx, src); err != nil {
+	if _, _, err := f.eng.Resolve(ctx, src); err != nil {
 		return nil, err
 	}
 	return windowdb.TextStmt(q, src), nil
@@ -195,10 +182,10 @@ func (f *Front) Begin(ctx context.Context, src string) (context.Context, Stateme
 // Live returns the statement's live counters.
 func (st *Statement) Live() *trace.Live { return st.entry.Live() }
 
-// Resolve plans src through the front's plan cache, noting the
+// Resolve plans src through the engine's plan cache, noting the
 // disposition and the time it took.
 func (st *Statement) Resolve(ctx context.Context, src string) (*sql.Prepared, error) {
-	prep, disp, err := st.front.resolve(ctx, src)
+	prep, disp, err := st.front.eng.Resolve(ctx, src)
 	st.planCache, st.planned = disp, time.Since(st.Start)
 	return prep, err
 }

@@ -335,7 +335,7 @@ func TestQuerySpansCoverTheRoot(t *testing.T) {
 	// An attach: a scan of the statement's subplan is held in flight while
 	// the query arrives, and released once the query waits on it.
 	svc = newSpillService(t, Config{Slots: 2}, 3000)
-	prep, _, err := svc.resolve(ctx, shareQFine)
+	prep, _, err := svc.eng.Resolve(ctx, shareQFine)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,12 +5,11 @@
 // Three mechanisms compose:
 //
 //   - the statement lifecycle every front end shares (Front, front.go; a
-//     cluster coordinator holds one too): a prepared-statement cache (a
-//     cache.LRU) mapping normalized SQL text to a *sql.Prepared — parse,
-//     bind and CSO planning paid once — valid while the catalog entry it was
-//     planned on is current, so re-registering a table drops exactly the
-//     plans built on the old entry; the in-flight registry, the trace ring,
-//     the slow-query log and the outcome counters.
+//     cluster coordinator holds one too): statements resolve through the
+//     engine's plan cache (windowdb.Engine.Resolve), so parse, bind and CSO
+//     planning are paid once per engine whichever front end serves them;
+//     the in-flight registry, the trace ring, the slow-query log and the
+//     outcome counters.
 //
 //   - admission control (governor): a global reorder-memory budget is
 //     divided into unit-memory execution slots; at most Slots chains run
@@ -44,11 +43,11 @@ import (
 )
 
 // Config parameterizes a Service. The zero value serves: 4 chain-memory
-// slots, a 64-entry admission queue, a 256-statement plan cache, no
-// implicit deadline.
+// slots, a 64-entry admission queue, no implicit deadline. The plan cache
+// is the engine's (windowdb.Config.PlanCacheEntries).
 type Config struct {
-	// FrontConfig is the statement lifecycle's half: plan cache, default
-	// timeout, trace ring and slow-query log.
+	// FrontConfig is the statement lifecycle's half: default timeout,
+	// trace ring and slow-query log.
 	FrontConfig
 	// MemoryBudgetBytes is the global reorder-memory budget shared by all
 	// concurrent queries. It is divided by the per-chain memory cost —
@@ -239,7 +238,7 @@ func (s *Service) subscribeStream(ctx context.Context, full, inner string) (*win
 	})
 }
 
-// PrepareContext validates and plans src through the service's plan cache,
+// PrepareContext validates and plans src through the engine's plan cache,
 // returning a statement that executes via the streaming path.
 func (s *Service) PrepareContext(ctx context.Context, src string) (windowdb.Stmt, error) {
 	return s.Prepare(ctx, s, src)

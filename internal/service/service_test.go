@@ -17,7 +17,14 @@ const mixQ1 = `SELECT ws_item_sk, rank() OVER (PARTITION BY ws_item_sk ORDER BY 
 
 func newTestService(t testing.TB, cfg Config, rows int) *Service {
 	t.Helper()
-	eng := windowdb.New(windowdb.Config{SortMemBytes: 4 << 20, Parallelism: 1})
+	return newCachingService(t, cfg, rows, 0)
+}
+
+// newCachingService is newTestService over an engine whose plan cache
+// holds planCache entries (0: the default).
+func newCachingService(t testing.TB, cfg Config, rows, planCache int) *Service {
+	t.Helper()
+	eng := windowdb.New(windowdb.Config{SortMemBytes: 4 << 20, Parallelism: 1, PlanCacheEntries: planCache})
 	eng.Register("web_sales", datagen.WebSales(datagen.WebSalesConfig{Rows: rows, Seed: 1}))
 	eng.Register("emptab", datagen.Emptab())
 	return New(eng, cfg)
@@ -166,7 +173,7 @@ func TestPlanCacheHitMissInvalidation(t *testing.T) {
 // TestPlanCacheLRU: the least recently used statement is evicted past
 // capacity.
 func TestPlanCacheLRU(t *testing.T) {
-	svc := newTestService(t, Config{FrontConfig: FrontConfig{CacheEntries: 2}}, 200)
+	svc := newCachingService(t, Config{}, 200, 2)
 	ctx := context.Background()
 	queries := []string{
 		`SELECT ws_item_sk FROM web_sales LIMIT 1`,
@@ -263,7 +270,7 @@ func TestHistogramQuantiles(t *testing.T) {
 // a mix of hits, misses and re-registrations; run under -race this is the
 // service's thread-safety proof.
 func TestConcurrentMixedTraffic(t *testing.T) {
-	svc := newTestService(t, Config{Slots: 4, FrontConfig: FrontConfig{CacheEntries: 8}}, 500)
+	svc := newCachingService(t, Config{Slots: 4}, 500, 8)
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for i := 0; i < 6; i++ {

@@ -66,16 +66,15 @@ import (
 
 // Config parameterizes a Cluster.
 type Config struct {
-	// FrontConfig is the coordinator's statement lifecycle: its plan cache
-	// (shard nodes keep their own; this one saves the coordinator's
-	// parse/bind/plan and routing work), the default timeout covering shard
-	// fan-outs and coordinator-side execution alike, the trace ring and the
-	// slow-query log.
+	// FrontConfig is the coordinator's statement lifecycle: the default
+	// timeout covering shard fan-outs and coordinator-side execution alike,
+	// the trace ring and the slow-query log.
 	service.FrontConfig
 	// Engine configures the coordinator's engine, which plans every
 	// statement (scheme, unit reorder memory and block size feed the cost
-	// model) and finalizes DISTINCT/ORDER BY over node streams; it never
-	// runs a chain.
+	// model; its plan cache — shard nodes keep their own — saves the
+	// coordinator's parse/bind/plan work) and finalizes DISTINCT/ORDER BY
+	// over node streams; it never runs a chain.
 	Engine windowdb.Config
 }
 

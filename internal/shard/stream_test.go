@@ -577,7 +577,9 @@ func TestCoordCachePerTableInvalidation(t *testing.T) {
 // of the whole cache — and the most recent plan still hits.
 func TestCoordCacheEvictsLeastRecent(t *testing.T) {
 	const capacity = 2
-	c, _ := streamCluster(t, 2, 300, Config{FrontConfig: service.FrontConfig{CacheEntries: capacity}})
+	eng := testEngineConfig()
+	eng.PlanCacheEntries = capacity
+	c, _ := streamCluster(t, 2, 300, Config{Engine: eng})
 	ctx := context.Background()
 	queries := []string{
 		`SELECT ws_item_sk FROM web_sales LIMIT 1`,

@@ -1,7 +1,11 @@
 package sql
 
 import (
+	"strings"
 	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/paper"
 )
 
 func TestParseFullQuery(t *testing.T) {
@@ -162,6 +166,14 @@ func TestCanonical(t *testing.T) {
 		{"select  a\nfrom t -- c", "SELECT a FROM t"},
 		{`SELECT "a", "it""s", "order" FROM "t"`, `SELECT a , "it""s" , "order" FROM t`},
 		{`SELECT 'it''s' FROM t WHERE a <> 2.50`, `SELECT 'it''s' FROM t WHERE a <> 2.50`},
+		{"select *  from\tweb_sales", "SELECT * FROM web_sales"},
+		{`SELECT "ws_item_sk" FROM "web_sales"`, "SELECT ws_item_sk FROM web_sales"},
+		{"SELECT * FROM t -- trailing comment\nWHERE a = 1", "SELECT * FROM t WHERE a = 1"},
+		{"SELECT 'it''s  spaced' FROM t", "SELECT 'it''s  spaced' FROM t"},
+		{`SELECT "order" FROM t`, `SELECT "order" FROM t`}, // quoted keyword stays quoted
+		{`SELECT "a b" FROM t`, `SELECT "a b" FROM t`},     // non-identifier content stays quoted
+		{`SELECT x"y" FROM t`, "SELECT x y FROM t"},        // adjacent quoted ident is not concatenation
+		{"ſelect ıs FROM t", "SELECT IS FROM t"},           // keywords fold as strings.ToUpper does
 	}
 	for _, tc := range cases {
 		got, err := Canonical(tc.in)
@@ -181,6 +193,87 @@ func TestCanonical(t *testing.T) {
 	if _, err := Canonical("SELECT $"); err == nil {
 		t.Error("Canonical should fail where the lexer fails")
 	}
+
+	key := func(src string) string {
+		t.Helper()
+		k, err := Canonical(src)
+		if err != nil {
+			t.Fatalf("Canonical(%q): %v", src, err)
+		}
+		return k
+	}
+	same := [][2]string{
+		{"SELECT  *\nFROM web_sales", "select * from web_sales"},
+		{`SELECT "ws_item_sk", rank() OVER (PARTITION BY "ws_item_sk" ORDER BY ws_sold_time_sk) AS r FROM web_sales`, paper.Statements["Q1"]},
+		{"SELECT a FROM t -- dashboard 7\n", "SELECT a FROM t"},
+	}
+	for _, p := range same {
+		if key(p[0]) != key(p[1]) {
+			t.Errorf("keys differ for equivalent statements:\n  %q -> %q\n  %q -> %q", p[0], key(p[0]), p[1], key(p[1]))
+		}
+	}
+	distinct := [][2]string{
+		{"SELECT x AS E FROM t", "SELECT x AS e FROM t"}, // alias case is semantic
+		{"SELECT 'a' FROM t", "SELECT 'A' FROM t"},
+		{`SELECT "order" FROM t`, `SELECT "ORDER" FROM t`},
+		{`SELECT x"y" FROM t`, "SELECT xy FROM t"},
+	}
+	for _, p := range distinct {
+		if key(p[0]) == key(p[1]) {
+			t.Errorf("distinct statements share key %q:\n  %q\n  %q", key(p[0]), p[0], p[1])
+		}
+	}
+}
+
+// tokenKey is the statement key as the token stream spells it: lex, then
+// join the tokens, re-quoting strings and the identifiers that need it.
+// Canonical must equal it byte for byte without building the tokens.
+func tokenKey(src string) (string, error) {
+	toks, err := (&lexer{src: src}).lex()
+	if err != nil {
+		return "", err
+	}
+	var b strings.Builder
+	for _, t := range toks[:len(toks)-1] {
+		if b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		switch {
+		case t.kind == tokString:
+			b.WriteString("'" + strings.ReplaceAll(t.text, `'`, `''`) + "'")
+		case t.kind == tokIdent && !IsBareIdent(t.text):
+			b.WriteString(`"` + strings.ReplaceAll(t.text, `"`, `""`) + `"`)
+		default:
+			b.WriteString(t.text)
+		}
+	}
+	return b.String(), nil
+}
+
+// TestCanonicalIsTheTokenKey holds the one-pass key to the token stream's
+// spelling over the paper's statements and the generated ones, and a warm
+// AppendCanonical into a reused buffer to no allocation.
+func TestCanonicalIsTheTokenKey(t *testing.T) {
+	corpus := []string{"SELECT $ FROM t", `SELECT "" FROM t`, "SELECT 'a"}
+	for _, src := range paper.Statements {
+		corpus = append(corpus, src, "SUBSCRIBE "+src)
+	}
+	for _, c := range append(gen.Cases(50), gen.Regressions()...) {
+		corpus = append(corpus, c.Stmt.SQL())
+	}
+	for _, src := range corpus {
+		got, err := Canonical(src)
+		want, wantErr := tokenKey(src)
+		if got != want || (err == nil) != (wantErr == nil) {
+			t.Errorf("Canonical(%q) = %q, %v; the tokens spell %q, %v", src, got, err, want, wantErr)
+		}
+	}
+	buf := make([]byte, 0, 1024)
+	if n := testing.AllocsPerRun(100, func() {
+		buf, _ = AppendCanonical(buf[:0], paper.Statements["Q9"])
+	}); n != 0 {
+		t.Errorf("a warm AppendCanonical of Q9 allocates %v times, want 0", n)
+	}
 }
 
 // FuzzCanonical checks the statement key on arbitrary text: where the
@@ -194,6 +287,9 @@ func FuzzCanonical(f *testing.F) {
 	f.Add(`SELECT é, rank() OVER (PARTITION BY "Ҵ" ORDER BY ê) AS "naïve" FROM t`)
 	f.Fuzz(func(t *testing.T, src string) {
 		canon, err := Canonical(src)
+		if want, wantErr := tokenKey(src); canon != want || (err == nil) != (wantErr == nil) {
+			t.Fatalf("Canonical(%q) = %q, %v; the tokens spell %q, %v", src, canon, err, want, wantErr)
+		}
 		if err != nil {
 			return
 		}

@@ -22,7 +22,7 @@ import (
 // sort — happens in Open, which may be called many times and
 // concurrently: a Prepared is immutable after Prepare, and every execution
 // builds its own spill stores and row buffers. This is the plan-once /
-// execute-many seam the serving layer's plan cache stores.
+// execute-many seam the engine's plan cache stores.
 //
 // A Prepared captures the catalog entry it was planned on; Current reports
 // whether that entry is still the catalog's, so caches can drop plans whose

@@ -26,8 +26,9 @@ func (s *Sorter) formRuns(buf []storage.Tuple, next Input) ([]*pagestore.File, e
 	}
 	s.build()
 
+	runs := s.tree.runs[:0]
+	s.tree.runs = nil
 	var (
-		runs    []*pagestore.File
 		writer  spill.Writer
 		current = 0
 		seq     = len(buf)
@@ -180,8 +181,9 @@ func (s *Sorter) mergeToRun(runs []*pagestore.File, arena *storage.TupleArena) (
 // memory (this is the pipelined final merge: no output re-materialization)
 // and releases them. The merge fills dead, the buffer run formation emptied,
 // when it has the capacity (a sorted slice's input array always has), and
-// a slice of s.headers otherwise. On error the runs are the caller's to
-// release; the readers are closed.
+// a slice of s.headers otherwise. The emptied list of runs goes back with
+// the merge's tree for the next run formation. On error the runs are the
+// caller's to release; the readers are closed.
 func (s *Sorter) mergeToSlice(runs []*pagestore.File, dead []storage.Tuple, n int, arena *storage.TupleArena) ([]storage.Tuple, error) {
 	defer s.endTree()
 	if err := s.startMerge(runs, arena); err != nil {
@@ -202,5 +204,8 @@ func (s *Sorter) mergeToSlice(runs []*pagestore.File, dead []storage.Tuple, n in
 		out = append(out, t)
 	}
 	releaseRuns(runs)
+	if cap(runs) > cap(s.tree.runs) {
+		s.tree.runs = runs[:0]
+	}
 	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"unsafe"
 
+	"repro/internal/pagestore"
 	"repro/internal/recycle"
 	"repro/internal/spill"
 	"repro/internal/storage"
@@ -37,17 +38,20 @@ type leaf struct {
 // A sorter borrows its tree from trees for one phase — run formation, or
 // one merge — and gives it back at the phase's end, so the arrays serve
 // every sort of the process; readers holds a merge's open runs, leaf i
-// reading through readers[i].
+// reading through readers[i]. runs is a list of run files for a sort's
+// external phase: run formation takes it from its tree, and the final
+// merge hands it back, emptied, to its own.
 type loserTree struct {
 	leaves  []leaf
 	node    []int
 	readers []spill.Reader
+	runs    []*pagestore.File
 }
 
 // trees is the free list sorters borrow their tournaments from.
 var trees = recycle.NewList(func(t *loserTree) int64 {
 	return int64(unsafe.Sizeof(*t)) + int64(cap(t.leaves))*int64(unsafe.Sizeof(leaf{})) + int64(cap(t.node))*int64(unsafe.Sizeof(0)) +
-		int64(cap(t.readers))*int64(unsafe.Sizeof(spill.Reader{}))
+		int64(cap(t.readers))*int64(unsafe.Sizeof(spill.Reader{})) + int64(cap(t.runs))*int64(unsafe.Sizeof((*pagestore.File)(nil)))
 })
 
 // startTree borrows the sorter's tree, sized for k leaves, and returns them

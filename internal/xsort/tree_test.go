@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -180,5 +181,50 @@ func BenchmarkExternalSort(b *testing.B) {
 			}
 			b.ReportMetric(float64(cmps)/float64(b.N)/n, "comparisons/row")
 		})
+	}
+}
+
+// raceEnabled is set under -race, whose instrumentation allocates.
+var raceEnabled bool
+
+// TestWarmExternalSortAllocationsDoNotGrowWithRuns — a spilling sort's
+// workspace is recycled: the tournament, the run readers and the list of
+// run files come back from the free list, the files from the store and the
+// rows from the arena, so a warm external sort allocates no more for forty
+// runs than for four. The GC is held off: it would empty the block pool.
+func TestWarmExternalSortAllocationsDoNotGrowWithRuns(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const block = 64 // small enough that 40 runs merge in one pass
+	rows := randRows(rand.New(rand.NewSource(3)), 4000, 1000)
+	bytes := 0
+	for _, r := range rows {
+		bytes += r.Size()
+	}
+	allocs := make(map[int]float64)
+	for _, want := range []int{4, 40} {
+		// Replacement selection forms runs of about 2M.
+		mem := bytes / (2 * want)
+		s := &Sorter{Key: attrs.AscSeq(0, 1), MemoryBytes: mem, Store: pagestore.NewMem(block, nil), Arena: storage.NewTupleArena(0)}
+		var st Stats
+		sort := func() {
+			mark := s.Arena.Mark()
+			var err error
+			if _, st, err = s.SortTuples(slices.Clone(rows)); err != nil {
+				t.Fatal(err)
+			}
+			s.Arena.Release(mark)
+		}
+		sort()
+		if st.MergePasses != 0 || st.InitialRuns < want/2 {
+			t.Fatalf("M = %d: %d runs in %d passes, want about %d in one", mem, st.InitialRuns, st.MergePasses+1, want)
+		}
+		allocs[want] = testing.AllocsPerRun(20, sort) - 1 // the clone
+		t.Logf("%d runs: %v allocations", st.InitialRuns, allocs[want])
+	}
+	if allocs[40] > allocs[4] {
+		t.Errorf("a warm sort of ~40 runs allocates %v times, of ~4 runs %v", allocs[40], allocs[4])
 	}
 }

@@ -138,7 +138,9 @@ type QueryMetrics struct {
 	sql.Meta
 	// Chain is the chain in the paper's notation, "" when windowless.
 	Chain string
-	// CacheHit reports a prepared-plan cache hit at the serving layer.
+	// CacheHit reports that the statement's plan came from the plan cache
+	// of the engine that resolved it (a hit, or an attach to a concurrent
+	// miss).
 	CacheHit bool
 	// Route is the cluster routing decision ("scatter", "shuffle",
 	// "replica"), "" for single-engine backends.

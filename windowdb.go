@@ -38,6 +38,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/catalog"
 	"repro/internal/delta"
 	"repro/internal/exec"
@@ -83,6 +84,10 @@ type Config struct {
 	// BY queries are sorted explicitly); 1 or a negative value runs the
 	// sequential pipeline.
 	Parallelism int
+	// PlanCacheEntries bounds the engine's plan cache: the prepared
+	// statements QueryContext and PrepareContext reuse, keyed on their
+	// canonical text (default 256).
+	PlanCacheEntries int
 }
 
 func (c Config) withDefaults() Config {
@@ -94,6 +99,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Scheme == "" {
 		c.Scheme = sql.SchemeCSO
+	}
+	if c.PlanCacheEntries <= 0 {
+		c.PlanCacheEntries = 256
 	}
 	// Resolve the parallel degree once, with exec.Config.Degree's mapping
 	// (0 = GOMAXPROCS, negative = sequential), so every consumer — the
@@ -116,10 +124,19 @@ func (c Config) withDefaults() Config {
 // immutable) table — the snapshot-at-lookup semantics of the catalog.
 // Lazily computed statistics (distinct counts) are mutex-guarded
 // inside each catalog entry and computed at most once per key.
+//
+// An engine plans a repeated statement once: QueryContext and
+// PrepareContext resolve statement text through its plan cache (Resolve),
+// which every front end over the engine — a service, a shard node, a
+// cluster coordinator — shares.
 type Engine struct {
 	cfg Config
 	cat *catalog.Catalog
 	hub *delta.Hub
+	// plans is the plan cache: prepared statements keyed on their
+	// canonical text, kept while the catalog entry they were planned on is
+	// current.
+	plans *cache.LRU[*sql.Prepared]
 	// appendMu serializes Append's catalog-swap + hub-publish pair, and
 	// SubscribeStatement's register + snapshot pair, so subscriptions see
 	// every batch exactly once (either in the snapshot or on the channel).
@@ -132,7 +149,13 @@ var _ Queryer = (*Engine)(nil)
 
 // New creates an engine.
 func New(cfg Config) *Engine {
-	return &Engine{cfg: cfg.withDefaults(), cat: catalog.New(), hub: delta.NewHub()}
+	cfg = cfg.withDefaults()
+	return &Engine{
+		cfg:   cfg,
+		cat:   catalog.New(),
+		hub:   delta.NewHub(),
+		plans: cache.New(cfg.PlanCacheEntries, (*sql.Prepared).Current),
+	}
 }
 
 // Register adds (or replaces) a table under name. Statistics (distinct
@@ -220,42 +243,37 @@ func (e *Engine) QueryContext(ctx context.Context, src string) (*Rows, error) {
 		return e.subscribeRows(ctx, inner)
 	}
 	start := time.Now()
-	p, err := e.Prepare(src)
+	p, disp, err := e.Resolve(ctx, src)
 	if err != nil {
 		return nil, err
 	}
-	return openRows(ctx, p, start)
-}
-
-// openRows executes a prepared statement over its catalog entry and wraps
-// the cursor in the public one.
-func openRows(ctx context.Context, p *sql.Prepared, start time.Time) (*Rows, error) {
 	cur, err := p.Open(ctx, sql.Input{}, false)
 	if err != nil {
 		return nil, err
 	}
-	return NewRows(&cursorSource{cur: cur, start: start, traceID: trace.FromContext(ctx)}), nil
+	return NewRows(&cursorSource{cur: cur, start: start, traceID: trace.FromContext(ctx), cacheHit: disp != cache.Miss}), nil
 }
 
-// PrepareContext validates, binds and plans a statement for repeated
-// cursor execution: the Queryer counterpart of Prepare.
+// PrepareContext validates, binds and plans a statement through the plan
+// cache, returning a statement that executes by its text: the Queryer
+// counterpart of Prepare.
 func (e *Engine) PrepareContext(ctx context.Context, src string) (Stmt, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	p, err := e.Prepare(src)
-	if err != nil {
+	if _, _, err := e.Resolve(ctx, src); err != nil {
 		return nil, err
 	}
-	return stmtFunc(func(ctx context.Context) (*Rows, error) { return openRows(ctx, p, time.Now()) }), nil
+	return TextStmt(e, src), nil
 }
 
 // cursorSource adapts the sql package's execution cursor to the public
 // RowSource contract, translating its metadata into QueryMetrics.
 type cursorSource struct {
-	cur     *sql.Cursor
-	start   time.Time
-	traceID string
+	cur      *sql.Cursor
+	start    time.Time
+	traceID  string
+	cacheHit bool
 }
 
 func (cs *cursorSource) Columns() []storage.Column { return cs.cur.Columns() }
@@ -266,6 +284,7 @@ func (cs *cursorSource) End(Ending) *QueryMetrics {
 	meta := NewQueryMetrics(cs.cur.Meta())
 	meta.Elapsed = time.Since(cs.start)
 	meta.TraceID = cs.traceID
+	meta.CacheHit = cs.cacheHit
 	meta.Trace = ExecTrace(meta)
 	_ = cs.cur.Close()
 	return meta
@@ -286,16 +305,44 @@ func NewQueryMetrics(m *sql.Meta) *QueryMetrics {
 	return qm
 }
 
-// Prepare parses, binds and plans a query without executing it. The
-// returned statement executes with this engine's scheme and resources, any
-// number of times and concurrently; it is valid while its table's catalog
-// entry is current (sql.Prepared.Current: re-registering the table
-// invalidates it — execution then reads the superseded entry). Serving
-// layers cache these.
+// Prepare parses, binds and plans a query without executing it, past the
+// plan cache. The returned statement executes with this engine's scheme
+// and resources, any number of times and concurrently; it is valid while
+// its table's catalog entry is current (sql.Prepared.Current:
+// re-registering the table invalidates it — execution then reads the
+// superseded entry).
 func (e *Engine) Prepare(src string) (*sql.Prepared, error) {
 	r := e.runner()
 	return r.Prepare(src)
 }
+
+// keyBufs are the buffers Resolve renders cache keys into.
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// Resolve returns src's prepared statement through the engine's plan cache
+// and how the lookup was served: cache.Hit, cache.Miss (this call
+// prepared it) or cache.Attach (it waited on a concurrent miss). The key
+// is src's canonical text (sql.Canonical), rendered into a reused buffer,
+// so a hit lexes src once and allocates no key. A cached statement stays
+// while the catalog entry it was planned on is current; a failed prepare
+// is never cached. Text the lexer rejects skips the cache and fails in
+// Prepare, so whether a statement fails never depends on its spacing.
+func (e *Engine) Resolve(ctx context.Context, src string) (*sql.Prepared, string, error) {
+	buf := keyBufs.Get().(*[]byte)
+	defer keyBufs.Put(buf)
+	key, err := sql.AppendCanonical((*buf)[:0], src)
+	*buf = key
+	if err != nil {
+		p, err := e.Prepare(src)
+		return p, cache.Miss, err
+	}
+	return e.plans.GetBytes(ctx, key, e.cat.Generation(), func() (*sql.Prepared, error) {
+		return e.Prepare(src)
+	})
+}
+
+// PlanCacheStats snapshots the plan cache's counters.
+func (e *Engine) PlanCacheStats() cache.Stats { return e.plans.Stats(e.cat.Generation()) }
 
 // Generation returns the engine's catalog generation: the count of Register
 // calls. Prepared statements record the generation they were built under.

@@ -182,8 +182,8 @@ func TestStreamWriterAllocatesPerBatchNotPerRow(t *testing.T) {
 }
 
 // TestStreamReaderAllocatesItsVectorsOnce — 80 frames decode into the
-// reader's one batch: past the read buffers, the whole drain allocates a
-// few batches' worth, not one per frame.
+// reader's one batch, and the reader adds no read buffer of its own: the
+// whole drain allocates a few batches' worth, not one per frame.
 func TestStreamReaderAllocatesItsVectorsOnce(t *testing.T) {
 	table := numericTable(80 * stream.BatchRows)
 	w := &sink{hdr: http.Header{}}
@@ -213,9 +213,8 @@ func TestStreamReaderAllocatesItsVectorsOnce(t *testing.T) {
 	if frames != 80 || rows != table.Len() {
 		t.Fatalf("%d frames, %d rows, want 80 and %d", frames, rows, table.Len())
 	}
-	const readBuffer = 64 << 10 // the FrameReader's bufio.Reader
-	if limit := readBuffer + 8*batchBytes(3); got > limit {
-		t.Fatalf("decoding %d frames allocated %d bytes, want at most %d (the read buffer and 8 batches' worth)", frames, got, limit)
+	if limit := 8 * batchBytes(3); got > limit {
+		t.Fatalf("decoding %d frames allocated %d bytes, want at most %d (8 batches' worth)", frames, got, limit)
 	}
 	t.Logf("decoding %d frames allocated %d bytes; one batch is at most %d", frames, got, batchBytes(3))
 }

@@ -31,7 +31,8 @@ const frameChunk = 512
 // encoding several bodies fills one batch's vectors throughout.
 func encodeFrameBody(hdr any, n int, b *stream.Batch, fill func(b *stream.Batch, off, k int) error) ([]byte, error) {
 	var body bytes.Buffer
-	fw := stream.NewFrameWriter(&body)
+	fw := takeFrameWriter(&body)
+	defer giveBackFrameWriter(fw)
 	payload, err := json.Marshal(hdr)
 	if err == nil {
 		err = fw.WriteHeader(payload)
@@ -76,7 +77,9 @@ func postBody(ctx context.Context, hc *http.Client, url string, body []byte) (*h
 // hands every batch's rows to sink as they arrive, and returns how many
 // there were once the trailer has confirmed the count and ended the body.
 func readFrameBody(body io.Reader, hdr interface{ arity() int }, sink func([]storage.Tuple) error) (int64, error) {
-	fr := stream.NewFrameReader(body)
+	work := takeFrameRead(body)
+	defer giveBackFrameRead(work)
+	fr, b := &work.fr, &work.batch // every batch frame decodes into b; sink gets tuples of their own
 	f, err := fr.Next()
 	if err == nil && f.Type != stream.FrameHeader {
 		err = fmt.Errorf("first frame is %c, want header", f.Type)
@@ -87,10 +90,7 @@ func readFrameBody(body io.Reader, hdr interface{ arity() int }, sink func([]sto
 	if err != nil {
 		return 0, fmt.Errorf("service: reading frame body header: %w", err)
 	}
-	var (
-		n int64
-		b stream.Batch // every batch frame decodes into it; sink gets tuples of their own
-	)
+	var n int64
 	for {
 		f, err := fr.Next()
 		if err != nil {
@@ -98,7 +98,7 @@ func readFrameBody(body io.Reader, hdr interface{ arity() int }, sink func([]sto
 		}
 		switch f.Type {
 		case stream.FrameBatch:
-			if err := stream.DecodeBatchInto(&b, f.Payload, hdr.arity()); err != nil {
+			if err := stream.DecodeBatchInto(b, f.Payload, hdr.arity()); err != nil {
 				return n, fmt.Errorf("service: frame body: %w", err)
 			}
 			if b.Len() == 0 {

@@ -105,7 +105,7 @@ func WriteProcessMetrics(p *PromWriter) {
 	p.Gauge("windowdb_block_pool_held", "Spill blocks taken from the pool and not yet handed back.", float64(held))
 	p.Gauge("windowdb_sort_workspace_bytes", "Merge scratch the idle in-memory sort workspace retains, part of windowdb_workspace_bytes.", float64(xsort.WorkspaceBytes()))
 	_, workspace := recycle.Idle()
-	p.Gauge("windowdb_workspace_bytes", "Spill files, reorder buckets and arrays, sort tournaments and scratch, and evaluator buffers idle in the free lists runs take their workspace from.", float64(workspace))
+	p.Gauge("windowdb_workspace_bytes", "Spill files, reorder buckets and arrays, sort tournaments and scratch, evaluator buffers, and wire frame and line buffers idle in the free lists runs and streams take their workspace from.", float64(workspace))
 	p.Gauge("windowdb_arena_pool_bytes", "Value, vector, header and byte slabs released chains left in the arena pool for the next chain to carve.", float64(storage.ArenaPoolBytes()))
 }
 

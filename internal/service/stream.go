@@ -5,10 +5,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"repro"
@@ -168,15 +170,6 @@ func NegotiateCodec(r *http.Request) WireCodec {
 // syscall cost disappears into the encoding work.
 const streamFlushStride = 64
 
-// encodeWireRow writes one tuple as a WireValue-tagged NDJSON array line.
-func encodeWireRow(enc *json.Encoder, row storage.Tuple) error {
-	wr := make([]WireValue, len(row))
-	for i, v := range row {
-		wr[i] = WireValue{V: v}
-	}
-	return enc.Encode(wr)
-}
-
 // readNDJSONLine returns the next non-empty line without its terminator.
 func readNDJSONLine(br *bufio.Reader) ([]byte, error) {
 	for {
@@ -228,6 +221,7 @@ func WriteStream(ctx context.Context, w http.ResponseWriter, rows *windowdb.Rows
 	}
 	defer rows.Close()
 	sw := newStreamWriter(w, codec)
+	defer sw.release()
 	// The header leaves before the first row: a live cursor with an empty
 	// initial result (an empty shard partition, say) blocks indefinitely on
 	// its first row, and a client opening the stream waits on the response
@@ -268,7 +262,7 @@ func WriteStream(ctx context.Context, w http.ResponseWriter, rows *windowdb.Rows
 		}
 	} else {
 		for rows.Next() {
-			if encodeWireRow(sw.enc, rows.Row()) != nil {
+			if sw.row(rows.Row()) != nil {
 				return
 			}
 			n++
@@ -309,11 +303,13 @@ func WriteStream(ctx context.Context, w http.ResponseWriter, rows *windowdb.Rows
 // streamWriter is the framing of one streamed response in either codec:
 // the JSON header and trailer, as NDJSON lines or as 'H'/'T' frames, and
 // the flush between. Rows go through enc (NDJSON) or fw (binary), whichever
-// the codec set.
+// the codec set. fw is wire workspace: release gives it back once the
+// stream is over.
 type streamWriter struct {
 	flusher http.Flusher
 	enc     *json.Encoder
 	fw      *stream.FrameWriter
+	wire    []WireValue // NDJSON: the row being encoded, refilled per row
 }
 
 func newStreamWriter(w http.ResponseWriter, codec WireCodec) *streamWriter {
@@ -321,13 +317,30 @@ func newStreamWriter(w http.ResponseWriter, codec WireCodec) *streamWriter {
 	sw.flusher, _ = w.(http.Flusher)
 	if codec == CodecBinary {
 		w.Header().Set("Content-Type", ContentTypeBinary)
-		sw.fw = stream.NewFrameWriter(w)
+		sw.fw = takeFrameWriter(w)
 	} else {
 		w.Header().Set("Content-Type", ContentTypeNDJSON)
 		sw.enc = json.NewEncoder(w)
 	}
 	w.WriteHeader(http.StatusOK)
 	return sw
+}
+
+// release gives the frame writer back; the stream writes nothing after.
+func (sw *streamWriter) release() {
+	if sw.fw != nil {
+		giveBackFrameWriter(sw.fw)
+		sw.fw = nil
+	}
+}
+
+// row writes one tuple as a WireValue-tagged NDJSON array line.
+func (sw *streamWriter) row(row storage.Tuple) error {
+	sw.wire = sw.wire[:0]
+	for _, v := range row {
+		sw.wire = append(sw.wire, WireValue{V: v})
+	}
+	return sw.enc.Encode(&sw.wire) // a pointer: the slice itself would be boxed per row
 }
 
 func (sw *streamWriter) flush() {
@@ -384,18 +397,28 @@ func (cw *liveCountingWriter) Flush() {
 // the request — a server that predates the frames answers a
 // binary-preferring Accept with NDJSON, and that reads fine. NextBatch
 // yields the rows — a binary stream's frames each decoded into the reader's
-// one batch, an NDJSON stream's lines batched — and io.EOF at the trailer; Trailer exposes the trailer after EOF. A
-// stream that ends without a trailer (a cut connection) surfaces an error
-// instead of a silent prefix. Whoever wants rows reads them through
+// one batch, an NDJSON stream's lines batched — and io.EOF at the trailer;
+// Trailer exposes the trailer after EOF. A stream that ends without a
+// trailer (a cut connection) surfaces an error instead of a silent prefix,
+// and so do bytes after the trailer. Whoever wants rows reads them through
 // windowdb.Rows (Rows).
+//
+// The reader's frame reader and batch, or its line reader, are wire
+// workspace (wirework.go). They go back exactly once, at whichever comes
+// first of the trailer, the error that ends the stream and Close — and a
+// Close from another goroutine while NextBatch reads leaves the giving back
+// to NextBatch, which the closed body ends.
 type StreamReader struct {
 	node  string
 	body  io.ReadCloser
-	br    *bufio.Reader       // NDJSON streams
-	lines *stream.Batcher     // NDJSON streams: the lines' rows, batched
-	fr    *stream.FrameReader // binary streams (exactly one of br/fr is set)
-	batch stream.Batch        // binary streams: what every frame decodes into
-	start time.Time           // when the request went out
+	start time.Time // when the request went out
+
+	mu      sync.Mutex
+	reading bool            // NextBatch is using the workspace
+	closed  bool            // Close has been called
+	frames  *frameRead      // binary streams, until given back
+	br      *bufio.Reader   // NDJSON streams, until given back
+	lines   *stream.Batcher // NDJSON streams: the lines' rows, batched
 
 	cols    []storage.Column
 	trailer *StreamTrailer
@@ -453,59 +476,60 @@ func OpenStream(ctx context.Context, hc *http.Client, url string, reqBody any, c
 // wrapResponse builds a StreamReader over an already-issued 2xx streamed
 // response, sniffing the codec from the response content type.
 func wrapResponse(url string, resp *http.Response) (*StreamReader, error) {
-	var err error
 	sr := &StreamReader{node: url, body: resp.Body, start: time.Now()}
-	var hdr []byte
-	if strings.Contains(resp.Header.Get("Content-Type"), ContentTypeBinary) {
-		sr.fr = stream.NewFrameReader(resp.Body)
-		f, err := sr.fr.Next()
-		if err == nil && f.Type != stream.FrameHeader {
-			err = fmt.Errorf("first frame is %c, want header", f.Type)
-		}
-		if err != nil {
-			resp.Body.Close()
-			return nil, fmt.Errorf("service: %s: reading stream header: %w", url, err)
-		}
-		hdr = f.Payload
-	} else {
-		sr.br = bufio.NewReaderSize(resp.Body, 64<<10)
-		hdr, err = sr.readLine()
-		if err != nil {
-			resp.Body.Close()
-			return nil, fmt.Errorf("service: %s: reading stream header: %w", url, err)
+	hdr, err := sr.readHeader(strings.Contains(resp.Header.Get("Content-Type"), ContentTypeBinary))
+	if err == nil {
+		var h streamHeader
+		if err = json.Unmarshal(hdr, &h); err != nil {
+			err = fmt.Errorf("service: %s: bad stream header %q: %w", url, hdr, err)
+		} else {
+			sr.cols, err = DecodeColumns(h.Columns)
 		}
 	}
-	var h streamHeader
-	if err := json.Unmarshal(hdr, &h); err != nil {
-		resp.Body.Close()
-		return nil, fmt.Errorf("service: %s: bad stream header %q: %w", url, hdr, err)
-	}
-	cols, err := DecodeColumns(h.Columns)
 	if err != nil {
-		resp.Body.Close()
+		_ = sr.Close()
 		return nil, err
 	}
-	sr.cols = cols
 	if sr.br != nil {
 		// One line per batch: the stream may be a live one, and waiting
 		// for a line not sent yet would hold back the ones that were.
-		sr.lines = stream.NewBatcher(len(cols), 1, sr.nextLine)
+		sr.lines = stream.NewBatcher(len(sr.cols), 1, sr.nextLine)
 	}
 	return sr, nil
+}
+
+// readHeader takes the stream's workspace and reads its header: the first
+// frame of a binary stream, the first line of an NDJSON one.
+func (sr *StreamReader) readHeader(binary bool) ([]byte, error) {
+	var (
+		hdr []byte
+		err error
+	)
+	if binary {
+		sr.frames = takeFrameRead(sr.body)
+		var f stream.Frame
+		f, err = sr.frames.fr.Next()
+		if err == nil && f.Type != stream.FrameHeader {
+			err = fmt.Errorf("first frame is %c, want header", f.Type)
+		}
+		hdr = f.Payload
+	} else {
+		sr.br = takeLineReader(sr.body)
+		hdr, err = readNDJSONLine(sr.br)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("service: %s: reading stream header: %w", sr.node, err)
+	}
+	return hdr, nil
 }
 
 // Columns returns the streamed schema from the header line.
 func (sr *StreamReader) Columns() []storage.Column { return sr.cols }
 
-// readLine returns the next non-empty line without its terminator.
-func (sr *StreamReader) readLine() ([]byte, error) {
-	return readNDJSONLine(sr.br)
-}
-
 // NextBatch returns the next rows, io.EOF after the trailer, or an error —
 // a decode failure, a mid-stream server error from the trailer (unwrapping
-// to the taxonomy sentinels via RemoteError), or a truncated stream. The
-// batch is valid until the following call.
+// to the taxonomy sentinels via RemoteError), a truncated stream, or bytes
+// after the trailer. The batch is valid until the following call.
 func (sr *StreamReader) NextBatch() (*stream.Batch, error) {
 	if sr.trailer != nil {
 		return nil, io.EOF
@@ -513,33 +537,77 @@ func (sr *StreamReader) NextBatch() (*stream.Batch, error) {
 	if sr.err != nil {
 		return nil, sr.err
 	}
-	if sr.fr == nil {
+	if !sr.enter() {
+		return nil, sr.fail(errors.New("stream closed"))
+	}
+	defer sr.leave()
+	if sr.lines != nil {
 		return sr.lines.NextBatch()
 	}
-	f, err := sr.fr.Next()
+	f, err := sr.frames.fr.Next()
 	if err != nil {
 		return nil, sr.fail(fmt.Errorf("stream cut before trailer: %w", err))
 	}
 	switch f.Type {
 	case stream.FrameBatch:
-		if err := stream.DecodeBatchInto(&sr.batch, f.Payload, len(sr.cols)); err != nil {
+		if err := stream.DecodeBatchInto(&sr.frames.batch, f.Payload, len(sr.cols)); err != nil {
 			return nil, sr.fail(err)
 		}
-		return &sr.batch, nil
+		return &sr.frames.batch, nil
 	case stream.FrameTrailer:
-		return nil, sr.end(f.Payload)
+		// Read on to the body's end: the connection goes back to the
+		// client's pool only once the response has been read to io.EOF.
+		err := sr.end(f.Payload)
+		if _, next := sr.frames.fr.Next(); next != io.EOF {
+			sr.trailer = nil
+			return nil, sr.fail(errors.New("bytes after the stream's trailer"))
+		}
+		return nil, err
 	default:
 		return nil, sr.fail(fmt.Errorf("unexpected %c frame mid-stream", f.Type))
 	}
 }
 
+// enter claims the workspace for a read, false once the reader is closed.
+func (sr *StreamReader) enter() bool {
+	sr.mu.Lock()
+	defer sr.mu.Unlock()
+	sr.reading = !sr.closed
+	return sr.reading
+}
+
+// leave ends a read, giving the workspace back if the stream is over.
+func (sr *StreamReader) leave() {
+	sr.mu.Lock()
+	defer sr.mu.Unlock()
+	sr.reading = false
+	if sr.closed || sr.trailer != nil || sr.err != nil {
+		sr.release()
+	}
+}
+
+// release gives the workspace back, once; the caller holds mu.
+func (sr *StreamReader) release() {
+	if sr.frames != nil {
+		giveBackFrameRead(sr.frames)
+		sr.frames = nil
+	}
+	if sr.br != nil {
+		giveBackLineReader(sr.br)
+		sr.br = nil
+	}
+}
+
 // nextLine is the row pull under an NDJSON stream's Batcher.
 func (sr *StreamReader) nextLine() (storage.Tuple, error) {
-	line, err := sr.readLine()
+	line, err := readNDJSONLine(sr.br)
 	if err != nil {
 		return nil, sr.fail(fmt.Errorf("stream cut before trailer: %w", err))
 	}
 	if line[0] != '[' {
+		if _, next := readNDJSONLine(sr.br); next != io.EOF {
+			return nil, sr.fail(errors.New("bytes after the stream's trailer"))
+		}
 		return nil, sr.end(line)
 	}
 	t, err := decodeWireRow(line, len(sr.cols))
@@ -572,7 +640,16 @@ func (sr *StreamReader) end(payload []byte) error {
 // Trailer returns the stream trailer, nil until NextBatch returned io.EOF.
 func (sr *StreamReader) Trailer() *StreamTrailer { return sr.trailer }
 
-// Close releases the underlying response body; closing a half-read stream
-// is how a client disconnects (the server sees the write fail or the
-// request context cancel, and releases its slot).
-func (sr *StreamReader) Close() error { return sr.body.Close() }
+// Close releases the underlying response body and, unless a NextBatch is
+// reading, the wire workspace; closing a half-read stream is how a client
+// disconnects (the server sees the write fail or the request context
+// cancel, and releases its slot).
+func (sr *StreamReader) Close() error {
+	sr.mu.Lock()
+	sr.closed = true
+	if !sr.reading {
+		sr.release()
+	}
+	sr.mu.Unlock()
+	return sr.body.Close()
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"unsafe"
 
 	"repro/internal/storage"
 )
@@ -121,6 +122,25 @@ func (b *Batch) Reset(arity, n int) {
 	}
 }
 
+// Clear empties b and lets go of every value its vectors still hold — a
+// string, the tail of a mixed column — keeping them as capacity: what a
+// batch that waits on a free list must be. Under PoisonReused its vectors
+// are overwritten instead.
+func (b *Batch) Clear() {
+	cols := b.cols[:cap(b.cols)]
+	for c := range cols {
+		col := &cols[c]
+		if poisonReused {
+			col.poison()
+		} else {
+			clear(col.spare.strs[:cap(col.spare.strs)])
+			clear(col.spare.mixed[:cap(col.spare.mixed)])
+		}
+		col.clear()
+	}
+	b.cols, b.n = b.cols[:0], 0
+}
+
 // clear makes c the all-NULL column; its vectors stay behind in spare.
 func (c *Col) clear() {
 	c.Kind = storage.KindNull
@@ -141,6 +161,20 @@ func poison[T any](spare []T, v T) {
 	for i := range spare {
 		spare[i] = v
 	}
+}
+
+// Bytes is the memory b's vectors retain, the spare capacity of every
+// column it has had included: what a free list that keeps b counts it as.
+func (b *Batch) Bytes() int64 {
+	n := int64(cap(b.cols)) * int64(unsafe.Sizeof(Col{}))
+	cols := b.cols[:cap(b.cols)]
+	for c := range cols {
+		s := &cols[c].spare
+		n += int64(cap(s.null)) + 8*int64(cap(s.ints)+cap(s.floats)) +
+			int64(cap(s.strs))*int64(unsafe.Sizeof("")) +
+			int64(cap(s.mixed))*int64(unsafe.Sizeof(storage.Value{}))
+	}
+	return n
 }
 
 // Len returns the batch's row count.

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -56,6 +55,9 @@ const (
 	FrameTrailer = 'T'
 )
 
+// frameHeaderLen is a frame's type byte and 4-byte length.
+const frameHeaderLen = 5
+
 // MaxFramePayload bounds a frame's declared payload length: a corrupt or
 // hostile 4-byte length cannot make the reader allocate gigabytes.
 const MaxFramePayload = 64 << 20
@@ -73,7 +75,11 @@ const (
 // ErrFrameCorrupt reports a malformed binary frame stream.
 var ErrFrameCorrupt = errors.New("stream: corrupt binary frame")
 
-// FrameWriter emits one binary stream: magic, then frames.
+// FrameWriter emits one binary stream: magic, then frames. Every frame
+// leaves in one Write — the magic, on the first, in the same one: it is
+// built in buf, its header reserved in front of the payload and its length
+// patched in once the payload is there, so a frame flushed on its own is
+// one HTTP chunk, and nothing of it is allocated past buf's growth.
 type FrameWriter struct {
 	w     io.Writer
 	buf   []byte
@@ -84,21 +90,45 @@ type FrameWriter struct {
 // NewFrameWriter wraps w; nothing is written until the first frame.
 func NewFrameWriter(w io.Writer) *FrameWriter { return &FrameWriter{w: w} }
 
-func (fw *FrameWriter) writeFrame(typ byte, payload []byte) error {
+// Reset readies fw for a new stream to w, keeping its buffer and batch as
+// capacity (Batch.Clear). Under PoisonReused the buffer is overwritten: a
+// frame read out of it after its stream ended shows as garbage.
+func (fw *FrameWriter) Reset(w io.Writer) {
+	fw.w, fw.wrote = w, false
+	fw.batch.Clear()
+	if poisonReused {
+		poison(fw.buf, 0xdb)
+	}
+}
+
+// Bytes is the memory fw retains: its frame buffer and WriteTuples' batch.
+func (fw *FrameWriter) Bytes() int64 { return int64(cap(fw.buf)) + fw.batch.Bytes() }
+
+// begin starts a frame of type typ in buf — the magic first if no frame
+// has gone out yet — and returns where its header starts.
+func (fw *FrameWriter) begin(typ byte) int {
+	fw.buf = fw.buf[:0]
 	if !fw.wrote {
-		if _, err := io.WriteString(fw.w, FrameMagic); err != nil {
-			return err
-		}
-		fw.wrote = true
+		fw.buf = append(fw.buf, FrameMagic...)
 	}
-	var hdr [5]byte
-	hdr[0] = typ
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := fw.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := fw.w.Write(payload)
+	at := len(fw.buf)
+	fw.buf = append(fw.buf, typ, 0, 0, 0, 0) // the length: send patches it in
+	return at
+}
+
+// send patches the length of the frame whose header starts at at into it
+// and writes the frame.
+func (fw *FrameWriter) send(at int) error {
+	binary.LittleEndian.PutUint32(fw.buf[at+1:], uint32(len(fw.buf)-at-frameHeaderLen))
+	fw.wrote = true
+	_, err := fw.w.Write(fw.buf)
 	return err
+}
+
+func (fw *FrameWriter) writeFrame(typ byte, payload []byte) error {
+	at := fw.begin(typ)
+	fw.buf = append(fw.buf, payload...)
+	return fw.send(at)
 }
 
 // WriteHeader emits the 'H' frame (payload is the caller's JSON header).
@@ -113,8 +143,9 @@ func (fw *FrameWriter) WriteTrailer(payload []byte) error {
 
 // WriteBatch encodes and emits one 'B' frame.
 func (fw *FrameWriter) WriteBatch(b *Batch) error {
-	fw.buf = AppendBatch(fw.buf[:0], b)
-	return fw.writeFrame(FrameBatch, fw.buf)
+	at := fw.begin(FrameBatch)
+	fw.buf = AppendBatch(fw.buf, b)
+	return fw.send(at)
 }
 
 // WriteTuples batches and emits rows as one 'B' frame.
@@ -419,52 +450,61 @@ type Frame struct {
 // FrameReader consumes one binary stream. The payload returned by Next is
 // only valid until the following Next call.
 type FrameReader struct {
-	br      *bufio.Reader
+	r       io.Reader
 	started bool
+	magic   [4]byte
+	hdr     [frameHeaderLen]byte
 	buf     []byte
 }
 
-// NewFrameReader wraps r. If r is already a *bufio.Reader it is used
-// directly.
-func NewFrameReader(r io.Reader) *FrameReader {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 64<<10)
+// NewFrameReader reads frames from r as they are asked for. It adds no
+// buffer of its own: a frame is two reads — its header, then its payload
+// into the reader's one payload buffer — so r should be buffered when small
+// reads cost a system call each (an HTTP body already is).
+func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{r: r} }
+
+// Reset readies fr for a new stream from r, keeping its payload buffer as
+// capacity. Under PoisonReused the buffer is overwritten: a payload read
+// after its stream ended shows as garbage.
+func (fr *FrameReader) Reset(r io.Reader) {
+	fr.r, fr.started = r, false
+	if poisonReused {
+		poison(fr.buf, 0xdb)
 	}
-	return &FrameReader{br: br}
 }
+
+// Bytes is the memory fr retains: its payload buffer.
+func (fr *FrameReader) Bytes() int64 { return int64(cap(fr.buf)) }
 
 // Next returns the next frame, io.EOF at a clean end of input (only
 // between frames), or an error. A stream cut inside a frame surfaces
 // io.ErrUnexpectedEOF.
 func (fr *FrameReader) Next() (Frame, error) {
 	if !fr.started {
-		var magic [4]byte
-		if _, err := io.ReadFull(fr.br, magic[:]); err != nil {
+		if _, err := io.ReadFull(fr.r, fr.magic[:]); err != nil {
 			if err == io.EOF {
 				return Frame{}, io.ErrUnexpectedEOF
 			}
 			return Frame{}, err
 		}
-		if string(magic[:]) != FrameMagic {
-			return Frame{}, fmt.Errorf("%w: bad magic %q", ErrFrameCorrupt, magic)
+		if string(fr.magic[:]) != FrameMagic {
+			return Frame{}, fmt.Errorf("%w: bad magic %q", ErrFrameCorrupt, fr.magic)
 		}
 		fr.started = true
 	}
-	var hdr [5]byte
-	if _, err := io.ReadFull(fr.br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			return Frame{}, io.ErrUnexpectedEOF
 		}
 		return Frame{}, err
 	}
-	typ := hdr[0]
+	typ := fr.hdr[0]
 	switch typ {
 	case FrameHeader, FrameBatch, FrameTrailer:
 	default:
 		return Frame{}, fmt.Errorf("%w: bad frame type %d", ErrFrameCorrupt, typ)
 	}
-	size := binary.LittleEndian.Uint32(hdr[1:])
+	size := binary.LittleEndian.Uint32(fr.hdr[1:])
 	if size > MaxFramePayload {
 		return Frame{}, fmt.Errorf("%w: frame payload %d exceeds limit", ErrFrameCorrupt, size)
 	}
@@ -472,7 +512,7 @@ func (fr *FrameReader) Next() (Frame, error) {
 		fr.buf = make([]byte, size)
 	}
 	fr.buf = fr.buf[:size]
-	if _, err := io.ReadFull(fr.br, fr.buf); err != nil {
+	if _, err := io.ReadFull(fr.r, fr.buf); err != nil {
 		if err == io.EOF {
 			return Frame{}, io.ErrUnexpectedEOF
 		}

@@ -2,7 +2,8 @@ package stream
 
 import (
 	"bytes"
-	"io"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/storage"
@@ -16,7 +17,10 @@ import (
 // frame is also decoded over one batch kept across the frames of an input
 // (DecodeBatchInto), with handed-back vectors poisoned: what comes out must
 // be what a new batch decodes to, so nothing of the frame before — a value
-// under a NULL slot, the tail of a longer batch — can show through.
+// under a NULL slot, the tail of a longer batch — can show through. And the
+// whole input is decoded again through one reader and batch kept across
+// streams (Reset), after a truncated stream and after a whole one: nothing
+// of the stream before may show through either.
 func FuzzFrameDecode(f *testing.F) {
 	defer PoisonReused()()
 	// Seed with well-formed streams so the fuzzer starts at the format's
@@ -47,52 +51,81 @@ func FuzzFrameDecode(f *testing.F) {
 		if arity < 0 || arity > 64 {
 			arity = int(uint(arity) % 65)
 		}
-		fr := NewFrameReader(bytes.NewReader(data))
-		var reused Batch
-		for i := 0; i < 64; i++ {
-			fm, err := fr.Next()
-			if err != nil {
-				if err == io.EOF || err == io.ErrUnexpectedEOF {
-					break
-				}
-				// Any other error must be a descriptive decode failure;
-				// reaching here without panicking is the contract.
-				break
-			}
-			if fm.Type != FrameBatch {
-				continue
-			}
-			b, err := DecodeBatch(fm.Payload, arity)
-			intoErr := DecodeBatchInto(&reused, fm.Payload, arity)
-			if (err == nil) != (intoErr == nil) {
-				t.Fatalf("DecodeBatch: %v, DecodeBatchInto: %v", err, intoErr)
-			}
-			if err != nil {
-				if reused.Len() != 0 || reused.Arity() != 0 {
-					t.Fatalf("a failed decode left %d rows by %d columns behind", reused.Len(), reused.Arity())
-				}
-				continue
-			}
-			sameBatch(t, &reused, b)
-			// A payload that decodes must round-trip value-identically.
-			re := AppendBatch(nil, b)
-			b2, err := DecodeBatch(re, arity)
-			if err != nil {
-				t.Fatalf("re-encoded batch failed to decode: %v", err)
-			}
-			if b2.Len() != b.Len() {
-				t.Fatalf("round trip changed row count: %d != %d", b2.Len(), b.Len())
-			}
-			r1, r2 := b.Tuples(), b2.Tuples()
-			for r := range r1 {
-				for c := range r1[r] {
-					if r1[r][c].Kind() != r2[r][c].Kind() || !storage.Equal(r1[r][c], r2[r][c]) {
-						t.Fatalf("round trip changed row %d col %d: %v != %v", r, c, r1[r][c], r2[r][c])
-					}
-				}
+		fresh := decodeAll(t, NewFrameReader(bytes.NewReader(data)), &Batch{}, arity)
+		// One reader and one batch, Reset between streams, decode the input
+		// twice more — once right after a truncated stream left them
+		// wherever it stopped, once after a whole one — and must tell
+		// exactly what a fresh pair told: nothing of a stream before shows.
+		var (
+			fr FrameReader
+			b  Batch
+		)
+		for _, in := range [][]byte{data[:len(data)/2], data, data} {
+			fr.Reset(bytes.NewReader(in))
+			got := decodeAll(t, &fr, &b, arity)
+			if len(in) == len(data) && got != fresh {
+				t.Fatalf("a reset reader decoded\n%s\na fresh one\n%s", got, fresh)
 			}
 		}
 	})
+}
+
+// decodeAll reads up to 64 frames of one stream with fr, decoding every
+// batch frame into reused, and returns a transcript of what it read: each
+// frame's type and payload, each batch's rows or decode error, and the
+// error that ended the stream. Every batch frame is also decoded into a new
+// batch: both must agree, a failed decode must leave reused empty, and a
+// payload that decodes must round-trip value-identically.
+func decodeAll(t *testing.T, fr *FrameReader, reused *Batch, arity int) string {
+	var out strings.Builder
+	for i := 0; i < 64; i++ {
+		fm, err := fr.Next()
+		if err != nil {
+			// Reaching here without panicking is the contract; any error
+			// but a clean or cut end is a descriptive decode failure.
+			fmt.Fprintf(&out, "end: %v\n", err)
+			break
+		}
+		fmt.Fprintf(&out, "%c %q\n", fm.Type, fm.Payload)
+		if fm.Type != FrameBatch {
+			continue
+		}
+		b, err := DecodeBatch(fm.Payload, arity)
+		intoErr := DecodeBatchInto(reused, fm.Payload, arity)
+		if (err == nil) != (intoErr == nil) {
+			t.Fatalf("DecodeBatch: %v, DecodeBatchInto: %v", err, intoErr)
+		}
+		if err != nil {
+			if reused.Len() != 0 || reused.Arity() != 0 {
+				t.Fatalf("a failed decode left %d rows by %d columns behind", reused.Len(), reused.Arity())
+			}
+			fmt.Fprintf(&out, "  error: %v\n", err)
+			continue
+		}
+		sameBatch(t, reused, b)
+		fmt.Fprintf(&out, "  %d rows\n", reused.Len())
+		for _, row := range reused.Tuples() {
+			fmt.Fprintf(&out, "  %q\n", storage.AppendTuple(nil, row))
+		}
+		// A payload that decodes must round-trip value-identically.
+		re := AppendBatch(nil, b)
+		b2, err := DecodeBatch(re, arity)
+		if err != nil {
+			t.Fatalf("re-encoded batch failed to decode: %v", err)
+		}
+		if b2.Len() != b.Len() {
+			t.Fatalf("round trip changed row count: %d != %d", b2.Len(), b.Len())
+		}
+		r1, r2 := b.Tuples(), b2.Tuples()
+		for r := range r1 {
+			for c := range r1[r] {
+				if r1[r][c].Kind() != r2[r][c].Kind() || !storage.Equal(r1[r][c], r2[r][c]) {
+					t.Fatalf("round trip changed row %d col %d: %v != %v", r, c, r1[r][c], r2[r][c])
+				}
+			}
+		}
+	}
+	return out.String()
 }
 
 // sameBatch holds a decoded-into batch to a newly decoded one: the same

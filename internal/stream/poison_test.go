@@ -94,7 +94,8 @@ func drainKeeping(t *testing.T, rows *windowdb.Rows, stop func(n int) bool) []ke
 // the drain and equals the eager execution's table, for the paper's Q1–Q9,
 // the benchmark's F1–F6 and a string-carrying chain, read in process and
 // through the binary wire (the server's cursor and frame writer, the
-// client's decode-into batch), and for a subscription's one-row batches.
+// client's frame reader and decode-into batch, two statements at once), and
+// for a subscription's one-row batches.
 func TestReusedBatchesAreNeverRead(t *testing.T) {
 	defer stream.PoisonReused()()
 
@@ -147,7 +148,7 @@ func TestReusedBatchesAreNeverRead(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for _, rd := range readers {
-			t.Run(name+"/"+rd.name, func(t *testing.T) {
+			read := func(t *testing.T) {
 				rows, err := rd.q.QueryContext(ctx, statements[name])
 				if err != nil {
 					t.Fatal(err)
@@ -169,6 +170,22 @@ func TestReusedBatchesAreNeverRead(t *testing.T) {
 					if gotEnc[i] != wantEnc[i] {
 						t.Fatalf("the rows read differ from execute's (at %d of the sorted encodings)", i)
 					}
+				}
+			}
+			t.Run(name+"/"+rd.name, func(t *testing.T) {
+				if rd.name != "client" {
+					read(t)
+					return
+				}
+				// Two statements at once over the one client: their wire
+				// workspaces — the server's frame writers, the client's
+				// frame readers and batches — go back to their lists,
+				// poisoned, while the other stream runs.
+				for i := 0; i < 2; i++ {
+					t.Run(fmt.Sprint(i), func(t *testing.T) {
+						t.Parallel()
+						read(t)
+					})
 				}
 			})
 		}

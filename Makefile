@@ -148,7 +148,10 @@ load-smoke:
 # make a keyless segment beside keyed ones: it must shuffle with the single
 # engine's row count, the nodes running the plan the coordinator shipped
 # them. The two-process proof that scatter and shuffle both work over real
-# sockets.
+# sockets. Before any of it, the coordinator and the single engine must
+# answer a list of requests with the same status — allowed and refused
+# methods on /healthz, /stats, /metrics, /debug/queries, /debug/trace/,
+# /append and /query — the one route table seen over real sockets.
 #
 # The observability plane rides the same boot: the coordinator must serve
 # the required Prometheus metric families on /metrics, and it runs with
@@ -192,6 +195,14 @@ cluster-smoke:
 		done; \
 		[ "$$ok" = 1 ] || { echo "cluster-smoke: $$url never became healthy" >&2; exit 1; }; \
 	done; \
+	for req in "GET /healthz" "POST /healthz" "GET /stats" "POST /stats" "GET /metrics" "POST /metrics" \
+		"GET /debug/queries" "DELETE /debug/queries" "GET /debug/trace/" "GET /append" "PUT /query"; do \
+		set -- $$req; \
+		cs=$$(curl -s -o /dev/null -w '%{http_code}' -X $$1 http://127.0.0.1:18093$$2); \
+		ss=$$(curl -s -o /dev/null -w '%{http_code}' -X $$1 http://127.0.0.1:18096$$2); \
+		[ "$$cs" = "$$ss" ] || { echo "cluster-smoke: $$req answers $$cs on the coordinator, $$ss on the single engine" >&2; exit 1; }; \
+	done; \
+	echo "cluster-smoke: coordinator and single engine answer the route table alike"; \
 	body='{"sql":"$(SMOKE_Q)","max_rows":1}'; \
 	divbody='{"sql":"$(SMOKE_DIVQ)","max_rows":1}'; \
 	keylessbody='{"sql":"$(SMOKE_KEYLESSQ)","max_rows":1}'; \

@@ -1,19 +1,26 @@
 // Command windserve is the HTTP/JSON front end of the query service: a
 // windowdb.Engine (whose plan cache -cachesize bounds) wrapped in
-// internal/service's admission control and metrics, serving
+// internal/service's admission control and metrics, serving the one route
+// table every role serves (service.NewHandler), each route answering the
+// methods it declares:
 //
-//	POST /query   {"sql": "SELECT ...", "max_rows": 100, "timeout_ms": 5000}
-//	GET  /query?q=SELECT+...
-//	POST /append  one batch of rows for a registered table
-//	GET  /stats   service counters (QPS, p50/p95/p99, cache, admission)
-//	GET  /healthz liveness probe
-//	GET  /metrics Prometheus exposition
-//	GET  /debug/trace/[{id}]           recent statement traces
-//	GET, DELETE /debug/queries[/{id}]  in-flight statements; DELETE kills
+//	GET, POST   /query               GET ?q=SELECT+..., POST {"sql": "SELECT ...", "max_rows": 100, "timeout_ms": 5000}
+//	POST        /append              one batch of rows for a registered table
+//	GET         /stats               counters (QPS, p50/p95/p99, cache, admission)
+//	GET         /healthz             liveness probe
+//	GET         /metrics             Prometheus exposition
+//	GET         /debug/trace/[{id}]  recent statement traces
+//	GET         /debug/queries       in-flight statements
+//	GET, DELETE /debug/queries/{id}  one in-flight statement; DELETE kills it
 //
-// plus, with -shardnode, the /shard/* routes (query, register, distinct,
-// shuffle) that let a cluster coordinator use this process as a shard
-// node. A coordinator serves the same public routes.
+// Every GET route answers HEAD too, and any other method a 405 naming the
+// route's methods. With -shardnode it also serves the /shard/* routes that
+// let a cluster coordinator use this process as a shard node:
+//
+//	POST /shard/query, /shard/register, /shard/shuffle, /shard/shuffle/run, /shard/shuffle/drop
+//	GET  /shard/distinct
+//
+// A coordinator serves the same public routes.
 //
 // /query answers buffered JSON by default; "stream":true, ?stream=1 or
 // `Accept: application/x-ndjson` switches to the chunked NDJSON row

@@ -87,19 +87,19 @@ func appendBackends(t *testing.T) []appendBackend {
 			return wm, err
 		}},
 		{"service", svc, func(ctx context.Context, table string, rows []storage.Tuple) (uint64, error) {
-			_, wm, err := svc.Append(ctx, table, rows, 0)
-			return wm, err
+			resp, err := svc.Append(ctx, table, rows, 0)
+			return resp.Watermark, err
 		}},
 		{"client-engine", client, func(ctx context.Context, table string, rows []storage.Tuple) (uint64, error) {
 			resp, err := client.Append(ctx, table, rows)
 			return resp.Watermark, err
 		}},
 		{"cluster", cluster, func(ctx context.Context, table string, rows []storage.Tuple) (uint64, error) {
-			resp, err := cluster.Append(ctx, table, rows)
+			resp, err := cluster.Append(ctx, table, rows, 0)
 			return resp.Watermark, err
 		}},
 		{"cluster-http-binary", clusterHTTP, func(ctx context.Context, table string, rows []storage.Tuple) (uint64, error) {
-			resp, err := clusterHTTP.Append(ctx, table, rows)
+			resp, err := clusterHTTP.Append(ctx, table, rows, 0)
 			return resp.Watermark, err
 		}},
 		{"client-coordinator", coordClient, func(ctx context.Context, table string, rows []storage.Tuple) (uint64, error) {

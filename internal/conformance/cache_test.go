@@ -71,7 +71,7 @@ func TestPlanCacheValidityPerTable(t *testing.T) {
 			return err
 		}},
 		{"service", svc, svc.Engine().Register, func(rows []storage.Tuple) error {
-			_, _, err := svc.Append(ctx, "web_sales", rows, 0)
+			_, err := svc.Append(ctx, "web_sales", rows, 0)
 			return err
 		}},
 		{"client", client, front.Engine().Register, func(rows []storage.Tuple) error {
@@ -79,7 +79,7 @@ func TestPlanCacheValidityPerTable(t *testing.T) {
 			return err
 		}},
 		{"cluster", cluster, registerOn(cluster), func(rows []storage.Tuple) error {
-			_, err := cluster.Append(ctx, "web_sales", rows)
+			_, err := cluster.Append(ctx, "web_sales", rows, 0)
 			return err
 		}},
 		{"client-coordinator", coordClient, registerOn(behind), func(rows []storage.Tuple) error {

@@ -162,7 +162,7 @@ func TestFactoredFreshnessUnderAppends(t *testing.T) {
 			for i := range fresh {
 				fresh[i] = append(storage.Tuple(nil), ws.Rows[(b*batch+i)%base]...)
 			}
-			if _, _, err := svc.Append(ctx, "web_sales", fresh, 0); err != nil {
+			if _, err := svc.Append(ctx, "web_sales", fresh, 0); err != nil {
 				errCh <- err
 				return
 			}

@@ -51,29 +51,28 @@ type AppendResponse struct {
 	Watermark    uint64 `json:"watermark"`
 }
 
-// Append applies one batch of rows to a registered table through the
-// engine — validation, data-generation bump, subscription wake — and
-// meters it. atLeast is the coordinator-assigned watermark lower bound
-// (0 locally).
-func (s *Service) Append(ctx context.Context, table string, rows []storage.Tuple, atLeast uint64) (startRid int64, watermark uint64, err error) {
+// Append implements Backend: one batch of rows applied to a registered
+// table through the engine — validation, data-generation bump,
+// subscription wake — and metered. atLeast is the coordinator-assigned
+// watermark lower bound (0 locally).
+func (s *Service) Append(ctx context.Context, table string, rows []storage.Tuple, atLeast uint64) (AppendResponse, error) {
 	if err := ctx.Err(); err != nil {
-		return 0, 0, err
+		return AppendResponse{}, err
 	}
 	start, wm, err := s.eng.AppendAt(table, rows, atLeast)
 	if err != nil {
-		return 0, 0, err
+		return AppendResponse{}, err
 	}
 	s.metrics.appends.Add(1)
 	s.metrics.rowsAppended.Add(uint64(len(rows)))
-	return start, wm, nil
+	return AppendResponse{Table: table, StartRid: start, RowsAppended: len(rows), Watermark: wm}, nil
 }
 
-// DecodeAppendBody decodes a POST /append request into its metadata and
+// decodeAppendBody decodes a POST /append request into its metadata and
 // rows: the JSON shape by default, the binary columnar frame shape when
 // the Content-Type says so (table and watermark then ride the query
-// string). Shared by the single-engine route and the cluster
-// coordinator's front door.
-func DecodeAppendBody(r *http.Request) (AppendRequest, []storage.Tuple, error) {
+// string).
+func decodeAppendBody(r *http.Request) (AppendRequest, []storage.Tuple, error) {
 	var req AppendRequest
 	var rows []storage.Tuple
 	if strings.Contains(r.Header.Get("Content-Type"), ContentTypeBinary) {
@@ -114,35 +113,12 @@ func DecodeAppendBody(r *http.Request) (AppendRequest, []storage.Tuple, error) {
 	return req, rows, nil
 }
 
-// handleAppend is the POST /append route.
-func (s *Service) handleAppend(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", "POST")
-		WriteError(w, http.StatusMethodNotAllowed, "request", errors.New("service: use POST"))
-		return
-	}
-	req, rows, err := DecodeAppendBody(r)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, "request", err)
-		return
-	}
-	start, wm, err := s.Append(r.Context(), req.Table, rows, req.Watermark)
-	if err != nil {
-		status, kind := AppendStatus(err)
-		WriteError(w, status, kind, err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, AppendResponse{
-		Table: req.Table, StartRid: start, RowsAppended: len(rows), Watermark: wm,
-	})
-}
-
-// AppendStatus maps an append error onto the HTTP status taxonomy:
+// appendStatus maps an append error onto the HTTP status taxonomy:
 // unknown table keeps its 404, and any other would-be-500 is a validation
 // failure from catalog.Append (arity, column type) — the client's fault,
 // not an engine fault — so it becomes a 400 "append".
-func AppendStatus(err error) (status int, kind string) {
-	status, kind = StatusFor(err)
+func appendStatus(err error) (status int, kind string) {
+	status, kind = statusFor(err)
 	if status == http.StatusInternalServerError && !errors.Is(err, catalog.ErrUnknownTable) {
 		status, kind = http.StatusBadRequest, "append"
 	}

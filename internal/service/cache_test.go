@@ -128,7 +128,7 @@ func TestCacheHammer(t *testing.T) {
 				}
 			}
 			row := slices.Clone(ws[0].Rows[i])
-			if _, _, err := svc.Append(ctx, "web_sales", []storage.Tuple{row}, 0); err != nil {
+			if _, err := svc.Append(ctx, "web_sales", []storage.Tuple{row}, 0); err != nil {
 				t.Error(err)
 				return
 			}

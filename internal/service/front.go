@@ -104,26 +104,26 @@ func (f *Front) Prepare(ctx context.Context, q windowdb.Queryer, src string) (wi
 	return windowdb.TextStmt(q, src), nil
 }
 
-// Insert serves an INSERT statement: parse, append through apply (which
-// returns the watermark the rows landed at) and answer with the one-row
-// summary cursor every backend produces. It has no cursor to walk away
-// from and is counted when its append returns: served, or failed — a
-// cancelled context included, since what it cut short is a write.
-func (f *Front) Insert(ctx context.Context, src string, apply func(ctx context.Context, table string, rows []storage.Tuple) (uint64, error)) (*windowdb.Rows, error) {
+// Insert serves an INSERT statement: parse, append through the backend's
+// Append (Backend.Append) and answer with the one-row summary cursor every
+// backend produces. It has no cursor to walk away from and is counted when
+// its append returns: served, or failed — a cancelled context included,
+// since what it cut short is a write.
+func (f *Front) Insert(ctx context.Context, src string, apply func(ctx context.Context, table string, rows []storage.Tuple, atLeast uint64) (AppendResponse, error)) (*windowdb.Rows, error) {
 	ins, err := sql.ParseInsert(src)
 	if err == nil {
 		err = ctx.Err()
 	}
-	var wm uint64
+	var resp AppendResponse
 	if err == nil {
-		wm, err = apply(ctx, ins.Table, ins.Rows)
+		resp, err = apply(ctx, ins.Table, ins.Rows, 0)
 	}
 	if err != nil {
 		f.count(windowdb.Failed)
 		return nil, err
 	}
 	f.count(windowdb.Served)
-	return windowdb.NewInsertRows(ins.Table, len(ins.Rows), wm), nil
+	return windowdb.NewInsertRows(ins.Table, len(ins.Rows), resp.Watermark), nil
 }
 
 func (f *Front) count(o windowdb.Outcome) {
@@ -251,10 +251,10 @@ func (st *Statement) cancel() {
 	}
 }
 
-// WriteMetrics renders the front's families — statement outcomes, the plan
+// writeMetrics renders the front's families — statement outcomes, the plan
 // cache and the registry — for a single engine, a shard node and a
 // coordinator alike.
-func (f *Front) WriteMetrics(p *PromWriter) {
+func (f *Front) writeMetrics(p *PromWriter) {
 	p.Counter("windowdb_queries_total", "Queries completed successfully.", float64(f.Queries.Load()))
 	p.Counter("windowdb_query_failures_total", "Queries completed with an error.", float64(f.Failures.Load()))
 	p.Counter("windowdb_queries_aborted_total", "Queries aborted before completion (kills, client disconnects, streams closed before their last row).", float64(f.Aborted.Load()))

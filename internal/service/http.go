@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"net/http"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"time"
 
@@ -18,12 +20,68 @@ import (
 	"repro/internal/trace"
 )
 
-// Handler returns the HTTP/JSON serving surface:
+// Backend is what the route table (NewHandler) serves besides its Front: a
+// statement executor plus the hooks on which a single engine and a cluster
+// coordinator differ. Where a shard.Transport method exists, the hook has
+// its signature.
+type Backend interface {
+	windowdb.Queryer
+	// Append applies one batch of rows to a table at a data generation of
+	// at least atLeast: POST /append and the INSERT verb.
+	Append(ctx context.Context, table string, rows []storage.Tuple, atLeast uint64) (AppendResponse, error)
+	// StatsBody is the GET /stats JSON body.
+	StatsBody(ctx context.Context) (any, error)
+	// Health reports nil when the backend serves; an error is GET /healthz's
+	// 503 "degraded" status.
+	Health(ctx context.Context) error
+	// WriteMetrics writes the backend's own GET /metrics families, beside
+	// the Front's and the process's.
+	WriteMetrics(ctx context.Context, p *PromWriter) error
+	// LiveQueries lists the in-flight statements, newest first: GET
+	// /debug/queries[/{id}].
+	LiveQueries(ctx context.Context) ([]trace.QueryInfo, error)
+	// KillQuery cancels the in-flight statement id, false when none is
+	// held: DELETE /debug/queries/{id}.
+	KillQuery(ctx context.Context, id string) (bool, error)
+}
+
+// methods maps each method a route answers to its handler.
+type methods map[string]http.HandlerFunc
+
+// route mounts a route on mux: the one place a request's method is checked.
+// A GET route answers HEAD too; any other method is a 405 whose Allow header
+// and {"error","kind":"request"} body name the methods the route answers.
+func route(mux *http.ServeMux, pattern string, ms methods) {
+	if get, ok := ms[http.MethodGet]; ok {
+		ms[http.MethodHead] = get
+	}
+	allow := strings.Join(slices.Sorted(maps.Keys(ms)), ", ")
+	refused := errors.New("service: " + strings.TrimSuffix(pattern, "{$}") + " answers " + allow)
+	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		h, ok := ms[r.Method]
+		if !ok {
+			w.Header().Set("Allow", allow)
+			writeError(w, http.StatusMethodNotAllowed, "request", refused)
+			return
+		}
+		h(w, r)
+	})
+}
+
+// NewHandler returns the HTTP/JSON surface every front end serves — a
+// single engine, a shard node and a cluster coordinator alike — over f's
+// statement lifecycle and b:
 //
-//	POST /query   {"sql": "...", "max_rows": 100, "timeout_ms": 5000}
-//	GET  /query?q=SELECT+...
-//	GET  /stats   service Snapshot as JSON
-//	GET  /healthz "ok"
+//	GET, POST   /query               GET ?q=SELECT+..., POST {"sql": "...", "max_rows": 100, "timeout_ms": 5000}
+//	POST        /append              one batch of rows for a registered table (append.go)
+//	GET         /stats               b.StatsBody as JSON
+//	GET         /healthz             status, version, codecs and f's role; 503 when b.Health fails
+//	GET         /metrics             Prometheus exposition: f's, b's and the process's families
+//	GET         /debug/trace/[{id}]  recent statement traces, newest first, or one
+//	GET         /debug/queries       in-flight statements, newest first
+//	GET, DELETE /debug/queries/{id}  one in-flight statement; DELETE kills it
+//
+// Every GET route answers HEAD too; any other method is a 405 (route).
 //
 // /query answers with a buffered JSON body by default; a request carrying
 // "stream":true, ?stream=1 or `Accept: application/x-ndjson` gets the
@@ -31,35 +89,134 @@ import (
 // yields them and the admission slot is released when the stream ends or
 // the client disconnects. service.Client is the Go consumer of that shape.
 //
-// With Config.ShardRoutes, the /shard/* node surface (shard.go) is
-// mounted too.
-//
 // Status taxonomy: client errors are distinguished from engine faults —
 // malformed requests and parse/bind errors are 400, unknown tables 404,
 // admission rejection 429, queries timed out under the server's control
 // 503, everything else (a genuine engine fault) 500. Error bodies are
 // {"error": "...", "kind": "..."} with kind one of request, parse, bind,
-// unknown_table, overloaded, timeout, canceled, internal.
-func (s *Service) Handler() http.Handler {
+// unknown_table, overloaded, timeout, canceled, internal (and append,
+// refused).
+func NewHandler(f *Front, b Backend) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/query", s.handleQuery)
-	mux.HandleFunc("/append", s.handleAppend)
-	mux.HandleFunc("/stats", s.handleStats)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/debug/trace/", s.handleDebugTrace)
-	mux.HandleFunc("/debug/queries", s.handleDebugQueries)
-	mux.HandleFunc("/debug/queries/", s.handleDebugQueries)
+	route(mux, "/query", methods{
+		http.MethodGet: func(w http.ResponseWriter, r *http.Request) {
+			serveQuery(w, r, f, b, queryRequest{SQL: r.URL.Query().Get("q")})
+		},
+		http.MethodPost: func(w http.ResponseWriter, r *http.Request) {
+			var req queryRequest
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				writeError(w, http.StatusBadRequest, "request", fmt.Errorf("service: bad request body: %w", err))
+				return
+			}
+			serveQuery(w, r, f, b, req)
+		},
+	})
+	route(mux, "/append", methods{http.MethodPost: func(w http.ResponseWriter, r *http.Request) {
+		req, rows, err := decodeAppendBody(r)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "request", err)
+			return
+		}
+		resp, err := b.Append(r.Context(), req.Table, rows, req.Watermark)
+		if err != nil {
+			status, kind := appendStatus(err)
+			writeError(w, status, kind, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, resp)
+	}})
+	route(mux, "/stats", methods{http.MethodGet: func(w http.ResponseWriter, r *http.Request) {
+		body, err := b.StatsBody(r.Context())
+		if err != nil {
+			writeFailure(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, body)
+	}})
+	route(mux, "/healthz", methods{http.MethodGet: func(w http.ResponseWriter, r *http.Request) {
+		h := healthBody{Status: "ok", Version: buildVersion(), Role: f.role,
+			Codecs: []string{string(CodecBinary), string(CodecJSON)}}
+		status := http.StatusOK
+		if err := b.Health(r.Context()); err != nil {
+			h.Status, status = "degraded: "+err.Error(), http.StatusServiceUnavailable
+		}
+		writeJSON(w, status, h)
+	}})
+	route(mux, "/metrics", methods{http.MethodGet: func(w http.ResponseWriter, r *http.Request) {
+		p := &PromWriter{}
+		f.writeMetrics(p)
+		if err := b.WriteMetrics(r.Context(), p); err != nil {
+			writeFailure(w, err)
+			return
+		}
+		writeProcessMetrics(p)
+		writeBuildInfo(p)
+		p.serveTo(w)
+	}})
+	traces := methods{http.MethodGet: func(w http.ResponseWriter, r *http.Request) {
+		serveTraces(w, r, f.Traces())
+	}}
+	route(mux, "/debug/trace/{$}", traces)
+	route(mux, "/debug/trace/{id}", traces)
+	queries := methods{http.MethodGet: func(w http.ResponseWriter, r *http.Request) {
+		infos, err := b.LiveQueries(r.Context())
+		if err != nil {
+			writeFailure(w, err)
+			return
+		}
+		if infos == nil {
+			infos = []trace.QueryInfo{}
+		}
+		writeJSON(w, http.StatusOK, infos)
+	}}
+	route(mux, "/debug/queries", queries)
+	route(mux, "/debug/queries/{$}", queries)
+	route(mux, "/debug/queries/{id}", methods{
+		http.MethodGet: func(w http.ResponseWriter, r *http.Request) {
+			id := r.PathValue("id")
+			infos, err := b.LiveQueries(r.Context())
+			if err != nil {
+				writeFailure(w, err)
+				return
+			}
+			for _, info := range infos {
+				if info.ID == id {
+					writeJSON(w, http.StatusOK, info)
+					return
+				}
+			}
+			writeError(w, http.StatusNotFound, "request", fmt.Errorf("service: no in-flight query %q", id))
+		},
+		http.MethodDelete: func(w http.ResponseWriter, r *http.Request) {
+			id := r.PathValue("id")
+			killed, err := b.KillQuery(r.Context(), id)
+			if err != nil {
+				writeFailure(w, err)
+				return
+			}
+			if !killed {
+				writeError(w, http.StatusNotFound, "request", fmt.Errorf("service: no in-flight query %q", id))
+				return
+			}
+			writeJSON(w, http.StatusOK, KillResponse{ID: id, Killed: true})
+		},
+	})
+	return mux
+}
+
+// Handler returns the service's HTTP surface: the front ends' one route
+// table (NewHandler) and, with Config.ShardRoutes, the /shard/* node
+// routes (shard.go) a cluster coordinator calls. Those are opt-in: register
+// would let any client overwrite tables on a public single-engine server.
+func (s *Service) Handler() http.Handler {
+	mux := NewHandler(s.Front, s)
 	if s.cfg.ShardRoutes {
-		// Shard-node surface (shard.go): what a cluster coordinator
-		// calls. Opt-in — register would let any client overwrite tables
-		// on a public single-engine server.
-		mux.HandleFunc("/shard/query", s.handleShardQuery)
-		mux.HandleFunc("/shard/register", s.handleShardRegister)
-		mux.HandleFunc("/shard/distinct", s.handleShardDistinct)
-		mux.HandleFunc("/shard/shuffle", s.handleShuffleIngest)
-		mux.HandleFunc("/shard/shuffle/run", s.handleShuffleRun)
-		mux.HandleFunc("/shard/shuffle/drop", s.handleShuffleDrop)
+		route(mux, "/shard/query", methods{http.MethodPost: s.handleShardQuery})
+		route(mux, "/shard/register", methods{http.MethodPost: s.handleShardRegister})
+		route(mux, "/shard/distinct", methods{http.MethodGet: s.handleShardDistinct})
+		route(mux, "/shard/shuffle", methods{http.MethodPost: s.handleShuffleIngest})
+		route(mux, "/shard/shuffle/run", methods{http.MethodPost: s.handleShuffleRun})
+		route(mux, "/shard/shuffle/drop", methods{http.MethodPost: s.handleShuffleDrop})
 	}
 	return mux
 }
@@ -111,10 +268,8 @@ type errorResponse struct {
 	Kind  string `json:"kind"`
 }
 
-// StatusFor maps a serving error to its HTTP status and taxonomy kind.
-// Exported so the cluster coordinator's front end (internal/shard) serves
-// the same taxonomy.
-func StatusFor(err error) (int, string) {
+// statusFor maps a serving error to its HTTP status and taxonomy kind.
+func statusFor(err error) (int, string) {
 	switch {
 	case errors.Is(err, ErrRefused):
 		// First: a refusal is the cluster's fault whatever it wraps.
@@ -138,53 +293,32 @@ func StatusFor(err error) (int, string) {
 	}
 }
 
-// WriteJSON answers with body as JSON; every front end's routes answer
-// through it.
-func WriteJSON(w http.ResponseWriter, status int, body any) {
+// writeJSON answers with body as JSON.
+func writeJSON(w http.ResponseWriter, status int, body any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(body)
 }
 
-// WriteError answers with the {"error", "kind"} body.
-func WriteError(w http.ResponseWriter, status int, kind string, err error) {
-	WriteJSON(w, status, errorResponse{Error: err.Error(), Kind: kind})
+// writeError answers with the {"error", "kind"} body.
+func writeError(w http.ResponseWriter, status int, kind string, err error) {
+	writeJSON(w, status, errorResponse{Error: err.Error(), Kind: kind})
 }
 
-// WriteFailure answers err with the status and kind StatusFor maps it to.
-func WriteFailure(w http.ResponseWriter, err error) {
-	status, kind := StatusFor(err)
-	WriteError(w, status, kind, err)
+// writeFailure answers err with the status and kind statusFor maps it to.
+func writeFailure(w http.ResponseWriter, err error) {
+	status, kind := statusFor(err)
+	writeError(w, status, kind, err)
 }
 
-func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
-	ServeQuery(w, r, s, s.reg)
-}
-
-// ServeQuery is the /query route of every front end — the single engine's
-// and the cluster coordinator's: decode the request, join or start the
-// trace, open q's cursor, and answer with the stream (WriteStream, in the
-// codec the request's own Accept or ?codec= names — NegotiateCodec) or the
-// buffered body (WriteBuffered) as the request asked. reg is the front
-// end's registry, where the statement's live counters are found for the
-// stream's wire bytes.
-func ServeQuery(w http.ResponseWriter, r *http.Request, q windowdb.Queryer, reg *trace.Registry) {
-	var req queryRequest
-	switch r.Method {
-	case http.MethodGet:
-		req.SQL = r.URL.Query().Get("q")
-	case http.MethodPost:
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			WriteError(w, http.StatusBadRequest, "request", fmt.Errorf("service: bad request body: %w", err))
-			return
-		}
-	default:
-		w.Header().Set("Allow", "GET, POST")
-		WriteError(w, http.StatusMethodNotAllowed, "request", errors.New("service: use GET ?q= or POST JSON"))
-		return
-	}
+// serveQuery answers one /query request: join or start the trace, open b's
+// cursor, and answer with the stream (WriteStream, in the codec the
+// request's own Accept or ?codec= names — NegotiateCodec) or the buffered
+// body (writeBuffered) as the request asked. f's registry is where the
+// statement's live counters are found for the stream's wire bytes.
+func serveQuery(w http.ResponseWriter, r *http.Request, f *Front, b Backend, req queryRequest) {
 	if req.SQL == "" {
-		WriteError(w, http.StatusBadRequest, "request", errors.New("service: empty query: pass ?q= or a JSON body with \"sql\""))
+		writeError(w, http.StatusBadRequest, "request", errors.New("service: empty query: pass ?q= or a JSON body with \"sql\""))
 		return
 	}
 	if v := r.URL.Query().Get("subscribe"); v == "1" || strings.EqualFold(v, "true") {
@@ -219,24 +353,24 @@ func ServeQuery(w http.ResponseWriter, r *http.Request, q windowdb.Queryer, reg 
 	ctx = trace.WithClient(ctx, r.RemoteAddr)
 	w.Header().Set(trace.HeaderTraceID, traceID)
 
-	rows, err := q.QueryContext(ctx, req.SQL)
+	rows, err := b.QueryContext(ctx, req.SQL)
 	if err != nil {
-		WriteFailure(w, err)
+		writeFailure(w, err)
 		return
 	}
-	if req.Stream || StreamRequested(r) {
-		WriteStream(liveContext(r.Context(), reg, traceID), w, rows, req.MaxRows, NegotiateCodec(r))
+	if req.Stream || streamRequested(r) {
+		WriteStream(liveContext(r.Context(), f.reg, traceID), w, rows, req.MaxRows, NegotiateCodec(r))
 		return
 	}
-	WriteBuffered(w, rows, req.MaxRows)
+	writeBuffered(w, rows, req.MaxRows)
 }
 
-// WriteBuffered answers with the buffered JSON body: rows drained to its
+// writeBuffered answers with the buffered JSON body: rows drained to its
 // end, the leading maxRows of them (all, when 0) rendered and the rest only
 // counted, so row_count is the statement's whatever the cut. It owns the
 // response: an error that ends the drain becomes the error body, with the
 // status its kind maps to.
-func WriteBuffered(w http.ResponseWriter, rows *windowdb.Rows, maxRows int) {
+func writeBuffered(w http.ResponseWriter, rows *windowdb.Rows, maxRows int) {
 	defer rows.Close()
 	resp := queryResponse{Columns: rows.Columns(), Rows: [][]any{}}
 	for rows.Next() {
@@ -253,7 +387,7 @@ func WriteBuffered(w http.ResponseWriter, rows *windowdb.Rows, maxRows int) {
 		resp.Rows = append(resp.Rows, out)
 	}
 	if err := rows.Err(); err != nil {
-		WriteFailure(w, err)
+		writeFailure(w, err)
 		return
 	}
 	if m := rows.Metrics(); m != nil {
@@ -265,7 +399,7 @@ func WriteBuffered(w http.ResponseWriter, rows *windowdb.Rows, maxRows int) {
 		resp.BlocksRead, resp.BlocksWritten = m.BlocksRead, m.BlocksWritten
 		resp.TraceID = m.TraceID
 	}
-	WriteJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // JSONValue maps a storage value to its natural JSON representation (the
@@ -291,10 +425,6 @@ func JSONValue(v storage.Value) any {
 	}
 }
 
-func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, s.Stats())
-}
-
 // liveContext attaches the registered query's live counters to the
 // context a stream writer runs under, so wire bytes account to the owning
 // registry entry. The stream outlives the registration window by one
@@ -307,10 +437,10 @@ func liveContext(ctx context.Context, reg *trace.Registry, traceID string) conte
 	return ctx
 }
 
-// Health is the /healthz response body: alive plus enough identity —
-// build version, the /query stream codecs, shard role — for one probe to
-// say what it reached.
-type Health struct {
+// healthBody is the /healthz response body: alive plus enough identity —
+// build version, the /query stream codecs, the front end's role — for one
+// probe to say what it reached.
+type healthBody struct {
 	Status  string   `json:"status"`
 	Version string   `json:"version"`
 	Codecs  []string `json:"codecs"`
@@ -320,14 +450,9 @@ type Health struct {
 	Role string `json:"role"`
 }
 
-func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, Health{Status: "ok", Version: BuildVersion(), Role: s.role,
-		Codecs: []string{string(CodecBinary), string(CodecJSON)}})
-}
-
-// BuildVersion reports this binary's module version (or VCS revision)
+// buildVersion reports this binary's module version (or VCS revision)
 // from the embedded build info — "unknown" outside module builds.
-func BuildVersion() string {
+func buildVersion() string {
 	bi, ok := debug.ReadBuildInfo()
 	if !ok {
 		return "unknown"

@@ -8,10 +8,10 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"repro/internal/pagestore"
 	"repro/internal/recycle"
@@ -21,8 +21,9 @@ import (
 )
 
 // PromWriter accumulates metric families in Prometheus text exposition
-// format. The cluster coordinator (internal/shard) writes its Front's
-// families, its routing counters and per-shard labelled families with it.
+// format. A Backend writes its own families with it (Backend.WriteMetrics):
+// a service its Snapshot's, a cluster coordinator its routing counters and
+// per-shard labelled families.
 type PromWriter struct {
 	b bytes.Buffer
 }
@@ -55,8 +56,8 @@ func (p *PromWriter) Gauge(name, help string, v float64) {
 	p.Sample(name, "", v)
 }
 
-// ServeTo writes the accumulated exposition as an HTTP response.
-func (p *PromWriter) ServeTo(w http.ResponseWriter) {
+// serveTo writes the accumulated exposition as an HTTP response.
+func (p *PromWriter) serveTo(w http.ResponseWriter) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = w.Write(p.b.Bytes())
 }
@@ -65,12 +66,12 @@ func promValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// WriteSnapshotMetrics renders the windowdb_* families of a service
+// writeSnapshotMetrics renders the windowdb_* families of a service
 // Snapshot that are a service's own — admission, shuffle rounds, appends,
 // execution work, the shared-subplan cache. The statement outcome, plan
-// cache and registry families are the Front's (Front.WriteMetrics), which a
-// service and a cluster coordinator both write.
-func WriteSnapshotMetrics(p *PromWriter, s Snapshot) {
+// cache and registry families are the Front's (Front.writeMetrics), which
+// every front end writes.
+func writeSnapshotMetrics(p *PromWriter, s Snapshot) {
 	p.Counter("windowdb_query_rejected_total", "Queries rejected by admission control (overloaded).", float64(s.Rejected))
 	p.Counter("windowdb_shuffle_rounds_total", "Shuffle stages executed for cluster coordinators.", float64(s.ShuffleRounds))
 	p.Counter("windowdb_appends_total", "Append batches applied (INSERT statements and /append bodies).", float64(s.Appends))
@@ -95,11 +96,11 @@ func WriteSnapshotMetrics(p *PromWriter, s Snapshot) {
 	p.Gauge("windowdb_uptime_seconds", "Seconds since the service started.", s.UptimeSeconds)
 }
 
-// WriteProcessMetrics emits what belongs to the process and not to one
+// writeProcessMetrics emits what belongs to the process and not to one
 // service in it — the memory that outlives a statement: the spill block
 // pool, the runs' workspace (of which the sort workspace is one list) and
-// the arena pool. The coordinator writes the same families.
-func WriteProcessMetrics(p *PromWriter) {
+// the arena pool. Every front end writes them.
+func writeProcessMetrics(p *PromWriter) {
 	allocated, held := pagestore.PoolCounters()
 	p.Counter("windowdb_block_pool_allocated_total", "Spill blocks allocated because the process-wide pool had none free.", float64(allocated))
 	p.Gauge("windowdb_block_pool_held", "Spill blocks taken from the pool and not yet handed back.", float64(held))
@@ -115,9 +116,9 @@ func WriteProcessMetrics(p *PromWriter) {
 // make the subset exact rather than lossy.
 const histStride = 8
 
-// WriteLatencyHistogram renders the exponential latency histogram as a
+// writeLatencyHistogram renders the exponential latency histogram as a
 // Prometheus cumulative-bucket histogram in seconds.
-func WriteLatencyHistogram(p *PromWriter, name string, h latencyHist) {
+func writeLatencyHistogram(p *PromWriter, name string, h latencyHist) {
 	p.Family(name, "End-to-end query latency.", "histogram")
 	var cum uint64
 	next := histStride - 1
@@ -133,35 +134,33 @@ func WriteLatencyHistogram(p *PromWriter, name string, h latencyHist) {
 	p.Sample(name+"_count", "", float64(h.total))
 }
 
-func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	p := &PromWriter{}
-	s.WriteMetrics(p)
-	WriteSnapshotMetrics(p, s.Stats())
-	WriteProcessMetrics(p)
-	WriteBuildInfo(p)
-	WriteLatencyHistogram(p, "windowdb_query_duration_seconds", s.metrics.histSnapshot())
-	p.ServeTo(w)
+// WriteMetrics writes the service's own /metrics families: its Snapshot's
+// (writeSnapshotMetrics) and the latency histogram.
+func (s *Service) WriteMetrics(_ context.Context, p *PromWriter) error {
+	writeSnapshotMetrics(p, s.Stats())
+	writeLatencyHistogram(p, "windowdb_query_duration_seconds", s.metrics.histSnapshot())
+	return nil
 }
 
-// WriteBuildInfo emits the standard build-identity gauge — always 1, the
+// writeBuildInfo emits the standard build-identity gauge — always 1, the
 // facts live in the labels. The version is the same debug.ReadBuildInfo
 // answer the JSON /healthz reports.
-func WriteBuildInfo(p *PromWriter) {
+func writeBuildInfo(p *PromWriter) {
 	p.Family("windowdb_build_info", "Build identity of this process; value is always 1.", "gauge")
-	p.Sample("windowdb_build_info", fmt.Sprintf("version=%q", BuildVersion()), 1)
+	p.Sample("windowdb_build_info", fmt.Sprintf("version=%q", buildVersion()), 1)
 }
 
-// ServeTraceRing answers /debug/trace/ requests from a ring: the bare
-// prefix lists recent traces newest-first (?limit= bounds the count,
-// default 32, capped at the ring's capacity; ?n= is the legacy spelling),
-// a trailing {id} returns that trace or 404. Shared with the
-// coordinator's debug surface.
-func ServeTraceRing(w http.ResponseWriter, r *http.Request, ring *trace.Ring, prefix string) {
+// serveTraces answers GET /debug/trace/[{id}] from ring: without an {id},
+// the recent traces newest-first (?limit= bounds the count, default 32,
+// capped at the ring's capacity; ?n= is the legacy spelling, and an empty
+// ring is the empty list), with one, that trace or 404. With retention off
+// (a nil ring) both are 404s.
+func serveTraces(w http.ResponseWriter, r *http.Request, ring *trace.Ring) {
 	if ring == nil {
-		WriteError(w, http.StatusNotFound, "request", fmt.Errorf("service: tracing disabled"))
+		writeError(w, http.StatusNotFound, "request", fmt.Errorf("service: tracing disabled"))
 		return
 	}
-	id := strings.TrimPrefix(r.URL.Path, prefix)
+	id := r.PathValue("id")
 	if id == "" {
 		n := 32
 		q := r.URL.Query().Get("limit")
@@ -176,67 +175,23 @@ func ServeTraceRing(w http.ResponseWriter, r *http.Request, ring *trace.Ring, pr
 		if n > ring.Cap() {
 			n = ring.Cap()
 		}
-		WriteJSON(w, http.StatusOK, ring.Recent(n))
+		list := ring.Recent(n)
+		if list == nil {
+			list = []*trace.Trace{}
+		}
+		writeJSON(w, http.StatusOK, list)
 		return
 	}
 	t := ring.Get(id)
 	if t == nil {
-		WriteError(w, http.StatusNotFound, "request", fmt.Errorf("service: no trace %q in the ring (it holds the most recent %d)", id, ring.Len()))
+		writeError(w, http.StatusNotFound, "request", fmt.Errorf("service: no trace %q in the ring (it holds the most recent %d)", id, ring.Len()))
 		return
 	}
-	WriteJSON(w, http.StatusOK, t)
-}
-
-func (s *Service) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
-	ServeTraceRing(w, r, s.Traces(), "/debug/trace/")
+	writeJSON(w, http.StatusOK, t)
 }
 
 // KillResponse is the DELETE /debug/queries/{id} JSON body.
 type KillResponse struct {
 	ID     string `json:"id"`
 	Killed bool   `json:"killed"`
-}
-
-// ServeQueryRegistry answers /debug/queries requests from a registry: the
-// bare prefix GETs every in-flight query newest-first, a trailing {id}
-// GETs one entry or DELETEs (kills) it. Shared by the service and the
-// coordinator's node-local half (the coordinator's own handler layers the
-// shard fan-out on top).
-func ServeQueryRegistry(w http.ResponseWriter, r *http.Request, reg *trace.Registry, prefix string) {
-	id := strings.TrimPrefix(strings.TrimPrefix(r.URL.Path, prefix), "/")
-	if id == "" {
-		if r.Method != http.MethodGet {
-			w.Header().Set("Allow", "GET")
-			WriteError(w, http.StatusMethodNotAllowed, "request", fmt.Errorf("service: use GET to list queries, DELETE %s/{id} to kill one", prefix))
-			return
-		}
-		infos := reg.Snapshot()
-		if infos == nil {
-			infos = []trace.QueryInfo{}
-		}
-		WriteJSON(w, http.StatusOK, infos)
-		return
-	}
-	switch r.Method {
-	case http.MethodGet:
-		e := reg.Get(id)
-		if e == nil {
-			WriteError(w, http.StatusNotFound, "request", fmt.Errorf("service: no in-flight query %q", id))
-			return
-		}
-		WriteJSON(w, http.StatusOK, e.Info())
-	case http.MethodDelete:
-		if !reg.Kill(id) {
-			WriteError(w, http.StatusNotFound, "request", fmt.Errorf("service: no in-flight query %q", id))
-			return
-		}
-		WriteJSON(w, http.StatusOK, KillResponse{ID: id, Killed: true})
-	default:
-		w.Header().Set("Allow", "GET, DELETE")
-		WriteError(w, http.StatusMethodNotAllowed, "request", fmt.Errorf("service: use GET or DELETE"))
-	}
-}
-
-func (s *Service) handleDebugQueries(w http.ResponseWriter, r *http.Request) {
-	ServeQueryRegistry(w, r, s.reg, "/debug/queries")
 }

@@ -255,7 +255,7 @@ func TestServeTraceRingLimit(t *testing.T) {
 		t.Helper()
 		rec := httptest.NewRecorder()
 		req := httptest.NewRequest(http.MethodGet, "/debug/trace/"+query, nil)
-		ServeTraceRing(rec, req, ring, "/debug/trace/")
+		serveTraces(rec, req, ring)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("GET /debug/trace/%s: %d", query, rec.Code)
 		}

@@ -23,7 +23,9 @@
 //   - metrics: QPS, in-flight gauge with high-water mark, an exponential
 //     latency histogram read at p50/p95/p99, and aggregated exec.Metrics.
 //
-// The HTTP front end over this layer lives in http.go (Service.Handler);
+// The HTTP front end over this layer lives in http.go: the one route table
+// every front end serves (NewHandler), which Service.Handler mounts over
+// the service as its Backend;
 // cmd/windserve wires it to a socket, and benchmark/'s serve_http workload
 // drives it through Client over loopback.
 package service
@@ -215,10 +217,7 @@ func (s *Service) QueryContext(ctx context.Context, src string) (*windowdb.Rows,
 		return windowdb.ExplainAnalyzeRows(ctx, s, inner)
 	}
 	if windowdb.IsInsert(src) {
-		return s.Insert(ctx, src, func(ctx context.Context, table string, rows []storage.Tuple) (uint64, error) {
-			_, wm, err := s.Append(ctx, table, rows, 0)
-			return wm, err
-		})
+		return s.Insert(ctx, src, s.Append)
 	}
 	if inner, ok := windowdb.StripSubscribe(src); ok {
 		return s.subscribeStream(ctx, src, inner)
@@ -368,4 +367,26 @@ func (s *Service) Stats() Snapshot {
 		snap.Subplans = s.subplans.Stats(s.eng.Generation())
 	}
 	return snap
+}
+
+// StatsBody implements Backend: /stats serves Stats.
+func (s *Service) StatsBody(context.Context) (any, error) { return s.Stats(), nil }
+
+// Health implements Backend: a service serves while its caller waits.
+func (s *Service) Health(ctx context.Context) error { return ctx.Err() }
+
+// LiveQueries implements Backend: the in-flight registry, newest first.
+func (s *Service) LiveQueries(ctx context.Context) ([]trace.QueryInfo, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return s.reg.Snapshot(), nil
+}
+
+// KillQuery implements Backend: fires the registry entry's cancel.
+func (s *Service) KillQuery(ctx context.Context, id string) (bool, error) {
+	if err := ctx.Err(); err != nil {
+		return false, err
+	}
+	return s.reg.Kill(id), nil
 }

@@ -81,14 +81,14 @@ type ShardQueryRequest struct {
 	Stage
 }
 
-// errBadRequest marks a malformed node request; StatusFor answers it 400.
+// errBadRequest marks a malformed node request; statusFor answers it 400.
 var errBadRequest = errors.New("service: bad request")
 
 // ErrRefused marks a stage or a delivery of its coordinator's statement
 // that a node refuses: a stage the shipped plan does not have, a plan that
 // does not bind, a delivery into a dropped shuffle or out of turn, an
 // incomplete inbox. It is a coordination fault, not the end client's:
-// StatusFor answers it 500, kind "refused", on a node and on the
+// statusFor answers it 500, kind "refused", on a node and on the
 // coordinator's front end alike, and a RemoteError of that kind unwraps to
 // it.
 var ErrRefused = errors.New("service: node refused the stage")
@@ -146,18 +146,13 @@ type ShardDistinctResponse struct {
 }
 
 func (s *Service) handleShardQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", "POST")
-		WriteError(w, http.StatusMethodNotAllowed, "request", errors.New("service: POST a ShardQueryRequest"))
-		return
-	}
 	var req ShardQueryRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		WriteError(w, http.StatusBadRequest, "request", fmt.Errorf("service: bad request body: %w", err))
+		writeError(w, http.StatusBadRequest, "request", fmt.Errorf("service: bad request body: %w", err))
 		return
 	}
 	if req.SQL == "" {
-		WriteError(w, http.StatusBadRequest, "request", errors.New("service: empty query"))
+		writeError(w, http.StatusBadRequest, "request", errors.New("service: empty query"))
 		return
 	}
 	// Join the coordinator's distributed trace: the node's span subtree
@@ -171,7 +166,7 @@ func (s *Service) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 	ctx = trace.WithClient(ctx, r.RemoteAddr)
 	rows, err := s.ShardStream(ctx, req)
 	if err != nil {
-		WriteFailure(w, err)
+		writeFailure(w, err)
 		return
 	}
 	WriteStream(liveContext(r.Context(), s.reg, traceID), w, rows, 0, CodecBinary)
@@ -181,13 +176,8 @@ func (s *Service) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 // does not declare itself frames is a 415, unread; one that does not decode,
 // names no table or types a column unknown is a 400.
 func (s *Service) handleShardRegister(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", "POST")
-		WriteError(w, http.StatusMethodNotAllowed, "request", errors.New("service: POST a table as a frame body"))
-		return
-	}
 	if !strings.Contains(r.Header.Get("Content-Type"), ContentTypeBinary) {
-		WriteError(w, http.StatusUnsupportedMediaType, "request", fmt.Errorf("service: a registered table is %s", ContentTypeBinary))
+		writeError(w, http.StatusUnsupportedMediaType, "request", fmt.Errorf("service: a registered table is %s", ContentTypeBinary))
 		return
 	}
 	var (
@@ -206,32 +196,32 @@ func (s *Service) handleShardRegister(w http.ResponseWriter, r *http.Request) {
 		cols, err = DecodeColumns(hdr.Columns)
 	}
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, "request", err)
+		writeError(w, http.StatusBadRequest, "request", err)
 		return
 	}
 	t := storage.NewTable(storage.NewSchema(cols...))
 	t.Rows = rows
 	s.eng.Register(hdr.Table, t)
-	WriteJSON(w, http.StatusOK, map[string]any{"ok": true, "rows": t.Len()})
+	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "rows": t.Len()})
 }
 
 func (s *Service) handleShardDistinct(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("table")
 	if name == "" {
-		WriteError(w, http.StatusBadRequest, "request", errors.New("service: pass ?table="))
+		writeError(w, http.StatusBadRequest, "request", errors.New("service: pass ?table="))
 		return
 	}
 	set, err := parseAttrSet(r.URL.Query().Get("attrs"))
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, "request", err)
+		writeError(w, http.StatusBadRequest, "request", err)
 		return
 	}
 	entry, err := s.eng.Stats(name)
 	if err != nil {
-		WriteFailure(w, err)
+		writeFailure(w, err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, ShardDistinctResponse{Count: entry.Distinct(set)})
+	writeJSON(w, http.StatusOK, ShardDistinctResponse{Count: entry.Distinct(set)})
 }
 
 // parseAttrSet parses a comma-separated attribute-ID list ("3,4") into a

@@ -44,14 +44,9 @@ func SendShuffleHTTP(ctx context.Context, hc *http.Client, base string, b *Shuff
 // output directly to the peer addresses the request names (a
 // self-delivery skips the socket for ShuffleIngest).
 func (s *Service) handleShuffleRun(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", "POST")
-		WriteError(w, http.StatusMethodNotAllowed, "request", errors.New("service: POST a ShuffleRunRequest"))
-		return
-	}
 	var req ShuffleRunRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		WriteError(w, http.StatusBadRequest, "request", fmt.Errorf("service: bad request body: %w", err))
+		writeError(w, http.StatusBadRequest, "request", fmt.Errorf("service: bad request body: %w", err))
 		return
 	}
 	// The trace ID rides in the request body on this route; fall back to
@@ -70,10 +65,10 @@ func (s *Service) handleShuffleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := s.RunShuffleStep(r.Context(), req)
 	if err != nil {
-		WriteFailure(w, err)
+		writeFailure(w, err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, res)
+	writeJSON(w, http.StatusOK, res)
 }
 
 // handleShuffleIngest receives one peer's frame body into the inbox
@@ -81,41 +76,31 @@ func (s *Service) handleShuffleRun(w http.ResponseWriter, r *http.Request) {
 // is a 500 refused and leaves the inbox as it was. A body that does not
 // declare itself frames is a 415, unread.
 func (s *Service) handleShuffleIngest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", "POST")
-		WriteError(w, http.StatusMethodNotAllowed, "request", errors.New("service: POST a shuffle stream"))
-		return
-	}
 	if !strings.Contains(r.Header.Get("Content-Type"), ContentTypeBinary) {
-		WriteError(w, http.StatusUnsupportedMediaType, "request", fmt.Errorf("service: a shuffle stream is %s", ContentTypeBinary))
+		writeError(w, http.StatusUnsupportedMediaType, "request", fmt.Errorf("service: a shuffle stream is %s", ContentTypeBinary))
 		return
 	}
 	if err := s.ShuffleIngest(r.Context(), r.Body); err != nil {
-		WriteFailure(w, err)
+		writeFailure(w, err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, map[string]any{"ok": true})
+	writeJSON(w, http.StatusOK, map[string]any{"ok": true})
 }
 
 // handleShuffleDrop discards a query's buffered shuffle state: the
 // coordinator's cleanup after a failed or abandoned shuffle.
 func (s *Service) handleShuffleDrop(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", "POST")
-		WriteError(w, http.StatusMethodNotAllowed, "request", errors.New("service: POST a drop request"))
-		return
-	}
 	var req struct {
 		ShuffleID string `json:"shuffle_id"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		WriteError(w, http.StatusBadRequest, "request", fmt.Errorf("service: bad request body: %w", err))
+		writeError(w, http.StatusBadRequest, "request", fmt.Errorf("service: bad request body: %w", err))
 		return
 	}
 	if req.ShuffleID == "" {
-		WriteError(w, http.StatusBadRequest, "request", errors.New("service: drop needs a shuffle_id"))
+		writeError(w, http.StatusBadRequest, "request", errors.New("service: drop needs a shuffle_id"))
 		return
 	}
 	s.ShuffleDrop(req.ShuffleID)
-	WriteJSON(w, http.StatusOK, map[string]any{"ok": true})
+	writeJSON(w, http.StatusOK, map[string]any{"ok": true})
 }

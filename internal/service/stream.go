@@ -37,7 +37,7 @@ import (
 // truncation error rather than silently serving a prefix.
 //
 // The public /query (engine and coordinator front ends) speaks this format
-// to a streamed request (StreamRequested) that did not name the binary one:
+// to a streamed request (streamRequested) that did not name the binary one:
 // it is the encoding a person with curl, or a client that predates the
 // frames, can read. Between the processes of a cluster rows are frames only.
 
@@ -106,8 +106,8 @@ type StreamTrailer struct {
 	Trace   *trace.Span `json:"trace,omitempty"`
 }
 
-// TrailerFor renders a cursor's post-drain metrics as the stream trailer.
-func TrailerFor(m *windowdb.QueryMetrics) StreamTrailer {
+// trailerFor renders a cursor's post-drain metrics as the stream trailer.
+func trailerFor(m *windowdb.QueryMetrics) StreamTrailer {
 	t := StreamTrailer{Done: true}
 	if m == nil {
 		return t
@@ -130,11 +130,11 @@ func TrailerFor(m *windowdb.QueryMetrics) StreamTrailer {
 	return t
 }
 
-// StreamRequested reports whether an HTTP request asked for the streamed
+// streamRequested reports whether an HTTP request asked for the streamed
 // response shape, in either codec: an Accept header naming
 // application/x-ndjson or application/x-windowdb-frame, or a stream=1 query
 // parameter (the GET-friendly spelling).
-func StreamRequested(r *http.Request) bool {
+func streamRequested(r *http.Request) bool {
 	accept := r.Header.Get("Accept")
 	if strings.Contains(accept, ContentTypeNDJSON) || strings.Contains(accept, ContentTypeBinary) {
 		return true
@@ -143,10 +143,10 @@ func StreamRequested(r *http.Request) bool {
 	return v == "1" || strings.EqualFold(v, "true")
 }
 
-// BinaryRequested reports whether the request asked for the binary
+// binaryRequested reports whether the request asked for the binary
 // columnar stream: an Accept header naming application/x-windowdb-frame or
 // a codec=binary query parameter.
-func BinaryRequested(r *http.Request) bool {
+func binaryRequested(r *http.Request) bool {
 	if strings.Contains(r.Header.Get("Accept"), ContentTypeBinary) {
 		return true
 	}
@@ -159,7 +159,7 @@ func BinaryRequested(r *http.Request) bool {
 // against new servers and a new client against an old server simply never
 // sees the binary content type it asked for.
 func NegotiateCodec(r *http.Request) WireCodec {
-	if BinaryRequested(r) {
+	if binaryRequested(r) {
 		return CodecBinary
 	}
 	return CodecJSON
@@ -284,7 +284,7 @@ func WriteStream(ctx context.Context, w http.ResponseWriter, rows *windowdb.Rows
 	_ = rows.Close()
 	var trailer StreamTrailer
 	if err := rows.Err(); err != nil {
-		_, kind := StatusFor(err)
+		_, kind := statusFor(err)
 		trailer = StreamTrailer{Done: true, Error: err.Error(), Kind: kind, RowCount: n}
 		// A failed stream still ships whatever spans were recorded — a
 		// node dying mid-shuffle is exactly when the trace matters.
@@ -292,7 +292,7 @@ func WriteStream(ctx context.Context, w http.ResponseWriter, rows *windowdb.Rows
 			trailer.TraceID, trailer.Trace = m.TraceID, m.Trace
 		}
 	} else {
-		trailer = TrailerFor(rows.Metrics())
+		trailer = trailerFor(rows.Metrics())
 		trailer.RowCount = n
 		trailer.Truncated = truncated
 	}

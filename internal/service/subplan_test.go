@@ -164,7 +164,7 @@ func TestSubplanAppendInvalidation(t *testing.T) {
 	for i := range fresh {
 		fresh[i] = append(storage.Tuple(nil), base.Rows[i]...)
 	}
-	if _, _, err := svc.Append(ctx, "web_sales", fresh, 0); err != nil {
+	if _, err := svc.Append(ctx, "web_sales", fresh, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -265,7 +265,7 @@ func TestSubplanHammer(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 15; i++ {
 			batch := []storage.Tuple{append(storage.Tuple(nil), row...)}
-			if _, _, err := svc.Append(ctx, "web_sales", batch, 0); err != nil {
+			if _, err := svc.Append(ctx, "web_sales", batch, 0); err != nil {
 				errCh <- err
 				return
 			}

@@ -39,14 +39,14 @@ import (
 )
 
 // Append applies one batch of rows to a cluster-registered table: the
-// coordinator validates the batch and assigns the watermark, then routes
-// each row to its owning node (sharded) or the full batch to every node
-// (replicated). Prepared plans survive — only the data generation moves.
+// coordinator validates the batch and assigns the watermark — at least
+// atLeast, as on a node — then routes each row to its owning node
+// (sharded) or the full batch to every node (replicated). Prepared plans survive — only the data generation moves.
 // A node failure surfaces after the coordinator's bookkeeping already
 // advanced; re-sending the batch is safe for subscribers (generations are
 // lower-bounded, not summed) but duplicates rows, so callers should treat
 // a failed append as needing table re-registration, not a blind retry.
-func (c *Cluster) Append(ctx context.Context, table string, rows []storage.Tuple) (service.AppendResponse, error) {
+func (c *Cluster) Append(ctx context.Context, table string, rows []storage.Tuple, atLeast uint64) (service.AppendResponse, error) {
 	if len(rows) == 0 {
 		return service.AppendResponse{}, errors.New("shard: append without rows")
 	}
@@ -58,7 +58,7 @@ func (c *Cluster) Append(ctx context.Context, table string, rows []storage.Tuple
 	}
 	// The coordinator's entry assigns the cluster watermark. Validation
 	// (arity, column types) happens here, before any node sees the batch.
-	start, wm, err := c.coord.AppendAt(info.name, rows, 0)
+	start, wm, err := c.coord.AppendAt(info.name, rows, atLeast)
 	if err != nil {
 		return service.AppendResponse{}, err
 	}

@@ -2,8 +2,12 @@ package shard
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -60,7 +64,7 @@ func TestClusterAppendSharded(t *testing.T) {
 	batch := datagen.NewAppendStream(datagen.AppendStreamConfig{
 		Base: datagen.WebSalesConfig{Rows: base, Seed: 7}, Seed: 99,
 	}).Next(extra)
-	resp, err := c.Append(ctx, "web_sales", batch)
+	resp, err := c.Append(ctx, "web_sales", batch, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,10 +120,10 @@ func TestClusterAppendSharded(t *testing.T) {
 
 	// Error taxonomy: unknown table and arity mismatch surface at the
 	// coordinator before any node sees the batch.
-	if _, err := c.Append(ctx, "nosuch", batch); !errors.Is(err, catalog.ErrUnknownTable) {
+	if _, err := c.Append(ctx, "nosuch", batch, 0); !errors.Is(err, catalog.ErrUnknownTable) {
 		t.Errorf("unknown-table append error = %v", err)
 	}
-	if _, err := c.Append(ctx, "web_sales", []storage.Tuple{{storage.Int(1)}}); err == nil {
+	if _, err := c.Append(ctx, "web_sales", []storage.Tuple{{storage.Int(1)}}, 0); err == nil {
 		t.Error("arity-mismatch append succeeded")
 	}
 	stats, err := c.Stats(ctx)
@@ -160,6 +164,49 @@ func TestClusterInsertReplicated(t *testing.T) {
 	}
 	if qres.Table.Len() != 2 || qres.Route != "replica" {
 		t.Fatalf("post-insert read = %d rows via %q", qres.Table.Len(), qres.Route)
+	}
+}
+
+// TestClusterAppendHonoursWatermark: the coordinator's /append passes the
+// body's watermark on as a lower bound, as a node's does — the routed
+// append lands at a generation of at least it, and every node's subscriber
+// sees its delta there.
+func TestClusterAppendHonoursWatermark(t *testing.T) {
+	const atLeast = 1000
+	ctx := context.Background()
+	c, svcs := newLocalClusterNodes(t, 2, 50)
+	subs := make([]*windowdb.Rows, len(svcs))
+	for i, svc := range svcs {
+		rows, err := svc.QueryContext(ctx, `SUBSCRIBE SELECT empnum, rank() OVER (PARTITION BY dept ORDER BY salary DESC NULLS LAST) AS r FROM emptab`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rows.Close()
+		for j := 0; j < 10; j++ {
+			if !rows.Next() {
+				t.Fatalf("node %d: initial stream ended early: %v", i, rows.Err())
+			}
+		}
+		subs[i] = rows
+	}
+
+	rec := httptest.NewRecorder()
+	body := `{"table":"emptab","rows":[[{"i":"20"},{"i":"10"},{"i":"1000000"}]],"watermark":` + strconv.Itoa(atLeast) + `}`
+	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/append", strings.NewReader(body)))
+	var resp service.AppendResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("POST /append: %d %s", rec.Code, rec.Body.String())
+	}
+	if resp.Watermark < atLeast {
+		t.Fatalf("append watermark = %d, want at least %d", resp.Watermark, atLeast)
+	}
+	for i, rows := range subs {
+		if !rows.Next() {
+			t.Fatalf("node %d: no delta after the append: %v", i, rows.Err())
+		}
+		if wm := uint64(rows.Row()[4].Int64()); wm != resp.Watermark {
+			t.Fatalf("node %d: delta watermark = %d, append watermark = %d", i, wm, resp.Watermark)
+		}
 	}
 }
 
@@ -209,7 +256,7 @@ func TestClusterSubscribe(t *testing.T) {
 	batch := datagen.NewAppendStream(datagen.AppendStreamConfig{
 		Base: datagen.WebSalesConfig{Rows: base, Seed: 7}, Seed: 4, HotItems: 2,
 	}).Next(8)
-	resp, err := c.Append(ctx, "web_sales", batch)
+	resp, err := c.Append(ctx, "web_sales", batch, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +332,7 @@ func TestClusterSubscribeReplica(t *testing.T) {
 			t.Fatalf("initial stream ended early: %v", rows.Err())
 		}
 	}
-	resp, err := c.Append(ctx, "emptab", []storage.Tuple{{storage.Int(20), storage.Int(10), storage.Int(1000000)}})
+	resp, err := c.Append(ctx, "emptab", []storage.Tuple{{storage.Int(20), storage.Int(10), storage.Int(1000000)}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,7 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"net/http"
 	"strconv"
 	"strings"
 	"sync"
@@ -105,103 +103,23 @@ func (c *Cluster) Stats(ctx context.Context) (*ClusterStats, error) {
 	return stats, nil
 }
 
-// Handler returns the coordinator's HTTP/JSON front end, shaped like the
-// single-engine service's (clients don't care which one they talk to):
-//
-//	POST /query   {"sql": "...", "max_rows": 100, "timeout_ms": 5000}
-//	GET  /query?q=SELECT+...
-//	GET  /stats   ClusterStats (per-shard snapshots + routing counters)
-//	GET  /healthz fans out to every shard; 503 names the first down node
-//
-// /query responses carry "route" (scatter|shuffle|replica) and
-// "shards_used".
-// A request carrying "stream":true, ?stream=1 or `Accept:
-// application/x-ndjson` gets the chunked NDJSON stream: on the scatter
-// route the coordinator forwards per-node streams in shard-index order
-// without materializing the result, so the response memory at the
-// coordinator is bounded by the wire batch, not |R|. Errors reuse the
-// service status taxonomy; shard-node errors unwrap through RemoteError
-// to the same sentinels, so an overloaded shard is a 429 here too.
-func (c *Cluster) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/query", c.handleQuery)
-	mux.HandleFunc("/append", c.handleAppend)
-	mux.HandleFunc("/stats", c.handleStats)
-	mux.HandleFunc("/healthz", c.handleHealthz)
-	mux.HandleFunc("/metrics", c.handleMetrics)
-	mux.HandleFunc("/debug/trace/", c.handleDebugTrace)
-	mux.HandleFunc("/debug/queries", c.handleDebugQueries)
-	mux.HandleFunc("/debug/queries/", c.handleDebugQueries)
-	return mux
-}
-
-// handleQuery is the front door every front end shares (service.ServeQuery)
-// over the cluster's cursor: on the scatter route a streamed response body
-// is the merge-concatenation of the per-node streams — rows transit the
-// coordinator without ever forming a whole-result buffer.
-func (c *Cluster) handleQuery(w http.ResponseWriter, r *http.Request) {
-	service.ServeQuery(w, r, c, c.Registry())
-}
-
-// handleAppend is the coordinator's POST /append route: the same two body
-// shapes as the single-engine service (JSON rows, or binary columnar
-// frames with ?table=), routed through Cluster.Append so each row lands on
-// its owning node under one coordinator-assigned watermark.
-func (c *Cluster) handleAppend(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", "POST")
-		service.WriteError(w, http.StatusMethodNotAllowed, "request", errors.New("shard: use POST"))
-		return
-	}
-	req, rows, err := service.DecodeAppendBody(r)
+// StatsBody implements service.Backend: /stats serves Stats.
+func (c *Cluster) StatsBody(ctx context.Context) (any, error) {
+	stats, err := c.Stats(ctx)
 	if err != nil {
-		service.WriteError(w, http.StatusBadRequest, "request", err)
-		return
+		return nil, err
 	}
-	resp, err := c.Append(r.Context(), req.Table, rows)
-	if err != nil {
-		status, kind := service.AppendStatus(err)
-		service.WriteError(w, status, kind, err)
-		return
-	}
-	service.WriteJSON(w, http.StatusOK, resp)
+	return stats, nil
 }
 
-func (c *Cluster) handleStats(w http.ResponseWriter, r *http.Request) {
-	stats, err := c.Stats(r.Context())
+// WriteMetrics implements service.Backend: the coordinator's routing
+// counters and per-shard labelled families built from the shard snapshots,
+// so one scrape shows cluster skew.
+func (c *Cluster) WriteMetrics(ctx context.Context, p *service.PromWriter) error {
+	stats, err := c.Stats(ctx)
 	if err != nil {
-		service.WriteFailure(w, err)
-		return
+		return err
 	}
-	service.WriteJSON(w, http.StatusOK, stats)
-}
-
-func (c *Cluster) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	h := service.Health{
-		Status:  "ok",
-		Version: service.BuildVersion(),
-		Codecs:  []string{string(service.CodecBinary), string(service.CodecJSON)},
-		Role:    "coordinator",
-	}
-	if err := c.Health(r.Context()); err != nil {
-		h.Status = "degraded: " + err.Error()
-		service.WriteJSON(w, http.StatusServiceUnavailable, h)
-		return
-	}
-	service.WriteJSON(w, http.StatusOK, h)
-}
-
-// handleMetrics serves the coordinator's Prometheus exposition: its
-// Front's families, its routing counters, and per-shard labelled families
-// built from the shard snapshots, so one scrape shows cluster skew.
-func (c *Cluster) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	stats, err := c.Stats(r.Context())
-	if err != nil {
-		service.WriteFailure(w, err)
-		return
-	}
-	p := &service.PromWriter{}
-	c.front.WriteMetrics(p)
 	p.Counter("windowdb_appends_total", "Append batches routed to the owning shard nodes.", float64(stats.Appends))
 	p.Counter("windowdb_rows_appended_total", "Rows ingested by cluster append batches.", float64(stats.RowsAppended))
 	p.Gauge("windowdb_shuffle_round_imbalance", "Most recent shuffle round's max/mean per-node output-row ratio (1 = balanced, 0 = none observed).", c.ShuffleImbalance())
@@ -235,23 +153,17 @@ func (c *Cluster) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		func(s service.Snapshot) float64 { return float64(s.RowsOut) })
 	shardFamily("windowdb_shard_in_flight", "In-flight executions per shard node.", "gauge",
 		func(s service.Snapshot) float64 { return float64(s.InFlight) })
-	service.WriteProcessMetrics(p)
-	service.WriteBuildInfo(p)
-	p.ServeTo(w)
+	return nil
 }
 
-func (c *Cluster) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
-	service.ServeTraceRing(w, r, c.Traces(), "/debug/trace/")
-}
-
-// mergedLiveQueries snapshots the coordinator registry and grafts every
-// shard node's in-flight entries under the owning query: node-side stages
-// register under the coordinator's trace ID, so matching is by ID. The
-// fan-out is best-effort — an unreachable node hides only its own
-// subtree, never the coordinator's view. Node entries owned by no listed
-// coordinator query (statements sent to a node directly) append at the
-// end, so cluster-wide visibility is complete.
-func (c *Cluster) mergedLiveQueries(ctx context.Context) []trace.QueryInfo {
+// LiveQueries implements service.Backend: the coordinator registry's
+// snapshot with every shard node's in-flight entries grafted under the
+// owning query — node-side stages register under the coordinator's trace
+// ID, so matching is by ID. The fan-out is best-effort: an unreachable node
+// hides only its own subtree, never the coordinator's view. Node entries
+// owned by no listed coordinator query (statements sent to a node
+// directly) append at the end, so cluster-wide visibility is complete.
+func (c *Cluster) LiveQueries(ctx context.Context) ([]trace.QueryInfo, error) {
 	own := c.Registry().Snapshot()
 	nodeInfos := make([][]trace.QueryInfo, len(c.shards))
 	var wg sync.WaitGroup
@@ -282,55 +194,26 @@ func (c *Cluster) mergedLiveQueries(ctx context.Context) []trace.QueryInfo {
 			}
 		}
 	}
-	return append(own, orphans...)
+	return append(own, orphans...), nil
 }
 
-// handleDebugQueries serves the coordinator's live query registry:
-//
-//	GET    /debug/queries      every in-flight query, newest first, each
-//	                           with its shard nodes' matching entries
-//	                           merged under "nodes"
-//	GET    /debug/queries/{id} one query
-//	DELETE /debug/queries/{id} kill: fires the stored cancel here and on
-//	                           every node holding a stage of the query
-func (c *Cluster) handleDebugQueries(w http.ResponseWriter, r *http.Request) {
-	id := strings.TrimPrefix(r.URL.Path, "/debug/queries")
-	id = strings.Trim(id, "/")
-	switch {
-	case r.Method == http.MethodGet && id == "":
-		service.WriteJSON(w, http.StatusOK, c.mergedLiveQueries(r.Context()))
-	case r.Method == http.MethodGet:
-		for _, info := range c.mergedLiveQueries(r.Context()) {
-			if info.ID == id {
-				service.WriteJSON(w, http.StatusOK, info)
-				return
+// KillQuery implements service.Backend: fires the coordinator entry's
+// cancel and fans the kill out to every node regardless — a node could hold
+// a stage of a query whose coordinator entry already finished (or that was
+// submitted to the node directly). It reports whether anyone held id.
+func (c *Cluster) KillQuery(ctx context.Context, id string) (bool, error) {
+	killed := c.Registry().Kill(id)
+	var nodeKilled atomic.Bool
+	var wg sync.WaitGroup
+	for _, tr := range c.shards {
+		wg.Add(1)
+		go func(tr Transport) {
+			defer wg.Done()
+			if ok, err := tr.KillQuery(ctx, id); err == nil && ok {
+				nodeKilled.Store(true)
 			}
-		}
-		service.WriteError(w, http.StatusNotFound, "request", errors.New("shard: no in-flight query "+id))
-	case r.Method == http.MethodDelete && id != "":
-		killed := c.Registry().Kill(id)
-		// Fan the kill out regardless: a node could hold a stage of a
-		// query whose coordinator entry already finished (or that was
-		// submitted to the node directly).
-		var nodeKilled atomic.Bool
-		var wg sync.WaitGroup
-		for _, tr := range c.shards {
-			wg.Add(1)
-			go func(tr Transport) {
-				defer wg.Done()
-				if ok, err := tr.KillQuery(r.Context(), id); err == nil && ok {
-					nodeKilled.Store(true)
-				}
-			}(tr)
-		}
-		wg.Wait()
-		if !killed && !nodeKilled.Load() {
-			service.WriteError(w, http.StatusNotFound, "request", errors.New("shard: no in-flight query "+id))
-			return
-		}
-		service.WriteJSON(w, http.StatusOK, service.KillResponse{ID: id, Killed: true})
-	default:
-		w.Header().Set("Allow", "GET, DELETE")
-		service.WriteError(w, http.StatusMethodNotAllowed, "request", errors.New("shard: GET lists in-flight queries, DELETE /debug/queries/{id} kills one"))
+		}(tr)
 	}
+	wg.Wait()
+	return killed || nodeKilled.Load(), nil
 }

@@ -403,7 +403,7 @@ func TestHTTPAppendRidesFrames(t *testing.T) {
 	batch := datagen.NewAppendStream(datagen.AppendStreamConfig{
 		Base: datagen.WebSalesConfig{Rows: base, Seed: 7}, Seed: 99,
 	}).Next(extra)
-	resp, err := c.Append(ctx, "web_sales", batch)
+	resp, err := c.Append(ctx, "web_sales", batch, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +417,7 @@ func TestHTTPAppendRidesFrames(t *testing.T) {
 	}
 
 	local := newLocalCluster(t, 2, base)
-	if _, err := local.Append(ctx, "web_sales", batch); err != nil {
+	if _, err := local.Append(ctx, "web_sales", batch, 0); err != nil {
 		t.Fatal(err)
 	}
 	got, err := windowdb.Collect(ctx, c, q6SQL)

@@ -162,7 +162,7 @@ func TestLiveCountersAdvance(t *testing.T) {
 	// The node tier registered its shuffle stages under the same ID, so
 	// the coordinator's merged view has a per-node subtree while the
 	// final-segment streams are still draining.
-	merged := c.mergedLiveQueries(context.Background())
+	merged, _ := c.LiveQueries(context.Background())
 	for _, info := range merged {
 		if info.ID == id && len(info.Nodes) == 0 {
 			t.Fatal("merged view has no node subtree for the draining query")

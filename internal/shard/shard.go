@@ -36,8 +36,19 @@
 // Transports come in two forms: Local (in-process service.Service — tests,
 // benches, single-binary scale-up) and HTTP (the /shard/* routes of a
 // remote windserve, so windserve -shards host1,host2 forms a real
-// cluster). Cluster.Handler serves the coordinator's own /query, /stats
-// (per-shard aggregation) and /healthz (fan-out) front end.
+// cluster). Cluster.Handler serves the route table every front end serves
+// (service.NewHandler), each route answering the methods it declares:
+//
+//	GET, POST   /query               scatter, shuffle or replica route
+//	POST        /append              routed to the owning nodes
+//	GET         /stats               ClusterStats: per-shard snapshots and routing counters
+//	GET         /healthz             fans out to every shard
+//	GET         /metrics             routing counters and per-shard families
+//	GET         /debug/trace/[{id}]  the coordinator's recent traces
+//	GET         /debug/queries       in-flight statements, node entries merged under each
+//	GET, DELETE /debug/queries/{id}  one of them; DELETE kills it on every node
+//
+// GET routes answer HEAD too; any other method is a 405.
 package shard
 
 import (
@@ -48,6 +59,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -377,10 +389,7 @@ func (c *Cluster) QueryContext(ctx context.Context, src string) (*windowdb.Rows,
 		return windowdb.ExplainAnalyzeRows(ctx, c, inner)
 	}
 	if windowdb.IsInsert(src) {
-		return c.front.Insert(ctx, src, func(ctx context.Context, table string, rows []storage.Tuple) (uint64, error) {
-			resp, err := c.Append(ctx, table, rows)
-			return resp.Watermark, err
-		})
+		return c.front.Insert(ctx, src, c.Append)
 	}
 	// Every fan-out this statement makes — scatter streams, shuffle control
 	// rounds — carries its trace ID to the nodes, and its kill switch
@@ -915,7 +924,20 @@ func (cs *coordCursorSource) End(end windowdb.Ending) *windowdb.QueryMetrics {
 	return cs.c.finish(cs.qt, meta, end, cs.nodes, false)
 }
 
-// Health fans out to every shard and returns the first failure.
+// Handler returns the coordinator's HTTP/JSON front end: the route table
+// every front end serves (service.NewHandler) over the coordinator's Front
+// and the cluster, so clients don't care which one they talk to. /query
+// responses carry "route" (scatter|shuffle|replica) and "shards_used"; a
+// streamed one on the scatter route forwards the per-node streams in
+// shard-index order without materializing the result. /stats is
+// ClusterStats, /healthz fans out to every shard (503 names the first down
+// node), and /debug/queries merges the nodes' entries under each query.
+// Shard-node errors unwrap through RemoteError to the service sentinels, so
+// an overloaded shard is a 429 here too.
+func (c *Cluster) Handler() http.Handler { return service.NewHandler(c.front, c) }
+
+// Health implements service.Backend: it fans out to every shard and returns
+// the first failure.
 func (c *Cluster) Health(ctx context.Context) error {
 	return c.eachShard(ctx, func(ctx context.Context, i int, tr Transport) error {
 		if err := tr.Health(ctx); err != nil {

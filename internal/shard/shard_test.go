@@ -599,7 +599,7 @@ func TestCacheHammer(t *testing.T) {
 					return
 				}
 			}
-			if _, err := c.Append(ctx, "web_sales", []storage.Tuple{slices.Clone(ws.Rows[i])}); err != nil {
+			if _, err := c.Append(ctx, "web_sales", []storage.Tuple{slices.Clone(ws.Rows[i])}, 0); err != nil {
 				t.Error(err)
 				return
 			}

@@ -139,11 +139,7 @@ func (l *Local) Register(ctx context.Context, name string, t *storage.Table) err
 // Append implements Transport: the node-side service append — validation,
 // data-generation bump, subscription wake, metering.
 func (l *Local) Append(ctx context.Context, table string, rows []storage.Tuple, watermark uint64) (service.AppendResponse, error) {
-	start, wm, err := l.svc.Append(ctx, table, rows, watermark)
-	if err != nil {
-		return service.AppendResponse{}, err
-	}
-	return service.AppendResponse{Table: table, StartRid: start, RowsAppended: len(rows), Watermark: wm}, nil
+	return l.svc.Append(ctx, table, rows, watermark)
 }
 
 // Distinct implements Transport.
@@ -167,20 +163,14 @@ func (l *Local) Stats(ctx context.Context) (service.Snapshot, error) {
 }
 
 // Health implements Transport.
-func (l *Local) Health(ctx context.Context) error { return ctx.Err() }
+func (l *Local) Health(ctx context.Context) error { return l.svc.Health(ctx) }
 
 // LiveQueries implements Transport.
 func (l *Local) LiveQueries(ctx context.Context) ([]trace.QueryInfo, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return l.svc.Registry().Snapshot(), nil
+	return l.svc.LiveQueries(ctx)
 }
 
 // KillQuery implements Transport.
 func (l *Local) KillQuery(ctx context.Context, id string) (bool, error) {
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	return l.svc.Registry().Kill(id), nil
+	return l.svc.KillQuery(ctx, id)
 }

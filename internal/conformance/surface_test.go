@@ -138,6 +138,11 @@ func TestHTTPSurface(t *testing.T) {
 		{method: "DELETE", path: "/debug/queries/nosuchquery", status: 404, kind: "request"},
 		{method: "PUT", path: "/debug/queries/nosuchquery", status: 405, allow: "DELETE, GET, HEAD", kind: "request"},
 
+		// Paths no route matches: the same JSON 404 as every refusal.
+		{method: "GET", path: "/query/", status: 404, kind: "request"},
+		{method: "GET", path: "/stats/", status: 404, kind: "request"},
+		{method: "GET", path: "/debug/trace/a/b", status: 404, kind: "request"},
+
 		{method: "GET", path: "/shard/distinct?table=emptab&attrs=0", status: 200, node: true},
 		{method: "POST", path: "/shard/distinct?table=emptab&attrs=0", status: 405, allow: get, kind: "request", node: true},
 		{method: "GET", path: "/shard/query", status: 405, allow: "POST", kind: "request", node: true},

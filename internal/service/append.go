@@ -136,7 +136,7 @@ func SendAppendHTTP(ctx context.Context, hc *http.Client, base, table string, ro
 	}
 	arity := len(rows[0])
 	target := base + "/append?table=" + url.QueryEscape(table) + "&watermark=" + strconv.FormatUint(watermark, 10)
-	body, err := encodeFrameBody(streamHeader{Columns: make([]WireColumn, arity)}, len(rows), &stream.Batch{}, func(b *stream.Batch, off, k int) error {
+	body, err := encodeFrameBody(&streamHeader{Columns: make([]WireColumn, arity)}, len(rows), &stream.Batch{}, func(b *stream.Batch, off, k int) error {
 		return b.FillTuples(rows[off:off+k], arity)
 	})
 	if err != nil {

@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -29,24 +28,18 @@ const frameChunk = 512
 // in batch frames of at most frameChunk, and a trailer counting them. fill
 // refills b with the k rows from off on; b is the caller's, so a caller
 // encoding several bodies fills one batch's vectors throughout.
-func encodeFrameBody(hdr any, n int, b *stream.Batch, fill func(b *stream.Batch, off, k int) error) ([]byte, error) {
+func encodeFrameBody(hdr metaHeader, n int, b *stream.Batch, fill func(b *stream.Batch, off, k int) error) ([]byte, error) {
 	var body bytes.Buffer
 	fw := takeFrameWriter(&body)
 	defer giveBackFrameWriter(fw)
-	payload, err := json.Marshal(hdr)
-	if err == nil {
-		err = fw.WriteHeader(payload)
-	}
+	err := fw.SendFrame(hdr.appendJSON(fw.BeginFrame(stream.FrameHeader)))
 	for off := 0; err == nil && off < n; off += frameChunk {
 		if err = fill(b, off, min(frameChunk, n-off)); err == nil {
 			err = fw.WriteBatch(b)
 		}
 	}
 	if err == nil {
-		payload, err = json.Marshal(StreamTrailer{Done: true, RowCount: int64(n)})
-	}
-	if err == nil {
-		err = fw.WriteTrailer(payload)
+		err = writeTrailerFrame(fw, &StreamTrailer{Done: true, RowCount: int64(n)})
 	}
 	return body.Bytes(), err
 }
@@ -76,7 +69,7 @@ func postBody(ctx context.Context, hc *http.Client, url string, body []byte) (*h
 // readFrameBody is the receiving half: it decodes the header frame into hdr,
 // hands every batch's rows to sink as they arrive, and returns how many
 // there were once the trailer has confirmed the count and ended the body.
-func readFrameBody(body io.Reader, hdr interface{ arity() int }, sink func([]storage.Tuple) error) (int64, error) {
+func readFrameBody(body io.Reader, hdr metaHeader, sink func([]storage.Tuple) error) (int64, error) {
 	work := takeFrameRead(body)
 	defer giveBackFrameRead(work)
 	fr, b := &work.fr, &work.batch // every batch frame decodes into b; sink gets tuples of their own
@@ -85,7 +78,7 @@ func readFrameBody(body io.Reader, hdr interface{ arity() int }, sink func([]sto
 		err = fmt.Errorf("first frame is %c, want header", f.Type)
 	}
 	if err == nil {
-		err = json.Unmarshal(f.Payload, hdr)
+		err = decodeHeader(f.Payload, hdr)
 	}
 	if err != nil {
 		return 0, fmt.Errorf("service: reading frame body header: %w", err)
@@ -110,7 +103,7 @@ func readFrameBody(body io.Reader, hdr interface{ arity() int }, sink func([]sto
 			}
 		case stream.FrameTrailer:
 			var trailer StreamTrailer
-			if err := json.Unmarshal(f.Payload, &trailer); err != nil {
+			if err := trailer.UnmarshalJSON(f.Payload); err != nil {
 				return n, fmt.Errorf("service: bad frame body trailer: %w", err)
 			}
 			if trailer.RowCount != n {

@@ -81,7 +81,9 @@ func route(mux *http.ServeMux, pattern string, ms methods) {
 //	GET         /debug/queries       in-flight statements, newest first
 //	GET, DELETE /debug/queries/{id}  one in-flight statement; DELETE kills it
 //
-// Every GET route answers HEAD too; any other method is a 405 (route).
+// Every GET route answers HEAD too; any other method is a 405 (route). A
+// path no route matches is a 404 with the same {"error","kind":"request"}
+// body as every other refusal, not the mux's plain text.
 //
 // /query answers with a buffered JSON body by default; a request carrying
 // "stream":true, ?stream=1 or `Accept: application/x-ndjson` gets the
@@ -98,6 +100,9 @@ func route(mux *http.ServeMux, pattern string, ms methods) {
 // refused).
 func NewHandler(f *Front, b Backend) *http.ServeMux {
 	mux := http.NewServeMux()
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		writeError(w, http.StatusNotFound, "request", fmt.Errorf("service: no route %s", r.URL.Path))
+	})
 	route(mux, "/query", methods{
 		http.MethodGet: func(w http.ResponseWriter, r *http.Request) {
 			serveQuery(w, r, f, b, queryRequest{SQL: r.URL.Query().Get("q")})

@@ -119,7 +119,7 @@ type registerHeader struct {
 func encodeRegister(name string, t *storage.Table) ([]byte, error) {
 	arity := t.Schema.Len()
 	hdr := registerHeader{Table: name, streamHeader: streamHeader{Columns: WireColumns(t.Schema.Columns)}}
-	return encodeFrameBody(hdr, t.Len(), &stream.Batch{}, func(b *stream.Batch, off, k int) error {
+	return encodeFrameBody(&hdr, t.Len(), &stream.Batch{}, func(b *stream.Batch, off, k int) error {
 		return b.FillTuples(t.Rows[off:off+k], arity)
 	})
 }

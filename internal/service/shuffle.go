@@ -394,7 +394,7 @@ func encodeShuffle(out *exec.Chain, key []attrs.ID, peers int, hdr shuffleHeader
 	bodies := make([][]byte, peers)
 	for peer, pos := range exec.PartitionPositions(out.Rows, key, peers) {
 		var err error
-		bodies[peer], err = encodeFrameBody(hdr, len(pos), &b, func(b *stream.Batch, off, k int) error {
+		bodies[peer], err = encodeFrameBody(&hdr, len(pos), &b, func(b *stream.Batch, off, k int) error {
 			b.Reset(out.Schema.Len(), k)
 			for c := 0; c < out.Schema.Len(); c++ {
 				if c < out.Width {

@@ -44,7 +44,7 @@ func testBatchOf(id string, round, sender, n, arity int) *ShuffleBatch {
 		}
 	}
 	hdr := shuffleHeader{ShuffleID: id, Round: round, Sender: sender, streamHeader: streamHeader{Columns: WireColumns(cols)}}
-	body, err := encodeFrameBody(hdr, n, &stream.Batch{}, func(b *stream.Batch, off, k int) error {
+	body, err := encodeFrameBody(&hdr, n, &stream.Batch{}, func(b *stream.Batch, off, k int) error {
 		return b.FillTuples(rows[off:off+k], arity)
 	})
 	if err != nil {

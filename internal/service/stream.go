@@ -296,7 +296,7 @@ func WriteStream(ctx context.Context, w http.ResponseWriter, rows *windowdb.Rows
 		trailer.RowCount = n
 		trailer.Truncated = truncated
 	}
-	_ = sw.trailer(trailer)
+	_ = sw.trailer(&trailer)
 	sw.flush()
 }
 
@@ -310,6 +310,8 @@ type streamWriter struct {
 	enc     *json.Encoder
 	fw      *stream.FrameWriter
 	wire    []WireValue // NDJSON: the row being encoded, refilled per row
+	w       io.Writer   // NDJSON: where the header and trailer lines go
+	line    []byte      // NDJSON: the header or trailer line being encoded
 }
 
 func newStreamWriter(w http.ResponseWriter, codec WireCodec) *streamWriter {
@@ -321,6 +323,7 @@ func newStreamWriter(w http.ResponseWriter, codec WireCodec) *streamWriter {
 	} else {
 		w.Header().Set("Content-Type", ContentTypeNDJSON)
 		sw.enc = json.NewEncoder(w)
+		sw.w = w
 	}
 	w.WriteHeader(http.StatusOK)
 	return sw
@@ -349,27 +352,30 @@ func (sw *streamWriter) flush() {
 	}
 }
 
+// header and trailer encode their JSON (metajson.go) straight into the
+// frame, or into a line that leaves in one Write, as json.Encoder's does.
 func (sw *streamWriter) header(cols []storage.Column) error {
 	h := streamHeader{Columns: WireColumns(cols)}
 	if sw.enc != nil {
-		return sw.enc.Encode(h)
+		return sw.writeLine(h.appendJSON(sw.line[:0]), nil)
 	}
-	payload, err := json.Marshal(h)
-	if err != nil {
-		return err
-	}
-	return sw.fw.WriteHeader(payload)
+	return sw.fw.SendFrame(h.appendJSON(sw.fw.BeginFrame(stream.FrameHeader)))
 }
 
-func (sw *streamWriter) trailer(t StreamTrailer) error {
+func (sw *streamWriter) trailer(t *StreamTrailer) error {
 	if sw.enc != nil {
-		return sw.enc.Encode(t)
+		return sw.writeLine(t.AppendJSON(sw.line[:0]))
 	}
-	payload, err := json.Marshal(t)
+	return writeTrailerFrame(sw.fw, t)
+}
+
+func (sw *streamWriter) writeLine(line []byte, err error) error {
 	if err != nil {
 		return err
 	}
-	return sw.fw.WriteTrailer(payload)
+	sw.line = append(line, '\n')
+	_, err = sw.w.Write(sw.line)
+	return err
 }
 
 // liveCountingWriter accounts every response-body byte to the owning
@@ -421,7 +427,8 @@ type StreamReader struct {
 	lines   *stream.Batcher // NDJSON streams: the lines' rows, batched
 
 	cols    []storage.Column
-	trailer *StreamTrailer
+	trailer *StreamTrailer // &last once the trailer has come
+	last    StreamTrailer
 	err     error
 }
 
@@ -480,7 +487,7 @@ func wrapResponse(url string, resp *http.Response) (*StreamReader, error) {
 	hdr, err := sr.readHeader(strings.Contains(resp.Header.Get("Content-Type"), ContentTypeBinary))
 	if err == nil {
 		var h streamHeader
-		if err = json.Unmarshal(hdr, &h); err != nil {
+		if err = decodeHeader(hdr, &h); err != nil {
 			err = fmt.Errorf("service: %s: bad stream header %q: %w", url, hdr, err)
 		} else {
 			sr.cols, err = DecodeColumns(h.Columns)
@@ -625,15 +632,14 @@ func (sr *StreamReader) fail(err error) error {
 
 // end takes the trailer: io.EOF, or the server's mid-stream error.
 func (sr *StreamReader) end(payload []byte) error {
-	var trailer StreamTrailer
-	if err := json.Unmarshal(payload, &trailer); err != nil {
+	if err := sr.last.UnmarshalJSON(payload); err != nil {
 		return sr.fail(fmt.Errorf("bad stream trailer %q: %w", payload, err))
 	}
-	if trailer.Error != "" {
-		sr.err = &RemoteError{Node: sr.node, Status: http.StatusOK, Kind: trailer.Kind, Msg: trailer.Error}
+	if sr.last.Error != "" {
+		sr.err = &RemoteError{Node: sr.node, Status: http.StatusOK, Kind: sr.last.Kind, Msg: sr.last.Error}
 		return sr.err
 	}
-	sr.trailer = &trailer
+	sr.trailer = &sr.last
 	return io.EOF
 }
 

@@ -133,7 +133,7 @@ func TestRegisterRejectsBadBodies(t *testing.T) {
 	// arity columns wide.
 	body := func(table, typ string, arity int) []byte {
 		hdr := registerHeader{Table: table, streamHeader: streamHeader{Columns: []WireColumn{{Name: "a", Type: typ}}}}
-		b, err := encodeFrameBody(hdr, 1, &stream.Batch{}, func(b *stream.Batch, _, _ int) error {
+		b, err := encodeFrameBody(&hdr, 1, &stream.Batch{}, func(b *stream.Batch, _, _ int) error {
 			return b.FillTuples([]storage.Tuple{storage.Tuple{storage.Int(1), storage.Int(2)}[:arity]}, arity)
 		})
 		if err != nil {

@@ -85,6 +85,7 @@ type FrameWriter struct {
 	buf   []byte
 	batch Batch // WriteTuples' columns, refilled per frame
 	wrote bool
+	at    int // where in buf the frame BeginFrame started begins
 }
 
 // NewFrameWriter wraps w; nothing is written until the first frame.
@@ -104,48 +105,43 @@ func (fw *FrameWriter) Reset(w io.Writer) {
 // Bytes is the memory fw retains: its frame buffer and WriteTuples' batch.
 func (fw *FrameWriter) Bytes() int64 { return int64(cap(fw.buf)) + fw.batch.Bytes() }
 
-// begin starts a frame of type typ in buf — the magic first if no frame
-// has gone out yet — and returns where its header starts.
-func (fw *FrameWriter) begin(typ byte) int {
+// BeginFrame starts a frame of type typ in buf — the magic first if no
+// frame has gone out yet — and returns buf for the payload to be appended
+// to in place: a caller with an append encoder hands the grown buffer to
+// SendFrame, and the payload is built nowhere else first.
+func (fw *FrameWriter) BeginFrame(typ byte) []byte {
 	fw.buf = fw.buf[:0]
 	if !fw.wrote {
 		fw.buf = append(fw.buf, FrameMagic...)
 	}
-	at := len(fw.buf)
-	fw.buf = append(fw.buf, typ, 0, 0, 0, 0) // the length: send patches it in
-	return at
+	fw.at = len(fw.buf)
+	return append(fw.buf, typ, 0, 0, 0, 0) // the length: SendFrame patches it in
 }
 
-// send patches the length of the frame whose header starts at at into it
-// and writes the frame.
-func (fw *FrameWriter) send(at int) error {
-	binary.LittleEndian.PutUint32(fw.buf[at+1:], uint32(len(fw.buf)-at-frameHeaderLen))
+// SendFrame patches the length of the frame BeginFrame started into it and
+// writes the frame; buf is the buffer BeginFrame returned, the payload
+// appended.
+func (fw *FrameWriter) SendFrame(buf []byte) error {
+	fw.buf = buf
+	binary.LittleEndian.PutUint32(fw.buf[fw.at+1:], uint32(len(fw.buf)-fw.at-frameHeaderLen))
 	fw.wrote = true
 	_, err := fw.w.Write(fw.buf)
 	return err
 }
 
-func (fw *FrameWriter) writeFrame(typ byte, payload []byte) error {
-	at := fw.begin(typ)
-	fw.buf = append(fw.buf, payload...)
-	return fw.send(at)
-}
-
 // WriteHeader emits the 'H' frame (payload is the caller's JSON header).
 func (fw *FrameWriter) WriteHeader(payload []byte) error {
-	return fw.writeFrame(FrameHeader, payload)
+	return fw.SendFrame(append(fw.BeginFrame(FrameHeader), payload...))
 }
 
 // WriteTrailer emits the 'T' frame (payload is the caller's JSON trailer).
 func (fw *FrameWriter) WriteTrailer(payload []byte) error {
-	return fw.writeFrame(FrameTrailer, payload)
+	return fw.SendFrame(append(fw.BeginFrame(FrameTrailer), payload...))
 }
 
 // WriteBatch encodes and emits one 'B' frame.
 func (fw *FrameWriter) WriteBatch(b *Batch) error {
-	at := fw.begin(FrameBatch)
-	fw.buf = AppendBatch(fw.buf, b)
-	return fw.send(at)
+	return fw.SendFrame(AppendBatch(fw.BeginFrame(FrameBatch), b))
 }
 
 // WriteTuples batches and emits rows as one 'B' frame.

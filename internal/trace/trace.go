@@ -10,9 +10,12 @@
 // measurements already taken (the executor and service have always timed
 // these phases), not from live start/stop clocks, so recording a span
 // costs one struct append on a path that already holds the numbers.
-// Trees serialize as JSON (the trailer and /debug/trace shapes are the
-// same) and render as an indented text tree for EXPLAIN ANALYZE, windsql
-// and the slow-query log's human side.
+// Trees serialize as JSON through one hand-written codec (codec.go): a
+// stream trailer appends a span tree straight into its frame and decodes
+// it without reflection, and /debug/trace and the slow-query log reach the
+// same code through MarshalJSON, so the shapes cannot drift apart. Trees
+// also render as an indented text tree for EXPLAIN ANALYZE, windsql and
+// the slow-query log's human side.
 package trace
 
 import (

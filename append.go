@@ -6,7 +6,6 @@ import (
 	"io"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/delta"
 	"repro/internal/sql"
@@ -104,7 +103,6 @@ type Subscription struct {
 	scanned   int64
 	fullRows  int64
 	steps     []int64
-	start     time.Time
 }
 
 // SubscribeStatement opens a subscription on a prepared statement. The
@@ -140,7 +138,6 @@ func (e *Engine) SubscribeStatement(ctx context.Context, p *sql.Prepared) (*Subs
 		cols:      m.OutputColumns(),
 		queue:     m.Initial(),
 		watermark: gen,
-		start:     time.Now(),
 	}
 	s.b = stream.NewBatcher(len(s.cols), 1, s.next)
 	return s, nil
@@ -243,31 +240,4 @@ func NewInsertRows(table string, appended int, watermark uint64) *Rows {
 		storage.Int(int64(appended)),
 		storage.Int(int64(watermark)),
 	}})
-}
-
-// subscribeRows opens a subscription cursor on the Rows surface.
-func (e *Engine) subscribeRows(ctx context.Context, inner string) (*Rows, error) {
-	p, _, err := e.Resolve(ctx, inner)
-	if err != nil {
-		return nil, err
-	}
-	s, err := e.SubscribeStatement(ctx, p)
-	if err != nil {
-		return nil, err
-	}
-	return NewRows(subSource{s}), nil
-}
-
-// subSource adapts a Subscription to the RowSource contract.
-type subSource struct{ s *Subscription }
-
-func (ss subSource) Columns() []storage.Column { return ss.s.Columns() }
-
-func (ss subSource) NextBatch() (*stream.Batch, error) { return ss.s.NextBatch() }
-
-func (ss subSource) End(Ending) *QueryMetrics {
-	meta := NewQueryMetrics(ss.s.Meta())
-	meta.Elapsed = time.Since(ss.s.start)
-	_ = ss.s.Close()
-	return meta
 }

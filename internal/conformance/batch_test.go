@@ -223,7 +223,7 @@ func TestMaxRowsOnABatchBoundary(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					rows := sr.Rows()
+					rows := windowdb.NewRows(sr)
 					defer rows.Close()
 					n := 0
 					for rows.Next() {

@@ -63,7 +63,7 @@ func TestCodecNegotiationFallback(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows := sr.Rows()
+			rows := windowdb.NewRows(sr)
 			n := 0
 			for rows.Next() {
 				n++
@@ -130,7 +130,7 @@ func TestErrorTrailerSurvivesFraming(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows := sr.Rows()
+			rows := windowdb.NewRows(sr)
 			defer rows.Close()
 			n := 0
 			for rows.Next() {
@@ -195,7 +195,7 @@ func TestNodePlanesSpeakFramesOnly(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rows, n := sr.Rows(), 0
+				rows, n := windowdb.NewRows(sr), 0
 				for rows.Next() {
 					n++
 				}

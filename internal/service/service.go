@@ -39,8 +39,6 @@ import (
 	"repro"
 	"repro/internal/cache"
 	"repro/internal/sql"
-	"repro/internal/storage"
-	"repro/internal/stream"
 	"repro/internal/trace"
 )
 
@@ -133,6 +131,7 @@ type Service struct {
 	subplans *cache.LRU[*sql.SharedSegment] // nil when Config.DisableSharing
 	metrics  *Metrics
 	inbox    shuffleInbox
+	release  func() // gives back what admit took; built once, so admitting allocates nothing
 }
 
 // New builds a service over eng. The engine must not be shared with
@@ -153,6 +152,10 @@ func New(eng *windowdb.Engine, cfg Config) *Service {
 		metrics: newMetrics(),
 		inbox:   shuffleInbox{bufs: make(map[string]*shuffleBuf)},
 	}
+	s.release = func() {
+		s.gov.release()
+		s.metrics.endExec()
+	}
 	if !cfg.DisableSharing {
 		s.subplans = cache.New(cfg.SubplanEntries, (*sql.SharedSegment).Current)
 	}
@@ -169,21 +172,21 @@ func (s *Service) Slots() int { return s.gov.Slots() }
 // queryTrace assembles a served query's span tree: the plan-cache lookup
 // (a prepare on a miss), the admission wait, the shared-subplan lookup
 // (an attacher's wait, a leader's scan short of its reorder), the chain
-// execution subtree (per-step reorder choice, cardinality and spill), and
-// the residual drain/render time.
-func queryTrace(elapsed, planned, queued time.Duration, planCache string, rows int64, meta *windowdb.QueryMetrics, sharedWait time.Duration) *trace.Span {
-	root := trace.New("query", elapsed)
+// execution subtree meta carries as its Trace (per-step reorder choice,
+// cardinality and spill), and the residual drain/render time.
+func queryTrace(planned, queued time.Duration, planCache string, rows int64, meta *windowdb.QueryMetrics) *trace.Span {
+	root := trace.New("query", meta.Elapsed)
 	root.Children = make([]*trace.Span, 0, 5)
 	root.SetInt("rows", rows)
 	root.Add(trace.New("plan", planned).SetAttr("plan_cache", planCache))
 	root.Add(trace.New("admission.wait", queued))
-	rest := elapsed - planned - queued
+	rest := meta.Elapsed - planned - queued
 	if meta.SharedScan != "" {
-		root.Add(trace.New("subplan", sharedWait).SetAttr("shared_scan", meta.SharedScan))
-		rest -= sharedWait
+		root.Add(trace.New("subplan", meta.SharedWait).SetAttr("shared_scan", meta.SharedScan))
+		rest -= meta.SharedWait
 	}
-	if es := windowdb.ExecTrace(meta); es != nil {
-		root.Add(es)
+	if meta.Trace != nil {
+		root.Add(meta.Trace)
 		rest -= meta.ExecElapsed()
 	}
 	if rest > 0 {
@@ -222,7 +225,7 @@ func (s *Service) QueryContext(ctx context.Context, src string) (*windowdb.Rows,
 	if inner, ok := windowdb.StripSubscribe(src); ok {
 		return s.subscribeStream(ctx, src, inner)
 	}
-	return s.streamCursor(ctx, src, src, "draining", func(ctx context.Context, prep *sql.Prepared) (execCursor, error) {
+	return s.streamCursor(ctx, src, src, "draining", func(ctx context.Context, prep *sql.Prepared) (windowdb.Cursor, error) {
 		return s.openStream(ctx, prep, sql.Input{}, false)
 	})
 }
@@ -232,7 +235,7 @@ func (s *Service) QueryContext(ctx context.Context, src string) (*windowdb.Rows,
 // admitted like any chain (it holds the slot while live) and registered
 // under the full SUBSCRIBE text.
 func (s *Service) subscribeStream(ctx context.Context, full, inner string) (*windowdb.Rows, error) {
-	return s.streamCursor(ctx, full, inner, "waiting for data", func(ctx context.Context, prep *sql.Prepared) (execCursor, error) {
+	return s.streamCursor(ctx, full, inner, "waiting for data", func(ctx context.Context, prep *sql.Prepared) (windowdb.Cursor, error) {
 		return s.eng.SubscribeStatement(ctx, prep)
 	})
 }
@@ -243,17 +246,6 @@ func (s *Service) PrepareContext(ctx context.Context, src string) (windowdb.Stmt
 	return s.Prepare(ctx, s, src)
 }
 
-// execCursor is what a served stream drains: the sql.Cursor shape, also
-// satisfied by the engine's live Subscription — the widening that lets
-// SUBSCRIBE share the admission/registry/metrics discipline of one-shot
-// streams.
-type execCursor interface {
-	Columns() []storage.Column
-	NextBatch() (*stream.Batch, error)
-	Close() error
-	Meta() *sql.Meta
-}
-
 // streamCursor is the shared streaming-serve body: plan-cache resolution,
 // admission, and the handoff-guarded slot-to-cursor transfer, with the
 // execution cursor opened by open (the full statement, a sharded
@@ -261,7 +253,14 @@ type execCursor interface {
 // text registered in /debug/queries (the full SUBSCRIBE spelling for
 // subscriptions); src is what resolves through the plan cache; phase is
 // the registry phase the cursor shows while it streams.
-func (s *Service) streamCursor(ctx context.Context, display, src, phase string, open func(context.Context, *sql.Prepared) (execCursor, error)) (*windowdb.Rows, error) {
+//
+// The slot and the in-flight gauge are held until the cursor's one end —
+// drained, failed or closed early — which gives them back and ends the
+// statement (Statement.End): a full drain is a query, an execution error a
+// failure, and an early Close, a kill or a caller that left an abort, with
+// no latency sample, so partial deliveries don't masquerade as fast
+// successes in the histogram.
+func (s *Service) streamCursor(ctx context.Context, display, src, phase string, open func(context.Context, *sql.Prepared) (windowdb.Cursor, error)) (*windowdb.Rows, error) {
 	ctx, st := s.Begin(ctx, display)
 	prep, err := st.Resolve(ctx, src)
 	if err != nil {
@@ -269,18 +268,11 @@ func (s *Service) streamCursor(ctx context.Context, display, src, phase string, 
 	}
 
 	live := st.Live()
-	live.SetPhase("queued")
-	queueStart := time.Now()
-	if _, err := s.gov.acquire(ctx); err != nil {
-		if errors.Is(err, ErrOverloaded) {
-			s.metrics.rejected.Add(1)
-		}
+	queued, release, err := s.admit(ctx, live)
+	if err != nil {
 		return nil, st.Fail(err, nil)
 	}
-	queued := time.Since(queueStart)
-	live.RaiseMemPeak(1)
 	live.SetPhase("executing")
-	s.metrics.beginExec()
 	// Until the slot is handed to the cursor, release it on every exit —
 	// error or panic (recovered per-request by net/http): a panicking
 	// chain must not wedge the governor shut while /healthz still answers
@@ -288,8 +280,7 @@ func (s *Service) streamCursor(ctx context.Context, display, src, phase string, 
 	handoff := false
 	defer func() {
 		if !handoff {
-			s.gov.release()
-			s.metrics.endExec()
+			release()
 		}
 	}()
 
@@ -299,47 +290,35 @@ func (s *Service) streamCursor(ctx context.Context, display, src, phase string, 
 	}
 	live.SetPhase(phase)
 	handoff = true
-	return windowdb.NewRows(&servedSource{svc: s, st: st, cur: cur, queued: queued}), nil
+	stamps := windowdb.Stamps{Start: st.Start, TraceID: st.ID, CacheHit: st.CacheHit()}
+	return windowdb.CursorRows(cur, stamps, live, func(end windowdb.Ending, meta *windowdb.QueryMetrics) {
+		release()
+		meta.Queued = queued
+		meta.Trace = queryTrace(st.planned, queued, st.planCache, end.Rows, meta)
+		if st.End(end, false, meta.Trace) == windowdb.Served {
+			s.metrics.observe(meta.Exec, end.Rows, meta.Elapsed)
+		}
+	}), nil
 }
 
-// servedSource adapts an execution cursor to the Rows contract while
-// holding the service-side resources: the admission slot and the in-flight
-// gauge, both released when the cursor's one End arrives — drained, failed
-// or closed early — and the statement ends (Statement.End): a full drain
-// is a query, an execution error a failure, and an early Close, a kill or
-// a caller that left an abort — with no latency sample, so partial
-// deliveries don't masquerade as fast successes in the histogram.
-type servedSource struct {
-	svc    *Service
-	st     Statement
-	cur    execCursor
-	queued time.Duration
-}
-
-func (ss *servedSource) Columns() []storage.Column { return ss.cur.Columns() }
-
-func (ss *servedSource) NextBatch() (*stream.Batch, error) {
-	b, err := ss.cur.NextBatch()
-	if err == nil {
-		ss.st.Live().AddRowsEmitted(int64(b.Len()))
+// admit takes an admission slot for a statement — phase "queued" while it
+// waits, an ErrOverloaded rejection counted — and enters it in the
+// in-flight gauge and in its live memory peak. It returns how long the
+// statement queued and the release that gives both back, which the caller
+// calls once.
+func (s *Service) admit(ctx context.Context, live *trace.Live) (time.Duration, func(), error) {
+	live.SetPhase("queued")
+	start := time.Now()
+	if _, err := s.gov.acquire(ctx); err != nil {
+		if errors.Is(err, ErrOverloaded) {
+			s.metrics.rejected.Add(1)
+		}
+		return 0, nil, err
 	}
-	return b, err
-}
-
-func (ss *servedSource) End(end windowdb.Ending) *windowdb.QueryMetrics {
-	ss.svc.gov.release()
-	ss.svc.metrics.endExec()
-	elapsed := time.Since(ss.st.Start)
-	res := ss.cur.Meta()
-	meta := windowdb.NewQueryMetrics(res)
-	meta.CacheHit, meta.Queued, meta.Elapsed = ss.st.CacheHit(), ss.queued, elapsed
-	root := queryTrace(elapsed, ss.st.planned, ss.queued, ss.st.planCache, end.Rows, meta, res.SharedWait)
-	if ss.st.End(end, false, root) == windowdb.Served {
-		ss.svc.metrics.observe(res.Exec, end.Rows, elapsed)
-	}
-	meta.TraceID, meta.Trace = ss.st.ID, root
-	_ = ss.cur.Close()
-	return meta
+	queued := time.Since(start)
+	s.metrics.beginExec()
+	live.RaiseMemPeak(1)
+	return queued, s.release, nil
 }
 
 // ResetMaxInFlight re-arms the in-flight high-water mark to the current

@@ -301,25 +301,17 @@ func (s *Service) runShuffleStep(ctx context.Context, st *Statement, req Shuffle
 	if req.Segment >= 0 {
 		phase = fmt.Sprintf("segment %d of %d", req.Segment+1, runner.Segments())
 	}
-	live.SetPhase("queued")
 
 	// The stage's chain execution is a full chain-memory consumer; it takes
 	// an admission slot like any other execution, released synchronously
 	// when the stage (sends included) finishes.
 	phaseStart := time.Now()
-	if _, err := s.gov.acquire(ctx); err != nil {
-		if errors.Is(err, ErrOverloaded) {
-			s.metrics.rejected.Add(1)
-		}
+	_, release, err := s.admit(ctx, live)
+	if err != nil {
 		return nil, err
 	}
-	s.metrics.beginExec()
-	defer func() {
-		s.gov.release()
-		s.metrics.endExec()
-	}()
+	defer release()
 	s.metrics.shuffleRounds.Add(1)
-	live.RaiseMemPeak(1)
 	live.SetPhase(phase)
 	queuedMillis := phaseMillis(&phaseStart)
 
@@ -357,26 +349,9 @@ func (s *Service) runShuffleStep(ctx context.Context, st *Statement, req Shuffle
 	// sends so a doomed round does not keep shipping rows.
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	errs := make([]error, req.Senders)
-	var wg sync.WaitGroup
-	for peer := 0; peer < req.Senders; peer++ {
-		wg.Add(1)
-		go func(peer int) {
-			defer wg.Done()
-			b := &ShuffleBatch{ID: hdr.ShuffleID, Round: hdr.Round, Sender: hdr.Sender, Body: bodies[peer]}
-			if err := req.Deliver(sctx, peer, b); err != nil {
-				errs[peer] = err
-				cancel()
-			}
-		}(peer)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil && !errors.Is(err, context.Canceled) {
-			return nil, err
-		}
-	}
-	if err := errors.Join(errs...); err != nil {
+	if err := FanOut(req.Senders, cancel, func(peer int) error {
+		return req.Deliver(sctx, peer, &ShuffleBatch{ID: hdr.ShuffleID, Round: hdr.Round, Sender: hdr.Sender, Body: bodies[peer]})
+	}); err != nil {
 		return nil, err
 	}
 	res.DeliverMillis = phaseMillis(&phaseStart)
@@ -470,7 +445,7 @@ func (s *Service) stageInput(ctx context.Context, runner *sql.SegmentRunner, st 
 // DISTINCT, ORDER BY and LIMIT stay with the coordinator's finalize over
 // the concatenation of every node's stream.
 func (s *Service) streamSegment(ctx context.Context, st Stage) (*windowdb.Rows, error) {
-	return s.streamCursor(ctx, st.SQL, st.SQL, "draining", func(ctx context.Context, prep *sql.Prepared) (execCursor, error) {
+	return s.streamCursor(ctx, st.SQL, st.SQL, "draining", func(ctx context.Context, prep *sql.Prepared) (windowdb.Cursor, error) {
 		bound, err := bindStage(prep, st)
 		if err != nil {
 			return nil, err

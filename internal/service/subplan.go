@@ -86,7 +86,7 @@ func finerSegment(have, want any) bool {
 // is the statement's own table and the subplan cache yields one, privately
 // otherwise. The disposition is stamped on the cursor's meta so it reaches
 // the trace, the trailer and EXPLAIN ANALYZE.
-func (s *Service) openStream(ctx context.Context, prep *sql.Prepared, in sql.Input, shardLocal bool) (execCursor, error) {
+func (s *Service) openStream(ctx context.Context, prep *sql.Prepared, in sql.Input, shardLocal bool) (*sql.Cursor, error) {
 	start := time.Now()
 	var disp string
 	if in.Rows == nil {

@@ -242,7 +242,7 @@ func TestWireWorkspaceGoesBackOnce(t *testing.T) {
 				}
 			}},
 			{"through Rows", func(t *testing.T) {
-				rows := open(t, context.Background(), "/big").Rows()
+				rows := windowdb.NewRows(open(t, context.Background(), "/big"))
 				for i := 0; i < 3 && rows.Next(); i++ {
 				}
 				_ = rows.Close()

@@ -271,7 +271,8 @@ func (ls *liveSource) End(end windowdb.Ending) *windowdb.QueryMetrics {
 	close(ls.done)
 	ls.streamCancel()
 	ls.wg.Wait()
-	meta := mergedMeta(ls.prep, ls.qt.CacheHit(), ls.route, len(ls.streams))
+	meta := mergedMeta(ls.prep, ls.qt, ls.route, len(ls.streams))
 	meta.Watermark = ls.watermark
-	return ls.c.finish(ls.qt, meta, end, nil, true)
+	ls.c.finish(ls.qt, meta, end, nil, true)
+	return meta
 }

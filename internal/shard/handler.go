@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/cache"
@@ -166,19 +165,12 @@ func (c *Cluster) WriteMetrics(ctx context.Context, p *service.PromWriter) error
 func (c *Cluster) LiveQueries(ctx context.Context) ([]trace.QueryInfo, error) {
 	own := c.Registry().Snapshot()
 	nodeInfos := make([][]trace.QueryInfo, len(c.shards))
-	var wg sync.WaitGroup
-	for i, tr := range c.shards {
-		wg.Add(1)
-		go func(i int, tr Transport) {
-			defer wg.Done()
-			infos, err := tr.LiveQueries(ctx)
-			if err != nil {
-				return
-			}
+	_ = service.FanOut(len(c.shards), nil, func(i int) error {
+		if infos, err := c.shards[i].LiveQueries(ctx); err == nil {
 			nodeInfos[i] = infos
-		}(i, tr)
-	}
-	wg.Wait()
+		}
+		return nil
+	})
 	byID := make(map[string]int, len(own))
 	for i := range own {
 		byID[own[i].ID] = i
@@ -204,16 +196,11 @@ func (c *Cluster) LiveQueries(ctx context.Context) ([]trace.QueryInfo, error) {
 func (c *Cluster) KillQuery(ctx context.Context, id string) (bool, error) {
 	killed := c.Registry().Kill(id)
 	var nodeKilled atomic.Bool
-	var wg sync.WaitGroup
-	for _, tr := range c.shards {
-		wg.Add(1)
-		go func(tr Transport) {
-			defer wg.Done()
-			if ok, err := tr.KillQuery(ctx, id); err == nil && ok {
-				nodeKilled.Store(true)
-			}
-		}(tr)
-	}
-	wg.Wait()
+	_ = service.FanOut(len(c.shards), nil, func(i int) error {
+		if ok, err := c.shards[i].KillQuery(ctx, id); err == nil && ok {
+			nodeKilled.Store(true)
+		}
+		return nil
+	})
 	return killed || nodeKilled.Load(), nil
 }

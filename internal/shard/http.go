@@ -53,13 +53,8 @@ func NewHTTPCodec(addr string, client *http.Client, _ service.WireCodec) *HTTP {
 // Addr returns the node's base URL.
 func (h *HTTP) Addr() string { return h.base }
 
-// RemoteError is a shard node's error response, preserving the service
-// status taxonomy across the wire. It now lives in the service package
-// (the streaming Client speaks it too); the alias keeps the shard-side
-// name.
-type RemoteError = service.RemoteError
-
-// do runs one JSON round trip; a non-2xx response decodes into RemoteError.
+// do runs one JSON round trip; a non-2xx response decodes into a
+// *service.RemoteError.
 func (h *HTTP) do(ctx context.Context, method, path string, body, out any) error {
 	var rd io.Reader
 	if body != nil {
@@ -105,7 +100,7 @@ func (h *HTTP) stream(ctx context.Context, path string, body any) (*windowdb.Row
 	if err != nil {
 		return nil, err
 	}
-	return sr.Rows(), nil
+	return windowdb.NewRows(sr), nil
 }
 
 // QueryStream implements Transport over the node's /shard/query stream. A
@@ -184,7 +179,7 @@ func (h *HTTP) KillQuery(ctx context.Context, id string) (bool, error) {
 	var resp service.KillResponse
 	err := h.do(ctx, http.MethodDelete, "/debug/queries/"+url.PathEscape(id), nil, &resp)
 	if err != nil {
-		var re *RemoteError
+		var re *service.RemoteError
 		if errors.As(err, &re) && re.Status == http.StatusNotFound {
 			return false, nil
 		}

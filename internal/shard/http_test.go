@@ -163,9 +163,9 @@ func TestHTTPErrorTaxonomy(t *testing.T) {
 	c := newHTTPCluster(t, 2, 100)
 	_, err := windowdb.Collect(context.Background(), c, q6SQL+` GARBAGE TRAILING`)
 	if !errors.Is(err, sql.ErrParse) {
-		t.Fatalf("got %v, want ErrParse through RemoteError", err)
+		t.Fatalf("got %v, want ErrParse through service.RemoteError", err)
 	}
-	var re *RemoteError
+	var re *service.RemoteError
 	if errors.As(err, &re) {
 		t.Fatalf("parse errors are coordinator-side, got remote %v", re)
 	}
@@ -189,7 +189,7 @@ func TestUnknownModeErrorsOnBothTransports(t *testing.T) {
 				t.Errorf("%s: mode %q streamed", name, mode)
 				continue
 			}
-			if re := (*RemoteError)(nil); name == "http" && (!errors.As(err, &re) || re.Status != http.StatusBadRequest) {
+			if re := (*service.RemoteError)(nil); name == "http" && (!errors.As(err, &re) || re.Status != http.StatusBadRequest) {
 				t.Errorf("%s: mode %q failed with %v, want a 400", name, mode, err)
 			}
 		}

@@ -109,80 +109,125 @@ func TestKillMidShuffle(t *testing.T) {
 	}
 }
 
-// TestLiveCountersAdvance: polling /debug/queries twice during one
-// in-flight shuffle query shows its counters moving — rows emitted grow
-// between polls, shuffle rows and the imbalance gauge are recorded, and
-// the entry leaves the registry when the cursor finishes.
+// TestLiveCountersAdvance: polling the registry twice during one
+// in-flight statement shows its counters moving — rows emitted grow
+// between polls — on every front end whose cursor counts them: a
+// coordinator's shuffle merge, a coordinator's finalize cursor (ORDER BY)
+// and a single served engine. The shuffle also records its shuffle rows,
+// its node entries and its imbalance gauge. Each entry leaves its registry
+// when the cursor finishes, counted as served, with nothing held.
 func TestLiveCountersAdvance(t *testing.T) {
-	c, _ := streamCluster(t, 2, 20_000, Config{})
-	id := trace.NewID()
-	ctx := trace.NewContext(context.Background(), id)
-	rows, err := c.QueryContext(ctx, divergeSQL)
-	if err != nil {
-		t.Fatal(err)
+	// front is what a case's statement runs on: its Queryer, its registry,
+	// and the check that nothing is held and one statement was served.
+	type front struct {
+		q     windowdb.Queryer
+		reg   *trace.Registry
+		after func(t *testing.T)
 	}
-	defer rows.Close()
-
-	poll := func() trace.QueryInfo {
-		t.Helper()
-		for _, info := range c.Registry().Snapshot() {
-			if info.ID == id {
-				return info
+	cluster := func(t *testing.T) (front, *Cluster) {
+		c, _ := streamCluster(t, 2, 20_000, Config{})
+		return front{q: c, reg: c.Registry(), after: func(t *testing.T) {
+			requireIdle(t, c)
+			if got := c.queries.Load(); got != 1 {
+				t.Fatalf("queries = %d, want 1", got)
 			}
-		}
-		t.Fatalf("query %s not in registry", id)
-		return trace.QueryInfo{}
+		}}, c
 	}
+	for _, tc := range []struct {
+		name     string
+		src      string
+		shuffled bool
+		open     func(t *testing.T) (front, *Cluster) // the cluster is nil for a single engine
+	}{
+		{"coordinator shuffle", divergeSQL, true, cluster},
+		{"coordinator finalize", `SELECT ws_order_number,
+ rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS a
+ FROM web_sales ORDER BY ws_order_number, a`, false, cluster},
+		{"served engine", divergeSQL, false, func(t *testing.T) (front, *Cluster) {
+			svc := service.New(singleEngine(20_000), service.Config{})
+			return front{q: svc, reg: svc.Registry(), after: func(t *testing.T) {
+				if held := svc.Stats().Held(); held != "" {
+					t.Fatalf("held after the statement ended: %s", held)
+				}
+				if got := svc.Queries.Load(); got != 1 {
+					t.Fatalf("queries = %d, want 1", got)
+				}
+			}}, nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, c := tc.open(t)
+			id := trace.NewID()
+			ctx := trace.NewContext(context.Background(), id)
+			rows, err := f.q.QueryContext(ctx, tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rows.Close()
 
-	for i := 0; i < 100; i++ {
-		if !rows.Next() {
-			t.Fatalf("stream ended early: %v", rows.Err())
-		}
-	}
-	first := poll()
-	if first.Phase != "draining" {
-		t.Fatalf("phase = %q mid-drain, want draining", first.Phase)
-	}
-	if first.RowsEmitted < 100 {
-		t.Fatalf("rows_emitted = %d after 100 rows, want >= 100", first.RowsEmitted)
-	}
-	if first.ShuffleRows == 0 {
-		t.Fatal("shuffle rounds recorded no shuffle rows")
-	}
-	for i := 0; i < 1000; i++ {
-		if !rows.Next() {
-			t.Fatalf("stream ended early: %v", rows.Err())
-		}
-	}
-	second := poll()
-	if second.RowsEmitted <= first.RowsEmitted {
-		t.Fatalf("rows_emitted did not advance between polls: %d then %d", first.RowsEmitted, second.RowsEmitted)
-	}
+			poll := func() trace.QueryInfo {
+				t.Helper()
+				for _, info := range f.reg.Snapshot() {
+					if info.ID == id {
+						return info
+					}
+				}
+				t.Fatalf("query %s not in registry", id)
+				return trace.QueryInfo{}
+			}
 
-	// The node tier registered its shuffle stages under the same ID, so
-	// the coordinator's merged view has a per-node subtree while the
-	// final-segment streams are still draining.
-	merged, _ := c.LiveQueries(context.Background())
-	for _, info := range merged {
-		if info.ID == id && len(info.Nodes) == 0 {
-			t.Fatal("merged view has no node subtree for the draining query")
-		}
-	}
+			for i := 0; i < 100; i++ {
+				if !rows.Next() {
+					t.Fatalf("stream ended early: %v", rows.Err())
+				}
+			}
+			first := poll()
+			if first.Phase != "draining" {
+				t.Fatalf("phase = %q mid-drain, want draining", first.Phase)
+			}
+			if first.RowsEmitted < 100 {
+				t.Fatalf("rows_emitted = %d after 100 rows, want >= 100", first.RowsEmitted)
+			}
+			if tc.shuffled && first.ShuffleRows == 0 {
+				t.Fatal("shuffle rounds recorded no shuffle rows")
+			}
+			for i := 0; i < 1000; i++ {
+				if !rows.Next() {
+					t.Fatalf("stream ended early: %v", rows.Err())
+				}
+			}
+			second := poll()
+			if second.RowsEmitted <= first.RowsEmitted {
+				t.Fatalf("rows_emitted did not advance between polls: %d then %d", first.RowsEmitted, second.RowsEmitted)
+			}
 
-	for rows.Next() {
-	}
-	if err := rows.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if err := rows.Close(); err != nil {
-		t.Fatal(err)
-	}
-	requireIdle(t, c)
-	if ratio := c.ShuffleImbalance(); ratio < 1 {
-		t.Fatalf("shuffle imbalance ratio = %v, want >= 1 after a shuffle round", ratio)
-	}
-	if got := c.queries.Load(); got != 1 {
-		t.Fatalf("queries = %d, want 1", got)
+			if tc.shuffled {
+				// The node tier registered its shuffle stages under the same
+				// ID, so the coordinator's merged view has a per-node subtree
+				// while the final-segment streams are still draining.
+				merged, _ := c.LiveQueries(context.Background())
+				for _, info := range merged {
+					if info.ID == id && len(info.Nodes) == 0 {
+						t.Fatal("merged view has no node subtree for the draining query")
+					}
+				}
+			}
+
+			for rows.Next() {
+			}
+			if err := rows.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if err := rows.Close(); err != nil {
+				t.Fatal(err)
+			}
+			f.after(t)
+			if tc.shuffled {
+				if ratio := c.ShuffleImbalance(); ratio < 1 {
+					t.Fatalf("shuffle imbalance ratio = %v, want >= 1 after a shuffle round", ratio)
+				}
+			}
+		})
 	}
 }
 

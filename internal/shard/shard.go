@@ -57,7 +57,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strings"
@@ -70,9 +69,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/exec"
 	"repro/internal/service"
-	"repro/internal/sql"
 	"repro/internal/storage"
-	"repro/internal/stream"
 	"repro/internal/trace"
 )
 
@@ -340,34 +337,15 @@ func (c *Cluster) distinctFn(name string, rows int64) func(attrs.Set) int64 {
 	}
 }
 
-// eachShard runs fn for every shard concurrently. The first failure
-// cancels the peers — a query doomed by one shard must not keep burning
-// the others' execution slots for the slowest shard's full chain time.
-// The returned error is the first (by shard index) failure that is not
-// just the fallout of that cancellation; peer cancellation noise is
-// dropped when a real cause exists.
+// eachShard runs fn for every shard concurrently (service.FanOut). The
+// first failure cancels the peers — a query doomed by one shard must not
+// keep burning the others' execution slots for the slowest shard's full
+// chain time — and the error is the first by shard index that is not just
+// that cancellation's fallout.
 func (c *Cluster) eachShard(ctx context.Context, fn func(ctx context.Context, i int, tr Transport) error) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	errs := make([]error, len(c.shards))
-	var wg sync.WaitGroup
-	for i, tr := range c.shards {
-		wg.Add(1)
-		go func(i int, tr Transport) {
-			defer wg.Done()
-			if err := fn(ctx, i, tr); err != nil {
-				errs[i] = err
-				cancel()
-			}
-		}(i, tr)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil && !errors.Is(err, context.Canceled) {
-			return err
-		}
-	}
-	return errors.Join(errs...)
+	return service.FanOut(len(c.shards), cancel, func(i int) error { return fn(ctx, i, c.shards[i]) })
 }
 
 // Cluster implements windowdb.Queryer.
@@ -383,7 +361,7 @@ var _ windowdb.Queryer = (*Cluster)(nil)
 // match the single-engine service: sql.ErrParse/ErrBind,
 // catalog.ErrUnknownTable, service.ErrOverloaded (from a shard's admission
 // control), ctx errors, and engine faults — remote errors unwrap to the
-// same sentinels (RemoteError).
+// same sentinels (service.RemoteError).
 func (c *Cluster) QueryContext(ctx context.Context, src string) (*windowdb.Rows, error) {
 	if inner, ok := windowdb.StripExplainAnalyze(src); ok {
 		return windowdb.ExplainAnalyzeRows(ctx, c, inner)
@@ -427,13 +405,13 @@ type clusterTrace struct {
 }
 
 // finish ends a statement served as a cursor, whichever source streamed
-// it, with the coordinator's span tree. nodes are the drained node
-// streams' metrics in shard-index order. meta is returned stamped.
-func (c *Cluster) finish(qt *clusterTrace, meta *windowdb.QueryMetrics, end windowdb.Ending, nodes []*windowdb.QueryMetrics, closeIsServed bool) *windowdb.QueryMetrics {
-	meta.Elapsed = time.Since(qt.Start)
-	meta.TraceID, meta.Trace = qt.ID, c.traceRoot(qt, meta, end.Rows, nodes)
+// it, with the coordinator's span tree. meta comes stamped and carries, as
+// its Trace, the coordinator's own execution subtree (nil when it ran
+// none), which that tree takes in and replaces. nodes are the drained node
+// streams' metrics in shard-index order.
+func (c *Cluster) finish(qt *clusterTrace, meta *windowdb.QueryMetrics, end windowdb.Ending, nodes []*windowdb.QueryMetrics, closeIsServed bool) {
+	meta.Trace = c.traceRoot(qt, meta, end.Rows, nodes)
 	qt.End(end, closeIsServed, meta.Trace)
-	return meta
 }
 
 // traceRoot assembles the coordinator's span tree for a statement: its
@@ -454,7 +432,7 @@ func (c *Cluster) traceRoot(qt *clusterTrace, meta *windowdb.QueryMetrics, rows 
 	}
 	// The coordinator's own execution — the finalize over a drained
 	// concatenation — slots in like a node's would.
-	root.Add(windowdb.ExecTrace(meta))
+	root.Add(meta.Trace)
 	for i, out := range nodes {
 		if out.Trace == nil {
 			continue
@@ -472,458 +450,6 @@ func (c *Cluster) traceRoot(qt *clusterTrace, meta *windowdb.QueryMetrics, rows 
 	return root
 }
 
-// streamQuery prepares, routes and opens the statement's row stream.
-func (c *Cluster) streamQuery(ctx context.Context, qt *clusterTrace) (*windowdb.Rows, error) {
-	src := qt.SQL
-	if inner, ok := windowdb.StripSubscribe(src); ok {
-		return c.streamSubscribe(ctx, inner, qt)
-	}
-	prep, err := qt.Resolve(ctx, src)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.RLock()
-	info := c.tables[strings.ToLower(prep.Table())]
-	c.mu.RUnlock()
-	if info == nil {
-		// Prepared against the coordinator catalog but never
-		// cluster-registered: nothing owns rows for it.
-		return nil, fmt.Errorf("%w %q (not cluster-registered)", catalog.ErrUnknownTable, prep.Table())
-	}
-	if !info.sharded {
-		return c.streamReplica(ctx, src, prep, qt)
-	}
-	return c.streamShuffle(ctx, src, prep, info, qt)
-}
-
-// openStreams opens n row streams concurrently through open (the nodes
-// execute their chains in parallel exactly as the buffered scatter did).
-// The first open failure cancels and closes the others; cancellation
-// noise is stripped from the reported error as in eachShard. The returned
-// cancel stops every stream and must be called when the merge finishes.
-func (c *Cluster) openStreams(ctx context.Context, n int, open func(ctx context.Context, i int) (*windowdb.Rows, error)) ([]*windowdb.Rows, context.CancelFunc, error) {
-	sctx, cancel := context.WithCancel(ctx)
-	streams := make([]*windowdb.Rows, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			s, err := open(sctx, i)
-			if err != nil {
-				errs[i] = err
-				cancel()
-				return
-			}
-			streams[i] = s
-		}(i)
-	}
-	wg.Wait()
-	var failure error
-	for _, err := range errs {
-		if err != nil && !errors.Is(err, context.Canceled) {
-			failure = err
-			break
-		}
-	}
-	if failure == nil {
-		failure = errors.Join(errs...)
-	}
-	if failure != nil {
-		for _, s := range streams {
-			if s != nil {
-				_ = s.Close()
-			}
-		}
-		cancel()
-		return nil, nil, failure
-	}
-	return streams, cancel, nil
-}
-
-// work is block and comparison counters summed over what nodes report.
-type work struct{ read, written, cmp int64 }
-
-func (w *work) add(read, written, cmp int64) {
-	w.read += read
-	w.written += written
-	w.cmp += cmp
-}
-
-// drained is what a node stream that reached its end adds to the streams
-// drained before it: the node's metrics (nil from a node that sent none).
-// Only a drained stream is asked — one closed early has confirmed nothing.
-func drained(nodes []*windowdb.QueryMetrics, s *windowdb.Rows) []*windowdb.QueryMetrics {
-	if m := s.Metrics(); m != nil {
-		nodes = append(nodes, m)
-	}
-	return nodes
-}
-
-// appendTuples drains a node stream into dst a batch at a time; the tuples
-// are dst's own, not views of the stream's batches.
-func appendTuples(ctx context.Context, dst []storage.Tuple, s *windowdb.Rows) ([]storage.Tuple, error) {
-	for {
-		b, ok := s.NextBatch()
-		if !ok {
-			return dst, s.Err()
-		}
-		if err := ctx.Err(); err != nil {
-			return dst, err
-		}
-		dst = append(dst, b.Tuples()...)
-	}
-}
-
-// emitStreams turns the per-node streams of a sharded statement's last
-// stage into the public cursor. Statements whose finalize phase streams (no
-// DISTINCT/ORDER BY) flow through with LIMIT applied by early termination;
-// the rest drain into a buffer (still incremental on the wire), finalize
-// at the coordinator (sql.Input.Concat) and stream the finalized table.
-// base carries work done before the final streams opened (shuffle rounds).
-// Until the streams are handed to a source (or drained here), they are
-// closed on every exit — error or panic — so node admission slots are not
-// leaked past a recovered panic.
-func (c *Cluster) emitStreams(ctx context.Context, route string, prep *sql.Prepared, streams []*windowdb.Rows, streamCancel context.CancelFunc, qt *clusterTrace, base work) (*windowdb.Rows, error) {
-	handoff := false
-	defer func() {
-		if !handoff {
-			closeStreams(streams)
-			streamCancel()
-		}
-	}()
-	qt.Live().SetPhase("draining")
-	if prep.ConcatStreams() {
-		handoff = true
-		return windowdb.NewRows(&scatterSource{
-			c: c, streams: streams, streamCancel: streamCancel,
-			prep: prep, route: route, qt: qt, base: base, limit: prep.Limit(),
-		}), nil
-	}
-
-	// DISTINCT or ORDER BY: the concatenation must materialize before the
-	// first output row is known. Drain the node streams (still incremental
-	// on the wire), finalize, stream the result.
-	concat := storage.NewTable(storage.NewSchema(streams[0].ColumnTypes()...))
-	var nodes []*windowdb.QueryMetrics
-	for _, s := range streams {
-		var err error
-		if concat.Rows, err = appendTuples(ctx, concat.Rows, s); err != nil {
-			return nil, err
-		}
-		nodes = drained(nodes, s)
-	}
-	for _, m := range nodes {
-		base.add(m.BlocksRead, m.BlocksWritten, m.Comparisons)
-	}
-	cur, err := prep.Open(ctx, sql.Input{Concat: concat}, false)
-	if err != nil {
-		return nil, err
-	}
-	streamCancel()
-	handoff = true // every stream drained, and so closed itself, above
-	return windowdb.NewRows(&coordCursorSource{
-		c: c, cur: cur, route: route, shardsUsed: len(streams),
-		base: base, qt: qt, nodes: nodes,
-	}), nil
-}
-
-// streamReplica streams the whole statement from one node, round-robin.
-func (c *Cluster) streamReplica(ctx context.Context, src string, prep *sql.Prepared, qt *clusterTrace) (*windowdb.Rows, error) {
-	c.replica.Add(1)
-	node := int(c.rr.Add(1)-1) % len(c.shards)
-	req := service.ShardQueryRequest{Mode: string(ModeFull), Stage: service.Stage{SQL: src}}
-	streams, streamCancel, err := c.openStreams(ctx, 1, func(ctx context.Context, _ int) (*windowdb.Rows, error) {
-		return c.shards[node].QueryStream(ctx, req)
-	})
-	if err != nil {
-		return nil, err
-	}
-	qt.Live().SetPhase("draining")
-	return windowdb.NewRows(&scatterSource{
-		c: c, streams: streams, streamCancel: streamCancel,
-		route: "replica", prep: prep, qt: qt, limit: -1,
-	}), nil
-}
-
-// streamShuffle executes a statement over a sharded table segment by
-// segment, cut by exec.Segments — the cut a partitioned Chain.Run makes —
-// with the coordinator's plan shipped to every node, which runs its steps
-// verbatim. Every segment runs scattered on all nodes, and between segments
-// each node re-shuffles its output rows directly to its peers,
-// hash-partitioned on the next segment's key: on ∅, every row to one node,
-// for a sequential segment. The coordinator drives one barriered round per
-// stage before the last — a ShuffleRun returns only when every peer
-// ingested its partition — and then merge-concatenates the last stage's
-// streams, so coordinator-resident rows stay bounded by the wire batch ×
-// shard count while every intermediate row moves node-to-node. A chain that
-// is one segment whose key covers the shard key (sql.Prepared.ShardLocal),
-// or no chain, runs zero rounds and routes "scatter": its last stage is its
-// only one, over each node's own partition. A failing stage cancels its
-// peers (eachShard) and drops every node's buffered shuffle state before
-// surfacing the error.
-func (c *Cluster) streamShuffle(ctx context.Context, src string, prep *sql.Prepared, info *tableInfo, qt *clusterTrace) (*windowdb.Rows, error) {
-	n := len(c.shards)
-	plan := prep.Plan()
-	var segs []exec.Segment
-	if plan != nil {
-		segs = exec.Segments(plan)
-	}
-	// Stage list: when the shard key covers the first segment's key,
-	// segment 0 reads each node's local partition directly; otherwise a raw
-	// stage (WHERE only) shuffles the base rows onto that key first — and is
-	// a window-less statement's only stage. Every later segment reads the
-	// inbox its predecessor filled; the last stage streams instead of
-	// shuffling on.
-	var stages []service.Stage
-	source := "local"
-	if len(segs) == 0 || !info.key.SubsetOf(segs[0].Key) {
-		stages = append(stages, service.Stage{Segment: -1, Source: source})
-		source = "inbox"
-	}
-	for s := range segs {
-		stages = append(stages, service.Stage{Segment: s, Source: source})
-		source = "inbox"
-	}
-	route, id := "scatter", ""
-	if len(stages) > 1 {
-		route, id = "shuffle", fmt.Sprintf("%s-%d", c.shuffleNonce, c.shuffleSeq.Add(1))
-		c.shuffled.Add(1)
-	} else {
-		c.scatter.Add(1)
-	}
-	for i := range stages {
-		stages[i].SQL, stages[i].Plan, stages[i].ShuffleID, stages[i].Round, stages[i].Senders = src, plan, id, i, n
-	}
-
-	// cleanup drops every node's buffered rounds of this shuffle: the
-	// failure path's guarantee that an aborted query leaves no state
-	// behind on the node tier. Detached from ctx — the query's context is
-	// typically already cancelled when cleanup runs.
-	cleanup := func() {
-		if id == "" {
-			return
-		}
-		dctx, dcancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer dcancel()
-		_ = c.eachShard(dctx, func(ctx context.Context, i int, tr Transport) error {
-			_ = tr.ShuffleDrop(ctx, id)
-			return nil
-		})
-	}
-
-	var mu sync.Mutex
-	var base work
-	for si, st := range stages[:len(stages)-1] {
-		qt.Live().SetPhase(fmt.Sprintf("shuffle round %d of %d", si+1, len(stages)))
-		roundStart := time.Now()
-		nodeSpans := make([]*trace.Span, n)
-		rowsOut := make([]int64, n)
-		err := c.eachShard(ctx, func(ctx context.Context, i int, tr Transport) error {
-			res, err := tr.ShuffleRun(ctx, service.ShuffleRunRequest{
-				Stage: st, Peers: c.peerAddrs, Self: i,
-				Deliver: c.deliverShuffle,
-				TraceID: qt.ID,
-			})
-			if err != nil {
-				return err
-			}
-			qt.Live().AddShuffleRows(res.RowsOut)
-			mu.Lock()
-			base.add(res.BlocksRead, res.BlocksWritten, res.Comparisons)
-			nodeSpans[i] = shuffleNodeSpan(i, st.Source, res)
-			rowsOut[i] = res.RowsOut
-			mu.Unlock()
-			return nil
-		})
-		rs := trace.New(fmt.Sprintf("shuffle round %d", si), time.Since(roundStart))
-		rs.SetInt("segment", int64(st.Segment)).SetAttr("source", st.Source)
-		if err != nil {
-			rs.SetAttr("error", err.Error())
-		} else if ratio := imbalanceRatio(rowsOut); ratio > 0 {
-			// Skew diagnostic: max/mean per-node output rows. 1 means the
-			// round's repartition spread work evenly; N means one node did
-			// everything. The last round's ratio also feeds the
-			// windowdb_shuffle_round_imbalance gauge.
-			rs.SetAttr("imbalance", fmt.Sprintf("%.3f", ratio))
-			c.imbalance.Store(math.Float64bits(ratio))
-		}
-		for _, ns := range nodeSpans {
-			rs.Add(ns)
-		}
-		qt.rounds = append(qt.rounds, rs)
-		if err != nil {
-			cleanup()
-			return nil, err
-		}
-	}
-
-	qt.Live().SetPhase(fmt.Sprintf("stage %d of %d", len(stages), len(stages)))
-	freq := service.ShardQueryRequest{Mode: string(ModeSegment), Stage: stages[len(stages)-1]}
-	streams, streamCancel, err := c.openStreams(ctx, n, func(ctx context.Context, i int) (*windowdb.Rows, error) {
-		return c.shards[i].QueryStream(ctx, freq)
-	})
-	if err != nil {
-		cleanup()
-		return nil, err
-	}
-	rows, err := c.emitStreams(ctx, route, prep, streams, streamCancel, qt, base)
-	if err != nil {
-		// The final streams are closed by emitStreams' handoff guard; any
-		// node that never served its segment stream still holds its buffer.
-		cleanup()
-		return nil, err
-	}
-	return rows, nil
-}
-
-// shuffleNodeSpan builds one node's span of a shuffle round from the
-// stage result's phase breakdown: admission wait, input acquisition
-// (inbox-wait on inbox-fed stages), chain execution and peer delivery.
-func shuffleNodeSpan(i int, source string, res *service.ShuffleRunResult) *trace.Span {
-	ms := func(v float64) time.Duration { return time.Duration(v * float64(time.Millisecond)) }
-	sp := trace.New(fmt.Sprintf("node %d", i), ms(res.QueuedMillis+res.InputMillis+res.ExecMillis+res.DeliverMillis))
-	sp.SetInt("rows_in", res.RowsIn).SetInt("rows_out", res.RowsOut).SetInt("bytes_out", res.BytesOut)
-	if res.CacheHit {
-		sp.SetAttr("plan_cache", "hit")
-	} else {
-		sp.SetAttr("plan_cache", "miss")
-	}
-	sp.Add(trace.New("admission.wait", ms(res.QueuedMillis)))
-	in := trace.New("input", ms(res.InputMillis)).SetAttr("source", source)
-	if source == "inbox" {
-		in.SetAttr("inbox_wait", "true")
-	}
-	sp.Add(in)
-	ex := trace.New("execute", ms(res.ExecMillis))
-	ex.SetInt("spilled_blocks", res.BlocksWritten).SetInt("blocks_read", res.BlocksRead)
-	sp.Add(ex)
-	sp.Add(trace.New("deliver", ms(res.DeliverMillis)))
-	return sp
-}
-
-func closeStreams(streams []*windowdb.Rows) {
-	for _, s := range streams {
-		_ = s.Close()
-	}
-}
-
-// scatterSource concatenates per-node row streams in shard-index order by
-// handing the draining node's batches straight through: a batch the caller
-// reads is the node stream's own — a Local node's cursor batch, an HTTP
-// node's decoded frame — so the coordinator holds no row of its own, and
-// the streams behind the draining one at most their transport's read
-// buffer. It serves the last stage's merge of a statement over a sharded
-// table and (with a single stream) the replica route. LIMIT
-// truncates the batch that crosses it and ends the merge early, cancelling
-// the remaining node streams.
-type scatterSource struct {
-	c            *Cluster
-	streams      []*windowdb.Rows
-	streamCancel context.CancelFunc
-	prep         *sql.Prepared
-	route        string
-	base         work  // done before the merged streams opened (the shuffle route's earlier rounds)
-	limit        int64 // remaining LIMIT budget; -1 = unlimited
-	qt           *clusterTrace
-
-	idx   int
-	nodes []*windowdb.QueryMetrics // of the streams drained so far
-}
-
-func (ss *scatterSource) Columns() []storage.Column { return ss.streams[0].ColumnTypes() }
-
-// NextBatch returns the draining node's next batch; io.EOF is the merge's
-// natural end: the last stream's, or the LIMIT's.
-func (ss *scatterSource) NextBatch() (*stream.Batch, error) {
-	for ss.idx < len(ss.streams) && ss.limit != 0 {
-		s := ss.streams[ss.idx]
-		b, ok := s.NextBatch()
-		if !ok {
-			if err := s.Err(); err != nil {
-				return nil, err
-			}
-			ss.nodes = drained(ss.nodes, s)
-			ss.idx++
-			continue
-		}
-		if ss.limit > 0 {
-			if int64(b.Len()) > ss.limit {
-				b.Truncate(int(ss.limit))
-			}
-			ss.limit -= int64(b.Len())
-		}
-		ss.qt.Live().AddRowsEmitted(int64(b.Len()))
-		return b, nil
-	}
-	return nil, io.EOF
-}
-
-func (ss *scatterSource) End(end windowdb.Ending) *windowdb.QueryMetrics {
-	closeStreams(ss.streams)
-	ss.streamCancel()
-	meta := mergedMeta(ss.prep, ss.qt.CacheHit(), ss.route, len(ss.streams))
-	done := ss.base
-	for _, m := range ss.nodes {
-		done.add(m.BlocksRead, m.BlocksWritten, m.Comparisons)
-	}
-	meta.BlocksRead, meta.BlocksWritten, meta.Comparisons = done.read, done.written, done.cmp
-	if ss.route == "replica" && len(ss.nodes) > 0 {
-		meta.FinalSort = ss.nodes[0].FinalSort
-	}
-	return ss.c.finish(ss.qt, meta, end, ss.nodes, false)
-}
-
-// mergedMeta is the metadata of a statement whose chain ran on the nodes,
-// the coordinator only merging their streams: the plan is the
-// coordinator's, nothing was sorted here.
-func mergedMeta(prep *sql.Prepared, cacheHit bool, route string, streams int) *windowdb.QueryMetrics {
-	meta := &windowdb.QueryMetrics{
-		Meta:     sql.Meta{Plan: prep.Plan(), FinalSort: "none", Parallelism: 1},
-		CacheHit: cacheHit, Route: route, ShardsUsed: streams,
-	}
-	if meta.Plan != nil {
-		meta.Chain = meta.Plan.PaperString()
-	}
-	return meta
-}
-
-// coordCursorSource streams the coordinator's own cursor — a finalized
-// concatenation of node streams — adding the cluster bookkeeping: node
-// counter baselines and the routing metadata.
-type coordCursorSource struct {
-	c          *Cluster
-	cur        *sql.Cursor
-	route      string
-	shardsUsed int
-	base       work // what the nodes did
-	qt         *clusterTrace
-	nodes      []*windowdb.QueryMetrics // of the drained node streams
-}
-
-func (cs *coordCursorSource) Columns() []storage.Column { return cs.cur.Columns() }
-
-func (cs *coordCursorSource) NextBatch() (*stream.Batch, error) {
-	b, err := cs.cur.NextBatch()
-	if err == nil {
-		cs.qt.Live().AddRowsEmitted(int64(b.Len()))
-	}
-	return b, err
-}
-
-func (cs *coordCursorSource) End(end windowdb.Ending) *windowdb.QueryMetrics {
-	meta := windowdb.NewQueryMetrics(cs.cur.Meta())
-	meta.Route = cs.route
-	meta.ShardsUsed = cs.shardsUsed
-	meta.CacheHit = cs.qt.CacheHit()
-	meta.BlocksRead += cs.base.read
-	meta.BlocksWritten += cs.base.written
-	meta.Comparisons += cs.base.cmp
-	_ = cs.cur.Close()
-	return cs.c.finish(cs.qt, meta, end, cs.nodes, false)
-}
-
 // Handler returns the coordinator's HTTP/JSON front end: the route table
 // every front end serves (service.NewHandler) over the coordinator's Front
 // and the cluster, so clients don't care which one they talk to. /query
@@ -932,7 +458,7 @@ func (cs *coordCursorSource) End(end windowdb.Ending) *windowdb.QueryMetrics {
 // shard-index order without materializing the result. /stats is
 // ClusterStats, /healthz fans out to every shard (503 names the first down
 // node), and /debug/queries merges the nodes' entries under each query.
-// Shard-node errors unwrap through RemoteError to the service sentinels, so
+// Shard-node errors unwrap through service.RemoteError to the service sentinels, so
 // an overloaded shard is a 429 here too.
 func (c *Cluster) Handler() http.Handler { return service.NewHandler(c.front, c) }
 

@@ -76,6 +76,85 @@ type RowSource interface {
 	End(Ending) *QueryMetrics
 }
 
+// Cursor is an execution cursor, what a backend drains into Rows: the
+// shape of sql.Cursor and of Subscription. Meta is its execution record,
+// read once its stream has ended.
+type Cursor interface {
+	Columns() []storage.Column
+	NextBatch() (*stream.Batch, error)
+	Close() error
+	Meta() *sql.Meta
+}
+
+// Stamps are what a statement's QueryMetrics carry beside its cursor's
+// execution record.
+type Stamps struct {
+	// Start is when the statement began; Elapsed is measured from it.
+	Start time.Time
+	// TraceID identifies the statement's trace, "" when it has none.
+	TraceID string
+	// CacheHit reports that the statement's plan came from the plan cache.
+	CacheHit bool
+}
+
+// CursorRows is the one way an execution cursor becomes a Rows: every
+// backend that runs a cursor of its own — an Engine statement or
+// subscription, a served one, a coordinator's finalize — hands it over
+// here. live, when non-nil, counts each batch's rows as emitted. At the
+// end the cursor's record becomes the QueryMetrics, stamped with s, with
+// the execution's span subtree (ExecTrace) as Trace, and the cursor
+// closes. Then onEnd, when non-nil, runs with the ending and those
+// metrics: the backend releases what it holds for the statement and ends
+// it there, and may replace Trace with the tree it grafts that subtree
+// into.
+func CursorRows(cur Cursor, s Stamps, live *trace.Live, onEnd func(Ending, *QueryMetrics)) *Rows {
+	return NewRows(&cursorSource{cur: cur, stamps: s, live: live, onEnd: onEnd})
+}
+
+// cursorSource is the RowSource CursorRows builds.
+type cursorSource struct {
+	cur    Cursor
+	stamps Stamps
+	live   *trace.Live
+	onEnd  func(Ending, *QueryMetrics)
+}
+
+func (cs *cursorSource) Columns() []storage.Column { return cs.cur.Columns() }
+
+func (cs *cursorSource) NextBatch() (*stream.Batch, error) {
+	b, err := cs.cur.NextBatch()
+	if err == nil {
+		cs.live.AddRowsEmitted(int64(b.Len()))
+	}
+	return b, err
+}
+
+func (cs *cursorSource) End(end Ending) *QueryMetrics {
+	meta := newQueryMetrics(cs.cur.Meta())
+	meta.Elapsed = time.Since(cs.stamps.Start)
+	meta.TraceID, meta.CacheHit = cs.stamps.TraceID, cs.stamps.CacheHit
+	meta.Trace = ExecTrace(meta)
+	_ = cs.cur.Close()
+	if cs.onEnd != nil {
+		cs.onEnd(end, meta)
+	}
+	return meta
+}
+
+// newQueryMetrics wraps an execution record in the public QueryMetrics,
+// with the chain in the paper's notation and its block and comparison
+// counters.
+func newQueryMetrics(m *sql.Meta) *QueryMetrics {
+	qm := &QueryMetrics{Meta: *m}
+	if m.Plan != nil {
+		qm.Chain = m.Plan.PaperString()
+	}
+	if m.Exec != nil {
+		qm.BlocksRead, qm.BlocksWritten, qm.Comparisons = m.Exec.BlocksRead, m.Exec.BlocksWritten, m.Exec.Comparisons
+	}
+	return qm
+}
+
 // Ending is how a cursor's stream ended, as the one Rows in front of it
 // saw it.
 type Ending struct {

@@ -148,7 +148,7 @@ func TestCollectIsLossless(t *testing.T) {
 		"shared scan":  {Plan: plan, Exec: &exec.Metrics{}, FinalSort: "full", Parallelism: 1, EstRows: 10, SharedScan: "attach"},
 		"subscription": {Exec: &exec.Metrics{}, FinalSort: "none", Parallelism: 1, EstRows: 12, Watermark: 9},
 	} {
-		want := NewQueryMetrics(&meta)
+		want := newQueryMetrics(&meta)
 		want.Route, want.ShardsUsed, want.CacheHit, want.TraceID = "shuffle", 2, true, "t1"
 		res, err := Collect(context.Background(), metaQueryer{want}, "SELECT n FROM t")
 		if err != nil {

@@ -45,7 +45,6 @@ import (
 	"repro/internal/pagestore"
 	"repro/internal/sql"
 	"repro/internal/storage"
-	"repro/internal/stream"
 	"repro/internal/trace"
 )
 
@@ -231,7 +230,8 @@ func (e *Engine) Query(src string) (*Result, error) {
 // executor and checked at chain-step boundaries (in a partitioned chain,
 // inside every worker's sub-chain) while the chain runs, and
 // at a fixed row stride while the cursor streams, so a runaway query stops
-// shortly after ctx is done.
+// shortly after ctx is done. A `SUBSCRIBE <stmt>` answers with the inner
+// statement's Subscription as the cursor.
 func (e *Engine) QueryContext(ctx context.Context, src string) (*Rows, error) {
 	if inner, ok := StripExplainAnalyze(src); ok {
 		return ExplainAnalyzeRows(ctx, e, inner)
@@ -239,19 +239,25 @@ func (e *Engine) QueryContext(ctx context.Context, src string) (*Rows, error) {
 	if sql.IsInsert(src) {
 		return e.insertRows(ctx, src)
 	}
-	if inner, ok := StripSubscribe(src); ok {
-		return e.subscribeRows(ctx, inner)
-	}
 	start := time.Now()
+	inner, subscribe := StripSubscribe(src)
+	if subscribe {
+		src = inner
+	}
 	p, disp, err := e.Resolve(ctx, src)
 	if err != nil {
 		return nil, err
 	}
-	cur, err := p.Open(ctx, sql.Input{}, false)
+	var cur Cursor
+	if subscribe {
+		cur, err = e.SubscribeStatement(ctx, p)
+	} else {
+		cur, err = p.Open(ctx, sql.Input{}, false)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return NewRows(&cursorSource{cur: cur, start: start, traceID: trace.FromContext(ctx), cacheHit: disp != cache.Miss}), nil
+	return CursorRows(cur, Stamps{Start: start, TraceID: trace.FromContext(ctx), CacheHit: disp != cache.Miss}, nil, nil), nil
 }
 
 // PrepareContext validates, binds and plans a statement through the plan
@@ -265,44 +271,6 @@ func (e *Engine) PrepareContext(ctx context.Context, src string) (Stmt, error) {
 		return nil, err
 	}
 	return TextStmt(e, src), nil
-}
-
-// cursorSource adapts the sql package's execution cursor to the public
-// RowSource contract, translating its metadata into QueryMetrics.
-type cursorSource struct {
-	cur      *sql.Cursor
-	start    time.Time
-	traceID  string
-	cacheHit bool
-}
-
-func (cs *cursorSource) Columns() []storage.Column { return cs.cur.Columns() }
-
-func (cs *cursorSource) NextBatch() (*stream.Batch, error) { return cs.cur.NextBatch() }
-
-func (cs *cursorSource) End(Ending) *QueryMetrics {
-	meta := NewQueryMetrics(cs.cur.Meta())
-	meta.Elapsed = time.Since(cs.start)
-	meta.TraceID = cs.traceID
-	meta.CacheHit = cs.cacheHit
-	meta.Trace = ExecTrace(meta)
-	_ = cs.cur.Close()
-	return meta
-}
-
-// NewQueryMetrics wraps an execution record in the public QueryMetrics,
-// with the chain in the paper's notation and its block and comparison
-// counters. Serving layers use it when adapting their execution paths to
-// the Rows surface.
-func NewQueryMetrics(m *sql.Meta) *QueryMetrics {
-	qm := &QueryMetrics{Meta: *m}
-	if m.Plan != nil {
-		qm.Chain = m.Plan.PaperString()
-	}
-	if m.Exec != nil {
-		qm.BlocksRead, qm.BlocksWritten, qm.Comparisons = m.Exec.BlocksRead, m.Exec.BlocksWritten, m.Exec.Comparisons
-	}
-	return qm
 }
 
 // Prepare parses, binds and plans a query without executing it, past the

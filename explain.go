@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/storage"
 	"repro/internal/stream"
 	"repro/internal/trace"
@@ -148,7 +150,23 @@ func ExecTrace(m *QueryMetrics) *trace.Span {
 	if m == nil || (m.Exec == nil && m.Finalize.Duration == 0) {
 		return nil
 	}
-	s := trace.New("execute", m.ExecElapsed())
+	var steps []exec.StepMetrics
+	if m.Exec != nil {
+		steps = m.Exec.Steps
+	}
+	// Every span of the subtree is carved from one slab, the root's
+	// children from one array: appending within their capacity moves no
+	// span a pointer already names.
+	spans := make([]trace.Span, 1, len(steps)+2)
+	children := make([]*trace.Span, 0, len(steps)+1)
+	add := func(name string, d time.Duration) *trace.Span {
+		spans = append(spans, trace.Span{Name: name, DurationMillis: trace.Millis(d)})
+		c := &spans[len(spans)-1]
+		children = append(children, c)
+		return c
+	}
+	s := &spans[0]
+	*s = trace.Span{Name: "execute", DurationMillis: trace.Millis(m.ExecElapsed())}
 	if m.Chain != "" {
 		s.SetAttr("chain", m.Chain)
 	}
@@ -158,36 +176,50 @@ func ExecTrace(m *QueryMetrics) *trace.Span {
 	if m.FinalSort != "" && m.FinalSort != "none" {
 		s.SetAttr("final_sort", m.FinalSort)
 	}
-	if m.Exec != nil {
-		s.Children = make([]*trace.Span, 0, len(m.Exec.Steps)+1)
-		for _, st := range m.Exec.Steps {
-			c := trace.New(fmt.Sprintf("step wf%d", st.WFID+1), st.Duration)
-			c.SetAttr("reorder", st.Reorder.String())
-			c.SetInt("rows", st.Rows)
-			if m.EstRows > 0 {
-				c.SetInt("est_rows", m.EstRows)
-			}
-			c.SetInt("spilled_blocks", st.BlocksWritten)
-			c.SetInt("blocks_read", st.BlocksRead)
-			if st.Reorder != core.ReorderNone {
-				c.SetInt("cmps", st.Comparisons)
-				c.SetInt("est_cmps", st.EstComparisons)
-			}
-			if st.Detail != "" {
-				c.SetAttr("detail", st.Detail)
-			}
-			s.Add(c)
+	for _, st := range steps {
+		c := add(stepName(st.WFID), st.Duration)
+		c.SetAttr("reorder", st.Reorder.String())
+		c.SetInt("rows", st.Rows)
+		if m.EstRows > 0 {
+			c.SetInt("est_rows", m.EstRows)
+		}
+		c.SetInt("spilled_blocks", st.BlocksWritten)
+		c.SetInt("blocks_read", st.BlocksRead)
+		if st.Reorder != core.ReorderNone {
+			c.SetInt("cmps", st.Comparisons)
+			c.SetInt("est_cmps", st.EstComparisons)
+		}
+		if st.Detail != "" {
+			c.SetAttr("detail", st.Detail)
 		}
 	}
 	if f := m.Finalize; f.Duration > 0 {
-		c := trace.New("finalize", f.Duration)
+		c := add("finalize", f.Duration)
 		c.SetInt("rows_in", f.RowsIn)
 		c.SetInt("rows_out", f.RowsOut)
 		c.SetAttr("final_sort", m.FinalSort)
-		c.SetAttr("top_k", fmt.Sprint(f.TopK))
-		s.Add(c)
+		c.SetAttr("top_k", strconv.FormatBool(f.TopK))
 	}
+	s.Children = children
 	return s
+}
+
+// stepNames are the names of the step spans of the first wf IDs, so that
+// naming one allocates nothing.
+var stepNames = func() (names [32]string) {
+	for i := range names {
+		names[i] = "step wf" + strconv.Itoa(i+1)
+	}
+	return names
+}()
+
+// stepName names the span of the step evaluating function id: "step wf"
+// and the paper's 1-based label.
+func stepName(id int) string {
+	if id >= 0 && id < len(stepNames) {
+		return stepNames[id]
+	}
+	return "step wf" + strconv.Itoa(id+1)
 }
 
 // NewTextRows builds a static one-column string cursor — the vehicle for

@@ -319,7 +319,10 @@ func (c *Chain) run(ctx context.Context, table *storage.Table, specs []window.Sp
 	defer ws.giveBack()
 	rcfg := ws.reorderConfig(cfg, &comparisons, c.arena)
 	stats := ws.store.Stats()
-	inTuple := table.Schema // the columns a spec can read
+	// inTuple (the columns a spec can read) is a prefix of the executed schema.
+	columns := append(make([]storage.Column, 0, table.Schema.Len()+len(steps)), table.Schema.Columns...)
+	c.Schema = &storage.Schema{Columns: columns}
+	inTuple := &storage.Schema{Columns: columns}
 	own, ev := &ws.rows, &ws.ev
 	// The tail vectors and, with L > 0, the column the steps before L
 	// evaluate into are one piece of the arena's vector slabs.
@@ -346,6 +349,8 @@ func (c *Chain) run(ctx context.Context, table *storage.Table, specs []window.Sp
 		if err := spec.Validate(inTuple); err != nil {
 			return nil, fmt.Errorf("exec: wf%d: %w", step.WF.ID, err)
 		}
+		columns = append(columns, spec.OutputColumn())
+		c.Schema.Columns = columns
 		stepStart := time.Now()
 		if i == 0 {
 			// Sizing the input and copying it into the row array is the first
@@ -377,7 +382,7 @@ func (c *Chain) run(ctx context.Context, table *storage.Table, specs []window.Sp
 			for k, v := range before {
 				own.rows[k] = own.rows[k].Extend(v)
 			}
-			inTuple = inTuple.WithColumn(spec.OutputColumn())
+			inTuple.Columns = columns
 		} else {
 			if i == last {
 				c.Tail = make([][]storage.Value, 0, len(steps)-last)
@@ -389,7 +394,6 @@ func (c *Chain) run(ctx context.Context, table *storage.Table, specs []window.Sp
 			}
 			c.Tail = append(c.Tail, col)
 		}
-		c.Schema = c.Schema.WithColumn(spec.OutputColumn())
 
 		sm := StepMetrics{
 			WFID:          step.WF.ID,

@@ -1,9 +1,11 @@
 // Package recycle holds the free lists a statement's operators take their
 // workspace from — an executor run's spill store and evaluator, a Hashed or
 // Segmented Sort's buckets and arrays, an external sort's tournament, an
-// in-memory sort's scratch, a result stream's frame writer, frame reader
-// and line reader — and give it back to when they end, so a warm process
-// allocates per plan, not per row, bucket, run, spill file or frame.
+// in-memory sort's scratch, a WHERE's mask, DISTINCT's key table, a
+// cursor's batch and position lists, a plan-cache key buffer, a result
+// stream's frame writer, frame reader and line reader — and give it back to
+// when they end, so a warm process allocates per plan, not per row, bucket,
+// run, spill file or frame.
 //
 // A List is a plain list and not a sync.Pool for the reason storage's
 // arena pool is: what it holds must survive a GC between two statements,

@@ -23,9 +23,10 @@ var raceEnabled bool
 func TestWarmHitAllocations(t *testing.T) {
 	planHit, subplanHit := 0.0, 11.0
 	if raceEnabled {
-		// Under -race a sync.Pool drops some of what it is given, so a hit
-		// may allocate its key buffer afresh.
-		planHit, subplanHit = 1, 14
+		// The race detector's instrumentation allocates on the subplan
+		// path; the plan path's key buffer comes from a free list, which
+		// never drops it, so a hit allocates nothing either way.
+		planHit, subplanHit = 0, 14
 	}
 	svc := newTestService(t, Config{Slots: 2}, 500)
 	ctx := context.Background()
@@ -36,18 +37,22 @@ func TestWarmHitAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := testing.AllocsPerRun(100, func() {
+	got := testing.AllocsPerRun(100, func() {
 		if _, disp, err := svc.eng.Resolve(ctx, shareQFine); err != nil || disp != cache.Hit {
 			t.Fatalf("warm plan lookup: %q, %v", disp, err)
 		}
-	}); got > planHit {
+	})
+	t.Logf("warm plan-cache hit: %v allocations", got)
+	if got > planHit {
 		t.Errorf("warm plan-cache hit allocates %v times, want at most %v", got, planHit)
 	}
-	if got := testing.AllocsPerRun(100, func() {
+	got = testing.AllocsPerRun(100, func() {
 		if _, disp, err := svc.sharedSegment(ctx, prep); err != nil || disp != cache.Hit {
 			t.Fatalf("warm subplan lookup: %q, %v", disp, err)
 		}
-	}); got > subplanHit {
+	})
+	t.Logf("warm subplan hit: %v allocations", got)
+	if got > subplanHit {
 		t.Errorf("warm subplan hit allocates %v times, want at most %v", got, subplanHit)
 	}
 }

@@ -163,8 +163,7 @@ func metaFromTrailer(t *StreamTrailer) *windowdb.QueryMetrics {
 		return &windowdb.QueryMetrics{Meta: sql.Meta{FinalSort: "none", Parallelism: 1}}
 	}
 	return &windowdb.QueryMetrics{
-		Meta:          sql.Meta{FinalSort: t.FinalSort, Parallelism: 1, SharedScan: t.SharedScan},
-		Chain:         t.Chain,
+		Meta:          sql.Meta{Chain: t.Chain, FinalSort: t.FinalSort, Parallelism: 1, SharedScan: t.SharedScan},
 		CacheHit:      t.CacheHit,
 		Route:         t.Route,
 		ShardsUsed:    t.ShardsUsed,

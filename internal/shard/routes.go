@@ -414,12 +414,9 @@ func (ss *scatterSource) End(end windowdb.Ending) *windowdb.QueryMetrics {
 // their streams: the plan is the coordinator's, nothing was sorted here.
 func mergedMeta(prep *sql.Prepared, qt *clusterTrace, route string, streams int) *windowdb.QueryMetrics {
 	meta := &windowdb.QueryMetrics{
-		Meta:     sql.Meta{Plan: prep.Plan(), FinalSort: "none", Parallelism: 1},
+		Meta:     sql.Meta{Plan: prep.Plan(), Chain: prep.Chain(), FinalSort: "none", Parallelism: 1},
 		CacheHit: qt.CacheHit(), Route: route, ShardsUsed: streams,
 		Elapsed: time.Since(qt.Start), TraceID: qt.ID,
-	}
-	if meta.Plan != nil {
-		meta.Chain = meta.Plan.PaperString()
 	}
 	return meta
 }

@@ -223,146 +223,3 @@ func litValue(l Literal) (storage.Value, error) {
 	}
 	return storage.Null, fmt.Errorf("sql: empty literal")
 }
-
-// truth is SQL three-valued logic.
-type truth int8
-
-const (
-	tFalse truth = iota
-	tTrue
-	tUnknown
-)
-
-func (t truth) and(o truth) truth {
-	if t == tFalse || o == tFalse {
-		return tFalse
-	}
-	if t == tUnknown || o == tUnknown {
-		return tUnknown
-	}
-	return tTrue
-}
-
-func (t truth) or(o truth) truth {
-	if t == tTrue || o == tTrue {
-		return tTrue
-	}
-	if t == tUnknown || o == tUnknown {
-		return tUnknown
-	}
-	return tFalse
-}
-
-func (t truth) not() truth {
-	switch t {
-	case tTrue:
-		return tFalse
-	case tFalse:
-		return tTrue
-	default:
-		return tUnknown
-	}
-}
-
-// evalPredicate evaluates a WHERE predicate over a row with SQL
-// three-valued logic; a row passes only when the result is TRUE.
-func evalPredicate(e Expr, row storage.Tuple, schema *storage.Schema) (truth, error) {
-	switch n := e.(type) {
-	case *BinaryExpr:
-		switch n.Op {
-		case "AND", "OR":
-			l, err := evalPredicate(n.L, row, schema)
-			if err != nil {
-				return tUnknown, err
-			}
-			r, err := evalPredicate(n.R, row, schema)
-			if err != nil {
-				return tUnknown, err
-			}
-			if n.Op == "AND" {
-				return l.and(r), nil
-			}
-			return l.or(r), nil
-		default:
-			lv, err := evalValue(n.L, row, schema)
-			if err != nil {
-				return tUnknown, err
-			}
-			rv, err := evalValue(n.R, row, schema)
-			if err != nil {
-				return tUnknown, err
-			}
-			if lv.IsNull() || rv.IsNull() {
-				return tUnknown, nil
-			}
-			c := storage.Compare(lv, rv)
-			ok := false
-			switch n.Op {
-			case "=":
-				ok = c == 0
-			case "<>":
-				ok = c != 0
-			case "<":
-				ok = c < 0
-			case "<=":
-				ok = c <= 0
-			case ">":
-				ok = c > 0
-			case ">=":
-				ok = c >= 0
-			default:
-				return tUnknown, fmt.Errorf("sql: unknown operator %q", n.Op)
-			}
-			if ok {
-				return tTrue, nil
-			}
-			return tFalse, nil
-		}
-	case *NotExpr:
-		v, err := evalPredicate(n.E, row, schema)
-		if err != nil {
-			return tUnknown, err
-		}
-		return v.not(), nil
-	case *IsNullExpr:
-		v, err := evalValue(n.E, row, schema)
-		if err != nil {
-			return tUnknown, err
-		}
-		isNull := v.IsNull()
-		if n.Not {
-			isNull = !isNull
-		}
-		if isNull {
-			return tTrue, nil
-		}
-		return tFalse, nil
-	case *ColumnRef, *LitExpr:
-		v, err := evalValue(e, row, schema)
-		if err != nil {
-			return tUnknown, err
-		}
-		if v.IsNull() {
-			return tUnknown, nil
-		}
-		if v.Kind() == storage.KindInt && v.Int64() != 0 {
-			return tTrue, nil
-		}
-		return tFalse, nil
-	}
-	return tUnknown, fmt.Errorf("sql: unsupported predicate node %T", e)
-}
-
-func evalValue(e Expr, row storage.Tuple, schema *storage.Schema) (storage.Value, error) {
-	switch n := e.(type) {
-	case *ColumnRef:
-		i := schema.ColIndex(n.Name)
-		if i < 0 {
-			return storage.Null, fmt.Errorf("sql: unknown column %q", n.Name)
-		}
-		return row[i], nil
-	case *LitExpr:
-		return litValue(n.Lit)
-	}
-	return storage.Null, fmt.Errorf("sql: expected value expression, got %T", e)
-}

@@ -3,8 +3,10 @@ package sql
 import (
 	"context"
 	"io"
+	"unsafe"
 
 	"repro/internal/exec"
+	"repro/internal/recycle"
 	"repro/internal/storage"
 	"repro/internal/stream"
 )
@@ -20,19 +22,55 @@ import (
 // per batch. No output row exists before it is pulled.
 //
 // A Cursor is single-consumer and not safe for concurrent use; a Prepared
-// may serve any number of concurrent cursors.
+// may serve any number of concurrent cursors, each with a workspace of its
+// own.
 type Cursor struct {
 	cols []storage.Column
 	meta Meta // the executed statement's record
 	ctx  context.Context
 
 	src    *exec.Chain
-	pick   []int        // output column k is chain column pick[k]
-	order  []int        // non-nil: output row i is chain row order[i]
-	batch  stream.Batch // the one batch every NextBatch refills
-	pos    int          // rows yielded
-	left   int          // rows still to yield: what the LIMIT leaves of them
+	pick   []int       // output column k is chain column pick[k]
+	order  []int       // non-nil: output row i is chain row order[i]
+	work   *cursorWork // the batch and the position lists, until Close
+	pos    int         // rows yielded
+	left   int         // rows still to yield: what the LIMIT leaves of them
 	closed bool
+}
+
+// cursorWork is a cursor's workspace: the one batch every NextBatch
+// refills, and finalize's position lists — the output order, DISTINCT's
+// survivors and the scratch of the sort that orders them. A cursor takes
+// it from cursorWorks once its chain has run and gives it back on Close,
+// so a warm statement grows no column vector and no position list.
+type cursorWork struct {
+	batch   stream.Batch
+	order   []int
+	listed  []int
+	scratch []int
+}
+
+var cursorWorks = recycle.NewList((*cursorWork).bytes)
+
+// giveBack empties w's batch — it may still hold strings — and puts w back.
+func (w *cursorWork) giveBack() {
+	w.batch.Clear()
+	cursorWorks.Put(w)
+}
+
+// bytes is the memory w retains.
+func (w *cursorWork) bytes() int64 {
+	return w.batch.Bytes() + int64(cap(w.order)+cap(w.listed)+cap(w.scratch))*int64(unsafe.Sizeof(0))
+}
+
+// ints returns *buf at length n, reallocated when it is too short: the
+// capacity stays in *buf for the next statement.
+func ints(buf *[]int, n int) []int {
+	if cap(*buf) < n {
+		*buf = make([]int, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 // Columns returns the output schema.
@@ -48,7 +86,8 @@ func (c *Cursor) Meta() *Meta { return &c.meta }
 // the context's error when it was cancelled mid-stream. No tuple is built
 // on the way: a base column is gathered out of the chain's rows, a derived
 // column past the chain's last reorder is copied from its tail vector. The
-// batch is the cursor's own, refilled by the next call; the strings in it
+// batch is the cursor's own, refilled by the next call and handed to
+// another cursor after Close; the strings in it
 // outlive it and the cursor: they alias the input table's, or — when the
 // chain's spills read strings back into its arena, which Close hands to the
 // next statement — are copied out of the arena, one allocation per string
@@ -61,38 +100,42 @@ func (c *Cursor) NextBatch() (*stream.Batch, error) {
 	if err := c.ctx.Err(); err != nil {
 		return nil, err
 	}
-	c.batch.Reset(len(c.cols), n)
+	b := &c.work.batch
+	b.Reset(len(c.cols), n)
 	for k := range c.cols {
 		src := c.pick[k]
 		switch tail := src - c.src.Width; {
 		case c.order != nil && tail < 0:
-			c.batch.GatherTuples(k, c.src.Rows, src, c.order[c.pos:])
+			b.GatherTuples(k, c.src.Rows, src, c.order[c.pos:])
 		case c.order != nil:
-			c.batch.GatherValues(k, c.src.Tail[tail], c.order[c.pos:])
+			b.GatherValues(k, c.src.Tail[tail], c.order[c.pos:])
 		case tail < 0:
-			c.batch.SetTuples(k, c.src.Rows[c.pos:], src)
+			b.SetTuples(k, c.src.Rows[c.pos:], src)
 		default:
-			c.batch.SetValues(k, c.src.Tail[tail][c.pos:])
+			b.SetValues(k, c.src.Tail[tail][c.pos:])
 		}
 	}
 	if c.src.ArenaStrings() {
-		c.batch.DetachStrings()
+		b.DetachStrings()
 	}
 	c.pos, c.left = c.pos+n, c.left-n
-	return &c.batch, nil
+	return b, nil
 }
 
-// Close releases the cursor and its chain (exec.Chain.Release), whose slabs
-// go back to the pool for the next statement's chain; the batches and rows
-// it returned hold copies, and strings that stay valid (NextBatch). Further
+// Close releases the cursor: its chain (exec.Chain.Release), whose slabs go
+// back to the pool for the next statement's chain, and its workspace, whose
+// batch the next statement's cursor refills — the batch NextBatch returned
+// last is not to be read afterwards. The rows Materialize returned hold
+// copies, and the strings of a batch stay valid (NextBatch). Further
 // NextBatch calls return io.EOF. Idempotent.
 func (c *Cursor) Close() error {
 	if c.closed {
 		return nil
 	}
 	c.src.Release()
+	c.work.giveBack()
 	c.closed, c.left = true, 0
-	c.src, c.order, c.batch = nil, nil, stream.Batch{}
+	c.src, c.order, c.work = nil, nil, nil
 	return nil
 }
 

@@ -223,9 +223,10 @@ func TestFinalizeBytesPerRow(t *testing.T) {
 	const n = 20_000
 	bytesPerCall := func(rows int, stmt, finalSort string, rowsOut int64) float64 {
 		p, chain, meta := finalizeFixture(t, rows, stmt)
+		w := new(cursorWork) // a cursor's, reused as the free list would
 		run := func() {
 			result := meta
-			p.finalize(chain, p.pick, p.chainOrder, &result)
+			p.finalize(chain, p.pick, p.chainOrder, &result, w)
 			if result.FinalSort != finalSort || result.Finalize.RowsOut != rowsOut {
 				t.Fatalf("%s: final sort %s, %d rows out; want %s, %d", stmt, result.FinalSort, result.Finalize.RowsOut, finalSort, rowsOut)
 			}
@@ -265,11 +266,12 @@ func BenchmarkFinalize(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			p, chain, meta := finalizeFixture(b, 20_000, bc.stmt)
+			w := new(cursorWork)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				result := meta
-				if order := p.finalize(chain, p.pick, p.chainOrder, &result); order == nil {
+				if order := p.finalize(chain, p.pick, p.chainOrder, &result, w); order == nil {
 					b.Fatal("finalize chose no rows")
 				}
 			}

@@ -3,7 +3,6 @@ package sql
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/attrs"
@@ -37,10 +36,14 @@ type Prepared struct {
 	scheme Scheme
 	cfg    exec.Config
 
-	specs      []window.Spec
-	plan       *core.Plan // nil when the query has no window functions
-	alignOrder attrs.Seq
-	wfCol      map[int]int // wf ID -> column index in the executed table
+	specs []window.Spec
+	plan  *core.Plan // nil when the query has no window functions
+	chain string     // plan.PaperString(), "" without a plan
+	// suffixChain is the rendering of the chain's derivation suffix
+	// (subplan.go), "" when the statement is not shareable.
+	suffixChain string
+	alignOrder  attrs.Seq
+	wfCol       map[int]int // wf ID -> column index in the executed table
 	// shareable marks a chain that splits at the subplan seam: one leading
 	// heavy reorder, every later step reorder-free, sequential execution
 	// (see subplan.go).
@@ -63,6 +66,10 @@ func (p *Prepared) Table() string { return p.q.Table }
 // Plan returns the planned window-function chain (nil for window-less
 // queries).
 func (p *Prepared) Plan() *core.Plan { return p.plan }
+
+// Chain returns the planned chain in the paper's notation, "" for
+// window-less queries: what an execution's Meta.Chain carries.
+func (p *Prepared) Chain() string { return p.chain }
 
 // ShardLocal reports whether this statement may execute independently on
 // shards hash-partitioned on shardKey, with the results concatenated and
@@ -264,13 +271,22 @@ func (r *Runner) prepare(q *Query, src string) (*Prepared, error) {
 func (p *Prepared) bind(plan *core.Plan) {
 	p.plan = plan
 	p.wfCol = make(map[int]int, len(p.specs))
+	p.chain, p.suffixChain = "", ""
 	if plan != nil {
 		base := p.entry.Table().Schema.Len()
 		for pos, step := range plan.Steps {
 			p.wfCol[step.WF.ID] = base + pos
 		}
+		p.chain = plan.PaperString()
 	}
 	p.shareable = shareableChain(plan) && p.cfg.Parallelism <= 1
+	if p.shareable {
+		// A suffix names each function with no reorder before it, whatever
+		// segment it is derived against: the statement's own renders it.
+		if suffix, ok := core.DeriveSuffix(plan, plan.Steps[0].Out); ok {
+			p.suffixChain = suffix.PaperString()
+		}
+	}
 	p.pick = make([]int, len(p.outSrc))
 	for j, src := range p.outSrc {
 		if src < 0 {
@@ -342,7 +358,7 @@ func (p *Prepared) Open(ctx context.Context, in Input, shardLocal bool) (*Cursor
 		// Projected already: a window-less chain over it. finalize reads sort
 		// avoidance off the result's plan; a concatenation has none to offer
 		// until it is finalized.
-		cur.src, cur.pick, key = exec.NewChain(in.Concat.Schema, nil), indices(len(p.outCols)), p.orderKey
+		cur.src, cur.pick, key = exec.NewChain(in.Concat.Schema, nil), identity(make([]int, len(p.outCols))), p.orderKey
 		cur.meta = Meta{FinalSort: "none", Parallelism: 1}
 		_, err = cur.src.Run(ctx, in.Concat, nil, p.cfg)
 	case in.Shared != nil:
@@ -355,9 +371,10 @@ func (p *Prepared) Open(ctx context.Context, in Input, shardLocal bool) (*Cursor
 	if err != nil {
 		return nil, err
 	}
+	cur.work = cursorWorks.Get()
 	cur.left = cur.src.Len()
 	if !shardLocal {
-		if cur.order = p.finalize(cur.src, cur.pick, key, &cur.meta); cur.order != nil {
+		if cur.order = p.finalize(cur.src, cur.pick, key, &cur.meta, cur.work); cur.order != nil {
 			cur.left = len(cur.order)
 		}
 		if p.q.Limit >= 0 {
@@ -365,7 +382,7 @@ func (p *Prepared) Open(ctx context.Context, in Input, shardLocal bool) (*Cursor
 		}
 	}
 	if in.Concat != nil {
-		cur.meta.Plan = p.plan
+		cur.meta.Plan, cur.meta.Chain = p.plan, p.chain
 	}
 	return cur, nil
 }
@@ -406,48 +423,10 @@ func (p *Prepared) runChain(ctx context.Context, base *storage.Table, result *Me
 	if err != nil {
 		return nil, err
 	}
-	result.Plan = p.plan
+	result.Plan, result.Chain = p.plan, p.chain
 	result.Exec = metrics
 	result.Parallelism = par
 	return executed, nil
-}
-
-// filterWhere applies the statement's WHERE clause to base, producing the
-// windowed table WT (Section 5's loose integration: all clauses except
-// ORDER BY run before the windows). Statements without a WHERE return base
-// unchanged. The survivors' array is carved by headers (exec.Chain.Headers),
-// or allocated when it is nil: a table that outlives the statement.
-func (p *Prepared) filterWhere(base *storage.Table, headers func(n int) []storage.Tuple) (*storage.Table, error) {
-	if p.q.Where == nil {
-		return base, nil
-	}
-	// Two passes — mark, then copy — so the output is allocated once at its
-	// exact size instead of grown by append.
-	schema := base.Schema
-	keep := make([]bool, len(base.Rows))
-	n := 0
-	for i, row := range base.Rows {
-		v, err := evalPredicate(p.q.Where, row, schema)
-		if err != nil {
-			return nil, err
-		}
-		if v == tTrue {
-			keep[i] = true
-			n++
-		}
-	}
-	wt := storage.NewTable(schema)
-	if headers != nil {
-		wt.Rows = headers(n)
-	} else {
-		wt.Rows = make([]storage.Tuple, 0, n)
-	}
-	for i, row := range base.Rows {
-		if keep[i] {
-			wt.Rows = append(wt.Rows, row)
-		}
-	}
-	return wt, nil
 }
 
 // runPlan executes a planned chain (p.plan or a segment sub-plan) over in
@@ -499,8 +478,9 @@ func (p *Prepared) estimate(steps []exec.StepMetrics, plan []core.Step) {
 // over chain columns. It returns the chain positions of the output rows in
 // output order, nil meaning the chain's own sequence (which the cursor cuts
 // to the LIMIT); the cursor gathers through the list, so no row is built.
+// The list and the scratch behind it are the cursor's workspace w.
 // These comparisons order output, not window input: they are not counted.
-func (p *Prepared) finalize(src *exec.Chain, pick []int, key attrs.Seq, result *Meta) []int {
+func (p *Prepared) finalize(src *exec.Chain, pick []int, key attrs.Seq, result *Meta, w *cursorWork) []int {
 	if p.ConcatStreams() {
 		return nil // LIMIT alone is the cursor's early termination
 	}
@@ -550,8 +530,8 @@ func (p *Prepared) finalize(src *exec.Chain, pick []int, key attrs.Seq, result *
 		if sat == len(key) {
 			stop = want // nothing reorders them: the first want will do
 		}
-		listed = distinctPositions(src, pick, stop)
-		n = len(listed)
+		listed = distinctPositions(src, pick, stop, w.listed[:0])
+		w.listed, n = listed, len(listed)
 		want = min(want, n)
 	}
 	cmp := func(i, j int, key attrs.Seq) int {
@@ -565,15 +545,16 @@ func (p *Prepared) finalize(src *exec.Chain, pick []int, key attrs.Seq, result *
 	case sat == len(key):
 		order = listed
 	case sat > 0:
-		order = partialSort(n, want,
+		order = partialSort(&w.order, &w.scratch, n, want,
 			func(i, j int) int { return cmp(i, j, key[:sat]) },
 			func(i, j int) int { return cmp(i, j, key[sat:]) })
 	case want < n:
 		fm.TopK = true
-		order = xsort.TopK(n, want, func(i, j int) int { return cmp(i, j, key) })
+		w.order = xsort.TopK(w.order, n, want, func(i, j int) int { return cmp(i, j, key) })
+		order = w.order
 	default:
-		order = indices(n)
-		xsort.Stable(order, nil, func(i, j int) int { return cmp(i, j, key) })
+		order = identity(ints(&w.order, n))
+		xsort.Stable(order, ints(&w.scratch, n/2), func(i, j int) int { return cmp(i, j, key) })
 	}
 	if listed != nil && sat < len(key) {
 		for i, c := range order {
@@ -583,62 +564,4 @@ func (p *Prepared) finalize(src *exec.Chain, pick []int, key attrs.Seq, result *
 	fm.RowsOut = int64(want)
 	fm.Duration = time.Since(start)
 	return order
-}
-
-// distinctPositions returns the positions of the chain rows whose
-// projection no earlier row has, in chain order and at most stop of them.
-// NULLs are one value, per SQL DISTINCT, and so are the two float zeros, as
-// in every comparison the engine makes. The key is the encoding of the
-// projected values in one reused buffer, looked up without allocating: only
-// a kept row pays for a key string.
-func distinctPositions(src *exec.Chain, pick []int, stop int) []int {
-	seen := make(map[string]struct{})
-	order := make([]int, 0, min(stop, 256)) // a small result is one allocation
-	var key []byte
-	for i := 0; i < src.Len() && len(order) < stop; i++ {
-		key = key[:0]
-		for _, col := range pick {
-			v := src.At(i, col)
-			if v.Kind() == storage.KindFloat && v.Float64() == 0 {
-				v = storage.Float(0)
-			}
-			key = storage.AppendTuple(key, storage.Tuple{v})
-		}
-		if _, dup := seen[string(key)]; !dup {
-			seen[string(key)] = struct{}{}
-			order = append(order, i)
-		}
-	}
-	return order
-}
-
-// checkPredicate validates a WHERE tree against the schema at prepare time:
-// every column must resolve and every operator must be one evalPredicate
-// implements, so a prepared statement cannot fail at execution with a
-// client-side error.
-func checkPredicate(e Expr, schema *storage.Schema) error {
-	switch n := e.(type) {
-	case *ColumnRef:
-		if schema.ColIndex(n.Name) < 0 {
-			return fmt.Errorf("sql: unknown column %q", n.Name)
-		}
-	case *LitExpr:
-	case *NotExpr:
-		return checkPredicate(n.E, schema)
-	case *IsNullExpr:
-		return checkPredicate(n.E, schema)
-	case *BinaryExpr:
-		switch strings.ToUpper(n.Op) {
-		case "AND", "OR", "=", "<>", "<", "<=", ">", ">=":
-		default:
-			return fmt.Errorf("sql: unknown operator %q", n.Op)
-		}
-		if err := checkPredicate(n.L, schema); err != nil {
-			return err
-		}
-		return checkPredicate(n.R, schema)
-	default:
-		return fmt.Errorf("sql: unsupported predicate node %T", e)
-	}
-	return nil
 }

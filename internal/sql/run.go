@@ -41,7 +41,11 @@ type Runner struct {
 // how its terminal phases ran.
 type Meta struct {
 	Plan *core.Plan
-	Exec *exec.Metrics
+	// Chain is Plan in the paper's notation (core.Plan.PaperString), ""
+	// when windowless; remote backends take it from the stream trailer. It
+	// is rendered once per prepared plan, not per execution.
+	Chain string
+	Exec  *exec.Metrics
 	// FinalSort reports how the query's ORDER BY was satisfied: "none"
 	// (no ORDER BY), "full" (explicit sort), "partial" (the chain's output
 	// ordering pre-satisfied a prefix; only within-group sorting remained)
@@ -133,9 +137,8 @@ func resolveOutputColumn(items []SelectItem, schema *storage.Schema, name string
 	return 0, false
 }
 
-// indices returns 0..n-1.
-func indices(n int) []int {
-	idx := make([]int, n)
+// identity writes 0..len(idx)-1 into idx and returns it.
+func identity(idx []int) []int {
 	for i := range idx {
 		idx[i] = i
 	}
@@ -146,24 +149,25 @@ func indices(n int) []int {
 // arrive in runs that agree on it, so only each run needs sorting on the
 // key remainder — the partial sort of [7, 13], which Section 3.3 identifies
 // as a special case of Segmented Sort. It returns the first want candidates
-// of that order, listing and sorting only the runs that cover them.
-func partialSort(n, want int, prefix, rest func(i, j int) int) []int {
+// of that order, listing and sorting only the runs that cover them; the
+// list is *out and the sort's scratch *scratch, each grown when too short.
+func partialSort(out, scratch *[]int, n, want int, prefix, rest func(i, j int) int) []int {
 	// Candidate want-1 may fall inside a run: the sorting ends where it does.
 	end := want
 	for end > 0 && end < n && prefix(end-1, end) == 0 {
 		end++
 	}
-	out := indices(end)
-	scratch := make([]int, end/2) // xsort.Stable's, enough for any run
+	order := identity(ints(out, end))
+	sc := ints(scratch, end/2) // xsort.Stable's, enough for any run
 	for start := 0; start < end; {
 		stop := start + 1
 		for stop < end && prefix(start, stop) == 0 {
 			stop++
 		}
-		xsort.Stable(out[start:stop], scratch, rest)
+		xsort.Stable(order[start:stop], sc, rest)
 		start = stop
 	}
-	return out[:want]
+	return order[:want]
 }
 
 // FormatTable renders a result table with padded columns, for examples and

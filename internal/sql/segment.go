@@ -139,6 +139,6 @@ func (p *Prepared) runLast(ctx context.Context, rows *storage.Table, result *Met
 	if err != nil {
 		return nil, err
 	}
-	*result = Meta{FinalSort: "none", Parallelism: par, Plan: p.plan, Exec: m}
+	*result = Meta{FinalSort: "none", Parallelism: par, Plan: p.plan, Chain: p.chain, Exec: m}
 	return out, nil
 }

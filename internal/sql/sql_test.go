@@ -278,13 +278,13 @@ func TestFinalSortsKeepChainOrderOnTies(t *testing.T) {
 	by := func(key attrs.Seq) func(i, j int) int {
 		return func(i, j int) int { return src.Compare(i, j, key) }
 	}
-	full := indices(n)
+	full := identity(make([]int, n))
 	xsort.Stable(full, nil, by(key))
 	for name, got := range map[string][]int{
 		"full":          full,
-		"partial":       partialSort(n, n, by(key[:1]), by(key[1:])),
-		"partial-limit": partialSort(n, 101, by(key[:1]), by(key[1:])),
-		"topk":          xsort.TopK(n, 2999, by(key)),
+		"partial":       partialSort(new([]int), new([]int), n, n, by(key[:1]), by(key[1:])),
+		"partial-limit": partialSort(new([]int), new([]int), n, 101, by(key[:1]), by(key[1:])),
+		"topk":          xsort.TopK(nil, n, 2999, by(key)),
 	} {
 		for i, pos := range got {
 			if w := want[i][2].Int64(); int64(pos) != w {

@@ -168,7 +168,7 @@ func (p *Prepared) runSuffix(ctx context.Context, seg *SharedSegment, chargeScan
 	// over a segment already carrying the order that sort is the identity
 	// permutation, so shared and private executions emit identical rows in
 	// identical order for any totally-ordering ORDER BY.
-	*result = Meta{FinalSort: "none", Parallelism: 1, EstRows: p.entry.Rows(), Plan: suffix, Exec: metrics}
+	*result = Meta{FinalSort: "none", Parallelism: 1, EstRows: p.entry.Rows(), Plan: suffix, Chain: p.suffixChain, Exec: metrics}
 	return out, nil
 }
 

@@ -94,7 +94,10 @@ func insertionSort[T any](a []T, cmp func(x, y T) int) {
 // later element that sorts before it, and which a heapsort then empties
 // into place — and asks n + O(k·log n) comparisons when the input is in
 // random order.
-func TopK(n, k int, cmp func(i, j int) int) []int {
+//
+// The indices are kept in heap, which is reallocated when it has room for
+// fewer than k.
+func TopK(heap []int, n, k int, cmp func(i, j int) int) []int {
 	before := func(i, j int) bool {
 		c := cmp(i, j)
 		return c < 0 || (c == 0 && i < j)
@@ -110,7 +113,10 @@ func TopK(n, k int, cmp func(i, j int) int) []int {
 			heap[i], heap[c] = heap[c], heap[i]
 		}
 	}
-	heap := make([]int, k)
+	if cap(heap) < k {
+		heap = make([]int, k)
+	}
+	heap = heap[:k]
 	for i := range heap {
 		heap[i] = i
 	}

@@ -102,7 +102,7 @@ func TestTopKIsTheStableSortsPrefix(t *testing.T) {
 				if k < 0 || k > n {
 					continue
 				}
-				got := TopK(n, k, func(i, j int) int { return storage.CompareSeq(rows[i], rows[j], key) })
+				got := TopK(nil, n, k, func(i, j int) int { return storage.CompareSeq(rows[i], rows[j], key) })
 				if len(got) != k {
 					t.Fatalf("%s n=%d k=%d: %d indices", shape.name, n, k, len(got))
 				}
@@ -118,7 +118,7 @@ func TestTopKIsTheStableSortsPrefix(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	keys := rng.Perm(n)
 	cmps := 0
-	TopK(n, k, func(i, j int) int { cmps++; return keys[i] - keys[j] })
+	TopK(nil, n, k, func(i, j int) int { cmps++; return keys[i] - keys[j] })
 	if cmps > 2*n {
 		t.Errorf("top %d of %d random keys took %d comparisons, want about n", k, n, cmps)
 	}

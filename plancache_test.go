@@ -3,7 +3,9 @@ package windowdb
 import (
 	"context"
 	"errors"
+	"math"
 	"regexp"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -49,7 +51,7 @@ func TestWarmSpillingQueryAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
 	}
-	const budget = 65
+	const budget = 50
 	eng := New(Config{SortMemBytes: 48 << 10, BlockSize: 4096, Parallelism: 1})
 	eng.Register("web_sales", datagen.WebSales(datagen.WebSalesConfig{Rows: 4000, Seed: 3}))
 	ctx := context.Background()
@@ -76,6 +78,58 @@ func TestWarmSpillingQueryAllocations(t *testing.T) {
 	t.Logf("warm spilling Q6: %v allocations, %d blocks written", got, m.BlocksWritten)
 	if got > budget {
 		t.Errorf("a warm spilling Q6 allocates %v times, want at most %d", got, budget)
+	}
+}
+
+// TestWarmFramesQueryBytes: what a warm in-memory statement allocates does
+// not grow with its table. F4 (WHERE, then ORDER BY ... LIMIT) and F6
+// (DISTINCT) at 4 000 and 40 000 rows, each drained through
+// Engine.QueryContext after a warm-up at its size: the WHERE's mask, the
+// DISTINCT key table, the top-k heap, the chain's arena and the cursor's
+// batch all come back from free lists, so the bytes a statement allocates
+// are its shape's — spans, metrics, cursor — and the same at either size.
+func TestWarmFramesQueryBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	ctx := context.Background()
+	bytesPerStatement := func(rows int, src string) float64 {
+		eng := New(Config{SortMemBytes: 256 << 20, BlockSize: 8192, Parallelism: 1})
+		eng.Register("web_sales", datagen.WebSales(datagen.WebSalesConfig{Rows: rows, Seed: 20120827, ItemDistinct: max(rows/353, 16)}))
+		run := func() {
+			r, err := eng.QueryContext(ctx, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r.Next() {
+			}
+			if err := r.Err(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		run()
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		// The fewest bytes of five statements: the counter is the process's,
+		// and what another test left running allocates meanwhile is not the
+		// statement's.
+		least := uint64(math.MaxUint64)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run()
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return float64(least)
+	}
+	for _, id := range []string{"F4", "F6"} {
+		src := paper.Statements[id]
+		small, large := bytesPerStatement(4_000, src), bytesPerStatement(40_000, src)
+		t.Logf("warm %s: %.0f B a statement at 4 000 rows, %.0f B at 40 000", id, small, large)
+		if large > small+256 {
+			t.Errorf("warm %s allocates %.0f B at 4 000 rows and %.0f B at 40 000: it pays per row", id, small, large)
+		}
 	}
 }
 

@@ -142,13 +142,9 @@ func (cs *cursorSource) End(end Ending) *QueryMetrics {
 }
 
 // newQueryMetrics wraps an execution record in the public QueryMetrics,
-// with the chain in the paper's notation and its block and comparison
-// counters.
+// with its block and comparison counters.
 func newQueryMetrics(m *sql.Meta) *QueryMetrics {
 	qm := &QueryMetrics{Meta: *m}
-	if m.Plan != nil {
-		qm.Chain = m.Plan.PaperString()
-	}
 	if m.Exec != nil {
 		qm.BlocksRead, qm.BlocksWritten, qm.Comparisons = m.Exec.BlocksRead, m.Exec.BlocksWritten, m.Exec.Comparisons
 	}
@@ -208,15 +204,13 @@ func (e Ending) Outcome(killed, closeIsServed bool) Outcome {
 type QueryMetrics struct {
 	// Meta is the execution record the SQL cursor fills: the planned chain
 	// (Plan, nil for window-less statements and for remote backends, which
-	// see only Chain), the executor metrics (Exec, nil for remote backends),
-	// the final-sort disposition and satisfied ORDER BY prefix, the
-	// finalize phase where it ran in this process (remote backends see it as
-	// the trace's "finalize" span), the parallel degree, the planner's row
-	// estimate (0 when unknown), a subscription's watermark and the
-	// shared-subplan disposition.
+	// see only Chain, the chain in the paper's notation), the executor
+	// metrics (Exec, nil for remote backends), the final-sort disposition
+	// and satisfied ORDER BY prefix, the finalize phase where it ran in this
+	// process (remote backends see it as the trace's "finalize" span), the
+	// parallel degree, the planner's row estimate (0 when unknown), a
+	// subscription's watermark and the shared-subplan disposition.
 	sql.Meta
-	// Chain is the chain in the paper's notation, "" when windowless.
-	Chain string
 	// CacheHit reports that the statement's plan came from the plan cache
 	// of the engine that resolved it (a hit, or an attach to a concurrent
 	// miss).

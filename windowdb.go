@@ -43,6 +43,7 @@ import (
 	"repro/internal/delta"
 	"repro/internal/exec"
 	"repro/internal/pagestore"
+	"repro/internal/recycle"
 	"repro/internal/sql"
 	"repro/internal/storage"
 	"repro/internal/trace"
@@ -284,8 +285,10 @@ func (e *Engine) Prepare(src string) (*sql.Prepared, error) {
 	return r.Prepare(src)
 }
 
-// keyBufs are the buffers Resolve renders cache keys into.
-var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
+// keyBufs are the buffers Resolve renders cache keys into: a free list, not
+// a sync.Pool, so that a GC — or the race detector, which makes a pool drop
+// what it is given at random — never leaves a hit to allocate its key.
+var keyBufs = recycle.NewList(func(b *[]byte) int64 { return int64(cap(*b)) })
 
 // Resolve returns src's prepared statement through the engine's plan cache
 // and how the lookup was served: cache.Hit, cache.Miss (this call
@@ -296,7 +299,7 @@ var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
 // is never cached. Text the lexer rejects skips the cache and fails in
 // Prepare, so whether a statement fails never depends on its spacing.
 func (e *Engine) Resolve(ctx context.Context, src string) (*sql.Prepared, string, error) {
-	buf := keyBufs.Get().(*[]byte)
+	buf := keyBufs.Get()
 	defer keyBufs.Put(buf)
 	key, err := sql.AppendCanonical((*buf)[:0], src)
 	*buf = key

@@ -38,10 +38,11 @@ bench:
 
 # Rewrite internal/bench/testdata/paper.golden — every experiment's plans,
 # cuts, estimates, blocks and comparisons, which TestPaperGolden holds the
-# tree to — from this tree. Review the diff: a line that moves is a paper
-# figure that moved.
+# tree to — and chains.golden — every step the generators build, which
+# TestChainsGolden holds the tree to — from this tree. Review the diff: a
+# line that moves is a paper figure or a chain that moved.
 golden:
-	$(GO) test ./internal/bench -run '^TestPaperGolden$$' -count=1 -update
+	$(GO) test ./internal/bench -run '^Test(Paper|Chains)Golden$$' -count=1 -update
 
 fmt:
 	gofmt -l -w .

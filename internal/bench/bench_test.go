@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/paper.golden from this tree")
+var update = flag.Bool("update", false, "rewrite testdata/paper.golden and testdata/chains.golden from this tree")
 
 // goldenPath is the committed table TestPaperGolden holds every row to.
 const goldenPath = "testdata/paper.golden"

@@ -57,8 +57,8 @@ vet:
 
 # Non-blank lines of non-test Go per package, then the two subtotals
 # ROADMAP quotes — the paper engine and serving — and the total for module
-# repro, then every non-test file over LOC_FILE_MAX non-blank lines, so
-# every CI log records the trend and the files that outgrew it.
+# repro, so every CI log records the trend; then every non-test file over
+# LOC_FILE_MAX non-blank lines, and a non-zero exit if there is one.
 ENGINE_PKGS = core exec reorder xsort window storage spill pagestore
 SERVING_PKGS = service shard
 LOC_FILE_MAX = 600
@@ -73,11 +73,12 @@ loc:
 		END { printf "%6d  subtotal (paper engine: %s)\n", et, engine; \
 			printf "%6d  subtotal (serving: %s)\n", st, serving; \
 			printf "%6d  total (module repro)\n", total }'
-	@$(GO) list -f '{{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}' ./... | tr ' ' '\n' | while read f; do \
+	@over=$$($(GO) list -f '{{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}' ./... | tr ' ' '\n' | while read f; do \
 		[ -n "$$f" ] || continue; \
 		n=$$(grep -cv '^[[:space:]]*$$' "$$f"); \
 		[ "$$n" -le $(LOC_FILE_MAX) ] || printf '%6d  over $(LOC_FILE_MAX): %s\n' "$$n" "$${f#$(CURDIR)/}"; \
-	done
+	done); \
+	if [ -n "$$over" ]; then echo "$$over" >&2; exit 1; fi
 
 # benchmark/ is its own module (replace repro => ../), so the root build,
 # vet and test never see it: this is the gate that an internal/* API

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/core"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/paper.golden and testdata/chains.golden from this tree")
@@ -191,7 +193,7 @@ func TestTable11Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 5*2*len(overheadSchemes) {
+	if len(rows) != 5*2*len(core.Generators) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	total := map[string]float64{}

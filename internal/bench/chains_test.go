@@ -7,9 +7,11 @@ import (
 	"strings"
 	"testing"
 
-	"repro"
+	"repro/internal/catalog"
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/paper"
+	"repro/internal/sql"
 )
 
 // chainsPath is the committed table TestChainsGolden holds every chain to.
@@ -29,17 +31,20 @@ func writeChain(b *strings.Builder, head string, plan *core.Plan, err error) {
 	}
 }
 
-// chainSchemes are the engine configurations the statements are planned
-// under: every scheme, CSO's two ablations, and CSO at a parallel degree
-// (where sql falls back from an aligned chain that concatenates).
-var chainSchemes = []scheme{
-	{"BFO", windowdb.Config{Scheme: windowdb.SchemeBFO}},
-	{"CSO", windowdb.Config{}},
-	{"CSO(v1)", windowdb.Config{DisableHS: true}},
-	{"CSO(v2)", windowdb.Config{DisableSS: true}},
-	{"CSO|p3", windowdb.Config{Parallelism: 3}},
-	{"ORCL", windowdb.Config{Scheme: windowdb.SchemeORCL}},
-	{"PSQL", windowdb.Config{Scheme: windowdb.SchemePSQL}},
+// chainSchemes are the runners the statements are planned with: every
+// scheme, CSO's two ablations, and CSO at a parallel degree (where sql
+// falls back from an aligned chain that concatenates).
+var chainSchemes = []struct {
+	name string
+	r    sql.Runner
+}{
+	{"BFO", sql.Runner{Scheme: sql.SchemeBFO}},
+	{"CSO", sql.Runner{}},
+	{"CSO(v1)", sql.Runner{DisableHS: true}},
+	{"CSO(v2)", sql.Runner{DisableSS: true}},
+	{"CSO|p3", sql.Runner{Exec: exec.Config{Parallelism: 3}}},
+	{"ORCL", sql.Runner{Scheme: sql.SchemeORCL}},
+	{"PSQL", sql.Runner{Scheme: sql.SchemePSQL}},
 }
 
 // chains renders every chain the table pins: Table 11's random function
@@ -62,9 +67,9 @@ func chains(t *testing.T) string {
 				fs = append(fs, wf.String())
 			}
 			fmt.Fprintf(&b, "table11 n=%d #%d: %s\n", n, i, strings.Join(fs, " "))
-			for _, s := range overheadSchemes {
-				plan, err := s.plan(ws, opt)
-				writeChain(&b, s.name, plan, err)
+			for _, g := range core.Generators {
+				plan, err := g.Plan(ws, core.Unordered(), opt, nil)
+				writeChain(&b, g.Scheme, plan, err)
 			}
 			for _, v := range []struct {
 				name string
@@ -82,20 +87,18 @@ func chains(t *testing.T) string {
 	}
 
 	d := dataset()
+	cat := catalog.New()
+	cat.Register("web_sales", d.WebSales)
+	cat.Register("web_sales_s", d.WebSalesS)
+	cat.Register("web_sales_g", d.WebSalesG)
 	names := []string{"Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7", "Q8", "Q9", "F1", "F2", "F3", "F4", "F5", "F6"}
 	for _, mem := range d.SchemeMemSweep() {
 		for _, s := range chainSchemes {
-			cfg := s.cfg
-			cfg.SortMemBytes, cfg.BlockSize = mem.Bytes(d.Cfg.BlockSize), d.Cfg.BlockSize
-			if cfg.Parallelism == 0 {
-				cfg.Parallelism = 1
-			}
-			eng := windowdb.New(cfg)
-			eng.Register("web_sales", d.WebSales)
-			eng.Register("web_sales_s", d.WebSalesS)
-			eng.Register("web_sales_g", d.WebSalesG)
+			r := s.r
+			r.Catalog = cat
+			r.Exec.MemoryBytes, r.Exec.BlockSize, r.Exec.Parallelism = mem.Bytes(d.Cfg.BlockSize), d.Cfg.BlockSize, max(r.Exec.Parallelism, 1)
 			for _, q := range names {
-				p, err := eng.Prepare(paper.Statements[q])
+				p, err := r.Prepare(paper.Statements[q])
 				if err != nil {
 					t.Fatalf("%s %s @%s: %v", q, s.name, mem.Label, err)
 				}

@@ -19,19 +19,18 @@ import (
 // run.
 func (d *Dataset) forced(r Row, t *storage.Table, spec window.Spec, op core.ReorderKind, in core.Props, tune func(*core.Step, *exec.Config)) (Row, error) {
 	wf := spec.WF(0)
-	step := core.Step{WF: wf, Reorder: op, In: in, SortKey: wf.PK.AscSeq().Concat(wf.OK)}
-	switch op {
-	case core.ReorderFS:
-		step.Out = core.TotallyOrdered(step.SortKey)
-	case core.ReorderHS:
-		step.HashKey = wf.PK
-		step.Out = core.Props{X: wf.PK, Y: step.SortKey}
-	case core.ReorderSS:
-		choice, ok := core.PlanSS(in, wf)
-		if !ok {
-			return r, fmt.Errorf("bench: %s is not SS-reorderable over its input", r.Query)
+	var step core.Step
+	var err error
+	if op == core.ReorderSS {
+		var ok bool
+		if step, ok = core.PlanSS(in, wf); !ok {
+			err = fmt.Errorf("bench: %s is not SS-reorderable over its input", r.Query)
 		}
-		step.SortKey, step.Alpha, step.Beta, step.Out = choice.Target, choice.Alpha, choice.Beta, choice.Out
+	} else {
+		step, err = core.NewStep(wf, op, in, wf.PK.AscSeq().Concat(wf.OK), wf.PK)
+	}
+	if err != nil {
+		return r, err
 	}
 	cfg := exec.Config{
 		MemoryBytes: r.Mem.Bytes(d.Cfg.BlockSize),

@@ -41,18 +41,6 @@ func randomQuery(rng *rand.Rand, n int) []core.WF {
 	return ws
 }
 
-// overheadSchemes are Table 11's columns, each planning a function list
-// with the paper's statistics.
-var overheadSchemes = []struct {
-	name string
-	plan func([]core.WF, core.Options) (*core.Plan, error)
-}{
-	{"BFO", func(ws []core.WF, opt core.Options) (*core.Plan, error) { return core.BFO(ws, core.Unordered(), opt) }},
-	{"CSO", func(ws []core.WF, opt core.Options) (*core.Plan, error) { return core.CSO(ws, core.Unordered(), opt) }},
-	{"ORCL", func(ws []core.WF, opt core.Options) (*core.Plan, error) { return core.ORCL(ws, core.Unordered(), opt) }},
-	{"PSQL", func(ws []core.WF, _ core.Options) (*core.Plan, error) { return core.PSQL(ws, core.Unordered()) }},
-}
-
 // RunTable11 reproduces Table 11: the optimization time of every scheme on
 // queries random queries for each of 6–10 window functions, one row per
 // query and scheme (Query is the function count). These rows time the
@@ -77,13 +65,13 @@ func RunTable11(queries int) ([]Row, error) {
 		for i := range qs {
 			qs[i] = randomQuery(rng, n)
 		}
-		for _, s := range overheadSchemes {
+		for _, g := range core.Generators {
 			for _, ws := range qs {
 				start := time.Now()
-				if _, err := s.plan(ws, opt); err != nil {
+				if _, err := g.Plan(ws, core.Unordered(), opt, nil); err != nil {
 					return nil, err
 				}
-				out = append(out, Row{Exp: "table11", Query: fmt.Sprint(n), Variant: s.name, Elapsed: time.Since(start)})
+				out = append(out, Row{Exp: "table11", Query: fmt.Sprint(n), Variant: g.Scheme, Elapsed: time.Since(start)})
 			}
 		}
 	}

@@ -54,9 +54,17 @@ func (c *Catalog) Register(name string, t *storage.Table) *Entry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.generation++
-	e := &Entry{Name: name, gen: c.generation, distinct: make(map[attrs.Set]int64)}
-	e.data.Store(&tableData{t: t, gen: 1})
+	e := newEntry(name, c.generation, nil, t)
 	c.tables[strings.ToLower(name)] = e
+	return e
+}
+
+// newEntry builds an entry over t and binds its distinct-count estimator
+// once, for every CostParams and execution config to share.
+func newEntry(name string, gen uint64, stats *TableStats, t *storage.Table) *Entry {
+	e := &Entry{Name: name, gen: gen, stats: stats, distinct: make(map[attrs.Set]int64)}
+	e.estimator = e.Distinct
+	e.data.Store(&tableData{t: t, gen: 1})
 	return e
 }
 
@@ -85,13 +93,7 @@ func (c *Catalog) RegisterStub(name string, schema *storage.Schema, stats TableS
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.generation++
-	e := &Entry{
-		Name:     name,
-		gen:      c.generation,
-		stats:    &stats,
-		distinct: make(map[attrs.Set]int64),
-	}
-	e.data.Store(&tableData{t: storage.NewTable(schema), gen: 1})
+	e := newEntry(name, c.generation, &stats, storage.NewTable(schema))
 	c.tables[strings.ToLower(name)] = e
 	return e
 }
@@ -172,6 +174,10 @@ type Entry struct {
 	data atomic.Pointer[tableData]
 
 	stats *TableStats // non-nil for stub entries
+
+	// estimator is Distinct as a function value, bound once: a method
+	// value made per call would allocate.
+	estimator func(attrs.Set) int64
 
 	mu       sync.Mutex
 	distinct map[attrs.Set]int64
@@ -365,6 +371,11 @@ func (e *Entry) CostParams(memBytes, blockSize int) core.CostParams {
 		TableTuples: e.Rows(),
 		MemBlocks:   int64(memBytes) / int64(blockSize),
 		BlockSize:   blockSize,
-		Distinct:    e.Distinct,
+		Distinct:    e.estimator,
 	}
 }
+
+// Estimator returns Distinct as the function value planning and execution
+// take (core.CostParams.Distinct, exec.Config.Distinct), bound once at
+// registration so that handing it on allocates nothing.
+func (e *Entry) Estimator() func(attrs.Set) int64 { return e.estimator }

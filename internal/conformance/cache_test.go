@@ -146,7 +146,9 @@ func TestPlanCacheValidityPerTable(t *testing.T) {
 // TestColdStatementPlansOnce: N callers issuing one text at once against a
 // cold backend plan it once — one miss in the plan cache of the engine that
 // resolves it, every other lookup a hit or an attach — and all get its
-// rows.
+// rows. The cluster's nodes have fewer slots than there are callers: a
+// statement is admitted on all its nodes or on none, so no two wait on
+// each other's slots, and once every statement ended nothing is held.
 func TestColdStatementPlansOnce(t *testing.T) {
 	const callers = 8
 	ctx := context.Background()
@@ -159,10 +161,7 @@ func TestColdStatementPlansOnce(t *testing.T) {
 	srv := httptest.NewServer(front.Handler())
 	t.Cleanup(srv.Close)
 	client := service.NewClientCodec(srv.URL, srv.Client(), service.CodecBinary)
-	// A statement holds a slot on every node until its streams end, so
-	// nodes with fewer slots than callers can each fill with statements
-	// waiting on the other.
-	cluster := newPlanCacheCluster(t, callers)
+	cluster := newPlanCacheCluster(t, 2)
 
 	for _, bk := range []struct {
 		name     string
@@ -198,6 +197,15 @@ func TestColdStatementPlansOnce(t *testing.T) {
 			for i := range got {
 				if !slices.Equal(got[i], want) {
 					t.Fatalf("caller %d: %d rows that are not the statement's %d", i, len(got[i]), len(want))
+				}
+			}
+			if bk.q == cluster {
+				st, err := cluster.Stats(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if held := st.Held(); held != "" {
+					t.Fatalf("every statement ended, and the cluster still holds %s", held)
 				}
 			}
 			after := bk.resolves.PlanCacheStats()

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // ORCL reimplements the Oracle 8i scheme described in Section 6: window
 // functions are clustered into a minimum number of Ordering Groups (the
@@ -21,30 +18,18 @@ import (
 func ORCL(ws []WF, in Props, opt Options) (*Plan, error) {
 	plan := &Plan{Scheme: "ORCL"}
 	props := in
-	csets := PartitionCoverSets(ws)
-	for _, cs := range csets {
-		matchedAll := true
-		for _, m := range cs.Members {
-			if !props.Matches(m) {
-				matchedAll = false
-				break
-			}
+	for _, cs := range PartitionCoverSets(ws) {
+		var err error
+		switch {
+		case props.MatchesAll(cs.Members):
+			err = plan.appendMatched(cs.Members, props)
+		case cs.Gamma == nil:
+			err = fmt.Errorf("core: ORCL cover set led by %s has no covering permutation", cs.Covering)
+		default:
+			err = plan.appendCoverSet(cs, ReorderFS, &props, cs.Gamma, 0)
 		}
-		if matchedAll {
-			for _, m := range cs.Members {
-				plan.Steps = append(plan.Steps, Step{WF: m, Reorder: ReorderNone, In: props, Out: props})
-			}
-			continue
-		}
-		gamma := cs.Gamma
-		if gamma == nil {
-			return nil, fmt.Errorf("core: ORCL cover set led by %s has no covering permutation", cs.Covering)
-		}
-		out := TotallyOrdered(gamma)
-		plan.Steps = append(plan.Steps, Step{WF: cs.Covering, Reorder: ReorderFS, SortKey: gamma, In: props, Out: out})
-		props = out
-		for _, m := range cs.Members[1:] {
-			plan.Steps = append(plan.Steps, Step{WF: m, Reorder: ReorderNone, In: props, Out: props})
+		if err != nil {
+			return nil, err
 		}
 	}
 	if err := plan.Validate(ws, in); err != nil {
@@ -66,21 +51,18 @@ func ORCL(ws []WF, in Props, opt Options) (*Plan, error) {
 func PSQL(ws []WF, in Props) (*Plan, error) {
 	plan := &Plan{Scheme: "PSQL"}
 	props := in
-	ordered := append([]WF(nil), ws...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].ID < ordered[j].ID })
-	for _, wf := range ordered {
+	for _, wf := range inIDOrder(ws) {
 		key := wf.PKSeqWritten().Concat(wf.OK)
-		matched := props.X.Empty() && props.Y.HasPrefix(key)
-		if wf.PK.Empty() && wf.OK.Empty() {
-			matched = true
+		kind := ReorderFS
+		if (props.X.Empty() && props.Y.HasPrefix(key)) || (wf.PK.Empty() && wf.OK.Empty()) {
+			kind = ReorderNone
 		}
-		if matched {
-			plan.Steps = append(plan.Steps, Step{WF: wf, Reorder: ReorderNone, In: props, Out: props})
-			continue
+		s, err := NewStep(wf, kind, props, key, 0)
+		if err != nil {
+			return nil, err
 		}
-		out := TotallyOrdered(key)
-		plan.Steps = append(plan.Steps, Step{WF: wf, Reorder: ReorderFS, SortKey: key, In: props, Out: out})
-		props = out
+		plan.Steps = append(plan.Steps, s)
+		props = s.Out
 	}
 	if err := plan.Validate(ws, in); err != nil {
 		return nil, fmt.Errorf("core: PSQL produced invalid plan: %w", err)

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 
 	"repro/internal/attrs"
 )
@@ -25,8 +25,7 @@ import (
 // The state space still grows exponentially with the number of window
 // functions, which Table 11's optimization-overhead experiment exercises.
 func BFO(ws []WF, in Props, opt Options) (*Plan, error) {
-	ordered := append([]WF(nil), ws...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].ID < ordered[j].ID })
+	ordered := inIDOrder(ws)
 	if len(ordered) > 20 {
 		return nil, fmt.Errorf("core: BFO limited to 20 window functions, got %d", len(ordered))
 	}
@@ -65,13 +64,29 @@ type bfoSearch struct {
 	memo map[string]bfoResult
 }
 
+// stateKey encodes a search state: the evaluated set and the stream
+// property, each field self-delimiting.
 func stateKey(mask uint32, p Props) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%x|%x|%v|", mask, uint64(p.X), p.Grouped)
+	b := make([]byte, 0, 16+4*len(p.Y))
+	b = binary.AppendUvarint(b, uint64(mask))
+	b = binary.AppendUvarint(b, uint64(p.X))
+	b = append(b, flags(p.Grouped, false))
 	for _, e := range p.Y {
-		fmt.Fprintf(&sb, "%d.%v.%v,", e.Attr, e.Desc, e.NullsFirst)
+		b = binary.AppendVarint(b, int64(e.Attr))
+		b = append(b, flags(e.Desc, e.NullsFirst))
 	}
-	return sb.String()
+	return string(b)
+}
+
+func flags(a, b bool) byte {
+	var f byte
+	if a {
+		f |= 1
+	}
+	if b {
+		f |= 2
+	}
+	return f
 }
 
 func (b *bfoSearch) solve(mask uint32, props Props) (bfoResult, bool) {
@@ -88,12 +103,11 @@ func (b *bfoSearch) solve(mask uint32, props Props) (bfoResult, bool) {
 		if mask&(1<<uint(i)) != 0 {
 			continue
 		}
-		if props.Matches(wf) {
+		if s, refused := newStep(wf, ReorderNone, props, nil, 0); refused == "" {
 			sub, ok := b.solve(mask|1<<uint(i), props)
 			var res bfoResult
 			if ok {
-				steps := append([]Step{{WF: wf, Reorder: ReorderNone, In: props, Out: props}}, sub.steps...)
-				res = bfoResult{cost: sub.cost, steps: steps, ok: true}
+				res = bfoResult{cost: sub.cost, steps: append([]Step{s}, sub.steps...), ok: true}
 			}
 			b.memo[key] = res
 			return res, res.ok
@@ -101,15 +115,18 @@ func (b *bfoSearch) solve(mask uint32, props Props) (bfoResult, bool) {
 	}
 
 	best := bfoResult{}
-	consider := func(s Step, next Props) {
-		sub, ok := b.solve(mask|1<<uint(b.index(s.WF)), next)
+	consider := func(i int, kind ReorderKind, sortKey attrs.Seq, hash attrs.Set) {
+		s, refused := newStep(b.ws[i], kind, props, sortKey, hash)
+		if refused != "" {
+			return
+		}
+		sub, ok := b.solve(mask|1<<uint(i), s.Out)
 		if !ok {
 			return
 		}
 		cost := b.opt.Cost.StepCost(s) + sub.cost
 		if !best.ok || cost < best.cost {
-			steps := append([]Step{s}, sub.steps...)
-			best = bfoResult{cost: cost, steps: steps, ok: true}
+			best = bfoResult{cost: cost, steps: append([]Step{s}, sub.steps...), ok: true}
 		}
 	}
 
@@ -117,52 +134,26 @@ func (b *bfoSearch) solve(mask uint32, props Props) (bfoResult, bool) {
 		if mask&(1<<uint(i)) != 0 {
 			continue
 		}
+		subset := b.greedyCoverSubset(mask, wf)
 		// Candidate SS reorderings.
 		if !b.opt.DisableSS {
-			for _, target := range b.ssTargets(mask, wf, props) {
-				alpha, beta := SSDerive(props, target)
-				if props.X.Empty() && alpha.Empty() {
-					continue
-				}
-				out := Props{X: props.X, Y: target, Grouped: props.Grouped}
-				if !out.Matches(wf) {
-					continue
-				}
-				consider(Step{
-					WF: wf, Reorder: ReorderSS, SortKey: target,
-					Alpha: alpha, Beta: beta, In: props, Out: out,
-				}, out)
+			for _, target := range ssTargets(wf, subset, props) {
+				consider(i, ReorderSS, target, 0)
 			}
 		}
 		// Candidate FS and HS reorderings.
-		for _, gamma := range b.heavyKeys(mask, wf, props) {
-			outFS := TotallyOrdered(gamma)
-			if outFS.Matches(wf) {
-				consider(Step{WF: wf, Reorder: ReorderFS, SortKey: gamma, In: props, Out: outFS}, outFS)
-			}
-			if b.opt.DisableHS || !HSReorderable(wf) {
+		for _, gamma := range heavyKeys(wf, subset, props) {
+			consider(i, ReorderFS, gamma, 0)
+			if b.opt.DisableHS {
 				continue
 			}
-			for _, whk := range b.hashKeys(mask, wf, gamma) {
-				outHS := Props{X: whk, Y: gamma}
-				if !outHS.Matches(wf) {
-					continue
-				}
-				consider(Step{WF: wf, Reorder: ReorderHS, SortKey: gamma, HashKey: whk, In: props, Out: outHS}, outHS)
+			for _, whk := range hashKeys(wf, subset) {
+				consider(i, ReorderHS, gamma, whk)
 			}
 		}
 	}
 	b.memo[key] = best
 	return best, best.ok
-}
-
-func (b *bfoSearch) index(wf WF) int {
-	for i := range b.ws {
-		if b.ws[i].ID == wf.ID {
-			return i
-		}
-	}
-	panic("core: BFO step for unknown window function")
 }
 
 // greedyCoverSubset grows the largest jointly-coverable subset of the
@@ -182,15 +173,14 @@ func (b *bfoSearch) greedyCoverSubset(mask uint32, wf WF) []WF {
 
 // ssTargets proposes SS target keys for wf: its own α-maximizing target and
 // the alignment-maximizing covering permutation of its greedy cover subset.
-func (b *bfoSearch) ssTargets(mask uint32, wf WF, props Props) []attrs.Seq {
+func ssTargets(wf WF, subset []WF, props Props) []attrs.Seq {
 	if !SSReorderable(props, wf) {
 		return nil
 	}
 	var out []attrs.Seq
-	if choice, ok := PlanSS(props, wf); ok {
-		out = append(out, choice.Target)
+	if s, ok := PlanSS(props, wf); ok {
+		out = append(out, s.SortKey)
 	}
-	subset := b.greedyCoverSubset(mask, wf)
 	if len(subset) > 1 {
 		if seq, ok := coveringSeqAligned(wf, subset, props.Y); ok {
 			out = appendSeqUnique(out, seq)
@@ -202,25 +192,22 @@ func (b *bfoSearch) ssTargets(mask uint32, wf WF, props Props) []attrs.Seq {
 // heavyKeys proposes FS/HS sort keys for wf: the covering permutation of its
 // greedy cover subset (aligned to the current ordering, and unaligned) and
 // its own written key.
-func (b *bfoSearch) heavyKeys(mask uint32, wf WF, props Props) []attrs.Seq {
+func heavyKeys(wf WF, subset []WF, props Props) []attrs.Seq {
 	var out []attrs.Seq
-	subset := b.greedyCoverSubset(mask, wf)
 	if seq, ok := CoveringSeq(wf, subset, nil); ok {
 		out = appendSeqUnique(out, seq)
 	}
 	if seq, ok := coveringSeqAligned(wf, subset, props.Y); ok {
 		out = appendSeqUnique(out, seq)
 	}
-	out = appendSeqUnique(out, wf.PKSeqWritten().Concat(wf.OK))
-	return out
+	return appendSeqUnique(out, wf.PKSeqWritten().Concat(wf.OK))
 }
 
 // hashKeys proposes HS hash keys: the intersection of the partitioning keys
 // of the greedy cover subset (what keeps followers matched), and wf's own
 // full partitioning key.
-func (b *bfoSearch) hashKeys(mask uint32, wf WF, gamma attrs.Seq) []attrs.Set {
+func hashKeys(wf WF, subset []WF) []attrs.Set {
 	var out []attrs.Set
-	subset := b.greedyCoverSubset(mask, wf)
 	inter := wf.PK
 	for _, m := range subset {
 		inter = inter.Intersect(m.PK)
@@ -235,13 +222,8 @@ func (b *bfoSearch) hashKeys(mask uint32, wf WF, gamma attrs.Seq) []attrs.Set {
 }
 
 func appendSeqUnique(seqs []attrs.Seq, s attrs.Seq) []attrs.Seq {
-	if s == nil {
+	if s == nil || slices.ContainsFunc(seqs, s.Equal) {
 		return seqs
-	}
-	for _, t := range seqs {
-		if t.Equal(s) {
-			return seqs
-		}
 	}
 	return append(seqs, s)
 }

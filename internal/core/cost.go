@@ -8,8 +8,9 @@ import (
 
 // Cost models (Section 3.4). Two layers are provided:
 //
-//  1. The paper's analytical formulas Eq. 1–3 (PaperFSCost, PaperHSCost,
-//     PaperSSCost), kept verbatim for documentation and tests.
+//  1. The paper's analytical formulas Eq. 1–2 (PaperFSCost, PaperHSCost),
+//     kept verbatim for documentation and tests; Eq. 3's unit analysis is
+//     SSCost's own.
 //  2. A runtime-mirroring block-I/O model (FSCost, HSCost, SSCost) that
 //     predicts exactly what this engine's operators will do — replacement
 //     selection runs of ≈2M, materialized intermediate merge passes with a
@@ -145,7 +146,7 @@ func (p CostParams) sortsCmps(sorts int64) float64 {
 // that the average bucket fits the sort budget, at least MinHSBuckets, never
 // more than the key's distinct count or MaxHSBuckets.
 func HSBucketCount(distinct, tableBlocks, memBlocks int64) int64 {
-	n := ceilDiv(tableBlocks, maxi64(memBlocks, 1))
+	n := ceilDiv(tableBlocks, max(memBlocks, 1))
 	if n < MinHSBuckets {
 		n = MinHSBuckets
 	}
@@ -161,13 +162,6 @@ func HSBucketCount(distinct, tableBlocks, memBlocks int64) int64 {
 	return n
 }
 
-func maxi64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // HSCost predicts this engine's Hashed Sort with hash key whk: one
 // partitioning pass whose spilled fraction is written and read back
 // (Eq. 2's 2·B·(1−N′/N) term), plus per-bucket sorts. A small per-tuple
@@ -176,7 +170,7 @@ func (p CostParams) HSCost(whk attrs.Set) float64 {
 	n := p.hsBuckets(whk)
 	bucketBlocks := ceilDiv(p.TableBlocks, n)
 	// Buckets never spilled: those resident when partitioning ends (Eq. 2).
-	nResident := p.MemBlocks * n / maxi64(p.TableBlocks, 1)
+	nResident := p.MemBlocks * n / max(p.TableBlocks, 1)
 	if nResident > n {
 		nResident = n
 	}
@@ -192,20 +186,20 @@ func (p CostParams) hsBuckets(whk attrs.Set) int64 {
 	return HSBucketCount(p.distinct(whk), p.TableBlocks, p.MemBlocks)
 }
 
-// SSCost predicts Segmented Sort per Eq. 3's unit analysis: k segments, u
-// units per segment, each of B/(k·u) blocks, sorted independently. Unit
-// counts follow the paper's uniformity assumptions.
-func (p CostParams) SSCost(in Props, choice SSChoice) float64 {
-	units := p.ssUnits(in, choice)
+// SSCost predicts the Segmented Sort step s per Eq. 3's unit analysis: k
+// segments, u units per segment, each of B/(k·u) blocks, sorted
+// independently. Unit counts follow the paper's uniformity assumptions.
+func (p CostParams) SSCost(s Step) float64 {
+	units := p.ssUnits(s.In, s.Alpha)
 	unitBlocks := ceilDiv(p.TableBlocks, units)
 	io := float64(units) * float64(externalSortIO(unitBlocks, p.MemBlocks, p.mergeOrder()))
 	cmps := p.sortsCmps(units) + SSPerUnitOverhead*float64(units)
 	return io + cmps*CmpBlockEquiv
 }
 
-// ssUnits is the number of units Segmented Sort sorts: k segments of u
-// units each.
-func (p CostParams) ssUnits(in Props, choice SSChoice) int64 {
+// ssUnits is the number of units a Segmented Sort with prefix alpha sorts
+// over a stream with property in: k segments of u units each.
+func (p CostParams) ssUnits(in Props, alpha attrs.Seq) int64 {
 	var k int64 = 1
 	if !in.X.Empty() {
 		k = p.distinct(in.X)
@@ -216,27 +210,20 @@ func (p CostParams) ssUnits(in Props, choice SSChoice) int64 {
 		}
 	}
 	var u int64 = 1
-	if !choice.Alpha.Empty() {
-		alphaAttrs := choice.Alpha.Attrs()
+	if !alpha.Empty() {
+		alphaAttrs := alpha.Attrs()
 		dAlpha := p.distinct(alphaAttrs)
 		perSeg := ceilDiv(p.TableTuples, k)
 		if alphaAttrs.Intersect(in.X).Empty() {
-			u = mini64(perSeg, dAlpha)
+			u = min(perSeg, dAlpha)
 		} else {
-			u = mini64(perSeg, ceilDiv(dAlpha, k))
+			u = min(perSeg, ceilDiv(dAlpha, k))
 		}
 	}
 	if u < 1 {
 		u = 1
 	}
 	return k * u
-}
-
-func mini64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // PaperFSCost is Eq. 1 verbatim: 2·B·(⌈log_F(B/2M)⌉+1).
@@ -260,11 +247,6 @@ func (p CostParams) PaperHSCost(whk attrs.Set) float64 {
 	return 2*b*(1-nPrime/n) + sortCost
 }
 
-// PaperSSCost is Eq. 3 verbatim: the sum of unit sort costs.
-func (p CostParams) PaperSSCost(in Props, choice SSChoice) float64 {
-	return p.SSCost(in, choice) // identical unit analysis, shared here
-}
-
 // StepCost prices one plan step's reordering.
 func (p CostParams) StepCost(s Step) float64 {
 	switch s.Reorder {
@@ -273,7 +255,7 @@ func (p CostParams) StepCost(s Step) float64 {
 	case ReorderHS:
 		return p.HSCost(s.HashKey)
 	case ReorderSS:
-		return p.SSCost(s.In, SSChoice{Target: s.SortKey, Alpha: s.Alpha, Beta: s.Beta})
+		return p.SSCost(s)
 	default:
 		return 0
 	}
@@ -290,7 +272,7 @@ func (p CostParams) StepCmps(s Step) float64 {
 	case ReorderHS:
 		return p.sortsCmps(p.hsBuckets(s.HashKey))
 	case ReorderSS:
-		return p.sortsCmps(p.ssUnits(s.In, SSChoice{Target: s.SortKey, Alpha: s.Alpha, Beta: s.Beta}))
+		return p.sortsCmps(p.ssUnits(s.In, s.Alpha))
 	default:
 		return 0
 	}

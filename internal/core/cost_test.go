@@ -59,11 +59,11 @@ func TestSSCostDominates(t *testing.T) {
 	p := costAt(48)
 	in := core.TotallyOrdered(attrs.AscSeq(6)) // sorted on quantity
 	wf := core.WF{ID: 0, PK: attrs.MakeSet(6), OK: attrs.AscSeq(3)}
-	choice, ok := core.PlanSS(in, wf)
+	step, ok := core.PlanSS(in, wf)
 	if !ok {
 		t.Fatal("not SS-reorderable")
 	}
-	ss := p.SSCost(in, choice)
+	ss := p.SSCost(step)
 	if ss <= 0 {
 		t.Errorf("SS cost should include per-unit overhead, got %.2f", ss)
 	}
@@ -79,8 +79,7 @@ func TestSSCostDominates(t *testing.T) {
 	// memory and its cost collapses to the comparison term — the Fig. 4
 	// dominance.
 	pBig := costAt(96)
-	choiceBig, _ := core.PlanSS(in, wf)
-	ssBig := pBig.SSCost(in, choiceBig)
+	ssBig := pBig.SSCost(step)
 	if ssBig*5 > pBig.FSCost() {
 		t.Errorf("in-memory SS %.0f not ≪ FS %.0f", ssBig, pBig.FSCost())
 	}
@@ -159,13 +158,12 @@ func TestStepCmpsIsTheModelsComparisonTerm(t *testing.T) {
 		t.Errorf("HS: StepCmps %.0f (FS %.0f), HSCost %.4f", got, p.StepCmps(fs), p.HSCost(item))
 	}
 	in := core.TotallyOrdered(attrs.AscSeq(6))
-	choice, ok := core.PlanSS(in, core.WF{ID: 0, PK: attrs.MakeSet(6), OK: attrs.AscSeq(3)})
+	ss, ok := core.PlanSS(in, core.WF{ID: 0, PK: attrs.MakeSet(6), OK: attrs.AscSeq(3)})
 	if !ok {
 		t.Fatal("not SS-reorderable")
 	}
-	ss := core.Step{Reorder: core.ReorderSS, In: in, SortKey: choice.Target, Alpha: choice.Alpha, Beta: choice.Beta}
-	if got := p.StepCmps(ss); got <= 0 || got >= p.StepCmps(fs) || p.SSCost(in, choice) <= got*core.CmpBlockEquiv {
-		t.Errorf("SS: StepCmps %.0f (FS %.0f), SSCost %.4f", got, p.StepCmps(fs), p.SSCost(in, choice))
+	if got := p.StepCmps(ss); got <= 0 || got >= p.StepCmps(fs) || p.SSCost(ss) <= got*core.CmpBlockEquiv {
+		t.Errorf("SS: StepCmps %.0f (FS %.0f), SSCost %.4f", got, p.StepCmps(fs), p.SSCost(ss))
 	}
 	if got := p.StepCmps(core.Step{Reorder: core.ReorderNone}); got != 0 {
 		t.Errorf("no reorder: StepCmps %.0f", got)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/attrs"
@@ -29,50 +30,99 @@ type Options struct {
 //	     first cover set, keyed by a θ(Pi)-prefixed covering permutation)
 //	     plus one SS per remaining cover set (Section 4.5).
 func CSO(ws []WF, in Props, opt Options) (*Plan, error) {
-	plan := &Plan{Scheme: "CSO"}
-	props := in
+	return partitionCSO(ws, in, opt).chain(ws, in, opt, -1)
+}
 
-	var c0, c1, c2 []WF
-	ordered := append([]WF(nil), ws...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].ID < ordered[j].ID })
-	for _, wf := range ordered {
+// csoParts is CSO's partitioning of a function list over its input, made
+// once however many chains are emitted from it: C0's functions, C1's cover
+// sets and C2's prefixable groups, each in evaluation order.
+type csoParts struct {
+	c0     []WF
+	c1     []CoverSet
+	groups []prefixGroup
+}
+
+// prefixGroup is one prefixable subset Pi of C2 as CSO emits it: θ(Pi),
+// the hash key θ′ allows an HS of its leader (Section 4.5.2, strengthened
+// Pi-wide: grouping-compatible with every member, so that later cover sets
+// stay SS-reorderable and their members matched), and its cover sets.
+type prefixGroup struct {
+	theta attrs.Seq
+	hash  attrs.Set
+	csets []CoverSet
+}
+
+// partitionCSO sorts ws into C0, C1 and C2 and solves both partitioning
+// problems of Section 4.
+func partitionCSO(ws []WF, in Props, opt Options) csoParts {
+	var c csoParts
+	var c1, c2 []WF
+	for _, wf := range inIDOrder(ws) {
 		switch {
 		case in.Matches(wf):
-			c0 = append(c0, wf)
+			c.c0 = append(c.c0, wf)
 		case !opt.DisableSS && SSReorderable(in, wf):
 			c1 = append(c1, wf)
 		default:
 			c2 = append(c2, wf)
 		}
 	}
-
-	for _, wf := range c0 {
-		plan.Steps = append(plan.Steps, Step{WF: wf, Reorder: ReorderNone, In: props, Out: props})
-	}
-
-	if len(c1) > 0 {
-		csets := PartitionCoverSets(c1)
+	c.c1 = PartitionCoverSets(c1)
+	sortCoverSets(c.c1)
+	for _, g := range PartitionPrefixable(c2) {
+		theta := Theta(g.Members)
+		csets := PartitionCoverSets(g.Members)
 		sortCoverSets(csets)
-		for _, cs := range csets {
-			if err := emitSSCoverSet(plan, cs, &props); err != nil {
-				return nil, err
-			}
+		c.groups = append(c.groups, prefixGroup{theta: theta, hash: ThetaHashPrefix(theta, g.Members).Attrs(), csets: csets})
+	}
+	return c
+}
+
+// units is the number of units Section 5 may reshuffle: "the Pi's of C2
+// ... or the cover sets of C1 if C2 is empty".
+func (c csoParts) units() int {
+	if len(c.groups) > 0 {
+		return len(c.groups)
+	}
+	return len(c.c1)
+}
+
+// chain emits CSO's chain with unit last (see units) moved to the end; -1
+// moves none.
+func (c csoParts) chain(ws []WF, in Props, opt Options, last int) (*Plan, error) {
+	plan := &Plan{Scheme: "CSO"}
+	props := in
+	if err := plan.appendMatched(c.c0, props); err != nil {
+		return nil, err
+	}
+	csets, groups := c.c1, c.groups
+	if len(groups) > 0 {
+		groups = moveLast(groups, last)
+	} else {
+		csets = moveLast(csets, last)
+	}
+	for _, cs := range csets {
+		if err := emitSSCoverSet(plan, cs, &props); err != nil {
+			return nil, err
 		}
 	}
-
-	if len(c2) > 0 {
-		groups := PartitionPrefixable(c2)
-		for _, g := range groups {
-			if err := emitPrefixGroup(plan, g, &props, opt); err != nil {
-				return nil, err
-			}
+	for _, g := range groups {
+		if err := emitPrefixGroup(plan, g, &props, opt); err != nil {
+			return nil, err
 		}
 	}
-
 	if err := plan.Validate(ws, in); err != nil {
 		return nil, fmt.Errorf("core: CSO produced invalid plan: %w", err)
 	}
 	return plan, nil
+}
+
+// moveLast returns s with element i moved to the end; i < 0 returns s.
+func moveLast[T any](s []T, i int) []T {
+	if i < 0 {
+		return s
+	}
+	return slices.Concat(s[:i], s[i+1:], s[i:i+1])
 }
 
 // sortCoverSets orders cover sets for evaluation: longest covering
@@ -94,11 +144,7 @@ func sortCoverSets(csets []CoverSet) {
 // shares the longest possible literal prefix with y, maximizing the α a
 // Segmented Sort can exploit.
 func coveringSeqAligned(c WF, members []WF, y attrs.Seq) (attrs.Seq, bool) {
-	limit := c.PK.Len() + len(c.OK)
-	if len(y) < limit {
-		limit = len(y)
-	}
-	for k := limit; k >= 0; k-- {
+	for k := min(c.PK.Len()+len(c.OK), len(y)); k >= 0; k-- {
 		if seq, ok := CoveringSeq(c, members, y[:k]); ok {
 			return seq, true
 		}
@@ -110,104 +156,60 @@ func coveringSeqAligned(c WF, members []WF, y attrs.Seq) (attrs.Seq, bool) {
 // on its covering function (Theorem 7), or with no reorder at all when the
 // current stream already matches every member.
 func emitSSCoverSet(plan *Plan, cs CoverSet, props *Props) error {
-	matchedAll := true
-	for _, m := range cs.Members {
-		if !props.Matches(m) {
-			matchedAll = false
-			break
-		}
-	}
-	if matchedAll {
-		for _, m := range cs.Members {
-			plan.Steps = append(plan.Steps, Step{WF: m, Reorder: ReorderNone, In: *props, Out: *props})
-		}
-		return nil
+	if props.MatchesAll(cs.Members) {
+		return plan.appendMatched(cs.Members, *props)
 	}
 	target, ok := coveringSeqAligned(cs.Covering, cs.Members, props.Y)
 	if !ok {
 		return fmt.Errorf("core: no covering permutation for cover set led by %s", cs.Covering)
 	}
-	alpha, beta := SSDerive(*props, target)
-	if props.X.Empty() && alpha.Empty() {
-		return fmt.Errorf("core: segmented sort for %s would degenerate to a full sort", cs.Covering)
-	}
-	out := Props{X: props.X, Y: target, Grouped: props.Grouped}
-	plan.Steps = append(plan.Steps, Step{
-		WF: cs.Covering, Reorder: ReorderSS,
-		SortKey: target, Alpha: alpha, Beta: beta,
-		In: *props, Out: out,
-	})
-	*props = out
-	for _, m := range cs.Members[1:] {
-		plan.Steps = append(plan.Steps, Step{WF: m, Reorder: ReorderNone, In: out, Out: out})
-	}
-	return nil
+	return plan.appendCoverSet(cs, ReorderSS, props, target, 0)
 }
 
 // emitPrefixGroup appends one prefixable subset Pi: its leading cover set is
 // reordered with FS or HS (cost-based, Sections 4.5.1–4.5.2), the remaining
 // cover sets with SS.
-func emitPrefixGroup(plan *Plan, g PrefixGroup, props *Props, opt Options) error {
-	theta := Theta(g.Members)
-	csets := PartitionCoverSets(g.Members)
-	sortCoverSets(csets)
-
-	if opt.DisableSS {
-		// CSO(v2): without Segmented Sort every cover set pays its own
-		// FS/HS (the Section 6.2 ablation variant).
-		for _, cs := range csets {
-			gamma, ok := CoveringSeq(cs.Covering, cs.Members, nil)
-			if !ok {
-				return fmt.Errorf("core: cover set led by %s has no covering permutation", cs.Covering)
-			}
-			whk := ThetaHashPrefix(Theta(cs.Members), cs.Members).Attrs()
-			emitHeavy(plan, cs, gamma, whk.IDs(), props, opt)
-		}
-		return nil
-	}
-
+func emitPrefixGroup(plan *Plan, g prefixGroup, props *Props, opt Options) error {
 	// Choose the leader: the first cover set (by the same preference order)
 	// whose covering permutation admits a non-empty θ prefix — required so
 	// the remaining cover sets stay SS-reorderable (footnote 5). With a
 	// single cover set any leader works.
-	leadIdx := -1
+	lead := -1
 	var leadGamma attrs.Seq
-	for i, cs := range csets {
-		gamma, ok := thetaPrefixedGamma(cs, theta, len(csets) > 1)
-		if ok {
-			leadIdx, leadGamma = i, gamma
-			break
+	if !opt.DisableSS {
+		for i, cs := range g.csets {
+			if gamma, ok := thetaPrefixedGamma(cs, g.theta, len(g.csets) > 1); ok {
+				lead, leadGamma = i, gamma
+				break
+			}
 		}
 	}
-	if leadIdx < 0 {
-		// No cover set can host the θ prefix: give every cover set its own
-		// heavy reorder (correct, if suboptimal).
-		for _, cs := range csets {
+	if lead < 0 {
+		// Without Segmented Sort (CSO(v2), the Section 6.2 ablation), or
+		// with no cover set that can host the θ prefix, every cover set
+		// pays its own FS/HS — the latter FS only (correct, if suboptimal).
+		for _, cs := range g.csets {
 			gamma, ok := CoveringSeq(cs.Covering, cs.Members, nil)
 			if !ok {
 				return fmt.Errorf("core: cover set led by %s has no covering permutation", cs.Covering)
 			}
-			emitHeavy(plan, cs, gamma, nil, props, opt)
+			var whk attrs.Set
+			if opt.DisableSS {
+				whk = ThetaHashPrefix(Theta(cs.Members), cs.Members).Attrs()
+			}
+			if err := emitHeavy(plan, cs, gamma, whk, props, opt); err != nil {
+				return err
+			}
 		}
 		return nil
 	}
-
-	lead := csets[leadIdx]
-	rest := make([]CoverSet, 0, len(csets)-1)
-	rest = append(rest, csets[:leadIdx]...)
-	rest = append(rest, csets[leadIdx+1:]...)
-
-	// HS applicability (Section 4.5.2, strengthened Pi-wide): the hash key
-	// must be grouping-compatible with every member of Pi so that later
-	// cover sets remain SS-reorderable and their members matched.
-	var whk attrs.Set
-	if !opt.DisableHS {
-		thetaPrime := ThetaHashPrefix(theta, g.Members)
-		whk = thetaPrime.Attrs()
+	if err := emitHeavy(plan, g.csets[lead], leadGamma, g.hash, props, opt); err != nil {
+		return err
 	}
-	emitHeavy(plan, lead, leadGamma, whk.IDs(), props, opt)
-
-	for _, cs := range rest {
+	for i, cs := range g.csets {
+		if i == lead {
+			continue
+		}
 		if err := emitSSCoverSet(plan, cs, props); err != nil {
 			return err
 		}
@@ -219,40 +221,24 @@ func emitPrefixGroup(plan *Plan, g PrefixGroup, props *Props, opt Options) error
 // longest workable prefix of θ; when required (other cover sets follow) the
 // prefix must be non-empty.
 func thetaPrefixedGamma(cs CoverSet, theta attrs.Seq, required bool) (attrs.Seq, bool) {
-	for k := len(theta); k >= 0; k-- {
-		if required && k == 0 {
-			return nil, false
-		}
+	shortest := 0
+	if required {
+		shortest = 1
+	}
+	for k := len(theta); k >= shortest; k-- {
 		if gamma, ok := CoveringSeq(cs.Covering, cs.Members, theta[:k]); ok {
 			return gamma, true
 		}
 	}
-	if required {
-		return nil, false
-	}
 	return nil, false
 }
 
-// emitHeavy appends one cover set reordered with FS or HS, choosing
-// cost-based between them when both apply.
-func emitHeavy(plan *Plan, cs CoverSet, gamma attrs.Seq, whkIDs []attrs.ID, props *Props, opt Options) {
-	whk := attrs.MakeSet(whkIDs...)
-	useHS := false
-	if !opt.DisableHS && !whk.Empty() && HSReorderable(cs.Covering) && whk.SubsetOf(cs.Covering.PK) {
-		useHS = opt.Cost.HSCost(whk) < opt.Cost.FSCost()
+// emitHeavy appends one cover set reordered with FS or with HS on whk,
+// choosing cost-based between them when both apply.
+func emitHeavy(plan *Plan, cs CoverSet, gamma attrs.Seq, whk attrs.Set, props *Props, opt Options) error {
+	kind := ReorderFS
+	if !opt.DisableHS && !whk.Empty() && whk.SubsetOf(cs.Covering.PK) && opt.Cost.HSCost(whk) < opt.Cost.FSCost() {
+		kind = ReorderHS
 	}
-	var out Props
-	var step Step
-	if useHS {
-		out = Props{X: whk, Y: gamma}
-		step = Step{WF: cs.Covering, Reorder: ReorderHS, SortKey: gamma, HashKey: whk, In: *props, Out: out}
-	} else {
-		out = TotallyOrdered(gamma)
-		step = Step{WF: cs.Covering, Reorder: ReorderFS, SortKey: gamma, In: *props, Out: out}
-	}
-	plan.Steps = append(plan.Steps, step)
-	*props = out
-	for _, m := range cs.Members[1:] {
-		plan.Steps = append(plan.Steps, Step{WF: m, Reorder: ReorderNone, In: out, Out: out})
-	}
+	return plan.appendCoverSet(cs, kind, props, gamma, whk)
 }

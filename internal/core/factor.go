@@ -53,10 +53,11 @@ func DeriveSuffix(plan *Plan, in Props) (*Plan, bool) {
 	}
 	steps := make([]Step, len(plan.Steps))
 	for i, s := range plan.Steps {
-		if !in.Matches(s.WF) {
+		step, err := NewStep(s.WF, ReorderNone, in, nil, 0)
+		if err != nil {
 			return nil, false
 		}
-		steps[i] = Step{WF: s.WF, Reorder: ReorderNone, In: in, Out: in}
+		steps[i] = step
 	}
 	return &Plan{Scheme: plan.Scheme + "+factored", Steps: steps}, true
 }

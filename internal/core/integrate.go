@@ -30,25 +30,17 @@ func OrderSatisfiedPrefix(p Props, order attrs.Seq) int {
 // the chain whose final ordering satisfies the longest prefix of finalOrder.
 // Under the relation size assumption all candidates cost the same, so the
 // reshuffle is free; ties keep the default chain. An empty finalOrder is
-// just CSO.
+// just CSO. The functions are partitioned once, for every candidate.
 func CSOAligned(ws []WF, in Props, opt Options, finalOrder attrs.Seq) (*Plan, error) {
-	base, err := CSO(ws, in, opt)
-	if err != nil {
-		return nil, err
+	parts := partitionCSO(ws, in, opt)
+	best, err := parts.chain(ws, in, opt, -1)
+	if err != nil || len(finalOrder) == 0 {
+		return best, err
 	}
-	if len(finalOrder) == 0 {
-		return base, nil
-	}
-	best := base
-	bestSat := OrderSatisfiedPrefix(base.FinalProps(in), finalOrder)
-	baseCost := opt.Cost.PlanCost(base)
-	// Candidate chains: move unit u last. Units are re-derived inside
-	// csoWithLastUnit so property evolution stays consistent.
-	for u := 0; ; u++ {
-		plan, more, err := csoWithLastUnit(ws, in, opt, u)
-		if !more {
-			break
-		}
+	bestSat := OrderSatisfiedPrefix(best.FinalProps(in), finalOrder)
+	baseCost := opt.Cost.PlanCost(best)
+	for u := range parts.units() {
+		plan, err := parts.chain(ws, in, opt, u)
 		if err != nil {
 			continue // an ordering that fails validation is just skipped
 		}
@@ -60,90 +52,4 @@ func CSOAligned(ws []WF, in Props, opt Options, finalOrder attrs.Seq) (*Plan, er
 		}
 	}
 	return best, nil
-}
-
-// csoWithLastUnit re-runs the CSO emission with unit index u moved to the
-// end. more is false once u exceeds the number of movable units.
-func csoWithLastUnit(ws []WF, in Props, opt Options, u int) (plan *Plan, more bool, err error) {
-	plan = &Plan{Scheme: "CSO"}
-	props := in
-
-	var c0, c1, c2 []WF
-	ordered := append([]WF(nil), ws...)
-	sortWFsByID(ordered)
-	for _, wf := range ordered {
-		switch {
-		case in.Matches(wf):
-			c0 = append(c0, wf)
-		case !opt.DisableSS && SSReorderable(in, wf):
-			c1 = append(c1, wf)
-		default:
-			c2 = append(c2, wf)
-		}
-	}
-	for _, wf := range c0 {
-		plan.Steps = append(plan.Steps, Step{WF: wf, Reorder: ReorderNone, In: props, Out: props})
-	}
-
-	csets := PartitionCoverSets(c1)
-	sortCoverSets(csets)
-	groups := PartitionPrefixable(c2)
-
-	// Determine the movable unit list: C2 groups, or C1 cover sets when C2
-	// is empty (Section 5 reshuffles "the Pi's of C2 ... or the cover sets
-	// of C1 if C2 is empty").
-	switch {
-	case len(groups) > 0:
-		if u >= len(groups) {
-			return nil, false, nil
-		}
-		rotated := make([]PrefixGroup, 0, len(groups))
-		for i, g := range groups {
-			if i != u {
-				rotated = append(rotated, g)
-			}
-		}
-		rotated = append(rotated, groups[u])
-		for _, cs := range csets {
-			if err := emitSSCoverSet(plan, cs, &props); err != nil {
-				return nil, true, err
-			}
-		}
-		for _, g := range rotated {
-			if err := emitPrefixGroup(plan, g, &props, opt); err != nil {
-				return nil, true, err
-			}
-		}
-	case len(csets) > 0:
-		if u >= len(csets) {
-			return nil, false, nil
-		}
-		rotated := make([]CoverSet, 0, len(csets))
-		for i, cs := range csets {
-			if i != u {
-				rotated = append(rotated, cs)
-			}
-		}
-		rotated = append(rotated, csets[u])
-		for _, cs := range rotated {
-			if err := emitSSCoverSet(plan, cs, &props); err != nil {
-				return nil, true, err
-			}
-		}
-	default:
-		return nil, false, nil
-	}
-
-	if err := plan.Validate(ws, in); err != nil {
-		return nil, true, err
-	}
-	return plan, true, nil
-}
-
-func sortWFsByID(ws []WF) {
-	for i := 1; i < len(ws); i++ {
-		for j := i; j > 0 && ws[j].ID < ws[j-1].ID; j-- {
-			ws[j], ws[j-1] = ws[j-1], ws[j]
-		}
-	}
 }

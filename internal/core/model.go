@@ -125,8 +125,12 @@ func (p Props) Matches(wf WF) bool {
 	if !p.X.SubsetOf(wf.PK) {
 		return false
 	}
-	y, pk := p.effective(p.Y), p.effective(wf.PK.AscSeq())
-	return len(y) >= len(pk) && y[:len(pk)].Attrs() == pk.Attrs() && y[len(pk):].HasPrefix(p.effective(wf.OK))
+	pk := wf.PK
+	if p.Grouped {
+		pk = pk.Minus(p.X)
+	}
+	y, n := p.effective(p.Y), pk.Len()
+	return len(y) >= n && y[:n].Attrs() == pk && y[n:].HasPrefix(p.effective(wf.OK))
 }
 
 // MatchesAll reports whether p matches every function in ws (Definition 2's
@@ -139,10 +143,6 @@ func (p Props) MatchesAll(ws []WF) bool {
 	}
 	return true
 }
-
-// HSReorderable reports whether (R, wf) is HS-reorderable: HS requires a
-// non-empty hash key WHK ⊆ WPK, hence WPK ≠ ∅ (Section 3.2).
-func HSReorderable(wf WF) bool { return !wf.PK.Empty() }
 
 // SSReorderable implements Section 3.3's applicability rule: (R_{X,Y}, wf)
 // is SS-reorderable iff either (1) X ≠ ∅ and X ⊆ WPK, or (2) X = ∅ and some
@@ -161,33 +161,18 @@ func SSReorderable(p Props, wf WF) bool {
 	return len(wf.OK) > 0 && wf.OK[0] == p.Y[0]
 }
 
-// SSChoice is the outcome of planning a Segmented Sort: the chosen target
-// key →WPK ∘ WOK, the α prefix shared with the input ordering (possibly
-// empty), and the resulting output property.
-type SSChoice struct {
-	Target attrs.Seq // →WPK ∘ WOK; the sort goal inside each segment
-	Alpha  attrs.Seq // prefix of the segment ordering exploited by SS
-	Beta   attrs.Seq // suffix each α-group is sorted on (Target minus α, grouped-adjusted)
-	Out    Props
-}
-
-// PlanSS chooses the Segmented Sort reordering of a stream with property p
-// to match wf, maximizing |α| as Section 3.3 prescribes (footnote 2:
-// maximizing the number of attributes in α minimizes the units to sort).
-// The target is the permutation of wf sharing the longest prefix with Y,
-// its WPK slots taking Y's elements in any direction, as CSO chooses one.
-// It returns false when (p, wf) is not SS-reorderable.
-func PlanSS(p Props, wf WF) (SSChoice, bool) {
-	if !SSReorderable(p, wf) {
-		return SSChoice{}, false
-	}
+// PlanSS plans the Segmented Sort of a stream with property p that matches
+// wf, maximizing |α| as Section 3.3 prescribes (footnote 2: maximizing the
+// number of attributes in α minimizes the units to sort). The target is the
+// permutation of wf sharing the longest prefix with Y, its WPK slots taking
+// Y's elements in any direction, as CSO chooses one. It returns false when
+// (p, wf) is not SS-reorderable or the target would degenerate to a full
+// sort (NewStep).
+func PlanSS(p Props, wf WF) (Step, bool) {
 	target, ok := coveringSeqAligned(wf, []WF{wf}, p.Y)
 	if !ok {
-		return SSChoice{}, false
+		return Step{}, false
 	}
-	alpha, beta := SSDerive(p, target)
-	if p.X.Empty() && alpha.Empty() {
-		return SSChoice{}, false // rule (2): this target would degenerate to FS
-	}
-	return SSChoice{Target: target, Alpha: alpha, Beta: beta, Out: Props{X: p.X, Y: target, Grouped: p.Grouped}}, true
+	s, err := NewStep(wf, ReorderSS, p, target, 0)
+	return s, err == nil
 }

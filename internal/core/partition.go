@@ -60,8 +60,7 @@ func orderCoverSet(covering WF, members []WF) CoverSet {
 // joint covering test) is largest. Ties prefer the lower covering ID
 // (SELECT-clause order). The result is returned in selection order.
 func PartitionCoverSets(ws []WF) []CoverSet {
-	remaining := append([]WF(nil), ws...)
-	sort.Slice(remaining, func(i, j int) bool { return remaining[i].ID < remaining[j].ID })
+	remaining := inIDOrder(ws)
 	var out []CoverSet
 	for len(remaining) > 0 {
 		var (

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"strings"
+	"slices"
 
 	"repro/internal/attrs"
 )
@@ -58,6 +59,97 @@ type Step struct {
 	In, Out Props
 }
 
+// NewStep builds a step — the one place one is built: a reorder of the
+// given kind over a stream with property in, followed by the evaluation of
+// wf. key is the reorder's target ordering and hash the HS hash key; a kind
+// without one ignores it. The step records what its reorder leaves behind
+// (Sections 3.1–3.3): FS a stream totally ordered on key; HS one segmented
+// on hash and ordered on key inside each segment; SS the input's segments,
+// each α-group sorted on β (the split SSDerive takes toward key); no
+// reorder, the input as it is. NewStep fails when the reorder does not
+// apply — an FS without a key, an HS whose hash key is empty or not within
+// WPK (Section 3.2), an SS the input is not SS-reorderable for or that
+// would degenerate to a full sort (X = ∅ and α = ε), an unknown kind — and
+// when what it leaves does not match wf (Theorem 1).
+func NewStep(wf WF, kind ReorderKind, in Props, key attrs.Seq, hash attrs.Set) (Step, error) {
+	s, refused := newStep(wf, kind, in, key, hash)
+	if refused != "" {
+		return Step{}, fmt.Errorf("core: %s for wf%d toward %s (hash key %s) over %s: %s", kind, wf.ID, key, hash, in, refused)
+	}
+	return s, nil
+}
+
+// newStep is NewStep with its refusal as a constant reason, "" for none:
+// a search that tries many steps and reads no message (BFO) formats none.
+func newStep(wf WF, kind ReorderKind, in Props, key attrs.Seq, hash attrs.Set) (Step, string) {
+	s := Step{WF: wf, Reorder: kind, In: in}
+	switch kind {
+	case ReorderNone:
+		s.Out = in
+	case ReorderFS:
+		if len(key) == 0 && !(wf.PK.Empty() && wf.OK.Empty()) {
+			return Step{}, "FS without sort key"
+		}
+		s.SortKey, s.Out = key, TotallyOrdered(key)
+	case ReorderHS:
+		if hash.Empty() {
+			return Step{}, "HS without hash key"
+		}
+		if !hash.SubsetOf(wf.PK) {
+			return Step{}, "HS hash key ⊄ WPK"
+		}
+		s.SortKey, s.HashKey, s.Out = key, hash, Props{X: hash, Y: key}
+	case ReorderSS:
+		if !SSReorderable(in, wf) {
+			return Step{}, "SS not applicable"
+		}
+		s.Alpha, s.Beta = SSDerive(in, key)
+		if in.X.Empty() && s.Alpha.Empty() {
+			return Step{}, "SS would degenerate to a full sort (X = ∅, α = ε)"
+		}
+		s.SortKey, s.Out = key, Props{X: in.X, Y: key, Grouped: in.Grouped}
+	default:
+		return Step{}, "unknown reorder"
+	}
+	if !s.Out.Matches(wf) {
+		return Step{}, "leaves the function unmatched"
+	}
+	return s, ""
+}
+
+// appendMatched appends one reorder-free step per function of ws, over a
+// stream with property props that must match them all.
+func (p *Plan) appendMatched(ws []WF, props Props) error {
+	for _, wf := range ws {
+		s, err := NewStep(wf, ReorderNone, props, nil, 0)
+		if err != nil {
+			return err
+		}
+		p.Steps = append(p.Steps, s)
+	}
+	return nil
+}
+
+// appendCoverSet appends a cover set (Theorem 7): its covering function
+// reordered by kind toward key (hashed on hash for HS), then every other
+// member evaluated on what that reorder leaves, which becomes *props.
+func (p *Plan) appendCoverSet(cs CoverSet, kind ReorderKind, props *Props, key attrs.Seq, hash attrs.Set) error {
+	s, err := NewStep(cs.Covering, kind, *props, key, hash)
+	if err != nil {
+		return err
+	}
+	p.Steps = append(p.Steps, s)
+	*props = s.Out
+	return p.appendMatched(cs.Members[1:], s.Out)
+}
+
+// inIDOrder returns a copy of ws in ascending ID (SELECT-clause) order.
+func inIDOrder(ws []WF) []WF {
+	out := slices.Clone(ws)
+	slices.SortStableFunc(out, func(a, b WF) int { return cmp.Compare(a.ID, b.ID) })
+	return out
+}
+
 // Plan is a window-function chain (Section 4.1's sequential evaluation
 // model) produced by one of the optimization schemes.
 type Plan struct {
@@ -67,35 +159,24 @@ type Plan struct {
 
 // String renders the chain in the paper's Table 4/6/8/10 notation, e.g.
 // "ws --HS--> wf1 -> wf2 --SS--> wf5".
-func (p *Plan) String() string {
-	var b strings.Builder
-	b.WriteString("ws")
-	for _, s := range p.Steps {
-		switch s.Reorder {
-		case ReorderNone:
-			fmt.Fprintf(&b, " -> wf%d", s.WF.ID)
-		default:
-			fmt.Fprintf(&b, " --%s--> wf%d", s.Reorder, s.WF.ID)
-		}
-	}
-	return b.String()
-}
+func (p *Plan) String() string { return p.render(0) }
 
 // PaperString renders the chain with the paper's 1-based function labels
 // (wf IDs are 0-based SELECT positions internally), for comparison against
 // Tables 4, 6, 8 and 10.
-func (p *Plan) PaperString() string {
-	var b strings.Builder
-	b.WriteString("ws")
+func (p *Plan) PaperString() string { return p.render(1) }
+
+// render renders the chain with each function labelled by its ID + base.
+func (p *Plan) render(base int) string {
+	b := []byte("ws")
 	for _, s := range p.Steps {
-		switch s.Reorder {
-		case ReorderNone:
-			fmt.Fprintf(&b, " -> wf%d", s.WF.ID+1)
-		default:
-			fmt.Fprintf(&b, " --%s--> wf%d", s.Reorder, s.WF.ID+1)
+		if s.Reorder == ReorderNone {
+			b = fmt.Appendf(b, " -> wf%d", s.WF.ID+base)
+		} else {
+			b = fmt.Appendf(b, " --%s--> wf%d", s.Reorder, s.WF.ID+base)
 		}
 	}
-	return b.String()
+	return string(b)
 }
 
 // ReorderCounts tallies the chain's reorder operators.
@@ -113,13 +194,13 @@ func (p *Plan) ReorderCounts() (fs, hs, ss int) {
 	return
 }
 
-// Validate replays the physical properties along the chain and checks that
-// every window function is matched at its evaluation point, that every wf
-// appears exactly once and is ws's own, that each reorder is known and
-// applicable, and that every step's recorded In, Out and SS split are the
-// replay's. This is the machine-checked form of Theorems 1, 4 and 7 for a
-// concrete plan, and all a shard node needs to trust a coordinator's plan
-// over its own window functions.
+// Validate replays the physical properties along the chain through NewStep
+// and checks that every window function is matched at its evaluation
+// point, that every wf appears exactly once and is ws's own, that each
+// reorder is known and applicable, and that every step's recorded In, Out
+// and SS split are the replay's. This is the machine-checked form of
+// Theorems 1, 4 and 7 for a concrete plan, and all a shard node needs to
+// trust a coordinator's plan over its own window functions.
 func (p *Plan) Validate(ws []WF, in Props) error {
 	if len(p.Steps) != len(ws) {
 		return fmt.Errorf("core: plan has %d steps for %d window functions", len(p.Steps), len(ws))
@@ -145,55 +226,53 @@ func (p *Plan) Validate(ws []WF, in Props) error {
 		if !s.In.equal(props) {
 			return fmt.Errorf("core: step %d input %s is not the replay's %s", i, s.In, props)
 		}
-		switch s.Reorder {
-		case ReorderNone:
-			// no property change
-		case ReorderFS:
-			if len(s.SortKey) == 0 && !(wf.PK.Empty() && wf.OK.Empty()) {
-				return fmt.Errorf("core: step %d FS without sort key", i)
-			}
-			props = TotallyOrdered(s.SortKey)
-		case ReorderHS:
-			if s.HashKey.Empty() {
-				return fmt.Errorf("core: step %d HS without hash key", i)
-			}
-			if !s.HashKey.SubsetOf(wf.PK) {
-				return fmt.Errorf("core: step %d HS hash key %s ⊄ WPK %s", i, s.HashKey, wf.PK)
-			}
-			props = Props{X: s.HashKey, Y: s.SortKey}
-		case ReorderSS:
-			if !SSReorderable(props, wf) {
-				return fmt.Errorf("core: step %d SS not applicable on %s for %s", i, props, wf)
-			}
-			if alpha, beta := SSDerive(props, s.SortKey); !alpha.Equal(s.Alpha) || !beta.Equal(s.Beta) {
-				return fmt.Errorf("core: step %d SS split %s|%s is not the replay's %s|%s", i, s.Alpha, s.Beta, alpha, beta)
-			}
-			props = Props{X: props.X, Y: s.SortKey, Grouped: props.Grouped}
-		default:
-			return fmt.Errorf("core: step %d has unknown reorder %s", i, s.Reorder)
+		replay, err := NewStep(wf, s.Reorder, props, s.SortKey, s.HashKey)
+		if err != nil {
+			return fmt.Errorf("%w (step %d of %s)", err, i, p)
 		}
-		if !s.Out.equal(props) {
-			return fmt.Errorf("core: step %d output %s is not the replay's %s", i, s.Out, props)
+		if s.Reorder == ReorderSS && (!s.Alpha.Equal(replay.Alpha) || !s.Beta.Equal(replay.Beta)) {
+			return fmt.Errorf("core: step %d SS split %s|%s is not the replay's %s|%s", i, s.Alpha, s.Beta, replay.Alpha, replay.Beta)
 		}
-		if !props.Matches(wf) {
-			return fmt.Errorf("core: step %d leaves wf%d unmatched by %s (plan %s)", i, wf.ID, props, p)
+		if !s.Out.equal(replay.Out) {
+			return fmt.Errorf("core: step %d output %s is not the replay's %s", i, s.Out, replay.Out)
 		}
+		props = replay.Out
 	}
 	return nil
 }
 
-// FinalProps replays the chain and returns the output stream property.
+// FinalProps replays the chain through NewStep and returns the output
+// stream property. A step NewStep refuses, which Validate reports, leaves
+// the property as it was.
 func (p *Plan) FinalProps(in Props) Props {
 	props := in
 	for _, s := range p.Steps {
-		switch s.Reorder {
-		case ReorderFS:
-			props = TotallyOrdered(s.SortKey)
-		case ReorderHS:
-			props = Props{X: s.HashKey, Y: s.SortKey}
-		case ReorderSS:
-			props = Props{X: props.X, Y: s.SortKey, Grouped: props.Grouped}
+		if replay, err := NewStep(s.WF, s.Reorder, props, s.SortKey, s.HashKey); err == nil {
+			props = replay.Out
 		}
 	}
 	return props
+}
+
+// Generators map each scheme of Section 6 to its plan generator, in the
+// order the paper's tables list them. order is the statement's final
+// ordering, which only CSO aligns its chain toward (Section 5).
+var Generators = []struct {
+	Scheme string
+	Plan   func(ws []WF, in Props, opt Options, order attrs.Seq) (*Plan, error)
+}{
+	{"BFO", func(ws []WF, in Props, opt Options, _ attrs.Seq) (*Plan, error) { return BFO(ws, in, opt) }},
+	{"CSO", CSOAligned},
+	{"ORCL", func(ws []WF, in Props, opt Options, _ attrs.Seq) (*Plan, error) { return ORCL(ws, in, opt) }},
+	{"PSQL", func(ws []WF, in Props, _ Options, _ attrs.Seq) (*Plan, error) { return PSQL(ws, in) }},
+}
+
+// Generate plans ws with the named scheme's generator.
+func Generate(scheme string, ws []WF, in Props, opt Options, order attrs.Seq) (*Plan, error) {
+	for _, g := range Generators {
+		if g.Scheme == scheme {
+			return g.Plan(ws, in, opt, order)
+		}
+	}
+	return nil, fmt.Errorf("core: unknown scheme %q", scheme)
 }

@@ -204,16 +204,16 @@ func TestTheorem2Planner(t *testing.T) {
 		p := randProps(rng, 4)
 		wf1 := randWF(rng, 0, 4)
 		wf2 := randWF(rng, 1, 4)
-		choice, ok := core.PlanSS(p, wf1)
+		step, ok := core.PlanSS(p, wf1)
 		if !ok {
 			continue
 		}
 		checked++
 		before := core.SSReorderable(p, wf2)
-		after := core.SSReorderable(choice.Out, wf2)
+		after := core.SSReorderable(step.Out, wf2)
 		if before != after {
 			t.Fatalf("SS-reorderability not preserved: %s --SS(wf1=%s)--> %s; wf2=%s before=%v after=%v",
-				p, wf1, choice.Out, wf2, before, after)
+				p, wf1, step.Out, wf2, before, after)
 		}
 	}
 	if checked < 100 {
@@ -226,24 +226,24 @@ func TestTheorem2Planner(t *testing.T) {
 func TestPlanSSOutMatches(t *testing.T) {
 	// A WPK slot takes Y's element in either direction.
 	desc, pk := core.TotallyOrdered(attrs.Seq{{Attr: 0, Desc: true}}), attrs.Set(0).Add(0).Add(1)
-	if choice, ok := core.PlanSS(desc, core.WF{PK: pk}); !ok || len(choice.Alpha) != 1 {
-		t.Fatalf("PlanSS(%s, PK=%s) = %+v, %v; want α = (0 DESC)", desc, pk, choice, ok)
+	if step, ok := core.PlanSS(desc, core.WF{PK: pk}); !ok || len(step.Alpha) != 1 {
+		t.Fatalf("PlanSS(%s, PK=%s) = %+v, %v; want α = (0 DESC)", desc, pk, step, ok)
 	}
 	rng := rand.New(rand.NewSource(19))
 	for i := 0; i < 5000; i++ {
 		p := randProps(rng, 4)
 		wf := randWF(rng, 0, 4)
-		choice, ok := core.PlanSS(p, wf)
+		step, ok := core.PlanSS(p, wf)
 		if ok != core.SSReorderable(p, wf) {
 			t.Fatalf("PlanSS(%s, %s) plans %v, SSReorderable says %v", p, wf, ok, !ok)
 		}
 		if !ok {
 			continue
 		}
-		if !choice.Out.Matches(wf) {
-			t.Fatalf("PlanSS(%s, %s) output %s does not match", p, wf, choice.Out)
+		if !step.Out.Matches(wf) {
+			t.Fatalf("PlanSS(%s, %s) output %s does not match", p, wf, step.Out)
 		}
-		if p.X.Empty() && choice.Alpha.Empty() {
+		if p.X.Empty() && step.Alpha.Empty() {
 			t.Fatalf("PlanSS(%s, %s) degenerated to a full sort", p, wf)
 		}
 	}

@@ -112,30 +112,24 @@ func (c *Cluster) streamSubscribe(ctx context.Context, inner string, qt *cluster
 		return nil, err
 	}
 	req := service.ShardQueryRequest{Mode: string(ModeFull), Stage: service.Stage{SQL: "SUBSCRIBE " + inner}}
-	var (
-		route string
-		n     int
-		open  func(ctx context.Context, i int) (*windowdb.Rows, error)
-	)
+	route, first, n := "scatter", 0, len(c.shards)
 	switch {
 	case !info.sharded:
 		c.replica.Add(1)
-		route, n = "replica", 1
-		node := int(c.rr.Add(1)-1) % len(c.shards)
-		open = func(ctx context.Context, _ int) (*windowdb.Rows, error) {
-			return c.shards[node].QueryStream(ctx, req)
-		}
+		route, first, n = "replica", int(c.rr.Add(1)-1)%len(c.shards), 1
 	case prep.ShardLocal(info.key):
 		c.scatter.Add(1)
-		route, n = "scatter", len(c.shards)
-		open = func(ctx context.Context, i int) (*windowdb.Rows, error) {
-			return c.shards[i].QueryStream(ctx, req)
-		}
 	default:
 		return nil, fmt.Errorf("%w: SUBSCRIBE on %q needs a shard-local chain (common partition key covering the shard key %v)",
 			sql.ErrBind, prep.Table(), info.keyCols)
 	}
-	streams, streamCancel, err := c.openStreams(ctx, n, open)
+	// A subscription holds its nodes' tokens for its lifetime.
+	if err := c.admit(ctx, qt, first, n); err != nil {
+		return nil, err
+	}
+	streams, streamCancel, err := c.openStreams(ctx, n, func(ctx context.Context, i int) (*windowdb.Rows, error) {
+		return c.shards[first+i].QueryStream(ctx, req)
+	})
 	if err != nil {
 		return nil, err
 	}

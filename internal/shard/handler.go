@@ -36,6 +36,9 @@ type ClusterStats struct {
 	// statements currently inside QueryContext (GET /debug/queries lists
 	// them).
 	LiveQueries int `json:"live_queries"`
+	// NodeTokens is the node tokens statements hold at the coordinator
+	// (one per node slot a statement may use).
+	NodeTokens int `json:"node_tokens"`
 
 	// Aggregates across the shard snapshots below.
 	ShardQueries uint64 `json:"shard_queries"`
@@ -53,12 +56,15 @@ type ClusterStats struct {
 }
 
 // Held names what statements in flight hold across the cluster — the
-// coordinator's registry entries and each node's Snapshot.Held — and is ""
-// when nothing is held.
+// coordinator's registry entries and node tokens and each node's
+// Snapshot.Held — and is "" when nothing is held.
 func (s *ClusterStats) Held() string {
 	var held []string
 	if s.LiveQueries != 0 {
 		held = append(held, fmt.Sprintf("coordinator: %d registry entries", s.LiveQueries))
+	}
+	if s.NodeTokens != 0 {
+		held = append(held, fmt.Sprintf("coordinator: %d node tokens", s.NodeTokens))
 	}
 	for i, snap := range s.ShardStats {
 		if h := snap.Held(); h != "" {
@@ -89,6 +95,7 @@ func (c *Cluster) Stats(ctx context.Context) (*ClusterStats, error) {
 		Appends:      c.appends.Load(),
 		RowsAppended: c.rowsAppended.Load(),
 		LiveQueries:  c.Registry().Len(),
+		NodeTokens:   c.tokensHeld(),
 		CoordCache:   c.front.CacheStats(),
 		ShardStats:   snaps,
 	}

@@ -163,6 +163,9 @@ func (c *Cluster) emitStreams(ctx context.Context, route string, prep *sql.Prepa
 func (c *Cluster) streamReplica(ctx context.Context, src string, prep *sql.Prepared, qt *clusterTrace) (*windowdb.Rows, error) {
 	c.replica.Add(1)
 	node := int(c.rr.Add(1)-1) % len(c.shards)
+	if err := c.admit(ctx, qt, node, 1); err != nil {
+		return nil, err
+	}
 	req := service.ShardQueryRequest{Mode: string(ModeFull), Stage: service.Stage{SQL: src}}
 	streams, streamCancel, err := c.openStreams(ctx, 1, func(ctx context.Context, _ int) (*windowdb.Rows, error) {
 		return c.shards[node].QueryStream(ctx, req)
@@ -194,6 +197,9 @@ func (c *Cluster) streamReplica(ctx context.Context, src string, prep *sql.Prepa
 // peers (eachShard) and drops every node's buffered shuffle state before
 // surfacing the error.
 func (c *Cluster) streamShuffle(ctx context.Context, src string, prep *sql.Prepared, info *tableInfo, qt *clusterTrace) (*windowdb.Rows, error) {
+	if err := c.admit(ctx, qt, 0, len(c.shards)); err != nil {
+		return nil, err
+	}
 	n := len(c.shards)
 	plan := prep.Plan()
 	var segs []exec.Segment

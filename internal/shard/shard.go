@@ -132,6 +132,8 @@ type Cluster struct {
 	// (math.Float64bits-packed), feeding the windowdb_shuffle_round_imbalance
 	// gauge.
 	imbalance atomic.Uint64
+
+	nodes nodeTokens // admits a statement on all its nodes at once
 }
 
 // tableInfo records how a table is distributed.
@@ -171,6 +173,7 @@ func New(cfg Config, shards []Transport) (*Cluster, error) {
 		tables:       make(map[string]*tableInfo),
 		shuffleNonce: shuffleNonce(),
 		peerAddrs:    addrs,
+		nodes:        nodeTokens{tokens: make([]chan struct{}, len(shards))},
 	}
 	c.front = service.NewFront(c.coord, "coordinator", cfg.FrontConfig)
 	c.queries, c.failures, c.aborted = &c.front.Queries, &c.front.Failures, &c.front.Aborted
@@ -373,7 +376,13 @@ func (c *Cluster) QueryContext(ctx context.Context, src string) (*windowdb.Rows,
 	// rounds — carries its trace ID to the nodes, and its kill switch
 	// (DELETE /debug/queries/{id}) and timeout cancel every one.
 	ctx, st := c.front.Begin(ctx, src)
-	qt := &clusterTrace{Statement: st}
+	qt := &clusterTrace{Statement: st, release: func() {}}
+	handoff := false
+	defer func() {
+		if !handoff { // a failed or panicking statement's node tokens
+			qt.release()
+		}
+	}()
 	rows, err := c.streamQuery(ctx, qt)
 	if err != nil {
 		var root *trace.Span
@@ -387,6 +396,7 @@ func (c *Cluster) QueryContext(ctx context.Context, src string) (*windowdb.Rows,
 		}
 		return nil, qt.Fail(err, root)
 	}
+	handoff = true
 	return rows, nil
 }
 
@@ -398,10 +408,12 @@ func (c *Cluster) PrepareContext(ctx context.Context, src string) (windowdb.Stmt
 }
 
 // clusterTrace is a statement of the coordinator's Front plus the spans
-// collected before its final streams open (the shuffle route's rounds).
+// collected before its final streams open (the shuffle route's rounds) and
+// the release of the node tokens it took (admit), which its end calls.
 type clusterTrace struct {
 	service.Statement
-	rounds []*trace.Span
+	rounds  []*trace.Span
+	release func()
 }
 
 // finish ends a statement served as a cursor, whichever source streamed
@@ -410,6 +422,7 @@ type clusterTrace struct {
 // none), which that tree takes in and replaces. nodes are the drained node
 // streams' metrics in shard-index order.
 func (c *Cluster) finish(qt *clusterTrace, meta *windowdb.QueryMetrics, end windowdb.Ending, nodes []*windowdb.QueryMetrics, closeIsServed bool) {
+	qt.release()
 	meta.Trace = c.traceRoot(qt, meta, end.Rows, nodes)
 	qt.End(end, closeIsServed, meta.Trace)
 }

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"time"
@@ -147,6 +148,11 @@ func (r *Runner) prepare(q *Query, src string) (*Prepared, error) {
 		scheme: r.Scheme,
 		cfg:    r.Exec,
 	}
+	// The executor estimates distinct counts with the entry's statistics
+	// unless the runner brought an estimator of its own.
+	if p.cfg.Distinct == nil {
+		p.cfg.Distinct = entry.Estimator()
+	}
 
 	if q.Where != nil {
 		if err := checkPredicate(q.Where, schema); err != nil {
@@ -197,24 +203,14 @@ func (r *Runner) prepare(q *Query, src string) (*Prepared, error) {
 			DisableHS: r.DisableHS,
 			DisableSS: r.DisableSS,
 		}
-		switch r.Scheme {
-		case SchemeBFO:
-			plan, err = core.BFO(ws, core.Unordered(), opt)
-		case SchemeORCL:
-			plan, err = core.ORCL(ws, core.Unordered(), opt)
-		case SchemePSQL:
-			plan, err = core.PSQL(ws, core.Unordered())
-		case SchemeCSO, "":
-			plan, err = core.CSOAligned(ws, core.Unordered(), opt, p.alignOrder)
-			// Alignment toward the ORDER BY cannot pay off when the parallel
-			// path will concatenate partitions (the output loses the chain's
-			// nominal order and is fully sorted anyway); take CSO's cheapest
-			// unaligned chain instead of paying for a dead alignment.
-			if err == nil && len(p.alignOrder) > 0 && r.Exec.Parallelism > 1 && exec.Concatenates(plan) {
-				plan, err = core.CSO(ws, core.Unordered(), opt)
-			}
-		default:
-			return nil, fmt.Errorf("sql: unknown scheme %q", r.Scheme)
+		scheme := cmp.Or(r.Scheme, SchemeCSO)
+		plan, err = core.Generate(string(scheme), ws, core.Unordered(), opt, p.alignOrder)
+		// Alignment toward the ORDER BY cannot pay off when the parallel
+		// path will concatenate partitions (the output loses the chain's
+		// nominal order and is fully sorted anyway); take CSO's cheapest
+		// unaligned chain instead of paying for a dead alignment.
+		if err == nil && scheme == SchemeCSO && len(p.alignOrder) > 0 && r.Exec.Parallelism > 1 && exec.Concatenates(plan) {
+			plan, err = core.CSO(ws, core.Unordered(), opt)
 		}
 		if err != nil {
 			return nil, err
@@ -443,18 +439,14 @@ func (p *Prepared) runPlan(ctx context.Context, chain *exec.Chain, in *storage.T
 	if chain == nil {
 		chain = exec.NewChain(in.Schema, plan)
 	}
-	cfg := p.cfg
-	if cfg.Distinct == nil {
-		cfg.Distinct = p.entry.Distinct
-	}
-	metrics, err := chain.Run(ctx, in, p.specs, cfg)
+	metrics, err := chain.Run(ctx, in, p.specs, p.cfg)
 	if err != nil {
 		return nil, nil, 0, err
 	}
 	p.estimate(metrics.Steps, plan.Steps)
 	par := 1
 	if metrics.PartitionedSteps > 0 {
-		par = cfg.Parallelism
+		par = p.cfg.Parallelism
 	}
 	return chain, metrics, par, nil
 }

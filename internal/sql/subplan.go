@@ -119,9 +119,6 @@ func (p *Prepared) RunSubplan(ctx context.Context) (*SharedSegment, error) {
 	}
 	cfg := p.cfg
 	cfg.Parallelism = 1
-	if cfg.Distinct == nil {
-		cfg.Distinct = p.entry.Distinct
-	}
 	seg, metrics, err := exec.ReorderTable(ctx, wt, p.plan.Steps[0], cfg)
 	if err != nil {
 		return nil, err
@@ -145,9 +142,6 @@ func (p *Prepared) runSuffix(ctx context.Context, seg *SharedSegment, chargeScan
 	}
 	cfg := p.cfg
 	cfg.Parallelism = 1
-	if cfg.Distinct == nil {
-		cfg.Distinct = p.entry.Distinct
-	}
 	out, metrics, err := exec.RunChain(ctx, seg.Table, p.specs, suffix, cfg)
 	if err != nil {
 		return nil, err

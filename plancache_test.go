@@ -51,7 +51,7 @@ func TestWarmSpillingQueryAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
 	}
-	const budget = 50
+	const budget = 48
 	eng := New(Config{SortMemBytes: 48 << 10, BlockSize: 4096, Parallelism: 1})
 	eng.Register("web_sales", datagen.WebSales(datagen.WebSalesConfig{Rows: 4000, Seed: 3}))
 	ctx := context.Background()

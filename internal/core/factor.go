@@ -53,8 +53,8 @@ func DeriveSuffix(plan *Plan, in Props) (*Plan, bool) {
 	}
 	steps := make([]Step, len(plan.Steps))
 	for i, s := range plan.Steps {
-		step, err := NewStep(s.WF, ReorderNone, in, nil, 0)
-		if err != nil {
+		step, refused := newStep(s.WF, ReorderNone, in, nil, 0)
+		if refused != "" {
 			return nil, false
 		}
 		steps[i] = step

@@ -173,6 +173,6 @@ func PlanSS(p Props, wf WF) (Step, bool) {
 	if !ok {
 		return Step{}, false
 	}
-	s, err := NewStep(wf, ReorderSS, p, target, 0)
-	return s, err == nil
+	s, refused := newStep(wf, ReorderSS, p, target, 0)
+	return s, refused == ""
 }

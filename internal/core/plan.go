@@ -79,8 +79,9 @@ func NewStep(wf WF, kind ReorderKind, in Props, key attrs.Seq, hash attrs.Set) (
 	return s, nil
 }
 
-// newStep is NewStep with its refusal as a constant reason, "" for none:
-// a search that tries many steps and reads no message (BFO) formats none.
+// newStep is NewStep with its refusal as a constant reason, "" for none,
+// for callers that only ask whether a step applies (BFO's search tries
+// many): it formats no message.
 func newStep(wf WF, kind ReorderKind, in Props, key attrs.Seq, hash attrs.Set) (Step, string) {
 	s := Step{WF: wf, Reorder: kind, In: in}
 	switch kind {
@@ -247,7 +248,7 @@ func (p *Plan) Validate(ws []WF, in Props) error {
 func (p *Plan) FinalProps(in Props) Props {
 	props := in
 	for _, s := range p.Steps {
-		if replay, err := NewStep(s.WF, s.Reorder, props, s.SortKey, s.HashKey); err == nil {
+		if replay, refused := newStep(s.WF, s.Reorder, props, s.SortKey, s.HashKey); refused == "" {
 			props = replay.Out
 		}
 	}

@@ -11,38 +11,48 @@ import (
 // the HTTP layer maps it to 429. Test with errors.Is.
 var ErrOverloaded = errors.New("service: overloaded, admission queue full")
 
-// governor is the admission controller: a semaphore of unit-memory
+// Governor is the admission controller: a semaphore of unit-memory
 // execution slots plus a bounded wait queue. Each in-flight execution
 // holds one slot, so at most cap(slots) chains run concurrently and each
 // can assume the full unit reorder memory M — N simultaneous queries
 // share the global budget honestly instead of each pretending to own M.
-type governor struct {
+// A cluster coordinator keeps one per node, sized from the node's
+// Snapshot.Slots and Snapshot.MaxQueue.
+type Governor struct {
 	slots    chan struct{}
 	maxQueue int64
 	waiting  atomic.Int64
 }
 
-func newGovernor(slots, maxQueue int) *governor {
+// NewGovernor returns a governor of slots slots (at least one) and at most
+// maxQueue waiters (none when negative).
+func NewGovernor(slots, maxQueue int) *Governor {
 	if slots < 1 {
 		slots = 1
 	}
 	if maxQueue < 0 {
 		maxQueue = 0
 	}
-	return &governor{slots: make(chan struct{}, slots), maxQueue: int64(maxQueue)}
+	return &Governor{slots: make(chan struct{}, slots), maxQueue: int64(maxQueue)}
 }
 
 // Slots returns the concurrent-execution bound.
-func (g *governor) Slots() int { return cap(g.slots) }
+func (g *Governor) Slots() int { return cap(g.slots) }
 
-// queueDepth returns the number of queries currently waiting for a slot.
-func (g *governor) queueDepth() int64 { return g.waiting.Load() }
+// MaxQueue returns the bound on waiters.
+func (g *Governor) MaxQueue() int { return int(g.maxQueue) }
 
-// acquire claims one execution slot, queueing when all are busy. A query
+// QueueDepth returns the number of queries currently waiting for a slot.
+func (g *Governor) QueueDepth() int64 { return g.waiting.Load() }
+
+// Held returns the number of slots claimed now.
+func (g *Governor) Held() int { return len(g.slots) }
+
+// Acquire claims one execution slot, queueing when all are busy. A query
 // that cannot even enter the queue (maxQueue waiters already) fails fast
 // with ErrOverloaded; a queued query that is cancelled or times out
 // returns ctx.Err(). queued reports whether the query waited.
-func (g *governor) acquire(ctx context.Context) (queued bool, err error) {
+func (g *Governor) Acquire(ctx context.Context) (queued bool, err error) {
 	select {
 	case g.slots <- struct{}{}:
 		return false, nil
@@ -64,5 +74,5 @@ func (g *governor) acquire(ctx context.Context) (queued bool, err error) {
 	}
 }
 
-// release returns a slot claimed by acquire.
-func (g *governor) release() { <-g.slots }
+// Release returns a slot claimed by Acquire.
+func (g *Governor) Release() { <-g.slots }

@@ -157,6 +157,7 @@ type Snapshot struct {
 	InFlight    int64 `json:"in_flight"`
 	MaxInFlight int64 `json:"max_in_flight"`
 	Slots       int   `json:"slots"`
+	MaxQueue    int   `json:"max_queue"` // bound on QueueDepth
 	QueueDepth  int64 `json:"queue_depth"`
 	// LiveQueries is the in-flight query registry's size (GET
 	// /debug/queries lists the entries).

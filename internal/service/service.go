@@ -127,7 +127,7 @@ func (c Config) withDefaults(chainMem int) Config {
 type Service struct {
 	*Front
 	cfg      Config
-	gov      *governor
+	gov      *Governor
 	subplans *cache.LRU[*sql.SharedSegment] // nil when Config.DisableSharing
 	metrics  *Metrics
 	inbox    shuffleInbox
@@ -148,12 +148,12 @@ func New(eng *windowdb.Engine, cfg Config) *Service {
 	s := &Service{
 		Front:   NewFront(eng, role, cfg.FrontConfig),
 		cfg:     cfg,
-		gov:     newGovernor(cfg.Slots, cfg.MaxQueue),
+		gov:     NewGovernor(cfg.Slots, cfg.MaxQueue),
 		metrics: newMetrics(),
 		inbox:   shuffleInbox{bufs: make(map[string]*shuffleBuf)},
 	}
 	s.release = func() {
-		s.gov.release()
+		s.gov.Release()
 		s.metrics.endExec()
 	}
 	if !cfg.DisableSharing {
@@ -309,7 +309,7 @@ func (s *Service) streamCursor(ctx context.Context, display, src, phase string, 
 func (s *Service) admit(ctx context.Context, live *trace.Live) (time.Duration, func(), error) {
 	live.SetPhase("queued")
 	start := time.Now()
-	if _, err := s.gov.acquire(ctx); err != nil {
+	if _, err := s.gov.Acquire(ctx); err != nil {
 		if errors.Is(err, ErrOverloaded) {
 			s.metrics.rejected.Add(1)
 		}
@@ -337,7 +337,8 @@ func (s *Service) Stats() Snapshot {
 	s.sweepShuffle()
 	snap := s.metrics.snapshot(s.Front)
 	snap.Slots = s.gov.Slots()
-	snap.QueueDepth = s.gov.queueDepth()
+	snap.MaxQueue = s.gov.MaxQueue()
+	snap.QueueDepth = s.gov.QueueDepth()
 	snap.LiveQueries = s.reg.Len()
 	snap.Subscriptions = s.eng.Subscriptions()
 	snap.ShuffleBuffered = s.shuffleBuffered()

@@ -69,47 +69,47 @@ func TestAdmissionBoundsInFlight(t *testing.T) {
 // next query is rejected with ErrOverloaded; releasing the slot admits the
 // waiter.
 func TestGovernorQueueOverflow(t *testing.T) {
-	g := newGovernor(1, 1)
+	g := NewGovernor(1, 1)
 	ctx := context.Background()
-	if queued, err := g.acquire(ctx); err != nil || queued {
+	if queued, err := g.Acquire(ctx); err != nil || queued {
 		t.Fatalf("first acquire: queued=%v err=%v", queued, err)
 	}
 
 	waiterIn := make(chan error, 1)
 	go func() {
-		_, err := g.acquire(ctx)
+		_, err := g.Acquire(ctx)
 		waiterIn <- err
 	}()
 	// The overflow below is only an overflow once the waiter holds the
 	// queue's one place: yield until it does.
-	for g.queueDepth() != 1 {
+	for g.QueueDepth() != 1 {
 		runtime.Gosched()
 	}
 
-	if _, err := g.acquire(ctx); !errors.Is(err, ErrOverloaded) {
+	if _, err := g.Acquire(ctx); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("overflow acquire: err=%v, want ErrOverloaded", err)
 	}
 
-	g.release()
+	g.Release()
 	if err := <-waiterIn; err != nil {
 		t.Fatalf("queued waiter: %v", err)
 	}
-	g.release()
+	g.Release()
 }
 
 // TestGovernorCancelWhileQueued: a queued query honors its deadline.
 func TestGovernorCancelWhileQueued(t *testing.T) {
-	g := newGovernor(1, 8)
-	if _, err := g.acquire(context.Background()); err != nil {
+	g := NewGovernor(1, 8)
+	if _, err := g.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	queued, err := g.acquire(ctx)
+	queued, err := g.Acquire(ctx)
 	if !queued || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("queued=%v err=%v, want queued deadline-exceeded", queued, err)
 	}
-	g.release()
+	g.Release()
 }
 
 // TestServiceOverloaded: with every slot held and no queue, Query fails

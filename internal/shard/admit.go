@@ -2,78 +2,108 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
+
+	"repro/internal/service"
 )
 
-// nodeTokens admits the coordinator's statements on all their nodes or on
+// nodeGates admits the coordinator's statements on all their nodes or on
 // none. A statement holds a slot on each node it runs on until it ends and
 // opens its node streams all at once; admitted by each node alone, more
 // concurrent statements than a node has slots could hold node 0's slots
 // while they wait on node 1's and the other way round, until a deadline.
-// So the coordinator keeps one token per slot a node reports
-// (Snapshot.Slots), and a statement takes its nodes' tokens in shard order
-// before its first fan-out: one order for all, so none waits in a cycle.
-type nodeTokens struct {
-	mu     sync.Mutex
-	tokens []chan struct{} // per shard; nil until the node's slots are read
+// So the coordinator keeps one service.Governor per node, of the slots and
+// the queue bound the node reports (Snapshot.Slots, Snapshot.MaxQueue), and
+// a statement takes its nodes' slots in shard order before its first
+// fan-out: one order for all, so none waits in a cycle. A node whose queue
+// is full refuses the statement with service.ErrOverloaded, as the node
+// itself would.
+type nodeGates struct {
+	mu       sync.Mutex
+	gates    []*service.Governor // per shard; nil until the node's Stats is read
+	rejected atomic.Uint64       // statements refused with ErrOverloaded
 }
 
-// admit takes one token on each of nodes first..first+n-1, in shard order,
-// and keeps their release for the statement's end (clusterTrace.release).
+// admit takes one slot on each of nodes first..first+n-1, in shard order —
+// phase "queued" while it waits — and keeps their release for the
+// statement's end (clusterTrace.release). Every node's bounds are known
+// before the first slot is taken.
 func (c *Cluster) admit(ctx context.Context, qt *clusterTrace, first, n int) error {
-	var held []chan struct{}
-	release := func() {
-		for _, t := range held {
-			<-t
-		}
-	}
-	for i := first; i < first+n; i++ {
-		t, err := c.tokens(ctx, i)
-		if err == nil {
-			select {
-			case t <- struct{}{}:
-				held = append(held, t)
-				continue
-			case <-ctx.Done():
-				err = ctx.Err()
-			}
-		}
-		release()
+	gates, err := c.gates(ctx, first, n)
+	if err != nil {
 		return err
 	}
+	qt.Live().SetPhase("queued")
+	var held []*service.Governor
+	release := func() {
+		for _, g := range held {
+			g.Release()
+		}
+	}
+	for k, g := range gates {
+		if _, err := g.Acquire(ctx); err != nil {
+			release()
+			if errors.Is(err, service.ErrOverloaded) {
+				c.nodes.rejected.Add(1)
+				err = fmt.Errorf("shard %d: %w", first+k, err)
+			}
+			return err
+		}
+		held = append(held, g)
+	}
+	qt.Live().SetPhase("executing")
 	qt.release = sync.OnceFunc(release)
 	return nil
 }
 
-// tokens returns node i's tokens, as many as its Snapshot.Slots, reading
-// them from the node the first time they are asked for.
-func (c *Cluster) tokens(ctx context.Context, i int) (chan struct{}, error) {
+// gates returns the governors of nodes first..first+n-1, reading a node's
+// bounds from its Stats the first time it is asked for.
+func (c *Cluster) gates(ctx context.Context, first, n int) ([]*service.Governor, error) {
+	gates := make([]*service.Governor, n)
 	c.nodes.mu.Lock()
-	t := c.nodes.tokens[i]
+	copy(gates, c.nodes.gates[first:first+n])
 	c.nodes.mu.Unlock()
-	if t != nil {
-		return t, nil
+	for k, g := range gates {
+		if g != nil {
+			continue
+		}
+		snap, err := c.shards[first+k].Stats(ctx)
+		if err != nil {
+			return nil, fmt.Errorf("shard %d: %w", first+k, err)
+		}
+		gates[k] = c.observe(first+k, snap)
 	}
-	snap, err := c.shards[i].Stats(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("shard %d: %w", i, err)
-	}
-	c.nodes.mu.Lock()
-	defer c.nodes.mu.Unlock()
-	if c.nodes.tokens[i] == nil {
-		c.nodes.tokens[i] = make(chan struct{}, max(snap.Slots, 1))
-	}
-	return c.nodes.tokens[i], nil
+	return gates, nil
 }
 
-// tokensHeld counts the node tokens statements hold now.
-func (c *Cluster) tokensHeld() int {
+// observe returns node i's governor, replacing it when the node reports
+// other bounds than it was built with (a node restarted with another
+// configuration). Cluster.Stats calls it for every node it reads. A
+// statement that holds a replaced governor's slot gives it back there; until
+// those statements end, the node can see more statements than it has slots.
+func (c *Cluster) observe(i int, snap service.Snapshot) *service.Governor {
+	c.nodes.mu.Lock()
+	defer c.nodes.mu.Unlock()
+	g := c.nodes.gates[i]
+	if g == nil || g.Slots() != max(snap.Slots, 1) || g.MaxQueue() != max(snap.MaxQueue, 0) {
+		g = service.NewGovernor(snap.Slots, snap.MaxQueue)
+		c.nodes.gates[i] = g
+	}
+	return g
+}
+
+// slotsHeld counts the node slots statements hold at the coordinator now.
+func (c *Cluster) slotsHeld() int {
 	c.nodes.mu.Lock()
 	defer c.nodes.mu.Unlock()
 	n := 0
-	for _, t := range c.nodes.tokens {
-		n += len(t)
+	for _, g := range c.nodes.gates {
+		if g != nil {
+			n += g.Held()
+		}
 	}
 	return n
 }

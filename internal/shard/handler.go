@@ -36,9 +36,11 @@ type ClusterStats struct {
 	// statements currently inside QueryContext (GET /debug/queries lists
 	// them).
 	LiveQueries int `json:"live_queries"`
-	// NodeTokens is the node tokens statements hold at the coordinator
-	// (one per node slot a statement may use).
-	NodeTokens int `json:"node_tokens"`
+	// NodeSlots is the node slots statements hold at the coordinator's
+	// admission (nodeGates), and Rejected the statements it refused with
+	// service.ErrOverloaded because a node's queue was full.
+	NodeSlots int    `json:"node_slots"`
+	Rejected  uint64 `json:"rejected"`
 
 	// Aggregates across the shard snapshots below.
 	ShardQueries uint64 `json:"shard_queries"`
@@ -56,15 +58,15 @@ type ClusterStats struct {
 }
 
 // Held names what statements in flight hold across the cluster — the
-// coordinator's registry entries and node tokens and each node's
+// coordinator's registry entries and node slots and each node's
 // Snapshot.Held — and is "" when nothing is held.
 func (s *ClusterStats) Held() string {
 	var held []string
 	if s.LiveQueries != 0 {
 		held = append(held, fmt.Sprintf("coordinator: %d registry entries", s.LiveQueries))
 	}
-	if s.NodeTokens != 0 {
-		held = append(held, fmt.Sprintf("coordinator: %d node tokens", s.NodeTokens))
+	if s.NodeSlots != 0 {
+		held = append(held, fmt.Sprintf("coordinator: %d node slots", s.NodeSlots))
 	}
 	for i, snap := range s.ShardStats {
 		if h := snap.Held(); h != "" {
@@ -95,11 +97,13 @@ func (c *Cluster) Stats(ctx context.Context) (*ClusterStats, error) {
 		Appends:      c.appends.Load(),
 		RowsAppended: c.rowsAppended.Load(),
 		LiveQueries:  c.Registry().Len(),
-		NodeTokens:   c.tokensHeld(),
+		NodeSlots:    c.slotsHeld(),
+		Rejected:     c.nodes.rejected.Load(),
 		CoordCache:   c.front.CacheStats(),
 		ShardStats:   snaps,
 	}
-	for _, s := range snaps {
+	for i, s := range snaps {
+		c.observe(i, s)
 		stats.ShardQueries += s.Queries
 		stats.ShardShuffleRounds += s.ShuffleRounds
 		stats.ShardRejected += s.Rejected

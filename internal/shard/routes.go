@@ -148,6 +148,7 @@ func (c *Cluster) emitStreams(ctx context.Context, route string, prep *sql.Prepa
 		return nil, err
 	}
 	streamCancel()
+	qt.release()   // the drained streams hold no node slot any more
 	handoff = true // every stream drained, and so closed itself, above
 	stamps := windowdb.Stamps{Start: qt.Start, TraceID: qt.ID, CacheHit: qt.CacheHit()}
 	return windowdb.CursorRows(cur, stamps, qt.Live(), func(end windowdb.Ending, meta *windowdb.QueryMetrics) {

@@ -133,7 +133,7 @@ type Cluster struct {
 	// gauge.
 	imbalance atomic.Uint64
 
-	nodes nodeTokens // admits a statement on all its nodes at once
+	nodes nodeGates // admits a statement on all its nodes at once
 }
 
 // tableInfo records how a table is distributed.
@@ -173,7 +173,7 @@ func New(cfg Config, shards []Transport) (*Cluster, error) {
 		tables:       make(map[string]*tableInfo),
 		shuffleNonce: shuffleNonce(),
 		peerAddrs:    addrs,
-		nodes:        nodeTokens{tokens: make([]chan struct{}, len(shards))},
+		nodes:        nodeGates{gates: make([]*service.Governor, len(shards))},
 	}
 	c.front = service.NewFront(c.coord, "coordinator", cfg.FrontConfig)
 	c.queries, c.failures, c.aborted = &c.front.Queries, &c.front.Failures, &c.front.Aborted
@@ -362,8 +362,8 @@ var _ windowdb.Queryer = (*Cluster)(nil)
 // BY force the finalize pass to materialize the concatenation first. Every route holds
 // its shard streams until the cursor is drained or closed. Error classes
 // match the single-engine service: sql.ErrParse/ErrBind,
-// catalog.ErrUnknownTable, service.ErrOverloaded (from a shard's admission
-// control), ctx errors, and engine faults — remote errors unwrap to the
+// catalog.ErrUnknownTable, service.ErrOverloaded (a node's admission queue
+// is full, refused at the coordinator: nodeGates), ctx errors, and engine faults — remote errors unwrap to the
 // same sentinels (service.RemoteError).
 func (c *Cluster) QueryContext(ctx context.Context, src string) (*windowdb.Rows, error) {
 	if inner, ok := windowdb.StripExplainAnalyze(src); ok {
@@ -379,7 +379,7 @@ func (c *Cluster) QueryContext(ctx context.Context, src string) (*windowdb.Rows,
 	qt := &clusterTrace{Statement: st, release: func() {}}
 	handoff := false
 	defer func() {
-		if !handoff { // a failed or panicking statement's node tokens
+		if !handoff { // a failed or panicking statement's node slots
 			qt.release()
 		}
 	}()
@@ -409,7 +409,7 @@ func (c *Cluster) PrepareContext(ctx context.Context, src string) (windowdb.Stmt
 
 // clusterTrace is a statement of the coordinator's Front plus the spans
 // collected before its final streams open (the shuffle route's rounds) and
-// the release of the node tokens it took (admit), which its end calls.
+// the release of the node slots it took (admit), which its end calls.
 type clusterTrace struct {
 	service.Statement
 	rounds  []*trace.Span

@@ -178,16 +178,7 @@ func Covers(c, m WF) bool {
 // deterministic order: decreasing key length |WPK|+|WOK|, then increasing ID
 // (the covering function necessarily has a maximal key).
 func FindCovering(ws []WF, requiredPrefix attrs.Seq) (WF, attrs.Seq, bool) {
-	cands := append([]WF(nil), ws...)
-	sort.Slice(cands, func(i, j int) bool {
-		li := cands[i].PK.Len() + len(cands[i].OK)
-		lj := cands[j].PK.Len() + len(cands[j].OK)
-		if li != lj {
-			return li > lj
-		}
-		return cands[i].ID < cands[j].ID
-	})
-	for _, c := range cands {
+	for _, c := range longestKeyFirst(ws) {
 		if seq, ok := CoveringSeq(c, ws, requiredPrefix); ok {
 			return c, seq, true
 		}

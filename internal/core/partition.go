@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/attrs"
@@ -35,21 +36,7 @@ type CoverSet struct {
 func (c CoverSet) Size() int { return len(c.Members) }
 
 func orderCoverSet(covering WF, members []WF) CoverSet {
-	rest := make([]WF, 0, len(members)-1)
-	for _, m := range members {
-		if m.ID != covering.ID {
-			rest = append(rest, m)
-		}
-	}
-	sort.Slice(rest, func(i, j int) bool {
-		li := rest[i].PK.Len() + len(rest[i].OK)
-		lj := rest[j].PK.Len() + len(rest[j].OK)
-		if li != lj {
-			return li > lj
-		}
-		return rest[i].ID < rest[j].ID
-	})
-	ordered := append([]WF{covering}, rest...)
+	ordered := append([]WF{covering}, longestKeyFirst(without(members, covering.ID))...)
 	gamma, _ := CoveringSeq(covering, members, nil)
 	return CoverSet{Covering: covering, Members: ordered, Gamma: gamma}
 }
@@ -85,17 +72,9 @@ func PartitionCoverSets(ws []WF) []CoverSet {
 			}
 		}
 		out = append(out, orderCoverSet(bestC, bestSet))
-		taken := make(map[int]bool, len(bestSet))
-		for _, m := range bestSet {
-			taken[m.ID] = true
-		}
-		next := remaining[:0]
-		for _, m := range remaining {
-			if !taken[m.ID] {
-				next = append(next, m)
-			}
-		}
-		remaining = next
+		remaining = slices.DeleteFunc(remaining, func(m WF) bool {
+			return slices.ContainsFunc(bestSet, func(b WF) bool { return b.ID == m.ID })
+		})
 	}
 	return out
 }
@@ -107,12 +86,7 @@ func PartitionCoverSets(ws []WF) []CoverSet {
 // insertion is not enough: on Q7, greedily admitting wf2 into wf5's set
 // blocks the larger {wf5, wf4, wf3}.
 func maxCoverSubset(c WF, remaining []WF) []WF {
-	others := make([]WF, 0, len(remaining)-1)
-	for _, m := range remaining {
-		if m.ID != c.ID {
-			others = append(others, m)
-		}
-	}
+	others := without(remaining, c.ID)
 	best := []WF{c}
 	cur := []WF{c}
 	var dfs func(i int)
@@ -167,12 +141,6 @@ func PartitionPrefixable(ws []WF) []PrefixGroup {
 	if len(ws) == 0 {
 		return nil
 	}
-	accepts := func(wf WF, e attrs.Elem) bool {
-		if wf.PK.Contains(e.Attr) {
-			return true
-		}
-		return wf.PK.Empty() && len(wf.OK) > 0 && wf.OK[0] == e
-	}
 	// Candidate elements: every partitioning attribute (ascending) and every
 	// WPK-less function's first ordering element.
 	elemSet := map[attrs.Elem]bool{}
@@ -185,7 +153,7 @@ func PartitionPrefixable(ws []WF) []PrefixGroup {
 	for e := range elemSet {
 		var members []int
 		for i, wf := range ws {
-			if accepts(wf, e) {
+			if _, ok := (consumeState{remPK: wf.PK}).canConsume(wf, e); ok {
 				members = append(members, i)
 			}
 		}
@@ -230,18 +198,19 @@ func PartitionPrefixable(ws []WF) []PrefixGroup {
 		}
 		assign[i] = options[i][0]
 	}
+	group := func(pos int) []WF { // the functions assigned to chosen[pos]
+		var g []WF
+		for i := range ws {
+			if assign[i] == pos {
+				g = append(g, ws[i])
+			}
+		}
+		return g
+	}
 	countCoverSets := func() int {
 		total := 0
 		for pos := range chosen {
-			var group []WF
-			for i := range ws {
-				if assign[i] == pos {
-					group = append(group, ws[i])
-				}
-			}
-			if len(group) > 0 {
-				total += len(PartitionCoverSets(group))
-			}
+			total += len(PartitionCoverSets(group(pos)))
 		}
 		return total
 	}
@@ -262,14 +231,8 @@ func PartitionPrefixable(ws []WF) []PrefixGroup {
 
 	var out []PrefixGroup
 	for pos, ci := range chosen {
-		g := PrefixGroup{First: cands[ci].e}
-		for i := range ws {
-			if assign[i] == pos {
-				g.Members = append(g.Members, ws[i])
-			}
-		}
-		if len(g.Members) > 0 {
-			out = append(out, g)
+		if g := group(pos); len(g) > 0 {
+			out = append(out, PrefixGroup{First: cands[ci].e, Members: g})
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool {
@@ -287,14 +250,12 @@ func PartitionPrefixable(ws []WF) []PrefixGroup {
 func exactSetCover(n int, cands []prefCand) []int {
 	full := uint64(1)<<uint(n) - 1
 	masks := make([]uint64, len(cands))
+	var all uint64
 	for i, c := range cands {
 		for _, m := range c.members {
 			masks[i] |= 1 << uint(m)
 		}
-	}
-	var all uint64
-	for _, m := range masks {
-		all |= m
+		all |= masks[i]
 	}
 	if all != full {
 		return nil

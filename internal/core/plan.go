@@ -151,6 +151,21 @@ func inIDOrder(ws []WF) []WF {
 	return out
 }
 
+// longestKeyFirst returns a copy of ws in decreasing key length
+// |WPK|+|WOK|, ties by ascending ID.
+func longestKeyFirst(ws []WF) []WF {
+	out := slices.Clone(ws)
+	slices.SortStableFunc(out, func(a, b WF) int {
+		return cmp.Or(cmp.Compare(b.PK.Len()+len(b.OK), a.PK.Len()+len(a.OK)), cmp.Compare(a.ID, b.ID))
+	})
+	return out
+}
+
+// without returns a copy of ws without the function of the given ID.
+func without(ws []WF, id int) []WF {
+	return slices.DeleteFunc(slices.Clone(ws), func(m WF) bool { return m.ID == id })
+}
+
 // Plan is a window-function chain (Section 4.1's sequential evaluation
 // model) produced by one of the optimization schemes.
 type Plan struct {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/attrs"
 )
 
@@ -151,17 +153,7 @@ func candidateElems(ws []WF, states []consumeState, usedAttrs attrs.Set) []attrs
 // each bucket and (b) the remaining cover sets stay SS-reorderable.
 func ThetaHashPrefix(theta attrs.Seq, ws []WF) attrs.Seq {
 	n := 0
-	for _, e := range theta {
-		inAll := true
-		for _, wf := range ws {
-			if !wf.PK.Contains(e.Attr) {
-				inAll = false
-				break
-			}
-		}
-		if !inAll {
-			break
-		}
+	for n < len(theta) && !slices.ContainsFunc(ws, func(wf WF) bool { return !wf.PK.Contains(theta[n].Attr) }) {
 		n++
 	}
 	return theta[:n:n]

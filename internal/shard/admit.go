@@ -37,26 +37,25 @@ func (c *Cluster) admit(ctx context.Context, qt *clusterTrace, first, n int) err
 		return err
 	}
 	qt.Live().SetPhase("queued")
-	var held []*service.Governor
-	release := func() {
-		for _, g := range held {
-			g.Release()
-		}
-	}
 	for k, g := range gates {
 		if _, err := g.Acquire(ctx); err != nil {
-			release()
+			releaseAll(gates[:k])
 			if errors.Is(err, service.ErrOverloaded) {
 				c.nodes.rejected.Add(1)
 				err = fmt.Errorf("shard %d: %w", first+k, err)
 			}
 			return err
 		}
-		held = append(held, g)
 	}
 	qt.Live().SetPhase("executing")
-	qt.release = sync.OnceFunc(release)
+	qt.release = sync.OnceFunc(func() { releaseAll(gates) })
 	return nil
+}
+
+func releaseAll(gates []*service.Governor) {
+	for _, g := range gates {
+		g.Release()
+	}
 }
 
 // gates returns the governors of nodes first..first+n-1, reading a node's

@@ -96,15 +96,9 @@ func (c *Cluster) Append(ctx context.Context, table string, rows []storage.Tuple
 // round-robin (every replica sees every cluster append), shard-local
 // chains fan in a live stream per node, and anything else is rejected.
 func (c *Cluster) streamSubscribe(ctx context.Context, inner string, qt *clusterTrace) (*windowdb.Rows, error) {
-	prep, err := qt.Resolve(ctx, inner)
+	prep, info, err := c.resolve(ctx, qt, inner)
 	if err != nil {
 		return nil, err
-	}
-	c.mu.RLock()
-	info := c.tables[strings.ToLower(prep.Table())]
-	c.mu.RUnlock()
-	if info == nil {
-		return nil, fmt.Errorf("%w %q (not cluster-registered)", catalog.ErrUnknownTable, prep.Table())
 	}
 	// Surface non-maintainable statements (DISTINCT/ORDER BY/LIMIT) with
 	// the single-engine error before any node fan-out.
@@ -123,13 +117,11 @@ func (c *Cluster) streamSubscribe(ctx context.Context, inner string, qt *cluster
 		return nil, fmt.Errorf("%w: SUBSCRIBE on %q needs a shard-local chain (common partition key covering the shard key %v)",
 			sql.ErrBind, prep.Table(), info.keyCols)
 	}
-	// A subscription holds its nodes' tokens for its lifetime.
+	// A subscription holds its nodes' slots for its lifetime.
 	if err := c.admit(ctx, qt, first, n); err != nil {
 		return nil, err
 	}
-	streams, streamCancel, err := c.openStreams(ctx, n, func(ctx context.Context, i int) (*windowdb.Rows, error) {
-		return c.shards[first+i].QueryStream(ctx, req)
-	})
+	streams, streamCancel, err := c.openStreams(ctx, first, n, req)
 	if err != nil {
 		return nil, err
 	}

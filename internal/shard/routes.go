@@ -31,17 +31,9 @@ func (c *Cluster) streamQuery(ctx context.Context, qt *clusterTrace) (*windowdb.
 	if inner, ok := windowdb.StripSubscribe(src); ok {
 		return c.streamSubscribe(ctx, inner, qt)
 	}
-	prep, err := qt.Resolve(ctx, src)
+	prep, info, err := c.resolve(ctx, qt, src)
 	if err != nil {
 		return nil, err
-	}
-	c.mu.RLock()
-	info := c.tables[strings.ToLower(prep.Table())]
-	c.mu.RUnlock()
-	if info == nil {
-		// Prepared against the coordinator catalog but never
-		// cluster-registered: nothing owns rows for it.
-		return nil, fmt.Errorf("%w %q (not cluster-registered)", catalog.ErrUnknownTable, prep.Table())
 	}
 	if !info.sharded {
 		return c.streamReplica(ctx, src, prep, qt)
@@ -49,16 +41,33 @@ func (c *Cluster) streamQuery(ctx context.Context, qt *clusterTrace) (*windowdb.
 	return c.streamShuffle(ctx, src, prep, info, qt)
 }
 
-// openStreams opens n row streams concurrently through open (the nodes
-// execute their chains in parallel exactly as the buffered scatter did).
+// resolve plans src and looks up the cluster registration of its table.
+func (c *Cluster) resolve(ctx context.Context, qt *clusterTrace, src string) (*sql.Prepared, *tableInfo, error) {
+	prep, err := qt.Resolve(ctx, src)
+	if err != nil {
+		return nil, nil, err
+	}
+	c.mu.RLock()
+	info := c.tables[strings.ToLower(prep.Table())]
+	c.mu.RUnlock()
+	if info == nil {
+		// Prepared against the coordinator catalog but never
+		// cluster-registered: nothing owns rows for it.
+		return nil, nil, fmt.Errorf("%w %q (not cluster-registered)", catalog.ErrUnknownTable, prep.Table())
+	}
+	return prep, info, nil
+}
+
+// openStreams opens req's row stream on nodes first..first+n-1 concurrently
+// (the nodes execute their chains in parallel).
 // The first open failure cancels and closes the others, and the error is
 // picked as in eachShard. The returned
 // cancel stops every stream and must be called when the merge finishes.
-func (c *Cluster) openStreams(ctx context.Context, n int, open func(ctx context.Context, i int) (*windowdb.Rows, error)) ([]*windowdb.Rows, context.CancelFunc, error) {
+func (c *Cluster) openStreams(ctx context.Context, first, n int, req service.ShardQueryRequest) ([]*windowdb.Rows, context.CancelFunc, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	streams := make([]*windowdb.Rows, n)
 	if err := service.FanOut(n, cancel, func(i int) (err error) {
-		streams[i], err = open(ctx, i)
+		streams[i], err = c.shards[first+i].QueryStream(ctx, req)
 		return err
 	}); err != nil {
 		closeStreams(streams)
@@ -168,9 +177,7 @@ func (c *Cluster) streamReplica(ctx context.Context, src string, prep *sql.Prepa
 		return nil, err
 	}
 	req := service.ShardQueryRequest{Mode: string(ModeFull), Stage: service.Stage{SQL: src}}
-	streams, streamCancel, err := c.openStreams(ctx, 1, func(ctx context.Context, _ int) (*windowdb.Rows, error) {
-		return c.shards[node].QueryStream(ctx, req)
-	})
+	streams, streamCancel, err := c.openStreams(ctx, node, 1, req)
 	if err != nil {
 		return nil, err
 	}
@@ -298,9 +305,7 @@ func (c *Cluster) streamShuffle(ctx context.Context, src string, prep *sql.Prepa
 
 	qt.Live().SetPhase(fmt.Sprintf("stage %d of %d", len(stages), len(stages)))
 	freq := service.ShardQueryRequest{Mode: string(ModeSegment), Stage: stages[len(stages)-1]}
-	streams, streamCancel, err := c.openStreams(ctx, n, func(ctx context.Context, i int) (*windowdb.Rows, error) {
-		return c.shards[i].QueryStream(ctx, freq)
-	})
+	streams, streamCancel, err := c.openStreams(ctx, 0, n, freq)
 	if err != nil {
 		cleanup()
 		return nil, err

@@ -362,9 +362,10 @@ var _ windowdb.Queryer = (*Cluster)(nil)
 // BY force the finalize pass to materialize the concatenation first. Every route holds
 // its shard streams until the cursor is drained or closed. Error classes
 // match the single-engine service: sql.ErrParse/ErrBind,
-// catalog.ErrUnknownTable, service.ErrOverloaded (a node's admission queue
-// is full, refused at the coordinator: nodeGates), ctx errors, and engine faults — remote errors unwrap to the
-// same sentinels (service.RemoteError).
+// catalog.ErrUnknownTable, service.ErrOverloaded (a node's admission
+// queue is full, refused at the coordinator: nodeGates), ctx errors, and
+// engine faults — remote errors unwrap to the same sentinels
+// (service.RemoteError).
 func (c *Cluster) QueryContext(ctx context.Context, src string) (*windowdb.Rows, error) {
 	if inner, ok := windowdb.StripExplainAnalyze(src); ok {
 		return windowdb.ExplainAnalyzeRows(ctx, c, inner)

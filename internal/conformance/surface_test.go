@@ -51,8 +51,9 @@ var coordinatorFamilies = []string{
 	"windowdb_plan_cache_entries", "windowdb_plan_cache_evictions_total", "windowdb_plan_cache_hits_total",
 	"windowdb_plan_cache_invalidations_total", "windowdb_plan_cache_misses_total",
 	"windowdb_queries_aborted_total", "windowdb_queries_total", "windowdb_query_failures_total",
-	"windowdb_route_queries_total", "windowdb_rows_appended_total", "windowdb_shard_blocks_read_total",
-	"windowdb_shard_blocks_written_total", "windowdb_shard_failures_total", "windowdb_shard_in_flight",
+	"windowdb_query_rejected_total", "windowdb_route_queries_total", "windowdb_rows_appended_total",
+	"windowdb_shard_blocks_read_total", "windowdb_shard_blocks_written_total", "windowdb_shard_failures_total",
+	"windowdb_shard_in_flight",
 	"windowdb_shard_queries_total", "windowdb_shard_rejected_total", "windowdb_shard_rows_out_total",
 	"windowdb_shard_shuffle_rounds_total", "windowdb_shards", "windowdb_shuffle_round_imbalance",
 	"windowdb_sort_workspace_bytes", "windowdb_workspace_bytes",

@@ -132,6 +132,7 @@ func (c *Cluster) WriteMetrics(ctx context.Context, p *service.PromWriter) error
 	}
 	p.Counter("windowdb_appends_total", "Append batches routed to the owning shard nodes.", float64(stats.Appends))
 	p.Counter("windowdb_rows_appended_total", "Rows ingested by cluster append batches.", float64(stats.RowsAppended))
+	p.Counter("windowdb_query_rejected_total", "Statements refused because a node's admission queue was full.", float64(stats.Rejected))
 	p.Gauge("windowdb_shuffle_round_imbalance", "Most recent shuffle round's max/mean per-node output-row ratio (1 = balanced, 0 = none observed).", c.ShuffleImbalance())
 
 	p.Family("windowdb_route_queries_total", "Queries by coordinator route.", "counter")

@@ -249,7 +249,7 @@ func newStaticRows(cols []storage.Column, rows []storage.Tuple) *Rows {
 		rows = rows[1:]
 		return t, nil
 	}
-	return NewRows(&staticSource{cols: cols, b: stream.NewBatcher(len(cols), stream.BatchRows, next)})
+	return NewRows(&staticSource{cols: cols, b: stream.NewBatcher(len(cols), stream.BatchRows(len(cols)), next)})
 }
 
 func (ss *staticSource) Columns() []storage.Column         { return ss.cols }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -13,9 +14,9 @@ import (
 	"repro/internal/stream"
 )
 
-// edgeRows is three full batches: a result that ends exactly where a
-// batch does.
-const edgeRows = 3 * stream.BatchRows
+// edgeRows is three full batches of edgeTable's eight columns: a result
+// that ends exactly where a batch does.
+var edgeRows = 3 * stream.BatchRows(8)
 
 // edgeTable is what a column batch has to carry without loss: a NULL-heavy
 // int and float column, an all-NULL column, a column whose kinds mix
@@ -105,7 +106,7 @@ var drainStyles = []struct {
 			if !ok {
 				return out
 			}
-			if b.Len() == 0 || b.Len() > stream.BatchRows {
+			if b.Len() == 0 || b.Len() > stream.BatchRows(len(rows.Columns())) {
 				panic(fmt.Sprintf("a batch of %d rows", b.Len()))
 			}
 			for i := 0; i < b.Len(); i++ {
@@ -136,7 +137,7 @@ var edgeQueries = []struct {
 	{"empty", `SELECT * FROM edge WHERE k < 0`, false, 0, true, ""},
 	{"limit-ordered", `SELECT k, mixed, s FROM edge ORDER BY k LIMIT 7`, true, 7, true, ""},
 	{"limit-lazy", `SELECT k, mixed, nothing, s FROM edge LIMIT 7`, false, 7, false, ""},
-	{"where-one-batch", `SELECT k, sparse, f FROM edge WHERE k < 256`, false, stream.BatchRows, true, ""},
+	{"where-one-batch", `SELECT k, sparse, f FROM edge WHERE k < ` + strconv.Itoa(stream.BatchRows(3)), false, stream.BatchRows(3), true, ""},
 	// Not over edgeTable: the keyless chains over sharded web_sales.
 	{"keyless", keylessSQL, false, dataRows, true, keylessRoute},
 	{"keyed-then-keyless", keyedKeylessSQL, false, dataRows, true, keylessRoute},
@@ -205,6 +206,7 @@ func TestRowAndBatchDrainsAgree(t *testing.T) {
 func TestMaxRowsOnABatchBoundary(t *testing.T) {
 	ref := newEngine()
 	_, all := drain(t, ref, `SELECT * FROM edge ORDER BY k`)
+	batch := edgeRows / 3 // SELECT *: one batch of edge's columns
 	for _, bk := range backends(t) {
 		if bk.front == nil {
 			continue
@@ -214,8 +216,8 @@ func TestMaxRowsOnABatchBoundary(t *testing.T) {
 				maxRows   int
 				truncated bool
 			}{
-				{7, true}, {stream.BatchRows, true}, {stream.BatchRows + 44, true},
-				{2 * stream.BatchRows, true}, {edgeRows - 1, true}, {edgeRows, false}, {edgeRows + 1, false},
+				{7, true}, {batch, true}, {batch + 44, true},
+				{2 * batch, true}, {edgeRows - 1, true}, {edgeRows, false}, {edgeRows + 1, false},
 			} {
 				t.Run(fmt.Sprintf("%s/%s/%d", bk.name, codec, tc.maxRows), func(t *testing.T) {
 					sr, err := service.OpenStream(context.Background(), bk.front.Client(), bk.front.URL+"/query",

@@ -12,9 +12,12 @@ import (
 	"time"
 
 	windowdb "repro"
+	"repro/internal/datagen"
 	"repro/internal/service"
 	"repro/internal/shard"
 	"repro/internal/sql"
+	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/trace"
 )
 
@@ -50,6 +53,15 @@ const (
 	endingInsertSQL = `INSERT INTO web_sales VALUES (2450001, 1, 2450002, 1, 1, 1, 5, 1.5, 2.5, 2.0, 999999, 'x')`
 )
 
+// endingRows is the web_sales the matrix's front ends hold: four batches
+// of endingSQL's three columns, so a statement cut after three rows still
+// has rows in flight on one node, and on each of a cluster's two.
+var endingRows = 4 * stream.BatchRows(3)
+
+func endingTable() *storage.Table {
+	return datagen.WebSales(datagen.WebSalesConfig{Rows: endingRows, Seed: 11})
+}
+
 // endingFront is one front end under the matrix.
 type endingFront struct {
 	name  string
@@ -84,7 +96,9 @@ func gated(h http.Handler) (http.Handler, chan struct{}) {
 // newServiceFront is a one-slot service: one open cursor holds everything
 // a second statement needs.
 func newServiceFront(t *testing.T, fc service.FrontConfig) *endingFront {
-	svc := service.New(newEngine(), service.Config{FrontConfig: fc, Slots: 1})
+	eng := newEngine()
+	eng.Register("web_sales", endingTable())
+	svc := service.New(eng, service.Config{FrontConfig: fc, Slots: 1})
 	h, done := gated(svc.Handler())
 	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
@@ -102,7 +116,7 @@ func newServiceFront(t *testing.T, fc service.FrontConfig) *endingFront {
 
 // newClusterFront is a coordinator over two one-slot nodes.
 func newClusterFront(t *testing.T, fc service.FrontConfig) *endingFront {
-	ws, _ := dataset()
+	ws := endingTable()
 	nodes := make([]*service.Service, 2)
 	shards := make([]shard.Transport, len(nodes))
 	for i := range nodes {
@@ -312,13 +326,13 @@ func (f *endingFront) bufferedEndings(t *testing.T) {
 
 	f.cell(t, "drained", served, func(t *testing.T) {
 		status, body, err := f.post(context.Background(), "", map[string]any{"sql": endingSQL})
-		if err != nil || status != http.StatusOK || body["row_count"] != float64(dataRows) {
+		if err != nil || status != http.StatusOK || body["row_count"] != float64(endingRows) {
 			t.Fatalf("status %d, row_count %v, err %v", status, body["row_count"], err)
 		}
 	})
 	f.cell(t, "cut by max_rows", served, func(t *testing.T) {
 		status, body, err := f.post(context.Background(), "", map[string]any{"sql": endingSQL, "max_rows": 3})
-		if err != nil || status != http.StatusOK || body["row_count"] != float64(dataRows) || body["truncated"] != true {
+		if err != nil || status != http.StatusOK || body["row_count"] != float64(endingRows) || body["truncated"] != true {
 			t.Fatalf("status %d, row_count %v, truncated %v, err %v", status, body["row_count"], body["truncated"], err)
 		}
 	})

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -26,7 +27,7 @@ type tableRows struct {
 
 func newTableRows(t *storage.Table) *windowdb.Rows {
 	rows := t.Rows
-	return windowdb.NewRows(tableRows{t, stream.NewBatcher(t.Schema.Len(), stream.BatchRows, func() (storage.Tuple, error) {
+	return windowdb.NewRows(tableRows{t, stream.NewBatcher(t.Schema.Len(), stream.BatchRows(t.Schema.Len()), func() (storage.Tuple, error) {
 		if len(rows) == 0 {
 			return nil, io.EOF
 		}
@@ -55,18 +56,25 @@ func (s *sink) Flush()                      {}
 
 // wireTable is a fixed result with every column layout the codec has:
 // NULL-free and NULL-bearing typed columns of each kind, an all-NULL
-// column, a column that is mixed in some frames and typed in others.
-func wireTable(rows int) *storage.Table {
-	t := storage.NewTable(storage.NewSchema(
-		storage.Column{Name: "i", Type: storage.TypeInt},
-		storage.Column{Name: "f", Type: storage.TypeFloat},
-		storage.Column{Name: "s", Type: storage.TypeString},
-		storage.Column{Name: "n", Type: storage.TypeInt},
-		storage.Column{Name: "m", Type: storage.TypeString},
-		storage.Column{Name: "sparse", Type: storage.TypeInt},
-	))
+// column, a column that is typed in the first half of the rows and mixed
+// in the second. Its cols columns repeat those six in turn.
+func wireTable(rows, cols int) *storage.Table {
+	layouts := []storage.Column{
+		{Name: "i", Type: storage.TypeInt},
+		{Name: "f", Type: storage.TypeFloat},
+		{Name: "s", Type: storage.TypeString},
+		{Name: "n", Type: storage.TypeInt},
+		{Name: "m", Type: storage.TypeString},
+		{Name: "sparse", Type: storage.TypeInt},
+	}
+	schema := make([]storage.Column, cols)
+	for c := range schema {
+		schema[c] = layouts[c%len(layouts)]
+		schema[c].Name += strconv.Itoa(c)
+	}
+	t := storage.NewTable(storage.NewSchema(schema...))
 	for i := 0; i < rows; i++ {
-		row := storage.Tuple{
+		six := storage.Tuple{
 			storage.Int(math.MaxInt64 - int64(i)),
 			storage.Float(float64(i) / 3),
 			storage.StringVal(strings.Repeat("s", i%5)),
@@ -75,13 +83,17 @@ func wireTable(rows int) *storage.Table {
 			storage.Null,
 		}
 		if i%4 == 1 {
-			row[1], row[2] = storage.Null, storage.Null
+			six[1], six[2] = storage.Null, storage.Null
 		}
-		if i >= 300 && i%50 == 0 {
-			row[4] = storage.StringVal("mixed") // typed in the first frame, mixed later
+		if i >= rows/2 && i%50 == 0 {
+			six[4] = storage.StringVal("mixed") // typed in the first frame, mixed later
 		}
 		if i%97 == 0 {
-			row[5] = storage.Int(int64(-i))
+			six[5] = storage.Int(int64(-i))
+		}
+		row := make(storage.Tuple, cols)
+		for c := range row {
+			row[c] = six[c%len(six)]
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -92,10 +104,19 @@ func wireTable(rows int) *storage.Table {
 // what WriteStream frames out of a cursor's batches — gathered column by
 // column into one reused batch, truncated where max_rows says — is byte
 // for byte BatchFromTuples + AppendBatch over the same rows at the same
-// 256-row boundaries, the encoding every reader since WCF1 has decoded.
+// batch boundaries, the encoding every reader since WCF1 has decoded. The
+// widths reach both ends of the rule: 1 and 2 columns batch 4096 rows, 6
+// columns 1365, 32 and 33 columns 256.
 func TestBinaryStreamBytesAreBatchFromTuples(t *testing.T) {
-	table := wireTable(3*stream.BatchRows + 71)
-	for _, maxRows := range []int{0, 300, 2 * stream.BatchRows} {
+	for _, cols := range []int{1, 2, 6, 32, 33} {
+		t.Run(strconv.Itoa(cols), func(t *testing.T) { streamBytesAreBatchFromTuples(t, cols) })
+	}
+}
+
+func streamBytesAreBatchFromTuples(t *testing.T, cols int) {
+	batch := stream.BatchRows(cols)
+	table := wireTable(3*batch+71, cols)
+	for _, maxRows := range []int{0, 300, batch, batch + 1, 2 * batch} {
 		w := &sink{hdr: http.Header{}}
 		WriteStream(context.Background(), w, newTableRows(table), maxRows, CodecBinary)
 
@@ -107,7 +128,7 @@ func TestBinaryStreamBytesAreBatchFromTuples(t *testing.T) {
 		if f, err := fr.Next(); err != nil || f.Type != stream.FrameHeader {
 			t.Fatalf("max_rows %d: header frame: %v", maxRows, err)
 		}
-		for off := 0; ; off += stream.BatchRows {
+		for off := 0; ; off += batch {
 			f, err := fr.Next()
 			if err != nil {
 				t.Fatalf("max_rows %d: %v", maxRows, err)
@@ -121,7 +142,7 @@ func TestBinaryStreamBytesAreBatchFromTuples(t *testing.T) {
 			if off >= len(rows) {
 				t.Fatalf("max_rows %d: a frame past the last row", maxRows)
 			}
-			b, err := stream.BatchFromTuples(rows[off:min(off+stream.BatchRows, len(rows))], table.Schema.Len())
+			b, err := stream.BatchFromTuples(rows[off:min(off+batch, len(rows))], table.Schema.Len())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,17 +182,17 @@ func numericTable(rows int) *storage.Table {
 
 // batchBytes bounds the vectors of one batch of w columns from above: a
 // value and a validity slot per cell.
-func batchBytes(w int) uint64 { return uint64(stream.BatchRows * w * (16 + 1)) }
+func batchBytes(w int) uint64 { return uint64(stream.BatchRows(w) * w * (16 + 1)) }
 
-// TestStreamWriterAllocatesPerBatchNotPerRow — framing a 20 000-row cursor
+// TestStreamWriterAllocatesPerBatchNotPerRow — framing a 20-frame cursor
 // allocates what the first frame does: the cursor's one batch, the frame
-// buffer, the header and trailer. The 78 frames after it add nothing that
+// buffer, the header and trailer. The 19 frames after it add nothing that
 // scales; the tuple-staging writer allocated two slabs and a batch per
-// frame, 40× this bound.
+// frame, 10× this bound.
 func TestStreamWriterAllocatesPerBatchNotPerRow(t *testing.T) {
-	table := numericTable(20_000)
+	table := numericTable(20 * stream.BatchRows(3))
 	w := &sink{hdr: http.Header{}}
-	w.body.Grow(1 << 20) // the sink's own growth is not the writer's
+	w.body.Grow(2 << 20) // the sink's own growth is not the writer's
 	got := allocatedBy(func() {
 		WriteStream(context.Background(), w, newTableRows(table), 0, CodecBinary)
 	})
@@ -181,11 +202,11 @@ func TestStreamWriterAllocatesPerBatchNotPerRow(t *testing.T) {
 	t.Logf("framing %d rows allocated %d bytes; one batch is at most %d", table.Len(), got, batchBytes(3))
 }
 
-// TestStreamReaderAllocatesItsVectorsOnce — 80 frames decode into the
+// TestStreamReaderAllocatesItsVectorsOnce — 20 frames decode into the
 // reader's one batch, and the reader adds no read buffer of its own: the
 // whole drain allocates a few batches' worth, not one per frame.
 func TestStreamReaderAllocatesItsVectorsOnce(t *testing.T) {
-	table := numericTable(80 * stream.BatchRows)
+	table := numericTable(20 * stream.BatchRows(3))
 	w := &sink{hdr: http.Header{}}
 	WriteStream(context.Background(), w, newTableRows(table), 0, CodecBinary)
 	resp := &http.Response{
@@ -210,8 +231,8 @@ func TestStreamReaderAllocatesItsVectorsOnce(t *testing.T) {
 			rows += b.Len()
 		}
 	})
-	if frames != 80 || rows != table.Len() {
-		t.Fatalf("%d frames, %d rows, want 80 and %d", frames, rows, table.Len())
+	if frames != 20 || rows != table.Len() {
+		t.Fatalf("%d frames, %d rows, want 20 and %d", frames, rows, table.Len())
 	}
 	if limit := 8 * batchBytes(3); got > limit {
 		t.Fatalf("decoding %d frames allocated %d bytes, want at most %d (8 batches' worth)", frames, got, limit)

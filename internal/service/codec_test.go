@@ -90,7 +90,7 @@ type failingSource struct {
 
 func newFailingRows(rows int, err error) *windowdb.Rows {
 	f := &failingSource{rows: rows, err: err}
-	f.b = stream.NewBatcher(1, stream.BatchRows, f.next)
+	f.b = stream.NewBatcher(1, stream.BatchRows(1), f.next)
 	return windowdb.NewRows(f)
 }
 
@@ -116,7 +116,7 @@ func (f *failingSource) End(windowdb.Ending) *windowdb.QueryMetrics { return nil
 func TestErrorTrailerSurvivesFraming(t *testing.T) {
 	for _, codec := range []WireCodec{CodecJSON, CodecBinary} {
 		t.Run(string(codec), func(t *testing.T) {
-			const good = 700 // past several flush strides and batches
+			good := 2*stream.BatchRows(1) + 300 // past several flush strides and batches
 			boom := fmt.Errorf("spill device gone")
 			mux := http.NewServeMux()
 			mux.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) {

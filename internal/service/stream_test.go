@@ -14,6 +14,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/sql"
 	"repro/internal/storage"
+	"repro/internal/stream"
 )
 
 // tinyBufListener clamps the kernel buffers of every accepted connection,
@@ -133,9 +134,11 @@ func TestStreamSlotReleasedOnDrain(t *testing.T) {
 
 // TestStreamCancelMidDrain is the mid-stream cancellation contract: a
 // half-drained cursor whose context is cancelled stops with
-// context.Canceled and the slot and in-flight gauge return to zero.
+// context.Canceled and the slot and in-flight gauge return to zero. The
+// result is three of mixQ1's two-column batches: the cancel lands between
+// two of them.
 func TestStreamCancelMidDrain(t *testing.T) {
-	svc := newTestService(t, Config{Slots: 1, MaxQueue: -1}, 4000)
+	svc := newTestService(t, Config{Slots: 1, MaxQueue: -1}, 3*stream.BatchRows(2))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	rows, err := svc.QueryContext(ctx, mixQ1)

@@ -12,6 +12,7 @@ import (
 
 	"repro"
 	"repro/internal/service"
+	"repro/internal/stream"
 	"repro/internal/trace"
 )
 
@@ -191,7 +192,8 @@ func TestLiveCountersAdvance(t *testing.T) {
 			if tc.shuffled && first.ShuffleRows == 0 {
 				t.Fatal("shuffle rounds recorded no shuffle rows")
 			}
-			for i := 0; i < 1000; i++ {
+			// A batch's worth more: the cursor must have pulled another.
+			for i := 0; i < stream.BatchRows(len(rows.Columns())); i++ {
 				if !rows.Next() {
 					t.Fatalf("stream ended early: %v", rows.Err())
 				}

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"io"
 	"slices"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -134,7 +135,6 @@ func TestScatterStreamBoundedResidency(t *testing.T) {
 	const (
 		rows   = 120_000
 		nShard = 4
-		batch  = stream.BatchRows
 	)
 	engCfg := windowdb.Config{SortMemBytes: 32 << 20, Parallelism: 1}
 	gauge := &residencyGauge{}
@@ -194,6 +194,7 @@ func TestScatterStreamBoundedResidency(t *testing.T) {
 
 	// The bound: every node may have one full batch parked at the
 	// coordinator, nothing more. |R| would be 120 000.
+	batch := stream.BatchRows(len(rc.Columns()))
 	if peak := gauge.Peak(); peak > batch*nShard {
 		t.Fatalf("peak resident rows %d exceeds batch*shards = %d", peak, batch*nShard)
 	}
@@ -227,8 +228,12 @@ func TestScatterPassesBatchesThrough(t *testing.T) {
 		return c
 	}
 
+	// Each node holds about two of q6SQL's batches, so a LIMIT of one and a
+	// bit crosses its second batch.
+	batch := stream.BatchRows(6)
+	rows := 4 * batch
 	gauge := &residencyGauge{}
-	c := cluster(2000, func(tr Transport) Transport { return &countingTransport{Transport: tr, gauge: gauge} })
+	c := cluster(rows, func(tr Transport) Transport { return &countingTransport{Transport: tr, gauge: gauge} })
 	for _, q := range []string{q6SQL, divergeSQL} {
 		rc, err := c.QueryContext(ctx, q)
 		if err != nil {
@@ -245,11 +250,11 @@ func TestScatterPassesBatchesThrough(t *testing.T) {
 			}
 			n += b.Len()
 		}
-		if err := rc.Err(); err != nil || n != 2000 {
-			t.Fatalf("%d rows (%v), want 2000", n, err)
+		if err := rc.Err(); err != nil || n != rows {
+			t.Fatalf("%d rows (%v), want %d", n, err, rows)
 		}
 	}
-	rc, err := c.QueryContext(ctx, q6SQL+` LIMIT 300`)
+	rc, err := c.QueryContext(ctx, q6SQL+` LIMIT `+strconv.Itoa(batch+44))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,8 +269,8 @@ func TestScatterPassesBatchesThrough(t *testing.T) {
 		}
 		sizes = append(sizes, b.Len())
 	}
-	if err := rc.Err(); err != nil || !slices.Equal(sizes, []int{stream.BatchRows, 300 - stream.BatchRows}) {
-		t.Fatalf("LIMIT 300 yielded batches of %v (%v)", sizes, err)
+	if err := rc.Err(); err != nil || !slices.Equal(sizes, []int{batch, 44}) {
+		t.Fatalf("LIMIT %d yielded batches of %v (%v)", batch+44, sizes, err)
 	}
 
 	allocs := func(rows int) float64 {
@@ -286,7 +291,7 @@ func TestScatterPassesBatchesThrough(t *testing.T) {
 		})
 	}
 	const small, large = 2_000, 40_000
-	if grew, batches := allocs(large)-allocs(small), float64((large-small)/stream.BatchRows); grew >= batches {
+	if grew, batches := allocs(large)-allocs(small), float64((large-small)/batch); grew >= batches {
 		t.Fatalf("%d more rows cost %.0f more allocations per scatter: at least one for each of the %.0f more batches",
 			large-small, grew, batches)
 	}
@@ -414,7 +419,6 @@ func TestShuffleStreamBoundedResidency(t *testing.T) {
 	const (
 		rows   = 120_000
 		nShard = 4
-		batch  = stream.BatchRows
 	)
 	engCfg := windowdb.Config{SortMemBytes: 32 << 20, Parallelism: 1}
 	gauge := &residencyGauge{}
@@ -473,6 +477,7 @@ func TestShuffleStreamBoundedResidency(t *testing.T) {
 	// The bound: every node may have one full batch parked at the
 	// coordinator during the final merge, nothing more. |R| would be
 	// 120 000.
+	batch := stream.BatchRows(len(rc.Columns()))
 	if peak := gauge.Peak(); peak > batch*nShard {
 		t.Fatalf("peak resident rows %d exceeds batch*shards = %d", peak, batch*nShard)
 	}

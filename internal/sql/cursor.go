@@ -33,6 +33,7 @@ type Cursor struct {
 	pick   []int       // output column k is chain column pick[k]
 	order  []int       // non-nil: output row i is chain row order[i]
 	work   *cursorWork // the batch and the position lists, until Close
+	batch  int         // the most rows one NextBatch yields: stream.BatchRows of the columns
 	pos    int         // rows yielded
 	left   int         // rows still to yield: what the LIMIT leaves of them
 	closed bool
@@ -81,19 +82,19 @@ func (c *Cursor) Columns() []storage.Column { return c.cols }
 // cursor creation (the chain has already run).
 func (c *Cursor) Meta() *Meta { return &c.meta }
 
-// NextBatch returns the next output rows, at most stream.BatchRows of
-// them, or io.EOF when the stream is exhausted (or the cursor closed), or
-// the context's error when it was cancelled mid-stream. No tuple is built
-// on the way: a base column is gathered out of the chain's rows, a derived
-// column past the chain's last reorder is copied from its tail vector. The
-// batch is the cursor's own, refilled by the next call and handed to
-// another cursor after Close; the strings in it
-// outlive it and the cursor: they alias the input table's, or — when the
+// NextBatch returns the next output rows — as many as
+// stream.BatchRows(len(Columns())), fewer only at the end — or io.EOF when
+// the stream is exhausted (or the cursor closed), or the context's error
+// when it was cancelled mid-stream. No tuple is built on the way: a base
+// column is gathered out of the chain's rows, a derived column past the
+// chain's last reorder is copied from its tail vector. The batch is the
+// cursor's own, refilled by the next call and handed to another cursor
+// after Close; the strings in it outlive it and the cursor: they alias the input table's, or — when the
 // chain's spills read strings back into its arena, which Close hands to the
 // next statement — are copied out of the arena, one allocation per string
 // column.
 func (c *Cursor) NextBatch() (*stream.Batch, error) {
-	n := min(stream.BatchRows, c.left)
+	n := min(c.batch, c.left)
 	if n == 0 {
 		return nil, io.EOF
 	}

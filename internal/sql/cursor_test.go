@@ -9,6 +9,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/datagen"
 	"repro/internal/storage"
 	"repro/internal/stream"
 )
@@ -151,6 +152,7 @@ func TestCursorLimitStopsEarly(t *testing.T) {
 // at the next batch on the lazy path.
 func TestCursorCancelMidStream(t *testing.T) {
 	r := testRunner(t)
+	r.Catalog.Register("web_sales", datagen.WebSales(datagen.WebSalesConfig{Rows: stream.BatchRows(1) + 1, Seed: 1}))
 	p, err := r.Prepare(`SELECT ws_order_number FROM web_sales`)
 	if err != nil {
 		t.Fatal(err)

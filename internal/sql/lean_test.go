@@ -363,12 +363,14 @@ func TestSpillingStatementBytesAreBounded(t *testing.T) {
 }
 
 // TestCursorGathersNoTuples — the lazy cursor's batches are the chain's
-// columns gathered in place: each holds at most stream.BatchRows rows, a
-// LIMIT cuts the last one short without touching a row past it, and what
-// the cursor allocates for the whole drain is its one batch's vectors — a
-// constant, whatever the row count.
+// columns gathered in place: each holds stream.BatchRows of its columns
+// but the last, a LIMIT cuts the last one short without touching a row past
+// it, and what the cursor allocates for the whole drain is its one batch's
+// vectors — a constant, whatever the row count.
 func TestCursorGathersNoTuples(t *testing.T) {
 	r := testRunner(t)
+	batch := stream.BatchRows(3)
+	r.Catalog.Register("web_sales", datagen.WebSales(datagen.WebSalesConfig{Rows: 2*batch + 100, Seed: 1, PadBytes: 8}))
 	ctx := context.Background()
 	const src = `SELECT ws_item_sk, ws_order_number, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_time_sk) AS r FROM web_sales`
 	p, err := r.Prepare(src)
@@ -392,10 +394,10 @@ func TestCursorGathersNoTuples(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b.Len() == 0 || b.Len() > stream.BatchRows {
-			t.Fatalf("batch of %d rows, want 1..%d", b.Len(), stream.BatchRows)
+		if b.Len() == 0 || b.Len() > batch {
+			t.Fatalf("batch of %d rows, want 1..%d", b.Len(), batch)
 		}
-		if left := want.Table.Len() - at; b.Len() != min(left, stream.BatchRows) {
+		if left := want.Table.Len() - at; b.Len() != min(left, batch) {
 			t.Fatalf("batch of %d rows with %d left: only the last batch may be short", b.Len(), left)
 		}
 		for i, row := range b.Tuples() {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/window"
 	"repro/internal/xsort"
 )
@@ -346,7 +347,7 @@ type Input struct {
 // meaningful for the last stage of a statement over a sharded table, on a
 // shard node. Open is safe for concurrent use on one Prepared.
 func (p *Prepared) Open(ctx context.Context, in Input, shardLocal bool) (*Cursor, error) {
-	cur := &Cursor{cols: p.outCols, pick: p.pick, ctx: ctx}
+	cur := &Cursor{cols: p.outCols, pick: p.pick, ctx: ctx, batch: stream.BatchRows(len(p.outCols))}
 	key := p.chainOrder
 	var err error
 	switch {

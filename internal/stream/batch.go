@@ -9,11 +9,16 @@ import (
 	"repro/internal/storage"
 )
 
-// BatchRows is the most rows a result batch carries: what a cursor gathers
-// per pull and what a binary stream packs into one frame. One frame
-// amortizes the per-column work, and 256 rows of packed values still sit
-// well under a socket buffer.
-const BatchRows = 256
+// BatchRows is the most rows a result batch of cols columns carries: what
+// a cursor gathers per pull and what a binary stream packs into one frame.
+// A batch is sized in bytes, not rows, as the paper prices I/O in blocks:
+// as many rows as fill 64 KiB at 8 bytes a cell, at least 256 and at most
+// 4096. Every frame costs a stream one write, one flush and, over HTTP,
+// one chunk, so a 20 000-row result of two columns pays that 5 times, not
+// 79. A batch never holds more than max(8192, 256·cols) cells.
+func BatchRows(cols int) int {
+	return min(max(8192/max(cols, 1), 256), 4096)
+}
 
 // Batch is a column-vector view of a run of rows: one Col per schema
 // column, each holding the column's values as a packed typed slice plus a

@@ -64,9 +64,10 @@ const MaxFramePayload = 64 << 20
 
 // maxBatchRows and maxBatchCells bound a batch's declared row count and
 // its rows × columns before any per-row allocation happens. The largest
-// batch a writer emits is a shuffle chunk of 512 rows; 64 Ki rows and 4 Mi
-// cells leave room for a wider one while keeping the vectors a frame can
-// ask for under the frame's own size limit.
+// batch a writer emits is a result batch (BatchRows): at most 4096 rows and
+// max(8192, 256·cols) cells. 64 Ki rows and 4 Mi cells leave room for a
+// wider one while keeping the vectors a frame can ask for under the
+// frame's own size limit.
 const (
 	maxBatchRows  = 1 << 16
 	maxBatchCells = 1 << 22

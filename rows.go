@@ -59,8 +59,8 @@ func TextStmt(q Queryer, src string) Stmt {
 
 // RowSource is the backend contract behind a Rows cursor: results leave a
 // backend as column batches. NextBatch returns the next rows — at most
-// stream.BatchRows of them; an empty batch is skipped — or io.EOF at end
-// of stream. The batch is the source's own and is refilled by the
+// stream.BatchRows of the source's columns; an empty batch is skipped — or
+// io.EOF at end of stream. The batch is the source's own and is refilled by the
 // following call, so it is valid only until then. A source whose rows come
 // one at a time batches them through stream.Batcher.
 //

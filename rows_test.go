@@ -44,7 +44,7 @@ func TestRowsDrainAllocatesPerBatchNotPerRow(t *testing.T) {
 		t.Fatalf("%d rows, rank sum %d, err %v", n, sum, err)
 	}
 	got := after.TotalAlloc - before.TotalAlloc
-	oneBatch := uint64(stream.BatchRows * 3 * (16 + 1)) // a value and a validity slot per cell, from above
+	oneBatch := uint64(stream.BatchRows(3) * 3 * (16 + 1)) // a value and a validity slot per cell, from above
 	if got > 4*oneBatch {
 		t.Fatalf("draining %d rows allocated %d bytes, want at most %d (4 batches' worth)", n, got, 4*oneBatch)
 	}
@@ -58,7 +58,9 @@ func TestRowsDrainAllocatesPerBatchNotPerRow(t *testing.T) {
 // batches; and one allocation per batch, sized for the rows the batch has
 // left when first asked.
 func TestRowTuplesAreCallerOwned(t *testing.T) {
-	eng := testEngine(SchemeCSO)
+	batch := stream.BatchRows(3)
+	eng := New(Config{SortMemBytes: 1 << 20, BlockSize: 4096})
+	eng.Register("web_sales", datagen.WebSales(datagen.WebSalesConfig{Rows: 2*batch + 500, Seed: 3, PadBytes: 16}))
 	ctx := context.Background()
 	const src = `SELECT ws_item_sk, ws_order_number, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_time_sk) AS r FROM web_sales`
 	want, err := eng.Query(src)
@@ -84,7 +86,7 @@ func TestRowTuplesAreCallerOwned(t *testing.T) {
 		}
 		kept = append(kept, row)
 	}
-	if len(kept) != want.Table.Len() || len(kept) <= 2*stream.BatchRows {
+	if len(kept) != want.Table.Len() || len(kept) <= 2*batch {
 		t.Fatalf("%d rows kept, the table has %d; want several batches", len(kept), want.Table.Len())
 	}
 	for i, row := range kept {
@@ -112,7 +114,7 @@ func TestRowTuplesAreCallerOwned(t *testing.T) {
 		rows.Next()
 		_ = rows.Row()
 	}
-	if got, want := len(rows.slab), (stream.BatchRows-200-20)*3; got != want {
+	if got, want := len(rows.slab), (batch-200-20)*3; got != want {
 		t.Fatalf("the slab has %d values left after 20 rows, want %d: one slab, sized for the rows the batch had left", got, want)
 	}
 }

@@ -56,14 +56,18 @@ func (s Stats) SharedRate() float64 {
 	return float64(s.Hits+s.Attaches) / float64(total)
 }
 
-// Lookup names what Get looks for. Group and Match widen a miss on Key: the
-// most recently used entry of Group for which Match(its tag, Tag) holds
-// serves the lookup instead, complete or still filling. Tag is recorded on
-// the entry a miss creates.
+// Lookup names what Get looks for. Key is held in a buffer the caller
+// reuses: a hit looks it up without converting it, and only a miss copies
+// it into the string its entry keeps. Its first Group bytes are its group.
+// Group and Match widen a miss on Key: the most recently used entry of the
+// same group for which Match(its tag, Tag) holds serves the lookup
+// instead, complete or still filling. Tag is recorded on the entry a miss
+// creates.
 type Lookup struct {
-	Key, Group string
-	Tag        any
-	Match      func(have, want any) bool
+	Key   []byte
+	Group int
+	Tag   any
+	Match func(have, want any) bool
 }
 
 // LRU is a cache of V values, safe for concurrent use. The valid function
@@ -107,25 +111,12 @@ func New[V any](capacity int, valid func(V) bool) *LRU[V] {
 func (c *LRU[V]) Get(ctx context.Context, q Lookup, epoch uint64, fill func() (V, error)) (V, string, error) {
 	c.mu.Lock()
 	c.observeLocked(epoch)
-	e := c.items[q.Key]
+	e := c.items[string(q.Key)]
+	group := q.Key[:q.Group]
 	for x := c.ring.next; e == nil && q.Match != nil && x != &c.ring; x = x.next {
-		if x.group == q.Group && q.Match(x.tag, q.Tag) {
+		if x.group == string(group) && q.Match(x.tag, q.Tag) {
 			e = x
 		}
-	}
-	return c.serveLocked(ctx, e, q, fill)
-}
-
-// GetBytes is Get on a key held in a buffer the caller reuses: a hit looks
-// it up without converting it, and only a miss copies it into the string
-// its entry keeps.
-func (c *LRU[V]) GetBytes(ctx context.Context, key []byte, epoch uint64, fill func() (V, error)) (V, string, error) {
-	c.mu.Lock()
-	c.observeLocked(epoch)
-	e := c.items[string(key)]
-	var q Lookup
-	if e == nil {
-		q.Key = string(key)
 	}
 	return c.serveLocked(ctx, e, q, fill)
 }
@@ -158,8 +149,9 @@ func (c *LRU[V]) serveLocked(ctx context.Context, e *entry[V], q Lookup, fill fu
 	}
 
 	c.sweepLocked(false)
-	e = &entry[V]{key: q.Key, group: q.Group, tag: q.Tag, done: make(chan struct{})}
-	c.items[q.Key] = e
+	key := string(q.Key)
+	e = &entry[V]{key: key, group: key[:q.Group], tag: q.Tag, done: make(chan struct{})}
+	c.items[key] = e
 	c.ringFront(e)
 	c.st.Misses++
 	if len(c.items) > c.cap {

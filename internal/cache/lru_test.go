@@ -27,7 +27,7 @@ func (w *world) fill(name string) func() (*value, error) {
 
 func get(t *testing.T, c *LRU[*value], w *world, key string) string {
 	t.Helper()
-	v, disp, err := c.Get(context.Background(), Lookup{Key: key}, 0, w.fill(key))
+	v, disp, err := c.Get(context.Background(), Lookup{Key: []byte(key)}, 0, w.fill(key))
 	if err != nil || v.name != key {
 		t.Fatalf("Get(%q) = %+v, %v", key, v, err)
 	}
@@ -71,7 +71,7 @@ func TestLeaderErrorReachesAttachers(t *testing.T) {
 	release := make(chan struct{})
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.Get(context.Background(), Lookup{Key: "k"}, 0, func() (*value, error) {
+		_, _, err := c.Get(context.Background(), Lookup{Key: []byte("k")}, 0, func() (*value, error) {
 			<-release
 			return nil, boom
 		})
@@ -84,7 +84,7 @@ func TestLeaderErrorReachesAttachers(t *testing.T) {
 	errs := make(chan error, attachers)
 	for i := 0; i < attachers; i++ {
 		go func() {
-			_, disp, err := c.Get(context.Background(), Lookup{Key: "k"}, 0, func() (*value, error) {
+			_, disp, err := c.Get(context.Background(), Lookup{Key: []byte("k")}, 0, func() (*value, error) {
 				return nil, fmt.Errorf("attacher filled")
 			})
 			if disp != Attach {
@@ -120,7 +120,7 @@ func TestAttacherContextCancelled(t *testing.T) {
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		_, _, _ = c.Get(context.Background(), Lookup{Key: "k"}, 0, func() (*value, error) {
+		_, _, _ = c.Get(context.Background(), Lookup{Key: []byte("k")}, 0, func() (*value, error) {
 			<-release
 			return &value{"k", 0}, nil
 		})
@@ -131,7 +131,7 @@ func TestAttacherContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	attacherDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.Get(ctx, Lookup{Key: "k"}, 0, w.fill("k"))
+		_, _, err := c.Get(ctx, Lookup{Key: []byte("k")}, 0, w.fill("k"))
 		attacherDone <- err
 	}()
 	waitAttached(c, 0, 1)
@@ -158,7 +158,7 @@ func TestStaleFillServedNotCached(t *testing.T) {
 	release := make(chan struct{})
 	leader := make(chan *value, 1)
 	go func() {
-		v, _, _ := c.Get(context.Background(), Lookup{Key: "k"}, 0, func() (*value, error) {
+		v, _, _ := c.Get(context.Background(), Lookup{Key: []byte("k")}, 0, func() (*value, error) {
 			v := &value{"k", w.version.Load()}
 			<-release
 			return v, nil
@@ -170,7 +170,7 @@ func TestStaleFillServedNotCached(t *testing.T) {
 	}
 	attacher := make(chan *value, 1)
 	go func() {
-		v, _, _ := c.Get(context.Background(), Lookup{Key: "k"}, 0, w.fill("k"))
+		v, _, _ := c.Get(context.Background(), Lookup{Key: []byte("k")}, 0, w.fill("k"))
 		attacher <- v
 	}()
 	waitAttached(c, 0, 1)
@@ -198,14 +198,14 @@ func TestSweep(t *testing.T) {
 		get(t, c, w, k)
 	}
 	stale["a"], stale["b"] = true, true
-	if _, disp, _ := c.Get(context.Background(), Lookup{Key: "c"}, 1, w.fill("c")); disp != Hit {
+	if _, disp, _ := c.Get(context.Background(), Lookup{Key: []byte("c")}, 1, w.fill("c")); disp != Hit {
 		t.Fatalf("valid entry after the sweep: %q, want hit", disp)
 	}
 	if st := c.Stats(1); st.Size != 1 || st.Invalidations != 2 {
 		t.Fatalf("after an epoch move: %+v, want 1 entry and 2 invalidations", st)
 	}
 	stale["c"] = true
-	if _, disp, _ := c.Get(context.Background(), Lookup{Key: "d"}, 1, w.fill("d")); disp != Miss {
+	if _, disp, _ := c.Get(context.Background(), Lookup{Key: []byte("d")}, 1, w.fill("d")); disp != Miss {
 		t.Fatalf("new key: %q, want miss", disp)
 	}
 	if st := c.Stats(1); st.Size != 1 || st.Invalidations != 3 {
@@ -222,7 +222,7 @@ func TestEpochMoveDropsFlights(t *testing.T) {
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		_, _, _ = c.Get(context.Background(), Lookup{Key: "k"}, 0, func() (*value, error) {
+		_, _, _ = c.Get(context.Background(), Lookup{Key: []byte("k")}, 0, func() (*value, error) {
 			<-release
 			return &value{"k", 0}, nil
 		})
@@ -230,12 +230,12 @@ func TestEpochMoveDropsFlights(t *testing.T) {
 	for c.Stats(0).Misses < 1 {
 		runtime.Gosched()
 	}
-	if _, disp, _ := c.Get(context.Background(), Lookup{Key: "k"}, 1, w.fill("k")); disp != Miss {
+	if _, disp, _ := c.Get(context.Background(), Lookup{Key: []byte("k")}, 1, w.fill("k")); disp != Miss {
 		t.Fatalf("lookup after the epoch moved: %q, want its own miss", disp)
 	}
 	close(release)
 	<-leaderDone
-	if _, disp, _ := c.Get(context.Background(), Lookup{Key: "k"}, 1, w.fill("k")); disp != Hit {
+	if _, disp, _ := c.Get(context.Background(), Lookup{Key: []byte("k")}, 1, w.fill("k")); disp != Hit {
 		t.Fatalf("the newer fill was not kept: %q", disp)
 	}
 }
@@ -248,7 +248,7 @@ func TestMatchWithinGroup(t *testing.T) {
 	c := New(8, w.valid)
 	finer := func(have, want any) bool { return have.(int) >= want.(int) }
 	lookup := func(key, group string, grain int) string {
-		_, disp, err := c.Get(context.Background(), Lookup{Key: key, Group: group, Tag: grain, Match: finer}, 0, w.fill(key))
+		_, disp, err := c.Get(context.Background(), Lookup{Key: []byte(key), Group: len(group), Tag: grain, Match: finer}, 0, w.fill(key))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,7 +279,7 @@ func TestFillPanicReleasesAttachers(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		defer func() { _ = recover() }()
-		_, _, _ = c.Get(context.Background(), Lookup{Key: "k"}, 0, func() (*value, error) {
+		_, _, _ = c.Get(context.Background(), Lookup{Key: []byte("k")}, 0, func() (*value, error) {
 			<-release
 			panic("fill")
 		})
@@ -289,7 +289,7 @@ func TestFillPanicReleasesAttachers(t *testing.T) {
 	}
 	attacher := make(chan error, 1)
 	go func() {
-		_, _, err := c.Get(context.Background(), Lookup{Key: "k"}, 0, w.fill("k"))
+		_, _, err := c.Get(context.Background(), Lookup{Key: []byte("k")}, 0, w.fill("k"))
 		attacher <- err
 	}()
 	waitAttached(c, 0, 1)
@@ -319,7 +319,7 @@ func TestConcurrentLookups(t *testing.T) {
 				if g == 0 && i%20 == 0 {
 					w.version.Add(1)
 				}
-				v, _, err := c.Get(context.Background(), Lookup{Key: key}, uint64(w.version.Load()), w.fill(key))
+				v, _, err := c.Get(context.Background(), Lookup{Key: []byte(key)}, uint64(w.version.Load()), w.fill(key))
 				if err != nil || v.name != key {
 					t.Errorf("Get(%q) = %+v, %v", key, v, err)
 					return

@@ -27,6 +27,12 @@ const maxItemBytes = 32 << 20
 // slots is read once: runtime.GOMAXPROCS takes the scheduler lock.
 var slots = runtime.GOMAXPROCS(0)
 
+// Keys are the buffers cache keys are rendered into, one per lookup — a
+// plan-cache key, a shared-subplan key: a free list, not a sync.Pool, so
+// that a GC — or the race detector, which makes a pool drop what it is
+// given at random — never leaves a hit to allocate its key.
+var Keys = NewList(func(b *[]byte) int64 { return int64(cap(*b)) })
+
 // List is a free list of *T. The zero value is not usable; make one with
 // NewList.
 type List[T any] struct {

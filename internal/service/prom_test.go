@@ -341,7 +341,7 @@ func TestQuerySpansCoverTheRoot(t *testing.T) {
 	}
 	release, led := make(chan struct{}), make(chan error, 1)
 	go func() {
-		_, _, err := svc.subplans.Get(ctx, subplanLookup(prep), svc.eng.Generation(), func() (*sql.SharedSegment, error) {
+		_, _, err := svc.subplans.Get(ctx, subplanLookup(prep, nil), svc.eng.Generation(), func() (*sql.SharedSegment, error) {
 			<-release
 			return prep.RunSubplan(ctx)
 		})

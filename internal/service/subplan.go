@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/recycle"
 	"repro/internal/sql"
 )
 
@@ -16,7 +17,7 @@ import (
 // suffixes over one materialized segment. It is a cache.LRU of
 // *sql.SharedSegment, and identity has two levels:
 //
-//   - the *group* (sql.Prepared.SubplanGroup): catalog entry, data
+//   - the *group* (sql.Prepared.AppendSubplanKey): catalog entry, data
 //     generation, lowercased table and canonical WHERE — statements in one
 //     group read exactly the same rows. A segment stays cached while it is
 //     current (sql.SharedSegment.Current), so re-registering a table or
@@ -56,7 +57,11 @@ func (s *Service) sharedSegment(ctx context.Context, prep *sql.Prepared) (*sql.S
 	if s.subplans == nil || !prep.Shareable() {
 		return nil, "", nil
 	}
-	seg, disp, err := s.subplans.Get(ctx, subplanLookup(prep), s.eng.Generation(), func() (*sql.SharedSegment, error) {
+	buf := recycle.Keys.Get()
+	defer recycle.Keys.Put(buf)
+	q := subplanLookup(prep, *buf)
+	*buf = q.Key
+	seg, disp, err := s.subplans.Get(ctx, q, s.eng.Generation(), func() (*sql.SharedSegment, error) {
 		return prep.RunSubplan(ctx)
 	})
 	if err != nil && disp == cache.Attach {
@@ -68,11 +73,11 @@ func (s *Service) sharedSegment(ctx context.Context, prep *sql.Prepared) (*sql.S
 	return seg, disp, err
 }
 
-// subplanLookup is prep's identity in the subplan cache: its group, and
-// its frame-lattice node within the group.
-func subplanLookup(prep *sql.Prepared) cache.Lookup {
-	group := prep.SubplanGroup()
-	return cache.Lookup{Key: group + "|" + prep.SubplanNode(), Group: group, Tag: prep, Match: finerSegment}
+// subplanLookup is prep's identity in the subplan cache, its key rendered
+// into buf: its group, and its frame-lattice node within the group.
+func subplanLookup(prep *sql.Prepared, buf []byte) cache.Lookup {
+	key, group := prep.AppendSubplanKey(buf[:0])
+	return cache.Lookup{Key: key, Group: group, Tag: prep, Match: finerSegment}
 }
 
 // finerSegment is the frame-lattice match: the segment led by statement

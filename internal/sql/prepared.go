@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/attrs"
@@ -48,8 +49,10 @@ type Prepared struct {
 	wfCol       map[int]int // wf ID -> column index in the executed table
 	// shareable marks a chain that splits at the subplan seam: one leading
 	// heavy reorder, every later step reorder-free, sequential execution
-	// (see subplan.go).
-	shareable bool
+	// (see subplan.go). scanKey and node are then its identity in the
+	// shared-subplan cache (SubplanScanKey, SubplanNode).
+	shareable     bool
+	scanKey, node string
 
 	outCols []storage.Column
 	outSrc  []int // per output column: its base column, or ^id for window function id
@@ -277,12 +280,15 @@ func (p *Prepared) bind(plan *core.Plan) {
 		p.chain = plan.PaperString()
 	}
 	p.shareable = shareableChain(plan) && p.cfg.Parallelism <= 1
+	p.scanKey, p.node = "", ""
 	if p.shareable {
 		// A suffix names each function with no reorder before it, whatever
 		// segment it is derived against: the statement's own renders it.
 		if suffix, ok := core.DeriveSuffix(plan, plan.Steps[0].Out); ok {
 			p.suffixChain = suffix.PaperString()
 		}
+		p.scanKey = strings.ToLower(p.entry.Name) + "|" + canonExpr(p.q.Where)
+		p.node = core.LatticeNode(plan)
 	}
 	p.pick = make([]int, len(p.outSrc))
 	for j, src := range p.outSrc {

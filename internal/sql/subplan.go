@@ -62,27 +62,29 @@ func (p *Prepared) Shareable() bool { return p.shareable }
 // SubplanScanKey is the canonical identity of the statement's scan input:
 // the lowercased table name and the canonicalized WHERE predicate. It is
 // the frame-lattice *group* — statements in one group read the same rows
-// and differ only in their reorder node.
-func (p *Prepared) SubplanScanKey() string {
-	return strings.ToLower(p.entry.Name) + "|" + canonExpr(p.q.Where)
-}
-
-// SubplanGroup is the frame-lattice group a shared segment of the
-// statement is cached under: the scan key qualified by the catalog entry
-// (its registration generation) and the data generation a scan would read
-// now, so a lookup finds only segments of the rows it would read itself.
-func (p *Prepared) SubplanGroup() string {
-	return fmt.Sprintf("e%d|d%d|%s", p.entry.Generation(), p.entry.DataGen(), p.SubplanScanKey())
-}
+// and differ only in their reorder node. Empty when the statement is not
+// shareable.
+func (p *Prepared) SubplanScanKey() string { return p.scanKey }
 
 // SubplanNode is the statement's frame-lattice node: the canonical form of
 // the chain's leading heavy reorder (core.LatticeNode). Empty when the
 // statement is not shareable.
-func (p *Prepared) SubplanNode() string {
-	if !p.shareable {
-		return ""
-	}
-	return core.LatticeNode(p.plan)
+func (p *Prepared) SubplanNode() string { return p.node }
+
+// AppendSubplanKey appends the key a shared segment of the statement is
+// cached under to dst, and returns it with the length of its group. The
+// group is the scan key qualified by the catalog entry (its registration
+// generation) and the data generation a scan would read now, so a lookup
+// finds only segments of the rows it would read itself; the node follows
+// it: "e<generation>|d<data generation>|<scan key>|<node>".
+func (p *Prepared) AppendSubplanKey(dst []byte) (key []byte, group int) {
+	dst = append(dst, 'e')
+	dst = strconv.AppendUint(dst, p.entry.Generation(), 10)
+	dst = append(dst, "|d"...)
+	dst = strconv.AppendUint(dst, p.entry.DataGen(), 10)
+	dst = append(append(dst, '|'), p.scanKey...)
+	group = len(dst)
+	return append(append(dst, '|'), p.node...), group
 }
 
 // SubplanProps is the physical stream property of the subplan's output —

@@ -285,11 +285,6 @@ func (e *Engine) Prepare(src string) (*sql.Prepared, error) {
 	return r.Prepare(src)
 }
 
-// keyBufs are the buffers Resolve renders cache keys into: a free list, not
-// a sync.Pool, so that a GC — or the race detector, which makes a pool drop
-// what it is given at random — never leaves a hit to allocate its key.
-var keyBufs = recycle.NewList(func(b *[]byte) int64 { return int64(cap(*b)) })
-
 // Resolve returns src's prepared statement through the engine's plan cache
 // and how the lookup was served: cache.Hit, cache.Miss (this call
 // prepared it) or cache.Attach (it waited on a concurrent miss). The key
@@ -299,15 +294,15 @@ var keyBufs = recycle.NewList(func(b *[]byte) int64 { return int64(cap(*b)) })
 // is never cached. Text the lexer rejects skips the cache and fails in
 // Prepare, so whether a statement fails never depends on its spacing.
 func (e *Engine) Resolve(ctx context.Context, src string) (*sql.Prepared, string, error) {
-	buf := keyBufs.Get()
-	defer keyBufs.Put(buf)
+	buf := recycle.Keys.Get()
+	defer recycle.Keys.Put(buf)
 	key, err := sql.AppendCanonical((*buf)[:0], src)
 	*buf = key
 	if err != nil {
 		p, err := e.Prepare(src)
 		return p, cache.Miss, err
 	}
-	return e.plans.GetBytes(ctx, key, e.cat.Generation(), func() (*sql.Prepared, error) {
+	return e.plans.Get(ctx, cache.Lookup{Key: key}, e.cat.Generation(), func() (*sql.Prepared, error) {
 		return e.Prepare(src)
 	})
 }

@@ -14,32 +14,43 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/recycle"
 	"repro/internal/storage"
 	"repro/internal/stream"
 )
 
 // tableRows is a cursor over a materialized table on the Rows surface,
-// without a service around it.
+// without a service around it: each batch is the next stream.BatchRows of
+// the table's rows, filled into a batch that comes from tableBatches and
+// goes back at the end, as a served cursor's does.
 type tableRows struct {
-	t *storage.Table
-	b *stream.Batcher
+	t    *storage.Table
+	rows []storage.Tuple // what is left to yield
+	b    *stream.Batch
 }
+
+var tableBatches = recycle.NewList((*stream.Batch).Bytes)
 
 func newTableRows(t *storage.Table) *windowdb.Rows {
-	rows := t.Rows
-	return windowdb.NewRows(tableRows{t, stream.NewBatcher(t.Schema.Len(), stream.BatchRows(t.Schema.Len()), func() (storage.Tuple, error) {
-		if len(rows) == 0 {
-			return nil, io.EOF
-		}
-		row := rows[0]
-		rows = rows[1:]
-		return row, nil
-	})})
+	return windowdb.NewRows(&tableRows{t: t, rows: t.Rows, b: tableBatches.Get()})
 }
 
-func (tr tableRows) Columns() []storage.Column         { return tr.t.Schema.Columns }
-func (tr tableRows) NextBatch() (*stream.Batch, error) { return tr.b.NextBatch() }
-func (tableRows) End(windowdb.Ending) *windowdb.QueryMetrics {
+func (tr *tableRows) Columns() []storage.Column { return tr.t.Schema.Columns }
+
+func (tr *tableRows) NextBatch() (*stream.Batch, error) {
+	if len(tr.rows) == 0 {
+		return nil, io.EOF
+	}
+	arity := tr.t.Schema.Len()
+	n := min(len(tr.rows), stream.BatchRows(arity))
+	err := tr.b.FillTuples(tr.rows[:n], arity)
+	tr.rows = tr.rows[n:]
+	return tr.b, err
+}
+
+func (tr *tableRows) End(windowdb.Ending) *windowdb.QueryMetrics {
+	tr.b.Clear()
+	tableBatches.Put(tr.b)
 	return &windowdb.QueryMetrics{}
 }
 

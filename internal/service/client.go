@@ -123,7 +123,8 @@ func (c *Client) Addr() string { return c.base }
 // QueryContext executes src on the server and returns a cursor over the
 // response stream.
 func (c *Client) QueryContext(ctx context.Context, src string) (*windowdb.Rows, error) {
-	sr, err := OpenStream(ctx, c.hc, c.base+"/query", queryRequest{SQL: src, Stream: true}, c.codec)
+	q := queryRequest{SQL: src, Stream: true}
+	sr, err := openStream(ctx, c.hc, c.base+"/query", newQueryBody(&q), c.codec)
 	if err != nil {
 		return nil, err
 	}
@@ -220,10 +221,20 @@ func OpenStream(ctx context.Context, hc *http.Client, url string, reqBody any, c
 	if err != nil {
 		return nil, fmt.Errorf("service: encode request: %w", err)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(buf))
+	return openStream(ctx, hc, url, bytes.NewReader(buf), codec)
+}
+
+// openStream is OpenStream over a JSON body already encoded: a
+// *bytes.Reader, or a Client's *queryBody, which the transport closes.
+func openStream(ctx context.Context, hc *http.Client, url string, body interface {
+	io.Reader
+	Len() int
+}, codec WireCodec) (*StreamReader, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, body)
 	if err != nil {
 		return nil, err
 	}
+	req.ContentLength = int64(body.Len())
 	req.Header.Set("Content-Type", "application/json")
 	if hc == nil {
 		hc = http.DefaultClient

@@ -109,7 +109,7 @@ func NewHandler(f *Front, b Backend) *http.ServeMux {
 		},
 		http.MethodPost: func(w http.ResponseWriter, r *http.Request) {
 			var req queryRequest
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			if err := readQueryRequest(r.Body, &req); err != nil {
 				writeError(w, http.StatusBadRequest, "request", fmt.Errorf("service: bad request body: %w", err))
 				return
 			}
@@ -224,25 +224,6 @@ func (s *Service) Handler() http.Handler {
 		route(mux, "/shard/shuffle/drop", methods{http.MethodPost: s.handleShuffleDrop})
 	}
 	return mux
-}
-
-type queryRequest struct {
-	SQL string `json:"sql"`
-	// MaxRows truncates the returned rows (the query still executes fully);
-	// 0 means all rows.
-	MaxRows int `json:"max_rows"`
-	// TimeoutMillis bounds the query when > 0, overriding the service
-	// default.
-	TimeoutMillis int64 `json:"timeout_ms"`
-	// Stream asks for the NDJSON streamed response (stream.go) instead of
-	// the buffered JSON body; `Accept: application/x-ndjson` and `?stream=1`
-	// are equivalent spellings.
-	Stream bool `json:"stream,omitempty"`
-	// Subscribe turns the statement into a SUBSCRIBE (prepending the verb
-	// if the SQL doesn't already carry it) and implies Stream: the response
-	// is the live delta stream, flushed row by row. `?subscribe=1` is the
-	// GET spelling.
-	Subscribe bool `json:"subscribe,omitempty"`
 }
 
 // queryResponse is the buffered /query body of every front end; route and

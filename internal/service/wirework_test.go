@@ -307,11 +307,11 @@ func wireRoundTrip(t *testing.T, table *storage.Table) func() {
 	}
 }
 
-// TestWarmWireRoundTripAllocations: a warm binary round trip allocates per
-// statement, not per frame or row — the same at 2 000 rows (8 frames) as at
-// 20 000 (79), within 2. The writer, the reader and the batch come back
-// from their lists, and a frame's header lives in the writer's buffer and
-// in the reader's struct.
+// TestWarmWireRoundTripAllocations: a warm binary round trip over memory
+// allocates per statement, not per frame or row — the same at 2 000 rows
+// (1 frame) as at 20 000 (8), within 2. The writer, the reader and the
+// batch come back from their lists, and a frame's header lives in the
+// writer's buffer and in the reader's struct.
 func TestWarmWireRoundTripAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race instrumentation allocates")
@@ -322,6 +322,64 @@ func TestWarmWireRoundTripAllocations(t *testing.T) {
 		t.Fatalf("a warm round trip allocates %v times at 20 000 rows and %v at 2 000: per frame, not per statement", large, small)
 	}
 	t.Logf("a warm round trip allocates %v times at 2 000 rows, %v at 20 000", small, large)
+}
+
+// loopbackRoundTrip returns one warm round trip of table through the binary
+// codec over loopback HTTP, the way a served statement travels: WriteStream
+// behind an httptest server, a StreamReader over the response drained by
+// batch. It reports the frames each trip read into *frames.
+func loopbackRoundTrip(t *testing.T, table *storage.Table, frames *int) func() {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		WriteStream(r.Context(), w, newTableRows(table), 0, CodecBinary)
+	}))
+	t.Cleanup(srv.Close)
+	q := queryRequest{SQL: "x"}
+	return func() {
+		sr, err := openStream(context.Background(), srv.Client(), srv.URL, newQueryBody(&q), CodecBinary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for *frames = 0; ; *frames++ {
+			b, err := sr.NextBatch()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += b.Len()
+		}
+		_ = sr.Close()
+		if n != table.Len() {
+			t.Fatalf("%d rows came through, want %d", n, table.Len())
+		}
+	}
+}
+
+// TestWarmWireRoundTripOverHTTP is TestWarmWireRoundTripAllocations over
+// loopback HTTP, where a frame is not free: net/http's chunk writer boxes
+// each chunk's length for its header, one allocation per frame. A
+// 20 000-row result of 3 columns leaves in ceil(20 000 / BatchRows(3)) = 8
+// frames, and a warm round trip allocates 109 times in the whole process:
+// one per frame, and the server's handler and the client's request and
+// response around the frames.
+func TestWarmWireRoundTripOverHTTP(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race instrumentation allocates")
+	}
+	const rows, wantFrames, budget = 20_000, 8, 109
+	var frames int
+	trip := loopbackRoundTrip(t, numericTable(rows), &frames)
+	trip() // the connection and the lists
+	got := testing.AllocsPerRun(20, trip)
+	if frames != wantFrames {
+		t.Fatalf("%d rows of 3 columns came in %d frames, want %d", rows, frames, wantFrames)
+	}
+	t.Logf("a warm loopback round trip of %d frames allocates %v times", frames, got)
+	if got > budget {
+		t.Fatalf("a warm loopback round trip allocates %v times, want at most %v", got, budget)
+	}
 }
 
 // BenchmarkWireRoundTrip is the wire layer's own number: a 20 000-row Q1

@@ -91,23 +91,13 @@ func (q *queryRequest) decode(s string) error {
 func readQueryRequest(r io.Reader, q *queryRequest) error {
 	buf := bodyBufs.Get()
 	defer bodyBufs.Put(buf)
-	b := (*buf)[:0]
-	for {
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
-		}
-		n, err := r.Read(b[len(b):cap(b)])
-		b = b[:len(b)+n]
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			*buf = b
-			return err
-		}
+	body := bytes.NewBuffer((*buf)[:0])
+	_, err := body.ReadFrom(r)
+	*buf = body.Bytes()
+	if err != nil {
+		return err
 	}
-	*buf = b
-	return q.decode(string(b))
+	return q.decode(body.String())
 }
 
 // queryBody is a /query request body in flight: q's JSON in a buffer from

@@ -425,7 +425,8 @@ func (b *Batch) Tuples() []storage.Tuple {
 type Batcher struct {
 	next    func() (storage.Tuple, error)
 	arity   int
-	staging []storage.Tuple
+	max     int
+	staging []storage.Tuple // grown to the most rows one batch has held
 	batch   Batch
 	err     error // what next ended with, held back until the rows before it are out
 }
@@ -433,7 +434,7 @@ type Batcher struct {
 // NewBatcher adapts next, which returns io.EOF (or an error) to end the
 // stream, into batches of at most max rows by arity columns.
 func NewBatcher(arity, max int, next func() (storage.Tuple, error)) *Batcher {
-	return &Batcher{next: next, arity: arity, staging: make([]storage.Tuple, 0, max)}
+	return &Batcher{next: next, arity: arity, max: max}
 }
 
 // NextBatch returns the next rows, valid until the following call. The
@@ -444,7 +445,7 @@ func (tb *Batcher) NextBatch() (*Batch, error) {
 		return nil, tb.err
 	}
 	rows := tb.staging[:0]
-	for len(rows) < cap(rows) {
+	for len(rows) < tb.max {
 		t, err := tb.next()
 		if err != nil {
 			tb.err = err
@@ -452,6 +453,7 @@ func (tb *Batcher) NextBatch() (*Batch, error) {
 		}
 		rows = append(rows, t)
 	}
+	tb.staging = rows
 	if len(rows) == 0 {
 		return nil, tb.err
 	}

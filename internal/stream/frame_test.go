@@ -100,6 +100,41 @@ func TestBatchArityMismatch(t *testing.T) {
 	}
 }
 
+// TestBatchRowsFillsABlock: a batch is as many rows as fill 64 KiB at 8
+// bytes a cell, clamped to 256..4096 — never more cells than
+// max(8192, 256·cols) — and a full batch of any width frames and decodes
+// within the reader's bounds, which are what they were when batches were
+// 256 rows.
+func TestBatchRowsFillsABlock(t *testing.T) {
+	for cols, want := range map[int]int{0: 4096, 1: 4096, 2: 4096, 3: 2730, 5: 1638, 8: 1024, 32: 256, 33: 256, 1000: 256} {
+		if got := BatchRows(cols); got != want {
+			t.Errorf("BatchRows(%d) = %d, want %d", cols, got, want)
+		}
+	}
+	for _, cols := range []int{1, 2, 3, 8, 31, 33, 200} {
+		rows := BatchRows(cols)
+		if cells := rows * cols; cells > max(8192, 256*cols) || cells > maxBatchCells || rows > maxBatchRows {
+			t.Fatalf("%d columns: %d rows, %d cells", cols, rows, cells)
+		}
+		b := &Batch{}
+		b.Reset(cols, rows)
+		for c := 0; c < cols; c++ {
+			vals := make([]storage.Value, rows)
+			for i := range vals {
+				vals[i] = storage.Int(int64(i * c))
+			}
+			b.SetValues(c, vals)
+		}
+		got, err := DecodeBatch(AppendBatch(nil, b), cols)
+		if err != nil {
+			t.Fatalf("%d columns: a full batch does not decode: %v", cols, err)
+		}
+		if got.Len() != rows {
+			t.Fatalf("%d columns: a full batch decodes to %d rows, want %d", cols, got.Len(), rows)
+		}
+	}
+}
+
 func TestFrameStreamRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	fw := NewFrameWriter(&buf)

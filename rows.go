@@ -311,8 +311,10 @@ func (r *Rows) Buffered() int {
 }
 
 // NextBatch advances to the source's next batch and returns it, reporting
-// false at end of stream or on error exactly as Next does. The batch
-// belongs to the source and is valid until the following Next or NextBatch.
+// false at end of stream or on error exactly as Next does. A batch holds
+// at most stream.BatchRows(len(Columns())) rows: 64 KiB of 8-byte cells,
+// from 256 rows to 4096. The batch belongs to the source and is valid
+// until the following Next or NextBatch.
 // It is the other way to drain a cursor, not one to mix with Next: rows of
 // the current batch Next has not reached yet are skipped. After a
 // NextBatch the cursor stands on the batch's first row.

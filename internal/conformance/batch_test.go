@@ -216,8 +216,12 @@ func TestMaxRowsOnABatchBoundary(t *testing.T) {
 				maxRows   int
 				truncated bool
 			}{
-				{7, true}, {batch, true}, {batch + 44, true},
-				{2 * batch, true}, {edgeRows - 1, true}, {edgeRows, false}, {edgeRows + 1, false},
+				// Cuts inside the first batch — 256, 512 and 768 rows are
+				// where a result of 32 or more columns ends one — then at
+				// this result's batch ends and past its last row.
+				{7, true}, {256, true}, {300, true}, {512, true}, {767, true}, {768, true}, {769, true},
+				{batch, true}, {batch + 44, true}, {2 * batch, true},
+				{edgeRows - 1, true}, {edgeRows, false}, {edgeRows + 1, false},
 			} {
 				t.Run(fmt.Sprintf("%s/%s/%d", bk.name, codec, tc.maxRows), func(t *testing.T) {
 					sr, err := service.OpenStream(context.Background(), bk.front.Client(), bk.front.URL+"/query",

@@ -89,10 +89,10 @@ func (c *Cursor) Meta() *Meta { return &c.meta }
 // column is gathered out of the chain's rows, a derived column past the
 // chain's last reorder is copied from its tail vector. The batch is the
 // cursor's own, refilled by the next call and handed to another cursor
-// after Close; the strings in it outlive it and the cursor: they alias the input table's, or — when the
-// chain's spills read strings back into its arena, which Close hands to the
-// next statement — are copied out of the arena, one allocation per string
-// column.
+// after Close; the strings in it outlive it and the cursor: they alias the
+// input table's, or — when the chain's spills read strings back into its
+// arena, which Close hands to the next statement — are copied out of the
+// arena, one allocation per string column.
 func (c *Cursor) NextBatch() (*stream.Batch, error) {
 	n := min(c.batch, c.left)
 	if n == 0 {

@@ -164,6 +164,64 @@ func streamBytesAreBatchFromTuples(t *testing.T, cols int) {
 	}
 }
 
+// TestWideStringsCrossTheWire: a result whose one batch holds more string
+// bytes than a frame may carry — 32 KiB strings, more than MaxFramePayload
+// of them — is served in the binary codec and read back whole: the writer
+// ends a frame once its strings reach stream.BatchBytes.
+func TestWideStringsCrossTheWire(t *testing.T) {
+	const width = 32 << 10
+	rows := stream.MaxFramePayload/width + 100
+	if rows > stream.BatchRows(2) {
+		t.Fatalf("%d rows do not fit one batch of %d", rows, stream.BatchRows(2))
+	}
+	letters := make([]byte, rows+width)
+	for i := range letters {
+		letters[i] = byte('a' + (i*i+i/7)%26)
+	}
+	base := string(letters) // every row's string is a window of it
+	wide := storage.NewTable(storage.NewSchema(
+		storage.Column{Name: "id", Type: storage.TypeInt},
+		storage.Column{Name: "s", Type: storage.TypeString},
+	))
+	for i := 0; i < rows; i++ {
+		wide.Rows = append(wide.Rows, storage.Tuple{storage.Int(int64(i)), storage.StringVal(base[i : i+width])})
+	}
+	eng := windowdb.New(windowdb.Config{SortMemBytes: 4 << 20, Parallelism: 1})
+	eng.Register("wide", wide)
+	srv := httptest.NewServer(New(eng, Config{Slots: 1}).Handler())
+	defer srv.Close()
+
+	sr, err := OpenStream(context.Background(), srv.Client(), srv.URL+"/query", queryRequest{SQL: `SELECT id, s FROM wide`, Stream: true}, CodecBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sr.Close()
+	n, frames := 0, 0
+	for ; ; frames++ {
+		b, err := sr.NextBatch()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("after %d rows: %v", n, err)
+		}
+		ids, strs := b.Cols()[0].Ints, b.Cols()[1].Strs
+		if len(strs)*width > stream.BatchBytes+width {
+			t.Fatalf("a frame of %d strings of %d bytes", len(strs), width)
+		}
+		for i, id := range ids {
+			if id != int64(n) || strs[i] != base[n:n+width] {
+				t.Fatalf("row %d came as id %d and a string that differs", n, id)
+			}
+			n++
+		}
+	}
+	if n != rows {
+		t.Fatalf("%d rows came through, want %d", n, rows)
+	}
+	t.Logf("%d rows of %d-byte strings came in %d frames", n, width, frames)
+}
+
 // allocatedBy reports the bytes f allocated.
 func allocatedBy(f func()) uint64 {
 	var before, after runtime.MemStats
@@ -195,37 +253,47 @@ func numericTable(rows int) *storage.Table {
 // value and a validity slot per cell.
 func batchBytes(w int) uint64 { return uint64(stream.BatchRows(w) * w * (16 + 1)) }
 
-// TestStreamWriterAllocatesPerBatchNotPerRow — framing a 20-frame cursor
-// allocates what the first frame does: the cursor's one batch, the frame
-// buffer, the header and trailer. The 19 frames after it add nothing that
-// scales; the tuple-staging writer allocated two slabs and a batch per
-// frame, 10× this bound.
-func TestStreamWriterAllocatesPerBatchNotPerRow(t *testing.T) {
-	table := numericTable(20 * stream.BatchRows(3))
+// framingAllocs reports the bytes WriteStream allocates framing frames
+// full batches of numericTable.
+func framingAllocs(frames int) uint64 {
+	table := numericTable(frames * stream.BatchRows(3))
 	w := &sink{hdr: http.Header{}}
-	w.body.Grow(2 << 20) // the sink's own growth is not the writer's
-	got := allocatedBy(func() {
+	w.body.Grow(frames << 16) // the sink's own growth is not the writer's
+	return allocatedBy(func() {
 		WriteStream(context.Background(), w, newTableRows(table), 0, CodecBinary)
 	})
-	if limit := 8 * batchBytes(3); got > limit {
-		t.Fatalf("framing %d rows allocated %d bytes, want at most %d (8 batches' worth)", table.Len(), got, limit)
-	}
-	t.Logf("framing %d rows allocated %d bytes; one batch is at most %d", table.Len(), got, batchBytes(3))
 }
 
-// TestStreamReaderAllocatesItsVectorsOnce — 20 frames decode into the
-// reader's one batch, and the reader adds no read buffer of its own: the
-// whole drain allocates a few batches' worth, not one per frame.
-func TestStreamReaderAllocatesItsVectorsOnce(t *testing.T) {
-	table := numericTable(20 * stream.BatchRows(3))
+// TestStreamWriterAllocatesPerBatchNotPerRow — framing an 80-frame cursor
+// allocates what the first frame does: the cursor's one batch, the frame
+// buffer, the header and trailer. The 79 frames after it add nothing that
+// scales: 80 frames allocate less than one batch more than 20 do, and the
+// whole is under 8 batches' worth; the tuple-staging writer allocated two
+// slabs and a batch per frame.
+func TestStreamWriterAllocatesPerBatchNotPerRow(t *testing.T) {
+	framingAllocs(1) // the writer, the batch and their lists
+	few, got := framingAllocs(20), framingAllocs(80)
+	if limit := 8 * batchBytes(3); got > limit {
+		t.Fatalf("framing 80 frames allocated %d bytes, want at most %d (8 batches' worth)", got, limit)
+	}
+	if got > few+batchBytes(3) {
+		t.Fatalf("framing 80 frames allocated %d bytes and 20 frames %d: the 60 between add more than one batch (%d)", got, few, batchBytes(3))
+	}
+	t.Logf("framing 20 and 80 frames allocated %d and %d bytes; one batch is at most %d", few, got, batchBytes(3))
+}
+
+// decodingAllocs reports the bytes a StreamReader allocates draining a
+// binary stream of frames full batches of numericTable.
+func decodingAllocs(t *testing.T, frames int) uint64 {
+	table := numericTable(frames * stream.BatchRows(3))
 	w := &sink{hdr: http.Header{}}
 	WriteStream(context.Background(), w, newTableRows(table), 0, CodecBinary)
 	resp := &http.Response{
 		Header: http.Header{"Content-Type": {ContentTypeBinary}},
 		Body:   io.NopCloser(bytes.NewReader(w.body.Bytes())),
 	}
-	var frames, rows int
-	got := allocatedBy(func() {
+	var got, rows int
+	alloc := allocatedBy(func() {
 		sr, err := wrapResponse("test", resp)
 		if err != nil {
 			t.Fatal(err)
@@ -238,17 +306,30 @@ func TestStreamReaderAllocatesItsVectorsOnce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			frames++
+			got++
 			rows += b.Len()
 		}
 	})
-	if frames != 20 || rows != table.Len() {
-		t.Fatalf("%d frames, %d rows, want 20 and %d", frames, rows, table.Len())
+	if got != frames || rows != table.Len() {
+		t.Fatalf("%d frames, %d rows, want %d and %d", got, rows, frames, table.Len())
 	}
+	return alloc
+}
+
+// TestStreamReaderAllocatesItsVectorsOnce — 80 frames decode into the
+// reader's one batch, and the reader adds no read buffer of its own: the
+// whole drain allocates a few batches' worth, not one per frame, and 80
+// frames less than one batch more than 20.
+func TestStreamReaderAllocatesItsVectorsOnce(t *testing.T) {
+	decodingAllocs(t, 1) // the reader, its batch and their lists
+	few, got := decodingAllocs(t, 20), decodingAllocs(t, 80)
 	if limit := 8 * batchBytes(3); got > limit {
-		t.Fatalf("decoding %d frames allocated %d bytes, want at most %d (8 batches' worth)", frames, got, limit)
+		t.Fatalf("decoding 80 frames allocated %d bytes, want at most %d (8 batches' worth)", got, limit)
 	}
-	t.Logf("decoding %d frames allocated %d bytes; one batch is at most %d", frames, got, batchBytes(3))
+	if got > few+batchBytes(3) {
+		t.Fatalf("decoding 80 frames allocated %d bytes and 20 frames %d: the 60 between add more than one batch (%d)", got, few, batchBytes(3))
+	}
+	t.Logf("decoding 20 and 80 frames allocated %d and %d bytes; one batch is at most %d", few, got, batchBytes(3))
 }
 
 // BenchmarkServeDrain is one windowed statement served over loopback HTTP

@@ -124,7 +124,8 @@ func (c *Client) Addr() string { return c.base }
 // response stream.
 func (c *Client) QueryContext(ctx context.Context, src string) (*windowdb.Rows, error) {
 	q := queryRequest{SQL: src, Stream: true}
-	sr, err := openStream(ctx, c.hc, c.base+"/query", newQueryBody(&q), c.codec)
+	body := q.appendJSON(make([]byte, 0, len(src)+64)) // 49 bytes around src, unless it needs escapes
+	sr, err := openStream(ctx, c.hc, c.base+"/query", body, c.codec)
 	if err != nil {
 		return nil, err
 	}
@@ -221,20 +222,17 @@ func OpenStream(ctx context.Context, hc *http.Client, url string, reqBody any, c
 	if err != nil {
 		return nil, fmt.Errorf("service: encode request: %w", err)
 	}
-	return openStream(ctx, hc, url, bytes.NewReader(buf), codec)
+	return openStream(ctx, hc, url, buf, codec)
 }
 
-// openStream is OpenStream over a JSON body already encoded: a
-// *bytes.Reader, or a Client's *queryBody, which the transport closes.
-func openStream(ctx context.Context, hc *http.Client, url string, body interface {
-	io.Reader
-	Len() int
-}, codec WireCodec) (*StreamReader, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, body)
+// openStream is OpenStream over a JSON body already encoded. The body is a
+// *bytes.Reader, so the request carries GetBody: the transport can send it
+// again on a fresh connection when a kept-alive one was closed under it.
+func openStream(ctx context.Context, hc *http.Client, url string, body []byte, codec WireCodec) (*StreamReader, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
-	req.ContentLength = int64(body.Len())
 	req.Header.Set("Content-Type", "application/json")
 	if hc == nil {
 		hc = http.DefaultClient

@@ -109,8 +109,12 @@ func NewHandler(f *Front, b Backend) *http.ServeMux {
 		},
 		http.MethodPost: func(w http.ResponseWriter, r *http.Request) {
 			var req queryRequest
-			if err := readQueryRequest(r.Body, &req); err != nil {
-				writeError(w, http.StatusBadRequest, "request", fmt.Errorf("service: bad request body: %w", err))
+			if err := readQueryRequest(w, r, &req); err != nil {
+				status, tooLarge := http.StatusBadRequest, (*http.MaxBytesError)(nil)
+				if errors.As(err, &tooLarge) {
+					status = http.StatusRequestEntityTooLarge
+				}
+				writeError(w, status, "request", fmt.Errorf("service: bad request body: %w", err))
 				return
 			}
 			serveQuery(w, r, f, b, req)

@@ -2,20 +2,19 @@ package service
 
 import (
 	"bytes"
-	"io"
+	"net/http"
 	"strconv"
-	"sync/atomic"
 
 	"repro/internal/jsontext"
 	"repro/internal/recycle"
 )
 
 // The /query request body, encoded and decoded by hand: a Client appends
-// it into a buffer from bodyBufs, and a front end reads it into one and
-// decodes it with jsontext, so a served statement's request costs neither
-// side a walk by reflection. The encoder writes exactly the bytes
-// encoding/json writes for queryRequest's struct tags, and the decoder
-// accepts only what encoding/json accepts, with an equal value
+// it into a buffer of its own, and a front end reads it into one from
+// bodyBufs and decodes it with jsontext, so a served statement's request
+// costs neither side a walk by reflection. The encoder writes exactly the
+// bytes encoding/json writes for queryRequest's struct tags, and the
+// decoder accepts only what encoding/json accepts, with an equal value
 // (FuzzQueryRequest). Every other request body — /append, /shard/* — is
 // encoding/json's.
 
@@ -38,8 +37,7 @@ type queryRequest struct {
 	Subscribe bool `json:"subscribe,omitempty"`
 }
 
-// bodyBufs are the buffers /query request bodies are encoded into and
-// read into.
+// bodyBufs are the buffers a front end reads /query request bodies into.
 var bodyBufs = recycle.NewList(func(b *[]byte) int64 { return int64(cap(*b)) })
 
 // appendJSON appends q's JSON to dst, byte for byte what encoding/json
@@ -85,43 +83,23 @@ func (q *queryRequest) decode(s string) error {
 	return d.End()
 }
 
-// readQueryRequest reads a /query body to its end into a buffer from
-// bodyBufs and decodes it into q. The strings q gets are copies: the
-// buffer goes back before it returns.
-func readQueryRequest(r io.Reader, q *queryRequest) error {
+// maxQueryBody bounds a /query request body: SQL text and a few scalars.
+// Past it the front end answers 413 and stops reading, so no client can
+// make it buffer — or keep on bodyBufs — more than this.
+const maxQueryBody = 1 << 20
+
+// readQueryRequest reads r's body, at most maxQueryBody bytes of it, into
+// a buffer from bodyBufs and decodes it into q. The strings q gets are
+// copies: the buffer goes back before it returns. A body over the bound is
+// an *http.MaxBytesError.
+func readQueryRequest(w http.ResponseWriter, r *http.Request, q *queryRequest) error {
 	buf := bodyBufs.Get()
 	defer bodyBufs.Put(buf)
 	body := bytes.NewBuffer((*buf)[:0])
-	_, err := body.ReadFrom(r)
+	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxQueryBody))
 	*buf = body.Bytes()
 	if err != nil {
 		return err
 	}
 	return q.decode(body.String())
-}
-
-// queryBody is a /query request body in flight: q's JSON in a buffer from
-// bodyBufs, which Close gives back. The transport closes a request's body
-// once it is done with it — which may be after the response has come, and
-// on some failures more than once: only the first Close gives the buffer
-// back.
-type queryBody struct {
-	bytes.Reader
-	buf atomic.Pointer[[]byte]
-}
-
-func newQueryBody(q *queryRequest) *queryBody {
-	buf := bodyBufs.Get()
-	*buf = q.appendJSON((*buf)[:0])
-	b := &queryBody{}
-	b.Reset(*buf)
-	b.buf.Store(buf)
-	return b
-}
-
-func (b *queryBody) Close() error {
-	if buf := b.buf.Swap(nil); buf != nil {
-		bodyBufs.Put(buf)
-	}
-	return nil
 }

@@ -60,26 +60,44 @@ func FuzzQueryRequest(f *testing.F) {
 	})
 }
 
-// TestQueryBodyGoesBackOnce: a request body's buffer goes back to its list
-// at the first Close, and a second Close — the transport closes a body
-// more than once on some failures — gives nothing back again.
-func TestQueryBodyGoesBackOnce(t *testing.T) {
-	q := queryRequest{SQL: "SELECT 1", Stream: true}
-	b := newQueryBody(&q)
-	if got, _ := io.ReadAll(b); string(got) != `{"sql":"SELECT 1","max_rows":0,"timeout_ms":0,"stream":true}` {
-		t.Fatalf("body %s", got)
+// TestClientRequestCanBeResent: a Client's /query request carries GetBody
+// and its length, so net/http can send it again on a new connection when
+// the server closed the kept-alive one it went out on.
+func TestClientRequestCanBeResent(t *testing.T) {
+	svc := newTestService(t, Config{Slots: 1}, 300)
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	var sent []byte
+	hc := &http.Client{Transport: roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		if req.GetBody == nil {
+			t.Fatal("the request has no GetBody")
+		}
+		body, err := req.GetBody()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sent, err = io.ReadAll(body); err != nil || int64(len(sent)) != req.ContentLength {
+			t.Fatalf("GetBody gave %d bytes (%v), ContentLength %d", len(sent), err, req.ContentLength)
+		}
+		return srv.Client().Transport.RoundTrip(req)
+	})}
+	rows, err := NewClient(srv.URL, hc).QueryContext(context.Background(), `SELECT empnum FROM emptab`)
+	if err != nil {
+		t.Fatal(err)
 	}
-	before := bodyBufs.Len()
-	_ = b.Close()
-	_ = b.Close()
-	if got := bodyBufs.Len(); got != before+1 {
-		t.Fatalf("two Closes left %d buffers on the list, want %d", got, before+1)
+	defer rows.Close()
+	if want := `{"sql":"SELECT empnum FROM emptab","max_rows":0,"timeout_ms":0,"stream":true}`; string(sent) != want {
+		t.Fatalf("GetBody gave %s, want %s", sent, want)
 	}
 }
 
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
+
 // TestQueryRequestBodies: /query reads a hand-decoded body, refuses what
-// encoding/json refuses with a 400, and a Client's hand-encoded request
-// reaches it whole.
+// encoding/json refuses with a 400 and a body over maxQueryBody with a 413,
+// and a Client's hand-encoded request reaches it whole.
 func TestQueryRequestBodies(t *testing.T) {
 	svc := newTestService(t, Config{Slots: 2}, 300)
 	srv := httptest.NewServer(svc.Handler())
@@ -102,6 +120,10 @@ func TestQueryRequestBodies(t *testing.T) {
 		if status, got := post(bad); status != http.StatusBadRequest || got["kind"] != "request" {
 			t.Fatalf("body %q: status %d, %v", bad, status, got)
 		}
+	}
+	long := `{"sql":"SELECT empnum FROM emptab` + strings.Repeat(" ", maxQueryBody) + `"}`
+	if status, got := post(long); status != http.StatusRequestEntityTooLarge || got["kind"] != "request" {
+		t.Fatalf("a body of %d bytes: status %d, %v", len(long), status, got)
 	}
 	rows, err := NewClient(srv.URL, srv.Client()).QueryContext(context.Background(), `SELECT empnum FROM emptab`)
 	if err != nil {

@@ -333,9 +333,9 @@ func loopbackRoundTrip(t *testing.T, table *storage.Table, frames *int) func() {
 		WriteStream(r.Context(), w, newTableRows(table), 0, CodecBinary)
 	}))
 	t.Cleanup(srv.Close)
-	q := queryRequest{SQL: "x"}
+	body := (&queryRequest{SQL: "x"}).appendJSON(nil)
 	return func() {
-		sr, err := openStream(context.Background(), srv.Client(), srv.URL, newQueryBody(&q), CodecBinary)
+		sr, err := openStream(context.Background(), srv.Client(), srv.URL, body, CodecBinary)
 		if err != nil {
 			t.Fatal(err)
 		}

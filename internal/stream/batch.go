@@ -17,8 +17,13 @@ import (
 // one chunk, so a 20 000-row result of two columns pays that 5 times, not
 // 79. A batch never holds more than max(8192, 256·cols) cells.
 func BatchRows(cols int) int {
-	return min(max(8192/max(cols, 1), 256), 4096)
+	return min(max(BatchBytes/8/max(cols, 1), 256), 4096)
 }
+
+// BatchBytes is the block a batch is sized to: the fixed-width cells of
+// BatchRows rows, and the most string bytes a frame gathers before it ends
+// (FrameWriter.WriteBatch).
+const BatchBytes = 64 << 10
 
 // Batch is a column-vector view of a run of rows: one Col per schema
 // column, each holding the column's values as a packed typed slice plus a
@@ -180,6 +185,43 @@ func (b *Batch) Bytes() int64 {
 			int64(cap(s.mixed))*int64(unsafe.Sizeof(storage.Value{}))
 	}
 	return n
+}
+
+// strBytes is the bytes of every string b holds: what its frames carry
+// past the fixed-width cells BatchRows accounts for.
+func (b *Batch) strBytes() int {
+	n := 0
+	for c := range b.cols {
+		col := &b.cols[c]
+		for _, v := range col.Mixed {
+			n += strLen(v)
+		}
+		for _, s := range col.Strs {
+			n += len(s)
+		}
+	}
+	return n
+}
+
+// rowStrBytes is strBytes of row i alone.
+func (b *Batch) rowStrBytes(i int) int {
+	n := 0
+	for c := range b.cols {
+		col := &b.cols[c]
+		if col.Mixed != nil {
+			n += strLen(col.Mixed[i])
+		} else if col.Strs != nil {
+			n += len(col.Strs[i])
+		}
+	}
+	return n
+}
+
+func strLen(v storage.Value) int {
+	if v.Kind() != storage.KindString {
+		return 0
+	}
+	return len(v.Str())
 }
 
 // Len returns the batch's row count.

@@ -140,9 +140,26 @@ func (fw *FrameWriter) WriteTrailer(payload []byte) error {
 	return fw.SendFrame(append(fw.BeginFrame(FrameTrailer), payload...))
 }
 
-// WriteBatch encodes and emits one 'B' frame.
+// WriteBatch encodes and emits b as one 'B' frame — or, when the strings
+// its rows hold reach BatchBytes, as one frame per run of rows whose
+// strings reach it (the last run: what is left). BatchRows bounds a
+// batch's fixed-width cells; this bounds its strings, so a frame stays
+// near BatchBytes of strings however wide they are, and a frame only
+// passes MaxFramePayload when a single row does.
 func (fw *FrameWriter) WriteBatch(b *Batch) error {
-	return fw.SendFrame(AppendBatch(fw.BeginFrame(FrameBatch), b))
+	if b.strBytes() < BatchBytes {
+		return fw.SendFrame(AppendBatch(fw.BeginFrame(FrameBatch), b))
+	}
+	lo, bytes := 0, 0
+	for i := 0; i < b.n; i++ {
+		if bytes += b.rowStrBytes(i); bytes >= BatchBytes || i == b.n-1 {
+			if err := fw.SendFrame(appendRows(fw.BeginFrame(FrameBatch), b, lo, i+1)); err != nil {
+				return err
+			}
+			lo, bytes = i+1, 0
+		}
+	}
+	return nil
 }
 
 // WriteTuples batches and emits rows as one 'B' frame.
@@ -154,38 +171,46 @@ func (fw *FrameWriter) WriteTuples(tuples []storage.Tuple, arity int) error {
 }
 
 // AppendBatch appends the batch payload encoding of b to dst.
-func AppendBatch(dst []byte, b *Batch) []byte {
-	dst = binary.AppendUvarint(dst, uint64(b.n))
+func AppendBatch(dst []byte, b *Batch) []byte { return appendRows(dst, b, 0, b.n) }
+
+// appendRows appends the batch payload encoding of rows lo..hi-1 of b to
+// dst, every column in the layout it has in b.
+func appendRows(dst []byte, b *Batch, lo, hi int) []byte {
+	dst = binary.AppendUvarint(dst, uint64(hi-lo))
 	for c := range b.cols {
 		col := &b.cols[c]
 		if col.Mixed != nil {
 			dst = append(dst, 4, 0)
-			for _, v := range col.Mixed {
+			for _, v := range col.Mixed[lo:hi] {
 				dst = appendValue(dst, v)
 			}
 			continue
+		}
+		var nulls []bool
+		if col.Null != nil {
+			nulls = col.Null[lo:hi]
 		}
 		switch col.Kind {
 		case storage.KindNull:
 			dst = append(dst, 0, 0)
 		case storage.KindInt:
-			dst = appendValidity(append(dst, 1), col.Null, b.n)
-			for i, v := range col.Ints {
-				if col.Null == nil || !col.Null[i] {
+			dst = appendValidity(append(dst, 1), nulls, hi-lo)
+			for i, v := range col.Ints[lo:hi] {
+				if nulls == nil || !nulls[i] {
 					dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
 				}
 			}
 		case storage.KindFloat:
-			dst = appendValidity(append(dst, 2), col.Null, b.n)
-			for i, v := range col.Floats {
-				if col.Null == nil || !col.Null[i] {
+			dst = appendValidity(append(dst, 2), nulls, hi-lo)
+			for i, v := range col.Floats[lo:hi] {
+				if nulls == nil || !nulls[i] {
 					dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 				}
 			}
 		case storage.KindString:
-			dst = appendValidity(append(dst, 3), col.Null, b.n)
-			for i, v := range col.Strs {
-				if col.Null == nil || !col.Null[i] {
+			dst = appendValidity(append(dst, 3), nulls, hi-lo)
+			for i, v := range col.Strs[lo:hi] {
+				if nulls == nil || !nulls[i] {
 					dst = binary.AppendUvarint(dst, uint64(len(v)))
 					dst = append(dst, v...)
 				}

@@ -135,6 +135,92 @@ func TestBatchRowsFillsABlock(t *testing.T) {
 	}
 }
 
+// TestWideStringsSplitIntoFrames: a batch whose strings reach BatchBytes
+// leaves in several frames, each ending at the row that brings its strings
+// to BatchBytes, and the frames decode to the batch's rows in order —
+// NULLs, an all-NULL column and a mixed column included. A batch whose
+// strings stay under BatchBytes is one frame, AppendBatch's bytes.
+func TestWideStringsSplitIntoFrames(t *testing.T) {
+	var tuples []storage.Tuple
+	for i := 0; i < 200; i++ {
+		row := storage.Tuple{storage.Int(int64(i)), storage.StringVal(strings.Repeat(string(rune('a'+i%26)), (i%9)<<11)), storage.Null, storage.Int(int64(i))}
+		if i%5 == 0 {
+			row[0] = storage.Null
+		}
+		if i%7 == 0 {
+			row[1] = storage.Null
+		}
+		if i%2 == 0 {
+			row[3] = storage.StringVal(strings.Repeat("m", 1000+i))
+		}
+		tuples = append(tuples, row)
+	}
+	rowBytes := func(t storage.Tuple) int {
+		n := 0
+		for _, v := range t {
+			if v.Kind() == storage.KindString {
+				n += len(v.Str())
+			}
+		}
+		return n
+	}
+	b, err := BatchFromTuples(tuples, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := NewFrameWriter(&buf).WriteBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	fr := NewFrameReader(&buf)
+	var back []storage.Tuple
+	for {
+		f, err := fr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeBatch(f.Payload, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := got.Tuples()
+		n := 0
+		for _, row := range rows {
+			n += rowBytes(row)
+		}
+		last := len(back)+len(rows) == len(tuples)
+		if n-rowBytes(rows[len(rows)-1]) >= BatchBytes || n < BatchBytes && !last {
+			t.Fatalf("a frame of %d rows holds %d string bytes, its last row %d", len(rows), n, rowBytes(rows[len(rows)-1]))
+		}
+		back = append(back, rows...)
+	}
+	if len(back) != len(tuples) {
+		t.Fatalf("the frames hold %d rows, want %d", len(back), len(tuples))
+	}
+	for i := range tuples {
+		for c := range tuples[i] {
+			if w, g := tuples[i][c], back[i][c]; w.Kind() != g.Kind() || !storage.Equal(w, g) {
+				t.Fatalf("row %d col %d: got %v, want %v", i, c, g, w)
+			}
+		}
+	}
+
+	small, err := BatchFromTuples([]storage.Tuple{{storage.StringVal(strings.Repeat("x", BatchBytes/2))}, {storage.StringVal(strings.Repeat("y", BatchBytes/2-1))}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := NewFrameWriter(&buf).WriteBatch(small); err != nil {
+		t.Fatal(err)
+	}
+	if want := AppendBatch(nil, small); !bytes.Equal(buf.Bytes()[len(FrameMagic)+frameHeaderLen:], want) {
+		t.Fatalf("a batch of %d string bytes did not leave as one AppendBatch frame", BatchBytes-1)
+	}
+}
+
 func TestFrameStreamRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	fw := NewFrameWriter(&buf)

@@ -6,19 +6,16 @@ import (
 	"repro/internal/attrs"
 )
 
-// Cost models (Section 3.4). Two layers are provided:
-//
-//  1. The paper's analytical formulas Eq. 1–2 (PaperFSCost, PaperHSCost),
-//     kept verbatim for documentation and tests; Eq. 3's unit analysis is
-//     SSCost's own.
-//  2. A runtime-mirroring block-I/O model (FSCost, HSCost, SSCost) that
-//     predicts exactly what this engine's operators will do — replacement
-//     selection runs of ≈2M, materialized intermediate merge passes with a
-//     streaming final merge, HS bucket counts as the runtime chooses them,
-//     SS unit estimation per the paper's uniformity assumptions — plus a
-//     small comparison-cost term. The planners use layer 2; on equal I/O
-//     the tie breaks toward FS, whose totally ordered output can benefit
-//     downstream operators (a point Section 6.1 makes explicitly).
+// Cost models (Section 3.4): a runtime-mirroring block-I/O model (FSCost,
+// HSCost, SSCost) that predicts exactly what this engine's operators will
+// do — replacement selection runs of ≈2M, materialized intermediate merge
+// passes with a streaming final merge, HS bucket counts as the runtime
+// chooses them, SS unit estimation per the paper's uniformity assumptions
+// (Eq. 3's unit analysis is SSCost's own) — plus a small comparison-cost
+// term. The planners use it; on equal I/O the tie breaks toward FS, whose
+// totally ordered output can benefit downstream operators (a point Section
+// 6.1 makes explicitly). The paper's Eq. 1–2 verbatim (PaperFSCost,
+// PaperHSCost) live with the tests that check them against it.
 //
 // All costs are in block I/Os; CPU comparison work is folded in via
 // CmpBlockEquiv (one block I/O ≡ 5000 comparisons), a calibration constant
@@ -224,27 +221,6 @@ func (p CostParams) ssUnits(in Props, alpha attrs.Seq) int64 {
 		u = 1
 	}
 	return k * u
-}
-
-// PaperFSCost is Eq. 1 verbatim: 2·B·(⌈log_F(B/2M)⌉+1).
-func (p CostParams) PaperFSCost() float64 {
-	b, m := float64(p.TableBlocks), float64(p.MemBlocks)
-	f := float64(p.mergeOrder())
-	passes := math.Ceil(math.Log(math.Max(b/(2*m), 1)) / math.Log(f))
-	return 2 * b * (passes + 1)
-}
-
-// PaperHSCost is Eq. 2 verbatim with N = D(WHK).
-func (p CostParams) PaperHSCost(whk attrs.Set) float64 {
-	b, m := float64(p.TableBlocks), float64(p.MemBlocks)
-	n := float64(p.distinct(whk))
-	nPrime := math.Floor(m * n / b)
-	if nPrime > n {
-		nPrime = n
-	}
-	bucket := int64(math.Ceil(b / n))
-	sortCost := n * float64(externalSortIO(bucket, p.MemBlocks, p.mergeOrder()))
-	return 2*b*(1-nPrime/n) + sortCost
 }
 
 // StepCost prices one plan step's reordering.

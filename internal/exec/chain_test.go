@@ -14,7 +14,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/paper"
 	"repro/internal/storage"
-	"repro/internal/stream"
 	"repro/internal/window"
 )
 
@@ -307,43 +306,34 @@ func chainOf(kinds []core.ReorderKind, global bool) ([]window.Spec, *core.Plan) 
 }
 
 // referenceSteps is the chain by the book, sharing nothing with RunChain
-// but the operators: each step reorders tagged rows it then collects,
+// but the operators: each step reorders a copy of the rows of its own,
 // evaluates with window.Reference over exactly that sequence, and copies
 // every row to append the value. It returns, per step, the rows as the step
-// left them and the positions its reorder flagged as segment starts.
+// left them and the positions its reorder made segment starts.
 func referenceSteps(t *testing.T, table *storage.Table, specs []window.Spec, plan *core.Plan, cfg Config) (after [][]storage.Tuple, boundaries [][]int) {
 	t.Helper()
-	rows, err := stream.Collect(stream.FromTuples(table.Rows))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, starts := table.Rows, []int(nil)
 	for i, step := range plan.Steps {
-		var comparisons int64
+		var (
+			comparisons int64
+			err         error
+		)
+		rows = slices.Clone(rows)
 		ws := getWorkspace(cfg)
-		out, _, err := applyReorder(stream.FromRows(rows), step, cfg, ws.reorderConfig(cfg, &comparisons, nil), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rows, err = stream.Collect(out); err != nil {
+		if starts, _, err = applyReorder(rows, starts, nil, step, cfg, ws.reorderConfig(cfg, &comparisons, nil), 0); err != nil {
 			t.Fatal(err)
 		}
 		ws.giveBack()
-		tuples := make([]storage.Tuple, len(rows))
-		var starts []int
-		for k, r := range rows {
-			if tuples[k] = r.Tuple; r.Boundary {
-				starts = append(starts, k)
-			}
-		}
-		vals, err := window.Reference(tuples, specs[i])
+		vals, err := window.Reference(rows, specs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		for k := range rows {
-			tuples[k] = tuples[k].Append(vals[k])
-			rows[k].Tuple = tuples[k]
+		tuples := make([]storage.Tuple, len(rows))
+		for k, row := range rows {
+			tuples[k] = row.Append(vals[k])
 		}
-		after, boundaries = append(after, tuples), append(boundaries, starts)
+		rows = tuples
+		after, boundaries = append(after, tuples), append(boundaries, append([]int{0}, starts...))
 	}
 	return after, boundaries
 }
@@ -352,8 +342,8 @@ func referenceSteps(t *testing.T, table *storage.Table, specs []window.Spec, pla
 // sequence differential (every sort is stable, so a chain has one right
 // answer, not a multiset of them): FS, HS and SS each as a reorder before
 // L ∈ {1, 2, 3}, with and without a budget that spills, over every shape.
-// The row array is driven step by step and held to the reorder's Boundary
-// flags; RunChain's rows are held position by position to the reference
+// The row array is driven step by step and held to the reference's segment
+// starts; RunChain's rows are held position by position to the reference
 // chain, and each ends in exactly the L slots the arena gave it.
 func TestStepsBeforeLastReorderKeepTheSequence(t *testing.T) {
 	fs, hs, ss := core.ReorderFS, core.ReorderHS, core.ReorderSS

@@ -6,23 +6,21 @@ import (
 	"repro/internal/core"
 	"repro/internal/reorder"
 	"repro/internal/storage"
-	"repro/internal/stream"
 )
 
-// applyReorder puts step's reordering operator over in. detail renders the
-// operator's statistics for StepMetrics.Detail and is nil for a step
-// without a reorder; Segmented Sort counts while it streams, so call it
-// once out is drained. tableBlocks is B(R) of the chain's input, for the
-// Hashed Sort bucket-count policy.
-func applyReorder(in stream.Stream, step core.Step, cfg Config, rcfg reorder.Config, tableBlocks int64) (out stream.Stream, detail func() string, err error) {
-	grouped, g0 := rcfg.Grouped, *rcfg.Grouped
+// applyReorder applies step's reordering operator to rows where they lie —
+// a segmented relation whose segments begin at starts — and appends the
+// starts of its output's segments to out, which must not share starts'
+// array. detail renders the operator's statistics for StepMetrics.Detail.
+// tableBlocks is B(R) of the chain's input, for the Hashed Sort bucket-count
+// policy.
+func applyReorder(rows []storage.Tuple, starts, out []int, step core.Step, cfg Config, rcfg reorder.Config, tableBlocks int64) (_ []int, detail string, err error) {
+	grouped := *rcfg.Grouped
 	switch step.Reorder {
 	case core.ReorderFS:
 		var st reorder.FSStats
-		out, st, err = reorder.FullSort(in, step.SortKey, rcfg)
-		detail = func() string {
-			return fmt.Sprintf("runs=%d passes=%d inmem=%v grouped=%d", st.Sort.InitialRuns, st.Sort.MergePasses, st.Sort.InMemory, st.Sort.Grouped)
-		}
+		st, err = reorder.Full(rows, step.SortKey, rcfg)
+		detail = fmt.Sprintf("runs=%d passes=%d inmem=%v grouped=%d", st.Sort.InitialRuns, st.Sort.MergePasses, st.Sort.InMemory, st.Sort.Grouped)
 	case core.ReorderHS:
 		opt := reorder.HSOptions{
 			HashKey: step.HashKey.IDs(),
@@ -35,60 +33,32 @@ func applyReorder(in stream.Stream, step core.Step, cfg Config, rcfg reorder.Con
 		if opt.Buckets <= 0 {
 			opt.Buckets = int(core.HSBucketCount(opt.DistinctHint, tableBlocks, int64(cfg.MemoryBytes)/int64(cfg.blockSize())))
 		}
-		out, _, err = reorder.HashedSort(in, opt, rcfg)
-		hs, _ := out.(interface{ Stats() reorder.HSStats })
-		detail = func() string {
-			st := hs.Stats()
-			return fmt.Sprintf("buckets=%d spilled=%d resident=%d external=%d grouped=%d", st.Buckets, st.SpilledBuckets, st.MemoryResident, st.ExternalBuckets, *grouped-g0)
-		}
+		var st reorder.HSStats
+		out, st, err = reorder.Hashed(rows, out, opt, rcfg)
+		detail = fmt.Sprintf("buckets=%d spilled=%d resident=%d external=%d grouped=%d", st.Buckets, st.SpilledBuckets, st.MemoryResident, st.ExternalBuckets, *rcfg.Grouped-grouped)
 	case core.ReorderSS:
 		opt := reorder.SSOptions{Alpha: step.Alpha, Beta: step.Beta}
 		if step.In.Grouped {
 			// Grouped inputs carry their segment structure in the data.
 			opt.SegmentBy = step.In.X.IDs()
 		}
-		var st *reorder.SSStats
-		out, st, err = reorder.SegmentedSort(in, opt, rcfg)
-		detail = func() string {
-			return fmt.Sprintf("segments=%d units=%d external=%d grouped=%d", st.Segments, st.Units, st.ExternalUnits, *grouped-g0)
-		}
+		var st reorder.SSStats
+		out, st, err = reorder.Segmented(rows, starts, out, opt, rcfg)
+		detail = fmt.Sprintf("segments=%d units=%d external=%d grouped=%d", st.Segments, st.Units, st.ExternalUnits, *rcfg.Grouped-grouped)
 	default:
-		out = in
+		out = append(out, starts...)
 	}
 	return out, detail, err
 }
 
-// reorderShared puts step's reordering operator over rows that are not the
-// caller's to write — a table's, a SharedSegment's — and drains it into an
-// order of its own: the reorder permutes headers of the input's own tuples
-// (or of rows it read back from a spill).
-func reorderShared(rows []storage.Tuple, step core.Step, cfg Config, rcfg reorder.Config, tableBlocks int64) ([]storage.Tuple, func() string, error) {
-	out, detail, err := applyReorder(stream.FromTuples(rows), step, cfg, rcfg, tableBlocks)
-	if err != nil {
-		return nil, nil, err
-	}
-	ordered, err := finalOrder(out, len(rows), rcfg.Arena)
-	return ordered, detail, err
-}
-
-// finalOrder drains out, a reorder over n rows, into an array of its own
-// carved from arena. A Full Sort's output is a tuple slice already and is
-// taken as it stands rather than copied.
-func finalOrder(out stream.Stream, n int, arena *storage.TupleArena) ([]storage.Tuple, error) {
-	if rows, ok := stream.BackingTuples(out); ok {
-		return rows, nil
-	}
-	return stream.AppendTuples(arena.Headers(n), out)
-}
-
-// rowArray is the one row array of a chain with a reorder after its first
-// step: every reorder reads it and is drained back into it, and every
-// evaluation before the last reorder extends its rows where they lie.
+// rowArray is the row array of a chain: every reorder permutes it where it
+// lies, and every evaluation before the last reorder extends its rows where
+// they lie.
 type rowArray struct {
 	rows []storage.Tuple
-	// starts lists the indices in rows at which a segment begins; spare is
-	// the list the next drain fills — two, because the reorder being drained
-	// is still reading starts.
+	// starts lists the indices > 0 in rows at which a segment begins; spare
+	// is the list the next reorder fills — two, because the reorder reads
+	// starts while it appends to spare.
 	starts, spare []int
 }
 
@@ -117,41 +87,17 @@ func (a *rowArray) fill(table *storage.Table, arena *storage.TupleArena) {
 	a.rows, a.starts = rows, a.starts[:0]
 }
 
-// reorder puts step's reordering operator over the array and drains it back
-// into the array. A reorder that hands back a tuple slice (Full Sort: the
-// array itself, sorted where it lay, or the slice its merge filled) has
-// that slice become the array. Any other holds what it has read and not yet
-// emitted in buffers of its own, and a 1:1 operator cannot emit a row
-// before reading it, so slot k is always behind the read position when
-// output row k lands in it; both halves are checked, not assumed.
-func (a *rowArray) reorder(step core.Step, cfg Config, rcfg reorder.Config, tableBlocks int64) (detail func() string, err error) {
-	in := stream.FromArray(a.rows, a.starts)
-	out, detail, err := applyReorder(in, step, cfg, rcfg, tableBlocks)
-	if err != nil {
-		return nil, err
-	}
-	starts := a.spare[:0]
-	if sorted, ok := stream.BackingTuples(out); ok {
-		a.rows = sorted
-	} else {
-		unread := in.(stream.Sized)
-		k := 0
-		for r, ok := out.Next(); ok; r, ok = out.Next() {
-			if k >= len(a.rows)-unread.Remaining() {
-				out.Close() // a reorder cut short gives up its spill files
-				return nil, fmt.Errorf("output row %d emitted before input row %d was read", k, k)
-			}
-			if r.Boundary && k > 0 {
-				starts = append(starts, k)
-			}
-			a.rows[k] = r.Tuple
-			k++
-		}
-		if err := out.Close(); err != nil {
-			return nil, err
-		}
-		a.rows = a.rows[:k]
-	}
+// share makes the array a copy of the headers of rows that are not the
+// chain's to write — a table's, a SharedSegment's — carved from arena, with
+// no segment starts: a reorder then permutes headers of the input's own
+// tuples (or of rows it read back from a spill), which are never extended.
+func (a *rowArray) share(rows []storage.Tuple, arena *storage.TupleArena) {
+	a.rows, a.starts = append(arena.Headers(len(rows)), rows...), a.starts[:0]
+}
+
+// reorder applies step's reordering operator to the array where it lies.
+func (a *rowArray) reorder(step core.Step, cfg Config, rcfg reorder.Config, tableBlocks int64) (detail string, err error) {
+	starts, detail, err := applyReorder(a.rows, a.starts, a.spare[:0], step, cfg, rcfg, tableBlocks)
 	a.starts, a.spare = starts, a.starts
-	return detail, nil
+	return detail, err
 }

@@ -272,34 +272,31 @@ func (c *Chain) Run(ctx context.Context, table *storage.Table, specs []window.Sp
 
 // run is the sequential pipeline. A chain with L = lastReorder(plan) > 0
 // owns one row array for its whole life (rowArray): copies of the rows in
-// the chain's arena with exactly L spare slots. Every step up to L drains
-// its reorder back into that array, and
-// the steps before L evaluate over it and extend each row in place; from L
-// on the order is final, and step L and every later step evaluate into the
-// Chain's tail vectors, carved from the arena's vector slabs in one piece
-// with the column the steps before L evaluate into, which no rewind
-// reaches (storage.TupleArena.Values). With L = 0 (one
-// leading reorder, or none — every shared-subplan suffix) there is no copy
-// at all: the reorder permutes headers of the table's own tuples, which are
-// never extended, so any number of statements may run over one table or
-// one SharedSegment at once.
+// the chain's arena with exactly L spare slots. Every step up to L
+// reorders that array where it lies, and the steps before L evaluate over
+// it and extend each row in place; from L on the order is final, and step
+// L and every later step evaluate into the Chain's tail vectors, carved
+// from the arena's vector slabs in one piece with the column the steps
+// before L evaluate into, which no rewind reaches
+// (storage.TupleArena.Values). With L = 0 (one leading reorder, or none —
+// every shared-subplan suffix) no row is copied: the reorder permutes a
+// copy of the headers of the table's own tuples, which are never
+// extended, so any number of statements may run over one table or one
+// SharedSegment at once.
 //
 // A spec reads the columns that are in the tuples when it runs: the input
 // schema plus the derived columns of steps before min(i, L). Every step
 // evaluates with the workspace's window.Evaluator; a step before L
 // evaluates into the one column carved for all of them, then extends each
-// row with its value.
-//
-// Each step drains its (lazily reordering) stream fully before it
-// evaluates, so per-step metrics are exact.
+// row with its value. A reorder has finished, its statistics with it,
+// before its step evaluates, so per-step metrics are exact.
 //
 // The row array, every row read back from a spill, the column of the steps
-// before L, the tail vectors and the header arrays the reorders leave (a
-// Full Sort's buffer, a drained reorder's order) are carved from the
-// chain's arena: from a pooled one (NewChain) they are slabs an earlier
-// statement handed back, and Chain.Release — the statement's cursor
-// closing — hands them on. Everything else the run uses comes from its
-// workspace, which goes back when the run returns.
+// before L and the tail vectors are carved from the chain's arena: from a
+// pooled one (NewChain) they are slabs an earlier statement handed back,
+// and Chain.Release — the statement's cursor closing — hands them on.
+// Everything else the run uses comes from its workspace, which goes back
+// when the run returns.
 func (c *Chain) run(ctx context.Context, table *storage.Table, specs []window.Spec, cfg Config) (*Metrics, error) {
 	steps := c.plan.Steps
 	var comparisons int64
@@ -355,15 +352,14 @@ func (c *Chain) run(ctx context.Context, table *storage.Table, specs []window.Sp
 		}
 		r0, w0, c0 := stats.BlocksRead(), stats.BlocksWritten(), comparisons
 
-		var detail func() string
+		var detail string
 		if step.Reorder != core.ReorderNone {
-			var err error
 			if last == 0 {
-				c.Rows, detail, err = reorderShared(table.Rows, step, cfg, rcfg, tableBlocks)
-			} else {
-				detail, err = own.reorder(step, cfg, rcfg, tableBlocks)
-				c.Rows = own.rows
+				own.share(table.Rows, rcfg.Arena)
 			}
+			var err error
+			detail, err = own.reorder(step, cfg, rcfg, tableBlocks)
+			c.Rows = own.rows
 			if err != nil {
 				return nil, fmt.Errorf("exec: wf%d %s reorder: %w", step.WF.ID, step.Reorder, err)
 			}
@@ -399,9 +395,7 @@ func (c *Chain) run(ctx context.Context, table *storage.Table, specs []window.Sp
 			Comparisons:   comparisons - c0,
 			Rows:          int64(n),
 			Duration:      time.Since(stepStart),
-		}
-		if detail != nil {
-			sm.Detail = detail()
+			Detail:        detail,
 		}
 		metrics.Steps = append(metrics.Steps, sm)
 		// Per-step progress becomes visible in /debug/queries while the

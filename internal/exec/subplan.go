@@ -37,13 +37,14 @@ func ReorderTable(ctx context.Context, table *storage.Table, step core.Step, cfg
 	stats := ws.store.Stats()
 	tableBlocks := int64(table.ByteSize()) / int64(cfg.blockSize())
 
-	// No copy, and nothing downstream extends a segment's rows.
-	ordered, detail, err := reorderShared(table.Rows, step, cfg, rcfg, tableBlocks)
+	// No copy of a row, and nothing downstream extends a segment's rows.
+	ws.rows.share(table.Rows, rcfg.Arena)
+	detail, err := ws.rows.reorder(step, cfg, rcfg, tableBlocks)
 	if err != nil {
 		return nil, nil, fmt.Errorf("exec: shared %s reorder: %w", step.Reorder, err)
 	}
 	result := storage.NewTable(table.Schema)
-	result.Rows = ordered
+	result.Rows = ws.rows.rows
 	metrics := &Metrics{
 		BlocksRead:    stats.BlocksRead(),
 		BlocksWritten: stats.BlocksWritten(),
@@ -57,7 +58,7 @@ func ReorderTable(ctx context.Context, table *storage.Table, step core.Step, cfg
 			Comparisons:   comparisons,
 			Rows:          int64(result.Len()),
 			Duration:      time.Since(start),
-			Detail:        detail(),
+			Detail:        detail,
 		}},
 	}
 	return result, metrics, nil

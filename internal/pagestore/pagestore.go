@@ -10,6 +10,7 @@
 package pagestore
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math/bits"
@@ -135,6 +136,27 @@ type Store struct {
 	// indexes holds emptied page indexes by capacity: class k those of
 	// minIndex<<k pages.
 	indexes [indexClasses][][][]byte
+	// failCreate and failWrite count down to an injected fault (FailAt).
+	failCreate, failWrite int
+}
+
+// ErrInjected is what a fault FailAt injected wraps.
+var ErrInjected = errors.New("pagestore: injected fault")
+
+// FailAt is a test seam for the spill-fault paths: with create > 0 the
+// store's create-th Create from now fails, and with write > 0 its write-th
+// page write from now (on either backend), each with an error wrapping
+// ErrInjected. Zero leaves that operation alone.
+func (s *Store) FailAt(create, write int) { s.failCreate, s.failWrite = create, write }
+
+// fault counts one operation down countdown n and reports whether it is the
+// one to fail.
+func fault(n *int) bool {
+	if *n == 0 {
+		return false
+	}
+	*n--
+	return *n == 0
 }
 
 // A page index starts at minIndex pages and doubles; a store keeps the
@@ -215,6 +237,9 @@ func (s *Store) Scratch() *[]byte { return &s.scratch }
 // Create opens a fresh spill file for sequential writing: a file the store
 // released earlier, or a new one.
 func (s *Store) Create() (*File, error) {
+	if fault(&s.failCreate) {
+		return nil, fmt.Errorf("pagestore: create spill: %w", ErrInjected)
+	}
 	var osf *os.File
 	if s.dir != "" {
 		var err error
@@ -296,6 +321,9 @@ func (f *File) Write(p []byte) (int, error) {
 func (f *File) flushPage() error {
 	if len(f.wbuf) == 0 {
 		return nil
+	}
+	if fault(&f.store.failWrite) {
+		return fmt.Errorf("pagestore: flush: %w", ErrInjected)
 	}
 	f.store.stats.blocksWritten.Add(1)
 	f.store.stats.bytesWritten.Add(int64(len(f.wbuf)))

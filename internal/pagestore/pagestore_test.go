@@ -2,6 +2,7 @@ package pagestore
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"runtime"
@@ -256,4 +257,33 @@ func TestReleasedPagesAreReused(t *testing.T) {
 func newReader(f *File) (*Reader, error) {
 	rd := new(Reader)
 	return rd, rd.Open(f)
+}
+
+// TestFailAt — the fault seam fails exactly the k-th Create and the k-th
+// page write from when it is set, on either backend, with an error wrapping
+// ErrInjected, and only once: the store works on afterwards.
+func TestFailAt(t *testing.T) {
+	for _, store := range []*Store{NewMem(512, nil), NewFileBacked(t.TempDir(), 512, nil)} {
+		store.FailAt(2, 0)
+		f, err := store.Create()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := store.Create(); !errors.Is(err, ErrInjected) {
+			t.Fatalf("second Create: %v, want the injected fault", err)
+		}
+		store.FailAt(0, 3)
+		page := make([]byte, 512)
+		for i := 1; i <= 4; i++ {
+			if _, err := f.Write(page); errors.Is(err, ErrInjected) != (i == 3) {
+				t.Fatalf("page write %d: %v", i, err)
+			}
+		}
+		f.Release()
+		if g, err := store.Create(); err != nil {
+			t.Fatalf("Create after the faults: %v", err)
+		} else {
+			g.Release()
+		}
+	}
 }

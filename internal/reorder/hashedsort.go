@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/spill"
 	"repro/internal/storage"
-	"repro/internal/stream"
 	"repro/internal/xsort"
 )
 
@@ -30,9 +29,7 @@ type HSStats struct {
 	SpilledBuckets int
 	MemoryResident int
 	InputTuples    int
-	// ExternalBuckets counts the buckets whose sort spilled. Buckets are
-	// sorted as the output is read, so only the output stream's Stats
-	// method, called once it is drained, reports them all.
+	// ExternalBuckets counts the buckets whose sort spilled.
 	ExternalBuckets int
 }
 
@@ -56,113 +53,41 @@ func releaseBuckets(buckets []*hsBucket) {
 	}
 }
 
-// HashedSort reorders the input per Section 3.2. The output stream is one
-// segment per non-empty bucket, each sorted on SortKey; its property is
-// R_{WHK, SortKey}.
-func HashedSort(in stream.Stream, opt HSOptions, cfg Config) (stream.Stream, HSStats, error) {
+// Hashed reorders rows where they lie per Section 3.2 — whatever their
+// segments — into one segment per non-empty bucket, each sorted on SortKey:
+// the property R_{WHK, SortKey}. It appends the start of every segment but
+// the first to starts and returns them. Its build phase routes every row to
+// a bucket; then it writes the buckets back over rows one after another —
+// the resident ones first, each sorted where it landed, then the spilled
+// ones, each read back into its place and sorted there.
+func Hashed(rows []storage.Tuple, starts []int, opt HSOptions, cfg Config) ([]int, HSStats, error) {
 	var st HSStats
 	if len(opt.HashKey) == 0 {
-		return nil, st, fmt.Errorf("reorder: HashedSort requires a non-empty hash key")
+		return starts, st, fmt.Errorf("reorder: HashedSort requires a non-empty hash key")
 	}
 	if cfg.Store == nil {
-		return nil, st, fmt.Errorf("reorder: HashedSort requires a spill store")
+		return starts, st, fmt.Errorf("reorder: HashedSort requires a spill store")
 	}
 
 	nbuckets := opt.Buckets
 	if nbuckets <= 0 {
 		// Estimate table size from the budget policy using the distinct
-		// hint; the block count is unknown mid-stream, so the policy is
-		// applied with a conservative default and corrected by the caller
-		// (exec sizes it from catalog statistics).
+		// hint alone; exec sizes it from catalog statistics instead.
 		nbuckets = int(core.HSBucketCount(opt.DistinctHint, 0, 0))
 	}
-	if nbuckets < 1 {
-		nbuckets = 1
-	}
-
 	w := works.Get()
-	buckets := w.bucketSet(nbuckets)
-	var (
-		memUsed int
-		err     error
-	)
-	defer in.Close()
-	fail := func(err error) (stream.Stream, HSStats, error) {
+	// buckets holds the ones not yet written back, whose spill files a
+	// failure gives up.
+	buckets := w.bucketSet(max(nbuckets, 1))
+	defer func() {
 		releaseBuckets(buckets)
 		w.giveBack()
-		return nil, st, err
+	}()
+	st.InputTuples = len(rows)
+	if err := build(rows, buckets, opt.HashKey, cfg, &st); err != nil {
+		return starts, st, err
 	}
 
-	flush := func(b *hsBucket) error {
-		if !b.spilled() {
-			if b.writer, err = spill.NewWriter(cfg.Store); err != nil {
-				return err
-			}
-			st.SpilledBuckets++
-		}
-		for _, t := range b.mem {
-			if err := b.writer.Write(t); err != nil {
-				return err
-			}
-		}
-		memUsed -= b.memSize
-		b.mem = b.mem[:0]
-		b.memSize = 0
-		return nil
-	}
-	// pickVictim is the largest memory-resident bucket: a flush frees the
-	// most memory and leaves many small buckets resident, the behaviour
-	// Eq. 2's N′ term models.
-	pickVictim := func() *hsBucket {
-		var victim *hsBucket
-		for _, b := range buckets {
-			if len(b.mem) > 0 && (victim == nil || b.memSize > victim.memSize) {
-				victim = b
-			}
-		}
-		return victim
-	}
-
-	// Build phase: route every input tuple.
-	for {
-		r, ok := in.Next()
-		if !ok {
-			break
-		}
-		st.InputTuples++
-		t := r.Tuple
-		b := buckets[storage.HashKeyFNV(t, opt.HashKey)%uint64(len(buckets))]
-		if b.spilled() {
-			// Once flushed, a bucket stays disk-bound (Section 3.2).
-			if err = b.writer.Write(t); err != nil {
-				return fail(err)
-			}
-			b.count++
-			continue
-		}
-		size := t.Size()
-		if cfg.MemoryBytes > 0 && memUsed+size > cfg.MemoryBytes {
-			victim := pickVictim()
-			if victim != nil {
-				if err = flush(victim); err != nil {
-					return fail(err)
-				}
-			}
-		}
-		if b.spilled() { // b itself was the victim
-			if err = b.writer.Write(t); err != nil {
-				return fail(err)
-			}
-			b.count++
-			continue
-		}
-		b.mem = append(b.mem, t)
-		b.memSize += size
-		b.count++
-		memUsed += size
-	}
-
-	st.Buckets = 0
 	for _, b := range buckets {
 		if b.count > 0 {
 			st.Buckets++
@@ -213,131 +138,126 @@ func HashedSort(in stream.Stream, opt HSOptions, cfg Config) (stream.Stream, HSS
 		keep.Reset()
 	}
 
-	out := &hsStream{
-		arena:   arena,
-		sorter:  cfg.sorter(opt.SortKey),
-		work:    w,
-		buckets: buckets,
-		stats:   &st,
-	}
-	out.sorter.Arena = arena
-	return out, st, nil
-}
-
-// hsStream lazily sorts and emits buckets one at a time.
-type hsStream struct {
-	arena   *storage.TupleArena // where spilled buckets are loaded
-	sorter  *xsort.Sorter       // one for every bucket
-	work    *work               // the buckets' and the loads' arrays; nil once given back
-	buckets []*hsBucket         // not yet emitted
-	// current is the bucket being emitted: sorted in place in its resident
-	// array, or loaded into work.tuples (and merged back into it when its
-	// sort spills), where it stays until the next bucket is loaded over it.
-	current []storage.Tuple
-	pos     int
-	stats   *HSStats
-	err     error
-}
-
-// Stats reports the sort so far: ExternalBuckets counts the buckets
-// emitted until now whose sort spilled.
-func (s *hsStream) Stats() HSStats { return *s.stats }
-
-func (s *hsStream) Next() (stream.Row, bool) {
-	for {
-		if s.pos < len(s.current) {
-			r := stream.Row{Tuple: s.current[s.pos], Boundary: s.pos == 0}
-			s.pos++
-			return r, true
+	sorter := cfg.sorter(opt.SortKey)
+	sorter.Arena = arena
+	for at := 0; len(buckets) > 0; {
+		b := buckets[0]
+		buckets = buckets[1:]
+		if b.count == 0 {
+			continue
 		}
-		// Advance to the next non-empty bucket.
-		var b *hsBucket
-		for len(s.buckets) > 0 {
-			cand := s.buckets[0]
-			s.buckets = s.buckets[1:]
-			if cand.count > 0 {
-				b = cand
-				break
+		if at > 0 {
+			starts = append(starts, at)
+		}
+		seg := rows[at : at+b.count : at+b.count]
+		at += b.count
+		sst, err := sortBucket(b, seg, sorter, &w.reader)
+		if err != nil {
+			return starts, st, err
+		}
+		if !sst.InMemory {
+			st.ExternalBuckets++
+		}
+	}
+	return starts, st, nil
+}
+
+// build routes every row to its bucket. When a row does not fit the budget
+// it flushes the largest resident bucket: a flush frees the most memory and
+// leaves many small buckets resident, the behaviour Eq. 2's N′ term models.
+// Once flushed, a bucket stays disk-bound (Section 3.2).
+func build(rows []storage.Tuple, buckets []*hsBucket, key []attrs.ID, cfg Config, st *HSStats) error {
+	memUsed := 0
+	for _, t := range rows {
+		b := buckets[storage.HashKeyFNV(t, key)%uint64(len(buckets))]
+		b.count++
+		if b.spilled() {
+			if err := b.writer.Write(t); err != nil {
+				return err
+			}
+			continue
+		}
+		size := t.Size()
+		if cfg.MemoryBytes > 0 && memUsed+size > cfg.MemoryBytes {
+			var victim *hsBucket
+			for _, c := range buckets {
+				if len(c.mem) > 0 && (victim == nil || c.memSize > victim.memSize) {
+					victim = c
+				}
+			}
+			if victim != nil {
+				if err := victim.flush(cfg, st); err != nil {
+					return err
+				}
+				memUsed -= victim.memSize
+				victim.mem, victim.memSize = victim.mem[:0], 0
+			}
+			if b.spilled() { // b itself was the victim
+				if err := b.writer.Write(t); err != nil {
+					return err
+				}
+				continue
 			}
 		}
-		if b == nil {
-			s.end()
-			return stream.Row{}, false
-		}
-		sorted, sstats, err := s.sortBucket(b)
-		if err != nil {
-			s.err = err
-			s.end()
-			return stream.Row{}, false
-		}
-		if !sstats.InMemory {
-			s.stats.ExternalBuckets++
-		}
-		s.current = sorted
-		s.pos = 0
+		b.mem = append(b.mem, t)
+		b.memSize += size
+		memUsed += size
 	}
+	return nil
 }
 
-// sortBucket sorts a bucket on the sort key. A spilled bucket is read back
-// into the arena first; if it is too large to sort in memory, the arena is
-// released back to where the bucket began once its runs are written, and
-// the merge decodes over what was loaded.
-func (s *hsStream) sortBucket(b *hsBucket) ([]storage.Tuple, xsort.Stats, error) {
+// flush writes b's resident rows to its spill file, creating the file the
+// first time.
+func (b *hsBucket) flush(cfg Config, st *HSStats) error {
 	if !b.spilled() {
-		return s.sorter.SortTuples(b.mem)
+		var err error
+		if b.writer, err = spill.NewWriter(cfg.Store); err != nil {
+			return err
+		}
+		st.SpilledBuckets++
 	}
-	mark := s.arena.Mark()
-	tuples, err := s.loadBucket(b)
-	if err != nil {
-		return nil, xsort.Stats{}, err
+	for _, t := range b.mem {
+		if err := b.writer.Write(t); err != nil {
+			return err
+		}
 	}
-	return s.sorter.SortLoaded(tuples, mark)
+	return nil
 }
 
-// loadBucket reads a spilled bucket back into work.tuples and releases its
-// file. Under the flush rule a spilled bucket keeps nothing in memory:
-// flush moves everything out and later arrivals append to the file.
-func (s *hsStream) loadBucket(b *hsBucket) ([]storage.Tuple, error) {
+// sortBucket writes bucket b over seg and sorts it there on the sorter's
+// key. A spilled bucket is read back through rd into the sorter's arena
+// first, and its file released; if it is too large to sort in memory, the
+// arena is released back to where the bucket began once its runs are
+// written, and the merge decodes over what was loaded. Under the flush rule
+// a spilled bucket keeps nothing in memory: flush moves everything out and
+// later arrivals append to the file.
+func sortBucket(b *hsBucket, seg []storage.Tuple, sorter *xsort.Sorter, rd *spill.Reader) (xsort.Stats, error) {
+	if !b.spilled() {
+		copy(seg, b.mem)
+		_, st, err := sorter.SortTuples(seg)
+		return st, err
+	}
 	f, err := b.writer.Finish()
 	if err != nil {
 		b.writer.Abort()
-		return nil, err
+		return xsort.Stats{}, err
 	}
 	defer f.Release()
-	rd := &s.work.reader
-	if err := rd.Open(f, s.arena); err != nil {
-		return nil, err
+	mark := sorter.Arena.Mark()
+	if err := rd.Open(f, sorter.Arena); err != nil {
+		return xsort.Stats{}, err
 	}
 	defer rd.Close()
-	tuples := slices.Grow(s.work.tuples[:0], b.count)
-	for {
+	for i := range seg {
 		t, ok, err := rd.Next()
+		if err == nil && !ok {
+			err = fmt.Errorf("reorder: a %d-row bucket file ends at row %d", len(seg), i)
+		}
 		if err != nil {
-			return nil, err
+			return xsort.Stats{}, err
 		}
-		if !ok {
-			break
-		}
-		tuples = append(tuples, t)
+		seg[i] = t
 	}
-	s.work.tuples = tuples
-	return tuples, nil
-}
-
-// end releases the spill files of the buckets the stream was not read
-// through to and gives the work back: the stream has emitted its last row.
-// Ending twice is harmless.
-func (s *hsStream) end() {
-	releaseBuckets(s.buckets)
-	s.buckets, s.current, s.pos = nil, nil, 0
-	if s.work != nil {
-		s.work.giveBack()
-		s.work = nil
-	}
-}
-
-// Close ends the stream wherever its reader stopped.
-func (s *hsStream) Close() error {
-	s.end()
-	return s.err
+	_, st, err := sorter.SortLoaded(seg, mark)
+	return st, err
 }

@@ -1,30 +1,34 @@
-// Package reorder implements the paper's three tuple-reordering operators as
-// streaming executors over segmented tuple streams:
+// Package reorder implements the paper's three tuple-reordering operators
+// over a segmented relation held as one row array plus the indices at which
+// its segments start (Definition 1). Each permutes the array where it lies
+// and appends the starts of its output's segments to a list the caller
+// passes in:
 //
-//   - FullSort (FS): external sort of the whole input; output is a single
+//   - Full (FS): external sort of the whole array; output is a single
 //     totally ordered segment.
-//   - HashedSort (HS, Section 3.2): hash-partition on WHK ⊆ WPK into
+//   - Hashed (HS, Section 3.2): hash-partition on WHK ⊆ WPK into
 //     buckets of complete WHK-groups, then sort each bucket on →WPK ∘ WOK;
-//     buckets are emitted as segments in arbitrary order — which Section 3's
-//     key observation shows is irrelevant to window-function correctness.
+//     buckets become segments in arbitrary order — which Section 3's key
+//     observation shows is irrelevant to window-function correctness.
 //     When memory fills it flushes the largest resident bucket, and a
 //     flushed bucket stays disk-bound.
-//   - SegmentedSort (SS, Section 3.3): within each existing segment, detect
+//   - Segmented (SS, Section 3.3): within each existing segment, detect
 //     α-groups (runs of equal α values, α being the shared prefix between
 //     the target key and the input ordering) and sort each independently on
 //     the β remainder. Falls back to whole-segment sorts when α is empty
 //     (applicable only when X ≠ ∅).
 //
-// All operators honor a unit reorder memory budget; spill traffic flows
-// through pagestore for exact block-I/O accounting, and key comparisons are
-// counted.
+// A list of starts holds the indices > 0 at which a segment begins,
+// ascending: the first row always begins one. All operators honor a unit
+// reorder memory budget; spill traffic flows through pagestore for exact
+// block-I/O accounting, and key comparisons are counted. Each returns its
+// statistics complete.
 package reorder
 
 import (
 	"repro/internal/attrs"
 	"repro/internal/pagestore"
 	"repro/internal/storage"
-	"repro/internal/stream"
 	"repro/internal/xsort"
 )
 
@@ -46,14 +50,15 @@ type Config struct {
 	// back from a run, a bucket or an external unit are decoded into it, so
 	// they have its row capacity and window evaluation extends them in
 	// place like the rows that stayed in memory — and an operator that has
-	// consumed its whole input before it emits (FS, HS) rewinds the arena
-	// once what it spilled is on disk, so they land where the rows written
-	// out were. SS emits while it reads and never rewinds. FS's buffer,
-	// and the slice it merges into when it spills, are carved from the
-	// arena's header slabs (xsort.Sorter.Arena). With a nil Arena the
-	// input rows are not the operator's to reuse: it decodes into an arena
-	// of its own, whose rows have no spare capacity (an extension then
-	// costs a copy, never correctness).
+	// put its whole input on disk (FS, HS) rewinds the arena first, so they
+	// land where the rows written out were. SS sorts one α-group at a time
+	// while the rows of the groups after it stay live in the arena, so it
+	// never rewinds: a unit that sorts externally is decoded past everything
+	// carved so far, and its old copy stays until an operator that puts its
+	// whole input on disk comes along. With a nil Arena the input rows are
+	// not the operator's to reuse: it decodes into an arena of its own,
+	// whose rows have no spare capacity (an extension then costs a copy,
+	// never correctness).
 	Arena *storage.TupleArena
 }
 
@@ -68,44 +73,20 @@ func (c Config) sorter(key attrs.Seq) *xsort.Sorter {
 	}
 }
 
-// streamInput adapts a stream to a sort input, dropping boundaries.
-func streamInput(in stream.Stream) xsort.Input {
-	return func() (storage.Tuple, bool) {
-		r, ok := in.Next()
-		if !ok {
-			return nil, false
-		}
-		return r.Tuple, true
-	}
-}
-
-// FSStats reports a FullSort execution.
+// FSStats reports a Full Sort execution.
 type FSStats struct {
 	Sort xsort.Stats
 }
 
-// FullSort reorders the input into a single segment totally ordered on key.
-// A chain's own row array (stream.FromArray) is sorted where it lies — the
-// same prefix-that-fits rule, the same arena rewind and so the same runs as
-// the buffering sort, without the buffer; any other input is read into one,
-// carved once when the input knows its length (stream.Sized).
-func FullSort(in stream.Stream, key attrs.Seq, cfg Config) (stream.Stream, FSStats, error) {
+// Full sorts rows where they lie into a single segment totally ordered on
+// key: the prefix that fits the budget is sorted in memory, and when the
+// rest overflows it the arena is rewound once run formation has put every
+// row on disk, and the merge decodes over them back into rows.
+func Full(rows []storage.Tuple, key attrs.Seq, cfg Config) (FSStats, error) {
 	var (
-		st     FSStats
-		sorted []storage.Tuple
-		err    error
+		st  FSStats
+		err error
 	)
-	if rows, ok := stream.ArrayTuples(in); ok {
-		sorted, st.Sort, err = cfg.sorter(key).SortLoaded(rows, storage.ArenaMark{})
-	} else {
-		sorted, st.Sort, err = cfg.sorter(key).Sort(streamInput(in), stream.Remaining(in))
-	}
-	if err != nil {
-		in.Close()
-		return nil, st, err
-	}
-	if cerr := in.Close(); cerr != nil {
-		return nil, st, cerr
-	}
-	return stream.FromTuples(sorted), st, nil
+	_, st.Sort, err = cfg.sorter(key).SortLoaded(rows, storage.ArenaMark{})
+	return st, err
 }

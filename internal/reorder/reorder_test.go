@@ -1,10 +1,10 @@
 package reorder
 
 import (
+	"errors"
 	"math/rand"
 	"os"
 	"reflect"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -57,7 +57,7 @@ func tagMultisetEqual(t *testing.T, got, want []storage.Tuple, tagCol int) {
 }
 
 // verifyMatches checks the physical Definition 1/2 properties of a segmented
-// stream against a window function: segments pairwise disjoint on X, each
+// relation against a window function: segments pairwise disjoint on X, each
 // segment sorted on →WPK ∘ WOK for some fixed permutation, and WPK-groups
 // wholly inside segments.
 func verifyMatches(t *testing.T, segs [][]storage.Tuple, x attrs.Set, sortKey attrs.Seq) {
@@ -86,69 +86,85 @@ func projectTuple(row storage.Tuple, ids []attrs.ID) storage.Tuple {
 	return out
 }
 
+// segments cuts rows at starts, the indices > 0 at which a segment begins.
+func segments(rows []storage.Tuple, starts []int) [][]storage.Tuple {
+	var segs [][]storage.Tuple
+	for lo, i := 0, 0; lo < len(rows); i++ {
+		hi := len(rows)
+		if i < len(starts) {
+			hi = starts[i]
+		}
+		segs = append(segs, rows[lo:hi])
+		lo = hi
+	}
+	return segs
+}
+
+// fullSorted returns a copy of rows Full sorted on key.
+func fullSorted(t *testing.T, rows []storage.Tuple, key attrs.Seq, cfg Config) []storage.Tuple {
+	t.Helper()
+	rows = slices.Clone(rows)
+	if _, err := Full(rows, key, cfg); err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// hashed returns a copy of rows Hashed on opt, and its segment starts.
+func hashed(t *testing.T, rows []storage.Tuple, opt HSOptions, cfg Config) ([]storage.Tuple, []int, HSStats) {
+	t.Helper()
+	rows = slices.Clone(rows)
+	starts, st, err := Hashed(rows, nil, opt, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows, starts, st
+}
+
 func TestFullSortBasic(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	rows := randTable(rng, 3000, 20, 20)
 	cfg, stats := testConfig(2048)
 	key := attrs.AscSeq(0, 1)
-	out, fsStats, err := FullSort(stream.FromTuples(rows), key, cfg)
+	out := slices.Clone(rows)
+	fsStats, err := Full(out, key, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs, err := stream.Segments(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) != 1 {
-		t.Fatalf("FS output has %d segments, want 1", len(segs))
-	}
-	if !storage.SortedOn(segs[0], key) {
+	if !storage.SortedOn(out, key) {
 		t.Fatalf("FS output not sorted")
 	}
-	tagMultisetEqual(t, segs[0], rows, 2)
+	tagMultisetEqual(t, out, rows, 2)
 	if fsStats.Sort.InMemory || stats.TotalBlocks() == 0 {
 		t.Errorf("expected external sort under small budget")
 	}
 }
 
-// TestFullSortInPlace — a Full Sort over a chain's own array is the sort it
-// is over any other input, minus the buffer: at a budget that spills and at
-// one that does not, it counts the same runs, passes, comparisons and
-// blocks and emits the same sequence as the sort that buffers a read-only
-// stream. In memory its output is the array itself; the read-only input is
-// never written.
+// TestFullSortInPlace — a Full Sort leaves the stable order on its key in
+// the array it was given, at a budget that spills and at one that does not:
+// in memory it permutes the input's own headers, and a spilling one merges
+// rows read back from its runs into the same array.
 func TestFullSortInPlace(t *testing.T) {
 	rows := randTable(rand.New(rand.NewSource(4)), 2000, 7, 11)
 	key := attrs.AscSeq(0, 1)
+	want := slices.Clone(rows)
+	slices.SortStableFunc(want, func(a, b storage.Tuple) int { return storage.CompareSeq(a, b, key) })
 	for _, mem := range []int{0, 2048} {
-		sortOver := func(in stream.Stream) ([]storage.Tuple, FSStats, int64) {
-			cfg, stats := testConfig(mem)
-			cfg.Comparisons = new(int64)
-			out, st, err := FullSort(in, key, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sorted, _ := stream.BackingTuples(out)
-			return sorted, st, stats.TotalBlocks()
-		}
-		readOnly := slices.Clone(rows)
-		want, wantStats, wantBlocks := sortOver(stream.FromTuples(readOnly))
+		cfg, stats := testConfig(mem)
 		array := slices.Clone(rows)
-		got, gotStats, gotBlocks := sortOver(stream.FromArray(array, nil))
-		if gotStats != wantStats || gotBlocks != wantBlocks || gotStats.Sort.InMemory != (mem == 0) {
-			t.Fatalf("M = %d: in place %+v and %d blocks, buffered %+v and %d blocks", mem, gotStats, gotBlocks, wantStats, wantBlocks)
+		st, err := Full(array, key, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Sort.InMemory != (mem == 0) || (stats.TotalBlocks() > 0) == (mem == 0) {
+			t.Fatalf("M = %d: %+v and %d blocks", mem, st, stats.TotalBlocks())
 		}
 		for i := range want {
-			if len(got) != len(want) || got[i][2].Int64() != want[i][2].Int64() {
-				t.Fatalf("M = %d: the sequences differ at row %d of %d and %d", mem, i, len(got), len(want))
+			if array[i][2].Int64() != want[i][2].Int64() {
+				t.Fatalf("M = %d: the sequences differ at row %d", mem, i)
 			}
-		}
-		if mem == 0 && &got[0] != &array[0] {
-			t.Fatal("the in-memory sort of the array is not the array")
-		}
-		for i, row := range readOnly {
-			if &row[0] != &rows[i][0] {
-				t.Fatalf("M = %d: the read-only input was permuted at row %d", mem, i)
+			if mem == 0 && &array[i][0] != &want[i][0] {
+				t.Fatalf("row %d is not the input's own tuple", i)
 			}
 		}
 	}
@@ -160,29 +176,19 @@ func TestHashedSortMatchesFunction(t *testing.T) {
 	wfKey := attrs.AscSeq(0, 1) // →WPK ∘ WOK with WPK = {0}, WOK = (1)
 	for _, buckets := range []int{1, 4, 16, 64} {
 		cfg, _ := testConfig(4096)
-		out, hsStats, err := HashedSort(stream.FromTuples(rows), HSOptions{
+		out, starts, hsStats := hashed(t, rows, HSOptions{
 			HashKey: []attrs.ID{0},
 			SortKey: wfKey,
 			Buckets: buckets,
 		}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		segs, err := stream.Segments(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var flat []storage.Tuple
-		for _, s := range segs {
-			flat = append(flat, s...)
-		}
-		tagMultisetEqual(t, flat, rows, 2)
+		segs := segments(out, starts)
+		tagMultisetEqual(t, out, rows, 2)
 		verifyMatches(t, segs, attrs.MakeSet(0), wfKey)
 		if hsStats.InputTuples != len(rows) {
 			t.Errorf("InputTuples = %d", hsStats.InputTuples)
 		}
-		if len(segs) > buckets {
-			t.Errorf("%d segments from %d buckets", len(segs), buckets)
+		if len(segs) > buckets || len(segs) != hsStats.Buckets {
+			t.Errorf("%d segments from %d buckets, %d non-empty", len(segs), buckets, hsStats.Buckets)
 		}
 	}
 }
@@ -191,19 +197,12 @@ func TestHashedSortSpills(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	rows := randTable(rng, 5000, 100, 10)
 	cfg, stats := testConfig(2048) // tiny budget: most buckets must spill
-	out, hsStats, err := HashedSort(stream.FromTuples(rows), HSOptions{
+	out, _, hsStats := hashed(t, rows, HSOptions{
 		HashKey: []attrs.ID{0},
 		SortKey: attrs.AscSeq(0, 1),
 		Buckets: 32,
 	}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tuples, err := stream.CollectTuples(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tagMultisetEqual(t, tuples, rows, 2)
+	tagMultisetEqual(t, out, rows, 2)
 	if hsStats.SpilledBuckets == 0 {
 		t.Errorf("expected spilled buckets under a tiny budget: %+v", hsStats)
 	}
@@ -215,7 +214,8 @@ func TestHashedSortSpills(t *testing.T) {
 // TestHashedSortFlushesLargestBucket — when a row does not fit, HS flushes
 // the largest resident bucket (the N′ term of Eq. 2 assumes it): with a
 // 10-row bucket 0 and a 30-row bucket 1 and room for 39 rows, the last row
-// flushes bucket 1 alone, and bucket 0 stays resident and is emitted first.
+// flushes bucket 1 alone, and bucket 0 stays resident and is written back
+// first.
 func TestHashedSortFlushesLargestBucket(t *testing.T) {
 	key := []attrs.ID{0}
 	var small, large int64 = -1, -1 // a key value hashing to bucket 0, one to bucket 1
@@ -238,19 +238,13 @@ func TestHashedSortFlushesLargestBucket(t *testing.T) {
 		}
 	}
 	cfg, stats := testConfig(39 * rows[0].Size())
-	out, st, err := HashedSort(stream.FromTuples(rows), HSOptions{HashKey: key, SortKey: attrs.AscSeq(0, 1), Buckets: 2}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	segs, err := stream.Segments(out)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out, starts, st := hashed(t, rows, HSOptions{HashKey: key, SortKey: attrs.AscSeq(0, 1), Buckets: 2}, cfg)
+	segs := segments(out, starts)
 	if st.SpilledBuckets != 1 || st.MemoryResident != 1 {
 		t.Fatalf("%+v: want one bucket flushed and one resident", st)
 	}
 	if len(segs) != 2 || len(segs[0]) != 10 || segs[0][0][0].Int64() != small || len(segs[1]) != 30 || segs[1][0][0].Int64() != large {
-		t.Fatalf("emitted %d segments, want the 10-row bucket (resident) and then the 30-row one (flushed)", len(segs))
+		t.Fatalf("wrote back %d segments, want the 10-row bucket (resident) and then the 30-row one (flushed)", len(segs))
 	}
 	// What went to disk is the large bucket's rows, and only those.
 	want, wantStats := testConfig(0)
@@ -278,30 +272,23 @@ func TestSegmentedSortAlphaGroups(t *testing.T) {
 	rows := randTable(rng, 3000, 15, 40, 40)
 	// Input: totally ordered on (0,1) — R∅,(0,1).
 	cfg, _ := testConfig(1 << 20)
-	sorted, _, err := FullSort(stream.FromTuples(rows), attrs.AscSeq(0, 1), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := fullSorted(t, rows, attrs.AscSeq(0, 1), cfg)
 	// SS to match wf = ({0}, (2)): α = (0), β = (2).
 	cfg2, stats2 := testConfig(1 << 20)
-	out, ssStats, err := SegmentedSort(sorted, SSOptions{
+	starts, ssStats, err := Segmented(out, nil, nil, SSOptions{
 		Alpha: attrs.AscSeq(0),
 		Beta:  attrs.AscSeq(2),
 	}, cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs, err := stream.Segments(out)
-	if err != nil {
-		t.Fatal(err)
+	if len(starts) != 0 || ssStats.Segments != 1 {
+		t.Fatalf("SS must preserve segment structure: got starts %v, %d segments", starts, ssStats.Segments)
 	}
-	if len(segs) != 1 {
-		t.Fatalf("SS must preserve segment structure: got %d segments", len(segs))
-	}
-	if !storage.SortedOn(segs[0], attrs.AscSeq(0, 2)) {
+	if !storage.SortedOn(out, attrs.AscSeq(0, 2)) {
 		t.Fatalf("SS output not ordered on (0,2)")
 	}
-	tagMultisetEqual(t, segs[0], rows, 3)
+	tagMultisetEqual(t, out, rows, 3)
 	if ssStats.Units < 10 || ssStats.Units > 15 {
 		t.Errorf("units = %d, want ≈ D(col0) = 15", ssStats.Units)
 	}
@@ -316,39 +303,58 @@ func TestSegmentedSortEmptyAlphaOnSegments(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	rows := randTable(rng, 2000, 8, 30)
 	cfg, _ := testConfig(1 << 20)
-	hs, _, err := HashedSort(stream.FromTuples(rows), HSOptions{
+	out, in, _ := hashed(t, rows, HSOptions{
 		HashKey: []attrs.ID{0}, SortKey: attrs.AscSeq(0, 1), Buckets: 8,
 	}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reorder to match wf = ({0}, (2 DESC)) — wait, use ascending col 1→2.
 	cfg2, _ := testConfig(1 << 20)
-	out, ssStats, err := SegmentedSort(hs, SSOptions{
+	starts, ssStats, err := Segmented(out, in, nil, SSOptions{
 		Alpha: nil,
 		Beta:  attrs.AscSeq(0, 1),
 	}, cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs, err := stream.Segments(out)
-	if err != nil {
-		t.Fatal(err)
+	if !slices.Equal(starts, in) {
+		t.Fatalf("SS moved the segment starts %v to %v", in, starts)
 	}
-	verifyMatches(t, segs, attrs.MakeSet(0), attrs.AscSeq(0, 1))
+	verifyMatches(t, segments(out, starts), attrs.MakeSet(0), attrs.AscSeq(0, 1))
 	if ssStats.Units != ssStats.Segments {
 		t.Errorf("empty α: units (%d) should equal segments (%d)", ssStats.Units, ssStats.Segments)
 	}
-	var flat []storage.Tuple
-	for _, s := range segs {
-		flat = append(flat, s...)
-	}
-	tagMultisetEqual(t, flat, rows, 2)
+	tagMultisetEqual(t, out, rows, 2)
 }
 
-// TestReorderEquivalence — FS, HS and SS all produce streams on which the
-// window function sees identical partitions: the cornerstone observation of
-// Section 3 (window partitions may arrive in any order).
+// TestSegmentedSortSegmentsByValue — with SegmentBy, SS starts a segment
+// wherever those values change as well as at every input start, and a unit
+// never spans either.
+func TestSegmentedSortSegmentsByValue(t *testing.T) {
+	rows := randTable(rand.New(rand.NewSource(9)), 600, 4, 50)
+	cfg, _ := testConfig(0)
+	out := fullSorted(t, rows, attrs.AscSeq(0), cfg)
+	in := []int{7, 300} // two starts that no value change explains
+	starts, st, err := Segmented(out, in, nil, SSOptions{Beta: attrs.AscSeq(1), SegmentBy: []attrs.ID{0}}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []int
+	for i := 1; i < len(out); i++ {
+		if slices.Contains(in, i) || out[i-1][0].Int64() != out[i][0].Int64() {
+			want = append(want, i)
+		}
+	}
+	if !slices.Equal(starts, want) || st.Segments != len(want)+1 || st.Units != st.Segments {
+		t.Fatalf("starts %v (%+v), want %v", starts, st, want)
+	}
+	for _, seg := range segments(out, starts) {
+		if !storage.SortedOn(seg, attrs.AscSeq(1)) {
+			t.Fatal("a segment is not sorted on β")
+		}
+	}
+}
+
+// TestReorderEquivalence — FS, HS and SS all produce segmented relations on
+// which the window function sees identical partitions: the cornerstone
+// observation of Section 3 (window partitions may arrive in any order).
 func TestReorderEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	rows := randTable(rng, 2500, 12, 25)
@@ -367,31 +373,20 @@ func TestReorderEquivalence(t *testing.T) {
 	}
 
 	cfg1, _ := testConfig(2048)
-	fsOut, _, err := FullSort(stream.FromTuples(rows), key, cfg1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fsSegs, _ := stream.Segments(fsOut)
+	fsSegs := segments(fullSorted(t, rows, key, cfg1), nil)
 
 	cfg2, _ := testConfig(2048)
-	hsOut, _, err := HashedSort(stream.FromTuples(rows), HSOptions{HashKey: []attrs.ID{0}, SortKey: key, Buckets: 7}, cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hsSegs, _ := stream.Segments(hsOut)
+	hsRows, hsStarts, _ := hashed(t, rows, HSOptions{HashKey: []attrs.ID{0}, SortKey: key, Buckets: 7}, cfg2)
+	hsSegs := segments(hsRows, hsStarts)
 
-	// SS path: pre-sort on (1) then segmented-sort α=ε… instead use sorted
-	// on (0) then α=(0), β=(1).
+	// SS path: sorted on (0), then α = (0), β = (1).
 	cfg3, _ := testConfig(1 << 20)
-	pre, _, err := FullSort(stream.FromTuples(rows), attrs.AscSeq(0), cfg3)
+	pre := fullSorted(t, rows, attrs.AscSeq(0), cfg3)
+	starts, _, err := Segmented(pre, nil, nil, SSOptions{Alpha: attrs.AscSeq(0), Beta: attrs.AscSeq(1)}, cfg3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ssOut, _, err := SegmentedSort(pre, SSOptions{Alpha: attrs.AscSeq(0), Beta: attrs.AscSeq(1)}, cfg3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ssSegs, _ := stream.Segments(ssOut)
+	ssSegs := segments(pre, starts)
 
 	fsParts := collectPartitions(fsSegs)
 	for name, segs := range map[string][][]storage.Tuple{"HS": hsSegs, "SS": ssSegs} {
@@ -400,73 +395,105 @@ func TestReorderEquivalence(t *testing.T) {
 			t.Fatalf("%s: %d partitions vs FS %d", name, len(got), len(fsParts))
 		}
 		for k, want := range fsParts {
-			gotPart := got[k]
-			if len(gotPart) != len(want) {
-				t.Fatalf("%s: partition %q size %d vs %d", name, k, len(gotPart), len(want))
+			if !slices.Equal(got[k], want) {
+				t.Fatalf("%s: partition %q is %v, FS has %v", name, k, got[k], want)
 			}
-			// Same tuples in the same WOK order (ties may permute: compare
-			// via sorted col-1 projection per tag).
 		}
 	}
 }
 
-// TestTheorem2Physical — evaluating SS after SS (the chained reorders of
-// C1's cover sets) preserves segment structure and sortedness.
+// TestChainedSegmentedSorts — SS after SS (the chained reorders of C1's
+// cover sets) preserves segment structure and sortedness.
 func TestChainedSegmentedSorts(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	rows := randTable(rng, 2000, 10, 20, 20)
 	cfg, _ := testConfig(1 << 20)
-	sorted, _, err := FullSort(stream.FromTuples(rows), attrs.AscSeq(0, 1), cfg)
+	out := fullSorted(t, rows, attrs.AscSeq(0, 1), cfg)
+	starts, _, err := Segmented(out, nil, nil, SSOptions{Alpha: attrs.AscSeq(0), Beta: attrs.AscSeq(2)}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss1, _, err := SegmentedSort(sorted, SSOptions{Alpha: attrs.AscSeq(0), Beta: attrs.AscSeq(2)}, cfg)
-	if err != nil {
+	if starts, _, err = Segmented(out, starts, nil, SSOptions{Alpha: attrs.AscSeq(0), Beta: attrs.AscSeq(1)}, cfg); err != nil {
 		t.Fatal(err)
 	}
-	ss2, _, err := SegmentedSort(ss1, SSOptions{Alpha: attrs.AscSeq(0), Beta: attrs.AscSeq(1)}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	segs, err := stream.Segments(ss2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) != 1 || !storage.SortedOn(segs[0], attrs.AscSeq(0, 1)) {
+	if len(starts) != 0 || !storage.SortedOn(out, attrs.AscSeq(0, 1)) {
 		t.Fatalf("chained SS broke ordering")
 	}
-	tagMultisetEqual(t, segs[0], rows, 3)
+	tagMultisetEqual(t, out, rows, 3)
 }
 
 func TestHashedSortRequiresKey(t *testing.T) {
 	cfg, _ := testConfig(1024)
-	if _, _, err := HashedSort(stream.FromTuples(nil), HSOptions{SortKey: attrs.AscSeq(0)}, cfg); err == nil {
+	if _, _, err := Hashed(nil, nil, HSOptions{SortKey: attrs.AscSeq(0)}, cfg); err == nil {
 		t.Errorf("HS without hash key should fail")
 	}
 }
 
 func TestEmptyInputs(t *testing.T) {
 	cfg, _ := testConfig(1024)
-	out, _, err := FullSort(stream.FromTuples(nil), attrs.AscSeq(0), cfg)
+	if st, err := Full(nil, attrs.AscSeq(0), cfg); err != nil || st.Sort.Tuples != 0 {
+		t.Errorf("FS of empty input: %+v, %v", st, err)
+	}
+	if starts, st, err := Hashed(nil, nil, HSOptions{HashKey: []attrs.ID{0}, SortKey: attrs.AscSeq(0), Buckets: 4}, cfg); err != nil || len(starts) != 0 || st.Buckets != 0 {
+		t.Errorf("HS of empty input: %v, %+v, %v", starts, st, err)
+	}
+	if starts, st, err := Segmented(nil, nil, nil, SSOptions{Beta: attrs.AscSeq(0)}, cfg); err != nil || len(starts) != 0 || st.Units != 0 {
+		t.Errorf("SS of empty input: %v, %+v, %v", starts, st, err)
+	}
+}
+
+// TestStreamFormsMatchTheArrayForms — the stream forms the benchmark
+// harness calls take their input's boundaries as its segment starts, and
+// tag the rows the array forms leave, in the same order, with the starts
+// the array forms return; their statistics are the array forms' too.
+func TestStreamFormsMatchTheArrayForms(t *testing.T) {
+	rows := randTable(rand.New(rand.NewSource(10)), 3000, 30, 20)
+	in := []int{1000, 2000}
+	tagged := func() stream.Stream {
+		out := make([]stream.Row, len(rows))
+		for i, r := range rows {
+			out[i] = stream.Row{Tuple: r, Boundary: i == 0 || slices.Contains(in, i)}
+		}
+		return stream.FromRows(out)
+	}
+	check := func(name string, out stream.Stream, err error, want []storage.Tuple, wantStarts []int) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := stream.Collect(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d rows, want %d", name, len(got), len(want))
+		}
+		for i, r := range got {
+			if r.Tuple[2].Int64() != want[i][2].Int64() || r.Boundary != (i == 0 || slices.Contains(wantStarts, i)) {
+				t.Fatalf("%s: row %d differs", name, i)
+			}
+		}
+	}
+	key := attrs.AscSeq(0, 1)
+	cfg, _ := testConfig(2048)
+
+	out, fs, err := FullSort(tagged(), key, cfg)
+	check("FS", out, err, fullSorted(t, rows, key, cfg), nil)
+
+	opt := HSOptions{HashKey: []attrs.ID{0}, SortKey: key, Buckets: 8}
+	hsRows, hsStarts, hsStats := hashed(t, rows, opt, cfg)
+	out, hs, err := HashedSort(tagged(), opt, cfg)
+	check("HS", out, err, hsRows, hsStarts)
+
+	ssRows, ssOpt := slices.Clone(rows), SSOptions{Beta: attrs.AscSeq(1)}
+	ssStarts, ssStats, err := Segmented(ssRows, in, nil, ssOpt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows, _ := stream.CollectTuples(out); len(rows) != 0 {
-		t.Errorf("FS of empty input returned rows")
-	}
-	out, _, err = HashedSort(stream.FromTuples(nil), HSOptions{HashKey: []attrs.ID{0}, SortKey: attrs.AscSeq(0), Buckets: 4}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows, _ := stream.CollectTuples(out); len(rows) != 0 {
-		t.Errorf("HS of empty input returned rows")
-	}
-	ssOut, _, err := SegmentedSort(stream.FromTuples(nil), SSOptions{Beta: attrs.AscSeq(0)}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows, _ := stream.CollectTuples(ssOut); len(rows) != 0 {
-		t.Errorf("SS of empty input returned rows")
+	out, ss, err := SegmentedSort(tagged(), ssOpt, cfg)
+	check("SS", out, err, ssRows, ssStarts)
+	if fs.Sort.InMemory || hs != hsStats || *ss != ssStats || !slices.Equal(ssStarts, in) {
+		t.Fatalf("stream forms report %+v, %+v, %+v; array forms %+v, %+v", fs, hs, *ss, hsStats, ssStats)
 	}
 }
 
@@ -483,106 +510,49 @@ func TestBucketCountPolicy(t *testing.T) {
 	}
 }
 
-// sabotagedStream runs sabotage once, before handing out row number at.
-type sabotagedStream struct {
-	stream.Stream
-	at, n    int
-	sabotage func()
-}
-
-func (s *sabotagedStream) Next() (stream.Row, bool) {
-	if s.n == s.at {
-		s.sabotage()
-	}
-	s.n++
-	return s.Stream.Next()
-}
-
-// TestHashedSortReleasesBucketsItDoesNotEmit — a Hashed Sort that fails in
-// its build phase (the spill directory disappears under it, so the next
-// bucket to flush cannot create its file), one whose output is closed after
-// the first row and one read to its end all give up every bucket file they
-// opened: the directory is empty and the pool has its blocks back. Each
-// gives its work back too, with no row left in it.
+// TestHashedSortReleasesBucketsItDoesNotEmit — a Hashed Sort that fails
+// (the store fails its k-th file create, or its k-th page write, for every
+// k up to the first that the run never reaches: in the build phase while
+// bucket files are open, and while the buckets are written back) and one
+// that runs to its end all give up every bucket and run file they opened:
+// the spill directory is empty and the pool has its blocks back. Each gives
+// its work back too, with no row left in it.
 func TestHashedSortReleasesBucketsItDoesNotEmit(t *testing.T) {
-	rows := randTable(rand.New(rand.NewSource(3)), 5000, 100, 10)
+	rows := randTable(rand.New(rand.NewSource(3)), 1000, 100, 10)
 	opt := HSOptions{HashKey: []attrs.ID{0}, SortKey: attrs.AscSeq(0, 1), Buckets: 32}
 	_, idle := pagestore.PoolCounters()
 	takeWorks()
-
 	dir := t.TempDir()
 	cfg := Config{MemoryBytes: 2048, Store: pagestore.NewFileBacked(dir, 512, nil)}
-	in := &sabotagedStream{Stream: stream.FromTuples(rows), at: 40, sabotage: func() {
-		if err := os.RemoveAll(dir); err != nil {
-			t.Fatal(err)
+	faults := 0
+	for _, write := range []bool{false, true} {
+		for k := 1; ; k++ {
+			if write {
+				cfg.Store.FailAt(0, k)
+			} else {
+				cfg.Store.FailAt(k, 0)
+			}
+			starts, st, err := Hashed(slices.Clone(rows), nil, opt, cfg)
+			if left, _ := os.ReadDir(dir); len(left) != 0 {
+				t.Fatalf("fault %d (write %v): %d spill files left behind", k, write, len(left))
+			}
+			if _, held := pagestore.PoolCounters(); held != idle {
+				t.Fatalf("fault %d (write %v): %d blocks not handed back", k, write, held-idle)
+			}
+			checkWorksIdle(t, 1)
+			if err == nil {
+				if k < 3 || st.SpilledBuckets < 2 || len(starts)+1 != st.Buckets {
+					t.Fatalf("write %v: ran through after %d faults, %d spilled buckets, %d starts for %d buckets", write, k-1, st.SpilledBuckets, len(starts), st.Buckets)
+				}
+				break
+			}
+			if !errors.Is(err, pagestore.ErrInjected) {
+				t.Fatalf("fault %d (write %v): %v", k, write, err)
+			}
+			faults++
 		}
-	}}
-	if _, st, err := HashedSort(in, opt, cfg); err == nil {
-		t.Fatalf("build phase survived the loss of its spill directory: %+v", st)
 	}
-	if _, held := pagestore.PoolCounters(); held != idle {
-		t.Fatalf("failed build phase: %d blocks not handed back", held-idle)
-	}
-	checkWorksIdle(t, 1)
-
-	for _, drain := range []bool{false, true} {
-		dir = t.TempDir()
-		cfg.Store = pagestore.NewFileBacked(dir, 512, nil)
-		out, st, err := HashedSort(stream.FromTuples(rows), opt, cfg)
-		if err != nil || st.SpilledBuckets < 2 {
-			t.Fatalf("err = %v, %d spilled buckets; want several", err, st.SpilledBuckets)
-		}
-		read := 0
-		for _, ok := out.Next(); ok && (drain || read == 0); _, ok = out.Next() {
-			read++
-		}
-		if drain != (read == len(rows)) {
-			t.Fatalf("read %d of %d rows", read, len(rows))
-		}
-		if err := out.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if left, _ := os.ReadDir(dir); len(left) != 0 {
-			t.Fatalf("drained %v: the stream left %d bucket files behind", drain, len(left))
-		}
-		if _, held := pagestore.PoolCounters(); held != idle {
-			t.Fatalf("drained %v: %d blocks not handed back", drain, held-idle)
-		}
-		checkWorksIdle(t, 1)
-	}
-}
-
-// TestSegmentedSortCloseClosesItsInput — a Segmented Sort abandoned after
-// its first row closes its input: over a spilling Hashed Sort, the
-// buckets it had not emitted give their files and pages back, and both
-// operators their works.
-func TestSegmentedSortCloseClosesItsInput(t *testing.T) {
-	rows := randTable(rand.New(rand.NewSource(5)), 5000, 100, 10)
-	cfg, _ := testConfig(2048)
-	_, idle := pagestore.PoolCounters()
-	takeWorks()
-	hs, st, err := HashedSort(stream.FromTuples(rows), HSOptions{HashKey: []attrs.ID{0}, SortKey: attrs.AscSeq(0), Buckets: 32}, cfg)
-	if err != nil || st.SpilledBuckets < 2 {
-		t.Fatalf("err = %v, %d spilled buckets; want several", err, st.SpilledBuckets)
-	}
-	out, _, err := SegmentedSort(hs, SSOptions{Alpha: attrs.AscSeq(0), Beta: attrs.AscSeq(1)}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := out.Next(); !ok {
-		t.Fatal("no first row")
-	}
-	if err := out.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, held := pagestore.PoolCounters(); held != idle {
-		t.Fatalf("%d blocks not handed back", held-idle)
-	}
-	checkWorksIdle(t, min(2, runtime.GOMAXPROCS(0)))
-	if err := out.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
-	}
-	checkWorksIdle(t, min(2, runtime.GOMAXPROCS(0)))
+	t.Logf("%d faults injected", faults)
 }
 
 // takeWorks empties the free list of works, so a test counts what comes
@@ -611,16 +581,16 @@ func checkWorksIdle(t *testing.T, want int) {
 		t.Fatalf("%d works idle, want %d", len(idle), want)
 	}
 	for _, w := range idle {
-		if len(w.buckets)+len(w.order)+len(w.tuples) != 0 {
-			t.Fatalf("an idle work has %d buckets, %d in order and %d tuples in use", len(w.buckets), len(w.order), len(w.tuples))
+		if len(w.buckets)+len(w.order) != 0 {
+			t.Fatalf("an idle work has %d buckets and %d in order in use", len(w.buckets), len(w.order))
 		}
 		for i, b := range w.buckets[:cap(w.buckets)] {
 			if b.spilled() || b.count != 0 || b.memSize != 0 || len(b.mem) != 0 || slices.ContainsFunc(b.mem[:cap(b.mem)], notNil) {
 				t.Fatalf("idle bucket %d holds rows or a file: %+v", i, b)
 			}
 		}
-		if slices.ContainsFunc(w.tuples[:cap(w.tuples)], notNil) || slices.ContainsFunc(w.order[:cap(w.order)], func(b *hsBucket) bool { return b != nil }) {
-			t.Fatal("an idle work's arrays hold rows or buckets")
+		if slices.ContainsFunc(w.order[:cap(w.order)], func(b *hsBucket) bool { return b != nil }) {
+			t.Fatal("an idle work's order holds buckets")
 		}
 		if !reflect.ValueOf(w.reader).IsZero() {
 			t.Fatal("an idle work's reader is open")

@@ -9,18 +9,15 @@ import (
 	"repro/internal/storage"
 )
 
-// work is what one Hashed or Segmented Sort borrows from works for its life
-// and gives back, cleared, when its stream ends — drained, failed or closed
-// — or its build fails: HS's buckets, each with its resident array kept at
-// the length it grew to, and the order they are emitted in; the array a
-// spilled bucket or an SS unit is read into; the reader a bucket is loaded
-// through; and the arena HS moves its resident rows to while it rewinds the
-// chain's. So a warm operator allocates none of them, whatever its rows,
-// buckets or spill files.
+// work is what one Hashed Sort borrows from works for its life and gives
+// back, cleared, however it returns: its buckets, each with its resident
+// array kept at the length it grew to, and the order they are written back
+// in; the reader a spilled bucket is loaded through; and the arena it moves
+// its resident rows to while it rewinds the chain's. So a warm operator
+// allocates none of them, whatever its rows, buckets or spill files.
 type work struct {
 	buckets []hsBucket
 	order   []*hsBucket
-	tuples  []storage.Tuple
 	reader  spill.Reader
 	keep    *storage.TupleArena
 }
@@ -30,8 +27,7 @@ var works = recycle.NewList((*work).bytes)
 // bytes is the memory w retains.
 func (w *work) bytes() int64 {
 	const header = int64(unsafe.Sizeof(storage.Tuple{}))
-	n := int64(unsafe.Sizeof(*w)) + int64(cap(w.buckets))*int64(unsafe.Sizeof(hsBucket{})) + int64(cap(w.order))*int64(unsafe.Sizeof((*hsBucket)(nil))) +
-		int64(cap(w.tuples))*header
+	n := int64(unsafe.Sizeof(*w)) + int64(cap(w.buckets))*int64(unsafe.Sizeof(hsBucket{})) + int64(cap(w.order))*int64(unsafe.Sizeof((*hsBucket)(nil)))
 	for _, b := range w.buckets[:cap(w.buckets)] {
 		n += int64(cap(b.mem)) * header
 	}
@@ -72,8 +68,7 @@ func (w *work) giveBack() {
 		*b = hsBucket{mem: b.mem[:0]}
 	}
 	clear(w.order[:cap(w.order)])
-	clear(w.tuples[:cap(w.tuples)])
-	w.buckets, w.order, w.tuples = w.buckets[:0], w.order[:0], w.tuples[:0]
+	w.buckets, w.order = w.buckets[:0], w.order[:0]
 	w.reader = spill.Reader{}
 	works.Put(w)
 }

@@ -88,6 +88,7 @@ func DecodeRemoteError(node string, resp *http.Response) error {
 // A Client is safe for concurrent use (http.Client is).
 type Client struct {
 	base  string
+	query string // base + "/query"
 	hc    *http.Client
 	codec WireCodec
 }
@@ -114,7 +115,7 @@ func NewClientCodec(addr string, hc *http.Client, codec WireCodec) *Client {
 	if codec == "" {
 		codec = CodecBinary
 	}
-	return &Client{base: base, hc: hc, codec: codec}
+	return &Client{base: base, query: base + "/query", hc: hc, codec: codec}
 }
 
 // Addr returns the server's base URL.
@@ -125,7 +126,7 @@ func (c *Client) Addr() string { return c.base }
 func (c *Client) QueryContext(ctx context.Context, src string) (*windowdb.Rows, error) {
 	q := queryRequest{SQL: src, Stream: true}
 	body := q.appendJSON(make([]byte, 0, len(src)+64)) // 49 bytes around src, unless it needs escapes
-	sr, err := openStream(ctx, c.hc, c.base+"/query", body, c.codec)
+	sr, err := openStream(ctx, c.hc, c.query, body, c.codec)
 	if err != nil {
 		return nil, err
 	}
@@ -233,7 +234,7 @@ func openStream(ctx context.Context, hc *http.Client, url string, body []byte, c
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header["Content-Type"] = headerJSON
 	if hc == nil {
 		hc = http.DefaultClient
 	}
@@ -246,9 +247,9 @@ func openStream(ctx context.Context, hc *http.Client, url string, body []byte, c
 	if codec == CodecBinary {
 		// Prefer binary, accept NDJSON: a server without the binary codec
 		// ignores the first alternative and streams NDJSON.
-		req.Header.Set("Accept", ContentTypeBinary+", "+ContentTypeNDJSON)
+		req.Header["Accept"] = headerAcceptFrames
 	} else {
-		req.Header.Set("Accept", ContentTypeNDJSON)
+		req.Header["Accept"] = headerNDJSON
 	}
 	start := time.Now()
 	resp, err := hc.Do(req)

@@ -54,7 +54,7 @@ func postBody(ctx context.Context, hc *http.Client, url string, body []byte) (*h
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", ContentTypeBinary)
+	req.Header["Content-Type"] = headerBinary
 	resp, err := hc.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("service: POST %s: %w", url, err)

@@ -49,6 +49,17 @@ const ContentTypeNDJSON = "application/x-ndjson"
 // a client that doesn't keeps getting NDJSON.
 const ContentTypeBinary = "application/x-windowdb-frame"
 
+// Header values the service sends unchanged on every request or response.
+// They are assigned into the header map rather than Set, which allocates a
+// one-element slice per call; each has len == cap, so an Add to the same
+// key copies the slice rather than writing into it.
+var (
+	headerJSON         = []string{"application/json"}
+	headerNDJSON       = []string{ContentTypeNDJSON}
+	headerBinary       = []string{ContentTypeBinary}
+	headerAcceptFrames = []string{ContentTypeBinary + ", " + ContentTypeNDJSON}
+)
+
 // WireCodec names a streamed row encoding.
 type WireCodec string
 
@@ -316,10 +327,10 @@ func newStreamWriter(w http.ResponseWriter, codec WireCodec) *streamWriter {
 	sw := &streamWriter{}
 	sw.flusher, _ = w.(http.Flusher)
 	if codec == CodecBinary {
-		w.Header().Set("Content-Type", ContentTypeBinary)
+		w.Header()["Content-Type"] = headerBinary
 		sw.fw = takeFrameWriter(w)
 	} else {
-		w.Header().Set("Content-Type", ContentTypeNDJSON)
+		w.Header()["Content-Type"] = headerNDJSON
 		sw.enc = json.NewEncoder(w)
 		sw.w = w
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/storage"
-	"repro/internal/stream"
 )
 
 // EvaluateSlice evaluates spec over rows into col, the derived column as a
@@ -46,26 +45,4 @@ func (e *Evaluator) EvaluateSlice(rows []storage.Tuple, spec Spec, col []storage
 		start = end
 	}
 	return nil
-}
-
-// Evaluate is the stream form: it collects in, evaluates spec with
-// EvaluateSlice and returns the same rows, each extended with the derived
-// column, under their original segment boundaries.
-func Evaluate(in stream.Stream, spec Spec) (stream.Stream, error) {
-	rows, err := stream.Collect(in)
-	if err != nil {
-		return nil, err
-	}
-	tuples := make([]storage.Tuple, len(rows))
-	for i, r := range rows {
-		tuples[i] = r.Tuple
-	}
-	col := make([]storage.Value, len(rows))
-	if err := new(Evaluator).EvaluateSlice(tuples, spec, col); err != nil {
-		return nil, err
-	}
-	for i, v := range col {
-		rows[i].Tuple = rows[i].Tuple.Extend(v)
-	}
-	return stream.FromRows(rows), nil
 }

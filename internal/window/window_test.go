@@ -27,12 +27,12 @@ func TestMultiPartitionBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := stream.CollectTuples(out)
+	got, err := stream.Collect(out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[2][4].Int64() != 1 {
-		t.Errorf("rank did not reset at partition boundary: %v", got[2])
+	if got[2].Tuple[4].Int64() != 1 {
+		t.Errorf("rank did not reset at partition boundary: %v", got[2].Tuple)
 	}
 }
 

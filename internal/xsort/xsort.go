@@ -141,7 +141,9 @@ func (s *Sorter) sortTuples(tuples []storage.Tuple, rewind *storage.ArenaMark) (
 // Sort consumes the input and returns the fully sorted tuples. sizeHint may
 // be 0 when unknown; when it is the input's length the in-memory buffer is
 // carved once. A sort that spills resets s.Arena's rows once its input is on
-// disk: every row in the arena must be part of the input.
+// disk: every row in the arena must be part of the input. The engine sorts
+// loaded slices (SortTuples, SortLoaded); Sort stays for the frozen
+// benchmark harness, which times it as the sort layer.
 func (s *Sorter) Sort(in Input, sizeHint int) ([]storage.Tuple, Stats, error) {
 	// Buffer input until the memory budget is exceeded.
 	var (
